@@ -96,28 +96,7 @@ fn wire_codec(c: &mut Criterion) {
             b.iter(|| black_box(Message::decode(&bytes).unwrap()));
         });
     }
-    // The session layer's biggest frame: shipping the whole dataset to a
-    // freshly-admitted worker process (validating decode included).
-    for &rows in &[1_000usize, 10_000] {
-        let data = bench_dataset(5_000, rows, 20);
-        let msg = Message::DatasetTransfer {
-            dataset: Box::new(data.dataset),
-        };
-        let bytes = msg.to_bytes();
-        group.throughput(Throughput::Bytes(bytes.len() as u64));
-        group.bench_with_input(BenchmarkId::new("encode_dataset", rows), &rows, |b, _| {
-            let mut buf = Vec::with_capacity(bytes.len());
-            b.iter(|| {
-                buf.clear();
-                msg.encode(&mut buf);
-                black_box(buf.len())
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("decode_dataset", rows), &rows, |b, _| {
-            b.iter(|| black_box(Message::decode(&bytes).unwrap()));
-        });
-    }
-    // What the admission path actually sends now: one worker's shard as
+    // What the admission path sends: one worker's shard as
     // a stream of ~256 KiB DatasetShard chunks (weights included),
     // encode and validating decode.
     for &rows in &[1_000usize, 10_000] {

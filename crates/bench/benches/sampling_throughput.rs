@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use isasgd_sampling::{
     AdaptiveIsSampler, AliasTable, CommitPolicy, Draw, FenwickSampler, SampleSequence, Sampler,
-    ScheduleStream, SequenceMode, StripedFenwick, Xoshiro256pp,
+    ScheduleStream, SequenceMode, Xoshiro256pp,
 };
 use std::hint::black_box;
 
@@ -84,19 +84,6 @@ fn samplers(c: &mut Criterion) {
                 });
             },
         );
-
-        // The concurrent-accumulation path threaded adaptive runs take:
-        // one striped max-observe per step (uncontended here; stripes
-        // exist to keep the contended case cheap).
-        let striped = StripedFenwick::new(n, 16);
-        group.bench_with_input(BenchmarkId::new("striped_observe_max", n), &n, |b, &n| {
-            let mut r = Xoshiro256pp::new(9);
-            let version = striped.version();
-            b.iter(|| {
-                let i = r.next_index(n);
-                black_box(striped.observe_max(version, i, r.next_f64() + 0.01))
-            });
-        });
     }
 
     // Streamed vs materialized epoch schedules: the engine pulls bounded

@@ -214,10 +214,10 @@ fn measure() -> BTreeMap<&'static str, f64> {
     );
 
     // Telemetry frames ride every round of an armed run (one per
-    // worker per round, absorbed by the supervisor), so their codec
-    // cost and fixed byte footprint join the trajectory. Throughput
-    // here is per-frame-overhead-bound — the frame is ~60 bytes — so
-    // the gbps figure guards the header/checksum path, not bulk copy.
+    // worker per round, absorbed by the supervisor), so their fixed
+    // byte footprint joins the trajectory. No throughput figure: on a
+    // 53-byte frame it measures call latency, not bandwidth, and swings
+    // past the gate's 25% with no code change.
     let telem = Message::Telemetry {
         node: 1,
         round: 7,
@@ -228,32 +228,9 @@ fn measure() -> BTreeMap<&'static str, f64> {
             commits: 625,
         },
     };
-    let telem_bytes = telem.to_bytes();
-    let mut buf = Vec::with_capacity(telem_bytes.len());
-    m.insert(
-        "encode_telemetry_gbps",
-        gbps(telem_bytes.len(), || {
-            buf.clear();
-            telem.encode(&mut buf);
-            black_box(buf.len());
-        }),
-    );
-    m.insert(
-        "decode_telemetry_gbps",
-        gbps(telem_bytes.len(), || {
-            black_box(Message::decode(&telem_bytes).unwrap());
-        }),
-    );
-    m.insert("telemetry_frame_bytes", telem_bytes.len() as f64);
+    m.insert("telemetry_frame_bytes", telem.to_bytes().len() as f64);
 
-    // Admission footprints: one worker's shard stream vs the monolithic
-    // whole-dataset frame the v1 handshake shipped to every worker.
-    let full = Message::DatasetTransfer {
-        dataset: Box::new(data.dataset.clone()),
-    }
-    .to_bytes()
-    .len();
-    m.insert("admission_full_bytes", full as f64);
+    // Admission footprint: one worker's shard stream.
     m.insert("admission_shard_stream_bytes", stream_bytes as f64);
 
     m

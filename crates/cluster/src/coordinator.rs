@@ -8,8 +8,8 @@
 //! ```text
 //! worker                         coordinator
 //!   ── RoundBarrier(0) ──────────▶   hello: announce readiness
-//!   ◀───────────── ShardRebalance   Algorithm-4 balancing decision:
-//!                                    permutation + every shard range
+//!   ◀───────────── ShardRebalance   Algorithm-4 balancing outcome:
+//!                                    every shard range + which is yours
 //!  per round r = 1..=rounds:
 //!   ◀── RoundBarrier(r) ──────────   start-of-round barrier
 //!   ◀── ModelUpdate(r, consensus)    round's starting model
@@ -53,48 +53,39 @@ use isasgd_sampling::{
 use isasgd_sparse::dataset::shard_ranges;
 use isasgd_sparse::Dataset;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// The run state every node derives from the coordinator's balancing
-/// decision: the rearranged dataset view and the importance weights in
-/// *original* row order. Remote workers reconstruct it from
-/// [`Message::ShardRebalance`]; in-process workers share the
-/// coordinator's copy behind an [`Arc`] — the reconstruction is
-/// deterministic, so the shared values are bit-identical to what each
-/// node would have rebuilt (pinned by `tests/equivalence.rs`), and the
-/// `K+1`-copies-per-run cost the ROADMAP called out is gone.
-pub(crate) struct RunView {
+/// Everything the coordinator derives from the balancing decision
+/// before any traffic moves (Algorithm 4 weighs, balances and shards
+/// once): the rearranged dataset, its per-row importance weights, and
+/// the shard ranges. Computed once per run by [`plan_run`]; the round
+/// driver evaluates against it, thread-backed workers borrow their
+/// [`ShardInput`] from it, and the fleet streams per-shard dataset
+/// frames from it — one source, so the three can never disagree.
+pub(crate) struct RunPlan {
     /// The dataset after the balancing permutation.
     pub data: Dataset,
-    /// Importance weights indexed by original row.
-    pub weights: Vec<f64>,
-}
-
-/// Publication slot for the shared [`RunView`]: the coordinator fills
-/// it before shipping `ShardRebalance`, so any in-process worker that
-/// has received its assignment observes the view as set.
-pub(crate) type SharedViewSlot = Arc<OnceLock<Arc<RunView>>>;
-
-/// Everything the coordinator derives from the balancing decision
-/// before any traffic moves: the shared [`RunView`], the permutation,
-/// the shard ranges, and the weights in reordered row order. Computed
-/// once per run by [`plan_run`] so the fleet can stream per-shard
-/// dataset frames from the *same* reordered view the round driver
-/// evaluates against — bit-identical by construction, not by replay.
-pub(crate) struct RunPlan {
-    /// The rearranged dataset plus original-order weights.
-    pub view: Arc<RunView>,
-    /// The balancing permutation (original row for each reordered slot).
-    pub order: Vec<usize>,
-    /// Contiguous shard ranges into the reordered view.
+    /// Contiguous shard ranges into `data`.
     pub ranges: Vec<Range<usize>>,
-    /// Importance weights in reordered row order.
+    /// Importance weights, indexed like `data`.
     pub reordered_weights: Vec<f64>,
     /// Whether the balance policy rearranged anything.
     pub balanced: bool,
     /// Measured ρ of the importance weights.
     pub rho: f64,
+}
+
+impl RunPlan {
+    /// Node `k`'s training input, borrowed zero-copy from the plan.
+    fn shard(&self, k: usize) -> ShardInput<'_> {
+        let range = self.ranges[k].clone();
+        ShardInput {
+            rows: &self.data,
+            row_base: 0,
+            weights: &self.reordered_weights[range.clone()],
+            range,
+        }
+    }
 }
 
 /// Algorithm 4 lines 2–6 (weigh, decide, rearrange) plus the shard
@@ -107,17 +98,10 @@ pub(crate) fn plan_run<L: Loss>(
     let seeds = derive_seeds(cfg.seed, cfg.nodes + 1);
     let weights = importance_weights(ds, &obj.loss, obj.reg, cfg.importance);
     let decision = decide(&weights, cfg.balance, seeds[cfg.nodes], cfg.nodes);
-    let view = Arc::new(RunView {
-        data: ds.reordered(&decision.order)?,
-        weights,
-    });
-    let reordered_weights: Vec<f64> = decision.order.iter().map(|&i| view.weights[i]).collect();
-    let ranges = shard_ranges(ds.n_samples(), cfg.nodes)?;
     Ok(RunPlan {
-        view,
-        order: decision.order,
-        ranges,
-        reordered_weights,
+        data: ds.reordered(&decision.order)?,
+        ranges: shard_ranges(ds.n_samples(), cfg.nodes)?,
+        reordered_weights: decision.order.iter().map(|&i| weights[i]).collect(),
         balanced: decision.balanced,
         rho: decision.rho,
     })
@@ -138,7 +122,7 @@ pub fn run_with_links<L: Loss, T: Transport>(
     cfg: &ClusterConfig,
     links: Vec<(T, T)>,
 ) -> Result<ClusterRun, ClusterError> {
-    run_with_links_inner(ds, obj, cfg, links, false, || {})
+    run_with_links_observed(ds, obj, cfg, links, || {})
 }
 
 /// [`run_with_links`] with an observer called on the coordinating
@@ -158,24 +142,6 @@ pub fn run_with_links_observed<L: Loss, T: Transport>(
     links: Vec<(T, T)>,
     on_driver_done: impl FnOnce() + Send,
 ) -> Result<ClusterRun, ClusterError> {
-    run_with_links_inner(ds, obj, cfg, links, false, on_driver_done)
-}
-
-/// [`run_with_links`] with the in-process fast path switched on: all
-/// workers share the coordinator's reconstructed [`RunView`] behind an
-/// `Arc` instead of each rebuilding it. Entered through
-/// [`crate::run`] for `TransportConfig::InProcess`; the public
-/// `run_with_links` keeps the copying (remote-faithful) semantics so
-/// fault-injection wrappers and transport tests exercise what real
-/// distributed workers do.
-pub(crate) fn run_with_links_inner<L: Loss, T: Transport>(
-    ds: &Dataset,
-    obj: &Objective<L>,
-    cfg: &ClusterConfig,
-    links: Vec<(T, T)>,
-    share_view: bool,
-    on_driver_done: impl FnOnce() + Send,
-) -> Result<ClusterRun, ClusterError> {
     validate(cfg, ds)?;
     if links.len() != cfg.nodes {
         return Err(ClusterError::InvalidConfig(format!(
@@ -184,7 +150,6 @@ pub(crate) fn run_with_links_inner<L: Loss, T: Transport>(
             cfg.nodes
         )));
     }
-    let slot: Option<SharedViewSlot> = share_view.then(|| Arc::new(OnceLock::new()));
     let plan = plan_run(ds, obj, cfg)?;
     let (mut coord_ends, worker_ends): (Vec<T>, Vec<T>) = links.into_iter().unzip();
     std::thread::scope(|scope| {
@@ -192,14 +157,11 @@ pub(crate) fn run_with_links_inner<L: Loss, T: Transport>(
             .into_iter()
             .enumerate()
             .map(|(k, link)| {
-                let mut runtime = NodeRuntime::new(link, k);
-                if let Some(s) = &slot {
-                    runtime = runtime.with_shared_view(s.clone());
-                }
-                scope.spawn(move || runtime.run(ds, obj, cfg))
+                let shard = plan.shard(k);
+                scope.spawn(move || NodeRuntime::new(link, k).run(shard, obj, cfg))
             })
             .collect();
-        let coord = coordinate(&mut coord_ends, &plan, obj, cfg, slot.as_ref());
+        let coord = coordinate(&mut coord_ends, &plan, obj, cfg);
         on_driver_done();
         // On coordinator failure, drop the links now so every blocked
         // worker `recv` unblocks with `Closed` instead of deadlocking
@@ -248,26 +210,17 @@ pub(crate) fn run_with_links_inner<L: Loss, T: Transport>(
 
 /// The coordinator: owns the balancing decision, the round barriers,
 /// model averaging, consensus evaluation, and the feedback mirror.
-/// When `share` is given (in-process runs), the reconstructed
-/// [`RunView`] is published there before any assignment ships, so
-/// workers can borrow it instead of rebuilding their own copies.
 pub(crate) fn coordinate<L: Loss, T: Transport>(
     links: &mut [T],
     plan: &RunPlan,
     obj: &Objective<L>,
     cfg: &ClusterConfig,
-    share: Option<&SharedViewSlot>,
 ) -> Result<ClusterRun, ClusterError> {
-    let data = &plan.view.data;
+    let data = &plan.data;
     let d = data.dim();
     let ranges = &plan.ranges;
     let reordered_weights = &plan.reordered_weights;
     let strategy = effective_strategy(cfg);
-    if let Some(slot) = share {
-        // Publish before the first send: a worker that has its
-        // ShardRebalance is guaranteed to see the view as set.
-        let _ = slot.set(plan.view.clone());
-    }
 
     let phis: Vec<f64> = ranges
         .iter()
@@ -309,10 +262,8 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
         }
     }
 
-    // Ship the balancing decision: each worker reconstructs the
-    // rearranged dataset view from the permutation and trains only its
-    // assigned shard.
-    let order_u32: Vec<u32> = plan.order.iter().map(|&i| i as u32).collect();
+    // Ship the balancing decision's outcome: every shard range, and
+    // which one the receiving worker trains.
     let ranges_u32: Vec<(u32, u32)> = ranges
         .iter()
         .map(|r| (r.start as u32, r.end as u32))
@@ -321,7 +272,6 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
         link.send(&Message::ShardRebalance {
             round: 0,
             assigned: k as u32,
-            order: order_u32.clone(),
             ranges: ranges_u32.clone(),
         })?;
     }
@@ -502,9 +452,21 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
     })
 }
 
-/// The raw wire form of a shard assignment as carried by
-/// [`Message::ShardRebalance`]: `(order, ranges, assigned)`.
-type WireAssignment = (Vec<u32>, Vec<(u32, u32)>, usize);
+/// The only thing a worker is ever given to train on: rows, their
+/// importance weights, and where they sit in the rearranged dataset.
+/// Thread-backed workers borrow it from the coordinator's plan, process
+/// workers from the shard they decoded off the wire.
+#[derive(Debug)]
+pub struct ShardInput<'a> {
+    /// Storage holding at least the rows of `range`.
+    pub rows: &'a Dataset,
+    /// Global (rearranged-dataset) row id of `rows.row(0)`.
+    pub row_base: usize,
+    /// Importance weight of each row of `range`, in order.
+    pub weights: &'a [f64],
+    /// The global row range the supplier claims this node owns.
+    pub range: Range<usize>,
+}
 
 /// One worker's runtime: receives its shard assignment, runs local
 /// (IS-)SGD epochs on its own [`ScheduleStream`], and reports its
@@ -517,10 +479,6 @@ pub struct NodeRuntime<T: Transport> {
     /// `ShardRebalance`): stashed instead of dropped so transport
     /// reordering can never starve a later await.
     stash: std::collections::VecDeque<Message>,
-    /// In-process fast path: when set (and filled by the coordinator),
-    /// borrow the shared rearranged dataset + weights instead of
-    /// reconstructing them — bit-identical values either way.
-    shared_view: Option<SharedViewSlot>,
     /// Chaos hook: abort abruptly right after this round starts,
     /// simulating a worker crash mid-round (drives the fleet's
     /// supervision tests and `--chaos-kill`).
@@ -537,16 +495,9 @@ impl<T: Transport> NodeRuntime<T> {
             link,
             node_id,
             stash: std::collections::VecDeque::new(),
-            shared_view: None,
             die_at_round: None,
             bugs: crate::node::ProtocolBugs::default(),
         }
-    }
-
-    /// Attaches the in-process shared-view slot (see [`RunView`]).
-    pub(crate) fn with_shared_view(mut self, slot: SharedViewSlot) -> Self {
-        self.shared_view = Some(slot);
-        self
     }
 
     /// Arms the chaos hook: the runtime errors out (dropping its link,
@@ -557,23 +508,22 @@ impl<T: Transport> NodeRuntime<T> {
         self
     }
 
-    /// Runs the full worker side of the protocol (see module docs).
+    /// Runs the full worker side of the protocol (see module docs) on
+    /// the supplied shard.
     ///
-    /// `ds` is the *original* (pre-rearrangement) dataset: workers
-    /// reconstruct the rearranged view from the coordinator's
-    /// [`Message::ShardRebalance`], and recompute importance weights on
-    /// the original row order — the exact float-op order the
-    /// coordinator used — so the run stays bit-equal across transports
-    /// even for schemes with order-sensitive reductions.
+    /// The assignment still arrives as [`Message::ShardRebalance`]; a
+    /// supplier whose `shard` disagrees with it is refused, whoever the
+    /// supplier is. Nothing global is recomputed here: weights are the
+    /// exact bits the coordinator's plan holds, and per-row feature
+    /// norms are row-local, so every transport trains bit-identically.
     pub fn run<L: Loss>(
         mut self,
-        ds: &Dataset,
+        shard: ShardInput<'_>,
         obj: &Objective<L>,
         cfg: &ClusterConfig,
     ) -> Result<(), ClusterError> {
         self.bugs = cfg.bugs;
-        let (order, wire_ranges, assigned) = self.await_assignment()?;
-        let order: Vec<usize> = order.into_iter().map(|i| i as usize).collect();
+        let (wire_ranges, assigned) = self.await_assignment()?;
         let ranges: Vec<Range<usize>> = wire_ranges
             .into_iter()
             .map(|(s, e)| s as usize..e as usize)
@@ -581,105 +531,49 @@ impl<T: Transport> NodeRuntime<T> {
         let range = ranges.get(assigned).cloned().ok_or_else(|| {
             ClusterError::Worker(format!("assigned shard {assigned} out of range"))
         })?;
-
-        // The shared view (if wired) was published before the
-        // ShardRebalance we just consumed, so `get()` observing `None`
-        // here means this is a copying (remote-faithful) run.
-        let shared = self.shared_view.as_ref().and_then(|s| s.get()).cloned();
-        let owned: Option<(Dataset, Vec<f64>)> = if shared.is_none() {
-            Some((
-                ds.reordered(&order)?,
-                importance_weights(ds, &obj.loss, obj.reg, cfg.importance),
-            ))
-        } else {
-            None
-        };
-        let (data, weights): (&Dataset, &[f64]) = match (&shared, &owned) {
-            (Some(v), _) => (&v.data, &v.weights),
-            (None, Some((d, w))) => (d, w),
-            (None, None) => unreachable!("either the shared or the owned view exists"),
-        };
-        let local: Vec<f64> = order[range.clone()].iter().map(|&i| weights[i]).collect();
-        let strategy = effective_strategy(cfg);
-        let protocol = (strategy == SamplingStrategy::Adaptive)
-            .then(|| FeedbackProtocol::for_dataset(data, ranges.clone(), cfg.obs_model));
-        self.run_rounds(data, 0, &local, protocol, assigned, range, obj, cfg)
-    }
-
-    /// The worker side of a shard-streamed session: `shard` holds only
-    /// this node's (already reordered) rows and `weights` the matching
-    /// per-row importance weights, both received over the wire as
-    /// [`Message::DatasetShard`] chunks — nothing global is recomputed,
-    /// which is what makes admission bandwidth proportional to the
-    /// shard. Bit-equal to [`NodeRuntime::run`] over the full dataset:
-    /// the streamed rows and weights are the exact bits the
-    /// coordinator's plan holds, and per-row feature norms are
-    /// row-local, so recomputing them from the shard reproduces the
-    /// full-dataset precompute at every row this worker can observe.
-    pub fn run_sharded<L: Loss>(
-        mut self,
-        shard: &Dataset,
-        weights: &[f64],
-        shard_start: usize,
-        obj: &Objective<L>,
-        cfg: &ClusterConfig,
-    ) -> Result<(), ClusterError> {
-        self.bugs = cfg.bugs;
-        let (_order, wire_ranges, assigned) = self.await_assignment()?;
-        let ranges: Vec<Range<usize>> = wire_ranges
-            .into_iter()
-            .map(|(s, e)| s as usize..e as usize)
-            .collect();
-        let range = ranges.get(assigned).cloned().ok_or_else(|| {
-            ClusterError::Worker(format!("assigned shard {assigned} out of range"))
-        })?;
-        // The streamed shard and the assignment travelled as separate
-        // frames; a disagreement means the coordinator and this worker
-        // would silently train different rows — refuse instead.
-        if range.start != shard_start || range.len() != shard.n_samples() {
+        // The shard and the assignment reach the worker separately; a
+        // disagreement means the coordinator and this worker would
+        // silently train different rows — refuse instead.
+        if range != shard.range {
             return Err(ClusterError::Worker(format!(
                 "streamed shard rows {}..{} disagree with assigned range {}..{}",
-                shard_start,
-                shard_start + shard.n_samples(),
+                shard.range.start, shard.range.end, range.start, range.end
+            )));
+        }
+        if shard.weights.len() != range.len() {
+            return Err(ClusterError::Worker(format!(
+                "{} streamed weights for {} shard rows",
+                shard.weights.len(),
+                range.len()
+            )));
+        }
+        if shard.row_base > range.start || shard.row_base + shard.rows.n_samples() < range.end {
+            return Err(ClusterError::Worker(format!(
+                "supplied rows {}..{} do not hold the shard {}..{}",
+                shard.row_base,
+                shard.row_base + shard.rows.n_samples(),
                 range.start,
                 range.end
             )));
         }
-        if weights.len() != shard.n_samples() {
-            return Err(ClusterError::Worker(format!(
-                "{} streamed weights for {} shard rows",
-                weights.len(),
-                shard.n_samples()
-            )));
-        }
-        let strategy = effective_strategy(cfg);
-        let protocol = (strategy == SamplingStrategy::Adaptive).then(|| {
+        let protocol = (effective_strategy(cfg) == SamplingStrategy::Adaptive).then(|| {
             // Global-length norms, zeroed outside this shard: a worker
-            // only ever scales observations for rows it owns, and
-            // per-row norms computed from the shard's rows are
-            // bit-identical to the full-dataset precompute there.
+            // only ever scales observations for rows it owns.
             let n = ranges.last().map(|r| r.end).unwrap_or(0);
             let mut norms_sq = vec![0.0f64; n];
-            norms_sq[range.clone()].copy_from_slice(&isasgd_sparse::stats::row_norms_sq(shard));
-            FeedbackProtocol::new(ranges.clone(), &norms_sq, cfg.obs_model)
+            for row in range.clone() {
+                norms_sq[row] = shard.rows.row(row - shard.row_base).norm_sq();
+            }
+            FeedbackProtocol::new(ranges, &norms_sq, cfg.obs_model)
         });
-        self.run_rounds(
-            shard,
-            range.start,
-            weights,
-            protocol,
-            assigned,
-            range.clone(),
-            obj,
-            cfg,
-        )
+        self.run_rounds(shard, protocol, assigned, obj, cfg)
     }
 
     /// Announces readiness (the round-0 hello barrier) and awaits the
     /// coordinator's [`Message::ShardRebalance`], stashing any round
     /// traffic a reordering transport delivered early. Returns the raw
-    /// wire assignment `(order, ranges, assigned)`.
-    fn await_assignment(&mut self) -> Result<WireAssignment, ClusterError> {
+    /// wire assignment `(ranges, assigned)`.
+    fn await_assignment(&mut self) -> Result<(Vec<(u32, u32)>, usize), ClusterError> {
         self.link.send(&Message::RoundBarrier {
             node: self.node_id as u32,
             round: 0,
@@ -688,11 +582,8 @@ impl<T: Transport> NodeRuntime<T> {
             // lint: allow(unbounded-recv) — the node's link is deadline-armed by its owner (Tcp) or in-process, where isasgd-check covers this wait
             match self.link.recv()? {
                 Message::ShardRebalance {
-                    assigned,
-                    order,
-                    ranges,
-                    ..
-                } => return Ok((order, ranges, assigned as usize)),
+                    assigned, ranges, ..
+                } => return Ok((ranges, assigned as usize)),
                 // A reordered transport can deliver round-1 traffic
                 // before the assignment; keep it for await_round_start.
                 // A respawn replay also ships the slot's stored
@@ -713,23 +604,22 @@ impl<T: Transport> NodeRuntime<T> {
         }
     }
 
-    /// The round loop shared by the full-dataset and shard-streamed
-    /// worker paths. `data` holds the rows of `range` starting at row
-    /// offset `row_base` (0 when `data` is the full reordered view),
-    /// and `local` the shard's per-row importance weights. Draw ids
-    /// stay global either way — only the storage indexing differs.
-    #[allow(clippy::too_many_arguments)]
+    /// The round loop over an assignment-checked shard. Draw ids are
+    /// global rows; `row_base` only shifts the storage indexing.
     fn run_rounds<L: Loss>(
         mut self,
-        data: &Dataset,
-        row_base: usize,
-        local: &[f64],
+        shard: ShardInput<'_>,
         protocol: Option<FeedbackProtocol>,
         assigned: usize,
-        range: Range<usize>,
         obj: &Objective<L>,
         cfg: &ClusterConfig,
     ) -> Result<(), ClusterError> {
+        let ShardInput {
+            rows: data,
+            row_base,
+            weights: local,
+            range,
+        } = shard;
         let id = self.node_id as u32;
         let strategy = effective_strategy(cfg);
         let seeds = derive_seeds(cfg.seed, cfg.nodes + 1);

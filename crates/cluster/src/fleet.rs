@@ -4,7 +4,7 @@
 //!
 //! # Shape
 //!
-//! [`run_fleet`] binds a real [`TcpListener`], then for each node slot:
+//! [`run_fleet_with`] binds a real [`TcpListener`], then for each node slot:
 //! spawns a worker via the [`WorkerSpawner`] (subprocesses in
 //! production, test harnesses install thread-backed spawners), and
 //! admits exactly one connection through the session handshake — a
@@ -218,7 +218,7 @@ impl<S: WorkerSpawner> FleetShared<S> {
                         stream.set_nonblocking(false).map_err(TransportError::Io)?;
                         // The deadline bounds writes too: a peer that
                         // sends a valid Hello but never reads would
-                        // otherwise stall the Assign/DatasetTransfer
+                        // otherwise stall the Assign/DatasetShard
                         // write_all once the socket buffers fill.
                         stream
                             .set_write_timeout(Some(left))
@@ -522,33 +522,12 @@ impl<S: WorkerSpawner> Transport for SupervisedLink<S> {
     }
 }
 
-/// Runs a cluster schedule over real worker OS processes spawned from
-/// `pc.worker` (default: the current executable — correct for the
-/// `isasgd` CLI). See the module docs for the supervision contract.
-pub fn run_fleet<L: Loss>(
-    ds: &Dataset,
-    obj: &Objective<L>,
-    cfg: &ClusterConfig,
-    pc: &ProcessConfig,
-) -> Result<ClusterRun, ClusterError> {
-    let program = match &pc.worker {
-        Some(p) => PathBuf::from(p),
-        None => std::env::current_exe().map_err(|e| {
-            ClusterError::InvalidConfig(format!("cannot locate worker binary: {e}"))
-        })?,
-    };
-    run_fleet_with(
-        ds,
-        obj,
-        cfg,
-        pc,
-        CommandSpawner::new(program, pc.chaos_kill),
-    )
-}
-
-/// [`run_fleet`] with a caller-supplied [`WorkerSpawner`] — the test
-/// seam that lets harnesses run protocol-faithful workers on threads
-/// (or inject handshake abuse) without a separate binary.
+/// Runs a cluster schedule over workers launched by `spawner` — real
+/// OS processes in production ([`crate::run`] passes a
+/// [`CommandSpawner`]); the spawner is also the test seam that lets
+/// harnesses run protocol-faithful workers on threads (or inject
+/// handshake abuse) without a separate binary. See the module docs for
+/// the supervision contract.
 pub fn run_fleet_with<L: Loss, S: WorkerSpawner>(
     ds: &Dataset,
     obj: &Objective<L>,
@@ -589,7 +568,7 @@ pub fn run_fleet_with<L: Loss, S: WorkerSpawner>(
             let frames = encode_dataset_shard_chunks(
                 k as u32,
                 plan.ranges[k].clone(),
-                &plan.view.data,
+                &plan.data,
                 &plan.reordered_weights,
             );
             isasgd_obs::emit(&Event::ShardStream {
@@ -676,7 +655,7 @@ pub fn run_fleet_with<L: Loss, S: WorkerSpawner>(
         });
     }
 
-    let result = coordinate(&mut links, &plan, obj, cfg, None);
+    let result = coordinate(&mut links, &plan, obj, cfg);
     // Dropping the links closes every socket first, then reaps every
     // worker (grace, then kill) — success and failure paths alike end
     // with no leaked processes.

@@ -36,7 +36,10 @@
 //!   the coordinator owns balancing, barriers, [`SyncStrategy`]
 //!   averaging, and a feedback mirror fed by per-node importance
 //!   observations (Alain et al.'s message shape); each [`NodeRuntime`]
-//!   owns a shard, a `ScheduleStream`, and its local epochs.
+//!   is handed a [`ShardInput`] — rows, per-row weights, first global
+//!   row — and owns a `ScheduleStream` and its local epochs. Algorithm
+//!   4 weighs, balances and shards once, on the coordinator; no worker
+//!   on any transport rebuilds the dataset or recomputes a weight.
 //! * [`node`] — [`ClusterConfig`] / [`ClusterRun`] and the [`run`]
 //!   entry point that wires links from
 //!   [`ClusterConfig::transport`].
@@ -58,8 +61,8 @@ pub mod sync;
 pub mod transport;
 pub mod wire;
 
-pub use coordinator::{run_with_links, run_with_links_observed, NodeRuntime};
-pub use fleet::{run_fleet, run_fleet_with, CommandSpawner, WorkerHandle, WorkerSpawner};
+pub use coordinator::{run_with_links, run_with_links_observed, NodeRuntime, ShardInput};
+pub use fleet::{run_fleet_with, CommandSpawner, WorkerHandle, WorkerSpawner};
 pub use node::{run, ClusterConfig, ClusterError, ClusterRun, Node, ProtocolBugs, RoundPoint};
 pub use procnode::{run_worker, WorkerOptions, WorkerReport};
 pub use sync::{average_models, SyncStrategy};

@@ -7,6 +7,7 @@
 //! validation, and the [`ClusterRun`] result type.
 
 use crate::coordinator::run_with_links;
+use crate::fleet::{run_fleet_with, CommandSpawner};
 use crate::sync::SyncStrategy;
 use crate::transport::{
     in_process_links, tcp_loopback_links, LinkStats, RecoveryFootprint, TelemetrySample,
@@ -18,6 +19,7 @@ use isasgd_metrics::Trace;
 use isasgd_sampling::{CommitPolicy, ObservationModel, SamplingStrategy, ScheduleStream};
 use isasgd_sparse::{Dataset, SparseError};
 use std::ops::Range;
+use std::path::PathBuf;
 
 /// Cluster topology and schedule.
 ///
@@ -341,15 +343,16 @@ pub(crate) fn validate(cfg: &ClusterConfig, ds: &Dataset) -> Result<(), ClusterE
 /// Runs the distributed schedule: rearrange → shard → (local epochs ∥
 /// sync)*, over the transport [`ClusterConfig::transport`] selects.
 ///
-/// `InProcess` wires worker threads with typed channels (sharing one
-/// reconstructed dataset view behind an `Arc` — the in-process fast
-/// path), `Tcp` wires worker threads with real loopback sockets
-/// speaking the [`wire`](crate::wire) codec, and `Process` spawns
-/// genuine `isasgd worker` OS processes under the
-/// [`fleet`](crate::fleet) supervisor. Results are bit-identical
-/// across all three for the same seed and config (pinned by
-/// `tests/equivalence.rs` / `tests/process_fleet.rs` and the CLI e2e
-/// suite).
+/// `InProcess` wires worker threads with typed channels, `Tcp` wires
+/// worker threads with real loopback sockets speaking the
+/// [`wire`](crate::wire) codec (either way each thread borrows its
+/// shard from the coordinator's plan), and `Process` spawns genuine
+/// `isasgd worker` OS processes (default worker binary: the current
+/// executable — correct for the `isasgd` CLI) under the
+/// [`fleet`](crate::fleet) supervisor, which streams each its shard.
+/// Results are bit-identical across all three for the same seed and
+/// config (pinned by `tests/equivalence.rs` / `tests/process_fleet.rs`
+/// and the CLI e2e suite).
 pub fn run<L: Loss>(
     ds: &Dataset,
     obj: &Objective<L>,
@@ -357,14 +360,7 @@ pub fn run<L: Loss>(
 ) -> Result<ClusterRun, ClusterError> {
     validate(cfg, ds)?;
     match &cfg.transport {
-        TransportConfig::InProcess => crate::coordinator::run_with_links_inner(
-            ds,
-            obj,
-            cfg,
-            in_process_links(cfg.nodes),
-            true,
-            || {},
-        ),
+        TransportConfig::InProcess => run_with_links(ds, obj, cfg, in_process_links(cfg.nodes)),
         TransportConfig::Tcp { bind, encoding } => {
             let mut links = tcp_loopback_links(cfg.nodes, bind).map_err(TransportError::Io)?;
             for (coord_end, worker_end) in links.iter_mut() {
@@ -373,7 +369,21 @@ pub fn run<L: Loss>(
             }
             run_with_links(ds, obj, cfg, links)
         }
-        TransportConfig::Process(pc) => crate::fleet::run_fleet(ds, obj, cfg, pc),
+        TransportConfig::Process(pc) => {
+            let program = match &pc.worker {
+                Some(p) => PathBuf::from(p),
+                None => std::env::current_exe().map_err(|e| {
+                    ClusterError::InvalidConfig(format!("cannot locate worker binary: {e}"))
+                })?,
+            };
+            run_fleet_with(
+                ds,
+                obj,
+                cfg,
+                pc,
+                CommandSpawner::new(program, pc.chaos_kill),
+            )
+        }
     }
 }
 

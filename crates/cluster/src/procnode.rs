@@ -9,9 +9,7 @@
 //!   ◀──────── Assign(id, config)    node id + SessionConfig
 //!   ◀──────── DatasetShard ×N       this node's shard, streamed in
 //!                                   ~256 KiB chunks (reordered rows +
-//!                                   per-row importance weights); a v1
-//!                                   monolithic DatasetTransfer is
-//!                                   still accepted
+//!                                   per-row importance weights)
 //!   …NodeRuntime round protocol (see crate::coordinator docs)…
 //! ```
 //!
@@ -20,8 +18,7 @@
 //! [`NodeRuntime`] the thread-backed transports run — which is why a
 //! `--cluster-transport process` run is bit-equal to `tcp`, `inproc`,
 //! and (single-node) the sequential engine: same draws, same float-op
-//! order, only the process boundary differs. Shard-streamed sessions
-//! enter through [`NodeRuntime::run_sharded`], whose inputs are the
+//! order, only the process boundary differs. The decoded shard is the
 //! exact bits the coordinator's own plan holds — so the equivalence
 //! extends to workers that never saw the full dataset.
 //!
@@ -29,7 +26,7 @@
 //! wire-known losses (`logistic`, `squared_hinge`, `squared`) can run
 //! cross-process, and an unknown name is a typed error, not a panic.
 
-use crate::coordinator::NodeRuntime;
+use crate::coordinator::{NodeRuntime, ShardInput};
 use crate::node::{ClusterConfig, ClusterError, ProtocolBugs};
 use crate::sync::SyncStrategy;
 use crate::transport::{Tcp, Transport, TransportConfig, TransportError};
@@ -92,7 +89,13 @@ pub fn run_worker(connect: &str, opts: &WorkerOptions) -> Result<WorkerReport, C
     // remaining handshake frames are always dense, and both ends start
     // with empty delta bases, so encoder and decoder stay in lockstep.
     link.set_encoding(config.encoding);
-    let data = receive_data(&mut link, worker)?;
+    let (rows, weights, start) = receive_shard(&mut link, worker)?;
+    let shard = ShardInput {
+        rows: &rows,
+        row_base: start,
+        weights: &weights,
+        range: start..start + rows.n_samples(),
+    };
     // Re-arm the read deadline from the coordinator's configured round
     // deadline, scaled by the node count: between its own rounds a
     // worker legitimately waits through every peer's local epochs plus
@@ -107,34 +110,19 @@ pub fn run_worker(connect: &str, opts: &WorkerOptions) -> Result<WorkerReport, C
     let deadline = per_round.saturating_mul(u64::from(config.nodes).saturating_add(1));
     link.set_read_timeout(Duration::from_millis(deadline.max(1)))
         .map_err(TransportError::Io)?;
-    serve(link, worker, config, &data, opts.die_at_round)
+    serve(link, worker, config, shard, opts.die_at_round)
 }
 
-/// The training data a worker session received over the wire.
-enum WorkerData {
-    /// v1-style monolithic transfer: the full, original-order dataset
-    /// (the worker reconstructs the reordered view itself).
-    Full(Dataset),
-    /// Shard-streamed admission: only this node's reordered rows, with
-    /// their importance weights and the shard's first global row.
-    Shard {
-        data: Dataset,
-        weights: Vec<f64>,
-        start: usize,
-    },
-}
-
-/// Receives the dataset phase of the handshake: either one
-/// [`Message::DatasetTransfer`] or a contiguous stream of
+/// Receives the dataset phase of the handshake: a contiguous stream of
 /// [`Message::DatasetShard`] chunks for this worker's shard, assembled
 /// incrementally (each chunk's builder invariants were re-validated by
 /// the wire decoder; this layer checks the chunks agree with each
-/// other and tile the declared shard exactly).
-fn receive_data(link: &mut Tcp, worker: u32) -> Result<WorkerData, ClusterError> {
+/// other and tile the declared shard exactly). Returns the shard's
+/// rows, their importance weights, and its first global row.
+fn receive_shard(link: &mut Tcp, worker: u32) -> Result<(Dataset, Vec<f64>, usize), ClusterError> {
     let bad = |what: &str, got: String| ClusterError::Worker(format!("handshake: {what}{got}"));
     // lint: allow(unbounded-recv) — the Tcp link still carries the handshake read deadline armed at connect
     let (shard_start, shard_rows, dim, mut builder, mut weights) = match link.recv()? {
-        Message::DatasetTransfer { dataset } => return Ok(WorkerData::Full(*dataset)),
         Message::DatasetShard {
             shard,
             shard_start,
@@ -160,12 +148,7 @@ fn receive_data(link: &mut Tcp, worker: u32) -> Result<WorkerData, ClusterError>
             append_chunk(&mut builder, &chunk);
             (shard_start, shard_rows, dim, builder, weights)
         }
-        other => {
-            return Err(bad(
-                "expected DatasetShard or DatasetTransfer, got ",
-                other.kind().to_string(),
-            ))
-        }
+        other => return Err(bad("expected DatasetShard, got ", other.kind().to_string())),
     };
     while weights.len() < shard_rows as usize {
         // lint: allow(unbounded-recv) — same deadline-armed Tcp link as the first shard frame
@@ -207,11 +190,7 @@ fn receive_data(link: &mut Tcp, worker: u32) -> Result<WorkerData, ClusterError>
             }
         }
     }
-    Ok(WorkerData::Shard {
-        data: builder.finish(),
-        weights,
-        start: shard_start as usize,
-    })
+    Ok((builder.finish(), weights, shard_start as usize))
 }
 
 /// Re-appends a decoded chunk's rows to the shard builder. The wire
@@ -230,7 +209,7 @@ fn serve(
     link: Tcp,
     worker: u32,
     sc: SessionConfig,
-    data: &WorkerData,
+    shard: ShardInput<'_>,
     die_at_round: Option<u64>,
 ) -> Result<WorkerReport, ClusterError> {
     let cfg = ClusterConfig {
@@ -256,16 +235,13 @@ fn serve(
     let runtime = NodeRuntime::new(link, worker as usize).with_chaos_kill(die_at_round);
     match sc.loss.as_str() {
         n if n == LogisticLoss.name() => {
-            drive(runtime, data, &Objective::new(LogisticLoss, sc.reg), &cfg)?;
+            runtime.run(shard, &Objective::new(LogisticLoss, sc.reg), &cfg)?;
         }
-        n if n == SquaredHingeLoss.name() => drive(
-            runtime,
-            data,
-            &Objective::new(SquaredHingeLoss, sc.reg),
-            &cfg,
-        )?,
+        n if n == SquaredHingeLoss.name() => {
+            runtime.run(shard, &Objective::new(SquaredHingeLoss, sc.reg), &cfg)?;
+        }
         n if n == SquaredLoss.name() => {
-            drive(runtime, data, &Objective::new(SquaredLoss, sc.reg), &cfg)?;
+            runtime.run(shard, &Objective::new(SquaredLoss, sc.reg), &cfg)?;
         }
         other => {
             return Err(ClusterError::InvalidConfig(format!(
@@ -277,25 +253,6 @@ fn serve(
         node: worker,
         rounds: sc.rounds,
     })
-}
-
-/// Enters the runtime through the path matching how the data arrived:
-/// full datasets reconstruct the reordered view locally, streamed
-/// shards train in place.
-fn drive<L: Loss>(
-    runtime: NodeRuntime<Tcp>,
-    data: &WorkerData,
-    obj: &Objective<L>,
-    cfg: &ClusterConfig,
-) -> Result<(), ClusterError> {
-    match data {
-        WorkerData::Full(ds) => runtime.run(ds, obj, cfg),
-        WorkerData::Shard {
-            data,
-            weights,
-            start,
-        } => runtime.run_sharded(data, weights, *start, obj, cfg),
-    }
 }
 
 /// The wire-known loss names [`run_worker`] can reconstruct — the

@@ -51,8 +51,11 @@ pub const MAX_FRAME: usize = 1 << 28;
 /// ([`Message::Checkpoint`], [`Message::CheckpointAck`]) and the
 /// [`SessionConfig::checkpoint_every`] field. Version 4 added the
 /// observability frame ([`Message::Telemetry`]) and the
-/// [`SessionConfig::telemetry`] field.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// [`SessionConfig::telemetry`] field. Version 5 retired the monolithic
+/// whole-dataset frame (tag 7, never reused) and dropped the row
+/// permutation from [`Message::ShardRebalance`]: workers are handed
+/// their rows, they never rebuild the rearranged dataset.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// Version of the [`Message::Checkpoint`] *state layout*, carried
 /// inside every checkpoint frame independently of [`PROTOCOL_VERSION`]:
@@ -268,16 +271,14 @@ pub enum Message {
         /// Round being announced.
         round: u64,
     },
-    /// Shard assignment (Algorithm 4 lines 2–6): the coordinator's
-    /// balancing decision, shipped to every worker so each can
-    /// reconstruct the rearranged dataset view and its own shard.
+    /// Shard assignment (Algorithm 4 lines 2–6): the outcome of the
+    /// coordinator's balancing decision, shipped to every worker so
+    /// each knows which rows of the rearranged dataset are its own.
     ShardRebalance {
         /// Round of the decision (0 = initial assignment).
         round: u64,
         /// The receiving worker's shard index into `ranges`.
         assigned: u32,
-        /// Row permutation to apply before sharding.
-        order: Vec<u32>,
         /// Every shard's `[start, end)` row range after reordering.
         ranges: Vec<(u32, u32)>,
     },
@@ -299,16 +300,6 @@ pub enum Message {
         worker: u32,
         /// The run's training configuration subset.
         config: SessionConfig,
-    },
-    /// The full training dataset, shipped after [`Message::Assign`] so
-    /// a worker process needs no shared filesystem: CSR rows move as
-    /// raw IEEE-754 bits, so the worker's view is bit-identical to the
-    /// coordinator's. Kept as the legacy whole-dataset form (benches,
-    /// compatibility tests); the fleet admission path streams
-    /// [`Message::DatasetShard`] chunks instead.
-    DatasetTransfer {
-        /// The dataset (boxed: this variant dwarfs the others).
-        dataset: Box<Dataset>,
     },
     /// A sparse model delta against the last model that crossed this
     /// link in the same direction: only the coordinates whose IEEE-754
@@ -332,8 +323,10 @@ pub enum Message {
         values: Vec<f64>,
     },
     /// One chunk of a worker's own shard, streamed during fleet
-    /// admission in place of the monolithic [`Message::DatasetTransfer`]:
-    /// a worker receives only the rows it owns, each bundled with its
+    /// admission after [`Message::Assign`] so a worker process needs no
+    /// shared filesystem. Feature values move as raw IEEE-754 bits, so
+    /// the worker's rows are bit-identical to the coordinator's.
+    /// A worker receives only the rows it owns, each bundled with its
     /// coordinator-computed importance weight (schemes like
     /// `PartiallyBiased` mix in global statistics a shard cannot
     /// recompute locally). Chunks arrive in row order; the receiver
@@ -482,7 +475,8 @@ const TAG_ROUND_BARRIER: u8 = 3;
 const TAG_SHARD_REBALANCE: u8 = 4;
 const TAG_HELLO: u8 = 5;
 const TAG_ASSIGN: u8 = 6;
-const TAG_DATASET_TRANSFER: u8 = 7;
+// Tag 7 carried the whole-dataset frame of protocol versions 1–4; it is
+// retired and must not be reused.
 const TAG_MODEL_DELTA: u8 = 8;
 const TAG_DATASET_SHARD: u8 = 9;
 const TAG_CHECKPOINT: u8 = 10;
@@ -491,7 +485,7 @@ const TAG_TELEMETRY: u8 = 12;
 
 /// Number of distinct frame kinds — the length of per-kind counter
 /// arrays such as [`LinkStats`](crate::transport::LinkStats).
-pub const FRAME_KINDS: usize = 12;
+pub const FRAME_KINDS: usize = 11;
 
 /// The kind of a wire frame, independent of its payload — the axis the
 /// per-link byte/frame counters are broken down by.
@@ -509,8 +503,6 @@ pub enum FrameKind {
     Hello,
     /// [`Message::Assign`]
     Assign,
-    /// [`Message::DatasetTransfer`]
-    DatasetTransfer,
     /// [`Message::ModelDelta`]
     ModelDelta,
     /// [`Message::DatasetShard`]
@@ -524,7 +516,8 @@ pub enum FrameKind {
 }
 
 impl FrameKind {
-    /// All kinds, in tag order (index = [`FrameKind::index`]).
+    /// All kinds, in tag order; a kind's position here is its
+    /// [`FrameKind::index`] (tags have a retired gap, indices do not).
     pub const ALL: [FrameKind; FRAME_KINDS] = [
         FrameKind::ModelUpdate,
         FrameKind::FeedbackBatch,
@@ -532,7 +525,6 @@ impl FrameKind {
         FrameKind::ShardRebalance,
         FrameKind::Hello,
         FrameKind::Assign,
-        FrameKind::DatasetTransfer,
         FrameKind::ModelDelta,
         FrameKind::DatasetShard,
         FrameKind::Checkpoint,
@@ -549,7 +541,6 @@ impl FrameKind {
             TAG_SHARD_REBALANCE => FrameKind::ShardRebalance,
             TAG_HELLO => FrameKind::Hello,
             TAG_ASSIGN => FrameKind::Assign,
-            TAG_DATASET_TRANSFER => FrameKind::DatasetTransfer,
             TAG_MODEL_DELTA => FrameKind::ModelDelta,
             TAG_DATASET_SHARD => FrameKind::DatasetShard,
             TAG_CHECKPOINT => FrameKind::Checkpoint,
@@ -559,7 +550,8 @@ impl FrameKind {
         })
     }
 
-    /// Dense 0-based index (tag − 1) for counter arrays.
+    /// Dense 0-based index (position in [`FrameKind::ALL`]) for counter
+    /// arrays.
     pub fn index(&self) -> usize {
         *self as usize
     }
@@ -573,7 +565,6 @@ impl FrameKind {
             FrameKind::ShardRebalance => "ShardRebalance",
             FrameKind::Hello => "Hello",
             FrameKind::Assign => "Assign",
-            FrameKind::DatasetTransfer => "DatasetTransfer",
             FrameKind::ModelDelta => "ModelDelta",
             FrameKind::DatasetShard => "DatasetShard",
             FrameKind::Checkpoint => "Checkpoint",
@@ -1147,74 +1138,6 @@ fn get_checkpoint_state(r: &mut Reader<'_>) -> Result<CheckpointState, WireError
     })
 }
 
-/// Encodes a [`Message::DatasetTransfer`] payload for `ds` directly
-/// from a borrowed dataset — what the fleet uses to build its cached
-/// admission frame without cloning the dataset into a `Message` first.
-pub fn encode_dataset_transfer(ds: &Dataset, out: &mut Vec<u8>) {
-    out.push(TAG_DATASET_TRANSFER);
-    put_dataset(out, ds);
-}
-
-fn put_dataset(out: &mut Vec<u8>, ds: &Dataset) {
-    put_u32(out, ds.dim() as u32);
-    put_u32(out, ds.n_samples() as u32);
-    for row in ds.rows() {
-        put_f64(out, row.label);
-        put_u32(out, row.indices.len() as u32);
-        for (&i, &x) in row.indices.iter().zip(row.values) {
-            put_u32(out, i);
-            put_f64(out, x);
-        }
-    }
-}
-
-/// Decodes a dataset, re-validating every invariant the builder
-/// enforces (±1 labels, strictly increasing in-bounds indices, finite
-/// values) so a hostile frame can never construct a `Dataset` that
-/// violates them — and so accepted frames stay canonical.
-fn get_dataset(r: &mut Reader<'_>) -> Result<Dataset, WireError> {
-    let dim = r.u32()? as usize;
-    // Minimum 12 bytes per row (label + nnz count) bounds the row count
-    // before any allocation.
-    let n = r.count(12)?;
-    let mut b = DatasetBuilder::with_capacity(dim, n, 0);
-    for _ in 0..n {
-        let label = r.f64()?;
-        // lint: allow(float-cmp) — ±1.0 are exact sentinel bit patterns the encoder wrote, not arithmetic results
-        if label != 1.0 && label != -1.0 {
-            return Err(WireError::Invalid {
-                what: "dataset label not ±1",
-            });
-        }
-        let nnz = r.count(12)?;
-        let mut indices = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        for _ in 0..nnz {
-            let i = r.u32()?;
-            let x = r.f64()?;
-            if indices.last().is_some_and(|&last| i <= last) {
-                return Err(WireError::Invalid {
-                    what: "dataset row indices not strictly increasing",
-                });
-            }
-            if i as usize >= dim {
-                return Err(WireError::Invalid {
-                    what: "dataset feature index out of bounds",
-                });
-            }
-            if !x.is_finite() {
-                return Err(WireError::Invalid {
-                    what: "non-finite dataset value",
-                });
-            }
-            indices.push(i);
-            values.push(x);
-        }
-        b.push_row_unchecked(&indices, &values, label);
-    }
-    Ok(b.finish())
-}
-
 // --- shard-streamed dataset transfer ------------------------------------
 //
 // A shard row is `u8 label (0 → −1.0, 1 → +1.0) ‖ f64 weight ‖
@@ -1278,9 +1201,8 @@ pub fn encode_dataset_shard_chunks(
 
 /// Decodes a [`Message::DatasetShard`] payload body (after the tag),
 /// re-validating every builder invariant per chunk and bounding each
-/// allocation by the chunk's own declared-and-checked row count — the
-/// streamed replacement for the monolithic transfer's worst-case
-/// allocation on admission.
+/// allocation by the chunk's own declared-and-checked row count, so
+/// admission never reserves a dataset-sized buffer on a peer's say-so.
 #[allow(clippy::type_complexity)]
 fn get_dataset_shard(
     r: &mut Reader<'_>,
@@ -1375,16 +1297,11 @@ impl Message {
             Message::ShardRebalance {
                 round,
                 assigned,
-                order,
                 ranges,
             } => {
                 out.push(TAG_SHARD_REBALANCE);
                 put_u64(out, *round);
                 put_u32(out, *assigned);
-                put_u32(out, order.len() as u32);
-                for &i in order {
-                    put_u32(out, i);
-                }
                 put_u32(out, ranges.len() as u32);
                 for &(s, e) in ranges {
                     put_u32(out, s);
@@ -1399,10 +1316,6 @@ impl Message {
                 out.push(TAG_ASSIGN);
                 put_u32(out, *worker);
                 put_session_config(out, config);
-            }
-            Message::DatasetTransfer { dataset } => {
-                out.push(TAG_DATASET_TRANSFER);
-                put_dataset(out, dataset);
             }
             Message::ModelDelta {
                 node,
@@ -1523,11 +1436,6 @@ impl Message {
             TAG_SHARD_REBALANCE => {
                 let round = r.u64()?;
                 let assigned = r.u32()?;
-                let n = r.count(4)?;
-                let mut order = Vec::with_capacity(n);
-                for _ in 0..n {
-                    order.push(r.u32()?);
-                }
                 let k = r.count(8)?;
                 let mut ranges = Vec::with_capacity(k);
                 for _ in 0..k {
@@ -1538,7 +1446,6 @@ impl Message {
                 Message::ShardRebalance {
                     round,
                     assigned,
-                    order,
                     ranges,
                 }
             }
@@ -1546,9 +1453,6 @@ impl Message {
             TAG_ASSIGN => Message::Assign {
                 worker: r.u32()?,
                 config: get_session_config(&mut r)?,
-            },
-            TAG_DATASET_TRANSFER => Message::DatasetTransfer {
-                dataset: Box::new(get_dataset(&mut r)?),
             },
             TAG_MODEL_DELTA => {
                 let node = r.u32()?;
@@ -1659,7 +1563,6 @@ impl Message {
             Message::ShardRebalance { .. } => "ShardRebalance",
             Message::Hello { .. } => "Hello",
             Message::Assign { .. } => "Assign",
-            Message::DatasetTransfer { .. } => "DatasetTransfer",
             Message::ModelDelta { .. } => "ModelDelta",
             Message::DatasetShard { .. } => "DatasetShard",
             Message::Checkpoint { .. } => "Checkpoint",
@@ -1680,10 +1583,7 @@ impl Message {
             | Message::Checkpoint { round, .. }
             | Message::CheckpointAck { round, .. }
             | Message::Telemetry { round, .. } => *round,
-            Message::Hello { .. }
-            | Message::Assign { .. }
-            | Message::DatasetTransfer { .. }
-            | Message::DatasetShard { .. } => 0,
+            Message::Hello { .. } | Message::Assign { .. } | Message::DatasetShard { .. } => 0,
         }
     }
 
@@ -1699,9 +1599,8 @@ impl Message {
             | Message::Hello { .. }
             | Message::CheckpointAck { .. }
             | Message::Telemetry { .. } => 0,
-            Message::ShardRebalance { order, ranges, .. } => order.len() * 4 + ranges.len() * 8,
+            Message::ShardRebalance { ranges, .. } => ranges.len() * 8,
             Message::Assign { config, .. } => config.loss.len(),
-            Message::DatasetTransfer { dataset } => dataset_resident_bytes(dataset),
             Message::ModelDelta {
                 indices, values, ..
             } => indices.len() * 4 + values.len() * 8,
@@ -1760,7 +1659,6 @@ mod tests {
         roundtrip(&Message::ShardRebalance {
             round: 0,
             assigned: 2,
-            order: vec![2, 0, 1],
             ranges: vec![(0, 1), (1, 2), (2, 3)],
         });
         roundtrip(&Message::Hello {
@@ -1769,9 +1667,6 @@ mod tests {
         for config in session_configs() {
             roundtrip(&Message::Assign { worker: 3, config });
         }
-        roundtrip(&Message::DatasetTransfer {
-            dataset: Box::new(tiny_dataset()),
-        });
         roundtrip(&sequence_checkpoint());
         roundtrip(&adaptive_checkpoint());
         roundtrip(&Message::CheckpointAck { node: 2, round: 8 });
@@ -1834,15 +1729,6 @@ mod tests {
         }
     }
 
-    fn tiny_dataset() -> Dataset {
-        let mut b = DatasetBuilder::new(6);
-        b.push_row(&[(0, 1.5), (2, -0.25), (5, 5e-324)], 1.0)
-            .unwrap();
-        b.push_row(&[], -1.0).unwrap();
-        b.push_row(&[(3, -0.0)], -1.0).unwrap();
-        b.finish()
-    }
-
     /// One SessionConfig per sub-enum variant so every codec arm is hit.
     fn session_configs() -> Vec<SessionConfig> {
         let base = SessionConfig {
@@ -1889,82 +1775,6 @@ mod tests {
                 ..base
             },
         ]
-    }
-
-    #[test]
-    fn dataset_transfer_is_bit_exact() {
-        let ds = tiny_dataset();
-        let m = Message::DatasetTransfer {
-            dataset: Box::new(ds.clone()),
-        };
-        let Message::DatasetTransfer { dataset: back } = Message::decode(&m.to_bytes()).unwrap()
-        else {
-            panic!("wrong variant")
-        };
-        assert_eq!(*back, ds);
-        // Subnormal and signed-zero feature values survive bitwise.
-        assert_eq!(back.row(0).values[2].to_bits(), 5e-324f64.to_bits());
-        assert_eq!(back.row(2).values[0].to_bits(), (-0.0f64).to_bits());
-    }
-
-    #[test]
-    fn malformed_dataset_frames_are_typed_errors() {
-        // Bad label.
-        let mut bytes = vec![TAG_DATASET_TRANSFER];
-        put_u32(&mut bytes, 4); // dim
-        put_u32(&mut bytes, 1); // rows
-        put_f64(&mut bytes, 0.5); // label not ±1
-        put_u32(&mut bytes, 0);
-        assert!(matches!(
-            Message::decode(&bytes),
-            Err(WireError::Invalid { .. })
-        ));
-        // Unsorted indices.
-        let mut bytes = vec![TAG_DATASET_TRANSFER];
-        put_u32(&mut bytes, 4);
-        put_u32(&mut bytes, 1);
-        put_f64(&mut bytes, 1.0);
-        put_u32(&mut bytes, 2);
-        put_u32(&mut bytes, 2);
-        put_f64(&mut bytes, 1.0);
-        put_u32(&mut bytes, 1); // 1 after 2
-        put_f64(&mut bytes, 1.0);
-        assert!(matches!(
-            Message::decode(&bytes),
-            Err(WireError::Invalid { .. })
-        ));
-        // Out-of-bounds index.
-        let mut bytes = vec![TAG_DATASET_TRANSFER];
-        put_u32(&mut bytes, 4);
-        put_u32(&mut bytes, 1);
-        put_f64(&mut bytes, 1.0);
-        put_u32(&mut bytes, 1);
-        put_u32(&mut bytes, 9);
-        put_f64(&mut bytes, 1.0);
-        assert!(matches!(
-            Message::decode(&bytes),
-            Err(WireError::Invalid { .. })
-        ));
-        // NaN value.
-        let mut bytes = vec![TAG_DATASET_TRANSFER];
-        put_u32(&mut bytes, 4);
-        put_u32(&mut bytes, 1);
-        put_f64(&mut bytes, 1.0);
-        put_u32(&mut bytes, 1);
-        put_u32(&mut bytes, 0);
-        put_f64(&mut bytes, f64::NAN);
-        assert!(matches!(
-            Message::decode(&bytes),
-            Err(WireError::Invalid { .. })
-        ));
-        // Over-declared row count fails before allocation.
-        let mut bytes = vec![TAG_DATASET_TRANSFER];
-        put_u32(&mut bytes, 4);
-        put_u32(&mut bytes, u32::MAX);
-        assert!(matches!(
-            Message::decode(&bytes),
-            Err(WireError::Truncated { .. })
-        ));
     }
 
     #[test]
@@ -2042,6 +1852,13 @@ mod tests {
         assert_eq!(Message::decode(&[]), Err(WireError::Empty));
         assert_eq!(Message::decode(&[0xff]), Err(WireError::BadTag(0xff)));
         assert_eq!(Message::decode(&[0]), Err(WireError::BadTag(0)));
+        // Retired tag 7: a well-formed v4 whole-dataset frame (dim 4,
+        // zero rows) is as unknown as any other garbage.
+        let mut v4_dataset = vec![7u8];
+        put_u32(&mut v4_dataset, 4);
+        put_u32(&mut v4_dataset, 0);
+        assert_eq!(Message::decode(&v4_dataset), Err(WireError::BadTag(7)));
+        assert_eq!(FrameKind::from_tag(7), None);
     }
 
     #[test]
@@ -2235,7 +2052,15 @@ mod tests {
         let mut b = DatasetBuilder::new(16);
         for i in 0..40u32 {
             let y = if i % 2 == 0 { 1.0 } else { -1.0 };
-            b.push_row(&[(i % 16, 0.5 + f64::from(i))], y).unwrap();
+            match i {
+                // Subnormal and signed-zero values and an empty row
+                // must survive bitwise too.
+                12 => b.push_row(&[(0, 1.5), (2, -0.25), (5, 5e-324)], y),
+                13 => b.push_row(&[], y),
+                14 => b.push_row(&[(3, -0.0)], y),
+                _ => b.push_row(&[(i % 16, 0.5 + f64::from(i))], y),
+            }
+            .unwrap();
         }
         let ds = b.finish();
         let weights: Vec<f64> = (0..40).map(|i| 1.0 + i as f64 * 0.25).collect();
@@ -2266,9 +2091,10 @@ mod tests {
                 let global = start as usize + i;
                 let orig = ds.row(global);
                 assert_eq!(row.indices, orig.indices);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(
-                    row.values[0].to_bits(),
-                    orig.values[0].to_bits(),
+                    bits(row.values),
+                    bits(orig.values),
                     "row {global} values must be bit-exact"
                 );
                 assert_eq!(row.label, orig.label);

@@ -461,42 +461,6 @@ fn static_single_node_cluster_is_bit_equal_to_sequential_engine() {
 }
 
 #[test]
-fn shared_view_fast_path_is_bit_equal_to_copying_path() {
-    // `run()` with InProcess transport shares one reconstructed
-    // dataset + weight vector behind an Arc (the ROADMAP perf item);
-    // `run_with_links()` keeps the remote-faithful semantics where
-    // every NodeRuntime rebuilds its own copy from ShardRebalance.
-    // The reconstruction is deterministic, so the two paths MUST be
-    // bit-equal in everything observable.
-    use isasgd_cluster::{in_process_links, run_with_links};
-    let ds = skewed(300);
-    for (strategy, commit) in sampling_commit_cells() {
-        for nodes in [1usize, 3] {
-            let cfg = cluster_cfg(
-                nodes,
-                strategy,
-                SyncStrategy::Average,
-                commit,
-                TransportConfig::InProcess,
-                0xA5C_F00D,
-                4,
-            );
-            let shared = run(&ds, &obj(), &cfg).unwrap();
-            let copying = run_with_links(&ds, &obj(), &cfg, in_process_links(nodes)).unwrap();
-            let tag = format!("{strategy:?}/{commit:?}/{nodes}-node");
-            assert_eq!(shared.model, copying.model, "{tag}: models diverged");
-            assert_eq!(shared.rounds, copying.rounds, "{tag}: traces diverged");
-            assert_eq!(shared.feedback_rows, copying.feedback_rows, "{tag}");
-            assert_eq!(
-                shared.observed_phi_imbalance, copying.observed_phi_imbalance,
-                "{tag}"
-            );
-            assert_eq!(shared.phi_imbalance, copying.phi_imbalance, "{tag}");
-        }
-    }
-}
-
-#[test]
 fn equivalence_is_seed_sensitive() {
     // Sanity guard that the matrix has teeth: different master seeds
     // give different trajectories, so the equalities above are not

@@ -1,7 +1,7 @@
 //! Supervision tests for the cross-process fleet, run at the library
 //! level through the [`WorkerSpawner`] seam: workers are **threads
 //! running the real worker code over real TCP sockets** — the full
-//! `Hello`/`Assign`/`DatasetTransfer` session layer, the wire codec,
+//! `Hello`/`Assign`/`DatasetShard` session layer, the wire codec,
 //! and the round protocol are all exercised byte-for-byte; only the
 //! `fork`/`exec` pair is skipped (the CLI e2e suite covers genuine
 //! subprocesses with `CARGO_BIN_EXE_isasgd`).
@@ -17,6 +17,9 @@
 //!   instantly-closed connections) is rejected with typed errors while
 //!   the accept loop keeps admitting real workers — and a *continuous*
 //!   junk flood cannot starve the handshake deadline;
+//! * a worker whose supplied rows or weights disagree with its
+//!   `ShardRebalance` assignment refuses with a typed error, on a
+//!   thread-backed link and behind the fleet's session layer alike;
 //! * with `--checkpoint-every`, respawn recovery replays only the
 //!   post-checkpoint suffix: still bit-identical to an undisturbed run
 //!   at every kill round and under every wire encoding, with the
@@ -25,9 +28,10 @@
 //!   session length).
 
 use isasgd_cluster::{
-    run, run_fleet_with, run_worker, ClusterConfig, ClusterError, ClusterRun, FrameKind, Message,
-    ProcessConfig, SyncStrategy, TransportConfig, WireEncoding, WorkerHandle, WorkerLossPolicy,
-    WorkerOptions, WorkerSpawner, PROTOCOL_VERSION,
+    in_process_links, run, run_fleet_with, run_worker, ClusterConfig, ClusterError, ClusterRun,
+    FrameKind, Message, NodeRuntime, ProcessConfig, ShardInput, SyncStrategy, Tcp, Transport,
+    TransportConfig, WireEncoding, WorkerHandle, WorkerLossPolicy, WorkerOptions, WorkerSpawner,
+    PROTOCOL_VERSION,
 };
 use isasgd_core::{
     train, Algorithm, CommitPolicy, Execution, ImportanceScheme, LogisticLoss, Objective,
@@ -35,7 +39,7 @@ use isasgd_core::{
 };
 use isasgd_sparse::{Dataset, DatasetBuilder};
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::channel;
 use std::time::Duration;
 
@@ -263,9 +267,9 @@ fn killed_worker_with_respawn_completes_bit_identically() {
 
 /// The bandwidth half of the shard-streaming pin: every admitted worker
 /// of a 3-node fleet receives strictly fewer dataset bytes than one
-/// monolithic [`Message::DatasetTransfer`] of the whole training set
-/// would have cost — measured by the supervisor's own per-link,
-/// per-frame-kind counters, not by construction.
+/// monolithic v1 whole-dataset frame of the training set would have
+/// cost — measured by the supervisor's own per-link, per-frame-kind
+/// counters, not by construction.
 #[test]
 fn fleet_workers_receive_strictly_fewer_dataset_bytes_than_a_full_transfer() {
     let ds = skewed(240);
@@ -273,13 +277,13 @@ fn fleet_workers_receive_strictly_fewer_dataset_bytes_than_a_full_transfer() {
     let fleet =
         run_fleet_guarded(ds.clone(), cfg, fleet_pc(), ThreadSpawner { die_at: None }).unwrap();
     // What the v1 handshake would have shipped to EVERY worker: one
-    // whole-dataset frame (payload + 4-byte length prefix).
-    let full = Message::DatasetTransfer {
-        dataset: Box::new(ds.clone()),
-    }
-    .to_bytes()
-    .len() as u64
-        + 4;
+    // whole-dataset frame — length prefix(4) ‖ tag(1) ‖ dim(4) ‖
+    // rows(4), then per row label(8) ‖ nnz(4) ‖ nnz × (index(4) ‖
+    // value(8)).
+    let full = 13
+        + ds.rows()
+            .map(|r| 12 + 12 * r.indices.len() as u64)
+            .sum::<u64>();
     assert_eq!(fleet.net.len(), 3, "one LinkStats per supervised link");
     let mut total = 0u64;
     for (k, stats) in fleet.net.iter().enumerate() {
@@ -289,11 +293,6 @@ fn fleet_workers_receive_strictly_fewer_dataset_bytes_than_a_full_transfer() {
             shard_tx < full,
             "worker {k} received {shard_tx} shard bytes — not fewer than the \
              {full}-byte monolithic transfer it replaces"
-        );
-        assert_eq!(
-            stats.tx_bytes_for(FrameKind::DatasetTransfer),
-            0,
-            "worker {k} also received a monolithic transfer"
         );
         total += shard_tx;
     }
@@ -671,7 +670,8 @@ fn respawn_budget_exhaustion_is_a_typed_error() {
 fn junk_connections_do_not_disturb_admission() {
     // Each real worker spawn also fires a volley of hostile
     // connections at the same listener: raw garbage bytes, a
-    // wrong-version Hello, and an instant disconnect. The accept loop
+    // wrong-version Hello from the future and one from the previous
+    // protocol version, and an instant disconnect. The accept loop
     // must shed all of them and still admit every real worker — and
     // the run must stay bit-equal to the undisturbed transports.
     struct HostileEnvironmentSpawner;
@@ -684,7 +684,7 @@ fn junk_connections_do_not_disturb_admission() {
         ) -> Result<Box<dyn WorkerHandle>, ClusterError> {
             // Junk volley first, so the handshake loop has something to
             // reject before the real worker shows up.
-            for junk in 0..3u8 {
+            for junk in 0..4u8 {
                 if let Ok(mut s) = TcpStream::connect(addr) {
                     match junk {
                         0 => {
@@ -699,6 +699,11 @@ fn junk_connections_do_not_disturb_admission() {
                             let mut frame = vec![5u8, 0, 0, 0, 5];
                             frame.extend_from_slice(&version);
                             let _ = s.write_all(&frame);
+                        }
+                        2 => {
+                            // A worker built before the protocol bump:
+                            // a well-formed v4 Hello.
+                            let _ = s.write_all(&[5, 0, 0, 0, 5, 4, 0, 0, 0]);
                         }
                         _ => {
                             // Instant disconnect (truncated handshake).
@@ -925,5 +930,157 @@ fn chaos_kill_telemetry_covers_every_round_and_stays_bit_inert() {
             0,
             "slot {k}: telemetry-off run still carried Telemetry frames"
         );
+    }
+}
+
+/// A worker handed rows or weights that disagree with its
+/// `ShardRebalance` assignment must refuse with a typed error instead
+/// of silently training other rows than the coordinator evaluates —
+/// whoever the supplier is. Thread-backed leg: a [`NodeRuntime`] on an
+/// in-process link, the coordinator end driven by hand.
+#[test]
+fn worker_refuses_a_shard_that_disagrees_with_its_assignment() {
+    let ds = skewed(60);
+    let weights = vec![1.0; 60];
+    let cfg = adaptive_cfg(1);
+    let refusal = |rows: &Dataset, range: std::ops::Range<usize>, weights: &[f64]| {
+        let (mut coord, worker) = in_process_links(1).pop().unwrap();
+        let shard = ShardInput {
+            rows,
+            row_base: 0,
+            weights,
+            range,
+        };
+        std::thread::scope(|s| {
+            let cfg = &cfg;
+            let h = s.spawn(move || NodeRuntime::new(worker, 0).run(shard, &obj(), cfg));
+            assert!(matches!(
+                coord.recv().unwrap(),
+                Message::RoundBarrier { round: 0, .. }
+            ));
+            coord
+                .send(&Message::ShardRebalance {
+                    round: 0,
+                    assigned: 0,
+                    ranges: vec![(0, 60)],
+                })
+                .unwrap();
+            match h.join().unwrap() {
+                Err(ClusterError::Worker(msg)) => msg,
+                other => panic!("expected a typed worker refusal, got {other:?}"),
+            }
+        })
+    };
+    let msg = refusal(&ds, 1..60, &weights[1..]);
+    assert!(
+        msg.contains("rows 1..60 disagree with assigned range 0..60"),
+        "{msg}"
+    );
+    let msg = refusal(&ds, 0..60, &weights[1..]);
+    assert!(
+        msg.contains("59 streamed weights for 60 shard rows"),
+        "{msg}"
+    );
+    let msg = refusal(&skewed(30), 0..60, &weights);
+    assert!(
+        msg.contains("rows 0..30 do not hold the shard 0..60"),
+        "{msg}"
+    );
+}
+
+/// Fleet leg of the same refusal: the spawner puts a relay between the
+/// fleet and a genuine [`run_worker`] that shifts every `DatasetShard`
+/// chunk one row to the right. The stream stays self-consistent, so
+/// the session layer assembles it — and then disagrees with the
+/// assignment. The worker must refuse, and the fleet must report the
+/// loss as a typed error rather than hang.
+#[test]
+fn fleet_worker_refuses_a_wrongly_streamed_shard() {
+    struct ShiftingSpawner(std::sync::mpsc::Sender<Result<(), ClusterError>>);
+    impl WorkerSpawner for ShiftingSpawner {
+        fn spawn(
+            &mut self,
+            _node: u32,
+            addr: &str,
+            _respawn: bool,
+        ) -> Result<Box<dyn WorkerHandle>, ClusterError> {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let relay_addr = listener.local_addr().unwrap().to_string();
+            let fleet_addr = addr.to_string();
+            let verdict = self.0.clone();
+            let handle = std::thread::spawn(move || {
+                let worker = std::thread::spawn(move || {
+                    let r = run_worker(&relay_addr, &WorkerOptions::default());
+                    let _ = verdict.send(r.map(|_| ()));
+                });
+                let link = |s: TcpStream| Tcp::with_read_timeout(s, Duration::from_secs(30));
+                let mut down = link(listener.accept().unwrap().0).unwrap();
+                let mut up = link(TcpStream::connect(&fleet_addr).unwrap()).unwrap();
+                // Hello up, Assign down.
+                up.send(&down.recv().unwrap()).unwrap();
+                down.send(&up.recv().unwrap()).unwrap();
+                let mut streamed = 0;
+                loop {
+                    let Message::DatasetShard {
+                        shard,
+                        shard_start,
+                        shard_rows,
+                        start,
+                        weights,
+                        chunk,
+                    } = up.recv().unwrap()
+                    else {
+                        panic!("expected the shard stream");
+                    };
+                    streamed += chunk.n_samples();
+                    down.send(&Message::DatasetShard {
+                        shard,
+                        shard_start: shard_start + 1,
+                        shard_rows,
+                        start: start + 1,
+                        weights,
+                        chunk,
+                    })
+                    .unwrap();
+                    if streamed == shard_rows as usize {
+                        break;
+                    }
+                }
+                // Round-0 hello up, ShardRebalance down; the worker
+                // refuses and hangs up, and dropping both relay links
+                // shows the fleet a dead worker.
+                up.send(&down.recv().unwrap()).unwrap();
+                down.send(&up.recv().unwrap()).unwrap();
+                let _ = worker.join();
+            });
+            Ok(Box::new(ThreadWorker(Some(handle))))
+        }
+    }
+    let ds = skewed(60);
+    let cfg = adaptive_cfg(1);
+    let pc = ProcessConfig {
+        on_loss: WorkerLossPolicy::Fail,
+        ..fleet_pc()
+    };
+    let (verdict_tx, verdict_rx) = channel();
+    let (tx, rx) = channel();
+    std::thread::spawn(move || {
+        let spawner = ShiftingSpawner(verdict_tx);
+        let _ = tx.send(run_fleet_with(&ds, &obj(), &cfg, &pc, spawner));
+    });
+    let err = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("fleet run hung on a refusing worker")
+        .expect_err("a worker that refused its shard cannot complete the run");
+    assert!(
+        matches!(err, ClusterError::WorkerLost { node: 0, .. }),
+        "expected WorkerLost, got {err}"
+    );
+    match verdict_rx.recv_timeout(Duration::from_secs(30)).unwrap() {
+        Err(ClusterError::Worker(msg)) => assert!(
+            msg.contains("streamed shard rows 1..61 disagree with assigned range 0..60"),
+            "{msg}"
+        ),
+        other => panic!("expected a typed worker refusal, got {other:?}"),
     }
 }

@@ -67,16 +67,14 @@ fn arb_shard_rebalance() -> impl Strategy<Value = Message> {
     (
         0u64..=u64::MAX,
         prop_oneof![0u32..1024, Just(u32::MAX)],
-        prop::collection::vec(prop_oneof![0u32..1 << 16, Just(u32::MAX)], 0..64),
         prop::collection::vec(
             (0u32..1 << 16).prop_flat_map(|s| (s..1 << 17).prop_map(move |e| (s, e))),
             0..16,
         ),
     )
-        .prop_map(|(round, assigned, order, ranges)| Message::ShardRebalance {
+        .prop_map(|(round, assigned, ranges)| Message::ShardRebalance {
             round,
             assigned,
-            order,
             ranges,
         })
 }
@@ -177,28 +175,6 @@ fn arb_session_config() -> impl Strategy<Value = SessionConfig> {
 fn arb_assign() -> impl Strategy<Value = Message> {
     (0u32..=u32::MAX, arb_session_config())
         .prop_map(|(worker, config)| Message::Assign { worker, config })
-}
-
-/// Small random CSR datasets (including empty rows) shipped whole.
-fn arb_dataset_transfer() -> impl Strategy<Value = Message> {
-    prop::collection::vec(
-        (
-            prop::collection::btree_map(0u32..32, -10.0f64..10.0, 0..6),
-            0u8..2,
-        ),
-        0..12,
-    )
-    .prop_map(|rows| {
-        let mut b = DatasetBuilder::new(32);
-        for (pairs, pos) in rows {
-            let pairs: Vec<(u32, f64)> = pairs.into_iter().collect();
-            b.push_row(&pairs, if pos == 1 { 1.0 } else { -1.0 })
-                .unwrap();
-        }
-        Message::DatasetTransfer {
-            dataset: Box::new(b.finish()),
-        }
-    })
 }
 
 /// Sparse model deltas: a strictly increasing coordinate set bounded by
@@ -370,7 +346,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
         arb_shard_rebalance(),
         arb_hello(),
         arb_assign(),
-        arb_dataset_transfer(),
         arb_model_delta(),
         arb_dataset_shard(),
         arb_checkpoint(),
@@ -434,6 +409,11 @@ proptest! {
                 | WireError::Version { .. },
             ) => {}
         }
+        // Retired tag 7 (the whole-dataset frame of protocol versions
+        // 1–4) is an unknown tag whatever follows it.
+        let mut retired = vec![7u8];
+        retired.extend_from_slice(&bytes);
+        prop_assert_eq!(Message::decode(&retired), Err(WireError::BadTag(7)));
     }
 
     /// Fuzz with a valid prefix: random byte prefixes glued in front of

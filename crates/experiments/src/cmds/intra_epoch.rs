@@ -19,35 +19,8 @@ use isasgd_core::{
     SamplingStrategy, SquaredLoss, TrainConfig,
 };
 use isasgd_datagen::{DatasetProfile, FeatureKind};
-use isasgd_metrics::interpolate::time_to_target;
+use isasgd_metrics::speedup::epoch_speedup;
 use isasgd_metrics::table::{fmt_num, TextTable};
-use isasgd_metrics::Trace;
-
-/// Monotone best-objective curve keyed by epoch.
-fn objective_curve(t: &Trace) -> Vec<(f64, f64)> {
-    let mut best = f64::INFINITY;
-    t.points
-        .iter()
-        .map(|p| {
-            best = best.min(p.objective);
-            (p.epoch, best)
-        })
-        .collect()
-}
-
-/// Epoch-speedup of `fast` over `slow` at a fraction `frac` of `slow`'s
-/// own objective decrease (robust common target).
-fn epoch_speedup(slow: &Trace, fast: &Trace, frac: f64) -> Option<f64> {
-    let cs = objective_curve(slow);
-    let cf = objective_curve(fast);
-    let start = cs.first()?.1;
-    let end = cs.last()?.1;
-    let target = end + (start - end) * (1.0 - frac);
-    match (time_to_target(&cs, target), time_to_target(&cf, target)) {
-        (Some(a), Some(b)) if b > 0.0 => Some(a / b),
-        _ => None,
-    }
-}
 
 /// Runs the commit-policy sweep.
 pub fn run(ctx: &mut Ctx) {

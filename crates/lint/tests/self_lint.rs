@@ -66,8 +66,8 @@ fn committed_schema_matches_extraction_exactly() {
 fn schema_covers_the_full_protocol() {
     let root = workspace_root();
     let schema = isasgd_lint::extract_schema(&root, &mut Vec::new()).unwrap();
-    assert_eq!(schema.frames.len(), 12);
-    assert_eq!(schema.frame_kinds, 12);
+    assert_eq!(schema.frames.len(), 11);
+    assert_eq!(schema.frame_kinds, 11);
     let names: Vec<&str> = schema.frames.iter().map(|f| f.name.as_str()).collect();
     assert_eq!(
         names,
@@ -78,7 +78,6 @@ fn schema_covers_the_full_protocol() {
             "ShardRebalance",
             "Hello",
             "Assign",
-            "DatasetTransfer",
             "ModelDelta",
             "DatasetShard",
             "Checkpoint",

@@ -1,6 +1,6 @@
 //! Speedup curves and summaries (paper Fig. 5 and §4.2).
 
-use crate::interpolate::time_to_error;
+use crate::interpolate::{time_to_error, time_to_target};
 use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
 
@@ -18,6 +18,32 @@ pub fn speedup_curve(base: &Trace, fast: &Trace, targets: &[f64]) -> Vec<(f64, O
             (e, s)
         })
         .collect()
+}
+
+/// Monotone best-objective curve keyed by epoch.
+pub fn objective_curve(t: &Trace) -> Vec<(f64, f64)> {
+    let mut best = f64::INFINITY;
+    t.points
+        .iter()
+        .map(|p| {
+            best = best.min(p.objective);
+            (p.epoch, best)
+        })
+        .collect()
+}
+
+/// Epoch-speedup of `fast` over `slow` at a fraction `frac` of `slow`'s
+/// own objective decrease (robust common target).
+pub fn epoch_speedup(slow: &Trace, fast: &Trace, frac: f64) -> Option<f64> {
+    let cs = objective_curve(slow);
+    let cf = objective_curve(fast);
+    let start = cs.first()?.1;
+    let end = cs.last()?.1;
+    let target = end + (start - end) * (1.0 - frac);
+    match (time_to_target(&cs, target), time_to_target(&cf, target)) {
+        (Some(a), Some(b)) if b > 0.0 => Some(a / b),
+        _ => None,
+    }
 }
 
 /// Aggregate speedup statistics, the numbers quoted in the paper's §4.2
@@ -109,6 +135,25 @@ mod tests {
         let fast = mk("fast", &[(1.0, 0.4), (2.0, 0.1)]);
         let curve = speedup_curve(&base, &fast, &[0.2]);
         assert_eq!(curve[0].1, None, "base never reaches 0.2");
+    }
+
+    #[test]
+    fn epoch_speedup_compares_epochs_to_a_share_of_the_slow_decrease() {
+        // `mk` numbers epochs 1, 2, … and reuses the error as the
+        // objective. Slow falls 1.0 → 0.2; half of that decrease is the
+        // target 0.6, reached at epoch 3 by slow and epoch 2 by fast.
+        let slow = mk("slow", &[(0.0, 1.0), (0.0, 0.8), (0.0, 0.6), (0.0, 0.2)]);
+        let fast = mk("fast", &[(0.0, 1.0), (0.0, 0.6), (0.0, 0.7), (0.0, 0.1)]);
+        assert!((epoch_speedup(&slow, &fast, 0.5).unwrap() - 1.5).abs() < 1e-9);
+        // The curve is best-so-far: fast's bounce back up to 0.7 is flat.
+        assert_eq!(objective_curve(&fast)[2], (3.0, 0.6));
+        // A target the fast trace never reaches, and an empty trace.
+        let stalled = mk("stalled", &[(0.0, 1.0), (0.0, 0.9)]);
+        assert_eq!(epoch_speedup(&slow, &stalled, 0.5), None);
+        assert_eq!(
+            epoch_speedup(&Trace::new("a", "d", 1, 0.1), &fast, 0.5),
+            None
+        );
     }
 
     #[test]

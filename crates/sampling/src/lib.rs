@@ -51,18 +51,15 @@
 //! to draws is the sampler's [`CommitPolicy`]: at epoch boundaries
 //! (deterministic, per-epoch-unbiased) or every `k` observations
 //! (intra-epoch adaptivity, visible as the sampler's advancing
-//! [`Sampler::commit_version`]). [`StripedFenwick`] remains the striped,
-//! epoch-versioned concurrent substrate for cross-thread weight
-//! accumulation where shards overlap (and the contended-path benchmark
-//! baseline); the engine's disjoint worker shards let each stream adapt
-//! its own sampler without it. Surfaced as `isasgd train --obs-model
+//! [`Sampler::commit_version`]). The engine's disjoint worker shards let
+//! each stream adapt its own sampler, so nothing is shared across
+//! threads. Surfaced as `isasgd train --obs-model
 //! {gradnorm,loss-bound,staleness} --commit {epoch,every-k,every-<n>}`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alias;
-pub mod concurrent;
 pub mod error;
 pub mod feedback;
 pub mod fenwick;
@@ -72,7 +69,6 @@ pub mod sequence;
 pub mod stream;
 
 pub use alias::AliasTable;
-pub use concurrent::StripedFenwick;
 pub use error::SamplingError;
 pub use feedback::{draw_rngs, FeedbackProtocol, ObservationModel};
 pub use fenwick::FenwickSampler;

@@ -2,9 +2,7 @@
 //! independent implementations of the same weighted distribution; they are
 //! checked against each other and against the analytic distribution.
 
-use isasgd_sampling::{
-    AliasTable, FenwickSampler, SampleSequence, SequenceMode, StripedFenwick, Xoshiro256pp,
-};
+use isasgd_sampling::{AliasTable, FenwickSampler, SampleSequence, SequenceMode, Xoshiro256pp};
 use proptest::prelude::*;
 
 fn weights_strategy() -> impl Strategy<Value = Vec<f64>> {
@@ -101,53 +99,6 @@ proptest! {
     fn sequences_only_emit_valid_indices(w in weights_strategy(), seed in 0u64..100) {
         let seq = SampleSequence::weighted(&w, 512, SequenceMode::RegeneratePerEpoch, seed).unwrap();
         prop_assert!(seq.indices().iter().all(|&i| (i as usize) < w.len()));
-    }
-
-    /// The concurrent Fenwick must converge to exactly the sequential
-    /// Fenwick state for *any* interleaving of commits: the rows are
-    /// dealt to `threads` workers in an arbitrary (seed-chosen) order and
-    /// committed concurrently, then compared slot-for-slot against a
-    /// sequentially built `FenwickSampler`.
-    #[test]
-    fn concurrent_fenwick_matches_sequential_for_any_interleaving(
-        w in weights_strategy(),
-        stripes in 1usize..9,
-        threads in 1usize..5,
-        seed in 0u64..1_000,
-    ) {
-        let n = w.len();
-        let striped = StripedFenwick::new(n, stripes);
-        let version = striped.version();
-        // Deal rows across workers in a seed-dependent order so the
-        // interleaving (and per-stripe arrival order) varies per case.
-        let mut order: Vec<usize> = (0..n).collect();
-        let mut rng = Xoshiro256pp::new(seed);
-        for i in (1..n).rev() {
-            order.swap(i, rng.next_index(i + 1));
-        }
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let striped = &striped;
-                let w = &w;
-                let order = &order;
-                scope.spawn(move || {
-                    for &i in order.iter().skip(t).step_by(threads) {
-                        assert!(striped.commit(version, i, w[i]));
-                    }
-                });
-            }
-        });
-        let seq = FenwickSampler::new(&w).unwrap();
-        prop_assert!((striped.total() - seq.total()).abs() < 1e-9);
-        for i in 0..n {
-            // Commits are last-write-wins per row and rows are disjoint
-            // across workers, so every interleaving must land bit-equal.
-            prop_assert_eq!(striped.weight(i), seq.weight(i));
-        }
-        // Draining returns every committed row exactly once and resets.
-        let drained = striped.drain_observed();
-        prop_assert_eq!(drained.len(), n);
-        prop_assert_eq!(striped.total(), 0.0);
     }
 }
 
