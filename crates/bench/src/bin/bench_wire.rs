@@ -21,6 +21,7 @@ use isasgd_bench::bench_dataset;
 use isasgd_cluster::{
     encode_dataset_shard_chunks, CheckpointSampler, CheckpointState, Message, WorkerTiming,
 };
+use isasgd_obs::json::{escape_json, parse_jsonl_line};
 use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
@@ -236,54 +237,44 @@ fn measure() -> BTreeMap<&'static str, f64> {
     m
 }
 
-fn to_json(m: &BTreeMap<&'static str, f64>) -> String {
-    let mut out = String::from("{\n");
-    let last = m.len() - 1;
-    for (i, (k, v)) in m.iter().enumerate() {
-        out.push_str(&format!(
-            "  \"{k}\": {v:.6}{}\n",
-            if i == last { "" } else { "," }
-        ));
-    }
-    out.push_str("}\n");
-    out
+/// The baseline file: one flat JSON object, one metric per line, keys
+/// in sorted order — byte-stable so `--write` diffs are reviewable.
+fn render_baseline(m: &BTreeMap<&'static str, f64>) -> String {
+    let rows: Vec<String> = m
+        .iter()
+        .map(|(k, v)| format!("  \"{}\": {v:.6}", escape_json(k)))
+        .collect();
+    format!("{{\n{}\n}}\n", rows.join(",\n"))
 }
 
-/// Minimal parser for the flat `{"key": number, ...}` files this tool
-/// writes — no serde in the workspace.
-fn parse_json(s: &str) -> Result<BTreeMap<String, f64>, String> {
-    let mut m = BTreeMap::new();
-    for line in s.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((k, v)) = line.split_once(':') else {
-            continue;
-        };
-        let key = k.trim().trim_matches('"').to_string();
-        let val: f64 = v
-            .trim()
-            .parse()
-            .map_err(|e| format!("bad value for {key}: {e}"))?;
-        m.insert(key, val);
-    }
-    if m.is_empty() {
-        return Err("no metrics found in baseline".into());
-    }
-    Ok(m)
+/// Reads a baseline strictly: anything that is not one flat object of
+/// numbers is an error, so a corrupted file cannot pass as "fewer gates".
+fn parse_baseline(s: &str) -> Result<BTreeMap<String, f64>, String> {
+    parse_jsonl_line(s)?
+        .into_iter()
+        .map(|(k, v)| match v.as_f64() {
+            Some(n) => Ok((k, n)),
+            None => Err(format!("baseline metric {k} is not a number")),
+        })
+        .collect()
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let current = measure();
     match args.as_slice() {
-        [] => print!("{}", to_json(&current)),
+        [] => print!("{}", render_baseline(&current)),
         [flag, path] if flag == "--write" => {
-            std::fs::write(path, to_json(&current)).expect("writing baseline");
+            std::fs::write(path, render_baseline(&current)).expect("writing baseline");
             eprintln!("wrote {path}");
         }
         [flag, path] if flag == "--check" => {
-            let baseline =
-                parse_json(&std::fs::read_to_string(path).expect("reading baseline")).unwrap();
-            print!("{}", to_json(&current));
+            let text = std::fs::read_to_string(path).expect("reading baseline");
+            let baseline = parse_baseline(&text).unwrap_or_else(|e| {
+                eprintln!("bench_wire: {path}: {e}");
+                std::process::exit(2);
+            });
+            print!("{}", render_baseline(&current));
             let mut failed = false;
             for (k, &cur) in &current {
                 let Some(&base) = baseline.get(*k) else {
@@ -322,5 +313,26 @@ fn main() {
             eprintln!("usage: bench_wire [--write PATH | --check PATH]");
             std::process::exit(2);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn baseline_roundtrips_and_rejects_corruption() {
+        let m = BTreeMap::from([("a_bytes", 53.0), ("b_gbps", 0.626824)]);
+        let text = render_baseline(&m);
+        assert_eq!(
+            text,
+            "{\n  \"a_bytes\": 53.000000,\n  \"b_gbps\": 0.626824\n}\n"
+        );
+        let back = parse_baseline(&text).unwrap();
+        assert_eq!(back.len(), 2);
+        assert_eq!(back["b_gbps"], 0.626824);
+        // A line the old splitter would have skipped (one gate fewer).
+        assert!(parse_baseline(&text.replace("\"b_gbps\":", "\"b_gbps\"")).is_err());
+        assert!(parse_baseline(&text.replace("53.000000", "\"53\"")).is_err());
     }
 }

@@ -99,7 +99,7 @@ fn objective() -> Objective<LogisticLoss> {
     Objective::new(LogisticLoss, Regularizer::None)
 }
 
-fn cluster_cfg(spec: &ScenarioSpec, bugs: ProtocolBugs) -> ClusterConfig {
+fn cluster_cfg(spec: &ScenarioSpec) -> ClusterConfig {
     ClusterConfig {
         nodes: spec.nodes,
         rounds: spec.rounds,
@@ -115,7 +115,6 @@ fn cluster_cfg(spec: &ScenarioSpec, bugs: ProtocolBugs) -> ClusterConfig {
         transport: TransportConfig::InProcess,
         seed: spec.seed,
         checkpoint_every: spec.checkpoint_every,
-        bugs,
         ..ClusterConfig::default()
     }
 }
@@ -130,14 +129,10 @@ struct Ctx {
 
 fn ctx(spec: &ScenarioSpec) -> Ctx {
     let ds = skewed(spec.rows);
-    let clean_cfg = cluster_cfg(spec, ProtocolBugs::default());
-    let oracle = run_with_links(&ds, &objective(), &clean_cfg, in_process_links(spec.nodes))
+    let cfg = cluster_cfg(spec);
+    let oracle = run_with_links(&ds, &objective(), &cfg, in_process_links(spec.nodes))
         .expect("oracle run of a valid spec");
-    Ctx {
-        ds,
-        cfg: cluster_cfg(spec, spec.bugs),
-        oracle,
-    }
+    Ctx { ds, cfg, oracle }
 }
 
 fn classify(
@@ -225,9 +220,14 @@ fn run_schedule_in(ctx: &Ctx, spec: &ScenarioSpec, chooser: Chooser) -> (Outcome
     } else {
         0
     };
-    let result = run_with_links_observed(&ctx.ds, &objective(), &ctx.cfg, links, move || {
-        handle.driver_done(upcoming);
-    })
+    let result = run_with_links_observed(
+        &ctx.ds,
+        &objective(),
+        &ctx.cfg,
+        links,
+        spec.bugs,
+        move || handle.driver_done(upcoming),
+    )
     .map_err(|e| format!("{e:?}"));
     let (report, chooser) = sched.finish();
     let aborted = chooser.aborted();

@@ -188,9 +188,8 @@ fn run_cluster(
         commit: spec.commit,
         transport: cluster.transport.clone(),
         seed: spec.seed,
-        // Mirror the fleet flag so the config is self-consistent; the
-        // process transport reads its own copy when building the wire
-        // session.
+        // Mirror the fleet flag so the config is self-consistent (the
+        // fleet refuses two different cadences).
         checkpoint_every: match &cluster.transport {
             isasgd_cluster::TransportConfig::Process(pc) => pc.checkpoint_every,
             _ => 0,
@@ -199,9 +198,6 @@ fn run_cluster(
         // frames are provably inert (absorbed or dropped before the
         // round protocol sees them), so results stay bit-identical.
         telemetry: spec.telemetry_enabled(),
-        // Historical-bug flags exist only for the model checker's
-        // regression rediscovery; production runs never enable them.
-        bugs: Default::default(),
     };
     match spec.loss {
         LossKind::Logistic => {
@@ -458,6 +454,25 @@ mod tests {
     fn unknown_flag_is_an_error() {
         let o = Opts::parse(["train", "x.svm", "--nonsense", "1"].map(String::from));
         assert_eq!(run(&o), 2);
+    }
+
+    #[test]
+    fn value_flag_without_a_value_is_an_error() {
+        // A loadable dataset, so the exit code can only come from the
+        // flags: `--sampling --quiet` used to train on the default
+        // sampler and exit 0.
+        let path =
+            std::env::temp_dir().join(format!("isasgd-bare-flag-{}.svm", std::process::id()));
+        std::fs::write(&path, "+1 1:1.0 2:0.5\n-1 1:-1.0 2:-0.5\n".repeat(8)).unwrap();
+        let data = path.to_str().unwrap();
+        let train = |flags: &[&str]| {
+            let args = ["train", data].into_iter().chain(flags.iter().copied());
+            run(&Opts::parse(args.map(String::from)))
+        };
+        assert_eq!(train(&["--epochs", "1", "--quiet"]), 0);
+        assert_eq!(train(&["--epochs", "1", "--sampling", "--quiet"]), 2);
+        assert_eq!(train(&["--quiet", "--epochs"]), 2);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -14,6 +14,8 @@ pub struct Opts {
     flags: BTreeMap<String, String>,
     switches: Vec<String>,
     consumed: std::cell::RefCell<Vec<String>>,
+    /// Names read through a value getter (`get` and everything on it).
+    valued: std::cell::RefCell<Vec<String>>,
 }
 
 /// Errors surfaced to the user with exit code 2.
@@ -32,6 +34,9 @@ pub enum OptError {
     Required(String),
     /// Flags that no getter asked about.
     Unknown(Vec<String>),
+    /// A value flag was given bare: last on the line, or directly
+    /// followed by another `--flag`.
+    MissingValue(String),
 }
 
 impl std::fmt::Display for OptError {
@@ -46,6 +51,7 @@ impl std::fmt::Display for OptError {
             }
             OptError::Required(k) => write!(f, "missing required flag --{k}"),
             OptError::Unknown(ks) => write!(f, "unknown flags: --{}", ks.join(", --")),
+            OptError::MissingValue(k) => write!(f, "flag --{k} needs a value"),
         }
     }
 }
@@ -79,6 +85,7 @@ impl Opts {
             flags,
             switches,
             consumed: std::cell::RefCell::new(Vec::new()),
+            valued: std::cell::RefCell::new(Vec::new()),
         }
     }
 
@@ -89,6 +96,7 @@ impl Opts {
     /// Raw string flag.
     pub fn get(&self, key: &str) -> Option<String> {
         self.note(key);
+        self.valued.borrow_mut().push(key.to_string());
         self.flags.get(key).cloned()
     }
 
@@ -126,8 +134,14 @@ impl Opts {
     }
 
     /// Errors out if any flag or switch was never consulted — catches
-    /// typos like `--thread 4`.
+    /// typos like `--thread 4` — or if a value flag was parsed as a bare
+    /// switch (`--sampling --quiet`, a trailing `--epochs`), which the
+    /// getter could only report as "absent".
     pub fn finish(&self) -> Result<(), OptError> {
+        let valued = self.valued.borrow();
+        if let Some(bare) = self.switches.iter().find(|s| valued.contains(s)) {
+            return Err(OptError::MissingValue(bare.clone()));
+        }
         let seen = self.consumed.borrow();
         let unknown: Vec<String> = self
             .flags
@@ -197,6 +211,30 @@ mod tests {
         let o = opts("--quiet --epochs 5");
         assert!(o.switch("quiet"));
         assert_eq!(o.get("epochs"), Some("5".into()));
+    }
+
+    #[test]
+    fn value_flag_without_a_value_is_an_error() {
+        // `--sampling` swallowed nothing: the next token is a flag.
+        let o = opts("train d.svm --sampling --quiet");
+        assert_eq!(o.get("sampling"), None);
+        assert!(o.switch("quiet"));
+        assert_eq!(o.finish(), Err(OptError::MissingValue("sampling".into())));
+        assert_eq!(
+            o.finish().unwrap_err().to_string(),
+            "flag --sampling needs a value"
+        );
+        // Same for a trailing value flag, through every value getter.
+        let o = opts("--epochs");
+        assert_eq!(o.get_parsed_or("epochs", 7usize, "usize"), Ok(7));
+        assert_eq!(o.finish(), Err(OptError::MissingValue("epochs".into())));
+        let o = opts("--model");
+        assert_eq!(o.require("model"), Err(OptError::Required("model".into())));
+        assert_eq!(o.finish(), Err(OptError::MissingValue("model".into())));
+        // A genuine switch stays a switch.
+        let o = opts("--quiet");
+        assert!(o.switch("quiet"));
+        assert_eq!(o.finish(), Ok(()));
     }
 
     #[test]

@@ -36,7 +36,8 @@
 //! (`tests/equivalence.rs`).
 
 use crate::node::{
-    effective_strategy, validate, ClusterConfig, ClusterError, ClusterRun, Node, RoundPoint,
+    effective_strategy, validate, ClusterConfig, ClusterError, ClusterRun, Node, ProtocolBugs,
+    RoundPoint,
 };
 use crate::sync::average_models;
 use crate::transport::Transport;
@@ -122,7 +123,7 @@ pub fn run_with_links<L: Loss, T: Transport>(
     cfg: &ClusterConfig,
     links: Vec<(T, T)>,
 ) -> Result<ClusterRun, ClusterError> {
-    run_with_links_observed(ds, obj, cfg, links, || {})
+    run_with_links_observed(ds, obj, cfg, links, ProtocolBugs::default(), || {})
 }
 
 /// [`run_with_links`] with an observer called on the coordinating
@@ -134,12 +135,15 @@ pub fn run_with_links<L: Loss, T: Transport>(
 /// operations it must be scheduled for, and the observer lets the
 /// checker mark it quiescent so pending worker actions (e.g. a
 /// fault-injected trailing duplicate) can be sequenced against the
-/// teardown deterministically.
+/// teardown deterministically. It is also the only way in for `bugs`,
+/// the checker's switches that revert historical fixes — every other
+/// entry point runs with all of them off.
 pub fn run_with_links_observed<L: Loss, T: Transport>(
     ds: &Dataset,
     obj: &Objective<L>,
     cfg: &ClusterConfig,
     links: Vec<(T, T)>,
+    bugs: ProtocolBugs,
     on_driver_done: impl FnOnce() + Send,
 ) -> Result<ClusterRun, ClusterError> {
     validate(cfg, ds)?;
@@ -158,7 +162,11 @@ pub fn run_with_links_observed<L: Loss, T: Transport>(
             .enumerate()
             .map(|(k, link)| {
                 let shard = plan.shard(k);
-                scope.spawn(move || NodeRuntime::new(link, k).run(shard, obj, cfg))
+                scope.spawn(move || {
+                    NodeRuntime::new(link, k)
+                        .with_dropped_preassignment_traffic(bugs.drop_preassignment_traffic)
+                        .run(shard, obj, cfg)
+                })
             })
             .collect();
         let coord = coordinate(&mut coord_ends, &plan, obj, cfg);
@@ -172,7 +180,7 @@ pub fn run_with_links_observed<L: Loss, T: Transport>(
         // would turn that benign tail into a spurious `Closed` error.
         // (`eager_link_teardown` resurrects the historical pre-fix
         // behaviour for the model checker's regression corpus.)
-        if coord.is_err() || cfg.bugs.eager_link_teardown {
+        if coord.is_err() || bugs.eager_link_teardown {
             coord_ends.clear();
         }
         let mut worker_err: Option<ClusterError> = None;
@@ -483,9 +491,9 @@ pub struct NodeRuntime<T: Transport> {
     /// simulating a worker crash mid-round (drives the fleet's
     /// supervision tests and `--chaos-kill`).
     die_at_round: Option<u64>,
-    /// Test-only resurrection of fixed protocol bugs (copied from
-    /// [`ClusterConfig::bugs`] at run entry; all-off in production).
-    bugs: crate::node::ProtocolBugs,
+    /// [`ProtocolBugs::drop_preassignment_traffic`], set only through
+    /// the checker's seam.
+    drop_preassignment_traffic: bool,
 }
 
 impl<T: Transport> NodeRuntime<T> {
@@ -496,7 +504,7 @@ impl<T: Transport> NodeRuntime<T> {
             node_id,
             stash: std::collections::VecDeque::new(),
             die_at_round: None,
-            bugs: crate::node::ProtocolBugs::default(),
+            drop_preassignment_traffic: false,
         }
     }
 
@@ -505,6 +513,13 @@ impl<T: Transport> NodeRuntime<T> {
     /// after round `round` starts.
     pub(crate) fn with_chaos_kill(mut self, round: Option<u64>) -> Self {
         self.die_at_round = round;
+        self
+    }
+
+    /// Resurrects the historical drop-instead-of-stash bug for the
+    /// model checker's regression corpus.
+    pub(crate) fn with_dropped_preassignment_traffic(mut self, on: bool) -> Self {
+        self.drop_preassignment_traffic = on;
         self
     }
 
@@ -522,7 +537,6 @@ impl<T: Transport> NodeRuntime<T> {
         obj: &Objective<L>,
         cfg: &ClusterConfig,
     ) -> Result<(), ClusterError> {
-        self.bugs = cfg.bugs;
         let (wire_ranges, assigned) = self.await_assignment()?;
         let ranges: Vec<Range<usize>> = wire_ranges
             .into_iter()
@@ -595,7 +609,7 @@ impl<T: Transport> NodeRuntime<T> {
                 m @ (Message::RoundBarrier { .. }
                 | Message::ModelUpdate { .. }
                 | Message::Checkpoint { .. })
-                    if m.round() >= 1 && !self.bugs.drop_preassignment_traffic =>
+                    if m.round() >= 1 && !self.drop_preassignment_traffic =>
                 {
                     self.stash.push_back(m);
                 }

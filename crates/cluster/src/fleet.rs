@@ -43,9 +43,11 @@
 //!   completes **bit-identically** to an undisturbed one (pinned by
 //!   `tests/process_fleet.rs` and the CLI kill-a-worker e2e).
 //!
-//! With a checkpoint cadence ([`ProcessConfig::checkpoint_every`]),
-//! replay is bounded instead of whole-session: workers periodically
-//! ship a versioned, checksummed [`Message::Checkpoint`] of their
+//! With a checkpoint cadence ([`ProcessConfig::checkpoint_every`] or
+//! [`ClusterConfig::checkpoint_every`] — whichever is set; two
+//! different values are refused), replay is bounded instead of
+//! whole-session: workers periodically ship a versioned, checksummed
+//! [`Message::Checkpoint`] of their
 //! cross-round state; the link stores the newest blob per slot,
 //! acknowledges it, and truncates its log to the post-checkpoint
 //! suffix (the initial `ShardRebalance` is always retained). Recovery
@@ -543,6 +545,20 @@ pub fn run_fleet_with<L: Loss, S: WorkerSpawner>(
             obj.loss.name()
         )));
     }
+    // Library callers may set the cadence on either config; the CLI
+    // sets both to the same value. Two different cadences have no
+    // sensible reading, and silently preferring one loses checkpoints.
+    let checkpoint_every = match (cfg.checkpoint_every, pc.checkpoint_every) {
+        (c, 0) => c,
+        (0, p) => p,
+        (c, p) if c == p => c,
+        (c, p) => {
+            return Err(ClusterError::InvalidConfig(format!(
+                "ClusterConfig::checkpoint_every = {c} disagrees with \
+                 ProcessConfig::checkpoint_every = {p}; set one, or both to the same value"
+            )))
+        }
+    };
     if let Some((victim, round)) = pc.chaos_kill {
         // An out-of-range chaos target would silently never fire —
         // turning a supervision-validation run into a false pass.
@@ -612,7 +628,7 @@ pub fn run_fleet_with<L: Loss, S: WorkerSpawner>(
         loss: obj.loss.name().to_string(),
         reg: obj.reg,
         encoding: pc.encoding,
-        checkpoint_every: pc.checkpoint_every,
+        checkpoint_every,
         telemetry: cfg.telemetry,
     };
     let shared = Arc::new(Mutex::new(FleetShared {

@@ -82,18 +82,15 @@ pub struct ClusterConfig {
     ///
     /// [`Message::Telemetry`]: crate::wire::Message::Telemetry
     pub telemetry: bool,
-    /// Test-only reintroduction of fixed protocol bugs (all off by
-    /// default); exists so the `isasgd-check` model checker can prove
-    /// it rediscovers each historical race. Never crosses the wire.
-    pub bugs: ProtocolBugs,
 }
 
 /// Switches that resurrect historical protocol bugs (each fixed in
 /// PR 4) behind test-only flags, so the model checker's counterexample
 /// corpus can demonstrate that disabling a fix is caught again.
 ///
-/// Production paths never set these; they default to all-off, are
-/// excluded from [`SessionConfig`](crate::wire::SessionConfig), and
+/// No production config or entry point carries these: they reach the
+/// runtime only through the checker's seam,
+/// [`run_with_links_observed`](crate::run_with_links_observed), and
 /// exist purely so a regression test can assert "the checker finds
 /// this bug".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -115,13 +112,6 @@ pub struct ProtocolBugs {
     pub strict_extra_sends: bool,
 }
 
-impl ProtocolBugs {
-    /// True when any bug flag is set (used to guard release paths).
-    pub fn any(&self) -> bool {
-        self.drop_preassignment_traffic || self.eager_link_teardown || self.strict_extra_sends
-    }
-}
-
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
@@ -139,7 +129,6 @@ impl Default for ClusterConfig {
             seed: 0x15A5_6D00,
             checkpoint_every: 0,
             telemetry: false,
-            bugs: ProtocolBugs::default(),
         }
     }
 }

@@ -27,7 +27,7 @@
 //! cross-process, and an unknown name is a typed error, not a panic.
 
 use crate::coordinator::{NodeRuntime, ShardInput};
-use crate::node::{ClusterConfig, ClusterError, ProtocolBugs};
+use crate::node::{ClusterConfig, ClusterError};
 use crate::sync::SyncStrategy;
 use crate::transport::{Tcp, Transport, TransportConfig, TransportError};
 use crate::wire::{Message, SessionConfig, PROTOCOL_VERSION};
@@ -230,7 +230,6 @@ fn serve(
         seed: sc.seed,
         checkpoint_every: sc.checkpoint_every,
         telemetry: sc.telemetry,
-        bugs: ProtocolBugs::default(),
     };
     let runtime = NodeRuntime::new(link, worker as usize).with_chaos_kill(die_at_round);
     match sc.loss.as_str() {

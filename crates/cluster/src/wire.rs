@@ -29,6 +29,23 @@
 //! buffer is reserved). `tests/wire_proptests.rs` pins both directions:
 //! every message round-trips bit-exactly, and every strict prefix of a
 //! valid encoding (plus arbitrary garbage) decodes to an error.
+//!
+//! # Adding a frame
+//!
+//! One entry in the `frames!` table below (`Name = tag { field: Type, … }`)
+//! plus four compiler-enforced arms. The table generates [`Message`],
+//! [`FrameKind`] and everything that is a pure function of the frame
+//! list (tag ↔ kind, names, [`FRAME_KINDS`], the field lists
+//! [`schema_json`] renders); the exhaustive matches in
+//! [`Message::encode`], [`Message::decode`], [`Message::round`] and
+//! [`Message::resident_bytes`] then refuse to compile until the new
+//! frame has its hand-written arm, and a reused tag is a compile error
+//! in `FrameKind::from_tag`. The byte layouts stay hand-written on
+//! purpose: `isasgd-lint` reads no macro expansions, so declarations may
+//! be generated but decode-path functions may not. After the change,
+//! refresh the frozen schema (`cargo run -p isasgd-cluster --example
+//! wire_schema > WIRE_SCHEMA.json`) and add the frame's golden encoding
+//! under `tests/golden/`; both are pinned by this module's tests.
 
 use isasgd_losses::{ImportanceScheme, Regularizer};
 use isasgd_sampling::{CommitPolicy, ObservationModel, SamplingStrategy};
@@ -111,6 +128,26 @@ impl WireEncoding {
     }
 }
 
+/// Declares a wire-visible struct together with its `FIELDS` list, so
+/// the rendered schema cannot drift from the declaration.
+macro_rules! wire_struct {
+    ($(#[$meta:meta])* pub struct $name:ident {
+        $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
+    }) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl $name {
+            /// `(field name, type spelling)` in declaration = wire order.
+            pub const FIELDS: &'static [(&'static str, &'static str)] =
+                &[$((stringify!($field), stringify!($ty)),)*];
+        }
+    };
+}
+
+wire_struct! {
 /// The training assignment a [`Message::Assign`] ships to a
 /// freshly-connected worker process: everything a `NodeRuntime` needs
 /// to reconstruct its `ClusterConfig` and objective in another OS
@@ -164,6 +201,7 @@ pub struct SessionConfig {
     /// provably inert (the equivalence tests pin bit-identical models
     /// with it on and off).
     pub telemetry: bool,
+}
 }
 
 /// The per-round timing counters a worker ships inside
@@ -236,71 +274,152 @@ pub enum CheckpointSampler {
     },
 }
 
-/// A typed message of the coordinator↔worker protocol.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Message {
+/// The frame table's expander: from `Name = tag { field: Type, … }`
+/// entries (doc comments pass through) it declares [`Message`],
+/// [`FrameKind`] and every function of the frame *list* — nothing about
+/// a frame's byte layout, which stays hand-written in
+/// [`Message::encode`] / [`Message::decode`].
+macro_rules! frames {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident = $tag:literal {
+            $($(#[$fdoc:meta])* $field:ident: $ty:ty,)*
+        }
+    )*) => {
+        /// A typed message of the coordinator↔worker protocol.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum Message {
+            $($(#[$doc])* $name { $($(#[$fdoc])* $field: $ty,)* },)*
+        }
+
+        /// The kind of a wire frame, independent of its payload — the
+        /// axis the per-link byte/frame counters are broken down by.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum FrameKind {
+            $(#[doc = concat!("[`Message::", stringify!($name), "`]")] $name,)*
+        }
+
+        /// Number of distinct frame kinds — the length of per-kind
+        /// counter arrays such as
+        /// [`LinkStats`](crate::transport::LinkStats).
+        pub const FRAME_KINDS: usize = [$($tag,)*].len();
+
+        impl FrameKind {
+            /// All kinds, in table (= tag) order; a kind's position here
+            /// is its [`FrameKind::index`] (tags have a retired gap,
+            /// indices do not).
+            pub const ALL: [FrameKind; FRAME_KINDS] = [$(FrameKind::$name,)*];
+
+            /// The leading byte of this kind's encoded payload.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $(FrameKind::$name => $tag,)*
+                }
+            }
+
+            /// Classifies an encoded payload by its leading tag byte.
+            // Two frames sharing a tag must not compile.
+            #[deny(unreachable_patterns)]
+            pub fn from_tag(tag: u8) -> Option<FrameKind> {
+                match tag {
+                    $($tag => Some(FrameKind::$name),)*
+                    _ => None,
+                }
+            }
+
+            /// Display name (matches [`Message::kind`]).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(FrameKind::$name => stringify!($name),)*
+                }
+            }
+
+            /// `(field name, type spelling)` of the frame's fields, in
+            /// declaration order.
+            pub fn fields(&self) -> &'static [(&'static str, &'static str)] {
+                match self {
+                    $(FrameKind::$name => &[$((stringify!($field), stringify!($ty)),)*],)*
+                }
+            }
+        }
+
+        impl Message {
+            /// This message's [`FrameKind`].
+            pub fn frame_kind(&self) -> FrameKind {
+                match self {
+                    $(Message::$name { .. } => FrameKind::$name,)*
+                }
+            }
+        }
+    };
+}
+
+// The frame table — the one list of the protocol's frames, in tag
+// order. Tag 7 carried the whole-dataset frame of protocol versions
+// 1–4; it is retired and must not be reused.
+frames! {
     /// A dense model: a worker's trained replica flowing up to the
     /// coordinator, or the coordinator's consensus flowing down.
-    ModelUpdate {
+    ModelUpdate = 1 {
         /// Sending node (or addressed worker, coordinator→worker).
         node: u32,
         /// Synchronization round this model belongs to.
         round: u64,
         /// Dense model coordinates.
         model: Vec<f64>,
-    },
+    }
     /// Per-node importance observations: the [`FeedbackProtocol`]
     /// (Alain et al.'s message shape) scaled observation for every row
     /// the node visited this round, pre-reduced to the per-row max.
     ///
     /// [`FeedbackProtocol`]: isasgd_sampling::FeedbackProtocol
-    FeedbackBatch {
+    FeedbackBatch = 2 {
         /// Sending node.
         node: u32,
         /// Round the observations were gathered in.
         round: u64,
         /// `(global_row, scaled_observation)` pairs.
         observations: Vec<(u32, f64)>,
-    },
+    }
     /// Round synchronization marker: a worker's readiness announcement
     /// (round 0 is the connection hello) or the coordinator's
     /// start-of-round barrier.
-    RoundBarrier {
+    RoundBarrier = 3 {
         /// Announcing node (or addressed worker).
         node: u32,
         /// Round being announced.
         round: u64,
-    },
+    }
     /// Shard assignment (Algorithm 4 lines 2–6): the outcome of the
     /// coordinator's balancing decision, shipped to every worker so
     /// each knows which rows of the rearranged dataset are its own.
-    ShardRebalance {
+    ShardRebalance = 4 {
         /// Round of the decision (0 = initial assignment).
         round: u64,
         /// The receiving worker's shard index into `ranges`.
         assigned: u32,
         /// Every shard's `[start, end)` row range after reordering.
         ranges: Vec<(u32, u32)>,
-    },
+    }
     /// Session greeting: the first frame a worker process sends after
     /// connecting. The accept loop validates the protocol version
     /// before admitting the connection to the fleet; anything else on a
     /// fresh connection (garbage, a truncated frame, a different
     /// message kind) is a handshake failure and the connection is
     /// dropped without disturbing the accept loop.
-    Hello {
+    Hello = 5 {
         /// The worker's [`PROTOCOL_VERSION`].
         version: u32,
-    },
+    }
     /// Session assignment, the coordinator's reply to a valid
     /// [`Message::Hello`]: the worker's node id plus the
     /// [`SessionConfig`] it needs to run the round protocol.
-    Assign {
+    Assign = 6 {
         /// Node id assigned to this connection (0-based).
         worker: u32,
         /// The run's training configuration subset.
         config: SessionConfig,
-    },
+    }
     /// A sparse model delta against the last model that crossed this
     /// link in the same direction: only the coordinates whose IEEE-754
     /// bits differ from that base, with their new bit patterns.
@@ -308,7 +427,7 @@ pub enum Message {
     /// session is bit-identical to a dense one. Produced and consumed
     /// inside the `Tcp` transport — the round protocol above it only
     /// ever sees the reconstructed [`Message::ModelUpdate`].
-    ModelDelta {
+    ModelDelta = 8 {
         /// Sending node (or addressed worker, coordinator→worker).
         node: u32,
         /// Synchronization round this model belongs to.
@@ -321,7 +440,7 @@ pub enum Message {
         indices: Vec<u32>,
         /// New IEEE-754 bit patterns at `indices`, in order.
         values: Vec<f64>,
-    },
+    }
     /// One chunk of a worker's own shard, streamed during fleet
     /// admission after [`Message::Assign`] so a worker process needs no
     /// shared filesystem. Feature values move as raw IEEE-754 bits, so
@@ -332,7 +451,7 @@ pub enum Message {
     /// recompute locally). Chunks arrive in row order; the receiver
     /// re-validates builder invariants per chunk and bounds every
     /// allocation by the chunk's own declared-and-checked row count.
-    DatasetShard {
+    DatasetShard = 9 {
         /// Shard index this chunk belongs to (the receiving worker's id).
         shard: u32,
         /// First global row of the whole shard (after reordering).
@@ -346,31 +465,31 @@ pub enum Message {
         weights: Vec<f64>,
         /// The chunk's rows as a dataset with the full feature `dim`.
         chunk: Box<Dataset>,
-    },
+    }
     /// A worker's periodic state checkpoint (versioned and checksummed):
     /// the coordinator stores the latest blob per slot and truncates
     /// that slot's replay log to the post-checkpoint suffix, so respawn
     /// recovery is bounded by one checkpoint interval. Receivers absorb
     /// duplicates and reordered stale checkpoints idempotently (only a
     /// strictly newer round replaces the stored blob).
-    Checkpoint {
+    Checkpoint = 10 {
         /// Worker that took the checkpoint.
         node: u32,
         /// Round whose boundary the state was captured at.
         round: u64,
         /// The serialized worker state (boxed: dwarfs other frames).
         state: Box<CheckpointState>,
-    },
+    }
     /// The coordinator's acknowledgement that a [`Message::Checkpoint`]
     /// is stored and the replay log truncated. Purely informational to
     /// the worker (it never blocks on it); dropped by workers that are
     /// past the round.
-    CheckpointAck {
+    CheckpointAck = 11 {
         /// Worker whose checkpoint is acknowledged.
         node: u32,
         /// Round of the stored checkpoint.
         round: u64,
-    },
+    }
     /// A worker's per-round timing sample (checksummed), shipped before
     /// the round's [`Message::ModelUpdate`] when
     /// [`SessionConfig::telemetry`] is set. Purely observational: the
@@ -379,14 +498,14 @@ pub enum Message {
     /// and no receiver ever acknowledges or blocks on it.
     ///
     /// [`ClusterRun::telemetry`]: crate::node::ClusterRun::telemetry
-    Telemetry {
+    Telemetry = 12 {
         /// Worker that measured the sample.
         node: u32,
         /// Round the sample covers.
         round: u64,
         /// The round's timing counters.
         timing: WorkerTiming,
-    },
+    }
 }
 
 /// Typed decode failures. Garbage never panics the decoder.
@@ -469,109 +588,52 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-const TAG_MODEL_UPDATE: u8 = 1;
-const TAG_FEEDBACK_BATCH: u8 = 2;
-const TAG_ROUND_BARRIER: u8 = 3;
-const TAG_SHARD_REBALANCE: u8 = 4;
-const TAG_HELLO: u8 = 5;
-const TAG_ASSIGN: u8 = 6;
-// Tag 7 carried the whole-dataset frame of protocol versions 1–4; it is
-// retired and must not be reused.
-const TAG_MODEL_DELTA: u8 = 8;
-const TAG_DATASET_SHARD: u8 = 9;
-const TAG_CHECKPOINT: u8 = 10;
-const TAG_CHECKPOINT_ACK: u8 = 11;
-const TAG_TELEMETRY: u8 = 12;
-
-/// Number of distinct frame kinds — the length of per-kind counter
-/// arrays such as [`LinkStats`](crate::transport::LinkStats).
-pub const FRAME_KINDS: usize = 11;
-
-/// The kind of a wire frame, independent of its payload — the axis the
-/// per-link byte/frame counters are broken down by.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameKind {
-    /// [`Message::ModelUpdate`]
-    ModelUpdate,
-    /// [`Message::FeedbackBatch`]
-    FeedbackBatch,
-    /// [`Message::RoundBarrier`]
-    RoundBarrier,
-    /// [`Message::ShardRebalance`]
-    ShardRebalance,
-    /// [`Message::Hello`]
-    Hello,
-    /// [`Message::Assign`]
-    Assign,
-    /// [`Message::ModelDelta`]
-    ModelDelta,
-    /// [`Message::DatasetShard`]
-    DatasetShard,
-    /// [`Message::Checkpoint`]
-    Checkpoint,
-    /// [`Message::CheckpointAck`]
-    CheckpointAck,
-    /// [`Message::Telemetry`]
-    Telemetry,
-}
-
 impl FrameKind {
-    /// All kinds, in tag order; a kind's position here is its
-    /// [`FrameKind::index`] (tags have a retired gap, indices do not).
-    pub const ALL: [FrameKind; FRAME_KINDS] = [
-        FrameKind::ModelUpdate,
-        FrameKind::FeedbackBatch,
-        FrameKind::RoundBarrier,
-        FrameKind::ShardRebalance,
-        FrameKind::Hello,
-        FrameKind::Assign,
-        FrameKind::ModelDelta,
-        FrameKind::DatasetShard,
-        FrameKind::Checkpoint,
-        FrameKind::CheckpointAck,
-        FrameKind::Telemetry,
-    ];
-
-    /// Classifies an encoded payload by its leading tag byte.
-    pub fn from_tag(tag: u8) -> Option<FrameKind> {
-        Some(match tag {
-            TAG_MODEL_UPDATE => FrameKind::ModelUpdate,
-            TAG_FEEDBACK_BATCH => FrameKind::FeedbackBatch,
-            TAG_ROUND_BARRIER => FrameKind::RoundBarrier,
-            TAG_SHARD_REBALANCE => FrameKind::ShardRebalance,
-            TAG_HELLO => FrameKind::Hello,
-            TAG_ASSIGN => FrameKind::Assign,
-            TAG_MODEL_DELTA => FrameKind::ModelDelta,
-            TAG_DATASET_SHARD => FrameKind::DatasetShard,
-            TAG_CHECKPOINT => FrameKind::Checkpoint,
-            TAG_CHECKPOINT_ACK => FrameKind::CheckpointAck,
-            TAG_TELEMETRY => FrameKind::Telemetry,
-            _ => return None,
-        })
-    }
-
     /// Dense 0-based index (position in [`FrameKind::ALL`]) for counter
     /// arrays.
     pub fn index(&self) -> usize {
         *self as usize
     }
+}
 
-    /// Display name (matches [`Message::kind`]).
-    pub fn name(&self) -> &'static str {
-        match self {
-            FrameKind::ModelUpdate => "ModelUpdate",
-            FrameKind::FeedbackBatch => "FeedbackBatch",
-            FrameKind::RoundBarrier => "RoundBarrier",
-            FrameKind::ShardRebalance => "ShardRebalance",
-            FrameKind::Hello => "Hello",
-            FrameKind::Assign => "Assign",
-            FrameKind::ModelDelta => "ModelDelta",
-            FrameKind::DatasetShard => "DatasetShard",
-            FrameKind::Checkpoint => "Checkpoint",
-            FrameKind::CheckpointAck => "CheckpointAck",
-            FrameKind::Telemetry => "Telemetry",
-        }
-    }
+/// The canonical `WIRE_SCHEMA.json` rendering of the frame table:
+/// protocol version, frame cap, every frame's tag and field list (wire
+/// order), and the [`SessionConfig`] payload. Fixed key order, nothing
+/// run-dependent. The committed file at the workspace root is
+/// byte-compared against this by `wire_schema_is_frozen`, so no tag,
+/// frame or field-shape change lands without a reviewable schema diff.
+pub fn schema_json() -> String {
+    // Names and types are Rust tokens (no quote or backslash to
+    // escape); `stringify!` spacing is the compiler's choice, so pin ours.
+    let field = |(name, ty): &(&str, &str)| {
+        let ty = ty.replace(' ', "").replace(',', ", ");
+        format!("{{\"name\": \"{name}\", \"type\": \"{ty}\"}}")
+    };
+    let list = |fields: &[(&str, &str)], indent: &str| {
+        let rows: Vec<String> = fields.iter().map(field).collect();
+        format!(
+            "[\n{indent}  {}\n{indent}]",
+            rows.join(&format!(",\n{indent}  "))
+        )
+    };
+    let frames: Vec<String> = FrameKind::ALL
+        .iter()
+        .map(|k| {
+            format!(
+                "    {{\n      \"name\": \"{}\",\n      \"tag\": {},\n      \"fields\": {}\n    }}",
+                k.name(),
+                k.tag(),
+                list(k.fields(), "      ")
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"format\": 2,\n  \"protocol_version\": {PROTOCOL_VERSION},\n  \
+         \"frame_kinds\": {FRAME_KINDS},\n  \"max_frame\": {MAX_FRAME},\n  \
+         \"frames\": [\n{}\n  ],\n  \"session_config\": {}\n}}\n",
+        frames.join(",\n"),
+        list(SessionConfig::FIELDS, "  ")
+    )
 }
 
 /// Bounded cursor over a payload; every read is length-checked.
@@ -1178,7 +1240,7 @@ pub fn encode_dataset_shard_chunks(
     let mut row = range.start;
     while row < range.end {
         let mut out = Vec::new();
-        out.push(TAG_DATASET_SHARD);
+        out.push(FrameKind::DatasetShard.tag());
         put_u32(&mut out, shard);
         put_u32(&mut out, range.start as u32);
         put_u32(&mut out, range.len() as u32);
@@ -1265,9 +1327,9 @@ impl Message {
     /// Appends this message's payload encoding (tag + fields, no length
     /// prefix) to `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
+        out.push(self.frame_kind().tag());
         match self {
             Message::ModelUpdate { node, round, model } => {
-                out.push(TAG_MODEL_UPDATE);
                 put_u32(out, *node);
                 put_u64(out, *round);
                 put_u32(out, model.len() as u32);
@@ -1280,7 +1342,6 @@ impl Message {
                 round,
                 observations,
             } => {
-                out.push(TAG_FEEDBACK_BATCH);
                 put_u32(out, *node);
                 put_u64(out, *round);
                 put_u32(out, observations.len() as u32);
@@ -1290,7 +1351,6 @@ impl Message {
                 }
             }
             Message::RoundBarrier { node, round } => {
-                out.push(TAG_ROUND_BARRIER);
                 put_u32(out, *node);
                 put_u64(out, *round);
             }
@@ -1299,7 +1359,6 @@ impl Message {
                 assigned,
                 ranges,
             } => {
-                out.push(TAG_SHARD_REBALANCE);
                 put_u64(out, *round);
                 put_u32(out, *assigned);
                 put_u32(out, ranges.len() as u32);
@@ -1309,11 +1368,9 @@ impl Message {
                 }
             }
             Message::Hello { version } => {
-                out.push(TAG_HELLO);
                 put_u32(out, *version);
             }
             Message::Assign { worker, config } => {
-                out.push(TAG_ASSIGN);
                 put_u32(out, *worker);
                 put_session_config(out, config);
             }
@@ -1324,7 +1381,6 @@ impl Message {
                 indices,
                 values,
             } => {
-                out.push(TAG_MODEL_DELTA);
                 put_u32(out, *node);
                 put_u64(out, *round);
                 put_u32(out, *dim);
@@ -1341,7 +1397,6 @@ impl Message {
                 weights,
                 chunk,
             } => {
-                out.push(TAG_DATASET_SHARD);
                 put_u32(out, *shard);
                 put_u32(out, *shard_start);
                 put_u32(out, *shard_rows);
@@ -1353,7 +1408,6 @@ impl Message {
                 }
             }
             Message::Checkpoint { node, round, state } => {
-                out.push(TAG_CHECKPOINT);
                 let start = out.len();
                 put_u32(out, CHECKPOINT_VERSION);
                 put_u32(out, *node);
@@ -1363,7 +1417,6 @@ impl Message {
                 put_u64(out, sum);
             }
             Message::CheckpointAck { node, round } => {
-                out.push(TAG_CHECKPOINT_ACK);
                 put_u32(out, *node);
                 put_u64(out, *round);
             }
@@ -1372,7 +1425,6 @@ impl Message {
                 round,
                 timing,
             } => {
-                out.push(TAG_TELEMETRY);
                 let start = out.len();
                 put_u32(out, *node);
                 put_u64(out, *round);
@@ -1402,8 +1454,9 @@ impl Message {
         }
         let mut r = Reader::new(payload);
         let tag = r.u8().map_err(|_| WireError::Empty)?;
-        let msg = match tag {
-            TAG_MODEL_UPDATE => {
+        let kind = FrameKind::from_tag(tag).ok_or(WireError::BadTag(tag))?;
+        let msg = match kind {
+            FrameKind::ModelUpdate => {
                 let node = r.u32()?;
                 let round = r.u64()?;
                 let n = r.count(8)?;
@@ -1413,7 +1466,7 @@ impl Message {
                 }
                 Message::ModelUpdate { node, round, model }
             }
-            TAG_FEEDBACK_BATCH => {
+            FrameKind::FeedbackBatch => {
                 let node = r.u32()?;
                 let round = r.u64()?;
                 let n = r.count(12)?;
@@ -1429,11 +1482,11 @@ impl Message {
                     observations,
                 }
             }
-            TAG_ROUND_BARRIER => Message::RoundBarrier {
+            FrameKind::RoundBarrier => Message::RoundBarrier {
                 node: r.u32()?,
                 round: r.u64()?,
             },
-            TAG_SHARD_REBALANCE => {
+            FrameKind::ShardRebalance => {
                 let round = r.u64()?;
                 let assigned = r.u32()?;
                 let k = r.count(8)?;
@@ -1449,12 +1502,12 @@ impl Message {
                     ranges,
                 }
             }
-            TAG_HELLO => Message::Hello { version: r.u32()? },
-            TAG_ASSIGN => Message::Assign {
+            FrameKind::Hello => Message::Hello { version: r.u32()? },
+            FrameKind::Assign => Message::Assign {
                 worker: r.u32()?,
                 config: get_session_config(&mut r)?,
             },
-            TAG_MODEL_DELTA => {
+            FrameKind::ModelDelta => {
                 let node = r.u32()?;
                 let round = r.u64()?;
                 let dim = r.u32()?;
@@ -1471,7 +1524,7 @@ impl Message {
                     values,
                 }
             }
-            TAG_DATASET_SHARD => {
+            FrameKind::DatasetShard => {
                 let (shard, shard_start, shard_rows, start, weights, chunk) =
                     get_dataset_shard(&mut r)?;
                 Message::DatasetShard {
@@ -1483,7 +1536,7 @@ impl Message {
                     chunk: Box::new(chunk),
                 }
             }
-            TAG_CHECKPOINT => {
+            FrameKind::Checkpoint => {
                 let version = r.u32()?;
                 if version != CHECKPOINT_VERSION {
                     return Err(WireError::Invalid {
@@ -1513,11 +1566,11 @@ impl Message {
                     state: Box::new(state),
                 }
             }
-            TAG_CHECKPOINT_ACK => Message::CheckpointAck {
+            FrameKind::CheckpointAck => Message::CheckpointAck {
                 node: r.u32()?,
                 round: r.u64()?,
             },
-            TAG_TELEMETRY => {
+            FrameKind::Telemetry => {
                 let node = r.u32()?;
                 let round = r.u64()?;
                 let timing = WorkerTiming {
@@ -1544,7 +1597,6 @@ impl Message {
                     timing,
                 }
             }
-            other => return Err(WireError::BadTag(other)),
         };
         if r.remaining() > 0 {
             return Err(WireError::TrailingBytes {
@@ -1556,19 +1608,7 @@ impl Message {
 
     /// Short display name of the message kind (logging/tests).
     pub fn kind(&self) -> &'static str {
-        match self {
-            Message::ModelUpdate { .. } => "ModelUpdate",
-            Message::FeedbackBatch { .. } => "FeedbackBatch",
-            Message::RoundBarrier { .. } => "RoundBarrier",
-            Message::ShardRebalance { .. } => "ShardRebalance",
-            Message::Hello { .. } => "Hello",
-            Message::Assign { .. } => "Assign",
-            Message::ModelDelta { .. } => "ModelDelta",
-            Message::DatasetShard { .. } => "DatasetShard",
-            Message::Checkpoint { .. } => "Checkpoint",
-            Message::CheckpointAck { .. } => "CheckpointAck",
-            Message::Telemetry { .. } => "Telemetry",
-        }
+        self.frame_kind().name()
     }
 
     /// The round number carried by any message kind (session-layer
@@ -1638,39 +1678,90 @@ mod tests {
         assert_eq!(&back, m);
     }
 
+    /// One representative message per frame kind (exhaustive: a new
+    /// frame does not compile until it has a sample). These are also the
+    /// messages the committed golden encodings pin.
+    fn sample(kind: FrameKind) -> Message {
+        match kind {
+            FrameKind::ModelUpdate => Message::ModelUpdate {
+                node: 3,
+                round: 17,
+                model: vec![0.0, -0.0, 1.5, f64::MAX, f64::MIN_POSITIVE, -1e-308],
+            },
+            FrameKind::FeedbackBatch => Message::FeedbackBatch {
+                node: u32::MAX,
+                round: u64::MAX,
+                observations: vec![(0, 1.0), (u32::MAX, f64::INFINITY)],
+            },
+            FrameKind::RoundBarrier => Message::RoundBarrier { node: 9, round: 2 },
+            FrameKind::ShardRebalance => Message::ShardRebalance {
+                round: 0,
+                assigned: 2,
+                ranges: vec![(0, 1), (1, 2), (2, 3)],
+            },
+            FrameKind::Hello => Message::Hello {
+                version: PROTOCOL_VERSION,
+            },
+            FrameKind::Assign => Message::Assign {
+                worker: 3,
+                config: session_configs().swap_remove(1),
+            },
+            FrameKind::ModelDelta => Message::ModelDelta {
+                node: 2,
+                round: 7,
+                dim: 6,
+                indices: vec![1, 4, 5],
+                values: vec![0.0, -5e-324, f64::NEG_INFINITY],
+            },
+            FrameKind::DatasetShard => {
+                // A subnormal, an empty row and a signed zero.
+                let mut b = DatasetBuilder::new(16);
+                b.push_row(&[(0, 1.5), (2, -0.25), (5, 5e-324)], 1.0)
+                    .unwrap();
+                b.push_row(&[], -1.0).unwrap();
+                b.push_row(&[(3, -0.0)], 1.0).unwrap();
+                Message::DatasetShard {
+                    shard: 1,
+                    shard_start: 10,
+                    shard_rows: 20,
+                    start: 12,
+                    weights: vec![1.0, 1.25, 1.5],
+                    chunk: Box::new(b.finish()),
+                }
+            }
+            FrameKind::Checkpoint => adaptive_checkpoint(),
+            FrameKind::CheckpointAck => Message::CheckpointAck { node: 2, round: 8 },
+            FrameKind::Telemetry => telemetry_sample(),
+        }
+    }
+
     #[test]
     fn every_variant_roundtrips() {
-        roundtrip(&Message::ModelUpdate {
-            node: 3,
-            round: 17,
-            model: vec![0.0, -0.0, 1.5, f64::MAX, f64::MIN_POSITIVE, -1e-308],
-        });
+        for (i, kind) in FrameKind::ALL.into_iter().enumerate() {
+            let m = sample(kind);
+            roundtrip(&m);
+            assert_eq!(m.frame_kind(), kind);
+            assert_eq!(m.to_bytes()[0], kind.tag());
+            assert_eq!(FrameKind::from_tag(kind.tag()), Some(kind));
+            assert_eq!(kind.name(), m.kind());
+            assert_eq!(kind.index(), i, "index is the position in ALL");
+            if let Some(prev) = i.checked_sub(1) {
+                assert!(
+                    FrameKind::ALL[prev].tag() < kind.tag(),
+                    "table in tag order"
+                );
+            }
+        }
+        // Edges and sub-enum arms the per-kind samples do not reach.
         roundtrip(&Message::ModelUpdate {
             node: 0,
             round: 0,
             model: vec![],
         });
-        roundtrip(&Message::FeedbackBatch {
-            node: u32::MAX,
-            round: u64::MAX,
-            observations: vec![(0, 1.0), (u32::MAX, f64::INFINITY)],
-        });
-        roundtrip(&Message::RoundBarrier { node: 9, round: 2 });
-        roundtrip(&Message::ShardRebalance {
-            round: 0,
-            assigned: 2,
-            ranges: vec![(0, 1), (1, 2), (2, 3)],
-        });
-        roundtrip(&Message::Hello {
-            version: PROTOCOL_VERSION,
-        });
         for config in session_configs() {
             roundtrip(&Message::Assign { worker: 3, config });
         }
         roundtrip(&sequence_checkpoint());
-        roundtrip(&adaptive_checkpoint());
-        roundtrip(&Message::CheckpointAck { node: 2, round: 8 });
-        roundtrip(&telemetry_sample());
         roundtrip(&Message::Telemetry {
             node: u32::MAX,
             round: u64::MAX,
@@ -1681,6 +1772,25 @@ mod tests {
                 commits: 0,
             },
         });
+    }
+
+    /// The field-name schema cannot see a layout change *inside*
+    /// `SessionConfig`, `CheckpointState` or `WorkerTiming`; one
+    /// committed encoding per frame kind (plus the second checkpoint
+    /// sampler family) can. A deliberate layout change bumps
+    /// `PROTOCOL_VERSION` and replaces the file with the hex printed here.
+    #[test]
+    fn golden_encodings_are_frozen() {
+        let golden = FrameKind::ALL
+            .into_iter()
+            .map(|k| (k.name().to_string(), sample(k)))
+            .chain([("Checkpoint.sequence".to_string(), sequence_checkpoint())]);
+        for (name, msg) in golden {
+            let hex: String = msg.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+            let path = format!("{}/tests/golden/{name}.hex", env!("CARGO_MANIFEST_DIR"));
+            let committed = std::fs::read_to_string(&path).expect(&path);
+            assert_eq!(committed.trim_end(), hex, "{name}: byte layout changed");
+        }
     }
 
     fn telemetry_sample() -> Message {
@@ -1718,7 +1828,7 @@ mod tests {
             round: 12,
             state: Box::new(CheckpointState {
                 draw_rng: [u64::MAX, 0, 1, 2],
-                model: vec![],
+                model: vec![0.0, -0.0, 1.5],
                 sampler: CheckpointSampler::Adaptive {
                     rows: 4_000_001,
                     commits: 17,
@@ -1875,7 +1985,7 @@ mod tests {
     fn over_declared_counts_do_not_allocate() {
         // A FeedbackBatch declaring u32::MAX entries with no bytes
         // behind it must fail the count check before any reserve.
-        let mut bytes = vec![TAG_FEEDBACK_BATCH];
+        let mut bytes = vec![FrameKind::FeedbackBatch.tag()];
         put_u32(&mut bytes, 0); // node
         put_u64(&mut bytes, 0); // round
         put_u32(&mut bytes, u32::MAX); // declared count
@@ -2124,7 +2234,7 @@ mod tests {
     #[test]
     fn malformed_shard_frames_are_typed_errors() {
         let mk_header = |rows: u32| {
-            let mut bytes = vec![TAG_DATASET_SHARD];
+            let mut bytes = vec![FrameKind::DatasetShard.tag()];
             put_u32(&mut bytes, 0); // shard
             put_u32(&mut bytes, 4); // shard_start
             put_u32(&mut bytes, 8); // shard_rows
@@ -2158,7 +2268,7 @@ mod tests {
             Err(WireError::Invalid { .. })
         ));
         // Chunk escapes its shard range: start+rows > shard_start+shard_rows.
-        let mut bytes = vec![TAG_DATASET_SHARD];
+        let mut bytes = vec![FrameKind::DatasetShard.tag()];
         put_u32(&mut bytes, 0);
         put_u32(&mut bytes, 4); // shard_start
         put_u32(&mut bytes, 1); // shard_rows
@@ -2352,7 +2462,7 @@ mod tests {
             }) | Err(WireError::Invalid { .. })
         ));
         // Over-declared counts fail before allocation.
-        let mut bytes = vec![TAG_CHECKPOINT];
+        let mut bytes = vec![FrameKind::Checkpoint.tag()];
         put_u32(&mut bytes, CHECKPOINT_VERSION);
         put_u32(&mut bytes, 0); // node
         put_u64(&mut bytes, 1); // round

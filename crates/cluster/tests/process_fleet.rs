@@ -479,6 +479,59 @@ fn replay_footprint_is_bounded_by_one_checkpoint_interval() {
     assert_eq!(short.net[1].tx_bytes_for(FrameKind::Checkpoint), 0);
 }
 
+/// A library caller who sets the cadence only on `ClusterConfig` (the
+/// field every other transport reads) gets checkpoints from the fleet
+/// too: workers are told that cadence and the supervisor stores blobs.
+#[test]
+fn cluster_config_checkpoint_cadence_reaches_the_fleet() {
+    let cfg = ClusterConfig {
+        rounds: 6,
+        checkpoint_every: 2,
+        ..adaptive_cfg(2)
+    };
+    let run = run_fleet_guarded(skewed(120), cfg, fleet_pc(), ThreadSpawner { die_at: None })
+        .expect("fleet run");
+    for (k, fp) in run.recovery.iter().enumerate() {
+        assert_eq!(
+            fp.checkpoint_round, 4,
+            "worker {k}: newest stored checkpoint"
+        );
+    }
+}
+
+/// Two different cadences have no sensible reading; the fleet refuses
+/// them before spawning anything instead of silently preferring one.
+#[test]
+fn disagreeing_checkpoint_cadences_are_rejected_up_front() {
+    let cfg = ClusterConfig {
+        checkpoint_every: 2,
+        ..adaptive_cfg(2)
+    };
+    let pc = ProcessConfig {
+        checkpoint_every: 4,
+        ..fleet_pc()
+    };
+    match run_fleet_with(
+        &skewed(120),
+        &obj(),
+        &cfg,
+        &pc,
+        ThreadSpawner { die_at: None },
+    ) {
+        Err(ClusterError::InvalidConfig(msg)) => {
+            assert!(msg.contains("checkpoint_every"), "{msg}");
+        }
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+    // Equal non-zero values are what the CLI sets and stay accepted.
+    let pc = ProcessConfig {
+        checkpoint_every: 2,
+        ..fleet_pc()
+    };
+    run_fleet_guarded(skewed(120), cfg, pc, ThreadSpawner { die_at: None })
+        .expect("agreeing cadences run");
+}
+
 /// The slot's bandwidth totals survive a respawn: traffic that crossed
 /// the dead link is folded into the slot's running totals at the start
 /// of recovery, so the final report shows the whole session — the

@@ -4,8 +4,8 @@
 //! an unbounded allocation.
 
 use isasgd_cluster::{
-    apply_delta, delta_coords, CheckpointSampler, CheckpointState, Message, SessionConfig,
-    WireEncoding, WireError, WorkerTiming, PROTOCOL_VERSION,
+    apply_delta, delta_coords, CheckpointSampler, CheckpointState, FrameKind, Message,
+    SessionConfig, WireEncoding, WireError, WorkerTiming, PROTOCOL_VERSION,
 };
 use isasgd_core::{
     CommitPolicy, ImportanceScheme, ObservationModel, Regularizer, SamplingStrategy,
@@ -352,6 +352,55 @@ fn arb_message() -> impl Strategy<Value = Message> {
         arb_checkpoint_ack(),
         arb_telemetry(),
     ]
+}
+
+/// The committed schema is what the frame table renders, byte for
+/// byte: no tag, frame or field-shape change lands without a
+/// reviewable `WIRE_SCHEMA.json` diff.
+#[test]
+fn wire_schema_is_frozen() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../WIRE_SCHEMA.json");
+    assert_eq!(
+        std::fs::read_to_string(path).expect(path),
+        isasgd_cluster::wire::schema_json(),
+        "WIRE_SCHEMA.json drifted — review the protocol diff, then refresh it with \
+         `cargo run -p isasgd-cluster --example wire_schema > WIRE_SCHEMA.json`"
+    );
+    assert_eq!(
+        FrameKind::ALL.map(|k| k.name()),
+        [
+            "ModelUpdate",
+            "FeedbackBatch",
+            "RoundBarrier",
+            "ShardRebalance",
+            "Hello",
+            "Assign",
+            "ModelDelta",
+            "DatasetShard",
+            "Checkpoint",
+            "CheckpointAck",
+            "Telemetry"
+        ],
+        "frames are declared in tag order"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1))]
+
+    /// One case of many draws: the generator behind every property
+    /// below must reach every frame kind, or those properties silently
+    /// stop covering a frame.
+    #[test]
+    fn arb_message_produces_every_kind(msgs in prop::collection::vec(arb_message(), 512..513)) {
+        for kind in FrameKind::ALL {
+            prop_assert!(
+                msgs.iter().any(|m| m.frame_kind() == kind),
+                "arb_message never generated {}",
+                kind.name()
+            );
+        }
+    }
 }
 
 proptest! {

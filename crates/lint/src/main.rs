@@ -3,7 +3,6 @@
 //! ```text
 //! cargo run -p isasgd-lint -- --check                # CI gate: exit 1 on any finding
 //! cargo run -p isasgd-lint -- --check --format json  # machine-readable report
-//! cargo run -p isasgd-lint -- --write-schema         # refresh WIRE_SCHEMA.json
 //! ```
 
 #![forbid(unsafe_code)]
@@ -12,24 +11,20 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 struct Opts {
-    check: bool,
-    write_schema: bool,
     json: bool,
     root: Option<PathBuf>,
 }
 
 fn parse_args() -> Result<Opts, String> {
     let mut opts = Opts {
-        check: false,
-        write_schema: false,
         json: false,
         root: None,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--check" => opts.check = true,
-            "--write-schema" => opts.write_schema = true,
+            // Checking is the only mode; the flag names it at call sites.
+            "--check" => {}
             "--format" => match args.next().as_deref() {
                 Some("json") => opts.json = true,
                 Some("text") => opts.json = false,
@@ -46,19 +41,15 @@ fn parse_args() -> Result<Opts, String> {
             other => return Err(format!("unknown argument {other:?} (see --help)")),
         }
     }
-    if !opts.check && !opts.write_schema {
-        opts.check = true;
-    }
     Ok(opts)
 }
 
 const USAGE: &str = "isasgd-lint — workspace invariant checker
 
-USAGE: isasgd-lint [--check] [--write-schema] [--format json|text] [--root PATH]
+USAGE: isasgd-lint [--check] [--format json|text] [--root PATH]
 
-  --check         run all rule families and the schema drift gate (default);
+  --check         run all rule families (the default, and the only mode);
                   exits 1 if any finding is reported
-  --write-schema  regenerate WIRE_SCHEMA.json from crates/cluster/src/wire.rs
   --format json   emit the machine-readable report instead of text
   --root PATH     workspace root (default: ascend from cwd to [workspace])";
 
@@ -78,38 +69,6 @@ fn main() -> ExitCode {
         eprintln!("isasgd-lint: no [workspace] Cargo.toml above the current directory");
         return ExitCode::from(2);
     };
-
-    if opts.write_schema {
-        let mut findings = Vec::new();
-        let Some(schema) = isasgd_lint::extract_schema(&root, &mut findings) else {
-            eprintln!("isasgd-lint: schema extraction failed:");
-            for f in &findings {
-                eprintln!("  {}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
-            }
-            return ExitCode::FAILURE;
-        };
-        if !findings.is_empty() {
-            eprintln!("isasgd-lint: refusing to freeze an inconsistent protocol:");
-            for f in &findings {
-                eprintln!("  {}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
-            }
-            return ExitCode::FAILURE;
-        }
-        let path = root.join(isasgd_lint::WIRE_SCHEMA_JSON);
-        if let Err(e) = std::fs::write(&path, schema.render()) {
-            eprintln!("isasgd-lint: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "isasgd-lint: wrote {} ({} frame(s), protocol v{})",
-            path.display(),
-            schema.frames.len(),
-            schema.protocol_version
-        );
-        if !opts.check {
-            return ExitCode::SUCCESS;
-        }
-    }
 
     let report = isasgd_lint::run_workspace(&root);
     if opts.json {

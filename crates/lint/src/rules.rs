@@ -29,7 +29,10 @@ use crate::scan::SourceFile;
 /// Files whose decode paths must be panic-free on hostile input
 /// (workspace-relative). The whole non-test file is covered by the
 /// unwrap/expect/panic rules; the index/cast/debug-assert rules narrow
-/// further to decode-side functions via [`decode_scope`].
+/// further to decode-side functions via [`decode_scope`]. The pass sees
+/// source tokens, not macro expansions: declarations in these files may
+/// be generated (`wire.rs`'s frame table is), decode-path functions may
+/// not.
 pub const DECODE_FILES: [&str; 3] = [
     "crates/cluster/src/wire.rs",
     "crates/cluster/src/transport.rs",
