@@ -10,8 +10,10 @@
 //! equalizing `Φ_a`.
 //!
 //! This crate provides the metrics deciding *whether* to balance
-//! (ψ of Eq. 15, ρ of Eq. 20), the balancing permutation itself, and the
-//! diagnostics quantifying residual imbalance and distortion.
+//! (ψ of Eq. 15, ρ of Eq. 20), the balancing permutation itself, the
+//! diagnostics quantifying residual imbalance and distortion, and
+//! [`rearrange`], the one function that applies a decision to a dataset
+//! and cuts the shards every runtime's workers train from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,4 +26,4 @@ pub use metrics::{psi, psi_normalized, rho, ImportanceProfile};
 pub use partition::{
     greedy_lpt_balance, head_tail_balance, random_shuffle_order, shard_importance, ShardReport,
 };
-pub use policy::{decide, BalanceDecision, BalancePolicy};
+pub use policy::{decide, rearrange, BalanceDecision, BalancePolicy, Rearranged};

@@ -11,6 +11,9 @@
 
 use crate::metrics::rho;
 use crate::partition::{greedy_lpt_balance, head_tail_balance, random_shuffle_order};
+use isasgd_sparse::dataset::shard_ranges;
+use isasgd_sparse::{Dataset, SparseError};
+use std::ops::Range;
 
 /// The paper's empirical threshold ζ = 5e-4 (§2.4, "ζ is empirically set
 /// as 5^-4", read as 5e-4).
@@ -102,9 +105,55 @@ pub fn decide(weights: &[f64], policy: BalancePolicy, seed: u64, shards: usize) 
     }
 }
 
+/// A dataset after Algorithm 4's offline phase: rearranged, weighed and
+/// cut into one contiguous shard per worker. Every worker of every
+/// runtime trains from a shard of one of these.
+#[derive(Debug, Clone)]
+pub struct Rearranged {
+    /// The dataset in the order the policy chose.
+    pub data: Dataset,
+    /// The importance weight of each row of `data`; empty when the rows
+    /// were rearranged unweighted.
+    pub weights: Vec<f64>,
+    /// Contiguous shard (row range into `data`) per worker.
+    pub ranges: Vec<Range<usize>>,
+    /// Whether importance balancing (head-tail or greedy) was used.
+    pub balanced: bool,
+    /// The measured ρ of the weights.
+    pub rho: f64,
+}
+
+/// Algorithm 4 lines 2–9 after the weighing: [`decide`] the order,
+/// rearrange the rows and their weights by it, and split the result
+/// into `shards` contiguous ranges. `weights = None` rearranges
+/// unweighted rows (uniform sampling: every policy sees equal weights
+/// and nothing is carried along). Fails when `shards` is 0 or exceeds
+/// the row count.
+pub fn rearrange(
+    ds: &Dataset,
+    weights: Option<&[f64]>,
+    policy: BalancePolicy,
+    seed: u64,
+    shards: usize,
+) -> Result<Rearranged, SparseError> {
+    let ranges = shard_ranges(ds.n_samples(), shards)?;
+    let decision = match weights {
+        Some(w) => decide(w, policy, seed, shards),
+        None => decide(&vec![1.0; ds.n_samples()], policy, seed, shards),
+    };
+    Ok(Rearranged {
+        data: ds.reordered(&decision.order)?,
+        weights: weights.map_or_else(Vec::new, |w| decision.order.iter().map(|&i| w[i]).collect()),
+        ranges,
+        balanced: decision.balanced,
+        rho: decision.rho,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isasgd_sparse::DatasetBuilder;
 
     #[test]
     fn adaptive_balances_high_rho() {
@@ -148,6 +197,35 @@ mod tests {
             o.sort_unstable();
             assert_eq!(o, vec![0, 1, 2, 3, 4], "{policy:?}");
         }
+    }
+
+    #[test]
+    fn rearrange_applies_the_decision_to_rows_and_weights() {
+        let mut b = DatasetBuilder::new(1);
+        let w = [3.0, 1.0, 4.0, 1.5, 9.0];
+        for &v in &w {
+            b.push_row(&[(0, v)], 1.0).unwrap();
+        }
+        let ds = b.finish();
+        for policy in [BalancePolicy::ForceBalance, BalancePolicy::Identity] {
+            let d = decide(&w, policy, 7, 2);
+            let r = rearrange(&ds, Some(&w), policy, 7, 2).unwrap();
+            assert_eq!(r.data, ds.reordered(&d.order).unwrap(), "{policy:?}");
+            // Row i of the result carries the weight it was weighed with.
+            for (i, &wi) in r.weights.iter().enumerate() {
+                assert_eq!(r.data.row(i).values, [wi], "{policy:?} row {i}");
+            }
+            assert_eq!(r.ranges, vec![0..2, 2..5]);
+            assert_eq!((r.balanced, r.rho), (d.balanced, d.rho));
+        }
+        // Unweighted rows: the same shuffle, nothing carried along.
+        let shuffled = rearrange(&ds, None, BalancePolicy::ForceShuffle, 7, 2).unwrap();
+        let order = decide(&w, BalancePolicy::ForceShuffle, 7, 2).order;
+        assert_eq!(shuffled.data, ds.reordered(&order).unwrap());
+        assert!(shuffled.weights.is_empty());
+        assert_eq!((shuffled.balanced, shuffled.rho), (false, 0.0));
+        assert!(rearrange(&ds, None, BalancePolicy::Identity, 7, 0).is_err());
+        assert!(rearrange(&ds, Some(&w), BalancePolicy::Identity, 7, 6).is_err());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use isasgd_sampling::{
-    AdaptiveIsSampler, AliasTable, CommitPolicy, Draw, FenwickSampler, SampleSequence, Sampler,
-    ScheduleStream, SequenceMode, Xoshiro256pp,
+    AdaptiveIsSampler, AliasTable, CommitPolicy, Draw, FenwickSampler, ObservationModel,
+    SampleSequence, Sampler, SamplingStrategy, ScheduleStream, SequenceMode, ShardSpec,
+    Xoshiro256pp,
 };
 use std::hint::black_box;
 
@@ -97,9 +98,18 @@ fn samplers(c: &mut Criterion) {
         let weights: Vec<f64> = (0..n).map(|_| rng.next_f64() + 0.01).collect();
         group.throughput(Throughput::Elements(n as u64));
 
-        let sampler = AdaptiveIsSampler::new(&weights).unwrap();
-        let mut stream =
-            ScheduleStream::new(Box::new(sampler.clone()), Xoshiro256pp::new(13), 0, 0, n);
+        let spec = ShardSpec {
+            shard: 0,
+            shards: 1,
+            seed: 13,
+            range: 0..n,
+            strategy: SamplingStrategy::Adaptive,
+            weights: Some(&weights),
+            sequence: SequenceMode::RegeneratePerEpoch,
+            commit: CommitPolicy::EpochBoundary,
+            obs_model: ObservationModel::GradNorm,
+        };
+        let mut stream = ScheduleStream::for_shard(spec, vec![1.0; n]).unwrap();
         let mut chunk: Vec<Draw> = Vec::with_capacity(ScheduleStream::DEFAULT_CHUNK);
         group.bench_function("stream_chunked_epoch", |b| {
             b.iter(|| {
@@ -114,7 +124,7 @@ fn samplers(c: &mut Criterion) {
             });
         });
 
-        let mut mat_sampler = sampler;
+        let mut mat_sampler = AdaptiveIsSampler::new(&weights).unwrap();
         let mut mat_rng = Xoshiro256pp::new(13);
         group.bench_function("materialized_epoch", |b| {
             b.iter(|| {

@@ -36,76 +36,37 @@
 //! (`tests/equivalence.rs`).
 
 use crate::node::{
-    effective_strategy, validate, ClusterConfig, ClusterError, ClusterRun, Node, ProtocolBugs,
-    RoundPoint,
+    effective_strategy, validate, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs, RoundPoint,
 };
 use crate::sync::average_models;
 use crate::transport::Transport;
 use crate::wire::{CheckpointSampler, CheckpointState, Message, WorkerTiming};
-use isasgd_balance::decide;
+use isasgd_balance::{rearrange, Rearranged};
 use isasgd_losses::{importance_weights, Loss, Objective};
 use isasgd_metrics::{Trace, TracePoint};
 use isasgd_obs::{monotonic_us, Event};
-use isasgd_sampling::rng::derive_seeds;
 use isasgd_sampling::{
-    build_sampler, draw_rngs, AdaptiveIsSampler, FeedbackProtocol, Sampler, SamplerSnapshot,
-    SamplingStrategy, ScheduleStream, SequenceMode,
+    balance_seed, AdaptiveIsSampler, Sampler, SamplerSnapshot, SamplingError, SamplingStrategy,
+    ScheduleStream, SequenceMode, ShardSpec,
 };
-use isasgd_sparse::dataset::shard_ranges;
 use isasgd_sparse::Dataset;
 use std::ops::Range;
 use std::time::Instant;
 
-/// Everything the coordinator derives from the balancing decision
-/// before any traffic moves (Algorithm 4 weighs, balances and shards
-/// once): the rearranged dataset, its per-row importance weights, and
-/// the shard ranges. Computed once per run by [`plan_run`]; the round
-/// driver evaluates against it, thread-backed workers borrow their
-/// [`ShardInput`] from it, and the fleet streams per-shard dataset
-/// frames from it — one source, so the three can never disagree.
-pub(crate) struct RunPlan {
-    /// The dataset after the balancing permutation.
-    pub data: Dataset,
-    /// Contiguous shard ranges into `data`.
-    pub ranges: Vec<Range<usize>>,
-    /// Importance weights, indexed like `data`.
-    pub reordered_weights: Vec<f64>,
-    /// Whether the balance policy rearranged anything.
-    pub balanced: bool,
-    /// Measured ρ of the importance weights.
-    pub rho: f64,
-}
-
-impl RunPlan {
-    /// Node `k`'s training input, borrowed zero-copy from the plan.
-    fn shard(&self, k: usize) -> ShardInput<'_> {
-        let range = self.ranges[k].clone();
-        ShardInput {
-            rows: &self.data,
-            row_base: 0,
-            weights: &self.reordered_weights[range.clone()],
-            range,
-        }
-    }
-}
-
-/// Algorithm 4 lines 2–6 (weigh, decide, rearrange) plus the shard
-/// split — the deterministic pre-round state every entry point shares.
+/// Algorithm 4's offline phase (weigh, decide, rearrange, shard) — the
+/// deterministic pre-round state every entry point shares, computed
+/// once per run before any traffic moves. The round driver evaluates
+/// against it, thread-backed workers borrow their [`ShardInput`] from
+/// it, and the fleet streams per-shard dataset frames from it — one
+/// source, so the three can never disagree.
 pub(crate) fn plan_run<L: Loss>(
     ds: &Dataset,
     obj: &Objective<L>,
     cfg: &ClusterConfig,
-) -> Result<RunPlan, ClusterError> {
-    let seeds = derive_seeds(cfg.seed, cfg.nodes + 1);
+) -> Result<Rearranged, ClusterError> {
     let weights = importance_weights(ds, &obj.loss, obj.reg, cfg.importance);
-    let decision = decide(&weights, cfg.balance, seeds[cfg.nodes], cfg.nodes);
-    Ok(RunPlan {
-        data: ds.reordered(&decision.order)?,
-        ranges: shard_ranges(ds.n_samples(), cfg.nodes)?,
-        reordered_weights: decision.order.iter().map(|&i| weights[i]).collect(),
-        balanced: decision.balanced,
-        rho: decision.rho,
-    })
+    let seed = balance_seed(cfg.seed, cfg.nodes);
+    Ok(rearrange(ds, Some(&weights), cfg.balance, seed, cfg.nodes)?)
 }
 
 /// Runs a full cluster round schedule over caller-supplied links — the
@@ -161,7 +122,7 @@ pub fn run_with_links_observed<L: Loss, T: Transport>(
             .into_iter()
             .enumerate()
             .map(|(k, link)| {
-                let shard = plan.shard(k);
+                let shard = ShardInput::of(&plan, k);
                 scope.spawn(move || {
                     NodeRuntime::new(link, k)
                         .with_dropped_preassignment_traffic(bugs.drop_preassignment_traffic)
@@ -220,14 +181,14 @@ pub fn run_with_links_observed<L: Loss, T: Transport>(
 /// model averaging, consensus evaluation, and the feedback mirror.
 pub(crate) fn coordinate<L: Loss, T: Transport>(
     links: &mut [T],
-    plan: &RunPlan,
+    plan: &Rearranged,
     obj: &Objective<L>,
     cfg: &ClusterConfig,
 ) -> Result<ClusterRun, ClusterError> {
     let data = &plan.data;
     let d = data.dim();
     let ranges = &plan.ranges;
-    let reordered_weights = &plan.reordered_weights;
+    let reordered_weights = &plan.weights;
     let strategy = effective_strategy(cfg);
 
     let phis: Vec<f64> = ranges
@@ -247,9 +208,10 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
     // back to a coordinator). Mirrors fold at round boundaries only —
     // within a round, per-row max accumulation makes duplicated
     // FeedbackBatch deliveries idempotent (pinned by the fault tests).
-    let protocol = (strategy == SamplingStrategy::Adaptive)
-        .then(|| FeedbackProtocol::for_dataset(data, plan.ranges.clone(), cfg.obs_model));
-    let mut mirrors: Vec<AdaptiveIsSampler> = if protocol.is_some() {
+    // Workers ship observations already scaled, so the mirror needs the
+    // shard ranges and nothing else.
+    let adaptive = strategy == SamplingStrategy::Adaptive;
+    let mut mirrors: Vec<AdaptiveIsSampler> = if adaptive {
         ranges
             .iter()
             .map(|r| AdaptiveIsSampler::new(&reordered_weights[r.clone()]))
@@ -338,7 +300,7 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
         // duplicates from earlier rounds and are dropped.
         for (k, link) in links.iter_mut().enumerate() {
             let mut have_model = false;
-            let mut have_feedback = protocol.is_none();
+            let mut have_feedback = !adaptive;
             while !(have_model && have_feedback) {
                 // lint: allow(unbounded-recv) — fleet links arm Tcp round deadlines; the in-process collect loop is deadlock-checked by isasgd-check
                 match link.recv()? {
@@ -353,10 +315,13 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
                         observations,
                         ..
                     } if r == round as u64 => {
-                        if let Some(p) = &protocol {
+                        // Link `k` speaks for shard `k` only: a row of
+                        // any other shard is dropped, whoever names it.
+                        if let Some(mirror) = mirrors.get_mut(k) {
                             for (row, obs) in observations {
-                                if let Some((shard, local)) = p.locate(row as usize) {
-                                    mirrors[shard].update_weight(local, obs);
+                                let row = row as usize;
+                                if ranges[k].contains(&row) {
+                                    mirror.update_weight(row - ranges[k].start, obs);
                                     feedback_rows += 1;
                                 }
                             }
@@ -400,7 +365,7 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
     // The mirror's view of shard importance after all feedback landed —
     // max/mean of the mirrored per-shard mass, 1.0 meaning the observed
     // distributions stayed balanced.
-    let observed_phi_imbalance = protocol.as_ref().map(|_| {
+    let observed_phi_imbalance = adaptive.then(|| {
         let sums: Vec<f64> = mirrors
             .iter()
             .zip(ranges)
@@ -476,12 +441,25 @@ pub struct ShardInput<'a> {
     pub range: Range<usize>,
 }
 
+impl<'a> ShardInput<'a> {
+    /// Node `k`'s training input, borrowed zero-copy from the plan.
+    fn of(plan: &'a Rearranged, k: usize) -> Self {
+        let range = plan.ranges[k].clone();
+        ShardInput {
+            rows: &plan.data,
+            row_base: 0,
+            weights: &plan.weights[range.clone()],
+            range,
+        }
+    }
+}
+
 /// One worker's runtime: receives its shard assignment, runs local
 /// (IS-)SGD epochs on its own [`ScheduleStream`], and reports its
 /// replica and importance observations every round.
 pub struct NodeRuntime<T: Transport> {
     link: T,
-    node_id: usize,
+    node_id: u32,
     /// Messages that arrived ahead of the phase that consumes them
     /// (e.g. a round-1 barrier delivered before a delayed
     /// `ShardRebalance`): stashed instead of dropped so transport
@@ -501,7 +479,8 @@ impl<T: Transport> NodeRuntime<T> {
     pub fn new(link: T, node_id: usize) -> Self {
         NodeRuntime {
             link,
-            node_id,
+            // lint: allow(decode-cast) — the slot index this runtime was built for, not wire data; sessions count their nodes in a u32
+            node_id: node_id as u32,
             stash: std::collections::VecDeque::new(),
             die_at_round: None,
             drop_preassignment_traffic: false,
@@ -538,13 +517,12 @@ impl<T: Transport> NodeRuntime<T> {
         cfg: &ClusterConfig,
     ) -> Result<(), ClusterError> {
         let (wire_ranges, assigned) = self.await_assignment()?;
-        let ranges: Vec<Range<usize>> = wire_ranges
-            .into_iter()
-            .map(|(s, e)| s as usize..e as usize)
-            .collect();
-        let range = ranges.get(assigned).cloned().ok_or_else(|| {
-            ClusterError::Worker(format!("assigned shard {assigned} out of range"))
-        })?;
+        let range = wire_ranges
+            .get(assigned)
+            .map(|&(s, e)| s as usize..e as usize)
+            .ok_or_else(|| {
+                ClusterError::Worker(format!("assigned shard {assigned} out of range"))
+            })?;
         // The shard and the assignment reach the worker separately; a
         // disagreement means the coordinator and this worker would
         // silently train different rows — refuse instead.
@@ -570,17 +548,7 @@ impl<T: Transport> NodeRuntime<T> {
                 range.end
             )));
         }
-        let protocol = (effective_strategy(cfg) == SamplingStrategy::Adaptive).then(|| {
-            // Global-length norms, zeroed outside this shard: a worker
-            // only ever scales observations for rows it owns.
-            let n = ranges.last().map(|r| r.end).unwrap_or(0);
-            let mut norms_sq = vec![0.0f64; n];
-            for row in range.clone() {
-                norms_sq[row] = shard.rows.row(row - shard.row_base).norm_sq();
-            }
-            FeedbackProtocol::new(ranges, &norms_sq, cfg.obs_model)
-        });
-        self.run_rounds(shard, protocol, assigned, obj, cfg)
+        self.run_rounds(shard, assigned, obj, cfg)
     }
 
     /// Announces readiness (the round-0 hello barrier) and awaits the
@@ -589,7 +557,7 @@ impl<T: Transport> NodeRuntime<T> {
     /// wire assignment `(ranges, assigned)`.
     fn await_assignment(&mut self) -> Result<(Vec<(u32, u32)>, usize), ClusterError> {
         self.link.send(&Message::RoundBarrier {
-            node: self.node_id as u32,
+            node: self.node_id,
             round: 0,
         })?;
         loop {
@@ -623,7 +591,6 @@ impl<T: Transport> NodeRuntime<T> {
     fn run_rounds<L: Loss>(
         mut self,
         shard: ShardInput<'_>,
-        protocol: Option<FeedbackProtocol>,
         assigned: usize,
         obj: &Objective<L>,
         cfg: &ClusterConfig,
@@ -634,27 +601,33 @@ impl<T: Transport> NodeRuntime<T> {
             weights: local,
             range,
         } = shard;
-        let id = self.node_id as u32;
-        let strategy = effective_strategy(cfg);
-        let seeds = derive_seeds(cfg.seed, cfg.nodes + 1);
-        let sampler = build_sampler(
-            strategy,
-            Some(local),
-            range.len(),
-            SequenceMode::RegeneratePerEpoch,
-            seeds[assigned],
-            cfg.commit,
-        )
-        .map_err(|e| ClusterError::InvalidConfig(e.to_string()))?;
-        let rng = draw_rngs(cfg.seed, cfg.nodes)
-            .into_iter()
-            .nth(assigned)
-            .expect("one draw stream per node");
-        let mut node = Node {
+        let id = self.node_id;
+        // lint: allow(decode-cast) — `range` equals the assigned wire range, whose bounds arrived as u32: every row of it, global or shard-local, fits
+        let wire_row = |i: usize| i as u32;
+        // The worker: shard `assigned` of the session's `cfg.nodes`. An
+        // assignment naming a shard the session does not have (a
+        // `ShardRebalance` listing more ranges than nodes) is refused
+        // here, by the one constructor that owns the seed layout.
+        let spec = ShardSpec {
+            shard: assigned,
+            shards: cfg.nodes,
+            seed: cfg.seed,
             range: range.clone(),
-            stream: ScheduleStream::new(sampler, rng, assigned, range.start, range.len()),
-            model: vec![0.0; data.dim()],
+            strategy: effective_strategy(cfg),
+            weights: Some(local),
+            sequence: SequenceMode::RegeneratePerEpoch,
+            commit: cfg.commit,
+            obs_model: cfg.obs_model,
         };
+        let norms_sq = range.clone().map(|row| data.row(row - row_base).norm_sq());
+        let mut stream = ScheduleStream::for_shard(spec, norms_sq).map_err(|e| match e {
+            SamplingError::ShardOutOfRange { .. } => {
+                ClusterError::Worker(format!("assignment refused: {e}"))
+            }
+            e => ClusterError::InvalidConfig(e.to_string()),
+        })?;
+        let adaptive = stream.sampler().is_adaptive();
+        let mut model = vec![0.0; data.dim()];
 
         // Per-round observation gather for the coordinator's mirror:
         // per-row max of the scaled observations, the same reduction the
@@ -680,11 +653,11 @@ impl<T: Transport> NodeRuntime<T> {
         }
         let mut first_round = 1u64;
         if let Some((cround, state)) = ckpt {
-            if state.model.len() != node.model.len() {
+            if state.model.len() != model.len() {
                 return Err(ClusterError::Worker(format!(
                     "checkpoint round {cround}: model dim {} != {}",
                     state.model.len(),
-                    node.model.len()
+                    model.len()
                 )));
             }
             let snap = match state.sampler {
@@ -714,7 +687,11 @@ impl<T: Transport> NodeRuntime<T> {
                     // increasing indices and finite weights.
                     let mut dense = local.to_vec();
                     for (&i, &w) in indices.iter().zip(&weights) {
-                        dense[i as usize] = w;
+                        *dense.get_mut(i as usize).ok_or_else(|| {
+                            ClusterError::Worker(format!(
+                                "checkpoint round {cround}: weight index {i} outside the shard"
+                            ))
+                        })? = w;
                     }
                     SamplerSnapshot::Adaptive {
                         weights: dense,
@@ -722,12 +699,12 @@ impl<T: Transport> NodeRuntime<T> {
                     }
                 }
             };
-            node.stream
+            stream
                 .sampler_mut()
                 .restore(snap)
                 .map_err(|e| ClusterError::Worker(format!("checkpoint restore: {e}")))?;
-            node.stream.set_rng_state(state.draw_rng);
-            node.model.copy_from_slice(&state.model);
+            stream.set_rng_state(state.draw_rng);
+            model.copy_from_slice(&state.model);
             first_round = cround + 1;
         }
         for round in first_round..=cfg.rounds as u64 {
@@ -750,15 +727,15 @@ impl<T: Transport> NodeRuntime<T> {
                     self.node_id
                 )));
             }
-            if consensus.len() != node.model.len() {
+            if consensus.len() != model.len() {
                 return Err(ClusterError::Worker(format!(
                     "round {round}: consensus dim {} != model dim {}",
                     consensus.len(),
-                    node.model.len()
+                    model.len()
                 )));
             }
-            node.model.copy_from_slice(&consensus);
-            if protocol.is_some() {
+            model.copy_from_slice(&consensus);
+            if adaptive {
                 obs_max.fill(f64::NEG_INFINITY);
                 visited.fill(false);
             }
@@ -768,13 +745,13 @@ impl<T: Transport> NodeRuntime<T> {
                     data,
                     row_base,
                     obj,
-                    &mut node,
-                    protocol.as_ref(),
+                    &mut stream,
+                    &mut model,
                     cfg.step_size,
                     &mut obs_max,
                     &mut visited,
                 );
-                node.stream.epoch_reset();
+                stream.epoch_reset();
             }
             let compute_us = if cfg.telemetry {
                 monotonic_us().saturating_sub(compute_t0)
@@ -782,12 +759,12 @@ impl<T: Transport> NodeRuntime<T> {
                 0
             };
             let mut commits = 0u64;
-            if protocol.is_some() {
-                let observations: Vec<(u32, f64)> = visited
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &v)| v)
-                    .map(|(i, _)| ((range.start + i) as u32, obs_max[i]))
+            if adaptive {
+                let observations: Vec<(u32, f64)> = range
+                    .clone()
+                    .zip(visited.iter().zip(&obs_max))
+                    .filter(|&(_, (&v, _))| v)
+                    .map(|(row, (_, &observed))| (wire_row(row), observed))
                     .collect();
                 commits = observations.len() as u64;
                 self.link.send(&Message::FeedbackBatch {
@@ -821,7 +798,7 @@ impl<T: Transport> NodeRuntime<T> {
             self.link.send(&Message::ModelUpdate {
                 node: id,
                 round,
-                model: node.model.clone(),
+                model: model.clone(),
             })?;
             // Periodic state checkpoint, after the round's update so
             // the coordinator absorbs it while collecting the *next*
@@ -833,8 +810,8 @@ impl<T: Transport> NodeRuntime<T> {
                 && round % cfg.checkpoint_every == 0
                 && round < cfg.rounds as u64
             {
-                let rows = range.len() as u32;
-                let sampler = match node.stream.sampler().snapshot() {
+                let rows = wire_row(range.len());
+                let sampler = match stream.sampler().snapshot() {
                     SamplerSnapshot::Sequence { rng, indices } => {
                         CheckpointSampler::Sequence { rows, rng, indices }
                     }
@@ -844,9 +821,10 @@ impl<T: Transport> NodeRuntime<T> {
                         // dense vector reproduces `weights` exactly.
                         let (indices, weights) = weights
                             .iter()
+                            .zip(local)
                             .enumerate()
-                            .filter(|&(i, &w)| w.to_bits() != local[i].to_bits())
-                            .map(|(i, &w)| (i as u32, w))
+                            .filter(|&(_, (w, base))| w.to_bits() != base.to_bits())
+                            .map(|(i, (&w, _))| (wire_row(i), w))
                             .unzip();
                         CheckpointSampler::Adaptive {
                             rows,
@@ -860,8 +838,8 @@ impl<T: Transport> NodeRuntime<T> {
                     node: id,
                     round,
                     state: Box::new(CheckpointState {
-                        draw_rng: node.stream.rng_state(),
-                        model: node.model.clone(),
+                        draw_rng: stream.rng_state(),
+                        model: model.clone(),
                         sampler,
                     }),
                 })?;
@@ -903,50 +881,51 @@ impl<T: Transport> NodeRuntime<T> {
         for m in stashed {
             sort(m, round, &mut barrier, &mut consensus, &mut self.stash);
         }
-        while !(barrier && consensus.is_some()) {
+        loop {
+            if barrier {
+                if let Some(model) = consensus.take() {
+                    return Ok(model);
+                }
+            }
             // lint: allow(unbounded-recv) — same link as await_assignment; the barrier wait is the checker's flagship no-deadlock invariant
             let m = self.link.recv()?;
             sort(m, round, &mut barrier, &mut consensus, &mut self.stash);
         }
-        Ok(consensus.expect("loop exits with a consensus"))
     }
 }
 
 /// One local epoch of sequential (IS-)SGD on the node's shard, drawn
-/// through the node's [`ScheduleStream`]. Observed gradient scales
-/// stream through the shared [`FeedbackProtocol`] — the single scaling
-/// convention this runtime shares with the `isasgd-core` engine — into
-/// the stream's own sampler (`protocol` is `None` for uniform/static
-/// sampling, where feedback is a no-op). Under intra-epoch commits the
-/// sampler re-weights mid-epoch and the very next draw sees it, matching
-/// the engine's sequential streaming path draw-for-draw. The scaled
-/// observations are additionally max-reduced into `obs_max`/`visited`
-/// for the round's [`Message::FeedbackBatch`].
+/// through the node's [`ScheduleStream`]. Each observed gradient scale
+/// goes back through [`ScheduleStream::observe`] — the single scaling
+/// convention this runtime shares with the `isasgd-core` engine — which
+/// feeds the stream's own sampler and is a no-op for uniform/static
+/// sampling. Under intra-epoch commits the sampler re-weights mid-epoch
+/// and the very next draw sees it, matching the engine's sequential
+/// streaming path draw-for-draw. The scaled observations are
+/// additionally max-reduced into `obs_max`/`visited` for the round's
+/// [`Message::FeedbackBatch`].
 #[allow(clippy::too_many_arguments)]
 fn local_epoch<L: Loss>(
     data: &Dataset,
     row_base: usize,
     obj: &Objective<L>,
-    node: &mut Node,
-    protocol: Option<&FeedbackProtocol>,
+    stream: &mut ScheduleStream,
+    model: &mut [f64],
     lambda: f64,
     obs_max: &mut [f64],
     visited: &mut [bool],
 ) {
-    let start = node.range.start;
-    while let Some(d) = node.stream.next_draw() {
+    let start = stream.range().start;
+    while let Some(d) = stream.next_draw() {
         let row = data.row(d.row as usize - row_base);
-        let margin = obj.margin(&row, &node.model);
+        let margin = obj.margin(&row, model);
         let g = obj.grad_scale(&row, margin);
         let scale = lambda * d.corr;
-        obj.apply_sgd_update(&row, -scale * g, scale, &mut node.model);
-        if let Some(p) = protocol {
-            // Age = steps remaining before the epoch-boundary commit
-            // (consumed only by the staleness-discounted model).
-            let age = node.stream.remaining();
-            node.stream.observe(p, d.row as usize, g.abs(), age);
+        obj.apply_sgd_update(&row, -scale * g, scale, model);
+        let age = stream.age(0);
+        if let Some(observed) = stream.observe(d.row as usize, g.abs(), age, 0) {
             let local = d.row as usize - start;
-            obs_max[local] = obs_max[local].max(p.observation(d.row as usize, g.abs(), age));
+            obs_max[local] = obs_max[local].max(observed);
             visited[local] = true;
         }
     }

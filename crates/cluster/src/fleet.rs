@@ -585,7 +585,7 @@ pub fn run_fleet_with<L: Loss, S: WorkerSpawner>(
                 k as u32,
                 plan.ranges[k].clone(),
                 &plan.data,
-                &plan.reordered_weights,
+                &plan.weights,
             );
             isasgd_obs::emit(&Event::ShardStream {
                 node: k as u64,

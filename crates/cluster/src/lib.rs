@@ -35,11 +35,16 @@
 //! * [`coordinator`] — the round driver, generic over [`Transport`]:
 //!   the coordinator owns balancing, barriers, [`SyncStrategy`]
 //!   averaging, and a feedback mirror fed by per-node importance
-//!   observations (Alain et al.'s message shape); each [`NodeRuntime`]
-//!   is handed a [`ShardInput`] — rows, per-row weights, first global
-//!   row — and owns a `ScheduleStream` and its local epochs. Algorithm
-//!   4 weighs, balances and shards once, on the coordinator; no worker
-//!   on any transport rebuilds the dataset or recomputes a weight.
+//!   observations (Alain et al.'s message shape; link `k` speaks for
+//!   shard `k` only); each [`NodeRuntime`] is handed a [`ShardInput`] —
+//!   rows, per-row weights, first global row — and turns it into the
+//!   one thing a worker is: a `ScheduleStream` built by
+//!   `ScheduleStream::for_shard`, the same constructor the
+//!   `isasgd-core` engine uses, plus a model replica. Algorithm 4
+//!   weighs, balances and shards once, on the coordinator
+//!   (`isasgd_balance::rearrange`); no worker on any transport rebuilds
+//!   the dataset, recomputes a weight, or holds a norm of a row it does
+//!   not own.
 //! * [`node`] — [`ClusterConfig`] / [`ClusterRun`] and the [`run`]
 //!   entry point that wires links from
 //!   [`ClusterConfig::transport`].
@@ -63,7 +68,7 @@ pub mod wire;
 
 pub use coordinator::{run_with_links, run_with_links_observed, NodeRuntime, ShardInput};
 pub use fleet::{run_fleet_with, CommandSpawner, WorkerHandle, WorkerSpawner};
-pub use node::{run, ClusterConfig, ClusterError, ClusterRun, Node, ProtocolBugs, RoundPoint};
+pub use node::{run, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs, RoundPoint};
 pub use procnode::{run_worker, WorkerOptions, WorkerReport};
 pub use sync::{average_models, SyncStrategy};
 pub use transport::{

@@ -1,5 +1,4 @@
-//! Cluster configuration, per-node state, and the top-level [`run`]
-//! entry point.
+//! Cluster configuration and the top-level [`run`] entry point.
 //!
 //! The round loop itself lives in [`crate::coordinator`]; this module
 //! owns what surrounds it: [`ClusterConfig`] (topology, schedule, and
@@ -16,9 +15,8 @@ use crate::transport::{
 use isasgd_balance::BalancePolicy;
 use isasgd_losses::{ImportanceScheme, Loss, Objective};
 use isasgd_metrics::Trace;
-use isasgd_sampling::{CommitPolicy, ObservationModel, SamplingStrategy, ScheduleStream};
+use isasgd_sampling::{CommitPolicy, ObservationModel, SamplingStrategy};
 use isasgd_sparse::{Dataset, SparseError};
-use std::ops::Range;
 use std::path::PathBuf;
 
 /// Cluster topology and schedule.
@@ -50,9 +48,9 @@ pub struct ClusterConfig {
     /// uniform) when `importance` is [`ImportanceScheme::Uniform`].
     pub sampling: SamplingStrategy,
     /// How observed gradient scales become importance observations for
-    /// adaptive nodes (see [`ObservationModel`]); the shared
-    /// `FeedbackProtocol` applies it identically to the `isasgd-core`
-    /// engine's convention.
+    /// adaptive nodes (see [`ObservationModel`]); each node's
+    /// `ScheduleStream` applies it exactly as the `isasgd-core` engine's
+    /// workers do.
     pub obs_model: ObservationModel,
     /// When adaptive nodes fold accumulated observations into their live
     /// distribution: at local-epoch boundaries, or every `k` observations
@@ -144,33 +142,6 @@ pub struct RoundPoint {
     pub rmse: f64,
     /// Misclassification fraction.
     pub error_rate: f64,
-}
-
-/// One node: a shard plus its private draw stream and model replica —
-/// the state a [`NodeRuntime`](crate::NodeRuntime) owns between rounds.
-///
-/// The node consumes draws from the same [`ScheduleStream`] mechanism
-/// the `isasgd-core` engine workers use — one stream per shard, owning
-/// the node's sampler and private draw RNG — so a single-node cluster
-/// run stays bit-equal to the sequential engine (pinned by
-/// `tests/equivalence.rs`, on the streamed intra-epoch path too).
-/// Observation scaling and norm precompute live in the worker's
-/// `FeedbackProtocol`; the node holds no feedback state of its own
-/// beyond the sampler's pending window.
-pub struct Node {
-    /// Row range into the (rearranged) dataset.
-    pub range: Range<usize>,
-    /// The node's draw stream (wraps its uniform, static-IS, or
-    /// adaptive-IS sampler and its private RNG).
-    pub(crate) stream: ScheduleStream,
-    /// The node's local model replica.
-    pub model: Vec<f64>,
-}
-
-impl std::fmt::Debug for Node {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Node").field("range", &self.range).finish()
-    }
 }
 
 /// Result of a cluster run.
@@ -312,21 +283,11 @@ pub(crate) fn validate(cfg: &ClusterConfig, ds: &Dataset) -> Result<(), ClusterE
             cfg.step_size
         )));
     }
-    // Same guard as the core plan: intra-epoch commits only exist for
-    // adaptive samplers; anything else would silently run boundary
-    // semantics.
-    if matches!(cfg.commit, CommitPolicy::EveryK(_))
-        && (cfg.sampling != SamplingStrategy::Adaptive
-            || matches!(cfg.importance, ImportanceScheme::Uniform))
-    {
-        return Err(ClusterError::InvalidConfig(format!(
-            "commit policy '{}' needs adaptive sampling (only adaptive samplers \
-             re-weight from observations); use sampling: Adaptive with a \
-             non-uniform importance scheme, or commit: EpochBoundary",
-            cfg.commit.name()
-        )));
-    }
-    Ok(())
+    // The same rule the core plan applies, against the strategy nodes
+    // actually run.
+    cfg.commit
+        .check_strategy(effective_strategy(cfg))
+        .map_err(|e| ClusterError::InvalidConfig(e.to_string()))
 }
 
 /// Runs the distributed schedule: rearrange → shard → (local epochs ∥

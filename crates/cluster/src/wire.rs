@@ -368,11 +368,11 @@ frames! {
         /// Dense model coordinates.
         model: Vec<f64>,
     }
-    /// Per-node importance observations: the [`FeedbackProtocol`]
-    /// (Alain et al.'s message shape) scaled observation for every row
-    /// the node visited this round, pre-reduced to the per-row max.
+    /// Per-node importance observations (Alain et al.'s message shape):
+    /// what [`ScheduleStream::observe`] scaled for every row the node
+    /// visited this round, pre-reduced to the per-row max.
     ///
-    /// [`FeedbackProtocol`]: isasgd_sampling::FeedbackProtocol
+    /// [`ScheduleStream::observe`]: isasgd_sampling::ScheduleStream::observe
     FeedbackBatch = 2 {
         /// Sending node.
         node: u32,

@@ -3,11 +3,11 @@
 //! Two layers of guarantee, both asserted bitwise:
 //!
 //! 1. **Core↔cluster** (the ROADMAP's original pin): both runtimes
-//!    drive the same `FeedbackProtocol`, `build_sampler` construction,
-//!    and `draw_rngs` streams, so a single-node cluster run and a
-//!    sequential engine run over the same master seed MUST walk
-//!    identical sampler weight trajectories — and therefore produce
-//!    bit-identical models.
+//!    build their workers with `ScheduleStream::for_shard` (seed
+//!    layout, sampler, observation scaling), so a single-node cluster
+//!    run and a sequential engine run over the same master seed MUST
+//!    walk identical sampler weight trajectories — and therefore
+//!    produce bit-identical models.
 //! 2. **Transport equivalence** (the PR-4 pin): the round protocol is
 //!    pure message passing, so `InProcess` channels and real `Tcp`
 //!    loopback sockets MUST produce bit-identical models and
@@ -370,7 +370,7 @@ fn tcp_soak_many_nodes_matches_inproc() {
 #[test]
 fn adaptive_single_node_cluster_is_bit_equal_to_sequential_engine() {
     // The original headline pin: identical adaptive weight trajectories
-    // through the shared FeedbackProtocol ⇒ identical draws ⇒ identical
+    // through the one stream recipe ⇒ identical draws ⇒ identical
     // models.
     let ds = skewed(240);
     for seed in [7u64, 0x15A5_6D00, 42] {
@@ -458,6 +458,41 @@ fn static_single_node_cluster_is_bit_equal_to_sequential_engine() {
         engine, cluster.model,
         "static engine and cluster runs diverged"
     );
+}
+
+#[test]
+fn uniform_single_node_cluster_is_bit_equal_to_sequential_engine() {
+    // The uniform cell: one stream recipe, so plain local SGD on one
+    // node is `Algorithm::Sgd` — once both keep the file order. Under
+    // the default policy they differ on purpose: the cluster shuffles
+    // before sharding, the one-worker engine does not.
+    let ds = skewed(240);
+    let engine = run_engine(
+        &ds,
+        SamplingStrategy::Uniform,
+        CommitPolicy::EpochBoundary,
+        11,
+        4,
+    );
+    let shuffling = cluster_cfg(
+        1,
+        SamplingStrategy::Uniform,
+        SyncStrategy::Average,
+        CommitPolicy::EpochBoundary,
+        TransportConfig::InProcess,
+        11,
+        4,
+    );
+    let in_file_order = ClusterConfig {
+        balance: BalancePolicy::Identity,
+        ..shuffling.clone()
+    };
+    assert_eq!(
+        engine,
+        run(&ds, &obj(), &in_file_order).unwrap().model,
+        "uniform engine and cluster runs diverged"
+    );
+    assert_ne!(engine, run(&ds, &obj(), &shuffling).unwrap().model);
 }
 
 #[test]

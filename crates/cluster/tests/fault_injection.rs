@@ -20,7 +20,7 @@
 
 use isasgd_cluster::{
     in_process_links, run_with_links, ClusterConfig, ClusterError, ClusterRun, FlakyTransport,
-    InProcess, SyncStrategy, Transport, TransportConfig,
+    InProcess, SyncStrategy, Transport, TransportConfig, TransportError,
 };
 use isasgd_core::{
     CommitPolicy, ImportanceScheme, LogisticLoss, Objective, Regularizer, SamplingStrategy,
@@ -163,6 +163,59 @@ fn duplicated_feedback_batches_are_idempotent() {
         saw_duplicate,
         "no FeedbackBatch was ever duplicated — the fault injection is vacuous"
     );
+}
+
+/// A link whose worker end adds `(row, 1e9)` to every `FeedbackBatch`
+/// it sends — a worker reporting on a row it was never assigned.
+struct Meddler(InProcess, Option<u32>);
+
+impl Transport for Meddler {
+    fn send(&mut self, msg: &isasgd_cluster::Message) -> Result<(), TransportError> {
+        use isasgd_cluster::Message::FeedbackBatch;
+        match (msg, self.1) {
+            (
+                FeedbackBatch {
+                    node,
+                    round,
+                    observations,
+                },
+                Some(row),
+            ) => {
+                let mut observations = observations.clone();
+                observations.push((row, 1e9));
+                self.0.send(&FeedbackBatch {
+                    node: *node,
+                    round: *round,
+                    observations,
+                })
+            }
+            _ => self.0.send(msg),
+        }
+    }
+
+    fn recv(&mut self) -> Result<isasgd_cluster::Message, TransportError> {
+        self.0.recv()
+    }
+}
+
+#[test]
+fn a_link_speaks_for_its_own_shard_only() {
+    // Link 0 names, in each of its batches, a row of shard 1 — or one
+    // past every shard. It may reach neither a mirror nor the row
+    // counter: the run must be indistinguishable from an unmeddled one.
+    let ds = skewed(280);
+    let cfg = adaptive_cfg(3, CommitPolicy::EpochBoundary);
+    let clean = run_with_links(&ds, &obj(), &cfg, in_process_links(cfg.nodes)).unwrap();
+    for foreign in [100u32, 280, u32::MAX] {
+        let links = in_process_links(cfg.nodes)
+            .into_iter()
+            .enumerate()
+            .map(|(k, (c, w))| (Meddler(c, None), Meddler(w, (k == 0).then_some(foreign))))
+            .collect();
+        let meddled = run_guarded(ds.clone(), cfg.clone(), links).unwrap();
+        assert_same_run(&clean, &meddled, &format!("foreign row {foreign}"));
+        assert_eq!(clean.feedback_rows, meddled.feedback_rows, "row {foreign}");
+    }
 }
 
 #[test]

@@ -996,7 +996,11 @@ fn worker_refuses_a_shard_that_disagrees_with_its_assignment() {
     let ds = skewed(60);
     let weights = vec![1.0; 60];
     let cfg = adaptive_cfg(1);
-    let refusal = |rows: &Dataset, range: std::ops::Range<usize>, weights: &[f64]| {
+    let refusal_of = |assigned: u32,
+                      ranges: Vec<(u32, u32)>,
+                      rows: &Dataset,
+                      range: std::ops::Range<usize>,
+                      weights: &[f64]| {
         let (mut coord, worker) = in_process_links(1).pop().unwrap();
         let shard = ShardInput {
             rows,
@@ -1014,8 +1018,8 @@ fn worker_refuses_a_shard_that_disagrees_with_its_assignment() {
             coord
                 .send(&Message::ShardRebalance {
                     round: 0,
-                    assigned: 0,
-                    ranges: vec![(0, 60)],
+                    assigned,
+                    ranges,
                 })
                 .unwrap();
             match h.join().unwrap() {
@@ -1023,6 +1027,9 @@ fn worker_refuses_a_shard_that_disagrees_with_its_assignment() {
                 other => panic!("expected a typed worker refusal, got {other:?}"),
             }
         })
+    };
+    let refusal = |rows: &Dataset, range: std::ops::Range<usize>, weights: &[f64]| {
+        refusal_of(0, vec![(0, 60)], rows, range, weights)
     };
     let msg = refusal(&ds, 1..60, &weights[1..]);
     assert!(
@@ -1037,6 +1044,15 @@ fn worker_refuses_a_shard_that_disagrees_with_its_assignment() {
     let msg = refusal(&skewed(30), 0..60, &weights);
     assert!(
         msg.contains("rows 0..30 do not hold the shard 0..60"),
+        "{msg}"
+    );
+    // An over-long assignment: three ranges for a one-node session, the
+    // third assigned. The shard agrees with the range it names, so only
+    // the shard count can refuse it (this indexed out of bounds before).
+    let ranges = vec![(0, 20), (20, 40), (40, 60)];
+    let msg = refusal_of(2, ranges, &ds, 40..60, &weights[40..]);
+    assert!(
+        msg.contains("shard 2 is not one of the run's 1 shards"),
         "{msg}"
     );
 }

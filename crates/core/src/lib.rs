@@ -32,12 +32,14 @@
 //!
 //! # Sampling strategies
 //!
-//! Orthogonally to the matrix above, every SGD-family solver draws its
-//! samples from a per-worker
-//! [`ScheduleStream`](isasgd_sampling::ScheduleStream) wrapping the
-//! shard's boxed [`Sampler`](isasgd_sampling::Sampler) — draws are pulled
-//! in bounded chunks from the live distribution on every execution mode
-//! (no schedule is ever materialized), so intra-epoch re-weighting
+//! Orthogonally to the matrix above, every SGD-family worker *is* a
+//! [`ScheduleStream`](isasgd_sampling::ScheduleStream), built by the one
+//! constructor `isasgd-cluster` nodes use too
+//! ([`ScheduleStream::for_shard`](isasgd_sampling::ScheduleStream::for_shard)):
+//! it owns the shard's boxed [`Sampler`](isasgd_sampling::Sampler), its
+//! draw RNG and its observation path. Draws are pulled in bounded chunks
+//! from the live distribution on every execution mode (no schedule is
+//! ever materialized), so intra-epoch re-weighting
 //! (`TrainConfig::commit = EveryK`) steers the remaining draws of the
 //! same epoch even on real Hogwild threads:
 //!
@@ -81,6 +83,6 @@ pub use isasgd_losses::{
 pub use isasgd_metrics::{Trace, TracePoint};
 pub use isasgd_model::shared::UpdateMode;
 pub use isasgd_sampling::{
-    CommitPolicy, FeedbackProtocol, ObservationModel, Sampler, SamplingStrategy, SequenceMode,
+    CommitPolicy, ObservationModel, Sampler, SamplingStrategy, SequenceMode,
 };
 pub use isasgd_sparse::{Dataset, DatasetBuilder};

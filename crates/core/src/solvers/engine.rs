@@ -33,21 +33,22 @@
 //! outputs map to — can differ run-to-run.
 //!
 //! Adaptive feedback — observed per-sample gradient scales flowing back
-//! into the samplers — goes through the plan's
-//! [`FeedbackProtocol`](isasgd_sampling::FeedbackProtocol), the single
-//! observation convention shared with `isasgd-cluster` (scaling model,
-//! norm precompute, shard routing); the engine itself never touches norms
-//! or shard arithmetic. Delivery is always streaming:
+//! into the samplers — goes through the drawing worker's own
+//! [`ScheduleStream::observe`], the single observation convention shared
+//! with `isasgd-cluster` (scaling model, the worker's own rows' norms,
+//! the observation's [`ScheduleStream::age`]); the engine itself never
+//! touches norms or shard arithmetic. Delivery is always streaming:
 //!
 //! * **Sequential/threaded** runs observe each sample right after its
-//!   step, into the drawing worker's own sampler (shards are disjoint, so
-//!   a worker only ever observes rows its own sampler owns — threaded
-//!   adaptivity needs no cross-thread accumulator).
+//!   step (shards are disjoint, so a worker only ever observes rows its
+//!   own sampler owns — threaded adaptivity needs no cross-thread
+//!   accumulator).
 //! * **Simulated** runs attach the observation to the in-flight update
-//!   and deliver it when the update *applies*, carrying the **measured**
-//!   queue delay from [`DelayQueue::push_timed`] — epoch-end flushes
-//!   report genuinely shorter delays than the configured τ, which is what
-//!   the staleness-discounted observation model consumes.
+//!   and deliver it to the worker that drew it when the update *applies*,
+//!   carrying the **measured** queue delay from
+//!   [`DelayQueue::push_timed`] — epoch-end flushes report genuinely
+//!   shorter delays than the configured τ, which is what the
+//!   staleness-discounted observation model consumes.
 //!
 //! *When* observations fold into the live distribution is the sampler's
 //! [`CommitPolicy`]: at epoch boundaries (default), or every `k` accepted
@@ -89,14 +90,21 @@ pub struct RunMeta<'a> {
     pub concurrency: usize,
 }
 
-/// One observation riding a simulated in-flight update: the sampled row,
-/// its raw gradient scale `|ℓ'(m)|`, and its age (worker-local draws
-/// remaining) at compute time. Delivered to the feedback protocol when
-/// the update applies, together with the queue's measured delay.
-type ObsNote = (u32, f64, usize);
+/// One observation riding a simulated in-flight update: the worker that
+/// drew it, the sampled row, its raw gradient scale `|ℓ'(m)|`, and its
+/// age at compute time. Delivered to that worker's stream when the
+/// update applies, together with the queue's measured delay.
+type ObsNote = (usize, u32, f64, usize);
 
 /// An in-flight simulated update paired with its (optional) observation.
 type InFlight<U> = (U, Option<ObsNote>);
+
+/// Delivers a popped in-flight observation to the stream that drew it.
+fn deliver(streams: &mut [ScheduleStream], note: Option<ObsNote>, delay: usize) {
+    if let Some((worker, row, g, age)) = note {
+        streams[worker].observe(row as usize, g, age, delay);
+    }
+}
 
 /// Runs `solver` on `ds` under `exec`, drawing samples per `strategy`.
 ///
@@ -206,10 +214,7 @@ pub fn run_engine<L: Loss, S: Solver>(
                 } else {
                     (ScheduleStream::DEFAULT_CHUNK / batch).max(1) * batch
                 };
-                let proto = plan.feedback.as_ref();
                 let stream = &mut plan.streams[0];
-                let epoch_steps = stream.epoch_len();
-                let mut done = 0usize;
                 while !stream.is_exhausted() {
                     if !streaming {
                         timer.stop();
@@ -220,6 +225,8 @@ pub fn run_engine<L: Loss, S: Solver>(
                         sampling_timer.stop();
                         timer.start();
                     }
+                    // Draws of this chunk not yet stepped.
+                    let mut buffered = chunk.len();
                     for group in chunk.chunks(batch) {
                         let mut fb = if collect {
                             Feedback::into_buf(&mut obs_buf)
@@ -228,17 +235,11 @@ pub fn run_engine<L: Loss, S: Solver>(
                         };
                         let update = solver.compute(&plan.data, group, lambda, &w, &mut fb);
                         solver.apply(&plan.data, lambda, update, &mut w);
-                        if collect {
-                            let proto = proto.expect("adaptive plan has a protocol");
-                            for (j, &(row, g)) in obs_buf.iter().enumerate() {
-                                // Distance (in draws) from this
-                                // observation to the epoch barrier.
-                                let age = epoch_steps - 1 - (done + j).min(epoch_steps - 1);
-                                stream.observe(proto, row as usize, g, age);
-                            }
-                            obs_buf.clear();
+                        for (j, (row, g)) in obs_buf.drain(..).enumerate() {
+                            let age = stream.age(buffered.saturating_sub(j + 1));
+                            stream.observe(row as usize, g, age, 0);
                         }
-                        done += group.len();
+                        buffered -= group.len();
                     }
                 }
                 solver.on_epoch_end(&plan.data, lambda, &mut w);
@@ -256,7 +257,6 @@ pub fn run_engine<L: Loss, S: Solver>(
                 } else {
                     ScheduleStream::DEFAULT_CHUNK
                 };
-                let proto = plan.feedback.as_ref();
                 let streams = &mut plan.streams;
                 let data = &plan.data;
                 // Rewind the reused per-worker draw buffers (emptied by
@@ -288,9 +288,7 @@ pub fn run_engine<L: Loss, S: Solver>(
                     }
                     let s = feeds[k].0[feeds[k].1];
                     feeds[k].1 += 1;
-                    // Worker-local draws remaining after this one (the
-                    // observation's distance to the epoch barrier).
-                    let age = streams[k].remaining() + (feeds[k].0.len() - feeds[k].1);
+                    let age = streams[k].age(feeds[k].0.len() - feeds[k].1);
                     let mut fb = if collect {
                         Feedback::into_buf(&mut obs_buf)
                     } else {
@@ -302,26 +300,14 @@ pub fn run_engine<L: Loss, S: Solver>(
                             obs_buf.len() <= 1,
                             "simulated adaptive runs step one sample at a time"
                         );
-                        obs_buf.pop().map(|(row, g)| (row, g, age))
+                        obs_buf.pop().map(|(row, g)| (k, row, g, age))
                     } else {
                         None
                     };
                     obs_buf.clear();
                     if let Some(((u, note), delay)) = queue.push_timed((update, note)) {
                         solver.apply(data, lambda, u, &mut w);
-                        if let (Some((row, g, age)), Some(p)) = (note, proto) {
-                            let row = row as usize;
-                            if let Some((owner, _)) = p.locate(row) {
-                                p.observe_delayed(
-                                    owner,
-                                    streams[owner].sampler_mut(),
-                                    row,
-                                    g,
-                                    age,
-                                    delay,
-                                );
-                            }
-                        }
+                        deliver(streams, note, delay);
                     }
                     k = (k + 1) % workers;
                 }
@@ -331,19 +317,7 @@ pub fn run_engine<L: Loss, S: Solver>(
                 let pending: Vec<_> = queue.drain_timed().collect();
                 for ((u, note), delay) in pending {
                     solver.apply(data, lambda, u, &mut w);
-                    if let (Some((row, g, age)), Some(p)) = (note, proto) {
-                        let row = row as usize;
-                        if let Some((owner, _)) = p.locate(row) {
-                            p.observe_delayed(
-                                owner,
-                                streams[owner].sampler_mut(),
-                                row,
-                                g,
-                                age,
-                                delay,
-                            );
-                        }
-                    }
+                    deliver(streams, note, delay);
                 }
                 solver.on_epoch_end(&plan.data, lambda, &mut w);
             }
@@ -363,7 +337,6 @@ pub fn run_engine<L: Loss, S: Solver>(
                     })?;
                 let data = &plan.data;
                 let mode = cfg.update_mode;
-                let proto = plan.feedback.as_ref();
                 // Each worker owns its shard's stream for the epoch and
                 // observes into its own sampler — shards are disjoint, so
                 // adaptivity is thread-local by construction. Under
@@ -385,15 +358,12 @@ pub fn run_engine<L: Loss, S: Solver>(
                                 if pulled == 0 {
                                     break;
                                 }
-                                let left = stream.remaining();
                                 for (j, &s) in chunk.iter().enumerate() {
                                     let g =
                                         kernel.step_shared(data, s, lambda, model, mode, collect);
                                     if collect {
-                                        if let Some(p) = proto {
-                                            let age = left + (pulled - 1 - j);
-                                            stream.observe(p, s.row as usize, g, age);
-                                        }
+                                        let age = stream.age(pulled - 1 - j);
+                                        stream.observe(s.row as usize, g, age, 0);
                                     }
                                 }
                             }

@@ -2,23 +2,20 @@
 //!
 //! This is the offline part of the paper's Algorithms 2 and 4: compute the
 //! importance weights, decide balancing vs shuffling from ρ, rearrange and
-//! shard the dataset, and build one [`ScheduleStream`] per worker shard —
-//! the stream owns the shard's boxed [`Sampler`](isasgd_sampling::Sampler)
-//! (uniform, static-IS, or adaptive-IS per the requested
-//! [`SamplingStrategy`]) and its private draw RNG, and is the only draw
-//! mechanism every execution path consumes. Everything here is timed into
+//! shard the dataset ([`isasgd_balance::rearrange`]), and build one
+//! [`ScheduleStream`] per worker shard — the stream is the worker: it
+//! owns the shard's boxed [`Sampler`](isasgd_sampling::Sampler) (uniform,
+//! static-IS, or adaptive-IS per the requested [`SamplingStrategy`]), its
+//! private draw RNG and its feedback loop, and is the only draw mechanism
+//! every execution path consumes. Everything here is timed into
 //! `setup_secs` — the "sampling time" overhead the paper quantifies as
 //! 1.1–7.7% (§4.2).
 
 use crate::config::TrainConfig;
 use crate::error::CoreError;
-use isasgd_balance::{decide, BalancePolicy};
+use isasgd_balance::{rearrange, BalancePolicy};
 use isasgd_losses::{importance_weights, Loss, Objective};
-use isasgd_sampling::rng::derive_seeds;
-use isasgd_sampling::{
-    build_sampler, draw_rngs, CommitPolicy, FeedbackProtocol, SamplingStrategy, ScheduleStream,
-};
-use isasgd_sparse::dataset::shard_ranges;
+use isasgd_sampling::{balance_seed, CommitPolicy, SamplingStrategy, ScheduleStream, ShardSpec};
 use isasgd_sparse::Dataset;
 use std::ops::Range;
 use std::time::Instant;
@@ -31,12 +28,9 @@ pub struct TrainingPlan {
     pub data: Dataset,
     /// Contiguous shard (row range into `data`) per worker.
     pub ranges: Vec<Range<usize>>,
-    /// Per-worker draw streams (each owns its shard's sampler and draw
-    /// RNG; draws carry *global* row indices).
+    /// Per-worker draw streams (each owns its shard's sampler, draw RNG
+    /// and observation scaling; draws carry *global* row indices).
     pub streams: Vec<ScheduleStream>,
-    /// The shared feedback subsystem routing observed gradient scales
-    /// back into the samplers (present only for adaptive plans).
-    pub feedback: Option<FeedbackProtocol>,
     /// When adaptive samplers commit accumulated observations.
     pub commit: CommitPolicy,
     /// Wall-clock spent building this plan.
@@ -115,85 +109,57 @@ pub fn build_plan<L: Loss>(
     if cfg.epochs == 0 {
         return Err(CoreError::InvalidConfig("epochs must be ≥ 1".into()));
     }
-    // Intra-epoch commits only exist for samplers that consume feedback.
-    // Anything else would accept the flag and silently run epoch-boundary
-    // semantics — reject it loudly instead.
-    if matches!(cfg.commit, CommitPolicy::EveryK(_)) && strategy != SamplingStrategy::Adaptive {
-        return Err(CoreError::InvalidConfig(format!(
-            "commit policy '{}' needs adaptive sampling (only adaptive samplers \
-             re-weight from observations); pass --sampling adaptive or use \
-             --commit epoch",
-            cfg.commit.name()
-        )));
-    }
+    cfg.commit
+        .check_strategy(strategy)
+        .map_err(|e| CoreError::InvalidConfig(e.to_string()))?;
 
     // lint: allow(wall-clock) — measures reported setup_secs only; no control-flow or results depend on it
     let t0 = Instant::now();
-    let n = ds.n_samples();
-    let seeds = derive_seeds(cfg.seed, workers + 1);
-
-    let (data, weights, balanced, rho) = if strategy.uses_importance() {
+    let seed = balance_seed(cfg.seed, workers);
+    let arranged = if strategy.uses_importance() {
         let w = importance_weights(ds, &obj.loss, obj.reg, cfg.importance);
-        let decision = decide(&w, cfg.balance, seeds[workers], workers);
-        let reordered = ds.reordered(&decision.order)?;
-        let reordered_weights: Vec<f64> = decision.order.iter().map(|&i| w[i]).collect();
-        (
-            reordered,
-            Some(reordered_weights),
-            decision.balanced,
-            decision.rho,
-        )
-    } else if workers > 1 {
-        // ASGD shuffles before sharding (standard Hogwild practice) so
-        // shards are statistically homogeneous.
-        let decision = decide(
-            &vec![1.0; n],
-            BalancePolicy::ForceShuffle,
-            seeds[workers],
-            workers,
-        );
-        (ds.reordered(&decision.order)?, None, false, 0.0)
+        rearrange(ds, Some(&w), cfg.balance, seed, workers)?
     } else {
-        (ds.clone(), None, false, 0.0)
+        // ASGD shuffles before sharding (standard Hogwild practice) so
+        // shards are statistically homogeneous; a lone uniform worker
+        // keeps the file order.
+        let policy = if workers > 1 {
+            BalancePolicy::ForceShuffle
+        } else {
+            BalancePolicy::Identity
+        };
+        rearrange(ds, None, policy, seed, workers)?
     };
 
-    let ranges = shard_ranges(n, workers)?;
-    // Independent draw streams for live samplers; pre-generated samplers
-    // ignore these, so uniform/static plans keep their exact pre-trait
-    // behaviour under a given seed. The derivation is shared with cluster
-    // nodes (isasgd_sampling::draw_rngs), pinning the two runtimes to
-    // identical streams under one master seed.
-    let mut rngs = draw_rngs(cfg.seed, workers).into_iter();
-    let mut streams: Vec<ScheduleStream> = Vec::with_capacity(workers);
-    for (k, r) in ranges.iter().enumerate() {
-        let local = weights.as_ref().map(|w| &w[r.clone()]);
-        let sampler = build_sampler(strategy, local, r.len(), cfg.sequence, seeds[k], cfg.commit)?;
-        streams.push(ScheduleStream::new(
-            sampler,
-            rngs.next().expect("one draw rng per worker"),
-            k,
-            r.start,
-            r.len(),
-        ));
-    }
-    // The feedback protocol owns the norm precompute and observation
-    // scaling for adaptive plans; it is the single entry point feedback
-    // takes back into the samplers. Queue delays are measured per
-    // observation by the runtime, not assumed.
-    let feedback = streams
+    let data = &arranged.data;
+    let streams = arranged
+        .ranges
         .iter()
-        .any(|s| s.sampler().is_adaptive())
-        .then(|| FeedbackProtocol::for_dataset(&data, ranges.clone(), cfg.obs_model));
+        .enumerate()
+        .map(|(k, r)| {
+            let spec = ShardSpec {
+                shard: k,
+                shards: workers,
+                seed: cfg.seed,
+                range: r.clone(),
+                strategy,
+                weights: arranged.weights.get(r.clone()),
+                sequence: cfg.sequence,
+                commit: cfg.commit,
+                obs_model: cfg.obs_model,
+            };
+            ScheduleStream::for_shard(spec, r.clone().map(|i| data.row(i).norm_sq()))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
 
     Ok(TrainingPlan {
-        data,
-        ranges,
+        data: arranged.data,
+        ranges: arranged.ranges,
         streams,
-        feedback,
         commit: cfg.commit,
         setup_secs: t0.elapsed().as_secs_f64(),
-        balanced,
-        rho,
+        balanced: arranged.balanced,
+        rho: arranged.rho,
     })
 }
 

@@ -28,16 +28,23 @@ use crate::scan::SourceFile;
 
 /// Files whose decode paths must be panic-free on hostile input
 /// (workspace-relative). The whole non-test file is covered by the
-/// unwrap/expect/panic rules; the index/cast/debug-assert rules narrow
+/// unwrap/expect/panic rules — except [`WORKER_HALF_FILE`], where they
+/// cover the worker half only; the index/cast/debug-assert rules narrow
 /// further to decode-side functions via [`decode_scope`]. The pass sees
 /// source tokens, not macro expansions: declarations in these files may
 /// be generated (`wire.rs`'s frame table is), decode-path functions may
 /// not.
-pub const DECODE_FILES: [&str; 3] = [
+pub const DECODE_FILES: [&str; 4] = [
     "crates/cluster/src/wire.rs",
     "crates/cluster/src/transport.rs",
     "crates/cluster/src/procnode.rs",
+    WORKER_HALF_FILE,
 ];
+
+/// The round driver and the worker runtime share this file; only
+/// `impl NodeRuntime` — the code that consumes the frames `procnode.rs`
+/// and every thread-backed link hand it — is on the decode side.
+pub const WORKER_HALF_FILE: &str = "crates/cluster/src/coordinator.rs";
 
 /// Crates whose `src/` trees carry the bit-identity guarantees (the
 /// 4-way equivalence matrix): the determinism rules apply here.
@@ -89,8 +96,13 @@ fn decode_scope(path: &str, fn_name: &str, impl_name: &str) -> bool {
         // The rx path: `Tcp::recv` and the in-process mirror.
         fn_name == "recv"
     } else if path.ends_with("cluster/src/procnode.rs") {
-        // The whole worker module handles coordinator-sent frames.
+        // The whole worker session module handles coordinator-sent
+        // frames...
         !fn_name.is_empty()
+    } else if path.ends_with(WORKER_HALF_FILE) {
+        // ...and hands them to the worker runtime, which acts on their
+        // contents: assigned shard, ranges, checkpoint state, models.
+        impl_name == "NodeRuntime"
     } else {
         false
     }
@@ -154,6 +166,7 @@ pub fn check_file(file: &SourceFile, out: &mut Vec<Finding>) {
     if !decode_file && !determinism && !protocol_recv && !eprintln_scope {
         return;
     }
+    let worker_half = file.path.ends_with(WORKER_HALF_FILE);
     let toks = &file.toks;
     let mut emit = |rule: &'static str, line: u32, col: u32, message: String| {
         if !file.consume_allow(rule, line) {
@@ -172,8 +185,9 @@ pub fn check_file(file: &SourceFile, out: &mut Vec<Finding>) {
         }
         let (fn_name, impl_name) = &file.scopes[i];
         let in_decode = decode_file && decode_scope(&file.path, fn_name, impl_name);
+        let panic_rules = decode_file && (in_decode || !worker_half);
 
-        if decode_file && t.kind == TokKind::Ident {
+        if panic_rules && t.kind == TokKind::Ident {
             let next_is = |c| {
                 toks.get(i + 1)
                     .is_some_and(|n: &crate::lexer::Tok| n.is_punct(c))
@@ -435,6 +449,25 @@ mod tests {
         // put_x is encode-side: not in scope for index/cast...
         assert!(!rules.contains(&("decode-cast", 2)));
         assert!(!rules.contains(&("decode-index", 2)));
+    }
+
+    #[test]
+    fn the_worker_half_of_the_round_file_is_a_decode_path() {
+        let src = "impl<T: Transport> NodeRuntime<T> {\n\
+                   \x20   fn run(self, r: &[u64], k: usize) -> u32 { r.first().unwrap(); r[k] as u32 }\n\
+                   }\n\
+                   fn coordinate(r: &[u64], k: usize) -> u32 { r.first().unwrap(); r[k] as u32 }\n";
+        let f = run(WORKER_HALF_FILE, src);
+        let rules: Vec<_> = f.iter().map(|x| (x.rule, x.line)).collect();
+        assert_eq!(
+            rules,
+            [
+                ("decode-unwrap", 2),
+                ("decode-index", 2),
+                ("decode-cast", 2)
+            ],
+            "every panic-freedom rule inside the impl, none outside: {f:?}"
+        );
     }
 
     #[test]

@@ -37,6 +37,19 @@ pub enum SamplingError {
         /// The snapshot kind this sampler restores.
         expected: &'static str,
     },
+    /// An intra-epoch commit policy was paired with a sampler that
+    /// ignores feedback.
+    CommitNeedsAdaptive {
+        /// The offending policy's display name.
+        commit: String,
+    },
+    /// A stream was requested for a shard the run does not have.
+    ShardOutOfRange {
+        /// The requested shard index `k`.
+        shard: usize,
+        /// The run's shard count `K`.
+        shards: usize,
+    },
 }
 
 impl fmt::Display for SamplingError {
@@ -62,6 +75,15 @@ impl fmt::Display for SamplingError {
                     f,
                     "snapshot kind mismatch: this sampler restores {expected} snapshots"
                 )
+            }
+            SamplingError::CommitNeedsAdaptive { commit } => write!(
+                f,
+                "commit policy '{commit}' needs adaptive sampling (only adaptive samplers \
+                 re-weight from observations): sample adaptively from a non-uniform \
+                 importance scheme, or commit at epoch boundaries"
+            ),
+            SamplingError::ShardOutOfRange { shard, shards } => {
+                write!(f, "shard {shard} is not one of the run's {shards} shards")
             }
         }
     }

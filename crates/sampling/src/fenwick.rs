@@ -12,8 +12,11 @@ use crate::error::SamplingError;
 use crate::rng::Xoshiro256pp;
 
 /// A dynamic weighted sampler over `n` outcomes backed by a Fenwick tree of
-/// prefix sums.
-#[derive(Debug, Clone)]
+/// prefix sums. Equality compares the whole state — weights, tree nodes
+/// and cached total; none of them is ever negative or NaN, so equal means
+/// bit-equal, which is how tests pin that two update histories left the
+/// same tree.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FenwickSampler {
     /// 1-based Fenwick tree; `tree[0]` unused.
     tree: Vec<f64>,
@@ -54,10 +57,7 @@ impl FenwickSampler {
     /// prefix sums a pure function of the weights rather than of the
     /// update history ([`FenwickSampler::update`] maintains them with
     /// incremental delta-adds, whose rounding depends on the sequence
-    /// of past updates). Adaptive commits canonicalize after every
-    /// fold, so a sampler restored from a checkpoint of the same
-    /// weights reproduces the tree — and every future draw —
-    /// bit-for-bit.
+    /// of past updates).
     pub fn canonicalize(&mut self) {
         let n = self.weights.len();
         self.tree.clear();
@@ -120,6 +120,31 @@ impl FenwickSampler {
             j += j & j.wrapping_neg();
         }
         Ok(())
+    }
+
+    /// Replaces the weight of each outcome in `rows` by
+    /// `weight(i, current)` and rebuilds the tree once with
+    /// [`FenwickSampler::canonicalize`]: `O(n + m)` for `m` rows, and
+    /// the result is a pure function of the weights. Adaptive commits
+    /// fold through here, so a sampler restored from a checkpoint of
+    /// the same weights reproduces the tree — and every future draw —
+    /// bit-for-bit. Stops at the first invalid weight; the tree is
+    /// rebuilt over what was written either way.
+    pub fn reweigh(
+        &mut self,
+        rows: impl IntoIterator<Item = usize>,
+        mut weight: impl FnMut(usize, f64) -> f64,
+    ) -> Result<(), SamplingError> {
+        let written = rows.into_iter().try_for_each(|i| {
+            let w = weight(i, self.weights[i]);
+            if !w.is_finite() || w < 0.0 {
+                return Err(SamplingError::InvalidWeight { index: i, value: w });
+            }
+            self.weights[i] = w;
+            Ok(())
+        });
+        self.canonicalize();
+        written
     }
 
     /// Draws one outcome proportionally to current weights.
@@ -255,13 +280,25 @@ mod tests {
         a.update(5, w[5]).unwrap();
         a.canonicalize();
         let b = FenwickSampler::new(&w).unwrap();
-        assert_eq!(a.weights, b.weights);
-        assert_eq!(
-            a.tree.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            b.tree.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-            "canonical trees must be bitwise equal"
-        );
-        assert_eq!(a.total.to_bits(), b.total.to_bits());
+        assert_eq!(a, b, "canonical trees must be bitwise equal");
+    }
+
+    #[test]
+    fn reweigh_equals_a_fresh_build_and_survives_a_bad_write() {
+        let mut w = [0.1, 0.7, 1.3, 2.9, 0.05, 4.4, 0.33];
+        let mut a = FenwickSampler::new(&w).unwrap();
+        a.reweigh([5, 0, 2], |i, old| old * i as f64).unwrap();
+        (w[5], w[0], w[2]) = (w[5] * 5.0, 0.0, w[2] * 2.0);
+        assert_eq!(a, FenwickSampler::new(&w).unwrap());
+        // A bad write is refused; what was written before it is kept
+        // and the tree still matches the weights.
+        let bad = a.reweigh([1, 3, 4], |i, _| if i == 3 { f64::NAN } else { 9.0 });
+        assert!(matches!(
+            bad,
+            Err(SamplingError::InvalidWeight { index: 3, .. })
+        ));
+        w[1] = 9.0;
+        assert_eq!(a, FenwickSampler::new(&w).unwrap());
     }
 
     #[test]

@@ -28,40 +28,40 @@
 //! The strategy is surfaced to users as `isasgd train --sampling
 //! {uniform,static,adaptive}`.
 //!
-//! # The draw stream
+//! # The stream is the worker
 //!
-//! Every runtime consumes draws through a per-worker [`ScheduleStream`]:
-//! the stream owns the shard's sampler and private draw RNG (derived via
-//! [`draw_rngs`] from one master seed) and emits draws in bounded chunks,
+//! Every runtime builds its workers with [`ScheduleStream::for_shard`]:
+//! shard `k` of `K`, its row range, its weights, its rows' norms, the
+//! master seed and the sampling configuration go in, and out comes the
+//! one object that owns the shard's sampler, its private draw RNG and
+//! the seed layout behind both ([`balance_seed`] names the one seed of
+//! that layout a stream does not consume). Draws leave in bounded chunks,
 //! so schedules are never materialized per epoch and a mid-epoch sampler
 //! re-weight is visible to the very next chunk — on sequential,
 //! simulated, threaded, and cluster execution alike.
 //!
-//! # The feedback protocol
-//!
 //! Adaptive sampling closes a loop: kernels observe per-sample gradient
-//! scales, and the sampler's distribution tracks them. The
-//! [`FeedbackProtocol`] owns that loop's conventions — observation
-//! scaling ([`ObservationModel`]: exact `|ℓ'(m)|·‖x‖` gradient norms,
-//! Katharopoulos & Fleuret's loss-bound, or staleness-discounted by each
-//! observation's *measured* in-flight delay), the per-row norm
-//! precompute, and global-row→shard-sampler routing — and is the single
-//! feedback entry point for both the `isasgd-core` engine and
-//! `isasgd-cluster` nodes. *When* accumulated observations become visible
+//! scales, and the sampler's distribution tracks them.
+//! [`ScheduleStream::observe`] is that loop's only entry point: the
+//! stream scales the observation ([`ObservationModel`]: exact
+//! `|ℓ'(m)|·‖x‖` gradient norms, Katharopoulos & Fleuret's loss-bound, or
+//! staleness-discounted by its age and its *measured* in-flight delay)
+//! with the norms of its own rows, refuses rows of other shards, and
+//! feeds its own sampler. *When* accumulated observations become visible
 //! to draws is the sampler's [`CommitPolicy`]: at epoch boundaries
 //! (deterministic, per-epoch-unbiased) or every `k` observations
 //! (intra-epoch adaptivity, visible as the sampler's advancing
-//! [`Sampler::commit_version`]). The engine's disjoint worker shards let
-//! each stream adapt its own sampler, so nothing is shared across
-//! threads. Surfaced as `isasgd train --obs-model
-//! {gradnorm,loss-bound,staleness} --commit {epoch,every-k,every-<n>}`.
+//! [`Sampler::commit_version`]; [`CommitPolicy::check_strategy`] is the
+//! rule that it needs an adaptive sampler). Worker shards are disjoint,
+//! so nothing is shared across threads. Surfaced as `isasgd train
+//! --obs-model {gradnorm,loss-bound,staleness} --commit
+//! {epoch,every-k,every-<n>}`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alias;
 pub mod error;
-pub mod feedback;
 pub mod fenwick;
 pub mod rng;
 pub mod sampler;
@@ -70,7 +70,6 @@ pub mod stream;
 
 pub use alias::AliasTable;
 pub use error::SamplingError;
-pub use feedback::{draw_rngs, FeedbackProtocol, ObservationModel};
 pub use fenwick::FenwickSampler;
 pub use rng::{splitmix64, Xoshiro256pp};
 pub use sampler::{
@@ -78,7 +77,7 @@ pub use sampler::{
     StaticIsSampler, UniformSampler,
 };
 pub use sequence::{SampleSequence, SequenceMode};
-pub use stream::{Draw, ScheduleStream};
+pub use stream::{balance_seed, Draw, ObservationModel, ScheduleStream, ShardSpec};
 
 /// Inverse-probability step correction `1/(n·p_i)` for each sample
 /// (paper Eq. 8): with `p_i = L_i/ΣL`, this equals `L̄/L_i`.

@@ -125,6 +125,19 @@ impl CommitPolicy {
             CommitPolicy::EveryK(k) => format!("every-{k}"),
         }
     }
+
+    /// The one rule every run validator applies: intra-epoch commits
+    /// only exist for samplers that consume feedback. Any other
+    /// strategy would accept the policy and silently run epoch-boundary
+    /// semantics, so the pairing is refused instead.
+    pub fn check_strategy(self, strategy: SamplingStrategy) -> Result<(), SamplingError> {
+        if matches!(self, CommitPolicy::EveryK(_)) && strategy != SamplingStrategy::Adaptive {
+            return Err(SamplingError::CommitNeedsAdaptive {
+                commit: self.name(),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Round-boundary sampler state carried by worker checkpoints: exactly
@@ -545,9 +558,11 @@ impl AdaptiveIsSampler {
             return;
         }
         self.commits += 1;
-        // Walk only the dirty list (rows observed this window) for the
-        // fold; the canonical rebuild below adds O(n), which keeps the
-        // tree history-independent (the checkpoint-restore contract).
+        // The fold walks only the dirty list (rows observed this
+        // window); the one canonical rebuild behind `reweigh` adds O(n)
+        // and leaves the tree a pure function of the committed weights,
+        // so a checkpoint-restored sampler (rebuilt from those weights)
+        // draws bit-identically to one that lived the whole history.
         let mut rows = std::mem::take(&mut self.observed_rows);
         let mean_w = self.fen.total() / self.fen.len() as f64;
         let sum: f64 = rows.iter().map(|&i| self.pending[i as usize]).sum();
@@ -556,19 +571,13 @@ impl AdaptiveIsSampler {
             let scale = mean_w / mean_obs;
             // Floor keeps every row sampleable, bounding corrections.
             let floor = mean_w * 1e-3;
-            for &i in &rows {
-                let i = i as usize;
-                let target = (self.pending[i] * scale).max(floor);
-                let blended = (1.0 - self.gamma) * self.fen.weight(i) + self.gamma * target;
-                self.fen
-                    .update(i, blended)
-                    .expect("blended weight is finite and non-negative");
-            }
-            // Canonical rebuild: after every fold the tree is a pure
-            // function of the committed weights, so a checkpoint-
-            // restored sampler (rebuilt from those weights) draws
-            // bit-identically to one that lived the whole history.
-            self.fen.canonicalize();
+            let (gamma, pending) = (self.gamma, &self.pending);
+            self.fen
+                .reweigh(rows.iter().map(|&i| i as usize), |i, w| {
+                    let target = (pending[i] * scale).max(floor);
+                    (1.0 - gamma) * w + gamma * target
+                })
+                .expect("blended weight is finite and non-negative");
         }
         // mean_obs == 0 is the degenerate all-zero window: nothing to
         // rank by, so the distribution stays untouched and the window is
@@ -653,23 +662,11 @@ impl Sampler for AdaptiveIsSampler {
                 other: weights.len(),
             });
         }
-        // Validate everything up front so a bad snapshot leaves the
-        // sampler untouched rather than half-restored.
-        for (i, &w) in weights.iter().enumerate() {
-            if !(w.is_finite() && w >= 0.0) {
-                return Err(SamplingError::InvalidWeight { index: i, value: w });
-            }
-        }
-        if !weights.iter().any(|&w| w > 0.0) {
-            return Err(SamplingError::ZeroMass);
-        }
-        for (i, &w) in weights.iter().enumerate() {
-            self.fen
-                .update(i, w)
-                .expect("weights were validated finite and non-negative");
-        }
-        // Same canonical tree a live sampler holds after its commits.
-        self.fen.canonicalize();
+        // A fresh build validates every weight (finite, non-negative,
+        // some mass) before anything is replaced, so a bad snapshot
+        // leaves the sampler untouched — and it is the same canonical
+        // tree a live sampler holds after its commits.
+        self.fen = FenwickSampler::new(&weights)?;
         self.commits = commits;
         self.since_commit = 0;
         for p in &mut self.pending {
@@ -1013,6 +1010,45 @@ mod tests {
             assert_eq!(live.weight(i), fresh.weight(i));
             assert_eq!(live.correction(i), fresh.correction(i));
         }
+    }
+
+    #[test]
+    fn commits_and_restores_leave_the_canonical_tree() {
+        // Every fold and every restore must leave exactly the tree a
+        // fresh build over the same weights produces — bits and total —
+        // or a checkpoint-restored worker drifts from a live one.
+        let fresh = |s: &AdaptiveIsSampler| {
+            let w: Vec<f64> = (0..s.len()).map(|i| s.weight(i)).collect();
+            FenwickSampler::new(&w).unwrap()
+        };
+        let w = [0.1, 0.7, 1.3, 2.9, 0.05, 4.4, 0.33];
+        let mut live = AdaptiveIsSampler::new(&w)
+            .unwrap()
+            .with_commit(CommitPolicy::EveryK(3));
+        for t in 0..20usize {
+            live.update_weight(t * 5 % 7, 0.25 + (t % 4) as f64);
+            assert_eq!(live.fen, fresh(&live), "after observation {t}");
+        }
+        live.epoch_reset();
+        assert_eq!(live.fen, fresh(&live));
+        assert!(
+            live.commit_version() > 6,
+            "every-3 commits fired mid-window"
+        );
+        let mut restored = AdaptiveIsSampler::new(&w).unwrap();
+        restored.restore(live.snapshot()).unwrap();
+        assert_eq!(restored.fen, live.fen);
+    }
+
+    #[test]
+    fn every_k_is_refused_for_samplers_that_ignore_feedback() {
+        let every = CommitPolicy::EveryK(8);
+        for strategy in [SamplingStrategy::Uniform, SamplingStrategy::Static] {
+            let msg = every.check_strategy(strategy).unwrap_err().to_string();
+            assert!(msg.contains("every-8") && msg.contains("adaptive"), "{msg}");
+            assert!(CommitPolicy::EpochBoundary.check_strategy(strategy).is_ok());
+        }
+        assert!(every.check_strategy(SamplingStrategy::Adaptive).is_ok());
     }
 
     #[test]

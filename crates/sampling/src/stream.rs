@@ -1,35 +1,126 @@
-//! The [`ScheduleStream`]: chunked, adaptivity-aware draw streaming.
+//! The [`ScheduleStream`]: one worker of a sharded run — its shard's
+//! sampler, its private draw RNG, and the feedback loop back into that
+//! sampler.
 //!
-//! Before this module existed, the training runtimes materialized each
-//! epoch's schedule as a `Vec` of draws per worker — an `O(epoch · n)`
-//! allocation that also froze the distribution for the whole epoch, so
-//! intra-epoch commits ([`CommitPolicy::EveryK`](crate::CommitPolicy))
-//! could not steer the remaining draws of a threaded run. The stream
-//! replaces materialization everywhere: each worker owns one
-//! `ScheduleStream` wrapping its shard [`Sampler`] and private draw RNG,
-//! and pulls draws in bounded chunks. Every chunk is drawn from the
-//! sampler's *current* distribution, so a mid-epoch re-weight is visible
-//! to the very next chunk — on the sequential, simulated, threaded, and
-//! cluster execution paths alike.
+//! The paper's Algorithms 2 and 4 define a worker as nothing more than
+//! "its shard, its importance weights, its index stream", with the SGD
+//! kernel left untouched. This module is that definition in code, and
+//! the only place it is written down: [`ScheduleStream::for_shard`]
+//! builds worker `k` of `K` for every runtime (the `isasgd-core` engine's
+//! sequential, simulated and threaded arms and `isasgd-cluster` nodes),
+//! so two runtimes given the same master seed and shard layout cannot
+//! disagree on a seed, a sampler or a scaling convention.
 //!
-//! Memory is `O(chunk)` per worker instead of `O(n)`. Only the owning
-//! stream consumes its RNG ([`draw_rngs`](crate::draw_rngs) seed
-//! derivation), so thread scheduling cannot perturb a worker's RNG
-//! sequence; the draw sequence itself is bit-deterministic whenever the
-//! observations feeding the sampler are (always, except multi-worker
-//! adaptive Hogwild runs, whose racy model reads make observed values —
-//! and thus committed weights — run-varying).
+//! **Draws** are pulled in bounded chunks and never materialized per
+//! epoch: memory is `O(chunk)` per worker, and every chunk is drawn from
+//! the sampler's *current* distribution, so a mid-epoch re-weight
+//! ([`CommitPolicy::EveryK`]) is visible to the very next chunk. Only the
+//! owning stream consumes its RNG, so thread scheduling cannot perturb a
+//! worker's RNG sequence; the draw sequence itself is bit-deterministic
+//! whenever the observations feeding the sampler are (always, except
+//! multi-worker adaptive Hogwild runs, whose racy model reads make
+//! observed values — and thus committed weights — run-varying).
 //!
-//! Feedback loops back through [`ScheduleStream::observe`], which routes
-//! an observed gradient scale through the shared
-//! [`FeedbackProtocol`](crate::FeedbackProtocol) into the stream's own
-//! sampler. Worker shards are disjoint, so a worker only ever observes
-//! rows its own sampler owns — adaptivity needs no cross-thread
-//! coordination beyond the epoch barrier.
+//! **Feedback** is [`ScheduleStream::observe`]. Training kernels report
+//! the raw gradient scale `|ℓ'(m)|` of each visited row — the only
+//! quantity they compute anyway — and the stream owns everything
+//! downstream: the feature norms `‖x_i‖` of *its own* rows (computed
+//! once at construction, adaptive streams only), the
+//! [`ObservationModel`] turning a raw scale into an importance
+//! observation, the rejection of rows another shard owns, and
+//! [`ScheduleStream::age`], the one definition of an observation's
+//! distance to the epoch barrier. Per-row accumulation (max across
+//! visits) and *when* observations become visible to draws
+//! ([`CommitPolicy`]) live in the sampler. Worker shards are disjoint, so
+//! a worker only ever observes rows its own sampler owns — adaptivity
+//! needs no cross-thread coordination beyond the epoch barrier.
 
-use crate::feedback::FeedbackProtocol;
-use crate::rng::Xoshiro256pp;
-use crate::sampler::Sampler;
+use crate::error::SamplingError;
+use crate::rng::{derive_seeds, Xoshiro256pp};
+use crate::sampler::{build_sampler, CommitPolicy, Sampler, SamplingStrategy};
+use crate::sequence::SequenceMode;
+use std::ops::Range;
+
+/// Salt folded into the master seed to derive per-shard *draw* RNGs,
+/// kept distinct from the sequence-generation seeds.
+const DRAW_STREAM_SALT: u64 = 0xADA9_715E_5EED_0001;
+
+/// The seed of a `shards`-worker run's balancing / shuffling
+/// permutation: the last of the `shards + 1` seeds derived from the
+/// master seed, whose first `shards` entries seed the shards'
+/// pre-generated sequences (the rest of the layout is
+/// [`ScheduleStream::for_shard`]'s).
+pub fn balance_seed(master: u64, shards: usize) -> u64 {
+    derive_seeds(master, shards + 1)[shards]
+}
+
+/// How a raw observed gradient scale `|ℓ'(m)|` becomes an importance
+/// observation for the sampler.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub enum ObservationModel {
+    /// The exact GLM per-sample gradient norm `|ℓ'(m)|·‖x_i‖` (default).
+    #[default]
+    GradNorm,
+    /// Katharopoulos & Fleuret's upper-bound observation: the gradient of
+    /// the loss with respect to the model's output alone — for a GLM,
+    /// `|ℓ'(m)|` without the feature-norm factor. Cheaper to reason about
+    /// under preconditioning and the natural analogue of their last-layer
+    /// bound.
+    LossBound,
+    /// [`ObservationModel::GradNorm`] decayed by the observation's total
+    /// delay: `|ℓ'(m)|·‖x_i‖·2^(−(age+delay)/half_life)`, where `age` is
+    /// the distance from the observation to its commit in steps and
+    /// `delay` is the **measured** per-observation staleness-queue delay
+    /// the runtime reports (how many steps the update actually spent in
+    /// flight — not an assumed uniform τ, which would cancel under the
+    /// sampler's mean normalization and discount nothing). Observations
+    /// computed against a stale model are trusted less (Alain et al.'s
+    /// distributed estimators face the same decay choice).
+    StalenessDiscounted {
+        /// Half-life of an observation, in steps.
+        half_life: f64,
+    },
+}
+
+impl ObservationModel {
+    /// Default half-life (steps) for the bare `staleness` CLI spelling.
+    pub const DEFAULT_HALF_LIFE: f64 = 64.0;
+
+    /// Parses a CLI name: `gradnorm`, `loss-bound`, or
+    /// `staleness`/`staleness-discounted`.
+    pub fn parse(s: &str) -> Option<Self> {
+        Some(match s {
+            "gradnorm" => ObservationModel::GradNorm,
+            "loss-bound" => ObservationModel::LossBound,
+            "staleness" | "staleness-discounted" => ObservationModel::StalenessDiscounted {
+                half_life: Self::DEFAULT_HALF_LIFE,
+            },
+            _ => return None,
+        })
+    }
+
+    /// The CLI/display name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            ObservationModel::GradNorm => "gradnorm",
+            ObservationModel::LossBound => "loss-bound",
+            ObservationModel::StalenessDiscounted { .. } => "staleness-discounted",
+        }
+    }
+
+    /// Scales a raw gradient scale observed on a row of feature norm
+    /// `norm`, `delay` steps (age plus measured in-flight delay) before
+    /// it can commit.
+    fn scale(self, grad_scale: f64, norm: f64, delay: usize) -> f64 {
+        match self {
+            ObservationModel::GradNorm => grad_scale * norm,
+            ObservationModel::LossBound => grad_scale,
+            ObservationModel::StalenessDiscounted { half_life } => {
+                grad_scale * norm * (-(delay as f64) / half_life.max(1e-9)).exp2()
+            }
+        }
+    }
+}
 
 /// One scheduled draw: a global row index plus its importance-sampling
 /// step correction `1/(n·p)` under the distribution *at draw time*
@@ -42,28 +133,58 @@ pub struct Draw {
     pub corr: f64,
 }
 
-/// A per-worker draw stream over one shard: the single schedule
-/// mechanism shared by every execution path (see the module docs).
+/// What defines worker `shard` of a `shards`-worker run, apart from
+/// its rows' feature norms (passed to [`ScheduleStream::for_shard`]
+/// beside this, lazily).
+#[derive(Debug, Clone)]
+pub struct ShardSpec<'a> {
+    /// This worker's shard index `k`…
+    pub shard: usize,
+    /// …of `K` shards; with `seed` it fixes every seed the stream uses.
+    pub shards: usize,
+    /// The run's master seed.
+    pub seed: u64,
+    /// The shard's rows, as global indices into the rearranged dataset;
+    /// draws carry these.
+    pub range: Range<usize>,
+    /// The distribution the shard draws from.
+    pub strategy: SamplingStrategy,
+    /// The importance weight of each row of `range`, in order; `None`
+    /// (or a strategy that ignores importance) samples uniformly.
+    pub weights: Option<&'a [f64]>,
+    /// How pre-generated sequences refresh between epochs.
+    pub sequence: SequenceMode,
+    /// When an adaptive sampler folds its observations.
+    pub commit: CommitPolicy,
+    /// How an adaptive stream scales its observations.
+    pub obs_model: ObservationModel,
+}
+
+/// One worker of a sharded run: the single draw and feedback mechanism
+/// shared by every execution path (see the module docs).
 pub struct ScheduleStream {
     sampler: Box<dyn Sampler>,
     rng: Xoshiro256pp,
-    /// This worker's shard index (the protocol's routing key).
-    shard: usize,
     /// Global-row offset of the shard (local index 0 maps here).
     start: usize,
     /// Draws per epoch (the shard length, by the paper's convention).
     epoch_len: usize,
     /// Draws already emitted this epoch.
     emitted: usize,
+    /// Feature norms `‖x_i‖` of the shard's own rows, by local index;
+    /// empty unless the sampler adapts, which is also what makes
+    /// [`ScheduleStream::observe`] a no-op on the other strategies.
+    norms: Vec<f64>,
+    obs_model: ObservationModel,
 }
 
 impl std::fmt::Debug for ScheduleStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ScheduleStream")
-            .field("shard", &self.shard)
             .field("start", &self.start)
             .field("epoch_len", &self.epoch_len)
             .field("emitted", &self.emitted)
+            .field("obs_model", &self.obs_model)
             .finish()
     }
 }
@@ -74,28 +195,67 @@ impl ScheduleStream {
     /// per-worker buffers stay cache-resident and `O(1)` in `n`.
     pub const DEFAULT_CHUNK: usize = 1024;
 
-    /// Builds the stream for shard `shard` starting at global row
-    /// `start`, emitting `epoch_len` draws per epoch.
-    pub fn new(
-        sampler: Box<dyn Sampler>,
-        rng: Xoshiro256pp,
-        shard: usize,
-        start: usize,
-        epoch_len: usize,
-    ) -> Self {
-        ScheduleStream {
-            sampler,
-            rng,
-            shard,
-            start,
-            epoch_len,
-            emitted: 0,
+    /// Builds worker `spec.shard`: its sampler (sequence seed
+    /// `derive_seeds(seed, K + 1)[k]`), its private draw RNG (seed
+    /// `derive_seeds(seed ^ salt, K)[k]`; pre-generated samplers carry
+    /// their own stream and ignore it) and, when the sampler adapts,
+    /// the norms of its rows. `norms_sq` yields `‖x_i‖²` for each row of
+    /// `spec.range` in order and is consumed only by adaptive streams.
+    ///
+    /// This is the only recipe: a core worker and a cluster node built
+    /// from equal specs draw identical streams, which is what the
+    /// core↔cluster equivalence tests pin.
+    pub fn for_shard(
+        spec: ShardSpec<'_>,
+        norms_sq: impl IntoIterator<Item = f64>,
+    ) -> Result<Self, SamplingError> {
+        let (shard, shards, rows) = (spec.shard, spec.shards, spec.range.len());
+        if shard >= shards {
+            return Err(SamplingError::ShardOutOfRange { shard, shards });
         }
+        // One weight per row always, one norm per row when kept.
+        let covers = |len: usize| {
+            if len == rows {
+                return Ok(());
+            }
+            Err(SamplingError::LengthMismatch {
+                weights: rows,
+                other: len,
+            })
+        };
+        if let Some(w) = spec.weights {
+            covers(w.len())?;
+        }
+        let sequence_seed = derive_seeds(spec.seed, shards + 1)[shard];
+        let draw_seed = derive_seeds(spec.seed ^ DRAW_STREAM_SALT, shards)[shard];
+        let sampler = build_sampler(
+            spec.strategy,
+            spec.weights,
+            rows,
+            spec.sequence,
+            sequence_seed,
+            spec.commit,
+        )?;
+        let mut norms = Vec::new();
+        if sampler.is_adaptive() {
+            norms.extend(norms_sq.into_iter().map(f64::sqrt));
+            covers(norms.len())?;
+        }
+        Ok(ScheduleStream {
+            sampler,
+            rng: Xoshiro256pp::new(draw_seed),
+            start: spec.range.start,
+            epoch_len: rows,
+            emitted: 0,
+            norms,
+            obs_model: spec.obs_model,
+        })
     }
 
-    /// The shard index this stream draws for.
-    pub fn shard(&self) -> usize {
-        self.shard
+    /// The shard's rows (global indices): what draws carry and what
+    /// [`ScheduleStream::observe`] accepts.
+    pub fn range(&self) -> Range<usize> {
+        self.start..self.start + self.epoch_len
     }
 
     /// Draws emitted per epoch.
@@ -113,18 +273,19 @@ impl ScheduleStream {
         self.emitted >= self.epoch_len
     }
 
-    /// Emits the next draw from the sampler's current distribution, or
-    /// `None` when the epoch is exhausted.
-    pub fn next_draw(&mut self) -> Option<Draw> {
-        if self.is_exhausted() {
-            return None;
-        }
+    /// Draws once from the sampler's current distribution.
+    fn draw(&mut self) -> Draw {
         self.emitted += 1;
         let local = self.sampler.next(&mut self.rng);
-        Some(Draw {
+        Draw {
             row: (self.start + local) as u32,
             corr: self.sampler.correction(local),
-        })
+        }
+    }
+
+    /// Emits the next draw, or `None` when the epoch is exhausted.
+    pub fn next_draw(&mut self) -> Option<Draw> {
+        (!self.is_exhausted()).then(|| self.draw())
     }
 
     /// Clears `buf` and refills it with up to `chunk` draws (bounded by
@@ -135,31 +296,45 @@ impl ScheduleStream {
     pub fn fill_chunk(&mut self, buf: &mut Vec<Draw>, chunk: usize) -> usize {
         buf.clear();
         let take = chunk.min(self.remaining());
-        buf.reserve(take);
-        for _ in 0..take {
-            self.emitted += 1;
-            let local = self.sampler.next(&mut self.rng);
-            buf.push(Draw {
-                row: (self.start + local) as u32,
-                corr: self.sampler.correction(local),
-            });
-        }
+        buf.extend((0..take).map(|_| self.draw()));
         take
     }
 
-    /// Feeds one observed gradient scale for global row `row` back into
-    /// this stream's sampler through the shared protocol (scaling model
-    /// included). `age` is the observation's distance to its commit in
-    /// steps. Returns `false` — without touching the sampler — when the
-    /// row is not owned by this stream's shard.
+    /// The age of an observation made on the draw being stepped right
+    /// now: how many of this worker's draws still step before the epoch
+    /// barrier — the ones not yet emitted plus the `buffered` ones the
+    /// caller already pulled but has not stepped. Consumed only by
+    /// [`ObservationModel::StalenessDiscounted`].
+    pub fn age(&self, buffered: usize) -> usize {
+        self.remaining() + buffered
+    }
+
+    /// Feeds one observed gradient scale `|ℓ'(m)|` for global row `row`
+    /// back into this stream's sampler, scaled by the stream's
+    /// [`ObservationModel`], and returns the scaled observation.
+    /// `age` is [`ScheduleStream::age`] at the step that made the
+    /// observation; `delay` is the **measured** number of steps the
+    /// corresponding update spent in an in-flight queue between compute
+    /// and apply (0 where updates apply at once). Measured delays differ
+    /// per observation — an epoch-end barrier flushes younger updates
+    /// early — which is what shifts weight toward fresher evidence; one
+    /// assumed uniform τ would cancel under the sampler's mean
+    /// normalization and discount nothing.
+    ///
+    /// Returns `None`, without touching the sampler, for a row this
+    /// shard does not own and on streams whose sampler does not adapt.
     pub fn observe(
         &mut self,
-        proto: &FeedbackProtocol,
         row: usize,
         grad_scale: f64,
         age: usize,
-    ) -> bool {
-        proto.observe(self.shard, self.sampler.as_mut(), row, grad_scale, age)
+        delay: usize,
+    ) -> Option<f64> {
+        let local = row.checked_sub(self.start)?;
+        let norm = *self.norms.get(local)?;
+        let observed = self.obs_model.scale(grad_scale, norm, age + delay);
+        self.sampler.update_weight(local, observed);
+        Some(observed)
     }
 
     /// Read access to the underlying sampler.
@@ -167,9 +342,7 @@ impl ScheduleStream {
         self.sampler.as_ref()
     }
 
-    /// Mutable access to the underlying sampler (e.g. for delayed
-    /// observations routed by global row rather than through
-    /// [`ScheduleStream::observe`]).
+    /// Mutable access to the underlying sampler (checkpoint restore).
     pub fn sampler_mut(&mut self) -> &mut dyn Sampler {
         self.sampler.as_mut()
     }
@@ -202,28 +375,56 @@ impl ScheduleStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feedback::ObservationModel;
-    use crate::sampler::{AdaptiveIsSampler, CommitPolicy, UniformSampler};
-    use crate::sequence::SequenceMode;
+    use crate::sampler::AdaptiveIsSampler;
 
-    fn uniform_stream(n: usize, shard: usize, start: usize) -> ScheduleStream {
-        let sampler = UniformSampler::new(n, n, SequenceMode::UniformIid, 3).unwrap();
-        ScheduleStream::new(Box::new(sampler), Xoshiro256pp::new(9), shard, start, n)
+    /// Shard `shard` of two over rows `range`, unit weights.
+    fn spec(shard: usize, range: Range<usize>, strategy: SamplingStrategy) -> ShardSpec<'static> {
+        const ONES: [f64; 10] = [1.0; 10];
+        ShardSpec {
+            shard,
+            shards: 2,
+            seed: 9,
+            weights: Some(&ONES[..range.len()]),
+            range,
+            strategy,
+            sequence: SequenceMode::UniformIid,
+            commit: CommitPolicy::EpochBoundary,
+            obs_model: ObservationModel::GradNorm,
+        }
+    }
+
+    /// An adaptive stream over shard 1 (rows 3..6, `‖x‖` = 4, 5, 6).
+    fn adaptive_stream(obs_model: ObservationModel, commit: CommitPolicy) -> ScheduleStream {
+        let spec = ShardSpec {
+            commit,
+            obs_model,
+            ..spec(1, 3..6, SamplingStrategy::Adaptive)
+        };
+        ScheduleStream::for_shard(spec, [16.0, 25.0, 36.0]).unwrap()
+    }
+
+    fn uniform_stream() -> ScheduleStream {
+        ScheduleStream::for_shard(spec(0, 5..15, SamplingStrategy::Uniform), []).unwrap()
+    }
+
+    fn drain(s: &mut ScheduleStream) -> Vec<Draw> {
+        std::iter::from_fn(|| s.next_draw()).collect()
+    }
+
+    fn corrections(s: &dyn Sampler) -> Vec<f64> {
+        (0..s.len()).map(|i| s.correction(i)).collect()
     }
 
     #[test]
     fn chunked_draws_match_one_by_one_draws() {
-        let mut a = uniform_stream(10, 0, 5);
-        let mut b = uniform_stream(10, 0, 5);
+        let mut a = uniform_stream();
+        let mut b = uniform_stream();
         let mut chunked = Vec::new();
         let mut buf = Vec::new();
         while a.fill_chunk(&mut buf, 3) > 0 {
             chunked.extend_from_slice(&buf);
         }
-        let mut single = Vec::new();
-        while let Some(d) = b.next_draw() {
-            single.push(d);
-        }
+        let single = drain(&mut b);
         assert_eq!(chunked, single);
         assert_eq!(chunked.len(), 10);
         assert!(chunked.iter().all(|d| (5..15).contains(&(d.row as usize))));
@@ -233,39 +434,273 @@ mod tests {
 
     #[test]
     fn epoch_reset_rewinds_and_advances_the_sequence() {
-        let mut s = uniform_stream(8, 0, 0);
+        let mut s = uniform_stream();
         let mut buf = Vec::new();
-        s.fill_chunk(&mut buf, 8);
+        s.fill_chunk(&mut buf, 10);
         let first = buf.clone();
         assert_eq!(s.remaining(), 0);
         s.epoch_reset();
-        assert_eq!(s.remaining(), 8);
-        s.fill_chunk(&mut buf, 8);
+        assert_eq!(s.remaining(), 10);
+        s.fill_chunk(&mut buf, 10);
         assert_ne!(first, buf, "next epoch draws a fresh sequence");
     }
 
     #[test]
-    fn observe_adapts_the_streams_own_sampler_mid_epoch() {
-        // A stream over shard 1 (rows 4..8) with an every-2 sampler: two
-        // observations commit without an epoch boundary, and subsequent
-        // corrections reflect the re-weighting.
-        let norms_sq = vec![1.0; 8];
-        let proto = FeedbackProtocol::new(vec![0..4, 4..8], &norms_sq, ObservationModel::GradNorm);
-        let sampler = AdaptiveIsSampler::with_params(&[1.0; 4], 0.0, 1.0)
-            .unwrap()
-            .with_commit(CommitPolicy::EveryK(2));
-        let mut s = ScheduleStream::new(Box::new(sampler), Xoshiro256pp::new(1), 1, 4, 4);
-        assert_eq!(s.commit_version(), 0);
-        assert!(s.observe(&proto, 4, 9.0, 0));
-        assert!(s.observe(&proto, 5, 1.0, 0));
-        assert_eq!(s.commit_version(), 1, "every-2 commit landed mid-epoch");
-        assert!(
-            !s.observe(&proto, 0, 5.0, 0),
-            "rows outside the shard are rejected"
+    fn age_counts_unemitted_plus_buffered_draws() {
+        let mut s = uniform_stream();
+        assert_eq!(s.age(0), 10);
+        let mut buf = Vec::new();
+        s.fill_chunk(&mut buf, 4);
+        // Stepping the chunk's first draw: 3 buffered behind it, 6 unemitted.
+        assert_eq!(s.age(3), 9);
+        assert_eq!(s.age(0), 6, "the chunk's last draw");
+        drain(&mut s);
+        assert_eq!(s.age(0), 0, "the epoch's last draw commits at once");
+    }
+
+    #[test]
+    fn seeds_follow_the_layout_and_nothing_else() {
+        // Same spec ⇒ same draws, for the sequence seed (static) and the
+        // draw RNG (adaptive) alike; another master seed or another
+        // shard index of the same run ⇒ different draws.
+        for strategy in [SamplingStrategy::Static, SamplingStrategy::Adaptive] {
+            let draws = |seed: u64, shard: usize| {
+                let spec = ShardSpec {
+                    seed,
+                    ..spec(shard, 0..8, strategy)
+                };
+                drain(&mut ScheduleStream::for_shard(spec, [1.0; 8]).unwrap())
+            };
+            assert_eq!(draws(7, 0), draws(7, 0), "{strategy:?}");
+            assert_ne!(draws(7, 0), draws(8, 0), "{strategy:?}: master seed");
+            assert_ne!(draws(7, 0), draws(7, 1), "{strategy:?}: shard index");
+        }
+        // The balancing seed is the layout's last sequence seed.
+        assert_eq!(balance_seed(7, 2), derive_seeds(7, 3)[2]);
+        assert_ne!(balance_seed(7, 2), balance_seed(7, 3));
+    }
+
+    #[test]
+    fn a_shard_the_run_does_not_have_is_a_typed_error() {
+        for shard in [2, 3, usize::MAX] {
+            let got = ScheduleStream::for_shard(spec(shard, 0..4, SamplingStrategy::Static), []);
+            assert_eq!(
+                got.unwrap_err(),
+                SamplingError::ShardOutOfRange { shard, shards: 2 }
+            );
+        }
+    }
+
+    #[test]
+    fn weights_and_norms_must_cover_the_range() {
+        let short = ShardSpec {
+            weights: Some(&[1.0; 3]),
+            ..spec(0, 0..4, SamplingStrategy::Static)
+        };
+        assert_eq!(
+            ScheduleStream::for_shard(short, []).unwrap_err(),
+            SamplingError::LengthMismatch {
+                weights: 4,
+                other: 3
+            }
         );
+        let adaptive = spec(0, 0..4, SamplingStrategy::Adaptive);
+        assert_eq!(
+            ScheduleStream::for_shard(adaptive.clone(), [1.0; 3]).unwrap_err(),
+            SamplingError::LengthMismatch {
+                weights: 4,
+                other: 3
+            }
+        );
+        assert!(ScheduleStream::for_shard(adaptive, [1.0; 4]).is_ok());
+        // No weights: uniform draws, whatever the strategy asked for.
+        let unweighted = ShardSpec {
+            weights: None,
+            ..spec(0, 0..4, SamplingStrategy::Static)
+        };
+        let mut s = ScheduleStream::for_shard(unweighted, []).unwrap();
+        assert!(drain(&mut s).iter().all(|d| d.corr == 1.0));
+        // Strategies that ignore feedback never look at the norms.
+        let fixed = spec(0, 0..4, SamplingStrategy::Static);
+        assert!(ScheduleStream::for_shard(fixed, std::iter::repeat(f64::NAN)).is_ok());
+    }
+
+    #[test]
+    fn observations_scale_per_model() {
+        let every = CommitPolicy::EpochBoundary;
+        let mut s = adaptive_stream(ObservationModel::GradNorm, every);
+        assert_eq!(s.observe(3, 2.0, 0, 0), Some(8.0));
+        assert_eq!(s.observe(4, 2.0, 9, 4), Some(10.0), "gradnorm ignores age");
+        let mut s = adaptive_stream(ObservationModel::LossBound, every);
+        assert_eq!(s.observe(4, 2.0, 0, 0), Some(2.0), "no norm factor");
+        let mut s = adaptive_stream(
+            ObservationModel::StalenessDiscounted { half_life: 10.0 },
+            every,
+        );
+        let close = |got: Option<f64>, want: f64| (got.unwrap() - want).abs() < 1e-12;
+        assert!(close(s.observe(5, 1.0, 0, 0), 6.0));
+        assert!(close(s.observe(5, 1.0, 10, 0), 3.0), "one half-life halves");
+        assert!(
+            close(s.observe(5, 1.0, 0, 10), 3.0),
+            "a measured delay ages"
+        );
+        assert!(close(s.observe(5, 1.0, 5, 5), 3.0), "age and delay add");
+    }
+
+    #[test]
+    fn measured_delay_changes_the_committed_weights() {
+        // Regression for the assumed-τ bug: one uniform configured τ on
+        // every observation cancels under the sampler's mean
+        // normalization and discounts nothing. Measured per-observation
+        // delays must change the scaled observation, and observations
+        // the queue released early (epoch-end flush, measured < τ) must
+        // count for more.
+        let model = ObservationModel::StalenessDiscounted { half_life: 8.0 };
+        let mut s = adaptive_stream(model, CommitPolicy::EpochBoundary);
+        let full_tau = s.observe(4, 1.0, 4, 8).unwrap();
+        let flushed_early = s.observe(4, 1.0, 4, 3).unwrap();
+        assert!(
+            flushed_early > full_tau,
+            "a shorter measured delay must discount less: {flushed_early} vs {full_tau}"
+        );
+        // End-to-end through the sampler: equal gradient norms (5·4 and
+        // 4·5) with unequal measured delays commit to unequal weights.
+        let mut s = adaptive_stream(model, CommitPolicy::EpochBoundary);
+        s.observe(3, 5.0, 0, 0).unwrap();
+        s.observe(4, 4.0, 0, 16).unwrap();
+        s.epoch_reset();
+        assert!(
+            s.sampler().correction(0) < s.sampler().correction(1),
+            "the observation that spent 16 steps in flight must weigh less"
+        );
+    }
+
+    #[test]
+    fn rows_of_other_shards_never_reach_the_sampler() {
+        // Regression: a row past the last shard used to index the shard
+        // table out of bounds. Anything outside this stream's own range
+        // is refused, and the sampler stays exactly as it was.
+        let mut s = adaptive_stream(ObservationModel::GradNorm, CommitPolicy::EveryK(1));
+        let before = corrections(s.sampler());
+        for row in [0, 2, 6, 400, usize::MAX] {
+            assert_eq!(s.observe(row, 5.0, 0, 0), None, "row {row}");
+        }
+        assert_eq!(s.commit_version(), 0, "nothing was observed");
+        assert_eq!(corrections(s.sampler()), before);
+        // Streams whose sampler ignores feedback refuse their own rows
+        // too: there is nothing to scale with and nothing to feed.
+        let mut fixed =
+            ScheduleStream::for_shard(spec(1, 3..6, SamplingStrategy::Static), []).unwrap();
+        assert_eq!(fixed.observe(4, 5.0, 0, 0), None);
+    }
+
+    /// The routing pin: offering a mixed observation stream to both
+    /// shards' streams lands every row on exactly its owner, with the
+    /// per-row max across visits and the trajectory of direct sampler
+    /// updates fed the hand-scaled values.
+    #[test]
+    fn streamed_observations_match_direct_updates() {
+        for model in [
+            ObservationModel::GradNorm,
+            ObservationModel::LossBound,
+            ObservationModel::StalenessDiscounted { half_life: 8.0 },
+        ] {
+            let mut streams: Vec<ScheduleStream> = [0..3, 3..6]
+                .into_iter()
+                .enumerate()
+                .map(|(k, r)| {
+                    let spec = ShardSpec {
+                        obs_model: model,
+                        ..spec(k, r.clone(), SamplingStrategy::Adaptive)
+                    };
+                    let norms_sq = r.map(|i| ((i + 1) * (i + 1)) as f64);
+                    ScheduleStream::for_shard(spec, norms_sq).unwrap()
+                })
+                .collect();
+            let mut direct = [
+                AdaptiveIsSampler::new(&[1.0; 3]).unwrap(),
+                AdaptiveIsSampler::new(&[1.0; 3]).unwrap(),
+            ];
+            for epoch in 0..3usize {
+                // 12 observations over 6 rows: every row is visited twice.
+                for t in 0..12usize {
+                    let (row, g) = ((t * 5 + epoch) % 6, 0.25 + ((t + epoch) % 4) as f64);
+                    let (age, delay) = (11 - t, t % 3);
+                    let norm = (row + 1) as f64;
+                    let want = match model {
+                        ObservationModel::GradNorm => g * norm,
+                        ObservationModel::LossBound => g,
+                        ObservationModel::StalenessDiscounted { half_life } => {
+                            g * norm * (-((age + delay) as f64) / half_life).exp2()
+                        }
+                    };
+                    let got: Vec<_> = streams
+                        .iter_mut()
+                        .map(|s| s.observe(row, g, age, delay))
+                        .collect();
+                    let owner = row / 3;
+                    assert_eq!(got[owner], Some(want), "{model:?} row {row}");
+                    assert_eq!(got[1 - owner], None, "{model:?} row {row}");
+                    direct[owner].update_weight(row % 3, want);
+                }
+                for (s, d) in streams.iter_mut().zip(&mut direct) {
+                    s.epoch_reset();
+                    d.epoch_reset();
+                    assert_eq!(
+                        corrections(s.sampler()),
+                        corrections(d),
+                        "{model:?} epoch {epoch}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_keeps_its_largest_observation_of_the_window() {
+        let mut twice = adaptive_stream(ObservationModel::LossBound, CommitPolicy::EpochBoundary);
+        let mut once = adaptive_stream(ObservationModel::LossBound, CommitPolicy::EpochBoundary);
+        twice.observe(3, 8.0, 0, 0); // large early observation...
+        twice.observe(3, 0.5, 0, 0); // ...must survive a small later one
+        once.observe(3, 8.0, 0, 0);
+        for s in [&mut twice, &mut once] {
+            s.observe(4, 1.0, 0, 0);
+            s.epoch_reset();
+        }
+        assert_eq!(corrections(twice.sampler()), corrections(once.sampler()));
+    }
+
+    #[test]
+    fn observe_adapts_the_streams_own_sampler_mid_epoch() {
+        // An every-2 sampler: two observations commit without an epoch
+        // boundary, and subsequent corrections reflect the re-weighting.
+        let mut s = adaptive_stream(ObservationModel::GradNorm, CommitPolicy::EveryK(2));
+        assert_eq!(s.commit_version(), 0);
+        assert!(s.observe(3, 9.0, 0, 0).is_some());
+        assert!(s.observe(4, 1.0, 0, 0).is_some());
+        assert_eq!(s.commit_version(), 1, "every-2 commit landed mid-epoch");
         let heavy = s.sampler().correction(0);
         let light = s.sampler().correction(1);
         assert!(heavy < light, "observed-heavier row steps smaller");
+    }
+
+    #[test]
+    fn observation_model_parsing() {
+        assert_eq!(
+            ObservationModel::parse("gradnorm"),
+            Some(ObservationModel::GradNorm)
+        );
+        assert_eq!(
+            ObservationModel::parse("loss-bound"),
+            Some(ObservationModel::LossBound)
+        );
+        assert!(matches!(
+            ObservationModel::parse("staleness"),
+            Some(ObservationModel::StalenessDiscounted { .. })
+        ));
+        assert_eq!(ObservationModel::parse("psychic"), None);
+        assert_eq!(ObservationModel::GradNorm.name(), "gradnorm");
+        assert_eq!(ObservationModel::default(), ObservationModel::GradNorm);
     }
 
     #[test]

@@ -96,11 +96,6 @@ pub fn feature_frequencies(ds: &Dataset) -> Vec<u32> {
     freq
 }
 
-/// Squared feature norms `‖x_i‖²` for all rows.
-pub fn row_norms_sq(ds: &Dataset) -> Vec<f64> {
-    ds.rows().map(|r| r.norm_sq()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +136,8 @@ mod tests {
     fn frequencies_and_norms() {
         let d = ds();
         assert_eq!(feature_frequencies(&d), vec![1, 2, 0, 0]);
-        assert_eq!(row_norms_sq(&d), vec![25.0, 1.0]);
+        let norms_sq: Vec<f64> = d.rows().map(|r| r.norm_sq()).collect();
+        assert_eq!(norms_sq, vec![25.0, 1.0]);
     }
 
     #[test]

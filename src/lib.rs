@@ -37,7 +37,7 @@
 //! |---|---|
 //! | [`core`] | solvers: SGD, ASGD (Hogwild), IS-SGD, IS-ASGD, SVRG-(A)SGD |
 //! | [`sparse`] | CSR datasets, LibSVM IO |
-//! | [`sampling`] | alias/Fenwick samplers, adaptive feedback protocol, sample sequences, RNG |
+//! | [`sampling`] | the per-shard `ScheduleStream` worker (draws and adaptive feedback), alias/Fenwick samplers, sample sequences, RNG |
 //! | [`model`] | lock-free atomic shared model |
 //! | [`losses`] | objectives, gradients, importance weights |
 //! | [`datagen`] | Table-1-calibrated synthetic datasets |
@@ -79,8 +79,8 @@ pub mod prelude {
     };
     pub use isasgd_model::{shared::UpdateMode, SavedModel, SharedModel};
     pub use isasgd_sampling::{
-        AdaptiveIsSampler, CommitPolicy, Draw, FeedbackProtocol, ObservationModel, Sampler,
-        SamplingStrategy, ScheduleStream,
+        AdaptiveIsSampler, CommitPolicy, Draw, ObservationModel, Sampler, SamplingStrategy,
+        ScheduleStream, ShardSpec,
     };
     pub use isasgd_sampling::{AliasTable, SampleSequence, SequenceMode};
     pub use isasgd_sparse::{libsvm, Dataset, DatasetBuilder, DatasetStats, SparseVec};
