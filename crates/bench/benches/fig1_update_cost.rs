@@ -6,13 +6,22 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use isasgd_bench::bench_dataset;
 use isasgd_sparse::ops::dense_axpy;
+use isasgd_sparse::SparseRow;
 use std::hint::black_box;
+
+/// The pre-unroll margin kernel: a strict left-to-right reduction.
+fn dot_dense_strict(row: &SparseRow<'_>, dense: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (&i, &x) in row.indices.iter().zip(row.values) {
+        acc += x * dense[i as usize];
+    }
+    acc
+}
 
 /// The margin gather (`wᵀx` over the row support) and the dense axpy,
 /// before/after the 4-wide unroll: `margin_strict` is the pre-unroll
-/// left-to-right reduction kept as `SparseRow::dot_dense_strict`,
-/// `margin_unrolled` the 4-accumulator hot path `Objective::margin`
-/// now drives.
+/// left-to-right reduction above, `margin_unrolled` the 4-accumulator
+/// hot path `Objective::margin` now drives.
 fn margin_axpy_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig1_margin_axpy");
     for &nnz in &[8usize, 32, 128] {
@@ -25,7 +34,7 @@ fn margin_axpy_kernels(c: &mut Criterion) {
             b.iter(|| {
                 let row = ds.row(t % ds.n_samples());
                 t += 1;
-                black_box(row.dot_dense_strict(&w))
+                black_box(dot_dense_strict(&row, &w))
             });
         });
         group.bench_with_input(BenchmarkId::new("margin_unrolled", nnz), &nnz, |b, _| {

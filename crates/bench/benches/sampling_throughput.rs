@@ -6,9 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use isasgd_sampling::{
-    AdaptiveIsSampler, AliasTable, CommitPolicy, Draw, FenwickSampler, ObservationModel,
-    SampleSequence, Sampler, SamplingStrategy, ScheduleStream, SequenceMode, ShardSpec,
-    Xoshiro256pp,
+    AdaptiveIsSampler, AliasTable, CommitPolicy, Draw, ObservationModel, SampleSequence, Sampler,
+    SamplingStrategy, ScheduleStream, SequenceMode, ShardSpec, SumTree, Xoshiro256pp,
 };
 use std::hint::black_box;
 
@@ -18,7 +17,7 @@ fn samplers(c: &mut Criterion) {
         let mut rng = Xoshiro256pp::new(1);
         let weights: Vec<f64> = (0..n).map(|_| rng.next_f64() + 0.01).collect();
         let alias = AliasTable::new(&weights).unwrap();
-        let fenwick = FenwickSampler::new(&weights).unwrap();
+        let sumtree = SumTree::new(&weights).unwrap();
         group.throughput(Throughput::Elements(1));
 
         group.bench_with_input(BenchmarkId::new("uniform_draw", n), &n, |b, &n| {
@@ -31,16 +30,16 @@ fn samplers(c: &mut Criterion) {
             b.iter(|| black_box(alias.sample(&mut r)));
         });
 
-        group.bench_with_input(BenchmarkId::new("fenwick_draw", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("sumtree_draw", n), &n, |b, _| {
             let mut r = Xoshiro256pp::new(4);
-            b.iter(|| black_box(fenwick.sample(&mut r)));
+            b.iter(|| black_box(sumtree.sample(&mut r)));
         });
 
-        // The adaptivity tax, itemized: a Fenwick weight refresh, an
+        // The adaptivity tax, itemized: a sum-tree weight refresh, an
         // adaptive mixture draw, and a draw+correction pair (what the
         // engine actually does per scheduled sample).
-        group.bench_with_input(BenchmarkId::new("fenwick_update", n), &n, |b, &n| {
-            let mut f = fenwick.clone();
+        group.bench_with_input(BenchmarkId::new("sumtree_update", n), &n, |b, &n| {
+            let mut f = sumtree.clone();
             let mut r = Xoshiro256pp::new(5);
             b.iter(|| {
                 let i = r.next_index(n);
@@ -82,6 +81,26 @@ fn samplers(c: &mut Criterion) {
                     let i = r.next_index(n);
                     everyk.update_weight(i, r.next_f64() + 0.01);
                     black_box(everyk.weight(i))
+                });
+            },
+        );
+
+        // One whole EveryK(32) commit window per iteration — 32 observes,
+        // the last of which folds them — at the CLI's default stride.
+        // The cost must not grow with n beyond the tree's log n depth.
+        let mut every32 = AdaptiveIsSampler::new(&weights)
+            .unwrap()
+            .with_commit(CommitPolicy::EveryK(32));
+        group.bench_with_input(
+            BenchmarkId::new("adaptive_commit_every_32", n),
+            &n,
+            |b, &n| {
+                let mut r = Xoshiro256pp::new(9);
+                b.iter(|| {
+                    for _ in 0..32 {
+                        every32.update_weight(r.next_index(n), r.next_f64() + 0.01);
+                    }
+                    black_box(every32.commit_version())
                 });
             },
         );

@@ -254,7 +254,7 @@ pub enum CheckpointSampler {
         /// The current epoch's index buffer (unsorted draws).
         indices: Vec<u32>,
     },
-    /// Adaptive sampler: the live Fenwick weights, encoded sparsely as
+    /// Adaptive sampler: the live sum-tree weights, encoded sparsely as
     /// the coordinates whose IEEE-754 bits differ from the shard's
     /// static base weights (gap-coded on the wire), plus the commit
     /// counter. Early in a run few rows have re-weighted, so the sparse

@@ -47,7 +47,7 @@
 //! |---|---|---|
 //! | `Uniform` | uniform i.i.d. / permutation | 1 |
 //! | `Static` | offline `p_i ∝ L_i` sequences (Alg. 2) | `1/(n·p_i)`, frozen |
-//! | `Adaptive` | Fenwick-backed, re-weighted per epoch from observed `‖∇f_i‖` | `1/(n·p_i)`, live |
+//! | `Adaptive` | sum-tree-backed, re-weighted per epoch from observed `‖∇f_i‖` | `1/(n·p_i)`, live |
 //!
 //! `TrainConfig::sampling = None` keeps each algorithm's classical
 //! distribution (static for the IS-named members, uniform otherwise);

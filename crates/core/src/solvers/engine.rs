@@ -52,12 +52,13 @@
 //!
 //! *When* observations fold into the live distribution is the sampler's
 //! [`CommitPolicy`]: at epoch boundaries (default), or every `k` accepted
-//! observations (`EveryK` — intra-epoch adaptivity). Under `EveryK` the
-//! engine pulls draws in `k`-sized strides so each chunk is at most one
-//! commit window behind the freshest re-weighting; the per-epoch
-//! cumulative sampler commit count is reported in
-//! [`RunResult::sampler_commits`], where intra-epoch commits show up as
-//! the count advancing by more than `workers` per epoch.
+//! observations (`EveryK` — intra-epoch adaptivity, `O(k log n)` a
+//! commit whatever the shard size). Under `EveryK` the engine pulls
+//! draws in `k`-sized strides so each chunk is at most one commit window
+//! behind the freshest re-weighting; the per-epoch cumulative sampler
+//! commit count is reported in [`RunResult::sampler_commits`], where
+//! intra-epoch commits show up as the count advancing by more than
+//! `workers` per epoch.
 //!
 //! Draw cost accounting follows the paper's convention: epoch-boundary
 //! runs bill chunk pulls to `setup_secs` ("sampling time"), mirroring the

@@ -5,7 +5,7 @@
 //! recomputing `‖∇f_i(w_t)‖` exactly is "completely impractical"
 //! (Eq. 11). The `Sampler` runtime makes the practical middle ground a
 //! one-flag change: the [`AdaptiveIsSampler`] re-weights each shard's
-//! Fenwick distribution between epochs from the *observed* per-sample
+//! sum-tree distribution between epochs from the *observed* per-sample
 //! gradient norms (Katharopoulos & Fleuret 2018; Alain et al. 2015).
 //! This command sweeps the importance spread ψ and reports, per pair
 //! protocol, the epoch-speedup of each sampling strategy over uniform

@@ -6,7 +6,7 @@
 //! is the [`CommitPolicy`]. Epoch-boundary commits keep every epoch's
 //! distribution frozen (deterministic, per-epoch-unbiased — the default
 //! since the adaptive sampler landed). `every-k` commits re-weight the
-//! live Fenwick distribution every `k` observations, so draws later in
+//! live sum-tree distribution every `k` observations, so draws later in
 //! the same epoch already prefer the rows the current model finds hard —
 //! at the cost of drawing on the hot path (streamed schedules) instead
 //! of pre-generated sequences. This command quantifies that trade at the

@@ -7,9 +7,10 @@
 //! identical to plain ASGD. This crate provides:
 //!
 //! * [`AliasTable`] — Walker/Vose alias method: `O(n)` build, `O(1)` draws.
-//! * [`FenwickSampler`] — a binary-indexed-tree sampler with `O(log n)`
-//!   draws *and* `O(log n)` weight updates, used as an oracle in tests and
-//!   as the substrate of the adaptive sampler.
+//! * [`SumTree`] — a heap-layout binary sum tree: `O(log n)` draws *and*
+//!   weight writes, every node a pure function of the weights (no rebuild
+//!   after a write, bit-equal after a restore); the oracle in tests and
+//!   the substrate of the adaptive sampler.
 //! * [`SampleSequence`] — pre-generated per-thread index sequences with the
 //!   paper's §4.2 "generate once, shuffle every epoch" approximation.
 //! * [`rng`] — small, fast, reproducible PRNGs (SplitMix64, Xoshiro256++)
@@ -19,7 +20,7 @@
 //!
 //! The [`Sampler`] trait unifies the three distributions a solver can draw
 //! from — [`UniformSampler`], [`StaticIsSampler`] (the paper's offline
-//! sequences) and [`AdaptiveIsSampler`] (Fenwick-backed, re-weighted from
+//! sequences) and [`AdaptiveIsSampler`] (sum-tree-backed, re-weighted from
 //! observed gradient magnitudes) — behind
 //! `next`/`correction`/`update_weight`/`epoch_reset`. The solver runtime
 //! in `isasgd-core` consumes `Box<dyn Sampler>` per worker shard, so every
@@ -50,9 +51,10 @@
 //! feeds its own sampler. *When* accumulated observations become visible
 //! to draws is the sampler's [`CommitPolicy`]: at epoch boundaries
 //! (deterministic, per-epoch-unbiased) or every `k` observations
-//! (intra-epoch adaptivity, visible as the sampler's advancing
-//! [`Sampler::commit_version`]; [`CommitPolicy::check_strategy`] is the
-//! rule that it needs an adaptive sampler). Worker shards are disjoint,
+//! (intra-epoch adaptivity at `O(k log n)` a commit, visible as the
+//! sampler's advancing [`Sampler::commit_version`];
+//! [`CommitPolicy::check_strategy`] is the rule that it needs an adaptive
+//! sampler). Worker shards are disjoint,
 //! so nothing is shared across threads. Surfaced as `isasgd train
 //! --obs-model {gradnorm,loss-bound,staleness} --commit
 //! {epoch,every-k,every-<n>}`.
@@ -62,15 +64,14 @@
 
 pub mod alias;
 pub mod error;
-pub mod fenwick;
 pub mod rng;
 pub mod sampler;
 pub mod sequence;
 pub mod stream;
+pub mod sumtree;
 
 pub use alias::AliasTable;
 pub use error::SamplingError;
-pub use fenwick::FenwickSampler;
 pub use rng::{splitmix64, Xoshiro256pp};
 pub use sampler::{
     build_sampler, AdaptiveIsSampler, CommitPolicy, Sampler, SamplerSnapshot, SamplingStrategy,
@@ -78,6 +79,7 @@ pub use sampler::{
 };
 pub use sequence::{SampleSequence, SequenceMode};
 pub use stream::{balance_seed, Draw, ObservationModel, ScheduleStream, ShardSpec};
+pub use sumtree::SumTree;
 
 /// Inverse-probability step correction `1/(n·p_i)` for each sample
 /// (paper Eq. 8): with `p_i = L_i/ΣL`, this equals `L̄/L_i`.

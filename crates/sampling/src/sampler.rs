@@ -7,7 +7,7 @@
 //! observation into an abstraction: solvers consume `Sampler::next` and
 //! `Sampler::correction` without knowing whether indices come from a
 //! uniform stream, a pre-generated weighted sequence, or a live
-//! Fenwick-tree distribution that re-weights itself from observed
+//! sum-tree distribution that re-weights itself from observed
 //! per-sample gradient magnitudes (the adaptive scheme of Katharopoulos &
 //! Fleuret 2018 and the distributed estimator of Alain et al. 2015 — the
 //! "completely impractical" exact scheme of the paper's Eq. 11 made
@@ -20,14 +20,14 @@
 //! * [`StaticIsSampler`] — the paper's pre-generated weighted
 //!   [`SampleSequence`] with `1/(n·p_i)` step corrections, frozen for the
 //!   whole run.
-//! * [`AdaptiveIsSampler`] — a [`FenwickSampler`]-backed distribution
+//! * [`AdaptiveIsSampler`] — a [`SumTree`]-backed distribution
 //!   whose weights are refreshed between epochs from observed per-sample
 //!   importance via [`Sampler::update_weight`].
 
 use crate::error::SamplingError;
-use crate::fenwick::FenwickSampler;
 use crate::rng::Xoshiro256pp;
 use crate::sequence::{SampleSequence, SequenceMode};
+use crate::sumtree::SumTree;
 
 /// Which sampling distribution a training run draws from.
 ///
@@ -158,7 +158,7 @@ pub enum SamplerSnapshot {
         /// The current epoch's index buffer.
         indices: Vec<u32>,
     },
-    /// [`AdaptiveIsSampler`]: the live Fenwick weights plus the commit
+    /// [`AdaptiveIsSampler`]: the live tree's weights plus the commit
     /// counter.
     Adaptive {
         /// Dense live weights, one per shard row.
@@ -430,7 +430,7 @@ impl Sampler for StaticIsSampler {
     }
 }
 
-/// Adaptive importance sampling over a Fenwick tree.
+/// Adaptive importance sampling over a [`SumTree`].
 ///
 /// Draws from the mixture `p_i = (1−β)·w_i/Σw + β/n` (the partially
 /// biased distribution of the paper's Eq. 15 / Needell et al., which
@@ -455,7 +455,7 @@ impl Sampler for StaticIsSampler {
 /// [`CommitPolicy::EveryK`].
 #[derive(Debug, Clone)]
 pub struct AdaptiveIsSampler {
-    fen: FenwickSampler,
+    tree: SumTree,
     /// Pending EMA targets observed this window (NaN = no observation);
     /// multi-visit rows accumulate their per-row max.
     pending: Vec<f64>,
@@ -506,11 +506,11 @@ impl AdaptiveIsSampler {
                 value: gamma,
             });
         }
-        let fen = FenwickSampler::new(initial_weights)?;
+        let tree = SumTree::new(initial_weights)?;
         Ok(Self {
             pending: vec![f64::NAN; initial_weights.len()],
             observed_rows: Vec::new(),
-            fen,
+            tree,
             beta,
             gamma,
             commit: CommitPolicy::EpochBoundary,
@@ -533,16 +533,16 @@ impl AdaptiveIsSampler {
 
     /// The current mixture probability of outcome `i`.
     pub fn probability(&self, i: usize) -> f64 {
-        let n = self.fen.len() as f64;
-        (1.0 - self.beta) * self.fen.probability(i) + self.beta / n
+        let n = self.tree.len() as f64;
+        (1.0 - self.beta) * self.tree.probability(i) + self.beta / n
     }
 
     /// The current raw weight of outcome `i`.
     pub fn weight(&self, i: usize) -> f64 {
-        self.fen.weight(i)
+        self.tree.weight(i)
     }
 
-    /// Folds pending observations into the Fenwick distribution.
+    /// Folds pending observations into the live distribution.
     ///
     /// Observations are normalized to the current mean weight scale so
     /// the EMA mixes comparable magnitudes, floored so every row stays
@@ -559,12 +559,12 @@ impl AdaptiveIsSampler {
         }
         self.commits += 1;
         // The fold walks only the dirty list (rows observed this
-        // window); the one canonical rebuild behind `reweigh` adds O(n)
-        // and leaves the tree a pure function of the committed weights,
-        // so a checkpoint-restored sampler (rebuilt from those weights)
-        // draws bit-identically to one that lived the whole history.
+        // window) and each write touches only its row's ancestors:
+        // O(window · log n). The tree stays a pure function of the
+        // committed weights, so a checkpoint-restored sampler draws
+        // bit-identically to one that lived the whole history.
         let mut rows = std::mem::take(&mut self.observed_rows);
-        let mean_w = self.fen.total() / self.fen.len() as f64;
+        let mean_w = self.tree.total() / self.tree.len() as f64;
         let sum: f64 = rows.iter().map(|&i| self.pending[i as usize]).sum();
         let mean_obs = sum / rows.len() as f64;
         if mean_obs > 0.0 {
@@ -572,12 +572,12 @@ impl AdaptiveIsSampler {
             // Floor keeps every row sampleable, bounding corrections.
             let floor = mean_w * 1e-3;
             let (gamma, pending) = (self.gamma, &self.pending);
-            self.fen
+            self.tree
                 .reweigh(rows.iter().map(|&i| i as usize), |i, w| {
                     let target = (pending[i] * scale).max(floor);
                     (1.0 - gamma) * w + gamma * target
                 })
-                .expect("blended weight is finite and non-negative");
+                .expect("blended weight is finite and positive");
         }
         // mean_obs == 0 is the degenerate all-zero window: nothing to
         // rank by, so the distribution stays untouched and the window is
@@ -592,19 +592,19 @@ impl AdaptiveIsSampler {
 
 impl Sampler for AdaptiveIsSampler {
     fn len(&self) -> usize {
-        self.fen.len()
+        self.tree.len()
     }
 
     fn next(&mut self, rng: &mut Xoshiro256pp) -> usize {
         if rng.next_f64() < self.beta {
-            rng.next_index(self.fen.len())
+            rng.next_index(self.tree.len())
         } else {
-            self.fen.sample(rng)
+            self.tree.sample(rng)
         }
     }
 
     fn correction(&self, i: usize) -> f64 {
-        1.0 / (self.fen.len() as f64 * self.probability(i))
+        1.0 / (self.tree.len() as f64 * self.probability(i))
     }
 
     fn update_weight(&mut self, i: usize, observed: f64) {
@@ -642,7 +642,7 @@ impl Sampler for AdaptiveIsSampler {
 
     fn snapshot(&self) -> SamplerSnapshot {
         SamplerSnapshot::Adaptive {
-            weights: (0..self.fen.len()).map(|i| self.fen.weight(i)).collect(),
+            weights: self.tree.weights().to_vec(),
             commits: self.commits,
         }
     }
@@ -656,17 +656,17 @@ impl Sampler for AdaptiveIsSampler {
                 })
             }
         };
-        if weights.len() != self.fen.len() {
+        if weights.len() != self.tree.len() {
             return Err(SamplingError::LengthMismatch {
-                weights: self.fen.len(),
+                weights: self.tree.len(),
                 other: weights.len(),
             });
         }
         // A fresh build validates every weight (finite, non-negative,
         // some mass) before anything is replaced, so a bad snapshot
-        // leaves the sampler untouched — and it is the same canonical
-        // tree a live sampler holds after its commits.
-        self.fen = FenwickSampler::new(&weights)?;
+        // leaves the sampler untouched — and it is the same tree a
+        // live sampler holds after its commits.
+        self.tree = SumTree::new(&weights)?;
         self.commits = commits;
         self.since_commit = 0;
         for p in &mut self.pending {
@@ -1019,7 +1019,7 @@ mod tests {
         // or a checkpoint-restored worker drifts from a live one.
         let fresh = |s: &AdaptiveIsSampler| {
             let w: Vec<f64> = (0..s.len()).map(|i| s.weight(i)).collect();
-            FenwickSampler::new(&w).unwrap()
+            SumTree::new(&w).unwrap()
         };
         let w = [0.1, 0.7, 1.3, 2.9, 0.05, 4.4, 0.33];
         let mut live = AdaptiveIsSampler::new(&w)
@@ -1027,17 +1027,17 @@ mod tests {
             .with_commit(CommitPolicy::EveryK(3));
         for t in 0..20usize {
             live.update_weight(t * 5 % 7, 0.25 + (t % 4) as f64);
-            assert_eq!(live.fen, fresh(&live), "after observation {t}");
+            assert_eq!(live.tree, fresh(&live), "after observation {t}");
         }
         live.epoch_reset();
-        assert_eq!(live.fen, fresh(&live));
+        assert_eq!(live.tree, fresh(&live));
         assert!(
             live.commit_version() > 6,
             "every-3 commits fired mid-window"
         );
         let mut restored = AdaptiveIsSampler::new(&w).unwrap();
         restored.restore(live.snapshot()).unwrap();
-        assert_eq!(restored.fen, live.fen);
+        assert_eq!(restored.tree, live.tree);
     }
 
     #[test]

@@ -1,8 +1,13 @@
-//! Property tests: the alias table and the Fenwick sampler are two
-//! independent implementations of the same weighted distribution; they are
-//! checked against each other and against the analytic distribution.
+//! Property tests: the alias table and the sum tree are two independent
+//! implementations of the same weighted distribution; they are checked
+//! against each other and against the analytic distribution. The sum
+//! tree's state is also a pure function of its weights, whatever the
+//! write history — the checkpoint-restore contract.
 
-use isasgd_sampling::{AliasTable, FenwickSampler, SampleSequence, SequenceMode, Xoshiro256pp};
+use isasgd_sampling::{
+    AdaptiveIsSampler, AliasTable, CommitPolicy, SampleSequence, Sampler, SamplingError,
+    SequenceMode, SumTree, Xoshiro256pp,
+};
 use proptest::prelude::*;
 
 fn weights_strategy() -> impl Strategy<Value = Vec<f64>> {
@@ -42,9 +47,9 @@ proptest! {
     }
 
     #[test]
-    fn fenwick_matches_alias(w in weights_strategy(), seed in 0u64..1_000) {
+    fn sumtree_matches_alias(w in weights_strategy(), seed in 0u64..1_000) {
         let alias = AliasTable::new(&w).unwrap();
-        let fen = FenwickSampler::new(&w).unwrap();
+        let tree = SumTree::new(&w).unwrap();
         let draws = 60_000;
         let mut r1 = Xoshiro256pp::new(seed);
         let mut r2 = Xoshiro256pp::new(seed.wrapping_add(1));
@@ -52,7 +57,7 @@ proptest! {
         let mut c2 = vec![0usize; w.len()];
         for _ in 0..draws {
             c1[alias.sample(&mut r1)] += 1;
-            c2[fen.sample(&mut r2)] += 1;
+            c2[tree.sample(&mut r2)] += 1;
         }
         let e1: Vec<f64> = c1.iter().map(|&c| c as f64 / draws as f64).collect();
         let e2: Vec<f64> = c2.iter().map(|&c| c as f64 / draws as f64).collect();
@@ -67,18 +72,65 @@ proptest! {
     }
 
     #[test]
-    fn fenwick_update_consistency(w in weights_strategy(), idx_frac in 0.0f64..1.0, new_w in 0.0f64..5.0) {
-        let mut fen = FenwickSampler::new(&w).unwrap();
+    fn sumtree_update_consistency(w in weights_strategy(), idx_frac in 0.0f64..1.0, new_w in 0.0f64..5.0) {
+        let mut tree = SumTree::new(&w).unwrap();
         let idx = ((w.len() - 1) as f64 * idx_frac) as usize;
         // Keep total mass positive.
         let mut w2 = w.clone();
         w2[idx] = new_w;
         prop_assume!(w2.iter().sum::<f64>() > 1e-6);
-        fen.update(idx, new_w).unwrap();
-        let rebuilt = FenwickSampler::new(&w2).unwrap();
-        prop_assert!((fen.total() - rebuilt.total()).abs() < 1e-9);
+        tree.update(idx, new_w).unwrap();
+        let rebuilt = SumTree::new(&w2).unwrap();
+        prop_assert!((tree.total() - rebuilt.total()).abs() < 1e-9);
         for i in 0..w.len() {
-            prop_assert!((fen.probability(i) - rebuilt.probability(i)).abs() < 1e-9);
+            prop_assert!((tree.probability(i) - rebuilt.probability(i)).abs() < 1e-9);
+        }
+    }
+
+    /// Any interleaving of single writes and batched commits — zero
+    /// weights, repeated rows and refused writes included — leaves
+    /// exactly the tree a fresh build over the current weights gives,
+    /// and so the same draws from the same RNG.
+    #[test]
+    fn sumtree_state_is_a_function_of_its_weights_alone(
+        w in weights_strategy(),
+        ops in proptest::collection::vec(
+            proptest::collection::vec(
+                (0.0f64..1.0, prop_oneof![1 => Just(0.0f64), 3 => 0.0f64..10.0]),
+                1..9,
+            ),
+            1..24,
+        ),
+        seed in 0u64..1_000,
+    ) {
+        let mut tree = SumTree::new(&w).unwrap();
+        let mut now = w.clone();
+        for op in &ops {
+            let rows: Vec<usize> = op.iter().map(|&(f, _)| (w.len() as f64 * f) as usize).collect();
+            let mut next = now.clone();
+            for (&i, &(_, x)) in rows.iter().zip(op) {
+                next[i] = x;
+            }
+            let done = match op[..] {
+                [(_, x)] => tree.update(rows[0], x),
+                _ => {
+                    let mut values = op.iter().map(|&(_, x)| x);
+                    tree.reweigh(rows.iter().copied(), |_, _| values.next().unwrap())
+                }
+            };
+            if next.iter().sum::<f64>() > 0.0 {
+                prop_assert_eq!(done, Ok(()));
+                now = next;
+            } else {
+                prop_assert_eq!(done, Err(SamplingError::ZeroMass));
+            }
+            prop_assert_eq!(tree.weights(), &now[..]);
+            prop_assert_eq!(&tree, &SumTree::new(&now).unwrap());
+        }
+        let fresh = SumTree::new(&now).unwrap();
+        let (mut r1, mut r2) = (Xoshiro256pp::new(seed), Xoshiro256pp::new(seed));
+        for _ in 0..256 {
+            prop_assert_eq!(tree.sample(&mut r1), fresh.sample(&mut r2));
         }
     }
 
@@ -129,7 +181,7 @@ fn chi_squared(counts: &[usize], probs: &[f64], draws: usize) -> f64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `AliasTable`, `FenwickSampler` and `SampleSequence::weighted` are
+    /// `AliasTable`, `SumTree` and `SampleSequence::weighted` are
     /// three independent implementations of the same weighted
     /// distribution: each empirical histogram must pass a chi-squared
     /// goodness-of-fit test against the analytic distribution. The bound
@@ -147,7 +199,7 @@ proptest! {
         let draws = 30_000usize;
 
         let alias = AliasTable::new(&w).unwrap();
-        let fen = FenwickSampler::new(&w).unwrap();
+        let tree = SumTree::new(&w).unwrap();
         let seq = SampleSequence::weighted(&w, draws, SequenceMode::RegeneratePerEpoch, seed)
             .unwrap();
 
@@ -156,7 +208,7 @@ proptest! {
         let mut r2 = Xoshiro256pp::new(seed.wrapping_mul(0x9E37_79B9).wrapping_add(7));
         for _ in 0..draws {
             counts[0][alias.sample(&mut r1)] += 1;
-            counts[1][fen.sample(&mut r2)] += 1;
+            counts[1][tree.sample(&mut r2)] += 1;
         }
         for &i in seq.indices() {
             counts[2][i as usize] += 1;
@@ -171,12 +223,64 @@ proptest! {
         let h = 2.0 / (9.0 * df);
         let bound = df * (1.0 - h + 3.09 * h.sqrt()).powi(3);
 
-        for (label, c) in ["alias", "fenwick", "sequence"].iter().zip(&counts) {
+        for (label, c) in ["alias", "sumtree", "sequence"].iter().zip(&counts) {
             let stat = chi_squared(c, &probs, draws);
             prop_assert!(
                 stat < bound,
                 "{label}: chi-squared {stat:.2} exceeds the 99.9% bound {bound:.2} (df {df})"
             );
         }
+    }
+}
+
+/// A sampler snapshotted at an epoch boundary and restored into a fresh
+/// one continues bit-identically — draws, corrections, commit versions —
+/// through two more epochs whose commits land mid-epoch: the restored
+/// tree (built from the snapshot's weights) and the live one (written
+/// row by row, commit after commit) are the same tree.
+#[test]
+fn a_restored_adaptive_sampler_continues_bit_identically_under_every_k() {
+    const STEPS: usize = 150;
+    let w: Vec<f64> = (0..37).map(|i| 0.05 + (i * 7 % 11) as f64).collect();
+    // One epoch: draw, record, feed back a seeded observation.
+    let epoch = |s: &mut AdaptiveIsSampler, draw: &mut Xoshiro256pp, obs: &mut Xoshiro256pp| {
+        let steps: Vec<(usize, u64, u64)> = (0..STEPS)
+            .map(|_| {
+                let i = s.next(draw);
+                let seen = (i, s.correction(i).to_bits(), s.commit_version());
+                s.update_weight(i, obs.next_f64() * (1 + i % 5) as f64);
+                seen
+            })
+            .collect();
+        s.epoch_reset();
+        steps
+    };
+    for k in [1usize, 3, 32] {
+        let build = || {
+            AdaptiveIsSampler::new(&w)
+                .unwrap()
+                .with_commit(CommitPolicy::EveryK(k))
+        };
+        let (mut draw, mut obs) = (Xoshiro256pp::new(k as u64), Xoshiro256pp::new(99));
+        let mut live = build();
+        for _ in 0..2 {
+            epoch(&mut live, &mut draw, &mut obs);
+        }
+        let mut restored = build();
+        restored.restore(live.snapshot()).unwrap();
+        let (mut draw2, mut obs2) = (draw.clone(), obs.clone());
+        let at_boundary = live.commit_version();
+        for e in 0..2 {
+            assert_eq!(
+                epoch(&mut live, &mut draw, &mut obs),
+                epoch(&mut restored, &mut draw2, &mut obs2),
+                "every-{k}, epoch {e} after the restore"
+            );
+        }
+        assert_eq!(live.snapshot(), restored.snapshot());
+        assert!(
+            live.commit_version() >= at_boundary + 2 * (STEPS / k) as u64,
+            "every-{k} commits must land inside the epochs"
+        );
     }
 }

@@ -31,8 +31,8 @@ impl<'a> SparseRow<'a> {
     /// order differs from the strict left-to-right reduction for rows
     /// with ≥ 4 non-zeros (the accumulators combine as
     /// `(a₀+a₁)+(a₂+a₃)` before the strict-order tail); rows shorter
-    /// than 4 non-zeros take only the tail loop and are bit-identical
-    /// to [`SparseRow::dot_dense_strict`].
+    /// than 4 non-zeros take only the tail loop, which is that strict
+    /// reduction bit-for-bit.
     #[inline]
     pub fn dot_dense(&self, dense: &[f64]) -> f64 {
         let (idx, val) = (self.indices, self.values);
@@ -51,18 +51,6 @@ impl<'a> SparseRow<'a> {
         let mut acc = (a0 + a1) + (a2 + a3);
         for j in chunks..idx.len() {
             acc += val[j] * dense[idx[j] as usize];
-        }
-        acc
-    }
-
-    /// The strict left-to-right dot product — the pre-unroll reduction
-    /// order, kept for callers (and benches) that pin exact values
-    /// against a sequential accumulation.
-    #[inline]
-    pub fn dot_dense_strict(&self, dense: &[f64]) -> f64 {
-        let mut acc = 0.0;
-        for (&i, &x) in self.indices.iter().zip(self.values) {
-            acc += x * dense[i as usize];
         }
         acc
     }
@@ -329,6 +317,16 @@ impl DatasetBuilder {
 mod tests {
     use super::*;
 
+    /// The strict left-to-right dot product — the pre-unroll reduction
+    /// order, the oracle `dot_dense` is compared against.
+    fn dot_dense_strict(row: &SparseRow<'_>, dense: &[f64]) -> f64 {
+        let mut acc = 0.0;
+        for (&i, &x) in row.indices.iter().zip(row.values) {
+            acc += x * dense[i as usize];
+        }
+        acc
+    }
+
     fn tiny() -> Dataset {
         let mut b = DatasetBuilder::new(5);
         b.push_row(&[(0, 1.0), (2, 2.0)], 1.0).unwrap();
@@ -426,7 +424,10 @@ mod tests {
         let w: Vec<f64> = (0..8).map(|i| 0.1 + 0.77 * i as f64).collect();
         for i in 0..ds.n_samples() {
             let r = ds.row(i);
-            assert_eq!(r.dot_dense(&w).to_bits(), r.dot_dense_strict(&w).to_bits());
+            assert_eq!(
+                r.dot_dense(&w).to_bits(),
+                dot_dense_strict(&r, &w).to_bits()
+            );
         }
     }
 
@@ -443,7 +444,7 @@ mod tests {
             let ds = b.finish();
             let w: Vec<f64> = (0..nnz).map(|i| (i as f64 * 1.37).sin()).collect();
             let r = ds.row(0);
-            let (fast, strict) = (r.dot_dense(&w), r.dot_dense_strict(&w));
+            let (fast, strict) = (r.dot_dense(&w), dot_dense_strict(&r, &w));
             assert!(
                 (fast - strict).abs() <= 1e-12 * (1.0 + strict.abs()),
                 "nnz={nnz}: {fast} vs {strict}"

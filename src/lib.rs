@@ -37,7 +37,7 @@
 //! |---|---|
 //! | [`core`] | solvers: SGD, ASGD (Hogwild), IS-SGD, IS-ASGD, SVRG-(A)SGD |
 //! | [`sparse`] | CSR datasets, LibSVM IO |
-//! | [`sampling`] | the per-shard `ScheduleStream` worker (draws and adaptive feedback), alias/Fenwick samplers, sample sequences, RNG |
+//! | [`sampling`] | the per-shard `ScheduleStream` worker (draws and adaptive feedback), alias/sum-tree samplers, sample sequences, RNG |
 //! | [`model`] | lock-free atomic shared model |
 //! | [`losses`] | objectives, gradients, importance weights |
 //! | [`datagen`] | Table-1-calibrated synthetic datasets |
