@@ -373,8 +373,8 @@ isasgd train <data.svm> [flags]
 
   --algo <name>      sgd | is-sgd | asgd | is-asgd | svrg | svrg-asgd |
                      svrg-skipmu | saga                     [is-asgd]
-  --threads <k>      Hogwild threads (async solvers)        [2]
-  --tau <t>          simulate delay τ instead of threads    [off]
+  --threads <k>      Hogwild threads, k ≥ 1   [async solvers: 2, else off]
+  --tau <t>          simulate delay τ ≥ 0 instead of threads [off]
   --workers <w>      simulated shards with --tau            [4]
   --loss <name>      logistic | squared-hinge               [logistic]
   --reg <kind>       none | l1 | l2                         [l1]

@@ -110,6 +110,24 @@ impl Opts {
         self.get(key).ok_or_else(|| OptError::Required(key.into()))
     }
 
+    /// Typed optional flag: `None` when absent, so callers can tell an
+    /// explicit value from a default.
+    pub fn get_parsed<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        expected: &'static str,
+    ) -> Result<Option<T>, OptError> {
+        self.get(key)
+            .map(|v| {
+                v.parse().map_err(|_| OptError::BadValue {
+                    flag: key.into(),
+                    value: v,
+                    expected,
+                })
+            })
+            .transpose()
+    }
+
     /// Typed flag with default.
     pub fn get_parsed_or<T: std::str::FromStr>(
         &self,
@@ -117,14 +135,7 @@ impl Opts {
         default: T,
         expected: &'static str,
     ) -> Result<T, OptError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| OptError::BadValue {
-                flag: key.into(),
-                value: v,
-                expected,
-            }),
-        }
+        Ok(self.get_parsed(key, expected)?.unwrap_or(default))
     }
 
     /// Boolean switch (present or not).

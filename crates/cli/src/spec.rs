@@ -104,21 +104,24 @@ impl TrainSpec {
         let algorithm =
             parse_algorithm(&algo_s).ok_or_else(|| bad("algo", algo_s, "solver name"))?;
 
-        let threads: usize = o.get_parsed_or("threads", 0, "usize")?;
-        let tau: usize = o.get_parsed_or("tau", 0, "usize")?;
+        // Only an absent flag takes a default: an explicit `--threads 1`
+        // or `--tau 0` asks for the deterministic one-worker run and must
+        // not fall through to the racy two-thread default.
+        let threads: Option<usize> = o.get_parsed("threads", "thread count (usize, ≥ 1)")?;
+        let tau: Option<usize> = o.get_parsed("tau", "usize")?;
         let workers: usize = o.get_parsed_or("workers", 4, "usize")?;
-        let execution = if tau > 0 {
-            Execution::Simulated { tau, workers }
-        } else if threads > 1 {
-            Execution::Threads(threads)
-        } else {
+        let is_async = matches!(
+            algorithm,
+            Algorithm::Asgd | Algorithm::IsAsgd | Algorithm::SvrgAsgd(_)
+        );
+        let execution = match (tau, threads) {
+            (Some(tau), _) => Execution::Simulated { tau, workers },
+            (None, Some(0)) => return Err(bad("threads", "0".into(), "thread count (usize, ≥ 1)")),
+            (None, Some(1)) if !is_async => Execution::Sequential,
+            (None, Some(k)) => Execution::Threads(k),
             // Async algorithms need a parallel execution; default modestly.
-            match algorithm {
-                Algorithm::Asgd | Algorithm::IsAsgd | Algorithm::SvrgAsgd(_) => {
-                    Execution::Threads(2)
-                }
-                _ => Execution::Sequential,
-            }
+            (None, None) if is_async => Execution::Threads(2),
+            (None, None) => Execution::Sequential,
         };
 
         let loss = match o.get_or("loss", "logistic").as_str() {
@@ -208,7 +211,7 @@ impl TrainSpec {
                      (sampling/importance flags still apply)",
                 ));
             }
-            if tau > 0 || threads > 1 {
+            if tau.unwrap_or(0) > 0 || threads.unwrap_or(1) > 1 {
                 return Err(bad(
                     "cluster",
                     "with --tau/--threads".into(),
@@ -431,6 +434,37 @@ mod tests {
     fn threads_select_hogwild() {
         let t = spec("--algo is-asgd --threads 4").unwrap();
         assert_eq!(t.execution, Execution::Threads(4));
+    }
+
+    #[test]
+    fn explicit_one_thread_and_zero_tau_are_not_the_default() {
+        // Absent flags: async solvers get the racy two-thread default.
+        assert_eq!(
+            spec("--algo is-asgd").unwrap().execution,
+            Execution::Threads(2)
+        );
+        // An explicit 1 / 0 is the deterministic one-worker run, not
+        // "flag absent".
+        for algo in ["asgd", "is-asgd", "svrg-asgd"] {
+            let t = spec(&format!("--algo {algo} --threads 1")).unwrap();
+            assert_eq!(t.execution, Execution::Threads(1), "{algo}");
+        }
+        assert_eq!(
+            spec("--algo is-asgd --tau 0 --workers 1")
+                .unwrap()
+                .execution,
+            Execution::Simulated { tau: 0, workers: 1 }
+        );
+        assert_eq!(
+            spec("--algo sgd --threads 1").unwrap().execution,
+            Execution::Sequential
+        );
+        for line in ["--threads 0", "--algo sgd --threads 0"] {
+            match spec(line) {
+                Err(OptError::BadValue { flag, .. }) => assert_eq!(flag, "threads", "{line}"),
+                other => panic!("{line}: expected BadValue, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -480,6 +480,60 @@ fn simulated_tau_execution() {
 }
 
 #[test]
+fn explicit_one_worker_async_runs_are_reproducible() {
+    // `--threads 1` / `--tau 0` used to read as "flag absent" and fall
+    // through to the racy two-thread default. An explicit one-worker run
+    // is deterministic: byte-identical model files run to run, and the
+    // same weights as the sequential solver on the same draw stream.
+    let dir = tmpdir("one_worker");
+    let data = dir.join("d.svm");
+    let out = bin()
+        .args(["gen", "--out"])
+        .arg(&data)
+        .args(["--profile", "news20", "--scale", "0.05", "--training"])
+        .args(["--seed", "3"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let train = |tag: &str, flags: &str| -> String {
+        let model = dir.join(format!("{tag}.json"));
+        let out = bin()
+            .arg("train")
+            .arg(&data)
+            .args(flags.split_whitespace())
+            .args(["--seed", "7", "--epochs", "4", "--quiet", "--model"])
+            .arg(&model)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read_to_string(model).unwrap()
+    };
+    // The header names the algorithm; the weights follow it.
+    let weights = |file: &str| file[file.find("\"indices\"").unwrap()..].to_string();
+
+    let adaptive = "--sampling adaptive --commit every-16";
+    let threads_1 = |tag: &str| train(tag, &format!("--algo is-asgd --threads 1 {adaptive}"));
+    let first = threads_1("t1_0");
+    for i in 1..8 {
+        assert_eq!(first, threads_1(&format!("t1_{i}")), "run {i} diverged");
+    }
+    let seq = train("seq", &format!("--algo is-sgd {adaptive}"));
+    assert_eq!(weights(&first), weights(&seq), "--threads 1 is sequential");
+    let two = train("t2", &format!("--algo is-asgd --threads 2 {adaptive}"));
+    assert_ne!(weights(&first), weights(&two), "--threads 2 still shards");
+
+    let tau_0 = train("tau0", "--algo is-asgd --tau 0 --workers 1");
+    let is_sgd = train("is_sgd", "--algo is-sgd");
+    assert_eq!(weights(&tau_0), weights(&is_sgd), "--tau 0 is sequential");
+
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn helpful_errors_and_help() {
     // No args → usage, exit 2.
     let out = bin().output().unwrap();

@@ -42,7 +42,7 @@ use crate::sync::average_models;
 use crate::transport::Transport;
 use crate::wire::{CheckpointSampler, CheckpointState, Message, WorkerTiming};
 use isasgd_balance::{rearrange, Rearranged};
-use isasgd_losses::{importance_weights, Loss, Objective};
+use isasgd_losses::{importance_weights, sgd_step, Loss, Objective};
 use isasgd_metrics::{Trace, TracePoint};
 use isasgd_obs::{monotonic_us, Event};
 use isasgd_sampling::{
@@ -918,10 +918,7 @@ fn local_epoch<L: Loss>(
     let start = stream.range().start;
     while let Some(d) = stream.next_draw() {
         let row = data.row(d.row as usize - row_base);
-        let margin = obj.margin(&row, model);
-        let g = obj.grad_scale(&row, margin);
-        let scale = lambda * d.corr;
-        obj.apply_sgd_update(&row, -scale * g, scale, model);
+        let g = sgd_step(obj, &row, lambda * d.corr, model);
         let age = stream.age(0);
         if let Some(observed) = stream.observe(d.row as usize, g.abs(), age, 0) {
             let local = d.row as usize - start;

@@ -45,9 +45,7 @@ pub fn full_gradient<L: Loss>(ds: &Dataset, obj: &Objective<L>, w: &[f64], out: 
             *o += x;
         }
     }
-    for (o, &wj) in out.iter_mut().zip(w) {
-        *o += obj.reg.grad_coord(wj);
-    }
+    obj.add_reg_gradient(w, out);
 }
 
 /// Accumulates training wall-clock across start/stop segments, so that

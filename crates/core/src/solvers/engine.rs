@@ -466,6 +466,16 @@ mod tests {
         Objective::new(LogisticLoss, Regularizer::L2 { eta: 1e-3 })
     }
 
+    /// Every regularizer as a test input: the shared and the dense model
+    /// run the same step kernel, so bit pins hold under all three.
+    fn objs() -> [Objective<LogisticLoss>; 3] {
+        [
+            obj(),
+            Objective::new(LogisticLoss, Regularizer::L1 { eta: 1e-3 }),
+            obj_l2(),
+        ]
+    }
+
     // ----------------------------------------------------- SGD family
 
     #[test]
@@ -916,29 +926,21 @@ mod tests {
 
     #[test]
     fn batch_one_matches_single_sample_structure() {
-        // b=1 minibatch is plain SGD with the same draw stream; with no
-        // regularizer the trajectories coincide bitwise.
+        // b=1 minibatch is plain SGD with the same draw stream and the
+        // same step kernel: the trajectories coincide bitwise, with or
+        // without a regularizer.
         let ds = separable(120);
         let cfg = TrainConfig::default().with_epochs(4);
-        let mb = train(
-            &ds,
-            &obj(),
-            Algorithm::MbSgd { batch: 1 },
-            Execution::Sequential,
-            &cfg,
-            "sep",
-        )
-        .unwrap();
-        let sgd = train(
-            &ds,
-            &obj(),
-            Algorithm::Sgd,
-            Execution::Sequential,
-            &cfg,
-            "sep",
-        )
-        .unwrap();
-        assert_eq!(mb.model, sgd.model, "b=1, no reg: identical trajectories");
+        for o in &objs()[..2] {
+            let run = |algo| train(&ds, o, algo, Execution::Sequential, &cfg, "sep").unwrap();
+            let mb = run(Algorithm::MbSgd { batch: 1 });
+            let sgd = run(Algorithm::Sgd);
+            assert_eq!(
+                mb.model, sgd.model,
+                "b=1, {:?}: identical trajectories",
+                o.reg
+            );
+        }
     }
 
     #[test]
@@ -1200,8 +1202,8 @@ mod tests {
         // The streamed-threads equivalence pin: a 1-worker threaded run
         // under intra-epoch commits IS the sequential streaming
         // algorithm — same draw stream, same k-aligned commit
-        // boundaries, same step math (no regularizer, so the shared and
-        // dense kernels are bit-identical).
+        // boundaries, same step kernel on the shared model as on the
+        // dense one, whatever the regularizer.
         use isasgd_sampling::CommitPolicy;
         let ds = skewed(240);
         let mut cfg = TrainConfig::default()
@@ -1210,67 +1212,72 @@ mod tests {
             .with_seed(17);
         cfg.sampling = Some(SamplingStrategy::Adaptive);
         cfg.commit = CommitPolicy::EveryK(16);
-        let seq = train(
-            &ds,
-            &obj(),
-            Algorithm::IsSgd,
-            Execution::Sequential,
-            &cfg,
-            "skew",
-        )
-        .unwrap();
-        let thr = train(
-            &ds,
-            &obj(),
-            Algorithm::IsAsgd,
-            Execution::Threads(1),
-            &cfg,
-            "skew",
-        )
-        .unwrap();
-        assert_eq!(
-            seq.model, thr.model,
-            "1-worker streamed threads must be bit-equal to sequential streaming"
-        );
-        assert_eq!(
-            seq.sampler_commits, thr.sampler_commits,
-            "commit cadence must match too"
-        );
+        for o in &objs() {
+            let seq = train(
+                &ds,
+                o,
+                Algorithm::IsSgd,
+                Execution::Sequential,
+                &cfg,
+                "skew",
+            )
+            .unwrap();
+            let thr = train(
+                &ds,
+                o,
+                Algorithm::IsAsgd,
+                Execution::Threads(1),
+                &cfg,
+                "skew",
+            )
+            .unwrap();
+            assert_eq!(
+                seq.model, thr.model,
+                "{:?}: 1-worker streamed threads must be bit-equal to sequential streaming",
+                o.reg
+            );
+            assert_eq!(
+                seq.sampler_commits, thr.sampler_commits,
+                "commit cadence must match too"
+            );
+        }
     }
 
     #[test]
     fn threaded_every_k_runs_are_reproducible_under_a_seed() {
         use isasgd_sampling::CommitPolicy;
         let ds = skewed(200);
-        let run = |threads| {
-            let mut cfg = TrainConfig::default()
-                .with_epochs(3)
-                .with_step_size(0.2)
-                .with_seed(23);
-            cfg.sampling = Some(SamplingStrategy::Adaptive);
-            cfg.commit = CommitPolicy::EveryK(16);
-            train(
-                &ds,
-                &obj(),
-                Algorithm::IsAsgd,
-                Execution::Threads(threads),
-                &cfg,
-                "skew",
-            )
-            .unwrap()
-        };
-        // One worker: the whole trajectory is bit-reproducible.
-        let (a, b) = (run(1), run(1));
-        assert_eq!(a.model, b.model, "1-worker streamed runs must reproduce");
-        // Two workers: the model is Hogwild-racy and the racy reads make
-        // observed values (hence committed weights, hence draws)
-        // run-varying — but the structure is deterministic: every
-        // observation is accepted, so the commit cadence and step counts
-        // reproduce exactly.
-        let (c, d) = (run(2), run(2));
-        assert_eq!(c.sampler_commits, d.sampler_commits);
-        assert_eq!(c.steps, d.steps);
-        assert!(c.model.iter().all(|x| x.is_finite()));
+        for o in &objs() {
+            let run = |threads| {
+                let mut cfg = TrainConfig::default()
+                    .with_epochs(3)
+                    .with_step_size(0.2)
+                    .with_seed(23);
+                cfg.sampling = Some(SamplingStrategy::Adaptive);
+                cfg.commit = CommitPolicy::EveryK(16);
+                train(
+                    &ds,
+                    o,
+                    Algorithm::IsAsgd,
+                    Execution::Threads(threads),
+                    &cfg,
+                    "skew",
+                )
+                .unwrap()
+            };
+            // One worker: the whole trajectory is bit-reproducible.
+            let (a, b) = (run(1), run(1));
+            assert_eq!(a.model, b.model, "1-worker streamed runs must reproduce");
+            // Two workers: the model is Hogwild-racy and the racy reads
+            // make observed values (hence committed weights, hence draws)
+            // run-varying — but the structure is deterministic: every
+            // observation is accepted, so the commit cadence and step
+            // counts reproduce exactly.
+            let (c, d) = (run(2), run(2));
+            assert_eq!(c.sampler_commits, d.sampler_commits);
+            assert_eq!(c.steps, d.steps);
+            assert!(c.model.iter().all(|x| x.is_finite()));
+        }
     }
 
     #[test]

@@ -86,15 +86,10 @@ impl<L: Loss> Solver for MinibatchSolver<'_, L> {
 
     fn apply(&mut self, data: &Dataset, lambda: f64, u: BatchUpdate, w: &mut [f64]) {
         // Phase 2: averaged application + on-support regularizer.
-        let b = u.items.len() as f64;
-        let scale = -lambda / b;
-        for &(i, coeff) in &u.items {
+        let scale = lambda / u.items.len() as f64;
+        for &(i, g_corr) in &u.items {
             let row = data.row(i as usize);
-            for (&j, &x) in row.indices.iter().zip(row.values) {
-                let j = j as usize;
-                let wj = w[j] + scale * coeff * x;
-                w[j] = wj - (lambda / b) * self.obj.reg.grad_coord(wj);
-            }
+            self.obj.apply_sgd_update(&row, -scale * g_corr, scale, w);
         }
     }
 }

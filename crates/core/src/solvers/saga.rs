@@ -95,11 +95,8 @@ impl<L: Loss> Solver for SagaSolver<'_, L> {
         let delta = g - self.alpha[i];
         // Sparse part: (g_i − α_i)·x_i plus the on-support lazy
         // regularizer subgradient.
-        for (&j, &x) in row.indices.iter().zip(row.values) {
-            let j = j as usize;
-            let wj = w[j] - lambda * delta * x;
-            w[j] = wj - lambda * self.obj.reg.grad_coord(wj);
-        }
+        self.obj
+            .apply_sgd_update(&row, -(lambda * delta), lambda, w);
         // Dense part: the running average ḡ (the sparsity cliff).
         if self.variant == SvrgVariant::Literature {
             for (wj, &gj) in w.iter_mut().zip(&self.g_bar) {
@@ -108,10 +105,7 @@ impl<L: Loss> Solver for SagaSolver<'_, L> {
         }
         // Memory update keeps ḡ consistent — sparse.
         self.alpha[i] = g;
-        let scale = delta / n as f64;
-        for (&j, &x) in row.indices.iter().zip(row.values) {
-            self.g_bar[j as usize] += scale * x;
-        }
+        row.axpy_into(delta / n as f64, &mut self.g_bar);
     }
 
     fn on_epoch_end(&mut self, data: &Dataset, lambda: f64, w: &mut [f64]) {

@@ -1,36 +1,32 @@
-//! The single-sample GLM-SGD kernel — one solver for SGD, IS-SGD, ASGD
+//! The single-sample GLM-SGD solver — one kernel for SGD, IS-SGD, ASGD
 //! and IS-ASGD.
 //!
 //! This module is the paper's central observation made literal: the four
 //! algorithms share *one* training kernel; they differ only in the
 //! sampling distribution (handled by the plan's
 //! [`Sampler`](isasgd_sampling::Sampler)s) and the execution mode
-//! (handled by the [`engine`](crate::solvers::engine)). The perturbed-
-//! iterate semantics of Eq. 21 fall out of the compute/apply split: the
-//! gradient is computed against the currently visible model `ŵ_t` and
-//! the update lands τ logical steps later (τ = 0 sequentially).
+//! (handled by the [`engine`](crate::solvers::engine)). The kernel is
+//! [`isasgd_losses::kernel`] — margin, gradient scale, then
+//! `w_j ← (w_j + c·x_j) − s·r'(w_j + c·x_j)` on the sample's support,
+//! the regularizer evaluated lazily at the post-axpy coordinate so no
+//! step pays an `O(d)` regularization scan. This file only decides
+//! *when* its halves run:
 //!
-//! The regularizer is applied lazily on the sample's support at apply
-//! time, mirroring how sparse ASGD implementations avoid `O(d)`
-//! regularization scans.
+//! * `compute` / `apply` split it at the write, for dense models. The
+//!   perturbed-iterate semantics of Eq. 21 fall out: the gradient is
+//!   computed against the currently visible model `ŵ_t` and the update —
+//!   regularizer included, at apply-time `w` — lands τ logical steps
+//!   later (τ = 0 sequentially, where the pair is exactly
+//!   [`sgd_step`]).
+//! * `step_shared` runs [`sgd_step`] undelayed against a [`SharedView`]
+//!   of the Hogwild model: the same arithmetic, so one thread reproduces
+//!   the sequential run bit for bit under every regularizer.
 
-use crate::error::CoreError;
-use crate::solvers::solver::{Feedback, Sched, SharedKernel, Solver};
-use isasgd_losses::{Loss, Objective};
+use crate::solvers::solver::{Feedback, Sched, SharedKernel, SharedView, Solver};
+use isasgd_losses::{sgd_step, Loss, Objective};
 use isasgd_model::shared::UpdateMode;
 use isasgd_model::SharedModel;
-use isasgd_sparse::{Dataset, SparseRow};
-
-/// Computes the margin `y·wᵀx` against the shared model with relaxed
-/// per-coordinate reads (the perturbed iterate ŵ of the analysis).
-#[inline]
-pub fn margin_shared(model: &SharedModel, row: &SparseRow<'_>) -> f64 {
-    let mut acc = 0.0;
-    for (&j, &x) in row.indices.iter().zip(row.values) {
-        acc += x * model.get(j as usize);
-    }
-    acc * row.label
-}
+use isasgd_sparse::Dataset;
 
 /// One in-flight update: `w += coeff·x_row`, then an on-support
 /// regularizer step scaled by `reg_scale` (both already include −λ and
@@ -94,10 +90,6 @@ impl<L: Loss> Solver for SgdSolver<'_, L> {
     fn shared_kernel(&self) -> Option<&dyn SharedKernel> {
         Some(self)
     }
-
-    fn init(&mut self, _data: &Dataset) -> Result<(), CoreError> {
-        Ok(())
-    }
 }
 
 impl<L: Loss> SharedKernel for SgdSolver<'_, L> {
@@ -111,17 +103,8 @@ impl<L: Loss> SharedKernel for SgdSolver<'_, L> {
         observe: bool,
     ) -> f64 {
         let row = data.row(s.row as usize);
-        let m = margin_shared(model, &row);
-        let g = self.obj.grad_scale(&row, m);
-        let scale = lambda * s.corr;
-        let coeff = -scale * g;
-        for (&j, &x) in row.indices.iter().zip(row.values) {
-            let j = j as usize;
-            // One combined write: gradient step + on-support regularizer
-            // subgradient at the (racily read) current coordinate.
-            let wj = model.get(j);
-            model.add(j, coeff * x - scale * self.obj.reg.grad_coord(wj), mode);
-        }
+        let mut w = SharedView(model, mode);
+        let g = sgd_step(self.obj, &row, lambda * s.corr, &mut w);
         if observe {
             g.abs()
         } else {

@@ -20,8 +20,17 @@
 //! Epoch-granular state (SVRG's snapshot + full gradient µ, skip-µ's
 //! deferred dense add) lives in [`Solver::on_epoch_start`] /
 //! [`Solver::on_epoch_end`].
+//!
+//! Neither phase owns step arithmetic. The margin and the regularized
+//! sparse update are `isasgd_losses::kernel`, generic over
+//! [`ModelAccess`]; kernels here reach a dense model as a slice and the
+//! shared one through [`SharedView`], and differ only in the coefficient
+//! they hand it. Under `AtomicCas` the whole per-coordinate map — axpy
+//! and regularizer subgradient — is one compare-exchange, so a retried
+//! write re-evaluates the regularizer at the value it actually lands on.
 
 use crate::error::CoreError;
+use isasgd_losses::ModelAccess;
 use isasgd_model::shared::UpdateMode;
 use isasgd_model::SharedModel;
 use isasgd_sparse::Dataset;
@@ -67,6 +76,24 @@ impl<'a> Feedback<'a> {
         if let Some(sink) = self.sink.as_mut() {
             sink.push((row, observed));
         }
+    }
+}
+
+/// A Hogwild worker's handle on the shared model: how the step kernel
+/// (`isasgd_losses::kernel`) reaches its coordinates. Reads are relaxed
+/// loads (the perturbed iterate ŵ of the analysis); each write is one
+/// [`SharedModel::update`] in the run's [`UpdateMode`].
+pub struct SharedView<'a>(pub &'a SharedModel, pub UpdateMode);
+
+impl ModelAccess for SharedView<'_> {
+    #[inline]
+    fn get(&self, j: usize) -> f64 {
+        self.0.get(j)
+    }
+
+    #[inline]
+    fn update(&mut self, j: usize, f: impl Fn(f64) -> f64) {
+        self.0.update(j, self.1, f);
     }
 }
 
@@ -169,6 +196,52 @@ pub trait Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isasgd_losses::{sgd_step, LogisticLoss, Objective, Regularizer};
+    use isasgd_sparse::DatasetBuilder;
+
+    #[test]
+    fn one_thread_on_the_shared_model_is_the_dense_step_bit_for_bit() {
+        // The kernel's own pin: the same generic step on a slice and on
+        // a fresh one-thread shared view leaves identical bits — margin
+        // (7 non-zeros: unrolled body + tail), gradient scale and the
+        // regularized write — for every regularizer and both modes.
+        let mut b = DatasetBuilder::new(9);
+        let wide = [
+            (0, 1.5),
+            (1, -0.25),
+            (2, 0.75),
+            (4, 2.0),
+            (5, -1.25),
+            (7, 0.5),
+            (8, 3.0),
+        ];
+        b.push_row(&wide, 1.0).unwrap();
+        b.push_row(&[(1, 0.5), (3, -2.0)], -1.0).unwrap();
+        let ds = b.finish();
+        let w0 = [0.3, -0.2, 0.0, 0.1, -0.4, 0.25, 0.0, -0.6, 0.05];
+        for reg in [
+            Regularizer::None,
+            Regularizer::L1 { eta: 0.05 },
+            Regularizer::L2 { eta: 0.05 },
+        ] {
+            let obj = Objective::new(LogisticLoss, reg);
+            for mode in [UpdateMode::AtomicCas, UpdateMode::RacyHogwild] {
+                let mut dense = w0;
+                let model = SharedModel::from_dense(&w0);
+                let mut view = SharedView(&model, mode);
+                for _ in 0..3 {
+                    for row in ds.rows() {
+                        let g_dense = sgd_step(&obj, &row, 0.1, dense.as_mut_slice());
+                        let g_shared = sgd_step(&obj, &row, 0.1, &mut view);
+                        assert_eq!(g_dense.to_bits(), g_shared.to_bits(), "{reg:?}/{mode:?}");
+                    }
+                }
+                let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&dense), bits(&model.snapshot()), "{reg:?}/{mode:?}");
+                assert_ne!(bits(&dense), bits(&w0), "the steps must move the model");
+            }
+        }
+    }
 
     #[test]
     fn feedback_routing() {

@@ -23,8 +23,8 @@
 use crate::config::SvrgVariant;
 use crate::error::CoreError;
 use crate::eval::full_gradient;
-use crate::solvers::solver::{Feedback, Sched, SharedKernel, Solver};
-use isasgd_losses::{Loss, Objective};
+use crate::solvers::solver::{Feedback, Sched, SharedKernel, SharedView, Solver};
+use isasgd_losses::{kernel, Loss, Objective};
 use isasgd_model::shared::UpdateMode;
 use isasgd_model::SharedModel;
 use isasgd_sparse::Dataset;
@@ -117,9 +117,7 @@ impl<L: Loss> Solver for SvrgSolver<'_, L> {
 
     fn apply(&mut self, data: &Dataset, _lambda: f64, u: SvrgUpdate, w: &mut [f64]) {
         let row = data.row(u.row as usize);
-        for (&j, &x) in row.indices.iter().zip(row.values) {
-            w[j as usize] += u.coeff * x;
-        }
+        row.axpy_into(u.coeff, w);
         if self.variant == SvrgVariant::Literature {
             // The dense O(d) add that dominates on sparse data.
             for (wj, &mj) in w.iter_mut().zip(&self.mu) {
@@ -153,7 +151,7 @@ impl<L: Loss> SharedKernel for SvrgSolver<'_, L> {
         _observe: bool,
     ) -> f64 {
         let row = data.row(s.row as usize);
-        let m_w = super::sgd::margin_shared(model, &row);
+        let m_w = kernel::margin(&row, &SharedView(model, mode));
         let g_w = self.obj.grad_scale(&row, m_w);
         let m_s = self.obj.margin(&row, &self.snapshot);
         let g_s = self.obj.grad_scale(&row, m_s);

@@ -16,6 +16,8 @@
 //! * [`SquaredHingeLoss`] — L2-SVM with the paper's Eq. 16 bound.
 //! * [`SquaredLoss`] — least squares (Kaczmarz-style IS analysis heritage).
 //! * [`Regularizer`] — none / L1 / L2 with lazy on-support application.
+//! * [`kernel`] — the one GLM step (margin + regularized sparse update),
+//!   generic over [`ModelAccess`]: a dense slice or the shared model.
 //! * [`Objective`] — a loss+regularizer bundle evaluating `F`, RMSE, error
 //!   rate and per-sample importance weights `L_i` (Eq. 12).
 
@@ -23,11 +25,13 @@
 #![warn(missing_docs)]
 
 pub mod importance;
+pub mod kernel;
 pub mod loss;
 pub mod objective;
 pub mod regularizer;
 
 pub use importance::{importance_weights, step_corrections, ImportanceScheme};
+pub use kernel::{sgd_step, ModelAccess};
 pub use loss::{LogisticLoss, Loss, SquaredHingeLoss, SquaredLoss};
 pub use objective::{EvalMetrics, Objective, PartialEval};
 pub use regularizer::Regularizer;

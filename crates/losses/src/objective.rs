@@ -1,5 +1,6 @@
 //! The full ERM objective `F(w) = (1/n) Σ f_i(w)` (paper Eq. 2).
 
+use crate::kernel;
 use crate::loss::Loss;
 use crate::regularizer::Regularizer;
 use isasgd_sparse::{Dataset, SparseRow};
@@ -58,10 +59,11 @@ impl<L: Loss> Objective<L> {
         Self { loss, reg }
     }
 
-    /// Margin `m_i = y_i · wᵀx_i` against a dense model.
+    /// Margin `m_i = y_i · wᵀx_i` against a dense model
+    /// ([`kernel::margin`]).
     #[inline]
     pub fn margin(&self, row: &SparseRow<'_>, w: &[f64]) -> f64 {
-        row.label * row.dot_dense(w)
+        kernel::margin(row, w)
     }
 
     /// The scalar `g` such that `∇φ_i(w) = g · x_i`, given the margin.
@@ -70,17 +72,11 @@ impl<L: Loss> Objective<L> {
         self.loss.derivative(margin) * row.label
     }
 
-    /// Applies one (IS-corrected) SGD update in place: the sparse axpy
-    /// `w += coeff·x` followed by the on-support lazy regularizer
-    /// subgradient scaled by `reg_scale` — the single GLM step kernel
-    /// shared by the core solvers and the cluster nodes.
+    /// Applies one (IS-corrected) SGD update to a dense model in place
+    /// ([`kernel::apply_update`]).
     #[inline]
     pub fn apply_sgd_update(&self, row: &SparseRow<'_>, coeff: f64, reg_scale: f64, w: &mut [f64]) {
-        for (&j, &x) in row.indices.iter().zip(row.values) {
-            let j = j as usize;
-            let wj = w[j] + coeff * x;
-            w[j] = wj - reg_scale * self.reg.grad_coord(wj);
-        }
+        kernel::apply_update(self.reg, row, coeff, reg_scale, w);
     }
 
     /// Per-sample raw loss `φ_i(w)` (no regularizer).
@@ -146,13 +142,14 @@ impl<L: Loss> Objective<L> {
     pub fn full_gradient_into(&self, ds: &Dataset, w: &[f64], out: &mut [f64]) {
         assert_eq!(out.len(), w.len(), "gradient buffer dimension mismatch");
         out.fill(0.0);
-        let n = ds.n_samples().max(1) as f64;
-        for row in ds.rows() {
-            let m = self.margin(&row, w);
-            let g = self.grad_scale(&row, m) / n;
-            row.axpy_into(g, out);
-        }
-        // Dense regularizer gradient (exact, only used by SVRG/snapshots).
+        self.partial_gradient_into(ds, w, 0..ds.n_samples(), ds.n_samples(), out);
+        self.add_reg_gradient(w, out);
+    }
+
+    /// Adds the dense regularizer gradient `η·r'(w)` to `out` — the
+    /// exact `O(d)` tail of a full gradient (SVRG's `µ`), as opposed to
+    /// the lazy on-support form the step kernel applies.
+    pub fn add_reg_gradient(&self, w: &[f64], out: &mut [f64]) {
         for (o, &wj) in out.iter_mut().zip(w) {
             *o += self.reg.grad_coord(wj);
         }

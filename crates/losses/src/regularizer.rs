@@ -44,9 +44,10 @@ impl Regularizer {
         }
     }
 
-    /// Sub/gradient contribution at coordinate value `wj`.
+    /// Sub/gradient contribution at coordinate value `wj`. Crate-private:
+    /// the step kernel and the dense gradient tail are its only callers.
     #[inline]
-    pub fn grad_coord(&self, wj: f64) -> f64 {
+    pub(crate) fn grad_coord(&self, wj: f64) -> f64 {
         match *self {
             Regularizer::None => 0.0,
             Regularizer::L1 { eta } => {

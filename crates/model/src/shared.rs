@@ -51,42 +51,40 @@ impl SharedModel {
         self.w[j].store(x.to_bits(), Ordering::Relaxed);
     }
 
-    /// Lock-free `w[j] += delta` via a compare-exchange loop.
+    /// Replaces `w[j]` by `f(w[j])` — the one read-modify-write every
+    /// lock-free update goes through.
     ///
-    /// Never loses an update; this is the default ASGD/IS-ASGD write path.
+    /// * [`UpdateMode::AtomicCas`]: a compare-exchange loop over the whole
+    ///   map `w_j ↦ f(w_j)`. No update is ever lost, and because the
+    ///   step kernel passes gradient *and* regularizer as one `f`, neither
+    ///   half of a step can land without the other. `f` is re-run on the
+    ///   fresh value when another writer wins the race.
+    /// * [`UpdateMode::RacyHogwild`]: the literal Hogwild update, a
+    ///   separate relaxed load and store. Concurrent writers may overwrite
+    ///   each other's contribution — the additional gradient noise the
+    ///   perturbed-iterate analysis (paper §3.1) absorbs into the
+    ///   `R_1`/`R_2` error terms, exposed so the effect is measurable.
     #[inline]
-    pub fn fetch_add(&self, j: usize, delta: f64) {
+    pub fn update(&self, j: usize, mode: UpdateMode, f: impl Fn(f64) -> f64) {
         let cell = &self.w[j];
         let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
+        let next = |cur| f(f64::from_bits(cur)).to_bits();
+        match mode {
+            UpdateMode::RacyHogwild => cell.store(next(cur), Ordering::Relaxed),
+            UpdateMode::AtomicCas => {
+                while let Err(actual) =
+                    cell.compare_exchange_weak(cur, next(cur), Ordering::Relaxed, Ordering::Relaxed)
+                {
+                    cur = actual;
+                }
             }
         }
-    }
-
-    /// The literal Hogwild update: separate relaxed load and store.
-    ///
-    /// Concurrent writers may overwrite each other's contribution — this is
-    /// the additional gradient noise the perturbed-iterate analysis (paper
-    /// §3.1) absorbs into the `R_1`/`R_2` error terms. Exposed so the
-    /// effect is measurable; the solvers take an [`UpdateMode`].
-    #[inline]
-    pub fn store_racy(&self, j: usize, delta: f64) {
-        let cell = &self.w[j];
-        let cur = f64::from_bits(cell.load(Ordering::Relaxed));
-        cell.store((cur + delta).to_bits(), Ordering::Relaxed);
     }
 
     /// Applies `w[j] += delta` using the requested mode.
     #[inline]
     pub fn add(&self, j: usize, delta: f64, mode: UpdateMode) {
-        match mode {
-            UpdateMode::AtomicCas => self.fetch_add(j, delta),
-            UpdateMode::RacyHogwild => self.store_racy(j, delta),
-        }
+        self.update(j, mode, |w| w + delta);
     }
 
     /// Copies the current (racy) model into `out`.
@@ -184,10 +182,10 @@ mod tests {
     }
 
     #[test]
-    fn fetch_add_accumulates() {
+    fn cas_adds_accumulate() {
         let m = SharedModel::zeros(1);
         for _ in 0..100 {
-            m.fetch_add(0, 0.5);
+            m.add(0, 0.5, UpdateMode::AtomicCas);
         }
         assert_eq!(m.get(0), 50.0);
     }
@@ -202,7 +200,7 @@ mod tests {
                 let m = Arc::clone(&m);
                 s.spawn(move || {
                     for k in 0..adds_per_thread {
-                        m.fetch_add((t + k) % 8, 1.0);
+                        m.add((t + k) % 8, 1.0, UpdateMode::AtomicCas);
                     }
                 });
             }
@@ -219,7 +217,7 @@ mod tests {
                 let m = Arc::clone(&m);
                 s.spawn(move || {
                     for _ in 0..10_000 {
-                        m.store_racy(0, 1.0);
+                        m.add(0, 1.0, UpdateMode::RacyHogwild);
                     }
                 });
             }

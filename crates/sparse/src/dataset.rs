@@ -25,6 +25,14 @@ impl<'a> SparseRow<'a> {
 
     /// Dot product against a dense model vector — the margin kernel
     /// `wᵀx_i` every solver evaluates once per step.
+    #[inline]
+    pub fn dot_dense(&self, dense: &[f64]) -> f64 {
+        self.dot_with(|j| dense[j])
+    }
+
+    /// `Σ x_ij · at(j)`: [`SparseRow::dot_dense`] against any coordinate
+    /// reader, so a dense slice and the lock-free shared model reduce in
+    /// the same order.
     ///
     /// Unrolled 4-wide: four independent accumulators break the
     /// loop-carried add dependency so the gathers pipeline. Summation
@@ -34,23 +42,23 @@ impl<'a> SparseRow<'a> {
     /// than 4 non-zeros take only the tail loop, which is that strict
     /// reduction bit-for-bit.
     #[inline]
-    pub fn dot_dense(&self, dense: &[f64]) -> f64 {
+    pub fn dot_with(&self, at: impl Fn(usize) -> f64) -> f64 {
         let (idx, val) = (self.indices, self.values);
         let chunks = idx.len() - idx.len() % 4;
         let (mut a0, mut a1, mut a2, mut a3) = (0.0f64, 0.0, 0.0, 0.0);
         let mut i = 0;
         while i < chunks {
-            a0 += val[i] * dense[idx[i] as usize];
-            a1 += val[i + 1] * dense[idx[i + 1] as usize];
-            a2 += val[i + 2] * dense[idx[i + 2] as usize];
-            a3 += val[i + 3] * dense[idx[i + 3] as usize];
+            a0 += val[i] * at(idx[i] as usize);
+            a1 += val[i + 1] * at(idx[i + 1] as usize);
+            a2 += val[i + 2] * at(idx[i + 2] as usize);
+            a3 += val[i + 3] * at(idx[i + 3] as usize);
             i += 4;
         }
         // (0+0)+(0+0) is exactly 0.0, so the chunk-free case degenerates
         // to the strict loop bit-for-bit.
         let mut acc = (a0 + a1) + (a2 + a3);
         for j in chunks..idx.len() {
-            acc += val[j] * dense[idx[j] as usize];
+            acc += val[j] * at(idx[j] as usize);
         }
         acc
     }
