@@ -1,14 +1,17 @@
 //! `isasgd report` — render a `--trace-out` JSONL trace as a run report.
 //!
-//! The analyzer is strict where CI needs it to be: any line that fails
-//! to parse as a flat JSONL event is a hard error (exit 2), and
-//! `--expect-rounds n` fails the command unless every round `1..=n`
-//! closed with a `round_end` event. Everything else is best-effort
-//! rendering — unknown event names pass through untouched so newer
-//! traces stay readable by older binaries.
+//! The analyzer is strict where CI needs it to be. Every line is read
+//! back through the event table (`isasgd_obs::Event::parse_jsonl`): a line
+//! that is not a flat JSONL object, or an event the table lists with a
+//! field missing or of the wrong type, is a hard error (exit 2) carrying
+//! the line number — for every listed event, rendered below or not. And
+//! `--expect-rounds n` fails the command unless every round `1..=n` was
+//! closed by a round-end event. An event name the table does not list is
+//! counted and otherwise passes through untouched, so newer traces stay
+//! readable by older binaries.
 
 use crate::opts::Opts;
-use isasgd_obs::{parse_jsonl_line, Histogram, JsonValue};
+use isasgd_obs::{Event, Histogram};
 use std::collections::BTreeMap;
 
 /// Runs the command; returns a process exit code.
@@ -93,25 +96,6 @@ struct TraceReport {
     net: Vec<(u64, u64, u64, String)>,
 }
 
-fn field<'a>(fields: &'a [(String, JsonValue)], name: &str) -> Option<&'a JsonValue> {
-    fields.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-fn need_u64(fields: &[(String, JsonValue)], name: &str, line_no: usize) -> Result<u64, String> {
-    field(fields, name)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("line {line_no}: missing or non-integer field '{name}'"))
-}
-
-fn need_f64(fields: &[(String, JsonValue)], name: &str, line_no: usize) -> Result<f64, String> {
-    match field(fields, name) {
-        Some(JsonValue::Null) => Ok(f64::NAN),
-        other => other
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("line {line_no}: missing or non-number field '{name}'")),
-    }
-}
-
 fn analyze(text: &str) -> Result<TraceReport, String> {
     let mut report = TraceReport {
         events: 0,
@@ -122,18 +106,19 @@ fn analyze(text: &str) -> Result<TraceReport, String> {
         net: Vec::new(),
     };
     for (i, line) in text.lines().enumerate() {
-        let line_no = i + 1;
         if line.trim().is_empty() {
             continue;
         }
-        let fields = parse_jsonl_line(line).map_err(|e| format!("line {line_no}: {e}"))?;
-        let name = field(&fields, "event")
-            .and_then(|v| v.as_str().map(str::to_string))
-            .ok_or_else(|| format!("line {line_no}: missing 'event' field"))?;
+        let (_, event) = Event::parse_jsonl(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         report.events += 1;
-        match name.as_str() {
-            "round_end" => {
-                let round = need_u64(&fields, "round", line_no)?;
+        match event {
+            Some(Event::RoundEnd {
+                round,
+                objective,
+                rmse,
+                error_rate,
+                wall_us,
+            }) => {
                 let timings = report
                     .rounds
                     .remove(&round)
@@ -143,19 +128,22 @@ fn analyze(text: &str) -> Result<TraceReport, String> {
                     round,
                     RoundRow {
                         closed: true,
-                        objective: need_f64(&fields, "objective", line_no)?,
-                        rmse: need_f64(&fields, "rmse", line_no)?,
-                        error_rate: need_f64(&fields, "error_rate", line_no)?,
-                        wall_us: need_u64(&fields, "wall_us", line_no)?,
+                        objective,
+                        rmse,
+                        error_rate,
+                        wall_us,
                         timings,
                     },
                 );
             }
-            "worker_timing" => {
-                let node = need_u64(&fields, "node", line_no)?;
-                let round = need_u64(&fields, "round", line_no)?;
-                let compute_us = need_u64(&fields, "compute_us", line_no)?;
-                let barrier_wait_us = need_u64(&fields, "barrier_wait_us", line_no)?;
+            Some(Event::WorkerTiming {
+                node,
+                round,
+                compute_us,
+                barrier_wait_us,
+                rows,
+                commits,
+            }) => {
                 report
                     .rounds
                     .entry(round)
@@ -172,39 +160,32 @@ fn analyze(text: &str) -> Result<TraceReport, String> {
                 let w = report.workers.entry(node).or_default();
                 w.compute.record(compute_us);
                 w.barrier.record(barrier_wait_us);
-                w.rows += need_u64(&fields, "rows", line_no)?;
-                w.commits += need_u64(&fields, "commits", line_no)?;
+                w.rows += rows;
+                w.commits += commits;
             }
-            "handshake" => {
-                let respawn = matches!(field(&fields, "respawn"), Some(JsonValue::Bool(true)));
-                report.handshakes.push((
-                    need_u64(&fields, "node", line_no)?,
-                    respawn,
-                    need_u64(&fields, "dur_us", line_no)?,
-                ));
-            }
-            "respawn" => {
-                report.respawns.push((
-                    need_u64(&fields, "node", line_no)?,
-                    need_u64(&fields, "replay_frames", line_no)?,
-                    need_u64(&fields, "replay_bytes", line_no)?,
-                    need_u64(&fields, "replay_us", line_no)?,
-                ));
-            }
-            "net_summary" => {
-                let summary = field(&fields, "summary")
-                    .and_then(|v| v.as_str().map(str::to_string))
-                    .unwrap_or_default();
-                report.net.push((
-                    need_u64(&fields, "node", line_no)?,
-                    need_u64(&fields, "tx_bytes", line_no)?,
-                    need_u64(&fields, "rx_bytes", line_no)?,
-                    summary,
-                ));
-            }
-            // Every other event (dataset_loaded, barrier_wait, shard
-            // streaming, checkpoints, …) contributes to the event count
-            // but has no dedicated section yet.
+            Some(Event::Handshake {
+                node,
+                respawn,
+                dur_us,
+            }) => report.handshakes.push((node, respawn, dur_us)),
+            Some(Event::Respawn {
+                node,
+                replay_frames,
+                replay_bytes,
+                replay_us,
+            }) => report
+                .respawns
+                .push((node, replay_frames, replay_bytes, replay_us)),
+            Some(Event::NetSummary {
+                node,
+                tx_bytes,
+                rx_bytes,
+                summary,
+            }) => report.net.push((node, tx_bytes, rx_bytes, summary)),
+            // Every other event the table lists (dataset loading, barrier
+            // waits, shard streaming, checkpoints, …) has been validated
+            // and counted but has no dedicated section yet; a name it does
+            // not list (`None`) is counted and passes through.
             _ => {}
         }
     }
@@ -365,6 +346,51 @@ mod tests {
         assert!(text.contains("respawn in 0.7ms"), "{text}");
         assert!(text.contains("replayed 5 frames / 4096 bytes"), "{text}");
         assert!(text.contains("link 0: tx=10B rx=20B"), "{text}");
+    }
+
+    /// Every listed event is validated, not only the five rendered
+    /// above. (`isasgd-obs` pins the full matrix — every kind, every
+    /// field, removed and mistyped; here: the error reaches the user
+    /// with its line number, for events and fields the report itself
+    /// has no use for or could default.)
+    #[test]
+    fn events_without_a_section_are_validated_too() {
+        let good = r#"{"ts_us":1,"event":"round_start","round":1,"nodes":2}"#;
+        for (bad, event, field) in [
+            // Events with no report section.
+            (
+                r#"{"ts_us":2,"event":"checkpoint_stored","node":1,"round":2}"#,
+                "checkpoint_stored",
+                "bytes",
+            ),
+            (
+                r#"{"ts_us":2,"event":"barrier_wait","node":0,"round":1,"wait_us":1.5}"#,
+                "barrier_wait",
+                "wait_us",
+            ),
+            // A flag whose absence must not read as `false` ("admitted").
+            (
+                r#"{"ts_us":2,"event":"handshake","node":1,"dur_us":500}"#,
+                "handshake",
+                "respawn",
+            ),
+            (
+                r#"{"ts_us":2,"event":"handshake","node":1,"respawn":"yes","dur_us":500}"#,
+                "handshake",
+                "respawn",
+            ),
+            // A string whose absence must not read as empty.
+            (
+                r#"{"ts_us":2,"event":"net_summary","node":0,"tx_bytes":10,"rx_bytes":20}"#,
+                "net_summary",
+                "summary",
+            ),
+        ] {
+            let err = analyze(&[good, bad].join("\n")).unwrap_err();
+            assert!(err.starts_with("line 2: "), "{err}");
+            assert!(err.contains(&format!("'{event}'")), "{err}");
+            assert!(err.contains(&format!("'{field}'")), "{err}");
+        }
     }
 
     #[test]

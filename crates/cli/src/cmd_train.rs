@@ -266,20 +266,25 @@ fn report_cluster(
         r.trace.points.last().map(|p| p.wall_secs).unwrap_or(0.0),
         wire,
     );
-    if let Some(te) = test {
-        let metrics = match spec.loss {
-            LossKind::Logistic => Objective::new(LogisticLoss, spec.regularizer).eval(te, &r.model),
-            LossKind::SquaredHinge => {
-                Objective::new(SquaredHingeLoss, spec.regularizer).eval(te, &r.model)
-            }
-        };
-        println!(
-            "holdout_n={} holdout_obj={:.6} holdout_err={:.6}",
-            te.n_samples(),
-            metrics.objective,
-            metrics.error_rate
-        );
-    }
+    report_holdout(spec, &r.model, test);
+}
+
+/// The held-out line both reports end with: `model` evaluated on the
+/// `--holdout` split under the training loss and regularizer.
+fn report_holdout(spec: &TrainSpec, model: &[f64], test: Option<&Dataset>) {
+    let Some(te) = test else { return };
+    let metrics = match spec.loss {
+        LossKind::Logistic => Objective::new(LogisticLoss, spec.regularizer).eval(te, model),
+        LossKind::SquaredHinge => {
+            Objective::new(SquaredHingeLoss, spec.regularizer).eval(te, model)
+        }
+    };
+    println!(
+        "holdout_n={} holdout_obj={:.6} holdout_err={:.6}",
+        te.n_samples(),
+        metrics.objective,
+        metrics.error_rate
+    );
 }
 
 /// Dispatches over the (static) loss type.
@@ -350,21 +355,7 @@ fn report(spec: &TrainSpec, r: &RunResult, test: Option<&Dataset>, quiet: bool) 
         r.final_metrics.error_rate,
         r.sampler_commits.last().copied().unwrap_or(0)
     );
-    if let Some(te) = test {
-        // Held-out metrics under the same loss type.
-        let metrics = match spec.loss {
-            LossKind::Logistic => Objective::new(LogisticLoss, spec.regularizer).eval(te, &r.model),
-            LossKind::SquaredHinge => {
-                Objective::new(SquaredHingeLoss, spec.regularizer).eval(te, &r.model)
-            }
-        };
-        println!(
-            "holdout_n={} holdout_obj={:.6} holdout_err={:.6}",
-            te.n_samples(),
-            metrics.objective,
-            metrics.error_rate
-        );
-    }
+    report_holdout(spec, &r.model, test);
 }
 
 /// Usage string for `--help`.

@@ -41,34 +41,37 @@ fn full_pipeline_gen_info_train_predict() {
     assert!(text.contains("psi/n"), "info output missing ψ: {text}");
     assert!(text.contains("avg degree"), "info output missing Δ̄: {text}");
 
-    // train with holdout and model output
-    let out = bin()
-        .arg("train")
-        .arg(&data)
-        .args([
-            "--algo",
-            "is-asgd",
-            "--threads",
-            "2",
-            "--epochs",
-            "5",
-            "--holdout",
-            "0.2",
-            "--quiet",
-            "--model",
-        ])
-        .arg(&model)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "train failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("algorithm=IS-ASGD"), "{text}");
-    assert!(text.contains("holdout_n=40"), "{text}");
-    assert!(model.exists());
+    // train with holdout and model output: the cluster report, then the
+    // engine report (whose model the predict step below reads)
+    for (how, banner) in [
+        (
+            ["--algo", "is-sgd", "--cluster", "2"],
+            "transport=inproc nodes=2",
+        ),
+        (["--algo", "is-asgd", "--threads", "2"], "algorithm=IS-ASGD"),
+    ] {
+        let out = bin()
+            .arg("train")
+            .arg(&data)
+            .args(how)
+            .args(["--epochs", "5", "--holdout", "0.2", "--quiet", "--model"])
+            .arg(&model)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "train {how:?} failed: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains(banner), "{how:?}: {text}");
+        let holdout = text.lines().last().unwrap_or_default();
+        assert!(
+            holdout.starts_with("holdout_n=40 holdout_obj=") && holdout.contains(" holdout_err="),
+            "{how:?}: {text}"
+        );
+        assert!(model.exists());
+    }
 
     // predict against the training file
     let preds = dir.join("preds.txt");

@@ -307,6 +307,14 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
                     Message::ModelUpdate {
                         round: r, model, ..
                     } if r == round as u64 => {
+                        // `average_models` asserts equal lengths; a
+                        // panic here would strand the workers mid-recv.
+                        if model.len() != d {
+                            return Err(ClusterError::Worker(format!(
+                                "round {round}: node {k} sent a replica of dim {} != model dim {d}",
+                                model.len()
+                            )));
+                        }
                         models[k] = model;
                         have_model = true;
                     }

@@ -165,13 +165,23 @@ fn duplicated_feedback_batches_are_idempotent() {
     );
 }
 
-/// A link whose worker end adds `(row, 1e9)` to every `FeedbackBatch`
-/// it sends — a worker reporting on a row it was never assigned.
-struct Meddler(InProcess, Option<u32>);
+/// How a [`Meddler`] link rewrites what its worker sends.
+#[derive(Clone, Copy)]
+enum Meddle {
+    /// Adds `(row, 1e9)` to every `FeedbackBatch` — a worker reporting
+    /// on a row it was never assigned.
+    ForeignRow(u32),
+    /// Drops the last coordinate of every `ModelUpdate` — a replica of
+    /// the wrong dimension.
+    ShortReplica,
+}
+
+/// A link that meddles with its outgoing traffic, or (`None`) does not.
+struct Meddler(InProcess, Option<Meddle>);
 
 impl Transport for Meddler {
     fn send(&mut self, msg: &isasgd_cluster::Message) -> Result<(), TransportError> {
-        use isasgd_cluster::Message::FeedbackBatch;
+        use isasgd_cluster::Message::{FeedbackBatch, ModelUpdate};
         match (msg, self.1) {
             (
                 FeedbackBatch {
@@ -179,7 +189,7 @@ impl Transport for Meddler {
                     round,
                     observations,
                 },
-                Some(row),
+                Some(Meddle::ForeignRow(row)),
             ) => {
                 let mut observations = observations.clone();
                 observations.push((row, 1e9));
@@ -187,6 +197,13 @@ impl Transport for Meddler {
                     node: *node,
                     round: *round,
                     observations,
+                })
+            }
+            (ModelUpdate { node, round, model }, Some(Meddle::ShortReplica)) => {
+                self.0.send(&ModelUpdate {
+                    node: *node,
+                    round: *round,
+                    model: model[..model.len() - 1].to_vec(),
                 })
             }
             _ => self.0.send(msg),
@@ -198,6 +215,15 @@ impl Transport for Meddler {
     }
 }
 
+/// `nodes` in-process links, link 0's worker end meddling as told.
+fn meddled_links(nodes: usize, meddle: Meddle) -> Vec<(Meddler, Meddler)> {
+    in_process_links(nodes)
+        .into_iter()
+        .enumerate()
+        .map(|(k, (c, w))| (Meddler(c, None), Meddler(w, (k == 0).then_some(meddle))))
+        .collect()
+}
+
 #[test]
 fn a_link_speaks_for_its_own_shard_only() {
     // Link 0 names, in each of its batches, a row of shard 1 — or one
@@ -207,14 +233,31 @@ fn a_link_speaks_for_its_own_shard_only() {
     let cfg = adaptive_cfg(3, CommitPolicy::EpochBoundary);
     let clean = run_with_links(&ds, &obj(), &cfg, in_process_links(cfg.nodes)).unwrap();
     for foreign in [100u32, 280, u32::MAX] {
-        let links = in_process_links(cfg.nodes)
-            .into_iter()
-            .enumerate()
-            .map(|(k, (c, w))| (Meddler(c, None), Meddler(w, (k == 0).then_some(foreign))))
-            .collect();
+        let links = meddled_links(cfg.nodes, Meddle::ForeignRow(foreign));
         let meddled = run_guarded(ds.clone(), cfg.clone(), links).unwrap();
         assert_same_run(&clean, &meddled, &format!("foreign row {foreign}"));
         assert_eq!(clean.feedback_rows, meddled.feedback_rows, "row {foreign}");
+    }
+}
+
+#[test]
+fn a_replica_of_the_wrong_dimension_is_a_typed_error() {
+    // Link 0 delivers every replica one coordinate short. The
+    // coordinator must refuse it by name: averaging it (3 nodes) or
+    // evaluating it (1 node) panics the coordinating thread with its
+    // links still open, and the workers then never unblock — a
+    // regression here hangs, hence `run_guarded`.
+    let ds = skewed(280);
+    for nodes in [1, 3] {
+        let cfg = adaptive_cfg(nodes, CommitPolicy::EpochBoundary);
+        let err = run_guarded(ds.clone(), cfg, meddled_links(nodes, Meddle::ShortReplica))
+            .expect_err("a short replica was averaged");
+        let ClusterError::Worker(detail) = &err else {
+            panic!("{nodes} nodes: {err}");
+        };
+        for want in ["round 1", "node 0", "dim 7", "dim 8"] {
+            assert!(detail.contains(want), "{nodes} nodes: {detail}");
+        }
     }
 }
 

@@ -12,7 +12,7 @@ use isasgd_core::{
     BalancePolicy, CommitPolicy, ImportanceScheme, LogisticLoss, Objective, Regularizer,
     SamplingStrategy,
 };
-use isasgd_obs::{parse_jsonl_line, JsonValue, LogLevel, ObsClock, Recorder};
+use isasgd_obs::{Event, LogLevel, ObsClock, Recorder};
 use isasgd_sparse::{Dataset, DatasetBuilder};
 use std::sync::Arc;
 
@@ -26,13 +26,6 @@ fn skewed(n: usize) -> Dataset {
             .unwrap();
     }
     b.finish()
-}
-
-fn field_u64(obj: &[(String, JsonValue)], key: &str) -> u64 {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| v.as_u64())
-        .unwrap_or_else(|| panic!("missing u64 field {key:?}"))
 }
 
 #[test]
@@ -67,47 +60,46 @@ fn coordinator_emits_round_events_and_net_summaries_in_slot_order() {
     isasgd_obs::uninstall();
     let out = res.unwrap();
 
-    let events: Vec<(String, Vec<(String, JsonValue)>)> = rec
+    let events: Vec<Event> = rec
         .take_trace_lines()
         .iter()
-        .map(|l| {
-            let obj = parse_jsonl_line(l).unwrap_or_else(|e| panic!("bad trace line {l:?}: {e}"));
-            let name = obj
-                .iter()
-                .find(|(k, _)| k == "event")
-                .and_then(|(_, v)| match v {
-                    JsonValue::Str(s) => Some(s.clone()),
-                    _ => None,
-                })
-                .expect("event field");
-            (name, obj)
+        .map(|l| match Event::parse_jsonl(l) {
+            Ok((_, Some(event))) => event,
+            other => panic!("bad trace line {l:?}: {other:?}"),
         })
         .collect();
 
     // Round lifecycle: one start and one end per round, in order.
-    for kind in ["round_start", "round_end"] {
-        let seen: Vec<u64> = events
-            .iter()
-            .filter(|(n, _)| n == kind)
-            .map(|(_, o)| field_u64(o, "round"))
-            .collect();
-        let want: Vec<u64> = (1..=rounds as u64).collect();
-        assert_eq!(seen, want, "{kind} events out of order or missing");
-    }
+    let want: Vec<u64> = (1..=rounds as u64).collect();
+    let starts = events.iter().filter_map(|e| match e {
+        Event::RoundStart { round, .. } => Some(*round),
+        _ => None,
+    });
+    assert_eq!(starts.collect::<Vec<_>>(), want, "round_start events");
+    let ends = events.iter().filter_map(|e| match e {
+        Event::RoundEnd { round, .. } => Some(*round),
+        _ => None,
+    });
+    assert_eq!(ends.collect::<Vec<_>>(), want, "round_end events");
 
     // net_summary: exactly one per link, node ids 0..n in emission
     // order (the slot-order contract), counters matching the run's
     // own LinkStats vector index-for-index.
-    let net: Vec<&Vec<(String, JsonValue)>> = events
+    let net: Vec<(u64, u64, u64)> = events
         .iter()
-        .filter(|(n, _)| n == "net_summary")
-        .map(|(_, o)| o)
+        .filter_map(|e| match e {
+            Event::NetSummary {
+                node,
+                tx_bytes,
+                rx_bytes,
+                ..
+            } => Some((*node, *tx_bytes, *rx_bytes)),
+            _ => None,
+        })
         .collect();
-    assert_eq!(net.len(), nodes, "one net_summary per link");
     assert_eq!(out.net.len(), nodes);
-    for (k, obj) in net.iter().enumerate() {
-        assert_eq!(field_u64(obj, "node"), k as u64, "net_summary slot order");
-        assert_eq!(field_u64(obj, "tx_bytes"), out.net[k].tx_total_bytes());
-        assert_eq!(field_u64(obj, "rx_bytes"), out.net[k].rx_total_bytes());
-    }
+    let want: Vec<(u64, u64, u64)> = (out.net.iter().enumerate())
+        .map(|(k, link)| (k as u64, link.tx_total_bytes(), link.rx_total_bytes()))
+        .collect();
+    assert_eq!(net, want, "one net_summary per link, in slot order");
 }

@@ -30,19 +30,20 @@ pub enum JsonValue {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number. Trace values fit f64 exactly (timestamps, counts).
+    /// An integer token (no sign, fraction or exponent) that fits `u64`,
+    /// held exactly: counts, ids, byte totals, microseconds.
+    Int(u64),
+    /// Any other JSON number.
     Num(f64),
     /// A JSON string with escapes resolved.
     Str(String),
 }
 
 impl JsonValue {
-    /// The value as a non-negative integer, if it is one.
+    /// The value as a non-negative integer, if it was written as one.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+            JsonValue::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -50,6 +51,7 @@ impl JsonValue {
     /// The value as a float, if numeric.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            JsonValue::Int(n) => Some(*n as f64),
             JsonValue::Num(n) => Some(*n),
             _ => None,
         }
@@ -215,8 +217,11 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.fail("bad number bytes"))?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
+        // A token starts with `-` or a digit, so `u64` takes exactly the
+        // all-digit ones that fit; everything else is a float.
+        text.parse::<u64>()
+            .map(JsonValue::Int)
+            .or_else(|_| text.parse::<f64>().map(JsonValue::Num))
             .map_err(|_| self.fail("bad number"))
     }
 }
@@ -239,7 +244,7 @@ mod tests {
         let line = "{\"ts_us\":42,\"event\":\"handshake\",\"node\":0,\"respawn\":false,\
                     \"dur_us\":1234}";
         let fields = parse_jsonl_line(line).unwrap();
-        assert_eq!(fields[0], ("ts_us".into(), JsonValue::Num(42.0)));
+        assert_eq!(fields[0], ("ts_us".into(), JsonValue::Int(42)));
         assert_eq!(fields[1].1.as_str(), Some("handshake"));
         assert_eq!(fields[3].1, JsonValue::Bool(false));
         assert_eq!(fields[4].1.as_u64(), Some(1234));
@@ -276,6 +281,27 @@ mod tests {
         assert_eq!(fields[0].1, JsonValue::Null);
         assert_eq!(fields[1].1.as_f64(), Some(-1500.0));
         assert_eq!(fields[1].1.as_u64(), None);
+    }
+
+    #[test]
+    fn integers_are_exact_up_to_u64_max_and_floats_above() {
+        let fields = parse_jsonl_line(
+            "{\"a\":18446744073709551615,\"b\":18446744073709551616,\"c\":9007199254740993,\
+             \"d\":-0,\"e\":7.0,\"f\":1e3}",
+        )
+        .unwrap();
+        assert_eq!(fields[0].1, JsonValue::Int(u64::MAX));
+        assert_eq!(fields[0].1.as_f64(), Some(u64::MAX as f64));
+        // One past u64::MAX no longer fits: it is a float, not an error.
+        assert_eq!(fields[1].1, JsonValue::Num(18446744073709551616.0));
+        assert_eq!(fields[1].1.as_u64(), None);
+        // 2^53 + 1 is not an f64; it survives as an integer.
+        assert_eq!(fields[2].1.as_u64(), Some((1 << 53) + 1));
+        // Sign, fraction or exponent make a float, whatever its value.
+        for f in &fields[3..] {
+            assert!(matches!(f.1, JsonValue::Num(_)), "{f:?}");
+            assert_eq!(f.1.as_u64(), None, "{f:?}");
+        }
     }
 
     #[test]

@@ -1,21 +1,38 @@
 //! Structured observability for the IS-ASGD runtime.
 //!
 //! Everything the runtime knows about its own behaviour flows through this
-//! crate as a [`Event`] — a typed, timestamped record of one thing that
+//! crate as an [`Event`] — a typed, timestamped record of one thing that
 //! happened (a round starting, a worker handshake, a respawn replay, a
-//! per-round worker timing sample shipped over the wire). Events fan out to
-//! three sinks inside a single [`Recorder`]:
+//! per-round worker timing sample shipped over the wire).
+//!
+//! # The event table
+//!
+//! The vocabulary is declared once, in the `events!` table of [`event`]:
+//! one entry per event giving its variant, its JSONL name, its stderr
+//! level and its typed fields in trace order. Everything that is a
+//! function of that *list* is generated from it — the [`Event`] enum,
+//! `name`/`level`/`fields`, the typed reader [`Event::parse_jsonl`] that
+//! `isasgd report` matches on, and [`Event::schema_json`], whose rendering
+//! is committed as `TRACE_SCHEMA.json` and byte-compared by a test. What
+//! an event *means* stays hand-written: the two renderers (one loop each
+//! over `fields()`), and [`Metrics::apply`], whose exhaustive match makes
+//! a new table entry a compile error until its metrics are decided.
+//!
+//! # The three sinks
+//!
+//! Events fan out inside a single [`Recorder`]:
 //!
 //! 1. **Human-readable stderr** at `--log-level {off,info,debug}` — terse
 //!    `[event] k=v` lines for live debugging.
 //! 2. **JSONL traces** via `--trace-out <path>` — one hand-rolled JSON object
 //!    per line with a stable field order (no serde; the build is offline and
-//!    the schema is part of the repo's contract). `isasgd report` replays
-//!    these files into per-round timelines and latency histograms.
+//!    the schema is part of the repo's contract). `isasgd report` reads
+//!    these files back, typed and strictly, into per-round timelines and
+//!    latency histograms.
 //! 3. **A metrics registry** ([`Metrics`]) — counters, gauges, and
 //!    fixed-bucket latency histograms (handshake, worker compute, barrier
-//!    wait, shard encode, recovery replay), snapshotted per round and dumped
-//!    as JSON via `--metrics-out <path>`.
+//!    wait, shard encode, recovery replay), fed only by events, snapshotted
+//!    per round and dumped as JSON via `--metrics-out <path>`.
 //!
 //! # The clock seam
 //!

@@ -1,10 +1,14 @@
 //! The metrics registry: counters, gauges, fixed-bucket latency histograms,
 //! and per-round counter snapshots.
 //!
-//! The registry is fed exclusively from [`Event`]s (see [`Metrics::apply`]),
-//! so the metric catalog is derived from the event catalog and needs no
-//! registration step. `render_json` dumps the whole registry as one stable
-//! hand-rolled JSON document for `--metrics-out`.
+//! The registry is fed exclusively from [`Event`]s: [`Metrics::apply`] is the
+//! only public way in (the mutators it calls are private), so the metric
+//! catalog is derived from the event catalog and needs no registration
+//! step. `apply` is hand-written on purpose — it is the event→metric
+//! *semantics*, and its exhaustive `match` is what stops a new entry in the
+//! event table from compiling until someone has decided what it counts.
+//! `render_json` dumps the whole registry as one stable hand-rolled JSON
+//! document for `--metrics-out`.
 
 use std::collections::BTreeMap;
 
@@ -144,17 +148,17 @@ pub struct Metrics {
 
 impl Metrics {
     /// Add `by` to a counter.
-    pub fn inc(&mut self, name: &'static str, by: u64) {
+    fn inc(&mut self, name: &'static str, by: u64) {
         *self.counters.entry(name).or_insert(0) += by;
     }
 
     /// Set a gauge to its latest value.
-    pub fn set_gauge(&mut self, name: &'static str, value: f64) {
+    fn set_gauge(&mut self, name: &'static str, value: f64) {
         self.gauges.insert(name, value);
     }
 
     /// Record a duration into a named histogram.
-    pub fn observe_us(&mut self, name: &'static str, us: u64) {
+    fn observe_us(&mut self, name: &'static str, us: u64) {
         self.histograms.entry(name).or_default().record(us);
     }
 
@@ -174,7 +178,7 @@ impl Metrics {
     }
 
     /// Capture the current counters as the snapshot closing `round`.
-    pub fn snapshot_round(&mut self, round: u64) {
+    fn snapshot_round(&mut self, round: u64) {
         self.snapshots.push(RoundSnapshot {
             round,
             counters: self.counters.clone(),
