@@ -125,13 +125,6 @@ pub struct FaultCounts {
     pub extras_to_closed: u64,
 }
 
-impl FaultCounts {
-    /// True when any lossless fault fired (dup/hold/reorder).
-    pub fn any_lossless(&self) -> bool {
-        self.dups > 0 || self.holds > 0 || self.reorders > 0
-    }
-}
-
 /// What the scheduler knew when the run ended.
 #[derive(Debug, Clone)]
 pub struct SchedReport {

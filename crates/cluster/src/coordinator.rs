@@ -40,7 +40,7 @@ use crate::node::{
 };
 use crate::sync::average_models;
 use crate::transport::Transport;
-use crate::wire::{CheckpointSampler, CheckpointState, Message, WorkerTiming};
+use crate::wire::{CheckpointSampler, CheckpointState, Message, SessionConfig, WorkerTiming};
 use isasgd_balance::{rearrange, Rearranged};
 use isasgd_losses::{importance_weights, sgd_step, Loss, Objective};
 use isasgd_metrics::{Trace, TracePoint};
@@ -189,7 +189,7 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
     let d = data.dim();
     let ranges = &plan.ranges;
     let reordered_weights = &plan.weights;
-    let strategy = effective_strategy(cfg);
+    let strategy = effective_strategy(cfg.importance, cfg.sampling);
 
     let phis: Vec<f64> = ranges
         .iter()
@@ -464,7 +464,10 @@ impl<'a> ShardInput<'a> {
 
 /// One worker's runtime: receives its shard assignment, runs local
 /// (IS-)SGD epochs on its own [`ScheduleStream`], and reports its
-/// replica and importance observations every round.
+/// replica and importance observations every round. It reads only what
+/// crosses the wire: frames off its link, its shard, and the
+/// [`SessionConfig`] — the coordinator-only half of a `ClusterConfig`
+/// (balance, sync, transport) never reaches it.
 pub struct NodeRuntime<T: Transport> {
     link: T,
     node_id: u32,
@@ -511,18 +514,30 @@ impl<T: Transport> NodeRuntime<T> {
     }
 
     /// Runs the full worker side of the protocol (see module docs) on
-    /// the supplied shard.
+    /// the supplied shard, beside a coordinator in the same process:
+    /// the session is what `cfg` would put in an `Assign` frame.
+    pub fn run<L: Loss>(
+        self,
+        shard: ShardInput<'_>,
+        obj: &Objective<L>,
+        cfg: &ClusterConfig,
+    ) -> Result<(), ClusterError> {
+        self.run_session(shard, obj, &cfg.session(obj))
+    }
+
+    /// [`NodeRuntime::run`] on a session that may have arrived in an
+    /// `Assign` frame.
     ///
     /// The assignment still arrives as [`Message::ShardRebalance`]; a
     /// supplier whose `shard` disagrees with it is refused, whoever the
     /// supplier is. Nothing global is recomputed here: weights are the
     /// exact bits the coordinator's plan holds, and per-row feature
     /// norms are row-local, so every transport trains bit-identically.
-    pub fn run<L: Loss>(
+    pub(crate) fn run_session<L: Loss>(
         mut self,
         shard: ShardInput<'_>,
         obj: &Objective<L>,
-        cfg: &ClusterConfig,
+        cfg: &SessionConfig,
     ) -> Result<(), ClusterError> {
         let (wire_ranges, assigned) = self.await_assignment()?;
         let range = wire_ranges
@@ -601,7 +616,7 @@ impl<T: Transport> NodeRuntime<T> {
         shard: ShardInput<'_>,
         assigned: usize,
         obj: &Objective<L>,
-        cfg: &ClusterConfig,
+        cfg: &SessionConfig,
     ) -> Result<(), ClusterError> {
         let ShardInput {
             rows: data,
@@ -618,10 +633,10 @@ impl<T: Transport> NodeRuntime<T> {
         // here, by the one constructor that owns the seed layout.
         let spec = ShardSpec {
             shard: assigned,
-            shards: cfg.nodes,
+            shards: cfg.nodes as usize,
             seed: cfg.seed,
             range: range.clone(),
-            strategy: effective_strategy(cfg),
+            strategy: effective_strategy(cfg.importance, cfg.sampling),
             weights: Some(local),
             sequence: SequenceMode::RegeneratePerEpoch,
             commit: cfg.commit,
@@ -715,7 +730,7 @@ impl<T: Transport> NodeRuntime<T> {
             model.copy_from_slice(&state.model);
             first_round = cround + 1;
         }
-        for round in first_round..=cfg.rounds as u64 {
+        for round in first_round..=cfg.rounds {
             // Timing capture is telemetry-gated so the bit-identity
             // contract stays trivially true: with telemetry off not a
             // single clock read happens on the round path.
@@ -798,7 +813,7 @@ impl<T: Transport> NodeRuntime<T> {
                     timing: WorkerTiming {
                         compute_us,
                         barrier_wait_us,
-                        rows: (cfg.local_epochs * range.len()) as u64,
+                        rows: u64::from(cfg.local_epochs) * range.len() as u64,
                         commits,
                     },
                 })?;
@@ -814,10 +829,7 @@ impl<T: Transport> NodeRuntime<T> {
             // collect left to absorb it). Snapshotting never mutates
             // the stream, so emission cannot perturb the computation:
             // runs are bit-identical with checkpointing on or off.
-            if cfg.checkpoint_every > 0
-                && round % cfg.checkpoint_every == 0
-                && round < cfg.rounds as u64
-            {
+            if cfg.checkpoint_every > 0 && round % cfg.checkpoint_every == 0 && round < cfg.rounds {
                 let rows = wire_row(range.len());
                 let sampler = match stream.sampler().snapshot() {
                     SamplerSnapshot::Sequence { rng, indices } => {

@@ -615,21 +615,10 @@ pub fn run_fleet_with<L: Loss, S: WorkerSpawner>(
         .map_err(|e| ClusterError::Worker(format!("local_addr: {e}")))?
         .to_string();
     let session = SessionConfig {
-        nodes: cfg.nodes as u32,
-        rounds: cfg.rounds as u64,
-        local_epochs: cfg.local_epochs as u32,
-        step_size: cfg.step_size,
-        seed: cfg.seed,
         round_timeout_ms: pc.round_timeout_ms,
-        importance: cfg.importance,
-        sampling: cfg.sampling,
-        obs_model: cfg.obs_model,
-        commit: cfg.commit,
-        loss: obj.loss.name().to_string(),
-        reg: obj.reg,
         encoding: pc.encoding,
         checkpoint_every,
-        telemetry: cfg.telemetry,
+        ..cfg.session(obj)
     };
     let shared = Arc::new(Mutex::new(FleetShared {
         listener,

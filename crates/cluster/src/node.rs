@@ -12,6 +12,7 @@ use crate::transport::{
     in_process_links, tcp_loopback_links, LinkStats, RecoveryFootprint, TelemetrySample,
     TransportConfig, TransportError,
 };
+use crate::wire::{SessionConfig, WireEncoding};
 use isasgd_balance::BalancePolicy;
 use isasgd_losses::{ImportanceScheme, Loss, Objective};
 use isasgd_metrics::Trace;
@@ -255,11 +256,41 @@ impl From<TransportError> for ClusterError {
 
 /// The sampling strategy nodes actually run: uniform importance forces
 /// uniform sampling (there is nothing to weight by).
-pub(crate) fn effective_strategy(cfg: &ClusterConfig) -> SamplingStrategy {
-    if matches!(cfg.importance, ImportanceScheme::Uniform) {
+pub(crate) fn effective_strategy(
+    importance: ImportanceScheme,
+    sampling: SamplingStrategy,
+) -> SamplingStrategy {
+    if matches!(importance, ImportanceScheme::Uniform) {
         SamplingStrategy::Uniform
     } else {
-        cfg.sampling
+        sampling
+    }
+}
+
+impl ClusterConfig {
+    /// The part of this config (and the objective) a worker reads —
+    /// exactly what an `Assign` frame carries, whether or not the run
+    /// ever puts it on a wire. Link-level settings (round deadline,
+    /// model encoding) are left at "none"; the fleet, whose links have
+    /// them, fills them in.
+    pub(crate) fn session<L: Loss>(&self, obj: &Objective<L>) -> SessionConfig {
+        SessionConfig {
+            nodes: self.nodes as u32,
+            rounds: self.rounds as u64,
+            local_epochs: self.local_epochs as u32,
+            step_size: self.step_size,
+            seed: self.seed,
+            round_timeout_ms: 0,
+            importance: self.importance,
+            sampling: self.sampling,
+            obs_model: self.obs_model,
+            commit: self.commit,
+            loss: obj.loss.name().to_string(),
+            reg: obj.reg,
+            encoding: WireEncoding::default(),
+            checkpoint_every: self.checkpoint_every,
+            telemetry: self.telemetry,
+        }
     }
 }
 
@@ -286,7 +317,7 @@ pub(crate) fn validate(cfg: &ClusterConfig, ds: &Dataset) -> Result<(), ClusterE
     // The same rule the core plan applies, against the strategy nodes
     // actually run.
     cfg.commit
-        .check_strategy(effective_strategy(cfg))
+        .check_strategy(effective_strategy(cfg.importance, cfg.sampling))
         .map_err(|e| ClusterError::InvalidConfig(e.to_string()))
 }
 

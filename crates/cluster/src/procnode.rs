@@ -13,9 +13,9 @@
 //!   …NodeRuntime round protocol (see crate::coordinator docs)…
 //! ```
 //!
-//! After the handshake the worker constructs its [`ClusterConfig`] and
-//! objective from the [`SessionConfig`] and runs the exact same
-//! [`NodeRuntime`] the thread-backed transports run — which is why a
+//! After the handshake the worker rebuilds its objective from the
+//! [`SessionConfig`] and hands both to the exact same [`NodeRuntime`]
+//! the thread-backed transports run — which is why a
 //! `--cluster-transport process` run is bit-equal to `tcp`, `inproc`,
 //! and (single-node) the sequential engine: same draws, same float-op
 //! order, only the process boundary differs. The decoded shard is the
@@ -27,11 +27,9 @@
 //! cross-process, and an unknown name is a typed error, not a panic.
 
 use crate::coordinator::{NodeRuntime, ShardInput};
-use crate::node::{ClusterConfig, ClusterError};
-use crate::sync::SyncStrategy;
-use crate::transport::{Tcp, Transport, TransportConfig, TransportError};
+use crate::node::ClusterError;
+use crate::transport::{Tcp, Transport, TransportError};
 use crate::wire::{Message, SessionConfig, PROTOCOL_VERSION};
-use isasgd_balance::BalancePolicy;
 use isasgd_losses::{LogisticLoss, Loss, Objective, SquaredHingeLoss, SquaredLoss};
 use isasgd_sparse::{Dataset, DatasetBuilder};
 use std::net::TcpStream;
@@ -203,8 +201,7 @@ fn append_chunk(builder: &mut DatasetBuilder, chunk: &Dataset) {
 }
 
 /// Runs the [`NodeRuntime`] for an already-handshaken link,
-/// reconstructing the cluster config and dispatching over the wire
-/// loss name.
+/// dispatching over the wire loss name.
 fn serve(
     link: Tcp,
     worker: u32,
@@ -212,35 +209,16 @@ fn serve(
     shard: ShardInput<'_>,
     die_at_round: Option<u64>,
 ) -> Result<WorkerReport, ClusterError> {
-    let cfg = ClusterConfig {
-        nodes: sc.nodes as usize,
-        rounds: sc.rounds as usize,
-        local_epochs: sc.local_epochs as usize,
-        step_size: sc.step_size,
-        importance: sc.importance,
-        // Coordinator-only decisions: the worker receives their outcome
-        // through ShardRebalance / consensus models and never reads
-        // these fields.
-        balance: BalancePolicy::default(),
-        sync: SyncStrategy::Average,
-        sampling: sc.sampling,
-        obs_model: sc.obs_model,
-        commit: sc.commit,
-        transport: TransportConfig::InProcess,
-        seed: sc.seed,
-        checkpoint_every: sc.checkpoint_every,
-        telemetry: sc.telemetry,
-    };
     let runtime = NodeRuntime::new(link, worker as usize).with_chaos_kill(die_at_round);
     match sc.loss.as_str() {
         n if n == LogisticLoss.name() => {
-            runtime.run(shard, &Objective::new(LogisticLoss, sc.reg), &cfg)?;
+            runtime.run_session(shard, &Objective::new(LogisticLoss, sc.reg), &sc)?;
         }
         n if n == SquaredHingeLoss.name() => {
-            runtime.run(shard, &Objective::new(SquaredHingeLoss, sc.reg), &cfg)?;
+            runtime.run_session(shard, &Objective::new(SquaredHingeLoss, sc.reg), &sc)?;
         }
         n if n == SquaredLoss.name() => {
-            runtime.run(shard, &Objective::new(SquaredLoss, sc.reg), &cfg)?;
+            runtime.run_session(shard, &Objective::new(SquaredLoss, sc.reg), &sc)?;
         }
         other => {
             return Err(ClusterError::InvalidConfig(format!(

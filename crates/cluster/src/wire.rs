@@ -1,8 +1,10 @@
-//! Hand-rolled wire codec for the cluster protocol.
+//! The wire codec of the cluster protocol: the layout is the type.
 //!
 //! The build environment is offline, so the wire path cannot lean on a
-//! serde derive; instead every [`Message`] encodes to a fixed,
-//! versionless little-endian layout:
+//! serde derive. Instead every wire-visible type has exactly one
+//! `Wire` impl — its byte layout, both directions — and a frame's
+//! bytes are its tag followed by its fields' layouts in declaration
+//! order, unless the `frames!` table marks the frame `custom`:
 //!
 //! ```text
 //! frame    := u32 payload_len ‖ payload          (framing lives in Tcp)
@@ -10,7 +12,15 @@
 //! u32/u64  := little-endian fixed width
 //! f64      := IEEE-754 bits, little-endian (bit-exact round trips,
 //!             including ±0.0, ±inf, and subnormals)
-//! vec<T>   := u32 count ‖ count × T
+//! bool     := u8 0 | 1
+//! usize    := u64 (a commit period; refused if it overflows the host)
+//! String   := u32 len ‖ len × UTF-8 byte
+//! Vec<T>   := u32 count ‖ count × T
+//! (A, B)   := A ‖ B
+//! [u64; 4] := 4 × u64
+//! enum     := u8 tag ‖ the variant's payload, if it has one (one tag
+//!             table per enum, next to `wire_enum!`)
+//! struct   := its fields in declaration order (`wire_struct!`)
 //! varint   := canonical LEB128 (7 bits per byte, low first; the
 //!             shortest encoding is the only accepted one)
 //! idxlist  := u32 count ‖ varint first ‖ (count−1) × varint gap
@@ -18,34 +28,39 @@
 //!             construction, so sortedness needs no re-check)
 //! ```
 //!
-//! The bandwidth-bearing frames ([`Message::ModelDelta`],
-//! [`Message::DatasetShard`]) use the varint index list for their
-//! coordinate payloads; dense frames keep the fixed-width layout.
+//! Four frames are `custom` — their bytes are *not* their field list —
+//! and keep one hand-written `put_*`/`get_*` pair each:
+//! [`Message::ModelDelta`] (a gap-coded `idxlist` and a value list that
+//! borrows its count), [`Message::DatasetShard`] (rows interleaved with
+//! their weights), [`Message::Checkpoint`] (layout version word, sparse
+//! sampler state, checksum) and [`Message::Telemetry`] (checksum).
 //!
 //! Decoding is total: truncated frames, unknown tags, over-declared
 //! vector counts, non-minimal varints, and trailing garbage all return
 //! a typed [`WireError`] — never a panic, never an unbounded allocation
-//! (counts are validated against the remaining frame bytes *before* any
-//! buffer is reserved). `tests/wire_proptests.rs` pins both directions:
-//! every message round-trips bit-exactly, and every strict prefix of a
-//! valid encoding (plus arbitrary garbage) decodes to an error.
+//! (`Vec<T>` validates its count against the remaining frame bytes at
+//! `T::MIN_BYTES` apiece *before* any buffer is reserved).
+//! `tests/wire_proptests.rs` pins both directions: every message
+//! round-trips bit-exactly, and every strict prefix of a valid encoding
+//! (plus arbitrary garbage) decodes to an error.
 //!
 //! # Adding a frame
 //!
-//! One entry in the `frames!` table below (`Name = tag { field: Type, … }`)
-//! plus four compiler-enforced arms. The table generates [`Message`],
-//! [`FrameKind`] and everything that is a pure function of the frame
-//! list (tag ↔ kind, names, [`FRAME_KINDS`], the field lists
-//! [`schema_json`] renders); the exhaustive matches in
-//! [`Message::encode`], [`Message::decode`], [`Message::round`] and
-//! [`Message::resident_bytes`] then refuse to compile until the new
-//! frame has its hand-written arm, and a reused tag is a compile error
-//! in `FrameKind::from_tag`. The byte layouts stay hand-written on
-//! purpose: `isasgd-lint` reads no macro expansions, so declarations may
-//! be generated but decode-path functions may not. After the change,
-//! refresh the frozen schema (`cargo run -p isasgd-cluster --example
-//! wire_schema > WIRE_SCHEMA.json`) and add the frame's golden encoding
-//! under `tests/golden/`; both are pinned by this module's tests.
+//! 1. One entry in the `frames!` table below (`Name = tag { field:
+//!    Type, … }`). The table generates [`Message`], [`FrameKind`],
+//!    everything that is a function of the frame list, and the frame's
+//!    [`Message::encode`] / [`Message::decode`] arms; the exhaustive
+//!    matches in [`Message::round`] and [`Message::resident_bytes`]
+//!    refuse to compile until the frame has its arm there, and a reused
+//!    tag is a compile error in `FrameKind::from_tag`.
+//! 2. Its golden encoding under `tests/golden/` (the test prints the
+//!    hex; a frame without a file fails `golden_encodings_are_frozen`).
+//! 3. The schema refresh: `cargo run -p isasgd-cluster --example
+//!    wire_schema > WIRE_SCHEMA.json`.
+//!
+//! A `Wire` impl is needed only for a field *type* the list above does
+//! not have yet; a layout that is not "the fields in order" is a newtype
+//! with its own impl, or — last resort — a `custom` frame.
 
 use isasgd_losses::{ImportanceScheme, Regularizer};
 use isasgd_sampling::{CommitPolicy, ObservationModel, SamplingStrategy};
@@ -128,8 +143,361 @@ impl WireEncoding {
     }
 }
 
-/// Declares a wire-visible struct together with its `FIELDS` list, so
-/// the rendered schema cannot drift from the declaration.
+/// Typed decode failures. Garbage never panics the decoder.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum WireError {
+    /// The frame ended before a declared field or element count.
+    Truncated {
+        /// Bytes the decoder still needed.
+        needed: usize,
+        /// Bytes actually remaining.
+        have: usize,
+    },
+    /// Unknown message tag byte.
+    BadTag(u8),
+    /// A frame (or its length prefix) exceeds [`MAX_FRAME`].
+    FrameTooLarge {
+        /// Declared payload length.
+        len: usize,
+    },
+    /// The payload decoded cleanly but bytes were left over — the frame
+    /// is not a canonical encoding.
+    TrailingBytes {
+        /// Number of undecoded trailing bytes.
+        extra: usize,
+    },
+    /// An empty payload (no tag byte).
+    Empty,
+    /// A sub-enum field (importance scheme, commit policy, …) carried a
+    /// tag outside its variant range.
+    BadEnum {
+        /// Which type was being decoded.
+        what: &'static str,
+        /// The offending tag byte.
+        tag: u8,
+    },
+    /// A structurally well-formed frame whose contents violate an
+    /// invariant (non-UTF-8 string, unsorted dataset row, ±1 label
+    /// violation, non-finite feature value, …).
+    Invalid {
+        /// Which invariant failed.
+        what: &'static str,
+    },
+    /// A [`Message::Hello`] declared a protocol version this build does
+    /// not speak.
+    Version {
+        /// Version the peer announced.
+        got: u32,
+        /// Version this build speaks ([`PROTOCOL_VERSION`]).
+        want: u32,
+    },
+}
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WireError::Truncated { needed, have } => {
+                write!(
+                    f,
+                    "truncated frame: needed {needed} more bytes, have {have}"
+                )
+            }
+            WireError::BadTag(t) => write!(f, "unknown message tag {t:#04x}"),
+            WireError::FrameTooLarge { len } => {
+                write!(f, "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap")
+            }
+            WireError::TrailingBytes { extra } => {
+                write!(f, "{extra} trailing bytes after a complete message")
+            }
+            WireError::Empty => write!(f, "empty frame"),
+            WireError::BadEnum { what, tag } => {
+                write!(f, "unknown {what} tag {tag:#04x}")
+            }
+            WireError::Invalid { what } => write!(f, "invalid frame contents: {what}"),
+            WireError::Version { got, want } => {
+                write!(f, "protocol version {got} (this build speaks {want})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
+/// `Ok` when a decoded value satisfies its invariant, `Invalid { what }`
+/// when it does not.
+fn check(ok: bool, what: &'static str) -> Result<(), WireError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(WireError::Invalid { what })
+    }
+}
+
+/// Bounded cursor over a payload; every read is length-checked.
+struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let truncated = WireError::Truncated {
+            needed: n,
+            have: self.remaining(),
+        };
+        let end = self.pos.checked_add(n).ok_or(truncated.clone())?;
+        let s = self.buf.get(self.pos..end).ok_or(truncated)?;
+        self.pos = end;
+        Ok(s)
+    }
+
+    /// A fixed-width field as an owned array, so the number impls below
+    /// need neither slice indexing nor a fallible `try_into`.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.take(N)?);
+        Ok(a)
+    }
+
+    /// A tag byte (frame kind, enum variant, flag).
+    fn u8(&mut self) -> Result<u8, WireError> {
+        let [b] = self.array::<1>()?;
+        Ok(b)
+    }
+
+    /// Validates a declared element count against the bytes actually
+    /// left, so a hostile count cannot drive an allocation.
+    fn count(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
+        let n = u32::get(self)? as usize;
+        let needed = n.saturating_mul(elem_bytes);
+        if self.remaining() < needed {
+            return Err(WireError::Truncated {
+                needed,
+                have: self.remaining(),
+            });
+        }
+        Ok(n)
+    }
+
+    /// `n` values that follow an index list and borrow its count instead
+    /// of carrying their own; `vet` sees each value as it is read, so an
+    /// invalid value is reported ahead of a truncation behind it.
+    fn values(
+        &mut self,
+        n: usize,
+        vet: impl Fn(f64) -> Result<(), WireError>,
+    ) -> Result<Vec<f64>, WireError> {
+        let mut values = Vec::with_capacity(n);
+        for _ in 0..n {
+            let v = f64::get(self)?;
+            vet(v)?;
+            values.push(v);
+        }
+        Ok(values)
+    }
+
+    /// Reads the FNV-1a word that closes a checksummed frame and checks
+    /// it against everything between the tag and the word itself. The
+    /// range is in bounds by construction — the reader just consumed
+    /// through `pos` — but decode paths never index directly.
+    fn checksum(&mut self, short: &'static str, mismatch: &'static str) -> Result<(), WireError> {
+        let sum = u64::get(self)?;
+        let covered = self.buf.get(1..self.pos - 8);
+        check(
+            fnv1a(covered.ok_or(WireError::Invalid { what: short })?) == sum,
+            mismatch,
+        )
+    }
+}
+
+/// One wire-visible type's byte layout, both directions — the only
+/// place that layout is written down.
+trait Wire: Sized {
+    /// The fewest bytes any value encodes to: what `Vec<Self>` holds a
+    /// declared count against before it allocates.
+    const MIN_BYTES: usize;
+    /// `(field name, type spelling)` in wire order for a `wire_struct!`
+    /// (what [`schema_json`] renders); empty for every other type.
+    const FIELDS: &'static [(&'static str, &'static str)] = &[];
+    /// Appends the encoding of `self`.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Reads one value, leaving the reader just past it.
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError>;
+}
+
+/// Fixed-width little-endian numbers (`f64` as its IEEE-754 bits).
+macro_rules! wire_number {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            const MIN_BYTES: usize = std::mem::size_of::<$ty>();
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(<$ty>::from_le_bytes(r.array()?))
+            }
+        }
+    )*};
+}
+wire_number!(u32, u64, f64);
+
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(WireError::BadEnum { what: "bool", tag }),
+        }
+    }
+}
+
+/// The one `usize` on the wire is [`CommitPolicy::EveryK`]'s period: a
+/// `u64`, refused when the receiving platform cannot hold it.
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        usize::try_from(u64::get(r)?).map_err(|_| WireError::Invalid {
+            what: "commit period exceeds usize",
+        })
+    }
+}
+
+impl Wire for String {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = r.count(1)?;
+        String::from_utf8(r.take(n)?.to_vec()).map_err(|_| WireError::Invalid {
+            what: "non-UTF-8 string",
+        })
+    }
+}
+
+impl Wire for [u64; 4] {
+    const MIN_BYTES: usize = 32;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.iter().for_each(|w| w.put(out));
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok([u64::get(r)?, u64::get(r)?, u64::get(r)?, u64::get(r)?])
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok((A::get(r)?, B::get(r)?))
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 4;
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        self.iter().for_each(|v| v.put(out));
+    }
+    // Forced into its caller so the element loop keeps the reader's
+    // cursor in a register, as the hand-written per-frame loops did: left
+    // to the inliner it stays out of line and `decode_dense_gbps` in
+    // `bench_wire` drops ~8 %.
+    #[inline(always)]
+    fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let n = r.count(T::MIN_BYTES)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::get(r)?);
+        }
+        Ok(v)
+    }
+}
+
+/// A session enum's tag table, `tag => Variant` or `tag => Variant
+/// { field: Type }` (a tuple variant's field is `0`): the tag byte, then
+/// the payload field if the variant has one. Parameterless variants
+/// ship the bare tag, so every value has exactly one encoding and
+/// `decode ∘ encode` stays the unique fixed point. Both directions and
+/// the [`WireError::BadEnum`] arm come from the one table.
+macro_rules! wire_enum {
+    ($ty:ident, $what:literal {
+        $($tag:literal => $variant:ident $({ $field:tt: $fty:ty })?,)*
+    }) => {
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 1;
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $({ $field: v })? => {
+                        out.push($tag);
+                        $(<$fty>::put(v, out);)?
+                    })*
+                }
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok(match r.u8()? {
+                    $($tag => $ty::$variant $({ $field: <$fty>::get(r)? })?,)*
+                    tag => return Err(WireError::BadEnum { what: $what, tag }),
+                })
+            }
+        }
+    };
+}
+
+wire_enum!(ImportanceScheme, "importance scheme" {
+    0 => LipschitzSmoothness,
+    1 => GradNormBound { radius: f64 },
+    2 => Uniform,
+    3 => PartiallyBiased { bias: f64 },
+});
+wire_enum!(SamplingStrategy, "sampling strategy" {
+    0 => Uniform,
+    1 => Static,
+    2 => Adaptive,
+});
+wire_enum!(ObservationModel, "observation model" {
+    0 => GradNorm,
+    1 => LossBound,
+    2 => StalenessDiscounted { half_life: f64 },
+});
+wire_enum!(CommitPolicy, "commit policy" {
+    0 => EpochBoundary,
+    1 => EveryK { 0: usize },
+});
+wire_enum!(Regularizer, "regularizer" {
+    0 => None,
+    1 => L1 { eta: f64 },
+    2 => L2 { eta: f64 },
+});
+wire_enum!(WireEncoding, "wire encoding" {
+    0 => Dense,
+    1 => Delta,
+    2 => Auto,
+});
+
+/// Declares a wire-visible struct whose bytes are its fields in
+/// declaration order: the struct, its [`Wire`] impl and the field list
+/// the schema renders all come from the one declaration, so none can
+/// drift from the others.
 macro_rules! wire_struct {
     ($(#[$meta:meta])* pub struct $name:ident {
         $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
@@ -139,19 +507,25 @@ macro_rules! wire_struct {
             $($(#[$fmeta])* pub $field: $ty,)*
         }
 
-        impl $name {
-            /// `(field name, type spelling)` in declaration = wire order.
-            pub const FIELDS: &'static [(&'static str, &'static str)] =
+        impl Wire for $name {
+            const MIN_BYTES: usize = 0 $(+ <$ty>::MIN_BYTES)*;
+            const FIELDS: &'static [(&'static str, &'static str)] =
                 &[$((stringify!($field), stringify!($ty)),)*];
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+            fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
+                Ok($name { $($field: Wire::get(r)?,)* })
+            }
         }
     };
 }
 
 wire_struct! {
 /// The training assignment a [`Message::Assign`] ships to a
-/// freshly-connected worker process: everything a `NodeRuntime` needs
-/// to reconstruct its `ClusterConfig` and objective in another OS
-/// process. Coordinator-only decisions (balance policy, sync strategy)
+/// freshly-connected worker process: everything a worker runtime needs
+/// to run its side of the round protocol in another OS process.
+/// Coordinator-only decisions (balance policy, sync strategy)
 /// deliberately stay off the wire — the worker receives their *outcome*
 /// through [`Message::ShardRebalance`] and the per-round consensus
 /// models.
@@ -204,6 +578,7 @@ pub struct SessionConfig {
 }
 }
 
+wire_struct! {
 /// The per-round timing counters a worker ships inside
 /// [`Message::Telemetry`]: wall-time split between useful compute and
 /// barrier stalling, plus the round's work volume. Durations come from
@@ -220,6 +595,7 @@ pub struct WorkerTiming {
     /// Feedback observations committed this round (0 when the run is
     /// not adaptive).
     pub commits: u64,
+}
 }
 
 /// The deterministic worker state a [`Message::Checkpoint`] carries:
@@ -274,15 +650,32 @@ pub enum CheckpointSampler {
     },
 }
 
-/// The frame table's expander: from `Name = tag { field: Type, … }`
+/// One frame's share of the generated code. The parentheses hold the
+/// table's `custom(put, get)` marker or nothing: without a marker the
+/// field list *is* the layout and the arm is spelled from it; with one
+/// the arm hands over to the frame's hand-written pair.
+macro_rules! frame_arm {
+    (layout ()) => { "fields" };
+    (layout ($put:ident $get:ident)) => { "custom" };
+    (put () $out:ident $($field:ident)*) => {{ $($field.put($out);)* }};
+    (put ($put:ident $get:ident) $out:ident $($field:ident)*) => { $put($out, $($field),*) };
+    (get () $r:ident $name:ident $($field:ident)*) => {
+        Message::$name { $($field: Wire::get(&mut $r)?,)* }
+    };
+    (get ($put:ident $get:ident) $r:ident $name:ident $($field:ident)*) => { $get(&mut $r)? };
+}
+
+/// The frame table's expander. From `Name = tag { field: Type, … }`
 /// entries (doc comments pass through) it declares [`Message`],
-/// [`FrameKind`] and every function of the frame *list* — nothing about
-/// a frame's byte layout, which stays hand-written in
-/// [`Message::encode`] / [`Message::decode`].
+/// [`FrameKind`], every function of the frame *list*, and
+/// [`Message::encode`] / [`Message::decode`]: a frame's bytes are its
+/// tag, then its fields' [`Wire`] layouts in declaration order. A frame
+/// whose bytes are anything else says so — `Name = tag custom(put_fn,
+/// get_fn) { … }` — and the two named functions are its layout.
 macro_rules! frames {
     ($(
         $(#[$doc:meta])*
-        $name:ident = $tag:literal {
+        $name:ident = $tag:literal $(custom($put:ident, $get:ident))? {
             $($(#[$fdoc:meta])* $field:ident: $ty:ty,)*
         }
     )*) => {
@@ -341,6 +734,14 @@ macro_rules! frames {
                     $(FrameKind::$name => &[$((stringify!($field), stringify!($ty)),)*],)*
                 }
             }
+
+            /// `"fields"` when [`FrameKind::fields`] is the frame's byte
+            /// layout, `"custom"` when the frame is marked otherwise.
+            fn layout(&self) -> &'static str {
+                match self {
+                    $(FrameKind::$name => frame_arm!(layout ($($put $get)?)),)*
+                }
+            }
         }
 
         impl Message {
@@ -349,6 +750,38 @@ macro_rules! frames {
                 match self {
                     $(Message::$name { .. } => FrameKind::$name,)*
                 }
+            }
+
+            /// Appends this message's payload encoding (tag + fields, no
+            /// length prefix) to `out`.
+            pub fn encode(&self, out: &mut Vec<u8>) {
+                out.push(self.frame_kind().tag());
+                match self {
+                    $(Message::$name { $($field),* } => {
+                        frame_arm!(put ($($put $get)?) out $($field)*)
+                    })*
+                }
+            }
+
+            /// Decodes one complete payload. The payload must contain
+            /// exactly one message — trailing bytes are an error, so a
+            /// canonical encoding is the unique fixed point of
+            /// `decode ∘ encode`.
+            pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
+                if payload.len() > MAX_FRAME {
+                    return Err(WireError::FrameTooLarge { len: payload.len() });
+                }
+                let mut r = Reader::new(payload);
+                let tag = r.u8().map_err(|_| WireError::Empty)?;
+                let msg = match FrameKind::from_tag(tag).ok_or(WireError::BadTag(tag))? {
+                    $(FrameKind::$name => frame_arm!(get ($($put $get)?) r $name $($field)*),)*
+                };
+                if r.remaining() > 0 {
+                    return Err(WireError::TrailingBytes {
+                        extra: r.remaining(),
+                    });
+                }
+                Ok(msg)
             }
         }
     };
@@ -427,7 +860,7 @@ frames! {
     /// session is bit-identical to a dense one. Produced and consumed
     /// inside the `Tcp` transport — the round protocol above it only
     /// ever sees the reconstructed [`Message::ModelUpdate`].
-    ModelDelta = 8 {
+    ModelDelta = 8 custom(put_model_delta, get_model_delta) {
         /// Sending node (or addressed worker, coordinator→worker).
         node: u32,
         /// Synchronization round this model belongs to.
@@ -451,7 +884,7 @@ frames! {
     /// recompute locally). Chunks arrive in row order; the receiver
     /// re-validates builder invariants per chunk and bounds every
     /// allocation by the chunk's own declared-and-checked row count.
-    DatasetShard = 9 {
+    DatasetShard = 9 custom(put_dataset_shard, get_dataset_shard) {
         /// Shard index this chunk belongs to (the receiving worker's id).
         shard: u32,
         /// First global row of the whole shard (after reordering).
@@ -472,7 +905,7 @@ frames! {
     /// recovery is bounded by one checkpoint interval. Receivers absorb
     /// duplicates and reordered stale checkpoints idempotently (only a
     /// strictly newer round replaces the stored blob).
-    Checkpoint = 10 {
+    Checkpoint = 10 custom(put_checkpoint, get_checkpoint) {
         /// Worker that took the checkpoint.
         node: u32,
         /// Round whose boundary the state was captured at.
@@ -498,7 +931,7 @@ frames! {
     /// and no receiver ever acknowledges or blocks on it.
     ///
     /// [`ClusterRun::telemetry`]: crate::node::ClusterRun::telemetry
-    Telemetry = 12 {
+    Telemetry = 12 custom(put_telemetry, get_telemetry) {
         /// Worker that measured the sample.
         node: u32,
         /// Round the sample covers.
@@ -507,86 +940,6 @@ frames! {
         timing: WorkerTiming,
     }
 }
-
-/// Typed decode failures. Garbage never panics the decoder.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// The frame ended before a declared field or element count.
-    Truncated {
-        /// Bytes the decoder still needed.
-        needed: usize,
-        /// Bytes actually remaining.
-        have: usize,
-    },
-    /// Unknown message tag byte.
-    BadTag(u8),
-    /// A frame (or its length prefix) exceeds [`MAX_FRAME`].
-    FrameTooLarge {
-        /// Declared payload length.
-        len: usize,
-    },
-    /// The payload decoded cleanly but bytes were left over — the frame
-    /// is not a canonical encoding.
-    TrailingBytes {
-        /// Number of undecoded trailing bytes.
-        extra: usize,
-    },
-    /// An empty payload (no tag byte).
-    Empty,
-    /// A sub-enum field (importance scheme, commit policy, …) carried a
-    /// tag outside its variant range.
-    BadEnum {
-        /// Which field was being decoded.
-        what: &'static str,
-        /// The offending tag byte.
-        tag: u8,
-    },
-    /// A structurally well-formed frame whose contents violate an
-    /// invariant (non-UTF-8 string, unsorted dataset row, ±1 label
-    /// violation, non-finite feature value, …).
-    Invalid {
-        /// Which invariant failed.
-        what: &'static str,
-    },
-    /// A [`Message::Hello`] declared a protocol version this build does
-    /// not speak.
-    Version {
-        /// Version the peer announced.
-        got: u32,
-        /// Version this build speaks ([`PROTOCOL_VERSION`]).
-        want: u32,
-    },
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated { needed, have } => {
-                write!(
-                    f,
-                    "truncated frame: needed {needed} more bytes, have {have}"
-                )
-            }
-            WireError::BadTag(t) => write!(f, "unknown message tag {t:#04x}"),
-            WireError::FrameTooLarge { len } => {
-                write!(f, "frame of {len} bytes exceeds the {MAX_FRAME}-byte cap")
-            }
-            WireError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after a complete message")
-            }
-            WireError::Empty => write!(f, "empty frame"),
-            WireError::BadEnum { what, tag } => {
-                write!(f, "unknown {what} tag {tag:#04x}")
-            }
-            WireError::Invalid { what } => write!(f, "invalid frame contents: {what}"),
-            WireError::Version { got, want } => {
-                write!(f, "protocol version {got} (this build speaks {want})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
 
 impl FrameKind {
     /// Dense 0-based index (position in [`FrameKind::ALL`]) for counter
@@ -597,11 +950,13 @@ impl FrameKind {
 }
 
 /// The canonical `WIRE_SCHEMA.json` rendering of the frame table:
-/// protocol version, frame cap, every frame's tag and field list (wire
-/// order), and the [`SessionConfig`] payload. Fixed key order, nothing
-/// run-dependent. The committed file at the workspace root is
-/// byte-compared against this by `wire_schema_is_frozen`, so no tag,
-/// frame or field-shape change lands without a reviewable schema diff.
+/// protocol version, frame cap, every frame's tag, whether its field
+/// list is its byte layout (`"fields"`) or it is a `custom` frame, the
+/// field list itself, and the [`SessionConfig`] payload. Fixed key
+/// order, nothing run-dependent. The committed file at the workspace
+/// root is byte-compared against this by `wire_schema_is_frozen`, so no
+/// tag, frame or field-shape change lands without a reviewable schema
+/// diff.
 pub fn schema_json() -> String {
     // Names and types are Rust tokens (no quote or backslash to
     // escape); `stringify!` spacing is the compiler's choice, so pin ours.
@@ -620,112 +975,22 @@ pub fn schema_json() -> String {
         .iter()
         .map(|k| {
             format!(
-                "    {{\n      \"name\": \"{}\",\n      \"tag\": {},\n      \"fields\": {}\n    }}",
+                "    {{\n      \"name\": \"{}\",\n      \"tag\": {},\n      \
+                 \"layout\": \"{}\",\n      \"fields\": {}\n    }}",
                 k.name(),
                 k.tag(),
+                k.layout(),
                 list(k.fields(), "      ")
             )
         })
         .collect();
     format!(
-        "{{\n  \"format\": 2,\n  \"protocol_version\": {PROTOCOL_VERSION},\n  \
+        "{{\n  \"format\": 3,\n  \"protocol_version\": {PROTOCOL_VERSION},\n  \
          \"frame_kinds\": {FRAME_KINDS},\n  \"max_frame\": {MAX_FRAME},\n  \
          \"frames\": [\n{}\n  ],\n  \"session_config\": {}\n}}\n",
         frames.join(",\n"),
         list(SessionConfig::FIELDS, "  ")
     )
-}
-
-/// Bounded cursor over a payload; every read is length-checked.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        let truncated = WireError::Truncated {
-            needed: n,
-            have: self.remaining(),
-        };
-        let end = self.pos.checked_add(n).ok_or(truncated.clone())?;
-        let s = self.buf.get(self.pos..end).ok_or(truncated)?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    /// A fixed-width field as an owned array, so the integer readers
-    /// below need neither slice indexing nor a fallible `try_into`.
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
-        let mut a = [0u8; N];
-        a.copy_from_slice(self.take(N)?);
-        Ok(a)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        let [b] = self.array::<1>()?;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(u64::from_le_bytes(self.array()?)))
-    }
-
-    /// Validates a declared element count against the bytes actually
-    /// left, so a hostile count cannot drive an allocation.
-    fn count(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        let needed = n.saturating_mul(elem_bytes);
-        if self.remaining() < needed {
-            return Err(WireError::Truncated {
-                needed,
-                have: self.remaining(),
-            });
-        }
-        Ok(n)
-    }
-
-    /// A length-prefixed UTF-8 string (count-validated like any vector).
-    fn string(&mut self) -> Result<String, WireError> {
-        let n = self.count(1)?;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Invalid {
-            what: "non-UTF-8 string",
-        })
-    }
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
 }
 
 // --- varint / index-list codec ------------------------------------------
@@ -776,7 +1041,7 @@ fn get_varint(r: &mut Reader<'_>) -> Result<u64, WireError> {
 /// (count−1) × varint (idx − prev − 1)`. `indices` must be strictly
 /// increasing (every caller holds sorted coordinates by construction).
 pub fn put_index_list(out: &mut Vec<u8>, indices: &[u32]) {
-    put_u32(out, indices.len() as u32);
+    (indices.len() as u32).put(out);
     let mut prev: Option<u32> = None;
     for &i in indices {
         match prev {
@@ -823,6 +1088,10 @@ fn get_index_list(r: &mut Reader<'_>, dim: u64) -> Result<Vec<u32>, WireError> {
 }
 
 // --- sparse model deltas -------------------------------------------------
+//
+// ModelDelta is `u8 tag ‖ u32 node ‖ u64 round ‖ u32 dim ‖
+// idxlist(indices) ‖ nnz × f64 value`: the indices are gap-coded and
+// bounded by `dim`, and the values borrow the index list's count.
 
 /// Computes the coordinates (and new bit patterns) where `next` differs
 /// from `base` — *bitwise*, never arithmetically, so a delta-encoded
@@ -860,222 +1129,37 @@ pub fn apply_delta(base: &[f64], indices: &[u32], values: &[f64]) -> Option<Vec<
     Some(model)
 }
 
-// --- sub-enum codecs for the Assign frame -------------------------------
-//
-// Each enum encodes as a tag byte followed only by the fields its
-// variant actually carries — parameterless variants ship the bare tag,
-// so every valid value has exactly one encoding and the canonicality
-// property (`decode ∘ encode` is the unique fixed point) extends to the
-// session frames.
-
-fn put_importance(out: &mut Vec<u8>, v: ImportanceScheme) {
-    match v {
-        ImportanceScheme::LipschitzSmoothness => out.push(0),
-        ImportanceScheme::GradNormBound { radius } => {
-            out.push(1);
-            put_f64(out, radius);
-        }
-        ImportanceScheme::Uniform => out.push(2),
-        ImportanceScheme::PartiallyBiased { bias } => {
-            out.push(3);
-            put_f64(out, bias);
-        }
-    }
+fn put_model_delta(
+    out: &mut Vec<u8>,
+    node: &u32,
+    round: &u64,
+    dim: &u32,
+    indices: &[u32],
+    values: &[f64],
+) {
+    node.put(out);
+    round.put(out);
+    dim.put(out);
+    put_index_list(out, indices);
+    values.iter().for_each(|v| v.put(out));
 }
 
-fn get_importance(r: &mut Reader<'_>) -> Result<ImportanceScheme, WireError> {
-    Ok(match r.u8()? {
-        0 => ImportanceScheme::LipschitzSmoothness,
-        1 => ImportanceScheme::GradNormBound { radius: r.f64()? },
-        2 => ImportanceScheme::Uniform,
-        3 => ImportanceScheme::PartiallyBiased { bias: r.f64()? },
-        tag => {
-            return Err(WireError::BadEnum {
-                what: "importance scheme",
-                tag,
-            })
-        }
+fn get_model_delta(r: &mut Reader<'_>) -> Result<Message, WireError> {
+    let node = u32::get(r)?;
+    let round = u64::get(r)?;
+    let dim = u32::get(r)?;
+    let indices = get_index_list(r, u64::from(dim))?;
+    let values = r.values(indices.len(), |_| Ok(()))?;
+    Ok(Message::ModelDelta {
+        node,
+        round,
+        dim,
+        indices,
+        values,
     })
 }
 
-fn put_sampling(out: &mut Vec<u8>, v: SamplingStrategy) {
-    out.push(match v {
-        SamplingStrategy::Uniform => 0,
-        SamplingStrategy::Static => 1,
-        SamplingStrategy::Adaptive => 2,
-    });
-}
-
-fn get_sampling(r: &mut Reader<'_>) -> Result<SamplingStrategy, WireError> {
-    Ok(match r.u8()? {
-        0 => SamplingStrategy::Uniform,
-        1 => SamplingStrategy::Static,
-        2 => SamplingStrategy::Adaptive,
-        tag => {
-            return Err(WireError::BadEnum {
-                what: "sampling strategy",
-                tag,
-            })
-        }
-    })
-}
-
-fn put_obs_model(out: &mut Vec<u8>, v: ObservationModel) {
-    match v {
-        ObservationModel::GradNorm => out.push(0),
-        ObservationModel::LossBound => out.push(1),
-        ObservationModel::StalenessDiscounted { half_life } => {
-            out.push(2);
-            put_f64(out, half_life);
-        }
-    }
-}
-
-fn get_obs_model(r: &mut Reader<'_>) -> Result<ObservationModel, WireError> {
-    Ok(match r.u8()? {
-        0 => ObservationModel::GradNorm,
-        1 => ObservationModel::LossBound,
-        2 => ObservationModel::StalenessDiscounted {
-            half_life: r.f64()?,
-        },
-        tag => {
-            return Err(WireError::BadEnum {
-                what: "observation model",
-                tag,
-            })
-        }
-    })
-}
-
-fn put_commit(out: &mut Vec<u8>, v: CommitPolicy) {
-    match v {
-        CommitPolicy::EpochBoundary => out.push(0),
-        CommitPolicy::EveryK(k) => {
-            out.push(1);
-            put_u64(out, k as u64);
-        }
-    }
-}
-
-fn get_commit(r: &mut Reader<'_>) -> Result<CommitPolicy, WireError> {
-    Ok(match r.u8()? {
-        0 => CommitPolicy::EpochBoundary,
-        1 => {
-            let k = r.u64()?;
-            if k > usize::MAX as u64 {
-                return Err(WireError::Invalid {
-                    what: "commit period exceeds usize",
-                });
-            }
-            CommitPolicy::EveryK(k as usize)
-        }
-        tag => {
-            return Err(WireError::BadEnum {
-                what: "commit policy",
-                tag,
-            })
-        }
-    })
-}
-
-fn put_reg(out: &mut Vec<u8>, v: Regularizer) {
-    match v {
-        Regularizer::None => out.push(0),
-        Regularizer::L1 { eta } => {
-            out.push(1);
-            put_f64(out, eta);
-        }
-        Regularizer::L2 { eta } => {
-            out.push(2);
-            put_f64(out, eta);
-        }
-    }
-}
-
-fn get_reg(r: &mut Reader<'_>) -> Result<Regularizer, WireError> {
-    Ok(match r.u8()? {
-        0 => Regularizer::None,
-        1 => Regularizer::L1 { eta: r.f64()? },
-        2 => Regularizer::L2 { eta: r.f64()? },
-        tag => {
-            return Err(WireError::BadEnum {
-                what: "regularizer",
-                tag,
-            })
-        }
-    })
-}
-
-fn put_encoding(out: &mut Vec<u8>, v: WireEncoding) {
-    out.push(match v {
-        WireEncoding::Dense => 0,
-        WireEncoding::Delta => 1,
-        WireEncoding::Auto => 2,
-    });
-}
-
-fn get_encoding(r: &mut Reader<'_>) -> Result<WireEncoding, WireError> {
-    Ok(match r.u8()? {
-        0 => WireEncoding::Dense,
-        1 => WireEncoding::Delta,
-        2 => WireEncoding::Auto,
-        tag => {
-            return Err(WireError::BadEnum {
-                what: "wire encoding",
-                tag,
-            })
-        }
-    })
-}
-
-fn put_session_config(out: &mut Vec<u8>, c: &SessionConfig) {
-    put_u32(out, c.nodes);
-    put_u64(out, c.rounds);
-    put_u32(out, c.local_epochs);
-    put_f64(out, c.step_size);
-    put_u64(out, c.seed);
-    put_u64(out, c.round_timeout_ms);
-    put_importance(out, c.importance);
-    put_sampling(out, c.sampling);
-    put_obs_model(out, c.obs_model);
-    put_commit(out, c.commit);
-    put_string(out, &c.loss);
-    put_reg(out, c.reg);
-    put_encoding(out, c.encoding);
-    put_u64(out, c.checkpoint_every);
-    out.push(u8::from(c.telemetry));
-}
-
-fn get_session_config(r: &mut Reader<'_>) -> Result<SessionConfig, WireError> {
-    Ok(SessionConfig {
-        nodes: r.u32()?,
-        rounds: r.u64()?,
-        local_epochs: r.u32()?,
-        step_size: r.f64()?,
-        seed: r.u64()?,
-        round_timeout_ms: r.u64()?,
-        importance: get_importance(r)?,
-        sampling: get_sampling(r)?,
-        obs_model: get_obs_model(r)?,
-        commit: get_commit(r)?,
-        loss: r.string()?,
-        reg: get_reg(r)?,
-        encoding: get_encoding(r)?,
-        checkpoint_every: r.u64()?,
-        telemetry: match r.u8()? {
-            0 => false,
-            1 => true,
-            tag => {
-                return Err(WireError::BadEnum {
-                    what: "telemetry flag",
-                    tag,
-                })
-            }
-        },
-    })
-}
-
-// --- worker checkpoints --------------------------------------------------
+// --- worker checkpoints and telemetry ------------------------------------
 //
 // A checkpoint payload is `u8 tag ‖ u32 layout version ‖ u32 node ‖
 // u64 round ‖ 4×u64 draw_rng ‖ vec<f64> model ‖ u8 sampler kind ‖
@@ -1083,9 +1167,13 @@ fn get_session_config(r: &mut Reader<'_>) -> Result<SessionConfig, WireError> {
 // between the tag and itself, so a blob corrupted at rest (the
 // coordinator stores checkpoints across respawns) is refused at decode
 // instead of silently steering a replacement worker off the
-// deterministic path.
+// deterministic path. A telemetry payload is `u8 tag ‖ u32 node ‖
+// u64 round ‖ WorkerTiming ‖ u64 FNV-1a checksum`, checksummed for the
+// same reason: the sample may sit in coordinator memory for a whole run
+// before anyone reads it.
 
-/// FNV-1a 64-bit hash — the checkpoint frame's integrity checksum.
+/// FNV-1a 64-bit hash — the checkpoint and telemetry frames' integrity
+/// checksum.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
@@ -1098,25 +1186,19 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 const CKPT_SAMPLER_SEQUENCE: u8 = 0;
 const CKPT_SAMPLER_ADAPTIVE: u8 = 1;
 
-fn put_checkpoint_state(out: &mut Vec<u8>, s: &CheckpointState) {
-    for &w in &s.draw_rng {
-        put_u64(out, w);
-    }
-    put_u32(out, s.model.len() as u32);
-    for &v in &s.model {
-        put_f64(out, v);
-    }
-    match &s.sampler {
+fn put_checkpoint(out: &mut Vec<u8>, node: &u32, round: &u64, state: &CheckpointState) {
+    let start = out.len();
+    CHECKPOINT_VERSION.put(out);
+    node.put(out);
+    round.put(out);
+    state.draw_rng.put(out);
+    state.model.put(out);
+    match &state.sampler {
         CheckpointSampler::Sequence { rows, rng, indices } => {
             out.push(CKPT_SAMPLER_SEQUENCE);
-            put_u32(out, *rows);
-            for &w in rng {
-                put_u64(out, w);
-            }
-            put_u32(out, indices.len() as u32);
-            for &i in indices {
-                put_u32(out, i);
-            }
+            rows.put(out);
+            rng.put(out);
+            indices.put(out);
         }
         CheckpointSampler::Adaptive {
             rows,
@@ -1125,60 +1207,45 @@ fn put_checkpoint_state(out: &mut Vec<u8>, s: &CheckpointState) {
             weights,
         } => {
             out.push(CKPT_SAMPLER_ADAPTIVE);
-            put_u32(out, *rows);
-            put_u64(out, *commits);
+            rows.put(out);
+            commits.put(out);
             put_index_list(out, indices);
-            for &w in weights {
-                put_f64(out, w);
-            }
+            weights.iter().for_each(|w| w.put(out));
         }
     }
+    fnv1a(&out[start..]).put(out);
 }
 
-fn get_checkpoint_state(r: &mut Reader<'_>) -> Result<CheckpointState, WireError> {
-    let mut draw_rng = [0u64; 4];
-    for w in &mut draw_rng {
-        *w = r.u64()?;
-    }
-    let n = r.count(8)?;
-    let mut model = Vec::with_capacity(n);
-    for _ in 0..n {
-        model.push(r.f64()?);
-    }
+fn get_checkpoint(r: &mut Reader<'_>) -> Result<Message, WireError> {
+    check(
+        u32::get(r)? == CHECKPOINT_VERSION,
+        "unsupported checkpoint layout version",
+    )?;
+    let node = u32::get(r)?;
+    let round = u64::get(r)?;
+    let draw_rng = Wire::get(r)?;
+    let model = Wire::get(r)?;
     let sampler = match r.u8()? {
         CKPT_SAMPLER_SEQUENCE => {
-            let rows = r.u32()?;
-            let mut rng = [0u64; 4];
-            for w in &mut rng {
-                *w = r.u64()?;
-            }
-            let k = r.count(4)?;
-            let mut indices = Vec::with_capacity(k);
-            for _ in 0..k {
-                let i = r.u32()?;
-                if i >= rows {
-                    return Err(WireError::Invalid {
-                        what: "checkpoint sequence index out of bounds",
-                    });
-                }
-                indices.push(i);
-            }
+            let rows = u32::get(r)?;
+            let rng = Wire::get(r)?;
+            let indices = Vec::<u32>::get(r)?;
+            check(
+                indices.iter().all(|&i| i < rows),
+                "checkpoint sequence index out of bounds",
+            )?;
             CheckpointSampler::Sequence { rows, rng, indices }
         }
         CKPT_SAMPLER_ADAPTIVE => {
-            let rows = r.u32()?;
-            let commits = r.u64()?;
+            let rows = u32::get(r)?;
+            let commits = u64::get(r)?;
             let indices = get_index_list(r, u64::from(rows))?;
-            let mut weights = Vec::with_capacity(indices.len());
-            for _ in 0..indices.len() {
-                let w = r.f64()?;
-                if !(w.is_finite() && w >= 0.0) {
-                    return Err(WireError::Invalid {
-                        what: "checkpoint weight not finite non-negative",
-                    });
-                }
-                weights.push(w);
-            }
+            let weights = r.values(indices.len(), |w| {
+                check(
+                    w.is_finite() && w >= 0.0,
+                    "checkpoint weight not finite non-negative",
+                )
+            })?;
             CheckpointSampler::Adaptive {
                 rows,
                 commits,
@@ -1193,16 +1260,46 @@ fn get_checkpoint_state(r: &mut Reader<'_>) -> Result<CheckpointState, WireError
             })
         }
     };
-    Ok(CheckpointState {
+    r.checksum(
+        "checkpoint frame too short for its checksum",
+        "checkpoint checksum mismatch",
+    )?;
+    let state = Box::new(CheckpointState {
         draw_rng,
         model,
         sampler,
+    });
+    Ok(Message::Checkpoint { node, round, state })
+}
+
+fn put_telemetry(out: &mut Vec<u8>, node: &u32, round: &u64, timing: &WorkerTiming) {
+    let start = out.len();
+    node.put(out);
+    round.put(out);
+    timing.put(out);
+    fnv1a(&out[start..]).put(out);
+}
+
+fn get_telemetry(r: &mut Reader<'_>) -> Result<Message, WireError> {
+    let node = u32::get(r)?;
+    let round = u64::get(r)?;
+    let timing = WorkerTiming::get(r)?;
+    r.checksum(
+        "telemetry frame too short for its checksum",
+        "telemetry checksum mismatch",
+    )?;
+    Ok(Message::Telemetry {
+        node,
+        round,
+        timing,
     })
 }
 
 // --- shard-streamed dataset transfer ------------------------------------
 //
-// A shard row is `u8 label (0 → −1.0, 1 → +1.0) ‖ f64 weight ‖
+// A shard chunk is `u8 tag ‖ u32 shard ‖ u32 shard_start ‖
+// u32 shard_rows ‖ u32 start ‖ u32 dim ‖ u32 rows ‖ rows × row`, and a
+// row is `u8 label (0 → −1.0, 1 → +1.0) ‖ f64 weight ‖
 // idxlist(indices) ‖ nnz × f64 value`. The weight rides along because
 // importance schemes mix in *global* statistics (mean, positive floor)
 // that a worker holding only its shard cannot recompute.
@@ -1216,11 +1313,9 @@ pub const SHARD_CHUNK_BYTES: usize = 1 << 18;
 fn put_shard_row(out: &mut Vec<u8>, indices: &[u32], values: &[f64], label: f64, weight: f64) {
     // lint: allow(float-cmp) — labels are the exact sentinels ±1.0 by Dataset construction
     out.push(if label == 1.0 { 1 } else { 0 });
-    put_f64(out, weight);
+    weight.put(out);
     put_index_list(out, indices);
-    for &x in values {
-        put_f64(out, x);
-    }
+    values.iter().for_each(|x| x.put(out));
 }
 
 /// Encodes one shard of `data` as a sequence of [`Message::DatasetShard`]
@@ -1239,15 +1334,14 @@ pub fn encode_dataset_shard_chunks(
     let mut chunks = Vec::new();
     let mut row = range.start;
     while row < range.end {
-        let mut out = Vec::new();
-        out.push(FrameKind::DatasetShard.tag());
-        put_u32(&mut out, shard);
-        put_u32(&mut out, range.start as u32);
-        put_u32(&mut out, range.len() as u32);
-        put_u32(&mut out, row as u32);
-        put_u32(&mut out, data.dim() as u32);
+        let mut out = vec![FrameKind::DatasetShard.tag()];
+        shard.put(&mut out);
+        (range.start as u32).put(&mut out);
+        (range.len() as u32).put(&mut out);
+        (row as u32).put(&mut out);
+        (data.dim() as u32).put(&mut out);
         let count_at = out.len();
-        put_u32(&mut out, 0); // row count, patched below
+        0u32.put(&mut out); // row count, patched below
         let mut rows_in_chunk = 0u32;
         while row < range.end && (rows_in_chunk == 0 || out.len() < SHARD_CHUNK_BYTES) {
             let r = data.row(row);
@@ -1261,33 +1355,44 @@ pub fn encode_dataset_shard_chunks(
     chunks
 }
 
-/// Decodes a [`Message::DatasetShard`] payload body (after the tag),
-/// re-validating every builder invariant per chunk and bounding each
+fn put_dataset_shard(
+    out: &mut Vec<u8>,
+    shard: &u32,
+    shard_start: &u32,
+    shard_rows: &u32,
+    start: &u32,
+    weights: &[f64],
+    chunk: &Dataset,
+) {
+    shard.put(out);
+    shard_start.put(out);
+    shard_rows.put(out);
+    start.put(out);
+    (chunk.dim() as u32).put(out);
+    (chunk.n_samples() as u32).put(out);
+    for (i, row) in chunk.rows().enumerate() {
+        put_shard_row(out, row.indices, row.values, row.label, weights[i]);
+    }
+}
+
+/// Re-validates every builder invariant per chunk and bounds each
 /// allocation by the chunk's own declared-and-checked row count, so
 /// admission never reserves a dataset-sized buffer on a peer's say-so.
-#[allow(clippy::type_complexity)]
-fn get_dataset_shard(
-    r: &mut Reader<'_>,
-) -> Result<(u32, u32, u32, u32, Vec<f64>, Dataset), WireError> {
-    let shard = r.u32()?;
-    let shard_start = r.u32()?;
-    let shard_rows = r.u32()?;
-    let start = r.u32()?;
-    let dim = r.u32()? as usize;
+fn get_dataset_shard(r: &mut Reader<'_>) -> Result<Message, WireError> {
+    let shard = u32::get(r)?;
+    let shard_start = u32::get(r)?;
+    let shard_rows = u32::get(r)?;
+    let start = u32::get(r)?;
+    let dim = u32::get(r)? as usize;
     // Minimum 13 bytes per row (label byte + weight + nnz count).
     let n = r.count(13)?;
-    if n == 0 {
-        return Err(WireError::Invalid {
-            what: "empty dataset shard chunk",
-        });
-    }
+    check(n != 0, "empty dataset shard chunk")?;
     let lo = u64::from(shard_start);
     let hi = lo + u64::from(shard_rows);
-    if u64::from(start) < lo || u64::from(start) + n as u64 > hi {
-        return Err(WireError::Invalid {
-            what: "dataset shard chunk outside its shard range",
-        });
-    }
+    check(
+        u64::from(start) >= lo && u64::from(start) + n as u64 <= hi,
+        "dataset shard chunk outside its shard range",
+    )?;
     let mut weights = Vec::with_capacity(n);
     let mut b = DatasetBuilder::with_capacity(dim, n, 0);
     for _ in 0..n {
@@ -1300,310 +1405,34 @@ fn get_dataset_shard(
                 })
             }
         };
-        let weight = r.f64()?;
-        if !(weight.is_finite() && weight > 0.0) {
-            return Err(WireError::Invalid {
-                what: "dataset shard importance weight not positive finite",
-            });
-        }
+        let weight = f64::get(r)?;
+        check(
+            weight.is_finite() && weight > 0.0,
+            "dataset shard importance weight not positive finite",
+        )?;
         let indices = get_index_list(r, dim as u64)?;
-        let mut values = Vec::with_capacity(indices.len());
-        for _ in 0..indices.len() {
-            let x = r.f64()?;
-            if !x.is_finite() {
-                return Err(WireError::Invalid {
-                    what: "non-finite dataset value",
-                });
-            }
-            values.push(x);
-        }
+        let values = r.values(indices.len(), |x| {
+            check(x.is_finite(), "non-finite dataset value")
+        })?;
         weights.push(weight);
         b.push_row_unchecked(&indices, &values, label);
     }
-    Ok((shard, shard_start, shard_rows, start, weights, b.finish()))
+    Ok(Message::DatasetShard {
+        shard,
+        shard_start,
+        shard_rows,
+        start,
+        weights,
+        chunk: Box::new(b.finish()),
+    })
 }
 
 impl Message {
-    /// Appends this message's payload encoding (tag + fields, no length
-    /// prefix) to `out`.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.frame_kind().tag());
-        match self {
-            Message::ModelUpdate { node, round, model } => {
-                put_u32(out, *node);
-                put_u64(out, *round);
-                put_u32(out, model.len() as u32);
-                for &v in model {
-                    put_f64(out, v);
-                }
-            }
-            Message::FeedbackBatch {
-                node,
-                round,
-                observations,
-            } => {
-                put_u32(out, *node);
-                put_u64(out, *round);
-                put_u32(out, observations.len() as u32);
-                for &(row, obs) in observations {
-                    put_u32(out, row);
-                    put_f64(out, obs);
-                }
-            }
-            Message::RoundBarrier { node, round } => {
-                put_u32(out, *node);
-                put_u64(out, *round);
-            }
-            Message::ShardRebalance {
-                round,
-                assigned,
-                ranges,
-            } => {
-                put_u64(out, *round);
-                put_u32(out, *assigned);
-                put_u32(out, ranges.len() as u32);
-                for &(s, e) in ranges {
-                    put_u32(out, s);
-                    put_u32(out, e);
-                }
-            }
-            Message::Hello { version } => {
-                put_u32(out, *version);
-            }
-            Message::Assign { worker, config } => {
-                put_u32(out, *worker);
-                put_session_config(out, config);
-            }
-            Message::ModelDelta {
-                node,
-                round,
-                dim,
-                indices,
-                values,
-            } => {
-                put_u32(out, *node);
-                put_u64(out, *round);
-                put_u32(out, *dim);
-                put_index_list(out, indices);
-                for &v in values {
-                    put_f64(out, v);
-                }
-            }
-            Message::DatasetShard {
-                shard,
-                shard_start,
-                shard_rows,
-                start,
-                weights,
-                chunk,
-            } => {
-                put_u32(out, *shard);
-                put_u32(out, *shard_start);
-                put_u32(out, *shard_rows);
-                put_u32(out, *start);
-                put_u32(out, chunk.dim() as u32);
-                put_u32(out, chunk.n_samples() as u32);
-                for (i, row) in chunk.rows().enumerate() {
-                    put_shard_row(out, row.indices, row.values, row.label, weights[i]);
-                }
-            }
-            Message::Checkpoint { node, round, state } => {
-                let start = out.len();
-                put_u32(out, CHECKPOINT_VERSION);
-                put_u32(out, *node);
-                put_u64(out, *round);
-                put_checkpoint_state(out, state);
-                let sum = fnv1a(&out[start..]);
-                put_u64(out, sum);
-            }
-            Message::CheckpointAck { node, round } => {
-                put_u32(out, *node);
-                put_u64(out, *round);
-            }
-            Message::Telemetry {
-                node,
-                round,
-                timing,
-            } => {
-                let start = out.len();
-                put_u32(out, *node);
-                put_u64(out, *round);
-                put_u64(out, timing.compute_us);
-                put_u64(out, timing.barrier_wait_us);
-                put_u64(out, timing.rows);
-                put_u64(out, timing.commits);
-                let sum = fnv1a(&out[start..]);
-                put_u64(out, sum);
-            }
-        }
-    }
-
     /// The payload encoding as a fresh buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         self.encode(&mut out);
         out
-    }
-
-    /// Decodes one complete payload. The payload must contain exactly
-    /// one message — trailing bytes are an error, so a canonical
-    /// encoding is the unique fixed point of `decode ∘ encode`.
-    pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
-        if payload.len() > MAX_FRAME {
-            return Err(WireError::FrameTooLarge { len: payload.len() });
-        }
-        let mut r = Reader::new(payload);
-        let tag = r.u8().map_err(|_| WireError::Empty)?;
-        let kind = FrameKind::from_tag(tag).ok_or(WireError::BadTag(tag))?;
-        let msg = match kind {
-            FrameKind::ModelUpdate => {
-                let node = r.u32()?;
-                let round = r.u64()?;
-                let n = r.count(8)?;
-                let mut model = Vec::with_capacity(n);
-                for _ in 0..n {
-                    model.push(r.f64()?);
-                }
-                Message::ModelUpdate { node, round, model }
-            }
-            FrameKind::FeedbackBatch => {
-                let node = r.u32()?;
-                let round = r.u64()?;
-                let n = r.count(12)?;
-                let mut observations = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let row = r.u32()?;
-                    let obs = r.f64()?;
-                    observations.push((row, obs));
-                }
-                Message::FeedbackBatch {
-                    node,
-                    round,
-                    observations,
-                }
-            }
-            FrameKind::RoundBarrier => Message::RoundBarrier {
-                node: r.u32()?,
-                round: r.u64()?,
-            },
-            FrameKind::ShardRebalance => {
-                let round = r.u64()?;
-                let assigned = r.u32()?;
-                let k = r.count(8)?;
-                let mut ranges = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let s = r.u32()?;
-                    let e = r.u32()?;
-                    ranges.push((s, e));
-                }
-                Message::ShardRebalance {
-                    round,
-                    assigned,
-                    ranges,
-                }
-            }
-            FrameKind::Hello => Message::Hello { version: r.u32()? },
-            FrameKind::Assign => Message::Assign {
-                worker: r.u32()?,
-                config: get_session_config(&mut r)?,
-            },
-            FrameKind::ModelDelta => {
-                let node = r.u32()?;
-                let round = r.u64()?;
-                let dim = r.u32()?;
-                let indices = get_index_list(&mut r, u64::from(dim))?;
-                let mut values = Vec::with_capacity(indices.len());
-                for _ in 0..indices.len() {
-                    values.push(r.f64()?);
-                }
-                Message::ModelDelta {
-                    node,
-                    round,
-                    dim,
-                    indices,
-                    values,
-                }
-            }
-            FrameKind::DatasetShard => {
-                let (shard, shard_start, shard_rows, start, weights, chunk) =
-                    get_dataset_shard(&mut r)?;
-                Message::DatasetShard {
-                    shard,
-                    shard_start,
-                    shard_rows,
-                    start,
-                    weights,
-                    chunk: Box::new(chunk),
-                }
-            }
-            FrameKind::Checkpoint => {
-                let version = r.u32()?;
-                if version != CHECKPOINT_VERSION {
-                    return Err(WireError::Invalid {
-                        what: "unsupported checkpoint layout version",
-                    });
-                }
-                let node = r.u32()?;
-                let round = r.u64()?;
-                let state = get_checkpoint_state(&mut r)?;
-                let sum = r.u64()?;
-                // The checksum covers everything between the tag and
-                // itself (layout version included). The range is in
-                // bounds by construction — the reader just consumed
-                // through `r.pos` — but decode paths never index
-                // directly.
-                let covered = payload.get(1..r.pos - 8).ok_or(WireError::Invalid {
-                    what: "checkpoint frame too short for its checksum",
-                })?;
-                if fnv1a(covered) != sum {
-                    return Err(WireError::Invalid {
-                        what: "checkpoint checksum mismatch",
-                    });
-                }
-                Message::Checkpoint {
-                    node,
-                    round,
-                    state: Box::new(state),
-                }
-            }
-            FrameKind::CheckpointAck => Message::CheckpointAck {
-                node: r.u32()?,
-                round: r.u64()?,
-            },
-            FrameKind::Telemetry => {
-                let node = r.u32()?;
-                let round = r.u64()?;
-                let timing = WorkerTiming {
-                    compute_us: r.u64()?,
-                    barrier_wait_us: r.u64()?,
-                    rows: r.u64()?,
-                    commits: r.u64()?,
-                };
-                let sum = r.u64()?;
-                // Checksummed like Checkpoint: the sample may sit in
-                // coordinator memory for a whole run before anyone reads
-                // it, so corruption is refused at decode time.
-                let covered = payload.get(1..r.pos - 8).ok_or(WireError::Invalid {
-                    what: "telemetry frame too short for its checksum",
-                })?;
-                if fnv1a(covered) != sum {
-                    return Err(WireError::Invalid {
-                        what: "telemetry checksum mismatch",
-                    });
-                }
-                Message::Telemetry {
-                    node,
-                    round,
-                    timing,
-                }
-            }
-        };
-        if r.remaining() > 0 {
-            return Err(WireError::TrailingBytes {
-                extra: r.remaining(),
-            });
-        }
-        Ok(msg)
     }
 
     /// Short display name of the message kind (logging/tests).
@@ -1788,7 +1617,9 @@ mod tests {
         for (name, msg) in golden {
             let hex: String = msg.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
             let path = format!("{}/tests/golden/{name}.hex", env!("CARGO_MANIFEST_DIR"));
-            let committed = std::fs::read_to_string(&path).expect(&path);
+            let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                panic!("{path}: {e} — a new frame commits its golden encoding: {hex}")
+            });
             assert_eq!(committed.trim_end(), hex, "{name}: byte layout changed");
         }
     }
@@ -1929,14 +1760,14 @@ mod tests {
                 what: "non-UTF-8 string"
             })
         ));
-        // The telemetry flag closes the frame and only 0/1 are canonical.
+        // The telemetry bool closes the frame and only 0/1 are canonical.
         let mut bytes = m.to_bytes();
         let last = bytes.len() - 1;
         bytes[last] = 2;
         assert!(matches!(
             Message::decode(&bytes),
             Err(WireError::BadEnum {
-                what: "telemetry flag",
+                what: "bool",
                 tag: 2
             })
         ));
@@ -1965,8 +1796,8 @@ mod tests {
         // Retired tag 7: a well-formed v4 whole-dataset frame (dim 4,
         // zero rows) is as unknown as any other garbage.
         let mut v4_dataset = vec![7u8];
-        put_u32(&mut v4_dataset, 4);
-        put_u32(&mut v4_dataset, 0);
+        u32::put(&4, &mut v4_dataset);
+        u32::put(&0, &mut v4_dataset);
         assert_eq!(Message::decode(&v4_dataset), Err(WireError::BadTag(7)));
         assert_eq!(FrameKind::from_tag(7), None);
     }
@@ -1983,18 +1814,96 @@ mod tests {
 
     #[test]
     fn over_declared_counts_do_not_allocate() {
-        // A FeedbackBatch declaring u32::MAX entries with no bytes
-        // behind it must fail the count check before any reserve.
-        let mut bytes = vec![FrameKind::FeedbackBatch.tag()];
-        put_u32(&mut bytes, 0); // node
-        put_u64(&mut bytes, 0); // round
-        put_u32(&mut bytes, u32::MAX); // declared count
-        match Message::decode(&bytes) {
-            Err(WireError::Truncated { needed, have: 0 }) => {
-                assert_eq!(needed, u32::MAX as usize * 12);
-            }
-            other => panic!("expected Truncated, got {other:?}"),
+        // Every frame that carries a vector: a count of u32::MAX with no
+        // bytes behind it must fail the count check — at the element's
+        // minimum width — before any reserve. `header` is what sits
+        // between the tag and the first count (zeros decode fine, bar
+        // the checkpoint's layout version word).
+        let mut ckpt_header = CHECKPOINT_VERSION.to_le_bytes().to_vec();
+        ckpt_header.extend_from_slice(&[0; 4 + 8 + 32]); // node, round, draw_rng
+        let cases = [
+            (FrameKind::ModelUpdate, vec![0; 4 + 8], 8),
+            (FrameKind::FeedbackBatch, vec![0; 4 + 8], 12),
+            (FrameKind::ShardRebalance, vec![0; 8 + 4], 8),
+            (FrameKind::ModelDelta, vec![0; 4 + 8 + 4], 1), // ≥ 1 varint byte per index
+            (FrameKind::DatasetShard, vec![0; 5 * 4], 13),  // label + weight + nnz count
+            (FrameKind::Checkpoint, ckpt_header, 8),
+        ];
+        for (kind, header, elem_bytes) in cases {
+            let mut bytes = vec![kind.tag()];
+            bytes.extend_from_slice(&header);
+            u32::put(&u32::MAX, &mut bytes); // declared count
+            assert_eq!(
+                Message::decode(&bytes),
+                Err(WireError::Truncated {
+                    needed: u32::MAX as usize * elem_bytes,
+                    have: 0
+                }),
+                "{}",
+                kind.name()
+            );
         }
+    }
+
+    /// What every [`Wire`] impl owes its callers, checked on one value:
+    /// the encoding is never shorter than `MIN_BYTES` (the bound `Vec<T>`
+    /// trusts before allocating), `get` inverts `put` and stops exactly
+    /// where `put` stopped, and no strict prefix decodes.
+    fn wire_laws<T: Wire + PartialEq + std::fmt::Debug>(x: T) {
+        let ty = std::any::type_name::<T>();
+        let mut bytes = Vec::new();
+        x.put(&mut bytes);
+        assert!(bytes.len() >= T::MIN_BYTES, "{ty}: {x:?} under MIN_BYTES");
+        let written = bytes.len();
+        bytes.push(0xAA); // a neighbour's byte `get` must leave alone
+        let mut r = Reader::new(&bytes);
+        let back = T::get(&mut r).unwrap_or_else(|e| panic!("{ty}: {x:?}: {e}"));
+        assert_eq!(back, x, "{ty}");
+        assert_eq!(r.pos, written, "{ty}: {x:?} read past (or short of) itself");
+        for cut in 0..written {
+            assert!(
+                matches!(
+                    T::get(&mut Reader::new(&bytes[..cut])),
+                    Err(WireError::Truncated { .. })
+                ),
+                "{ty}: {x:?}: prefix of {cut} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn every_wire_type_keeps_the_wire_laws() {
+        wire_laws(u32::MAX);
+        wire_laws(u64::MAX);
+        wire_laws(-5e-324f64);
+        wire_laws(false);
+        wire_laws(true);
+        wire_laws(usize::MAX);
+        wire_laws(String::new());
+        wire_laws("squared hinge — ŷ".to_string());
+        wire_laws([0, 1, u64::MAX, 3]);
+        wire_laws((u32::MAX, f64::NEG_INFINITY));
+        wire_laws(Vec::<f64>::new());
+        wire_laws(vec![0.0, 1.5, f64::MAX]);
+        wire_laws(vec![(0u32, 1u32), (1, u32::MAX)]);
+        wire_laws(vec![(7u32, 0.25f64)]);
+        wire_laws(vec!["a".to_string(), String::new()]);
+        // Every variant of the six session enums, and both structs.
+        for c in session_configs() {
+            wire_laws(c.importance);
+            wire_laws(c.sampling);
+            wire_laws(c.obs_model);
+            wire_laws(c.commit);
+            wire_laws(c.reg);
+            wire_laws(c.encoding);
+            wire_laws(c);
+        }
+        wire_laws(WorkerTiming {
+            compute_us: u64::MAX,
+            barrier_wait_us: 0,
+            rows: 640,
+            commits: 80,
+        });
     }
 
     #[test]
@@ -2137,7 +2046,7 @@ mod tests {
             Err(WireError::Truncated { .. })
         ));
         // Position is untouched by the failed take.
-        assert_eq!(r.u32().unwrap(), 0);
+        assert_eq!(u32::get(&mut r).unwrap(), 0);
     }
 
     #[test]
@@ -2235,12 +2144,12 @@ mod tests {
     fn malformed_shard_frames_are_typed_errors() {
         let mk_header = |rows: u32| {
             let mut bytes = vec![FrameKind::DatasetShard.tag()];
-            put_u32(&mut bytes, 0); // shard
-            put_u32(&mut bytes, 4); // shard_start
-            put_u32(&mut bytes, 8); // shard_rows
-            put_u32(&mut bytes, 4); // start
-            put_u32(&mut bytes, 4); // dim
-            put_u32(&mut bytes, rows);
+            u32::put(&0, &mut bytes); // shard
+            u32::put(&4, &mut bytes); // shard_start
+            u32::put(&8, &mut bytes); // shard_rows
+            u32::put(&4, &mut bytes); // start
+            u32::put(&4, &mut bytes); // dim
+            u32::put(&rows, &mut bytes);
             bytes
         };
         // Empty chunk.
@@ -2252,8 +2161,8 @@ mod tests {
         // Bad label byte.
         let mut bytes = mk_header(1);
         bytes.push(7);
-        put_f64(&mut bytes, 1.0);
-        put_u32(&mut bytes, 0);
+        f64::put(&1.0, &mut bytes);
+        u32::put(&0, &mut bytes);
         assert!(matches!(
             Message::decode(&bytes),
             Err(WireError::Invalid { .. })
@@ -2261,24 +2170,24 @@ mod tests {
         // Non-positive weight.
         let mut bytes = mk_header(1);
         bytes.push(1);
-        put_f64(&mut bytes, 0.0);
-        put_u32(&mut bytes, 0);
+        f64::put(&0.0, &mut bytes);
+        u32::put(&0, &mut bytes);
         assert!(matches!(
             Message::decode(&bytes),
             Err(WireError::Invalid { .. })
         ));
         // Chunk escapes its shard range: start+rows > shard_start+shard_rows.
         let mut bytes = vec![FrameKind::DatasetShard.tag()];
-        put_u32(&mut bytes, 0);
-        put_u32(&mut bytes, 4); // shard_start
-        put_u32(&mut bytes, 1); // shard_rows
-        put_u32(&mut bytes, 4); // start
-        put_u32(&mut bytes, 4); // dim
-        put_u32(&mut bytes, 2); // rows
+        u32::put(&0, &mut bytes);
+        u32::put(&4, &mut bytes); // shard_start
+        u32::put(&1, &mut bytes); // shard_rows
+        u32::put(&4, &mut bytes); // start
+        u32::put(&4, &mut bytes); // dim
+        u32::put(&2, &mut bytes); // rows
         for label in [0u8, 1] {
             bytes.push(label);
-            put_f64(&mut bytes, 1.0);
-            put_u32(&mut bytes, 0);
+            f64::put(&1.0, &mut bytes);
+            u32::put(&0, &mut bytes);
         }
         assert!(matches!(
             Message::decode(&bytes),
@@ -2463,13 +2372,13 @@ mod tests {
         ));
         // Over-declared counts fail before allocation.
         let mut bytes = vec![FrameKind::Checkpoint.tag()];
-        put_u32(&mut bytes, CHECKPOINT_VERSION);
-        put_u32(&mut bytes, 0); // node
-        put_u64(&mut bytes, 1); // round
+        u32::put(&CHECKPOINT_VERSION, &mut bytes);
+        u32::put(&0, &mut bytes); // node
+        u64::put(&1, &mut bytes); // round
         for w in [1u64, 2, 3, 4] {
-            put_u64(&mut bytes, w);
+            u64::put(&w, &mut bytes);
         }
-        put_u32(&mut bytes, u32::MAX); // declared model count
+        u32::put(&u32::MAX, &mut bytes); // declared model count
         assert!(matches!(
             Message::decode(&bytes),
             Err(WireError::Truncated { .. })

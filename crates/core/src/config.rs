@@ -211,12 +211,6 @@ impl TrainConfig {
         self
     }
 
-    /// Builder-style observation-model override (adaptive sampling).
-    pub fn with_obs_model(mut self, m: ObservationModel) -> Self {
-        self.obs_model = m;
-        self
-    }
-
     /// Builder-style commit-policy override (adaptive sampling).
     pub fn with_commit(mut self, c: CommitPolicy) -> Self {
         self.commit = c;
@@ -278,13 +272,11 @@ mod tests {
             .with_step_size(0.1)
             .with_seed(9)
             .with_sampling(SamplingStrategy::Adaptive)
-            .with_obs_model(ObservationModel::LossBound)
             .with_commit(CommitPolicy::EveryK(16));
         assert_eq!(c.epochs, 3);
         assert_eq!(c.step_size, 0.1);
         assert_eq!(c.seed, 9);
         assert_eq!(c.sampling, Some(SamplingStrategy::Adaptive));
-        assert_eq!(c.obs_model, ObservationModel::LossBound);
         assert_eq!(c.commit, CommitPolicy::EveryK(16));
         let d = TrainConfig::default();
         assert_eq!(d.sampling, None);

@@ -8,18 +8,42 @@
 use isasgd_losses::{EvalMetrics, Loss, Objective, PartialEval};
 use isasgd_sparse::Dataset;
 use rayon::prelude::*;
+use std::ops::Range;
 use std::time::{Duration, Instant};
+
+/// Most partial results one pass is cut into. [`full_gradient`] holds a
+/// dense `d`-vector per partial, so the count is bounded, not the chunk
+/// length.
+const MAX_PARTIALS: usize = 8;
+
+/// The row ranges a full-dataset pass is cut into: a function of `n`
+/// alone, never of the host. Float addition is not associative, so a
+/// partition that followed the visible core count made the summed
+/// objective — and SVRG's µ, and with it every SVRG model — depend on
+/// the machine. `n ≤ 1024` stays one chunk.
+fn chunks(n: usize) -> impl Iterator<Item = Range<usize>> {
+    let len = n.div_ceil(MAX_PARTIALS).max(1024);
+    (0..n)
+        .step_by(len)
+        .map(move |start| start..(start + len).min(n))
+}
+
+/// `f` over every chunk of `0..n`, in parallel; the results come back
+/// in index order, which is the order callers reduce them in.
+fn par_chunks<T: Send>(n: usize, f: impl Fn(Range<usize>) -> T + Sync) -> Vec<T> {
+    chunks(n)
+        .collect::<Vec<_>>()
+        .into_par_iter()
+        .map(f)
+        .collect()
+}
 
 /// Parallel full-dataset evaluation.
 pub fn evaluate<L: Loss>(ds: &Dataset, obj: &Objective<L>, w: &[f64]) -> EvalMetrics {
-    let n = ds.n_samples();
-    let chunk = (n / rayon::current_num_threads().max(1)).max(1024);
-    let partial = (0..n)
-        .into_par_iter()
-        .step_by(chunk)
-        .map(|start| obj.eval_range(ds, w, start..(start + chunk).min(n)))
-        .reduce(PartialEval::default, PartialEval::merge);
-    obj.finalize(partial, w)
+    let total = par_chunks(ds.n_samples(), |rows| obj.eval_range(ds, w, rows))
+        .into_iter()
+        .fold(PartialEval::default(), PartialEval::merge);
+    obj.finalize(total, w)
 }
 
 /// Parallel full-gradient computation (SVRG's µ), including the dense
@@ -29,17 +53,11 @@ pub fn full_gradient<L: Loss>(ds: &Dataset, obj: &Objective<L>, w: &[f64], out: 
     let d = w.len();
     out.clear();
     out.resize(d, 0.0);
-    let threads = rayon::current_num_threads().max(1);
-    let chunk = (n / threads).max(1024);
-    let partials: Vec<Vec<f64>> = (0..n)
-        .into_par_iter()
-        .step_by(chunk)
-        .map(|start| {
-            let mut acc = vec![0.0; d];
-            obj.partial_gradient_into(ds, w, start..(start + chunk).min(n), n, &mut acc);
-            acc
-        })
-        .collect();
+    let partials = par_chunks(n, |rows| {
+        let mut acc = vec![0.0; d];
+        obj.partial_gradient_into(ds, w, rows, n, &mut acc);
+        acc
+    });
     for p in partials {
         for (o, x) in out.iter_mut().zip(p) {
             *o += x;
@@ -97,6 +115,27 @@ mod tests {
     }
 
     #[test]
+    fn the_partition_is_a_function_of_n_alone() {
+        assert_eq!(chunks(0).count(), 0);
+        assert_eq!(
+            chunks(1024).map(|c| (c.start, c.end)).collect::<Vec<_>>(),
+            [(0, 1024)]
+        );
+        assert_eq!(chunks(1025).collect::<Vec<_>>(), [0..1024, 1024..1025]);
+        for n in [1, 5000, 8192, 8193, 1_000_003] {
+            let parts: Vec<_> = chunks(n).collect();
+            assert!(
+                parts.len() <= MAX_PARTIALS,
+                "n = {n}: {} partials",
+                parts.len()
+            );
+            assert_eq!(parts[0].start, 0);
+            assert_eq!(parts[parts.len() - 1].end, n);
+            assert!(parts.windows(2).all(|p| p[0].end == p[1].start), "n = {n}");
+        }
+    }
+
+    #[test]
     fn parallel_eval_matches_serial() {
         let d = ds(5000);
         let obj = Objective::new(LogisticLoss, Regularizer::L1 { eta: 0.01 });
@@ -106,6 +145,14 @@ mod tests {
         assert!((par.objective - ser.objective).abs() < 1e-10);
         assert!((par.rmse - ser.rmse).abs() < 1e-10);
         assert_eq!(par.error_rate, ser.error_rate);
+        // Bit-equal to one thread folding the same partition in index
+        // order — however many threads this host gave the pass above.
+        let folded = chunks(5000)
+            .map(|rows| obj.eval_range(&d, &w, rows))
+            .fold(PartialEval::default(), PartialEval::merge);
+        let folded = obj.finalize(folded, &w);
+        assert_eq!(par.objective.to_bits(), folded.objective.to_bits());
+        assert_eq!(par.rmse.to_bits(), folded.rmse.to_bits());
     }
 
     #[test]
@@ -120,6 +167,16 @@ mod tests {
         for (a, b) in par.iter().zip(&ser) {
             assert!((a - b).abs() < 1e-10, "{a} vs {b}");
         }
+        // Bit-equal to the same partition summed serially in index order.
+        let mut folded = vec![0.0; 8];
+        for rows in chunks(5000) {
+            let mut acc = vec![0.0; 8];
+            obj.partial_gradient_into(&d, &w, rows, 5000, &mut acc);
+            folded.iter_mut().zip(acc).for_each(|(o, x)| *o += x);
+        }
+        obj.add_reg_gradient(&w, &mut folded);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&par), bits(&folded));
     }
 
     #[test]

@@ -181,16 +181,18 @@ pub fn run_engine<L: Loss, S: Solver>(
     // `Vec::new()` does not allocate, so non-simulated runs pay nothing.
     let mut feeds: Vec<(Vec<Sched>, usize)> = (0..workers).map(|_| (Vec::new(), 0)).collect();
 
-    // Epoch-0 point: metrics of the starting model at time zero.
+    // Epoch-0 point: metrics of the starting model at time zero. Each
+    // epoch's evaluation replaces them, so after the loop they are the
+    // metrics of the returned model — no separate final pass.
     eval_timer.start();
-    let m0 = evaluate(&plan.data, obj, &w);
+    let mut final_metrics = evaluate(&plan.data, obj, &w);
     eval_timer.stop();
     trace.push(TracePoint {
         epoch: 0.0,
         wall_secs: 0.0,
-        objective: m0.objective,
-        rmse: m0.rmse,
-        error_rate: m0.error_rate,
+        objective: final_metrics.objective,
+        rmse: final_metrics.rmse,
+        error_rate: final_metrics.error_rate,
     });
 
     for epoch in 0..cfg.epochs {
@@ -381,14 +383,14 @@ pub fn run_engine<L: Loss, S: Solver>(
         if let Some(model) = &shared {
             model.snapshot_into(&mut w);
         }
-        let m = evaluate(&plan.data, obj, &w);
+        final_metrics = evaluate(&plan.data, obj, &w);
         eval_timer.stop();
         trace.push(TracePoint {
             epoch: (epoch + 1) as f64,
             wall_secs: timer.seconds(),
-            objective: m.objective,
-            rmse: m.rmse,
-            error_rate: m.error_rate,
+            objective: final_metrics.objective,
+            rmse: final_metrics.rmse,
+            error_rate: final_metrics.error_rate,
         });
         // Snapshot BEFORE the boundary commit below: growth beyond
         // `workers` per epoch here is intra-epoch adaptivity firing.
@@ -404,10 +406,8 @@ pub fn run_engine<L: Loss, S: Solver>(
         }
     }
 
-    if let Some(model) = shared {
-        w = model.snapshot();
-    }
-    let final_metrics = evaluate(&plan.data, obj, &w);
+    // `w` is the final model on every path: a threaded epoch ends by
+    // snapshotting the shared model into it, after its workers joined.
     Ok(RunResult {
         trace,
         model: w,

@@ -297,11 +297,6 @@ impl DatasetProfile {
         self.n_samples = ((self.n_samples as f64 * f) as usize).max(8);
         self
     }
-
-    /// Expected density `mean_nnz / d`.
-    pub fn expected_density(&self) -> f64 {
-        self.mean_nnz as f64 / self.dim as f64
-    }
 }
 
 /// Log-normal row-norm parameters hitting the ψ/ρ targets.
@@ -372,7 +367,8 @@ mod tests {
         // news20 densest, kdd sparsest — same ordering as the paper.
         let d: Vec<f64> = PaperProfile::ALL
             .iter()
-            .map(|p| p.scaled().expected_density())
+            .map(|p| p.scaled())
+            .map(|p| p.mean_nnz as f64 / p.dim as f64)
             .collect();
         assert!(d[0] > d[1] && d[1] > d[2] && d[2] >= d[3]);
     }

@@ -30,14 +30,15 @@
 //!   cannot prove an index in-bounds, which is exactly why provably
 //!   safe sites carry a `// lint: allow(...) — reason` the tool counts
 //!   and reports instead of being silently exempt.
-//! * **No macro expansion.** Code generated by macros is invisible, so
-//!   declarations may be generated, decode-path functions may not:
-//!   `wire.rs` expands its frame table into enums and tag/name lookups,
-//!   while every function that reads peer-controlled bytes stays
-//!   hand-written where the rules can see it.
+//! * **No macro expansion.** The pass reads a `macro_rules!` body like
+//!   any other source — `wire.rs` spells its generated `Wire::get` and
+//!   `Message::decode` bodies there, and the rules scope and check them
+//!   where they are written — but not what a `$fragment` expands to: a
+//!   cast or index smuggled in through a macro *argument* is invisible,
+//!   so the tables pass names and types only, never expressions.
 //! * **Scoping is syntactic.** Test code is recognized as items under
 //!   `#[cfg(test)]` / `#[test]`; decode-side functions by name pattern
-//!   (`get_*`, `decode`, `recv`, the `Reader` impl — see
+//!   (`get`, `get_*`, `decode`, `recv`, the `Reader` impl — see
 //!   [`rules::DECODE_FILES`] and `rules::decode_scope`).
 //!
 //! The escape hatch is part of the contract: every `lint: allow` must

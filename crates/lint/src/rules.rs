@@ -31,9 +31,10 @@ use crate::scan::SourceFile;
 /// unwrap/expect/panic rules — except [`WORKER_HALF_FILE`], where they
 /// cover the worker half only; the index/cast/debug-assert rules narrow
 /// further to decode-side functions via [`decode_scope`]. The pass sees
-/// source tokens, not macro expansions: declarations in these files may
-/// be generated (`wire.rs`'s frame table is), decode-path functions may
-/// not.
+/// source tokens, not macro expansions — but a `macro_rules!` body *is*
+/// source tokens, scoped by the `fn`/`impl` headers written in it, so
+/// the decode paths `wire.rs` generates from its frame, struct and enum
+/// tables are checked where they are spelled.
 pub const DECODE_FILES: [&str; 4] = [
     "crates/cluster/src/wire.rs",
     "crates/cluster/src/transport.rs",
@@ -88,7 +89,10 @@ pub const EPRINTLN_SCOPES: [&str; 2] = ["crates/cluster/src/", "crates/cli/src/"
 /// bytes a hostile peer controls?
 fn decode_scope(path: &str, fn_name: &str, impl_name: &str) -> bool {
     if path.ends_with("cluster/src/wire.rs") {
-        fn_name.starts_with("get_")
+        // `Wire::get` impls (hand-written or in a macro body), the
+        // custom layouts' `get_*` bodies, and `Message::decode`.
+        fn_name == "get"
+            || fn_name.starts_with("get_")
             || fn_name == "decode"
             || fn_name == "apply_delta"
             || impl_name == "Reader"
@@ -449,6 +453,21 @@ mod tests {
         // put_x is encode-side: not in scope for index/cast...
         assert!(!rules.contains(&("decode-cast", 2)));
         assert!(!rules.contains(&("decode-index", 2)));
+    }
+
+    #[test]
+    fn a_decode_fn_spelled_in_a_macro_body_is_in_scope() {
+        let src = "macro_rules! wire_number {\n\
+                   \x20   ($($ty:ty),*) => {$(\n\
+                   \x20       impl Wire for $ty {\n\
+                   \x20           fn put(&self, out: &mut Vec<u8>) { let _ = self.len() as u32; }\n\
+                   \x20           fn get(r: &mut Reader<'_>) -> Result<Self, WireError> { Ok(r.buf[0] as u32) }\n\
+                   \x20       }\n\
+                   \x20   )*};\n\
+                   }\n";
+        let f = run(WIRE, src);
+        let rules: Vec<_> = f.iter().map(|x| (x.rule, x.line)).collect();
+        assert_eq!(rules, [("decode-index", 5), ("decode-cast", 5)], "{f:?}");
     }
 
     #[test]

@@ -79,12 +79,6 @@ impl<L: Loss> Objective<L> {
         kernel::apply_update(self.reg, row, coeff, reg_scale, w);
     }
 
-    /// Per-sample raw loss `φ_i(w)` (no regularizer).
-    #[inline]
-    pub fn sample_loss(&self, row: &SparseRow<'_>, w: &[f64]) -> f64 {
-        self.loss.value(self.margin(row, w))
-    }
-
     /// Evaluates a contiguous row range; combine with
     /// [`PartialEval::merge`] and finish with [`Objective::finalize`].
     pub fn eval_range(

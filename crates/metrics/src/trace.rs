@@ -62,14 +62,6 @@ impl Trace {
             .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
     }
 
-    /// Lowest RMSE ever reached.
-    pub fn best_rmse(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.rmse)
-            .min_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-    }
-
     /// Total training wall-clock of the run.
     pub fn total_wall_secs(&self) -> f64 {
         self.last().map_or(0.0, |p| p.wall_secs)
@@ -176,7 +168,6 @@ mod tests {
     fn best_metrics() {
         let t = trace();
         assert_eq!(t.best_error(), Some(0.05));
-        assert!((t.best_rmse().unwrap() - 0.55).abs() < 1e-12);
         assert_eq!(t.total_wall_secs(), 0.4);
         assert_eq!(t.last().unwrap().epoch, 4.0);
     }

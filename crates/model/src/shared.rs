@@ -136,15 +136,6 @@ impl SharedModel {
             })
             .sum()
     }
-
-    /// Number of coordinates whose current value is exactly zero — tracks
-    /// model sparsity under L1 regularization.
-    pub fn count_zeros(&self) -> usize {
-        self.w
-            .iter()
-            .filter(|a| f64::from_bits(a.load(Ordering::Relaxed)) == 0.0)
-            .count()
-    }
 }
 
 /// Write-path selection for lock-free updates (see [`SharedModel`]).
@@ -241,10 +232,8 @@ mod tests {
         let m = SharedModel::zeros(3);
         m.load_dense(&[3.0, 0.0, 4.0]);
         assert_eq!(m.norm_sq(), 25.0);
-        assert_eq!(m.count_zeros(), 1);
         m.reset();
         assert_eq!(m.norm_sq(), 0.0);
-        assert_eq!(m.count_zeros(), 3);
     }
 
     #[test]

@@ -526,11 +526,6 @@ impl AdaptiveIsSampler {
         self
     }
 
-    /// The sampler's commit policy.
-    pub fn commit_policy(&self) -> CommitPolicy {
-        self.commit
-    }
-
     /// The current mixture probability of outcome `i`.
     pub fn probability(&self, i: usize) -> f64 {
         let n = self.tree.len() as f64;

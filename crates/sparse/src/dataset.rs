@@ -80,15 +80,6 @@ impl<'a> SparseRow<'a> {
     pub fn norm(&self) -> f64 {
         self.norm_sq().sqrt()
     }
-
-    /// Copies this row into an owned [`SparseVec`].
-    pub fn to_sparse_vec(&self) -> SparseVec {
-        self.indices
-            .iter()
-            .copied()
-            .zip(self.values.iter().copied())
-            .collect()
-    }
 }
 
 /// An immutable CSR (compressed sparse row) dataset of labelled samples.
@@ -204,15 +195,6 @@ impl Dataset {
     /// Returns an error when `k == 0` or `k > n`.
     pub fn shard_ranges(&self, k: usize) -> Result<Vec<std::ops::Range<usize>>, SparseError> {
         shard_ranges(self.n_samples(), k)
-    }
-
-    /// Estimated heap bytes of the CSR arrays (indices, values, offsets,
-    /// labels); useful in the Figure-1 cost discussion.
-    pub fn heap_bytes(&self) -> usize {
-        self.indices.len() * std::mem::size_of::<u32>()
-            + self.values.len() * std::mem::size_of::<f64>()
-            + self.offsets.len() * std::mem::size_of::<usize>()
-            + self.labels.len() * std::mem::size_of::<f64>()
     }
 }
 
@@ -389,7 +371,6 @@ mod tests {
         r.axpy_into(2.0, &mut acc);
         assert_eq!(acc, vec![2.0, 0.0, 4.0, 0.0, 0.0]);
         assert_eq!(r.norm_sq(), 5.0);
-        assert_eq!(r.to_sparse_vec().nnz(), 2);
     }
 
     #[test]
@@ -465,10 +446,5 @@ mod tests {
         let ds = tiny();
         let total: usize = ds.rows().map(|r| r.nnz()).sum();
         assert_eq!(total, ds.nnz());
-    }
-
-    #[test]
-    fn heap_bytes_positive() {
-        assert!(tiny().heap_bytes() > 0);
     }
 }

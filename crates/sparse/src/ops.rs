@@ -34,12 +34,6 @@ pub fn dense_dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Squared Euclidean norm of a dense vector.
-#[inline]
-pub fn dense_norm_sq(a: &[f64]) -> f64 {
-    a.iter().map(|x| x * x).sum()
-}
-
 /// Euclidean distance between two dense vectors.
 #[inline]
 pub fn dense_dist(a: &[f64], b: &[f64]) -> f64 {
@@ -49,20 +43,6 @@ pub fn dense_dist(a: &[f64], b: &[f64]) -> f64 {
         .map(|(x, y)| (x - y) * (x - y))
         .sum::<f64>()
         .sqrt()
-}
-
-/// Scales a dense vector in place.
-#[inline]
-pub fn dense_scale(a: &mut [f64], s: f64) {
-    for x in a {
-        *x *= s;
-    }
-}
-
-/// Fills a dense vector with zeros (kept as a named op for benches).
-#[inline]
-pub fn dense_zero(a: &mut [f64]) {
-    a.fill(0.0);
 }
 
 #[cfg(test)]
@@ -79,20 +59,8 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_distance() {
-        let a = [3.0, 4.0];
-        let b = [0.0, 0.0];
-        assert_eq!(dense_norm_sq(&a), 25.0);
-        assert_eq!(dense_dist(&a, &b), 5.0);
-    }
-
-    #[test]
-    fn scale_zero() {
-        let mut a = [1.0, -2.0];
-        dense_scale(&mut a, -2.0);
-        assert_eq!(a, [-2.0, 4.0]);
-        dense_zero(&mut a);
-        assert_eq!(a, [0.0, 0.0]);
+    fn distance() {
+        assert_eq!(dense_dist(&[3.0, 4.0], &[0.0, 0.0]), 5.0);
     }
 
     #[test]

@@ -158,11 +158,6 @@ impl SparseVec {
         self.norm_sq().sqrt()
     }
 
-    /// L1 norm.
-    pub fn norm_l1(&self) -> f64 {
-        self.values.iter().map(|v| v.abs()).sum()
-    }
-
     /// Sparse-sparse dot product via index merge, `O(nnz_a + nnz_b)`.
     pub fn dot_sparse(&self, other: &SparseVec) -> f64 {
         let (mut a, mut b) = (0usize, 0usize);
@@ -279,7 +274,6 @@ mod tests {
         let v = sv(&[(0, 3.0), (9, -4.0)]);
         assert_eq!(v.norm_sq(), 25.0);
         assert_eq!(v.norm(), 5.0);
-        assert_eq!(v.norm_l1(), 7.0);
     }
 
     #[test]
