@@ -29,6 +29,15 @@ pub fn run(o: &Opts) -> i32 {
     }
 }
 
+/// The model checker's report channel. `check` runs install no
+/// recorder, so every line of the report goes straight to stderr.
+macro_rules! say {
+    ($($line:tt)*) => {
+        // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
+        eprintln!($($line)*)
+    };
+}
+
 fn parse_faults(s: &str, window: u8, budget: u8) -> Result<FaultSpec, String> {
     let mut f = FaultSpec {
         reorder_window: window,
@@ -92,49 +101,41 @@ fn parse_bugs(s: &str) -> Result<ProtocolBugs, String> {
 fn report(out: &Exploration, quiet: bool, require_exhaustive: bool) -> i32 {
     let s = &out.stats;
     if !quiet {
-        // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-        eprintln!(
+        say!(
             "schedules explored : {} ({} decisions, max depth {})",
-            s.schedules, s.decisions, s.max_depth_seen
+            s.schedules,
+            s.decisions,
+            s.max_depth_seen
         );
-        // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-        eprintln!(
+        say!(
             "expected deadlocks : {} (starvation under drop faults)",
             s.expected_deadlocks
         );
-        // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-        eprintln!("pruned (state hash): {}", s.pruned);
-        // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-        eprintln!("depth-capped runs  : {}", s.depth_capped);
+        say!("pruned (state hash): {}", s.pruned);
+        say!("depth-capped runs  : {}", s.depth_capped);
         match &s.truncated {
             // Never silent: either the space was exhausted or the reason
             // it was not is printed.
-            // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-            None => eprintln!("coverage           : exhaustive"),
-            // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-            Some(why) => eprintln!("coverage           : TRUNCATED — {why}"),
+            None => say!("coverage           : exhaustive"),
+            Some(why) => say!("coverage           : TRUNCATED — {why}"),
         }
     }
     match &out.counterexample {
         None => {
             if let (true, Some(why)) = (require_exhaustive, &out.stats.truncated) {
-                // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-                eprintln!(
+                say!(
                     "FAILED             : --require-exhaustive, but the search was cut off ({why})"
                 );
                 return 1;
             }
             if !quiet {
-                // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-                eprintln!("verdict            : no invariant violations");
+                say!("verdict            : no invariant violations");
             }
             0
         }
         Some(ce) => {
-            // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-            eprintln!("VIOLATION          : {}", ce.what);
-            // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-            eprintln!("counterexample     : {:?}", ce.choices);
+            say!("VIOLATION          : {}", ce.what);
+            say!("counterexample     : {:?}", ce.choices);
             1
         }
     }
@@ -193,8 +194,7 @@ fn run_inner(o: &Opts) -> Result<i32, String> {
         let bytes = std::fs::read(&path).map_err(|e| format!("read {path}: {e}"))?;
         let file = read_schedule(&bytes).map_err(|e| format!("{path}: {e}"))?;
         if !quiet {
-            // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-            eprintln!(
+            say!(
                 "replaying {path}: {} choices against {:?} (faults {:?}, bugs {:?})",
                 file.choices.len(),
                 (file.spec.nodes, file.spec.rounds),
@@ -205,14 +205,12 @@ fn run_inner(o: &Opts) -> Result<i32, String> {
         return match file.replay() {
             Ok(outcome) => {
                 if !quiet {
-                    // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-                    eprintln!("reproduced expected outcome: {:?}", outcome.verdict);
+                    say!("reproduced expected outcome: {:?}", outcome.verdict);
                 }
                 Ok(0)
             }
             Err(e) => {
-                // lint: allow(raw-eprintln) — CLI error path: must print even when no recorder exists
-                eprintln!("replay FAILED: {e}");
+                say!("replay FAILED: {e}");
                 Ok(1)
             }
         };
@@ -230,8 +228,7 @@ fn run_inner(o: &Opts) -> Result<i32, String> {
         bugs,
     };
     if !quiet {
-        // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-        eprintln!(
+        say!(
             "checking {nodes} worker(s) x {rounds} round(s), depth {depth}, faults {faults:?}{}",
             if bugs == ProtocolBugs::default() {
                 String::new()
@@ -259,8 +256,7 @@ fn run_inner(o: &Opts) -> Result<i32, String> {
             choices: ce.choices.clone(),
         };
         std::fs::write(path, write_schedule(&file)).map_err(|e| format!("write {path}: {e}"))?;
-        // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-        eprintln!("counterexample written to {path}");
+        say!("counterexample written to {path}");
     }
     Ok(code)
 }

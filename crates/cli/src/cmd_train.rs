@@ -1,12 +1,10 @@
 //! `isasgd train` — train any solver of the family on a LibSVM file.
 
 use crate::opts::Opts;
-use crate::spec::{ClusterSpec, LossKind, TrainSpec};
+use crate::spec::{ClusterSpec, TrainSpec};
 use isasgd_cluster::{ClusterConfig, ClusterRun};
-use isasgd_core::{
-    train, train_from, LogisticLoss, Objective, RunResult, SamplingStrategy, SquaredHingeLoss,
-    TrainConfig,
-};
+use isasgd_core::{train, train_from, Objective, RunResult, TrainConfig};
+use isasgd_losses::with_loss;
 use isasgd_model::SavedModel;
 use isasgd_obs::{Event, ObsClock, Recorder};
 use isasgd_sparse::{holdout_split, Dataset};
@@ -180,10 +178,9 @@ fn run_cluster(
         importance: spec.importance,
         balance: spec.balance,
         sync: cluster.sync,
-        // The cluster runtime has no per-algorithm dispatch; the
-        // sampling flag picks the distribution (paper default: static
-        // offline IS sequences).
-        sampling: spec.sampling.unwrap_or(SamplingStrategy::Static),
+        // Nodes run the one local (IS-)SGD loop; what `--algo` picks is
+        // the distribution they draw from, by the engine's own rule.
+        sampling: spec.sampling.unwrap_or(spec.algorithm.classical_sampling()),
         obs_model: spec.obs_model,
         commit: spec.commit,
         transport: cluster.transport.clone(),
@@ -199,18 +196,15 @@ fn run_cluster(
         // round protocol sees them), so results stay bit-identical.
         telemetry: spec.telemetry_enabled(),
     };
-    match spec.loss {
-        LossKind::Logistic => {
-            let obj = Objective::new(LogisticLoss, spec.regularizer);
-            isasgd_cluster::run(ds, &obj, &cfg)
-        }
-        LossKind::SquaredHinge => {
-            let obj = Objective::new(SquaredHingeLoss, spec.regularizer);
-            isasgd_cluster::run(ds, &obj, &cfg)
-        }
-    }
+    with_loss!(spec.loss, |loss| {
+        isasgd_cluster::run(ds, &Objective::new(loss, spec.regularizer), &cfg)
+    })
+    .expect(LOSS_IS_KNOWN)
     .map_err(|e| e.to_string())
 }
+
+/// Why unwrapping a `with_loss!(spec.loss, …)` cannot fail.
+const LOSS_IS_KNOWN: &str = "TrainSpec::from_opts took the loss name from with_loss!";
 
 /// Cluster-run reporting. Per-round lines (stderr) carry no wall-clock
 /// fields, so two runs of the same seed/config are textually identical
@@ -273,12 +267,10 @@ fn report_cluster(
 /// `--holdout` split under the training loss and regularizer.
 fn report_holdout(spec: &TrainSpec, model: &[f64], test: Option<&Dataset>) {
     let Some(te) = test else { return };
-    let metrics = match spec.loss {
-        LossKind::Logistic => Objective::new(LogisticLoss, spec.regularizer).eval(te, model),
-        LossKind::SquaredHinge => {
-            Objective::new(SquaredHingeLoss, spec.regularizer).eval(te, model)
-        }
-    };
+    let metrics = with_loss!(spec.loss, |loss| {
+        Objective::new(loss, spec.regularizer).eval(te, model)
+    })
+    .expect(LOSS_IS_KNOWN);
     println!(
         "holdout_n={} holdout_obj={:.6} holdout_err={:.6}",
         te.n_samples(),
@@ -287,7 +279,7 @@ fn report_holdout(spec: &TrainSpec, model: &[f64], test: Option<&Dataset>) {
     );
 }
 
-/// Dispatches over the (static) loss type.
+/// The engine run, monomorphized over the loss `--loss` named.
 fn run_training(
     spec: &TrainSpec,
     ds: &Dataset,
@@ -303,24 +295,14 @@ fn run_training(
     cfg.sampling = spec.sampling;
     cfg.obs_model = spec.obs_model;
     cfg.commit = spec.commit;
-    match (spec.loss, init) {
-        (LossKind::Logistic, None) => {
-            let obj = Objective::new(LogisticLoss, spec.regularizer);
-            train(ds, &obj, spec.algorithm, spec.execution, &cfg, name)
+    with_loss!(spec.loss, |loss| {
+        let obj = Objective::new(loss, spec.regularizer);
+        match init {
+            None => train(ds, &obj, spec.algorithm, spec.execution, &cfg, name),
+            Some(w0) => train_from(ds, &obj, spec.algorithm, spec.execution, &cfg, name, w0),
         }
-        (LossKind::Logistic, Some(w0)) => {
-            let obj = Objective::new(LogisticLoss, spec.regularizer);
-            train_from(ds, &obj, spec.algorithm, spec.execution, &cfg, name, w0)
-        }
-        (LossKind::SquaredHinge, None) => {
-            let obj = Objective::new(SquaredHingeLoss, spec.regularizer);
-            train(ds, &obj, spec.algorithm, spec.execution, &cfg, name)
-        }
-        (LossKind::SquaredHinge, Some(w0)) => {
-            let obj = Objective::new(SquaredHingeLoss, spec.regularizer);
-            train_from(ds, &obj, spec.algorithm, spec.execution, &cfg, name, w0)
-        }
-    }
+    })
+    .expect(LOSS_IS_KNOWN)
     .map_err(|e| e.to_string())
 }
 
@@ -364,15 +346,23 @@ isasgd train <data.svm> [flags]
 
   --algo <name>      sgd | is-sgd | asgd | is-asgd | svrg | svrg-asgd |
                      svrg-skipmu | saga                     [is-asgd]
+                     The is-* solvers draw from the static importance
+                     distribution, the others uniformly — under
+                     --cluster too, where nodes run local (is-)sgd and
+                     --algo picks their sampler (sgd: uniform)
   --threads <k>      Hogwild threads, k ≥ 1   [async solvers: 2, else off]
   --tau <t>          simulate delay τ ≥ 0 instead of threads [off]
   --workers <w>      simulated shards with --tau            [4]
-  --loss <name>      logistic | squared-hinge               [logistic]
+  --loss <name>      logistic | squared-hinge | squared     [logistic]
   --reg <kind>       none | l1 | l2                         [l1]
   --eta <f>          regularization strength                [1e-5]
   --scheme <name>    gradnorm | smoothness | partial | uniform [gradnorm]
+                     `uniform` leaves nothing to weight by: the run
+                     builds the uniform sampler whatever --algo and
+                     --sampling say, on the engine and on the cluster
   --sampling <name>  uniform | static | adaptive (overrides the
-                     algorithm's default sampling distribution)
+                     algorithm's default sampling distribution; wins
+                     over --algo on the engine and on the cluster)
   --obs-model <m>    gradnorm | loss-bound | staleness — how adaptive
                      sampling scores observations            [gradnorm]
   --commit <when>    epoch | every-k | every-<n> — when adaptive
@@ -380,6 +370,10 @@ isasgd train <data.svm> [flags]
                      on every exec mode; needs --sampling adaptive) [epoch]
   --bias <f>         uniform mix for --scheme partial       [0.5]
   --balance <name>   adaptive | head-tail | greedy | shuffle | identity
+                     row order before sharding, for importance-weighted
+                     runs: engine runs on the uniform sampler shuffle
+                     instead (one worker: file order); the cluster
+                     always balances shards by the --scheme weights
   --cluster <k>      distributed run with k nodes (epochs become
                      synchronization rounds)                [off]
   --cluster-transport <t>  inproc | tcp | process — how coordinator and

@@ -33,8 +33,9 @@ pub struct TrainSpec {
     /// Distributed execution (`--cluster`/`--cluster-transport`);
     /// `None` keeps the single-process engine.
     pub cluster: Option<ClusterSpec>,
-    /// Loss selection (by name; the CLI trains logistic or squared-hinge).
-    pub loss: LossKind,
+    /// The loss, by its canonical [`Loss::name`](isasgd_core::Loss::name)
+    /// — one `isasgd_losses::with_loss!` knows.
+    pub loss: &'static str,
     /// Regularizer.
     pub regularizer: Regularizer,
     /// Importance scheme.
@@ -61,15 +62,6 @@ pub struct TrainSpec {
     pub trace_out: Option<String>,
     /// Metrics-dump destination (`--metrics-out`).
     pub metrics_out: Option<String>,
-}
-
-/// CLI-selectable losses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LossKind {
-    /// L-something-regularized logistic regression (the paper's objective).
-    Logistic,
-    /// Squared hinge SVM (the paper's Eq. 16 example).
-    SquaredHinge,
 }
 
 fn bad(flag: &str, value: String, expected: &'static str) -> OptError {
@@ -124,11 +116,15 @@ impl TrainSpec {
             (None, None) => Execution::Sequential,
         };
 
-        let loss = match o.get_or("loss", "logistic").as_str() {
-            "logistic" => LossKind::Logistic,
-            "squared-hinge" | "svm" => LossKind::SquaredHinge,
-            other => return Err(bad("loss", other.into(), "logistic|squared-hinge")),
+        // The CLI adds only its own spellings; which names are losses
+        // is `with_loss!`'s list.
+        let loss_s = o.get_or("loss", "logistic");
+        let canonical = match loss_s.as_str() {
+            "squared-hinge" | "svm" => "squared_hinge",
+            name => name,
         };
+        let loss = isasgd_losses::with_loss!(canonical, |l| isasgd_core::Loss::name(&l))
+            .ok_or_else(|| bad("loss", loss_s.clone(), "logistic|squared-hinge|squared"))?;
 
         let eta: f64 = o.get_parsed_or("eta", 1e-5, "float")?;
         let regularizer = match o.get_or("reg", "l1").as_str() {
@@ -395,7 +391,7 @@ mod tests {
         let t = spec("").unwrap();
         assert_eq!(t.algorithm, Algorithm::IsAsgd);
         assert_eq!(t.execution, Execution::Threads(2));
-        assert_eq!(t.loss, LossKind::Logistic);
+        assert_eq!(t.loss, "logistic");
         assert!(matches!(t.regularizer, Regularizer::L1 { .. }));
         assert_eq!(t.epochs, 10);
         assert_eq!(t.step_size, 0.5);
@@ -471,6 +467,27 @@ mod tests {
     fn sequential_for_sgd_by_default() {
         let t = spec("--algo sgd").unwrap();
         assert_eq!(t.execution, Execution::Sequential);
+    }
+
+    #[test]
+    fn loss_names_and_cli_spellings() {
+        for (flag, name) in [
+            ("logistic", "logistic"),
+            ("squared-hinge", "squared_hinge"),
+            ("svm", "squared_hinge"),
+            ("squared_hinge", "squared_hinge"),
+            ("squared", "squared"),
+        ] {
+            assert_eq!(
+                spec(&format!("--loss {flag}")).unwrap().loss,
+                name,
+                "{flag}"
+            );
+        }
+        match spec("--loss hinge") {
+            Err(OptError::BadValue { flag, .. }) => assert_eq!(flag, "loss"),
+            other => panic!("expected BadValue, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! End-to-end tests driving the compiled `isasgd` binary:
 //! gen → info → train (with holdout + model save) → predict.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn bin() -> Command {
@@ -12,6 +12,23 @@ fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("isasgd_e2e_{tag}_{}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
     d
+}
+
+/// Generates the small News20-like training file every flag test uses.
+fn gen_data(dir: &Path) -> PathBuf {
+    let data = dir.join("d.svm");
+    let out = bin()
+        .args(["gen", "--out"])
+        .arg(&data)
+        .args(["--profile", "news20", "--scale", "0.05", "--training"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    data
 }
 
 #[test]
@@ -145,18 +162,7 @@ fn sampling_strategies_end_to_end() {
     // and its per-epoch trace differs from `--sampling static` on the
     // same (importance-skewed) dataset and seed.
     let dir = tmpdir("sampling");
-    let data = dir.join("d.svm");
-    let out = bin()
-        .args(["gen", "--out"])
-        .arg(&data)
-        .args(["--profile", "news20", "--scale", "0.05", "--training"])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let data = gen_data(&dir);
 
     let run = |sampling: &str| {
         let out = bin()
@@ -224,18 +230,7 @@ fn obs_model_and_commit_flags_end_to_end() {
     // each variant must run, and intra-epoch commits must produce a
     // trace distinguishable from epoch-boundary commits.
     let dir = tmpdir("feedback");
-    let data = dir.join("d.svm");
-    let out = bin()
-        .args(["gen", "--out"])
-        .arg(&data)
-        .args(["--profile", "news20", "--scale", "0.05", "--training"])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let data = gen_data(&dir);
 
     let run = |extra: &[&str]| {
         let out = bin()
@@ -366,18 +361,7 @@ fn cluster_transports_produce_identical_round_traces() {
     // `--cluster-transport inproc` for the same seed — the per-round
     // lines carry no wall-clock fields, so the comparison is textual.
     let dir = tmpdir("cluster");
-    let data = dir.join("d.svm");
-    let out = bin()
-        .args(["gen", "--out"])
-        .arg(&data)
-        .args(["--profile", "news20", "--scale", "0.05", "--training"])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let data = gen_data(&dir);
 
     let run = |transport: &str| {
         let out = bin()
@@ -445,6 +429,83 @@ fn cluster_transports_produce_identical_round_traces() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("cluster-transport"));
 
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn cluster_sampler_follows_algo_unless_sampling_names_one() {
+    // `--algo` picks the cluster's sampler by the engine's rule (sgd:
+    // uniform, is-sgd: static) and an explicit `--sampling` wins — the
+    // ASGD-vs-IS-ASGD comparison must be runnable from the flags that
+    // name it. The cluster arm used to hard-code `static`.
+    let dir = tmpdir("cluster_algo");
+    let data = gen_data(&dir);
+    let run = |tag: &str, flags: &[&str]| {
+        let model = dir.join(format!("{tag}.json"));
+        let out = bin()
+            .arg("train")
+            .arg(&data)
+            .args(flags)
+            .args(["--cluster", "2", "--epochs", "3", "--seed", "7", "--quiet"])
+            .arg("--model")
+            .arg(&model)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{flags:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let summary = String::from_utf8_lossy(&out.stdout).to_string();
+        // The saved model minus its `algorithm` label: the weights.
+        let saved = std::fs::read_to_string(&model).unwrap();
+        let weights = saved[saved.find("\"indices\"").expect("sparse model JSON")..].to_string();
+        (summary, weights)
+    };
+    let (sgd, sgd_w) = run("sgd", &["--algo", "sgd"]);
+    let (is, is_w) = run("is", &["--algo", "is-sgd"]);
+    let (forced, forced_w) = run("forced", &["--algo", "sgd", "--sampling", "static"]);
+    assert!(sgd.contains("algorithm=Cluster-SGD "), "{sgd}");
+    assert!(is.contains("algorithm=Cluster-IS-SGD "), "{is}");
+    assert!(forced.contains("algorithm=Cluster-IS-SGD "), "{forced}");
+    assert_ne!(sgd_w, is_w, "uniform and static nodes must train apart");
+    assert_eq!(forced_w, is_w, "--sampling wins over --algo");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn squared_loss_trains_on_the_engine_and_across_the_process_boundary() {
+    // `--loss` takes every name `with_loss!` lists — the same list a
+    // worker process resolves the session's loss from.
+    let dir = tmpdir("loss_squared");
+    let data = gen_data(&dir);
+    for how in [
+        &["--algo", "is-sgd"][..],
+        &["--cluster", "2", "--cluster-transport", "process"][..],
+    ] {
+        let out = bin()
+            .arg("train")
+            .arg(&data)
+            .args(how)
+            .args(["--loss", "squared", "--step", "0.05", "--epochs", "3"])
+            .args(["--seed", "7", "--quiet"])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{how:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let summary = String::from_utf8_lossy(&out.stdout);
+        // Squared loss starts at ½ on the zero model; training lowers it.
+        let obj: f64 = summary
+            .split("final_obj=")
+            .nth(1)
+            .and_then(|t| t.split_whitespace().next())
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no final_obj in {summary}"));
+        assert!(obj < 0.5, "{how:?}: {summary}");
+    }
     std::fs::remove_dir_all(dir).ok();
 }
 

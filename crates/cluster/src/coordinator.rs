@@ -35,9 +35,7 @@
 //! and a single-node run stays bit-equal to the sequential engine
 //! (`tests/equivalence.rs`).
 
-use crate::node::{
-    effective_strategy, validate, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs, RoundPoint,
-};
+use crate::node::{validate, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs, RoundPoint};
 use crate::sync::average_models;
 use crate::transport::Transport;
 use crate::wire::{CheckpointSampler, CheckpointState, Message, SessionConfig, WorkerTiming};
@@ -189,7 +187,7 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
     let d = data.dim();
     let ranges = &plan.ranges;
     let reordered_weights = &plan.weights;
-    let strategy = effective_strategy(cfg.importance, cfg.sampling);
+    let strategy = cfg.importance.effective_sampling(cfg.sampling);
 
     let phis: Vec<f64> = ranges
         .iter()
@@ -636,7 +634,7 @@ impl<T: Transport> NodeRuntime<T> {
             shards: cfg.nodes as usize,
             seed: cfg.seed,
             range: range.clone(),
-            strategy: effective_strategy(cfg.importance, cfg.sampling),
+            strategy: cfg.importance.effective_sampling(cfg.sampling),
             weights: Some(local),
             sequence: SequenceMode::RegeneratePerEpoch,
             commit: cfg.commit,

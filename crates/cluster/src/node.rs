@@ -45,8 +45,9 @@ pub struct ClusterConfig {
     /// Sampling strategy each node draws from. [`SamplingStrategy::Static`]
     /// reproduces the paper's offline sequences; `Adaptive` re-weights
     /// every node's local distribution from observed gradient magnitudes
-    /// (Alain et al.'s per-node adaptive distributions). Ignored (forced
-    /// uniform) when `importance` is [`ImportanceScheme::Uniform`].
+    /// (Alain et al.'s per-node adaptive distributions). What nodes
+    /// build is [`ImportanceScheme::effective_sampling`] of it: the
+    /// uniform sampler when `importance` is [`ImportanceScheme::Uniform`].
     pub sampling: SamplingStrategy,
     /// How observed gradient scales become importance observations for
     /// adaptive nodes (see [`ObservationModel`]); each node's
@@ -254,19 +255,6 @@ impl From<TransportError> for ClusterError {
     }
 }
 
-/// The sampling strategy nodes actually run: uniform importance forces
-/// uniform sampling (there is nothing to weight by).
-pub(crate) fn effective_strategy(
-    importance: ImportanceScheme,
-    sampling: SamplingStrategy,
-) -> SamplingStrategy {
-    if matches!(importance, ImportanceScheme::Uniform) {
-        SamplingStrategy::Uniform
-    } else {
-        sampling
-    }
-}
-
 impl ClusterConfig {
     /// The part of this config (and the objective) a worker reads —
     /// exactly what an `Assign` frame carries, whether or not the run
@@ -317,7 +305,7 @@ pub(crate) fn validate(cfg: &ClusterConfig, ds: &Dataset) -> Result<(), ClusterE
     // The same rule the core plan applies, against the strategy nodes
     // actually run.
     cfg.commit
-        .check_strategy(effective_strategy(cfg.importance, cfg.sampling))
+        .check_strategy(cfg.importance.effective_sampling(cfg.sampling))
         .map_err(|e| ClusterError::InvalidConfig(e.to_string()))
 }
 

@@ -30,7 +30,7 @@ use crate::coordinator::{NodeRuntime, ShardInput};
 use crate::node::ClusterError;
 use crate::transport::{Tcp, Transport, TransportError};
 use crate::wire::{Message, SessionConfig, PROTOCOL_VERSION};
-use isasgd_losses::{LogisticLoss, Loss, Objective, SquaredHingeLoss, SquaredLoss};
+use isasgd_losses::{with_loss, Objective};
 use isasgd_sparse::{Dataset, DatasetBuilder};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -210,22 +210,15 @@ fn serve(
     die_at_round: Option<u64>,
 ) -> Result<WorkerReport, ClusterError> {
     let runtime = NodeRuntime::new(link, worker as usize).with_chaos_kill(die_at_round);
-    match sc.loss.as_str() {
-        n if n == LogisticLoss.name() => {
-            runtime.run_session(shard, &Objective::new(LogisticLoss, sc.reg), &sc)?;
-        }
-        n if n == SquaredHingeLoss.name() => {
-            runtime.run_session(shard, &Objective::new(SquaredHingeLoss, sc.reg), &sc)?;
-        }
-        n if n == SquaredLoss.name() => {
-            runtime.run_session(shard, &Objective::new(SquaredLoss, sc.reg), &sc)?;
-        }
-        other => {
-            return Err(ClusterError::InvalidConfig(format!(
-                "loss '{other}' is not wire-known (expected logistic, squared_hinge, or squared)"
-            )))
-        }
-    }
+    with_loss!(sc.loss.as_str(), |loss| {
+        runtime.run_session(shard, &Objective::new(loss, sc.reg), &sc)
+    })
+    .ok_or_else(|| {
+        ClusterError::InvalidConfig(format!(
+            "loss '{}' is not wire-known (expected logistic, squared_hinge, or squared)",
+            sc.loss
+        ))
+    })??;
     Ok(WorkerReport {
         node: worker,
         rounds: sc.rounds,
@@ -237,5 +230,5 @@ fn serve(
 /// anything, so an unservable configuration fails fast on the
 /// coordinator.
 pub fn wire_known_loss(name: &str) -> bool {
-    name == LogisticLoss.name() || name == SquaredHingeLoss.name() || name == SquaredLoss.name()
+    with_loss!(name, |_loss| ()).is_some()
 }

@@ -62,6 +62,18 @@ impl Algorithm {
             Algorithm::IsSgd | Algorithm::IsAsgd | Algorithm::MbIsSgd { .. }
         )
     }
+
+    /// The algorithm's classical distribution — what a run draws from
+    /// when no `sampling` override names one, on the engine and on the
+    /// cluster alike: static IS for the importance-sampling members,
+    /// uniform otherwise.
+    pub fn classical_sampling(&self) -> SamplingStrategy {
+        if self.uses_importance() {
+            SamplingStrategy::Static
+        } else {
+            SamplingStrategy::Uniform
+        }
+    }
 }
 
 /// SVRG flavours discussed in the paper's §1.2.

@@ -5,30 +5,15 @@
 //! lock-free hot path — and (b) its time is excluded from the trace's
 //! wall-clock, matching the paper's convention of plotting training time.
 
+use isasgd_losses::objective::chunks;
 use isasgd_losses::{EvalMetrics, Loss, Objective, PartialEval};
 use isasgd_sparse::Dataset;
 use rayon::prelude::*;
 use std::ops::Range;
 use std::time::{Duration, Instant};
 
-/// Most partial results one pass is cut into. [`full_gradient`] holds a
-/// dense `d`-vector per partial, so the count is bounded, not the chunk
-/// length.
-const MAX_PARTIALS: usize = 8;
-
-/// The row ranges a full-dataset pass is cut into: a function of `n`
-/// alone, never of the host. Float addition is not associative, so a
-/// partition that followed the visible core count made the summed
-/// objective — and SVRG's µ, and with it every SVRG model — depend on
-/// the machine. `n ≤ 1024` stays one chunk.
-fn chunks(n: usize) -> impl Iterator<Item = Range<usize>> {
-    let len = n.div_ceil(MAX_PARTIALS).max(1024);
-    (0..n)
-        .step_by(len)
-        .map(move |start| start..(start + len).min(n))
-}
-
-/// `f` over every chunk of `0..n`, in parallel; the results come back
+/// `f` over every chunk of `0..n` — the one partition of a
+/// full-dataset pass, [`chunks`] — in parallel; the results come back
 /// in index order, which is the order callers reduce them in.
 fn par_chunks<T: Send>(n: usize, f: impl Fn(Range<usize>) -> T + Sync) -> Vec<T> {
     chunks(n)
@@ -38,7 +23,8 @@ fn par_chunks<T: Send>(n: usize, f: impl Fn(Range<usize>) -> T + Sync) -> Vec<T>
         .collect()
 }
 
-/// Parallel full-dataset evaluation.
+/// Parallel full-dataset evaluation; equal to [`Objective::eval`] to
+/// the bit.
 pub fn evaluate<L: Loss>(ds: &Dataset, obj: &Objective<L>, w: &[f64]) -> EvalMetrics {
     let total = par_chunks(ds.n_samples(), |rows| obj.eval_range(ds, w, rows))
         .into_iter()
@@ -115,44 +101,21 @@ mod tests {
     }
 
     #[test]
-    fn the_partition_is_a_function_of_n_alone() {
-        assert_eq!(chunks(0).count(), 0);
-        assert_eq!(
-            chunks(1024).map(|c| (c.start, c.end)).collect::<Vec<_>>(),
-            [(0, 1024)]
-        );
-        assert_eq!(chunks(1025).collect::<Vec<_>>(), [0..1024, 1024..1025]);
-        for n in [1, 5000, 8192, 8193, 1_000_003] {
-            let parts: Vec<_> = chunks(n).collect();
-            assert!(
-                parts.len() <= MAX_PARTIALS,
-                "n = {n}: {} partials",
-                parts.len()
-            );
-            assert_eq!(parts[0].start, 0);
-            assert_eq!(parts[parts.len() - 1].end, n);
-            assert!(parts.windows(2).all(|p| p[0].end == p[1].start), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn parallel_eval_matches_serial() {
-        let d = ds(5000);
+    fn parallel_eval_is_the_serial_eval_to_the_bit() {
+        // One partition, one reduction order: however many threads this
+        // host gives the parallel pass, it is `Objective::eval` — so the
+        // engine trace, a coordinator's round points and a holdout line
+        // agree on one model's objective. Sizes straddle the one-chunk
+        // bound and the 8-partial cap.
         let obj = Objective::new(LogisticLoss, Regularizer::L1 { eta: 0.01 });
         let w: Vec<f64> = (0..8).map(|i| (i as f64 - 4.0) * 0.1).collect();
-        let par = evaluate(&d, &obj, &w);
-        let ser = obj.eval(&d, &w);
-        assert!((par.objective - ser.objective).abs() < 1e-10);
-        assert!((par.rmse - ser.rmse).abs() < 1e-10);
-        assert_eq!(par.error_rate, ser.error_rate);
-        // Bit-equal to one thread folding the same partition in index
-        // order — however many threads this host gave the pass above.
-        let folded = chunks(5000)
-            .map(|rows| obj.eval_range(&d, &w, rows))
-            .fold(PartialEval::default(), PartialEval::merge);
-        let folded = obj.finalize(folded, &w);
-        assert_eq!(par.objective.to_bits(), folded.objective.to_bits());
-        assert_eq!(par.rmse.to_bits(), folded.rmse.to_bits());
+        for n in [1, 1024, 1025, 2400, 9000] {
+            let d = ds(n);
+            let (par, ser) = (evaluate(&d, &obj, &w), obj.eval(&d, &w));
+            assert_eq!(par.objective.to_bits(), ser.objective.to_bits(), "n = {n}");
+            assert_eq!(par.rmse.to_bits(), ser.rmse.to_bits(), "n = {n}");
+            assert_eq!(par.error_rate, ser.error_rate, "n = {n}");
+        }
     }
 
     #[test]

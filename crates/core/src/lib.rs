@@ -11,16 +11,21 @@
 //!
 //! # Algorithm × execution matrix
 //!
-//! | Algorithm | paper reference | executions |
-//! |---|---|---|
-//! | [`Algorithm::Sgd`] | Eq. 3 (uniform sequential) | Sequential, Simulated |
-//! | [`Algorithm::IsSgd`] | Algorithm 2 | Sequential, Simulated |
-//! | [`Algorithm::Asgd`] | Hogwild (Recht et al. 2011) | Threads, Simulated |
-//! | [`Algorithm::IsAsgd`] | **Algorithm 4 — the contribution** | Threads, Simulated |
-//! | [`Algorithm::SvrgSgd`] | Johnson & Zhang 2013 | Sequential |
-//! | [`Algorithm::SvrgAsgd`] | Algorithm 1 | Threads, Simulated |
-//! | [`Algorithm::Saga`] | Defazio et al. 2014 | Sequential |
-//! | [`Algorithm::MbSgd`] / [`Algorithm::MbIsSgd`] | Csiba–Richtárik | Sequential |
+//! | Algorithm | paper reference | kernel | executions |
+//! |---|---|---|---|
+//! | [`Algorithm::Sgd`] | Eq. 3 (uniform sequential) | `SgdSolver` | Sequential, Simulated |
+//! | [`Algorithm::IsSgd`] | Algorithm 2 | `SgdSolver` | Sequential, Simulated |
+//! | [`Algorithm::Asgd`] | Hogwild (Recht et al. 2011) | `SgdSolver` | Threads, Simulated |
+//! | [`Algorithm::IsAsgd`] | **Algorithm 4 — the contribution** | `SgdSolver` | Threads, Simulated |
+//! | [`Algorithm::SvrgSgd`] | Johnson & Zhang 2013 | `SvrgSolver` | Sequential |
+//! | [`Algorithm::SvrgAsgd`] | Algorithm 1 | `SvrgSolver` | Threads, Simulated |
+//! | [`Algorithm::Saga`] | Defazio et al. 2014 | `SagaSolver` | Sequential |
+//! | [`Algorithm::MbSgd`] / [`Algorithm::MbIsSgd`] | Csiba–Richtárik | `SgdSolver`, draws grouped by the engine | Sequential |
+//!
+//! The SGD family is one kernel: importance sampling changes only which
+//! row is drawn and the `1/(n·p_i)` on the step, and a batch size only
+//! how many draws the sequential engine computes against one model
+//! before applying them (with step `λ/b`; `b = 1` is SGD to the bit).
 //!
 //! `Execution::Threads` runs genuine lock-free Hogwild threads over a
 //! [`SharedModel`](isasgd_model::SharedModel) through each solver's
@@ -50,10 +55,14 @@
 //! | `Adaptive` | sum-tree-backed, re-weighted per epoch from observed `‖∇f_i‖` | `1/(n·p_i)`, live |
 //!
 //! `TrainConfig::sampling = None` keeps each algorithm's classical
-//! distribution (static for the IS-named members, uniform otherwise);
-//! the CLI surfaces the override as `--sampling`. Variance-reduction
-//! solvers (SVRG/SAGA) sample uniformly by construction and reject
-//! explicit IS strategies.
+//! distribution ([`Algorithm::classical_sampling`]: static for the
+//! IS-named members, uniform otherwise); the CLI surfaces the override
+//! as `--sampling`. Under [`ImportanceScheme::Uniform`] there is nothing
+//! to weight by and every strategy is the uniform sampler
+//! ([`ImportanceScheme::effective_sampling`]). `isasgd-cluster` runs
+//! resolve through the same two methods. Variance-reduction solvers
+//! (SVRG/SAGA) sample uniformly by construction and reject explicit IS
+//! strategies.
 //!
 //! Every run produces a [`RunResult`] with a
 //! [`Trace`](isasgd_metrics::Trace) (per-epoch RMSE / error-rate /

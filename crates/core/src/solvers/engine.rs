@@ -7,7 +7,12 @@
 //! and trace bookkeeping. The engine owns all of it once:
 //!
 //! * **Sequential** — `compute` + `apply` back-to-back over the single
-//!   shard's draw stream.
+//!   shard's draw stream, in groups of [`RunMeta::batch`] draws: every
+//!   gradient of a group is taken at one model, then the group is
+//!   applied with step `λ / group length`. A group of one is plain SGD,
+//!   so the minibatch algorithms need no kernel of their own. This arm
+//!   is also the oracle the other runtimes are pinned against (simulated
+//!   at τ = 0, threaded with one worker, a one-node cluster).
 //! * **`Threads(k)`** — real lock-free Hogwild workers over a
 //!   [`SharedModel`], each pulling chunks from its own shard's
 //!   [`ScheduleStream`] through the solver's [`SharedKernel`].
@@ -33,7 +38,10 @@
 //! outputs map to — can differ run-to-run.
 //!
 //! Adaptive feedback — observed per-sample gradient scales flowing back
-//! into the samplers — goes through the drawing worker's own
+//! into the samplers — is what [`Solver::compute`] and
+//! [`SharedKernel::step_shared`](crate::solvers::solver::SharedKernel::step_shared)
+//! return beside their update, and goes straight to the drawing
+//! worker's own
 //! [`ScheduleStream::observe`], the single observation convention shared
 //! with `isasgd-cluster` (scaling model, the worker's own rows' norms,
 //! the observation's [`ScheduleStream::age`]); the engine itself never
@@ -72,7 +80,7 @@ use crate::config::{Execution, TrainConfig};
 use crate::error::CoreError;
 use crate::eval::{evaluate, TrainTimer};
 use crate::solvers::plan::build_plan;
-use crate::solvers::solver::{Feedback, Sched, Solver};
+use crate::solvers::solver::{Sched, Solver};
 use crate::trainer::RunResult;
 use isasgd_asyncsim::DelayQueue;
 use isasgd_losses::{Loss, Objective};
@@ -80,7 +88,8 @@ use isasgd_metrics::{Trace, TracePoint};
 use isasgd_model::SharedModel;
 use isasgd_sampling::{CommitPolicy, SamplingStrategy, ScheduleStream};
 
-/// Identifying metadata for one engine run.
+/// What the trainer resolved about one engine run beyond its solver:
+/// the trace's labels and the step's batch size.
 pub struct RunMeta<'a> {
     /// Algorithm display name for the trace (annotated with the sampling
     /// strategy when it overrides the algorithm's classical one).
@@ -89,6 +98,10 @@ pub struct RunMeta<'a> {
     pub dataset_name: &'a str,
     /// Concurrency number recorded in the trace (τ, thread count, or 1).
     pub concurrency: usize,
+    /// Draws per sequential step: 1, or the minibatch algorithms' `b`
+    /// (≥ 1, checked by the trainer, which also refuses them any other
+    /// execution).
+    pub batch: usize,
 }
 
 /// One observation riding a simulated in-flight update: the worker that
@@ -112,8 +125,8 @@ fn deliver(streams: &mut [ScheduleStream], note: Option<ObsNote>, delay: usize) 
 /// `init` warm-starts the model (`None` = zeros). Combination validation
 /// (which algorithm accepts which execution) happens in the trainer
 /// dispatch before this is called; the engine itself only rejects what it
-/// structurally cannot run (a thread pool needs a [`SharedKernel`], the
-/// staleness queue needs per-sample granularity).
+/// structurally cannot run (a thread pool needs a
+/// [`SharedKernel`](crate::solvers::solver::SharedKernel)).
 #[allow(clippy::too_many_arguments)] // the one place the full run context assembles
 pub fn run_engine<L: Loss, S: Solver>(
     ds: &isasgd_sparse::Dataset,
@@ -130,12 +143,6 @@ pub fn run_engine<L: Loss, S: Solver>(
         Execution::Threads(k) => k,
         Execution::Simulated { workers, .. } => workers,
     };
-    if solver.batch() != 1 && matches!(exec, Execution::Simulated { .. }) {
-        return Err(CoreError::Unsupported {
-            algorithm: solver.label(),
-            reason: "bounded-staleness simulation needs per-sample steps".into(),
-        });
-    }
     let mut plan = build_plan(ds, obj, cfg, workers, strategy)?;
     solver.init(&plan.data)?;
     let n = plan.data.n_samples();
@@ -173,10 +180,10 @@ pub fn run_engine<L: Loss, S: Solver>(
     let mut steps: u64 = 0;
     // Cumulative sampler commit count at each epoch's end.
     let mut sampler_commits: Vec<u64> = Vec::with_capacity(cfg.epochs);
-    // Reused per-step observation buffer (single-threaded paths).
-    let mut obs_buf: Vec<(u32, f64)> = Vec::new();
-    // Reused draw chunk (sequential path).
+    // Reused draw chunk and the computed, not yet applied updates of
+    // one group of it (sequential path).
     let mut chunk: Vec<Sched> = Vec::new();
+    let mut group_updates: Vec<(S::Update, f64)> = Vec::new();
     // Reused per-worker draw buffers (simulated path): (chunk, cursor).
     // `Vec::new()` does not allocate, so non-simulated runs pay nothing.
     let mut feeds: Vec<(Vec<Sched>, usize)> = (0..workers).map(|_| (Vec::new(), 0)).collect();
@@ -197,17 +204,17 @@ pub fn run_engine<L: Loss, S: Solver>(
 
     for epoch in 0..cfg.epochs {
         let lambda = cfg.schedule.at(cfg.step_size, epoch);
-        // Feedback matters when a later epoch re-samples from it — or,
-        // on streamed runs, when a commit inside THIS epoch steers its
-        // own remaining draws (so the final epoch collects too).
+        // Observations matter when a later epoch re-samples from them —
+        // or, on streamed runs, when a commit inside THIS epoch steers
+        // its own remaining draws (so the final epoch collects too).
         let collect = adaptive && (streaming || epoch + 1 < cfg.epochs);
 
         timer.start();
         match exec {
             Execution::Sequential => {
                 solver.on_epoch_start(&plan.data, &w, lambda);
-                let batch = solver.batch().max(1);
-                // Streamed epochs pull in solver-batch strides so every
+                let batch = meta.batch;
+                // Streamed epochs pull in batch-sized strides so every
                 // draw sees the freshest committed distribution;
                 // boundary-commit epochs pull large chunks (the
                 // distribution is frozen all epoch) with the draw cost
@@ -217,7 +224,7 @@ pub fn run_engine<L: Loss, S: Solver>(
                 } else {
                     (ScheduleStream::DEFAULT_CHUNK / batch).max(1) * batch
                 };
-                let stream = &mut plan.streams[0];
+                let (data, stream) = (&plan.data, &mut plan.streams[0]);
                 while !stream.is_exhausted() {
                     if !streaming {
                         timer.stop();
@@ -231,18 +238,21 @@ pub fn run_engine<L: Loss, S: Solver>(
                     // Draws of this chunk not yet stepped.
                     let mut buffered = chunk.len();
                     for group in chunk.chunks(batch) {
-                        let mut fb = if collect {
-                            Feedback::into_buf(&mut obs_buf)
-                        } else {
-                            Feedback::disabled()
-                        };
-                        let update = solver.compute(&plan.data, group, lambda, &w, &mut fb);
-                        solver.apply(&plan.data, lambda, update, &mut w);
-                        for (j, (row, g)) in obs_buf.drain(..).enumerate() {
-                            let age = stream.age(buffered.saturating_sub(j + 1));
-                            stream.observe(row as usize, g, age, 0);
+                        // The averaged step of a group, over its actual
+                        // length (an epoch's tail group is shorter).
+                        let step = lambda / group.len() as f64;
+                        group_updates
+                            .extend(group.iter().map(|&s| solver.compute(data, s, step, &w)));
+                        // Applies write the model and observations the
+                        // sampler, so pairing them per draw is the same
+                        // run as all applies, then all observations.
+                        for (s, (update, g)) in group.iter().zip(group_updates.drain(..)) {
+                            solver.apply(data, step, update, &mut w);
+                            buffered -= 1;
+                            if collect {
+                                stream.observe(s.row as usize, g, stream.age(buffered), 0);
+                            }
                         }
-                        buffered -= group.len();
                     }
                 }
                 solver.on_epoch_end(&plan.data, lambda, &mut w);
@@ -292,22 +302,8 @@ pub fn run_engine<L: Loss, S: Solver>(
                     let s = feeds[k].0[feeds[k].1];
                     feeds[k].1 += 1;
                     let age = streams[k].age(feeds[k].0.len() - feeds[k].1);
-                    let mut fb = if collect {
-                        Feedback::into_buf(&mut obs_buf)
-                    } else {
-                        Feedback::disabled()
-                    };
-                    let update = solver.compute(data, &[s], lambda, &w, &mut fb);
-                    let note = if collect {
-                        debug_assert!(
-                            obs_buf.len() <= 1,
-                            "simulated adaptive runs step one sample at a time"
-                        );
-                        obs_buf.pop().map(|(row, g)| (k, row, g, age))
-                    } else {
-                        None
-                    };
-                    obs_buf.clear();
+                    let (update, g) = solver.compute(data, s, lambda, &w);
+                    let note = collect.then_some((k, s.row, g, age));
                     if let Some(((u, note), delay)) = queue.push_timed((update, note)) {
                         solver.apply(data, lambda, u, &mut w);
                         deliver(streams, note, delay);
@@ -362,8 +358,7 @@ pub fn run_engine<L: Loss, S: Solver>(
                                     break;
                                 }
                                 for (j, &s) in chunk.iter().enumerate() {
-                                    let g =
-                                        kernel.step_shared(data, s, lambda, model, mode, collect);
+                                    let g = kernel.step_shared(data, s, lambda, model, mode);
                                     if collect {
                                         let age = stream.age(pulled - 1 - j);
                                         stream.observe(s.row as usize, g, age, 0);
@@ -940,6 +935,48 @@ mod tests {
                 "b=1, {:?}: identical trajectories",
                 o.reg
             );
+        }
+    }
+
+    #[test]
+    fn minibatch_is_a_group_of_gradients_at_one_model_averaged_over_its_length() {
+        // The grouping the sequential arm does, against a loop written
+        // out here: each group's gradients at one `w`, applied with
+        // λ / (the group's actual length) — 250 rows in eights leave a
+        // tail group of 2 — bit for bit, with and without L1.
+        use crate::solvers::plan::build_plan;
+        let ds = separable(250);
+        let cfg = TrainConfig::default().with_epochs(3).with_seed(21);
+        for o in &objs()[..2] {
+            let mb = train(
+                &ds,
+                o,
+                Algorithm::MbSgd { batch: 8 },
+                Execution::Sequential,
+                &cfg,
+                "sep",
+            )
+            .unwrap();
+            let mut plan = build_plan(&ds, o, &cfg, 1, SamplingStrategy::Uniform).unwrap();
+            let mut w = vec![0.0; ds.dim()];
+            let mut tail = 0;
+            for _ in 0..cfg.epochs {
+                let draws: Vec<_> = std::iter::from_fn(|| plan.streams[0].next_draw()).collect();
+                for group in draws.chunks(8) {
+                    tail = group.len();
+                    let step = cfg.step_size / group.len() as f64;
+                    let row = |i: usize| plan.data.row(group[i].row as usize);
+                    let g: Vec<f64> = (0..group.len())
+                        .map(|i| o.grad_scale(&row(i), o.margin(&row(i), &w)))
+                        .collect();
+                    for (i, g) in g.into_iter().enumerate() {
+                        o.apply_sgd_update(&row(i), -step * g, step, &mut w);
+                    }
+                }
+                plan.advance_epoch();
+            }
+            assert_eq!(tail, 2, "the run must end on a short group");
+            assert_eq!(mb.model, w, "{:?}", o.reg);
         }
     }
 

@@ -6,18 +6,18 @@
 //!   [`ScheduleStream`](isasgd_sampling::ScheduleStream) per worker
 //!   wrapping its shard's boxed [`Sampler`](isasgd_sampling::Sampler)
 //!   (Algorithm 4 lines 2–12 and Algorithm 2 lines 2–3).
-//! * [`solver`] — the [`Solver`](solver::Solver) trait: compute/apply
-//!   split plus epoch hooks and an optional lock-free
-//!   [`SharedKernel`](solver::SharedKernel).
+//! * [`solver`] — the [`Solver`](solver::Solver) trait: a compute/apply
+//!   split whose compute returns what it observed, plus epoch hooks and
+//!   an optional lock-free [`SharedKernel`](solver::SharedKernel).
 //! * [`engine`] — the shared [`run_engine`](engine::run_engine) epoch
 //!   loop driving any solver under Sequential / `Threads(k)` /
 //!   `Simulated{tau, workers}` execution, with timing, tracing, and
 //!   adaptive-sampling feedback.
-//! * [`sgd`] — the single kernel behind SGD, IS-SGD, ASGD and IS-ASGD
-//!   (the paper's point: importance sampling leaves it untouched).
+//! * [`sgd`] — the single kernel behind SGD, IS-SGD, ASGD, IS-ASGD and,
+//!   grouped by the engine, minibatch (IS-)SGD (the paper's point:
+//!   importance sampling leaves it untouched; so does the batch size).
 //! * [`svrg`] — SVRG-SGD / SVRG-ASGD (literature and skip-µ variants).
 //! * [`saga`] — sequential SAGA (scalar-memory VR baseline).
-//! * [`minibatch`] — minibatch (IS-)SGD.
 //!
 //! Adding a solver is now a one-file change: implement
 //! [`Solver`](solver::Solver) and add one dispatch arm in
@@ -25,7 +25,6 @@
 //! mode comes for free.
 
 pub mod engine;
-pub mod minibatch;
 pub mod plan;
 pub mod saga;
 pub mod sgd;
@@ -33,4 +32,4 @@ pub mod solver;
 pub mod svrg;
 
 pub use engine::{run_engine, RunMeta};
-pub use solver::{Feedback, Sched, SharedKernel, Solver};
+pub use solver::{Sched, SharedKernel, Solver};

@@ -31,7 +31,7 @@
 
 use crate::config::SvrgVariant;
 use crate::error::CoreError;
-use crate::solvers::solver::{Feedback, Sched, Solver};
+use crate::solvers::solver::{Sched, Solver};
 use isasgd_losses::{Loss, Objective};
 use isasgd_sparse::Dataset;
 
@@ -74,16 +74,8 @@ impl<L: Loss> Solver for SagaSolver<'_, L> {
         Ok(())
     }
 
-    fn compute(
-        &mut self,
-        _data: &Dataset,
-        batch: &[Sched],
-        _lambda: f64,
-        _w: &[f64],
-        _fb: &mut Feedback<'_>,
-    ) -> Sched {
-        debug_assert_eq!(batch.len(), 1, "saga steps one sample at a time");
-        batch[0]
+    fn compute(&mut self, _data: &Dataset, s: Sched, _lambda: f64, _w: &[f64]) -> (Sched, f64) {
+        (s, 0.0)
     }
 
     fn apply(&mut self, data: &Dataset, lambda: f64, s: Sched, w: &mut [f64]) {

@@ -21,8 +21,14 @@
 //! * `step_shared` runs [`sgd_step`] undelayed against a [`SharedView`]
 //!   of the Hogwild model: the same arithmetic, so one thread reproduces
 //!   the sequential run bit for bit under every regularizer.
+//!
+//! Both return `|ℓ'(m)|`, the one quantity adaptive sampling feeds on,
+//! as a by-product of the gradient they compute anyway. Batch size is
+//! not this file's business either: minibatch (IS-)SGD is this kernel
+//! with the engine grouping its draws (every `compute` of a group at one
+//! `w`, step `λ/b`), which at `b = 1` is plain SGD to the bit.
 
-use crate::solvers::solver::{Feedback, Sched, SharedKernel, SharedView, Solver};
+use crate::solvers::solver::{Sched, SharedKernel, SharedView, Solver};
 use isasgd_losses::{sgd_step, Loss, Objective};
 use isasgd_model::shared::UpdateMode;
 use isasgd_model::SharedModel;
@@ -59,27 +65,16 @@ impl<L: Loss> Solver for SgdSolver<'_, L> {
         "sgd-family"
     }
 
-    fn compute(
-        &mut self,
-        data: &Dataset,
-        batch: &[Sched],
-        lambda: f64,
-        w: &[f64],
-        fb: &mut Feedback<'_>,
-    ) -> SgdUpdate {
-        debug_assert_eq!(batch.len(), 1, "sgd kernel steps one sample at a time");
-        let s = batch[0];
+    fn compute(&mut self, data: &Dataset, s: Sched, lambda: f64, w: &[f64]) -> (SgdUpdate, f64) {
         let row = data.row(s.row as usize);
         let margin = self.obj.margin(&row, w);
         let g = self.obj.grad_scale(&row, margin);
-        if fb.wants() {
-            fb.record(s.row, g.abs());
-        }
-        SgdUpdate {
+        let update = SgdUpdate {
             row: s.row,
             coeff: -lambda * s.corr * g,
             reg_scale: lambda * s.corr,
-        }
+        };
+        (update, g.abs())
     }
 
     fn apply(&mut self, data: &Dataset, _lambda: f64, u: SgdUpdate, w: &mut [f64]) {
@@ -100,15 +95,9 @@ impl<L: Loss> SharedKernel for SgdSolver<'_, L> {
         lambda: f64,
         model: &SharedModel,
         mode: UpdateMode,
-        observe: bool,
     ) -> f64 {
         let row = data.row(s.row as usize);
         let mut w = SharedView(model, mode);
-        let g = sgd_step(self.obj, &row, lambda * s.corr, &mut w);
-        if observe {
-            g.abs()
-        } else {
-            0.0
-        }
+        sgd_step(self.obj, &row, lambda * s.corr, &mut w).abs()
     }
 }

@@ -5,17 +5,23 @@
 //! needs anyway:
 //!
 //! * [`Solver::compute`] — read-only against the currently *visible*
-//!   model: sample gradient(s), produce a self-contained
-//!   [`Solver::Update`].
+//!   model: one draw's gradient, as a self-contained [`Solver::Update`],
+//!   returned together with what the kernel observed on the way: the
+//!   raw gradient scale `|ℓ'(m)|`.
 //! * [`Solver::apply`] — mutate the model with a previously computed
 //!   update.
 //!
 //! Sequential execution calls them back-to-back (so `τ = 0` staleness is
-//! literally the sequential algorithm); simulated execution pushes the
-//! updates through a [`DelayQueue`](isasgd_asyncsim::DelayQueue);
-//! threaded execution instead uses the solver's lock-free
-//! [`SharedKernel`] (when it has one — solvers with per-step mutable
-//! state like SAGA are sequential-only and return `None`).
+//! literally the sequential algorithm; a minibatch is the same pair run
+//! over a group of draws — every `compute` against one model, then
+//! every `apply`); simulated execution pushes the updates through a
+//! [`DelayQueue`](isasgd_asyncsim::DelayQueue); threaded execution
+//! instead uses the solver's lock-free [`SharedKernel`] (when it has one
+//! — solvers with per-step mutable state like SAGA are sequential-only
+//! and return `None`), whose one step returns the same observation.
+//! Either way the engine hands the scale straight to the drawing
+//! worker's [`ScheduleStream::observe`](isasgd_sampling::ScheduleStream::observe),
+//! which owns feature norms and scaling; kernels never see a sampler.
 //!
 //! Epoch-granular state (SVRG's snapshot + full gradient µ, skip-µ's
 //! deferred dense add) lives in [`Solver::on_epoch_start`] /
@@ -42,43 +48,6 @@ use isasgd_sparse::Dataset;
 /// instead of materializing per-epoch schedules.
 pub type Sched = isasgd_sampling::Draw;
 
-/// Sink for observed per-sample gradient *scales* `|ℓ'(m)|`, used to
-/// drive [`Sampler::update_weight`](isasgd_sampling::Sampler) for
-/// adaptive sampling. The engine multiplies each observation by the
-/// sample's (precomputed) feature norm `‖x_i‖` to form the GLM gradient
-/// norm `‖∇f_i‖ = |ℓ'(m)|·‖x_i‖`, so kernels never recompute norms in
-/// the hot loop. A disabled sink costs one branch per step.
-pub struct Feedback<'a> {
-    sink: Option<&'a mut Vec<(u32, f64)>>,
-}
-
-impl<'a> Feedback<'a> {
-    /// A sink collecting into `buf`.
-    pub fn into_buf(buf: &'a mut Vec<(u32, f64)>) -> Self {
-        Feedback { sink: Some(buf) }
-    }
-
-    /// A disabled sink.
-    pub fn disabled() -> Feedback<'static> {
-        Feedback { sink: None }
-    }
-
-    /// Whether observations are wanted (lets kernels skip the extra
-    /// norm computation entirely).
-    #[inline]
-    pub fn wants(&self) -> bool {
-        self.sink.is_some()
-    }
-
-    /// Records one observation (`|ℓ'(m)|` for the sampled row).
-    #[inline]
-    pub fn record(&mut self, row: u32, observed: f64) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.push((row, observed));
-        }
-    }
-}
-
 /// A Hogwild worker's handle on the shared model: how the step kernel
 /// (`isasgd_losses::kernel`) reaches its coordinates. Reads are relaxed
 /// loads (the perturbed iterate ŵ of the analysis); each write is one
@@ -104,8 +73,7 @@ impl ModelAccess for SharedView<'_> {
 /// state that is frozen for the duration of the epoch.
 pub trait SharedKernel: Sync {
     /// One gradient step on `s` against the shared model. Returns the
-    /// observed gradient scale `|ℓ'(m)|` (the engine scales it by the
-    /// row norm), or 0.0 when not meaningful.
+    /// observed gradient scale `|ℓ'(m)|`, or 0.0 when not meaningful.
     fn step_shared(
         &self,
         data: &Dataset,
@@ -113,7 +81,6 @@ pub trait SharedKernel: Sync {
         lambda: f64,
         model: &SharedModel,
         mode: UpdateMode,
-        observe: bool,
     ) -> f64;
 
     /// Epoch-boundary hook against the shared model (e.g. skip-µ's
@@ -140,12 +107,6 @@ pub trait Solver {
         true
     }
 
-    /// Scheduling granularity: how many draws each `compute` consumes
-    /// (1 for the single-sample solvers, `b` for minibatch).
-    fn batch(&self) -> usize {
-        1
-    }
-
     /// Per-run state allocation. Called once, after planning.
     fn init(&mut self, data: &Dataset) -> Result<(), CoreError> {
         let _ = data;
@@ -166,16 +127,11 @@ pub trait Solver {
         let _ = (data, w, lambda);
     }
 
-    /// Computes one update from `batch` against the visible model `w`
-    /// without mutating it.
-    fn compute(
-        &mut self,
-        data: &Dataset,
-        batch: &[Sched],
-        lambda: f64,
-        w: &[f64],
-        fb: &mut Feedback<'_>,
-    ) -> Self::Update;
+    /// Computes the update of draw `s` against the visible model `w`
+    /// without mutating it, and returns it with the raw gradient scale
+    /// `|ℓ'(m)|` observed at `w` (0.0 where a solver has none to
+    /// report) — [`SharedKernel::step_shared`]'s contract.
+    fn compute(&mut self, data: &Dataset, s: Sched, lambda: f64, w: &[f64]) -> (Self::Update, f64);
 
     /// Applies a previously computed update to the model.
     fn apply(&mut self, data: &Dataset, lambda: f64, update: Self::Update, w: &mut [f64]);
@@ -241,19 +197,5 @@ mod tests {
                 assert_ne!(bits(&dense), bits(&w0), "the steps must move the model");
             }
         }
-    }
-
-    #[test]
-    fn feedback_routing() {
-        let mut buf = Vec::new();
-        {
-            let mut fb = Feedback::into_buf(&mut buf);
-            assert!(fb.wants());
-            fb.record(3, 1.5);
-        }
-        assert_eq!(buf, vec![(3, 1.5)]);
-        let mut off = Feedback::disabled();
-        assert!(!off.wants());
-        off.record(1, 1.0); // no-op
     }
 }

@@ -23,7 +23,7 @@
 use crate::config::SvrgVariant;
 use crate::error::CoreError;
 use crate::eval::full_gradient;
-use crate::solvers::solver::{Feedback, Sched, SharedKernel, SharedView, Solver};
+use crate::solvers::solver::{Sched, SharedKernel, SharedView, Solver};
 use isasgd_losses::{kernel, Loss, Objective};
 use isasgd_model::shared::UpdateMode;
 use isasgd_model::SharedModel;
@@ -89,16 +89,7 @@ impl<L: Loss> Solver for SvrgSolver<'_, L> {
         self.snapshot = snap;
     }
 
-    fn compute(
-        &mut self,
-        data: &Dataset,
-        batch: &[Sched],
-        lambda: f64,
-        w: &[f64],
-        _fb: &mut Feedback<'_>,
-    ) -> SvrgUpdate {
-        debug_assert_eq!(batch.len(), 1, "svrg steps one sample at a time");
-        let s = batch[0];
+    fn compute(&mut self, data: &Dataset, s: Sched, lambda: f64, w: &[f64]) -> (SvrgUpdate, f64) {
         let row = data.row(s.row as usize);
         let g_w = {
             let m = self.obj.margin(&row, w);
@@ -108,11 +99,12 @@ impl<L: Loss> Solver for SvrgSolver<'_, L> {
             let m = self.obj.margin(&row, &self.snapshot);
             self.obj.grad_scale(&row, m)
         };
-        SvrgUpdate {
+        let update = SvrgUpdate {
             row: s.row,
             coeff: -lambda * (g_w - g_s),
             mu_scale: -lambda,
-        }
+        };
+        (update, 0.0)
     }
 
     fn apply(&mut self, data: &Dataset, _lambda: f64, u: SvrgUpdate, w: &mut [f64]) {
@@ -148,7 +140,6 @@ impl<L: Loss> SharedKernel for SvrgSolver<'_, L> {
         lambda: f64,
         model: &SharedModel,
         mode: UpdateMode,
-        _observe: bool,
     ) -> f64 {
         let row = data.row(s.row as usize);
         let m_w = kernel::margin(&row, &SharedView(model, mode));

@@ -5,7 +5,6 @@
 use crate::config::{Algorithm, Execution, TrainConfig};
 use crate::error::CoreError;
 use crate::solvers::engine::{run_engine, RunMeta};
-use crate::solvers::minibatch::MinibatchSolver;
 use crate::solvers::saga::SagaSolver;
 use crate::solvers::sgd::SgdSolver;
 use crate::solvers::svrg::SvrgSolver;
@@ -145,9 +144,11 @@ fn validate(algo: Algorithm, exec: Execution) -> Result<(), CoreError> {
 /// Resolves the effective sampling strategy for this run.
 ///
 /// `cfg.sampling = None` keeps the algorithm's classical distribution
-/// (static IS for the IS-named members, uniform otherwise); an explicit
-/// strategy overrides it. Variance-reduction solvers sample uniformly by
-/// construction and reject explicit IS strategies.
+/// ([`Algorithm::classical_sampling`]); an explicit strategy overrides
+/// it; and a scheme with nothing to weight by makes either the uniform
+/// sampler ([`ImportanceScheme::effective_sampling`](isasgd_losses::ImportanceScheme::effective_sampling)).
+/// Variance-reduction solvers sample uniformly by construction and
+/// reject explicit IS strategies.
 fn resolve_strategy(
     algo: Algorithm,
     cfg: &TrainConfig,
@@ -171,13 +172,11 @@ fn resolve_strategy(
             }),
         };
     }
-    let natural = if algo.uses_importance() {
-        SamplingStrategy::Static
-    } else {
-        SamplingStrategy::Uniform
-    };
-    let strategy = cfg.sampling.unwrap_or(natural);
-    // Annotate runs whose --sampling override departs from the
+    let natural = algo.classical_sampling();
+    let strategy = cfg
+        .importance
+        .effective_sampling(cfg.sampling.unwrap_or(natural));
+    // Annotate runs whose effective sampler departs from the
     // algorithm's classical distribution, so traces keyed on `algorithm`
     // never mix different sampling strategies under one name (the
     // cluster runtime does the same with its Cluster-{,A}IS-SGD labels).
@@ -216,13 +215,27 @@ fn dispatch<L: Loss>(
 ) -> Result<RunResult, CoreError> {
     validate(algo, exec)?;
     let (strategy, label) = resolve_strategy(algo, cfg)?;
+    let batch = match algo {
+        Algorithm::MbSgd { batch } | Algorithm::MbIsSgd { batch } => batch,
+        _ => 1,
+    };
+    if batch == 0 {
+        return Err(CoreError::InvalidConfig("batch size must be ≥ 1".into()));
+    }
     let meta = RunMeta {
         algo_name: &label,
         dataset_name,
         concurrency: concurrency_of(algo, exec),
+        batch,
     };
     match algo {
-        Algorithm::Sgd | Algorithm::IsSgd | Algorithm::Asgd | Algorithm::IsAsgd => run_engine(
+        // One kernel at every batch size: the engine groups the draws.
+        Algorithm::Sgd
+        | Algorithm::IsSgd
+        | Algorithm::Asgd
+        | Algorithm::IsAsgd
+        | Algorithm::MbSgd { .. }
+        | Algorithm::MbIsSgd { .. } => run_engine(
             ds,
             obj,
             cfg,
@@ -251,16 +264,6 @@ fn dispatch<L: Loss>(
             meta,
             init,
             SagaSolver::new(obj, v),
-        ),
-        Algorithm::MbSgd { batch } | Algorithm::MbIsSgd { batch } => run_engine(
-            ds,
-            obj,
-            cfg,
-            exec,
-            strategy,
-            meta,
-            init,
-            MinibatchSolver::new(obj, batch),
         ),
     }
 }
@@ -407,6 +410,31 @@ mod tests {
         cfg.sampling = None;
         let r = train(&d, &obj(), Algorithm::Sgd, Execution::Sequential, &cfg, "t").unwrap();
         assert_eq!(r.trace.algorithm, "SGD");
+    }
+
+    #[test]
+    fn uniform_importance_is_the_uniform_sampler() {
+        // Nothing to weight by: the IS members build the sampler, and
+        // keep the row order, of their uniform twins — weight for
+        // weight — and the label says which sampler ran.
+        let d = ds();
+        let mut cfg = TrainConfig::default().with_epochs(2).with_seed(3);
+        cfg.importance = isasgd_losses::ImportanceScheme::Uniform;
+        let sim = Execution::Simulated { tau: 4, workers: 2 };
+        for (is, plain, e) in [
+            (Algorithm::IsSgd, Algorithm::Sgd, Execution::Sequential),
+            (Algorithm::IsAsgd, Algorithm::Asgd, sim),
+            (
+                Algorithm::MbIsSgd { batch: 8 },
+                Algorithm::MbSgd { batch: 8 },
+                Execution::Sequential,
+            ),
+        ] {
+            let a = train(&d, &obj(), is, e, &cfg, "t").unwrap();
+            let b = train(&d, &obj(), plain, e, &cfg, "t").unwrap();
+            assert_eq!(a.model, b.model, "{is:?}");
+            assert_eq!(a.trace.algorithm, format!("{}(uniform)", is.name()));
+        }
     }
 
     #[test]

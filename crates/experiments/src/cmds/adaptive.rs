@@ -12,19 +12,17 @@
 //! SGD plus the final objectives — the cost/benefit of adaptivity next
 //! to the static scheme it replaces.
 
-use crate::common::{run_averaged, Ctx};
+use crate::common::{psi_sweep, run_averaged, sweep_objective, Ctx};
 use isasgd_core::{
-    train, Algorithm, Execution, ImportanceScheme, Objective, Regularizer, RunResult,
-    SamplingStrategy, SquaredLoss, TrainConfig,
+    train, Algorithm, Execution, ImportanceScheme, RunResult, SamplingStrategy, TrainConfig,
 };
-use isasgd_datagen::{DatasetProfile, FeatureKind};
 use isasgd_metrics::speedup::epoch_speedup;
 use isasgd_metrics::table::{fmt_num, TextTable};
 
 /// Runs the static-vs-adaptive sweep.
 pub fn run(ctx: &mut Ctx) {
     println!("\n=== Adaptive IS ablation (static vs adaptive sampling) ===\n");
-    let obj = Objective::new(SquaredLoss, Regularizer::L2 { eta: 1e-4 });
+    let obj = sweep_objective();
     let mut table = TextTable::new(vec![
         "psi_norm",
         "sampling",
@@ -36,32 +34,9 @@ pub fn run(ctx: &mut Ctx) {
     let epochs = ctx.settings.epochs.unwrap_or(12);
     let avg = ctx.settings.avg_runs.max(3);
     for psi in [0.9, 0.5, 0.35] {
-        let p = DatasetProfile {
-            name: "adaptive",
-            dim: 2_000,
-            n_samples: 8_000,
-            mean_nnz: 16,
-            zipf_exponent: 0.8,
-            target_psi_norm: psi,
-            target_rho: (1.0 / psi - 1.0) * 0.25,
-            label_noise: 0.0,
-            planted_density: 0.3,
-            feature_kind: FeatureKind::GaussianScaled,
-            noise_nnz_coupling: 0.0,
-        };
-        let gen = isasgd_datagen::generate(&p, ctx.settings.seed);
-        let w = isasgd_core::importance_weights(
-            &gen.dataset,
-            &SquaredLoss,
-            obj.reg,
-            ImportanceScheme::LipschitzSmoothness,
-        );
-        let mean = w.iter().sum::<f64>() / w.len() as f64;
-        let sup = w.iter().cloned().fold(0.0, f64::max);
-        // IS runs at the IS stability edge (see is-gain's tuned-λ
-        // protocol); uniform at its own edge.
-        let lambda_u = 0.5 / sup;
-        let lambda_is = 0.4 / mean;
+        // The tuned-λ protocol: IS runs at the IS stability edge,
+        // uniform at its own.
+        let pt = psi_sweep("adaptive", psi, ctx.settings.seed);
 
         let run_one = |sampling: Option<SamplingStrategy>, lambda: f64| -> RunResult {
             run_averaged(avg, ctx.settings.seed, |s| {
@@ -72,7 +47,7 @@ pub fn run(ctx: &mut Ctx) {
                 c.importance = ImportanceScheme::LipschitzSmoothness;
                 c.sampling = sampling;
                 train(
-                    &gen.dataset,
+                    &pt.data.dataset,
                     &obj,
                     Algorithm::IsSgd,
                     Execution::Sequential,
@@ -82,9 +57,9 @@ pub fn run(ctx: &mut Ctx) {
                 .expect("ablation run")
             })
         };
-        let uniform = run_one(Some(SamplingStrategy::Uniform), lambda_u);
-        let stat = run_one(Some(SamplingStrategy::Static), lambda_is);
-        let adap = run_one(Some(SamplingStrategy::Adaptive), lambda_is);
+        let uniform = run_one(Some(SamplingStrategy::Uniform), pt.lambda_u);
+        let stat = run_one(Some(SamplingStrategy::Static), pt.lambda_is);
+        let adap = run_one(Some(SamplingStrategy::Adaptive), pt.lambda_is);
 
         for (r, label) in [(&stat, "static"), (&adap, "adaptive")] {
             table.row(vec![

@@ -13,19 +13,18 @@
 //! paper's interesting importance spreads, including the acceptance
 //! point ψ = 0.35.
 
-use crate::common::{run_averaged, Ctx};
+use crate::common::{psi_sweep, run_averaged, sweep_objective, Ctx};
 use isasgd_core::{
-    train, Algorithm, CommitPolicy, Execution, ImportanceScheme, Objective, Regularizer, RunResult,
-    SamplingStrategy, SquaredLoss, TrainConfig,
+    train, Algorithm, CommitPolicy, Execution, ImportanceScheme, RunResult, SamplingStrategy,
+    TrainConfig,
 };
-use isasgd_datagen::{DatasetProfile, FeatureKind};
 use isasgd_metrics::speedup::epoch_speedup;
 use isasgd_metrics::table::{fmt_num, TextTable};
 
 /// Runs the commit-policy sweep.
 pub fn run(ctx: &mut Ctx) {
     println!("\n=== Intra-epoch adaptivity ablation (commit policy) ===\n");
-    let obj = Objective::new(SquaredLoss, Regularizer::L2 { eta: 1e-4 });
+    let obj = sweep_objective();
     let mut table = TextTable::new(vec![
         "psi_norm",
         "exec",
@@ -43,32 +42,9 @@ pub fn run(ctx: &mut Ctx) {
         CommitPolicy::EveryK(32),
     ];
     for psi in [0.5, 0.35] {
-        let p = DatasetProfile {
-            name: "intra-epoch",
-            dim: 2_000,
-            n_samples: 8_000,
-            mean_nnz: 16,
-            zipf_exponent: 0.8,
-            target_psi_norm: psi,
-            target_rho: (1.0 / psi - 1.0) * 0.25,
-            label_noise: 0.0,
-            planted_density: 0.3,
-            feature_kind: FeatureKind::GaussianScaled,
-            noise_nnz_coupling: 0.0,
-        };
-        let gen = isasgd_datagen::generate(&p, ctx.settings.seed);
-        let w = isasgd_core::importance_weights(
-            &gen.dataset,
-            &SquaredLoss,
-            obj.reg,
-            ImportanceScheme::LipschitzSmoothness,
-        );
-        let mean = w.iter().sum::<f64>() / w.len() as f64;
-        let sup = w.iter().cloned().fold(0.0, f64::max);
         // Same tuned-λ protocol as the adaptive ablation: uniform at its
         // own stability edge, IS at the IS edge.
-        let lambda_u = 0.5 / sup;
-        let lambda_is = 0.4 / mean;
+        let pt = psi_sweep("intra-epoch", psi, ctx.settings.seed);
 
         let run_one = |sampling: Option<SamplingStrategy>,
                        commit: CommitPolicy,
@@ -84,7 +60,7 @@ pub fn run(ctx: &mut Ctx) {
                 c.importance = ImportanceScheme::LipschitzSmoothness;
                 c.sampling = sampling;
                 c.commit = commit;
-                train(&gen.dataset, &obj, algo, exec, &c, "intra-epoch").expect("ablation run")
+                train(&pt.data.dataset, &obj, algo, exec, &c, "intra-epoch").expect("ablation run")
             })
         };
         // Both the sequential path and real Hogwild threads: streamed
@@ -98,7 +74,7 @@ pub fn run(ctx: &mut Ctx) {
             let uniform = run_one(
                 Some(SamplingStrategy::Uniform),
                 CommitPolicy::EpochBoundary,
-                lambda_u,
+                pt.lambda_u,
                 if matches!(exec, Execution::Sequential) {
                     Algorithm::Sgd
                 } else {
@@ -110,7 +86,7 @@ pub fn run(ctx: &mut Ctx) {
                 let r = run_one(
                     Some(SamplingStrategy::Adaptive),
                     commit,
-                    lambda_is,
+                    pt.lambda_is,
                     algo,
                     exec,
                 );

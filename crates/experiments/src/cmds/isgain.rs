@@ -10,18 +10,15 @@
 //! (see EXPERIMENTS.md); this artifact exhibits the claim in the regime
 //! its own theory targets, sweeping the importance spread ψ.
 
-use crate::common::{run_averaged, Ctx};
-use isasgd_core::{
-    train, Algorithm, Execution, ImportanceScheme, Objective, Regularizer, SquaredLoss, TrainConfig,
-};
-use isasgd_datagen::{DatasetProfile, FeatureKind};
+use crate::common::{psi_sweep, run_averaged, sweep_objective, Ctx};
+use isasgd_core::{train, Algorithm, Execution, ImportanceScheme, TrainConfig};
 use isasgd_metrics::speedup::epoch_speedup;
 use isasgd_metrics::table::{fmt_num, TextTable};
 
 /// Runs the ψ sweep.
 pub fn run(ctx: &mut Ctx) {
     println!("\n=== IS gain demonstration (squared loss, Eq. 13/14 regime) ===\n");
-    let obj = Objective::new(SquaredLoss, Regularizer::L2 { eta: 1e-4 });
+    let obj = sweep_objective();
     let mut table = TextTable::new(vec![
         "psi_norm",
         "sup_over_mean",
@@ -33,42 +30,11 @@ pub fn run(ctx: &mut Ctx) {
     let epochs = ctx.settings.epochs.unwrap_or(12);
     let avg = ctx.settings.avg_runs.max(3);
     for psi in [0.9, 0.7, 0.5, 0.35] {
-        let p = DatasetProfile {
-            name: "isgain",
-            dim: 2_000,
-            n_samples: 8_000,
-            mean_nnz: 16,
-            zipf_exponent: 0.8,
-            target_psi_norm: psi,
-            // Moderate norms: L̄ fixed at 0.5 across the sweep so only
-            // the *spread* changes, and λ = 1/(2·L̄-ish) sits at the
-            // uniform stability edge for the heavy tail.
-            target_rho: (1.0 / psi - 1.0) * 0.25,
-            label_noise: 0.0,
-            planted_density: 0.3,
-            feature_kind: FeatureKind::GaussianScaled,
-            noise_nnz_coupling: 0.0,
-        };
-        let gen = isasgd_datagen::generate(&p, ctx.settings.seed);
-        let w = isasgd_core::importance_weights(
-            &gen.dataset,
-            &SquaredLoss,
-            obj.reg,
-            ImportanceScheme::LipschitzSmoothness,
-        );
-        let mean = w.iter().sum::<f64>() / w.len() as f64;
-        let sup = w.iter().cloned().fold(0.0, f64::max);
-        // Uniform sampling must not diverge on the heaviest row, so its
-        // stability-edge step is λ_u ≈ 0.5/sup L. The theory bounds
-        // (Needell Eqs. 28/29, inherited by Lemma 2) compare each
-        // algorithm at its *own* optimal step — IS's effective per-visit
-        // step is λ·(L̄/L_i)·L_i = λ·L̄, so its edge is λ_is ≈ 0.4/L̄,
-        // larger by ≈ sup L/L̄. The table reports both protocols:
-        // `tuned-λ` (theory's comparison — the sup/mean gain) and
-        // `same-λ` (the paper's experimental protocol — variance-channel
-        // gain only).
-        let lambda_u = 0.5 / sup;
-        let lambda_is = 0.4 / mean;
+        // The table reports both step-size protocols: `tuned-λ` (each
+        // sampler at its own stability edge, theory's comparison — the
+        // sup/mean gain) and `same-λ` (the paper's experimental protocol
+        // — variance-channel gain only).
+        let pt = psi_sweep("isgain", psi, ctx.settings.seed);
 
         let mk = |seed: u64, lambda: f64| {
             let mut c = TrainConfig::default()
@@ -88,17 +54,18 @@ pub fn run(ctx: &mut Ctx) {
                     Algorithm::Sgd | Algorithm::IsSgd => Execution::Sequential,
                     _ => exec,
                 };
-                train(&gen.dataset, &obj, algo, e, &mk(s, lambda), "isgain").expect("isgain run")
+                train(&pt.data.dataset, &obj, algo, e, &mk(s, lambda), "isgain")
+                    .expect("isgain run")
             })
         };
         // Sequential pair (Alg. 2 vs Eq. 3) and async pair (Alg. 4 vs
         // Hogwild, τ = 32), under both step-size protocols.
-        let sgd = run_algo(Algorithm::Sgd, lambda_u);
-        let is_sgd_same = run_algo(Algorithm::IsSgd, lambda_u);
-        let is_sgd_tuned = run_algo(Algorithm::IsSgd, lambda_is);
-        let asgd = run_algo(Algorithm::Asgd, lambda_u);
-        let is_asgd_same = run_algo(Algorithm::IsAsgd, lambda_u);
-        let is_asgd_tuned = run_algo(Algorithm::IsAsgd, lambda_is);
+        let sgd = run_algo(Algorithm::Sgd, pt.lambda_u);
+        let is_sgd_same = run_algo(Algorithm::IsSgd, pt.lambda_u);
+        let is_sgd_tuned = run_algo(Algorithm::IsSgd, pt.lambda_is);
+        let asgd = run_algo(Algorithm::Asgd, pt.lambda_u);
+        let is_asgd_same = run_algo(Algorithm::IsAsgd, pt.lambda_u);
+        let is_asgd_tuned = run_algo(Algorithm::IsAsgd, pt.lambda_is);
 
         for (slow, fast, label) in [
             (&sgd, &is_sgd_same, "IS-SGD/SGD same-λ"),
@@ -108,7 +75,7 @@ pub fn run(ctx: &mut Ctx) {
         ] {
             table.row(vec![
                 fmt_num(psi),
-                fmt_num(sup / mean),
+                fmt_num(pt.sup_over_mean),
                 label.to_string(),
                 epoch_speedup(&slow.trace, &fast.trace, 0.50).map_or("-".into(), fmt_num),
                 epoch_speedup(&slow.trace, &fast.trace, 0.80).map_or("-".into(), fmt_num),

@@ -1,7 +1,7 @@
 //! Shared experiment context: dataset cache, output locations, presets.
 
-use isasgd_core::{Objective, Regularizer};
-use isasgd_datagen::{generate, GeneratedData, PaperProfile};
+use isasgd_core::{importance_weights, ImportanceScheme, Objective, Regularizer, SquaredLoss};
+use isasgd_datagen::{generate, DatasetProfile, FeatureKind, GeneratedData, PaperProfile};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -10,6 +10,66 @@ use std::sync::Arc;
 /// cross-entropy loss").
 pub fn paper_objective() -> Objective<isasgd_core::LogisticLoss> {
     Objective::new(isasgd_core::LogisticLoss, Regularizer::L1 { eta: 1e-5 })
+}
+
+/// Squared loss + light L2: the curvature-dominated (Kaczmarz) objective
+/// the ψ sweeps (`is-gain`, `ablation-adaptive`, `ablation-intra-epoch`)
+/// train, where the IS theory's `sup L/L̄` gain is not clipped by a
+/// saturating loss.
+pub fn sweep_objective() -> Objective<SquaredLoss> {
+    Objective::new(SquaredLoss, Regularizer::L2 { eta: 1e-4 })
+}
+
+/// One point of a ψ sweep: the data and the tuned-λ protocol's steps.
+pub struct PsiPoint {
+    /// 8000 × 2000 rows at importance spread ψ.
+    pub data: GeneratedData,
+    /// `sup L / L̄` of the smoothness weights under [`sweep_objective`].
+    pub sup_over_mean: f64,
+    /// Uniform sampling's stability-edge step, `0.5 / sup L`: it must
+    /// not diverge on the heaviest row.
+    pub lambda_u: f64,
+    /// IS's own edge, `0.4 / L̄`: its effective per-visit step is
+    /// `λ·(L̄/L_i)·L_i = λ·L̄`, so the edge is larger by ≈ `sup L / L̄`.
+    /// The theory bounds (Needell Eqs. 28/29, inherited by Lemma 2)
+    /// compare each algorithm at its *own* optimal step.
+    pub lambda_is: f64,
+}
+
+/// Generates the ψ-sweep dataset `name` at spread `psi` and tunes both
+/// steps on it.
+pub fn psi_sweep(name: &'static str, psi: f64, seed: u64) -> PsiPoint {
+    let profile = DatasetProfile {
+        name,
+        dim: 2_000,
+        n_samples: 8_000,
+        mean_nnz: 16,
+        zipf_exponent: 0.8,
+        target_psi_norm: psi,
+        // Moderate norms: L̄ fixed at 0.5 across the sweep so only the
+        // *spread* changes, and λ = 1/(2·L̄-ish) sits at the uniform
+        // stability edge for the heavy tail.
+        target_rho: (1.0 / psi - 1.0) * 0.25,
+        label_noise: 0.0,
+        planted_density: 0.3,
+        feature_kind: FeatureKind::GaussianScaled,
+        noise_nnz_coupling: 0.0,
+    };
+    let data = generate(&profile, seed);
+    let w = importance_weights(
+        &data.dataset,
+        &SquaredLoss,
+        sweep_objective().reg,
+        ImportanceScheme::LipschitzSmoothness,
+    );
+    let mean = w.iter().sum::<f64>() / w.len() as f64;
+    let sup = w.iter().cloned().fold(0.0, f64::max);
+    PsiPoint {
+        data,
+        sup_over_mean: sup / mean,
+        lambda_u: 0.5 / sup,
+        lambda_is: 0.4 / mean,
+    }
 }
 
 /// Global experiment settings parsed from the CLI.

@@ -9,6 +9,7 @@
 
 use crate::loss::Loss;
 use crate::regularizer::Regularizer;
+use isasgd_sampling::SamplingStrategy;
 use isasgd_sparse::Dataset;
 
 /// How the static per-sample importance `L_i` is computed.
@@ -36,6 +37,21 @@ pub enum ImportanceScheme {
         /// Mixing weight of the uniform component, in (0, 1].
         bias: f64,
     },
+}
+
+impl ImportanceScheme {
+    /// The sampler a run that asks for `requested` builds under this
+    /// scheme. [`ImportanceScheme::Uniform`] leaves nothing to weight
+    /// by, so whatever was asked for is the uniform sampler (no alias
+    /// table over equal weights, no adaptive tree that could only
+    /// drift from them); every other scheme builds what was asked.
+    /// The engine and the cluster both resolve through here.
+    pub fn effective_sampling(self, requested: SamplingStrategy) -> SamplingStrategy {
+        match self {
+            ImportanceScheme::Uniform => SamplingStrategy::Uniform,
+            _ => requested,
+        }
+    }
 }
 
 /// Computes the per-sample importance vector `{L_i}` for a dataset.

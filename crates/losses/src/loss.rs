@@ -139,6 +139,35 @@ impl Loss for SquaredLoss {
     }
 }
 
+/// Evaluates `body` with `loss` bound to the loss whose [`Loss::name`]
+/// is `name`: `Some(body)`, or `None` when no loss here has that name.
+/// This is the one place a loss is chosen by name (a worker's
+/// `SessionConfig`, the CLI's `--loss`) and the one list of the loss
+/// types. A macro rather than a function over `dyn Loss` so that `body`
+/// compiles once per loss type and the training loop it starts stays
+/// statically dispatched.
+///
+/// ```
+/// use isasgd_losses::{with_loss, Loss};
+/// assert_eq!(with_loss!("squared", |l| l.smoothness()), Some(1.0));
+/// assert_eq!(with_loss!("hinge", |l| l.smoothness()), None);
+/// ```
+#[macro_export]
+macro_rules! with_loss {
+    ($name:expr, |$loss:ident| $body:expr) => {
+        $crate::with_loss!(@among LogisticLoss SquaredHingeLoss SquaredLoss; $name, $loss, $body)
+    };
+    (@among $($ty:ident)+; $name:expr, $loss:ident, $body:expr) => {{
+        let name: &str = $name;
+        $(if name == $crate::Loss::name(&$crate::$ty) {
+            let $loss = $crate::$ty;
+            Some($body)
+        } else)+ {
+            None
+        }
+    }};
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,6 +268,18 @@ mod tests {
         assert!(l.classifies_correctly(0.3));
         assert!(!l.classifies_correctly(0.0));
         assert!(!l.classifies_correctly(-0.3));
+    }
+
+    #[test]
+    fn every_loss_is_chosen_by_its_own_name() {
+        for name in [
+            LogisticLoss.name(),
+            SquaredHingeLoss.name(),
+            SquaredLoss.name(),
+        ] {
+            assert_eq!(with_loss!(name, |l| l.name()), Some(name));
+        }
+        assert_eq!(with_loss!("squared-hinge", |l| l.name()), None);
     }
 
     #[test]

@@ -4,6 +4,26 @@ use crate::kernel;
 use crate::loss::Loss;
 use crate::regularizer::Regularizer;
 use isasgd_sparse::{Dataset, SparseRow};
+use std::ops::Range;
+
+/// Most partial results one full-dataset pass is cut into. A parallel
+/// full gradient holds a dense `d`-vector per partial, so the count is
+/// bounded, not the chunk length.
+const MAX_PARTIALS: usize = 8;
+
+/// The row ranges every full-dataset pass is cut into and reduced over
+/// in index order — [`Objective::eval`] serially, `isasgd-core`'s
+/// `evaluate` and `full_gradient` in parallel: a function of `n` alone,
+/// never of the host or the caller. Float addition is not associative,
+/// so two partitions of one dataset give one model two objectives (and
+/// SVRG two µ's); with one, every runtime prints the same number for
+/// the same model. `n ≤ 1024` stays one chunk.
+pub fn chunks(n: usize) -> impl Iterator<Item = Range<usize>> {
+    let len = n.div_ceil(MAX_PARTIALS).max(1024);
+    (0..n)
+        .step_by(len)
+        .map(move |start| start..(start + len).min(n))
+}
 
 /// Evaluation metrics reported per epoch, matching the paper's §4 metrics.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,12 +101,7 @@ impl<L: Loss> Objective<L> {
 
     /// Evaluates a contiguous row range; combine with
     /// [`PartialEval::merge`] and finish with [`Objective::finalize`].
-    pub fn eval_range(
-        &self,
-        ds: &Dataset,
-        w: &[f64],
-        range: std::ops::Range<usize>,
-    ) -> PartialEval {
+    pub fn eval_range(&self, ds: &Dataset, w: &[f64], range: Range<usize>) -> PartialEval {
         let mut p = PartialEval::default();
         for i in range {
             let row = ds.row(i);
@@ -124,10 +139,14 @@ impl<L: Loss> Objective<L> {
         }
     }
 
-    /// Full single-threaded evaluation.
+    /// Full single-threaded evaluation: [`Objective::eval_range`] folded
+    /// over [`chunks`] in index order, so it agrees to the bit with any
+    /// parallel pass over the same partition.
     pub fn eval(&self, ds: &Dataset, w: &[f64]) -> EvalMetrics {
-        let p = self.eval_range(ds, w, 0..ds.n_samples());
-        self.finalize(p, w)
+        let total = chunks(ds.n_samples())
+            .map(|rows| self.eval_range(ds, w, rows))
+            .fold(PartialEval::default(), PartialEval::merge);
+        self.finalize(total, w)
     }
 
     /// Accumulates the *full* dense gradient `∇F(w)` into `out`
@@ -155,7 +174,7 @@ impl<L: Loss> Objective<L> {
         &self,
         ds: &Dataset,
         w: &[f64],
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         n_total: usize,
         out: &mut [f64],
     ) {
@@ -206,6 +225,51 @@ mod tests {
         assert!((m.error_rate - 1.0 / 3.0).abs() < 1e-12);
         assert!(m.objective > 0.0);
         assert!(m.rmse > 0.0);
+    }
+
+    #[test]
+    fn the_partition_is_a_function_of_n_alone() {
+        assert_eq!(chunks(0).count(), 0);
+        assert_eq!(
+            chunks(1024).map(|c| (c.start, c.end)).collect::<Vec<_>>(),
+            [(0, 1024)]
+        );
+        assert_eq!(chunks(1025).collect::<Vec<_>>(), [0..1024, 1024..1025]);
+        for n in [1, 5000, 8192, 8193, 1_000_003] {
+            let parts: Vec<_> = chunks(n).collect();
+            assert!(
+                parts.len() <= MAX_PARTIALS,
+                "n = {n}: {} partials",
+                parts.len()
+            );
+            assert_eq!(parts[0].start, 0);
+            assert_eq!(parts[parts.len() - 1].end, n);
+            assert!(parts.windows(2).all(|p| p[0].end == p[1].start), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn eval_is_eval_range_folded_over_the_partition() {
+        // Sizes straddle the one-chunk bound and the 8-partial cap; past
+        // 1024 rows one range over everything sums in another order.
+        let obj = Objective::new(LogisticLoss, Regularizer::L1 { eta: 0.01 });
+        let w = [0.4, -0.3, 0.2];
+        for n in [1, 1024, 1025, 2400, 9000] {
+            let mut b = DatasetBuilder::new(3);
+            for i in 0..n {
+                let y = if i % 2 == 0 { 1.0 } else { -1.0 };
+                b.push_row(&[((i % 3) as u32, 1.0 + (i % 7) as f64 * 0.37)], y)
+                    .unwrap();
+            }
+            let d = b.finish();
+            let folded = chunks(n)
+                .map(|rows| obj.eval_range(&d, &w, rows))
+                .fold(PartialEval::default(), PartialEval::merge);
+            let (got, want) = (obj.eval(&d, &w), obj.finalize(folded, &w));
+            assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "n = {n}");
+            assert_eq!(got.rmse.to_bits(), want.rmse.to_bits(), "n = {n}");
+            assert_eq!(got.error_rate, want.error_rate, "n = {n}");
+        }
     }
 
     #[test]

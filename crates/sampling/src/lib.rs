@@ -18,11 +18,15 @@
 //!
 //! # The `Sampler` abstraction
 //!
-//! The [`Sampler`] trait unifies the three distributions a solver can draw
-//! from — [`UniformSampler`], [`StaticIsSampler`] (the paper's offline
-//! sequences) and [`AdaptiveIsSampler`] (sum-tree-backed, re-weighted from
-//! observed gradient magnitudes) — behind
-//! `next`/`correction`/`update_weight`/`epoch_reset`. The solver runtime
+//! The [`Sampler`] trait puts the three distributions a solver can draw
+//! from behind `next`/`correction`/`update_weight`/`epoch_reset`, and it
+//! has two implementations — the paper's own split. Uniform and
+//! static-IS draws are both fixed before training, so they are one
+//! pre-generated sampler (a cursor over a [`SampleSequence`]; it stays
+//! private) that differs only in how its sequence was generated and in
+//! the `1/(n·p_i)` it reports; [`AdaptiveIsSampler`] is sum-tree-backed
+//! and re-weighted from observed gradient magnitudes. [`build_sampler`]
+//! is the one constructor of both. The solver runtime
 //! in `isasgd-core` consumes `Box<dyn Sampler>` per worker shard, so every
 //! (algorithm, execution) pair supports every [`SamplingStrategy`] without
 //! touching its training kernel; `isasgd-cluster` nodes do the same.
@@ -75,7 +79,6 @@ pub use error::SamplingError;
 pub use rng::{splitmix64, Xoshiro256pp};
 pub use sampler::{
     build_sampler, AdaptiveIsSampler, CommitPolicy, Sampler, SamplerSnapshot, SamplingStrategy,
-    StaticIsSampler, UniformSampler,
 };
 pub use sequence::{SampleSequence, SequenceMode};
 pub use stream::{balance_seed, Draw, ObservationModel, ScheduleStream, ShardSpec};

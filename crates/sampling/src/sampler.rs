@@ -13,16 +13,18 @@
 //! "completely impractical" exact scheme of the paper's Eq. 11 made
 //! practical by `O(log n)` weight updates).
 //!
-//! Implementations:
+//! Two samplers, one constructor ([`build_sampler`]) — the paper's own
+//! split between a distribution fixed before training and one that is
+//! not:
 //!
-//! * [`UniformSampler`] — uniform draws (plain SGD/ASGD), unit
-//!   corrections.
-//! * [`StaticIsSampler`] — the paper's pre-generated weighted
-//!   [`SampleSequence`] with `1/(n·p_i)` step corrections, frozen for the
-//!   whole run.
-//! * [`AdaptiveIsSampler`] — a [`SumTree`]-backed distribution
-//!   whose weights are refreshed between epochs from observed per-sample
-//!   importance via [`Sampler::update_weight`].
+//! * the pre-generated sampler (private; [`SamplingStrategy::Uniform`]
+//!   and [`SamplingStrategy::Static`]) — a cursor over a
+//!   [`SampleSequence`]. Uniform and static-IS draws differ only in how
+//!   the sequence was generated and in the step correction: 1, or the
+//!   frozen `1/(n·p_i)` of the weights the sequence was drawn from.
+//! * [`AdaptiveIsSampler`] ([`SamplingStrategy::Adaptive`]) — a
+//!   [`SumTree`]-backed distribution whose weights are refreshed from
+//!   observed per-sample importance via [`Sampler::update_weight`].
 
 use crate::error::SamplingError;
 use crate::rng::Xoshiro256pp;
@@ -149,9 +151,9 @@ impl CommitPolicy {
 /// the worker's draw RNG fully determines the remaining run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SamplerSnapshot {
-    /// Pre-generated sequence samplers ([`UniformSampler`],
-    /// [`StaticIsSampler`]): the sequence RNG plus the current epoch
-    /// buffer. Frozen corrections are config-derived and not carried.
+    /// The pre-generated sampler (uniform and static strategies): the
+    /// sequence RNG plus the current epoch buffer. Frozen corrections
+    /// are config-derived and not carried.
     Sequence {
         /// The [`SampleSequence`] generator state.
         rng: [u64; 4],
@@ -191,10 +193,7 @@ pub trait Sampler: Send {
 
     /// The unbiasing step correction `1/(n·p_i)` for outcome `i` under
     /// the *current* distribution (`1.0` for uniform sampling).
-    fn correction(&self, i: usize) -> f64 {
-        let _ = i;
-        1.0
-    }
+    fn correction(&self, i: usize) -> f64;
 
     /// Feeds back an observed importance value (e.g. per-sample gradient
     /// norm) for outcome `i`. Non-adaptive samplers ignore it.
@@ -248,13 +247,16 @@ pub fn build_sampler(
     seed: u64,
     commit: CommitPolicy,
 ) -> Result<Box<dyn Sampler>, SamplingError> {
-    match (strategy, weights) {
-        (SamplingStrategy::Static, Some(w)) => {
-            Ok(Box::new(StaticIsSampler::from_weights(w, len, mode, seed)?))
-        }
+    let (seq, corrections) = match (strategy, weights) {
         (SamplingStrategy::Adaptive, Some(w)) => {
-            Ok(Box::new(AdaptiveIsSampler::new(w)?.with_commit(commit)))
+            return Ok(Box::new(AdaptiveIsSampler::new(w)?.with_commit(commit)))
         }
+        // Corrections `1/(n·p_i) = L̄/L_i` (paper Eq. 8) come from the
+        // weights the sequence is drawn from.
+        (SamplingStrategy::Static, Some(w)) => (
+            SampleSequence::weighted(w, len, mode, seed)?,
+            Some(crate::step_corrections(w)),
+        ),
         _ => {
             let mode = match mode {
                 // Weighted-only modes degrade to uniform i.i.d.
@@ -263,35 +265,43 @@ pub fn build_sampler(
                 }
                 m => m,
             };
-            Ok(Box::new(UniformSampler::new(len, len, mode, seed)?))
+            (SampleSequence::uniform(len, len, mode, seed)?, None)
         }
-    }
+    };
+    Ok(Box::new(SequenceSampler {
+        seq,
+        cursor: 0,
+        corrections,
+    }))
 }
 
-/// Cursor replay over a pre-generated [`SampleSequence`]: the shared
-/// core of [`UniformSampler`] and [`StaticIsSampler`]. Draws walk the
-/// epoch buffer (wrapping if over-drawn); an epoch reset refreshes the
-/// buffer and rewinds.
+/// Pre-generated sampling, uniform and static-IS alike: a cursor over a
+/// [`SampleSequence`] (wrapping if over-drawn; an epoch reset refreshes
+/// the buffer and rewinds) plus the frozen `1/(n·p_i)` corrections of a
+/// weighted sequence. Built only by [`build_sampler`].
 #[derive(Debug, Clone)]
-struct SequenceReplay {
+struct SequenceSampler {
     seq: SampleSequence,
     cursor: usize,
+    /// `None` for uniform draws: every correction is 1, read from no
+    /// memory.
+    corrections: Option<Vec<f64>>,
 }
 
-impl SequenceReplay {
-    fn new(seq: SampleSequence) -> Self {
-        Self { seq, cursor: 0 }
-    }
-
-    fn n_outcomes(&self) -> usize {
+impl Sampler for SequenceSampler {
+    fn len(&self) -> usize {
         self.seq.n_outcomes()
     }
 
-    fn next(&mut self) -> usize {
+    fn next(&mut self, _rng: &mut Xoshiro256pp) -> usize {
         let buf = self.seq.indices();
         let i = buf[self.cursor % buf.len()] as usize;
         self.cursor += 1;
         i
+    }
+
+    fn correction(&self, i: usize) -> f64 {
+        self.corrections.as_ref().map_or(1.0, |c| c[i])
     }
 
     fn epoch_reset(&mut self) {
@@ -317,116 +327,6 @@ impl SequenceReplay {
                 expected: "sequence",
             }),
         }
-    }
-}
-
-/// Uniform sampling through a pre-generated [`SampleSequence`] stream
-/// (keeps draw streams identical to the pre-trait solvers under the same
-/// seed).
-#[derive(Debug, Clone)]
-pub struct UniformSampler {
-    replay: SequenceReplay,
-}
-
-impl UniformSampler {
-    /// Uniform sampler over `n` outcomes emitting `len` draws per epoch.
-    pub fn new(n: usize, len: usize, mode: SequenceMode, seed: u64) -> Result<Self, SamplingError> {
-        Ok(Self {
-            replay: SequenceReplay::new(SampleSequence::uniform(n, len, mode, seed)?),
-        })
-    }
-}
-
-impl Sampler for UniformSampler {
-    fn len(&self) -> usize {
-        self.replay.n_outcomes()
-    }
-
-    fn next(&mut self, _rng: &mut Xoshiro256pp) -> usize {
-        self.replay.next()
-    }
-
-    fn epoch_reset(&mut self) {
-        self.replay.epoch_reset();
-    }
-
-    fn snapshot(&self) -> SamplerSnapshot {
-        self.replay.snapshot()
-    }
-
-    fn restore(&mut self, snap: SamplerSnapshot) -> Result<(), SamplingError> {
-        self.replay.restore(snap)
-    }
-}
-
-/// Static importance sampling: the paper's pre-generated weighted
-/// sequence plus frozen `1/(n·p_i)` corrections.
-#[derive(Debug, Clone)]
-pub struct StaticIsSampler {
-    replay: SequenceReplay,
-    corrections: Vec<f64>,
-}
-
-impl StaticIsSampler {
-    /// Builds from raw importance weights; `len` draws per epoch.
-    ///
-    /// `corrections[i]` must hold `1/(n·p_i)` for the normalized weights
-    /// (see `isasgd-losses::step_corrections`).
-    pub fn new(
-        weights: &[f64],
-        corrections: Vec<f64>,
-        len: usize,
-        mode: SequenceMode,
-        seed: u64,
-    ) -> Result<Self, SamplingError> {
-        if corrections.len() != weights.len() {
-            return Err(SamplingError::LengthMismatch {
-                weights: weights.len(),
-                other: corrections.len(),
-            });
-        }
-        Ok(Self {
-            replay: SequenceReplay::new(SampleSequence::weighted(weights, len, mode, seed)?),
-            corrections,
-        })
-    }
-
-    /// Builds from raw importance weights, deriving the corrections
-    /// `1/(n·p_i) = L̄/L_i` (paper Eq. 8) from the same weights via
-    /// [`step_corrections`](crate::step_corrections).
-    pub fn from_weights(
-        weights: &[f64],
-        len: usize,
-        mode: SequenceMode,
-        seed: u64,
-    ) -> Result<Self, SamplingError> {
-        Self::new(weights, crate::step_corrections(weights), len, mode, seed)
-    }
-}
-
-impl Sampler for StaticIsSampler {
-    fn len(&self) -> usize {
-        self.replay.n_outcomes()
-    }
-
-    fn next(&mut self, _rng: &mut Xoshiro256pp) -> usize {
-        self.replay.next()
-    }
-
-    fn correction(&self, i: usize) -> f64 {
-        self.corrections[i]
-    }
-
-    fn epoch_reset(&mut self) {
-        self.replay.epoch_reset();
-    }
-
-    fn snapshot(&self) -> SamplerSnapshot {
-        self.replay.snapshot()
-    }
-
-    fn restore(&mut self, snap: SamplerSnapshot) -> Result<(), SamplingError> {
-        self.replay.restore(snap)
     }
 }
 
@@ -680,13 +580,25 @@ mod tests {
         (0..k).map(|_| s.next(rng)).collect()
     }
 
+    /// The pre-generated sampler over `n` uniform outcomes.
+    fn uniform(n: usize, mode: SequenceMode, seed: u64) -> Box<dyn Sampler> {
+        let policy = CommitPolicy::default();
+        build_sampler(SamplingStrategy::Uniform, None, n, mode, seed, policy).unwrap()
+    }
+
+    /// The pre-generated sampler emitting `len` draws per epoch from `w`.
+    fn weighted(w: &[f64], len: usize, mode: SequenceMode, seed: u64) -> Box<dyn Sampler> {
+        let policy = CommitPolicy::default();
+        build_sampler(SamplingStrategy::Static, Some(w), len, mode, seed, policy).unwrap()
+    }
+
     #[test]
     fn uniform_sampler_covers_and_has_unit_corrections() {
-        let mut s = UniformSampler::new(8, 8, SequenceMode::UniformIid, 3).unwrap();
+        let mut s = uniform(8, SequenceMode::UniformIid, 3);
         let mut rng = Xoshiro256pp::new(0);
         let mut seen = [false; 8];
         for _ in 0..20 {
-            for i in draws(&mut s, &mut rng, 8) {
+            for i in draws(s.as_mut(), &mut rng, 8) {
                 assert!(i < 8);
                 seen[i] = true;
                 assert_eq!(s.correction(i), 1.0);
@@ -700,16 +612,14 @@ mod tests {
     #[test]
     fn static_sampler_matches_its_sequence() {
         let w = [1.0, 3.0, 2.0];
-        let corr = vec![2.0, 0.5, 1.0];
-        let mut s = StaticIsSampler::new(&w, corr.clone(), 64, SequenceMode::RegeneratePerEpoch, 9)
-            .unwrap();
+        let mut s = weighted(&w, 64, SequenceMode::RegeneratePerEpoch, 9);
         let reference =
             SampleSequence::weighted(&w, 64, SequenceMode::RegeneratePerEpoch, 9).unwrap();
         let mut rng = Xoshiro256pp::new(1);
-        let got = draws(&mut s, &mut rng, 64);
+        let got = draws(s.as_mut(), &mut rng, 64);
         let expect: Vec<usize> = reference.indices().iter().map(|&i| i as usize).collect();
         assert_eq!(got, expect, "static sampler must replay its sequence");
-        assert_eq!(s.correction(1), 0.5);
+        assert_eq!(s.correction(1), 2.0 / 3.0, "L̄/L_1");
     }
 
     #[test]
@@ -826,7 +736,7 @@ mod tests {
         s.epoch_reset();
         assert_eq!(s.commit_version(), 2, "empty windows are not commits");
         // Non-adaptive samplers never advance.
-        let mut u = UniformSampler::new(4, 4, SequenceMode::UniformIid, 0).unwrap();
+        let mut u = uniform(4, SequenceMode::UniformIid, 0);
         u.epoch_reset();
         assert_eq!(u.commit_version(), 0);
     }
@@ -879,6 +789,83 @@ mod tests {
     }
 
     #[test]
+    fn build_sampler_builds_what_each_strategy_and_mode_names() {
+        // Every cell of the constructor's table against the object it
+        // is documented to wrap: three epochs of draws equal the
+        // `SampleSequence` (or, adaptive, the `AdaptiveIsSampler`) walked
+        // directly; corrections are `step_corrections(weights)`, 1, or
+        // the live `1/(n·p_i)`; and a fresh sampler restored from a
+        // boundary snapshot carries on with the same draws.
+        let w = [1.0, 3.0, 2.0, 4.0, 0.5, 2.5, 1.5];
+        let n = w.len();
+        for strategy in [
+            SamplingStrategy::Uniform,
+            SamplingStrategy::Static,
+            SamplingStrategy::Adaptive,
+        ] {
+            for mode in [
+                SequenceMode::RegeneratePerEpoch,
+                SequenceMode::ShuffleOnce,
+                SequenceMode::UniformIid,
+                SequenceMode::Permutation,
+            ] {
+                let cell = format!("{strategy:?}/{mode:?}");
+                let build = || {
+                    let policy = CommitPolicy::default();
+                    build_sampler(strategy, Some(&w), n, mode, 11, policy).unwrap()
+                };
+                // Uniform draws have no weighted modes: those are i.i.d.
+                let uniform_mode = match mode {
+                    SequenceMode::Permutation => mode,
+                    _ => SequenceMode::UniformIid,
+                };
+                let mut seq = match strategy {
+                    SamplingStrategy::Adaptive => None,
+                    SamplingStrategy::Static => {
+                        Some(SampleSequence::weighted(&w, n, mode, 11).unwrap())
+                    }
+                    SamplingStrategy::Uniform => {
+                        Some(SampleSequence::uniform(n, n, uniform_mode, 11).unwrap())
+                    }
+                };
+                let mut live = AdaptiveIsSampler::new(&w).unwrap();
+                let (mut rng, mut live_rng) = (Xoshiro256pp::new(5), Xoshiro256pp::new(5));
+                let mut s = build();
+                assert_eq!(s.len(), n, "{cell}");
+                for epoch in 0..3 {
+                    let want: Vec<usize> = match &seq {
+                        Some(seq) => seq.indices().iter().map(|&i| i as usize).collect(),
+                        None => draws(&mut live, &mut live_rng, n),
+                    };
+                    assert_eq!(draws(s.as_mut(), &mut rng, n), want, "{cell} epoch {epoch}");
+                    for i in 0..n {
+                        let want = match strategy {
+                            SamplingStrategy::Uniform => 1.0,
+                            SamplingStrategy::Static => crate::step_corrections(&w)[i],
+                            SamplingStrategy::Adaptive => live.correction(i),
+                        };
+                        assert_eq!(s.correction(i), want, "{cell} correction {i}");
+                        // Feedback moves the adaptive cells (so their
+                        // restore is not of the initial state) and is
+                        // ignored by the pre-generated ones.
+                        s.update_weight(i, (i + epoch + 1) as f64);
+                        live.update_weight(i, (i + epoch + 1) as f64);
+                    }
+                    s.epoch_reset();
+                    live.epoch_reset();
+                    if let Some(seq) = &mut seq {
+                        seq.advance_epoch();
+                    }
+                    let mut fresh = build();
+                    fresh.restore(s.snapshot()).unwrap();
+                    s = fresh;
+                }
+                assert_eq!(s.is_adaptive(), strategy == SamplingStrategy::Adaptive);
+            }
+        }
+    }
+
+    #[test]
     fn adaptive_without_feedback_is_stationary() {
         let mut s = AdaptiveIsSampler::new(&[2.0, 1.0]).unwrap();
         let p = s.probability(0);
@@ -922,13 +909,6 @@ mod tests {
             AdaptiveIsSampler::with_params(&w, 0.5, f64::NAN),
             Err(SamplingError::InvalidParameter { name: "gamma", .. })
         ));
-        assert!(matches!(
-            StaticIsSampler::new(&w, vec![1.0], 4, SequenceMode::ShuffleOnce, 0),
-            Err(SamplingError::LengthMismatch {
-                weights: 2,
-                other: 1
-            })
-        ));
     }
 
     #[test]
@@ -956,23 +936,21 @@ mod tests {
         // sampler restored from the snapshot must replay the identical
         // remaining draw stream (the checkpointed-recovery contract).
         let w = [1.0, 3.0, 2.0, 4.0];
-        let mut live =
-            StaticIsSampler::from_weights(&w, 16, SequenceMode::RegeneratePerEpoch, 7).unwrap();
+        let mut live = weighted(&w, 16, SequenceMode::RegeneratePerEpoch, 7);
         let mut rng = Xoshiro256pp::new(0);
         for _ in 0..16 {
             live.next(&mut rng);
         }
         live.epoch_reset();
         let snap = live.snapshot();
-        let mut fresh =
-            StaticIsSampler::from_weights(&w, 16, SequenceMode::RegeneratePerEpoch, 7).unwrap();
+        let mut fresh = weighted(&w, 16, SequenceMode::RegeneratePerEpoch, 7);
         fresh.restore(snap).unwrap();
         let mut r1 = Xoshiro256pp::new(1);
         let mut r2 = Xoshiro256pp::new(1);
         for _ in 0..3 {
             assert_eq!(
-                draws(&mut live, &mut r1, 16),
-                draws(&mut fresh, &mut r2, 16)
+                draws(live.as_mut(), &mut r1, 16),
+                draws(fresh.as_mut(), &mut r2, 16)
             );
             live.epoch_reset();
             fresh.epoch_reset();
@@ -1048,7 +1026,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_rejects_mismatches() {
-        let mut seq = UniformSampler::new(4, 4, SequenceMode::UniformIid, 0).unwrap();
+        let mut seq = uniform(4, SequenceMode::UniformIid, 0);
         let mut ada = AdaptiveIsSampler::new(&[1.0, 1.0]).unwrap();
         assert!(matches!(
             seq.restore(ada.snapshot()),
@@ -1097,17 +1075,8 @@ mod tests {
     #[test]
     fn boxed_samplers_are_object_safe() {
         let mut boxed: Vec<Box<dyn Sampler>> = vec![
-            Box::new(UniformSampler::new(4, 4, SequenceMode::UniformIid, 0).unwrap()),
-            Box::new(
-                StaticIsSampler::new(
-                    &[1.0, 2.0],
-                    vec![1.5, 0.75],
-                    8,
-                    SequenceMode::ShuffleOnce,
-                    1,
-                )
-                .unwrap(),
-            ),
+            uniform(4, SequenceMode::UniformIid, 0),
+            weighted(&[1.0, 2.0], 8, SequenceMode::ShuffleOnce, 1),
             Box::new(AdaptiveIsSampler::new(&[1.0, 1.0, 1.0]).unwrap()),
         ];
         let mut rng = Xoshiro256pp::new(5);
