@@ -6,8 +6,8 @@
 //! imbalance risk, and §4 reports that News20 — the dataset with the
 //! **largest** ρ in Table 1 — was balanced while the smaller-ρ datasets
 //! were shuffled. We implement the semantics consistent with the prose and
-//! the evaluation (balance when ρ ≥ ζ) and record the discrepancy in
-//! DESIGN.md.
+//! the evaluation (balance when ρ ≥ ζ); this note is the record of that
+//! one departure from the algorithm as printed.
 
 use crate::metrics::rho;
 use crate::partition::{greedy_lpt_balance, head_tail_balance, random_shuffle_order};

@@ -13,8 +13,7 @@
 //! 25% below the baseline (a real codec regression at these sizes
 //! dwarfs scheduler noise), or when any `*_bytes` metric — which is a
 //! pure function of the codec, not of the machine — grows at all.
-//! Criterion stays the tool for statistics (`--bench cluster_transport`);
-//! this runner exists so the trajectory lives in-repo as one small
+//! This runner exists so the trajectory lives in-repo as one small
 //! JSON file CI can diff against.
 
 use isasgd_bench::bench_dataset;

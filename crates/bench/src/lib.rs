@@ -1,11 +1,7 @@
-//! Shared fixtures for the IS-ASGD benchmark suite.
+//! The dataset fixture of `bench_wire`, the wire-codec perf gate.
 //!
-//! The benches mirror the experiment harness (`isasgd-experiments`) but
-//! measure the *kernels* behind each figure with criterion's statistical
-//! machinery: per-iteration update costs (Fig. 1), balancing passes
-//! (Fig. 2), epoch costs per algorithm (Fig. 3), end-to-end
-//! time-to-target (Fig. 4), and the samplers that make IS free at run
-//! time (Alg. 2).
+//! Everything else that is timed lives in `bench_e2e/` (end-to-end and
+//! per-layer metrics) or is an `isasgd-experiments` artifact.
 
 #![forbid(unsafe_code)]
 

@@ -77,7 +77,7 @@ impl PaperProfile {
     /// quantity while restoring the `λ·L̄ = O(1)` dynamics under which
     /// the paper's λ = 0.5/0.05 are sensible step sizes. The literal
     /// calibration (`scaled()`) is still used to regenerate Table 1
-    /// itself; the convergence figures (3–5) use this one. See DESIGN.md.
+    /// itself; the convergence figures (3–5) use this one.
     pub fn training(&self) -> DatasetProfile {
         self.training_with(2.0)
     }

@@ -1,18 +1,20 @@
 //! Ablations backing the paper's design-choice claims.
 
-use crate::common::{paper_objective, Ctx};
+use crate::common::{fmt_opt, paper_objective, weights, Ctx};
 use isasgd_core::{
-    train, Algorithm, BalancePolicy, Execution, SequenceMode, SvrgVariant, TrainConfig,
+    train, Algorithm, BalancePolicy, Execution, ImportanceScheme, SequenceMode, SvrgVariant,
 };
-use isasgd_datagen::{DatasetProfile, FeatureKind, PaperProfile};
+use isasgd_datagen::{generate, DatasetProfile, FeatureKind, PaperProfile};
+use isasgd_metrics::interpolate::time_to_target;
+use isasgd_metrics::speedup::ratio;
 use isasgd_metrics::table::{fmt_num, TextTable};
+use isasgd_metrics::trace::best_error_curve_by_epoch;
 
 /// §2.3–2.4 — does importance balancing matter? Runs IS-ASGD with
 /// ForceBalance vs ForceShuffle vs Identity sharding on a deliberately
 /// high-ρ profile (where the paper predicts balancing wins) and on the
 /// low-ρ KDD-like profile (where shuffling suffices).
-pub fn balance(ctx: &mut Ctx) {
-    println!("\n=== Ablation: importance balancing (paper §2.3–2.4) ===\n");
+pub fn balance(ctx: &mut Ctx, table: &mut TextTable) {
     let obj = paper_objective();
     // A skewed profile: heavy-tailed norms ⇒ large ρ ⇒ shard imbalance.
     let skewed = DatasetProfile {
@@ -28,19 +30,20 @@ pub fn balance(ctx: &mut Ctx) {
         feature_kind: FeatureKind::GaussianScaled,
         noise_nnz_coupling: 1.0,
     };
-    let gen = isasgd_datagen::generate(&skewed, ctx.settings.seed);
-    let kdd = ctx.dataset_training(PaperProfile::KddAlgebra);
+    let gen = generate(&skewed, ctx.settings.seed);
+    let kdd_profile = PaperProfile::KddAlgebra;
+    let kdd = ctx.dataset_training(kdd_profile);
 
-    let mut table = TextTable::new(vec![
-        "dataset",
-        "policy",
-        "balanced?",
-        "rho",
-        "best_err",
-        "final_rmse",
-    ]);
-    let epochs = ctx.settings.epochs.unwrap_or(10);
-    for (name, ds) in [("skewed", &gen.dataset), ("kdd_algebra", &kdd.dataset)] {
+    let mut cfg = ctx.config(ctx.settings.epochs.unwrap_or(10), 0.5);
+    cfg.importance = ImportanceScheme::GradNormBound { radius: 1.0 };
+    let exec = Execution::Simulated {
+        tau: 32,
+        workers: 8,
+    };
+    for (name, ds) in [
+        (skewed.name, &gen.dataset),
+        (kdd_profile.id(), &kdd.dataset),
+    ] {
         for (policy, label) in [
             (BalancePolicy::ForceBalance, "head-tail"),
             (BalancePolicy::ForceGreedy, "greedy-lpt"),
@@ -48,16 +51,7 @@ pub fn balance(ctx: &mut Ctx) {
             (BalancePolicy::Identity, "identity"),
             (BalancePolicy::default(), "adaptive"),
         ] {
-            let mut cfg = TrainConfig::default()
-                .with_epochs(epochs)
-                .with_step_size(0.5)
-                .with_seed(ctx.settings.seed);
             cfg.balance = policy;
-            cfg.importance = isasgd_core::ImportanceScheme::GradNormBound { radius: 1.0 };
-            let exec = Execution::Simulated {
-                tau: 32,
-                workers: 8,
-            };
             let r = train(ds, &obj, Algorithm::IsAsgd, exec, &cfg, name).expect("run");
             table.row(vec![
                 name.to_string(),
@@ -69,46 +63,24 @@ pub fn balance(ctx: &mut Ctx) {
             ]);
         }
     }
-    let rendered = table.render();
-    println!("{rendered}");
-    println!(
-        "Expected: on the high-ρ profile, 'balance' ≥ 'shuffle' ≥ 'identity';\n\
-         on the low-ρ profile the three are indistinguishable and 'adaptive'\n\
-         picks shuffle — the paper's Algorithm-4 rule.\n"
-    );
-    ctx.write("ablation_balance.txt", &rendered);
-    ctx.write("ablation_balance.csv", &table.to_csv());
 }
 
 /// §4.2 — regenerate-per-epoch vs shuffle-once sample sequences.
-pub fn sequences(ctx: &mut Ctx) {
-    println!("\n=== Ablation: sequence regeneration vs shuffle-once (§4.2) ===\n");
+pub fn sequences(ctx: &mut Ctx, table: &mut TextTable) {
     let obj = paper_objective();
-    let mut table = TextTable::new(vec![
-        "dataset",
-        "mode",
-        "best_err",
-        "final_rmse",
-        "setup_s",
-        "train_s",
-    ]);
     for p in [PaperProfile::News20, PaperProfile::KddAlgebra] {
         let data = ctx.dataset_training(p);
-        let epochs = ctx.settings.epochs_for(p).min(15);
+        let mut cfg = ctx.config(ctx.settings.epochs_for(p).min(15), p.paper_step_size());
+        cfg.importance = ImportanceScheme::GradNormBound { radius: 1.0 };
+        let exec = Execution::Simulated {
+            tau: 16,
+            workers: 8,
+        };
         for (mode, label) in [
             (SequenceMode::RegeneratePerEpoch, "regenerate"),
             (SequenceMode::ShuffleOnce, "shuffle-once"),
         ] {
-            let mut cfg = TrainConfig::default()
-                .with_epochs(epochs)
-                .with_step_size(p.paper_step_size())
-                .with_seed(ctx.settings.seed);
             cfg.sequence = mode;
-            cfg.importance = isasgd_core::ImportanceScheme::GradNormBound { radius: 1.0 };
-            let exec = Execution::Simulated {
-                tau: 16,
-                workers: 8,
-            };
             let r = train(&data.dataset, &obj, Algorithm::IsAsgd, exec, &cfg, p.id()).expect("run");
             table.row(vec![
                 p.id().to_string(),
@@ -120,14 +92,6 @@ pub fn sequences(ctx: &mut Ctx) {
             ]);
         }
     }
-    let rendered = table.render();
-    println!("{rendered}");
-    println!(
-        "Expected (paper §4.2): the shuffle-once approximation converges like\n\
-         exact regeneration — 'such approximation works well in practice'.\n"
-    );
-    ctx.write("ablation_seq.txt", &rendered);
-    ctx.write("ablation_seq.csv", &table.to_csv());
 }
 
 /// Importance scheme × ψ × step-stability regime sweep.
@@ -141,23 +105,11 @@ pub fn sequences(ctx: &mut Ctx) {
 /// curvature channel cancels exactly (per-epoch effective step mass per
 /// row is λ·L_i under every static sampler), so the measured differences
 /// isolate the variance channel and the tail effects of extreme step
-/// corrections — see EXPERIMENTS.md, "Where the 1.13–1.54× lives", and
-/// the `is-gain` artifact for the tuned-λ regime where the large factors
-/// appear.
-pub fn schemes(ctx: &mut Ctx) {
-    println!("\n=== Ablation: importance scheme × ψ × step regime (Eq. 12 variants) ===\n");
-    use isasgd_core::ImportanceScheme as Sch;
+/// corrections; the IS-gain artifact covers the tuned-λ regime where
+/// the large factors appear.
+pub fn schemes(ctx: &mut Ctx, table: &mut TextTable) {
+    use ImportanceScheme as Sch;
     let obj = paper_objective();
-    let mut table = TextTable::new(vec![
-        "psi_norm",
-        "hotness",
-        "scheme",
-        "best_err",
-        "err@25%ep",
-        "epochs_to_1.25opt",
-        "speedup_ep",
-        "max_corr",
-    ]);
     // Reduced-size kdd-like profile: enough samples for stable curves,
     // small enough that the ψ × hotness × scheme grid stays in minutes.
     let base_scale = (ctx.settings.scale * 0.25).min(0.25);
@@ -180,46 +132,33 @@ pub fn schemes(ctx: &mut Ctx) {
                     value: (4.0 * mean_l / p.mean_nnz as f64).sqrt(),
                 };
             }
-            let gen = isasgd_datagen::generate(&p, ctx.settings.seed);
+            let gen = generate(&p, ctx.settings.seed);
             let exec = Execution::Simulated {
                 tau: 32,
                 workers: 8,
             };
-            let mk_cfg = || {
-                TrainConfig::default()
-                    .with_epochs(epochs)
-                    .with_step_size(lambda)
-                    .with_seed(ctx.settings.seed)
-            };
+            let mut cfg = ctx.config(epochs, lambda);
             let asgd =
-                train(&gen.dataset, &obj, Algorithm::Asgd, exec, &mk_cfg(), p.name).expect("asgd");
+                train(&gen.dataset, &obj, Algorithm::Asgd, exec, &cfg, p.name).expect("asgd");
             // Common target both algorithms plausibly reach: 1.25× ASGD's
             // best error; epoch-speedup is ASGD's time to it over the
             // candidate's.
             let target = 1.25 * asgd.trace.best_error().unwrap_or(f64::NAN);
-            let asgd_curve = isasgd_metrics::trace::best_error_curve_by_epoch(&asgd.trace);
-            let asgd_to = isasgd_metrics::interpolate::time_to_target(&asgd_curve, target);
-            let schemes: [(Sch, &str); 4] = [
+            let asgd_to = time_to_target(&best_error_curve_by_epoch(&asgd.trace), target);
+            for (scheme, label) in [
                 (Sch::Uniform, "uniform(ASGD)"),
                 (Sch::GradNormBound { radius: 1.0 }, "gradnorm"),
                 (Sch::LipschitzSmoothness, "smoothness"),
                 (Sch::PartiallyBiased { bias: 0.5 }, "partial-0.5"),
-            ];
-            for (scheme, label) in schemes {
+            ] {
                 let r = if matches!(scheme, Sch::Uniform) {
                     asgd.clone()
                 } else {
-                    let mut cfg = mk_cfg();
                     cfg.importance = scheme;
                     train(&gen.dataset, &obj, Algorithm::IsAsgd, exec, &cfg, p.name)
                         .expect("is-asgd")
                 };
-                let curve = isasgd_metrics::trace::best_error_curve_by_epoch(&r.trace);
-                let to_target = isasgd_metrics::interpolate::time_to_target(&curve, target);
-                let speedup = match (asgd_to, to_target) {
-                    (Some(a), Some(b)) if b > 0.0 => Some(a / b),
-                    _ => None,
-                };
+                let to_target = time_to_target(&best_error_curve_by_epoch(&r.trace), target);
                 // Early-stage error: at 25% of the epoch budget.
                 let early = r
                     .trace
@@ -227,64 +166,36 @@ pub fn schemes(ctx: &mut Ctx) {
                     .iter()
                     .find(|q| q.epoch >= epochs as f64 * 0.25)
                     .map_or(f64::NAN, |q| q.error_rate);
-                let w = isasgd_core::importance_weights(
-                    &gen.dataset,
-                    &isasgd_core::LogisticLoss,
-                    obj.reg,
-                    scheme,
-                );
-                let corr = isasgd_core::step_corrections(&w);
-                let max_corr = corr.iter().cloned().fold(0.0, f64::max);
+                let corr = isasgd_core::step_corrections(&weights(&gen.dataset, &obj, scheme));
                 table.row(vec![
                     fmt_num(psi),
                     fmt_num(hotness),
                     label.to_string(),
                     fmt_num(r.trace.best_error().unwrap_or(f64::NAN)),
                     fmt_num(early),
-                    to_target.map_or("-".into(), fmt_num),
-                    speedup.map_or("-".into(), fmt_num),
-                    fmt_num(max_corr),
+                    fmt_opt(to_target),
+                    fmt_opt(ratio(asgd_to, to_target)),
+                    fmt_num(corr.iter().cloned().fold(0.0, f64::max)),
                 ]);
             }
         }
     }
-    let rendered = table.render();
-    println!("{rendered}");
-    println!(
-        "Reading: at the Table-1-printed ψ (normalized constants) the L-spread\n\
-         is too small for any scheme to beat uniform by the paper's factors; at\n\
-         the raw-constant ψ of variable-nnz data (0.35–0.6) the smoothness and\n\
-         partially-biased corrections equalize effective steps and reach common\n\
-         error targets with paper-sized epoch speedups.\n"
-    );
-    ctx.write("ablation_scheme.txt", &rendered);
-    ctx.write("ablation_scheme.csv", &table.to_csv());
 }
 
 /// §1.2 — the public skip-µ SVRG variant vs the literature algorithm.
-pub fn svrg(ctx: &mut Ctx) {
-    println!("\n=== Ablation: SVRG literature vs public skip-µ variant (§1.2) ===\n");
+pub fn svrg(ctx: &mut Ctx, table: &mut TextTable) {
     let obj = paper_objective();
-    let data = ctx.dataset(PaperProfile::News20);
-    let epochs = ctx.settings.epochs_for(PaperProfile::News20);
-    let cfg = TrainConfig::default()
-        .with_epochs(epochs)
-        .with_step_size(0.05) // SVRG needs a gentler step on this objective
-        .with_seed(ctx.settings.seed);
-    let mut table = TextTable::new(vec!["variant", "epoch", "rmse", "error_rate"]);
+    let p = PaperProfile::News20;
+    let data = ctx.dataset(p);
+    // SVRG needs a gentler step on this objective.
+    let cfg = ctx.config(ctx.settings.epochs_for(p), 0.05);
+    let exec = Execution::Sequential;
     for (variant, label) in [
         (SvrgVariant::Literature, "literature"),
         (SvrgVariant::SkipMu, "skip-mu"),
     ] {
-        let r = train(
-            &data.dataset,
-            &obj,
-            Algorithm::SvrgSgd(variant),
-            Execution::Sequential,
-            &cfg,
-            "news20",
-        )
-        .expect("svrg run");
+        let algo = Algorithm::SvrgSgd(variant);
+        let r = train(&data.dataset, &obj, algo, exec, &cfg, p.id()).expect("svrg run");
         for q in &r.trace.points {
             table.row(vec![
                 label.to_string(),
@@ -294,13 +205,4 @@ pub fn svrg(ctx: &mut Ctx) {
             ]);
         }
     }
-    let rendered = table.render();
-    println!("{rendered}");
-    println!(
-        "Expected (paper §1.2): the skip-µ trajectory departs from the literature\n\
-         version — 'we found the convergence curve of this public version far\n\
-         from the literature version'.\n"
-    );
-    ctx.write("ablation_svrg.txt", &rendered);
-    ctx.write("ablation_svrg.csv", &table.to_csv());
 }

@@ -1,20 +1,21 @@
-//! The `cluster` artifact — paper §2.3/Fig. 2 in the *node* setting.
+//! Paper §2.3/Fig. 2 in the *node* setting.
 //!
 //! Each node samples only from its local shard, so a skewed contiguous
 //! layout distorts the per-node sampling distribution exactly as the
 //! paper's Fig. 2 worked example. This sweep measures the shard
 //! importance imbalance max Φ_a/mean Φ_a (Eq. 18/19) and the consensus
-//! model quality for each balancing policy across cluster sizes.
+//! model quality for each balancing policy across cluster sizes. The
+//! numbers are transport-independent: in-process, loopback-TCP and
+//! worker-subprocess runs are pinned bit-identical by
+//! `cluster/tests/equivalence.rs` and `cli/tests/process_e2e.rs`.
 
-use crate::common::Ctx;
-use isasgd_cluster::{ClusterConfig, SyncStrategy, TransportConfig};
+use crate::common::{paper_objective, weights, Ctx};
+use isasgd_cluster::{ClusterConfig, SyncStrategy};
 use isasgd_core::{BalancePolicy, ImportanceScheme, LogisticLoss, Objective, Regularizer};
-use isasgd_datagen::{DatasetProfile, FeatureKind};
+use isasgd_datagen::{generate, DatasetProfile, FeatureKind};
 use isasgd_metrics::table::{fmt_num, TextTable};
 
-/// Runs the sweep.
-pub fn run(ctx: &mut Ctx) {
-    println!("\n=== Cluster: per-node importance balancing (§2.3–2.4, Fig. 2) ===\n");
+pub fn fill(ctx: &mut Ctx, table: &mut TextTable) {
     // Heavy-tailed importance, *sorted* by importance before sharding —
     // the adversarial arrival order (e.g. documents sorted by length)
     // that contiguous sharding turns into maximal imbalance.
@@ -31,28 +32,19 @@ pub fn run(ctx: &mut Ctx) {
         feature_kind: FeatureKind::GaussianScaled,
         noise_nnz_coupling: 1.0,
     };
-    let gen = isasgd_datagen::generate(&profile, ctx.settings.seed);
-    let obj = Objective::new(LogisticLoss, Regularizer::L1 { eta: 1e-5 });
+    let gen = generate(&profile, ctx.settings.seed);
     // Sort rows by row norm (∝ importance) to plant the adversarial
     // layout.
     let mut order: Vec<usize> = (0..gen.dataset.n_samples()).collect();
-    let norms = isasgd_core::importance_weights(
+    let norms = weights(
         &gen.dataset,
-        &LogisticLoss,
-        Regularizer::None,
+        &Objective::new(LogisticLoss, Regularizer::None),
         ImportanceScheme::LipschitzSmoothness,
     );
     order.sort_by(|&a, &b| norms[a].partial_cmp(&norms[b]).expect("finite weights"));
     let sorted = gen.dataset.reordered(&order).expect("permutation");
 
-    let mut table = TextTable::new(vec![
-        "nodes",
-        "policy",
-        "phi_max_over_mean",
-        "final_obj",
-        "final_err",
-    ]);
-    let rounds = ctx.settings.epochs.unwrap_or(8);
+    let obj = paper_objective();
     for nodes in [2usize, 4, 8, 16] {
         for (policy, label) in [
             (BalancePolicy::Identity, "identity"),
@@ -62,7 +54,7 @@ pub fn run(ctx: &mut Ctx) {
         ] {
             let cfg = ClusterConfig {
                 nodes,
-                rounds,
+                rounds: ctx.settings.epochs.unwrap_or(8),
                 local_epochs: 1,
                 step_size: 0.1,
                 importance: ImportanceScheme::GradNormBound { radius: 1.0 },
@@ -82,71 +74,4 @@ pub fn run(ctx: &mut Ctx) {
             ]);
         }
     }
-    let rendered = table.render();
-    println!("{rendered}");
-
-    // Transport sanity: re-run one configuration over real loopback
-    // sockets and check the consensus trajectory is bit-identical to
-    // the in-process run (the tests pin this exhaustively; here it
-    // documents that the artifact numbers are transport-independent).
-    let parity_cfg = ClusterConfig {
-        nodes: 4,
-        rounds: rounds.min(3),
-        local_epochs: 1,
-        step_size: 0.1,
-        importance: ImportanceScheme::GradNormBound { radius: 1.0 },
-        balance: BalancePolicy::ForceGreedy,
-        sync: SyncStrategy::Average,
-        seed: ctx.settings.seed,
-        ..ClusterConfig::default()
-    };
-    let inproc = isasgd_cluster::node::run(&sorted, &obj, &parity_cfg).expect("inproc run");
-    let tcp_cfg = ClusterConfig {
-        transport: TransportConfig::tcp(),
-        ..parity_cfg.clone()
-    };
-    let tcp = isasgd_cluster::node::run(&sorted, &obj, &tcp_cfg).expect("tcp run");
-    let parity = if inproc.rounds == tcp.rounds && inproc.model == tcp.model {
-        "bit-identical"
-    } else {
-        "DIVERGED"
-    };
-    println!("transport parity (inproc vs tcp loopback, 4 nodes, greedy-lpt): {parity}");
-    // The cross-*process* leg needs a worker binary to spawn; the
-    // experiments harness is not that binary, so this leg only runs
-    // when ISASGD_BIN points at the isasgd CLI (the e2e suite pins it
-    // unconditionally).
-    match std::env::var("ISASGD_BIN") {
-        Ok(bin) if !bin.is_empty() => {
-            let proc_cfg = ClusterConfig {
-                transport: TransportConfig::Process(isasgd_cluster::ProcessConfig {
-                    worker: Some(bin),
-                    ..isasgd_cluster::ProcessConfig::default()
-                }),
-                ..parity_cfg
-            };
-            let process = isasgd_cluster::node::run(&sorted, &obj, &proc_cfg).expect("process run");
-            let parity = if inproc.rounds == process.rounds && inproc.model == process.model {
-                "bit-identical"
-            } else {
-                "DIVERGED"
-            };
-            println!("transport parity (inproc vs real worker subprocesses): {parity}\n");
-        }
-        _ => println!(
-            "transport parity (process): skipped — set ISASGD_BIN=<path to isasgd> \
-             to spawn real worker subprocesses\n"
-        ),
-    }
-    println!(
-        "Expected: identity sharding of importance-sorted data is maximally\n\
-         imbalanced (Φ ratio ≫ 1, growing with node count); greedy-LPT flattens\n\
-         Φ to ≈ 1 at every width; head-tail (Alg. 3) helps but *degrades with\n\
-         node count on right-skewed importance* (its pair sums concentrate the\n\
-         heavy tail in one contiguous block — see EXPERIMENTS.md, 'balancing\n\
-         under skew'); shuffling is near-balanced at this n/node ratio, the\n\
-         paper's §2.4 observation.\n"
-    );
-    ctx.write("cluster.txt", &rendered);
-    ctx.write("cluster.csv", &table.to_csv());
 }

@@ -4,40 +4,25 @@
 //! The paper argues SVRG-ASGD prevails when gradient sparsity rises
 //! toward ~10⁻³ of `d` and above (its per-iteration cost is then within a
 //! constant of ASGD's, and its iteration advantage wins); below that the
-//! dense µ dominates. This command sweeps density at fixed (n, d) and
+//! dense µ dominates. This artifact sweeps density at fixed (n, d) and
 //! reports wall-clock to a common RMSE target for ASGD vs SVRG-ASGD,
 //! locating the crossover.
 
-use crate::common::{paper_objective, Ctx};
-use isasgd_core::{train, Algorithm, Execution, SvrgVariant, TrainConfig};
+use crate::common::{fmt_opt, paper_objective, Ctx};
+use isasgd_core::{train, Algorithm, Execution, SvrgVariant};
 use isasgd_datagen::{generate, DatasetProfile, FeatureKind};
 use isasgd_metrics::interpolate::time_to_objective;
 use isasgd_metrics::table::{fmt_num, TextTable};
 
-/// Runs the density sweep.
-pub fn run(ctx: &mut Ctx) {
-    println!("\n=== §4.3: density sweep — where does SVRG-ASGD win? ===\n");
+pub fn fill(ctx: &mut Ctx, table: &mut TextTable) {
     let obj = paper_objective();
     let d = 4_000usize;
-    let n = 3_000usize;
-    let epochs = ctx.settings.epochs.unwrap_or(8);
-    let mut table = TextTable::new(vec![
-        "density",
-        "nnz/row",
-        "asgd_s",
-        "svrg_s",
-        "asgd_obj",
-        "svrg_obj",
-        "t_to_target_asgd",
-        "t_to_target_svrg",
-        "winner",
-    ]);
+    let cfg = ctx.config(ctx.settings.epochs.unwrap_or(8), 0.1);
     for nnz in [4usize, 40, 400, 4_000] {
-        let density = nnz as f64 / d as f64;
         let profile = DatasetProfile {
             name: "density_sweep",
             dim: d,
-            n_samples: n,
+            n_samples: 3_000,
             mean_nnz: nnz,
             zipf_exponent: 0.6,
             target_psi_norm: 0.9,
@@ -49,26 +34,16 @@ pub fn run(ctx: &mut Ctx) {
             noise_nnz_coupling: 1.0,
         };
         let data = generate(&profile, ctx.settings.seed);
-        let cfg = TrainConfig::default()
-            .with_epochs(epochs)
-            .with_step_size(0.1)
-            .with_seed(ctx.settings.seed);
         let exec = Execution::Simulated {
             tau: 16,
             workers: 4,
         };
-        eprintln!("[dense] nnz={nnz} ASGD…");
-        let asgd = train(&data.dataset, &obj, Algorithm::Asgd, exec, &cfg, "dense").unwrap();
-        eprintln!("[dense] nnz={nnz} SVRG-ASGD…");
-        let svrg = train(
-            &data.dataset,
-            &obj,
-            Algorithm::SvrgAsgd(SvrgVariant::Literature),
-            exec,
-            &cfg,
-            "dense",
-        )
-        .unwrap();
+        let run = |algo: Algorithm| {
+            ctx.log(&format!("nnz={nnz} {}…", algo.name()));
+            train(&data.dataset, &obj, algo, exec, &cfg, profile.name).expect("density run")
+        };
+        let asgd = run(Algorithm::Asgd);
+        let svrg = run(Algorithm::SvrgAsgd(SvrgVariant::Literature));
         // Common target: the worse of the two final objectives, so both
         // reach it.
         let target = asgd
@@ -85,24 +60,15 @@ pub fn run(ctx: &mut Ctx) {
             _ => "-",
         };
         table.row(vec![
-            fmt_num(density),
+            fmt_num(nnz as f64 / d as f64),
             nnz.to_string(),
             fmt_num(asgd.train_secs),
             fmt_num(svrg.train_secs),
             fmt_num(asgd.final_metrics.objective),
             fmt_num(svrg.final_metrics.objective),
-            t_a.map_or("-".into(), fmt_num),
-            t_s.map_or("-".into(), fmt_num),
+            fmt_opt(t_a),
+            fmt_opt(t_s),
             winner.to_string(),
         ]);
     }
-    let rendered = table.render();
-    println!("{rendered}");
-    println!(
-        "Expected (paper §4.3): ASGD wins decisively at low density; as density\n\
-         approaches 10⁻¹…1 the dense-µ penalty vanishes and SVRG-ASGD's\n\
-         per-epoch advantage takes over — the crossover the paper describes.\n"
-    );
-    ctx.write("dense_crossover.txt", &rendered);
-    ctx.write("dense_crossover.csv", &table.to_csv());
 }

@@ -4,51 +4,31 @@
 //! The paper's figure is an illustration; the measurable claim behind it
 //! is that the dense-µ add makes each iteration `O(d)` instead of
 //! `O(nnz)`, i.e. slower by roughly `d / nnz` — "five to seven magnitudes"
-//! at their scales. This command times both update kernels on each
+//! at their scales. This artifact times both update kernels on each
 //! profile and reports the measured ratio next to `d / nnz`.
 
 use crate::common::Ctx;
 use isasgd_datagen::PaperProfile;
 use isasgd_metrics::table::{fmt_num, TextTable};
+use isasgd_sparse::Dataset;
 use std::time::Instant;
 
-/// Times `iters` sparse updates of `w` by rows of the dataset.
-fn time_sparse(data: &isasgd_sparse::Dataset, w: &mut [f64], iters: usize) -> f64 {
+/// Times `iters` sparse updates of `w` by rows of the dataset — each
+/// followed, when `mu` is given, by the dense-µ add of the SVRG
+/// literature kernel.
+fn time_updates(data: &Dataset, w: &mut [f64], mu: Option<&[f64]>, iters: usize) -> f64 {
     let n = data.n_samples();
     let t0 = Instant::now();
     for t in 0..iters {
-        let row = data.row(t % n);
-        row.axpy_into(-1e-9, w);
-    }
-    t0.elapsed().as_secs_f64() / iters as f64
-}
-
-/// Times `iters` sparse + dense-µ updates (the SVRG literature kernel).
-fn time_dense(data: &isasgd_sparse::Dataset, w: &mut [f64], mu: &[f64], iters: usize) -> f64 {
-    let n = data.n_samples();
-    let t0 = Instant::now();
-    for t in 0..iters {
-        let row = data.row(t % n);
-        row.axpy_into(-1e-9, w);
-        for (wj, &mj) in w.iter_mut().zip(mu) {
+        data.row(t % n).axpy_into(-1e-9, w);
+        for (wj, &mj) in w.iter_mut().zip(mu.unwrap_or_default()) {
             *wj -= 1e-9 * mj;
         }
     }
     t0.elapsed().as_secs_f64() / iters as f64
 }
 
-/// Runs the Figure-1 cost experiment.
-pub fn run(ctx: &mut Ctx) {
-    println!("\n=== Figure 1: per-iteration update cost, sparse vs dense µ ===\n");
-    let mut table = TextTable::new(vec![
-        "dataset",
-        "d",
-        "nnz/row",
-        "sparse_ns",
-        "dense_ns",
-        "measured_ratio",
-        "d/nnz",
-    ]);
+pub fn fill(ctx: &mut Ctx, table: &mut TextTable) {
     for p in PaperProfile::ALL {
         let data = ctx.dataset(p);
         let ds = &data.dataset;
@@ -59,8 +39,8 @@ pub fn run(ctx: &mut Ctx) {
         // Calibrate iteration counts so each timing takes ~0.1–0.5 s.
         let sparse_iters = 200_000;
         let dense_iters = (50_000_000 / d).clamp(20, 10_000);
-        let s = time_sparse(ds, &mut w, sparse_iters);
-        let dn = time_dense(ds, &mut w, &mu, dense_iters);
+        let s = time_updates(ds, &mut w, None, sparse_iters);
+        let dn = time_updates(ds, &mut w, Some(&mu), dense_iters);
         table.row(vec![
             p.display_name().to_string(),
             d.to_string(),
@@ -71,12 +51,4 @@ pub fn run(ctx: &mut Ctx) {
             fmt_num(d as f64 / mean_nnz),
         ]);
     }
-    let rendered = table.render();
-    println!("{rendered}");
-    println!(
-        "The dense-µ kernel is slower by ≈ d/nnz — the paper's reason SVRG-ASGD\n\
-         cannot finish on large sparse data (§1.2; KDD: 2h per epoch on 44 threads).\n"
-    );
-    ctx.write("fig1.txt", &rendered);
-    ctx.write("fig1.csv", &table.to_csv());
 }

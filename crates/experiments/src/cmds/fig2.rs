@@ -1,18 +1,13 @@
 //! Figure 2 — importance balancing: the paper's worked 4-sample example
 //! plus a quantitative sweep of shard distortion, shuffled vs balanced.
 
-use crate::common::{paper_objective, Ctx};
+use crate::common::{paper_objective, weights, Ctx};
 use isasgd_balance::{head_tail_balance, random_shuffle_order, ImportanceProfile, ShardReport};
 use isasgd_core::ImportanceScheme;
 use isasgd_datagen::PaperProfile;
-use isasgd_losses::importance_weights;
 use isasgd_metrics::table::{fmt_num, TextTable};
 
-/// Reproduces the Fig. 2 example and measures shard distortion on the
-/// synthetic profiles.
-pub fn run(ctx: &mut Ctx) {
-    println!("\n=== Figure 2: importance balancing for sharded IS ===\n");
-
+pub fn fill(ctx: &mut Ctx, table: &mut TextTable) {
     // --- The paper's illustration: L = {1,2,3,4}, two nodes. ----------
     let l = [1.0, 2.0, 3.0, 4.0];
     let identity: Vec<usize> = (0..4).collect();
@@ -31,23 +26,10 @@ pub fn run(ctx: &mut Ctx) {
 
     // --- Quantitative sweep on the synthetic profiles. ----------------
     let obj = paper_objective();
-    let mut table = TextTable::new(vec![
-        "dataset",
-        "shards",
-        "shuffle_imb",
-        "balance_imb",
-        "shuffle_maxdist",
-        "balance_maxdist",
-    ]);
     let shards = ctx.settings.taus.clone();
     for p in PaperProfile::ALL {
         let data = ctx.dataset(p);
-        let w = importance_weights(
-            &data.dataset,
-            &obj.loss,
-            obj.reg,
-            ImportanceScheme::LipschitzSmoothness,
-        );
+        let w = weights(&data.dataset, &obj, ImportanceScheme::LipschitzSmoothness);
         let prof = ImportanceProfile::compute(&w);
         for &k in &shards {
             let shuffled = random_shuffle_order(w.len(), ctx.settings.seed);
@@ -64,13 +46,4 @@ pub fn run(ctx: &mut Ctx) {
             ]);
         }
     }
-    let rendered = table.render();
-    println!("{rendered}");
-    println!(
-        "Head-tail balancing (Alg. 3) keeps shard importance sums Φ_a nearly equal\n\
-         regardless of shard count; with near-uniform L (low ρ) random shuffling is\n\
-         already adequate — exactly the adaptive rule of Alg. 4.\n"
-    );
-    ctx.write("fig2.txt", &rendered);
-    ctx.write("fig2.csv", &table.to_csv());
 }

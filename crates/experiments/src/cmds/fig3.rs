@@ -3,141 +3,86 @@
 //! the paper's τ ∈ {16, 32, 44} concurrency sweep.
 //!
 //! Concurrency is reproduced with the deterministic bounded-staleness
-//! simulator (DESIGN.md §2), so these curves are exact functions of the
-//! seed — per-epoch behaviour does not depend on host parallelism.
+//! simulator (`Execution::Simulated`: updates are applied τ steps late
+//! from a `DelayQueue`, no threads involved), so these curves are exact
+//! functions of the seed — per-epoch behaviour does not depend on host
+//! parallelism. CI pins that with a one-core/all-cores `cmp`.
 
-use crate::common::{paper_objective, run_averaged, Ctx};
-use isasgd_core::{train, Algorithm, Execution, SvrgVariant, TrainConfig};
+use crate::common::{fmt_opt, paper_objective, train_avg, Ctx, CurveCsv};
+use isasgd_core::{Algorithm, Execution, ImportanceScheme, SvrgVariant};
 use isasgd_datagen::PaperProfile;
+use isasgd_metrics::interpolate::time_to_target;
 use isasgd_metrics::table::{fmt_num, TextTable};
 use isasgd_metrics::trace::best_error_curve_by_epoch;
-use isasgd_metrics::{interpolate::time_to_target, Trace};
 
-/// Simulated workers backing each τ (the paper equates τ with threads; we
-/// shard data over min(τ, 8) workers to keep shards non-trivial).
-fn workers_for(tau: usize) -> usize {
-    tau.clamp(1, 8)
-}
-
-/// Runs the Figure-3 sweep, returning all traces (also written as JSON).
-pub fn run(ctx: &mut Ctx) -> Vec<Trace> {
-    println!("\n=== Figure 3: iterative convergence (epoch axis) ===\n");
+pub fn fill(ctx: &mut Ctx, table: &mut TextTable) {
     let obj = paper_objective();
     let taus = ctx.settings.taus.clone();
-    let mut traces: Vec<Trace> = Vec::new();
-    let mut table = TextTable::new(vec![
-        "dataset",
-        "tau",
-        "algo",
-        "final_rmse",
-        "final_err",
-        "best_err",
-        "epochs_to_asgd_opt",
-    ]);
-    let mut csv = String::from("dataset,algo,tau,epoch,rmse,error_rate,objective\n");
+    let avg = ctx.settings.avg_runs;
+    let mut traces = Vec::new();
+    let mut csv = CurveCsv::new("tau", false);
 
     for p in PaperProfile::ALL {
         let data = ctx.dataset_training(p);
-        let ds = &data.dataset;
         let epochs = ctx.settings.epochs_for(p);
-        let mut cfg = TrainConfig::default()
-            .with_epochs(epochs)
-            .with_step_size(p.paper_step_size())
-            .with_seed(ctx.settings.seed);
+        let mut cfg = ctx.config(epochs, p.paper_step_size());
         // Gradient-norm importance weights: for the bounded-derivative
         // logistic loss, sup‖∇φ_i‖ = ‖x_i‖, which is the Eq. 11/12 bound
         // (the smoothness constant over-weights heavy rows and
-        // destabilizes the corrections; see DESIGN.md §"importance
-        // scheme").
-        cfg.importance = isasgd_core::ImportanceScheme::GradNormBound { radius: 1.0 };
+        // destabilizes the corrections; the `variance` artifact measures
+        // both schemes against the Eq. 11 floor).
+        cfg.importance = ImportanceScheme::GradNormBound { radius: 1.0 };
+        let run = |algo, exec| train_avg(avg, &data.dataset, &obj, algo, exec, &cfg, p.id());
 
         // SGD baseline: sequential (τ-independent).
-        let avg = ctx.settings.avg_runs;
-        eprintln!("[fig3] {} SGD ({epochs} epochs, {avg}-seed avg)…", p.id());
-        let sgd = run_averaged(avg, ctx.settings.seed, |seed| {
-            let c = cfg.with_seed(seed);
-            train(ds, &obj, Algorithm::Sgd, Execution::Sequential, &c, p.id()).expect("sgd run")
-        });
-        traces.push(sgd.trace.clone());
+        ctx.log(&format!(
+            "{} SGD ({epochs} epochs, {avg}-seed avg)…",
+            p.id()
+        ));
+        let sgd = run(Algorithm::Sgd, Execution::Sequential).trace;
+        traces.push(sgd.clone());
 
         for &tau in &taus {
-            let exec = Execution::Simulated {
-                tau,
-                workers: workers_for(tau),
-            };
-            let mut runs = vec![(Algorithm::Asgd, "ASGD"), (Algorithm::IsAsgd, "IS-ASGD")];
+            // The paper equates τ with threads; data is sharded over
+            // min(τ, 8) simulated workers to keep shards non-trivial.
+            let workers = tau.clamp(1, 8);
+            let mut algos = vec![Algorithm::Asgd, Algorithm::IsAsgd];
             // The paper evaluates SVRG-ASGD only on News20 (elsewhere it
             // "fails to finish training in a reasonable time").
             if p == PaperProfile::News20 {
-                runs.push((Algorithm::SvrgAsgd(SvrgVariant::Literature), "SVRG-ASGD"));
+                algos.push(Algorithm::SvrgAsgd(SvrgVariant::Literature));
             }
             let mut asgd_best = f64::NAN;
-            for (algo, label) in runs {
-                eprintln!("[fig3] {} {} tau={tau}…", p.id(), label);
-                let r = run_averaged(avg, ctx.settings.seed, |seed| {
-                    let c = cfg.with_seed(seed);
-                    train(ds, &obj, algo, exec, &c, p.id()).expect("fig3 run")
-                });
-                let best = r.trace.best_error().unwrap_or(f64::NAN);
-                if label == "ASGD" {
+            for algo in algos {
+                ctx.log(&format!("{} {} tau={tau}…", p.id(), algo.name()));
+                let trace = run(algo, Execution::Simulated { tau, workers }).trace;
+                let best = trace.best_error().unwrap_or(f64::NAN);
+                if algo == Algorithm::Asgd {
                     asgd_best = best;
                 }
                 // Iterative acceleration: epochs for this algo to reach
                 // ASGD's optimum error.
-                let to_opt = if asgd_best.is_finite() {
-                    time_to_target(&best_error_curve_by_epoch(&r.trace), asgd_best)
-                } else {
-                    None
-                };
+                let to_opt = asgd_best
+                    .is_finite()
+                    .then(|| time_to_target(&best_error_curve_by_epoch(&trace), asgd_best))
+                    .flatten();
+                let last = trace.points.last();
                 table.row(vec![
                     p.id().to_string(),
                     tau.to_string(),
-                    label.to_string(),
-                    fmt_num(r.trace.points.last().map_or(f64::NAN, |q| q.rmse)),
-                    fmt_num(r.trace.points.last().map_or(f64::NAN, |q| q.error_rate)),
+                    trace.algorithm.clone(),
+                    fmt_num(last.map_or(f64::NAN, |q| q.rmse)),
+                    fmt_num(last.map_or(f64::NAN, |q| q.error_rate)),
                     fmt_num(best),
-                    to_opt.map_or("-".into(), fmt_num),
+                    fmt_opt(to_opt),
                 ]);
-                for q in &r.trace.points {
-                    csv.push_str(&format!(
-                        "{},{},{},{},{},{},{}\n",
-                        p.id(),
-                        label,
-                        tau,
-                        q.epoch,
-                        q.rmse,
-                        q.error_rate,
-                        q.objective
-                    ));
-                }
-                traces.push(r.trace);
+                csv.push(tau, &trace);
+                traces.push(trace);
             }
         }
-        // SGD rows in the CSV for plotting alongside.
-        for q in &sgd.trace.points {
-            csv.push_str(&format!(
-                "{},SGD,0,{},{},{},{}\n",
-                p.id(),
-                q.epoch,
-                q.rmse,
-                q.error_rate,
-                q.objective
-            ));
-        }
+        // SGD rows for plotting alongside, at τ = 0.
+        csv.push(0, &sgd);
     }
-
-    let rendered = table.render();
-    println!("{rendered}");
-    println!(
-        "Expected shape (paper Fig. 3): IS-ASGD ≥ ASGD everywhere per epoch; the\n\
-         gap grows on the low-ψ KDD-like profiles; ASGD degrades as τ rises while\n\
-         IS-ASGD stays near SGD; SVRG-ASGD has the best per-epoch curve on the\n\
-         small dense profile.\n"
-    );
-    ctx.write("fig3.txt", &rendered);
-    ctx.write("fig3_curves.csv", &csv);
-    if let Ok(json) = serde_json::to_string_pretty(&traces) {
-        ctx.write("fig3_traces.json", &json);
-    }
-    traces
+    ctx.write("_curves.csv", &csv.text);
+    ctx.write_traces(&traces);
 }

@@ -1,4 +1,4 @@
-//! The `is-gain` demonstration: the regime where importance sampling
+//! The IS-gain demonstration: the regime where importance sampling
 //! *provably* delivers the paper's claimed factors.
 //!
 //! The paper's Lemma 2 inherits Needell et al.'s bound: uniform sampling
@@ -7,26 +7,17 @@
 //! *squared* loss with the step size at the uniform-sampling stability
 //! edge. The main figures use the paper's saturated logistic objective,
 //! where that mechanism is clipped and the measured IS-ASGD gain is ≈ 1×
-//! (see EXPERIMENTS.md); this artifact exhibits the claim in the regime
-//! its own theory targets, sweeping the importance spread ψ.
+//! (the Figure-4 and §4.2 summary artifacts); this artifact exhibits the
+//! claim in the regime its own theory targets, sweeping the importance
+//! spread ψ.
 
-use crate::common::{psi_sweep, run_averaged, sweep_objective, Ctx};
-use isasgd_core::{train, Algorithm, Execution, ImportanceScheme, TrainConfig};
+use crate::common::{fmt_opt, psi_sweep, sweep_objective, train_avg, Ctx};
+use isasgd_core::{Algorithm, Execution, ImportanceScheme};
 use isasgd_metrics::speedup::epoch_speedup;
 use isasgd_metrics::table::{fmt_num, TextTable};
 
-/// Runs the ψ sweep.
-pub fn run(ctx: &mut Ctx) {
-    println!("\n=== IS gain demonstration (squared loss, Eq. 13/14 regime) ===\n");
+pub fn fill(ctx: &mut Ctx, table: &mut TextTable) {
     let obj = sweep_objective();
-    let mut table = TextTable::new(vec![
-        "psi_norm",
-        "sup_over_mean",
-        "pair_protocol",
-        "sp@50%",
-        "sp@80%",
-        "sp@95%",
-    ]);
     let epochs = ctx.settings.epochs.unwrap_or(12);
     let avg = ctx.settings.avg_runs.max(3);
     for psi in [0.9, 0.7, 0.5, 0.35] {
@@ -35,28 +26,17 @@ pub fn run(ctx: &mut Ctx) {
         // sup/mean gain) and `same-λ` (the paper's experimental protocol
         // — variance-channel gain only).
         let pt = psi_sweep("isgain", psi, ctx.settings.seed);
-
-        let mk = |seed: u64, lambda: f64| {
-            let mut c = TrainConfig::default()
-                .with_epochs(epochs)
-                .with_step_size(lambda)
-                .with_seed(seed);
-            c.importance = ImportanceScheme::LipschitzSmoothness;
-            c
-        };
-        let exec = Execution::Simulated {
-            tau: 32,
-            workers: 8,
-        };
         let run_algo = |algo: Algorithm, lambda: f64| {
-            run_averaged(avg, ctx.settings.seed, |s| {
-                let e = match algo {
-                    Algorithm::Sgd | Algorithm::IsSgd => Execution::Sequential,
-                    _ => exec,
-                };
-                train(&pt.data.dataset, &obj, algo, e, &mk(s, lambda), "isgain")
-                    .expect("isgain run")
-            })
+            let mut c = ctx.config(epochs, lambda);
+            c.importance = ImportanceScheme::LipschitzSmoothness;
+            let exec = match algo {
+                Algorithm::Sgd | Algorithm::IsSgd => Execution::Sequential,
+                _ => Execution::Simulated {
+                    tau: 32,
+                    workers: 8,
+                },
+            };
+            train_avg(avg, &pt.data.dataset, &obj, algo, exec, &c, "isgain")
         };
         // Sequential pair (Alg. 2 vs Eq. 3) and async pair (Alg. 4 vs
         // Hogwild, τ = 32), under both step-size protocols.
@@ -77,23 +57,10 @@ pub fn run(ctx: &mut Ctx) {
                 fmt_num(psi),
                 fmt_num(pt.sup_over_mean),
                 label.to_string(),
-                epoch_speedup(&slow.trace, &fast.trace, 0.50).map_or("-".into(), fmt_num),
-                epoch_speedup(&slow.trace, &fast.trace, 0.80).map_or("-".into(), fmt_num),
-                epoch_speedup(&slow.trace, &fast.trace, 0.95).map_or("-".into(), fmt_num),
+                fmt_opt(epoch_speedup(&slow.trace, &fast.trace, 0.50)),
+                fmt_opt(epoch_speedup(&slow.trace, &fast.trace, 0.80)),
+                fmt_opt(epoch_speedup(&slow.trace, &fast.trace, 0.95)),
             ]);
         }
     }
-    let rendered = table.render();
-    println!("{rendered}");
-    println!(
-        "Expected: tuned-λ speedups grow with sup L/L̄ as ψ falls — into and\n\
-         beyond the paper's 1.13–1.54× band — and the asynchronous pair tracks\n\
-         the sequential pair (Lemma 2's 'IS-ASGD inherits IS-SGD's bound up to\n\
-         an order-wise constant'). Same-λ speedups (the paper's experimental\n\
-         protocol) collapse to the variance channel: per-epoch effective step\n\
-         mass per row is λ·L_i under both samplers, so only the gradient-noise\n\
-         reduction remains.\n"
-    );
-    ctx.write("is_gain.txt", &rendered);
-    ctx.write("is_gain.csv", &table.to_csv());
 }

@@ -1,4 +1,4 @@
-//! One module per regenerated artifact.
+//! One `fill` per regenerated artifact: its sweep and its rows.
 
 pub mod ablations;
 pub mod adaptive;

@@ -1,41 +1,20 @@
-//! Table 1 — evaluation dataset statistics, paper vs synthetic.
+//! Table 1 — evaluation dataset statistics, paper vs synthetic: per
+//! profile, the synthetic dataset's dimension, instance count, gradient
+//! sparsity, ψ/n and ρ next to the paper's values.
 
-use crate::common::{paper_objective, Ctx};
+use crate::common::{paper_objective, weights, Ctx};
 use isasgd_balance::ImportanceProfile;
 use isasgd_core::ImportanceScheme;
 use isasgd_datagen::PaperProfile;
-use isasgd_losses::importance_weights;
 use isasgd_metrics::table::{fmt_num, TextTable};
 use isasgd_sparse::DatasetStats;
 
-/// Prints the Table-1 analogue: per profile, the synthetic dataset's
-/// dimension, instance count, gradient sparsity, ψ/n and ρ next to the
-/// paper's values.
-pub fn run(ctx: &mut Ctx) {
-    println!("\n=== Table 1: evaluation datasets (paper → synthetic) ===\n");
+pub fn fill(ctx: &mut Ctx, table: &mut TextTable) {
     let obj = paper_objective();
-    let mut table = TextTable::new(vec![
-        "dataset",
-        "dim",
-        "n",
-        "grad-spa.",
-        "psi/n",
-        "rho",
-        "paper-dim",
-        "paper-n",
-        "paper-spa.",
-        "paper-psi",
-        "paper-rho",
-    ]);
     for p in PaperProfile::ALL {
         let data = ctx.dataset(p);
         let stats = DatasetStats::compute(&data.dataset);
-        let w = importance_weights(
-            &data.dataset,
-            &obj.loss,
-            obj.reg,
-            ImportanceScheme::LipschitzSmoothness,
-        );
+        let w = weights(&data.dataset, &obj, ImportanceScheme::LipschitzSmoothness);
         let prof = ImportanceProfile::compute(&w);
         let (pd, pn, pspa, ppsi, prho) = p.paper_table1();
         table.row(vec![
@@ -52,8 +31,4 @@ pub fn run(ctx: &mut Ctx) {
             fmt_num(prho),
         ]);
     }
-    let rendered = table.render();
-    println!("{rendered}");
-    ctx.write("table1.txt", &rendered);
-    ctx.write("table1.csv", &table.to_csv());
 }

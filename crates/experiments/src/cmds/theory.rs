@@ -1,7 +1,7 @@
 //! §3 — theoretical quantities: Lipschitz summaries, IS improvement
 //! factors (Eqs. 13–14), conflict degrees Δ̄ and τ budgets (Eq. 27).
 
-use crate::common::{paper_objective, Ctx};
+use crate::common::{paper_objective, weights, Ctx};
 use isasgd_analysis::theory::LipschitzSummary;
 use isasgd_analysis::{
     is_asgd_iteration_bound, is_improvement_factor, recommended_step_size, sgd_iteration_bound,
@@ -9,35 +9,14 @@ use isasgd_analysis::{
 };
 use isasgd_core::ImportanceScheme;
 use isasgd_datagen::PaperProfile;
-use isasgd_losses::importance_weights;
 use isasgd_metrics::table::{fmt_num, TextTable};
 
-/// Runs the theory calculators over the four profiles.
-pub fn run(ctx: &mut Ctx) {
-    println!("\n=== §3 theory: bounds, conflict degrees, τ budgets ===\n");
+pub fn fill(ctx: &mut Ctx, table: &mut TextTable) {
     let obj = paper_objective();
-    let mut table = TextTable::new(vec![
-        "dataset",
-        "supL",
-        "meanL",
-        "infL",
-        "IS_factor",
-        "delta_bar",
-        "n/delta",
-        "tau_budget",
-        "k_sgd",
-        "k_is",
-        "lambda*",
-    ]);
     for p in PaperProfile::ALL {
         let data = ctx.dataset(p);
         let ds = &data.dataset;
-        let w = importance_weights(
-            ds,
-            &obj.loss,
-            obj.reg,
-            ImportanceScheme::LipschitzSmoothness,
-        );
+        let w = weights(ds, &obj, ImportanceScheme::LipschitzSmoothness);
         let l = LipschitzSummary::from_weights(&w);
         let conflicts = ConflictStats::estimate(ds, 300, ctx.settings.seed);
         // Representative constants: ε = 1% of ε₀, strong convexity from a
@@ -66,14 +45,4 @@ pub fn run(ctx: &mut Ctx) {
             fmt_num(recommended_step_size(&inp, &l)),
         ]);
     }
-    let rendered = table.render();
-    println!("{rendered}");
-    println!(
-        "IS_factor = 1/sqrt(psi/n) is the Eq. 13-vs-14 bound improvement; the\n\
-         low-psi KDD profiles gain most, matching the paper's Fig. 3 ordering.\n\
-         tau_budget is Eq. 27's delay tolerance: sparser data (smaller delta_bar)\n\
-         tolerates more asynchrony.\n"
-    );
-    ctx.write("theory.txt", &rendered);
-    ctx.write("theory.csv", &table.to_csv());
 }

@@ -2,58 +2,27 @@
 //! variance along a training trajectory, under uniform sampling, the
 //! static IS schemes, and the per-iterate optimal distribution (Eq. 11).
 
-use crate::common::{paper_objective, Ctx};
+use crate::common::{paper_objective, weights, Ctx};
 use isasgd_analysis::gradient_variance;
-use isasgd_core::{train, Algorithm, Execution, ImportanceScheme, TrainConfig};
+use isasgd_core::{train, Algorithm, Execution, ImportanceScheme};
 use isasgd_datagen::PaperProfile;
-use isasgd_losses::importance_weights;
 use isasgd_metrics::table::{fmt_num, TextTable};
 
 /// Runs the variance instrumentation on two representative profiles.
-pub fn run(ctx: &mut Ctx) {
-    println!("\n=== Eq. 10: stochastic-gradient variance along the trajectory ===\n");
+pub fn fill(ctx: &mut Ctx, table: &mut TextTable) {
     let obj = paper_objective();
-    let mut table = TextTable::new(vec![
-        "dataset",
-        "epoch",
-        "V_uniform",
-        "V_smoothness",
-        "V_gradnorm",
-        "V_optimal",
-        "gradnorm_reduction",
-    ]);
     for p in [PaperProfile::News20, PaperProfile::KddBridge] {
         let data = ctx.dataset_training(p);
         let ds = &data.dataset;
-        let w_smooth = importance_weights(
-            ds,
-            &obj.loss,
-            obj.reg,
-            ImportanceScheme::LipschitzSmoothness,
-        );
-        let w_gnorm = importance_weights(
-            ds,
-            &obj.loss,
-            obj.reg,
-            ImportanceScheme::GradNormBound { radius: 1.0 },
-        );
+        let w_smooth = weights(ds, &obj, ImportanceScheme::LipschitzSmoothness);
+        let w_gnorm = weights(ds, &obj, ImportanceScheme::GradNormBound { radius: 1.0 });
         // Walk an SGD trajectory and measure at a few checkpoints by
         // re-training to increasing epoch budgets (deterministic seed ⇒
         // nested prefixes of the same trajectory).
         for epochs in [1usize, 4, 10] {
-            let cfg = TrainConfig::default()
-                .with_epochs(epochs)
-                .with_step_size(p.paper_step_size())
-                .with_seed(ctx.settings.seed);
-            let run = train(
-                ds,
-                &obj,
-                Algorithm::Sgd,
-                Execution::Sequential,
-                &cfg,
-                p.id(),
-            )
-            .expect("sgd trajectory");
+            let cfg = ctx.config(epochs, p.paper_step_size());
+            let (algo, exec) = (Algorithm::Sgd, Execution::Sequential);
+            let run = train(ds, &obj, algo, exec, &cfg, p.id()).expect("sgd trajectory");
             let rs = gradient_variance(ds, &obj, &run.model, &w_smooth);
             let rg = gradient_variance(ds, &obj, &run.model, &w_gnorm);
             table.row(vec![
@@ -67,13 +36,4 @@ pub fn run(ctx: &mut Ctx) {
             ]);
         }
     }
-    let rendered = table.render();
-    println!("{rendered}");
-    println!(
-        "V_optimal is the Eq. 11 floor (p ∝ ‖∇f_i(w_t)‖, impractical); the static\n\
-         gradient-norm scheme tracks it far closer than the smoothness scheme on\n\
-         the logistic objective, matching the scheme choice in DESIGN.md.\n"
-    );
-    ctx.write("variance.txt", &rendered);
-    ctx.write("variance.csv", &table.to_csv());
 }

@@ -1,8 +1,15 @@
-//! Shared experiment context: dataset cache, output locations, presets.
+//! Shared experiment context: dataset cache, output locations, presets,
+//! and the run scaffolding every artifact repeats.
 
-use isasgd_core::{importance_weights, ImportanceScheme, Objective, Regularizer, SquaredLoss};
+use isasgd_core::{
+    importance_weights, train, Algorithm, Dataset, Execution, ImportanceScheme, Loss, Objective,
+    Regularizer, RunResult, SquaredLoss, TrainConfig,
+};
 use isasgd_datagen::{generate, DatasetProfile, FeatureKind, GeneratedData, PaperProfile};
+use isasgd_metrics::table::fmt_num;
+use isasgd_metrics::Trace;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -13,7 +20,7 @@ pub fn paper_objective() -> Objective<isasgd_core::LogisticLoss> {
 }
 
 /// Squared loss + light L2: the curvature-dominated (Kaczmarz) objective
-/// the ψ sweeps (`is-gain`, `ablation-adaptive`, `ablation-intra-epoch`)
+/// the ψ sweeps (IS gain, static vs adaptive, commit policy)
 /// train, where the IS theory's `sup L/L̄` gain is not clipped by a
 /// saturating loss.
 pub fn sweep_objective() -> Objective<SquaredLoss> {
@@ -56,10 +63,9 @@ pub fn psi_sweep(name: &'static str, psi: f64, seed: u64) -> PsiPoint {
         noise_nnz_coupling: 0.0,
     };
     let data = generate(&profile, seed);
-    let w = importance_weights(
+    let w = weights(
         &data.dataset,
-        &SquaredLoss,
-        sweep_objective().reg,
+        &sweep_objective(),
         ImportanceScheme::LipschitzSmoothness,
     );
     let mean = w.iter().sum::<f64>() / w.len() as f64;
@@ -70,6 +76,11 @@ pub fn psi_sweep(name: &'static str, psi: f64, seed: u64) -> PsiPoint {
         lambda_u: 0.5 / sup,
         lambda_is: 0.4 / mean,
     }
+}
+
+/// The importance weights `scheme` gives the rows of `ds` under `obj`.
+pub fn weights<L: Loss>(ds: &Dataset, obj: &Objective<L>, scheme: ImportanceScheme) -> Vec<f64> {
+    importance_weights(ds, &obj.loss, obj.reg, scheme)
 }
 
 /// Global experiment settings parsed from the CLI.
@@ -87,12 +98,10 @@ pub struct Settings {
     pub taus: Vec<usize>,
     /// Real thread counts for wall-clock experiments.
     pub threads: Vec<usize>,
-    /// Wall-clock repetitions per configuration in fig4 (median kept).
-    pub reps: usize,
-    /// Independent seeds averaged per convergence curve (fig3/fig4). The
-    /// paper's epochs cover 10⁶–10⁷ samples and its curves self-average;
-    /// scaled-down runs need explicit seed-averaging for the same
-    /// smoothness.
+    /// Independent seeds averaged per convergence curve (and, on the
+    /// wall-clock axis, per timing). The paper's epochs cover 10⁶–10⁷
+    /// samples and its curves self-average; scaled-down runs need
+    /// explicit seed-averaging for the same smoothness.
     pub avg_runs: usize,
 }
 
@@ -108,7 +117,6 @@ impl Default for Settings {
             seed: 0x5EED_1501,
             taus: vec![16, 32, 44],
             threads: vec![1, host],
-            reps: 3,
             avg_runs: 3,
         }
     }
@@ -121,7 +129,6 @@ impl Settings {
             scale: 0.05,
             epochs: Some(4),
             taus: vec![8, 16],
-            reps: 1,
             avg_runs: 1,
             ..Settings::default()
         }
@@ -143,11 +150,29 @@ impl Settings {
     }
 }
 
-/// Lazily generated, process-wide dataset cache.
+/// The tally of checked claims: SNIPPETS.md's report shape (total,
+/// passed, one printed line per item) without the per-item list.
+#[derive(Debug, Default)]
+pub struct Claims {
+    /// Checks evaluated so far.
+    pub total: usize,
+    /// Those whose measurement fell inside its band.
+    pub passed: usize,
+    /// A check of a deterministic artifact failed: the process exits 1.
+    pub broken: bool,
+}
+
+/// What one process run carries from artifact to artifact: settings, the
+/// lazily generated dataset cache, and the claims tally.
 pub struct Ctx {
     /// CLI settings.
     pub settings: Settings,
-    cache: HashMap<&'static str, Arc<GeneratedData>>,
+    /// Output stem of the artifact being filled; every file it writes is
+    /// `<stem><suffix>`.
+    pub stem: String,
+    /// Checks evaluated by the runner.
+    pub claims: Claims,
+    cache: HashMap<(PaperProfile, bool), Arc<GeneratedData>>,
 }
 
 impl Ctx {
@@ -156,6 +181,8 @@ impl Ctx {
         std::fs::create_dir_all(&settings.out_dir)?;
         Ok(Ctx {
             settings,
+            stem: String::new(),
+            claims: Claims::default(),
             cache: HashMap::new(),
         })
     }
@@ -175,49 +202,62 @@ impl Ctx {
     }
 
     fn dataset_inner(&mut self, p: PaperProfile, training: bool) -> Arc<GeneratedData> {
-        let scale = self.settings.scale;
-        let seed = self.settings.seed;
-        let key: &'static str = match (p, training) {
-            (PaperProfile::News20, false) => "news20",
-            (PaperProfile::Url, false) => "url",
-            (PaperProfile::KddAlgebra, false) => "kdd_algebra",
-            (PaperProfile::KddBridge, false) => "kdd_bridge",
-            (PaperProfile::News20, true) => "news20_t",
-            (PaperProfile::Url, true) => "url_t",
-            (PaperProfile::KddAlgebra, true) => "kdd_algebra_t",
-            (PaperProfile::KddBridge, true) => "kdd_bridge_t",
-        };
+        let (scale, seed) = (self.settings.scale, self.settings.seed);
         self.cache
-            .entry(key)
+            .entry((p, training))
             .or_insert_with(|| {
                 let base = if training { p.training() } else { p.scaled() };
                 let profile = base.scaled_by(scale);
+                let tag = if training {
+                    " [training-calibrated]"
+                } else {
+                    ""
+                };
                 eprintln!(
-                    "[datagen] {}{} (d={}, n={}, ~{} nnz/row)…",
-                    profile.name,
-                    if training {
-                        " [training-calibrated]"
-                    } else {
-                        ""
-                    },
-                    profile.dim,
-                    profile.n_samples,
-                    profile.mean_nnz
+                    "[datagen] {}{tag} (d={}, n={}, ~{} nnz/row)…",
+                    profile.name, profile.dim, profile.n_samples, profile.mean_nnz
                 );
                 Arc::new(generate(&profile, seed))
             })
             .clone()
     }
 
-    /// Writes an artifact under the output directory, echoing the path.
-    pub fn write(&self, name: &str, content: &str) {
-        let path = self.settings.out_dir.join(name);
-        if let Err(e) = std::fs::write(&path, content) {
-            eprintln!("[warn] failed to write {}: {e}", path.display());
-        } else {
-            eprintln!("[out] {}", path.display());
-        }
+    /// The run configuration every artifact starts from: its epoch
+    /// budget and step size under the master seed.
+    pub fn config(&self, epochs: usize, step: f64) -> TrainConfig {
+        TrainConfig::default()
+            .with_epochs(epochs)
+            .with_step_size(step)
+            .with_seed(self.settings.seed)
     }
+
+    /// A progress line on stderr, tagged with the running artifact.
+    pub fn log(&self, msg: &str) {
+        eprintln!("[{}] {msg}", self.stem);
+    }
+
+    /// Writes `<stem><suffix>` under the output directory, echoing the
+    /// path. A missing artifact is a failed run, not a warning: exits 1.
+    pub fn write(&self, suffix: &str, content: &str) {
+        let path = self.settings.out_dir.join(format!("{}{suffix}", self.stem));
+        if let Err(e) = std::fs::write(&path, content) {
+            eprintln!("error: cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+        eprintln!("[out] {}", path.display());
+    }
+
+    /// Writes the traces behind a curve artifact as `<stem>_traces.json`.
+    pub fn write_traces(&self, traces: &[Trace]) {
+        let json = serde_json::to_string_pretty(traces).expect("traces serialise");
+        self.write("_traces.json", &json);
+    }
+}
+
+/// A table cell for a value that may not exist (`-`): a target never
+/// reached, a ratio with no denominator.
+pub fn fmt_opt(x: Option<f64>) -> String {
+    x.map_or("-".into(), fmt_num)
 }
 
 /// Error-rate target grid between `lo` (exclusive best) and `hi`,
@@ -231,24 +271,65 @@ pub fn error_grid(lo: f64, hi: f64, k: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Runs `f(run_seed)` once per derived seed and returns the last result
-/// with its trace replaced by the pointwise seed-average (timings and
-/// setup costs averaged too). See
-/// [`average_traces`](isasgd_metrics::trace::average_traces) for why
-/// scaled-down curves need this.
-pub fn run_averaged<F: FnMut(u64) -> isasgd_core::RunResult>(
-    avg_runs: usize,
-    master_seed: u64,
-    mut f: F,
-) -> isasgd_core::RunResult {
-    let seeds = isasgd_sampling::rng::derive_seeds(master_seed, avg_runs.max(1));
-    merge_results(seeds.iter().map(|&s| f(s)).collect())
+/// The curve CSV of the convergence figures, written as
+/// `<stem>_curves.csv`: one row per trace point, keyed by dataset,
+/// algorithm and the figure's concurrency axis.
+pub struct CurveCsv {
+    wall: bool,
+    pub text: String,
+}
+
+impl CurveCsv {
+    /// An empty CSV whose concurrency column is `axis`; `wall` adds the
+    /// wall-clock column (left out where the file must not depend on
+    /// the host).
+    pub fn new(axis: &str, wall: bool) -> CurveCsv {
+        let wall_col = if wall { "wall_secs," } else { "" };
+        let text = format!("dataset,algo,{axis},epoch,{wall_col}rmse,error_rate,objective\n");
+        CurveCsv { wall, text }
+    }
+
+    /// Appends `trace`'s points at concurrency `k`.
+    pub fn push(&mut self, k: usize, trace: &Trace) {
+        for q in &trace.points {
+            let wall = self.wall.then(|| format!("{},", q.wall_secs));
+            let _ = writeln!(
+                self.text,
+                "{},{},{k},{},{}{},{},{}",
+                trace.dataset,
+                trace.algorithm,
+                q.epoch,
+                wall.unwrap_or_default(),
+                q.rmse,
+                q.error_rate,
+                q.objective
+            );
+        }
+    }
+}
+
+/// Trains `cfg` once per seed derived from its own (`runs` of them, at
+/// least one) and merges the runs: scaled-down curves need the
+/// seed-average the paper's 10⁶-sample epochs get for free (see
+/// [`average_traces`](isasgd_metrics::trace::average_traces)).
+pub fn train_avg<L: Loss>(
+    runs: usize,
+    ds: &Dataset,
+    obj: &Objective<L>,
+    algo: Algorithm,
+    exec: Execution,
+    cfg: &TrainConfig,
+    label: &str,
+) -> RunResult {
+    let seeds = isasgd_sampling::rng::derive_seeds(cfg.seed, runs.max(1));
+    let run = |&s| train(ds, obj, algo, exec, &cfg.with_seed(s), label).expect("valid experiment");
+    merge_results(seeds.iter().map(run).collect())
 }
 
 /// Merges several runs of one configuration into a single result: traces
 /// pointwise-averaged, timings averaged, model/metrics from the last run.
-pub fn merge_results(runs: Vec<isasgd_core::RunResult>) -> isasgd_core::RunResult {
-    let traces: Vec<isasgd_metrics::Trace> = runs.iter().map(|r| r.trace.clone()).collect();
+pub fn merge_results(runs: Vec<RunResult>) -> RunResult {
+    let traces: Vec<Trace> = runs.iter().map(|r| r.trace.clone()).collect();
     let k = runs.len() as f64;
     let setup_secs = runs.iter().map(|r| r.setup_secs).sum::<f64>() / k;
     let train_secs = runs.iter().map(|r| r.train_secs).sum::<f64>() / k;

@@ -2,39 +2,19 @@
 //!
 //! ```text
 //! isasgd-experiments [FLAGS] <COMMAND>...
-//!
-//! COMMANDS
-//!   table1            Table 1  — dataset statistics (dim, n, sparsity, ψ, ρ)
-//!   fig1              Figure 1 — dense µ vs index-compressed update cost
-//!   fig2              Figure 2 — importance balancing vs random sharding
-//!   fig3              Figure 3 — iterative convergence (epoch axis), τ sweep
-//!   fig4              Figure 4 — absolute convergence (wall-clock axis)
-//!   fig5              Figure 5 — error-rate → speedup slices
-//!   summary           §4.2     — speedup summary numbers
-//!   ablation-balance  §2.3/2.4 — balanced vs shuffled IS-ASGD
-//!   ablation-seq      §4.2     — regenerate vs shuffle-once sequences
-//!   ablation-svrg     §1.2     — literature vs skip-µ SVRG
-//!   ablation-scheme   Eq. 12   — importance scheme × ψ × step regime
-//!   ablation-adaptive Eq. 11   — static vs adaptive importance sampling
-//!   ablation-intra-epoch       — epoch vs every-k adaptive commit policy
-//!   is-gain           §2.2     — provable-regime IS speedup sweep
-//!   cluster           §2.3     — per-node balancing in the local-SGD setting
-//!   theory            §3       — bound calculators, τ budgets, Δ̄
-//!   all               everything above
-//!
-//! FLAGS
-//!   --quick           tiny datasets + few epochs (CI smoke preset)
-//!   --scale <f>       scale factor on profile sizes       [default 1.0]
-//!   --epochs <n>      override per-profile epoch counts
-//!   --seed <n>        master seed                         [default fixed]
-//!   --taus <a,b,..>   simulated delay sweep               [default 16,32,44]
-//!   --threads <a,..>  real-thread sweep for fig4          [default 1,host]
-//!   --avg <n>         seeds averaged per curve            [default 3]
-//!   --out <dir>       output directory                    [default results/]
 //! ```
+//!
+//! A command is a row of [`artifacts::ARTIFACTS`] (or `all`); `--help`
+//! prints the table with each row's paper reference, and the flags.
+//! Each artifact prints its table, writes `<stem>.txt`/`.csv` under
+//! `--out`, and holds the numbers its note promises against a band
+//! (`PASS`/`FAIL` lines, a final `claims: passed/total`). Exit status:
+//! 0, 1 when a file cannot be written or a check of a deterministic
+//! artifact fails, 2 on a bad command line.
 
 #![forbid(unsafe_code)]
 
+mod artifacts;
 mod cmds;
 mod common;
 
@@ -44,19 +24,19 @@ fn parse_list(s: &str) -> Option<Vec<usize>> {
     s.split(',').map(|t| t.trim().parse().ok()).collect()
 }
 
-fn next_value<'a>(args: &'a [String], i: &mut usize, key: &str) -> &'a str {
-    if *i + 1 < args.len() {
-        *i += 1;
-        &args[*i]
-    } else {
-        eprintln!("missing value for {key}");
+/// The value after flag `args[*i]`, through `parse`; exits 2 when it is
+/// missing or malformed.
+fn value<T>(args: &[String], i: &mut usize, parse: impl Fn(&str) -> Option<T>) -> T {
+    let flag = &args[*i];
+    *i += 1;
+    let Some(v) = args.get(*i) else {
+        eprintln!("missing value for {flag}");
         std::process::exit(2);
-    }
-}
-
-fn bad_flag(flag: &str, v: &str) -> ! {
-    eprintln!("bad value '{v}' for {flag}");
-    std::process::exit(2);
+    };
+    parse(v).unwrap_or_else(|| {
+        eprintln!("bad value '{v}' for {flag}");
+        std::process::exit(2);
+    })
 }
 
 fn main() {
@@ -65,43 +45,17 @@ fn main() {
     let mut commands: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
-        let a = args[i].as_str();
-        match a {
+        match args[i].as_str() {
             "--quick" => settings = Settings::quick(),
-            "--scale" => {
-                let v = next_value(&args, &mut i, a);
-                settings.scale = v.parse().unwrap_or_else(|_| bad_flag(a, v));
-            }
-            "--epochs" => {
-                let v = next_value(&args, &mut i, a);
-                settings.epochs = Some(v.parse().unwrap_or_else(|_| bad_flag(a, v)));
-            }
-            "--seed" => {
-                let v = next_value(&args, &mut i, a);
-                settings.seed = v.parse().unwrap_or_else(|_| bad_flag(a, v));
-            }
-            "--taus" => {
-                let v = next_value(&args, &mut i, a);
-                settings.taus = parse_list(v).unwrap_or_else(|| bad_flag(a, v));
-            }
-            "--threads" => {
-                let v = next_value(&args, &mut i, a);
-                settings.threads = parse_list(v).unwrap_or_else(|| bad_flag(a, v));
-            }
-            "--reps" => {
-                let v = next_value(&args, &mut i, a);
-                settings.reps = v.parse().unwrap_or_else(|_| bad_flag(a, v));
-            }
-            "--avg" => {
-                let v = next_value(&args, &mut i, a);
-                settings.avg_runs = v.parse().unwrap_or_else(|_| bad_flag(a, v));
-            }
-            "--out" => {
-                let v = next_value(&args, &mut i, a);
-                settings.out_dir = v.into();
-            }
+            "--scale" => settings.scale = value(&args, &mut i, |v| v.parse().ok()),
+            "--epochs" => settings.epochs = Some(value(&args, &mut i, |v| v.parse().ok())),
+            "--seed" => settings.seed = value(&args, &mut i, |v| v.parse().ok()),
+            "--taus" => settings.taus = value(&args, &mut i, parse_list),
+            "--threads" => settings.threads = value(&args, &mut i, parse_list),
+            "--avg" => settings.avg_runs = value(&args, &mut i, |v| v.parse().ok()),
+            "--out" => settings.out_dir = value(&args, &mut i, |v| Some(v.into())),
             "--help" | "-h" => {
-                print!("{HELP}");
+                print!("{}", artifacts::help());
                 return;
             }
             cmd if !cmd.starts_with('-') => commands.push(cmd.to_string()),
@@ -113,85 +67,25 @@ fn main() {
         i += 1;
     }
     if commands.is_empty() {
-        print!("{HELP}");
+        print!("{}", artifacts::help());
         std::process::exit(2);
     }
+    // Every name is resolved before anything runs: a typo after a
+    // minutes-long figure must not cost the figure.
+    let todo = artifacts::resolve(&commands).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
 
-    let mut ctx = Ctx::new(settings).expect("cannot create output directory");
-    for cmd in &commands {
-        run_command(&mut ctx, cmd);
+    let mut ctx = Ctx::new(settings).unwrap_or_else(|e| {
+        eprintln!("error: cannot create the output directory: {e}");
+        std::process::exit(1);
+    });
+    for a in todo {
+        artifacts::run(&mut ctx, a);
+    }
+    println!("claims: {}/{}", ctx.claims.passed, ctx.claims.total);
+    if ctx.claims.broken {
+        std::process::exit(1);
     }
 }
-
-fn run_command(ctx: &mut Ctx, cmd: &str) {
-    match cmd {
-        "table1" => cmds::table1::run(ctx),
-        "fig1" => cmds::fig1::run(ctx),
-        "fig2" => cmds::fig2::run(ctx),
-        "fig3" => {
-            cmds::fig3::run(ctx);
-        }
-        "fig4" => {
-            cmds::fig4::run(ctx);
-        }
-        "fig5" => cmds::fig5::run(ctx),
-        "summary" => cmds::summary::run(ctx),
-        "ablation-balance" => cmds::ablations::balance(ctx),
-        "ablation-seq" => cmds::ablations::sequences(ctx),
-        "ablation-svrg" => cmds::ablations::svrg(ctx),
-        "ablation-scheme" => cmds::ablations::schemes(ctx),
-        "ablation-adaptive" => cmds::adaptive::run(ctx),
-        "ablation-intra-epoch" => cmds::intra_epoch::run(ctx),
-        "is-gain" => cmds::isgain::run(ctx),
-        "cluster" => cmds::cluster::run(ctx),
-        "theory" => cmds::theory::run(ctx),
-        "variance" => cmds::variance::run(ctx),
-        "dense-crossover" => cmds::dense::run(ctx),
-        "all" => {
-            for c in [
-                "table1",
-                "fig1",
-                "fig2",
-                "fig3",
-                "fig4",
-                "fig5",
-                "summary",
-                "ablation-balance",
-                "ablation-seq",
-                "ablation-svrg",
-                "ablation-scheme",
-                "ablation-adaptive",
-                "ablation-intra-epoch",
-                "is-gain",
-                "cluster",
-                "theory",
-                "variance",
-                "dense-crossover",
-            ] {
-                run_command(ctx, c);
-            }
-        }
-        other => {
-            eprintln!("unknown command {other}; see --help");
-            std::process::exit(2);
-        }
-    }
-}
-
-const HELP: &str = "\
-isasgd-experiments — regenerate the IS-ASGD paper's tables and figures
-
-USAGE: isasgd-experiments [FLAGS] <COMMAND>...
-
-COMMANDS
-  table1 fig1 fig2 fig3 fig4 fig5 summary
-  ablation-balance ablation-seq ablation-svrg ablation-scheme
-  ablation-adaptive ablation-intra-epoch is-gain cluster theory variance
-  dense-crossover all
-
-FLAGS
-  --quick | --scale <f> | --epochs <n> | --seed <n>
-  --taus <a,b,..> | --threads <a,b,..> | --reps <n> | --avg <n> | --out <dir>
-
-Run with --release; figures involve full training runs.
-";

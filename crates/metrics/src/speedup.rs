@@ -4,19 +4,23 @@ use crate::interpolate::{time_to_error, time_to_target};
 use crate::trace::Trace;
 use serde::{Deserialize, Serialize};
 
+/// `a / b` where both are known and `b` is positive: the speedup of the
+/// run that took `b` over the run that took `a`, `None` where either
+/// never got there.
+pub fn ratio(a: Option<f64>, b: Option<f64>) -> Option<f64> {
+    match (a, b) {
+        (Some(a), Some(b)) if b > 0.0 => Some(a / b),
+        _ => None,
+    }
+}
+
 /// Speedup of `fast` over `base` at a grid of error-rate targets:
 /// `speedup(e) = time_base(e) / time_fast(e)`. `None` where either trace
 /// never reaches the target.
 pub fn speedup_curve(base: &Trace, fast: &Trace, targets: &[f64]) -> Vec<(f64, Option<f64>)> {
     targets
         .iter()
-        .map(|&e| {
-            let s = match (time_to_error(base, e), time_to_error(fast, e)) {
-                (Some(tb), Some(tf)) if tf > 0.0 => Some(tb / tf),
-                _ => None,
-            };
-            (e, s)
-        })
+        .map(|&e| (e, ratio(time_to_error(base, e), time_to_error(fast, e))))
         .collect()
 }
 
@@ -40,10 +44,7 @@ pub fn epoch_speedup(slow: &Trace, fast: &Trace, frac: f64) -> Option<f64> {
     let start = cs.first()?.1;
     let end = cs.last()?.1;
     let target = end + (start - end) * (1.0 - frac);
-    match (time_to_target(&cs, target), time_to_target(&cf, target)) {
-        (Some(a), Some(b)) if b > 0.0 => Some(a / b),
-        _ => None,
-    }
+    ratio(time_to_target(&cs, target), time_to_target(&cf, target))
 }
 
 /// Aggregate speedup statistics, the numbers quoted in the paper's §4.2

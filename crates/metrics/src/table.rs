@@ -38,6 +38,19 @@ impl TextTable {
         self.rows.is_empty()
     }
 
+    /// The cells under `header`, top to bottom (a row too short to have
+    /// one reads as empty; an unknown header as no cells) — how a check
+    /// reads a filled table back.
+    pub fn column(&self, header: &str) -> Vec<&str> {
+        let Some(i) = self.headers.iter().position(|h| h == header) else {
+            return Vec::new();
+        };
+        self.rows
+            .iter()
+            .map(|r| r.get(i).map_or("", String::as_str))
+            .collect()
+    }
+
     fn widths(&self) -> Vec<usize> {
         let ncols = self
             .rows
@@ -130,6 +143,15 @@ mod tests {
         let mut t = TextTable::new(vec!["a", "b"]);
         t.row(vec!["1", "2"]);
         assert_eq!(t.to_csv(), "a,b\n1,2\n");
+    }
+
+    #[test]
+    fn column_reads_cells_back() {
+        let mut t = TextTable::new(vec!["a", "b"]);
+        t.row(vec!["1", "2"]);
+        t.row(vec!["3"]);
+        assert_eq!(t.column("b"), ["2", ""]);
+        assert!(t.column("c").is_empty());
     }
 
     #[test]

@@ -36,7 +36,6 @@
 pub mod dataset;
 pub mod error;
 pub mod libsvm;
-pub mod ops;
 pub mod split;
 pub mod stats;
 pub mod vector;

@@ -67,8 +67,9 @@ fn main() {
         "svm",
     )
     .expect("asgd");
-    // IS at its own stability edge (tuned-λ protocol — see
-    // EXPERIMENTS.md "Where the 1.13–1.54× lives").
+    // IS at its own stability edge: the tuned-λ protocol of
+    // `isasgd-experiments is-gain`, the regime where the paper's
+    // 1.13–1.54× factors appear.
     let mut cfg = mk(ImportanceScheme::LipschitzSmoothness);
     cfg.step_size = 0.4 / mean;
     let is_asgd =

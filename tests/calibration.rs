@@ -1,5 +1,6 @@
 //! The synthetic profiles must land on the paper's Table-1 targets — the
-//! contract that makes the substitution (DESIGN.md §2) valid.
+//! contract that makes substituting generated data for the paper's
+//! datasets valid (README: "calibrated to the paper's Table 1").
 
 use is_asgd::balance::metrics::{psi_normalized, rho};
 use is_asgd::prelude::*;

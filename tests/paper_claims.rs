@@ -115,8 +115,9 @@ fn svrg_pays_the_dense_mu_cost_on_sparse_data() {
 /// §2.4 / Fig. 2: head-tail balancing equalizes shard importance against
 /// the adversarial (importance-sorted) layout it was designed for, and
 /// the greedy-LPT extension stays balanced even on the right-skewed
-/// distributions where the paper's pair heuristic degrades (see
-/// EXPERIMENTS.md, "balancing under skew").
+/// distributions where the paper's pair heuristic degrades (its pair
+/// sums concentrate the heavy tail in one contiguous block; the `cluster`
+/// artifact of `isasgd-experiments` shows it growing with node count).
 #[test]
 fn balancing_equalizes_shard_importance() {
     use is_asgd::balance::{greedy_lpt_balance, head_tail_balance, ShardReport};
