@@ -19,7 +19,7 @@
 //!   plus an *owed extra copy* that is itself a later, separately
 //!   schedulable step, which is precisely the window the historical
 //!   teardown race lived in), **hold** (park the message in the
-//!   endpoint, [`FaultingTransport`]-style: flushed after the next
+//!   endpoint, [`FlakyTransport`]-style: flushed after the next
 //!   send, before the next recv, or at drop), or **drop** (discard);
 //! * a blocked `recv` on a non-empty channel resolves by delivering
 //!   slot 0, or — with the reorder fault — a later slot;
@@ -38,10 +38,10 @@
 //!
 //! Extra copies (duplicates, held-message flushes) that meet a closed
 //! channel are swallowed best-effort, exactly like the fixed
-//! [`FaultingTransport`]; `strict_extras` resurrects the historical
+//! [`FlakyTransport`]; `strict_extras` resurrects the historical
 //! strict propagation for the PR-4 teardown-race regression.
 //!
-//! [`FaultingTransport`]: isasgd_cluster::FaultingTransport
+//! [`FlakyTransport`]: isasgd_cluster::FlakyTransport
 
 use crate::explore::{Choice, Chooser};
 use isasgd_cluster::{Message, Transport, TransportError};
@@ -941,7 +941,7 @@ impl Transport for ModelEndpoint {
                 if held {
                     return Ok(());
                 }
-                // FaultingTransport parity: release a previously held
+                // FlakyTransport parity: release a previously held
                 // message *after* this one (the observable reorder).
                 let mut st = lock(&self.shared);
                 if st.aborted {

@@ -41,18 +41,7 @@ fn run_inner(o: &Opts) -> Result<(), String> {
     let text = std::fs::read_to_string(&path).map_err(|e| format!("reading trace {path}: {e}"))?;
     let report = analyze(&text)?;
     print!("{}", report.render(&path));
-    if expect_rounds > 0 {
-        let missing: Vec<u64> = (1..=expect_rounds)
-            .filter(|r| !report.rounds.get(r).is_some_and(|row| row.closed))
-            .collect();
-        if !missing.is_empty() {
-            return Err(format!(
-                "trace covers {} of {expect_rounds} expected rounds; missing round_end for {missing:?}",
-                report.rounds.len()
-            ));
-        }
-    }
-    Ok(())
+    report.expect_rounds(expect_rounds)
 }
 
 /// What one `round_end` event recorded.
@@ -197,6 +186,22 @@ fn ms(us: u64) -> String {
 }
 
 impl TraceReport {
+    /// `--expect-rounds n`: every round `1..=n` must have been closed by
+    /// a `round_end` (a row that only a `worker_timing` opened is not
+    /// coverage, in the check or in the count the failure reports).
+    fn expect_rounds(&self, n: u64) -> Result<(), String> {
+        let missing: Vec<u64> = (1..=n)
+            .filter(|r| !self.rounds.get(r).is_some_and(|row| row.closed))
+            .collect();
+        if missing.is_empty() {
+            return Ok(());
+        }
+        Err(format!(
+            "trace covers {} of {n} expected rounds; missing round_end for {missing:?}",
+            n - missing.len() as u64
+        ))
+    }
+
     fn render(&self, path: &str) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -316,6 +321,29 @@ mod tests {
         assert!(text.contains("[rounds]"), "{text}");
         assert!(text.contains("[workers]"), "{text}");
         assert!(text.contains("0:0.9ms/0.0ms"), "{text}");
+    }
+
+    #[test]
+    fn expect_rounds_counts_closed_rounds_only() {
+        // Round 3 has worker timings but no round_end: its row exists,
+        // and used to be counted as covered ("covers 3 of 3 … missing
+        // round_end for [3]").
+        let end = |r: u64| {
+            format!(
+                r#"{{"ts_us":{r},"event":"round_end","round":{r},"objective":0.5,"rmse":0.7,"error_rate":0.25,"wall_us":10}}"#
+            )
+        };
+        let open = line(
+            r#"{"ts_us":9,"event":"worker_timing","node":0,"round":3,"compute_us":900,"barrier_wait_us":30,"rows":64,"commits":8}"#,
+        );
+        let r = analyze(&[end(1), end(2), open].join("\n")).unwrap();
+        assert_eq!(r.rounds.len(), 3);
+        assert_eq!(r.expect_rounds(0), Ok(()));
+        assert_eq!(r.expect_rounds(2), Ok(()));
+        assert_eq!(
+            r.expect_rounds(3).unwrap_err(),
+            "trace covers 2 of 3 expected rounds; missing round_end for [3]"
+        );
     }
 
     #[test]

@@ -110,11 +110,6 @@ fn execute(
 
     let r = match &spec.cluster {
         Some(cluster) => {
-            if init.is_some() {
-                return Err("--init-model is not supported with --cluster \
-                            (cluster training starts from the zero model)"
-                    .into());
-            }
             let run = run_cluster(spec, cluster, &train_ds)?;
             report_cluster(spec, cluster, &run, test_ds.as_ref(), quiet);
             // Reuse the model-save path below through a RunResult-free

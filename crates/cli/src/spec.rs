@@ -80,9 +80,9 @@ pub fn parse_algorithm(s: &str) -> Option<Algorithm> {
         "asgd" => Algorithm::Asgd,
         "is-asgd" => Algorithm::IsAsgd,
         "svrg" | "svrg-sgd" => Algorithm::SvrgSgd(SvrgVariant::Literature),
-        "svrg-asgd" => Algorithm::SvrgAsgd(SvrgVariant::Literature),
+        "svrg-asgd" => Algorithm::SvrgAsgd,
         "svrg-skipmu" => Algorithm::SvrgSgd(SvrgVariant::SkipMu),
-        "saga" => Algorithm::Saga(SvrgVariant::Literature),
+        "saga" => Algorithm::Saga,
         _ => return None,
     })
 }
@@ -104,7 +104,7 @@ impl TrainSpec {
         let workers: usize = o.get_parsed_or("workers", 4, "usize")?;
         let is_async = matches!(
             algorithm,
-            Algorithm::Asgd | Algorithm::IsAsgd | Algorithm::SvrgAsgd(_)
+            Algorithm::Asgd | Algorithm::IsAsgd | Algorithm::SvrgAsgd
         );
         let execution = match (tau, threads) {
             (Some(tau), _) => Execution::Simulated { tau, workers },
@@ -212,6 +212,13 @@ impl TrainSpec {
                     "cluster",
                     "with --tau/--threads".into(),
                     "cluster nodes run sequential local SGD; drop --tau/--threads",
+                ));
+            }
+            if let Some(v) = o.get("init-model") {
+                return Err(bad(
+                    "init-model",
+                    v,
+                    "not supported with --cluster: cluster training starts from the zero model",
                 ));
             }
             let nodes: usize = match cluster_nodes {
@@ -406,8 +413,8 @@ mod tests {
             ("asgd", Algorithm::Asgd),
             ("is-asgd", Algorithm::IsAsgd),
             ("svrg", Algorithm::SvrgSgd(SvrgVariant::Literature)),
-            ("svrg-asgd", Algorithm::SvrgAsgd(SvrgVariant::Literature)),
-            ("saga", Algorithm::Saga(SvrgVariant::Literature)),
+            ("svrg-asgd", Algorithm::SvrgAsgd),
+            ("saga", Algorithm::Saga),
         ] {
             assert_eq!(parse_algorithm(name), Some(algo), "{name}");
         }

@@ -622,6 +622,24 @@ fn helpful_errors_and_help() {
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("sclae"));
+
+    // A flag conflict is refused before any file is opened: neither path
+    // exists, and the error is the conflict, not a read failure.
+    let out = bin()
+        .args(["train", "/no/such/data.svm", "--cluster", "2"])
+        .args(["--init-model", "/no/such/model.json"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("--init-model") && err.contains("not supported with --cluster"),
+        "{err}"
+    );
+    assert!(
+        !err.contains("data.svm") && !err.contains("No such file"),
+        "{err}"
+    );
 }
 
 #[test]

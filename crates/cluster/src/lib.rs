@@ -72,9 +72,9 @@ pub use node::{run, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs, Round
 pub use procnode::{run_worker, WorkerOptions, WorkerReport};
 pub use sync::{average_models, SyncStrategy};
 pub use transport::{
-    in_process_links, tcp_loopback_links, FaultPolicy, FaultingTransport, FlakyTransport,
-    InProcess, LinkStats, ProcessConfig, RandomWalk, RecoveryFootprint, SendFault, Tcp,
-    TelemetrySample, Transport, TransportConfig, TransportError, WorkerLossPolicy,
+    in_process_links, tcp_loopback_links, FlakyTransport, InProcess, LinkStats, ProcessConfig,
+    RecoveryFootprint, Tcp, TelemetrySample, Transport, TransportConfig, TransportError,
+    WorkerLossPolicy,
 };
 pub use wire::{
     apply_delta, delta_coords, encode_dataset_shard_chunks, put_varint, CheckpointSampler,

@@ -107,7 +107,7 @@ pub struct ProtocolBugs {
     /// held-message flushes) propagate `Closed` errors instead of
     /// being delivered best-effort. Honoured by the model transport in
     /// `isasgd-check`; the real
-    /// [`FaultingTransport`](crate::transport::FaultingTransport)
+    /// [`FlakyTransport`](crate::transport::FlakyTransport)
     /// keeps the fixed best-effort behaviour unconditionally.
     pub strict_extra_sends: bool,
 }

@@ -654,112 +654,39 @@ pub fn tcp_loopback_links(nodes: usize, bind: &str) -> std::io::Result<Vec<(Tcp,
     Ok(links)
 }
 
-/// The per-send fault vocabulary shared by every fault injector in the
-/// workspace: [`FaultingTransport`] applies one verdict per
-/// [`Transport::send`], and the `isasgd-check` model scheduler explores
-/// the same four verdicts systematically instead of sampling them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendFault {
-    /// Pass the message through untouched.
-    Deliver,
-    /// Deliver the message, then inject a best-effort extra copy.
-    Duplicate,
-    /// Hold the message back; it is released after the next send
-    /// (reordering it behind that send) or before the next recv.
-    Hold,
-    /// Silently discard the message (lossy-network simulation; never
-    /// produced by [`RandomWalk`], whose runs must stay lossless).
-    Drop,
-}
-
-/// A deterministic source of [`SendFault`] verdicts. `holding` reports
-/// whether the wrapper already owes the peer a held message, so a
-/// policy can keep the "at most one held message" invariant.
-///
-/// `Send` because the wrapped transport is moved onto worker threads.
-pub trait FaultPolicy: Send {
-    /// Chooses the fault to apply to the send happening now.
-    fn on_send(&mut self, holding: bool) -> SendFault;
-}
-
-/// The seeded random-walk policy behind [`FlakyTransport`]: one rng
-/// roll per send, holding every `delay_period`-th roll and duplicating
-/// every `dup_period`-th (0 disables either fault). Never drops.
-pub struct RandomWalk {
-    rng: Xoshiro256pp,
-    dup_period: u64,
-    delay_period: u64,
-}
-
-impl RandomWalk {
-    /// A seeded walk with the given fault periods.
-    pub fn new(seed: u64, dup_period: u64, delay_period: u64) -> Self {
-        RandomWalk {
-            rng: Xoshiro256pp::new(seed),
-            dup_period,
-            delay_period,
-        }
-    }
-}
-
-impl FaultPolicy for RandomWalk {
-    fn on_send(&mut self, holding: bool) -> SendFault {
-        let roll = self.rng.next_raw();
-        if self.delay_period > 0 && roll.is_multiple_of(self.delay_period) && !holding {
-            SendFault::Hold
-        } else if self.dup_period > 0 && roll.is_multiple_of(self.dup_period) {
-            SendFault::Duplicate
-        } else {
-            SendFault::Deliver
-        }
-    }
-}
-
-/// Fault injection around any transport, driven by a pluggable
-/// [`FaultPolicy`] that issues one [`SendFault`] verdict per send.
+/// Deterministic seeded fault injection around any transport — the test
+/// fake the fault-injection suite wraps links in. One rng roll per send:
+/// every `delay_period`-th roll holds the message back (at most one is
+/// held at a time), every `dup_period`-th delivers it twice (0 disables
+/// either fault). Nothing is ever lost; the `isasgd-check` model
+/// scheduler explores the same faults systematically instead of sampling
+/// them.
 ///
 /// A held message is flushed before the wrapper ever blocks in
 /// [`Transport::recv`] and again on drop, so the wrapper perturbs
 /// ordering without being able to deadlock a request/response protocol:
 /// every endpoint that stops sending either starts receiving or hangs
 /// up, and both paths release the held message.
-pub struct FaultingTransport<T: Transport, P: FaultPolicy> {
+pub struct FlakyTransport<T: Transport> {
     inner: T,
-    policy: P,
+    rng: Xoshiro256pp,
+    dup_period: u64,
+    delay_period: u64,
     held: Option<Message>,
 }
 
-/// Deterministic seeded fault injection: [`FaultingTransport`] driven
-/// by the [`RandomWalk`] policy (duplicates + delays, never losses).
-pub type FlakyTransport<T> = FaultingTransport<T, RandomWalk>;
-
 impl<T: Transport> FlakyTransport<T> {
-    /// Wraps `inner` with the default fault mix (duplicate ≈ 1/3 of
-    /// sends, delay ≈ 1/4), seeded for reproducibility.
-    pub fn new(inner: T, seed: u64) -> Self {
-        Self::with_periods(inner, seed, 3, 4)
-    }
-
     /// Wraps `inner` duplicating every `dup_period`-th roll and holding
-    /// every `delay_period`-th roll (0 disables either fault).
+    /// every `delay_period`-th roll (0 disables either fault), seeded
+    /// for reproducibility.
     pub fn with_periods(inner: T, seed: u64, dup_period: u64, delay_period: u64) -> Self {
-        FaultingTransport::with_policy(inner, RandomWalk::new(seed, dup_period, delay_period))
-    }
-}
-
-impl<T: Transport, P: FaultPolicy> FaultingTransport<T, P> {
-    /// Wraps `inner`, consulting `policy` on every send.
-    pub fn with_policy(inner: T, policy: P) -> Self {
-        FaultingTransport {
+        FlakyTransport {
             inner,
-            policy,
+            rng: Xoshiro256pp::new(seed),
+            dup_period,
+            delay_period,
             held: None,
         }
-    }
-
-    /// True while a held (delayed) message is owed to the peer.
-    pub fn holding(&self) -> bool {
-        self.held.is_some()
     }
 
     /// Best-effort delivery for the *extra* copies the injector
@@ -783,21 +710,18 @@ impl<T: Transport, P: FaultPolicy> FaultingTransport<T, P> {
     }
 }
 
-impl<T: Transport, P: FaultPolicy> Transport for FaultingTransport<T, P> {
+impl<T: Transport> Transport for FlakyTransport<T> {
     fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
-        match self.policy.on_send(self.held.is_some()) {
-            SendFault::Hold => {
-                // Hold this message back; it will be released after the
-                // next send (reordering it) or before the next recv.
-                self.held = Some(msg.clone());
-                return Ok(());
-            }
-            SendFault::Drop => return Ok(()),
-            SendFault::Deliver => self.inner.send(msg)?,
-            SendFault::Duplicate => {
-                self.inner.send(msg)?;
-                self.send_best_effort(msg)?;
-            }
+        let roll = self.rng.next_raw();
+        if self.delay_period > 0 && roll.is_multiple_of(self.delay_period) && self.held.is_none() {
+            // Hold this message back; it will be released after the
+            // next send (reordering it) or before the next recv.
+            self.held = Some(msg.clone());
+            return Ok(());
+        }
+        self.inner.send(msg)?;
+        if self.dup_period > 0 && roll.is_multiple_of(self.dup_period) {
+            self.send_best_effort(msg)?;
         }
         // Release a previously held message *after* this one — the
         // observable reordering.
@@ -815,12 +739,16 @@ impl<T: Transport, P: FaultPolicy> Transport for FaultingTransport<T, P> {
         self.inner.stats()
     }
 
+    fn recovery(&self) -> Option<RecoveryFootprint> {
+        self.inner.recovery()
+    }
+
     fn telemetry(&self) -> Option<Vec<TelemetrySample>> {
         self.inner.telemetry()
     }
 }
 
-impl<T: Transport, P: FaultPolicy> Drop for FaultingTransport<T, P> {
+impl<T: Transport> Drop for FlakyTransport<T> {
     fn drop(&mut self) {
         let _ = self.flush_held();
     }
@@ -880,7 +808,7 @@ mod tests {
     fn flaky_is_deterministic_and_lossless() {
         let deliver = |seed: u64| {
             let (a, mut b) = InProcess::pair();
-            let mut flaky = FlakyTransport::new(a, seed);
+            let mut flaky = FlakyTransport::with_periods(a, seed, 3, 4);
             for round in 0..32 {
                 flaky.send(&barrier(round)).unwrap();
             }
@@ -917,7 +845,7 @@ mod tests {
             let (a, mut b) = InProcess::pair();
             let mut flaky = FlakyTransport::with_periods(a, seed, 0, 1); // delay every send
             flaky.send(&barrier(1)).unwrap();
-            assert!(flaky.holding(), "period-1 delay must hold the send");
+            assert!(flaky.held.is_some(), "period-1 delay must hold the send");
             // Peer echoes only after it sees the message.
             let echo = std::thread::spawn(move || {
                 let m = b.recv().unwrap();

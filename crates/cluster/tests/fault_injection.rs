@@ -20,7 +20,7 @@
 
 use isasgd_cluster::{
     in_process_links, run_with_links, ClusterConfig, ClusterError, ClusterRun, FlakyTransport,
-    InProcess, SyncStrategy, Transport, TransportConfig, TransportError,
+    InProcess, RecoveryFootprint, SyncStrategy, Transport, TransportConfig, TransportError,
 };
 use isasgd_core::{
     CommitPolicy, ImportanceScheme, LogisticLoss, Objective, Regularizer, SamplingStrategy,
@@ -213,6 +213,14 @@ impl Transport for Meddler {
     fn recv(&mut self) -> Result<isasgd_cluster::Message, TransportError> {
         self.0.recv()
     }
+
+    /// A footprint to recognise through a wrapper.
+    fn recovery(&self) -> Option<RecoveryFootprint> {
+        Some(RecoveryFootprint {
+            node: 7,
+            ..RecoveryFootprint::default()
+        })
+    }
 }
 
 /// `nodes` in-process links, link 0's worker end meddling as told.
@@ -296,6 +304,16 @@ fn fault_injection_is_reproducible() {
     let b = run_guarded(ds, cfg.clone(), flaky_links(cfg.nodes, 13, 3, 4)).unwrap();
     assert_eq!(a.model, b.model);
     assert_eq!(a.feedback_rows, b.feedback_rows);
+}
+
+#[test]
+fn the_injector_forwards_the_recovery_footprint_of_the_link_it_wraps() {
+    // It forwarded `stats` and `telemetry` but answered `recovery` with
+    // the trait's `None`: a supervised link under fault injection lost
+    // its respawn footprint from `ClusterRun::recovery`.
+    let (a, _peer) = InProcess::pair();
+    let flaky = FlakyTransport::with_periods(Meddler(a, None), 1, 3, 4);
+    assert_eq!(flaky.recovery().map(|r| r.node), Some(7));
 }
 
 /// Faulty *sockets*: the same tolerance over real TCP loopback links.

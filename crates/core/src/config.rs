@@ -18,22 +18,11 @@ pub enum Algorithm {
     IsAsgd,
     /// Sequential SVRG.
     SvrgSgd(SvrgVariant),
-    /// Asynchronous SVRG (paper Algorithm 1).
-    SvrgAsgd(SvrgVariant),
+    /// Asynchronous SVRG (paper Algorithm 1, the literature variant).
+    SvrgAsgd,
     /// Sequential SAGA (Defazio et al. 2014) — the incremental-memory VR
     /// baseline with the same dense running-average cliff as SVRG.
-    Saga(SvrgVariant),
-    /// Sequential minibatch SGD with batch size `b` (uniform sampling).
-    MbSgd {
-        /// Samples averaged per step.
-        batch: usize,
-    },
-    /// Sequential minibatch SGD with importance sampling
-    /// (Csiba–Richtárik-motivated extension).
-    MbIsSgd {
-        /// Samples averaged per step.
-        batch: usize,
-    },
+    Saga,
 }
 
 impl Algorithm {
@@ -46,21 +35,14 @@ impl Algorithm {
             Algorithm::IsAsgd => "IS-ASGD",
             Algorithm::SvrgSgd(SvrgVariant::Literature) => "SVRG-SGD",
             Algorithm::SvrgSgd(SvrgVariant::SkipMu) => "SVRG-SGD(skip-mu)",
-            Algorithm::SvrgAsgd(SvrgVariant::Literature) => "SVRG-ASGD",
-            Algorithm::SvrgAsgd(SvrgVariant::SkipMu) => "SVRG-ASGD(skip-mu)",
-            Algorithm::Saga(SvrgVariant::Literature) => "SAGA",
-            Algorithm::Saga(SvrgVariant::SkipMu) => "SAGA(skip-avg)",
-            Algorithm::MbSgd { .. } => "MB-SGD",
-            Algorithm::MbIsSgd { .. } => "MB-IS-SGD",
+            Algorithm::SvrgAsgd => "SVRG-ASGD",
+            Algorithm::Saga => "SAGA",
         }
     }
 
     /// True for the importance-sampling members of the family.
     pub fn uses_importance(&self) -> bool {
-        matches!(
-            self,
-            Algorithm::IsSgd | Algorithm::IsAsgd | Algorithm::MbIsSgd { .. }
-        )
+        matches!(self, Algorithm::IsSgd | Algorithm::IsAsgd)
     }
 
     /// The algorithm's classical distribution — what a run draws from
@@ -118,38 +100,15 @@ impl Execution {
     }
 }
 
-/// Step-size schedule across epochs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StepSchedule {
-    /// Constant λ (the paper's choice: λ = 0.5 or 0.05).
-    Constant,
-    /// λ_e = λ₀ · gamma^e — geometric decay per epoch.
-    EpochDecay {
-        /// Multiplicative decay per epoch, in (0, 1].
-        gamma: f64,
-    },
-}
-
-impl StepSchedule {
-    /// Step size for 0-based epoch `e` given base λ₀.
-    pub fn at(&self, base: f64, epoch: usize) -> f64 {
-        match *self {
-            StepSchedule::Constant => base,
-            StepSchedule::EpochDecay { gamma } => base * gamma.powi(epoch as i32),
-        }
-    }
-}
-
 /// Full training configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Number of passes over the data (each epoch takes `n` steps in
     /// total across all workers).
     pub epochs: usize,
-    /// Base step size λ.
+    /// Step size λ, constant over the run (the paper's Alg. 2–4: λ = 0.5
+    /// or 0.05).
     pub step_size: f64,
-    /// Schedule applied to λ per epoch.
-    pub schedule: StepSchedule,
     /// Master seed; all per-worker streams derive from it.
     pub seed: u64,
     /// Importance scheme for the IS algorithms.
@@ -161,8 +120,8 @@ pub struct TrainConfig {
     /// Lock-free write flavour for threaded runs.
     pub update_mode: UpdateMode,
     /// Sampling-distribution override. `None` keeps each algorithm's
-    /// classical distribution (static IS for IS-SGD/IS-ASGD/MB-IS-SGD,
-    /// uniform otherwise); `Some(strategy)` forces uniform, static-IS, or
+    /// classical distribution (static IS for IS-SGD/IS-ASGD, uniform
+    /// otherwise); `Some(strategy)` forces uniform, static-IS, or
     /// adaptive-IS sampling for any SGD-family solver.
     pub sampling: Option<SamplingStrategy>,
     /// How observed gradient scales become importance observations for
@@ -185,7 +144,6 @@ impl Default for TrainConfig {
         TrainConfig {
             epochs: 10,
             step_size: 0.5,
-            schedule: StepSchedule::Constant,
             seed: 0x15A5_6D00,
             importance: ImportanceScheme::LipschitzSmoothness,
             balance: BalancePolicy::default(),
@@ -217,12 +175,6 @@ impl TrainConfig {
         self
     }
 
-    /// Builder-style sampling-strategy override.
-    pub fn with_sampling(mut self, s: SamplingStrategy) -> Self {
-        self.sampling = Some(s);
-        self
-    }
-
     /// Builder-style commit-policy override (adaptive sampling).
     pub fn with_commit(mut self, c: CommitPolicy) -> Self {
         self.commit = c;
@@ -237,13 +189,10 @@ mod tests {
     #[test]
     fn names_match_paper_legends() {
         assert_eq!(Algorithm::IsAsgd.name(), "IS-ASGD");
+        assert_eq!(Algorithm::SvrgAsgd.name(), "SVRG-ASGD");
         assert_eq!(
-            Algorithm::SvrgAsgd(SvrgVariant::Literature).name(),
-            "SVRG-ASGD"
-        );
-        assert_eq!(
-            Algorithm::SvrgAsgd(SvrgVariant::SkipMu).name(),
-            "SVRG-ASGD(skip-mu)"
+            Algorithm::SvrgSgd(SvrgVariant::SkipMu).name(),
+            "SVRG-SGD(skip-mu)"
         );
     }
 
@@ -252,7 +201,7 @@ mod tests {
         assert!(Algorithm::IsAsgd.uses_importance());
         assert!(Algorithm::IsSgd.uses_importance());
         assert!(!Algorithm::Asgd.uses_importance());
-        assert!(!Algorithm::SvrgAsgd(SvrgVariant::Literature).uses_importance());
+        assert!(!Algorithm::SvrgAsgd.uses_importance());
     }
 
     #[test]
@@ -270,25 +219,15 @@ mod tests {
     }
 
     #[test]
-    fn schedules() {
-        assert_eq!(StepSchedule::Constant.at(0.5, 7), 0.5);
-        let d = StepSchedule::EpochDecay { gamma: 0.5 };
-        assert_eq!(d.at(1.0, 0), 1.0);
-        assert_eq!(d.at(1.0, 2), 0.25);
-    }
-
-    #[test]
     fn builder_methods() {
         let c = TrainConfig::default()
             .with_epochs(3)
             .with_step_size(0.1)
             .with_seed(9)
-            .with_sampling(SamplingStrategy::Adaptive)
             .with_commit(CommitPolicy::EveryK(16));
         assert_eq!(c.epochs, 3);
         assert_eq!(c.step_size, 0.1);
         assert_eq!(c.seed, 9);
-        assert_eq!(c.sampling, Some(SamplingStrategy::Adaptive));
         assert_eq!(c.commit, CommitPolicy::EveryK(16));
         let d = TrainConfig::default();
         assert_eq!(d.sampling, None);

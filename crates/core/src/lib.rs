@@ -20,12 +20,9 @@
 //! | [`Algorithm::SvrgSgd`] | Johnson & Zhang 2013 | `SvrgSolver` | Sequential |
 //! | [`Algorithm::SvrgAsgd`] | Algorithm 1 | `SvrgSolver` | Threads, Simulated |
 //! | [`Algorithm::Saga`] | Defazio et al. 2014 | `SagaSolver` | Sequential |
-//! | [`Algorithm::MbSgd`] / [`Algorithm::MbIsSgd`] | Csiba–Richtárik | `SgdSolver`, draws grouped by the engine | Sequential |
 //!
 //! The SGD family is one kernel: importance sampling changes only which
-//! row is drawn and the `1/(n·p_i)` on the step, and a batch size only
-//! how many draws the sequential engine computes against one model
-//! before applying them (with step `λ/b`; `b = 1` is SGD to the bit).
+//! row is drawn and the `1/(n·p_i)` on the step.
 //!
 //! `Execution::Threads` runs genuine lock-free Hogwild threads over a
 //! [`SharedModel`](isasgd_model::SharedModel) through each solver's
@@ -50,7 +47,7 @@
 //!
 //! | [`SamplingStrategy`] | distribution | corrections |
 //! |---|---|---|
-//! | `Uniform` | uniform i.i.d. / permutation | 1 |
+//! | `Uniform` | uniform i.i.d. | 1 |
 //! | `Static` | offline `p_i ∝ L_i` sequences (Alg. 2) | `1/(n·p_i)`, frozen |
 //! | `Adaptive` | sum-tree-backed, re-weighted per epoch from observed `‖∇f_i‖` | `1/(n·p_i)`, live |
 //!
@@ -78,7 +75,7 @@ pub mod eval;
 pub mod solvers;
 pub mod trainer;
 
-pub use config::{Algorithm, Execution, StepSchedule, SvrgVariant, TrainConfig};
+pub use config::{Algorithm, Execution, SvrgVariant, TrainConfig};
 pub use error::CoreError;
 pub use trainer::{train, train_from, RunResult};
 

@@ -1,18 +1,14 @@
 //! The shared [`ExecutionEngine`]: one epoch loop for every solver and
 //! every execution mode.
 //!
-//! Before this engine existed, each solver module (`sim`, `hogwild`,
-//! `minibatch`, `saga`, `svrg`) hand-rolled the same scaffolding: plan
-//! construction, epoch loop, worker spawning, staleness queueing, timing
-//! and trace bookkeeping. The engine owns all of it once:
+//! Plan construction, the epoch loop, worker spawning, staleness
+//! queueing, timing and trace bookkeeping live here once, for every
+//! solver kernel:
 //!
-//! * **Sequential** — `compute` + `apply` back-to-back over the single
-//!   shard's draw stream, in groups of [`RunMeta::batch`] draws: every
-//!   gradient of a group is taken at one model, then the group is
-//!   applied with step `λ / group length`. A group of one is plain SGD,
-//!   so the minibatch algorithms need no kernel of their own. This arm
-//!   is also the oracle the other runtimes are pinned against (simulated
-//!   at τ = 0, threaded with one worker, a one-node cluster).
+//! * **Sequential** — per draw of the single shard's stream: `compute`,
+//!   `apply`, `observe`. This arm is the oracle the other runtimes are
+//!   pinned against (simulated at τ = 0, threaded with one worker, a
+//!   one-node cluster), so it carries nothing they do not.
 //! * **`Threads(k)`** — real lock-free Hogwild workers over a
 //!   [`SharedModel`], each pulling chunks from its own shard's
 //!   [`ScheduleStream`] through the solver's [`SharedKernel`].
@@ -89,7 +85,7 @@ use isasgd_model::SharedModel;
 use isasgd_sampling::{CommitPolicy, SamplingStrategy, ScheduleStream};
 
 /// What the trainer resolved about one engine run beyond its solver:
-/// the trace's labels and the step's batch size.
+/// the trace's labels.
 pub struct RunMeta<'a> {
     /// Algorithm display name for the trace (annotated with the sampling
     /// strategy when it overrides the algorithm's classical one).
@@ -98,10 +94,6 @@ pub struct RunMeta<'a> {
     pub dataset_name: &'a str,
     /// Concurrency number recorded in the trace (τ, thread count, or 1).
     pub concurrency: usize,
-    /// Draws per sequential step: 1, or the minibatch algorithms' `b`
-    /// (≥ 1, checked by the trainer, which also refuses them any other
-    /// execution).
-    pub batch: usize,
 }
 
 /// One observation riding a simulated in-flight update: the worker that
@@ -180,10 +172,8 @@ pub fn run_engine<L: Loss, S: Solver>(
     let mut steps: u64 = 0;
     // Cumulative sampler commit count at each epoch's end.
     let mut sampler_commits: Vec<u64> = Vec::with_capacity(cfg.epochs);
-    // Reused draw chunk and the computed, not yet applied updates of
-    // one group of it (sequential path).
+    // Reused draw chunk (sequential path).
     let mut chunk: Vec<Sched> = Vec::new();
-    let mut group_updates: Vec<(S::Update, f64)> = Vec::new();
     // Reused per-worker draw buffers (simulated path): (chunk, cursor).
     // `Vec::new()` does not allocate, so non-simulated runs pay nothing.
     let mut feeds: Vec<(Vec<Sched>, usize)> = (0..workers).map(|_| (Vec::new(), 0)).collect();
@@ -202,8 +192,8 @@ pub fn run_engine<L: Loss, S: Solver>(
         error_rate: final_metrics.error_rate,
     });
 
+    let lambda = cfg.step_size;
     for epoch in 0..cfg.epochs {
-        let lambda = cfg.schedule.at(cfg.step_size, epoch);
         // Observations matter when a later epoch re-samples from them —
         // or, on streamed runs, when a commit inside THIS epoch steers
         // its own remaining draws (so the final epoch collects too).
@@ -213,16 +203,15 @@ pub fn run_engine<L: Loss, S: Solver>(
         match exec {
             Execution::Sequential => {
                 solver.on_epoch_start(&plan.data, &w, lambda);
-                let batch = meta.batch;
-                // Streamed epochs pull in batch-sized strides so every
-                // draw sees the freshest committed distribution;
-                // boundary-commit epochs pull large chunks (the
-                // distribution is frozen all epoch) with the draw cost
-                // billed to sampling time, as materialization was.
+                // Streamed epochs pull one draw at a time so each sees
+                // the freshest committed distribution; boundary-commit
+                // epochs pull large chunks (the distribution is frozen
+                // all epoch) with the draw cost billed to sampling time,
+                // as materialization was.
                 let chunk_len = if streaming {
-                    batch
+                    1
                 } else {
-                    (ScheduleStream::DEFAULT_CHUNK / batch).max(1) * batch
+                    ScheduleStream::DEFAULT_CHUNK
                 };
                 let (data, stream) = (&plan.data, &mut plan.streams[0]);
                 while !stream.is_exhausted() {
@@ -235,23 +224,14 @@ pub fn run_engine<L: Loss, S: Solver>(
                         sampling_timer.stop();
                         timer.start();
                     }
-                    // Draws of this chunk not yet stepped.
-                    let mut buffered = chunk.len();
-                    for group in chunk.chunks(batch) {
-                        // The averaged step of a group, over its actual
-                        // length (an epoch's tail group is shorter).
-                        let step = lambda / group.len() as f64;
-                        group_updates
-                            .extend(group.iter().map(|&s| solver.compute(data, s, step, &w)));
-                        // Applies write the model and observations the
-                        // sampler, so pairing them per draw is the same
-                        // run as all applies, then all observations.
-                        for (s, (update, g)) in group.iter().zip(group_updates.drain(..)) {
-                            solver.apply(data, step, update, &mut w);
-                            buffered -= 1;
-                            if collect {
-                                stream.observe(s.row as usize, g, stream.age(buffered), 0);
-                            }
+                    for (j, &s) in chunk.iter().enumerate() {
+                        let (update, g) = solver.compute(data, s, lambda, &w);
+                        solver.apply(data, lambda, update, &mut w);
+                        if collect {
+                            // Aged by the draws of this chunk still
+                            // buffered behind it.
+                            let age = stream.age(chunk.len() - 1 - j);
+                            stream.observe(s.row as usize, g, age, 0);
                         }
                     }
                 }
@@ -368,7 +348,6 @@ pub fn run_engine<L: Loss, S: Solver>(
                         });
                     }
                 });
-                kernel.epoch_end_shared(&plan.data, lambda, model, mode);
             }
         }
         timer.stop();
@@ -418,7 +397,7 @@ pub fn run_engine<L: Loss, S: Solver>(
 }
 #[cfg(test)]
 mod tests {
-    use crate::config::{Algorithm, Execution, StepSchedule, SvrgVariant, TrainConfig};
+    use crate::config::{Algorithm, Execution, SvrgVariant, TrainConfig};
     use crate::error::CoreError;
     use crate::trainer::{train, RunResult};
     use isasgd_losses::{LogisticLoss, Objective, Regularizer};
@@ -728,7 +707,7 @@ mod tests {
         let r = train(
             &ds,
             &obj_l2(),
-            Algorithm::SvrgAsgd(SvrgVariant::Literature),
+            Algorithm::SvrgAsgd,
             Execution::Threads(2),
             &cfg,
             "sep",
@@ -742,24 +721,8 @@ mod tests {
         let ds = separable(150);
         let cfg = TrainConfig::default().with_epochs(3).with_step_size(0.3);
         let e = Execution::Simulated { tau: 8, workers: 2 };
-        let a = train(
-            &ds,
-            &obj_l2(),
-            Algorithm::SvrgAsgd(SvrgVariant::Literature),
-            e,
-            &cfg,
-            "sep",
-        )
-        .unwrap();
-        let b = train(
-            &ds,
-            &obj_l2(),
-            Algorithm::SvrgAsgd(SvrgVariant::Literature),
-            e,
-            &cfg,
-            "sep",
-        )
-        .unwrap();
+        let a = train(&ds, &obj_l2(), Algorithm::SvrgAsgd, e, &cfg, "sep").unwrap();
+        let b = train(&ds, &obj_l2(), Algorithm::SvrgAsgd, e, &cfg, "sep").unwrap();
         assert_eq!(a.model, b.model);
         assert_eq!(a.final_metrics.error_rate, 0.0);
     }
@@ -834,12 +797,11 @@ mod tests {
     #[test]
     fn saga_converges_and_objective_never_regresses() {
         let ds = separable(240);
-        let mut cfg = TrainConfig::default().with_epochs(6).with_step_size(0.2);
-        cfg.schedule = StepSchedule::Constant;
+        let cfg = TrainConfig::default().with_epochs(6).with_step_size(0.2);
         let r = train(
             &ds,
             &obj_l2(),
-            Algorithm::Saga(SvrgVariant::Literature),
+            Algorithm::Saga,
             Execution::Sequential,
             &cfg,
             "sep",
@@ -857,179 +819,24 @@ mod tests {
     }
 
     #[test]
-    fn saga_skip_mu_differs_from_literature_and_is_deterministic() {
+    fn saga_is_deterministic_under_a_seed() {
         let ds = separable(160);
         let cfg = TrainConfig::default()
             .with_epochs(3)
             .with_step_size(0.1)
             .with_seed(9);
-        let lit = train(
-            &ds,
-            &obj_l2(),
-            Algorithm::Saga(SvrgVariant::Literature),
-            Execution::Sequential,
-            &cfg,
-            "sep",
-        )
-        .unwrap();
-        let lit2 = train(
-            &ds,
-            &obj_l2(),
-            Algorithm::Saga(SvrgVariant::Literature),
-            Execution::Sequential,
-            &cfg,
-            "sep",
-        )
-        .unwrap();
-        let skip = train(
-            &ds,
-            &obj_l2(),
-            Algorithm::Saga(SvrgVariant::SkipMu),
-            Execution::Sequential,
-            &cfg,
-            "sep",
-        )
-        .unwrap();
-        assert_eq!(lit.model, lit2.model);
-        assert_ne!(lit.model, skip.model);
-    }
-
-    // ------------------------------------------------------ minibatch
-
-    #[test]
-    fn minibatch_converges_across_batch_sizes() {
-        let ds = separable(240);
-        for batch in [1usize, 8, 32, 240] {
-            let cfg = TrainConfig::default().with_epochs(6).with_step_size(0.8);
-            let r = train(
+        let run = || {
+            train(
                 &ds,
-                &obj(),
-                Algorithm::MbSgd { batch },
+                &obj_l2(),
+                Algorithm::Saga,
                 Execution::Sequential,
                 &cfg,
                 "sep",
             )
-            .unwrap();
-            assert_eq!(
-                r.final_metrics.error_rate, 0.0,
-                "batch={batch}: error {}",
-                r.final_metrics.error_rate
-            );
-            assert_eq!(r.steps, 6 * 240);
-        }
-    }
-
-    #[test]
-    fn batch_one_matches_single_sample_structure() {
-        // b=1 minibatch is plain SGD with the same draw stream and the
-        // same step kernel: the trajectories coincide bitwise, with or
-        // without a regularizer.
-        let ds = separable(120);
-        let cfg = TrainConfig::default().with_epochs(4);
-        for o in &objs()[..2] {
-            let run = |algo| train(&ds, o, algo, Execution::Sequential, &cfg, "sep").unwrap();
-            let mb = run(Algorithm::MbSgd { batch: 1 });
-            let sgd = run(Algorithm::Sgd);
-            assert_eq!(
-                mb.model, sgd.model,
-                "b=1, {:?}: identical trajectories",
-                o.reg
-            );
-        }
-    }
-
-    #[test]
-    fn minibatch_is_a_group_of_gradients_at_one_model_averaged_over_its_length() {
-        // The grouping the sequential arm does, against a loop written
-        // out here: each group's gradients at one `w`, applied with
-        // λ / (the group's actual length) — 250 rows in eights leave a
-        // tail group of 2 — bit for bit, with and without L1.
-        use crate::solvers::plan::build_plan;
-        let ds = separable(250);
-        let cfg = TrainConfig::default().with_epochs(3).with_seed(21);
-        for o in &objs()[..2] {
-            let mb = train(
-                &ds,
-                o,
-                Algorithm::MbSgd { batch: 8 },
-                Execution::Sequential,
-                &cfg,
-                "sep",
-            )
-            .unwrap();
-            let mut plan = build_plan(&ds, o, &cfg, 1, SamplingStrategy::Uniform).unwrap();
-            let mut w = vec![0.0; ds.dim()];
-            let mut tail = 0;
-            for _ in 0..cfg.epochs {
-                let draws: Vec<_> = std::iter::from_fn(|| plan.streams[0].next_draw()).collect();
-                for group in draws.chunks(8) {
-                    tail = group.len();
-                    let step = cfg.step_size / group.len() as f64;
-                    let row = |i: usize| plan.data.row(group[i].row as usize);
-                    let g: Vec<f64> = (0..group.len())
-                        .map(|i| o.grad_scale(&row(i), o.margin(&row(i), &w)))
-                        .collect();
-                    for (i, g) in g.into_iter().enumerate() {
-                        o.apply_sgd_update(&row(i), -step * g, step, &mut w);
-                    }
-                }
-                plan.advance_epoch();
-            }
-            assert_eq!(tail, 2, "the run must end on a short group");
-            assert_eq!(mb.model, w, "{:?}", o.reg);
-        }
-    }
-
-    #[test]
-    fn is_minibatch_runs_and_reports_balance() {
-        let ds = separable(200);
-        let cfg = TrainConfig::default().with_epochs(4);
-        let r = train(
-            &ds,
-            &obj(),
-            Algorithm::MbIsSgd { batch: 16 },
-            Execution::Sequential,
-            &cfg,
-            "sep",
-        )
-        .unwrap();
-        assert_eq!(r.final_metrics.error_rate, 0.0);
-        assert!(r.balanced.is_some());
-    }
-
-    #[test]
-    fn larger_batches_reduce_trajectory_noise() {
-        // Variance proxy: distance between two runs with different seeds
-        // shrinks as batch grows.
-        let ds = separable(240);
-        let mut spreads = Vec::new();
-        for batch in [1usize, 32] {
-            let run = |seed| {
-                train(
-                    &ds,
-                    &obj(),
-                    Algorithm::MbSgd { batch },
-                    Execution::Sequential,
-                    &TrainConfig::default().with_epochs(2).with_seed(seed),
-                    "sep",
-                )
-                .unwrap()
-            };
-            let (a, b): (RunResult, RunResult) = (run(1), run(2));
-            let d: f64 = a
-                .model
-                .iter()
-                .zip(&b.model)
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum();
-            spreads.push(d.sqrt());
-        }
-        assert!(
-            spreads[1] < spreads[0],
-            "b=32 spread {} should be below b=1 spread {}",
-            spreads[1],
-            spreads[0]
-        );
+            .unwrap()
+        };
+        assert_eq!(run().model, run().model);
     }
 
     // ----------------------------------------------- adaptive sampling
@@ -1406,12 +1213,82 @@ mod tests {
             train(
                 &ds,
                 &obj_l2(),
-                Algorithm::Saga(SvrgVariant::Literature),
+                Algorithm::Saga,
                 Execution::Threads(2),
                 &cfg,
                 "sep"
             ),
             Err(CoreError::Unsupported { .. })
         ));
+    }
+
+    // ------------------------------------------------- the oracle's bits
+
+    /// 7–9 non-zeros a row (unrolled margin body + tail), mixed-sign
+    /// values: the row shape two earlier bugs hid from 2-nnz fixtures.
+    fn wide(n: usize) -> Dataset {
+        let mut b = DatasetBuilder::new(24);
+        for i in 0..n {
+            let row: Vec<(u32, f64)> = (0..7 + i % 3)
+                .map(|k| {
+                    let sign = if (i + k) % 2 == 0 { 1.0 } else { -1.0 };
+                    let magnitude = (1 + (i * 7 + k * 3) % 9) as f64 * 0.0625;
+                    ((i % 6 + 2 * k) as u32, sign * magnitude)
+                })
+                .collect();
+            // Planted labels: the sign of ⟨x, w*⟩, w*_j = 1 or −½.
+            let planted = |&(j, x): &(u32, f64)| if j % 3 == 0 { x } else { -0.5 * x };
+            let y = if row.iter().map(planted).sum::<f64>() >= 0.0 {
+                1.0
+            } else {
+                -1.0
+            };
+            b.push_row(&row, y).unwrap();
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn final_model_bits_are_pinned_on_every_runtime() {
+        // FNV-1a of the final model's bits, recorded from a build of the
+        // commit before the sequential arm lost its grouping: an edit to
+        // the step loop that moves one bit of any runtime fails here.
+        // Squared hinge keeps libm out of the trajectory.
+        use isasgd_losses::SquaredHingeLoss;
+        let ds = wide(96);
+        let o = Objective::new(SquaredHingeLoss, Regularizer::L1 { eta: 1e-3 });
+        let cfg = TrainConfig::default()
+            .with_epochs(3)
+            .with_step_size(0.1)
+            .with_seed(41);
+        let sim = Execution::Simulated { tau: 4, workers: 2 };
+        for (algo, exec, want) in [
+            (
+                Algorithm::IsSgd,
+                Execution::Sequential,
+                0x8d12_2f8e_09f3_17ee_u64,
+            ),
+            (
+                Algorithm::Asgd,
+                Execution::Threads(1),
+                0xae30_e1b9_2082_719e,
+            ),
+            (Algorithm::IsAsgd, sim, 0xd824_0812_d480_7a72),
+            (
+                Algorithm::SvrgSgd(SvrgVariant::Literature),
+                Execution::Sequential,
+                0x7913_578e_f5ff_9288,
+            ),
+        ] {
+            let r = train(&ds, &o, algo, exec, &cfg, "wide").unwrap();
+            let fnv = r
+                .model
+                .iter()
+                .flat_map(|x| x.to_bits().to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                });
+            assert_eq!(fnv, want, "{algo:?}/{exec:?}: {fnv:#018x}");
+        }
     }
 }

@@ -13,9 +13,8 @@
 //!   loop driving any solver under Sequential / `Threads(k)` /
 //!   `Simulated{tau, workers}` execution, with timing, tracing, and
 //!   adaptive-sampling feedback.
-//! * [`sgd`] — the single kernel behind SGD, IS-SGD, ASGD, IS-ASGD and,
-//!   grouped by the engine, minibatch (IS-)SGD (the paper's point:
-//!   importance sampling leaves it untouched; so does the batch size).
+//! * [`sgd`] — the single kernel behind SGD, IS-SGD, ASGD and IS-ASGD
+//!   (the paper's point: importance sampling leaves it untouched).
 //! * [`svrg`] — SVRG-SGD / SVRG-ASGD (literature and skip-µ variants).
 //! * [`saga`] — sequential SAGA (scalar-memory VR baseline).
 //!

@@ -18,10 +18,6 @@
 //! sparse data" claim is shown to be structural to the VR family, not an
 //! artifact of SVRG's snapshots.
 //!
-//! Like the public SVRG code the paper discusses, a `SkipMu`-style
-//! variant applies the accumulated `ḡ` once per epoch instead of per
-//! iteration; it is exposed through the same [`SvrgVariant`] switch.
-//!
 //! SAGA mutates its gradient memory at every step, so it offers no
 //! lock-free [`SharedKernel`](crate::solvers::solver::SharedKernel) and
 //! runs sequentially only — a lock-free version needs the AsySAGA-style
@@ -29,7 +25,6 @@
 //! lives in [`Solver::apply`] (compute is a pass-through), which the
 //! sequential engine calls immediately after `compute`.
 
-use crate::config::SvrgVariant;
 use crate::error::CoreError;
 use crate::solvers::solver::{Sched, Solver};
 use isasgd_losses::{Loss, Objective};
@@ -38,7 +33,6 @@ use isasgd_sparse::Dataset;
 /// The SAGA kernel.
 pub struct SagaSolver<'a, L: Loss> {
     obj: &'a Objective<L>,
-    variant: SvrgVariant,
     /// Scalar gradient memory per sample.
     alpha: Vec<f64>,
     /// Dense running average ḡ.
@@ -46,11 +40,10 @@ pub struct SagaSolver<'a, L: Loss> {
 }
 
 impl<'a, L: Loss> SagaSolver<'a, L> {
-    /// Wraps the objective for one variant.
-    pub fn new(obj: &'a Objective<L>, variant: SvrgVariant) -> Self {
+    /// Wraps the objective.
+    pub fn new(obj: &'a Objective<L>) -> Self {
         Self {
             obj,
-            variant,
             alpha: Vec::new(),
             g_bar: Vec::new(),
         }
@@ -90,25 +83,11 @@ impl<L: Loss> Solver for SagaSolver<'_, L> {
         self.obj
             .apply_sgd_update(&row, -(lambda * delta), lambda, w);
         // Dense part: the running average ḡ (the sparsity cliff).
-        if self.variant == SvrgVariant::Literature {
-            for (wj, &gj) in w.iter_mut().zip(&self.g_bar) {
-                *wj -= lambda * gj;
-            }
+        for (wj, &gj) in w.iter_mut().zip(&self.g_bar) {
+            *wj -= lambda * gj;
         }
         // Memory update keeps ḡ consistent — sparse.
         self.alpha[i] = g;
         row.axpy_into(delta / n as f64, &mut self.g_bar);
-    }
-
-    fn on_epoch_end(&mut self, data: &Dataset, lambda: f64, w: &mut [f64]) {
-        if self.variant == SvrgVariant::SkipMu {
-            // Epoch-granular approximation: apply n·λ·ḡ once. ḡ moved
-            // during the epoch, so this is *not* equivalent — the same
-            // distortion the paper documents for the public SVRG code.
-            let total = data.n_samples() as f64;
-            for (wj, &gj) in w.iter_mut().zip(&self.g_bar) {
-                *wj -= lambda * total * gj;
-            }
-        }
     }
 }

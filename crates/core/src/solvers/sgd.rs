@@ -23,10 +23,7 @@
 //!   the sequential run bit for bit under every regularizer.
 //!
 //! Both return `|ℓ'(m)|`, the one quantity adaptive sampling feeds on,
-//! as a by-product of the gradient they compute anyway. Batch size is
-//! not this file's business either: minibatch (IS-)SGD is this kernel
-//! with the engine grouping its draws (every `compute` of a group at one
-//! `w`, step `λ/b`), which at `b = 1` is plain SGD to the bit.
+//! as a by-product of the gradient they compute anyway.
 
 use crate::solvers::solver::{Sched, SharedKernel, SharedView, Solver};
 use isasgd_losses::{sgd_step, Loss, Objective};

@@ -12,10 +12,9 @@
 //!   update.
 //!
 //! Sequential execution calls them back-to-back (so `τ = 0` staleness is
-//! literally the sequential algorithm; a minibatch is the same pair run
-//! over a group of draws — every `compute` against one model, then
-//! every `apply`); simulated execution pushes the updates through a
-//! [`DelayQueue`](isasgd_asyncsim::DelayQueue); threaded execution
+//! literally the sequential algorithm); simulated execution pushes the
+//! updates through a [`DelayQueue`](isasgd_asyncsim::DelayQueue);
+//! threaded execution
 //! instead uses the solver's lock-free [`SharedKernel`] (when it has one
 //! — solvers with per-step mutable state like SAGA are sequential-only
 //! and return `None`), whose one step returns the same observation.
@@ -82,12 +81,6 @@ pub trait SharedKernel: Sync {
         model: &SharedModel,
         mode: UpdateMode,
     ) -> f64;
-
-    /// Epoch-boundary hook against the shared model (e.g. skip-µ's
-    /// deferred dense add). Runs on the main thread after workers join.
-    fn epoch_end_shared(&self, data: &Dataset, lambda: f64, model: &SharedModel, mode: UpdateMode) {
-        let _ = (data, lambda, model, mode);
-    }
 }
 
 /// A training algorithm's kernel, driven by the

@@ -17,8 +17,9 @@
 //! `ablation-svrg` experiment).
 //!
 //! SVRG samples uniformly (`uses_importance_plan` = false): its epoch
-//! state is read-only during steps, so it also provides a lock-free
-//! [`SharedKernel`] for real-thread execution.
+//! state is read-only during steps, so the literature variant also
+//! provides a lock-free [`SharedKernel`] for real-thread execution
+//! (SVRG-ASGD; skip-µ is sequential only).
 
 use crate::config::SvrgVariant;
 use crate::error::CoreError;
@@ -29,14 +30,13 @@ use isasgd_model::shared::UpdateMode;
 use isasgd_model::SharedModel;
 use isasgd_sparse::Dataset;
 
-/// An in-flight SVRG update (sparse part plus the dense µ scale).
+/// An in-flight SVRG update: the sparse part (the dense µ add needs
+/// nothing the solver does not hold).
 #[derive(Debug, Clone, Copy)]
 pub struct SvrgUpdate {
     row: u32,
     /// Coefficient of the sparse direction x_row: −λ·(g_w − g_s).
     coeff: f64,
-    /// −λ for the dense µ add (kept per-update so schedules can vary λ).
-    mu_scale: f64,
 }
 
 /// The SVRG kernel.
@@ -102,18 +102,17 @@ impl<L: Loss> Solver for SvrgSolver<'_, L> {
         let update = SvrgUpdate {
             row: s.row,
             coeff: -lambda * (g_w - g_s),
-            mu_scale: -lambda,
         };
         (update, 0.0)
     }
 
-    fn apply(&mut self, data: &Dataset, _lambda: f64, u: SvrgUpdate, w: &mut [f64]) {
+    fn apply(&mut self, data: &Dataset, lambda: f64, u: SvrgUpdate, w: &mut [f64]) {
         let row = data.row(u.row as usize);
         row.axpy_into(u.coeff, w);
         if self.variant == SvrgVariant::Literature {
             // The dense O(d) add that dominates on sparse data.
             for (wj, &mj) in w.iter_mut().zip(&self.mu) {
-                *wj += u.mu_scale * mj;
+                *wj -= lambda * mj;
             }
         }
     }
@@ -128,7 +127,9 @@ impl<L: Loss> Solver for SvrgSolver<'_, L> {
     }
 
     fn shared_kernel(&self) -> Option<&dyn SharedKernel> {
-        Some(self)
+        // Skip-µ defers its dense add to `on_epoch_end`, which a thread
+        // pool never calls: only the literature variant runs lock-free.
+        (self.variant == SvrgVariant::Literature).then_some(self as &dyn SharedKernel)
     }
 }
 
@@ -150,24 +151,11 @@ impl<L: Loss> SharedKernel for SvrgSolver<'_, L> {
         for (&j, &x) in row.indices.iter().zip(row.values) {
             model.add(j as usize, coeff * x, mode);
         }
-        if self.variant == SvrgVariant::Literature {
-            for (j, &mj) in self.mu.iter().enumerate() {
-                if mj != 0.0 {
-                    model.add(j, -lambda * mj, mode);
-                }
+        for (j, &mj) in self.mu.iter().enumerate() {
+            if mj != 0.0 {
+                model.add(j, -lambda * mj, mode);
             }
         }
         0.0
-    }
-
-    fn epoch_end_shared(&self, data: &Dataset, lambda: f64, model: &SharedModel, mode: UpdateMode) {
-        if self.variant == SvrgVariant::SkipMu {
-            let total = data.n_samples() as f64;
-            for (j, &mj) in self.mu.iter().enumerate() {
-                if mj != 0.0 {
-                    model.add(j, -lambda * total * mj, mode);
-                }
-            }
-        }
     }
 }

@@ -2,7 +2,7 @@
 //! resolve the sampling strategy, construct the solver kernel, hand off
 //! to the shared [`ExecutionEngine`](crate::solvers::engine).
 
-use crate::config::{Algorithm, Execution, TrainConfig};
+use crate::config::{Algorithm, Execution, SvrgVariant, TrainConfig};
 use crate::error::CoreError;
 use crate::solvers::engine::{run_engine, RunMeta};
 use crate::solvers::saga::SagaSolver;
@@ -100,7 +100,6 @@ pub fn train_from<L: Loss>(
 /// Rejects (algorithm, execution) pairs that are not meaningful,
 /// preserving the original dispatch's error surface.
 fn validate(algo: Algorithm, exec: Execution) -> Result<(), CoreError> {
-    use crate::config::SvrgVariant;
     let name = algo.name();
     match (algo, exec) {
         (Algorithm::Sgd | Algorithm::IsSgd, Execution::Threads(_)) => Err(CoreError::Unsupported {
@@ -113,30 +112,18 @@ fn validate(algo: Algorithm, exec: Execution) -> Result<(), CoreError> {
                 reason: "asynchronous algorithms need Threads(k) or Simulated{..}".into(),
             })
         }
-        (Algorithm::Saga(_) | Algorithm::MbSgd { .. } | Algorithm::MbIsSgd { .. }, e)
-            if e != Execution::Sequential =>
-        {
-            Err(CoreError::Unsupported {
-                algorithm: name,
-                reason: "SAGA and minibatch solvers are sequential; see crate docs".into(),
-            })
-        }
+        (Algorithm::Saga, e) if e != Execution::Sequential => Err(CoreError::Unsupported {
+            algorithm: name,
+            reason: "SAGA is sequential; see crate docs".into(),
+        }),
         (Algorithm::SvrgSgd(_), e) if e != Execution::Sequential => Err(CoreError::Unsupported {
             algorithm: name,
             reason: "SVRG-SGD is sequential; use SvrgAsgd for parallel runs".into(),
         }),
-        (Algorithm::SvrgAsgd(_), Execution::Sequential) => Err(CoreError::Unsupported {
+        (Algorithm::SvrgAsgd, Execution::Sequential) => Err(CoreError::Unsupported {
             algorithm: name,
             reason: "use SvrgSgd for the sequential variant".into(),
         }),
-        (Algorithm::SvrgAsgd(SvrgVariant::SkipMu), Execution::Simulated { .. }) => {
-            Err(CoreError::Unsupported {
-                algorithm: "SVRG-ASGD(skip-mu)",
-                reason: "skip-µ is an epoch-granular approximation; simulate the \
-                         literature variant instead"
-                    .into(),
-            })
-        }
         _ => Ok(()),
     }
 }
@@ -155,7 +142,7 @@ fn resolve_strategy(
 ) -> Result<(SamplingStrategy, String), CoreError> {
     let vr = matches!(
         algo,
-        Algorithm::SvrgSgd(_) | Algorithm::SvrgAsgd(_) | Algorithm::Saga(_)
+        Algorithm::SvrgSgd(_) | Algorithm::SvrgAsgd | Algorithm::Saga
     );
     if vr {
         return match cfg.sampling {
@@ -215,27 +202,13 @@ fn dispatch<L: Loss>(
 ) -> Result<RunResult, CoreError> {
     validate(algo, exec)?;
     let (strategy, label) = resolve_strategy(algo, cfg)?;
-    let batch = match algo {
-        Algorithm::MbSgd { batch } | Algorithm::MbIsSgd { batch } => batch,
-        _ => 1,
-    };
-    if batch == 0 {
-        return Err(CoreError::InvalidConfig("batch size must be ≥ 1".into()));
-    }
     let meta = RunMeta {
         algo_name: &label,
         dataset_name,
         concurrency: concurrency_of(algo, exec),
-        batch,
     };
     match algo {
-        // One kernel at every batch size: the engine groups the draws.
-        Algorithm::Sgd
-        | Algorithm::IsSgd
-        | Algorithm::Asgd
-        | Algorithm::IsAsgd
-        | Algorithm::MbSgd { .. }
-        | Algorithm::MbIsSgd { .. } => run_engine(
+        Algorithm::Sgd | Algorithm::IsSgd | Algorithm::Asgd | Algorithm::IsAsgd => run_engine(
             ds,
             obj,
             cfg,
@@ -245,7 +218,16 @@ fn dispatch<L: Loss>(
             init,
             SgdSolver::new(obj),
         ),
-        Algorithm::SvrgSgd(v) | Algorithm::SvrgAsgd(v) => run_engine(
+        Algorithm::SvrgSgd(_) | Algorithm::SvrgAsgd => {
+            // Only the sequential solver has the skip-µ flavour.
+            let variant = match algo {
+                Algorithm::SvrgSgd(v) => v,
+                _ => SvrgVariant::Literature,
+            };
+            let solver = SvrgSolver::new(obj, variant);
+            run_engine(ds, obj, cfg, exec, strategy, meta, init, solver)
+        }
+        Algorithm::Saga => run_engine(
             ds,
             obj,
             cfg,
@@ -253,17 +235,7 @@ fn dispatch<L: Loss>(
             strategy,
             meta,
             init,
-            SvrgSolver::new(obj, v),
-        ),
-        Algorithm::Saga(v) => run_engine(
-            ds,
-            obj,
-            cfg,
-            exec,
-            strategy,
-            meta,
-            init,
-            SagaSolver::new(obj, v),
+            SagaSolver::new(obj),
         ),
     }
 }
@@ -271,7 +243,6 @@ fn dispatch<L: Loss>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SvrgVariant;
     use isasgd_losses::{LogisticLoss, Regularizer};
     use isasgd_sparse::DatasetBuilder;
 
@@ -308,12 +279,9 @@ mod tests {
                 Algorithm::SvrgSgd(SvrgVariant::Literature),
                 Execution::Sequential,
             ),
+            (Algorithm::SvrgAsgd, Execution::Threads(2)),
             (
-                Algorithm::SvrgAsgd(SvrgVariant::Literature),
-                Execution::Threads(2),
-            ),
-            (
-                Algorithm::SvrgAsgd(SvrgVariant::Literature),
+                Algorithm::SvrgAsgd,
                 Execution::Simulated { tau: 4, workers: 2 },
             ),
         ];
@@ -337,20 +305,11 @@ mod tests {
                 Algorithm::SvrgSgd(SvrgVariant::Literature),
                 Execution::Threads(2),
             ),
+            (Algorithm::SvrgAsgd, Execution::Sequential),
+            (Algorithm::Saga, Execution::Threads(2)),
+            (Algorithm::Saga, Execution::Simulated { tau: 4, workers: 2 }),
             (
-                Algorithm::SvrgAsgd(SvrgVariant::Literature),
-                Execution::Sequential,
-            ),
-            (
-                Algorithm::Saga(SvrgVariant::Literature),
-                Execution::Threads(2),
-            ),
-            (
-                Algorithm::MbSgd { batch: 4 },
-                Execution::Simulated { tau: 4, workers: 2 },
-            ),
-            (
-                Algorithm::SvrgAsgd(SvrgVariant::SkipMu),
+                Algorithm::SvrgSgd(SvrgVariant::SkipMu),
                 Execution::Simulated { tau: 4, workers: 2 },
             ),
         ];
@@ -379,7 +338,7 @@ mod tests {
                 (Algorithm::Sgd, Execution::Sequential),
                 (Algorithm::IsAsgd, Execution::Threads(2)),
                 (Algorithm::Asgd, Execution::Simulated { tau: 4, workers: 2 }),
-                (Algorithm::MbIsSgd { batch: 8 }, Execution::Sequential),
+                (Algorithm::IsSgd, Execution::Sequential),
             ] {
                 let r = train(&d, &obj(), a, e, &cfg, "t").unwrap();
                 assert!(r.steps > 0, "{a:?}/{e:?}/{strategy:?}");
@@ -424,11 +383,6 @@ mod tests {
         for (is, plain, e) in [
             (Algorithm::IsSgd, Algorithm::Sgd, Execution::Sequential),
             (Algorithm::IsAsgd, Algorithm::Asgd, sim),
-            (
-                Algorithm::MbIsSgd { batch: 8 },
-                Algorithm::MbSgd { batch: 8 },
-                Execution::Sequential,
-            ),
         ] {
             let a = train(&d, &obj(), is, e, &cfg, "t").unwrap();
             let b = train(&d, &obj(), plain, e, &cfg, "t").unwrap();
@@ -442,10 +396,7 @@ mod tests {
         let d = ds();
         let mut cfg = TrainConfig::default().with_epochs(1);
         cfg.sampling = Some(SamplingStrategy::Adaptive);
-        for a in [
-            Algorithm::SvrgSgd(SvrgVariant::Literature),
-            Algorithm::Saga(SvrgVariant::Literature),
-        ] {
+        for a in [Algorithm::SvrgSgd(SvrgVariant::Literature), Algorithm::Saga] {
             assert!(matches!(
                 train(&d, &obj(), a, Execution::Sequential, &cfg, "t"),
                 Err(CoreError::Unsupported { .. })
@@ -456,7 +407,7 @@ mod tests {
         assert!(train(
             &d,
             &obj(),
-            Algorithm::Saga(SvrgVariant::Literature),
+            Algorithm::Saga,
             Execution::Sequential,
             &cfg,
             "t"
@@ -527,11 +478,7 @@ mod tests {
                 Algorithm::SvrgSgd(SvrgVariant::Literature),
                 Execution::Sequential,
             ),
-            (
-                Algorithm::Saga(SvrgVariant::Literature),
-                Execution::Sequential,
-            ),
-            (Algorithm::MbSgd { batch: 4 }, Execution::Sequential),
+            (Algorithm::Saga, Execution::Sequential),
         ];
         for (a, e) in combos {
             let r = train_from(&d, &obj(), a, e, &cfg, "t", &init).unwrap();
@@ -575,20 +522,5 @@ mod tests {
             ),
             Err(CoreError::InvalidConfig(_))
         ));
-    }
-
-    #[test]
-    fn zero_batch_rejected() {
-        let d = ds();
-        let cfg = TrainConfig::default().with_epochs(1);
-        assert!(train(
-            &d,
-            &obj(),
-            Algorithm::MbSgd { batch: 0 },
-            Execution::Sequential,
-            &cfg,
-            "t"
-        )
-        .is_err());
     }
 }

@@ -78,25 +78,20 @@ impl PaperProfile {
     /// the paper's λ = 0.5/0.05 are sensible step sizes. The literal
     /// calibration (`scaled()`) is still used to regenerate Table 1
     /// itself; the convergence figures (3–5) use this one.
+    ///
+    /// The *hotness* `h = λ·L̄` is the dimensionless knob that selects
+    /// the step-stability regime: `h ≪ 1` is the cold,
+    /// variance-dominated regime (all SGD variants crawl equally);
+    /// `h ≈ 1–2` is the borderline regime where uniform sampling
+    /// overshoots on heavy-`L` rows but IS's `1/(n·p_i)` correction
+    /// equalizes every effective step to `λ·L̄`; `h ≫ 2` is unstable for
+    /// everyone. (`ablation-scheme` sweeps it on its own profiles.)
     pub fn training(&self) -> DatasetProfile {
-        self.training_with(2.0)
-    }
-
-    /// [`Self::training`] with an explicit *hotness* `h = λ·L̄`: the
-    /// product of the paper's step size and the mean smoothness constant,
-    /// the dimensionless knob that selects the step-stability regime.
-    /// `h ≪ 1` is the cold, variance-dominated regime (all SGD variants
-    /// crawl equally); `h ≈ 1–2` is the borderline regime where uniform
-    /// sampling overshoots on heavy-`L` rows but IS's `1/(n·p_i)`
-    /// correction equalizes every effective step to `λ·L̄`; `h ≫ 2` is
-    /// unstable for everyone. The `ablation-scheme` experiment sweeps
-    /// this knob.
-    pub fn training_with(&self, hotness: f64) -> DatasetProfile {
         let mut p = self.scaled();
-        // Choose mean L̄ = h/λ, and convert to the equivalent rho
-        // target: ρ = cv²·L̄², with cv² fixed by ψ.
+        // Choose mean L̄ = h/λ at h = 2, and convert to the equivalent
+        // rho target: ρ = cv²·L̄², with cv² fixed by ψ.
         let cv_sq = 1.0 / p.target_psi_norm - 1.0;
-        let mean_l = hotness / self.paper_step_size();
+        let mean_l = 2.0 / self.paper_step_size();
         p.target_rho = cv_sq * mean_l * mean_l;
         if let FeatureKind::Binary { .. } = p.feature_kind {
             // Importance scale is carried by the feature value:
@@ -270,24 +265,6 @@ impl DatasetProfile {
             planted_density: 0.3,
             feature_kind: FeatureKind::GaussianScaled,
             noise_nnz_coupling: 0.0,
-        }
-    }
-
-    /// A minimal binary-feature profile for unit tests: importance is
-    /// carried by the support size (`L_i ∝ nnz_i`).
-    pub fn tiny_binary() -> Self {
-        DatasetProfile {
-            name: "tiny_binary",
-            dim: 200,
-            n_samples: 300,
-            mean_nnz: 10,
-            zipf_exponent: 0.8,
-            target_psi_norm: 0.7,
-            target_rho: 1e-3,
-            label_noise: 0.0,
-            planted_density: 0.3,
-            feature_kind: FeatureKind::Binary { value: 1.0 },
-            noise_nnz_coupling: 1.0,
         }
     }
 

@@ -49,8 +49,38 @@ pub struct Check {
     pub measure: fn(&TextTable) -> f64,
     /// Inclusive band the measurement must fall in.
     pub expect: (f64, f64),
+    /// The paper's own band, where `expect` was widened to hold a
+    /// measurement that misses it: inside `expect` but outside this is
+    /// [`Verdict::NotReproduced`], not a pass.
+    paper: Option<(f64, f64)>,
     /// What the band means and where it comes from.
     pub why: &'static str,
+}
+
+/// How a measurement stands against its [`Check`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Inside the paper's band.
+    Pass,
+    /// Outside the paper's band, inside the widened one the table holds
+    /// it to: the tree does not reproduce the claim, and says so.
+    NotReproduced,
+    /// Outside the band it is held to (or NaN).
+    Fail,
+}
+
+impl Check {
+    /// Where the measurement `x` falls.
+    fn verdict(&self, x: f64) -> Verdict {
+        let within = |(lo, hi): (f64, f64)| lo <= x && x <= hi;
+        if !within(self.expect) {
+            Verdict::Fail
+        } else if self.paper.is_some_and(|paper| !within(paper)) {
+            Verdict::NotReproduced
+        } else {
+            Verdict::Pass
+        }
+    }
 }
 
 impl Artifact {
@@ -127,6 +157,7 @@ pub const FIG4: Artifact = Artifact {
         paper_ref: "§4.2",
         measure: |t| hi(nums(t, "setup_overhead", &[("algo", "IS-ASGD")])),
         expect: (1.1, 7.7),
+        paper: None,
         why: "sequence generation costs 1.1–7.7 % of training time in the paper; \
               sub-10-ms --quick runs inflate it",
     }],
@@ -160,6 +191,7 @@ pub const ARTIFACTS: &[Artifact] = &[
             paper_ref: "§1.2",
             measure: |t| lo(nums(t, "measured_ratio", &[])),
             expect: (1.0, UP),
+            paper: None,
             why: "the dense-µ add makes an iteration O(d) instead of O(nnz) on every profile",
         }],
     },
@@ -179,6 +211,7 @@ pub const ARTIFACTS: &[Artifact] = &[
             paper_ref: "Fig. 2, Alg. 3",
             measure: |t| worst_gap(&nums(t, "balance_imb", &[]), &nums(t, "shuffle_imb", &[])),
             expect: (-1.0, 0.5),
+            paper: Some((-1.0, 0.0)),
             why: "paper: ≤ 0, balanced shards are no more imbalanced than shuffled ones. Not \
                   reproduced at Table 1's ρ ≈ 1e-4 (+0.31 at --quick, +0.48 at scale 1), where \
                   Alg. 4 itself shuffles; the band holds the measured gap",
@@ -204,6 +237,7 @@ pub const ARTIFACTS: &[Artifact] = &[
                 worst_gap(&of("IS-ASGD"), &of("ASGD"))
             },
             expect: (-1.0, 0.05),
+            paper: Some((-1.0, 0.0)),
             why: "paper: ≤ 0, IS-ASGD's best error is no worse than ASGD's on the low-ψ \
                   profiles. Not reproduced under the saturating logistic loss: +0.028 at \
                   --quick, a tie (+1e-4) at scale 0.25; the band holds the measured gap",
@@ -237,6 +271,7 @@ pub const ARTIFACTS: &[Artifact] = &[
             paper_ref: "§4.2",
             measure: |t| lo(nums(t, "avg_speedup", &[])),
             expect: (1.26, 1.97),
+            paper: None,
             why: "the paper's average IS-ASGD-over-ASGD wall-clock speedup, at its lowest",
         }],
     },
@@ -349,6 +384,7 @@ pub const ARTIFACTS: &[Artifact] = &[
                 paper_ref: "Lemma 2",
                 measure: |t| lo(nums(t, "sp@80%", &[("psi_norm", "0.35"), ("pair_protocol", "tuned")])),
                 expect: (1.0, UP),
+                paper: None,
                 why: "each sampler at its own stability edge: IS needs fewer epochs than \
                       uniform at the widest importance spread, sequentially and at τ = 32",
             },
@@ -360,6 +396,7 @@ pub const ARTIFACTS: &[Artifact] = &[
                     least_rise(&of("IS-SGD/SGD tuned")).min(least_rise(&of("IS-ASGD/ASGD tuned")))
                 },
                 expect: (0.0, UP),
+                paper: None,
                 why: "the gain is sup L / L̄, which grows at every step of ψ = 0.9 → 0.35",
             },
         ],
@@ -384,6 +421,7 @@ pub const ARTIFACTS: &[Artifact] = &[
                 paper_ref: "Eqs. 18–19",
                 measure: |t| hi(nums(t, "phi_max_over_mean", &[("policy", "greedy")])),
                 expect: (1.0, 1.001),
+                paper: None,
                 why: "greedy-LPT leaves max Φ_a / mean Φ_a ≈ 1 at every cluster width",
             },
             Check {
@@ -394,6 +432,7 @@ pub const ARTIFACTS: &[Artifact] = &[
                     -worst_gap(&of("greedy"), &of("identity"))
                 },
                 expect: (0.0, UP),
+                paper: None,
                 why: "contiguous shards of importance-sorted rows are more imbalanced \
                       than balanced ones at every width",
             },
@@ -416,6 +455,7 @@ pub const ARTIFACTS: &[Artifact] = &[
             paper_ref: "Eqs. 13–14, Table 1",
             measure: |t| least_rise(&nums(t, "IS_factor", &[])),
             expect: (0.0, UP),
+            paper: None,
             why: "1/√ψ rises News20 < URL < KDD-Algebra < KDD-Bridge, Table 1's ψ ordering",
         }],
     },
@@ -476,13 +516,18 @@ pub fn run(ctx: &mut Ctx, a: &Artifact) {
     }
     for c in a.checks {
         let x = (c.measure)(&table);
-        let pass = c.expect.0 <= x && x <= c.expect.1;
+        let verdict = c.verdict(x);
         ctx.claims.total += 1;
-        ctx.claims.passed += usize::from(pass);
-        ctx.claims.broken |= !pass && a.deterministic;
+        ctx.claims.passed += usize::from(verdict == Verdict::Pass);
+        ctx.claims.not_reproduced += usize::from(verdict == Verdict::NotReproduced);
+        ctx.claims.broken |= verdict == Verdict::Fail && a.deterministic;
         println!(
             "{}  {}  measured {x:.4} vs [{}, {}]  {} — {}",
-            if pass { "PASS" } else { "FAIL" },
+            match verdict {
+                Verdict::Pass => "PASS",
+                Verdict::NotReproduced => "NOT-REPRODUCED",
+                Verdict::Fail => "FAIL",
+            },
             c.id,
             c.expect.0,
             c.expect.1,
@@ -564,6 +609,36 @@ mod tests {
             );
         }
         assert!(help.contains("\n  all "));
+    }
+
+    #[test]
+    fn a_widened_band_is_not_a_pass() {
+        // The two rows held to a band wider than the paper's: what the
+        // paper claims passes, what only the widened band admits is
+        // NOT-REPRODUCED, and outside both (or NaN) fails.
+        let widened: Vec<&Check> = ARTIFACTS
+            .iter()
+            .flat_map(|a| a.checks)
+            .filter(|c| c.paper.is_some())
+            .collect();
+        let ids: Vec<&str> = widened.iter().map(|c| c.id).collect();
+        assert_eq!(
+            ids,
+            [
+                "fig2.head_tail_vs_shuffle_imbalance_gap",
+                "fig3.kdd_is_asgd_best_err_gap"
+            ]
+        );
+        for c in widened {
+            assert_eq!(c.verdict(-0.01), Verdict::Pass, "{}", c.id);
+            assert_eq!(c.verdict(0.03), Verdict::NotReproduced, "{}", c.id);
+            assert_eq!(c.verdict(0.9), Verdict::Fail, "{}", c.id);
+            assert_eq!(c.verdict(f64::NAN), Verdict::Fail, "{}", c.id);
+        }
+        // A row held to the paper's own band has no middle status.
+        let plain = &FIG4.checks[0];
+        assert_eq!(plain.verdict(5.0), Verdict::Pass);
+        assert_eq!(plain.verdict(9.0), Verdict::Fail);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! locating the crossover.
 
 use crate::common::{fmt_opt, paper_objective, Ctx};
-use isasgd_core::{train, Algorithm, Execution, SvrgVariant};
+use isasgd_core::{train, Algorithm, Execution};
 use isasgd_datagen::{generate, DatasetProfile, FeatureKind};
 use isasgd_metrics::interpolate::time_to_objective;
 use isasgd_metrics::table::{fmt_num, TextTable};
@@ -43,7 +43,7 @@ pub fn fill(ctx: &mut Ctx, table: &mut TextTable) {
             train(&data.dataset, &obj, algo, exec, &cfg, profile.name).expect("density run")
         };
         let asgd = run(Algorithm::Asgd);
-        let svrg = run(Algorithm::SvrgAsgd(SvrgVariant::Literature));
+        let svrg = run(Algorithm::SvrgAsgd);
         // Common target: the worse of the two final objectives, so both
         // reach it.
         let target = asgd

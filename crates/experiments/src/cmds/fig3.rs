@@ -9,7 +9,7 @@
 //! parallelism. CI pins that with a one-core/all-cores `cmp`.
 
 use crate::common::{fmt_opt, paper_objective, train_avg, Ctx, CurveCsv};
-use isasgd_core::{Algorithm, Execution, ImportanceScheme, SvrgVariant};
+use isasgd_core::{Algorithm, Execution, ImportanceScheme};
 use isasgd_datagen::PaperProfile;
 use isasgd_metrics::interpolate::time_to_target;
 use isasgd_metrics::table::{fmt_num, TextTable};
@@ -50,7 +50,7 @@ pub fn fill(ctx: &mut Ctx, table: &mut TextTable) {
             // The paper evaluates SVRG-ASGD only on News20 (elsewhere it
             // "fails to finish training in a reasonable time").
             if p == PaperProfile::News20 {
-                algos.push(Algorithm::SvrgAsgd(SvrgVariant::Literature));
+                algos.push(Algorithm::SvrgAsgd);
             }
             let mut asgd_best = f64::NAN;
             for algo in algos {

@@ -14,7 +14,7 @@
 
 use crate::artifacts::{self, FIG4};
 use crate::common::{fmt_opt, merge_results, paper_objective, train_avg, Ctx, CurveCsv};
-use isasgd_core::{train, Algorithm, Execution, ImportanceScheme, RunResult, SvrgVariant};
+use isasgd_core::{train, Algorithm, Execution, ImportanceScheme, RunResult};
 use isasgd_datagen::PaperProfile;
 use isasgd_metrics::interpolate::time_to_error;
 use isasgd_metrics::speedup::ratio;
@@ -95,7 +95,7 @@ pub fn fill(ctx: &mut Ctx, table: &mut TextTable) {
             // SVRG-ASGD wall-clock only on the dense small profile.
             if p == PaperProfile::News20 {
                 ctx.log(&format!("{} SVRG-ASGD k={k}…", p.id()));
-                let algo = Algorithm::SvrgAsgd(SvrgVariant::Literature);
+                let algo = Algorithm::SvrgAsgd;
                 emit(
                     train_avg(1, ds, &obj, algo, exec, &cfg, p.id()),
                     None,

@@ -8,7 +8,8 @@
 //! prints the table with each row's paper reference, and the flags.
 //! Each artifact prints its table, writes `<stem>.txt`/`.csv` under
 //! `--out`, and holds the numbers its note promises against a band
-//! (`PASS`/`FAIL` lines, a final `claims: passed/total`). Exit status:
+//! (`PASS`/`NOT-REPRODUCED`/`FAIL` lines, a final `claims: passed/total
+//! (k not reproduced)`). Exit status:
 //! 0, 1 when a file cannot be written or a check of a deterministic
 //! artifact fails, 2 on a bad command line.
 
@@ -84,7 +85,10 @@ fn main() {
     for a in todo {
         artifacts::run(&mut ctx, a);
     }
-    println!("claims: {}/{}", ctx.claims.passed, ctx.claims.total);
+    println!(
+        "claims: {}/{} ({} not reproduced)",
+        ctx.claims.passed, ctx.claims.total, ctx.claims.not_reproduced
+    );
     if ctx.claims.broken {
         std::process::exit(1);
     }

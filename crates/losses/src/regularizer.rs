@@ -72,12 +72,6 @@ impl Regularizer {
             _ => 0.0,
         }
     }
-
-    /// True when `r` makes each `f_i` strongly convex (the paper's µ-convex
-    /// assumption, Eq. 5).
-    pub fn strongly_convex(&self) -> bool {
-        matches!(self, Regularizer::L2 { eta } if *eta > 0.0)
-    }
 }
 
 #[cfg(test)]
@@ -103,13 +97,10 @@ mod tests {
     }
 
     #[test]
-    fn curvature_and_convexity() {
+    fn curvature() {
         assert_eq!(Regularizer::None.curvature(), 0.0);
         assert_eq!(Regularizer::L1 { eta: 1.0 }.curvature(), 0.0);
         assert_eq!(Regularizer::L2 { eta: 0.3 }.curvature(), 0.3);
-        assert!(Regularizer::L2 { eta: 0.3 }.strongly_convex());
-        assert!(!Regularizer::L2 { eta: 0.0 }.strongly_convex());
-        assert!(!Regularizer::L1 { eta: 0.3 }.strongly_convex());
     }
 
     #[test]

@@ -15,13 +15,6 @@ pub struct SharedModel {
 }
 
 impl SharedModel {
-    /// Creates a zero-initialized model of dimension `dim`.
-    pub fn zeros(dim: usize) -> Self {
-        let mut w = Vec::with_capacity(dim);
-        w.resize_with(dim, || AtomicU64::new(0f64.to_bits()));
-        Self { w }
-    }
-
     /// Creates a model from an existing dense vector.
     pub fn from_dense(dense: &[f64]) -> Self {
         let w = dense.iter().map(|&x| AtomicU64::new(x.to_bits())).collect();
@@ -34,21 +27,10 @@ impl SharedModel {
         self.w.len()
     }
 
-    /// True when the model has zero coordinates.
-    pub fn is_empty(&self) -> bool {
-        self.w.is_empty()
-    }
-
     /// Relaxed read of coordinate `j`.
     #[inline]
     pub fn get(&self, j: usize) -> f64 {
         f64::from_bits(self.w[j].load(Ordering::Relaxed))
-    }
-
-    /// Relaxed write of coordinate `j`.
-    #[inline]
-    pub fn set(&self, j: usize, x: f64) {
-        self.w[j].store(x.to_bits(), Ordering::Relaxed);
     }
 
     /// Replaces `w[j]` by `f(w[j])` — the one read-modify-write every
@@ -107,35 +89,6 @@ impl SharedModel {
         self.snapshot_into(&mut out);
         out
     }
-
-    /// Overwrites the model from a dense slice.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn load_dense(&self, dense: &[f64]) {
-        assert_eq!(dense.len(), self.dim(), "load_dense dimension mismatch");
-        for (cell, &x) in self.w.iter().zip(dense) {
-            cell.store(x.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Resets all coordinates to zero.
-    pub fn reset(&self) {
-        for cell in &self.w {
-            cell.store(0f64.to_bits(), Ordering::Relaxed);
-        }
-    }
-
-    /// Squared Euclidean norm of the current snapshot.
-    pub fn norm_sq(&self) -> f64 {
-        self.w
-            .iter()
-            .map(|a| {
-                let x = f64::from_bits(a.load(Ordering::Relaxed));
-                x * x
-            })
-            .sum()
-    }
 }
 
 /// Write-path selection for lock-free updates (see [`SharedModel`]).
@@ -155,17 +108,10 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn zeros_and_get_set() {
-        let m = SharedModel::zeros(4);
-        assert_eq!(m.dim(), 4);
-        assert_eq!(m.get(2), 0.0);
-        m.set(2, 1.5);
-        assert_eq!(m.get(2), 1.5);
-    }
-
-    #[test]
-    fn from_dense_and_snapshot() {
+    fn from_dense_get_and_snapshot() {
         let m = SharedModel::from_dense(&[1.0, -2.0, 3.0]);
+        assert_eq!(m.dim(), 3);
+        assert_eq!(m.get(1), -2.0);
         assert_eq!(m.snapshot(), vec![1.0, -2.0, 3.0]);
         let mut buf = Vec::new();
         m.snapshot_into(&mut buf);
@@ -174,7 +120,7 @@ mod tests {
 
     #[test]
     fn cas_adds_accumulate() {
-        let m = SharedModel::zeros(1);
+        let m = SharedModel::from_dense(&[0.0]);
         for _ in 0..100 {
             m.add(0, 0.5, UpdateMode::AtomicCas);
         }
@@ -183,7 +129,7 @@ mod tests {
 
     #[test]
     fn concurrent_cas_adds_conserve_sum() {
-        let m = Arc::new(SharedModel::zeros(8));
+        let m = Arc::new(SharedModel::from_dense(&[0.0; 8]));
         let threads = 4;
         let adds_per_thread = 50_000;
         std::thread::scope(|s| {
@@ -202,7 +148,7 @@ mod tests {
 
     #[test]
     fn racy_updates_may_lose_but_stay_finite() {
-        let m = Arc::new(SharedModel::zeros(1));
+        let m = Arc::new(SharedModel::from_dense(&[0.0]));
         std::thread::scope(|s| {
             for _ in 0..4 {
                 let m = Arc::clone(&m);
@@ -221,33 +167,16 @@ mod tests {
 
     #[test]
     fn add_dispatches_mode() {
-        let m = SharedModel::zeros(1);
+        let m = SharedModel::from_dense(&[0.0]);
         m.add(0, 2.0, UpdateMode::AtomicCas);
         m.add(0, 3.0, UpdateMode::RacyHogwild);
         assert_eq!(m.get(0), 5.0);
     }
 
     #[test]
-    fn load_dense_reset_and_norm() {
-        let m = SharedModel::zeros(3);
-        m.load_dense(&[3.0, 0.0, 4.0]);
-        assert_eq!(m.norm_sq(), 25.0);
-        m.reset();
-        assert_eq!(m.norm_sq(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn load_dense_wrong_len_panics() {
-        SharedModel::zeros(2).load_dense(&[1.0]);
-    }
-
-    #[test]
     fn negative_zero_and_specials_roundtrip() {
-        let m = SharedModel::zeros(2);
-        m.set(0, -0.0);
-        assert_eq!(m.get(0), 0.0);
-        m.set(1, f64::MIN_POSITIVE);
+        let m = SharedModel::from_dense(&[-0.0, f64::MIN_POSITIVE]);
+        assert_eq!(m.get(0).to_bits(), (-0.0f64).to_bits());
         assert_eq!(m.get(1), f64::MIN_POSITIVE);
     }
 }

@@ -63,4 +63,4 @@ pub use clock::{monotonic_us, ObsClock};
 pub use event::{Event, LogLevel};
 pub use json::{parse_jsonl_line, JsonValue};
 pub use metrics::{Histogram, Metrics, RoundSnapshot};
-pub use sink::{emit, install, installed, uninstall, Recorder};
+pub use sink::{emit, install, uninstall, Recorder};

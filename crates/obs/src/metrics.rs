@@ -66,11 +66,6 @@ impl Histogram {
         self.sum_us.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Largest recorded duration.
-    pub fn max_us(&self) -> u64 {
-        self.max_us
-    }
-
     /// Per-bucket `(upper_bound_us, count)` pairs; the final entry uses
     /// `u64::MAX` as its bound (overflow bucket).
     pub fn buckets(&self) -> Vec<(u64, u64)> {
@@ -160,21 +155,6 @@ impl Metrics {
     /// Record a duration into a named histogram.
     fn observe_us(&mut self, name: &'static str, us: u64) {
         self.histograms.entry(name).or_default().record(us);
-    }
-
-    /// Counter value (0 when never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Named histogram, if any observation was recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Per-round snapshots in round order.
-    pub fn snapshots(&self) -> &[RoundSnapshot] {
-        &self.snapshots
     }
 
     /// Capture the current counters as the snapshot closing `round`.
@@ -329,7 +309,7 @@ mod tests {
         h.record(11); // bucket 1
         h.record(20_000_000); // overflow
         assert_eq!(h.count(), 4);
-        assert_eq!(h.max_us(), 20_000_000);
+        assert_eq!(h.max_us, 20_000_000);
         let buckets = h.buckets();
         assert_eq!(buckets[0], (10, 2));
         assert_eq!(buckets[1], (25, 1));
@@ -364,13 +344,13 @@ mod tests {
             error_rate: 0.0,
             wall_us: 1000,
         });
-        assert_eq!(m.counter("handshakes"), 2);
-        assert_eq!(m.counter("respawn_handshakes"), 1);
-        assert_eq!(m.counter("worker_rows"), 64);
-        assert_eq!(m.histogram("handshake_us").unwrap().count(), 2);
-        assert_eq!(m.snapshots().len(), 1);
-        assert_eq!(m.snapshots()[0].round, 1);
-        assert_eq!(m.snapshots()[0].counters.get("worker_commits"), Some(&8));
+        assert_eq!(m.counters["handshakes"], 2);
+        assert_eq!(m.counters["respawn_handshakes"], 1);
+        assert_eq!(m.counters["worker_rows"], 64);
+        assert_eq!(m.histograms["handshake_us"].count(), 2);
+        assert_eq!(m.snapshots.len(), 1);
+        assert_eq!(m.snapshots[0].round, 1);
+        assert_eq!(m.snapshots[0].counters.get("worker_commits"), Some(&8));
     }
 
     #[test]

@@ -16,8 +16,6 @@ pub struct AliasTable {
     prob: Vec<f64>,
     /// Alias outcome used when the acceptance test fails.
     alias: Vec<u32>,
-    /// The normalized probabilities the table was built from.
-    p: Vec<f64>,
 }
 
 impl AliasTable {
@@ -58,7 +56,7 @@ impl AliasTable {
             prob[i as usize] = 1.0;
             alias[i as usize] = i;
         }
-        Ok(Self { prob, alias, p })
+        Ok(Self { prob, alias })
     }
 
     /// Number of outcomes.
@@ -70,17 +68,6 @@ impl AliasTable {
     /// [`AliasTable::new`], kept for API completeness).
     pub fn is_empty(&self) -> bool {
         self.prob.is_empty()
-    }
-
-    /// The normalized probability of outcome `i`.
-    #[inline]
-    pub fn probability(&self, i: usize) -> f64 {
-        self.p[i]
-    }
-
-    /// All normalized probabilities.
-    pub fn probabilities(&self) -> &[f64] {
-        &self.p
     }
 
     /// Draws one outcome.
@@ -151,7 +138,6 @@ mod tests {
         let t = AliasTable::new(&[5.0]).unwrap();
         let mut rng = Xoshiro256pp::new(4);
         assert_eq!(t.sample(&mut rng), 0);
-        assert_eq!(t.probability(0), 1.0);
     }
 
     #[test]
@@ -162,13 +148,6 @@ mod tests {
         let mut rng = Xoshiro256pp::new(5);
         let hits = (0..10_000).filter(|_| t.sample(&mut rng) == 37).count();
         assert!(hits > 9_900, "hits {hits}");
-    }
-
-    #[test]
-    fn probabilities_sum_to_one() {
-        let t = AliasTable::new(&[0.3, 0.5, 7.0, 2.2]).unwrap();
-        let s: f64 = t.probabilities().iter().sum();
-        assert!((s - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -16,13 +16,6 @@ pub enum SamplingError {
     },
     /// All weights were zero — no probability mass to sample from.
     ZeroMass,
-    /// A sampler hyper-parameter was out of range.
-    InvalidParameter {
-        /// Parameter name.
-        name: &'static str,
-        /// The offending value.
-        value: f64,
-    },
     /// Two parallel per-outcome vectors disagree in length.
     LengthMismatch {
         /// Length of the weight vector.
@@ -60,9 +53,6 @@ impl fmt::Display for SamplingError {
                 write!(f, "invalid weight {value} at index {index}")
             }
             SamplingError::ZeroMass => write!(f, "weights sum to zero"),
-            SamplingError::InvalidParameter { name, value } => {
-                write!(f, "invalid sampler parameter {name} = {value}")
-            }
             SamplingError::LengthMismatch { weights, other } => {
                 write!(
                     f,

@@ -100,7 +100,7 @@ pub fn step_corrections(weights: &[f64]) -> Vec<f64> {
 ///
 /// Returns an error if the weights are empty, contain negatives/NaN, or sum
 /// to zero.
-pub fn normalize_weights(weights: &[f64]) -> Result<Vec<f64>, SamplingError> {
+pub(crate) fn normalize_weights(weights: &[f64]) -> Result<Vec<f64>, SamplingError> {
     if weights.is_empty() {
         return Err(SamplingError::EmptyWeights);
     }

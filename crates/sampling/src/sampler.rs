@@ -237,8 +237,8 @@ pub trait Sampler: Send {
 /// engine plan and `isasgd-cluster` nodes, so the two runtimes can never
 /// drift in what a strategy means. `weights` carries the shard's
 /// importance weights; it is ignored (uniform fallback) when the
-/// strategy does not use importance. For uniform sampling the
-/// weighted-only sequence modes degrade to uniform i.i.d.
+/// strategy does not use importance. Uniform draws have no weighted
+/// sequence modes: they are i.i.d. whatever `mode` says.
 pub fn build_sampler(
     strategy: SamplingStrategy,
     weights: Option<&[f64]>,
@@ -257,16 +257,7 @@ pub fn build_sampler(
             SampleSequence::weighted(w, len, mode, seed)?,
             Some(crate::step_corrections(w)),
         ),
-        _ => {
-            let mode = match mode {
-                // Weighted-only modes degrade to uniform i.i.d.
-                SequenceMode::RegeneratePerEpoch | SequenceMode::ShuffleOnce => {
-                    SequenceMode::UniformIid
-                }
-                m => m,
-            };
-            (SampleSequence::uniform(len, len, mode, seed)?, None)
-        }
+        _ => (SampleSequence::uniform(len, len, seed)?, None),
     };
     Ok(Box::new(SequenceSampler {
         seq,
@@ -363,10 +354,6 @@ pub struct AdaptiveIsSampler {
     /// order — commits walk this dirty list so an `EveryK` commit costs
     /// O(window), not O(n).
     observed_rows: Vec<u32>,
-    /// Uniform-mixture floor β.
-    beta: f64,
-    /// EMA retention γ for weight refreshes.
-    gamma: f64,
     /// When pending observations fold into the live distribution.
     commit: CommitPolicy,
     /// Accepted observations since the last commit (drives `EveryK`).
@@ -377,42 +364,18 @@ pub struct AdaptiveIsSampler {
 }
 
 impl AdaptiveIsSampler {
-    /// Default uniform-mixture floor.
-    pub const DEFAULT_BETA: f64 = 0.2;
-    /// Default EMA step for observed weights.
-    pub const DEFAULT_GAMMA: f64 = 0.5;
+    /// Uniform-mixture floor β.
+    const BETA: f64 = 0.2;
+    /// EMA step γ for observed weights.
+    const GAMMA: f64 = 0.5;
 
     /// Builds from initial (e.g. static Lipschitz) weights.
     pub fn new(initial_weights: &[f64]) -> Result<Self, SamplingError> {
-        Self::with_params(initial_weights, Self::DEFAULT_BETA, Self::DEFAULT_GAMMA)
-    }
-
-    /// Builds with explicit mixture floor `beta ∈ [0,1]` and EMA step
-    /// `gamma ∈ (0,1]` (`gamma = 0` would silently never adapt).
-    pub fn with_params(
-        initial_weights: &[f64],
-        beta: f64,
-        gamma: f64,
-    ) -> Result<Self, SamplingError> {
-        if !(0.0..=1.0).contains(&beta) {
-            return Err(SamplingError::InvalidParameter {
-                name: "beta",
-                value: beta,
-            });
-        }
-        if !(gamma > 0.0 && gamma <= 1.0) {
-            return Err(SamplingError::InvalidParameter {
-                name: "gamma",
-                value: gamma,
-            });
-        }
         let tree = SumTree::new(initial_weights)?;
         Ok(Self {
             pending: vec![f64::NAN; initial_weights.len()],
             observed_rows: Vec::new(),
             tree,
-            beta,
-            gamma,
             commit: CommitPolicy::EpochBoundary,
             since_commit: 0,
             commits: 0,
@@ -429,7 +392,7 @@ impl AdaptiveIsSampler {
     /// The current mixture probability of outcome `i`.
     pub fn probability(&self, i: usize) -> f64 {
         let n = self.tree.len() as f64;
-        (1.0 - self.beta) * self.tree.probability(i) + self.beta / n
+        (1.0 - Self::BETA) * self.tree.probability(i) + Self::BETA / n
     }
 
     /// The current raw weight of outcome `i`.
@@ -466,11 +429,11 @@ impl AdaptiveIsSampler {
             let scale = mean_w / mean_obs;
             // Floor keeps every row sampleable, bounding corrections.
             let floor = mean_w * 1e-3;
-            let (gamma, pending) = (self.gamma, &self.pending);
+            let pending = &self.pending;
             self.tree
                 .reweigh(rows.iter().map(|&i| i as usize), |i, w| {
                     let target = (pending[i] * scale).max(floor);
-                    (1.0 - gamma) * w + gamma * target
+                    (1.0 - Self::GAMMA) * w + Self::GAMMA * target
                 })
                 .expect("blended weight is finite and positive");
         }
@@ -491,7 +454,7 @@ impl Sampler for AdaptiveIsSampler {
     }
 
     fn next(&mut self, rng: &mut Xoshiro256pp) -> usize {
-        if rng.next_f64() < self.beta {
+        if rng.next_f64() < Self::BETA {
             rng.next_index(self.tree.len())
         } else {
             self.tree.sample(rng)
@@ -625,7 +588,7 @@ mod tests {
     #[test]
     fn adaptive_sampler_tracks_observed_importance() {
         // Start uniform; observe that outcome 2 matters 10× more.
-        let mut s = AdaptiveIsSampler::with_params(&[1.0, 1.0, 1.0, 1.0], 0.1, 1.0).unwrap();
+        let mut s = AdaptiveIsSampler::new(&[1.0, 1.0, 1.0, 1.0]).unwrap();
         let before = s.probability(2);
         for i in 0..4 {
             s.update_weight(i, if i == 2 { 10.0 } else { 1.0 });
@@ -633,12 +596,12 @@ mod tests {
         s.epoch_reset();
         let after = s.probability(2);
         assert!(
-            after > 2.0 * before,
+            after > 1.5 * before,
             "probability should grow: {before} → {after}"
         );
         // Mixture floor keeps every outcome sampleable.
         for i in 0..4 {
-            assert!(s.probability(i) >= 0.1 / 4.0 - 1e-12);
+            assert!(s.probability(i) >= AdaptiveIsSampler::BETA / 4.0 - 1e-12);
         }
         // Corrections are 1/(n·p): heavier outcomes step smaller.
         assert!(s.correction(2) < s.correction(0));
@@ -647,12 +610,12 @@ mod tests {
 
     #[test]
     fn adaptive_ema_blends_rather_than_replaces() {
-        let mut s = AdaptiveIsSampler::with_params(&[1.0, 1.0], 0.0, 0.5).unwrap();
+        let mut s = AdaptiveIsSampler::new(&[1.0, 1.0]).unwrap();
         s.update_weight(0, 3.0);
         s.update_weight(1, 1.0);
         s.epoch_reset();
-        // With γ = 0.5 the heavy outcome moves halfway toward its target,
-        // not all the way.
+        // γ = 0.5: the heavy outcome moves halfway toward its target, not
+        // all the way.
         let (w0, w1) = (s.weight(0), s.weight(1));
         assert!(w0 > w1, "observed-heavier outcome must gain weight");
         assert!(
@@ -665,14 +628,16 @@ mod tests {
     fn adaptive_keeps_max_of_multi_visit_observations() {
         // A row visited several times per epoch must keep its largest
         // observation (upper-bound semantics), not the last one.
-        let mut s = AdaptiveIsSampler::with_params(&[1.0, 1.0], 0.0, 1.0).unwrap();
+        let mut s = AdaptiveIsSampler::new(&[1.0, 1.0]).unwrap();
         s.update_weight(0, 8.0); // large early observation...
         s.update_weight(0, 0.5); // ...must survive a small later one
         s.update_weight(1, 1.0);
         s.epoch_reset();
+        // Targets 8 : 1 about their mean 4.5, blended halfway from 1 : 1
+        // — (4.5 + 8) : (4.5 + 1). Had the 0.5 won: (0.75 + 0.5) : 1.75.
         let ratio = s.weight(0) / s.weight(1);
         assert!(
-            (ratio - 8.0).abs() < 1e-9,
+            (ratio - 12.5 / 5.5).abs() < 1e-9,
             "expected the 8.0 observation to win, got ratio {ratio}"
         );
     }
@@ -682,7 +647,7 @@ mod tests {
         // Regression: an all-zero observation window used to drive every
         // *observed* row to the floor while unobserved rows kept their
         // weight — inverting the distribution. It must be a no-op.
-        let mut s = AdaptiveIsSampler::with_params(&[4.0, 2.0, 1.0], 0.0, 1.0).unwrap();
+        let mut s = AdaptiveIsSampler::new(&[4.0, 2.0, 1.0]).unwrap();
         let before: Vec<f64> = (0..3).map(|i| s.weight(i)).collect();
         s.update_weight(0, 0.0);
         s.update_weight(1, 0.0);
@@ -691,7 +656,7 @@ mod tests {
         assert_eq!(before, after, "zero-gradient epoch must not re-rank");
         // And the pending window was dropped: the next (informative)
         // epoch starts clean.
-        s.update_weight(2, 5.0);
+        s.update_weight(2, 9.0);
         s.update_weight(0, 1.0);
         s.epoch_reset();
         assert!(s.weight(2) > s.weight(0));
@@ -699,8 +664,8 @@ mod tests {
 
     #[test]
     fn every_k_commits_inside_the_epoch() {
-        let mut boundary = AdaptiveIsSampler::with_params(&[1.0, 1.0], 0.0, 1.0).unwrap();
-        let mut every2 = AdaptiveIsSampler::with_params(&[1.0, 1.0], 0.0, 1.0)
+        let mut boundary = AdaptiveIsSampler::new(&[1.0, 1.0]).unwrap();
+        let mut every2 = AdaptiveIsSampler::new(&[1.0, 1.0])
             .unwrap()
             .with_commit(CommitPolicy::EveryK(2));
         for s in [&mut boundary, &mut every2] {
@@ -722,7 +687,7 @@ mod tests {
 
     #[test]
     fn commit_version_counts_folded_windows() {
-        let mut s = AdaptiveIsSampler::with_params(&[1.0, 1.0], 0.0, 1.0)
+        let mut s = AdaptiveIsSampler::new(&[1.0, 1.0])
             .unwrap()
             .with_commit(CommitPolicy::EveryK(2));
         assert_eq!(s.commit_version(), 0);
@@ -807,26 +772,19 @@ mod tests {
                 SequenceMode::RegeneratePerEpoch,
                 SequenceMode::ShuffleOnce,
                 SequenceMode::UniformIid,
-                SequenceMode::Permutation,
             ] {
                 let cell = format!("{strategy:?}/{mode:?}");
                 let build = || {
                     let policy = CommitPolicy::default();
                     build_sampler(strategy, Some(&w), n, mode, 11, policy).unwrap()
                 };
-                // Uniform draws have no weighted modes: those are i.i.d.
-                let uniform_mode = match mode {
-                    SequenceMode::Permutation => mode,
-                    _ => SequenceMode::UniformIid,
-                };
                 let mut seq = match strategy {
                     SamplingStrategy::Adaptive => None,
                     SamplingStrategy::Static => {
                         Some(SampleSequence::weighted(&w, n, mode, 11).unwrap())
                     }
-                    SamplingStrategy::Uniform => {
-                        Some(SampleSequence::uniform(n, n, uniform_mode, 11).unwrap())
-                    }
+                    // Uniform draws are i.i.d. under every mode.
+                    SamplingStrategy::Uniform => Some(SampleSequence::uniform(n, n, 11).unwrap()),
                 };
                 let mut live = AdaptiveIsSampler::new(&w).unwrap();
                 let (mut rng, mut live_rng) = (Xoshiro256pp::new(5), Xoshiro256pp::new(5));
@@ -892,23 +850,6 @@ mod tests {
         s.epoch_reset();
         let e: f64 = (0..4).map(|i| s.probability(i) * s.correction(i)).sum();
         assert!((e - 1.0).abs() < 1e-9, "E_p[1/(np)] = {e}");
-    }
-
-    #[test]
-    fn parameter_validation_names_the_offender() {
-        let w = [1.0, 1.0];
-        assert!(matches!(
-            AdaptiveIsSampler::with_params(&w, 1.5, 0.5),
-            Err(SamplingError::InvalidParameter { name: "beta", .. })
-        ));
-        assert!(matches!(
-            AdaptiveIsSampler::with_params(&w, 0.5, 0.0),
-            Err(SamplingError::InvalidParameter { name: "gamma", .. })
-        ));
-        assert!(matches!(
-            AdaptiveIsSampler::with_params(&w, 0.5, f64::NAN),
-            Err(SamplingError::InvalidParameter { name: "gamma", .. })
-        ));
     }
 
     #[test]

@@ -21,9 +21,6 @@ pub enum SequenceMode {
     ShuffleOnce,
     /// Uniform sampling with replacement (plain SGD/ASGD baseline).
     UniformIid,
-    /// Random-reshuffling of `0..n` (epoch permutation, the common SGD
-    /// practice; included for ablations).
-    Permutation,
 }
 
 /// A reusable buffer of sample indices for one worker thread.
@@ -65,14 +62,9 @@ impl SampleSequence {
         })
     }
 
-    /// Creates a uniform sequence of `len` draws over `n` outcomes
-    /// (modes [`SequenceMode::UniformIid`] / [`SequenceMode::Permutation`]).
-    pub fn uniform(
-        n: usize,
-        len: usize,
-        mode: SequenceMode,
-        seed: u64,
-    ) -> Result<Self, SamplingError> {
+    /// Creates a uniform i.i.d. sequence of `len` draws over `n` outcomes
+    /// (mode [`SequenceMode::UniformIid`]).
+    pub fn uniform(n: usize, len: usize, seed: u64) -> Result<Self, SamplingError> {
         if len == 0 {
             return Err(SamplingError::EmptySequence);
         }
@@ -80,32 +72,14 @@ impl SampleSequence {
             return Err(SamplingError::EmptyWeights);
         }
         let mut rng = Xoshiro256pp::new(seed);
-        let indices = match mode {
-            SequenceMode::Permutation => {
-                // Tile permutations of 0..n until len is covered.
-                let mut out = Vec::with_capacity(len);
-                let mut perm: Vec<u32> = (0..n as u32).collect();
-                while out.len() < len {
-                    rng.shuffle(&mut perm);
-                    let take = (len - out.len()).min(n);
-                    out.extend_from_slice(&perm[..take]);
-                }
-                out
-            }
-            _ => (0..len).map(|_| rng.next_index(n) as u32).collect(),
-        };
+        let indices = (0..len).map(|_| rng.next_index(n) as u32).collect();
         Ok(Self {
-            mode,
+            mode: SequenceMode::UniformIid,
             table: None,
             indices,
             rng,
             n_outcomes: n,
         })
-    }
-
-    /// The sampling mode.
-    pub fn mode(&self) -> SequenceMode {
-        self.mode
     }
 
     /// Number of underlying outcomes (dataset rows in the shard).
@@ -156,7 +130,6 @@ impl SampleSequence {
                     *i = self.rng.next_index(n) as u32;
                 }
             }
-            SequenceMode::Permutation => self.rng.shuffle(&mut self.indices),
         }
     }
 }
@@ -198,31 +171,12 @@ mod tests {
 
     #[test]
     fn uniform_iid_covers_outcomes() {
-        let s = SampleSequence::uniform(10, 10_000, SequenceMode::UniformIid, 3).unwrap();
+        let s = SampleSequence::uniform(10, 10_000, 3).unwrap();
         let mut seen = [false; 10];
         for &i in s.indices() {
             seen[i as usize] = true;
         }
         assert!(seen.iter().all(|&x| x));
-    }
-
-    #[test]
-    fn permutation_mode_is_balanced_per_epoch() {
-        let n = 16;
-        let s = SampleSequence::uniform(n, n, SequenceMode::Permutation, 4).unwrap();
-        let mut sorted = s.indices().to_vec();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..n as u32).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn permutation_tiles_longer_sequences() {
-        let s = SampleSequence::uniform(4, 10, SequenceMode::Permutation, 5).unwrap();
-        assert_eq!(s.indices().len(), 10);
-        // First 4 and next 4 are full permutations.
-        let mut first: Vec<u32> = s.indices()[..4].to_vec();
-        first.sort_unstable();
-        assert_eq!(first, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -238,7 +192,7 @@ mod tests {
     fn error_paths() {
         assert!(SampleSequence::weighted(&[], 4, SequenceMode::ShuffleOnce, 0).is_err());
         assert!(SampleSequence::weighted(&[1.0], 0, SequenceMode::ShuffleOnce, 0).is_err());
-        assert!(SampleSequence::uniform(0, 4, SequenceMode::UniformIid, 0).is_err());
-        assert!(SampleSequence::uniform(4, 0, SequenceMode::UniformIid, 0).is_err());
+        assert!(SampleSequence::uniform(0, 4, 0).is_err());
+        assert!(SampleSequence::uniform(4, 0, 0).is_err());
     }
 }

@@ -151,7 +151,7 @@ impl SumTree {
     /// has a child with mass — so whatever rounding does to the running
     /// target, the outcome it ends on has positive weight and is never
     /// padding.
-    pub fn sample_at(&self, u: f64) -> usize {
+    fn sample_at(&self, u: f64) -> usize {
         let cap = self.nodes.len() / 2;
         let mut target = u * self.total();
         let mut i = 1;

@@ -65,13 +65,6 @@ proptest! {
     }
 
     #[test]
-    fn alias_probabilities_normalized(w in weights_strategy()) {
-        let table = AliasTable::new(&w).unwrap();
-        let s: f64 = table.probabilities().iter().sum();
-        prop_assert!((s - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn sumtree_update_consistency(w in weights_strategy(), idx_frac in 0.0f64..1.0, new_w in 0.0f64..5.0) {
         let mut tree = SumTree::new(&w).unwrap();
         let idx = ((w.len() - 1) as f64 * idx_frac) as usize;

@@ -42,6 +42,6 @@ pub mod vector;
 
 pub use dataset::{Dataset, DatasetBuilder, SparseRow};
 pub use error::SparseError;
-pub use split::{holdout_split, kfold_indices, stratified_holdout_split};
+pub use split::holdout_split;
 pub use stats::DatasetStats;
 pub use vector::SparseVec;

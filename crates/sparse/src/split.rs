@@ -55,70 +55,6 @@ pub fn holdout_split(
     Ok((train, test))
 }
 
-/// Stratified variant of [`holdout_split`]: positives and negatives are
-/// held out in (approximately) the same proportion, so a rare class does
-/// not vanish from a small test side.
-pub fn stratified_holdout_split(
-    ds: &Dataset,
-    test_fraction: f64,
-    seed: u64,
-) -> Result<(Dataset, Dataset), SparseError> {
-    let n = ds.n_samples();
-    if !(0.0..1.0).contains(&test_fraction) || test_fraction == 0.0 || n < 2 {
-        return Err(SparseError::Empty);
-    }
-    let mut pos = Vec::new();
-    let mut neg = Vec::new();
-    for (i, &y) in ds.labels().iter().enumerate() {
-        if y > 0.0 {
-            pos.push(i);
-        } else {
-            neg.push(i);
-        }
-    }
-    // Shuffle each class independently, then take the head as test.
-    let shuffle_class = |class: &mut Vec<usize>, salt: u64| {
-        let order = shuffled_indices(class.len(), seed ^ salt);
-        let copy: Vec<usize> = order.iter().map(|&k| class[k]).collect();
-        *class = copy;
-    };
-    shuffle_class(&mut pos, 0x505);
-    shuffle_class(&mut neg, 0xA0A);
-    let take = |class: &[usize]| ((class.len() as f64) * test_fraction).round() as usize;
-    let (tp, tn) = (take(&pos), take(&neg));
-    let mut test_idx: Vec<usize> = pos[..tp].iter().chain(neg[..tn].iter()).copied().collect();
-    let mut train_idx: Vec<usize> = pos[tp..].iter().chain(neg[tn..].iter()).copied().collect();
-    if test_idx.is_empty() || train_idx.is_empty() {
-        return Err(SparseError::Empty);
-    }
-    // Deterministic order within the halves (indices sorted) so the split
-    // does not leak class-grouping into downstream contiguous sharding.
-    let mut s = seed ^ 0xC0FFEE;
-    for v in [&mut test_idx, &mut train_idx] {
-        for i in (1..v.len()).rev() {
-            let j = (splitmix64(&mut s) % (i as u64 + 1)) as usize;
-            v.swap(i, j);
-        }
-    }
-    Ok((ds.reordered(&train_idx)?, ds.reordered(&test_idx)?))
-}
-
-/// `k`-fold index partition of `0..n` after a seeded shuffle; fold sizes
-/// differ by at most one. Returns an error when `k < 2` or `k > n`.
-pub fn kfold_indices(n: usize, k: usize, seed: u64) -> Result<Vec<Vec<usize>>, SparseError> {
-    if k < 2 || k > n {
-        return Err(SparseError::Empty);
-    }
-    let idx = shuffled_indices(n, seed);
-    let mut folds = Vec::with_capacity(k);
-    for f in 0..k {
-        let lo = n * f / k;
-        let hi = n * (f + 1) / k;
-        folds.push(idx[lo..hi].to_vec());
-    }
-    Ok(folds)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,54 +106,5 @@ mod tests {
         assert!(holdout_split(&d, 1.0, 1).is_err());
         assert!(holdout_split(&d, -0.1, 1).is_err());
         assert!(holdout_split(&d, 0.01, 1).is_err(), "rounds to empty test");
-    }
-
-    #[test]
-    fn stratified_preserves_class_ratio() {
-        let d = ds(300); // 100 positives, 200 negatives
-        let (train, test) = stratified_holdout_split(&d, 0.2, 3).unwrap();
-        let frac_pos = |x: &Dataset| {
-            x.labels().iter().filter(|&&y| y > 0.0).count() as f64 / x.n_samples() as f64
-        };
-        assert!(
-            (frac_pos(&test) - 1.0 / 3.0).abs() < 0.02,
-            "{}",
-            frac_pos(&test)
-        );
-        assert!((frac_pos(&train) - 1.0 / 3.0).abs() < 0.02);
-        assert_eq!(train.n_samples() + test.n_samples(), 300);
-    }
-
-    #[test]
-    fn stratified_test_is_shuffled_not_class_grouped() {
-        let d = ds(300);
-        let (_, test) = stratified_holdout_split(&d, 0.3, 3).unwrap();
-        // If labels were grouped (all + then all −), the number of label
-        // changes along the row order would be 1; a shuffle gives many.
-        let changes = test
-            .labels()
-            .windows(2)
-            .filter(|w| (w[0] > 0.0) != (w[1] > 0.0))
-            .count();
-        assert!(changes > 10, "labels look grouped: {changes} changes");
-    }
-
-    #[test]
-    fn kfold_covers_everything_once() {
-        let folds = kfold_indices(103, 5, 11).unwrap();
-        assert_eq!(folds.len(), 5);
-        let mut all: Vec<usize> = folds.concat();
-        all.sort_unstable();
-        assert_eq!(all, (0..103).collect::<Vec<_>>());
-        for f in &folds {
-            assert!(f.len() == 20 || f.len() == 21);
-        }
-    }
-
-    #[test]
-    fn kfold_rejects_bad_k() {
-        assert!(kfold_indices(10, 1, 0).is_err());
-        assert!(kfold_indices(10, 11, 0).is_err());
-        assert!(kfold_indices(10, 10, 0).is_ok());
     }
 }

@@ -157,38 +157,6 @@ impl SparseVec {
     pub fn norm(&self) -> f64 {
         self.norm_sq().sqrt()
     }
-
-    /// Sparse-sparse dot product via index merge, `O(nnz_a + nnz_b)`.
-    pub fn dot_sparse(&self, other: &SparseVec) -> f64 {
-        let (mut a, mut b) = (0usize, 0usize);
-        let mut acc = 0.0;
-        while a < self.nnz() && b < other.nnz() {
-            match self.indices[a].cmp(&other.indices[b]) {
-                std::cmp::Ordering::Less => a += 1,
-                std::cmp::Ordering::Greater => b += 1,
-                std::cmp::Ordering::Equal => {
-                    acc += self.values[a] * other.values[b];
-                    a += 1;
-                    b += 1;
-                }
-            }
-        }
-        acc
-    }
-
-    /// True when the two vectors share at least one index (a "conflict" edge
-    /// in the paper's §3.1 conflict graph).
-    pub fn overlaps(&self, other: &SparseVec) -> bool {
-        let (mut a, mut b) = (0usize, 0usize);
-        while a < self.nnz() && b < other.nnz() {
-            match self.indices[a].cmp(&other.indices[b]) {
-                std::cmp::Ordering::Less => a += 1,
-                std::cmp::Ordering::Greater => b += 1,
-                std::cmp::Ordering::Equal => return true,
-            }
-        }
-        false
-    }
 }
 
 impl FromIterator<(u32, f64)> for SparseVec {
@@ -277,17 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_dot_and_overlap() {
-        let a = sv(&[(0, 1.0), (2, 2.0), (5, 3.0)]);
-        let b = sv(&[(2, 4.0), (4, 1.0), (5, -1.0)]);
-        assert_eq!(a.dot_sparse(&b), 8.0 - 3.0);
-        assert!(a.overlaps(&b));
-        let c = sv(&[(1, 1.0), (3, 1.0)]);
-        assert_eq!(a.dot_sparse(&c), 0.0);
-        assert!(!a.overlaps(&c));
-    }
-
-    #[test]
     fn scale_and_clear() {
         let mut v = sv(&[(1, 2.0)]);
         v.scale(3.0);
@@ -301,6 +258,5 @@ mod tests {
         let v = SparseVec::new();
         assert_eq!(v.dot_dense(&[1.0, 2.0]), 0.0);
         assert_eq!(v.norm(), 0.0);
-        assert!(!v.overlaps(&v));
     }
 }

@@ -38,18 +38,6 @@ proptest! {
     }
 
     #[test]
-    fn sparse_sparse_dot_symmetric(a in proptest::collection::btree_map(0u32..48, -5.0f64..5.0, 0..12),
-                                   b in proptest::collection::btree_map(0u32..48, -5.0f64..5.0, 0..12)) {
-        let va = SparseVec::from_pairs(&a.into_iter().collect::<Vec<_>>()).unwrap();
-        let vb = SparseVec::from_pairs(&b.into_iter().collect::<Vec<_>>()).unwrap();
-        prop_assert!((va.dot_sparse(&vb) - vb.dot_sparse(&va)).abs() < 1e-12);
-        // dot != 0 implies overlap
-        if va.dot_sparse(&vb).abs() > 1e-12 {
-            prop_assert!(va.overlaps(&vb));
-        }
-    }
-
-    #[test]
     fn axpy_is_linear(pairs in proptest::collection::btree_map(0u32..32, -5.0f64..5.0, 1..10),
                       s1 in -3.0f64..3.0, s2 in -3.0f64..3.0) {
         let v = SparseVec::from_pairs(&pairs.into_iter().collect::<Vec<_>>()).unwrap();
@@ -148,38 +136,5 @@ proptest! {
         vals.sort_unstable();
         let expect: Vec<u64> = (1..=n as u64).collect();
         prop_assert_eq!(vals, expect, "every row exactly once across the halves");
-    }
-
-    /// Stratified splits partition too, and keep the positive fraction of
-    /// both halves within a couple of rows of the original.
-    #[test]
-    fn stratified_split_partitions_and_balances(n in 30usize..400, seed in 0u64..1000) {
-        let ds = arb_dataset(n, seed);
-        let frac = 0.25;
-        if let Ok((train, test)) = isasgd_sparse::stratified_holdout_split(&ds, frac, seed) {
-            prop_assert_eq!(train.n_samples() + test.n_samples(), n);
-            let pos = |d: &isasgd_sparse::Dataset| {
-                d.labels().iter().filter(|&&y| y > 0.0).count()
-            };
-            let total_pos = pos(&ds);
-            prop_assert_eq!(pos(&train) + pos(&test), total_pos);
-            // Test side holds frac of each class ± 1 rounding.
-            let expect = (total_pos as f64 * frac).round() as isize;
-            prop_assert!((pos(&test) as isize - expect).abs() <= 1);
-        }
-    }
-
-    /// k-fold indices cover 0..n exactly once with near-equal folds.
-    #[test]
-    fn kfold_partitions(n in 4usize..300, k in 2usize..12, seed in 0u64..1000) {
-        prop_assume!(k <= n);
-        let folds = isasgd_sparse::kfold_indices(n, k, seed).unwrap();
-        prop_assert_eq!(folds.len(), k);
-        let mut all: Vec<usize> = folds.concat();
-        all.sort_unstable();
-        prop_assert_eq!(all, (0..n).collect::<Vec<_>>());
-        let sizes: Vec<usize> = folds.iter().map(|f| f.len()).collect();
-        let (mn, mx) = (*sizes.iter().min().unwrap(), *sizes.iter().max().unwrap());
-        prop_assert!(mx - mn <= 1);
     }
 }

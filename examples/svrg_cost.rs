@@ -31,15 +31,7 @@ fn main() {
     println!("running IS-ASGD (index-compressed + importance sampling)…");
     let is_asgd = train(&data.dataset, &obj, Algorithm::IsAsgd, exec, &cfg, "kdd").unwrap();
     println!("running SVRG-ASGD (dense µ added every iteration)…");
-    let svrg = train(
-        &data.dataset,
-        &obj,
-        Algorithm::SvrgAsgd(SvrgVariant::Literature),
-        exec,
-        &cfg,
-        "kdd",
-    )
-    .unwrap();
+    let svrg = train(&data.dataset, &obj, Algorithm::SvrgAsgd, exec, &cfg, "kdd").unwrap();
 
     println!(
         "\n{:<10} {:>12} {:>12} {:>12}",

@@ -67,7 +67,7 @@ pub mod prelude {
     pub use isasgd_balance::{BalancePolicy, ImportanceProfile};
     pub use isasgd_cluster::{ClusterConfig, ClusterRun, SyncStrategy};
     pub use isasgd_core::{
-        train, train_from, Algorithm, Execution, RunResult, StepSchedule, SvrgVariant, TrainConfig,
+        train, train_from, Algorithm, Execution, RunResult, SvrgVariant, TrainConfig,
     };
     pub use isasgd_datagen::{generate, DatasetProfile, FeatureKind, GeneratedData, PaperProfile};
     pub use isasgd_losses::{

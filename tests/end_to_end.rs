@@ -45,11 +45,7 @@ fn every_solver_learns_planted_data() {
             Execution::Sequential,
             "SVRG-SGD",
         ),
-        (
-            Algorithm::SvrgAsgd(SvrgVariant::Literature),
-            Execution::Threads(2),
-            "SVRG-ASGD",
-        ),
+        (Algorithm::SvrgAsgd, Execution::Threads(2), "SVRG-ASGD"),
     ];
     let zero_model_error = {
         let o = obj();
@@ -85,7 +81,7 @@ fn simulated_runs_are_bit_deterministic() {
     for (algo, label) in [
         (Algorithm::Sgd, "sgd"),
         (Algorithm::IsAsgd, "is-asgd"),
-        (Algorithm::SvrgAsgd(SvrgVariant::Literature), "svrg"),
+        (Algorithm::SvrgAsgd, "svrg"),
     ] {
         let exec = Execution::Simulated { tau: 8, workers: 4 };
         let a = train(&data.dataset, &obj(), algo, exec, &cfg, "det").unwrap();
@@ -190,23 +186,6 @@ fn error_paths_are_typed() {
         "e"
     )
     .is_err());
-}
-
-#[test]
-fn step_decay_schedule_runs() {
-    let data = planted(400, 200, 6);
-    let mut cfg = TrainConfig::default().with_epochs(4);
-    cfg.schedule = StepSchedule::EpochDecay { gamma: 0.7 };
-    let r = train(
-        &data.dataset,
-        &obj(),
-        Algorithm::Sgd,
-        Execution::Sequential,
-        &cfg,
-        "d",
-    )
-    .unwrap();
-    assert!(r.final_metrics.objective.is_finite());
 }
 
 #[test]

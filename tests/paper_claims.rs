@@ -96,15 +96,7 @@ fn svrg_pays_the_dense_mu_cost_on_sparse_data() {
     let cfg = TrainConfig::default().with_epochs(2).with_step_size(0.1);
     let exec = Execution::Simulated { tau: 4, workers: 2 };
     let asgd = train(&data.dataset, &obj(), Algorithm::Asgd, exec, &cfg, "sp").unwrap();
-    let svrg = train(
-        &data.dataset,
-        &obj(),
-        Algorithm::SvrgAsgd(SvrgVariant::Literature),
-        exec,
-        &cfg,
-        "sp",
-    )
-    .unwrap();
+    let svrg = train(&data.dataset, &obj(), Algorithm::SvrgAsgd, exec, &cfg, "sp").unwrap();
     let ratio = svrg.train_secs / asgd.train_secs.max(1e-9);
     assert!(
         ratio > 10.0,
