@@ -17,6 +17,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism (README, *Static guarantees*): the lists in this crate's
+// `clippy.toml` and the lints below; the only escape hatch is
+// `#[expect(clippy::…, reason = "…")]` on the statement.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::float_cmp,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod metrics;
 pub mod partition;
@@ -27,3 +40,9 @@ pub use partition::{
     greedy_lpt_balance, head_tail_balance, random_shuffle_order, shard_importance, ShardReport,
 };
 pub use policy::{decide, rearrange, BalanceDecision, BalancePolicy, Rearranged};
+
+/// Lint canary: fails `-D warnings` the day `clippy.toml` stops listing
+/// the hash containers.
+#[cfg(clippy)]
+#[expect(clippy::disallowed_types, reason = "canary")]
+const _: Option<std::collections::HashMap<u8, u8>> = None;

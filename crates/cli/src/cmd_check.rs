@@ -17,25 +17,14 @@ use isasgd_check::{
 use isasgd_cluster::ProtocolBugs;
 use std::time::Duration;
 
-/// Runs the command; returns a process exit code.
-pub fn run(o: &Opts) -> i32 {
-    match run_inner(o) {
-        Ok(code) => code,
-        Err(e) => {
-            // lint: allow(raw-eprintln) — CLI error path: must print even when no recorder exists
-            eprintln!("isasgd check: {e}");
-            2
-        }
-    }
-}
-
 /// The model checker's report channel. `check` runs install no
 /// recorder, so every line of the report goes straight to stderr.
-macro_rules! say {
-    ($($line:tt)*) => {
-        // lint: allow(raw-eprintln) — model-checker report channel; `check` runs install no recorder
-        eprintln!($($line)*)
-    };
+#[expect(
+    clippy::print_stderr,
+    reason = "model-checker report channel; `check` runs install no recorder"
+)]
+fn say(line: std::fmt::Arguments<'_>) {
+    eprintln!("{line}");
 }
 
 fn parse_faults(s: &str, window: u8, budget: u8) -> Result<FaultSpec, String> {
@@ -101,47 +90,46 @@ fn parse_bugs(s: &str) -> Result<ProtocolBugs, String> {
 fn report(out: &Exploration, quiet: bool, require_exhaustive: bool) -> i32 {
     let s = &out.stats;
     if !quiet {
-        say!(
+        say(format_args!(
             "schedules explored : {} ({} decisions, max depth {})",
-            s.schedules,
-            s.decisions,
-            s.max_depth_seen
-        );
-        say!(
+            s.schedules, s.decisions, s.max_depth_seen
+        ));
+        say(format_args!(
             "expected deadlocks : {} (starvation under drop faults)",
             s.expected_deadlocks
-        );
-        say!("pruned (state hash): {}", s.pruned);
-        say!("depth-capped runs  : {}", s.depth_capped);
+        ));
+        say(format_args!("pruned (state hash): {}", s.pruned));
+        say(format_args!("depth-capped runs  : {}", s.depth_capped));
         match &s.truncated {
             // Never silent: either the space was exhausted or the reason
             // it was not is printed.
-            None => say!("coverage           : exhaustive"),
-            Some(why) => say!("coverage           : TRUNCATED — {why}"),
+            None => say(format_args!("coverage           : exhaustive")),
+            Some(why) => say(format_args!("coverage           : TRUNCATED — {why}")),
         }
     }
     match &out.counterexample {
         None => {
             if let (true, Some(why)) = (require_exhaustive, &out.stats.truncated) {
-                say!(
+                say(format_args!(
                     "FAILED             : --require-exhaustive, but the search was cut off ({why})"
-                );
+                ));
                 return 1;
             }
             if !quiet {
-                say!("verdict            : no invariant violations");
+                say(format_args!("verdict            : no invariant violations"));
             }
             0
         }
         Some(ce) => {
-            say!("VIOLATION          : {}", ce.what);
-            say!("counterexample     : {:?}", ce.choices);
+            say(format_args!("VIOLATION          : {}", ce.what));
+            say(format_args!("counterexample     : {:?}", ce.choices));
             1
         }
     }
 }
 
-fn run_inner(o: &Opts) -> Result<i32, String> {
+/// Runs the command; `main` turns an error into exit 2.
+pub fn run(o: &Opts) -> Result<i32, String> {
     let replay = o.get("replay");
     let write = o.get("write");
     let nodes = o
@@ -194,23 +182,26 @@ fn run_inner(o: &Opts) -> Result<i32, String> {
         let bytes = std::fs::read(&path).map_err(|e| format!("read {path}: {e}"))?;
         let file = read_schedule(&bytes).map_err(|e| format!("{path}: {e}"))?;
         if !quiet {
-            say!(
+            say(format_args!(
                 "replaying {path}: {} choices against {:?} (faults {:?}, bugs {:?})",
                 file.choices.len(),
                 (file.spec.nodes, file.spec.rounds),
                 file.spec.faults,
                 file.spec.bugs
-            );
+            ));
         }
         return match file.replay() {
             Ok(outcome) => {
                 if !quiet {
-                    say!("reproduced expected outcome: {:?}", outcome.verdict);
+                    say(format_args!(
+                        "reproduced expected outcome: {:?}",
+                        outcome.verdict
+                    ));
                 }
                 Ok(0)
             }
             Err(e) => {
-                say!("replay FAILED: {e}");
+                say(format_args!("replay FAILED: {e}"));
                 Ok(1)
             }
         };
@@ -228,14 +219,14 @@ fn run_inner(o: &Opts) -> Result<i32, String> {
         bugs,
     };
     if !quiet {
-        say!(
+        say(format_args!(
             "checking {nodes} worker(s) x {rounds} round(s), depth {depth}, faults {faults:?}{}",
             if bugs == ProtocolBugs::default() {
                 String::new()
             } else {
                 format!(", bugs {bugs:?}")
             }
-        );
+        ));
     }
     let out = if walks > 0 {
         sample_scenario(&spec, depth, walks, walk_seed)
@@ -256,7 +247,7 @@ fn run_inner(o: &Opts) -> Result<i32, String> {
             choices: ce.choices.clone(),
         };
         std::fs::write(path, write_schedule(&file)).map_err(|e| format!("write {path}: {e}"))?;
-        say!("counterexample written to {path}");
+        say(format_args!("counterexample written to {path}"));
     }
     Ok(code)
 }
@@ -315,22 +306,22 @@ mod tests {
 
     #[test]
     fn bad_fault_token_is_usage_error() {
-        assert_eq!(run(&opts("check --faults gremlins")), 2);
+        assert!(run(&opts("check --faults gremlins")).is_err());
     }
 
     #[test]
     fn bad_bug_token_is_usage_error() {
-        assert_eq!(run(&opts("check --bugs y2k")), 2);
+        assert!(run(&opts("check --bugs y2k")).is_err());
     }
 
     #[test]
     fn unknown_flag_is_usage_error() {
-        assert_eq!(run(&opts("check --dpeth 4")), 2);
+        assert!(run(&opts("check --dpeth 4")).is_err());
     }
 
     #[test]
     fn missing_replay_file_is_usage_error() {
-        assert_eq!(run(&opts("check --replay /nonexistent/x.schedule")), 2);
+        assert!(run(&opts("check --replay /nonexistent/x.schedule")).is_err());
     }
 
     #[test]
@@ -339,7 +330,7 @@ mod tests {
             run(&opts(
                 "check --nodes 1 --rounds 1 --rows 48 --faults none --depth 32 --quiet"
             )),
-            0
+            Ok(0)
         );
     }
 
@@ -352,13 +343,13 @@ mod tests {
                 "check --nodes 1 --rounds 2 --rows 48 --checkpoint-every 1 \
                  --faults none --depth 48 --require-exhaustive --quiet"
             )),
-            0
+            Ok(0)
         );
     }
 
     #[test]
     fn bad_checkpoint_every_is_usage_error() {
-        assert_eq!(run(&opts("check --checkpoint-every often")), 2);
+        assert!(run(&opts("check --checkpoint-every often")).is_err());
     }
 
     #[test]
@@ -368,7 +359,7 @@ mod tests {
                 "check --nodes 1 --rounds 1 --rows 48 --faults reorder \
                  --bugs drop-preassignment --depth 32 --quiet"
             )),
-            1
+            Ok(1)
         );
     }
 
@@ -377,14 +368,14 @@ mod tests {
         let flags = "check --nodes 1 --rounds 1 --rows 48 --faults lossless --depth 32 --quiet";
         // Truncated by --max-schedules: clean exit without the flag,
         // failure with it; the full search is exhaustive either way.
-        assert_eq!(run(&opts(&format!("{flags} --max-schedules 1"))), 0);
+        assert_eq!(run(&opts(&format!("{flags} --max-schedules 1"))), Ok(0));
         assert_eq!(
             run(&opts(&format!(
                 "{flags} --max-schedules 1 --require-exhaustive"
             ))),
-            1
+            Ok(1)
         );
-        assert_eq!(run(&opts(&format!("{flags} --require-exhaustive"))), 0);
+        assert_eq!(run(&opts(&format!("{flags} --require-exhaustive"))), Ok(0));
     }
 
     #[test]

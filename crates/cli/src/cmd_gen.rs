@@ -3,23 +3,12 @@
 use crate::opts::Opts;
 use isasgd_datagen::{generate, PaperProfile};
 
-/// Runs the command; returns a process exit code.
-pub fn run(o: &Opts) -> i32 {
-    match run_inner(o) {
-        Ok(()) => 0,
-        Err(e) => {
-            // lint: allow(raw-eprintln) — CLI error path: must print even when no recorder exists
-            eprintln!("isasgd gen: {e}");
-            2
-        }
-    }
-}
-
 fn parse_profile(s: &str) -> Option<PaperProfile> {
     PaperProfile::ALL.into_iter().find(|p| p.id() == s)
 }
 
-fn run_inner(o: &Opts) -> Result<(), String> {
+/// Runs the command; `main` turns an error into exit 2.
+pub fn run(o: &Opts) -> Result<(), String> {
     let out = o.require("out").map_err(|e| e.to_string())?;
     let profile_s = o.get_or("profile", "kdd_algebra");
     let profile = parse_profile(&profile_s).ok_or_else(|| {
@@ -43,19 +32,24 @@ fn run_inner(o: &Opts) -> Result<(), String> {
         profile.scaled()
     }
     .scaled_by(scale);
-    // lint: allow(raw-eprintln) — generator progress line; `gen` runs install no recorder
-    eprintln!(
-        "[gen] {} (d={}, n={}, ~{} nnz/row, {})…",
-        p.name,
-        p.dim,
-        p.n_samples,
-        p.mean_nnz,
-        if training {
-            "training-calibrated"
-        } else {
-            "Table-1-literal"
-        }
-    );
+    #[expect(
+        clippy::print_stderr,
+        reason = "generator progress line; `gen` runs install no recorder"
+    )]
+    {
+        eprintln!(
+            "[gen] {} (d={}, n={}, ~{} nnz/row, {})…",
+            p.name,
+            p.dim,
+            p.n_samples,
+            p.mean_nnz,
+            if training {
+                "training-calibrated"
+            } else {
+                "Table-1-literal"
+            }
+        );
+    }
     let g = generate(&p, seed);
     isasgd_sparse::libsvm::write_file(&g.dataset, &out).map_err(|e| e.to_string())?;
     println!(
@@ -92,12 +86,12 @@ mod tests {
     #[test]
     fn requires_out() {
         let o = Opts::parse(["gen"].map(String::from));
-        assert_eq!(run(&o), 2);
+        assert!(run(&o).is_err());
     }
 
     #[test]
     fn rejects_unknown_profile() {
         let o = Opts::parse(["gen", "--out", "/tmp/x.svm", "--profile", "mnist"].map(String::from));
-        assert_eq!(run(&o), 2);
+        assert!(run(&o).is_err());
     }
 }

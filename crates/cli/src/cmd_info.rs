@@ -8,24 +8,12 @@ use isasgd_balance::ImportanceProfile;
 use isasgd_core::{ImportanceScheme, LogisticLoss, Regularizer};
 use isasgd_losses::importance_weights;
 
-/// Runs the command; returns a process exit code.
-pub fn run(o: &Opts) -> i32 {
-    match run_inner(o) {
-        Ok(()) => 0,
-        Err(e) => {
-            // lint: allow(raw-eprintln) — CLI error path: must print even when no recorder exists
-            eprintln!("isasgd info: {e}");
-            2
-        }
-    }
-}
-
-fn run_inner(o: &Opts) -> Result<(), String> {
+/// Runs the command; `main` turns an error into exit 2.
+pub fn run(o: &Opts) -> Result<(), String> {
     let data_path = o
         .positional
         .get(1)
         .cloned()
-        .or_else(|| o.get("data"))
         .ok_or("usage: isasgd info <data.svm> [--conflict-sample n] [--seed s]")?;
     let sample: usize = o
         .get_parsed_or("conflict-sample", 2000usize, "usize")
@@ -110,6 +98,6 @@ mod tests {
     #[test]
     fn requires_a_path() {
         let o = Opts::parse(["info"].map(String::from));
-        assert_eq!(run(&o), 2);
+        assert!(run(&o).is_err());
     }
 }

@@ -4,24 +4,12 @@ use crate::opts::Opts;
 use isasgd_model::SavedModel;
 use std::io::Write;
 
-/// Runs the command; returns a process exit code.
-pub fn run(o: &Opts) -> i32 {
-    match run_inner(o) {
-        Ok(()) => 0,
-        Err(e) => {
-            // lint: allow(raw-eprintln) — CLI error path: must print even when no recorder exists
-            eprintln!("isasgd predict: {e}");
-            2
-        }
-    }
-}
-
-fn run_inner(o: &Opts) -> Result<(), String> {
+/// Runs the command; `main` turns an error into exit 2.
+pub fn run(o: &Opts) -> Result<(), String> {
     let data_path = o
         .positional
         .get(1)
         .cloned()
-        .or_else(|| o.get("data"))
         .ok_or("usage: isasgd predict <data.svm> --model m.json [--out preds.txt]")?;
     let model_path = o.require("model").map_err(|e| e.to_string())?;
     let out_path = o.get("out");
@@ -76,12 +64,12 @@ mod tests {
     #[test]
     fn requires_model_flag() {
         let o = Opts::parse(["predict", "x.svm"].map(String::from));
-        assert_eq!(run(&o), 2);
+        assert!(run(&o).is_err());
     }
 
     #[test]
     fn missing_model_file_is_an_error() {
         let o = Opts::parse(["predict", "x.svm", "--model", "/no/model.json"].map(String::from));
-        assert_eq!(run(&o), 2);
+        assert!(run(&o).is_err());
     }
 }

@@ -14,19 +14,8 @@ use crate::opts::Opts;
 use isasgd_obs::{Event, Histogram};
 use std::collections::BTreeMap;
 
-/// Runs the command; returns a process exit code.
-pub fn run(o: &Opts) -> i32 {
-    match run_inner(o) {
-        Ok(()) => 0,
-        Err(e) => {
-            // lint: allow(raw-eprintln) — CLI error path: must print even when no recorder exists
-            eprintln!("isasgd report: {e}");
-            2
-        }
-    }
-}
-
-fn run_inner(o: &Opts) -> Result<(), String> {
+/// Runs the command; `main` turns an error into exit 2.
+pub fn run(o: &Opts) -> Result<(), String> {
     let path = o
         .positional
         .get(1)
@@ -430,12 +419,12 @@ mod tests {
     #[test]
     fn run_requires_a_trace_path() {
         let o = Opts::parse(["report".to_string()]);
-        assert_eq!(run(&o), 2);
+        assert!(run(&o).is_err());
     }
 
     #[test]
     fn run_rejects_missing_file() {
         let o = Opts::parse(["report", "/no/such/trace.jsonl"].map(String::from));
-        assert_eq!(run(&o), 2);
+        assert!(run(&o).is_err());
     }
 }

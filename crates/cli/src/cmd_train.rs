@@ -3,25 +3,13 @@
 use crate::opts::Opts;
 use crate::spec::{ClusterSpec, TrainSpec};
 use isasgd_cluster::{ClusterConfig, ClusterRun};
-use isasgd_core::{train, train_from, Objective, RunResult, TrainConfig};
+use isasgd_core::{train, train_from, Objective, RunResult, Trace, TrainConfig};
 use isasgd_losses::with_loss;
 use isasgd_model::SavedModel;
 use isasgd_obs::{Event, ObsClock, Recorder};
 use isasgd_sparse::{holdout_split, Dataset};
 use std::path::Path;
 use std::sync::Arc;
-
-/// Runs the command; returns a process exit code.
-pub fn run(o: &Opts) -> i32 {
-    match run_inner(o) {
-        Ok(()) => 0,
-        Err(e) => {
-            // lint: allow(raw-eprintln) — CLI error path: must print even when no recorder exists
-            eprintln!("isasgd train: {e}");
-            2
-        }
-    }
-}
 
 /// Arms the global event recorder when any observability flag asked for
 /// it. Returns the recorder so [`finish_observability`] can drain it;
@@ -56,12 +44,12 @@ fn finish_observability(rec: Option<Arc<Recorder>>, spec: &TrainSpec) -> Result<
     Ok(())
 }
 
-fn run_inner(o: &Opts) -> Result<(), String> {
+/// Runs the command; `main` turns an error into exit 2.
+pub fn run(o: &Opts) -> Result<(), String> {
     let data_path = o
         .positional
         .get(1)
         .cloned()
-        .or_else(|| o.get("data"))
         .ok_or("usage: isasgd train <data.svm> [flags] (see --help)")?;
     let spec = TrainSpec::from_opts(o).map_err(|e| e.to_string())?;
     let model_out = o.get("model");
@@ -111,6 +99,7 @@ fn execute(
     let r = match &spec.cluster {
         Some(cluster) => {
             let run = run_cluster(spec, cluster, &train_ds)?;
+            refuse_divergence(&run.trace, spec.step_size)?;
             report_cluster(spec, cluster, &run, test_ds.as_ref(), quiet);
             // Reuse the model-save path below through a RunResult-free
             // early return.
@@ -123,12 +112,26 @@ fn execute(
         }
         None => run_training(spec, &train_ds, data_path, init.as_deref())?,
     };
+    refuse_divergence(&r.trace, spec.step_size)?;
     report(spec, &r, test_ds.as_ref(), quiet);
 
     if let Some(path) = model_out {
         save_model(&r.model, spec.algorithm.name(), spec, data_path, &path)?;
     }
     Ok(())
+}
+
+/// A trajectory whose objective left the finite numbers is an error
+/// that names where — checked as soon as either runtime returns, so a
+/// step past the stability edge never reports or saves a NaN model.
+fn refuse_divergence(trace: &Trace, step: f64) -> Result<(), String> {
+    match trace.points.iter().find(|p| !p.objective.is_finite()) {
+        Some(p) => Err(format!(
+            "diverged: objective became non-finite at epoch {} (step {step})",
+            p.epoch
+        )),
+        None => Ok(()),
+    }
 }
 
 fn save_model(
@@ -211,16 +214,18 @@ fn report_cluster(
     test: Option<&Dataset>,
     quiet: bool,
 ) {
+    #[expect(
+        clippy::print_stderr,
+        reason = "the parity e2e compares these lines byte-for-byte across transports"
+    )]
     if !quiet {
         for p in &r.rounds {
-            // lint: allow(raw-eprintln) — the parity e2e compares these lines byte-for-byte across transports
             eprintln!(
                 "[round {:>4}] obj={:<12.8} rmse={:<12.8} err={:.6}",
                 p.round, p.objective, p.rmse, p.error_rate
             );
         }
         if let Some(observed) = r.observed_phi_imbalance {
-            // lint: allow(raw-eprintln) — the parity e2e compares these lines byte-for-byte across transports
             eprintln!(
                 "[feedback] rows={} observed_phi_imbalance={observed:.4}",
                 r.feedback_rows
@@ -302,9 +307,12 @@ fn run_training(
 }
 
 fn report(spec: &TrainSpec, r: &RunResult, test: Option<&Dataset>, quiet: bool) {
+    #[expect(
+        clippy::print_stderr,
+        reason = "sequential-engine progress line; the event layer covers the cluster runtime"
+    )]
     if !quiet {
         for p in &r.trace.points {
-            // lint: allow(raw-eprintln) — sequential-engine progress line; the event layer covers the cluster runtime
             eprintln!(
                 "[epoch {:>4}] t={:>8.3}s  obj={:<10.5} rmse={:<10.5} err={:.5}",
                 p.epoch, p.wall_secs, p.objective, p.rmse, p.error_rate
@@ -314,7 +322,6 @@ fn report(spec: &TrainSpec, r: &RunResult, test: Option<&Dataset>, quiet: bool) 
             // Cumulative commit versions per epoch: growth beyond one
             // per worker per epoch is intra-epoch (--commit every-k)
             // adaptivity firing mid-epoch.
-            // lint: allow(raw-eprintln) — sequential-engine progress line; the event layer covers the cluster runtime
             eprintln!(
                 "[sampler] cumulative commits per epoch: {:?}",
                 r.sampler_commits
@@ -427,13 +434,13 @@ mod tests {
     #[test]
     fn missing_data_file_is_an_error() {
         let o = Opts::parse(["train".to_string()]);
-        assert_eq!(run(&o), 2);
+        assert!(run(&o).is_err());
     }
 
     #[test]
     fn unknown_flag_is_an_error() {
         let o = Opts::parse(["train", "x.svm", "--nonsense", "1"].map(String::from));
-        assert_eq!(run(&o), 2);
+        assert!(run(&o).is_err());
     }
 
     #[test]
@@ -449,15 +456,15 @@ mod tests {
             let args = ["train", data].into_iter().chain(flags.iter().copied());
             run(&Opts::parse(args.map(String::from)))
         };
-        assert_eq!(train(&["--epochs", "1", "--quiet"]), 0);
-        assert_eq!(train(&["--epochs", "1", "--sampling", "--quiet"]), 2);
-        assert_eq!(train(&["--quiet", "--epochs"]), 2);
+        assert_eq!(train(&["--epochs", "1", "--quiet"]), Ok(()));
+        assert!(train(&["--epochs", "1", "--sampling", "--quiet"]).is_err());
+        assert!(train(&["--quiet", "--epochs"]).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn nonexistent_file_is_an_error() {
         let o = Opts::parse(["train", "/no/such/file.svm"].map(String::from));
-        assert_eq!(run(&o), 2);
+        assert!(run(&o).is_err());
     }
 }

@@ -11,19 +11,8 @@
 use crate::opts::Opts;
 use isasgd_cluster::{run_worker, WorkerOptions};
 
-/// Runs the command; returns a process exit code.
-pub fn run(o: &Opts) -> i32 {
-    match run_inner(o) {
-        Ok(()) => 0,
-        Err(e) => {
-            // lint: allow(raw-eprintln) — CLI error path: must print even when no recorder exists
-            eprintln!("isasgd worker: {e}");
-            2
-        }
-    }
-}
-
-fn run_inner(o: &Opts) -> Result<(), String> {
+/// Runs the command; `main` turns an error into exit 2.
+pub fn run(o: &Opts) -> Result<(), String> {
     let connect = o
         .get("connect")
         .ok_or("usage: isasgd worker --connect <host:port> (see --help)")?;
@@ -41,8 +30,11 @@ fn run_inner(o: &Opts) -> Result<(), String> {
         ..WorkerOptions::default()
     };
     let report = run_worker(&connect, &opts).map_err(|e| e.to_string())?;
+    #[expect(
+        clippy::print_stderr,
+        reason = "worker status line; workers never install a recorder (timing ships over the wire)"
+    )]
     if !quiet {
-        // lint: allow(raw-eprintln) — worker status line; workers never install a recorder (timing ships over the wire)
         eprintln!(
             "[worker {}] session complete after {} rounds",
             report.node, report.rounds
@@ -74,14 +66,14 @@ mod tests {
     #[test]
     fn missing_connect_is_an_error() {
         let o = Opts::parse(["worker".to_string()]);
-        assert_eq!(run(&o), 2);
+        assert!(run(&o).is_err());
     }
 
     #[test]
     fn unreachable_coordinator_is_an_error() {
         // Port 1 on loopback: nothing listens there.
         let o = Opts::parse(["worker", "--connect", "127.0.0.1:1"].map(String::from));
-        assert_eq!(run(&o), 2);
+        assert!(run(&o).is_err());
     }
 
     #[test]
@@ -96,6 +88,6 @@ mod tests {
             ]
             .map(String::from),
         );
-        assert_eq!(run(&o), 2);
+        assert!(run(&o).is_err());
     }
 }

@@ -9,6 +9,16 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Trace output belongs on the typed event layer (`isasgd-obs`); a line
+// that must print raw says why in `#[expect(clippy::print_stderr, reason = "…")]`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::print_stderr,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 mod cmd_check;
 mod cmd_gen;
@@ -60,23 +70,34 @@ fn main() {
         print!("{text}");
         return;
     }
-    let code = match cmd {
-        Some("train") => cmd_train::run(&o),
-        Some("predict") => cmd_predict::run(&o),
-        Some("info") => cmd_info::run(&o),
-        Some("gen") => cmd_gen::run(&o),
-        Some("worker") => cmd_worker::run(&o),
+    let result = match cmd {
+        Some("train") => cmd_train::run(&o).map(|()| 0),
+        Some("predict") => cmd_predict::run(&o).map(|()| 0),
+        Some("info") => cmd_info::run(&o).map(|()| 0),
+        Some("gen") => cmd_gen::run(&o).map(|()| 0),
+        Some("worker") => cmd_worker::run(&o).map(|()| 0),
         Some("check") => cmd_check::run(&o),
-        Some("report") => cmd_report::run(&o),
+        Some("report") => cmd_report::run(&o).map(|()| 0),
+        #[expect(
+            clippy::print_stderr,
+            reason = "CLI error path: usage text for an unknown command"
+        )]
         Some(other) => {
-            // lint: allow(raw-eprintln) — CLI error path: usage text for an unknown command
             eprintln!("unknown command '{other}'\n\n{HELP}");
-            2
+            Ok(2)
         }
         None => {
             print!("{HELP}");
-            2
+            Ok(2)
         }
     };
+    #[expect(
+        clippy::print_stderr,
+        reason = "CLI error path: must print even when no recorder exists"
+    )]
+    let code = result.unwrap_or_else(|e: String| {
+        eprintln!("isasgd {}: {e}", cmd.unwrap_or_default());
+        2
+    });
     std::process::exit(code);
 }

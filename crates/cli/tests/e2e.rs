@@ -123,6 +123,31 @@ fn full_pipeline_gen_info_train_predict() {
         assert!(m.is_finite());
     }
 
+    // The data file is the positional argument and nothing else:
+    // `--data` names no file (usage, where the three used to run), and
+    // beside a positional file it is one more unknown flag.
+    for cmd in ["train", "predict", "info"] {
+        let run = |positional: Option<&Path>| {
+            let out = bin()
+                .arg(cmd)
+                .args(positional)
+                .arg("--data")
+                .arg(&data)
+                .args(["--model".as_ref(), model.as_os_str()])
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(2), "{cmd}");
+            String::from_utf8_lossy(&out.stderr).into_owned()
+        };
+        let err = run(None);
+        assert!(
+            err.contains(&format!("usage: isasgd {cmd} <data.svm>")),
+            "{err}"
+        );
+        let err = run(Some(&data));
+        assert!(err.contains("unknown flags: --data"), "{err}");
+    }
+
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -640,6 +665,49 @@ fn helpful_errors_and_help() {
         !err.contains("data.svm") && !err.contains("No such file"),
         "{err}"
     );
+}
+
+/// A step past the stability edge is an error that names the epoch, on
+/// the engine and on the cluster alike: exit 2, no summary line with a
+/// NaN objective, no model file. The same flags with a sane step still
+/// train and save.
+#[test]
+fn a_diverged_run_is_an_error_not_a_nan_model() {
+    let dir = tmpdir("diverged");
+    let data = gen_data(&dir);
+    let model = dir.join("m.json");
+    for runtime in [
+        &["--algo", "is-sgd"][..],
+        &["--algo", "sgd", "--cluster", "2"],
+    ] {
+        let train = |step: &str| {
+            bin()
+                .arg("train")
+                .arg(&data)
+                .args(runtime)
+                .args(["--loss", "squared", "--epochs", "3", "--quiet"])
+                .args(["--step", step, "--model"])
+                .arg(&model)
+                .output()
+                .unwrap()
+        };
+        let out = train("1e6");
+        assert_eq!(out.status.code(), Some(2), "{runtime:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("diverged: objective became non-finite at epoch 1 (step 1000000)"),
+            "{runtime:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{runtime:?} printed a summary");
+        assert!(!model.exists(), "{runtime:?} wrote a model");
+
+        let out = train("0.01");
+        assert!(out.status.success(), "{runtime:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("final_obj=0."));
+        assert!(model.exists());
+        std::fs::remove_file(&model).unwrap();
+    }
+    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]

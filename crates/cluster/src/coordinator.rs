@@ -1,5 +1,5 @@
 //! The distributed runtime: a [`Coordinator`]-less round driver and the
-//! per-node [`NodeRuntime`], both generic over [`Transport`].
+//! per-node `NodeRuntime`, both generic over [`Transport`].
 //!
 //! This module replaced the old single-threaded round loop that called
 //! node training as a plain function. The protocol, per link (one duplex
@@ -223,7 +223,10 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
     // goes out (drain tolerates a duplicated hello).
     for link in links.iter_mut() {
         loop {
-            // lint: allow(unbounded-recv) — fleet links arm Tcp read deadlines; the in-process transport's hello drain is deadlock-checked by isasgd-check
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "fleet links arm Tcp read deadlines; the in-process transport's hello drain is deadlock-checked by isasgd-check"
+            )]
             if let Message::RoundBarrier { round: 0, .. } = link.recv()? {
                 break;
             }
@@ -280,7 +283,10 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
             round: round as u64,
             nodes: cfg.nodes as u64,
         });
-        // lint: allow(wall-clock) — measures reported train_secs only; no control-flow or results depend on it
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measures reported train_secs only; no control-flow or results depend on it"
+        )]
         let t0 = Instant::now();
         for (k, link) in links.iter_mut().enumerate() {
             link.send(&Message::RoundBarrier {
@@ -300,7 +306,10 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
             let mut have_model = false;
             let mut have_feedback = !adaptive;
             while !(have_model && have_feedback) {
-                // lint: allow(unbounded-recv) — fleet links arm Tcp round deadlines; the in-process collect loop is deadlock-checked by isasgd-check
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "fleet links arm Tcp round deadlines; the in-process collect loop is deadlock-checked by isasgd-check"
+                )]
                 match link.recv()? {
                     Message::ModelUpdate {
                         round: r, model, ..
@@ -436,7 +445,7 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
 /// Thread-backed workers borrow it from the coordinator's plan, process
 /// workers from the shard they decoded off the wire.
 #[derive(Debug)]
-pub struct ShardInput<'a> {
+pub(crate) struct ShardInput<'a> {
     /// Storage holding at least the rows of `range`.
     pub rows: &'a Dataset,
     /// Global (rearranged-dataset) row id of `rows.row(0)`.
@@ -466,7 +475,7 @@ impl<'a> ShardInput<'a> {
 /// crosses the wire: frames off its link, its shard, and the
 /// [`SessionConfig`] — the coordinator-only half of a `ClusterConfig`
 /// (balance, sync, transport) never reaches it.
-pub struct NodeRuntime<T: Transport> {
+pub(crate) struct NodeRuntime<T: Transport> {
     link: T,
     node_id: u32,
     /// Messages that arrived ahead of the phase that consumes them
@@ -483,12 +492,18 @@ pub struct NodeRuntime<T: Transport> {
     drop_preassignment_traffic: bool,
 }
 
+// The worker half acts on what frames carry (assigned shard, ranges,
+// checkpoint state, models): decode scope (README, *Static guarantees*).
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 impl<T: Transport> NodeRuntime<T> {
     /// Wraps one worker endpoint for node `node_id`.
-    pub fn new(link: T, node_id: usize) -> Self {
+    pub(crate) fn new(link: T, node_id: usize) -> Self {
         NodeRuntime {
             link,
-            // lint: allow(decode-cast) — the slot index this runtime was built for, not wire data; sessions count their nodes in a u32
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the slot index this runtime was built for, not wire data; sessions count their nodes in a u32"
+            )]
             node_id: node_id as u32,
             stash: std::collections::VecDeque::new(),
             die_at_round: None,
@@ -514,7 +529,7 @@ impl<T: Transport> NodeRuntime<T> {
     /// Runs the full worker side of the protocol (see module docs) on
     /// the supplied shard, beside a coordinator in the same process:
     /// the session is what `cfg` would put in an `Assign` frame.
-    pub fn run<L: Loss>(
+    pub(crate) fn run<L: Loss>(
         self,
         shard: ShardInput<'_>,
         obj: &Objective<L>,
@@ -582,7 +597,10 @@ impl<T: Transport> NodeRuntime<T> {
             round: 0,
         })?;
         loop {
-            // lint: allow(unbounded-recv) — the node's link is deadline-armed by its owner (Tcp) or in-process, where isasgd-check covers this wait
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the node's link is deadline-armed by its owner (Tcp) or in-process, where isasgd-check covers this wait"
+            )]
             match self.link.recv()? {
                 Message::ShardRebalance {
                     assigned, ranges, ..
@@ -623,7 +641,10 @@ impl<T: Transport> NodeRuntime<T> {
             range,
         } = shard;
         let id = self.node_id;
-        // lint: allow(decode-cast) — `range` equals the assigned wire range, whose bounds arrived as u32: every row of it, global or shard-local, fits
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "`range` equals the assigned wire range, whose bounds arrived as u32: every row of it, global or shard-local, fits"
+        )]
         let wire_row = |i: usize| i as u32;
         // The worker: shard `assigned` of the session's `cfg.nodes`. An
         // assignment naming a shard the session does not have (a
@@ -905,7 +926,10 @@ impl<T: Transport> NodeRuntime<T> {
                     return Ok(model);
                 }
             }
-            // lint: allow(unbounded-recv) — same link as await_assignment; the barrier wait is the checker's flagship no-deadlock invariant
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "same link as await_assignment; the barrier wait is the checker's flagship no-deadlock invariant"
+            )]
             let m = self.link.recv()?;
             sort(m, round, &mut barrier, &mut consensus, &mut self.stash);
         }
@@ -922,7 +946,10 @@ impl<T: Transport> NodeRuntime<T> {
 /// streaming path draw-for-draw. The scaled observations are
 /// additionally max-reduced into `obs_max`/`visited` for the round's
 /// [`Message::FeedbackBatch`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the epoch's working set, borrowed piecewise from `run_session`'s locals"
+)]
 fn local_epoch<L: Loss>(
     data: &Dataset,
     row_base: usize,
@@ -943,5 +970,116 @@ fn local_epoch<L: Loss>(
             obs_max[local] = obs_max[local].max(observed);
             visited[local] = true;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::in_process_links;
+    use isasgd_losses::{ImportanceScheme, LogisticLoss, Regularizer};
+    use isasgd_sampling::CommitPolicy;
+    use isasgd_sparse::DatasetBuilder;
+
+    fn skewed(n: usize) -> Dataset {
+        let mut b = DatasetBuilder::new(8);
+        for i in 0..n {
+            let norm = if i % 10 == 0 { 6.0 } else { 0.3 };
+            let j = (i % 4) as u32;
+            let y = if i % 2 == 0 { 1.0 } else { -1.0 };
+            b.push_row(&[(j, y * norm), (4 + j, 0.5 * y * norm)], y)
+                .unwrap();
+        }
+        b.finish()
+    }
+
+    fn obj() -> Objective<LogisticLoss> {
+        Objective::new(LogisticLoss, Regularizer::L1 { eta: 1e-5 })
+    }
+
+    fn adaptive_cfg(nodes: usize) -> ClusterConfig {
+        ClusterConfig {
+            nodes,
+            rounds: 4,
+            local_epochs: 1,
+            step_size: 0.3,
+            importance: ImportanceScheme::LipschitzSmoothness,
+            sampling: SamplingStrategy::Adaptive,
+            commit: CommitPolicy::EveryK(16),
+            seed: 0x15A5_6D00,
+            ..ClusterConfig::default()
+        }
+    }
+
+    /// A worker handed rows or weights that disagree with its
+    /// `ShardRebalance` assignment must refuse with a typed error instead
+    /// of silently training other rows than the coordinator evaluates —
+    /// whoever the supplier is. Thread-backed leg: a [`NodeRuntime`] on an
+    /// in-process link, the coordinator end driven by hand (the fleet leg
+    /// is `tests/process_fleet.rs`).
+    #[test]
+    fn worker_refuses_a_shard_that_disagrees_with_its_assignment() {
+        let ds = skewed(60);
+        let weights = vec![1.0; 60];
+        let cfg = adaptive_cfg(1);
+        let refusal_of = |assigned: u32,
+                          ranges: Vec<(u32, u32)>,
+                          rows: &Dataset,
+                          range: std::ops::Range<usize>,
+                          weights: &[f64]| {
+            let (mut coord, worker) = in_process_links(1).pop().unwrap();
+            let shard = ShardInput {
+                rows,
+                row_base: 0,
+                weights,
+                range,
+            };
+            std::thread::scope(|s| {
+                let cfg = &cfg;
+                let h = s.spawn(move || NodeRuntime::new(worker, 0).run(shard, &obj(), cfg));
+                assert!(matches!(
+                    coord.recv().unwrap(),
+                    Message::RoundBarrier { round: 0, .. }
+                ));
+                coord
+                    .send(&Message::ShardRebalance {
+                        round: 0,
+                        assigned,
+                        ranges,
+                    })
+                    .unwrap();
+                match h.join().unwrap() {
+                    Err(ClusterError::Worker(msg)) => msg,
+                    other => panic!("expected a typed worker refusal, got {other:?}"),
+                }
+            })
+        };
+        let refusal = |rows: &Dataset, range: std::ops::Range<usize>, weights: &[f64]| {
+            refusal_of(0, vec![(0, 60)], rows, range, weights)
+        };
+        let msg = refusal(&ds, 1..60, &weights[1..]);
+        assert!(
+            msg.contains("rows 1..60 disagree with assigned range 0..60"),
+            "{msg}"
+        );
+        let msg = refusal(&ds, 0..60, &weights[1..]);
+        assert!(
+            msg.contains("59 streamed weights for 60 shard rows"),
+            "{msg}"
+        );
+        let msg = refusal(&skewed(30), 0..60, &weights);
+        assert!(
+            msg.contains("rows 0..30 do not hold the shard 0..60"),
+            "{msg}"
+        );
+        // An over-long assignment: three ranges for a one-node session, the
+        // third assigned. The shard agrees with the range it names, so only
+        // the shard count can refuse it (this indexed out of bounds before).
+        let ranges = vec![(0, 20), (20, 40), (40, 60)];
+        let msg = refusal_of(2, ranges, &ds, 40..60, &weights[40..]);
+        assert!(
+            msg.contains("shard 2 is not one of the run's 1 shards"),
+            "{msg}"
+        );
     }
 }

@@ -55,6 +55,15 @@
 //! cost are bounded by one checkpoint interval regardless of session
 //! length — observable per slot via [`RecoveryFootprint`].
 
+#![expect(
+    clippy::expect_used,
+    reason = "a poisoned fleet-state lock: a supervisor thread already panicked and the run is lost"
+)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the designated timing module: wall-clock reads are its purpose (liveness deadlines), and `SupervisedLink` and the admission loop are the deadline machinery every other `recv` names"
+)]
+
 use crate::coordinator::{coordinate, plan_run};
 use crate::node::{validate, ClusterConfig, ClusterError, ClusterRun};
 use crate::procnode::wire_known_loss;

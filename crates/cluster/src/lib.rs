@@ -36,9 +36,9 @@
 //!   the coordinator owns balancing, barriers, [`SyncStrategy`]
 //!   averaging, and a feedback mirror fed by per-node importance
 //!   observations (Alain et al.'s message shape; link `k` speaks for
-//!   shard `k` only); each [`NodeRuntime`] is handed a [`ShardInput`] —
-//!   rows, per-row weights, first global row — and turns it into the
-//!   one thing a worker is: a `ScheduleStream` built by
+//!   shard `k` only); each crate-private `NodeRuntime` is handed a
+//!   `ShardInput` — rows, per-row weights, first global row — and
+//!   turns it into the one thing a worker is: a `ScheduleStream` built by
 //!   `ScheduleStream::for_shard`, the same constructor the
 //!   `isasgd-core` engine uses, plus a model replica. Algorithm 4
 //!   weighs, balances and shards once, on the coordinator
@@ -57,6 +57,36 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Static guarantees (README): panic-freedom, determinism and liveness
+// bind this crate's non-test code through the lints below and the
+// lists in `clippy.toml`; decode-side items add `indexing_slicing` and
+// `cast_possible_truncation`. The only escape hatch is
+// `#[expect(clippy::…, reason = "…")]` on the statement.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::float_cmp,
+        clippy::print_stderr,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::disallowed_macros,
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        reason = "the clippy.toml lists bind non-test code"
+    )
+)]
 
 pub mod coordinator;
 pub mod fleet;
@@ -66,7 +96,7 @@ pub mod sync;
 pub mod transport;
 pub mod wire;
 
-pub use coordinator::{run_with_links, run_with_links_observed, NodeRuntime, ShardInput};
+pub use coordinator::{run_with_links, run_with_links_observed};
 pub use fleet::{run_fleet_with, CommandSpawner, WorkerHandle, WorkerSpawner};
 pub use node::{run, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs, RoundPoint};
 pub use procnode::{run_worker, WorkerOptions, WorkerReport};
@@ -81,3 +111,9 @@ pub use wire::{
     CheckpointState, FrameKind, Message, SessionConfig, WireEncoding, WireError, WorkerTiming,
     CHECKPOINT_VERSION, FRAME_KINDS, MAX_FRAME, PROTOCOL_VERSION, SHARD_CHUNK_BYTES,
 };
+
+/// Lint canary: fails `-D warnings` the day `clippy.toml` stops listing
+/// the hash containers.
+#[cfg(clippy)]
+#[expect(clippy::disallowed_types, reason = "canary")]
+const _: Option<std::collections::HashMap<u8, u8>> = None;

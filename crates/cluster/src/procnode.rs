@@ -14,7 +14,7 @@
 //! ```
 //!
 //! After the handshake the worker rebuilds its objective from the
-//! [`SessionConfig`] and hands both to the exact same [`NodeRuntime`]
+//! [`SessionConfig`] and hands both to the exact same `NodeRuntime`
 //! the thread-backed transports run — which is why a
 //! `--cluster-transport process` run is bit-equal to `tcp`, `inproc`,
 //! and (single-node) the sequential engine: same draws, same float-op
@@ -25,6 +25,10 @@
 //! The loss crosses the wire as its stable [`Loss::name`] string; only
 //! wire-known losses (`logistic`, `squared_hinge`, `squared`) can run
 //! cross-process, and an unknown name is a typed error, not a panic.
+
+// The whole worker session handles coordinator-sent frames: decode
+// scope from the first line to the last (README, *Static guarantees*).
+#![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 
 use crate::coordinator::{NodeRuntime, ShardInput};
 use crate::node::ClusterError;
@@ -73,7 +77,10 @@ pub fn run_worker(connect: &str, opts: &WorkerOptions) -> Result<WorkerReport, C
     link.send(&Message::Hello {
         version: PROTOCOL_VERSION,
     })?;
-    // lint: allow(unbounded-recv) — the link was armed with opts.read_timeout at connect, three lines up
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the link was armed with opts.read_timeout at connect, three lines up"
+    )]
     let (worker, config) = match link.recv()? {
         Message::Assign { worker, config } => (worker, config),
         other => {
@@ -101,7 +108,7 @@ pub fn run_worker(connect: &str, opts: &WorkerOptions) -> Result<WorkerReport, C
     // fixed constant would spuriously kill healthy workers on slow
     // rounds the coordinator itself still considers live.
     let per_round = if config.round_timeout_ms == 0 {
-        opts.read_timeout.as_millis() as u64
+        u64::try_from(opts.read_timeout.as_millis()).unwrap_or(u64::MAX)
     } else {
         config.round_timeout_ms
     };
@@ -119,7 +126,10 @@ pub fn run_worker(connect: &str, opts: &WorkerOptions) -> Result<WorkerReport, C
 /// rows, their importance weights, and its first global row.
 fn receive_shard(link: &mut Tcp, worker: u32) -> Result<(Dataset, Vec<f64>, usize), ClusterError> {
     let bad = |what: &str, got: String| ClusterError::Worker(format!("handshake: {what}{got}"));
-    // lint: allow(unbounded-recv) — the Tcp link still carries the handshake read deadline armed at connect
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the Tcp link still carries the handshake read deadline armed at connect"
+    )]
     let (shard_start, shard_rows, dim, mut builder, mut weights) = match link.recv()? {
         Message::DatasetShard {
             shard,
@@ -149,7 +159,10 @@ fn receive_shard(link: &mut Tcp, worker: u32) -> Result<(Dataset, Vec<f64>, usiz
         other => return Err(bad("expected DatasetShard, got ", other.kind().to_string())),
     };
     while weights.len() < shard_rows as usize {
-        // lint: allow(unbounded-recv) — same deadline-armed Tcp link as the first shard frame
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "same deadline-armed Tcp link as the first shard frame"
+        )]
         match link.recv()? {
             Message::DatasetShard {
                 shard,

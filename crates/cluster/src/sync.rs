@@ -19,6 +19,10 @@ pub enum SyncStrategy {
 /// # Panics
 /// Panics if `models` is empty, lengths differ, or `weights` (for
 /// [`SyncStrategy::WeightedByShard`]) mismatch the node count.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "the documented caller contract; the coordinator vets every replica's length before it averages"
+)]
 pub fn average_models(
     models: &[Vec<f64>],
     shard_sizes: &[usize],

@@ -405,8 +405,12 @@ impl Transport for InProcess {
             .map_err(|_| TransportError::Closed)
     }
 
+    #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
     fn recv(&mut self) -> Result<Message, TransportError> {
-        // lint: allow(unbounded-recv) — a dropped peer closes the channel (recv errors Closed); silent-peer deadlocks are ruled out by isasgd-check
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a dropped peer closes the channel (recv errors Closed); silent-peer deadlocks are ruled out by isasgd-check"
+        )]
         self.rx.recv().map_err(|_| TransportError::Closed)
     }
 }
@@ -576,6 +580,7 @@ impl Transport for Tcp {
         Ok(())
     }
 
+    #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
     fn recv(&mut self) -> Result<Message, TransportError> {
         let mut len_bytes = [0u8; 4];
         self.stream
@@ -728,10 +733,14 @@ impl<T: Transport> Transport for FlakyTransport<T> {
         self.flush_held()
     }
 
+    #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
     fn recv(&mut self) -> Result<Message, TransportError> {
         // Never block while still owing the peer a held message.
         self.flush_held()?;
-        // lint: allow(unbounded-recv) — pure delegation: the inner transport owns the deadline
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "pure delegation: the inner transport owns the deadline"
+        )]
         self.inner.recv()
     }
 

@@ -239,6 +239,7 @@ struct Reader<'a> {
     pos: usize,
 }
 
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 impl<'a> Reader<'a> {
     fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
@@ -318,6 +319,30 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Lint canaries (README, *Static guarantees*): the constructs this
+/// file's panic-freedom lints refuse, each under an expectation, so a
+/// lint that stops firing here — renamed, or its `clippy.toml` entry
+/// gone — fails `-D warnings` instead of passing vacuously.
+#[cfg(clippy)]
+const _: fn(&[u8]) -> u8 = |v| {
+    #[expect(clippy::unwrap_used, reason = "canary")]
+    let a = v.first().copied().unwrap();
+    #[expect(clippy::expect_used, reason = "canary")]
+    let b = v.last().copied().expect("canary");
+    #[expect(clippy::indexing_slicing, reason = "canary")]
+    let c = v[0];
+    #[expect(clippy::panic, reason = "canary")]
+    if a == b {
+        panic!("canary");
+    }
+    #[expect(clippy::disallowed_macros, reason = "canary")]
+    if b == c {
+        assert!(v.is_empty());
+        debug_assert!(v.is_empty());
+    }
+    c
+};
+
 /// One wire-visible type's byte layout, both directions — the only
 /// place that layout is written down.
 trait Wire: Sized {
@@ -341,6 +366,7 @@ macro_rules! wire_number {
             fn put(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
             }
+            #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
             fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 Ok(<$ty>::from_le_bytes(r.array()?))
             }
@@ -354,6 +380,7 @@ impl Wire for bool {
     fn put(&self, out: &mut Vec<u8>) {
         out.push(u8::from(*self));
     }
+    #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
             0 => Ok(false),
@@ -370,6 +397,7 @@ impl Wire for usize {
     fn put(&self, out: &mut Vec<u8>) {
         (*self as u64).put(out);
     }
+    #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         usize::try_from(u64::get(r)?).map_err(|_| WireError::Invalid {
             what: "commit period exceeds usize",
@@ -383,6 +411,7 @@ impl Wire for String {
         (self.len() as u32).put(out);
         out.extend_from_slice(self.as_bytes());
     }
+    #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.count(1)?;
         String::from_utf8(r.take(n)?.to_vec()).map_err(|_| WireError::Invalid {
@@ -396,6 +425,7 @@ impl Wire for [u64; 4] {
     fn put(&self, out: &mut Vec<u8>) {
         self.iter().for_each(|w| w.put(out));
     }
+    #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok([u64::get(r)?, u64::get(r)?, u64::get(r)?, u64::get(r)?])
     }
@@ -407,6 +437,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
         self.0.put(out);
         self.1.put(out);
     }
+    #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         Ok((A::get(r)?, B::get(r)?))
     }
@@ -423,6 +454,7 @@ impl<T: Wire> Wire for Vec<T> {
     // to the inliner it stays out of line and `decode_dense_gbps` in
     // `bench_wire` drops ~8 %.
     #[inline(always)]
+    #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
     fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let n = r.count(T::MIN_BYTES)?;
         let mut v = Vec::with_capacity(n);
@@ -453,6 +485,7 @@ macro_rules! wire_enum {
                     })*
                 }
             }
+            #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
             fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 Ok(match r.u8()? {
                     $($tag => $ty::$variant $({ $field: <$fty>::get(r)? })?,)*
@@ -514,6 +547,7 @@ macro_rules! wire_struct {
             fn put(&self, out: &mut Vec<u8>) {
                 $(self.$field.put(out);)*
             }
+            #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
             fn get(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 Ok($name { $($field: Wire::get(r)?,)* })
             }
@@ -767,6 +801,7 @@ macro_rules! frames {
             /// exactly one message — trailing bytes are an error, so a
             /// canonical encoding is the unique fixed point of
             /// `decode ∘ encode`.
+            #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
             pub fn decode(payload: &[u8]) -> Result<Message, WireError> {
                 if payload.len() > MAX_FRAME {
                     return Err(WireError::FrameTooLarge { len: payload.len() });
@@ -1014,6 +1049,7 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 fn get_varint(r: &mut Reader<'_>) -> Result<u64, WireError> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
@@ -1046,6 +1082,10 @@ pub fn put_index_list(out: &mut Vec<u8>, indices: &[u32]) {
     for &i in indices {
         match prev {
             None => put_varint(out, u64::from(i)),
+            #[expect(
+                clippy::disallowed_macros,
+                reason = "encode side: checks a caller invariant on our own sorted coordinates, never peer bytes"
+            )]
             Some(p) => {
                 debug_assert!(i > p, "index list not strictly increasing");
                 put_varint(out, u64::from(i) - u64::from(p) - 1);
@@ -1058,6 +1098,7 @@ pub fn put_index_list(out: &mut Vec<u8>, indices: &[u32]) {
 /// Decodes a gap-coded index list, bounding every index by `dim`.
 /// Strict monotonicity holds by construction (each gap adds ≥ 1), so
 /// the returned list is always a valid sorted coordinate set.
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 fn get_index_list(r: &mut Reader<'_>, dim: u64) -> Result<Vec<u32>, WireError> {
     // Each encoded index is at least one varint byte.
     let n = r.count(1)?;
@@ -1080,7 +1121,10 @@ fn get_index_list(r: &mut Reader<'_>, dim: u64) -> Result<Vec<u32>, WireError> {
                 what: "index list coordinate out of bounds",
             });
         }
-        // lint: allow(decode-cast) — idx < dim just checked, and every caller passes dim ≤ u32::MAX + 1
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "idx < dim just checked, and every caller passes dim ≤ u32::MAX + 1"
+        )]
         indices.push(idx as u32);
         prev = Some(idx);
     }
@@ -1097,6 +1141,10 @@ fn get_index_list(r: &mut Reader<'_>, dim: u64) -> Result<Vec<u32>, WireError> {
 /// from `base` — *bitwise*, never arithmetically, so a delta-encoded
 /// model reconstructs bit-identically (−0.0 vs 0.0, NaN payloads and
 /// subnormals included). Both slices must be the same length.
+#[expect(
+    clippy::disallowed_macros,
+    reason = "encode side: both slices are this process's own models, never peer bytes"
+)]
 pub fn delta_coords(base: &[f64], next: &[f64]) -> (Vec<u32>, Vec<f64>) {
     debug_assert_eq!(base.len(), next.len());
     let mut indices = Vec::new();
@@ -1118,6 +1166,7 @@ pub fn delta_coords(base: &[f64], next: &[f64]) -> (Vec<u32>, Vec<f64>) {
 /// builds: returns `None` when the coordinate and value lists disagree
 /// in length or any index falls outside `base` (a delta built against
 /// a different model dimension than the receiver holds).
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 pub fn apply_delta(base: &[f64], indices: &[u32], values: &[f64]) -> Option<Vec<f64>> {
     if indices.len() != values.len() {
         return None;
@@ -1144,6 +1193,7 @@ fn put_model_delta(
     values.iter().for_each(|v| v.put(out));
 }
 
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 fn get_model_delta(r: &mut Reader<'_>) -> Result<Message, WireError> {
     let node = u32::get(r)?;
     let round = u64::get(r)?;
@@ -1216,6 +1266,7 @@ fn put_checkpoint(out: &mut Vec<u8>, node: &u32, round: &u64, state: &Checkpoint
     fnv1a(&out[start..]).put(out);
 }
 
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 fn get_checkpoint(r: &mut Reader<'_>) -> Result<Message, WireError> {
     check(
         u32::get(r)? == CHECKPOINT_VERSION,
@@ -1280,6 +1331,7 @@ fn put_telemetry(out: &mut Vec<u8>, node: &u32, round: &u64, timing: &WorkerTimi
     fnv1a(&out[start..]).put(out);
 }
 
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 fn get_telemetry(r: &mut Reader<'_>) -> Result<Message, WireError> {
     let node = u32::get(r)?;
     let round = u64::get(r)?;
@@ -1311,7 +1363,10 @@ fn get_telemetry(r: &mut Reader<'_>) -> Result<Message, WireError> {
 pub const SHARD_CHUNK_BYTES: usize = 1 << 18;
 
 fn put_shard_row(out: &mut Vec<u8>, indices: &[u32], values: &[f64], label: f64, weight: f64) {
-    // lint: allow(float-cmp) — labels are the exact sentinels ±1.0 by Dataset construction
+    #[expect(
+        clippy::float_cmp,
+        reason = "labels are the exact sentinels ±1.0 by Dataset construction"
+    )]
     out.push(if label == 1.0 { 1 } else { 0 });
     weight.put(out);
     put_index_list(out, indices);
@@ -1378,6 +1433,7 @@ fn put_dataset_shard(
 /// Re-validates every builder invariant per chunk and bounds each
 /// allocation by the chunk's own declared-and-checked row count, so
 /// admission never reserves a dataset-sized buffer on a peer's say-so.
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 fn get_dataset_shard(r: &mut Reader<'_>) -> Result<Message, WireError> {
     let shard = u32::get(r)?;
     let shard_start = u32::get(r)?;

@@ -21,6 +21,13 @@
 //! codec's f64 handling, or the SGD update itself shows up as a model
 //! mismatch here.
 
+#![allow(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "../clippy.toml binds the library's non-test code; tests assert, time and receive freely"
+)]
+
 use isasgd_cluster::{run, ClusterConfig, ClusterRun, SyncStrategy, TransportConfig, WireEncoding};
 use isasgd_core::{
     train, Algorithm, BalancePolicy, CommitPolicy, Execution, ImportanceScheme, LogisticLoss,

@@ -18,6 +18,13 @@
 //! in a seeded `FlakyTransport`, and guarded by a watchdog so a
 //! protocol regression fails the test instead of hanging the suite.
 
+#![allow(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "../clippy.toml binds the library's non-test code; tests assert, time and receive freely"
+)]
+
 use isasgd_cluster::{
     in_process_links, run_with_links, ClusterConfig, ClusterError, ClusterRun, FlakyTransport,
     InProcess, RecoveryFootprint, SyncStrategy, Transport, TransportConfig, TransportError,

@@ -7,6 +7,13 @@
 //! a process-global, so sharing a binary with the fleet suites would
 //! interleave their coordinators' events into our trace.
 
+#![allow(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "../clippy.toml binds the library's non-test code; tests assert, time and receive freely"
+)]
+
 use isasgd_cluster::{run, ClusterConfig, SyncStrategy, TransportConfig, WireEncoding};
 use isasgd_core::{
     BalancePolicy, CommitPolicy, ImportanceScheme, LogisticLoss, Objective, Regularizer,

@@ -17,9 +17,9 @@
 //!   instantly-closed connections) is rejected with typed errors while
 //!   the accept loop keeps admitting real workers — and a *continuous*
 //!   junk flood cannot starve the handshake deadline;
-//! * a worker whose supplied rows or weights disagree with its
-//!   `ShardRebalance` assignment refuses with a typed error, on a
-//!   thread-backed link and behind the fleet's session layer alike;
+//! * a worker whose streamed rows disagree with its `ShardRebalance`
+//!   assignment refuses with a typed error behind the fleet's session
+//!   layer (the thread-backed leg is a unit test of `coordinator.rs`);
 //! * with `--checkpoint-every`, respawn recovery replays only the
 //!   post-checkpoint suffix: still bit-identical to an undisturbed run
 //!   at every kill round and under every wire encoding, with the
@@ -27,11 +27,17 @@
 //!   (measured from the supervisor's own counters, independent of
 //!   session length).
 
+#![allow(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "../clippy.toml binds the library's non-test code; tests assert, time and receive freely"
+)]
+
 use isasgd_cluster::{
-    in_process_links, run, run_fleet_with, run_worker, ClusterConfig, ClusterError, ClusterRun,
-    FrameKind, Message, NodeRuntime, ProcessConfig, ShardInput, SyncStrategy, Tcp, Transport,
-    TransportConfig, WireEncoding, WorkerHandle, WorkerLossPolicy, WorkerOptions, WorkerSpawner,
-    PROTOCOL_VERSION,
+    run, run_fleet_with, run_worker, ClusterConfig, ClusterError, ClusterRun, FrameKind, Message,
+    ProcessConfig, SyncStrategy, Tcp, Transport, TransportConfig, WireEncoding, WorkerHandle,
+    WorkerLossPolicy, WorkerOptions, WorkerSpawner, PROTOCOL_VERSION,
 };
 use isasgd_core::{
     train, Algorithm, CommitPolicy, Execution, ImportanceScheme, LogisticLoss, Objective,
@@ -984,77 +990,6 @@ fn chaos_kill_telemetry_covers_every_round_and_stays_bit_inert() {
             "slot {k}: telemetry-off run still carried Telemetry frames"
         );
     }
-}
-
-/// A worker handed rows or weights that disagree with its
-/// `ShardRebalance` assignment must refuse with a typed error instead
-/// of silently training other rows than the coordinator evaluates —
-/// whoever the supplier is. Thread-backed leg: a [`NodeRuntime`] on an
-/// in-process link, the coordinator end driven by hand.
-#[test]
-fn worker_refuses_a_shard_that_disagrees_with_its_assignment() {
-    let ds = skewed(60);
-    let weights = vec![1.0; 60];
-    let cfg = adaptive_cfg(1);
-    let refusal_of = |assigned: u32,
-                      ranges: Vec<(u32, u32)>,
-                      rows: &Dataset,
-                      range: std::ops::Range<usize>,
-                      weights: &[f64]| {
-        let (mut coord, worker) = in_process_links(1).pop().unwrap();
-        let shard = ShardInput {
-            rows,
-            row_base: 0,
-            weights,
-            range,
-        };
-        std::thread::scope(|s| {
-            let cfg = &cfg;
-            let h = s.spawn(move || NodeRuntime::new(worker, 0).run(shard, &obj(), cfg));
-            assert!(matches!(
-                coord.recv().unwrap(),
-                Message::RoundBarrier { round: 0, .. }
-            ));
-            coord
-                .send(&Message::ShardRebalance {
-                    round: 0,
-                    assigned,
-                    ranges,
-                })
-                .unwrap();
-            match h.join().unwrap() {
-                Err(ClusterError::Worker(msg)) => msg,
-                other => panic!("expected a typed worker refusal, got {other:?}"),
-            }
-        })
-    };
-    let refusal = |rows: &Dataset, range: std::ops::Range<usize>, weights: &[f64]| {
-        refusal_of(0, vec![(0, 60)], rows, range, weights)
-    };
-    let msg = refusal(&ds, 1..60, &weights[1..]);
-    assert!(
-        msg.contains("rows 1..60 disagree with assigned range 0..60"),
-        "{msg}"
-    );
-    let msg = refusal(&ds, 0..60, &weights[1..]);
-    assert!(
-        msg.contains("59 streamed weights for 60 shard rows"),
-        "{msg}"
-    );
-    let msg = refusal(&skewed(30), 0..60, &weights);
-    assert!(
-        msg.contains("rows 0..30 do not hold the shard 0..60"),
-        "{msg}"
-    );
-    // An over-long assignment: three ranges for a one-node session, the
-    // third assigned. The shard agrees with the range it names, so only
-    // the shard count can refuse it (this indexed out of bounds before).
-    let ranges = vec![(0, 20), (20, 40), (40, 60)];
-    let msg = refusal_of(2, ranges, &ds, 40..60, &weights[40..]);
-    assert!(
-        msg.contains("shard 2 is not one of the run's 1 shards"),
-        "{msg}"
-    );
 }
 
 /// Fleet leg of the same refusal: the spawner puts a relay between the

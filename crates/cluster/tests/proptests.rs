@@ -1,5 +1,12 @@
 //! Property tests on cluster synchronization and the run loop.
 
+#![allow(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "../clippy.toml binds the library's non-test code; tests assert, time and receive freely"
+)]
+
 use isasgd_cluster::{average_models, node::run, ClusterConfig, SyncStrategy};
 use isasgd_losses::{ImportanceScheme, LogisticLoss, Objective, Regularizer};
 use isasgd_sparse::DatasetBuilder;

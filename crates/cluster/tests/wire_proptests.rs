@@ -3,6 +3,13 @@
 //! mutated frames return a typed `WireError`, never a panic and never
 //! an unbounded allocation.
 
+#![allow(
+    clippy::disallowed_macros,
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "../clippy.toml binds the library's non-test code; tests assert, time and receive freely"
+)]
+
 use isasgd_cluster::{
     apply_delta, delta_coords, CheckpointSampler, CheckpointState, FrameKind, Message,
     SessionConfig, WireEncoding, WireError, WorkerTiming, PROTOCOL_VERSION,

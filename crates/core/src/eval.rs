@@ -5,6 +5,11 @@
 //! lock-free hot path — and (b) its time is excluded from the trace's
 //! wall-clock, matching the paper's convention of plotting training time.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the designated timing module: the train/eval wall-clock split is its purpose, and no result depends on a reading"
+)]
+
 use isasgd_losses::objective::chunks;
 use isasgd_losses::{EvalMetrics, Loss, Objective, PartialEval};
 use isasgd_sparse::Dataset;

@@ -68,6 +68,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism (README, *Static guarantees*): the lists in this crate's
+// `clippy.toml` and the lints below; the only escape hatch is
+// `#[expect(clippy::…, reason = "…")]` on the statement.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::float_cmp,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod config;
 pub mod error;
@@ -92,3 +105,9 @@ pub use isasgd_sampling::{
     CommitPolicy, ObservationModel, Sampler, SamplingStrategy, SequenceMode,
 };
 pub use isasgd_sparse::{Dataset, DatasetBuilder};
+
+/// Lint canary: fails `-D warnings` the day `clippy.toml` stops listing
+/// the hash containers.
+#[cfg(clippy)]
+#[expect(clippy::disallowed_types, reason = "canary")]
+const _: Option<std::collections::HashMap<u8, u8>> = None;

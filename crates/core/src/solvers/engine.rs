@@ -119,7 +119,10 @@ fn deliver(streams: &mut [ScheduleStream], note: Option<ObsNote>, delay: usize) 
 /// dispatch before this is called; the engine itself only rejects what it
 /// structurally cannot run (a thread pool needs a
 /// [`SharedKernel`](crate::solvers::solver::SharedKernel)).
-#[allow(clippy::too_many_arguments)] // the one place the full run context assembles
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the one place the full run context assembles"
+)]
 pub fn run_engine<L: Loss, S: Solver>(
     ds: &isasgd_sparse::Dataset,
     obj: &Objective<L>,

@@ -113,7 +113,10 @@ pub fn build_plan<L: Loss>(
         .check_strategy(strategy)
         .map_err(|e| CoreError::InvalidConfig(e.to_string()))?;
 
-    // lint: allow(wall-clock) — measures reported setup_secs only; no control-flow or results depend on it
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "measures reported setup_secs only; no control-flow or results depend on it"
+    )]
     let t0 = Instant::now();
     let seed = balance_seed(cfg.seed, workers);
     let arranged = if strategy.uses_importance() {

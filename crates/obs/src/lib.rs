@@ -39,9 +39,10 @@
 //! Every timestamp comes from one seam, [`ObsClock`]: wall-clock
 //! (`monotonic_us`, a process-wide [`std::time::Instant`] anchor) in
 //! production, a logical counter in tests. Nothing else in the workspace may
-//! read the clock — the `isasgd-lint` `wall-clock` rule keeps timing out of
-//! the deterministic crates, and cluster code that needs a duration calls
-//! [`monotonic_us`] so the seam stays singular.
+//! read the clock — `clippy::disallowed_methods` (each deterministic crate's
+//! `clippy.toml` lists `Instant::now`) keeps timing out of them, and cluster
+//! code that needs a duration calls [`monotonic_us`] so the seam stays
+//! singular.
 //!
 //! # Inertness
 //!

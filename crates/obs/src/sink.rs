@@ -2,10 +2,10 @@
 //! and the metrics registry — plus the process-global install point.
 //!
 //! The global recorder is the *only* sanctioned `eprintln!` site for event
-//! traffic (the `isasgd-lint` `raw-eprintln` rule enforces this). It
-//! defaults to absent: [`emit`] is a no-op until [`install`] is called, so
-//! library code can emit unconditionally and stays inert in workers, tests,
-//! and embedding programs that never install one.
+//! traffic (`clippy::print_stderr`, denied in `cluster` and `cli`, enforces
+//! this). It defaults to absent: [`emit`] is a no-op until [`install`] is
+//! called, so library code can emit unconditionally and stays inert in
+//! workers, tests, and embedding programs that never install one.
 
 use std::fs::File;
 use std::io::{BufWriter, Write};

@@ -65,6 +65,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Determinism (README, *Static guarantees*): the lists in this crate's
+// `clippy.toml` and the lints below; the only escape hatch is
+// `#[expect(clippy::…, reason = "…")]` on the statement.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::disallowed_methods,
+        clippy::disallowed_types,
+        clippy::float_cmp,
+        clippy::allow_attributes,
+        clippy::allow_attributes_without_reason
+    )
+)]
 
 pub mod alias;
 pub mod error;
@@ -116,6 +129,12 @@ pub(crate) fn normalize_weights(weights: &[f64]) -> Result<Vec<f64>, SamplingErr
     }
     Ok(weights.iter().map(|&w| w / sum).collect())
 }
+
+/// Lint canary: fails `-D warnings` the day `clippy.toml` stops listing
+/// the hash containers.
+#[cfg(clippy)]
+#[expect(clippy::disallowed_types, reason = "canary")]
+const _: Option<std::collections::HashMap<u8, u8>> = None;
 
 #[cfg(test)]
 mod tests {

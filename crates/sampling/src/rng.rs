@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn derive_seeds_distinct() {
         let seeds = derive_seeds(42, 64);
-        let unique: std::collections::HashSet<_> = seeds.iter().collect();
+        let unique: std::collections::BTreeSet<_> = seeds.iter().collect();
         assert_eq!(unique.len(), 64);
     }
 

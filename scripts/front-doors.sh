@@ -1,7 +1,7 @@
 #!/bin/sh
 # Front-door audit, printed (not gated) next to strict-size.sh: every
 # `pub fn|struct|enum|trait|const` declared in non-test code under
-# crates/*/src (the `lint` and `check` tools excepted) whose name appears
+# crates/*/src (the `check` tool excepted) whose name appears
 # nowhere else in the non-test code of the workspace, `examples/` or
 # `bench_e2e/src`. Comment lines, `pub use` lines and everything at or
 # after a file's first column-0 `#[cfg(test)]` do not count as a
@@ -10,7 +10,7 @@
 # (`new`, `len`) is never listed, which makes this a floor, not a proof.
 set -eu
 cd "$(dirname "$0")/.."
-decls=$(find crates/*/src -name '*.rs' | grep -v -e '^crates/lint/' -e '^crates/check/' | sort)
+decls=$(find crates/*/src -name '*.rs' | grep -v '^crates/check/' | sort)
 refs=$(find src crates/*/src crates/*/examples examples bench_e2e/src -name '*.rs' | sort)
 # The declaring files are read twice: once (mode=decl) to collect the
 # declarations, then with every other file to count identifier uses.
