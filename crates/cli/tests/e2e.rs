@@ -710,6 +710,45 @@ fn a_diverged_run_is_an_error_not_a_nan_model() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// η must be finite and ≥ 0, on the engine and on the cluster alike: a
+/// negative η used to train an anti-regularized model and exit 0, and a
+/// non-finite one failed as a sampling error about a NaN weight.
+#[test]
+fn a_negative_or_non_finite_eta_is_refused() {
+    let dir = tmpdir("eta");
+    let data = gen_data(&dir);
+    for runtime in [
+        &["--algo", "is-sgd"][..],
+        &["--algo", "sgd", "--cluster", "2"],
+    ] {
+        let train = |eta: &str| {
+            bin()
+                .arg("train")
+                .arg(&data)
+                .args(runtime)
+                .args(["--epochs", "3", "--quiet", "--eta", eta])
+                .output()
+                .unwrap()
+        };
+        for eta in ["-1", "nan", "inf"] {
+            let out = train(eta);
+            assert_eq!(out.status.code(), Some(2), "{runtime:?} --eta {eta}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                err.contains("regularization factor η") && err.contains("finite and ≥ 0"),
+                "{runtime:?} --eta {eta}: {err}"
+            );
+            assert!(
+                out.stdout.is_empty(),
+                "{runtime:?} --eta {eta} printed a summary"
+            );
+        }
+        let out = train("0");
+        assert!(out.status.success(), "{runtime:?} --eta 0");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn warm_start_resumes_training() {
     let dir = tmpdir("warm");

@@ -105,7 +105,7 @@ pub fn run_with_links_observed<L: Loss, T: Transport>(
     bugs: ProtocolBugs,
     on_driver_done: impl FnOnce() + Send,
 ) -> Result<ClusterRun, ClusterError> {
-    validate(cfg, ds)?;
+    validate(cfg, obj, ds)?;
     if links.len() != cfg.nodes {
         return Err(ClusterError::InvalidConfig(format!(
             "{} transport links for {} nodes",

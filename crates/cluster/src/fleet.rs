@@ -546,7 +546,7 @@ pub fn run_fleet_with<L: Loss, S: WorkerSpawner>(
     pc: &ProcessConfig,
     spawner: S,
 ) -> Result<ClusterRun, ClusterError> {
-    validate(cfg, ds)?;
+    validate(cfg, obj, ds)?;
     if !wire_known_loss(obj.loss.name()) {
         return Err(ClusterError::InvalidConfig(format!(
             "loss '{}' cannot cross the process boundary (wire-known: logistic, \

@@ -282,8 +282,13 @@ impl ClusterConfig {
     }
 }
 
-/// Validates a config against a dataset (shared by every entry point).
-pub(crate) fn validate(cfg: &ClusterConfig, ds: &Dataset) -> Result<(), ClusterError> {
+/// Validates a config and objective against a dataset (shared by every
+/// entry point).
+pub(crate) fn validate<L: Loss>(
+    cfg: &ClusterConfig,
+    obj: &Objective<L>,
+    ds: &Dataset,
+) -> Result<(), ClusterError> {
     if cfg.nodes == 0 || cfg.nodes > ds.n_samples() {
         return Err(ClusterError::InvalidConfig(format!(
             "nodes = {} must be in 1..={}",
@@ -302,6 +307,7 @@ pub(crate) fn validate(cfg: &ClusterConfig, ds: &Dataset) -> Result<(), ClusterE
             cfg.step_size
         )));
     }
+    obj.reg.check().map_err(ClusterError::InvalidConfig)?;
     // The same rule the core plan applies, against the strategy nodes
     // actually run.
     cfg.commit
@@ -327,7 +333,7 @@ pub fn run<L: Loss>(
     obj: &Objective<L>,
     cfg: &ClusterConfig,
 ) -> Result<ClusterRun, ClusterError> {
-    validate(cfg, ds)?;
+    validate(cfg, obj, ds)?;
     match &cfg.transport {
         TransportConfig::InProcess => run_with_links(ds, obj, cfg, in_process_links(cfg.nodes)),
         TransportConfig::Tcp { bind, encoding } => {
@@ -638,6 +644,11 @@ mod tests {
             }
         )
         .is_err());
+        let anti = Objective::new(LogisticLoss, Regularizer::L1 { eta: -1.0 });
+        assert!(matches!(
+            run(&ds, &anti, &ClusterConfig::default()),
+            Err(ClusterError::InvalidConfig(msg)) if msg.contains("η = -1")
+        ));
     }
 
     #[test]

@@ -222,6 +222,9 @@ fn serve(
     shard: ShardInput<'_>,
     die_at_round: Option<u64>,
 ) -> Result<WorkerReport, ClusterError> {
+    // The wire carries any f64: a worker applies the coordinator's η
+    // rule itself rather than trusting the peer.
+    sc.reg.check().map_err(ClusterError::InvalidConfig)?;
     let runtime = NodeRuntime::new(link, worker as usize).with_chaos_kill(die_at_round);
     with_loss!(sc.loss.as_str(), |loss| {
         runtime.run_session(shard, &Objective::new(loss, sc.reg), &sc)
@@ -244,4 +247,39 @@ fn serve(
 /// coordinator.
 pub fn wire_known_loss(name: &str) -> bool {
     with_loss!(name, |_loss| ()).is_some()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::tcp_loopback_links;
+    use crate::ClusterConfig;
+    use isasgd_losses::{LogisticLoss, Regularizer};
+
+    /// A coordinator that skipped the η rule cannot make a worker train
+    /// on it: the assigned regularizer is checked before the session.
+    #[test]
+    fn serve_refuses_an_assigned_eta_outside_the_rule() {
+        let mut b = DatasetBuilder::new(2);
+        b.push_row(&[(0, 1.0)], 1.0).unwrap();
+        let rows = b.finish();
+        for eta in [-1.0, f64::NAN, f64::INFINITY] {
+            let obj = Objective::new(LogisticLoss, Regularizer::L1 { eta });
+            let sc = ClusterConfig::default().session(&obj);
+            // A hung-up coordinator: a worker that got past the check
+            // fails on the link instead of waiting for rounds.
+            let (coord, link) = tcp_loopback_links(1, "127.0.0.1:0").unwrap().remove(0);
+            drop(coord);
+            let shard = ShardInput {
+                rows: &rows,
+                row_base: 0,
+                weights: &[1.0],
+                range: 0..1,
+            };
+            match serve(link, 0, sc, shard, None) {
+                Err(ClusterError::InvalidConfig(msg)) => assert!(msg.contains("η"), "{msg}"),
+                other => panic!("η = {eta}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
 }

@@ -106,6 +106,7 @@ pub fn build_plan<L: Loss>(
             cfg.step_size
         )));
     }
+    obj.reg.check().map_err(CoreError::InvalidConfig)?;
     if cfg.epochs == 0 {
         return Err(CoreError::InvalidConfig("epochs must be ≥ 1".into()));
     }
@@ -303,6 +304,11 @@ mod tests {
         assert!(build_plan(&d, &obj(), &bad, 1, s).is_err());
         let bad = TrainConfig::default().with_epochs(0);
         assert!(build_plan(&d, &obj(), &bad, 1, s).is_err());
+        let anti = Objective::new(LogisticLoss, Regularizer::L1 { eta: -1.0 });
+        assert!(matches!(
+            build_plan(&d, &anti, &cfg, 1, s),
+            Err(CoreError::InvalidConfig(msg)) if msg.contains("η = -1")
+        ));
     }
 
     #[test]

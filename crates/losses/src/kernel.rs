@@ -14,6 +14,11 @@
 //! the whole map is handed to [`ModelAccess::update`] as one closure, so
 //! an atomic model applies gradient and regularizer in a single
 //! read-modify-write.
+//!
+//! The L1 subgradient inside that map is written as a select, not a
+//! branch: the sign of a trained weight follows no pattern a branch
+//! predictor can learn, so a branch on it mispredicts once per few
+//! coordinates.
 
 use crate::loss::Loss;
 use crate::objective::Objective;
