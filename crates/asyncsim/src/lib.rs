@@ -8,10 +8,10 @@
 //! updates — `ŵ_t = w_t + θ_t` in Eq. 21. This crate implements exactly
 //! that semantics, sequentially and deterministically:
 //!
-//! * [`DelayQueue`] — a FIFO holding at most τ in-flight items, with a
-//!   logical clock that measures each item's *actual* in-flight delay
-//!   (an epoch-end barrier flushes younger items before their τ expires;
-//!   the staleness-discounted feedback path consumes those measurements).
+//! * [`DelayQueue`] — a FIFO holding at most τ in-flight items. An
+//!   item's staleness is its position, so the queue needs no clock: τ
+//!   for an item a push returns, less for the younger items an epoch-end
+//!   barrier flushes before their τ expires.
 //!
 //! The solver runtime in `isasgd-core` drives its compute/apply-split
 //! [`Solver`](../isasgd_core/solvers/solver/trait.Solver.html) updates

@@ -8,31 +8,27 @@ use std::collections::VecDeque;
 /// Models the paper's delay parameter: an update enqueued at logical step
 /// `t` is returned (applied) at step `t + tau`.
 ///
-/// The queue keeps a logical clock (one tick per push) and stamps every
-/// item at enqueue time, so the **measured** delay of each item — how
-/// many steps it actually spent in flight — is available at pop time via
-/// [`DelayQueue::push_timed`] / [`DelayQueue::drain_timed`]. A steady
-/// stream measures exactly `tau`, but items flushed by the epoch-end
-/// barrier ([`DelayQueue::drain_timed`]) report *shorter* delays: the
-/// barrier does not wait `tau` steps for them. Feedback consumers (the
-/// staleness-discounted observation model) need those per-item delays;
-/// an assumed uniform `tau` would cancel out of any mean-normalized
-/// re-weighting.
+/// An item's staleness is positional, so the queue keeps no clock: an
+/// item [`DelayQueue::push`] returns spent exactly `tau` pushes in
+/// flight, and the `i`-th of the `len` items [`DelayQueue::drain`]
+/// flushes (0-based) spent `len − i` — the epoch-end barrier does not
+/// wait out their delay.
+///
+/// Nothing is reserved up front: the queue holds at most
+/// `min(tau, pushes since the last drain)` items, so an absurd `tau`
+/// costs no memory beyond the draws actually in flight.
 #[derive(Debug, Clone)]
 pub struct DelayQueue<T> {
-    q: VecDeque<(T, u64)>,
+    q: VecDeque<T>,
     tau: usize,
-    /// Logical time: the number of pushes so far.
-    clock: u64,
 }
 
 impl<T> DelayQueue<T> {
     /// Creates a queue with delay `tau` (0 = apply immediately).
     pub fn new(tau: usize) -> Self {
         Self {
-            q: VecDeque::with_capacity(tau + 1),
+            q: VecDeque::new(),
             tau,
-            clock: 0,
         }
     }
 
@@ -54,23 +50,12 @@ impl<T> DelayQueue<T> {
     /// Enqueues an item; returns the item whose delay expired (if the
     /// queue was full). With `tau == 0`, returns the pushed item itself.
     pub fn push(&mut self, item: T) -> Option<T> {
-        self.push_timed(item).map(|(expired, _)| expired)
-    }
-
-    /// [`DelayQueue::push`] that also reports the popped item's measured
-    /// delay: the number of pushes between its enqueue and this pop
-    /// (always `tau` on this path; 0 when `tau == 0`).
-    pub fn push_timed(&mut self, item: T) -> Option<(T, usize)> {
-        let now = self.clock;
-        self.clock += 1;
         if self.tau == 0 {
-            return Some((item, 0));
+            return Some(item);
         }
-        self.q.push_back((item, now));
+        self.q.push_back(item);
         if self.q.len() > self.tau {
-            self.q
-                .pop_front()
-                .map(|(expired, at)| (expired, (now - at) as usize))
+            self.q.pop_front()
         } else {
             None
         }
@@ -79,20 +64,7 @@ impl<T> DelayQueue<T> {
     /// Drains all in-flight items in FIFO order (the epoch-boundary
     /// barrier of a real implementation).
     pub fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
-        self.q.drain(..).map(|(item, _)| item)
-    }
-
-    /// [`DelayQueue::drain`] that also reports each item's measured
-    /// delay, counting the barrier itself as one tick: an item enqueued
-    /// at logical time `t` drains with delay `clock − t`, so the oldest
-    /// in-flight item reports at most `tau` and younger items report
-    /// strictly less — the barrier flushes them *early* relative to the
-    /// configured delay.
-    pub fn drain_timed(&mut self) -> impl Iterator<Item = (T, usize)> + '_ {
-        let clock = self.clock;
-        self.q
-            .drain(..)
-            .map(move |(item, at)| (item, (clock - at) as usize))
+        self.q.drain(..)
     }
 }
 
@@ -105,7 +77,6 @@ mod tests {
         let mut q = DelayQueue::new(0);
         assert_eq!(q.push(5), Some(5));
         assert!(q.is_empty());
-        assert_eq!(q.push_timed(7), Some((7, 0)), "τ=0 measures zero delay");
     }
 
     #[test]
@@ -120,42 +91,12 @@ mod tests {
     }
 
     #[test]
-    fn steady_stream_measures_exactly_tau() {
-        let mut q = DelayQueue::new(4);
-        for i in 0..4 {
-            assert_eq!(q.push_timed(i), None);
-        }
-        for i in 4..20 {
-            assert_eq!(q.push_timed(i), Some((i - 4, 4)));
-        }
-    }
-
-    #[test]
     fn drain_returns_fifo() {
         let mut q = DelayQueue::new(2);
         q.push(1);
         q.push(2);
         let drained: Vec<i32> = q.drain().collect();
         assert_eq!(drained, vec![1, 2]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn drain_timed_reports_shorter_than_tau_for_flushed_items() {
-        // The epoch-end barrier flushes in-flight items without waiting
-        // out their configured delay — the measured delays must reflect
-        // that (this is exactly the measured ≠ configured case the
-        // staleness-discounted feedback path exists for).
-        let mut q = DelayQueue::new(8);
-        for i in 0..5 {
-            assert_eq!(q.push_timed(i), None, "queue deeper than the stream");
-        }
-        let drained: Vec<(i32, usize)> = q.drain_timed().collect();
-        assert_eq!(drained, vec![(0, 5), (1, 4), (2, 3), (3, 2), (4, 1)]);
-        assert!(
-            drained.iter().all(|&(_, d)| d < 8),
-            "every flushed item measured less than the configured τ=8"
-        );
         assert!(q.is_empty());
     }
 

@@ -179,7 +179,6 @@ fn run_cluster(
         // Nodes run the one local (IS-)SGD loop; what `--algo` picks is
         // the distribution they draw from, by the engine's own rule.
         sampling: spec.sampling.unwrap_or(spec.algorithm.classical_sampling()),
-        obs_model: spec.obs_model,
         commit: spec.commit,
         transport: cluster.transport.clone(),
         seed: spec.seed,
@@ -293,7 +292,6 @@ fn run_training(
     cfg.importance = spec.importance;
     cfg.balance = spec.balance;
     cfg.sampling = spec.sampling;
-    cfg.obs_model = spec.obs_model;
     cfg.commit = spec.commit;
     with_loss!(spec.loss, |loss| {
         let obj = Objective::new(loss, spec.regularizer);
@@ -347,7 +345,7 @@ pub const HELP: &str = "\
 isasgd train <data.svm> [flags]
 
   --algo <name>      sgd | is-sgd | asgd | is-asgd | svrg | svrg-asgd |
-                     svrg-skipmu | saga                     [is-asgd]
+                     svrg-skipmu                            [is-asgd]
                      The is-* solvers draw from the static importance
                      distribution, the others uniformly — under
                      --cluster too, where nodes run local (is-)sgd and
@@ -365,8 +363,6 @@ isasgd train <data.svm> [flags]
   --sampling <name>  uniform | static | adaptive (overrides the
                      algorithm's default sampling distribution; wins
                      over --algo on the engine and on the cluster)
-  --obs-model <m>    gradnorm | loss-bound | staleness — how adaptive
-                     sampling scores observations            [gradnorm]
   --commit <when>    epoch | every-k | every-<n> — when adaptive
                      samplers re-weight (every-k = intra-epoch, streamed
                      on every exec mode; needs --sampling adaptive) [epoch]

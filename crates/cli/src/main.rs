@@ -38,7 +38,7 @@ isasgd — lock-free asynchronous SGD with importance sampling (ICPP'18 repro)
 USAGE: isasgd <command> [args]
 
 COMMANDS
-  train     train SGD / IS-SGD / ASGD / IS-ASGD / SVRG / SAGA on LibSVM data
+  train     train SGD / IS-SGD / ASGD / IS-ASGD / SVRG on LibSVM data
   predict   score a LibSVM file with a saved model
   info      dataset diagnostics (Table-1 stats, importance & conflict structure)
   gen       synthesize a Table-1-calibrated dataset

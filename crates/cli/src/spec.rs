@@ -3,8 +3,8 @@
 use crate::opts::{OptError, Opts};
 use isasgd_cluster::{SyncStrategy, TransportConfig, WireEncoding, WorkerLossPolicy};
 use isasgd_core::{
-    Algorithm, BalancePolicy, CommitPolicy, Execution, ImportanceScheme, ObservationModel,
-    Regularizer, SamplingStrategy, SvrgVariant,
+    Algorithm, BalancePolicy, CommitPolicy, Execution, ImportanceScheme, Regularizer,
+    SamplingStrategy, SvrgVariant,
 };
 use isasgd_obs::LogLevel;
 
@@ -44,8 +44,6 @@ pub struct TrainSpec {
     pub balance: BalancePolicy,
     /// Sampling-strategy override (`None` keeps the algorithm's default).
     pub sampling: Option<SamplingStrategy>,
-    /// Observation model for adaptive sampling.
-    pub obs_model: ObservationModel,
     /// Commit policy for adaptive sampling.
     pub commit: CommitPolicy,
     /// Epochs.
@@ -82,7 +80,6 @@ pub fn parse_algorithm(s: &str) -> Option<Algorithm> {
         "svrg" | "svrg-sgd" => Algorithm::SvrgSgd(SvrgVariant::Literature),
         "svrg-asgd" => Algorithm::SvrgAsgd,
         "svrg-skipmu" => Algorithm::SvrgSgd(SvrgVariant::SkipMu),
-        "saga" => Algorithm::Saga,
         _ => return None,
     })
 }
@@ -170,12 +167,6 @@ impl TrainSpec {
                 SamplingStrategy::parse(&v)
                     .ok_or_else(|| bad("sampling", v, "uniform|static|adaptive"))?,
             ),
-        };
-
-        let obs_model = match o.get("obs-model") {
-            None => ObservationModel::default(),
-            Some(v) => ObservationModel::parse(&v)
-                .ok_or_else(|| bad("obs-model", v, "gradnorm|loss-bound|staleness"))?,
         };
 
         let commit = match o.get("commit") {
@@ -361,7 +352,6 @@ impl TrainSpec {
             importance,
             balance,
             sampling,
-            obs_model,
             commit,
             epochs: o.get_parsed_or("epochs", 10, "usize")?,
             step_size: o.get_parsed_or("step", 0.5, "float")?,
@@ -414,11 +404,11 @@ mod tests {
             ("is-asgd", Algorithm::IsAsgd),
             ("svrg", Algorithm::SvrgSgd(SvrgVariant::Literature)),
             ("svrg-asgd", Algorithm::SvrgAsgd),
-            ("saga", Algorithm::Saga),
         ] {
             assert_eq!(parse_algorithm(name), Some(algo), "{name}");
         }
         assert_eq!(parse_algorithm("adamw"), None);
+        assert_eq!(parse_algorithm("saga"), None);
     }
 
     #[test]
@@ -510,23 +500,15 @@ mod tests {
     }
 
     #[test]
-    fn obs_model_and_commit_flag_parsing() {
-        let d = spec("").unwrap();
-        assert_eq!(d.obs_model, ObservationModel::GradNorm);
-        assert_eq!(d.commit, CommitPolicy::EpochBoundary);
-        let t = spec("--sampling adaptive --obs-model loss-bound --commit every-64").unwrap();
-        assert_eq!(t.obs_model, ObservationModel::LossBound);
+    fn commit_flag_parsing() {
+        assert_eq!(spec("").unwrap().commit, CommitPolicy::EpochBoundary);
+        let t = spec("--sampling adaptive --commit every-64").unwrap();
         assert_eq!(t.commit, CommitPolicy::EveryK(64));
-        let t = spec("--obs-model staleness --commit every-k").unwrap();
-        assert!(matches!(
-            t.obs_model,
-            ObservationModel::StalenessDiscounted { .. }
-        ));
+        let t = spec("--commit every-k").unwrap();
         assert_eq!(
             t.commit,
             CommitPolicy::EveryK(CommitPolicy::DEFAULT_EVERY_K)
         );
-        assert!(spec("--obs-model psychic").is_err());
         assert!(spec("--commit never").is_err());
     }
 

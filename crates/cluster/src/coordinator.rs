@@ -659,7 +659,6 @@ impl<T: Transport> NodeRuntime<T> {
             weights: Some(local),
             sequence: SequenceMode::RegeneratePerEpoch,
             commit: cfg.commit,
-            obs_model: cfg.obs_model,
         };
         let norms_sq = range.clone().map(|row| data.row(row - row_base).norm_sq());
         let mut stream = ScheduleStream::for_shard(spec, norms_sq).map_err(|e| match e {
@@ -964,8 +963,7 @@ fn local_epoch<L: Loss>(
     while let Some(d) = stream.next_draw() {
         let row = data.row(d.row as usize - row_base);
         let g = sgd_step(obj, &row, lambda * d.corr, model);
-        let age = stream.age(0);
-        if let Some(observed) = stream.observe(d.row as usize, g.abs(), age, 0) {
+        if let Some(observed) = stream.observe(d.row as usize, g.abs()) {
             let local = d.row as usize - start;
             obs_max[local] = obs_max[local].max(observed);
             visited[local] = true;

@@ -16,7 +16,7 @@ use crate::wire::{SessionConfig, WireEncoding};
 use isasgd_balance::BalancePolicy;
 use isasgd_losses::{ImportanceScheme, Loss, Objective};
 use isasgd_metrics::Trace;
-use isasgd_sampling::{CommitPolicy, ObservationModel, SamplingStrategy};
+use isasgd_sampling::{CommitPolicy, SamplingStrategy};
 use isasgd_sparse::{Dataset, SparseError};
 use std::path::PathBuf;
 
@@ -49,11 +49,6 @@ pub struct ClusterConfig {
     /// build is [`ImportanceScheme::effective_sampling`] of it: the
     /// uniform sampler when `importance` is [`ImportanceScheme::Uniform`].
     pub sampling: SamplingStrategy,
-    /// How observed gradient scales become importance observations for
-    /// adaptive nodes (see [`ObservationModel`]); each node's
-    /// `ScheduleStream` applies it exactly as the `isasgd-core` engine's
-    /// workers do.
-    pub obs_model: ObservationModel,
     /// When adaptive nodes fold accumulated observations into their live
     /// distribution: at local-epoch boundaries, or every `k` observations
     /// (intra-epoch adaptivity — node loops stream draws, so mid-epoch
@@ -123,7 +118,6 @@ impl Default for ClusterConfig {
             balance: BalancePolicy::default(),
             sync: SyncStrategy::Average,
             sampling: SamplingStrategy::Static,
-            obs_model: ObservationModel::GradNorm,
             commit: CommitPolicy::EpochBoundary,
             transport: TransportConfig::InProcess,
             seed: 0x15A5_6D00,
@@ -271,7 +265,6 @@ impl ClusterConfig {
             round_timeout_ms: 0,
             importance: self.importance,
             sampling: self.sampling,
-            obs_model: self.obs_model,
             commit: self.commit,
             loss: obj.loss.name().to_string(),
             reg: obj.reg,

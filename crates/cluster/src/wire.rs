@@ -63,7 +63,7 @@
 //! with its own impl, or — last resort — a `custom` frame.
 
 use isasgd_losses::{ImportanceScheme, Regularizer};
-use isasgd_sampling::{CommitPolicy, ObservationModel, SamplingStrategy};
+use isasgd_sampling::{CommitPolicy, SamplingStrategy};
 use isasgd_sparse::{Dataset, DatasetBuilder};
 
 /// Hard ceiling on one frame's payload size (256 MiB). A length prefix
@@ -86,8 +86,10 @@ pub const MAX_FRAME: usize = 1 << 28;
 /// [`SessionConfig::telemetry`] field. Version 5 retired the monolithic
 /// whole-dataset frame (tag 7, never reused) and dropped the row
 /// permutation from [`Message::ShardRebalance`]: workers are handed
-/// their rows, they never rebuild the rearranged dataset.
-pub const PROTOCOL_VERSION: u32 = 5;
+/// their rows, they never rebuild the rearranged dataset. Version 6
+/// dropped the observation model from [`SessionConfig`]: workers always
+/// observe gradient norms.
+pub const PROTOCOL_VERSION: u32 = 6;
 
 /// Version of the [`Message::Checkpoint`] *state layout*, carried
 /// inside every checkpoint frame independently of [`PROTOCOL_VERSION`]:
@@ -507,11 +509,6 @@ wire_enum!(SamplingStrategy, "sampling strategy" {
     1 => Static,
     2 => Adaptive,
 });
-wire_enum!(ObservationModel, "observation model" {
-    0 => GradNorm,
-    1 => LossBound,
-    2 => StalenessDiscounted { half_life: f64 },
-});
 wire_enum!(CommitPolicy, "commit policy" {
     0 => EpochBoundary,
     1 => EveryK { 0: usize },
@@ -587,8 +584,6 @@ pub struct SessionConfig {
     pub importance: ImportanceScheme,
     /// Sampling strategy the node draws with.
     pub sampling: SamplingStrategy,
-    /// Observation model for adaptive feedback.
-    pub obs_model: ObservationModel,
     /// Commit policy for adaptive feedback.
     pub commit: CommitPolicy,
     /// Loss name (`Loss::name`): the worker rebuilds the concrete loss
@@ -1737,7 +1732,6 @@ mod tests {
             round_timeout_ms: 120_000,
             importance: ImportanceScheme::LipschitzSmoothness,
             sampling: SamplingStrategy::Static,
-            obs_model: ObservationModel::GradNorm,
             commit: CommitPolicy::EpochBoundary,
             loss: "logistic".into(),
             reg: Regularizer::None,
@@ -1750,7 +1744,6 @@ mod tests {
             SessionConfig {
                 importance: ImportanceScheme::GradNormBound { radius: 1.25 },
                 sampling: SamplingStrategy::Adaptive,
-                obs_model: ObservationModel::StalenessDiscounted { half_life: 64.0 },
                 commit: CommitPolicy::EveryK(32),
                 loss: "squared hinge".into(),
                 reg: Regularizer::L1 { eta: 1e-5 },
@@ -1762,7 +1755,6 @@ mod tests {
             SessionConfig {
                 importance: ImportanceScheme::PartiallyBiased { bias: 0.5 },
                 sampling: SamplingStrategy::Uniform,
-                obs_model: ObservationModel::LossBound,
                 reg: Regularizer::L2 { eta: 0.01 },
                 encoding: WireEncoding::Auto,
                 ..base.clone()
@@ -1944,11 +1936,10 @@ mod tests {
         wire_laws(vec![(0u32, 1u32), (1, u32::MAX)]);
         wire_laws(vec![(7u32, 0.25f64)]);
         wire_laws(vec!["a".to_string(), String::new()]);
-        // Every variant of the six session enums, and both structs.
+        // Every variant of the five session enums, and both structs.
         for c in session_configs() {
             wire_laws(c.importance);
             wire_laws(c.sampling);
-            wire_laws(c.obs_model);
             wire_laws(c.commit);
             wire_laws(c.reg);
             wire_laws(c.encoding);

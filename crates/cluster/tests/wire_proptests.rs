@@ -14,9 +14,7 @@ use isasgd_cluster::{
     apply_delta, delta_coords, CheckpointSampler, CheckpointState, FrameKind, Message,
     SessionConfig, WireEncoding, WireError, WorkerTiming, PROTOCOL_VERSION,
 };
-use isasgd_core::{
-    CommitPolicy, ImportanceScheme, ObservationModel, Regularizer, SamplingStrategy,
-};
+use isasgd_core::{CommitPolicy, ImportanceScheme, Regularizer, SamplingStrategy};
 use isasgd_sparse::DatasetBuilder;
 use proptest::prelude::*;
 
@@ -129,11 +127,6 @@ fn arb_session_config() -> impl Strategy<Value = SessionConfig> {
                 Just(SamplingStrategy::Adaptive),
             ],
             prop_oneof![
-                Just(ObservationModel::GradNorm),
-                Just(ObservationModel::LossBound),
-                arb_f64().prop_map(|half_life| ObservationModel::StalenessDiscounted { half_life }),
-            ],
-            prop_oneof![
                 Just(CommitPolicy::EpochBoundary),
                 (0usize..1 << 20).prop_map(CommitPolicy::EveryK),
             ],
@@ -157,7 +150,7 @@ fn arb_session_config() -> impl Strategy<Value = SessionConfig> {
             |(
                 (nodes, rounds, local_epochs, step_size),
                 (seed, round_timeout_ms, checkpoint_every, importance),
-                (sampling, obs_model, commit, encoding),
+                (sampling, commit, encoding),
                 (loss, reg, telemetry),
             )| SessionConfig {
                 nodes,
@@ -168,7 +161,6 @@ fn arb_session_config() -> impl Strategy<Value = SessionConfig> {
                 round_timeout_ms,
                 importance,
                 sampling,
-                obs_model,
                 commit,
                 loss,
                 reg,

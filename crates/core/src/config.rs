@@ -3,7 +3,7 @@
 use isasgd_balance::BalancePolicy;
 use isasgd_losses::ImportanceScheme;
 use isasgd_model::shared::UpdateMode;
-use isasgd_sampling::{CommitPolicy, ObservationModel, SamplingStrategy, SequenceMode};
+use isasgd_sampling::{CommitPolicy, SamplingStrategy, SequenceMode};
 
 /// Which solver to run (see crate docs for the paper mapping).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,9 +20,6 @@ pub enum Algorithm {
     SvrgSgd(SvrgVariant),
     /// Asynchronous SVRG (paper Algorithm 1, the literature variant).
     SvrgAsgd,
-    /// Sequential SAGA (Defazio et al. 2014) — the incremental-memory VR
-    /// baseline with the same dense running-average cliff as SVRG.
-    Saga,
 }
 
 impl Algorithm {
@@ -36,7 +33,6 @@ impl Algorithm {
             Algorithm::SvrgSgd(SvrgVariant::Literature) => "SVRG-SGD",
             Algorithm::SvrgSgd(SvrgVariant::SkipMu) => "SVRG-SGD(skip-mu)",
             Algorithm::SvrgAsgd => "SVRG-ASGD",
-            Algorithm::Saga => "SAGA",
         }
     }
 
@@ -124,11 +120,6 @@ pub struct TrainConfig {
     /// otherwise); `Some(strategy)` forces uniform, static-IS, or
     /// adaptive-IS sampling for any SGD-family solver.
     pub sampling: Option<SamplingStrategy>,
-    /// How observed gradient scales become importance observations for
-    /// adaptive sampling (exact gradient norms, Katharopoulos–Fleuret
-    /// loss-bound, or staleness-discounted). Ignored unless the run's
-    /// effective sampling strategy is adaptive.
-    pub obs_model: ObservationModel,
     /// When adaptive samplers fold accumulated observations into the live
     /// distribution: at epoch boundaries (default) or every `k`
     /// observations (intra-epoch adaptivity). Every execution mode pulls
@@ -150,7 +141,6 @@ impl Default for TrainConfig {
             sequence: SequenceMode::RegeneratePerEpoch,
             update_mode: UpdateMode::AtomicCas,
             sampling: None,
-            obs_model: ObservationModel::GradNorm,
             commit: CommitPolicy::EpochBoundary,
         }
     }
@@ -231,7 +221,6 @@ mod tests {
         assert_eq!(c.commit, CommitPolicy::EveryK(16));
         let d = TrainConfig::default();
         assert_eq!(d.sampling, None);
-        assert_eq!(d.obs_model, ObservationModel::GradNorm);
         assert_eq!(d.commit, CommitPolicy::EpochBoundary);
     }
 }

@@ -19,7 +19,6 @@
 //! | [`Algorithm::IsAsgd`] | **Algorithm 4 — the contribution** | `SgdSolver` | Threads, Simulated |
 //! | [`Algorithm::SvrgSgd`] | Johnson & Zhang 2013 | `SvrgSolver` | Sequential |
 //! | [`Algorithm::SvrgAsgd`] | Algorithm 1 | `SvrgSolver` | Threads, Simulated |
-//! | [`Algorithm::Saga`] | Defazio et al. 2014 | `SagaSolver` | Sequential |
 //!
 //! The SGD family is one kernel: importance sampling changes only which
 //! row is drawn and the `1/(n·p_i)` on the step.
@@ -58,7 +57,7 @@
 //! to weight by and every strategy is the uniform sampler
 //! ([`ImportanceScheme::effective_sampling`]). `isasgd-cluster` runs
 //! resolve through the same two methods. Variance-reduction solvers
-//! (SVRG/SAGA) sample uniformly by construction and reject explicit IS
+//! (SVRG) sample uniformly by construction and reject explicit IS
 //! strategies.
 //!
 //! Every run produces a [`RunResult`] with a
@@ -101,9 +100,7 @@ pub use isasgd_losses::{
 };
 pub use isasgd_metrics::{Trace, TracePoint};
 pub use isasgd_model::shared::UpdateMode;
-pub use isasgd_sampling::{
-    CommitPolicy, ObservationModel, Sampler, SamplingStrategy, SequenceMode,
-};
+pub use isasgd_sampling::{CommitPolicy, Sampler, SamplingStrategy, SequenceMode};
 pub use isasgd_sparse::{Dataset, DatasetBuilder};
 
 /// Lint canary: fails `-D warnings` the day `clippy.toml` stops listing

@@ -39,20 +39,17 @@
 //! return beside their update, and goes straight to the drawing
 //! worker's own
 //! [`ScheduleStream::observe`], the single observation convention shared
-//! with `isasgd-cluster` (scaling model, the worker's own rows' norms,
-//! the observation's [`ScheduleStream::age`]); the engine itself never
-//! touches norms or shard arithmetic. Delivery is always streaming:
+//! with `isasgd-cluster` (the gradient norm `|ℓ'(m)|·‖x_i‖` over the
+//! worker's own rows' norms); the engine itself never touches norms or
+//! shard arithmetic. Delivery is always streaming:
 //!
 //! * **Sequential/threaded** runs observe each sample right after its
 //!   step (shards are disjoint, so a worker only ever observes rows its
 //!   own sampler owns — threaded adaptivity needs no cross-thread
 //!   accumulator).
 //! * **Simulated** runs attach the observation to the in-flight update
-//!   and deliver it to the worker that drew it when the update *applies*,
-//!   carrying the **measured** queue delay from
-//!   [`DelayQueue::push_timed`] — epoch-end flushes report genuinely
-//!   shorter delays than the configured τ, which is what the
-//!   staleness-discounted observation model consumes.
+//!   and deliver it to the worker that drew it when the update *applies*
+//!   — τ steps later, or at the epoch-end flush.
 //!
 //! *When* observations fold into the live distribution is the sampler's
 //! [`CommitPolicy`]: at epoch boundaries (default), or every `k` accepted
@@ -97,18 +94,17 @@ pub struct RunMeta<'a> {
 }
 
 /// One observation riding a simulated in-flight update: the worker that
-/// drew it, the sampled row, its raw gradient scale `|ℓ'(m)|`, and its
-/// age at compute time. Delivered to that worker's stream when the
-/// update applies, together with the queue's measured delay.
-type ObsNote = (usize, u32, f64, usize);
+/// drew it, the sampled row and its raw gradient scale `|ℓ'(m)|`.
+/// Delivered to that worker's stream when the update applies.
+type ObsNote = (usize, u32, f64);
 
 /// An in-flight simulated update paired with its (optional) observation.
 type InFlight<U> = (U, Option<ObsNote>);
 
 /// Delivers a popped in-flight observation to the stream that drew it.
-fn deliver(streams: &mut [ScheduleStream], note: Option<ObsNote>, delay: usize) {
-    if let Some((worker, row, g, age)) = note {
-        streams[worker].observe(row as usize, g, age, delay);
+fn deliver(streams: &mut [ScheduleStream], note: Option<ObsNote>) {
+    if let Some((worker, row, g)) = note {
+        streams[worker].observe(row as usize, g);
     }
 }
 
@@ -227,14 +223,11 @@ pub fn run_engine<L: Loss, S: Solver>(
                         sampling_timer.stop();
                         timer.start();
                     }
-                    for (j, &s) in chunk.iter().enumerate() {
+                    for &s in &chunk {
                         let (update, g) = solver.compute(data, s, lambda, &w);
                         solver.apply(data, lambda, update, &mut w);
                         if collect {
-                            // Aged by the draws of this chunk still
-                            // buffered behind it.
-                            let age = stream.age(chunk.len() - 1 - j);
-                            stream.observe(s.row as usize, g, age, 0);
+                            stream.observe(s.row as usize, g);
                         }
                     }
                 }
@@ -243,10 +236,7 @@ pub fn run_engine<L: Loss, S: Solver>(
             Execution::Simulated { tau, .. } => {
                 solver.on_epoch_start(&plan.data, &w, lambda);
                 // In-flight updates carry their observation note (row,
-                // raw gradient scale, age at compute) so feedback lands
-                // at APPLY time with the queue delay actually measured —
-                // not the assumed uniform τ (epoch-end flushes are
-                // genuinely younger).
+                // raw gradient scale) so feedback lands at APPLY time.
                 let mut queue: DelayQueue<InFlight<S::Update>> = DelayQueue::new(tau);
                 let chunk_len = if streaming {
                     1
@@ -284,22 +274,19 @@ pub fn run_engine<L: Loss, S: Solver>(
                     }
                     let s = feeds[k].0[feeds[k].1];
                     feeds[k].1 += 1;
-                    let age = streams[k].age(feeds[k].0.len() - feeds[k].1);
                     let (update, g) = solver.compute(data, s, lambda, &w);
-                    let note = collect.then_some((k, s.row, g, age));
-                    if let Some(((u, note), delay)) = queue.push_timed((update, note)) {
+                    let note = collect.then_some((k, s.row, g));
+                    if let Some((u, note)) = queue.push((update, note)) {
                         solver.apply(data, lambda, u, &mut w);
-                        deliver(streams, note, delay);
+                        deliver(streams, note);
                     }
                     k = (k + 1) % workers;
                 }
-                // Epoch barrier: flush in-flight updates; their
-                // observations commit with the (shorter) measured delay
-                // the barrier imposed.
-                let pending: Vec<_> = queue.drain_timed().collect();
-                for ((u, note), delay) in pending {
+                // Epoch barrier: flush in-flight updates with their
+                // observations.
+                for (u, note) in queue.drain() {
                     solver.apply(data, lambda, u, &mut w);
-                    deliver(streams, note, delay);
+                    deliver(streams, note);
                 }
                 solver.on_epoch_end(&plan.data, lambda, &mut w);
             }
@@ -336,15 +323,13 @@ pub fn run_engine<L: Loss, S: Solver>(
                         scope.spawn(move || {
                             let mut chunk: Vec<Sched> = Vec::with_capacity(chunk_len);
                             loop {
-                                let pulled = stream.fill_chunk(&mut chunk, chunk_len);
-                                if pulled == 0 {
+                                if stream.fill_chunk(&mut chunk, chunk_len) == 0 {
                                     break;
                                 }
-                                for (j, &s) in chunk.iter().enumerate() {
+                                for &s in &chunk {
                                     let g = kernel.step_shared(data, s, lambda, model, mode);
                                     if collect {
-                                        let age = stream.age(pulled - 1 - j);
-                                        stream.observe(s.row as usize, g, age, 0);
+                                        stream.observe(s.row as usize, g);
                                     }
                                 }
                             }
@@ -795,53 +780,6 @@ mod tests {
         );
     }
 
-    // ----------------------------------------------------------- SAGA
-
-    #[test]
-    fn saga_converges_and_objective_never_regresses() {
-        let ds = separable(240);
-        let cfg = TrainConfig::default().with_epochs(6).with_step_size(0.2);
-        let r = train(
-            &ds,
-            &obj_l2(),
-            Algorithm::Saga,
-            Execution::Sequential,
-            &cfg,
-            "sep",
-        )
-        .unwrap();
-        assert_eq!(r.final_metrics.error_rate, 0.0);
-        let objectives: Vec<f64> = r.trace.points.iter().map(|p| p.objective).collect();
-        for w in objectives.windows(2) {
-            assert!(
-                w[1] <= w[0] + 1e-3,
-                "objective should not regress: {objectives:?}"
-            );
-        }
-        assert!(r.balanced.is_none());
-    }
-
-    #[test]
-    fn saga_is_deterministic_under_a_seed() {
-        let ds = separable(160);
-        let cfg = TrainConfig::default()
-            .with_epochs(3)
-            .with_step_size(0.1)
-            .with_seed(9);
-        let run = || {
-            train(
-                &ds,
-                &obj_l2(),
-                Algorithm::Saga,
-                Execution::Sequential,
-                &cfg,
-                "sep",
-            )
-            .unwrap()
-        };
-        assert_eq!(run().model, run().model);
-    }
-
     // ----------------------------------------------- adaptive sampling
 
     #[test]
@@ -1005,43 +943,6 @@ mod tests {
         assert_eq!(a.model, b.model);
     }
 
-    #[test]
-    fn observation_models_train_and_differ() {
-        use isasgd_sampling::ObservationModel;
-        let ds = skewed(300);
-        let run = |m| {
-            let mut cfg = TrainConfig::default()
-                .with_epochs(4)
-                .with_step_size(0.2)
-                .with_seed(5);
-            cfg.sampling = Some(SamplingStrategy::Adaptive);
-            cfg.obs_model = m;
-            train(
-                &ds,
-                &obj(),
-                Algorithm::IsSgd,
-                Execution::Sequential,
-                &cfg,
-                "skew",
-            )
-            .unwrap()
-        };
-        let gradnorm = run(ObservationModel::GradNorm);
-        let bound = run(ObservationModel::LossBound);
-        let stale = run(ObservationModel::StalenessDiscounted { half_life: 32.0 });
-        for r in [&gradnorm, &bound, &stale] {
-            assert!(r.model.iter().all(|x| x.is_finite()));
-        }
-        assert_ne!(
-            gradnorm.model, bound.model,
-            "loss-bound must re-rank differently than exact gradient norms"
-        );
-        assert_ne!(
-            gradnorm.model, stale.model,
-            "staleness discounting must shift weight toward fresh evidence"
-        );
-    }
-
     // ------------------------------------ streamed worker schedules
 
     #[test]
@@ -1173,12 +1074,11 @@ mod tests {
     }
 
     #[test]
-    fn simulated_staleness_discount_with_measured_delays_is_deterministic() {
-        // The measured-delay feedback path (observations commit at apply
-        // time with the delay the queue actually imposed) must stay
-        // seed-deterministic and train; the τ axis changes the measured
-        // delays and with them the trajectory.
-        use isasgd_sampling::{CommitPolicy, ObservationModel};
+    fn simulated_apply_time_feedback_is_deterministic() {
+        // Observations commit when their delayed update applies: the path
+        // must stay seed-deterministic and train, and τ — which moves
+        // the apply points — changes the trajectory.
+        use isasgd_sampling::CommitPolicy;
         let ds = skewed(240);
         let run = |tau| {
             let mut cfg = TrainConfig::default()
@@ -1187,7 +1087,6 @@ mod tests {
                 .with_seed(29);
             cfg.sampling = Some(SamplingStrategy::Adaptive);
             cfg.commit = CommitPolicy::EveryK(16);
-            cfg.obs_model = ObservationModel::StalenessDiscounted { half_life: 16.0 };
             train(
                 &ds,
                 &obj(),
@@ -1199,24 +1098,42 @@ mod tests {
             .unwrap()
         };
         let (a, b) = (run(8), run(8));
-        assert_eq!(a.model, b.model, "measured-delay feedback must reproduce");
+        assert_eq!(a.model, b.model, "apply-time feedback must reproduce");
         assert!(a.model.iter().all(|x| x.is_finite()));
         let c = run(24);
-        assert_ne!(a.model, c.model, "τ must change the measured discounts");
+        assert_ne!(a.model, c.model, "τ must move the trajectory");
+    }
+
+    #[test]
+    fn a_tau_beyond_the_epoch_defers_every_update_to_the_barrier() {
+        // Regression: the queue reserved τ + 1 slots, so a huge τ aborted
+        // the process and `usize::MAX` overflowed. τ = n already defers
+        // every one of an epoch's n updates to the barrier, so any larger
+        // τ is the same run, bit for bit.
+        let ds = skewed(60);
+        for sampling in [None, Some(SamplingStrategy::Adaptive)] {
+            let mut cfg = TrainConfig::default().with_epochs(3).with_seed(7);
+            cfg.sampling = sampling;
+            let run = |tau| {
+                let e = Execution::Simulated { tau, workers: 2 };
+                train(&ds, &obj(), Algorithm::IsAsgd, e, &cfg, "skew").unwrap()
+            };
+            assert_eq!(run(usize::MAX).model, run(60).model, "{sampling:?}");
+        }
     }
 
     #[test]
     fn engine_rejects_threads_without_shared_kernel() {
         // Reachable only through the engine directly (dispatch already
-        // rejects SAGA+Threads); assert the dispatch-level error is an
-        // Unsupported either way.
+        // rejects SvrgSgd+Threads, and skip-µ has no lock-free kernel);
+        // assert the dispatch-level error is an Unsupported either way.
         let ds = separable(50);
         let cfg = TrainConfig::default().with_epochs(1);
         assert!(matches!(
             train(
                 &ds,
                 &obj_l2(),
-                Algorithm::Saga,
+                Algorithm::SvrgSgd(SvrgVariant::SkipMu),
                 Execution::Threads(2),
                 &cfg,
                 "sep"
@@ -1254,9 +1171,11 @@ mod tests {
     #[test]
     fn final_model_bits_are_pinned_on_every_runtime() {
         // FNV-1a of the final model's bits, recorded from a build of the
-        // commit before the sequential arm lost its grouping: an edit to
-        // the step loop that moves one bit of any runtime fails here.
-        // Squared hinge keeps libm out of the trajectory.
+        // commit before the sequential arm lost its grouping (the two
+        // adaptive rows: before the observation models were deleted): an
+        // edit to the step loop or to observation delivery that moves one
+        // bit of any runtime fails here. Squared hinge keeps libm out of
+        // the trajectory.
         use isasgd_losses::SquaredHingeLoss;
         let ds = wide(96);
         let o = Objective::new(SquaredHingeLoss, Regularizer::L1 { eta: 1e-3 });
@@ -1264,26 +1183,42 @@ mod tests {
             .with_epochs(3)
             .with_step_size(0.1)
             .with_seed(41);
+        // Adaptive rows: observations delivered right after their step
+        // (sequential) and when their delayed update applies (simulated).
+        let adaptive = TrainConfig {
+            sampling: Some(SamplingStrategy::Adaptive),
+            ..cfg.with_commit(isasgd_sampling::CommitPolicy::EveryK(8))
+        };
         let sim = Execution::Simulated { tau: 4, workers: 2 };
-        for (algo, exec, want) in [
+        for (algo, exec, cfg, want) in [
             (
                 Algorithm::IsSgd,
                 Execution::Sequential,
+                &cfg,
                 0x8d12_2f8e_09f3_17ee_u64,
             ),
             (
                 Algorithm::Asgd,
                 Execution::Threads(1),
+                &cfg,
                 0xae30_e1b9_2082_719e,
             ),
-            (Algorithm::IsAsgd, sim, 0xd824_0812_d480_7a72),
+            (Algorithm::IsAsgd, sim, &cfg, 0xd824_0812_d480_7a72),
             (
                 Algorithm::SvrgSgd(SvrgVariant::Literature),
                 Execution::Sequential,
+                &cfg,
                 0x7913_578e_f5ff_9288,
             ),
+            (
+                Algorithm::IsSgd,
+                Execution::Sequential,
+                &adaptive,
+                0xfda7_a53d_d8d6_600e,
+            ),
+            (Algorithm::IsAsgd, sim, &adaptive, 0xf8c2_0f18_599d_112e),
         ] {
-            let r = train(&ds, &o, algo, exec, &cfg, "wide").unwrap();
+            let r = train(&ds, &o, algo, exec, cfg, "wide").unwrap();
             let fnv = r
                 .model
                 .iter()
@@ -1291,7 +1226,8 @@ mod tests {
                 .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
                     (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
                 });
-            assert_eq!(fnv, want, "{algo:?}/{exec:?}: {fnv:#018x}");
+            let sampling = cfg.sampling;
+            assert_eq!(fnv, want, "{algo:?}/{exec:?}/{sampling:?}: {fnv:#018x}");
         }
     }
 }

@@ -16,7 +16,6 @@
 //! * [`sgd`] — the single kernel behind SGD, IS-SGD, ASGD and IS-ASGD
 //!   (the paper's point: importance sampling leaves it untouched).
 //! * [`svrg`] — SVRG-SGD / SVRG-ASGD (literature and skip-µ variants).
-//! * [`saga`] — sequential SAGA (scalar-memory VR baseline).
 //!
 //! Adding a solver is now a one-file change: implement
 //! [`Solver`](solver::Solver) and add one dispatch arm in
@@ -25,7 +24,6 @@
 
 pub mod engine;
 pub mod plan;
-pub mod saga;
 pub mod sgd;
 pub mod solver;
 pub mod svrg;

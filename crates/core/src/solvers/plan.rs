@@ -150,7 +150,6 @@ pub fn build_plan<L: Loss>(
                 weights: arranged.weights.get(r.clone()),
                 sequence: cfg.sequence,
                 commit: cfg.commit,
-                obs_model: cfg.obs_model,
             };
             ScheduleStream::for_shard(spec, r.clone().map(|i| data.row(i).norm_sq()))
         })

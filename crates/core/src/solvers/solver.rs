@@ -16,8 +16,8 @@
 //! updates through a [`DelayQueue`](isasgd_asyncsim::DelayQueue);
 //! threaded execution
 //! instead uses the solver's lock-free [`SharedKernel`] (when it has one
-//! — solvers with per-step mutable state like SAGA are sequential-only
-//! and return `None`), whose one step returns the same observation.
+//! — SVRG's skip-µ flavour defers a dense add to the epoch end and
+//! returns `None`), whose one step returns the same observation.
 //! Either way the engine hands the scale straight to the drawing
 //! worker's [`ScheduleStream::observe`](isasgd_sampling::ScheduleStream::observe),
 //! which owns feature norms and scaling; kernels never see a sampler.

@@ -5,7 +5,6 @@
 use crate::config::{Algorithm, Execution, SvrgVariant, TrainConfig};
 use crate::error::CoreError;
 use crate::solvers::engine::{run_engine, RunMeta};
-use crate::solvers::saga::SagaSolver;
 use crate::solvers::sgd::SgdSolver;
 use crate::solvers::svrg::SvrgSolver;
 use isasgd_losses::{EvalMetrics, Loss, Objective};
@@ -112,10 +111,6 @@ fn validate(algo: Algorithm, exec: Execution) -> Result<(), CoreError> {
                 reason: "asynchronous algorithms need Threads(k) or Simulated{..}".into(),
             })
         }
-        (Algorithm::Saga, e) if e != Execution::Sequential => Err(CoreError::Unsupported {
-            algorithm: name,
-            reason: "SAGA is sequential; see crate docs".into(),
-        }),
         (Algorithm::SvrgSgd(_), e) if e != Execution::Sequential => Err(CoreError::Unsupported {
             algorithm: name,
             reason: "SVRG-SGD is sequential; use SvrgAsgd for parallel runs".into(),
@@ -140,11 +135,7 @@ fn resolve_strategy(
     algo: Algorithm,
     cfg: &TrainConfig,
 ) -> Result<(SamplingStrategy, String), CoreError> {
-    let vr = matches!(
-        algo,
-        Algorithm::SvrgSgd(_) | Algorithm::SvrgAsgd | Algorithm::Saga
-    );
-    if vr {
+    if matches!(algo, Algorithm::SvrgSgd(_) | Algorithm::SvrgAsgd) {
         return match cfg.sampling {
             None | Some(SamplingStrategy::Uniform) => {
                 Ok((SamplingStrategy::Uniform, algo.name().to_string()))
@@ -227,16 +218,6 @@ fn dispatch<L: Loss>(
             let solver = SvrgSolver::new(obj, variant);
             run_engine(ds, obj, cfg, exec, strategy, meta, init, solver)
         }
-        Algorithm::Saga => run_engine(
-            ds,
-            obj,
-            cfg,
-            exec,
-            strategy,
-            meta,
-            init,
-            SagaSolver::new(obj),
-        ),
     }
 }
 
@@ -306,8 +287,6 @@ mod tests {
                 Execution::Threads(2),
             ),
             (Algorithm::SvrgAsgd, Execution::Sequential),
-            (Algorithm::Saga, Execution::Threads(2)),
-            (Algorithm::Saga, Execution::Simulated { tau: 4, workers: 2 }),
             (
                 Algorithm::SvrgSgd(SvrgVariant::SkipMu),
                 Execution::Simulated { tau: 4, workers: 2 },
@@ -394,25 +373,16 @@ mod tests {
     #[test]
     fn vr_solvers_reject_explicit_is_sampling() {
         let d = ds();
+        let svrg = Algorithm::SvrgSgd(SvrgVariant::Literature);
         let mut cfg = TrainConfig::default().with_epochs(1);
         cfg.sampling = Some(SamplingStrategy::Adaptive);
-        for a in [Algorithm::SvrgSgd(SvrgVariant::Literature), Algorithm::Saga] {
-            assert!(matches!(
-                train(&d, &obj(), a, Execution::Sequential, &cfg, "t"),
-                Err(CoreError::Unsupported { .. })
-            ));
-        }
+        assert!(matches!(
+            train(&d, &obj(), svrg, Execution::Sequential, &cfg, "t"),
+            Err(CoreError::Unsupported { .. })
+        ));
         // Explicit uniform is fine (it is what they do anyway).
         cfg.sampling = Some(SamplingStrategy::Uniform);
-        assert!(train(
-            &d,
-            &obj(),
-            Algorithm::Saga,
-            Execution::Sequential,
-            &cfg,
-            "t"
-        )
-        .is_ok());
+        assert!(train(&d, &obj(), svrg, Execution::Sequential, &cfg, "t").is_ok());
     }
 
     #[test]
@@ -478,7 +448,6 @@ mod tests {
                 Algorithm::SvrgSgd(SvrgVariant::Literature),
                 Execution::Sequential,
             ),
-            (Algorithm::Saga, Execution::Sequential),
         ];
         for (a, e) in combos {
             let r = train_from(&d, &obj(), a, e, &cfg, "t", &init).unwrap();

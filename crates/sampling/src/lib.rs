@@ -48,11 +48,9 @@
 //! Adaptive sampling closes a loop: kernels observe per-sample gradient
 //! scales, and the sampler's distribution tracks them.
 //! [`ScheduleStream::observe`] is that loop's only entry point: the
-//! stream scales the observation ([`ObservationModel`]: exact
-//! `|ℓ'(m)|·‖x‖` gradient norms, Katharopoulos & Fleuret's loss-bound, or
-//! staleness-discounted by its age and its *measured* in-flight delay)
-//! with the norms of its own rows, refuses rows of other shards, and
-//! feeds its own sampler. *When* accumulated observations become visible
+//! stream turns a raw gradient scale into the exact `|ℓ'(m)|·‖x‖`
+//! gradient norm with the norms of its own rows, refuses rows of other
+//! shards, and feeds its own sampler. *When* accumulated observations become visible
 //! to draws is the sampler's [`CommitPolicy`]: at epoch boundaries
 //! (deterministic, per-epoch-unbiased) or every `k` observations
 //! (intra-epoch adaptivity at `O(k log n)` a commit, visible as the
@@ -60,8 +58,7 @@
 //! [`CommitPolicy::check_strategy`] is the rule that it needs an adaptive
 //! sampler). Worker shards are disjoint,
 //! so nothing is shared across threads. Surfaced as `isasgd train
-//! --obs-model {gradnorm,loss-bound,staleness} --commit
-//! {epoch,every-k,every-<n>}`.
+//! --commit {epoch,every-k,every-<n>}`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -94,7 +91,7 @@ pub use sampler::{
     build_sampler, AdaptiveIsSampler, CommitPolicy, Sampler, SamplerSnapshot, SamplingStrategy,
 };
 pub use sequence::{SampleSequence, SequenceMode};
-pub use stream::{balance_seed, Draw, ObservationModel, ScheduleStream, ShardSpec};
+pub use stream::{balance_seed, Draw, ScheduleStream, ShardSpec};
 pub use sumtree::SumTree;
 
 /// Inverse-probability step correction `1/(n·p_i)` for each sample

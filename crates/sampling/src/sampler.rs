@@ -544,8 +544,8 @@ mod tests {
     }
 
     /// The pre-generated sampler over `n` uniform outcomes.
-    fn uniform(n: usize, mode: SequenceMode, seed: u64) -> Box<dyn Sampler> {
-        let policy = CommitPolicy::default();
+    fn uniform(n: usize, seed: u64) -> Box<dyn Sampler> {
+        let (mode, policy) = (SequenceMode::RegeneratePerEpoch, CommitPolicy::default());
         build_sampler(SamplingStrategy::Uniform, None, n, mode, seed, policy).unwrap()
     }
 
@@ -557,7 +557,7 @@ mod tests {
 
     #[test]
     fn uniform_sampler_covers_and_has_unit_corrections() {
-        let mut s = uniform(8, SequenceMode::UniformIid, 3);
+        let mut s = uniform(8, 3);
         let mut rng = Xoshiro256pp::new(0);
         let mut seen = [false; 8];
         for _ in 0..20 {
@@ -701,7 +701,7 @@ mod tests {
         s.epoch_reset();
         assert_eq!(s.commit_version(), 2, "empty windows are not commits");
         // Non-adaptive samplers never advance.
-        let mut u = uniform(4, SequenceMode::UniformIid, 0);
+        let mut u = uniform(4, 0);
         u.epoch_reset();
         assert_eq!(u.commit_version(), 0);
     }
@@ -768,11 +768,7 @@ mod tests {
             SamplingStrategy::Static,
             SamplingStrategy::Adaptive,
         ] {
-            for mode in [
-                SequenceMode::RegeneratePerEpoch,
-                SequenceMode::ShuffleOnce,
-                SequenceMode::UniformIid,
-            ] {
+            for mode in [SequenceMode::RegeneratePerEpoch, SequenceMode::ShuffleOnce] {
                 let cell = format!("{strategy:?}/{mode:?}");
                 let build = || {
                     let policy = CommitPolicy::default();
@@ -967,7 +963,7 @@ mod tests {
 
     #[test]
     fn snapshot_restore_rejects_mismatches() {
-        let mut seq = uniform(4, SequenceMode::UniformIid, 0);
+        let mut seq = uniform(4, 0);
         let mut ada = AdaptiveIsSampler::new(&[1.0, 1.0]).unwrap();
         assert!(matches!(
             seq.restore(ada.snapshot()),
@@ -1016,7 +1012,7 @@ mod tests {
     #[test]
     fn boxed_samplers_are_object_safe() {
         let mut boxed: Vec<Box<dyn Sampler>> = vec![
-            uniform(4, SequenceMode::UniformIid, 0),
+            uniform(4, 0),
             weighted(&[1.0, 2.0], 8, SequenceMode::ShuffleOnce, 1),
             Box::new(AdaptiveIsSampler::new(&[1.0, 1.0, 1.0]).unwrap()),
         ];

@@ -19,17 +19,17 @@ pub enum SequenceMode {
     /// Draw one weighted sequence up front, then only shuffle it each epoch
     /// (paper §4.2 approximation; zero sampling cost after warm-up).
     ShuffleOnce,
-    /// Uniform sampling with replacement (plain SGD/ASGD baseline).
-    UniformIid,
 }
 
 /// A reusable buffer of sample indices for one worker thread.
 ///
-/// `advance_epoch` refreshes the buffer according to the chosen mode; the
-/// training loop then reads `indices()` sequentially.
+/// `advance_epoch` refreshes the buffer — a weighted sequence according
+/// to its mode, a uniform one by drawing it afresh; the training loop
+/// then reads `indices()` sequentially.
 #[derive(Debug, Clone)]
 pub struct SampleSequence {
     mode: SequenceMode,
+    /// `None` for a uniform sequence.
     table: Option<AliasTable>,
     indices: Vec<u32>,
     rng: Xoshiro256pp,
@@ -62,8 +62,8 @@ impl SampleSequence {
         })
     }
 
-    /// Creates a uniform i.i.d. sequence of `len` draws over `n` outcomes
-    /// (mode [`SequenceMode::UniformIid`]).
+    /// Creates a uniform i.i.d. sequence of `len` draws over `n` outcomes,
+    /// redrawn every epoch (plain SGD/ASGD baseline).
     pub fn uniform(n: usize, len: usize, seed: u64) -> Result<Self, SamplingError> {
         if len == 0 {
             return Err(SamplingError::EmptySequence);
@@ -74,7 +74,7 @@ impl SampleSequence {
         let mut rng = Xoshiro256pp::new(seed);
         let indices = (0..len).map(|_| rng.next_index(n) as u32).collect();
         Ok(Self {
-            mode: SequenceMode::UniformIid,
+            mode: SequenceMode::RegeneratePerEpoch,
             table: None,
             indices,
             rng,
@@ -113,23 +113,19 @@ impl SampleSequence {
         Ok(())
     }
 
-    /// Refreshes the buffer for the next epoch according to the mode.
+    /// Refreshes the buffer for the next epoch.
     pub fn advance_epoch(&mut self) {
-        match self.mode {
-            SequenceMode::RegeneratePerEpoch => {
-                let table = self
-                    .table
-                    .as_ref()
-                    .expect("weighted mode always stores a table");
-                table.sample_into(&mut self.rng, &mut self.indices);
-            }
-            SequenceMode::ShuffleOnce => self.rng.shuffle(&mut self.indices),
-            SequenceMode::UniformIid => {
+        match (&self.table, self.mode) {
+            (None, _) => {
                 let n = self.n_outcomes;
                 for i in &mut self.indices {
                     *i = self.rng.next_index(n) as u32;
                 }
             }
+            (Some(table), SequenceMode::RegeneratePerEpoch) => {
+                table.sample_into(&mut self.rng, &mut self.indices);
+            }
+            (Some(_), SequenceMode::ShuffleOnce) => self.rng.shuffle(&mut self.indices),
         }
     }
 }

@@ -25,12 +25,10 @@
 //! the raw gradient scale `|ℓ'(m)|` of each visited row — the only
 //! quantity they compute anyway — and the stream owns everything
 //! downstream: the feature norms `‖x_i‖` of *its own* rows (computed
-//! once at construction, adaptive streams only), the
-//! [`ObservationModel`] turning a raw scale into an importance
-//! observation, the rejection of rows another shard owns, and
-//! [`ScheduleStream::age`], the one definition of an observation's
-//! distance to the epoch barrier. Per-row accumulation (max across
-//! visits) and *when* observations become visible to draws
+//! once at construction, adaptive streams only), which turn a raw scale
+//! into the per-sample gradient norm `|ℓ'(m)|·‖x_i‖` the sampler is fed,
+//! and the rejection of rows another shard owns. Per-row accumulation
+//! (max across visits) and *when* observations become visible to draws
 //! ([`CommitPolicy`]) live in the sampler. Worker shards are disjoint, so
 //! a worker only ever observes rows its own sampler owns — adaptivity
 //! needs no cross-thread coordination beyond the epoch barrier.
@@ -52,74 +50,6 @@ const DRAW_STREAM_SALT: u64 = 0xADA9_715E_5EED_0001;
 /// [`ScheduleStream::for_shard`]'s).
 pub fn balance_seed(master: u64, shards: usize) -> u64 {
     derive_seeds(master, shards + 1)[shards]
-}
-
-/// How a raw observed gradient scale `|ℓ'(m)|` becomes an importance
-/// observation for the sampler.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum ObservationModel {
-    /// The exact GLM per-sample gradient norm `|ℓ'(m)|·‖x_i‖` (default).
-    #[default]
-    GradNorm,
-    /// Katharopoulos & Fleuret's upper-bound observation: the gradient of
-    /// the loss with respect to the model's output alone — for a GLM,
-    /// `|ℓ'(m)|` without the feature-norm factor. Cheaper to reason about
-    /// under preconditioning and the natural analogue of their last-layer
-    /// bound.
-    LossBound,
-    /// [`ObservationModel::GradNorm`] decayed by the observation's total
-    /// delay: `|ℓ'(m)|·‖x_i‖·2^(−(age+delay)/half_life)`, where `age` is
-    /// the distance from the observation to its commit in steps and
-    /// `delay` is the **measured** per-observation staleness-queue delay
-    /// the runtime reports (how many steps the update actually spent in
-    /// flight — not an assumed uniform τ, which would cancel under the
-    /// sampler's mean normalization and discount nothing). Observations
-    /// computed against a stale model are trusted less (Alain et al.'s
-    /// distributed estimators face the same decay choice).
-    StalenessDiscounted {
-        /// Half-life of an observation, in steps.
-        half_life: f64,
-    },
-}
-
-impl ObservationModel {
-    /// Default half-life (steps) for the bare `staleness` CLI spelling.
-    pub const DEFAULT_HALF_LIFE: f64 = 64.0;
-
-    /// Parses a CLI name: `gradnorm`, `loss-bound`, or
-    /// `staleness`/`staleness-discounted`.
-    pub fn parse(s: &str) -> Option<Self> {
-        Some(match s {
-            "gradnorm" => ObservationModel::GradNorm,
-            "loss-bound" => ObservationModel::LossBound,
-            "staleness" | "staleness-discounted" => ObservationModel::StalenessDiscounted {
-                half_life: Self::DEFAULT_HALF_LIFE,
-            },
-            _ => return None,
-        })
-    }
-
-    /// The CLI/display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ObservationModel::GradNorm => "gradnorm",
-            ObservationModel::LossBound => "loss-bound",
-            ObservationModel::StalenessDiscounted { .. } => "staleness-discounted",
-        }
-    }
-
-    /// Scales a raw gradient scale observed on a row of feature norm
-    /// `norm`, `delay` steps (age plus measured in-flight delay) before
-    /// it can commit.
-    fn scale(self, grad_scale: f64, norm: f64, delay: usize) -> f64 {
-        match self {
-            ObservationModel::GradNorm => grad_scale * norm,
-            ObservationModel::LossBound => grad_scale,
-            ObservationModel::StalenessDiscounted { half_life } => {
-                grad_scale * norm * (-(delay as f64) / half_life.max(1e-9)).exp2()
-            }
-        }
-    }
 }
 
 /// One scheduled draw: a global row index plus its importance-sampling
@@ -156,8 +86,6 @@ pub struct ShardSpec<'a> {
     pub sequence: SequenceMode,
     /// When an adaptive sampler folds its observations.
     pub commit: CommitPolicy,
-    /// How an adaptive stream scales its observations.
-    pub obs_model: ObservationModel,
 }
 
 /// One worker of a sharded run: the single draw and feedback mechanism
@@ -175,7 +103,6 @@ pub struct ScheduleStream {
     /// empty unless the sampler adapts, which is also what makes
     /// [`ScheduleStream::observe`] a no-op on the other strategies.
     norms: Vec<f64>,
-    obs_model: ObservationModel,
 }
 
 impl std::fmt::Debug for ScheduleStream {
@@ -184,7 +111,6 @@ impl std::fmt::Debug for ScheduleStream {
             .field("start", &self.start)
             .field("epoch_len", &self.epoch_len)
             .field("emitted", &self.emitted)
-            .field("obs_model", &self.obs_model)
             .finish()
     }
 }
@@ -248,7 +174,6 @@ impl ScheduleStream {
             epoch_len: rows,
             emitted: 0,
             norms,
-            obs_model: spec.obs_model,
         })
     }
 
@@ -300,39 +225,15 @@ impl ScheduleStream {
         take
     }
 
-    /// The age of an observation made on the draw being stepped right
-    /// now: how many of this worker's draws still step before the epoch
-    /// barrier — the ones not yet emitted plus the `buffered` ones the
-    /// caller already pulled but has not stepped. Consumed only by
-    /// [`ObservationModel::StalenessDiscounted`].
-    pub fn age(&self, buffered: usize) -> usize {
-        self.remaining() + buffered
-    }
-
     /// Feeds one observed gradient scale `|ℓ'(m)|` for global row `row`
-    /// back into this stream's sampler, scaled by the stream's
-    /// [`ObservationModel`], and returns the scaled observation.
-    /// `age` is [`ScheduleStream::age`] at the step that made the
-    /// observation; `delay` is the **measured** number of steps the
-    /// corresponding update spent in an in-flight queue between compute
-    /// and apply (0 where updates apply at once). Measured delays differ
-    /// per observation — an epoch-end barrier flushes younger updates
-    /// early — which is what shifts weight toward fresher evidence; one
-    /// assumed uniform τ would cancel under the sampler's mean
-    /// normalization and discount nothing.
+    /// back into this stream's sampler as the row's gradient norm
+    /// `|ℓ'(m)|·‖x_i‖`, and returns that observation.
     ///
     /// Returns `None`, without touching the sampler, for a row this
     /// shard does not own and on streams whose sampler does not adapt.
-    pub fn observe(
-        &mut self,
-        row: usize,
-        grad_scale: f64,
-        age: usize,
-        delay: usize,
-    ) -> Option<f64> {
+    pub fn observe(&mut self, row: usize, grad_scale: f64) -> Option<f64> {
         let local = row.checked_sub(self.start)?;
-        let norm = *self.norms.get(local)?;
-        let observed = self.obs_model.scale(grad_scale, norm, age + delay);
+        let observed = grad_scale * *self.norms.get(local)?;
         self.sampler.update_weight(local, observed);
         Some(observed)
     }
@@ -387,17 +288,15 @@ mod tests {
             weights: Some(&ONES[..range.len()]),
             range,
             strategy,
-            sequence: SequenceMode::UniformIid,
+            sequence: SequenceMode::RegeneratePerEpoch,
             commit: CommitPolicy::EpochBoundary,
-            obs_model: ObservationModel::GradNorm,
         }
     }
 
     /// An adaptive stream over shard 1 (rows 3..6, `‖x‖` = 4, 5, 6).
-    fn adaptive_stream(obs_model: ObservationModel, commit: CommitPolicy) -> ScheduleStream {
+    fn adaptive_stream(commit: CommitPolicy) -> ScheduleStream {
         let spec = ShardSpec {
             commit,
-            obs_model,
             ..spec(1, 3..6, SamplingStrategy::Adaptive)
         };
         ScheduleStream::for_shard(spec, [16.0, 25.0, 36.0]).unwrap()
@@ -443,19 +342,6 @@ mod tests {
         assert_eq!(s.remaining(), 10);
         s.fill_chunk(&mut buf, 10);
         assert_ne!(first, buf, "next epoch draws a fresh sequence");
-    }
-
-    #[test]
-    fn age_counts_unemitted_plus_buffered_draws() {
-        let mut s = uniform_stream();
-        assert_eq!(s.age(0), 10);
-        let mut buf = Vec::new();
-        s.fill_chunk(&mut buf, 4);
-        // Stepping the chunk's first draw: 3 buffered behind it, 6 unemitted.
-        assert_eq!(s.age(3), 9);
-        assert_eq!(s.age(0), 6, "the chunk's last draw");
-        drain(&mut s);
-        assert_eq!(s.age(0), 0, "the epoch's last draw commits at once");
     }
 
     #[test]
@@ -526,53 +412,11 @@ mod tests {
     }
 
     #[test]
-    fn observations_scale_per_model() {
-        let every = CommitPolicy::EpochBoundary;
-        let mut s = adaptive_stream(ObservationModel::GradNorm, every);
-        assert_eq!(s.observe(3, 2.0, 0, 0), Some(8.0));
-        assert_eq!(s.observe(4, 2.0, 9, 4), Some(10.0), "gradnorm ignores age");
-        let mut s = adaptive_stream(ObservationModel::LossBound, every);
-        assert_eq!(s.observe(4, 2.0, 0, 0), Some(2.0), "no norm factor");
-        let mut s = adaptive_stream(
-            ObservationModel::StalenessDiscounted { half_life: 10.0 },
-            every,
-        );
-        let close = |got: Option<f64>, want: f64| (got.unwrap() - want).abs() < 1e-12;
-        assert!(close(s.observe(5, 1.0, 0, 0), 6.0));
-        assert!(close(s.observe(5, 1.0, 10, 0), 3.0), "one half-life halves");
-        assert!(
-            close(s.observe(5, 1.0, 0, 10), 3.0),
-            "a measured delay ages"
-        );
-        assert!(close(s.observe(5, 1.0, 5, 5), 3.0), "age and delay add");
-    }
-
-    #[test]
-    fn measured_delay_changes_the_committed_weights() {
-        // Regression for the assumed-τ bug: one uniform configured τ on
-        // every observation cancels under the sampler's mean
-        // normalization and discounts nothing. Measured per-observation
-        // delays must change the scaled observation, and observations
-        // the queue released early (epoch-end flush, measured < τ) must
-        // count for more.
-        let model = ObservationModel::StalenessDiscounted { half_life: 8.0 };
-        let mut s = adaptive_stream(model, CommitPolicy::EpochBoundary);
-        let full_tau = s.observe(4, 1.0, 4, 8).unwrap();
-        let flushed_early = s.observe(4, 1.0, 4, 3).unwrap();
-        assert!(
-            flushed_early > full_tau,
-            "a shorter measured delay must discount less: {flushed_early} vs {full_tau}"
-        );
-        // End-to-end through the sampler: equal gradient norms (5·4 and
-        // 4·5) with unequal measured delays commit to unequal weights.
-        let mut s = adaptive_stream(model, CommitPolicy::EpochBoundary);
-        s.observe(3, 5.0, 0, 0).unwrap();
-        s.observe(4, 4.0, 0, 16).unwrap();
-        s.epoch_reset();
-        assert!(
-            s.sampler().correction(0) < s.sampler().correction(1),
-            "the observation that spent 16 steps in flight must weigh less"
-        );
+    fn observations_are_gradient_norms() {
+        let mut s = adaptive_stream(CommitPolicy::EpochBoundary);
+        assert_eq!(s.observe(3, 2.0), Some(8.0));
+        assert_eq!(s.observe(4, 2.0), Some(10.0));
+        assert_eq!(s.observe(5, 0.5), Some(3.0));
     }
 
     #[test]
@@ -580,10 +424,10 @@ mod tests {
         // Regression: a row past the last shard used to index the shard
         // table out of bounds. Anything outside this stream's own range
         // is refused, and the sampler stays exactly as it was.
-        let mut s = adaptive_stream(ObservationModel::GradNorm, CommitPolicy::EveryK(1));
+        let mut s = adaptive_stream(CommitPolicy::EveryK(1));
         let before = corrections(s.sampler());
         for row in [0, 2, 6, 400, usize::MAX] {
-            assert_eq!(s.observe(row, 5.0, 0, 0), None, "row {row}");
+            assert_eq!(s.observe(row, 5.0), None, "row {row}");
         }
         assert_eq!(s.commit_version(), 0, "nothing was observed");
         assert_eq!(corrections(s.sampler()), before);
@@ -591,7 +435,7 @@ mod tests {
         // too: there is nothing to scale with and nothing to feed.
         let mut fixed =
             ScheduleStream::for_shard(spec(1, 3..6, SamplingStrategy::Static), []).unwrap();
-        assert_eq!(fixed.observe(4, 5.0, 0, 0), None);
+        assert_eq!(fixed.observe(4, 5.0), None);
     }
 
     /// The routing pin: offering a mixed observation stream to both
@@ -600,71 +444,47 @@ mod tests {
     /// updates fed the hand-scaled values.
     #[test]
     fn streamed_observations_match_direct_updates() {
-        for model in [
-            ObservationModel::GradNorm,
-            ObservationModel::LossBound,
-            ObservationModel::StalenessDiscounted { half_life: 8.0 },
-        ] {
-            let mut streams: Vec<ScheduleStream> = [0..3, 3..6]
-                .into_iter()
-                .enumerate()
-                .map(|(k, r)| {
-                    let spec = ShardSpec {
-                        obs_model: model,
-                        ..spec(k, r.clone(), SamplingStrategy::Adaptive)
-                    };
-                    let norms_sq = r.map(|i| ((i + 1) * (i + 1)) as f64);
-                    ScheduleStream::for_shard(spec, norms_sq).unwrap()
-                })
-                .collect();
-            let mut direct = [
-                AdaptiveIsSampler::new(&[1.0; 3]).unwrap(),
-                AdaptiveIsSampler::new(&[1.0; 3]).unwrap(),
-            ];
-            for epoch in 0..3usize {
-                // 12 observations over 6 rows: every row is visited twice.
-                for t in 0..12usize {
-                    let (row, g) = ((t * 5 + epoch) % 6, 0.25 + ((t + epoch) % 4) as f64);
-                    let (age, delay) = (11 - t, t % 3);
-                    let norm = (row + 1) as f64;
-                    let want = match model {
-                        ObservationModel::GradNorm => g * norm,
-                        ObservationModel::LossBound => g,
-                        ObservationModel::StalenessDiscounted { half_life } => {
-                            g * norm * (-((age + delay) as f64) / half_life).exp2()
-                        }
-                    };
-                    let got: Vec<_> = streams
-                        .iter_mut()
-                        .map(|s| s.observe(row, g, age, delay))
-                        .collect();
-                    let owner = row / 3;
-                    assert_eq!(got[owner], Some(want), "{model:?} row {row}");
-                    assert_eq!(got[1 - owner], None, "{model:?} row {row}");
-                    direct[owner].update_weight(row % 3, want);
-                }
-                for (s, d) in streams.iter_mut().zip(&mut direct) {
-                    s.epoch_reset();
-                    d.epoch_reset();
-                    assert_eq!(
-                        corrections(s.sampler()),
-                        corrections(d),
-                        "{model:?} epoch {epoch}"
-                    );
-                }
+        let mut streams: Vec<ScheduleStream> = [0..3, 3..6]
+            .into_iter()
+            .enumerate()
+            .map(|(k, r)| {
+                let spec = spec(k, r.clone(), SamplingStrategy::Adaptive);
+                let norms_sq = r.map(|i| ((i + 1) * (i + 1)) as f64);
+                ScheduleStream::for_shard(spec, norms_sq).unwrap()
+            })
+            .collect();
+        let mut direct = [
+            AdaptiveIsSampler::new(&[1.0; 3]).unwrap(),
+            AdaptiveIsSampler::new(&[1.0; 3]).unwrap(),
+        ];
+        for epoch in 0..3usize {
+            // 12 observations over 6 rows: every row is visited twice.
+            for t in 0..12usize {
+                let (row, g) = ((t * 5 + epoch) % 6, 0.25 + ((t + epoch) % 4) as f64);
+                let want = g * (row + 1) as f64;
+                let got: Vec<_> = streams.iter_mut().map(|s| s.observe(row, g)).collect();
+                let owner = row / 3;
+                assert_eq!(got[owner], Some(want), "row {row}");
+                assert_eq!(got[1 - owner], None, "row {row}");
+                direct[owner].update_weight(row % 3, want);
+            }
+            for (s, d) in streams.iter_mut().zip(&mut direct) {
+                s.epoch_reset();
+                d.epoch_reset();
+                assert_eq!(corrections(s.sampler()), corrections(d), "epoch {epoch}");
             }
         }
     }
 
     #[test]
     fn a_row_keeps_its_largest_observation_of_the_window() {
-        let mut twice = adaptive_stream(ObservationModel::LossBound, CommitPolicy::EpochBoundary);
-        let mut once = adaptive_stream(ObservationModel::LossBound, CommitPolicy::EpochBoundary);
-        twice.observe(3, 8.0, 0, 0); // large early observation...
-        twice.observe(3, 0.5, 0, 0); // ...must survive a small later one
-        once.observe(3, 8.0, 0, 0);
+        let mut twice = adaptive_stream(CommitPolicy::EpochBoundary);
+        let mut once = adaptive_stream(CommitPolicy::EpochBoundary);
+        twice.observe(3, 8.0); // large early observation...
+        twice.observe(3, 0.5); // ...must survive a small later one
+        once.observe(3, 8.0);
         for s in [&mut twice, &mut once] {
-            s.observe(4, 1.0, 0, 0);
+            s.observe(4, 1.0);
             s.epoch_reset();
         }
         assert_eq!(corrections(twice.sampler()), corrections(once.sampler()));
@@ -674,33 +494,14 @@ mod tests {
     fn observe_adapts_the_streams_own_sampler_mid_epoch() {
         // An every-2 sampler: two observations commit without an epoch
         // boundary, and subsequent corrections reflect the re-weighting.
-        let mut s = adaptive_stream(ObservationModel::GradNorm, CommitPolicy::EveryK(2));
+        let mut s = adaptive_stream(CommitPolicy::EveryK(2));
         assert_eq!(s.commit_version(), 0);
-        assert!(s.observe(3, 9.0, 0, 0).is_some());
-        assert!(s.observe(4, 1.0, 0, 0).is_some());
+        assert!(s.observe(3, 9.0).is_some());
+        assert!(s.observe(4, 1.0).is_some());
         assert_eq!(s.commit_version(), 1, "every-2 commit landed mid-epoch");
         let heavy = s.sampler().correction(0);
         let light = s.sampler().correction(1);
         assert!(heavy < light, "observed-heavier row steps smaller");
-    }
-
-    #[test]
-    fn observation_model_parsing() {
-        assert_eq!(
-            ObservationModel::parse("gradnorm"),
-            Some(ObservationModel::GradNorm)
-        );
-        assert_eq!(
-            ObservationModel::parse("loss-bound"),
-            Some(ObservationModel::LossBound)
-        );
-        assert!(matches!(
-            ObservationModel::parse("staleness"),
-            Some(ObservationModel::StalenessDiscounted { .. })
-        ));
-        assert_eq!(ObservationModel::parse("psychic"), None);
-        assert_eq!(ObservationModel::GradNorm.name(), "gradnorm");
-        assert_eq!(ObservationModel::default(), ObservationModel::GradNorm);
     }
 
     #[test]

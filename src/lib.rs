@@ -79,8 +79,7 @@ pub mod prelude {
     };
     pub use isasgd_model::{shared::UpdateMode, SavedModel, SharedModel};
     pub use isasgd_sampling::{
-        AdaptiveIsSampler, CommitPolicy, Draw, ObservationModel, Sampler, SamplingStrategy,
-        ScheduleStream, ShardSpec,
+        AdaptiveIsSampler, CommitPolicy, Draw, Sampler, SamplingStrategy, ScheduleStream, ShardSpec,
     };
     pub use isasgd_sampling::{AliasTable, SampleSequence, SequenceMode};
     pub use isasgd_sparse::{libsvm, Dataset, DatasetBuilder, DatasetStats, SparseVec};

@@ -220,25 +220,23 @@ fn staleness_perturbation_grows_with_tau() {
 fn is_setup_overhead_is_small() {
     let data = skewed_data(4000, 21);
     let cfg = TrainConfig::default().with_epochs(8).with_step_size(0.3);
-    let r = train(
-        &data.dataset,
-        &obj(),
-        Algorithm::IsAsgd,
-        Execution::Simulated {
-            tau: 16,
-            workers: 4,
-        },
-        &cfg,
-        "ovh",
-    )
-    .unwrap();
+    let exec = Execution::Simulated {
+        tau: 16,
+        workers: 4,
+    };
+    // The run is deterministic, so only the clock differs between the
+    // three: the minimum of each timing is the one a preemption spared.
+    let (mut setup, mut train_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        let r = train(&data.dataset, &obj(), Algorithm::IsAsgd, exec, &cfg, "ovh").unwrap();
+        setup = setup.min(r.setup_secs);
+        train_secs = train_secs.min(r.train_secs);
+    }
     // At paper scale this is 1.1–7.7%; at test scale (n = 4000, seconds
     // of training) we only assert setup stays below training time. The
     // full-scale percentage is reported by `experiments -- fig4`.
     assert!(
-        r.setup_overhead() < 1.0,
-        "setup {}s vs train {}s",
-        r.setup_secs,
-        r.train_secs
+        setup < train_secs,
+        "min setup {setup}s vs min train {train_secs}s"
     );
 }
