@@ -1,6 +1,6 @@
 //! `isasgd gen` — synthesize a Table-1-calibrated dataset as a LibSVM file.
 
-use crate::opts::Opts;
+use crate::opts::{OptError, Opts};
 use isasgd_datagen::{generate, PaperProfile};
 
 fn parse_profile(s: &str) -> Option<PaperProfile> {
@@ -17,9 +17,23 @@ pub fn run(o: &Opts) -> Result<(), String> {
             PaperProfile::ALL.map(|p| p.id()).join(", ")
         )
     })?;
-    let scale: f64 = o
-        .get_parsed_or("scale", 0.1f64, "float")
-        .map_err(|e| e.to_string())?;
+    // A scale shrinks (n, d): anything outside (0, 1], NaN included,
+    // would saturate the profile's sizes or collapse them to the floor.
+    let scale = match o.get("scale") {
+        None => 0.1,
+        Some(v) => v
+            .parse()
+            .ok()
+            .filter(|s: &f64| *s > 0.0 && *s <= 1.0)
+            .ok_or_else(|| {
+                OptError::BadValue {
+                    flag: "scale".into(),
+                    value: v,
+                    expected: "float in (0, 1]",
+                }
+                .to_string()
+            })?,
+    };
     let seed: u64 = o
         .get_parsed_or("seed", 0x5EED_1501u64, "u64")
         .map_err(|e| e.to_string())?;

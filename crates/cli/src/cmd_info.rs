@@ -25,6 +25,11 @@ pub fn run(o: &Opts) -> Result<(), String> {
 
     let ds = isasgd_sparse::libsvm::read_file(&data_path, None)
         .map_err(|e| format!("reading {data_path}: {e}"))?;
+    // Every statistic below is a mean, sup or inf over rows; `train`
+    // refuses the same file with the same message.
+    if ds.n_samples() == 0 {
+        return Err(isasgd_sparse::SparseError::Empty.to_string());
+    }
     let stats = isasgd_sparse::DatasetStats::compute(&ds);
 
     println!("dataset            {data_path}");

@@ -11,7 +11,7 @@
 //! readable by older binaries.
 
 use crate::opts::Opts;
-use isasgd_obs::{Event, Histogram};
+use isasgd_obs::Event;
 use std::collections::BTreeMap;
 
 /// Runs the command; `main` turns an error into exit 2.
@@ -48,6 +48,65 @@ struct RoundRow {
     /// legitimately duplicate a `(node, round)` pair; duplicates stay
     /// visible here exactly as they arrived.
     timings: Vec<(u64, u64, u64)>,
+}
+
+/// Upper bucket bounds (inclusive, microseconds) for latency histograms.
+///
+/// Spans 10µs–10s in roughly 2.5× steps; one implicit overflow bucket sits
+/// above the last bound.
+const LATENCY_BOUNDS_US: [u64; 12] = [
+    10, 25, 100, 250, 1_000, 2_500, 10_000, 25_000, 100_000, 250_000, 1_000_000, 10_000_000,
+];
+
+/// A fixed-bucket latency histogram over [`LATENCY_BOUNDS_US`].
+#[derive(Debug, Default)]
+struct Histogram {
+    counts: [u64; LATENCY_BOUNDS_US.len() + 1],
+    count: u64,
+    sum_us: u64,
+    max_us: u64,
+}
+
+impl Histogram {
+    fn record(&mut self, us: u64) {
+        let idx = LATENCY_BOUNDS_US
+            .iter()
+            .position(|&b| us <= b)
+            .unwrap_or(LATENCY_BOUNDS_US.len());
+        self.counts[idx] += 1;
+        self.count += 1;
+        self.sum_us = self.sum_us.saturating_add(us);
+        self.max_us = self.max_us.max(us);
+    }
+
+    /// Mean duration in microseconds (0 when empty).
+    fn mean_us(&self) -> u64 {
+        self.sum_us.checked_div(self.count).unwrap_or(0)
+    }
+
+    /// A one-line sparkline of the bucket counts, then count, mean, max.
+    fn render_ascii(&self) -> String {
+        const GLYPHS: [char; 5] = [' ', '.', ':', '*', '#'];
+        let peak = self.counts.iter().copied().max().unwrap_or(0);
+        let bars: String = self
+            .counts
+            .iter()
+            .map(|&c| {
+                if peak == 0 || c == 0 {
+                    GLYPHS[0]
+                } else {
+                    // Map 1..=peak onto the non-blank glyphs.
+                    GLYPHS[1 + (c * (GLYPHS.len() as u64 - 2) / peak) as usize]
+                }
+            })
+            .collect();
+        format!(
+            "[{bars}] n={} mean={}us max={}us",
+            self.count,
+            self.mean_us(),
+            self.max_us
+        )
+    }
 }
 
 /// Per-worker latency aggregation across the whole trace.
@@ -285,6 +344,26 @@ mod tests {
     }
 
     #[test]
+    fn histogram_buckets_and_overflow() {
+        let mut h = Histogram::default();
+        h.record(5); // bucket 0 (<=10)
+        h.record(10); // bucket 0 (inclusive bound)
+        h.record(11); // bucket 1
+        h.record(20_000_000); // overflow
+        assert_eq!(h.count, 4);
+        assert_eq!(h.max_us, 20_000_000);
+        assert_eq!(h.counts[0], 2);
+        assert_eq!(h.counts[1], 1);
+        assert_eq!(h.counts[LATENCY_BOUNDS_US.len()], 1);
+        assert_eq!(h.counts.iter().sum::<u64>(), 4);
+    }
+
+    #[test]
+    fn ascii_rendering_never_panics_on_empty() {
+        assert!(Histogram::default().render_ascii().contains("n=0"));
+    }
+
+    #[test]
     fn empty_trace_renders() {
         let r = analyze("").unwrap();
         assert_eq!(r.events, 0);
@@ -305,7 +384,7 @@ mod tests {
         assert_eq!(r.rounds[&1].timings.len(), 2);
         assert_eq!(r.workers.len(), 2);
         assert_eq!(r.workers[&0].rows, 64);
-        assert_eq!(r.workers[&0].compute.count(), 1);
+        assert_eq!(r.workers[&0].compute.count, 1);
         let text = r.render("t.jsonl");
         assert!(text.contains("[rounds]"), "{text}");
         assert!(text.contains("[workers]"), "{text}");

@@ -29,19 +29,13 @@ fn install_observability(spec: &TrainSpec) -> Result<Option<Arc<Recorder>>, Stri
     Ok(Some(rec))
 }
 
-/// Tears the recorder down: flushes the JSONL trace and writes the
-/// metrics dump, reporting (rather than swallowing) either IO failure.
-fn finish_observability(rec: Option<Arc<Recorder>>, spec: &TrainSpec) -> Result<(), String> {
+/// Tears the recorder down: flushes the JSONL trace, reporting (rather
+/// than swallowing) an IO failure.
+fn finish_observability(rec: Option<Arc<Recorder>>) -> Result<(), String> {
     let Some(rec) = rec else { return Ok(()) };
     isasgd_obs::uninstall();
-    if let Err(e) = rec.flush() {
-        return Err(format!("flushing --trace-out: {e}"));
-    }
-    if let Some(path) = &spec.metrics_out {
-        std::fs::write(path, rec.metrics_json())
-            .map_err(|e| format!("--metrics-out {path}: {e}"))?;
-    }
-    Ok(())
+    rec.flush()
+        .map_err(|e| format!("flushing --trace-out: {e}"))
 }
 
 /// Runs the command; `main` turns an error into exit 2.
@@ -68,7 +62,7 @@ pub fn run(o: &Opts) -> Result<(), String> {
     let result = execute(&spec, &data_path, model_out, init, quiet);
     // Finalize even when training failed, so a partial trace still
     // flushes — but report the training error first if both fail.
-    let finished = finish_observability(recorder, &spec);
+    let finished = finish_observability(recorder);
     result.and(finished)
 }
 
@@ -414,10 +408,8 @@ isasgd train <data.svm> [flags]
                      stderr (events also arm wire telemetry)    [off]
   --trace-out <p>    write every event as one JSON object per line;
                      render with `isasgd report --trace <p>`    [off]
-  --metrics-out <p>  dump the run's counters/gauges/histograms as JSON
-                     at exit                                    [off]
 
-Any of the three observability flags arms per-round worker timing over
+Either observability flag arms per-round worker timing over
 the wire (cluster runs). Telemetry is inert: results are bit-identical
 with it on or off.
 ";

@@ -58,8 +58,6 @@ pub struct TrainSpec {
     pub log_level: LogLevel,
     /// JSONL trace destination (`--trace-out`).
     pub trace_out: Option<String>,
-    /// Metrics-dump destination (`--metrics-out`).
-    pub metrics_out: Option<String>,
 }
 
 fn bad(flag: &str, value: String, expected: &'static str) -> OptError {
@@ -359,7 +357,6 @@ impl TrainSpec {
             holdout,
             log_level,
             trace_out: o.get("trace-out"),
-            metrics_out: o.get("metrics-out"),
         })
     }
 
@@ -370,7 +367,7 @@ impl TrainSpec {
     ///
     /// [`Message::Telemetry`]: isasgd_cluster::Message::Telemetry
     pub fn telemetry_enabled(&self) -> bool {
-        self.log_level != LogLevel::Off || self.trace_out.is_some() || self.metrics_out.is_some()
+        self.log_level != LogLevel::Off || self.trace_out.is_some()
     }
 }
 
@@ -690,7 +687,6 @@ mod tests {
         let t = spec("").unwrap();
         assert_eq!(t.log_level, LogLevel::Off);
         assert_eq!(t.trace_out, None);
-        assert_eq!(t.metrics_out, None);
         assert!(!t.telemetry_enabled(), "observability is strictly opt-in");
         for (name, level) in [
             ("off", LogLevel::Off),
@@ -704,9 +700,8 @@ mod tests {
             );
         }
         assert!(spec("--log-level info").unwrap().telemetry_enabled());
-        let t = spec("--trace-out /tmp/t.jsonl --metrics-out /tmp/m.json").unwrap();
+        let t = spec("--trace-out /tmp/t.jsonl").unwrap();
         assert_eq!(t.trace_out.as_deref(), Some("/tmp/t.jsonl"));
-        assert_eq!(t.metrics_out.as_deref(), Some("/tmp/m.json"));
         assert!(t.telemetry_enabled());
         match spec("--log-level loud") {
             Err(OptError::BadValue { flag, .. }) => assert_eq!(flag, "log-level"),

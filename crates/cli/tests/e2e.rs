@@ -666,10 +666,33 @@ fn helpful_errors_and_help() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("sclae"));
 
+    // A scale shrinks (n, d), so anything outside (0, 1] is refused
+    // before a file is written: `inf` and `1e30` would saturate the
+    // sizes, `nan`, `0` and `-1` collapse them to the 8-row floor.
+    let dir = tmpdir("scale");
+    let data = dir.join("x.svm");
+    for scale in ["inf", "1e30", "nan", "0", "-1", "1.5"] {
+        let out = bin()
+            .args(["gen", "--profile", "news20", "--scale", scale, "--out"])
+            .arg(&data)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--scale {scale}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("bad value '{scale}' for --scale")),
+            "--scale {scale}: {err}"
+        );
+        assert!(!data.exists(), "--scale {scale} wrote a file");
+    }
+    std::fs::remove_dir_all(dir).ok();
+
     // Deleted options are refused, never silently ignored: the
-    // observation-model flag is unknown and SAGA is no solver name.
+    // observation-model and metrics-dump flags are unknown and SAGA is
+    // no solver name.
     for (args, want) in [
         (["--obs-model", "gradnorm"], "unknown flags: --obs-model"),
+        (["--metrics-out", "m.json"], "unknown flags: --metrics-out"),
         (["--algo", "saga"], "bad value 'saga' for --algo"),
     ] {
         let out = bin()
@@ -699,6 +722,27 @@ fn helpful_errors_and_help() {
         !err.contains("data.svm") && !err.contains("No such file"),
         "{err}"
     );
+}
+
+/// A zero-row file has no mean, sup or inf to report: `info` refuses it
+/// the way `train` does, before printing anything.
+#[test]
+fn info_refuses_an_empty_file_like_train() {
+    let dir = tmpdir("empty");
+    let data = dir.join("e.svm");
+    std::fs::write(&data, "").unwrap();
+    for cmd in ["info", "train"] {
+        let out = bin().arg(cmd).arg(&data).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            err.trim(),
+            format!("isasgd {cmd}: dataset is empty"),
+            "{cmd}"
+        );
+        assert!(out.stdout.is_empty(), "{cmd} printed a report");
+    }
+    std::fs::remove_dir_all(dir).ok();
 }
 
 /// A step past the stability edge is an error that names the epoch, on

@@ -12,6 +12,8 @@
 //! * kill-a-worker: `--chaos-kill` + `--on-worker-loss respawn`
 //!   completes identically to an undisturbed run, `fail` exits with a
 //!   typed error promptly;
+//! * the trace path: the same fleet's `--trace-out` file renders every
+//!   `isasgd report` section, and a field cut from it is refused;
 //! * flag/handshake validation errors name their cause.
 
 use std::path::{Path, PathBuf};
@@ -188,6 +190,90 @@ fn checkpointed_respawn_is_bit_identical_through_real_subprocesses() {
     assert_eq!(
         js_ckpt, js_clean,
         "checkpointed recovery's final model diverged from the undisturbed run"
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// The observability path end to end: a genuine subprocess fleet with a
+/// chaos kill, a checkpointed respawn and `--trace-out` writes a trace
+/// that `isasgd report` reads back whole — every round closed, every
+/// section rendered — and the same trace with one field cut from its
+/// handshake lines is refused, not read as a default.
+#[test]
+fn a_fleet_trace_reports_every_section_and_a_cut_field_is_refused() {
+    let dir = tmpdir("trace");
+    let data = gen_data(&dir);
+    let trace = dir.join("run.jsonl");
+    run_cluster(
+        &data,
+        &dir.join("m.json"),
+        "process",
+        "average",
+        "adaptive",
+        &[
+            "--checkpoint-every",
+            "1",
+            "--chaos-kill",
+            "1:2",
+            "--on-worker-loss",
+            "respawn",
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ],
+    );
+    let report = |path: &Path| {
+        bin()
+            .arg("report")
+            .arg(path)
+            .args(["--expect-rounds", "3"])
+            .output()
+            .unwrap()
+    };
+
+    let out = report(&trace);
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{text}{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for section in [
+        "[rounds]",
+        "[workers]",
+        "[handshakes]",
+        "[respawns]",
+        "[net]",
+    ] {
+        assert!(text.contains(section), "no {section}: {text}");
+    }
+    assert!(
+        text.contains(": respawn in "),
+        "no respawn handshake: {text}"
+    );
+
+    // A flag whose absence must not read as `false` ("admitted").
+    let full = std::fs::read_to_string(&trace).unwrap();
+    let cut: String = full
+        .lines()
+        .map(|l| {
+            let l = if l.contains("\"event\":\"handshake\"") {
+                l.replace(",\"respawn\":true", "")
+                    .replace(",\"respawn\":false", "")
+            } else {
+                l.to_string()
+            };
+            l + "\n"
+        })
+        .collect();
+    assert_ne!(cut, full, "the trace has no handshake line to cut");
+    let cut_path = dir.join("cut.jsonl");
+    std::fs::write(&cut_path, cut).unwrap();
+    let out = report(&cut_path);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("event 'handshake'") && err.contains("field 'respawn'"),
+        "{err}"
     );
     std::fs::remove_dir_all(dir).ok();
 }

@@ -63,6 +63,7 @@
 //! with its own impl, or — last resort — a `custom` frame.
 
 use isasgd_losses::{ImportanceScheme, Regularizer};
+use isasgd_obs::json::schema_fields;
 use isasgd_sampling::{CommitPolicy, SamplingStrategy};
 use isasgd_sparse::{Dataset, DatasetBuilder};
 
@@ -988,19 +989,6 @@ impl FrameKind {
 /// tag, frame or field-shape change lands without a reviewable schema
 /// diff.
 pub fn schema_json() -> String {
-    // Names and types are Rust tokens (no quote or backslash to
-    // escape); `stringify!` spacing is the compiler's choice, so pin ours.
-    let field = |(name, ty): &(&str, &str)| {
-        let ty = ty.replace(' ', "").replace(',', ", ");
-        format!("{{\"name\": \"{name}\", \"type\": \"{ty}\"}}")
-    };
-    let list = |fields: &[(&str, &str)], indent: &str| {
-        let rows: Vec<String> = fields.iter().map(field).collect();
-        format!(
-            "[\n{indent}  {}\n{indent}]",
-            rows.join(&format!(",\n{indent}  "))
-        )
-    };
     let frames: Vec<String> = FrameKind::ALL
         .iter()
         .map(|k| {
@@ -1010,7 +998,7 @@ pub fn schema_json() -> String {
                 k.name(),
                 k.tag(),
                 k.layout(),
-                list(k.fields(), "      ")
+                schema_fields(k.fields(), "      ")
             )
         })
         .collect();
@@ -1019,7 +1007,7 @@ pub fn schema_json() -> String {
          \"frame_kinds\": {FRAME_KINDS},\n  \"max_frame\": {MAX_FRAME},\n  \
          \"frames\": [\n{}\n  ],\n  \"session_config\": {}\n}}\n",
         frames.join(",\n"),
-        list(SessionConfig::FIELDS, "  ")
+        schema_fields(SessionConfig::FIELDS, "  ")
     )
 }
 

@@ -19,7 +19,7 @@ pub struct RunResult {
     pub trace: Trace,
     /// The final model vector.
     pub model: Vec<f64>,
-    /// Metrics of the final model.
+    /// Objective, RMSE and error rate of the final model.
     pub final_metrics: EvalMetrics,
     /// Time spent in offline setup: importance weights, balancing,
     /// sequence generation (the paper's "sampling time" overhead).

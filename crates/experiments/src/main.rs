@@ -48,7 +48,13 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => settings = Settings::quick(),
-            "--scale" => settings.scale = value(&args, &mut i, |v| v.parse().ok()),
+            // A scale shrinks (n, d): anything outside (0, 1], NaN
+            // included, would saturate or collapse the profile.
+            "--scale" => {
+                settings.scale = value(&args, &mut i, |v| {
+                    v.parse().ok().filter(|s: &f64| *s > 0.0 && *s <= 1.0)
+                });
+            }
             "--epochs" => settings.epochs = Some(value(&args, &mut i, |v| v.parse().ok())),
             "--seed" => settings.seed = value(&args, &mut i, |v| v.parse().ok()),
             "--taus" => settings.taus = value(&args, &mut i, parse_list),

@@ -1,6 +1,6 @@
-//! The binary's two loud-failure contracts, driven through the real
-//! executable: a mistyped command costs nothing, a missing artifact is
-//! not a warning.
+//! The binary's loud-failure contracts, driven through the real
+//! executable: a mistyped command or an out-of-range scale costs
+//! nothing, a missing artifact is not a warning.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -29,6 +29,25 @@ fn a_mistyped_command_is_refused_before_any_artifact_runs() {
     assert!(String::from_utf8_lossy(&r.stderr).contains("unknown command typo"));
     assert!(r.stdout.is_empty(), "an artifact ran before the refusal");
     assert!(!out.join("table1.txt").exists());
+}
+
+/// A scale shrinks the profiles' (n, d): anything outside (0, 1] is a bad
+/// command line, refused before an artifact runs. `inf` and `1e30` would
+/// saturate the sizes; `nan`, `0` and `-1` collapse them to 8 rows.
+#[test]
+fn a_scale_outside_the_unit_interval_is_refused() {
+    let out = scratch("scale");
+    for scale in ["inf", "1e30", "nan", "0", "-1", "1.5"] {
+        let r = run(&out, &["--scale", scale, "table1"]);
+        assert_eq!(r.status.code(), Some(2), "--scale {scale}");
+        let stderr = String::from_utf8_lossy(&r.stderr);
+        assert!(
+            stderr.contains(&format!("bad value '{scale}' for --scale")),
+            "--scale {scale}: {stderr}"
+        );
+        assert!(r.stdout.is_empty(), "--scale {scale}: an artifact ran");
+        assert!(!out.join("table1.txt").exists());
+    }
 }
 
 #[test]

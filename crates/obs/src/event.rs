@@ -12,12 +12,11 @@
 //! - the `(name, level, [(field, type)])` list [`Event::schema_json`]
 //!   renders into the committed `TRACE_SCHEMA.json`.
 //!
-//! Two things stay hand-written on purpose. The renderers
-//! ([`Event::to_jsonl`], [`Event::human`]) are one loop each over
-//! `fields()`, so no event can render differently from another. And
-//! [`crate::Metrics::apply`] is the event→metric *semantics*: its
-//! exhaustive `match` is what makes the compiler stop a new event until
-//! someone has decided what it means for the registry.
+//! The renderers ([`Event::to_jsonl`], [`Event::human`]) stay
+//! hand-written on purpose: one loop each over `fields()`, so no event
+//! can render differently from another. What an event *means* lives in
+//! the table alone; the exhaustive `sample_after` in this file's tests
+//! stops a new entry from compiling until it has a round-trip sample.
 //!
 //! Every event renders the same way everywhere: field order is table
 //! order, names are `snake_case`, and the JSONL object always opens with
@@ -26,7 +25,7 @@
 //! `trace_schema_is_frozen` turns any change to it into a reviewable
 //! `TRACE_SCHEMA.json` diff.
 
-use crate::json::{escape_json, parse_jsonl_line, JsonValue};
+use crate::json::{escape_json, parse_jsonl_line, schema_fields, JsonValue};
 
 /// Verbosity threshold for the human-readable stderr sink.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -390,16 +389,6 @@ impl Event {
     /// byte-compared against this by `trace_schema_is_frozen`, so no event
     /// or field change lands without a reviewable schema diff.
     pub fn schema_json() -> String {
-        let list = |fields: &[(&str, &str)], indent: &str| {
-            let rows: Vec<String> = fields
-                .iter()
-                .map(|(name, ty)| format!("{{\"name\": \"{name}\", \"type\": \"{ty}\"}}"))
-                .collect();
-            format!(
-                "[\n{indent}  {}\n{indent}]",
-                rows.join(&format!(",\n{indent}  "))
-            )
-        };
         let events: Vec<String> = CATALOG
             .iter()
             .map(|(name, level, fields)| {
@@ -407,13 +396,13 @@ impl Event {
                     "    {{\n      \"name\": \"{name}\",\n      \"level\": \"{}\",\n      \
                      \"fields\": {}\n    }}",
                     format!("{level:?}").to_lowercase(),
-                    list(fields, "      ")
+                    schema_fields(fields, "      ")
                 )
             })
             .collect();
         format!(
             "{{\n  \"format\": 1,\n  \"line\": {},\n  \"events\": [\n{}\n  ]\n}}\n",
-            list(&[("ts_us", "u64"), ("event", "String")], "  "),
+            schema_fields(&[("ts_us", "u64"), ("event", "String")], "  "),
             events.join(",\n")
         )
     }

@@ -1,10 +1,11 @@
-//! Hand-rolled JSON: escaping for the writers, a flat-object parser for
+//! Hand-rolled JSON: escaping for the writers, the field-list renderer
+//! both committed schemas share, and a flat-object parser for
 //! `isasgd report`.
 //!
 //! The build is offline, so there is no serde. Trace lines are *flat* JSON
 //! objects (string/number/bool/null values, no nesting), which keeps the
-//! parser here total and small. The writer side lives in
-//! [`crate::Event::to_jsonl`] and [`crate::Metrics::render_json`].
+//! parser here total and small. The trace writer lives in
+//! [`crate::Event::to_jsonl`].
 
 /// Escape a string for embedding inside JSON double quotes.
 pub fn escape_json(s: &str) -> String {
@@ -21,6 +22,26 @@ pub fn escape_json(s: &str) -> String {
         }
     }
     out
+}
+
+/// The `[{"name": …, "type": …}, …]` list `TRACE_SCHEMA.json` and
+/// `WIRE_SCHEMA.json` write for every field list, one entry per line at
+/// `indent` + 2, the closing bracket at `indent`. Names and types are
+/// Rust tokens (no quote or backslash to escape); a type's spacing is
+/// `stringify!`'s choice, so it is pinned here: no spaces, `", "` after
+/// each comma.
+pub fn schema_fields(fields: &[(&str, &str)], indent: &str) -> String {
+    let rows: Vec<String> = fields
+        .iter()
+        .map(|(name, ty)| {
+            let ty = ty.replace(' ', "").replace(',', ", ");
+            format!("{{\"name\": \"{name}\", \"type\": \"{ty}\"}}")
+        })
+        .collect();
+    format!(
+        "[\n{indent}  {}\n{indent}]",
+        rows.join(&format!(",\n{indent}  "))
+    )
 }
 
 /// One parsed JSON scalar.

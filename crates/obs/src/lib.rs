@@ -13,12 +13,11 @@
 //! function of that *list* is generated from it — the [`Event`] enum,
 //! `name`/`level`/`fields`, the typed reader [`Event::parse_jsonl`] that
 //! `isasgd report` matches on, and [`Event::schema_json`], whose rendering
-//! is committed as `TRACE_SCHEMA.json` and byte-compared by a test. What
-//! an event *means* stays hand-written: the two renderers (one loop each
-//! over `fields()`), and [`Metrics::apply`], whose exhaustive match makes
-//! a new table entry a compile error until its metrics are decided.
+//! is committed as `TRACE_SCHEMA.json` and byte-compared by a test. The
+//! two renderers stay hand-written, one loop each over `fields()`, so no
+//! event can render differently from another.
 //!
-//! # The three sinks
+//! # The two sinks
 //!
 //! Events fan out inside a single [`Recorder`]:
 //!
@@ -26,13 +25,9 @@
 //!    `[event] k=v` lines for live debugging.
 //! 2. **JSONL traces** via `--trace-out <path>` — one hand-rolled JSON object
 //!    per line with a stable field order (no serde; the build is offline and
-//!    the schema is part of the repo's contract). `isasgd report` reads
-//!    these files back, typed and strictly, into per-round timelines and
-//!    latency histograms.
-//! 3. **A metrics registry** ([`Metrics`]) — counters, gauges, and
-//!    fixed-bucket latency histograms (handshake, worker compute, barrier
-//!    wait, shard encode, recovery replay), fed only by events, snapshotted
-//!    per round and dumped as JSON via `--metrics-out <path>`.
+//!    the schema is part of the repo's contract). The trace is the run's one
+//!    record: `isasgd report` reads it back, typed and strictly, into
+//!    per-round timelines and latency histograms.
 //!
 //! # The clock seam
 //!
@@ -57,11 +52,9 @@
 pub mod clock;
 pub mod event;
 pub mod json;
-pub mod metrics;
 pub mod sink;
 
 pub use clock::{monotonic_us, ObsClock};
 pub use event::{Event, LogLevel};
 pub use json::{parse_jsonl_line, JsonValue};
-pub use metrics::{Histogram, Metrics, RoundSnapshot};
 pub use sink::{emit, install, uninstall, Recorder};

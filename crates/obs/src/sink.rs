@@ -1,5 +1,5 @@
-//! The recorder: one object fanning events out to stderr, a JSONL trace,
-//! and the metrics registry — plus the process-global install point.
+//! The recorder: one object fanning events out to stderr and a JSONL
+//! trace — plus the process-global install point.
 //!
 //! The global recorder is the *only* sanctioned `eprintln!` site for event
 //! traffic (`clippy::print_stderr`, denied in `cluster` and `cli`, enforces
@@ -14,7 +14,6 @@ use std::sync::{Arc, Mutex, RwLock};
 
 use crate::clock::ObsClock;
 use crate::event::{Event, LogLevel};
-use crate::metrics::Metrics;
 
 enum TraceSink {
     None,
@@ -22,62 +21,52 @@ enum TraceSink {
     Memory(Vec<String>),
 }
 
-struct Inner {
-    trace: TraceSink,
-    metrics: Metrics,
-}
-
-/// Fans each event out to stderr (level-gated), the JSONL trace sink, and
-/// the metrics registry, stamping it from the configured [`ObsClock`].
+/// Fans each event out to stderr (level-gated) and the JSONL trace sink,
+/// stamping it from the configured [`ObsClock`].
 pub struct Recorder {
     level: LogLevel,
     clock: ObsClock,
-    inner: Mutex<Inner>,
+    trace: Mutex<TraceSink>,
 }
 
 impl Recorder {
-    /// A recorder with no trace sink (stderr + metrics only).
+    /// A recorder with no trace sink (stderr only).
     pub fn new(level: LogLevel, clock: ObsClock) -> Recorder {
         Recorder {
             level,
             clock,
-            inner: Mutex::new(Inner {
-                trace: TraceSink::None,
-                metrics: Metrics::default(),
-            }),
+            trace: Mutex::new(TraceSink::None),
         }
     }
 
     /// Route JSONL lines to a file created (truncated) at `path`.
     pub fn trace_to_file(self, path: &Path) -> std::io::Result<Recorder> {
         let file = BufWriter::new(File::create(path)?);
-        self.lock().trace = TraceSink::File(file);
+        *self.lock() = TraceSink::File(file);
         Ok(self)
     }
 
     /// Route JSONL lines to an in-memory buffer (tests).
     pub fn trace_to_memory(self) -> Recorder {
-        self.lock().trace = TraceSink::Memory(Vec::new());
+        *self.lock() = TraceSink::Memory(Vec::new());
         self
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, TraceSink> {
         // A panic while holding the lock poisons it; the sink holds no
         // invariants worth halting observability over, so keep recording.
-        self.inner
+        self.trace
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Record one event in all three sinks.
+    /// Record one event in both sinks.
     pub fn emit(&self, ev: &Event) {
         let ts = self.clock.now_us();
         if self.level >= ev.level() && self.level > LogLevel::Off {
             eprintln!("{}", ev.human(ts));
         }
-        let mut inner = self.lock();
-        inner.metrics.apply(ev);
-        match &mut inner.trace {
+        match &mut *self.lock() {
             TraceSink::None => {}
             TraceSink::File(f) => {
                 // Trace IO failure must not abort training; drop the line.
@@ -87,14 +76,9 @@ impl Recorder {
         }
     }
 
-    /// The metrics registry rendered as JSON (for `--metrics-out`).
-    pub fn metrics_json(&self) -> String {
-        self.lock().metrics.render_json()
-    }
-
     /// Drain the in-memory trace buffer (empty for file/none sinks).
     pub fn take_trace_lines(&self) -> Vec<String> {
-        match &mut self.lock().trace {
+        match &mut *self.lock() {
             TraceSink::Memory(lines) => std::mem::take(lines),
             _ => Vec::new(),
         }
@@ -102,7 +86,7 @@ impl Recorder {
 
     /// Flush the file trace sink, if any.
     pub fn flush(&self) -> std::io::Result<()> {
-        match &mut self.lock().trace {
+        match &mut *self.lock() {
             TraceSink::File(f) => f.flush(),
             _ => Ok(()),
         }
@@ -118,7 +102,7 @@ pub fn install(recorder: Arc<Recorder>) {
     }
 }
 
-/// Remove and return the global recorder (callers dump metrics from it).
+/// Remove and return the global recorder.
 pub fn uninstall() -> Option<Arc<Recorder>> {
     GLOBAL.write().ok().and_then(|mut g| g.take())
 }
@@ -146,19 +130,6 @@ mod tests {
         assert!(lines[0].starts_with("{\"ts_us\":0,\"event\":\"round_start\""));
         assert!(lines[1].starts_with("{\"ts_us\":1,"));
         assert!(r.take_trace_lines().is_empty());
-    }
-
-    #[test]
-    fn recorder_feeds_metrics() {
-        let r = Recorder::new(LogLevel::Off, ObsClock::logical());
-        r.emit(&Event::Handshake {
-            node: 0,
-            respawn: false,
-            dur_us: 9,
-        });
-        let json = r.metrics_json();
-        assert!(json.contains("\"handshakes\":1"), "{json}");
-        assert!(json.contains("\"handshake_us\""), "{json}");
     }
 
     // The global-install path is exercised by the CLI end-to-end tests;
