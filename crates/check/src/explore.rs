@@ -20,7 +20,6 @@
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// Why a run was cut short before reaching a terminal protocol state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,16 +195,17 @@ pub struct ExploreStats {
     pub decisions: u64,
     /// Deepest decision count seen in a single run.
     pub max_depth_seen: u64,
-    /// Wall-clock or schedule-cap truncation, if exploration stopped
-    /// before exhausting the bounded tree.
+    /// Why the search sampled the tree instead of enumerating it (a
+    /// random walk), if it did.
     pub truncated: Option<String>,
 }
 
 impl ExploreStats {
-    /// True when the bounded tree was fully enumerated (no wall-clock
-    /// or schedule-count truncation).
+    /// True when every schedule was enumerated: no sampling, and no run
+    /// cut by the decision bound (a depth-capped run's subtree is
+    /// unexplored).
     pub fn exhaustive(&self) -> bool {
-        self.truncated.is_none()
+        self.truncated.is_none() && self.depth_capped == 0
     }
 }
 
@@ -231,15 +231,6 @@ pub struct Counterexample {
     pub choices: Vec<u32>,
 }
 
-/// Exploration limits beyond the per-run decision bound.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Budget {
-    /// Stop after this many executed runs (0 = unlimited).
-    pub max_runs: u64,
-    /// Stop after this much wall-clock time (None = unlimited).
-    pub wall_clock: Option<Duration>,
-}
-
 /// The outcome of [`explore`].
 #[derive(Debug, Clone)]
 pub struct Exploration {
@@ -254,30 +245,17 @@ pub struct Exploration {
 /// runs for state-hash pruning. `run` executes the scenario once under
 /// the given chooser and judges it; it must be deterministic given the
 /// chooser's choices. Stops early at the first violation (the DFS-least
-/// counterexample) or when `budget` is exhausted — both are reported,
-/// never silent.
-pub fn explore<F>(max_decisions: usize, budget: Budget, mut run: F) -> Exploration
+/// counterexample); runs cut by the decision bound are counted, and
+/// make the exploration non-[exhaustive](ExploreStats::exhaustive).
+pub fn explore<F>(max_decisions: usize, mut run: F) -> Exploration
 where
     F: FnMut(&mut Chooser) -> Verdict,
 {
     let visited = Arc::new(Mutex::new(BTreeSet::new()));
-    let started = Instant::now();
     let mut stats = ExploreStats::default();
     let mut prefix: Vec<(u32, u32)> = Vec::new();
     let mut counterexample = None;
     loop {
-        if budget.max_runs > 0
-            && stats.schedules + stats.pruned + stats.depth_capped >= budget.max_runs
-        {
-            stats.truncated = Some(format!("run cap {} reached", budget.max_runs));
-            break;
-        }
-        if let Some(limit) = budget.wall_clock {
-            if started.elapsed() >= limit {
-                stats.truncated = Some(format!("wall-clock budget {limit:?} exhausted"));
-                break;
-            }
-        }
         let script: Vec<u32> = prefix.iter().map(|&(c, _)| c).collect();
         let mut chooser = Chooser::dfs(script, max_decisions, visited.clone());
         let verdict = run(&mut chooser);
@@ -350,7 +328,7 @@ mod tests {
     #[test]
     fn dfs_enumerates_the_full_tree() {
         let mut seen = Vec::new();
-        let out = explore(8, Budget::default(), |ch| {
+        let out = explore(8, |ch| {
             let mut path = Vec::new();
             for _ in 0..3 {
                 match ch.choose(2, None) {
@@ -374,7 +352,7 @@ mod tests {
 
     #[test]
     fn first_violation_stops_exploration_with_its_script() {
-        let out = explore(8, Budget::default(), |ch| {
+        let out = explore(8, |ch| {
             let mut path = Vec::new();
             for _ in 0..2 {
                 match ch.choose(3, None) {
@@ -403,7 +381,7 @@ mod tests {
         // pruning: 8 leaves; with it, the subtree under the merged
         // prefix multiset {0,1} is explored only once.
         let mut leaves = 0u32;
-        let out = explore(8, Budget::default(), |ch| {
+        let out = explore(8, |ch| {
             let mut picked: Vec<u64> = Vec::new();
             for _ in 0..3 {
                 picked.sort_unstable();
@@ -429,7 +407,7 @@ mod tests {
 
     #[test]
     fn depth_cap_is_counted_not_silent() {
-        let out = explore(2, Budget::default(), |ch| loop {
+        let out = explore(2, |ch| loop {
             match ch.choose(2, None) {
                 Choice::Take(_) => {}
                 Choice::Abort(_) => return Verdict::Pass,
@@ -437,6 +415,7 @@ mod tests {
         });
         assert!(out.stats.depth_capped > 0);
         assert_eq!(out.stats.schedules, 0);
+        assert!(!out.stats.exhaustive(), "{:?}", out.stats);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod scenario;
 pub mod sched;
 
 pub use explore::{
-    explore, AbortKind, Budget, Choice, Chooser, Counterexample, Exploration, ExploreStats, Verdict,
+    explore, AbortKind, Choice, Chooser, Counterexample, Exploration, ExploreStats, Verdict,
 };
 pub use replay::{read_schedule, write_schedule, Expected, ScheduleFile};
 pub use scenario::{explore_scenario, run_schedule, sample_scenario, Outcome, ScenarioSpec};

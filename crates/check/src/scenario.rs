@@ -6,13 +6,13 @@
 //! the protocol invariants with the sequential in-process engine as
 //! oracle.
 //!
-//! Specs must stay small (2 workers × 2 rounds explores within a CI
-//! budget) and *valid*: config validation failures would tear links
+//! Specs must stay small (2 workers × 2 rounds explores within a test's
+//! time) and *valid*: config validation failures would tear links
 //! down before the model's worker threads exist, which the scheduler —
 //! by design, it models protocol behaviour, not harness typos — would
 //! wait on forever.
 
-use crate::explore::{explore, AbortKind, Budget, Chooser, Exploration, ExploreStats, Verdict};
+use crate::explore::{explore, AbortKind, Chooser, Exploration, ExploreStats, Verdict};
 use crate::sched::{FaultCounts, FaultSpec, SchedReport, Scheduler};
 use isasgd_cluster::{
     in_process_links, run_with_links, run_with_links_observed, ClusterConfig, ClusterRun,
@@ -251,10 +251,10 @@ fn run_schedule_in(ctx: &Ctx, spec: &ScenarioSpec, chooser: Chooser) -> (Outcome
 }
 
 /// Exhaustively explores `spec` (bounded by `max_decisions` choices per
-/// schedule and `budget`), stopping at the first violation.
-pub fn explore_scenario(spec: &ScenarioSpec, max_decisions: usize, budget: Budget) -> Exploration {
+/// schedule), stopping at the first violation.
+pub fn explore_scenario(spec: &ScenarioSpec, max_decisions: usize) -> Exploration {
     let ctx = ctx(spec);
-    explore(max_decisions, budget, |ch| {
+    explore(max_decisions, |ch| {
         let chooser = std::mem::take(ch);
         let (outcome, chooser) = run_schedule_in(&ctx, spec, chooser);
         *ch = chooser;

@@ -1001,7 +1001,7 @@ impl Drop for ModelEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore, Budget, Verdict};
+    use crate::explore::{explore, Verdict};
 
     fn barrier(round: u64) -> Message {
         Message::RoundBarrier { node: 0, round }
@@ -1012,7 +1012,7 @@ mod tests {
     /// zero decisions and one schedule covers it.
     #[test]
     fn faultless_ping_is_fully_forced() {
-        let out = explore(16, Budget::default(), |ch| {
+        let out = explore(16, |ch| {
             let chooser = std::mem::take(ch);
             let (sched, mut links) = Scheduler::new(1, FaultSpec::none(), false, chooser);
             let (mut coord, mut worker) = links.pop().unwrap();
@@ -1046,7 +1046,7 @@ mod tests {
     #[test]
     fn duplicate_fault_explores_multiple_schedules() {
         let mut max_delivered = 0usize;
-        let out = explore(16, Budget::default(), |ch| {
+        let out = explore(16, |ch| {
             let chooser = std::mem::take(ch);
             let (sched, mut links) = Scheduler::new(1, FaultSpec::lossless(1), false, chooser);
             let (mut coord, mut worker) = links.pop().unwrap();

@@ -2,19 +2,24 @@
 //! bounded exploration of small configurations, with every completed
 //! schedule judged against the sequential-engine oracle.
 //!
+//! Every DFS search here must be exhaustive (no run cut by its decision
+//! bound) and clean. The schedule counts they pin are the sizes of those
+//! spaces: they move only when the protocol's message pattern or the
+//! fault vocabulary does.
+//!
 //! Every exploration runs under a watchdog thread so a checker or
 //! protocol regression fails loudly instead of hanging the suite.
 
 use isasgd_check::{
-    explore_scenario, sample_scenario, Budget, Exploration, FaultSpec, ScenarioSpec,
+    explore_scenario, sample_scenario, Exploration, ExploreStats, FaultSpec, ScenarioSpec,
 };
 use std::sync::mpsc::channel;
 use std::time::Duration;
 
-fn explore_guarded(spec: ScenarioSpec, max_decisions: usize, budget: Budget) -> Exploration {
+fn explore_guarded(spec: ScenarioSpec, max_decisions: usize) -> Exploration {
     let (tx, rx) = channel();
     std::thread::spawn(move || {
-        let _ = tx.send(explore_scenario(&spec, max_decisions, budget));
+        let _ = tx.send(explore_scenario(&spec, max_decisions));
     });
     rx.recv_timeout(Duration::from_secs(240))
         .expect("exploration hung: the model scheduler lost a wakeup or the protocol deadlocked outside scheduler control")
@@ -29,6 +34,15 @@ fn assert_clean(out: &Exploration) {
     assert_eq!(out.stats.violations, 0, "{:?}", out.stats);
 }
 
+/// Explores `spec`, requiring every schedule enumerated and none
+/// violating an invariant.
+fn explore_exhaustively(spec: ScenarioSpec, max_decisions: usize) -> ExploreStats {
+    let out = explore_guarded(spec, max_decisions);
+    assert_clean(&out);
+    assert!(out.stats.exhaustive(), "{:?}", out.stats);
+    out.stats
+}
+
 /// One worker, one round, no faults: everything is forced, so there is
 /// exactly one schedule and it matches the oracle.
 #[test]
@@ -39,39 +53,68 @@ fn single_worker_faultless_run_is_fully_forced() {
         rows: 48,
         ..ScenarioSpec::default()
     };
-    let out = explore_guarded(spec, 32, Budget::default());
-    assert_clean(&out);
-    assert!(out.stats.exhaustive(), "{:?}", out.stats.truncated);
+    let stats = explore_exhaustively(spec, 32);
     assert_eq!(
-        out.stats.schedules, 1,
-        "a faultless SPSC protocol has no scheduling freedom: {:?}",
-        out.stats
+        stats.schedules, 1,
+        "a faultless SPSC protocol has no scheduling freedom: {stats:?}"
     );
 }
 
-/// The flagship configuration from the issue: two workers, two rounds,
-/// full lossless fault vocabulary — exhaustively explored.
+/// The flagship configuration: two workers, two rounds, the lossless
+/// fault vocabulary (reorder, duplicate, hold), exhaustively explored
+/// at depth 48. Lossless faults cannot starve the protocol. Cut at
+/// depth 16 the same search is clean but not exhaustive: its
+/// depth-capped runs left their subtrees unexplored.
 #[test]
 fn two_workers_two_rounds_lossless_faults_exhaustive() {
     let spec = ScenarioSpec {
         faults: FaultSpec::lossless(1),
         ..ScenarioSpec::default()
     };
-    let out = explore_guarded(spec, 48, Budget::default());
-    assert_clean(&out);
-    assert!(
-        out.stats.exhaustive(),
-        "2x2 must be exhaustible: {:?}",
-        out.stats.truncated
-    );
-    assert!(
-        out.stats.schedules > 10,
-        "the fault vocabulary must open real scheduling freedom: {:?}",
-        out.stats
-    );
+    let stats = explore_exhaustively(spec, 48);
     assert_eq!(
-        out.stats.expected_deadlocks, 0,
-        "lossless faults cannot starve"
+        (stats.schedules, stats.expected_deadlocks),
+        (528, 0),
+        "{stats:?}"
+    );
+    let capped = explore_guarded(spec, 16);
+    assert_clean(&capped);
+    assert!(capped.stats.depth_capped > 0, "{:?}", capped.stats);
+    assert!(!capped.stats.exhaustive(), "{:?}", capped.stats);
+}
+
+/// The whole fault vocabulary, drops included, with a budget of two
+/// faults per schedule: dropping a required message may starve a run,
+/// never corrupt one.
+#[test]
+fn one_worker_two_rounds_every_fault_exhaustive() {
+    let spec = ScenarioSpec {
+        nodes: 1,
+        faults: FaultSpec::all(2),
+        ..ScenarioSpec::default()
+    };
+    let stats = explore_exhaustively(spec, 48);
+    assert_eq!(
+        (stats.schedules, stats.expected_deadlocks),
+        (435, 138),
+        "{stats:?}"
+    );
+}
+
+/// Static sampling sends no feedback batches: the feedback-free variant
+/// of the protocol has a schedule space of its own.
+#[test]
+fn static_sampling_two_workers_two_rounds_lossless_exhaustive() {
+    let spec = ScenarioSpec {
+        adaptive: false,
+        faults: FaultSpec::lossless(1),
+        ..ScenarioSpec::default()
+    };
+    let stats = explore_exhaustively(spec, 48);
+    assert_eq!(
+        (stats.schedules, stats.expected_deadlocks),
+        (116, 0),
+        "{stats:?}"
     );
 }
 
@@ -91,23 +134,18 @@ fn checkpoint_frames_are_absorbed_idempotently_under_lossless_faults() {
         checkpoint_every: 1,
         ..base
     };
-    let out = explore_guarded(spec, 64, Budget::default());
-    assert_clean(&out);
-    assert!(
-        out.stats.exhaustive(),
-        "2x2 with checkpoints must be exhaustible: {:?}",
-        out.stats.truncated
-    );
+    let stats = explore_exhaustively(spec, 64);
     assert_eq!(
-        out.stats.expected_deadlocks, 0,
-        "nothing blocks on a checkpoint: lossless faults cannot starve"
+        (stats.schedules, stats.expected_deadlocks),
+        (1976, 0),
+        "nothing blocks on a checkpoint: {stats:?}"
     );
-    let baseline = explore_guarded(base, 64, Budget::default());
+    let baseline = explore_exhaustively(base, 64);
     assert!(
-        out.stats.schedules > baseline.stats.schedules,
+        stats.schedules > baseline.schedules,
         "checkpoint frames must open real scheduling freedom: {} vs {}",
-        out.stats.schedules,
-        baseline.stats.schedules
+        stats.schedules,
+        baseline.schedules
     );
 }
 
@@ -128,13 +166,10 @@ fn dropped_checkpoints_never_corrupt_a_completing_run() {
         },
         ..ScenarioSpec::default()
     };
-    let out = explore_guarded(spec, 64, Budget::default());
-    assert_clean(&out);
-    assert!(out.stats.exhaustive(), "{:?}", out.stats.truncated);
+    let stats = explore_exhaustively(spec, 64);
     assert!(
-        out.stats.schedules > out.stats.expected_deadlocks,
-        "some schedules must still complete: {:?}",
-        out.stats
+        stats.schedules > stats.expected_deadlocks,
+        "some schedules must still complete: {stats:?}"
     );
 }
 
@@ -153,47 +188,14 @@ fn drops_starve_but_never_corrupt() {
         },
         ..ScenarioSpec::default()
     };
-    let out = explore_guarded(spec, 32, Budget::default());
-    assert_clean(&out);
-    assert!(out.stats.exhaustive(), "{:?}", out.stats.truncated);
+    let stats = explore_exhaustively(spec, 32);
     assert!(
-        out.stats.expected_deadlocks > 0,
-        "dropping a required message must starve some schedule: {:?}",
-        out.stats
+        stats.expected_deadlocks > 0,
+        "dropping a required message must starve some schedule: {stats:?}"
     );
     assert!(
-        out.stats.schedules > out.stats.expected_deadlocks,
-        "some schedules must still complete: {:?}",
-        out.stats
-    );
-}
-
-/// The declared-truncation path: a run cap far below the tree size must
-/// be reported, never silent.
-#[test]
-fn run_caps_are_reported_not_silent() {
-    let spec = ScenarioSpec {
-        faults: FaultSpec::lossless(2),
-        ..ScenarioSpec::default()
-    };
-    let out = explore_guarded(
-        spec,
-        48,
-        Budget {
-            max_runs: 5,
-            wall_clock: None,
-        },
-    );
-    assert_clean(&out);
-    assert!(!out.stats.exhaustive());
-    assert!(
-        out.stats
-            .truncated
-            .as_deref()
-            .unwrap_or("")
-            .contains("run cap"),
-        "{:?}",
-        out.stats.truncated
+        stats.schedules > stats.expected_deadlocks,
+        "some schedules must still complete: {stats:?}"
     );
 }
 

@@ -5,7 +5,8 @@
 //! isasgd predict <data.svm> --model m.json [--out preds.txt]
 //! isasgd info    <data.svm>           Table-1 stats, ψ/ρ, Δ̄, τ budget
 //! isasgd gen     --out f.svm          synthesize a calibrated dataset
-//! isasgd check   [flags]              model-check the cluster protocol
+//! isasgd worker  --connect host:port  one node of a distributed run
+//! isasgd report  <trace.jsonl>        render a train --trace-out trace
 //! ```
 
 #![forbid(unsafe_code)]
@@ -20,7 +21,6 @@
     )
 )]
 
-mod cmd_check;
 mod cmd_gen;
 mod cmd_info;
 mod cmd_predict;
@@ -44,8 +44,6 @@ COMMANDS
   gen       synthesize a Table-1-calibrated dataset
   worker    one node of a distributed run (spawned by train --cluster-transport
             process, or launched by hand against a remote coordinator)
-  check     deterministic protocol model checker: explore message schedules
-            systematically, replay committed .schedule counterexamples
   report    render a train --trace-out JSONL trace: round timelines,
             per-worker latency histograms, respawns, wire totals
 
@@ -63,7 +61,6 @@ fn main() {
             Some("info") => cmd_info::HELP,
             Some("gen") => cmd_gen::HELP,
             Some("worker") => cmd_worker::HELP,
-            Some("check") => cmd_check::HELP,
             Some("report") => cmd_report::HELP,
             _ => HELP,
         };
@@ -71,33 +68,31 @@ fn main() {
         return;
     }
     let result = match cmd {
-        Some("train") => cmd_train::run(&o).map(|()| 0),
-        Some("predict") => cmd_predict::run(&o).map(|()| 0),
-        Some("info") => cmd_info::run(&o).map(|()| 0),
-        Some("gen") => cmd_gen::run(&o).map(|()| 0),
-        Some("worker") => cmd_worker::run(&o).map(|()| 0),
-        Some("check") => cmd_check::run(&o),
-        Some("report") => cmd_report::run(&o).map(|()| 0),
+        Some("train") => cmd_train::run(&o),
+        Some("predict") => cmd_predict::run(&o),
+        Some("info") => cmd_info::run(&o),
+        Some("gen") => cmd_gen::run(&o),
+        Some("worker") => cmd_worker::run(&o),
+        Some("report") => cmd_report::run(&o),
         #[expect(
             clippy::print_stderr,
             reason = "CLI error path: usage text for an unknown command"
         )]
         Some(other) => {
             eprintln!("unknown command '{other}'\n\n{HELP}");
-            Ok(2)
+            std::process::exit(2)
         }
         None => {
             print!("{HELP}");
-            Ok(2)
+            std::process::exit(2)
         }
     };
     #[expect(
         clippy::print_stderr,
         reason = "CLI error path: must print even when no recorder exists"
     )]
-    let code = result.unwrap_or_else(|e: String| {
+    if let Err(e) = result {
         eprintln!("isasgd {}: {e}", cmd.unwrap_or_default());
-        2
-    });
-    std::process::exit(code);
+        std::process::exit(2);
+    }
 }

@@ -647,16 +647,20 @@ fn helpful_errors_and_help() {
     assert_eq!(out.status.code(), Some(2));
 
     // --help works for every command.
-    for cmd in ["train", "predict", "info", "gen"] {
+    for cmd in ["train", "predict", "info", "gen", "worker", "report"] {
         let out = bin().args([cmd, "--help"]).output().unwrap();
         assert!(out.status.success());
         assert!(String::from_utf8_lossy(&out.stdout).contains(cmd));
     }
 
-    // Unknown command names itself.
-    let out = bin().arg("frobnicate").output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("frobnicate"));
+    // Unknown command names itself; the model checker is a test suite
+    // (`cargo test -p isasgd-check`), not a command.
+    for cmd in ["frobnicate", "check"] {
+        let out = bin().arg(cmd).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown command '{cmd}'")), "{err}");
+    }
 
     // Typo'd flag is caught.
     let out = bin()

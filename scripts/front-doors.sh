@@ -1,7 +1,7 @@
 #!/bin/sh
 # Front-door audit, printed (not gated) next to strict-size.sh: every
 # `pub fn|struct|enum|trait|const` declared in non-test code under
-# crates/*/src (the `check` tool excepted) whose name appears
+# crates/*/src (the `check` test-support crate excepted) whose name appears
 # nowhere else in the non-test code of the workspace, `examples/` or
 # `bench_e2e/src`. Comment lines, `pub use` lines and everything at or
 # after a file's first column-0 `#[cfg(test)]` do not count as a
