@@ -110,7 +110,8 @@ pub fn decide(weights: &[f64], policy: BalancePolicy, seed: u64, shards: usize) 
 /// runtime trains from a shard of one of these.
 #[derive(Debug, Clone)]
 pub struct Rearranged {
-    /// The dataset in the order the policy chose.
+    /// The dataset in the order the policy chose: a view sharing the
+    /// source's rows, or a contiguous copy (see [`rearrange`]).
     pub data: Dataset,
     /// The importance weight of each row of `data`; empty when the rows
     /// were rearranged unweighted.
@@ -129,6 +130,14 @@ pub struct Rearranged {
 /// unweighted rows (uniform sampling: every policy sees equal weights
 /// and nothing is carried along). Fails when `shards` is 0 or exceeds
 /// the row count.
+///
+/// This is the one place that chooses the rows' layout. Two or more
+/// shards get a contiguous copy ([`Dataset::reordered_contiguous`]):
+/// each concurrent worker then walks its own stretch of memory. One
+/// shard gets a view of `ds`'s rows ([`Dataset::reordered`]), or a
+/// shallow clone of `ds` when the order is the identity: a single
+/// worker gains no locality from the copy, so it is skipped. Either
+/// way the rows, their order and every value are the same.
 pub fn rearrange(
     ds: &Dataset,
     weights: Option<&[f64]>,
@@ -141,8 +150,15 @@ pub fn rearrange(
         Some(w) => decide(w, policy, seed, shards),
         None => decide(&vec![1.0; ds.n_samples()], policy, seed, shards),
     };
+    let data = if shards > 1 {
+        ds.reordered_contiguous(&decision.order)?
+    } else if decision.order.iter().enumerate().all(|(k, &i)| k == i) {
+        ds.clone()
+    } else {
+        ds.reordered(&decision.order)?
+    };
     Ok(Rearranged {
-        data: ds.reordered(&decision.order)?,
+        data,
         weights: weights.map_or_else(Vec::new, |w| decision.order.iter().map(|&i| w[i]).collect()),
         ranges,
         balanced: decision.balanced,
@@ -226,6 +242,65 @@ mod tests {
         assert_eq!((shuffled.balanced, shuffled.rho), (false, 0.0));
         assert!(rearrange(&ds, None, BalancePolicy::Identity, 7, 0).is_err());
         assert!(rearrange(&ds, Some(&w), BalancePolicy::Identity, 7, 6).is_err());
+    }
+
+    /// The layout rule: one shard shares the source's rows, whatever the
+    /// order; two or more shards get rows of their own, laid end to end,
+    /// even under the identity order.
+    #[test]
+    fn rearrange_shares_rows_for_one_shard_and_copies_for_more() {
+        let mut b = DatasetBuilder::new(3);
+        let w = [3.0, 1.0, 4.0, 1.5, 9.0, 2.5];
+        for (i, &v) in w.iter().enumerate() {
+            let pairs: Vec<(u32, f64)> = (0..=(i % 3) as u32).map(|j| (j, v)).collect();
+            b.push_row(&pairs, 1.0).unwrap();
+        }
+        let ds = b.finish();
+        let shares = |src: &Dataset, r: &Rearranged, order: &[usize]| {
+            (0..order.len()).all(|k| {
+                std::ptr::eq(
+                    r.data.row(k).indices.as_ptr(),
+                    src.row(order[k]).indices.as_ptr(),
+                )
+            })
+        };
+        for policy in [
+            BalancePolicy::ForceBalance,
+            BalancePolicy::ForceShuffle,
+            BalancePolicy::Identity,
+        ] {
+            let order = decide(&w, policy, 7, 1).order;
+            let r = rearrange(&ds, Some(&w), policy, 7, 1).unwrap();
+            assert!(shares(&ds, &r, &order), "{policy:?}");
+        }
+        // An identity order over a source that is itself a view keeps
+        // that view's rows.
+        let view = ds.reordered(&[5, 3, 1, 0, 2, 4]).unwrap();
+        let r = rearrange(&view, None, BalancePolicy::Identity, 7, 1).unwrap();
+        assert!(shares(&view, &r, &[0, 1, 2, 3, 4, 5]));
+        assert_eq!(r.data, view);
+        for (policy, shards) in [
+            (BalancePolicy::Identity, 2),
+            (BalancePolicy::ForceBalance, 2),
+            (BalancePolicy::ForceGreedy, 3),
+            (BalancePolicy::Identity, 6),
+            (BalancePolicy::ForceShuffle, 6),
+        ] {
+            let order = decide(&w, policy, 7, shards).order;
+            let r = rearrange(&ds, Some(&w), policy, 7, shards).unwrap();
+            assert_eq!(r.data, ds.reordered(&order).unwrap());
+            assert!(!std::ptr::eq(
+                r.data.row(0).indices.as_ptr(),
+                ds.row(order[0]).indices.as_ptr()
+            ));
+            for k in 1..w.len() {
+                let prev = r.data.row(k - 1).indices;
+                assert!(
+                    std::ptr::eq(prev.as_ptr_range().end, r.data.row(k).indices.as_ptr()),
+                    "{policy:?} × {shards}: row {k}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -749,6 +749,34 @@ fn info_refuses_an_empty_file_like_train() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// Rows with no features leave nothing to learn: the engine and the
+/// cluster refuse dimension 0 by name instead of printing flat epochs
+/// and exiting 0.
+#[test]
+fn a_featureless_dataset_is_refused() {
+    let dir = tmpdir("featureless");
+    let data = dir.join("f.svm");
+    std::fs::write(&data, "+1\n-1\n+1\n").unwrap();
+    for runtime in [
+        &["--algo", "is-sgd"][..],
+        &["--algo", "asgd"],
+        &["--algo", "is-sgd", "--cluster", "2"],
+    ] {
+        let out = bin()
+            .arg("train")
+            .arg(&data)
+            .args(runtime)
+            .args(["--epochs", "2", "--quiet"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{runtime:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("dataset dimension is 0"), "{runtime:?}: {err}");
+        assert!(out.stdout.is_empty(), "{runtime:?} printed a summary");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// A step past the stability edge is an error that names the epoch, on
 /// the engine and on the cluster alike: exit 2, no summary line with a
 /// NaN objective, no model file. The same flags with a sane step still

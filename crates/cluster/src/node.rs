@@ -289,6 +289,11 @@ pub(crate) fn validate<L: Loss>(
             ds.n_samples()
         )));
     }
+    if ds.dim() == 0 {
+        return Err(ClusterError::InvalidConfig(
+            "dataset dimension is 0: the rows have no features".into(),
+        ));
+    }
     if cfg.rounds == 0 || cfg.local_epochs == 0 {
         return Err(ClusterError::InvalidConfig(
             "rounds and local_epochs must be ≥ 1".into(),
@@ -641,6 +646,14 @@ mod tests {
         assert!(matches!(
             run(&ds, &anti, &ClusterConfig::default()),
             Err(ClusterError::InvalidConfig(msg)) if msg.contains("η = -1")
+        ));
+        let mut featureless = DatasetBuilder::new(0);
+        for _ in 0..4 {
+            featureless.push_row(&[], 1.0).unwrap();
+        }
+        assert!(matches!(
+            run(&featureless.finish(), &o, &ClusterConfig::default()),
+            Err(ClusterError::InvalidConfig(msg)) if msg.contains("dimension is 0")
         ));
     }
 

@@ -24,7 +24,8 @@ use std::time::Instant;
 /// draw stream per shard.
 pub struct TrainingPlan {
     /// Dataset rearranged per the balance decision (identity order for
-    /// sequential uniform solvers).
+    /// sequential uniform solvers); [`rearrange`] decides whether it is
+    /// a view of the caller's rows or a contiguous copy.
     pub data: Dataset,
     /// Contiguous shard (row range into `data`) per worker.
     pub ranges: Vec<Range<usize>>,
@@ -93,6 +94,11 @@ pub fn build_plan<L: Loss>(
 ) -> Result<TrainingPlan, CoreError> {
     if ds.is_empty() {
         return Err(CoreError::EmptyDataset);
+    }
+    if ds.dim() == 0 {
+        return Err(CoreError::InvalidConfig(
+            "dataset dimension is 0: the rows have no features".into(),
+        ));
     }
     if workers == 0 || workers > ds.n_samples() {
         return Err(CoreError::InvalidConfig(format!(
@@ -296,6 +302,13 @@ mod tests {
         assert!(matches!(
             build_plan(&DatasetBuilder::new(3).finish(), &obj(), &cfg, 1, s),
             Err(CoreError::EmptyDataset)
+        ));
+        let mut featureless = DatasetBuilder::new(0);
+        featureless.push_row(&[], 1.0).unwrap();
+        featureless.push_row(&[], -1.0).unwrap();
+        assert!(matches!(
+            build_plan(&featureless.finish(), &obj(), &cfg, 1, s),
+            Err(CoreError::InvalidConfig(msg)) if msg.contains("dimension is 0")
         ));
         assert!(build_plan(&d, &obj(), &cfg, 0, s).is_err());
         assert!(build_plan(&d, &obj(), &cfg, 6, s).is_err());

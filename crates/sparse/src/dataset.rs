@@ -2,6 +2,7 @@
 
 use crate::error::SparseError;
 use crate::vector::SparseVec;
+use std::sync::Arc;
 
 /// A borrowed view of one sample: index-compressed features plus its label.
 ///
@@ -82,19 +83,45 @@ impl<'a> SparseRow<'a> {
     }
 }
 
-/// An immutable CSR (compressed sparse row) dataset of labelled samples.
-///
-/// Storage is three parallel arrays (`offsets`, `indices`, `values`) plus a
-/// label per row, exactly the layout used by high-performance ASGD
-/// implementations: row access is two slice borrows, no hashing, no
-/// indirection per non-zero.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Dataset {
-    dim: usize,
+/// The non-zeros of one or more datasets: CSR arrays, row `r` at
+/// `indices[offsets[r]..offsets[r + 1]]`.
+#[derive(Debug)]
+struct Csr {
     offsets: Vec<usize>,
     indices: Vec<u32>,
     values: Vec<f64>,
+}
+
+/// An immutable CSR (compressed sparse row) dataset of labelled samples.
+///
+/// The non-zeros live in three parallel arrays (`offsets`, `indices`,
+/// `values`) behind an `Arc`, shared by every dataset built from them;
+/// each dataset adds its own row order over that storage (none: storage
+/// order), a label per row and its non-zero count. Row access is one
+/// order lookup and two slice borrows: no hashing, no indirection per
+/// non-zero. [`Dataset::reordered`] is therefore an O(n) view, and a
+/// clone is shallow; [`Dataset::reordered_contiguous`] copies the same
+/// rows into storage of their own. Equality is logical: dimension,
+/// labels, and each row's indices and values, wherever they are stored.
+#[derive(Debug, Clone)]
+pub struct Dataset {
+    dim: usize,
+    csr: Arc<Csr>,
+    /// Storage row of each row; `None` is the identity.
+    order: Option<Vec<usize>>,
     labels: Vec<f64>,
+    nnz: usize,
+}
+
+impl PartialEq for Dataset {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim
+            && self.labels == other.labels
+            && self
+                .rows()
+                .zip(other.rows())
+                .all(|(a, b)| a.indices == b.indices && a.values == b.values)
+    }
 }
 
 impl Dataset {
@@ -108,9 +135,9 @@ impl Dataset {
         self.dim
     }
 
-    /// Total number of stored non-zeros.
+    /// Total number of non-zeros over this dataset's rows.
     pub fn nnz(&self) -> usize {
-        self.indices.len()
+        self.nnz
     }
 
     /// True when the dataset holds no samples.
@@ -122,15 +149,31 @@ impl Dataset {
     ///
     /// # Panics
     /// Panics if `i >= n_samples()`.
-    #[inline]
+    // `always`: with the order lookup, `#[inline]` alone left out-of-line
+    // copies that hot loops (the Hogwild step, `rows()` under
+    // `importance_weights`) called once per row, returning the row
+    // through memory, which measurably slowed both.
+    #[inline(always)]
     pub fn row(&self, i: usize) -> SparseRow<'_> {
-        let lo = self.offsets[i];
-        let hi = self.offsets[i + 1];
+        let label = self.labels[i];
+        let (lo, hi) = self.span(self.storage_row(i));
         SparseRow {
-            indices: &self.indices[lo..hi],
-            values: &self.values[lo..hi],
-            label: self.labels[i],
+            indices: &self.csr.indices[lo..hi],
+            values: &self.csr.values[lo..hi],
+            label,
         }
+    }
+
+    /// Storage row holding row `i`.
+    #[inline]
+    fn storage_row(&self, i: usize) -> usize {
+        self.order.as_ref().map_or(i, |o| o[i])
+    }
+
+    /// Non-zero range of storage row `s`.
+    #[inline]
+    fn span(&self, s: usize) -> (usize, usize) {
+        (self.csr.offsets[s], self.csr.offsets[s + 1])
     }
 
     /// Label of row `i` (±1).
@@ -168,25 +211,59 @@ impl Dataset {
         }
     }
 
-    /// Builds a new dataset containing the rows at `order`, in that order.
+    /// A view of the rows at `order`, in that order, over this dataset's
+    /// storage: O(n), no non-zero is copied, and a view of a view
+    /// composes the two orders.
     ///
-    /// Used by importance balancing (paper Algorithm 3) and random shuffling
-    /// to rearrange samples before sharding. Returns an error if any index
-    /// is out of range; duplicate indices are allowed (bootstrap-style
-    /// resampling is legitimate).
+    /// Used by importance balancing (paper Algorithm 3), random shuffling
+    /// and holdout splits to rearrange samples. Returns an error if any
+    /// index is out of range; duplicate indices are allowed
+    /// (bootstrap-style resampling is legitimate).
     pub fn reordered(&self, order: &[usize]) -> Result<Dataset, SparseError> {
-        let mut b = DatasetBuilder::with_capacity(self.dim, order.len(), self.nnz());
+        let mut rows = Vec::with_capacity(order.len());
+        let mut labels = Vec::with_capacity(order.len());
+        let mut nnz = 0;
         for &i in order {
-            if i >= self.n_samples() {
-                return Err(SparseError::IndexOutOfBounds {
-                    index: i as u32,
-                    dim: self.n_samples(),
-                });
-            }
+            self.check_row(i)?;
+            let s = self.storage_row(i);
+            let (lo, hi) = self.span(s);
+            rows.push(s);
+            labels.push(self.labels[i]);
+            nnz += hi - lo;
+        }
+        Ok(Dataset {
+            dim: self.dim,
+            csr: Arc::clone(&self.csr),
+            order: Some(rows),
+            labels,
+            nnz,
+        })
+    }
+
+    /// Copies the rows at `order`, in that order, into fresh contiguous
+    /// storage of their own: row `k + 1`'s non-zeros start where row `k`'s
+    /// end. Equal under `==` to the view [`Dataset::reordered`] returns
+    /// for the same `order`, and refuses the same indices; it copies
+    /// straight from the rows, so no view is built on the way.
+    pub fn reordered_contiguous(&self, order: &[usize]) -> Result<Dataset, SparseError> {
+        let mut b = DatasetBuilder::with_capacity(self.dim, order.len(), self.nnz);
+        for &i in order {
+            self.check_row(i)?;
             let r = self.row(i);
             b.push_row_unchecked(r.indices, r.values, r.label);
         }
         Ok(b.finish())
+    }
+
+    fn check_row(&self, i: usize) -> Result<(), SparseError> {
+        if i < self.n_samples() {
+            Ok(())
+        } else {
+            Err(SparseError::IndexOutOfBounds {
+                index: i as u32,
+                dim: self.n_samples(),
+            })
+        }
     }
 
     /// Splits `0..n` into `k` contiguous equal shards of row index ranges —
@@ -295,9 +372,13 @@ impl DatasetBuilder {
     pub fn finish(self) -> Dataset {
         Dataset {
             dim: self.dim,
-            offsets: self.offsets,
-            indices: self.indices,
-            values: self.values,
+            nnz: self.indices.len(),
+            csr: Arc::new(Csr {
+                offsets: self.offsets,
+                indices: self.indices,
+                values: self.values,
+            }),
+            order: None,
             labels: self.labels,
         }
     }

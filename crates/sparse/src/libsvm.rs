@@ -16,7 +16,8 @@ use std::path::Path;
 /// * `dim` — optional dimensionality override; when `None`, the maximum
 ///   feature index observed defines the dimension.
 /// * Labels: any value `> 0` maps to `+1`, `<= 0` (including `0`, and the
-///   `-1`/`0` conventions in the wild) maps to `-1`.
+///   `-1`/`0` conventions in the wild) maps to `-1`; a non-finite label
+///   (`nan`, `inf`) is a [`SparseError::Parse`] naming its line.
 pub fn parse_reader<R: Read>(reader: R, dim: Option<usize>) -> Result<Dataset, SparseError> {
     let reader = BufReader::new(reader);
     // Two-pass parsing would need a seekable reader; collect rows first.
@@ -39,10 +40,14 @@ pub fn parse_reader<R: Read>(reader: R, dim: Option<usize>) -> Result<Dataset, S
             line: line_no,
             msg: "missing label".into(),
         })?;
-        let raw_label: f64 = label_tok.parse().map_err(|_| SparseError::Parse {
-            line: line_no,
-            msg: format!("bad label token '{label_tok}'"),
-        })?;
+        let raw_label: f64 = label_tok
+            .parse()
+            .ok()
+            .filter(|l: &f64| l.is_finite())
+            .ok_or_else(|| SparseError::Parse {
+                line: line_no,
+                msg: format!("bad label token '{label_tok}'"),
+            })?;
         let label = if raw_label > 0.0 { 1.0 } else { -1.0 };
         let mut pairs = Vec::new();
         for tok in parts {
@@ -163,9 +168,20 @@ mod tests {
 
     #[test]
     fn rejects_malformed_tokens() {
-        for bad in ["+1 1-2", "+1 a:1", "+1 1:x", "notalabel 1:1"] {
-            let r = parse_reader(format!("{bad}\n").as_bytes(), None);
-            assert!(r.is_err(), "should reject {bad:?}");
+        for bad in [
+            "+1 1-2",
+            "+1 a:1",
+            "+1 1:x",
+            "notalabel 1:1",
+            "nan 1:1",
+            "inf 1:1",
+            "-inf 1:1",
+        ] {
+            let r = parse_reader(format!("+1 1:1\n{bad}\n").as_bytes(), None);
+            assert!(
+                matches!(r, Err(SparseError::Parse { line: 2, .. })),
+                "should reject {bad:?} on line 2, got {r:?}"
+            );
         }
     }
 

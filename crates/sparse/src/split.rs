@@ -35,7 +35,8 @@ fn shuffled_indices(n: usize, seed: u64) -> Vec<usize> {
 /// held out, after a seeded shuffle.
 ///
 /// `test_fraction` must lie in `(0, 1)` and both sides must end up
-/// non-empty.
+/// non-empty. Both halves are views ([`Dataset::reordered`]) sharing
+/// `ds`'s rows; neither copies a non-zero.
 pub fn holdout_split(
     ds: &Dataset,
     test_fraction: f64,

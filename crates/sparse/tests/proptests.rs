@@ -60,7 +60,8 @@ proptest! {
     }
 
     #[test]
-    fn reorder_preserves_multiset_of_labels(ds in dataset_strategy(24, 10), seed in 0u64..1000) {
+    fn reorder_preserves_multiset_of_labels(ds in dataset_strategy(24, 10), seed in 0u64..1000,
+                                            picks in proptest::collection::vec(0usize..1000, 0..12)) {
         // Build a permutation deterministically from the seed.
         let n = ds.n_samples();
         let mut order: Vec<usize> = (0..n).collect();
@@ -79,6 +80,30 @@ proptest! {
         l2.sort_unstable();
         prop_assert_eq!(l1, l2);
         prop_assert_eq!(ds.nnz(), rd.nnz());
+
+        // A view equals its contiguous copy, row for row — also with
+        // duplicate rows, and as a view of a view (copied from a view),
+        // which picks through both orders.
+        let dup: Vec<usize> = picks.iter().map(|&p| p % n).collect();
+        let direct: Vec<usize> = dup.iter().map(|&k| order[k]).collect();
+        for (src, at, rows) in [(&ds, &order, &order), (&ds, &dup, &dup), (&rd, &dup, &direct)] {
+            let view = src.reordered(at).unwrap();
+            let copy = src.reordered_contiguous(at).unwrap();
+            prop_assert!(src.reordered(&[src.n_samples()]).is_err());
+            prop_assert!(src.reordered_contiguous(&[src.n_samples()]).is_err());
+            prop_assert_eq!(view.n_samples(), rows.len());
+            prop_assert_eq!(view.nnz(), copy.nnz());
+            prop_assert_eq!(view.labels(), copy.labels());
+            for (k, &i) in rows.iter().enumerate() {
+                let (v, c, o) = (view.row(k), copy.row(k), ds.row(i));
+                prop_assert_eq!(v.indices, c.indices);
+                prop_assert_eq!(v.values, c.values);
+                prop_assert_eq!(v.indices, o.indices);
+                prop_assert_eq!(v.values, o.values);
+                prop_assert_eq!(v.label, o.label);
+            }
+            prop_assert_eq!(&view, &copy);
+        }
     }
 
     #[test]
