@@ -377,8 +377,8 @@ isasgd train <data.svm> [flags]
   --wire-encoding <e>  dense | delta | auto — how socket transports
                      encode round model updates: always-dense frames,
                      always sparse deltas against the link's last
-                     synced model, or per-update selection by sparsity
-                     (delta iff nnz ≤ dim/3). Bit-identical results
+                     synced model, or per update the shorter of the
+                     two frames (dense on a tie). Bit-identical results
                      either way                             [auto]
   --on-worker-loss <p>  fail | respawn — what the process-transport
                      supervisor does when a worker dies mid-run:
@@ -410,8 +410,9 @@ isasgd train <data.svm> [flags]
                      render with `isasgd report --trace <p>`    [off]
 
 Either observability flag arms per-round worker timing over
-the wire (cluster runs). Telemetry is inert: results are bit-identical
-with it on or off.
+the wire (cluster runs, on every transport: each worker's compute and
+barrier time reach the trace as worker_timing events). Telemetry is
+inert: results are bit-identical with it on or off.
 ";
 
 #[cfg(test)]

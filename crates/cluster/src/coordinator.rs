@@ -37,7 +37,7 @@
 
 use crate::node::{validate, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs, RoundPoint};
 use crate::sync::average_models;
-use crate::transport::Transport;
+use crate::transport::{TelemetrySample, Transport};
 use crate::wire::{CheckpointSampler, CheckpointState, Message, SessionConfig, WorkerTiming};
 use isasgd_balance::{rearrange, Rearranged};
 use isasgd_losses::{importance_weights, sgd_step, Loss, Objective};
@@ -278,6 +278,9 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
     let shard_sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
     let mut models: Vec<Vec<f64>> = vec![Vec::new(); cfg.nodes];
     let mut feedback_rows = 0usize;
+    // Worker timing frames that reach the collect loop (plain links hand
+    // them up; the fleet's links absorb their own).
+    let mut telemetry = Vec::new();
     for round in 1..=cfg.rounds {
         isasgd_obs::emit(&Event::RoundStart {
             round: round as u64,
@@ -288,16 +291,25 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
             reason = "measures reported train_secs only; no control-flow or results depend on it"
         )]
         let t0 = Instant::now();
+        // One update per round, addressed per link by its `node` alone:
+        // the consensus moves into it for the sends and back out after.
+        let mut update = Message::ModelUpdate {
+            node: 0,
+            round: round as u64,
+            model: std::mem::take(&mut consensus),
+        };
         for (k, link) in links.iter_mut().enumerate() {
             link.send(&Message::RoundBarrier {
                 node: k as u32,
                 round: round as u64,
             })?;
-            link.send(&Message::ModelUpdate {
-                node: k as u32,
-                round: round as u64,
-                model: consensus.clone(),
-            })?;
+            if let Message::ModelUpdate { node, .. } = &mut update {
+                *node = k as u32;
+            }
+            link.send(&update)?;
+        }
+        if let Message::ModelUpdate { model, .. } = update {
+            consensus = model;
         }
         // Collect: drain each link until this round's replica (and, for
         // adaptive runs, its feedback batch) arrives; stale tags are
@@ -343,6 +355,11 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
                         }
                         have_feedback = true;
                     }
+                    Message::Telemetry {
+                        node,
+                        round,
+                        timing,
+                    } => telemetry.push(TelemetrySample::absorb(node, round, timing)),
                     _ => {}
                 }
             }
@@ -430,12 +447,11 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
         // Per-slot recovery footprints, where the transport supervises
         // (the fleet's links do; plain links report nothing).
         recovery: links.iter().filter_map(|l| l.recovery()).collect(),
-        // Worker-shipped per-round timing, where the transport collects
-        // it (supervised process links do; plain links report nothing).
-        telemetry: links
-            .iter()
-            .filter_map(|l| l.telemetry())
-            .flatten()
+        // Worker-shipped per-round timing: what the collect loop took in
+        // from plain links, then what supervised links absorbed.
+        telemetry: telemetry
+            .into_iter()
+            .chain(links.iter().filter_map(|l| l.telemetry()).flatten())
             .collect(),
     })
 }
@@ -775,7 +791,7 @@ impl<T: Transport> NodeRuntime<T> {
                     model.len()
                 )));
             }
-            model.copy_from_slice(&consensus);
+            model = consensus;
             if adaptive {
                 obs_max.fill(f64::NEG_INFINITY);
                 visited.fill(false);
@@ -817,8 +833,8 @@ impl<T: Transport> NodeRuntime<T> {
             // Ship the round's timing *before* the replica: the
             // coordinator's collect loop for this round is still
             // draining (it has not seen the ModelUpdate yet), so the
-            // frame is absorbed by supervised links and dropped by
-            // plain transports — for every round, including the last.
+            // frame is absorbed by supervised links or by the collect
+            // loop itself — for every round, including the last.
             if cfg.telemetry {
                 isasgd_obs::emit(&Event::BarrierWait {
                     node: u64::from(id),
@@ -836,11 +852,16 @@ impl<T: Transport> NodeRuntime<T> {
                     },
                 })?;
             }
-            self.link.send(&Message::ModelUpdate {
+            // The replica is lent to the update and taken back after it.
+            let update = Message::ModelUpdate {
                 node: id,
                 round,
-                model: model.clone(),
-            })?;
+                model: std::mem::take(&mut model),
+            };
+            self.link.send(&update)?;
+            if let Message::ModelUpdate { model: replica, .. } = update {
+                model = replica;
+            }
             // Periodic state checkpoint, after the round's update so
             // the coordinator absorbs it while collecting the *next*
             // round (hence none at the final round — there would be no

@@ -487,19 +487,8 @@ impl<S: WorkerSpawner> Transport for SupervisedLink<S> {
                     round,
                     timing,
                 }) => {
-                    isasgd_obs::emit(&Event::WorkerTiming {
-                        node: u64::from(node),
-                        round,
-                        compute_us: timing.compute_us,
-                        barrier_wait_us: timing.barrier_wait_us,
-                        rows: timing.rows,
-                        commits: timing.commits,
-                    });
-                    self.samples.push(TelemetrySample {
-                        node,
-                        round,
-                        timing,
-                    });
+                    self.samples
+                        .push(TelemetrySample::absorb(node, round, timing));
                 }
                 Ok(m) => return Ok(m),
                 // After recovery the replacement re-emits everything the

@@ -107,9 +107,10 @@ pub use transport::{
     WorkerLossPolicy,
 };
 pub use wire::{
-    apply_delta, delta_coords, encode_dataset_shard_chunks, put_varint, CheckpointSampler,
-    CheckpointState, FrameKind, Message, SessionConfig, WireEncoding, WireError, WorkerTiming,
-    CHECKPOINT_VERSION, FRAME_KINDS, MAX_FRAME, PROTOCOL_VERSION, SHARD_CHUNK_BYTES,
+    apply_delta, apply_model_frame, delta_coords, encode_dataset_shard_chunks, encode_model_frame,
+    put_varint, CheckpointSampler, CheckpointState, FrameKind, Message, SessionConfig,
+    WireEncoding, WireError, WorkerTiming, CHECKPOINT_VERSION, FRAME_KINDS, MAX_FRAME,
+    PROTOCOL_VERSION, SHARD_CHUNK_BYTES,
 };
 
 /// Lint canary: fails `-D warnings` the day `clippy.toml` stops listing

@@ -70,8 +70,9 @@ pub struct ClusterConfig {
     pub checkpoint_every: u64,
     /// When set, workers ship a per-round [`Message::Telemetry`] timing
     /// sample (compute time, barrier wait, draws, commits) that the
-    /// process-fleet supervisor collects into [`ClusterRun::telemetry`].
-    /// Plain transports drop the frames. Observability-only and inert:
+    /// coordinator collects into [`ClusterRun::telemetry`] on every
+    /// transport (the process fleet's supervisor absorbs them on its
+    /// links, the collect loop on plain ones). Observability-only and inert:
     /// the equivalence tests pin bit-identical models with this on and
     /// off.
     ///
@@ -186,11 +187,11 @@ pub struct ClusterRun {
     /// measures supervision, not the computation.
     pub recovery: Vec<RecoveryFootprint>,
     /// Per-round worker timing samples absorbed from
-    /// [`Message::Telemetry`] frames, in arrival order — populated only
-    /// when [`ClusterConfig::telemetry`] is set and the transport
-    /// supervises links (`process`); empty otherwise. Respawn recovery
-    /// replays recomputed rounds, so a round may appear more than once
-    /// per node (kept visible deliberately). Like `net`/`recovery`,
+    /// [`Message::Telemetry`] frames, in arrival order — populated
+    /// whenever [`ClusterConfig::telemetry`] is set, on every transport;
+    /// empty otherwise. Respawn recovery replays recomputed rounds, so a
+    /// round may appear more than once per node (kept visible
+    /// deliberately). Like `net`/`recovery`,
     /// excluded from bit-equality: it measures timing, not the
     /// computation.
     ///

@@ -23,8 +23,8 @@
 //! (the guarantees [`FlakyTransport`] deliberately erodes).
 
 use crate::wire::{
-    apply_delta, delta_coords, FrameKind, Message, WireEncoding, WireError, WorkerTiming,
-    FRAME_KINDS, MAX_FRAME,
+    apply_model_frame, encode_model_frame, FrameKind, Message, WireEncoding, WireError,
+    WorkerTiming, FRAME_KINDS, MAX_FRAME,
 };
 use isasgd_sampling::Xoshiro256pp;
 use std::io::{Read, Write};
@@ -202,11 +202,11 @@ pub trait Transport: Send {
     }
 
     /// The [`Message::Telemetry`] samples this link absorbed, in
-    /// arrival order — only the fleet's supervised links collect them;
-    /// plain transports drop telemetry frames (exactly as they drop
-    /// [`Message::Checkpoint`]) and report `None`. Replay after a
-    /// respawn re-ships recomputed rounds, so duplicates per round are
-    /// possible and deliberately kept visible.
+    /// arrival order — only the fleet's supervised links absorb them;
+    /// plain transports hand telemetry frames up to the coordinator's
+    /// collect loop, which records them itself, and report `None`.
+    /// Replay after a respawn re-ships recomputed rounds, so duplicates
+    /// per round are possible and deliberately kept visible.
     fn telemetry(&self) -> Option<Vec<TelemetrySample>> {
         None
     }
@@ -223,6 +223,26 @@ pub struct TelemetrySample {
     pub round: u64,
     /// The worker's timing counters for that round.
     pub timing: WorkerTiming,
+}
+
+impl TelemetrySample {
+    /// Absorbs one received [`Message::Telemetry`] frame's fields: emits
+    /// its `worker_timing` event and returns the sample to keep.
+    pub(crate) fn absorb(node: u32, round: u64, timing: WorkerTiming) -> Self {
+        isasgd_obs::emit(&isasgd_obs::Event::WorkerTiming {
+            node: u64::from(node),
+            round,
+            compute_us: timing.compute_us,
+            barrier_wait_us: timing.barrier_wait_us,
+            rows: timing.rows,
+            commits: timing.commits,
+        });
+        TelemetrySample {
+            node,
+            round,
+            timing,
+        }
+    }
 }
 
 /// Which transport a cluster run wires its links with. Carried by
@@ -431,11 +451,19 @@ pub fn in_process_links(nodes: usize) -> Vec<(InProcess, InProcess)> {
 /// sees a delta frame. Links are FIFO per direction, which is exactly
 /// what keeps the two bases in lockstep; the first model on a fresh
 /// link always goes dense (no base exists yet).
+///
+/// Neither direction builds an intermediate model: a sent model is
+/// encoded from the caller's slice ([`encode_model_frame`]) and then
+/// copied into the tx base, in place; a received frame is written into
+/// the rx base in place ([`apply_model_frame`]) and copied once, to hand
+/// it up.
 pub struct Tcp {
     stream: TcpStream,
     scratch: Vec<u8>,
     encoding: WireEncoding,
-    /// Last model sent on this link (delta base for the tx direction).
+    /// Last model sent on this link (delta base for the tx direction);
+    /// dropped by a send under [`WireEncoding::Dense`], which does not
+    /// read it.
     tx_base: Option<Vec<f64>>,
     /// Last model received on this link (delta base for rx).
     rx_base: Option<Vec<f64>>,
@@ -523,46 +551,27 @@ impl Tcp {
         }
         Ok(())
     }
-
-    /// The frame this endpoint would put on the wire for `msg`: a
-    /// sparse [`Message::ModelDelta`] when the encoding, the per-link
-    /// base, and (under [`WireEncoding::Auto`]) the changed-coordinate
-    /// count all permit it; otherwise `None` (send dense).
-    fn deltify(&self, msg: &Message) -> Option<Message> {
-        let Message::ModelUpdate { node, round, model } = msg else {
-            return None;
-        };
-        if self.encoding == WireEncoding::Dense {
-            return None;
-        }
-        let base = self.tx_base.as_ref()?;
-        if base.len() != model.len() {
-            return None;
-        }
-        let (indices, values) = delta_coords(base, model);
-        let heavy = indices.len() > model.len() / 3;
-        if self.encoding == WireEncoding::Auto && heavy {
-            return None;
-        }
-        Some(Message::ModelDelta {
-            node: *node,
-            round: *round,
-            dim: model.len() as u32,
-            indices,
-            values,
-        })
-    }
 }
 
 impl Transport for Tcp {
     fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
-        let delta = self.deltify(msg);
-        let wire_msg = delta.as_ref().unwrap_or(msg);
         self.scratch.clear();
         // Reserve the length prefix, encode, then patch it — one
         // contiguous buffer, one write_all.
         self.scratch.extend_from_slice(&[0u8; 4]);
-        wire_msg.encode(&mut self.scratch);
+        match msg {
+            // A round model is encoded from the caller's slice against
+            // the tx base, dense or delta as the encoding decides.
+            Message::ModelUpdate { node, round, model } => encode_model_frame(
+                &mut self.scratch,
+                *node,
+                *round,
+                model,
+                self.tx_base.as_deref(),
+                self.encoding,
+            )?,
+            _ => msg.encode(&mut self.scratch),
+        }
         let len = self.scratch.len() - 4;
         if len > MAX_FRAME {
             return Err(TransportError::Wire(WireError::FrameTooLarge { len }));
@@ -574,8 +583,17 @@ impl Transport for Tcp {
         }
         // Only after a successful write: the peer's rx base advances
         // exactly when bytes actually left, keeping the two in lockstep.
+        // The base is overwritten in place. A dense link never reads it,
+        // so it drops it instead: a stale base would desync the peer if
+        // the link later switched to deltas.
         if let Message::ModelUpdate { model, .. } = msg {
-            self.tx_base = Some(model.clone());
+            if self.encoding == WireEncoding::Dense {
+                self.tx_base = None;
+            } else {
+                let base = self.tx_base.get_or_insert_with(Vec::new);
+                base.clear();
+                base.extend_from_slice(model);
+            }
         }
         Ok(())
     }
@@ -595,40 +613,24 @@ impl Transport for Tcp {
         self.stream
             .read_exact(&mut self.scratch)
             .map_err(eof_is_closed)?;
-        let msg = Message::decode(&self.scratch)?;
-        if let Some(kind) = self.scratch.first().copied().and_then(FrameKind::from_tag) {
+        let kind = self.scratch.first().copied().and_then(FrameKind::from_tag);
+        let msg = match kind {
+            // A round model lands in the rx base in place; the one copy
+            // is the model handed up.
+            Some(FrameKind::ModelUpdate | FrameKind::ModelDelta) => {
+                let (node, round, model) = apply_model_frame(&self.scratch, &mut self.rx_base)?;
+                Message::ModelUpdate {
+                    node,
+                    round,
+                    model: model.to_vec(),
+                }
+            }
+            _ => Message::decode(&self.scratch)?,
+        };
+        if let Some(kind) = kind {
             self.stats.record_rx(kind, len + 4);
         }
-        match msg {
-            Message::ModelUpdate { node, round, model } => {
-                self.rx_base = Some(model.clone());
-                Ok(Message::ModelUpdate { node, round, model })
-            }
-            Message::ModelDelta {
-                node,
-                round,
-                dim,
-                indices,
-                values,
-            } => {
-                let base = match &self.rx_base {
-                    Some(b) if b.len() == dim as usize => b,
-                    _ => {
-                        return Err(TransportError::Wire(WireError::Invalid {
-                            what: "model delta without a matching base model",
-                        }))
-                    }
-                };
-                let model = apply_delta(base, &indices, &values).ok_or(TransportError::Wire(
-                    WireError::Invalid {
-                        what: "model delta out of bounds against its base",
-                    },
-                ))?;
-                self.rx_base = Some(model.clone());
-                Ok(Message::ModelUpdate { node, round, model })
-            }
-            other => Ok(other),
-        }
+        Ok(msg)
     }
 
     fn stats(&self) -> Option<LinkStats> {
@@ -803,6 +805,119 @@ mod tests {
         assert_eq!(coord.recv().unwrap(), barrier(4));
         coord.send(&barrier(5)).unwrap();
         assert_eq!(worker.recv().unwrap(), barrier(5));
+    }
+
+    /// Switching a link's encoding between sends keeps the two bases in
+    /// lockstep: after dense sends, the first delta-capable send goes
+    /// dense again rather than against the model sent before the switch.
+    #[test]
+    fn switching_encodings_mid_link_keeps_the_bases_in_lockstep() {
+        let (mut coord, mut worker) = tcp_loopback_links(1, "127.0.0.1:0").unwrap().pop().unwrap();
+        // Every seventh coordinate changes each round.
+        let update = |round: u64| Message::ModelUpdate {
+            node: 0,
+            round,
+            model: (0..64u32)
+                .map(|i| {
+                    if i % 7 == 0 {
+                        (round * 100) as f64
+                    } else {
+                        f64::from(i)
+                    }
+                })
+                .collect(),
+        };
+        for (round, encoding) in [
+            (1, WireEncoding::Delta),
+            (2, WireEncoding::Delta),
+            (3, WireEncoding::Dense),
+            (4, WireEncoding::Delta),
+            (5, WireEncoding::Delta),
+        ] {
+            coord.set_encoding(encoding);
+            coord.send(&update(round)).unwrap();
+            assert_eq!(worker.recv().unwrap(), update(round), "round {round}");
+        }
+        let tx = &coord.link_stats().tx_frames;
+        assert_eq!(tx[FrameKind::ModelUpdate.index()], 3, "rounds 1, 3 and 4");
+        assert_eq!(tx[FrameKind::ModelDelta.index()], 2, "rounds 2 and 5");
+    }
+
+    /// A refused model frame leaves the link's rx base as it was: every
+    /// malformed delta fails its `recv`, and a valid delta sent after
+    /// them still rebuilds the sent model bit for bit. The "values one
+    /// short" frame lists coordinates 0 and 1 with their values before
+    /// it runs out, so a decoder that wrote while it read would corrupt
+    /// exactly the coordinates the final delta does not touch.
+    #[test]
+    fn a_refused_model_frame_leaves_the_base_untouched() {
+        let mut links = tcp_loopback_links(1, "127.0.0.1:0").unwrap();
+        let (mut coord, mut worker) = links.pop().unwrap();
+        coord.set_encoding(WireEncoding::Delta);
+        worker.set_encoding(WireEncoding::Delta);
+        let update = |round: u64, model: Vec<f64>| Message::ModelUpdate {
+            node: 0,
+            round,
+            model,
+        };
+        let first: Vec<f64> = (0..8).map(|i| i as f64 - 2.5).collect();
+        coord.send(&update(1, first.clone())).unwrap();
+        assert_eq!(worker.recv().unwrap(), update(1, first.clone()));
+
+        let delta = |dim: u32, indices: Vec<u32>| Message::ModelDelta {
+            node: 0,
+            round: 2,
+            dim,
+            values: indices.iter().map(|&i| f64::from(i) + 100.0).collect(),
+            indices,
+        };
+        let past_dim = delta(8, vec![0, 1, 8]).to_bytes();
+        let mut values_one_short = delta(8, vec![0, 1, 5]).to_bytes();
+        values_one_short.truncate(values_one_short.len() - 8);
+        // Indices 0 then a gap of 0 spelled `0x80 0x00`, the non-minimal
+        // varint of 0 (canonically `0x00`).
+        let mut non_minimal = delta(8, vec![0]).to_bytes();
+        non_minimal.truncate(1 + 4 + 8 + 4);
+        non_minimal.extend_from_slice(&2u32.to_le_bytes());
+        non_minimal.extend_from_slice(&[0x00, 0x80, 0x00]);
+        non_minimal.extend_from_slice(&[0u8; 16]);
+        let wrong_dim = delta(9, vec![0, 1]).to_bytes();
+        for (what, payload) in [
+            ("index >= dim", past_dim),
+            ("values one short", values_one_short),
+            ("non-minimal varint", non_minimal),
+            ("dim != base length", wrong_dim),
+        ] {
+            coord.send_payload(&payload).unwrap();
+            assert!(
+                matches!(worker.recv(), Err(TransportError::Wire(_))),
+                "{what}: refused"
+            );
+        }
+
+        let mut next = first;
+        next[4] = -0.0;
+        next[6] = f64::from_bits(0x7FF8_0000_0000_0123); // a NaN payload
+        coord.send(&update(3, next.clone())).unwrap();
+        let tx = &coord.link_stats().tx_frames;
+        assert_eq!(
+            tx[FrameKind::ModelUpdate.index()],
+            1,
+            "only the first dense"
+        );
+        assert_eq!(
+            tx[FrameKind::ModelDelta.index()],
+            5,
+            "four refused, one sent"
+        );
+        match worker.recv().unwrap() {
+            Message::ModelUpdate { round, model, .. } => {
+                assert_eq!(round, 3);
+                let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&model), bits(&next));
+            }
+            other => panic!("expected the rebuilt model, got {other:?}"),
+        }
     }
 
     #[test]

@@ -117,10 +117,11 @@ pub enum WireEncoding {
     /// Always ship a sparse delta against the per-link base (the first
     /// model on a fresh link necessarily goes dense — there is no base).
     Delta,
-    /// Ship whichever is smaller: delta when the changed-coordinate
-    /// count is at most `dim / 3` (the break-even point of the
-    /// 12-byte-per-coordinate delta row against 8 bytes per dense
-    /// coordinate, with varint headroom), dense otherwise.
+    /// Ship whichever is smaller: the exact payload lengths of the delta
+    /// (8 value bytes plus a 1–5 byte gap varint per changed coordinate)
+    /// and of the dense frame are compared per update, and dense wins a
+    /// tie. A delta stays the shorter frame up to roughly 0.8·dim changed
+    /// coordinates.
     #[default]
     Auto,
 }
@@ -237,6 +238,7 @@ fn check(ok: bool, what: &'static str) -> Result<(), WireError> {
 }
 
 /// Bounded cursor over a payload; every read is length-checked.
+#[derive(Clone)]
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -250,6 +252,15 @@ impl<'a> Reader<'a> {
 
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// `Ok` once the whole payload is consumed: a frame is exactly one
+    /// message, so leftover bytes make it non-canonical.
+    fn finish(&self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(WireError::TrailingBytes { extra }),
+        }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
@@ -807,11 +818,7 @@ macro_rules! frames {
                 let msg = match FrameKind::from_tag(tag).ok_or(WireError::BadTag(tag))? {
                     $(FrameKind::$name => frame_arm!(get ($($put $get)?) r $name $($field)*),)*
                 };
-                if r.remaining() > 0 {
-                    return Err(WireError::TrailingBytes {
-                        extra: r.remaining(),
-                    });
-                }
+                r.finish()?;
                 Ok(msg)
             }
         }
@@ -956,10 +963,10 @@ frames! {
     }
     /// A worker's per-round timing sample (checksummed), shipped before
     /// the round's [`Message::ModelUpdate`] when
-    /// [`SessionConfig::telemetry`] is set. Purely observational: the
-    /// fleet supervisor absorbs it into [`ClusterRun::telemetry`], plain
-    /// transports drop it exactly as they drop [`Message::Checkpoint`],
-    /// and no receiver ever acknowledges or blocks on it.
+    /// [`SessionConfig::telemetry`] is set. Purely observational: it ends
+    /// up in [`ClusterRun::telemetry`] — absorbed by the fleet
+    /// supervisor's links, or by the coordinator's collect loop on plain
+    /// links — and no receiver ever acknowledges or blocks on it.
     ///
     /// [`ClusterRun::telemetry`]: crate::node::ClusterRun::telemetry
     Telemetry = 12 custom(put_telemetry, get_telemetry) {
@@ -1020,16 +1027,29 @@ pub fn schema_json() -> String {
 // fixed-point property of the whole codec extends to varint payloads.
 
 /// Appends the canonical LEB128 encoding of `v`.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+pub fn put_varint(out: &mut Vec<u8>, v: u64) {
+    varint_bytes(v, |b| out.push(b));
+}
+
+/// Hands the canonical LEB128 bytes of `v` to `emit`, low group first.
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+fn varint_bytes(mut v: u64, mut emit: impl FnMut(u8)) {
     loop {
-        let byte = (v & 0x7F) as u8;
+        let [low, ..] = v.to_le_bytes();
         v >>= 7;
         if v == 0 {
-            out.push(byte);
+            emit(low & 0x7F);
             return;
         }
-        out.push(byte | 0x80);
+        emit(low | 0x80);
     }
+}
+
+/// Length of the canonical LEB128 encoding of `v`: one byte per started
+/// 7-bit group, and one for zero.
+fn varint_len(v: u64) -> usize {
+    let bits = 64 - (v | 1).leading_zeros();
+    bits.div_ceil(7) as usize
 }
 
 #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
@@ -1086,6 +1106,21 @@ fn get_index_list(r: &mut Reader<'_>, dim: u64) -> Result<Vec<u32>, WireError> {
     // Each encoded index is at least one varint byte.
     let n = r.count(1)?;
     let mut indices = Vec::with_capacity(n);
+    visit_indices(r, n, dim, |i| indices.push(i))?;
+    Ok(indices)
+}
+
+/// Decodes the `n` gap-coded indices that follow an index list's count,
+/// bounding each by `dim` and handing it to `visit` in order — the one
+/// index-list decoder, behind both [`get_index_list`] and the in-place
+/// [`apply_model_frame`].
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+fn visit_indices(
+    r: &mut Reader<'_>,
+    n: usize,
+    dim: u64,
+    mut visit: impl FnMut(u32),
+) -> Result<(), WireError> {
     let mut prev: Option<u64> = None;
     for _ in 0..n {
         let raw = get_varint(r)?;
@@ -1108,10 +1143,10 @@ fn get_index_list(r: &mut Reader<'_>, dim: u64) -> Result<Vec<u32>, WireError> {
             clippy::cast_possible_truncation,
             reason = "idx < dim just checked, and every caller passes dim ≤ u32::MAX + 1"
         )]
-        indices.push(idx as u32);
+        visit(idx as u32);
         prev = Some(idx);
     }
-    Ok(indices)
+    Ok(())
 }
 
 // --- sparse model deltas -------------------------------------------------
@@ -1159,6 +1194,186 @@ pub fn apply_delta(base: &[f64], indices: &[u32], values: &[f64]) -> Option<Vec<
         *model.get_mut(i as usize)? = v;
     }
     Some(model)
+}
+
+// --- round models across a link ------------------------------------------
+//
+// A `Tcp` link keeps, per direction, the last model that crossed it (its
+// base). The two functions below are that path's codec, and neither
+// copies a model: the encoder reads the caller's model and the base in
+// place and writes the frame bytes straight into the frame buffer; the
+// decoder validates a whole received frame, then writes it into the
+// base. Their bytes are `Message::encode`'s / `Message::decode`'s, so
+// the wire does not change.
+
+/// `u8 tag ‖ u32 node ‖ u64 round ‖ u32 dim`: the bytes a dense
+/// [`Message::ModelUpdate`] (its `dim` is the model's count) and a
+/// [`Message::ModelDelta`] both start with.
+const MODEL_HEAD: usize = 1 + 4 + 8 + 4;
+
+/// Changed coordinates of `model` against `base`, and the varint bytes
+/// their gap-coded index list takes (the counting pass of
+/// [`encode_model_frame`]).
+fn delta_extent(base: &[f64], model: &[f64]) -> (usize, usize) {
+    let (mut changed, mut varints, mut next) = (0, 0, 0);
+    for (i, (b, m)) in base.iter().zip(model).enumerate() {
+        if b.to_bits() != m.to_bits() {
+            changed += 1;
+            varints += varint_len((i - next) as u64);
+            next = i + 1;
+        }
+    }
+    (changed, varints)
+}
+
+/// Appends the payload a link sends for the round model `model` of
+/// `node` at `round`, where `base` is the last model sent on the link:
+/// a [`Message::ModelDelta`] against `base` when `encoding` allows one
+/// and `base` has the model's length, a dense [`Message::ModelUpdate`]
+/// otherwise. Under [`WireEncoding::Auto`] the two exact payload lengths
+/// are compared and the shorter frame is written; dense wins a tie.
+///
+/// Both slices are read in place — one pass counts the changed
+/// coordinates and their varint bytes, one pass writes the frame — and
+/// the bytes equal [`Message::encode`] of the frame built from
+/// [`delta_coords`] (or of the dense update). A payload over
+/// [`MAX_FRAME`] is refused before anything is appended.
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+pub fn encode_model_frame(
+    out: &mut Vec<u8>,
+    node: u32,
+    round: u64,
+    model: &[f64],
+    base: Option<&[f64]>,
+    encoding: WireEncoding,
+) -> Result<(), WireError> {
+    let dense_len = MODEL_HEAD + 8 * model.len();
+    let delta = base
+        .filter(|base| encoding != WireEncoding::Dense && base.len() == model.len())
+        .and_then(|base| {
+            let (changed, varints) = delta_extent(base, model);
+            let len = MODEL_HEAD + 4 + varints + 8 * changed;
+            (encoding == WireEncoding::Delta || len < dense_len)
+                .then_some((base, changed, varints, len))
+        });
+    let len = delta.map_or(dense_len, |(.., len)| len);
+    // A model whose counts overflow the frame's u32s fits no frame.
+    let (true, Ok(dim), Ok(changed)) = (
+        len <= MAX_FRAME,
+        u32::try_from(model.len()),
+        u32::try_from(delta.map_or(0, |(_, changed, ..)| changed)),
+    ) else {
+        return Err(WireError::FrameTooLarge { len });
+    };
+    let start = out.len();
+    out.reserve(len);
+    let kind = match delta {
+        Some(_) => FrameKind::ModelDelta,
+        None => FrameKind::ModelUpdate,
+    };
+    out.push(kind.tag());
+    node.put(out);
+    round.put(out);
+    dim.put(out);
+    let Some((base, _, varints, _)) = delta else {
+        model.iter().for_each(|v| v.put(out));
+        return Ok(());
+    };
+    changed.put(out);
+    // The writing pass: the index list and the values it counts are
+    // filled side by side in the region the counting pass sized.
+    let body = out.len();
+    out.resize(start + len, 0);
+    let (indices, values) = out
+        .get_mut(body..)
+        .and_then(|region| region.split_at_mut_checked(varints))
+        .ok_or(WireError::Invalid {
+            what: "model delta region shorter than its counted length",
+        })?;
+    let (mut indices, mut values) = (indices.iter_mut(), values.chunks_exact_mut(8));
+    let mut next = 0;
+    for (i, (b, m)) in base.iter().zip(model).enumerate() {
+        if b.to_bits() != m.to_bits() {
+            varint_bytes((i - next) as u64, |byte| {
+                if let Some(slot) = indices.next() {
+                    *slot = byte;
+                }
+            });
+            if let Some(slot) = values.next() {
+                slot.copy_from_slice(&m.to_le_bytes());
+            }
+            next = i + 1;
+        }
+    }
+    Ok(())
+}
+
+/// An `f64` from its 8 little-endian bytes (a `chunks_exact(8)` item).
+fn f64_le(bytes: &[u8]) -> f64 {
+    let mut a = [0u8; 8];
+    a.copy_from_slice(bytes);
+    f64::from_le_bytes(a)
+}
+
+/// Applies a received round-model payload to `base`, the last model
+/// received on the link, and returns the frame's `node`, `round` and the
+/// model it now holds. A dense [`Message::ModelUpdate`] replaces the
+/// base, reusing its buffer; a [`Message::ModelDelta`] overwrites the
+/// coordinates it lists (the in-place [`apply_delta`]) and is refused
+/// unless a base of its `dim` exists. Any other frame is a
+/// [`WireError::BadTag`].
+///
+/// The whole payload is validated — with exactly the checks
+/// [`Message::decode`] makes — before the first coordinate is written,
+/// so a refused frame leaves `base` as it was.
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+pub fn apply_model_frame<'b>(
+    payload: &[u8],
+    base: &'b mut Option<Vec<f64>>,
+) -> Result<(u32, u64, &'b [f64]), WireError> {
+    if payload.len() > MAX_FRAME {
+        return Err(WireError::FrameTooLarge { len: payload.len() });
+    }
+    let mut r = Reader::new(payload);
+    let tag = r.u8().map_err(|_| WireError::Empty)?;
+    let kind = FrameKind::from_tag(tag);
+    if !matches!(kind, Some(FrameKind::ModelUpdate | FrameKind::ModelDelta)) {
+        return Err(WireError::BadTag(tag));
+    }
+    let node = u32::get(&mut r)?;
+    let round = u64::get(&mut r)?;
+    if kind == Some(FrameKind::ModelUpdate) {
+        let n = r.count(8)?;
+        let values = r.take(8 * n)?;
+        r.finish()?;
+        let model = base.get_or_insert_with(Vec::new);
+        model.clear();
+        model.extend(values.chunks_exact(8).map(f64_le));
+        return Ok((node, round, model));
+    }
+    let dim = u32::get(&mut r)?;
+    let n = r.count(1)?;
+    let mut list = r.clone();
+    visit_indices(&mut r, n, u64::from(dim), |_| {})?;
+    let values = r.take(8 * n)?;
+    r.finish()?;
+    let model = match base {
+        Some(model) if model.len() == dim as usize => model,
+        _ => {
+            return Err(WireError::Invalid {
+                what: "model delta without a matching base model",
+            })
+        }
+    };
+    // Validated: the second walk of the list cannot fail, and every
+    // index it yields is in bounds and has its value.
+    let mut values = values.chunks_exact(8).map(f64_le);
+    visit_indices(&mut list, n, u64::from(dim), |i| {
+        if let (Some(slot), Some(v)) = (model.get_mut(i as usize), values.next()) {
+            *slot = v;
+        }
+    })?;
+    Ok((node, round, model))
 }
 
 fn put_model_delta(

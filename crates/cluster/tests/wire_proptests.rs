@@ -11,8 +11,9 @@
 )]
 
 use isasgd_cluster::{
-    apply_delta, delta_coords, CheckpointSampler, CheckpointState, FrameKind, Message,
-    SessionConfig, WireEncoding, WireError, WorkerTiming, PROTOCOL_VERSION,
+    apply_delta, apply_model_frame, delta_coords, encode_model_frame, tcp_loopback_links,
+    CheckpointSampler, CheckpointState, FrameKind, Message, SessionConfig, Transport, WireEncoding,
+    WireError, WorkerTiming, PROTOCOL_VERSION,
 };
 use isasgd_core::{CommitPolicy, ImportanceScheme, Regularizer, SamplingStrategy};
 use isasgd_sparse::DatasetBuilder;
@@ -217,6 +218,44 @@ fn arb_model_delta() -> impl Strategy<Value = Message> {
         )
 }
 
+/// Any f64 bit pattern the wire must carry: the nasty edges above plus
+/// NaNs with payloads (compared through their bits, never `==`).
+fn arb_bits_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        arb_f64(),
+        (0u64..=u64::MAX).prop_map(f64::from_bits),
+        Just(f64::NAN),
+        Just(f64::from_bits(0xFFF0_0000_0000_0001)), // negative signalling NaN
+    ]
+}
+
+/// `(base, next)` model pairs: no coordinate changed, every coordinate
+/// changed, or a random mix (about half) — the three shapes the delta
+/// encoder and `auto`'s size rule must get right. Dimensions reach past
+/// 128 so gaps take two-byte varints.
+fn arb_model_pair() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    (
+        prop::collection::vec((arb_bits_f64(), arb_bits_f64(), 0u8..2), 0..300),
+        0u8..3,
+    )
+        .prop_map(|(coords, shape)| {
+            coords
+                .into_iter()
+                .map(|(b, n, keep)| {
+                    let changed = if n.to_bits() == b.to_bits() {
+                        f64::from_bits(b.to_bits() ^ 1)
+                    } else {
+                        n
+                    };
+                    match (shape, keep) {
+                        (0, _) | (2, 0) => (b, b),
+                        _ => (b, changed),
+                    }
+                })
+                .unzip()
+        })
+}
+
 /// Shard-stream chunks with a consistent header: `start` sits inside
 /// `[shard_start, shard_start + shard_rows)` and the chunk's rows fit
 /// the declared shard. Weights are strictly positive finite (the
@@ -384,6 +423,35 @@ fn wire_schema_is_frozen() {
     );
 }
 
+/// `auto` sends the shorter frame, not the one a changed-count rule
+/// guesses: with 40 % of 1 000 coordinates changed (gaps of 0 and 3, one
+/// varint byte each) the delta is 21 + 400 × 9 = 3 621 bytes against the
+/// dense 8 017, so the link sends a delta — and the model still arrives
+/// bit for bit.
+#[test]
+fn auto_sends_a_delta_while_it_is_the_shorter_frame() {
+    let (mut coord, mut worker) = tcp_loopback_links(1, "127.0.0.1:0").unwrap().pop().unwrap();
+    coord.set_encoding(WireEncoding::Auto);
+    worker.set_encoding(WireEncoding::Auto);
+    let base: Vec<f64> = (0..1000).map(|i| f64::from(i) * 0.25).collect();
+    let next: Vec<f64> = (base.iter().enumerate())
+        .map(|(i, &v)| if i % 5 < 2 { -v - 1.0 } else { v })
+        .collect();
+    for (round, model) in [(1, &base), (2, &next)] {
+        let msg = Message::ModelUpdate {
+            node: 0,
+            round,
+            model: model.clone(),
+        };
+        coord.send(&msg).unwrap();
+        assert_eq!(worker.recv().unwrap(), msg);
+    }
+    let stats = coord.link_stats();
+    assert_eq!(stats.tx_frames[FrameKind::ModelUpdate.index()], 1);
+    assert_eq!(stats.tx_frames[FrameKind::ModelDelta.index()], 1);
+    assert_eq!(stats.tx_bytes_for(FrameKind::ModelDelta), 4 + 3621);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1))]
 
@@ -525,6 +593,87 @@ proptest! {
                 for (x, y) in v.iter().zip(w) {
                     prop_assert_eq!(x.to_bits(), y.to_bits());
                 }
+            }
+        }
+    }
+
+    /// The borrowed encoder writes, byte for byte, what `Message::encode`
+    /// writes for the frame built from `delta_coords` (or the dense
+    /// update), under every encoding; `auto` picks the shorter of the
+    /// two, dense on a tie. The in-place decoder leaves the base equal
+    /// to `apply_delta`'s result, bit for bit. Pairs cover ±0.0, NaN
+    /// payloads, subnormals, no change and every coordinate changed.
+    #[test]
+    fn borrowed_encoder_and_in_place_decoder_match_the_oracles(
+        (base, next) in arb_model_pair(),
+        node in 0u32..=u32::MAX,
+        round in 0u64..=u64::MAX,
+    ) {
+        let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (indices, values) = delta_coords(&base, &next);
+        let rebuilt = apply_delta(&base, &indices, &values).expect("in bounds");
+        let dense = Message::ModelUpdate { node, round, model: next.clone() }.to_bytes();
+        let delta = Message::ModelDelta {
+            node,
+            round,
+            dim: next.len() as u32,
+            indices,
+            values,
+        }
+        .to_bytes();
+        let shorter = if delta.len() < dense.len() { &delta } else { &dense };
+        for (encoding, want) in [
+            (WireEncoding::Dense, &dense),
+            (WireEncoding::Delta, &delta),
+            (WireEncoding::Auto, shorter),
+        ] {
+            let mut out = vec![0xAB];
+            encode_model_frame(&mut out, node, round, &next, Some(&base), encoding).unwrap();
+            prop_assert_eq!(&out[0], &0xAB, "appends, never overwrites");
+            prop_assert_eq!(&out[1..], &want[..], "{:?}", encoding);
+            // No base: dense whatever the encoding.
+            out.clear();
+            encode_model_frame(&mut out, node, round, &next, None, encoding).unwrap();
+            prop_assert_eq!(&out, &dense);
+        }
+
+        let mut held = Some(base.clone());
+        let (n, r, model) = apply_model_frame(&delta, &mut held).unwrap();
+        prop_assert_eq!((n, r), (node, round));
+        prop_assert_eq!(bits(model), bits(&rebuilt));
+        prop_assert_eq!(bits(&rebuilt), bits(&next));
+        let mut held = Some(base.clone());
+        let (_, _, model) = apply_model_frame(&dense, &mut held).unwrap();
+        prop_assert_eq!(bits(model), bits(&next));
+        // A dense frame needs no base; a delta refuses to go without one.
+        let mut none = None;
+        prop_assert!(apply_model_frame(&dense, &mut none).is_ok());
+        let mut none = None;
+        prop_assert!(apply_model_frame(&delta, &mut none).is_err());
+        prop_assert_eq!(none, None);
+    }
+
+    /// The in-place decoder refuses exactly what `Message::decode`
+    /// refuses, and a refused frame leaves the base as it was: every
+    /// strict prefix and every single-byte corruption of a valid delta.
+    #[test]
+    fn a_refused_frame_changes_no_coordinate(
+        (base, next) in arb_model_pair(),
+        pos_seed in 0usize..4096,
+        flip in 1u8..=255,
+    ) {
+        let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut frame = Vec::new();
+        encode_model_frame(&mut frame, 1, 2, &next, Some(&base), WireEncoding::Delta).unwrap();
+        let pos = pos_seed % frame.len();
+        let mut flipped = frame.clone();
+        flipped[pos] ^= flip;
+        for bytes in (0..frame.len()).map(|cut| &frame[..cut]).chain([&flipped[..]]) {
+            let mut held = Some(base.clone());
+            let decoded = Message::decode(bytes);
+            match apply_model_frame(bytes, &mut held) {
+                Ok(_) => prop_assert!(decoded.is_ok(), "accepted what decode refuses"),
+                Err(_) => prop_assert_eq!(bits(held.as_deref().unwrap()), bits(&base)),
             }
         }
     }
