@@ -13,7 +13,10 @@
 //! chunk stream: each worker receives only the rows of the shard it
 //! owns (already reordered, with per-row importance weights riding
 //! along), so admission bandwidth is proportional to the shard, not
-//! the dataset. Connections that
+//! the dataset. The chunks are encoded from the run plan's rows as they
+//! are sent, one at a time through one buffer — the supervisor holds no
+//! shard bytes between admissions, and a respawn re-encodes the same
+//! bytes the first admission sent. Connections that
 //! speak garbage, truncate, or announce the wrong version are dropped
 //! with a typed [`WireError`] recorded and the accept loop keeps
 //! going until its deadline — junk can never hang or kill admission.
@@ -26,8 +29,10 @@
 //!
 //! # Supervision
 //!
-//! A [`SupervisedLink`] records every outbound message. When a worker
-//! is lost (socket death, or silence past the per-round deadline):
+//! A [`SupervisedLink`] records every outbound message; a round's
+//! consensus model is logged once for the whole fleet, in storage every
+//! link that sent the same bits shares. When a worker is lost (socket
+//! death, or silence past the per-round deadline):
 //!
 //! * [`WorkerLossPolicy::Fail`] — the run aborts with a typed
 //!   [`ClusterError::WorkerLost`]; closed sockets make detection
@@ -72,8 +77,10 @@ use crate::transport::{
     WorkerLossPolicy,
 };
 use crate::wire::{
-    encode_dataset_shard_chunks, Message, SessionConfig, WireError, MAX_FRAME, PROTOCOL_VERSION,
+    dataset_shard_chunk_lens, encode_dataset_shard_chunk, Message, SessionConfig, WireError,
+    MAX_FRAME, PROTOCOL_VERSION,
 };
+use isasgd_balance::Rearranged;
 use isasgd_losses::{Loss, Objective};
 use isasgd_obs::{monotonic_us, Event};
 use isasgd_sparse::Dataset;
@@ -175,19 +182,73 @@ impl WorkerSpawner for CommandSpawner {
 }
 
 /// State shared by every supervised link: the listener, the spawner,
-/// and the session frames a (re)admitted worker must receive.
+/// what a (re)admitted worker must receive, and the round model the
+/// links' replay logs share.
 struct FleetShared<S: WorkerSpawner> {
     listener: TcpListener,
     addr: String,
     spawner: S,
     session: SessionConfig,
-    /// Per-node [`Message::DatasetShard`] chunk payloads, encoded once
-    /// at fleet start from the run plan's reordered view (and
-    /// size-validated there): admissions — initial and respawn alike —
-    /// write the cached bytes instead of re-encoding, so recovery is
-    /// byte-identical to first admission.
-    shard_frames: Vec<Vec<Vec<u8>>>,
+    /// The run plan, shared with the round driver: every admission —
+    /// initial and respawn alike — encodes its node's
+    /// [`Message::DatasetShard`] chunks from these rows and weights as
+    /// it sends them. Encoding is deterministic, so recovery streams
+    /// the bytes first admission did.
+    plan: Arc<Rearranged>,
+    /// The round model the last link logged, as its round and storage:
+    /// the next link that logs the same round's bits shares it.
+    last_model: Option<(u64, Arc<[f64]>)>,
     pc: ProcessConfig,
+}
+
+/// The storage a replay log keeps for round `round`'s model `model`:
+/// `slot`'s when it holds the same round and bits, else a new copy that
+/// takes the slot. Bits are compared, not values, so ±0.0 and distinct
+/// NaN payloads are never merged — a replay must ship the very bits
+/// the link sent.
+fn shared_model(slot: &mut Option<(u64, Arc<[f64]>)>, round: u64, model: &[f64]) -> Arc<[f64]> {
+    if let Some((r, m)) = slot {
+        let same_bits = || {
+            m.len() == model.len() && m.iter().zip(model).all(|(a, b)| a.to_bits() == b.to_bits())
+        };
+        if *r == round && same_bits() {
+            return m.clone();
+        }
+    }
+    let m: Arc<[f64]> = Arc::from(model);
+    *slot = Some((round, m.clone()));
+    m
+}
+
+/// One replay-log entry: a round model in storage shared across links,
+/// or any other message as it was sent.
+enum Logged {
+    Model {
+        node: u32,
+        round: u64,
+        model: Arc<[f64]>,
+    },
+    Message(Message),
+}
+
+impl Logged {
+    fn round(&self) -> u64 {
+        match self {
+            Logged::Model { round, .. } => *round,
+            Logged::Message(m) => m.round(),
+        }
+    }
+
+    /// The entry's logical bytes: [`Message::resident_bytes`] of the
+    /// message it stands for, so a shared model counts in full on every
+    /// log that holds it.
+    fn resident_bytes(&self) -> u64 {
+        let bytes = match self {
+            Logged::Model { model, .. } => std::mem::size_of::<Message>() + model.len() * 8,
+            Logged::Message(m) => m.resident_bytes(),
+        };
+        bytes as u64
+    }
 }
 
 impl<S: WorkerSpawner> FleetShared<S> {
@@ -254,9 +315,7 @@ impl<S: WorkerSpawner> FleetShared<S> {
                             worker: node,
                             config: self.session.clone(),
                         })?;
-                        for frame in &self.shard_frames[node as usize] {
-                            link.send_payload(frame)?;
-                        }
+                        self.stream_shard(&mut link, node)?;
                         // Arm the session's wire encoding only now: the
                         // handshake frames above are always dense, and
                         // the fresh link's empty delta bases match the
@@ -297,10 +356,40 @@ impl<S: WorkerSpawner> FleetShared<S> {
             }
         }
     }
+
+    /// Streams node `node`'s shard to a worker being admitted: each
+    /// [`Message::DatasetShard`] chunk is encoded from the plan's rows
+    /// into one reused buffer and sent before the next is encoded.
+    fn stream_shard(&self, link: &mut Tcp, node: u32) -> Result<(), TransportError> {
+        let plan = &*self.plan;
+        let range = &plan.ranges[node as usize];
+        let (mut chunk, mut bytes, mut chunks, mut encode_us) = (Vec::new(), 0, 0, 0);
+        let mut row = range.start;
+        while row < range.end {
+            let t0 = monotonic_us();
+            chunk.clear();
+            row =
+                encode_dataset_shard_chunk(&mut chunk, node, range, row, &plan.data, &plan.weights);
+            encode_us += monotonic_us() - t0;
+            link.send_payload(&chunk)?;
+            bytes += chunk.len() as u64;
+            chunks += 1;
+        }
+        isasgd_obs::emit(&Event::ShardStream {
+            node: u64::from(node),
+            rows: range.len() as u64,
+            bytes,
+            chunks,
+            encode_us,
+        });
+        Ok(())
+    }
 }
 
 /// One supervised coordinator↔worker link: a [`Tcp`] endpoint plus the
 /// outbound message log that makes deterministic respawn possible.
+/// The log holds round models in storage shared with the other links
+/// (see [`FleetShared`]), every other message as sent.
 pub struct SupervisedLink<S: WorkerSpawner> {
     shared: Arc<Mutex<FleetShared<S>>>,
     node: u32,
@@ -309,7 +398,7 @@ pub struct SupervisedLink<S: WorkerSpawner> {
     // mid-wait.
     tcp: Tcp,
     handle: Box<dyn WorkerHandle>,
-    log: Vec<Message>,
+    log: Vec<Logged>,
     respawns_left: u32,
     policy: WorkerLossPolicy,
     /// Traffic counters of connections this slot has already replaced:
@@ -392,12 +481,17 @@ impl<S: WorkerSpawner> SupervisedLink<S> {
         // only the rounds after it — bit-identical to a worker that
         // lived the whole session; its re-sent traffic for already-
         // finished rounds is dropped by round tag upstream.
+        let handshake_tx = tcp.link_stats().tx_total_bytes();
         let replayed = (|| -> Result<(), TransportError> {
             if let Some((_, blob)) = &self.ckpt {
                 tcp.send_payload(blob)?;
             }
-            for m in &self.log {
-                tcp.send(m)?;
+            for entry in &self.log {
+                match entry {
+                    // Sent from the shared storage; no message is rebuilt.
+                    Logged::Model { node, round, model } => tcp.send_model(*node, *round, model)?,
+                    Logged::Message(m) => tcp.send(m)?,
+                }
             }
             Ok(())
         })();
@@ -406,6 +500,9 @@ impl<S: WorkerSpawner> SupervisedLink<S> {
             self.stats.merge(tcp.link_stats());
             return Err(self.lost(&format_args!("replay failed: {e}")));
         }
+        // What the replay wrote to the replacement's socket, length
+        // prefixes included: its counters past the handshake.
+        let replay_bytes = tcp.link_stats().tx_total_bytes() - handshake_tx;
         // Replace the dead endpoint; the old handle is dropped (and the
         // dead process reaped) with the assignment below. The live
         // link's counters were zeroed by take_stats above, so the
@@ -416,12 +513,7 @@ impl<S: WorkerSpawner> SupervisedLink<S> {
         isasgd_obs::emit(&Event::Respawn {
             node: u64::from(self.node),
             replay_frames: self.log.len() as u64 + u64::from(self.ckpt.is_some()),
-            replay_bytes: self.ckpt.as_ref().map_or(0, |(_, b)| b.len() as u64)
-                + self
-                    .log
-                    .iter()
-                    .map(|m| m.resident_bytes() as u64)
-                    .sum::<u64>(),
+            replay_bytes,
             replay_us: monotonic_us() - t0,
         });
         Ok(())
@@ -435,7 +527,17 @@ impl<S: WorkerSpawner> Transport for SupervisedLink<S> {
             // A fresh, just-replayed link failing again is terminal.
             self.tcp.send(msg).map_err(|e| self.lost(&e))?;
         }
-        self.log.push(msg.clone());
+        self.log.push(match msg {
+            Message::ModelUpdate { node, round, model } => {
+                let mut shared = self.shared.lock().expect("fleet state poisoned");
+                Logged::Model {
+                    node: *node,
+                    round: *round,
+                    model: shared_model(&mut shared.last_model, *round, model),
+                }
+            }
+            _ => Logged::Message(msg.clone()),
+        });
         Ok(())
     }
 
@@ -463,8 +565,9 @@ impl<S: WorkerSpawner> Transport for SupervisedLink<S> {
                         // truncation; everything at or before the
                         // checkpointed round is recomputation the
                         // installed state already covers.
-                        self.log.retain(|m| {
-                            matches!(m, Message::ShardRebalance { .. }) || m.round() > round
+                        self.log.retain(|entry| {
+                            matches!(entry, Logged::Message(Message::ShardRebalance { .. }))
+                                || entry.round() > round
                         });
                     }
                     // The ack is control traffic: sent directly (not
@@ -510,7 +613,7 @@ impl<S: WorkerSpawner> Transport for SupervisedLink<S> {
         Some(RecoveryFootprint {
             node: self.node,
             log_frames: self.log.len() as u64,
-            log_bytes: self.log.iter().map(|m| m.resident_bytes() as u64).sum(),
+            log_bytes: self.log.iter().map(Logged::resident_bytes).sum(),
             checkpoint_round: self.ckpt.as_ref().map_or(0, |(r, _)| *r),
             checkpoint_bytes: self.ckpt.as_ref().map_or(0, |(_, b)| b.len() as u64),
             respawns: self.respawns,
@@ -571,40 +674,23 @@ pub fn run_fleet_with<L: Loss, S: WorkerSpawner>(
     // The run plan (weigh → decide → rearrange → shard) is computed
     // once, up front: the fleet streams each worker its shard of the
     // *same* reordered view the round driver evaluates against, so the
-    // two can never disagree. Per-node shard chunks are encoded here,
+    // two can never disagree. Every shard chunk's size is checked here,
     // before binding or spawning anything — an unencodable shard is a
     // deterministic coordinator-side configuration error, not a
     // per-worker handshake failure to retry against a deadline.
-    let plan = plan_run(ds, obj, cfg)?;
-    let shard_frames: Vec<Vec<Vec<u8>>> = (0..cfg.nodes)
-        .map(|k| {
-            let t0 = monotonic_us();
-            let frames = encode_dataset_shard_chunks(
-                k as u32,
-                plan.ranges[k].clone(),
-                &plan.data,
-                &plan.weights,
-            );
-            isasgd_obs::emit(&Event::ShardStream {
-                node: k as u64,
-                rows: plan.ranges[k].len() as u64,
-                bytes: frames.iter().map(|f| f.len() as u64).sum(),
-                chunks: frames.len() as u64,
-                encode_us: monotonic_us() - t0,
-            });
-            frames
-        })
-        .collect();
+    let plan = Arc::new(plan_run(ds, obj, cfg)?);
     // Chunks target ~256 KiB; only a single row wider than MAX_FRAME
     // can push one over the cap (chunks always carry ≥ 1 row).
-    for chunk in shard_frames.iter().flatten() {
-        if chunk.len() > MAX_FRAME {
-            return Err(ClusterError::InvalidConfig(format!(
-                "a dataset shard chunk is {} bytes, above the {MAX_FRAME}-byte \
-                 frame cap — a single row is too wide to ship to worker processes",
-                chunk.len()
-            )));
-        }
+    let oversized = plan
+        .ranges
+        .iter()
+        .flat_map(|range| dataset_shard_chunk_lens(range, &plan.data))
+        .find(|&len| len > MAX_FRAME);
+    if let Some(len) = oversized {
+        return Err(ClusterError::InvalidConfig(format!(
+            "a dataset shard chunk is {len} bytes, above the {MAX_FRAME}-byte \
+             frame cap — a single row is too wide to ship to worker processes"
+        )));
     }
     let listener = TcpListener::bind(&pc.bind)
         .map_err(|e| ClusterError::Worker(format!("bind {}: {e}", pc.bind)))?;
@@ -623,7 +709,8 @@ pub fn run_fleet_with<L: Loss, S: WorkerSpawner>(
         addr,
         spawner,
         session,
-        shard_frames,
+        plan: plan.clone(),
+        last_model: None,
         pc: pc.clone(),
     }));
 
@@ -668,5 +755,195 @@ pub fn run_fleet_with<L: Loss, S: WorkerSpawner>(
             Err(ClusterError::WorkerLost { node, detail })
         }
         r => r,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::transport::tcp_loopback_links;
+    use crate::wire::{CheckpointSampler, CheckpointState};
+    use isasgd_losses::{LogisticLoss, Regularizer};
+    use isasgd_sparse::DatasetBuilder;
+    use std::sync::Weak;
+
+    /// The links below are never lost, so nothing is ever spawned.
+    struct NoSpawn;
+
+    impl WorkerSpawner for NoSpawn {
+        fn spawn(
+            &mut self,
+            _: u32,
+            _: &str,
+            _: bool,
+        ) -> Result<Box<dyn WorkerHandle>, ClusterError> {
+            Err(ClusterError::Worker("this fleet spawns nothing".into()))
+        }
+    }
+
+    struct Idle;
+
+    impl WorkerHandle for Idle {}
+
+    type Shared = Arc<Mutex<FleetShared<NoSpawn>>>;
+
+    /// Two supervised links sharing one fleet state over loopback
+    /// sockets, with the worker end of each.
+    fn two_links() -> (Shared, Vec<SupervisedLink<NoSpawn>>, Vec<Tcp>) {
+        let mut b = DatasetBuilder::new(1);
+        b.push_row(&[(0, 1.0)], 1.0).unwrap();
+        b.push_row(&[(0, -1.0)], -1.0).unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let shared = Arc::new(Mutex::new(FleetShared {
+            addr: listener.local_addr().unwrap().to_string(),
+            listener,
+            spawner: NoSpawn,
+            session: ClusterConfig::default()
+                .session(&Objective::new(LogisticLoss, Regularizer::None)),
+            plan: Arc::new(Rearranged {
+                data: b.finish(),
+                weights: vec![1.0, 1.0],
+                ranges: vec![0..1, 1..2],
+                balanced: false,
+                rho: 1.0,
+            }),
+            last_model: None,
+            pc: ProcessConfig::default(),
+        }));
+        let (links, workers) = tcp_loopback_links(2, "127.0.0.1:0")
+            .unwrap()
+            .into_iter()
+            .enumerate()
+            .map(|(k, (tcp, worker))| {
+                let link = SupervisedLink {
+                    shared: shared.clone(),
+                    node: k as u32,
+                    tcp,
+                    handle: Box::new(Idle),
+                    log: Vec::new(),
+                    respawns_left: 0,
+                    policy: WorkerLossPolicy::Fail,
+                    stats: LinkStats::default(),
+                    ckpt: None,
+                    respawns: 0,
+                    samples: Vec::new(),
+                };
+                (link, worker)
+            })
+            .unzip();
+        (shared, links, workers)
+    }
+
+    fn logged(link: &SupervisedLink<NoSpawn>, round: u64) -> Arc<[f64]> {
+        link.log
+            .iter()
+            .find_map(|entry| match entry {
+                Logged::Model {
+                    round: r, model, ..
+                } if *r == round => Some(model.clone()),
+                _ => None,
+            })
+            .expect("round model logged")
+    }
+
+    #[test]
+    fn links_log_one_shared_copy_of_a_round_model_and_truncation_frees_it() {
+        let (shared, mut links, mut workers) = two_links();
+        let quiet_nan = f64::from_bits(0x7FF8_0000_0000_0001);
+        // Round 1 differs only in the sign of a zero, round 2 only in a
+        // NaN payload, round 3 not at all.
+        let rounds: [[[f64; 2]; 2]; 3] = [
+            [[1.5, 0.0], [1.5, -0.0]],
+            [[f64::NAN, 2.0], [quiet_nan, 2.0]],
+            [[-0.25, 3.0], [-0.25, 3.0]],
+        ];
+        for (round, models) in (1u64..).zip(&rounds) {
+            for (link, model) in links.iter_mut().zip(models) {
+                let msg = Message::ModelUpdate {
+                    node: link.node,
+                    round,
+                    model: model.to_vec(),
+                };
+                link.send(&Message::RoundBarrier {
+                    node: link.node,
+                    round,
+                })
+                .unwrap();
+                link.send(&msg).unwrap();
+            }
+        }
+        for round in 1..=2 {
+            assert!(
+                !Arc::ptr_eq(&logged(&links[0], round), &logged(&links[1], round)),
+                "round {round}: models with different bits were merged"
+            );
+        }
+        let third = logged(&links[0], 3);
+        assert!(Arc::ptr_eq(&third, &logged(&links[1], 3)));
+        // Two logs and the fleet's slot, plus the handle held here.
+        assert_eq!(Arc::strong_count(&third), 4);
+        let third: Weak<[f64]> = {
+            let weak = Arc::downgrade(&third);
+            drop(third);
+            weak
+        };
+        let first: Vec<Weak<[f64]>> = links
+            .iter()
+            .map(|l| Arc::downgrade(&logged(l, 1)))
+            .collect();
+        // Each slot still counts the bytes of every message it logged,
+        // a shared model's in full.
+        for (link, models) in links.iter().zip([0, 1]) {
+            let node = link.node;
+            let sent: u64 = (1u64..)
+                .zip(&rounds)
+                .map(|(round, m)| {
+                    let update = Message::ModelUpdate {
+                        node,
+                        round,
+                        model: m[models].to_vec(),
+                    };
+                    let barrier = Message::RoundBarrier { node, round };
+                    (update.resident_bytes() + barrier.resident_bytes()) as u64
+                })
+                .sum();
+            let fp = link.recovery().unwrap();
+            assert_eq!((fp.log_frames, fp.log_bytes), (6, sent));
+        }
+
+        // A checkpoint covering round 3 on both links truncates both
+        // logs; only the fleet's own slot keeps the newest model.
+        let state = CheckpointState {
+            draw_rng: [1, 2, 3, 4],
+            model: vec![0.5],
+            sampler: CheckpointSampler::Sequence {
+                rows: 1,
+                rng: [5, 6, 7, 8],
+                indices: vec![0],
+            },
+        };
+        for (link, worker) in links.iter_mut().zip(&mut workers) {
+            let node = link.node;
+            worker
+                .send(&Message::Checkpoint {
+                    node,
+                    round: 3,
+                    state: Box::new(state.clone()),
+                })
+                .unwrap();
+            worker
+                .send(&Message::RoundBarrier { node, round: 4 })
+                .unwrap();
+            assert_eq!(
+                link.recv().unwrap(),
+                Message::RoundBarrier { node, round: 4 }
+            );
+            assert!(link.log.is_empty(), "node {node}: log not truncated");
+        }
+        assert!(first.iter().all(|w| w.upgrade().is_none()));
+        assert_eq!(third.strong_count(), 1);
+        let slot = shared.lock().unwrap().last_model.take();
+        assert_eq!(slot.map(|(round, _)| round), Some(3));
+        assert_eq!(third.strong_count(), 0);
     }
 }

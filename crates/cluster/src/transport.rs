@@ -122,7 +122,11 @@ pub struct RecoveryFootprint {
     /// Messages currently in the replay log (the suffix a respawn
     /// would replay after installing the stored checkpoint, if any).
     pub log_frames: u64,
-    /// Estimated resident bytes of those logged messages.
+    /// Estimated resident bytes of those logged messages, counted per
+    /// slot: a round model the fleet's logs share counts in full on
+    /// every slot that logged it, as if each held its own copy — so the
+    /// sum over slots is the replay data the logs stand for, not the
+    /// memory they occupy.
     pub log_bytes: u64,
     /// Round of the stored checkpoint (0 = none stored yet).
     pub checkpoint_round: u64,
@@ -534,9 +538,9 @@ impl Tcp {
     }
 
     /// Sends an already-encoded message payload (no length prefix) —
-    /// the fleet encodes its admission frames (assignment dataset
-    /// chunks) once and reuses the bytes for every admission and replay
-    /// instead of re-encoding per worker.
+    /// the fleet's admission writes each dataset shard chunk from the
+    /// buffer it was just encoded into, and a respawn's replay writes
+    /// the stored checkpoint blob as the worker sent it.
     pub fn send_payload(&mut self, payload: &[u8]) -> Result<(), TransportError> {
         if payload.len() > MAX_FRAME {
             return Err(TransportError::Wire(WireError::FrameTooLarge {
@@ -551,27 +555,48 @@ impl Tcp {
         }
         Ok(())
     }
-}
 
-impl Transport for Tcp {
-    fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
+    /// Sends `node`'s round-`round` model, encoded from the borrowed
+    /// slice against the tx base, dense or delta as the encoding
+    /// decides: what [`Transport::send`] does with a
+    /// [`Message::ModelUpdate`], without a message to build — the
+    /// fleet's replay sends its logged models from their shared storage.
+    pub fn send_model(
+        &mut self,
+        node: u32,
+        round: u64,
+        model: &[f64],
+    ) -> Result<(), TransportError> {
         self.scratch.clear();
-        // Reserve the length prefix, encode, then patch it — one
-        // contiguous buffer, one write_all.
         self.scratch.extend_from_slice(&[0u8; 4]);
-        match msg {
-            // A round model is encoded from the caller's slice against
-            // the tx base, dense or delta as the encoding decides.
-            Message::ModelUpdate { node, round, model } => encode_model_frame(
-                &mut self.scratch,
-                *node,
-                *round,
-                model,
-                self.tx_base.as_deref(),
-                self.encoding,
-            )?,
-            _ => msg.encode(&mut self.scratch),
+        encode_model_frame(
+            &mut self.scratch,
+            node,
+            round,
+            model,
+            self.tx_base.as_deref(),
+            self.encoding,
+        )?;
+        self.write_scratch()?;
+        // Only after a successful write: the peer's rx base advances
+        // exactly when bytes actually left, keeping the two in lockstep.
+        // The base is overwritten in place. A dense link never reads it,
+        // so it drops it instead: a stale base would desync the peer if
+        // the link later switched to deltas.
+        if self.encoding == WireEncoding::Dense {
+            self.tx_base = None;
+        } else {
+            let base = self.tx_base.get_or_insert_with(Vec::new);
+            base.clear();
+            base.extend_from_slice(model);
         }
+        Ok(())
+    }
+
+    /// Writes the payload encoded into `scratch` behind its 4 reserved
+    /// prefix bytes: patches the length in, then one write_all of one
+    /// contiguous buffer.
+    fn write_scratch(&mut self) -> Result<(), TransportError> {
         let len = self.scratch.len() - 4;
         if len > MAX_FRAME {
             return Err(TransportError::Wire(WireError::FrameTooLarge { len }));
@@ -581,21 +606,19 @@ impl Transport for Tcp {
         if let Some(kind) = FrameKind::from_tag(self.scratch[4]) {
             self.stats.record_tx(kind, self.scratch.len());
         }
-        // Only after a successful write: the peer's rx base advances
-        // exactly when bytes actually left, keeping the two in lockstep.
-        // The base is overwritten in place. A dense link never reads it,
-        // so it drops it instead: a stale base would desync the peer if
-        // the link later switched to deltas.
-        if let Message::ModelUpdate { model, .. } = msg {
-            if self.encoding == WireEncoding::Dense {
-                self.tx_base = None;
-            } else {
-                let base = self.tx_base.get_or_insert_with(Vec::new);
-                base.clear();
-                base.extend_from_slice(model);
-            }
-        }
         Ok(())
+    }
+}
+
+impl Transport for Tcp {
+    fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
+        if let Message::ModelUpdate { node, round, model } = msg {
+            return self.send_model(*node, *round, model);
+        }
+        self.scratch.clear();
+        self.scratch.extend_from_slice(&[0u8; 4]);
+        msg.encode(&mut self.scratch);
+        self.write_scratch()
     }
 
     #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]

@@ -1571,13 +1571,93 @@ fn put_shard_row(out: &mut Vec<u8>, indices: &[u32], values: &[f64], label: f64,
     values.iter().for_each(|x| x.put(out));
 }
 
+/// `u8 tag ‖ u32 shard ‖ u32 shard_start ‖ u32 shard_rows ‖ u32 start ‖
+/// u32 dim ‖ u32 rows`: the bytes of a shard chunk before its first row.
+const SHARD_HEAD: usize = 1 + 6 * 4;
+
+/// Encoded length of one shard row with these `indices` — what
+/// `put_shard_row` appends, counted without writing it: label byte,
+/// weight, the gap-coded index list, one f64 per index.
+fn shard_row_len(indices: &[u32]) -> usize {
+    let mut gaps = 0;
+    let mut next = 0u64;
+    for &i in indices {
+        gaps += varint_len(u64::from(i) - next);
+        next = u64::from(i) + 1;
+    }
+    1 + 8 + 4 + gaps + 8 * indices.len()
+}
+
+/// Whether a chunk holding `rows` rows in `len` payload bytes is closed:
+/// every chunk takes at least one row, then rows until it reaches
+/// [`SHARD_CHUNK_BYTES`].
+fn shard_chunk_full(rows: u32, len: usize) -> bool {
+    rows > 0 && len >= SHARD_CHUNK_BYTES
+}
+
+/// Appends the [`Message::DatasetShard`] chunk of shard `shard` that
+/// starts at row `row` to `out` and returns the row after its last: one
+/// or more rows, up to [`SHARD_CHUNK_BYTES`] of payload plus one row of
+/// overshoot. `range` is the shard's row range into the reordered
+/// `data`; `weights` are the reordered per-row importance weights,
+/// indexed like `data`. Calling it from `range.start` until it returns
+/// `range.end` yields [`encode_dataset_shard_chunks`]' frames one at a
+/// time, so an admission streams a shard through one buffer.
+pub(crate) fn encode_dataset_shard_chunk(
+    out: &mut Vec<u8>,
+    shard: u32,
+    range: &std::ops::Range<usize>,
+    mut row: usize,
+    data: &Dataset,
+    weights: &[f64],
+) -> usize {
+    let at = out.len();
+    out.push(FrameKind::DatasetShard.tag());
+    shard.put(out);
+    (range.start as u32).put(out);
+    (range.len() as u32).put(out);
+    (row as u32).put(out);
+    (data.dim() as u32).put(out);
+    let count_at = out.len();
+    0u32.put(out); // row count, patched below
+    let mut rows_in_chunk = 0u32;
+    while row < range.end && !shard_chunk_full(rows_in_chunk, out.len() - at) {
+        let r = data.row(row);
+        put_shard_row(out, r.indices, r.values, r.label, weights[row]);
+        rows_in_chunk += 1;
+        row += 1;
+    }
+    out[count_at..count_at + 4].copy_from_slice(&rows_in_chunk.to_le_bytes());
+    row
+}
+
+/// The payload length of each chunk [`encode_dataset_shard_chunk`]
+/// writes for `range`, from a size-only pass over the rows' indices:
+/// what the fleet checks against [`MAX_FRAME`] before it binds or
+/// spawns anything.
+pub(crate) fn dataset_shard_chunk_lens(
+    range: &std::ops::Range<usize>,
+    data: &Dataset,
+) -> Vec<usize> {
+    let mut lens = Vec::new();
+    let mut row = range.start;
+    while row < range.end {
+        let (mut len, mut rows_in_chunk) = (SHARD_HEAD, 0u32);
+        while row < range.end && !shard_chunk_full(rows_in_chunk, len) {
+            len += shard_row_len(data.row(row).indices);
+            rows_in_chunk += 1;
+            row += 1;
+        }
+        lens.push(len);
+    }
+    lens
+}
+
 /// Encodes one shard of `data` as a sequence of [`Message::DatasetShard`]
 /// payloads, each at most [`SHARD_CHUNK_BYTES`] (plus one row of
-/// overshoot). `range` is the shard's row range into the reordered
-/// `data`; `weights` are the reordered per-row importance weights,
-/// indexed like `data`. The fleet caches these frames per node and
-/// replays them verbatim on respawn, so admission and recovery are
-/// byte-identical.
+/// overshoot): [`encode_dataset_shard_chunk`] from `range.start` to
+/// `range.end`. Encoding is deterministic, so a shard encoded twice —
+/// a first admission and a respawn's — is the same bytes.
 pub fn encode_dataset_shard_chunks(
     shard: u32,
     range: std::ops::Range<usize>,
@@ -1587,22 +1667,8 @@ pub fn encode_dataset_shard_chunks(
     let mut chunks = Vec::new();
     let mut row = range.start;
     while row < range.end {
-        let mut out = vec![FrameKind::DatasetShard.tag()];
-        shard.put(&mut out);
-        (range.start as u32).put(&mut out);
-        (range.len() as u32).put(&mut out);
-        (row as u32).put(&mut out);
-        (data.dim() as u32).put(&mut out);
-        let count_at = out.len();
-        0u32.put(&mut out); // row count, patched below
-        let mut rows_in_chunk = 0u32;
-        while row < range.end && (rows_in_chunk == 0 || out.len() < SHARD_CHUNK_BYTES) {
-            let r = data.row(row);
-            put_shard_row(&mut out, r.indices, r.values, r.label, weights[row]);
-            rows_in_chunk += 1;
-            row += 1;
-        }
-        out[count_at..count_at + 4].copy_from_slice(&rows_in_chunk.to_le_bytes());
+        let mut out = Vec::new();
+        row = encode_dataset_shard_chunk(&mut out, shard, &range, row, data, weights);
         chunks.push(out);
     }
     chunks
@@ -2372,6 +2438,88 @@ mod tests {
             rows_seen += chunk.n_samples();
         }
         assert_eq!(rows_seen, 20, "chunks cover the shard exactly once");
+    }
+
+    /// A whole-shard encoder written out without the one-chunk
+    /// encoder or its boundary rule: the byte oracle of both.
+    fn reference_chunks(
+        shard: u32,
+        range: std::ops::Range<usize>,
+        data: &Dataset,
+        weights: &[f64],
+    ) -> Vec<Vec<u8>> {
+        let mut chunks = Vec::new();
+        let mut row = range.start;
+        while row < range.end {
+            let mut out = vec![FrameKind::DatasetShard.tag()];
+            shard.put(&mut out);
+            (range.start as u32).put(&mut out);
+            (range.len() as u32).put(&mut out);
+            (row as u32).put(&mut out);
+            (data.dim() as u32).put(&mut out);
+            let count_at = out.len();
+            0u32.put(&mut out);
+            let mut rows_in_chunk = 0u32;
+            while row < range.end && (rows_in_chunk == 0 || out.len() < SHARD_CHUNK_BYTES) {
+                let r = data.row(row);
+                put_shard_row(&mut out, r.indices, r.values, r.label, weights[row]);
+                rows_in_chunk += 1;
+                row += 1;
+            }
+            out[count_at..count_at + 4].copy_from_slice(&rows_in_chunk.to_le_bytes());
+            chunks.push(out);
+        }
+        chunks
+    }
+
+    #[test]
+    fn streamed_shard_chunks_are_the_reference_bytes_and_sized_exactly() {
+        // Rows of 96 coordinates with gaps whose varints take one to
+        // three bytes: three full chunks and a tail.
+        let mut b = DatasetBuilder::new(2_000_000);
+        for i in 0..1_200u32 {
+            let pairs: Vec<(u32, f64)> = (0..96u32)
+                .map(|j| (j * j * 200 + i % 7, f64::from(i) - f64::from(j) * 0.5))
+                .collect();
+            b.push_row(&pairs, if i % 3 == 0 { 1.0 } else { -1.0 })
+                .unwrap();
+        }
+        let wide = (SHARD_CHUNK_BYTES / 8) + 64;
+        let pairs: Vec<(u32, f64)> = (0..wide as u32).map(|i| (i, 1.0)).collect();
+        b.push_row(&pairs, 1.0).unwrap();
+        b.push_row(&[], -1.0).unwrap();
+        let ds = b.finish();
+        let weights: Vec<f64> = (0..ds.n_samples()).map(|i| 0.5 + i as f64).collect();
+        for row in ds.rows() {
+            let mut out = Vec::new();
+            put_shard_row(&mut out, row.indices, row.values, row.label, 1.0);
+            assert_eq!(shard_row_len(row.indices), out.len());
+        }
+        let n = ds.n_samples();
+        // An empty range, a one-row shard, the multi-chunk body, the
+        // wider-than-a-chunk row alone and with its neighbours.
+        for range in [5..5, 7..8, 0..1_200, 1_200..1_201, 1_190..n] {
+            let want = reference_chunks(3, range.clone(), &ds, &weights);
+            assert_eq!(want.is_empty(), range.is_empty());
+            // One reused buffer, appended to behind bytes it must keep.
+            let mut buf = Vec::new();
+            let mut row = range.start;
+            for (i, chunk) in want.iter().enumerate() {
+                buf.clear();
+                buf.extend_from_slice(b"kept");
+                row = encode_dataset_shard_chunk(&mut buf, 3, &range, row, &ds, &weights);
+                assert_eq!(&buf[..4], b"kept");
+                assert_eq!(&buf[4..], &chunk[..], "{range:?}: chunk {i} differs");
+            }
+            assert_eq!(row, range.end, "{range:?}: rows left after the last chunk");
+            assert_eq!(
+                encode_dataset_shard_chunks(3, range.clone(), &ds, &weights),
+                want
+            );
+            let lens: Vec<usize> = want.iter().map(Vec::len).collect();
+            assert_eq!(dataset_shard_chunk_lens(&range, &ds), lens, "{range:?}");
+        }
+        assert!(reference_chunks(3, 0..1_200, &ds, &weights).len() > 3);
     }
 
     #[test]

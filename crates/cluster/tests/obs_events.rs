@@ -5,7 +5,8 @@
 //!
 //! This lives in its own test binary on purpose: the obs recorder is
 //! a process-global, so sharing a binary with the fleet suites would
-//! interleave their coordinators' events into our trace.
+//! interleave their coordinators' events into our trace. The one fleet
+//! run here takes its turn at the recorder like every other test.
 
 #![allow(
     clippy::disallowed_macros,
@@ -14,7 +15,11 @@
     reason = "../clippy.toml binds the library's non-test code; tests assert, time and receive freely"
 )]
 
-use isasgd_cluster::{run, ClusterConfig, ClusterRun, SyncStrategy, TransportConfig, WireEncoding};
+use isasgd_cluster::{
+    run, run_fleet_with, run_worker, ClusterConfig, ClusterError, ClusterRun, FrameKind,
+    ProcessConfig, SyncStrategy, TransportConfig, WireEncoding, WorkerHandle, WorkerLossPolicy,
+    WorkerOptions, WorkerSpawner,
+};
 use isasgd_core::{
     BalancePolicy, CommitPolicy, ImportanceScheme, LogisticLoss, Objective, Regularizer,
     SamplingStrategy,
@@ -42,10 +47,15 @@ fn skewed(n: usize) -> Dataset {
 /// Runs `cfg` on `data` under a fresh in-memory recorder; returns the
 /// run and every event it emitted, in order.
 fn traced(data: &Dataset, cfg: &ClusterConfig) -> (ClusterRun, Vec<Event>) {
+    traced_with(|| run(data, &Objective::new(LogisticLoss, Regularizer::None), cfg))
+}
+
+/// [`traced`] of any run entry point.
+fn traced_with(run: impl FnOnce() -> Result<ClusterRun, ClusterError>) -> (ClusterRun, Vec<Event>) {
     let _turn = RECORDER.lock().unwrap_or_else(|e| e.into_inner());
     let rec = Arc::new(Recorder::new(LogLevel::Off, ObsClock::logical()).trace_to_memory());
     isasgd_obs::install(rec.clone());
-    let res = run(data, &Objective::new(LogisticLoss, Regularizer::None), cfg);
+    let res = run();
     isasgd_obs::uninstall();
     let events = rec
         .take_trace_lines()
@@ -155,4 +165,101 @@ fn plain_transports_keep_the_worker_timing_they_ship() {
             "{name}: every sample carries its round's draws"
         );
     }
+}
+
+/// A fleet "process" that is a thread running the real worker session
+/// over a real socket; joined on drop, after the fleet closed it.
+struct ThreadWorker(Option<std::thread::JoinHandle<()>>);
+
+impl WorkerHandle for ThreadWorker {}
+
+impl Drop for ThreadWorker {
+    fn drop(&mut self) {
+        if let Some(h) = self.0.take() {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Spawns [`ThreadWorker`]s; `.0` arms a chaos kill `(node, round)` on
+/// that node's first spawn, as the production spawner does.
+struct ThreadSpawner(Option<(u32, u64)>);
+
+impl WorkerSpawner for ThreadSpawner {
+    fn spawn(
+        &mut self,
+        node: u32,
+        addr: &str,
+        respawn: bool,
+    ) -> Result<Box<dyn WorkerHandle>, ClusterError> {
+        let opts = WorkerOptions {
+            die_at_round: self
+                .0
+                .filter(|&(victim, _)| victim == node && !respawn)
+                .map(|(_, r)| r),
+            ..WorkerOptions::default()
+        };
+        let addr = addr.to_string();
+        // A chaos-killed worker fails by design; any other failure
+        // reaches the coordinator.
+        let handle = std::thread::spawn(move || drop(run_worker(&addr, &opts)));
+        Ok(Box::new(ThreadWorker(Some(handle))))
+    }
+}
+
+/// A respawn's `replay_bytes` is what its replay wrote to the
+/// replacement's socket, length prefixes included — under `delta` the
+/// logged models go out as delta frames, not the 8·d bytes each one
+/// holds in the log. The count is checked against the slot's own
+/// traffic counters: a killed slot sends what an undisturbed one does,
+/// plus a second admission, plus the replay.
+#[test]
+fn a_respawn_reports_the_bytes_its_replay_wrote() {
+    let data = skewed(240);
+    let obj = Objective::new(LogisticLoss, Regularizer::None);
+    let cfg = ClusterConfig {
+        nodes: 3,
+        rounds: 4,
+        local_epochs: 1,
+        step_size: 0.3,
+        importance: ImportanceScheme::LipschitzSmoothness,
+        sampling: SamplingStrategy::Adaptive,
+        commit: CommitPolicy::EveryK(16),
+        seed: 0x0B5E_55ED,
+        ..ClusterConfig::default()
+    };
+    let pc = ProcessConfig {
+        on_loss: WorkerLossPolicy::Respawn,
+        encoding: WireEncoding::Delta,
+        handshake_timeout_ms: 30_000,
+        round_timeout_ms: 60_000,
+        ..ProcessConfig::default()
+    };
+    let (clean, _) = traced_with(|| run_fleet_with(&data, &obj, &cfg, &pc, ThreadSpawner(None)));
+    let (chaotic, events) =
+        traced_with(|| run_fleet_with(&data, &obj, &cfg, &pc, ThreadSpawner(Some((1, 3)))));
+    assert_eq!(chaotic.model, clean.model, "the replayed run diverged");
+    let respawns: Vec<(u64, u64, u64)> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Respawn {
+                node,
+                replay_frames,
+                replay_bytes,
+                ..
+            } => Some((*node, *replay_frames, *replay_bytes)),
+            _ => None,
+        })
+        .collect();
+    let (victim, clean_tx) = (&chaotic.net[1], &clean.net[1]);
+    let admission: u64 = [FrameKind::Assign, FrameKind::DatasetShard]
+        .iter()
+        .map(|&kind| clean_tx.tx_bytes_for(kind))
+        .sum();
+    let replayed = victim.tx_total_bytes() - clean_tx.tx_total_bytes() - admission;
+    assert!(
+        victim.tx_bytes_for(FrameKind::ModelDelta) > clean_tx.tx_bytes_for(FrameKind::ModelDelta)
+    );
+    // The log: the shard assignment, then rounds 1–3's barrier and model.
+    assert_eq!(respawns, vec![(1, 7, replayed)]);
 }

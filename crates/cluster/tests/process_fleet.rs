@@ -315,7 +315,7 @@ fn fleet_workers_receive_strictly_fewer_dataset_bytes_than_a_full_transfer() {
 /// Respawn replay over sparse frames: a worker killed mid-run under the
 /// delta (and auto) wire encodings must recover bit-identically. The
 /// fresh link's empty delta bases have to line up with the readmitted
-/// worker's — the cached handshake frames are always dense, and both
+/// worker's — the handshake frames are always dense, and both
 /// ends only install a base after a successful round exchange.
 #[test]
 fn killed_worker_with_respawn_is_bit_identical_under_delta_encodings() {

@@ -257,12 +257,15 @@ events! {
         node: u64,
         /// Frames replayed to restore the worker.
         replay_frames: u64,
-        /// Bytes replayed.
+        /// Bytes the replay wrote to the replacement's socket (the
+        /// stored checkpoint and the logged suffix, as the frames that
+        /// went out, length prefixes included).
         replay_bytes: u64,
         /// Recovery duration (spawn → caught up).
         replay_us: u64,
     }
-    /// A dataset shard was streamed to a worker at admission.
+    /// A dataset shard was streamed to a worker: once per admission,
+    /// respawns included (each admission encodes its chunks afresh).
     ShardStream = "shard_stream" @ Debug {
         /// Worker slot id.
         node: u64,
@@ -272,7 +275,7 @@ events! {
         bytes: u64,
         /// Chunk frames used.
         chunks: u64,
-        /// Time spent encoding the shard frames.
+        /// Time spent encoding the shard's chunks (sends excluded).
         encode_us: u64,
     }
     /// The sampler committed observed feedback into its distribution.
