@@ -11,17 +11,17 @@ use isasgd_sparse::SparseError;
 /// equal shard importance sums `Φ_a` (Eq. 19). Exact equal-sum
 /// partitioning is NP-hard (§2.4); this is the paper's fast heuristic.
 ///
+/// The sort is ascending by weight, ties (and −0.0 against +0.0) broken by
+/// index. It runs on `(key, index)` pairs, where the key is
+/// [`order_key`] of the weight: one integer comparison per step and no
+/// weight lookup. A NaN weight gets a key too, so the order is total
+/// whatever the input; [`rearrange`](crate::rearrange) refuses NaN before
+/// it gets here.
+///
 /// Returns the reordering `D_r` as indices into the original dataset.
 pub fn head_tail_balance(weights: &[f64]) -> Vec<usize> {
     let n = weights.len();
-    let mut sorted: Vec<usize> = (0..n).collect();
-    // Ascending by importance; ties broken by index for determinism.
-    sorted.sort_by(|&a, &b| {
-        weights[a]
-            .partial_cmp(&weights[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    let sorted = keyed_order(weights, order_key);
     let mut out = Vec::with_capacity(n);
     let mut i = 0usize;
     let mut j = n;
@@ -38,6 +38,34 @@ pub fn head_tail_balance(weights: &[f64]) -> Vec<usize> {
     out
 }
 
+/// A `u64` whose unsigned order is the numeric order of `w`: `a < b`
+/// exactly when `order_key(a) < order_key(b)`, for any two non-NaN
+/// weights. −0.0 folds onto +0.0 (`−0.0 + 0.0` is `+0.0`), so the two
+/// zeros tie, as they compare equal. The sign bit is flipped on
+/// non-negative bit patterns and every bit on negative ones, the usual
+/// map from IEEE-754 to two's-complement order.
+fn order_key(w: f64) -> u64 {
+    let bits = (w + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
+/// Indices `0..weights.len()` ascending by `key(weight)`, ties broken by
+/// index. The pairs are distinct, so the unstable sort's order is the
+/// only one.
+fn keyed_order(weights: &[f64], key: impl Fn(f64) -> u64) -> Vec<usize> {
+    let mut keyed: Vec<(u64, usize)> = weights
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| (key(w), i))
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
 /// Greedy LPT (longest-processing-time) balanced partition — an
 /// **extension beyond the paper**.
 ///
@@ -50,30 +78,24 @@ pub fn head_tail_balance(weights: &[f64]) -> Vec<usize> {
 /// (4/3-approximation to the NP-hard optimum the paper mentions in §2.4).
 ///
 /// Returns a reorder such that contiguous sharding into `k` shards
-/// reproduces the greedy assignment.
+/// reproduces the greedy assignment. Weights are sorted as in
+/// [`head_tail_balance`], descending.
 pub fn greedy_lpt_balance(weights: &[f64], k: usize) -> Result<Vec<usize>, SparseError> {
     let n = weights.len();
     let ranges = shard_ranges(n, k)?;
     let capacities: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-    let mut sorted: Vec<usize> = (0..n).collect();
-    sorted.sort_by(|&a, &b| {
-        weights[b]
-            .partial_cmp(&weights[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
+    // Descending by weight (the complemented key), ties by index.
+    let sorted = keyed_order(weights, |w| !order_key(w));
     let mut bins: Vec<Vec<usize>> = capacities.iter().map(|&c| Vec::with_capacity(c)).collect();
     let mut loads = vec![0.0f64; k];
     for idx in sorted {
-        // Lightest shard with remaining capacity.
-        let mut best = usize::MAX;
-        let mut best_load = f64::INFINITY;
-        for (b, bin) in bins.iter().enumerate() {
-            if bin.len() < capacities[b] && loads[b] < best_load {
-                best = b;
-                best_load = loads[b];
-            }
-        }
+        // Lightest shard with remaining capacity, the first of equals.
+        // Loads start at +0.0 and so are never −0.0: `total_cmp` is the
+        // numeric order on them, and stays total on +∞ and NaN.
+        let best = (0..k)
+            .filter(|&b| bins[b].len() < capacities[b])
+            .min_by(|&a, &b| loads[a].total_cmp(&loads[b]))
+            .expect("the capacities sum to n, so a shard has room for every row");
         bins[best].push(idx);
         loads[best] += weights[idx];
     }
@@ -170,6 +192,155 @@ impl ShardReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The comparator sort both balancers used before their keyed sorts:
+    /// the oracle the keys must reproduce.
+    fn comparator_order(weights: &[f64], descending: bool) -> Vec<usize> {
+        let mut sorted: Vec<usize> = (0..weights.len()).collect();
+        sorted.sort_by(|&a, &b| {
+            let (x, y) = if descending {
+                (weights[b], weights[a])
+            } else {
+                (weights[a], weights[b])
+            };
+            x.partial_cmp(&y)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.cmp(&b))
+        });
+        sorted
+    }
+
+    /// The greedy assignment loop as it was, over the comparator order.
+    fn greedy_oracle(weights: &[f64], k: usize) -> Vec<usize> {
+        let capacities: Vec<usize> = shard_ranges(weights.len(), k)
+            .unwrap()
+            .iter()
+            .map(|r| r.len())
+            .collect();
+        let mut bins: Vec<Vec<usize>> = vec![Vec::new(); k];
+        let mut loads = vec![0.0f64; k];
+        for idx in comparator_order(weights, true) {
+            let mut best = usize::MAX;
+            let mut best_load = f64::INFINITY;
+            for (b, bin) in bins.iter().enumerate() {
+                if bin.len() < capacities[b] && loads[b] < best_load {
+                    best = b;
+                    best_load = loads[b];
+                }
+            }
+            bins[best].push(idx);
+            loads[best] += weights[idx];
+        }
+        bins.into_iter().flatten().collect()
+    }
+
+    /// Random weights drawn from a small pool, so most values repeat:
+    /// ties, both zeros, subnormals and, when `extreme`, the largest
+    /// finite value and +∞.
+    fn pooled_weights(len: usize, seed: u64, extreme: bool) -> Vec<f64> {
+        let mut pool = vec![
+            0.0,
+            -0.0,
+            5e-324,
+            2.5e-310,
+            f64::MIN_POSITIVE,
+            1e-3,
+            1.0,
+            1.0 + f64::EPSILON,
+            2.5,
+            7.0,
+            1e300,
+        ];
+        if extreme {
+            pool.extend([f64::MAX, f64::INFINITY]);
+        }
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                pool[(state % pool.len() as u64) as usize]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn keyed_sorts_reproduce_the_comparator_orders() {
+        for seed in 1..=60u64 {
+            let len = (seed as usize * 7) % 97;
+            let w = pooled_weights(len, seed, true);
+            assert_eq!(
+                keyed_order(&w, order_key),
+                comparator_order(&w, false),
+                "ascending, seed {seed}"
+            );
+            assert_eq!(
+                keyed_order(&w, |x| !order_key(x)),
+                comparator_order(&w, true),
+                "descending, seed {seed}"
+            );
+        }
+        // The key is the numeric order, the two zeros one key.
+        assert_eq!(order_key(-0.0), order_key(0.0));
+        let ladder = [
+            f64::NEG_INFINITY,
+            -1.0,
+            -5e-324,
+            0.0,
+            5e-324,
+            1.0,
+            f64::INFINITY,
+        ];
+        assert!(ladder.windows(2).all(|p| order_key(p[0]) < order_key(p[1])));
+    }
+
+    #[test]
+    fn keyed_balancers_reproduce_the_comparator_balancers() {
+        for seed in 1..=40u64 {
+            let len = 1 + (seed as usize * 11) % 90;
+            // Head-tail interleaves the sorted order, +∞ included.
+            let w = pooled_weights(len, seed, true);
+            let sorted = comparator_order(&w, false);
+            let mut oracle = Vec::with_capacity(len);
+            let (mut i, mut j) = (0, len);
+            while i + 1 < j {
+                oracle.extend([sorted[i], sorted[j - 1]]);
+                (i, j) = (i + 1, j - 1);
+            }
+            oracle.extend(sorted.get(i).filter(|_| i < j));
+            assert_eq!(head_tail_balance(&w), oracle, "head-tail, seed {seed}");
+            // The old greedy loop could not place a row once every open
+            // shard's load was +∞, which two f64::MAX weights already
+            // reach; on smaller weights the two agree.
+            let w = pooled_weights(len, seed, false);
+            for k in [1, 2, 3, 7].into_iter().filter(|&k| k <= len) {
+                assert_eq!(
+                    greedy_lpt_balance(&w, k).unwrap(),
+                    greedy_oracle(&w, k),
+                    "greedy, seed {seed}, k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn greedy_places_every_row_past_an_infinite_load() {
+        let w = [
+            f64::INFINITY,
+            1.0,
+            f64::MAX,
+            3.0,
+            f64::MAX,
+            0.5,
+            f64::INFINITY,
+        ];
+        for k in 1..=w.len() {
+            let mut order = greedy_lpt_balance(&w, k).unwrap();
+            order.sort_unstable();
+            assert_eq!(order, (0..w.len()).collect::<Vec<_>>(), "k {k}");
+        }
+    }
 
     #[test]
     fn head_tail_is_permutation() {

@@ -61,47 +61,42 @@ pub struct BalanceDecision {
 /// contiguous shards the order will be split into (used by the greedy
 /// partitioner; the paper's head-tail layout is shard-count-agnostic).
 pub fn decide(weights: &[f64], policy: BalancePolicy, seed: u64, shards: usize) -> BalanceDecision {
-    let r = rho(weights);
-    let greedy = |w: &[f64]| {
+    decide_over(weights.len(), Some(weights), policy, seed, shards)
+}
+
+/// [`decide`] over `n` rows, where `weights = None` stands for `n` equal
+/// weights: ρ is 0 and, unless a balancing layout is chosen, no weight
+/// vector is built.
+fn decide_over(
+    n: usize,
+    weights: Option<&[f64]>,
+    policy: BalancePolicy,
+    seed: u64,
+    shards: usize,
+) -> BalanceDecision {
+    let rho = weights.map_or(0.0, rho);
+    let balance = |by: fn(&[f64], usize) -> Vec<usize>| match weights {
+        Some(w) => by(w, shards),
+        None => by(&vec![1.0; n], shards),
+    };
+    let head_tail = |w: &[f64], _| head_tail_balance(w);
+    let greedy = |w: &[f64], shards: usize| {
         greedy_lpt_balance(w, shards.clamp(1, w.len().max(1)))
             .unwrap_or_else(|_| (0..w.len()).collect())
     };
-    match policy {
-        BalancePolicy::Adaptive { zeta } => {
-            if r >= zeta {
-                BalanceDecision {
-                    order: head_tail_balance(weights),
-                    balanced: true,
-                    rho: r,
-                }
-            } else {
-                BalanceDecision {
-                    order: random_shuffle_order(weights.len(), seed),
-                    balanced: false,
-                    rho: r,
-                }
-            }
+    let (order, balanced) = match policy {
+        BalancePolicy::Adaptive { zeta } if rho >= zeta => (balance(head_tail), true),
+        BalancePolicy::ForceBalance => (balance(head_tail), true),
+        BalancePolicy::ForceGreedy => (balance(greedy), true),
+        BalancePolicy::Adaptive { .. } | BalancePolicy::ForceShuffle => {
+            (random_shuffle_order(n, seed), false)
         }
-        BalancePolicy::ForceBalance => BalanceDecision {
-            order: head_tail_balance(weights),
-            balanced: true,
-            rho: r,
-        },
-        BalancePolicy::ForceGreedy => BalanceDecision {
-            order: greedy(weights),
-            balanced: true,
-            rho: r,
-        },
-        BalancePolicy::ForceShuffle => BalanceDecision {
-            order: random_shuffle_order(weights.len(), seed),
-            balanced: false,
-            rho: r,
-        },
-        BalancePolicy::Identity => BalanceDecision {
-            order: (0..weights.len()).collect(),
-            balanced: false,
-            rho: r,
-        },
+        BalancePolicy::Identity => ((0..n).collect(), false),
+    };
+    BalanceDecision {
+        order,
+        balanced,
+        rho,
     }
 }
 
@@ -129,15 +124,21 @@ pub struct Rearranged {
 /// into `shards` contiguous ranges. `weights = None` rearranges
 /// unweighted rows (uniform sampling: every policy sees equal weights
 /// and nothing is carried along). Fails when `shards` is 0 or exceeds
-/// the row count.
+/// the row count, when `weights` has not one weight per row, and — with
+/// [`SparseError::BadWeight`], naming the first such row, before any
+/// balancer runs — when a weight is NaN, infinite or negative: no
+/// sampling distribution can be built from it, and a NaN leaves the
+/// balancing sort nothing to order by.
 ///
 /// This is the one place that chooses the rows' layout. Two or more
-/// shards get a contiguous copy ([`Dataset::reordered_contiguous`]):
-/// each concurrent worker then walks its own stretch of memory. One
-/// shard gets a view of `ds`'s rows ([`Dataset::reordered`]), or a
-/// shallow clone of `ds` when the order is the identity: a single
-/// worker gains no locality from the copy, so it is skipped. Either
-/// way the rows, their order and every value are the same.
+/// shards get a contiguous copy ([`Dataset::reordered_contiguous`]),
+/// cut at the shard ranges so that each shard's rows are copied on a
+/// thread of their own: each concurrent worker then walks its own
+/// stretch of memory. One shard gets a view of `ds`'s rows
+/// ([`Dataset::reordered`]), or a shallow clone of `ds` when the order
+/// is the identity: a single worker gains no locality from the copy,
+/// so it is skipped. Either way the rows, their order and every value
+/// are the same.
 pub fn rearrange(
     ds: &Dataset,
     weights: Option<&[f64]>,
@@ -145,13 +146,25 @@ pub fn rearrange(
     seed: u64,
     shards: usize,
 ) -> Result<Rearranged, SparseError> {
-    let ranges = shard_ranges(ds.n_samples(), shards)?;
-    let decision = match weights {
-        Some(w) => decide(w, policy, seed, shards),
-        None => decide(&vec![1.0; ds.n_samples()], policy, seed, shards),
-    };
+    let n = ds.n_samples();
+    let ranges = shard_ranges(n, shards)?;
+    if let Some(w) = weights {
+        if w.len() != n {
+            return Err(SparseError::DimMismatch {
+                expected: n,
+                found: w.len(),
+            });
+        }
+        if let Some(row) = w.iter().position(|x| !(x.is_finite() && *x >= 0.0)) {
+            return Err(SparseError::BadWeight {
+                row,
+                weight: w[row],
+            });
+        }
+    }
+    let decision = decide_over(n, weights, policy, seed, shards);
     let data = if shards > 1 {
-        ds.reordered_contiguous(&decision.order)?
+        ds.reordered_contiguous(&decision.order, &ranges)?
     } else if decision.order.iter().enumerate().all(|(k, &i)| k == i) {
         ds.clone()
     } else {
@@ -300,6 +313,54 @@ mod tests {
                     "{policy:?} × {shards}: row {k}"
                 );
             }
+        }
+    }
+
+    /// Regression: an infinite weight (a row whose ‖x‖² overflows) made
+    /// the greedy balancer index past its shards, and a NaN weight left
+    /// the head-tail sort without a total order. Both are refused by
+    /// name before any balancer runs, under every policy, as is a
+    /// negative weight and a weight vector of the wrong length.
+    #[test]
+    fn rearrange_refuses_weights_no_distribution_can_use() {
+        let mut b = DatasetBuilder::new(1);
+        for v in [3.0, 1.0, 4.0, 1.5] {
+            b.push_row(&[(0, v)], 1.0).unwrap();
+        }
+        let ds = b.finish();
+        for policy in [
+            BalancePolicy::default(),
+            BalancePolicy::ForceBalance,
+            BalancePolicy::ForceGreedy,
+            BalancePolicy::ForceShuffle,
+            BalancePolicy::Identity,
+        ] {
+            for (row, bad) in [
+                (2, f64::INFINITY),
+                (0, f64::NAN),
+                (3, -1.0),
+                (1, f64::NEG_INFINITY),
+            ] {
+                let mut w = vec![1.0, 2.0, 3.0, 4.0];
+                w[row] = bad;
+                for shards in [1, 2, 4] {
+                    match rearrange(&ds, Some(&w), policy, 7, shards) {
+                        Err(SparseError::BadWeight { row: at, weight }) => {
+                            assert_eq!((at, weight.to_bits()), (row, bad.to_bits()));
+                        }
+                        other => panic!("{policy:?} × {shards}, {bad} at {row}: {other:?}"),
+                    }
+                }
+            }
+            assert_eq!(
+                rearrange(&ds, Some(&[1.0; 3]), policy, 7, 2).unwrap_err(),
+                SparseError::DimMismatch {
+                    expected: 4,
+                    found: 3
+                }
+            );
+            // Zero weights, negative zero included, are weights.
+            assert!(rearrange(&ds, Some(&[0.0, -0.0, 1.0, 0.0]), policy, 7, 2).is_ok());
         }
     }
 

@@ -415,6 +415,44 @@ mod tests {
         assert_eq!(r.trace.points.last().unwrap().epoch, 8.0);
     }
 
+    /// Regression: a row whose ‖x‖² overflows weighs +∞ under gradnorm
+    /// (NaN everywhere under partial, bias 0), and `--balance greedy`
+    /// panicked in the planner. The plan now refuses the weight by row.
+    #[test]
+    fn non_finite_weights_are_a_typed_error_on_the_cluster() {
+        let mut b = DatasetBuilder::new(6);
+        for i in 0..20u32 {
+            let v = if i == 7 { 1e200 } else { 1.0 + (i % 5) as f64 };
+            b.push_row(&[(i % 6, v)], if i % 2 == 0 { 1.0 } else { -1.0 })
+                .unwrap();
+        }
+        let ds = b.finish();
+        let schemes = [
+            (ImportanceScheme::GradNormBound { radius: 1.0 }, 7),
+            (ImportanceScheme::PartiallyBiased { bias: 0.0 }, 0),
+        ];
+        for (importance, row) in schemes {
+            for balance in [BalancePolicy::ForceGreedy, BalancePolicy::ForceBalance] {
+                for transport in [TransportConfig::InProcess, TransportConfig::tcp()] {
+                    let cfg = ClusterConfig {
+                        nodes: 2,
+                        rounds: 2,
+                        importance,
+                        balance,
+                        transport,
+                        ..ClusterConfig::default()
+                    };
+                    match run(&ds, &obj(), &cfg) {
+                        Err(ClusterError::Sparse(SparseError::BadWeight { row: at, .. })) => {
+                            assert_eq!(at, row, "{importance:?} {balance:?}");
+                        }
+                        other => panic!("{importance:?} {balance:?}: {:?}", other.err()),
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn single_node_is_sequential_sgd() {
         let ds = separable(200);

@@ -1,7 +1,9 @@
 //! CSR dataset container and row views.
 
 use crate::error::SparseError;
+use crate::par::map_each;
 use crate::vector::SparseVec;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A borrowed view of one sample: index-compressed features plus its label.
@@ -245,14 +247,72 @@ impl Dataset {
     /// end. Equal under `==` to the view [`Dataset::reordered`] returns
     /// for the same `order`, and refuses the same indices; it copies
     /// straight from the rows, so no view is built on the way.
-    pub fn reordered_contiguous(&self, order: &[usize]) -> Result<Dataset, SparseError> {
-        let mut b = DatasetBuilder::with_capacity(self.dim, order.len(), self.nnz);
+    ///
+    /// `parts` cut `order` into consecutive pieces — a run's shard ranges,
+    /// as `isasgd_balance::rearrange` passes them. One pass on the
+    /// caller's thread checks every row and lays out the offsets and
+    /// labels; then each piece fills its own stretch of the non-zero
+    /// arrays, on a thread of its own when the pieces are large enough
+    /// ([`map_each`], one unit of work per non-zero). How `order` is cut
+    /// changes no byte of the result, only how many threads copy it.
+    ///
+    /// # Panics
+    /// If `parts` do not tile `0..order.len()`, in order.
+    pub fn reordered_contiguous(
+        &self,
+        order: &[usize],
+        parts: &[Range<usize>],
+    ) -> Result<Dataset, SparseError> {
+        let tiled = parts.iter().try_fold(0, |at, p| {
+            (p.start == at && p.start <= p.end).then_some(p.end)
+        });
+        assert_eq!(tiled, Some(order.len()), "parts must tile the order");
+        let mut offsets = Vec::with_capacity(order.len() + 1);
+        let mut labels = Vec::with_capacity(order.len());
+        let mut nnz = 0;
+        offsets.push(nnz);
         for &i in order {
             self.check_row(i)?;
-            let r = self.row(i);
-            b.push_row_unchecked(r.indices, r.values, r.label);
+            let (lo, hi) = self.span(self.storage_row(i));
+            nnz += hi - lo;
+            offsets.push(nnz);
+            labels.push(self.labels[i]);
         }
-        Ok(b.finish())
+        // Zeroed (so no `unsafe` uninitialised memory) and cut into one
+        // disjoint stretch per piece, which its thread then overwrites.
+        let mut indices = vec![0u32; nnz];
+        let mut values = vec![0.0f64; nnz];
+        let (mut idx_rest, mut val_rest) = (&mut indices[..], &mut values[..]);
+        let mut pieces = Vec::with_capacity(parts.len());
+        for p in parts {
+            let len = offsets[p.end] - offsets[p.start];
+            let (idx, rest) = std::mem::take(&mut idx_rest).split_at_mut(len);
+            idx_rest = rest;
+            let (val, rest) = std::mem::take(&mut val_rest).split_at_mut(len);
+            val_rest = rest;
+            pieces.push((&order[p.clone()], idx, val));
+        }
+        map_each(pieces, nnz, |(rows, idx, val)| {
+            let mut at = 0;
+            for &i in rows {
+                let r = self.row(i);
+                let end = at + r.nnz();
+                idx[at..end].copy_from_slice(r.indices);
+                val[at..end].copy_from_slice(r.values);
+                at = end;
+            }
+        });
+        Ok(Dataset {
+            dim: self.dim,
+            csr: Arc::new(Csr {
+                offsets,
+                indices,
+                values,
+            }),
+            order: None,
+            labels,
+            nnz,
+        })
     }
 
     fn check_row(&self, i: usize) -> Result<(), SparseError> {
@@ -462,6 +522,66 @@ mod tests {
         assert_eq!(rd.label(1), ds.label(0));
         assert_eq!(rd.nnz(), ds.nnz());
         assert!(ds.reordered(&[9]).is_err());
+    }
+
+    /// The contiguous copy equals the view for every cut of its order,
+    /// from one piece to one-row pieces, lays the rows end to end, and
+    /// refuses an out-of-range row with the view's error, whichever
+    /// piece holds it — on the caller's thread (small pieces) and on a
+    /// thread per piece (pieces of at least `MIN_WORK_PER_THREAD`
+    /// non-zeros).
+    #[test]
+    fn contiguous_copy_equals_the_view_for_every_cut() {
+        let build = |rows: u32, max_nnz: u32| {
+            let mut b = DatasetBuilder::new(64);
+            for i in 0..rows {
+                let pairs: Vec<(u32, f64)> = (0..i % max_nnz)
+                    .map(|j| (j + i % 3, 0.5 + i as f64))
+                    .collect();
+                b.push_row(&pairs, if i % 2 == 0 { 1.0 } else { -1.0 })
+                    .unwrap();
+            }
+            b.finish()
+        };
+        let small = build(7, 4);
+        let large = build(8192, 61);
+        assert!(large.nnz() >= 4 * crate::par::MIN_WORK_PER_THREAD);
+        let scattered = |ds: &Dataset| -> Vec<usize> {
+            let n = ds.n_samples();
+            (0..n + 1).map(|k| (k * 5 + 3) % n).collect()
+        };
+        for (ds, cuts) in [(&small, 1..=8), (&large, 1..=4)] {
+            let order = scattered(ds);
+            let view = ds.reordered(&order).unwrap();
+            for k in cuts {
+                let parts = shard_ranges(order.len(), k).unwrap();
+                let copy = ds.reordered_contiguous(&order, &parts).unwrap();
+                assert_eq!(copy, view, "{k} pieces");
+                assert_eq!(copy.nnz(), view.nnz());
+                for r in 1..order.len() {
+                    let prev = copy.row(r - 1).indices.as_ptr_range().end;
+                    assert!(std::ptr::eq(prev, copy.row(r).indices.as_ptr()));
+                }
+                for at in [0, order.len() - 1] {
+                    let mut bad = order.clone();
+                    bad[at] = ds.n_samples();
+                    assert_eq!(
+                        ds.reordered_contiguous(&bad, &parts).unwrap_err(),
+                        ds.reordered(&bad).unwrap_err(),
+                        "{k} pieces, bad row at {at}"
+                    );
+                }
+            }
+        }
+        for parts in [&[][..], std::slice::from_ref(&(0..0))] {
+            assert!(small.reordered_contiguous(&[], parts).unwrap().is_empty());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "parts must tile the order")]
+    fn a_cut_that_skips_rows_is_refused() {
+        tiny().reordered_contiguous(&[0, 1, 2], &[0..1, 2..3]).ok();
     }
 
     #[test]

@@ -29,6 +29,14 @@ pub enum SparseError {
         /// Row in which the violation occurred (if known).
         row: usize,
     },
+    /// An importance weight was NaN, infinite or negative: no sampling
+    /// distribution or balanced layout can be built from it.
+    BadWeight {
+        /// Row the weight belongs to.
+        row: usize,
+        /// The weight.
+        weight: f64,
+    },
     /// A label could not be interpreted as a binary ±1 class.
     BadLabel {
         /// Row in which the violation occurred.
@@ -71,6 +79,10 @@ impl fmt::Display for SparseError {
             SparseError::NonFiniteValue { row } => {
                 write!(f, "non-finite feature value in row {row}")
             }
+            SparseError::BadWeight { row, weight } => write!(
+                f,
+                "importance weight {weight} of row {row} is not a finite, non-negative number"
+            ),
             SparseError::BadLabel { row, label } => {
                 write!(f, "label {label} in row {row} is not interpretable as ±1")
             }

@@ -36,6 +36,7 @@
 pub mod dataset;
 pub mod error;
 pub mod libsvm;
+pub mod par;
 pub mod split;
 pub mod stats;
 pub mod vector;

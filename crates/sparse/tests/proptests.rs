@@ -1,5 +1,6 @@
 //! Property-based tests for the sparse substrate.
 
+use isasgd_sparse::dataset::shard_ranges;
 use isasgd_sparse::{libsvm, Dataset, DatasetBuilder, SparseVec};
 use proptest::prelude::*;
 
@@ -83,14 +84,23 @@ proptest! {
 
         // A view equals its contiguous copy, row for row — also with
         // duplicate rows, and as a view of a view (copied from a view),
-        // which picks through both orders.
+        // which picks through both orders — whatever pieces the copy is
+        // cut into (one part, and `cut` shard ranges).
         let dup: Vec<usize> = picks.iter().map(|&p| p % n).collect();
         let direct: Vec<usize> = dup.iter().map(|&k| order[k]).collect();
+        let cut = 1 + seed as usize % 5;
         for (src, at, rows) in [(&ds, &order, &order), (&ds, &dup, &dup), (&rd, &dup, &direct)] {
             let view = src.reordered(at).unwrap();
-            let copy = src.reordered_contiguous(at).unwrap();
+            let copy = src
+                .reordered_contiguous(at, std::slice::from_ref(&(0..at.len())))
+                .unwrap();
+            if let Ok(parts) = shard_ranges(at.len(), cut) {
+                prop_assert_eq!(&src.reordered_contiguous(at, &parts).unwrap(), &copy);
+            }
             prop_assert!(src.reordered(&[src.n_samples()]).is_err());
-            prop_assert!(src.reordered_contiguous(&[src.n_samples()]).is_err());
+            prop_assert!(src
+                .reordered_contiguous(&[src.n_samples()], std::slice::from_ref(&(0..1)))
+                .is_err());
             prop_assert_eq!(view.n_samples(), rows.len());
             prop_assert_eq!(view.nnz(), copy.nnz());
             prop_assert_eq!(view.labels(), copy.labels());
