@@ -115,17 +115,24 @@ fn execute(
     Ok(())
 }
 
-/// A trajectory whose objective left the finite numbers is an error
-/// that names where — checked as soon as either runtime returns, so a
-/// step past the stability edge never reports or saves a NaN model.
+/// A trajectory whose objective or RMSE left the finite numbers is an
+/// error that names which and where — checked as soon as either runtime
+/// returns, so a step past the stability edge never reports or saves a
+/// NaN model. The objective alone is not enough: a model whose margins
+/// overflow can keep a finite (if absurd) objective while its RMSE is
+/// already infinite.
 fn refuse_divergence(trace: &Trace, step: f64) -> Result<(), String> {
-    match trace.points.iter().find(|p| !p.objective.is_finite()) {
-        Some(p) => Err(format!(
-            "diverged: objective became non-finite at epoch {} (step {step})",
-            p.epoch
-        )),
-        None => Ok(()),
+    for p in &trace.points {
+        for (metric, value) in [("objective", p.objective), ("rmse", p.rmse)] {
+            if !value.is_finite() {
+                return Err(format!(
+                    "diverged: {metric} became non-finite at epoch {} (step {step})",
+                    p.epoch
+                ));
+            }
+        }
     }
+    Ok(())
 }
 
 fn save_model(

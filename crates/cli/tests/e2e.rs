@@ -820,6 +820,48 @@ fn a_diverged_run_is_an_error_not_a_nan_model() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// A four-row file under an absurd step: the margins overflow, so the
+/// RMSE is infinite from epoch 1 while the objective stays finite. Such
+/// a run used to print `rmse=inf`, save its model and exit 0; now it
+/// exits 2 naming the RMSE, prints no summary and writes no model.
+fn refuses_an_infinite_rmse(runtime: &[&str]) {
+    let dir = tmpdir(&format!("rmse_{}", runtime.len()));
+    let data = dir.join("tiny.svm");
+    std::fs::write(
+        &data,
+        "+1 1:1 2:0.5\n-1 1:-1 3:0.25\n+1 2:1 3:1\n-1 1:-0.5 2:-1\n",
+    )
+    .unwrap();
+    let model = dir.join("m.json");
+    let out = bin()
+        .arg("train")
+        .arg(&data)
+        .args(runtime)
+        .args(["--seed", "7", "--quiet", "--model"])
+        .arg(&model)
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{runtime:?}: {err}");
+    assert!(
+        err.contains("diverged: rmse became non-finite at epoch 1 (step "),
+        "{runtime:?}: {err}"
+    );
+    assert!(out.stdout.is_empty(), "{runtime:?} printed a summary");
+    assert!(!model.exists(), "{runtime:?} wrote a model");
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn an_infinite_rmse_is_refused_on_the_engine() {
+    refuses_an_infinite_rmse(&["--step", "1e308"]);
+}
+
+#[test]
+fn an_infinite_rmse_is_refused_on_the_cluster() {
+    refuses_an_infinite_rmse(&["--cluster", "2", "--step", "1e300"]);
+}
+
 /// η must be finite and ≥ 0, on the engine and on the cluster alike: a
 /// negative η used to train an anti-regularized model and exit 0, and a
 /// non-finite one failed as a sampling error about a NaN weight.

@@ -44,10 +44,10 @@ use isasgd_losses::{importance_weights, sgd_step, Loss, Objective};
 use isasgd_metrics::{Trace, TracePoint};
 use isasgd_obs::{monotonic_us, Event};
 use isasgd_sampling::{
-    balance_seed, AdaptiveIsSampler, Sampler, SamplerSnapshot, SamplingError, SamplingStrategy,
-    ScheduleStream, SequenceMode, ShardSpec,
+    balance_seed, AdaptiveIsSampler, CommitPolicy, Draw, Sampler, SamplerSnapshot, SamplingError,
+    SamplingStrategy, ScheduleStream, SequenceMode, ShardSpec,
 };
-use isasgd_sparse::Dataset;
+use isasgd_sparse::{Dataset, RowWindow};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -656,6 +656,10 @@ impl<T: Transport> NodeRuntime<T> {
             weights: local,
             range,
         } = shard;
+        // Built before the session's working set (RowWindow's docs);
+        // `draws` holds one pull.
+        let mut window = RowWindow::with_row_capacity(data.max_row_nnz());
+        let mut draws = Vec::with_capacity(RowWindow::ROWS);
         let id = self.node_id;
         #[expect(
             clippy::cast_possible_truncation,
@@ -684,6 +688,13 @@ impl<T: Transport> NodeRuntime<T> {
             e => ClusterError::InvalidConfig(e.to_string()),
         })?;
         let adaptive = stream.sampler().is_adaptive();
+        // Draws per pull: one while commits steer the epoch's own
+        // remaining draws, a gathered window otherwise.
+        let pull = if adaptive && matches!(cfg.commit, CommitPolicy::EveryK(_)) {
+            1
+        } else {
+            RowWindow::ROWS
+        };
         let mut model = vec![0.0; data.dim()];
 
         // Per-round observation gather for the coordinator's mirror:
@@ -803,6 +814,7 @@ impl<T: Transport> NodeRuntime<T> {
                     row_base,
                     obj,
                     &mut stream,
+                    (&mut draws, pull, &mut window),
                     &mut model,
                     cfg.step_size,
                     &mut obs_max,
@@ -957,15 +969,19 @@ impl<T: Transport> NodeRuntime<T> {
 }
 
 /// One local epoch of sequential (IS-)SGD on the node's shard, drawn
-/// through the node's [`ScheduleStream`]. Each observed gradient scale
-/// goes back through [`ScheduleStream::observe`] — the single scaling
-/// convention this runtime shares with the `isasgd-core` engine — which
-/// feeds the stream's own sampler and is a no-op for uniform/static
-/// sampling. Under intra-epoch commits the sampler re-weights mid-epoch
-/// and the very next draw sees it, matching the engine's sequential
-/// streaming path draw-for-draw. The scaled observations are
-/// additionally max-reduced into `obs_max`/`visited` for the round's
-/// [`Message::FeedbackBatch`].
+/// through the node's [`ScheduleStream`] `pull` draws at a time, each
+/// pull stepped through a [`RowWindow`] of its gathered rows (a draw's
+/// global row is storage row `row - row_base`). Each observed gradient
+/// scale goes back through [`ScheduleStream::observe`] — the single
+/// scaling convention this runtime shares with the `isasgd-core`
+/// engine — which feeds the stream's own sampler and is a no-op for
+/// uniform/static sampling. Under intra-epoch commits the caller pulls
+/// one draw at a time: the sampler re-weights mid-epoch and the very
+/// next draw sees it, matching the engine's sequential streaming path
+/// draw-for-draw; otherwise the distribution is frozen all epoch, so a
+/// window of [`RowWindow::ROWS`] draws is the same draws. The scaled
+/// observations are additionally max-reduced into `obs_max`/`visited`
+/// for the round's [`Message::FeedbackBatch`].
 #[expect(
     clippy::too_many_arguments,
     reason = "the epoch's working set, borrowed piecewise from `run_session`'s locals"
@@ -975,20 +991,23 @@ fn local_epoch<L: Loss>(
     row_base: usize,
     obj: &Objective<L>,
     stream: &mut ScheduleStream,
+    (draws, pull, window): (&mut Vec<Draw>, usize, &mut RowWindow),
     model: &mut [f64],
     lambda: f64,
     obs_max: &mut [f64],
     visited: &mut [bool],
 ) {
     let start = stream.range().start;
-    while let Some(d) = stream.next_draw() {
-        let row = data.row(d.row as usize - row_base);
-        let g = sgd_step(obj, &row, lambda * d.corr, model);
-        if let Some(observed) = stream.observe(d.row as usize, g.abs()) {
-            let local = d.row as usize - start;
-            obs_max[local] = obs_max[local].max(observed);
-            visited[local] = true;
-        }
+    while stream.fill_chunk(draws, pull) > 0 {
+        let row_of = |d: &Draw| d.row as usize - row_base;
+        window.walk(data, draws, row_of, |d, row| {
+            let g = sgd_step(obj, row, lambda * d.corr, model);
+            if let Some(observed) = stream.observe(d.row as usize, g.abs()) {
+                let local = d.row as usize - start;
+                obs_max[local] = obs_max[local].max(observed);
+                visited[local] = true;
+            }
+        });
     }
 }
 

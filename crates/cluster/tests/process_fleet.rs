@@ -41,7 +41,7 @@ use isasgd_cluster::{
 };
 use isasgd_core::{
     train, Algorithm, CommitPolicy, Execution, ImportanceScheme, LogisticLoss, Objective,
-    Regularizer, SamplingStrategy, TrainConfig,
+    Regularizer, SamplingStrategy, SquaredHingeLoss, TrainConfig,
 };
 use isasgd_sparse::{Dataset, DatasetBuilder};
 use std::io::Write;
@@ -239,6 +239,81 @@ fn single_node_fleet_is_bit_equal_to_sequential_engine() {
             "{sampling:?}/{commit:?}: process worker ≠ sequential engine"
         );
     }
+}
+
+/// FNV-1a over the IEEE-754 bits of a model.
+fn fnv(model: &[f64]) -> u64 {
+    model
+        .iter()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// The engine's bit-pin fixture: 7–9 non-zeros a row (unrolled margin
+/// body + tail), mixed-sign values, planted labels.
+fn wide(n: usize) -> Dataset {
+    let mut b = DatasetBuilder::new(24);
+    for i in 0..n {
+        let row: Vec<(u32, f64)> = (0..7 + i % 3)
+            .map(|k| {
+                let sign = if (i + k) % 2 == 0 { 1.0 } else { -1.0 };
+                let magnitude = (1 + (i * 7 + k * 3) % 9) as f64 * 0.0625;
+                ((i % 6 + 2 * k) as u32, sign * magnitude)
+            })
+            .collect();
+        let planted = |&(j, x): &(u32, f64)| if j % 3 == 0 { x } else { -0.5 * x };
+        let y = if row.iter().map(planted).sum::<f64>() >= 0.0 {
+            1.0
+        } else {
+            -1.0
+        };
+        b.push_row(&row, y).unwrap();
+    }
+    b.finish()
+}
+
+/// The worker step loop's bit pins, recorded from a build whose workers
+/// read every row straight from their shard: a two-node in-process
+/// cluster on the `wide` fixture under epoch-boundary commits (a worker
+/// pulls a window of draws at a time) and under every-7 commits (one
+/// draw at a time), and the first again on a process fleet. A fleet's
+/// node 1 holds only its own rows, so each of its steps reads storage
+/// row `row - row_base` with `row_base > 0`. Squared hinge keeps libm
+/// out of the trajectory.
+#[test]
+fn cluster_model_bits_are_pinned_in_process_and_on_a_fleet() {
+    const EPOCH_BOUNDARY: u64 = 0xc080_1afd_6154_acb3;
+    const EVERY_7: u64 = 0xfe85_9852_182d_2ed9;
+    let ds = wide(96);
+    let o = Objective::new(SquaredHingeLoss, Regularizer::L1 { eta: 1e-3 });
+    let cfg = |commit| ClusterConfig {
+        rounds: 3,
+        step_size: 0.1,
+        commit,
+        seed: 41,
+        ..adaptive_cfg(2)
+    };
+    let boundary = cfg(CommitPolicy::EpochBoundary);
+    for (tag, cfg, want) in [
+        ("epoch-boundary", &boundary, EPOCH_BOUNDARY),
+        ("every-7", &cfg(CommitPolicy::EveryK(7)), EVERY_7),
+    ] {
+        let got = fnv(&run(&ds, &o, cfg).unwrap().model);
+        assert_eq!(got, want, "in-process {tag}: {got:#018x}");
+    }
+    let (tx, rx) = channel();
+    std::thread::spawn(move || {
+        let spawner = ThreadSpawner { die_at: None };
+        let _ = tx.send(run_fleet_with(&ds, &o, &boundary, &fleet_pc(), spawner));
+    });
+    let fleet = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("fleet run hung")
+        .unwrap();
+    let got = fnv(&fleet.model);
+    assert_eq!(got, EPOCH_BOUNDARY, "fleet epoch-boundary: {got:#018x}");
 }
 
 #[test]

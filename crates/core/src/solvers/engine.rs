@@ -18,6 +18,22 @@
 //!   a [`DelayQueue`], with an epoch-boundary flush. `τ = 0` reproduces
 //!   the sequential path bit-for-bit.
 //!
+//! **Steps read gathered rows.** Kernels take the drawn row itself, a
+//! [`SparseRow`](isasgd_sparse::SparseRow); where it is read from is
+//! decided here. The sequential and threaded arms step through each
+//! pulled chunk with a [`RowWindow`]: it copies the next
+//! [`RowWindow::ROWS`] drawn rows, in draw order, into one small
+//! contiguous buffer, and the kernel steps each draw on its copy. A
+//! drawn row sits wherever the draw landed in its shard, so a loop that
+//! reads rows one step at a time stalls on a cache miss per step; the
+//! copy issues a window's misses back to back. A window holds only draws
+//! the arm has already pulled — under `EveryK`, the threads' k-strides
+//! and the sequential arm's single draws — so draw order, observation
+//! order, commit boundaries and the arithmetic are those of a loop over
+//! the dataset, bit for bit. The simulated arm reads each row from the
+//! dataset by id, for `compute` and again for the `apply` that lands τ
+//! steps later.
+//!
 //! **Schedules are never materialized.** Every path pulls draws from
 //! per-worker [`ScheduleStream`]s (each owns its shard's boxed
 //! [`Sampler`](isasgd_sampling::Sampler) and private draw RNG) in bounded
@@ -80,6 +96,12 @@ use isasgd_losses::{Loss, Objective};
 use isasgd_metrics::{Trace, TracePoint};
 use isasgd_model::SharedModel;
 use isasgd_sampling::{CommitPolicy, SamplingStrategy, ScheduleStream};
+use isasgd_sparse::{Dataset, RowWindow};
+
+/// The dataset row a draw reads.
+fn row_of(s: &Sched) -> usize {
+    s.row as usize
+}
 
 /// What the trainer resolved about one engine run beyond its solver:
 /// the trace's labels.
@@ -94,16 +116,26 @@ pub struct RunMeta<'a> {
 }
 
 /// One observation riding a simulated in-flight update: the worker that
-/// drew it, the sampled row and its raw gradient scale `|ℓ'(m)|`.
-/// Delivered to that worker's stream when the update applies.
-type ObsNote = (usize, u32, f64);
+/// drew it and the row's raw gradient scale `|ℓ'(m)|`. Delivered to that
+/// worker's stream when the update applies.
+type ObsNote = (usize, f64);
 
-/// An in-flight simulated update paired with its (optional) observation.
-type InFlight<U> = (U, Option<ObsNote>);
+/// An in-flight simulated update, the row it was computed on and its
+/// (optional) observation.
+type InFlight<U> = (U, u32, Option<ObsNote>);
 
-/// Delivers a popped in-flight observation to the stream that drew it.
-fn deliver(streams: &mut [ScheduleStream], note: Option<ObsNote>) {
-    if let Some((worker, row, g)) = note {
+/// Applies a popped in-flight update, reading its row from the dataset
+/// by id, and delivers its observation to the stream that drew it.
+fn land<S: Solver>(
+    solver: &mut S,
+    data: &Dataset,
+    streams: &mut [ScheduleStream],
+    lambda: f64,
+    (update, row, note): InFlight<S::Update>,
+    w: &mut [f64],
+) {
+    solver.apply(&data.row(row as usize), lambda, update, w);
+    if let Some((worker, g)) = note {
         streams[worker].observe(row as usize, g);
     }
 }
@@ -120,7 +152,7 @@ fn deliver(streams: &mut [ScheduleStream], note: Option<ObsNote>) {
     reason = "the one place the full run context assembles"
 )]
 pub fn run_engine<L: Loss, S: Solver>(
-    ds: &isasgd_sparse::Dataset,
+    ds: &Dataset,
     obj: &Objective<L>,
     cfg: &TrainConfig,
     exec: Execution,
@@ -135,6 +167,17 @@ pub fn run_engine<L: Loss, S: Solver>(
         Execution::Simulated { workers, .. } => workers,
     };
     let mut plan = build_plan(ds, obj, cfg, workers, strategy)?;
+    // One window per worker of the arms that gather, kept all run rather
+    // than built on each epoch's threads (RowWindow's docs); every row
+    // the run steps is a row of `ds`, so none outgrows its buffers.
+    let gathering = match exec {
+        Execution::Simulated { .. } => 0,
+        _ => plan.streams.len(),
+    };
+    let widest = ds.max_row_nnz();
+    let mut windows: Vec<RowWindow> = (0..gathering)
+        .map(|_| RowWindow::with_row_capacity(widest))
+        .collect();
     solver.init(&plan.data)?;
     let n = plan.data.n_samples();
     let dim = plan.data.dim();
@@ -212,7 +255,7 @@ pub fn run_engine<L: Loss, S: Solver>(
                 } else {
                     ScheduleStream::DEFAULT_CHUNK
                 };
-                let (data, stream) = (&plan.data, &mut plan.streams[0]);
+                let (data, stream, window) = (&plan.data, &mut plan.streams[0], &mut windows[0]);
                 while !stream.is_exhausted() {
                     if !streaming {
                         timer.stop();
@@ -223,13 +266,13 @@ pub fn run_engine<L: Loss, S: Solver>(
                         sampling_timer.stop();
                         timer.start();
                     }
-                    for &s in &chunk {
-                        let (update, g) = solver.compute(data, s, lambda, &w);
-                        solver.apply(data, lambda, update, &mut w);
+                    window.walk(data, &chunk, row_of, |s, row| {
+                        let (update, g) = solver.compute(row, s.corr, lambda, &w);
+                        solver.apply(row, lambda, update, &mut w);
                         if collect {
                             stream.observe(s.row as usize, g);
                         }
-                    }
+                    });
                 }
                 solver.on_epoch_end(&plan.data, lambda, &mut w);
             }
@@ -274,19 +317,17 @@ pub fn run_engine<L: Loss, S: Solver>(
                     }
                     let s = feeds[k].0[feeds[k].1];
                     feeds[k].1 += 1;
-                    let (update, g) = solver.compute(data, s, lambda, &w);
-                    let note = collect.then_some((k, s.row, g));
-                    if let Some((u, note)) = queue.push((update, note)) {
-                        solver.apply(data, lambda, u, &mut w);
-                        deliver(streams, note);
+                    let (update, g) = solver.compute(&data.row(s.row as usize), s.corr, lambda, &w);
+                    let note = collect.then_some((k, g));
+                    if let Some(landed) = queue.push((update, s.row, note)) {
+                        land(&mut solver, data, streams, lambda, landed, &mut w);
                     }
                     k = (k + 1) % workers;
                 }
                 // Epoch barrier: flush in-flight updates with their
                 // observations.
-                for (u, note) in queue.drain() {
-                    solver.apply(data, lambda, u, &mut w);
-                    deliver(streams, note);
+                for landed in queue.drain() {
+                    land(&mut solver, data, streams, lambda, landed, &mut w);
                 }
                 solver.on_epoch_end(&plan.data, lambda, &mut w);
             }
@@ -319,19 +360,16 @@ pub fn run_engine<L: Loss, S: Solver>(
                     _ => ScheduleStream::DEFAULT_CHUNK,
                 };
                 std::thread::scope(|scope| {
-                    for stream in plan.streams.iter_mut() {
+                    for (stream, window) in plan.streams.iter_mut().zip(&mut windows) {
                         scope.spawn(move || {
                             let mut chunk: Vec<Sched> = Vec::with_capacity(chunk_len);
-                            loop {
-                                if stream.fill_chunk(&mut chunk, chunk_len) == 0 {
-                                    break;
-                                }
-                                for &s in &chunk {
-                                    let g = kernel.step_shared(data, s, lambda, model, mode);
+                            while stream.fill_chunk(&mut chunk, chunk_len) > 0 {
+                                window.walk(data, &chunk, row_of, |s, row| {
+                                    let g = kernel.step_shared(row, s.corr, lambda, model, mode);
                                     if collect {
                                         stream.observe(s.row as usize, g);
                                     }
-                                }
+                                });
                             }
                         });
                     }
@@ -1171,11 +1209,12 @@ mod tests {
     #[test]
     fn final_model_bits_are_pinned_on_every_runtime() {
         // FNV-1a of the final model's bits, recorded from a build of the
-        // commit before the sequential arm lost its grouping (the two
-        // adaptive rows: before the observation models were deleted): an
-        // edit to the step loop or to observation delivery that moves one
-        // bit of any runtime fails here. Squared hinge keeps libm out of
-        // the trajectory.
+        // commit before the sequential arm lost its grouping (the first
+        // two adaptive rows: before the observation models were deleted;
+        // the threaded one: before steps read gathered windows): an edit
+        // to the step loop or to observation delivery that moves one bit
+        // of any runtime fails here. Squared hinge keeps libm out of the
+        // trajectory.
         use isasgd_losses::SquaredHingeLoss;
         let ds = wide(96);
         let o = Objective::new(SquaredHingeLoss, Regularizer::L1 { eta: 1e-3 });
@@ -1184,7 +1223,8 @@ mod tests {
             .with_step_size(0.1)
             .with_seed(41);
         // Adaptive rows: observations delivered right after their step
-        // (sequential) and when their delayed update applies (simulated).
+        // (sequential, and one thread stepping windows cut inside its
+        // k-strides) and when their delayed update applies (simulated).
         let adaptive = TrainConfig {
             sampling: Some(SamplingStrategy::Adaptive),
             ..cfg.with_commit(isasgd_sampling::CommitPolicy::EveryK(8))
@@ -1217,6 +1257,12 @@ mod tests {
                 0xfda7_a53d_d8d6_600e,
             ),
             (Algorithm::IsAsgd, sim, &adaptive, 0xf8c2_0f18_599d_112e),
+            (
+                Algorithm::IsAsgd,
+                Execution::Threads(1),
+                &adaptive,
+                0xfda7_a53d_d8d6_600e,
+            ),
         ] {
             let r = train(&ds, &o, algo, exec, cfg, "wide").unwrap();
             let fnv = r

@@ -223,11 +223,9 @@ mod tests {
 
     fn drain_epoch(plan: &mut TrainingPlan, k: usize) -> Vec<(usize, f64)> {
         let stream = &mut plan.streams[k];
-        let mut out = Vec::new();
-        while let Some(d) = stream.next_draw() {
-            out.push((d.row as usize, d.corr));
-        }
-        out
+        let mut draws = Vec::new();
+        stream.fill_chunk(&mut draws, stream.remaining());
+        draws.iter().map(|d| (d.row as usize, d.corr)).collect()
     }
 
     #[test]
@@ -432,7 +430,8 @@ mod tests {
         streams
             .iter_mut()
             .map(|s| {
-                let draws: Vec<_> = std::iter::from_fn(|| s.next_draw()).collect();
+                let mut draws = Vec::new();
+                s.fill_chunk(&mut draws, s.remaining());
                 for d in &draws {
                     s.observe(d.row as usize, 0.25 + (d.row % 7) as f64);
                 }

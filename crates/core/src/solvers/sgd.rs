@@ -25,18 +25,17 @@
 //! Both return `|ℓ'(m)|`, the one quantity adaptive sampling feeds on,
 //! as a by-product of the gradient they compute anyway.
 
-use crate::solvers::solver::{Sched, SharedKernel, SharedView, Solver};
+use crate::solvers::solver::{SharedKernel, SharedView, Solver};
 use isasgd_losses::{sgd_step, Loss, Objective};
 use isasgd_model::shared::UpdateMode;
 use isasgd_model::SharedModel;
-use isasgd_sparse::Dataset;
+use isasgd_sparse::SparseRow;
 
 /// One in-flight update: `w += coeff·x_row`, then an on-support
 /// regularizer step scaled by `reg_scale` (both already include −λ and
 /// the IS correction `1/(n·p_i)`).
 #[derive(Debug, Clone, Copy)]
 pub struct SgdUpdate {
-    row: u32,
     /// Multiplier for the sparse axpy (−λ·corr·ℓ'(m)·y).
     coeff: f64,
     /// Multiplier for the on-support regularizer subgradient (λ·corr).
@@ -62,21 +61,24 @@ impl<L: Loss> Solver for SgdSolver<'_, L> {
         "sgd-family"
     }
 
-    fn compute(&mut self, data: &Dataset, s: Sched, lambda: f64, w: &[f64]) -> (SgdUpdate, f64) {
-        let row = data.row(s.row as usize);
-        let margin = self.obj.margin(&row, w);
-        let g = self.obj.grad_scale(&row, margin);
+    fn compute(
+        &mut self,
+        row: &SparseRow<'_>,
+        corr: f64,
+        lambda: f64,
+        w: &[f64],
+    ) -> (SgdUpdate, f64) {
+        let margin = self.obj.margin(row, w);
+        let g = self.obj.grad_scale(row, margin);
         let update = SgdUpdate {
-            row: s.row,
-            coeff: -lambda * s.corr * g,
-            reg_scale: lambda * s.corr,
+            coeff: -lambda * corr * g,
+            reg_scale: lambda * corr,
         };
         (update, g.abs())
     }
 
-    fn apply(&mut self, data: &Dataset, _lambda: f64, u: SgdUpdate, w: &mut [f64]) {
-        let row = data.row(u.row as usize);
-        self.obj.apply_sgd_update(&row, u.coeff, u.reg_scale, w);
+    fn apply(&mut self, row: &SparseRow<'_>, _lambda: f64, u: SgdUpdate, w: &mut [f64]) {
+        self.obj.apply_sgd_update(row, u.coeff, u.reg_scale, w);
     }
 
     fn shared_kernel(&self) -> Option<&dyn SharedKernel> {
@@ -87,14 +89,13 @@ impl<L: Loss> Solver for SgdSolver<'_, L> {
 impl<L: Loss> SharedKernel for SgdSolver<'_, L> {
     fn step_shared(
         &self,
-        data: &Dataset,
-        s: Sched,
+        row: &SparseRow<'_>,
+        corr: f64,
         lambda: f64,
         model: &SharedModel,
         mode: UpdateMode,
     ) -> f64 {
-        let row = data.row(s.row as usize);
         let mut w = SharedView(model, mode);
-        sgd_step(self.obj, &row, lambda * s.corr, &mut w).abs()
+        sgd_step(self.obj, row, lambda * corr, &mut w).abs()
     }
 }

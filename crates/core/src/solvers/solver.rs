@@ -11,6 +11,11 @@
 //! * [`Solver::apply`] — mutate the model with a previously computed
 //!   update.
 //!
+//! Both phases, and the lock-free step below, take the drawn row itself
+//! as a [`SparseRow`], never a dataset and a row id: where a row is read
+//! from — a window of gathered rows, or the dataset — is the engine's
+//! business.
+//!
 //! Sequential execution calls them back-to-back (so `τ = 0` staleness is
 //! literally the sequential algorithm); simulated execution pushes the
 //! updates through a [`DelayQueue`](isasgd_asyncsim::DelayQueue);
@@ -38,7 +43,7 @@ use crate::error::CoreError;
 use isasgd_losses::ModelAccess;
 use isasgd_model::shared::UpdateMode;
 use isasgd_model::SharedModel;
-use isasgd_sparse::Dataset;
+use isasgd_sparse::{Dataset, SparseRow};
 
 /// One scheduled draw: a global row index plus its importance-sampling
 /// step correction `1/(n·p)` (1.0 under uniform sampling). This is the
@@ -71,12 +76,13 @@ impl ModelAccess for SharedView<'_> {
 /// (Hogwild semantics): implementations may only read shared solver
 /// state that is frozen for the duration of the epoch.
 pub trait SharedKernel: Sync {
-    /// One gradient step on `s` against the shared model. Returns the
-    /// observed gradient scale `|ℓ'(m)|`, or 0.0 when not meaningful.
+    /// One gradient step on `row`, drawn with step correction `corr`,
+    /// against the shared model. Returns the observed gradient scale
+    /// `|ℓ'(m)|`, or 0.0 when not meaningful.
     fn step_shared(
         &self,
-        data: &Dataset,
-        s: Sched,
+        row: &SparseRow<'_>,
+        corr: f64,
         lambda: f64,
         model: &SharedModel,
         mode: UpdateMode,
@@ -120,14 +126,21 @@ pub trait Solver {
         let _ = (data, w, lambda);
     }
 
-    /// Computes the update of draw `s` against the visible model `w`
-    /// without mutating it, and returns it with the raw gradient scale
-    /// `|ℓ'(m)|` observed at `w` (0.0 where a solver has none to
-    /// report) — [`SharedKernel::step_shared`]'s contract.
-    fn compute(&mut self, data: &Dataset, s: Sched, lambda: f64, w: &[f64]) -> (Self::Update, f64);
+    /// Computes the update of a draw of `row` with step correction
+    /// `corr` against the visible model `w` without mutating it, and
+    /// returns it with the raw gradient scale `|ℓ'(m)|` observed at `w`
+    /// (0.0 where a solver has none to report) —
+    /// [`SharedKernel::step_shared`]'s contract.
+    fn compute(
+        &mut self,
+        row: &SparseRow<'_>,
+        corr: f64,
+        lambda: f64,
+        w: &[f64],
+    ) -> (Self::Update, f64);
 
-    /// Applies a previously computed update to the model.
-    fn apply(&mut self, data: &Dataset, lambda: f64, update: Self::Update, w: &mut [f64]);
+    /// Applies a previously computed update of `row` to the model.
+    fn apply(&mut self, row: &SparseRow<'_>, lambda: f64, update: Self::Update, w: &mut [f64]);
 
     /// Epoch-end hook for dense execution modes (e.g. skip-µ's deferred
     /// add). The simulated queue is already drained when this runs.

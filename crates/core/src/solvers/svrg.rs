@@ -24,17 +24,16 @@
 use crate::config::SvrgVariant;
 use crate::error::CoreError;
 use crate::eval::full_gradient;
-use crate::solvers::solver::{Sched, SharedKernel, SharedView, Solver};
+use crate::solvers::solver::{SharedKernel, SharedView, Solver};
 use isasgd_losses::{kernel, Loss, Objective};
 use isasgd_model::shared::UpdateMode;
 use isasgd_model::SharedModel;
-use isasgd_sparse::Dataset;
+use isasgd_sparse::{Dataset, SparseRow};
 
 /// An in-flight SVRG update: the sparse part (the dense µ add needs
 /// nothing the solver does not hold).
 #[derive(Debug, Clone, Copy)]
 pub struct SvrgUpdate {
-    row: u32,
     /// Coefficient of the sparse direction x_row: −λ·(g_w − g_s).
     coeff: f64,
 }
@@ -89,25 +88,28 @@ impl<L: Loss> Solver for SvrgSolver<'_, L> {
         self.snapshot = snap;
     }
 
-    fn compute(&mut self, data: &Dataset, s: Sched, lambda: f64, w: &[f64]) -> (SvrgUpdate, f64) {
-        let row = data.row(s.row as usize);
+    fn compute(
+        &mut self,
+        row: &SparseRow<'_>,
+        _corr: f64,
+        lambda: f64,
+        w: &[f64],
+    ) -> (SvrgUpdate, f64) {
         let g_w = {
-            let m = self.obj.margin(&row, w);
-            self.obj.grad_scale(&row, m)
+            let m = self.obj.margin(row, w);
+            self.obj.grad_scale(row, m)
         };
         let g_s = {
-            let m = self.obj.margin(&row, &self.snapshot);
-            self.obj.grad_scale(&row, m)
+            let m = self.obj.margin(row, &self.snapshot);
+            self.obj.grad_scale(row, m)
         };
         let update = SvrgUpdate {
-            row: s.row,
             coeff: -lambda * (g_w - g_s),
         };
         (update, 0.0)
     }
 
-    fn apply(&mut self, data: &Dataset, lambda: f64, u: SvrgUpdate, w: &mut [f64]) {
-        let row = data.row(u.row as usize);
+    fn apply(&mut self, row: &SparseRow<'_>, lambda: f64, u: SvrgUpdate, w: &mut [f64]) {
         row.axpy_into(u.coeff, w);
         if self.variant == SvrgVariant::Literature {
             // The dense O(d) add that dominates on sparse data.
@@ -136,17 +138,16 @@ impl<L: Loss> Solver for SvrgSolver<'_, L> {
 impl<L: Loss> SharedKernel for SvrgSolver<'_, L> {
     fn step_shared(
         &self,
-        data: &Dataset,
-        s: Sched,
+        row: &SparseRow<'_>,
+        _corr: f64,
         lambda: f64,
         model: &SharedModel,
         mode: UpdateMode,
     ) -> f64 {
-        let row = data.row(s.row as usize);
-        let m_w = kernel::margin(&row, &SharedView(model, mode));
-        let g_w = self.obj.grad_scale(&row, m_w);
-        let m_s = self.obj.margin(&row, &self.snapshot);
-        let g_s = self.obj.grad_scale(&row, m_s);
+        let m_w = kernel::margin(row, &SharedView(model, mode));
+        let g_w = self.obj.grad_scale(row, m_w);
+        let m_s = self.obj.margin(row, &self.snapshot);
+        let g_s = self.obj.grad_scale(row, m_s);
         let coeff = -lambda * (g_w - g_s);
         for (&j, &x) in row.indices.iter().zip(row.values) {
             model.add(j as usize, coeff * x, mode);

@@ -208,11 +208,6 @@ impl ScheduleStream {
         }
     }
 
-    /// Emits the next draw, or `None` when the epoch is exhausted.
-    pub fn next_draw(&mut self) -> Option<Draw> {
-        (!self.is_exhausted()).then(|| self.draw())
-    }
-
     /// Clears `buf` and refills it with up to `chunk` draws (bounded by
     /// the epoch remainder); returns the number drawn. Draws within one
     /// chunk share the distribution in force when the chunk was pulled —
@@ -306,8 +301,13 @@ mod tests {
         ScheduleStream::for_shard(spec(0, 5..15, SamplingStrategy::Uniform), []).unwrap()
     }
 
+    /// The epoch's remaining draws, pulled one at a time.
     fn drain(s: &mut ScheduleStream) -> Vec<Draw> {
-        std::iter::from_fn(|| s.next_draw()).collect()
+        let (mut all, mut one) = (Vec::new(), Vec::new());
+        while s.fill_chunk(&mut one, 1) > 0 {
+            all.extend_from_slice(&one);
+        }
+        all
     }
 
     fn corrections(s: &dyn Sampler) -> Vec<f64> {

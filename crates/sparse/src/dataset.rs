@@ -178,6 +178,22 @@ impl Dataset {
         (self.csr.offsets[s], self.csr.offsets[s + 1])
     }
 
+    /// Where row `i`'s non-zeros sit in [`Dataset::nonzeros`].
+    ///
+    /// # Panics
+    /// If `i >= n_samples()`.
+    #[inline]
+    pub(crate) fn row_span(&self, i: usize) -> Range<usize> {
+        let (lo, hi) = self.span(self.storage_row(i));
+        lo..hi
+    }
+
+    /// The index and value arrays [`Dataset::row_span`] points into.
+    #[inline]
+    pub(crate) fn nonzeros(&self) -> (&[u32], &[f64]) {
+        (&self.csr.indices, &self.csr.values)
+    }
+
     /// Label of row `i` (±1).
     #[inline]
     pub fn label(&self, i: usize) -> f64 {
@@ -192,6 +208,11 @@ impl Dataset {
     /// Iterates over all rows in order.
     pub fn rows(&self) -> impl Iterator<Item = SparseRow<'_>> + '_ {
         (0..self.n_samples()).map(move |i| self.row(i))
+    }
+
+    /// The most non-zeros any one row holds (0 for an empty dataset).
+    pub fn max_row_nnz(&self) -> usize {
+        self.rows().map(|r| r.nnz()).max().unwrap_or(0)
     }
 
     /// Average non-zeros per sample.

@@ -13,6 +13,8 @@
 //! * [`SparseRow`] — a borrowed view of one sample inside a dataset.
 //! * [`Dataset`] — a CSR (compressed sparse row) collection of labelled
 //!   samples, the input to every solver in the workspace.
+//! * [`RowWindow`] — a step loop's next few drawn rows, gathered into one
+//!   small contiguous buffer.
 //! * [`libsvm`] — text IO in the LibSVM format used by the paper's
 //!   evaluation datasets.
 //!
@@ -40,9 +42,11 @@ pub mod par;
 pub mod split;
 pub mod stats;
 pub mod vector;
+pub mod window;
 
 pub use dataset::{Dataset, DatasetBuilder, SparseRow};
 pub use error::SparseError;
 pub use split::holdout_split;
 pub use stats::DatasetStats;
 pub use vector::SparseVec;
+pub use window::RowWindow;

@@ -94,6 +94,73 @@ proptest! {
         }
     }
 
+    /// Stepping from gathered windows is stepping from the dataset: on a
+    /// generated dataset seen through a row order, a random draw list
+    /// (repeats included) cut into windows of random lengths, every
+    /// `sgd_step` on a gathered row returns the `g` bits and leaves the
+    /// model bits that the same step on `Dataset::row` does — on a dense
+    /// model and on a one-thread shared model, under all three
+    /// regularizers.
+    #[test]
+    fn stepping_from_windows_is_stepping_from_the_dataset(
+        seed in 0u64..300,
+        picks in prop::collection::vec(0usize..10_000, 0..150),
+        cuts in prop::collection::vec(1usize..40, 1..8),
+    ) {
+        use is_asgd::core::solvers::solver::SharedView;
+        use is_asgd::losses::sgd_step;
+        use is_asgd::sparse::RowWindow;
+        let data = small_data(seed, 90).dataset;
+        let n = data.n_samples();
+        let order: Vec<usize> = (0..n).map(|i| (i * 37 + seed as usize) % n).collect();
+        let view = data.reordered(&order).unwrap();
+        let draws: Vec<usize> = picks.iter().map(|&p| p % n).collect();
+        let mut windows = Vec::new();
+        let mut at = 0;
+        for &len in cuts.iter().cycle() {
+            if at == draws.len() {
+                break;
+            }
+            let end = (at + len).min(draws.len());
+            windows.push(&draws[at..end]);
+            at = end;
+        }
+        let step = |k: usize| 0.1 * (1 + k % 3) as f64;
+        let w0: Vec<f64> = (0..view.dim()).map(|j| (j % 5) as f64 * 0.02 - 0.04).collect();
+        let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for reg in [
+            Regularizer::None,
+            Regularizer::L1 { eta: 1e-3 },
+            Regularizer::L2 { eta: 1e-3 },
+        ] {
+            let obj = Objective::new(LogisticLoss, reg);
+            let mut oracle = w0.clone();
+            let want: Vec<u64> = draws
+                .iter()
+                .enumerate()
+                .map(|(k, &i)| sgd_step(&obj, &view.row(i), step(k), oracle.as_mut_slice()).to_bits())
+                .collect();
+            let mut dense = w0.clone();
+            let model = SharedModel::from_dense(&w0);
+            let mut shared = SharedView(&model, UpdateMode::AtomicCas);
+            let (mut got_dense, mut got_shared) = (Vec::new(), Vec::new());
+            let mut window = RowWindow::with_row_capacity(0);
+            for cut in &windows {
+                window.gather(&view, cut.iter().copied());
+                for r in 0..window.len() {
+                    let k = got_dense.len();
+                    let row = window.row(r);
+                    got_dense.push(sgd_step(&obj, &row, step(k), dense.as_mut_slice()).to_bits());
+                    got_shared.push(sgd_step(&obj, &row, step(k), &mut shared).to_bits());
+                }
+            }
+            prop_assert_eq!(&got_dense, &want, "{:?}: dense g", reg);
+            prop_assert_eq!(&got_shared, &want, "{:?}: shared g", reg);
+            prop_assert_eq!(bits(&dense), bits(&oracle), "{:?}: dense model", reg);
+            prop_assert_eq!(bits(&model.snapshot()), bits(&oracle), "{:?}: shared model", reg);
+        }
+    }
+
     /// Evaluation is invariant under row permutation.
     #[test]
     fn eval_is_permutation_invariant(seed in 0u64..200) {
