@@ -777,6 +777,27 @@ fn a_featureless_dataset_is_refused() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// Sessions carry `--local-epochs` as a u32: 2^32 used to truncate to
+/// zero, so no worker trained, every round printed the initial
+/// objective and the run exited 0. Now the count is refused by value.
+#[test]
+fn local_epochs_past_u32_are_refused() {
+    let dir = tmpdir("local_epochs");
+    let data = gen_data(&dir);
+    let out = bin()
+        .arg("train")
+        .arg(&data)
+        .args(["--cluster", "2", "--local-epochs", "4294967296"])
+        .args(["--epochs", "2", "--algo", "is-sgd", "--quiet"])
+        .output()
+        .unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("local_epochs = 4294967296"), "{err}");
+    assert!(out.stdout.is_empty(), "printed a summary");
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// A step past the stability edge is an error that names the epoch, on
 /// the engine and on the cluster alike: exit 2, no summary line with a
 /// NaN objective, no model file. The same flags with a sane step still

@@ -260,6 +260,7 @@ impl ClusterConfig {
         SessionConfig {
             nodes: self.nodes as u32,
             rounds: self.rounds as u64,
+            // `validate` refuses a count past `u32::MAX`.
             local_epochs: self.local_epochs as u32,
             step_size: self.step_size,
             seed: self.seed,
@@ -299,6 +300,16 @@ pub(crate) fn validate<L: Loss>(
         return Err(ClusterError::InvalidConfig(
             "rounds and local_epochs must be ≥ 1".into(),
         ));
+    }
+    // Sessions carry the count as a u32 (`SessionConfig::local_epochs`);
+    // a wider one would be truncated, so every worker would loop over
+    // the remainder — for 2^32, not at all.
+    if u32::try_from(cfg.local_epochs).is_err() {
+        return Err(ClusterError::InvalidConfig(format!(
+            "local_epochs = {} must be at most {}",
+            cfg.local_epochs,
+            u32::MAX
+        )));
     }
     if !(cfg.step_size.is_finite() && cfg.step_size > 0.0) {
         return Err(ClusterError::InvalidConfig(format!(
@@ -694,6 +705,25 @@ mod tests {
             run(&featureless.finish(), &o, &ClusterConfig::default()),
             Err(ClusterError::InvalidConfig(msg)) if msg.contains("dimension is 0")
         ));
+    }
+
+    #[test]
+    fn local_epochs_past_u32_are_refused_not_truncated() {
+        let ds = separable(10);
+        let o = obj();
+        let cfg = |local_epochs| ClusterConfig {
+            local_epochs,
+            ..Default::default()
+        };
+        for n in [1usize << 32, (1usize << 32) + 1] {
+            assert!(matches!(
+                validate(&cfg(n), &o, &ds),
+                Err(ClusterError::InvalidConfig(msg)) if msg.contains(&format!("local_epochs = {n}"))
+            ));
+        }
+        let max = cfg(u32::MAX as usize);
+        validate(&max, &o, &ds).unwrap();
+        assert_eq!(max.session(&o).local_epochs, u32::MAX);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use isasgd_balance::BalancePolicy;
 use isasgd_losses::ImportanceScheme;
-use isasgd_model::shared::UpdateMode;
 use isasgd_sampling::{CommitPolicy, SamplingStrategy, SequenceMode};
 
 /// Which solver to run (see crate docs for the paper mapping).
@@ -113,8 +112,6 @@ pub struct TrainConfig {
     pub balance: BalancePolicy,
     /// How per-epoch sample sequences are produced (paper §4.2).
     pub sequence: SequenceMode,
-    /// Lock-free write flavour for threaded runs.
-    pub update_mode: UpdateMode,
     /// Sampling-distribution override. `None` keeps each algorithm's
     /// classical distribution (static IS for IS-SGD/IS-ASGD, uniform
     /// otherwise); `Some(strategy)` forces uniform, static-IS, or
@@ -139,7 +136,6 @@ impl Default for TrainConfig {
             importance: ImportanceScheme::LipschitzSmoothness,
             balance: BalancePolicy::default(),
             sequence: SequenceMode::RegeneratePerEpoch,
-            update_mode: UpdateMode::AtomicCas,
             sampling: None,
             commit: CommitPolicy::EpochBoundary,
         }

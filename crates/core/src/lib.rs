@@ -99,7 +99,6 @@ pub use isasgd_losses::{
     Objective, Regularizer, SquaredHingeLoss, SquaredLoss,
 };
 pub use isasgd_metrics::{Trace, TracePoint};
-pub use isasgd_model::shared::UpdateMode;
 pub use isasgd_sampling::{CommitPolicy, Sampler, SamplingStrategy, SequenceMode};
 pub use isasgd_sparse::{Dataset, DatasetBuilder};
 

@@ -346,7 +346,6 @@ pub fn run_engine<L: Loss, S: Solver>(
                             .into(),
                     })?;
                 let data = &plan.data;
-                let mode = cfg.update_mode;
                 // Each worker owns its shard's stream for the epoch and
                 // observes into its own sampler — shards are disjoint, so
                 // adaptivity is thread-local by construction. Under
@@ -365,7 +364,7 @@ pub fn run_engine<L: Loss, S: Solver>(
                             let mut chunk: Vec<Sched> = Vec::with_capacity(chunk_len);
                             while stream.fill_chunk(&mut chunk, chunk_len) > 0 {
                                 window.walk(data, &chunk, row_of, |s, row| {
-                                    let g = kernel.step_shared(row, s.corr, lambda, model, mode);
+                                    let g = kernel.step_shared(row, s.corr, lambda, model);
                                     if collect {
                                         stream.observe(s.row as usize, g);
                                     }
@@ -427,7 +426,6 @@ mod tests {
     use crate::error::CoreError;
     use crate::trainer::{train, RunResult};
     use isasgd_losses::{LogisticLoss, Objective, Regularizer};
-    use isasgd_model::shared::UpdateMode;
     use isasgd_sampling::SamplingStrategy;
     use isasgd_sparse::{Dataset, DatasetBuilder};
 
@@ -680,23 +678,6 @@ mod tests {
             &obj(),
             Algorithm::Asgd,
             Execution::Threads(1),
-            &cfg,
-            "sep",
-        )
-        .unwrap();
-        assert_eq!(r.final_metrics.error_rate, 0.0);
-    }
-
-    #[test]
-    fn racy_update_mode_still_converges() {
-        let ds = separable(400);
-        let mut cfg = TrainConfig::default().with_epochs(5);
-        cfg.update_mode = UpdateMode::RacyHogwild;
-        let r = train(
-            &ds,
-            &obj(),
-            Algorithm::Asgd,
-            Execution::Threads(2),
             &cfg,
             "sep",
         )

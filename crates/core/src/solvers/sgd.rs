@@ -27,7 +27,6 @@
 
 use crate::solvers::solver::{SharedKernel, SharedView, Solver};
 use isasgd_losses::{sgd_step, Loss, Objective};
-use isasgd_model::shared::UpdateMode;
 use isasgd_model::SharedModel;
 use isasgd_sparse::SparseRow;
 
@@ -87,15 +86,7 @@ impl<L: Loss> Solver for SgdSolver<'_, L> {
 }
 
 impl<L: Loss> SharedKernel for SgdSolver<'_, L> {
-    fn step_shared(
-        &self,
-        row: &SparseRow<'_>,
-        corr: f64,
-        lambda: f64,
-        model: &SharedModel,
-        mode: UpdateMode,
-    ) -> f64 {
-        let mut w = SharedView(model, mode);
-        sgd_step(self.obj, row, lambda * corr, &mut w).abs()
+    fn step_shared(&self, row: &SparseRow<'_>, corr: f64, lambda: f64, model: &SharedModel) -> f64 {
+        sgd_step(self.obj, row, lambda * corr, &mut SharedView(model)).abs()
     }
 }

@@ -35,13 +35,13 @@
 //! sparse update are `isasgd_losses::kernel`, generic over
 //! [`ModelAccess`]; kernels here reach a dense model as a slice and the
 //! shared one through [`SharedView`], and differ only in the coefficient
-//! they hand it. Under `AtomicCas` the whole per-coordinate map — axpy
-//! and regularizer subgradient — is one compare-exchange, so a retried
-//! write re-evaluates the regularizer at the value it actually lands on.
+//! they hand it. On the shared model the whole per-coordinate map — axpy
+//! and regularizer subgradient — is one relaxed load and one relaxed
+//! store, so a step's gradient and regularizer land together or are
+//! overwritten together.
 
 use crate::error::CoreError;
 use isasgd_losses::ModelAccess;
-use isasgd_model::shared::UpdateMode;
 use isasgd_model::SharedModel;
 use isasgd_sparse::{Dataset, SparseRow};
 
@@ -55,8 +55,8 @@ pub type Sched = isasgd_sampling::Draw;
 /// A Hogwild worker's handle on the shared model: how the step kernel
 /// (`isasgd_losses::kernel`) reaches its coordinates. Reads are relaxed
 /// loads (the perturbed iterate ŵ of the analysis); each write is one
-/// [`SharedModel::update`] in the run's [`UpdateMode`].
-pub struct SharedView<'a>(pub &'a SharedModel, pub UpdateMode);
+/// [`SharedModel::update`].
+pub struct SharedView<'a>(pub &'a SharedModel);
 
 impl ModelAccess for SharedView<'_> {
     #[inline]
@@ -65,8 +65,8 @@ impl ModelAccess for SharedView<'_> {
     }
 
     #[inline]
-    fn update(&mut self, j: usize, f: impl Fn(f64) -> f64) {
-        self.0.update(j, self.1, f);
+    fn update(&mut self, j: usize, f: impl FnOnce(f64) -> f64) {
+        self.0.update(j, f);
     }
 }
 
@@ -79,14 +79,7 @@ pub trait SharedKernel: Sync {
     /// One gradient step on `row`, drawn with step correction `corr`,
     /// against the shared model. Returns the observed gradient scale
     /// `|ℓ'(m)|`, or 0.0 when not meaningful.
-    fn step_shared(
-        &self,
-        row: &SparseRow<'_>,
-        corr: f64,
-        lambda: f64,
-        model: &SharedModel,
-        mode: UpdateMode,
-    ) -> f64;
+    fn step_shared(&self, row: &SparseRow<'_>, corr: f64, lambda: f64, model: &SharedModel) -> f64;
 }
 
 /// A training algorithm's kernel, driven by the
@@ -166,7 +159,7 @@ mod tests {
         // The kernel's own pin: the same generic step on a slice and on
         // a fresh one-thread shared view leaves identical bits — margin
         // (7 non-zeros: unrolled body + tail), gradient scale and the
-        // regularized write — for every regularizer and both modes.
+        // regularized write — for every regularizer.
         let mut b = DatasetBuilder::new(9);
         let wide = [
             (0, 1.5),
@@ -187,21 +180,19 @@ mod tests {
             Regularizer::L2 { eta: 0.05 },
         ] {
             let obj = Objective::new(LogisticLoss, reg);
-            for mode in [UpdateMode::AtomicCas, UpdateMode::RacyHogwild] {
-                let mut dense = w0;
-                let model = SharedModel::from_dense(&w0);
-                let mut view = SharedView(&model, mode);
-                for _ in 0..3 {
-                    for row in ds.rows() {
-                        let g_dense = sgd_step(&obj, &row, 0.1, dense.as_mut_slice());
-                        let g_shared = sgd_step(&obj, &row, 0.1, &mut view);
-                        assert_eq!(g_dense.to_bits(), g_shared.to_bits(), "{reg:?}/{mode:?}");
-                    }
+            let mut dense = w0;
+            let model = SharedModel::from_dense(&w0);
+            let mut view = SharedView(&model);
+            for _ in 0..3 {
+                for row in ds.rows() {
+                    let g_dense = sgd_step(&obj, &row, 0.1, dense.as_mut_slice());
+                    let g_shared = sgd_step(&obj, &row, 0.1, &mut view);
+                    assert_eq!(g_dense.to_bits(), g_shared.to_bits(), "{reg:?}");
                 }
-                let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&dense), bits(&model.snapshot()), "{reg:?}/{mode:?}");
-                assert_ne!(bits(&dense), bits(&w0), "the steps must move the model");
             }
+            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&dense), bits(&model.snapshot()), "{reg:?}");
+            assert_ne!(bits(&dense), bits(&w0), "the steps must move the model");
         }
     }
 }

@@ -26,7 +26,6 @@ use crate::error::CoreError;
 use crate::eval::full_gradient;
 use crate::solvers::solver::{SharedKernel, SharedView, Solver};
 use isasgd_losses::{kernel, Loss, Objective};
-use isasgd_model::shared::UpdateMode;
 use isasgd_model::SharedModel;
 use isasgd_sparse::{Dataset, SparseRow};
 
@@ -142,19 +141,18 @@ impl<L: Loss> SharedKernel for SvrgSolver<'_, L> {
         _corr: f64,
         lambda: f64,
         model: &SharedModel,
-        mode: UpdateMode,
     ) -> f64 {
-        let m_w = kernel::margin(row, &SharedView(model, mode));
+        let m_w = kernel::margin(row, &SharedView(model));
         let g_w = self.obj.grad_scale(row, m_w);
         let m_s = self.obj.margin(row, &self.snapshot);
         let g_s = self.obj.grad_scale(row, m_s);
         let coeff = -lambda * (g_w - g_s);
         for (&j, &x) in row.indices.iter().zip(row.values) {
-            model.add(j as usize, coeff * x, mode);
+            model.add(j as usize, coeff * x);
         }
         for (j, &mj) in self.mu.iter().enumerate() {
             if mj != 0.0 {
-                model.add(j, -lambda * mj, mode);
+                model.add(j, -lambda * mj);
             }
         }
         0.0

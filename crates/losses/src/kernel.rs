@@ -12,8 +12,7 @@
 //! The regularizer subgradient is evaluated at the coordinate *after*
 //! the gradient axpy — `w_j ← (w_j + c·x_j) − s·r'(w_j + c·x_j)` — and
 //! the whole map is handed to [`ModelAccess::update`] as one closure, so
-//! an atomic model applies gradient and regularizer in a single
-//! read-modify-write.
+//! an atomic model applies gradient and regularizer in a single store.
 //!
 //! The L1 subgradient inside that map is written as a select, not a
 //! branch: the sign of a trained weight follows no pattern a branch
@@ -30,9 +29,9 @@ pub trait ModelAccess {
     /// Reads coordinate `j`.
     fn get(&self, j: usize) -> f64;
 
-    /// Replaces `w_j` by `f(w_j)`. A concurrent model may call `f` more
-    /// than once (a retried compare-exchange), so `f` must be pure.
-    fn update(&mut self, j: usize, f: impl Fn(f64) -> f64);
+    /// Replaces `w_j` by `f(w_j)`. A concurrent model stores `f` of the
+    /// value it loaded; a racing writer may overwrite it (Hogwild).
+    fn update(&mut self, j: usize, f: impl FnOnce(f64) -> f64);
 }
 
 impl ModelAccess for [f64] {
@@ -42,7 +41,7 @@ impl ModelAccess for [f64] {
     }
 
     #[inline]
-    fn update(&mut self, j: usize, f: impl Fn(f64) -> f64) {
+    fn update(&mut self, j: usize, f: impl FnOnce(f64) -> f64) {
         self[j] = f(self[j]);
     }
 }

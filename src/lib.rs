@@ -77,7 +77,7 @@ pub mod prelude {
     pub use isasgd_metrics::{
         interpolate::time_to_error, speedup::SpeedupSummary, Trace, TracePoint,
     };
-    pub use isasgd_model::{shared::UpdateMode, SavedModel, SharedModel};
+    pub use isasgd_model::{SavedModel, SharedModel};
     pub use isasgd_sampling::{
         AdaptiveIsSampler, CommitPolicy, Draw, Sampler, SamplingStrategy, ScheduleStream, ShardSpec,
     };

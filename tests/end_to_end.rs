@@ -187,22 +187,3 @@ fn error_paths_are_typed() {
     )
     .is_err());
 }
-
-#[test]
-fn update_mode_racy_vs_cas_both_work() {
-    let data = planted(800, 300, 7);
-    for mode in [UpdateMode::AtomicCas, UpdateMode::RacyHogwild] {
-        let mut cfg = TrainConfig::default().with_epochs(4);
-        cfg.update_mode = mode;
-        let r = train(
-            &data.dataset,
-            &obj(),
-            Algorithm::Asgd,
-            Execution::Threads(4),
-            &cfg,
-            "m",
-        )
-        .unwrap();
-        assert!(r.final_metrics.error_rate < 0.3, "{mode:?}");
-    }
-}

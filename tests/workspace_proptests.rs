@@ -142,7 +142,7 @@ proptest! {
                 .collect();
             let mut dense = w0.clone();
             let model = SharedModel::from_dense(&w0);
-            let mut shared = SharedView(&model, UpdateMode::AtomicCas);
+            let mut shared = SharedView(&model);
             let (mut got_dense, mut got_shared) = (Vec::new(), Vec::new());
             let mut window = RowWindow::with_row_capacity(0);
             for cut in &windows {
