@@ -174,11 +174,11 @@ mod tests {
         b.push_row(&[(1, 0.5), (3, -2.0)], -1.0).unwrap();
         let ds = b.finish();
         let w0 = [0.3, -0.2, 0.0, 0.1, -0.4, 0.25, 0.0, -0.6, 0.05];
-        for reg in [
-            Regularizer::None,
-            Regularizer::L1 { eta: 0.05 },
-            Regularizer::L2 { eta: 0.05 },
-        ] {
+        let mut regs = vec![Regularizer::None];
+        for eta in [0.0, 1e-5, 0.05] {
+            regs.extend([Regularizer::L1 { eta }, Regularizer::L2 { eta }]);
+        }
+        for reg in regs {
             let obj = Objective::new(LogisticLoss, reg);
             let mut dense = w0;
             let model = SharedModel::from_dense(&w0);

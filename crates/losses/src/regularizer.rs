@@ -64,10 +64,13 @@ impl Regularizer {
     ///
     /// The L1 arm is two selects, not a branch chain: it returns η, −η
     /// or +0.0 exactly as `if wj > 0 {η} else if wj < 0 {−η} else {0}`
-    /// does for every `wj` (±0.0 and NaN give +0.0) and every η, but
-    /// leaves the compiler free to use conditional moves instead of a
-    /// jump on the sign of a trained weight. It is not a multiply by a
-    /// sign: `η·0.0` is NaN at η = ∞.
+    /// does for every `wj` (±0.0 and NaN give +0.0) and every η. That
+    /// lets the compiler lower it to a mask select instead of a jump on
+    /// the sign of a trained weight, but only where the regularizer's
+    /// variant is known: a loop that matches on it per coordinate kept
+    /// the jump in the shared-model step, so `kernel::apply_update`
+    /// matches first and runs one loop per arm. It is not a multiply by
+    /// a sign: `η·0.0` is NaN at η = ∞.
     #[inline]
     pub(crate) fn grad_coord(&self, wj: f64) -> f64 {
         match *self {
