@@ -13,7 +13,7 @@ use isasgd_sparse::SparseError;
 ///
 /// The sort is ascending by weight, ties (and −0.0 against +0.0) broken by
 /// index. It runs on `(key, index)` pairs, where the key is
-/// [`order_key`] of the weight: one integer comparison per step and no
+/// `order_key` of the weight: one integer comparison per step and no
 /// weight lookup. A NaN weight gets a key too, so the order is total
 /// whatever the input; [`rearrange`](crate::rearrange) refuses NaN before
 /// it gets here.

@@ -45,8 +45,9 @@ enum Mode {
 }
 
 /// One run's decision maker: replays a scripted choice prefix, then
-/// extends it according to its [`Mode`]. Every decision is logged with
-/// its fan-out so the explorer can backtrack.
+/// extends it according to its mode (depth-first search, strict
+/// replay or a seeded random walk). Every decision is logged with its
+/// fan-out so the explorer can backtrack.
 pub struct Chooser {
     script: Vec<u32>,
     pos: usize,

@@ -21,10 +21,10 @@
 //! [`replay`]) that re-execute the exact interleaving as ordinary
 //! tests.
 //!
-//! Module map: [`explore`] (chooser + DFS engine), [`sched`] (the
-//! model transport and scheduler), [`scenario`] (real cluster runs
-//! under the scheduler, invariant judging), [`replay`] (the
-//! `.schedule` wire format).
+//! Module map: [`explore`](mod@explore) (chooser + DFS engine),
+//! [`sched`] (the model transport and scheduler), [`scenario`] (real
+//! cluster runs under the scheduler, invariant judging), [`replay`]
+//! (the `.schedule` wire format).
 
 #![forbid(unsafe_code)]
 

@@ -163,7 +163,7 @@ fn classify(
     if run.model != oracle.model {
         return Verdict::Violation("final model diverged from the sequential oracle".into());
     }
-    if run.rounds != oracle.rounds || run.syncs != oracle.syncs {
+    if run.trace.points_without_clock() != oracle.trace.points_without_clock() {
         return Verdict::Violation("round trace diverged from the sequential oracle".into());
     }
     if run.phi_imbalance != oracle.phi_imbalance || run.balanced != oracle.balanced {

@@ -247,7 +247,11 @@ fn assert_undisturbed(tag: &str, clean: &ClusterRun, got: Result<ClusterRun, Clu
         got.model, clean.model,
         "{tag}: adversary perturbed the model"
     );
-    assert_eq!(got.rounds, clean.rounds, "{tag}: round traces diverged");
+    assert_eq!(
+        got.trace.points_without_clock(),
+        clean.trace.points_without_clock(),
+        "{tag}: round traces diverged"
+    );
     assert_eq!(
         got.observed_phi_imbalance, clean.observed_phi_imbalance,
         "{tag}: feedback mirror diverged"

@@ -219,10 +219,10 @@ fn report_cluster(
         reason = "the parity e2e compares these lines byte-for-byte across transports"
     )]
     if !quiet {
-        for p in &r.rounds {
+        for (round, p) in r.trace.points.iter().enumerate() {
             eprintln!(
-                "[round {:>4}] obj={:<12.8} rmse={:<12.8} err={:.6}",
-                p.round, p.objective, p.rmse, p.error_rate
+                "[round {round:>4}] obj={:<12.8} rmse={:<12.8} err={:.6}",
+                p.objective, p.rmse, p.error_rate
             );
         }
         if let Some(observed) = r.observed_phi_imbalance {
@@ -236,7 +236,7 @@ fn report_cluster(
         // order), so `--log-level info` or `--trace-out` renders what
         // the old `[net]` lines printed.
     }
-    let last = r.rounds.last().expect("≥1 round");
+    let last = r.trace.last().expect("≥1 round");
     // Coordinator-side wire totals across all links (socket transports
     // only — in-process channel runs report no counters).
     let wire = if r.net.is_empty() {
@@ -252,12 +252,12 @@ fn report_cluster(
         r.trace.algorithm,
         cluster.transport.name(),
         cluster.nodes,
-        r.syncs,
+        spec.epochs,
         cluster.local_epochs,
         r.phi_imbalance,
         last.objective,
         last.error_rate,
-        r.trace.points.last().map(|p| p.wall_secs).unwrap_or(0.0),
+        last.wall_secs,
         wire,
     );
     report_holdout(spec, &r.model, test);

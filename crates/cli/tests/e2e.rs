@@ -400,7 +400,7 @@ fn commit_flag_end_to_end() {
 #[test]
 fn cluster_transports_produce_identical_round_traces() {
     // The PR-4 acceptance path: `train --cluster-transport tcp` on
-    // localhost must produce a bit-identical RoundPoint trace to
+    // localhost must produce a bit-identical round trace to
     // `--cluster-transport inproc` for the same seed — the per-round
     // lines carry no wall-clock fields, so the comparison is textual.
     let dir = tmpdir("cluster");

@@ -1,4 +1,4 @@
-//! The distributed runtime: a [`Coordinator`]-less round driver and the
+//! The distributed runtime: the coordinator's round driver and the
 //! per-node `NodeRuntime`, both generic over [`Transport`].
 //!
 //! This module replaced the old single-threaded round loop that called
@@ -35,7 +35,7 @@
 //! and a single-node run stays bit-equal to the sequential engine
 //! (`tests/equivalence.rs`).
 
-use crate::node::{validate, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs, RoundPoint};
+use crate::node::{validate, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs};
 use crate::sync::average_models;
 use crate::transport::{TelemetrySample, Transport};
 use crate::wire::{CheckpointSampler, CheckpointState, Message, SessionConfig, WorkerTiming};
@@ -257,7 +257,6 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
         cfg.nodes,
         cfg.step_size,
     );
-    let mut rounds = Vec::with_capacity(cfg.rounds + 1);
     let mut consensus = vec![0.0f64; d];
     let m0 = obj.eval(data, &consensus);
     trace.push(TracePoint {
@@ -267,19 +266,12 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
         rmse: m0.rmse,
         error_rate: m0.error_rate,
     });
-    rounds.push(RoundPoint {
-        round: 0,
-        objective: m0.objective,
-        rmse: m0.rmse,
-        error_rate: m0.error_rate,
-    });
 
     let mut train_secs = 0.0;
     let shard_sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
     let mut models: Vec<Vec<f64>> = vec![Vec::new(); cfg.nodes];
     let mut feedback_rows = 0usize;
-    // Worker timing frames that reach the collect loop (plain links hand
-    // them up; the fleet's links absorb their own).
+    // Worker timing frames, as the collect loop receives them.
     let mut telemetry = Vec::new();
     for round in 1..=cfg.rounds {
         isasgd_obs::emit(&Event::RoundStart {
@@ -359,7 +351,21 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
                         node,
                         round,
                         timing,
-                    } => telemetry.push(TelemetrySample::absorb(node, round, timing)),
+                    } => {
+                        isasgd_obs::emit(&Event::WorkerTiming {
+                            node: u64::from(node),
+                            round,
+                            compute_us: timing.compute_us,
+                            barrier_wait_us: timing.barrier_wait_us,
+                            rows: timing.rows,
+                            commits: timing.commits,
+                        });
+                        telemetry.push(TelemetrySample {
+                            node,
+                            round,
+                            timing,
+                        });
+                    }
                     _ => {}
                 }
             }
@@ -375,12 +381,6 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
         trace.push(TracePoint {
             epoch: (round * cfg.local_epochs) as f64,
             wall_secs: train_secs,
-            objective: m.objective,
-            rmse: m.rmse,
-            error_rate: m.error_rate,
-        });
-        rounds.push(RoundPoint {
-            round,
             objective: m.objective,
             rmse: m.rmse,
             error_rate: m.error_rate,
@@ -436,23 +436,16 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
     Ok(ClusterRun {
         trace,
         model: consensus,
-        rounds,
         phi_imbalance,
         balanced: plan.balanced,
         rho: plan.rho,
-        syncs: cfg.rounds,
         feedback_rows,
         observed_phi_imbalance,
         net,
         // Per-slot recovery footprints, where the transport supervises
         // (the fleet's links do; plain links report nothing).
         recovery: links.iter().filter_map(|l| l.recovery()).collect(),
-        // Worker-shipped per-round timing: what the collect loop took in
-        // from plain links, then what supervised links absorbed.
-        telemetry: telemetry
-            .into_iter()
-            .chain(links.iter().filter_map(|l| l.telemetry()).flatten())
-            .collect(),
+        telemetry,
     })
 }
 
@@ -844,9 +837,8 @@ impl<T: Transport> NodeRuntime<T> {
             }
             // Ship the round's timing *before* the replica: the
             // coordinator's collect loop for this round is still
-            // draining (it has not seen the ModelUpdate yet), so the
-            // frame is absorbed by supervised links or by the collect
-            // loop itself — for every round, including the last.
+            // draining (it has not seen the ModelUpdate yet), so it
+            // records the frame — for every round, including the last.
             if cfg.telemetry {
                 isasgd_obs::emit(&Event::BarrierWait {
                     node: u64::from(id),

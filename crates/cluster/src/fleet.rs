@@ -1,6 +1,6 @@
-//! The [`ProcessFleet`]-style supervisor behind
-//! `--cluster-transport process`: spawn, admit, drive, and (optionally)
-//! resurrect a fleet of `isasgd worker` OS processes.
+//! The supervisor behind `--cluster-transport process`: spawn, admit,
+//! drive, and (optionally) resurrect a fleet of `isasgd worker` OS
+//! processes.
 //!
 //! # Shape
 //!
@@ -73,8 +73,7 @@ use crate::coordinator::{coordinate, plan_run};
 use crate::node::{validate, ClusterConfig, ClusterError, ClusterRun};
 use crate::procnode::wire_known_loss;
 use crate::transport::{
-    LinkStats, ProcessConfig, RecoveryFootprint, Tcp, TelemetrySample, Transport, TransportError,
-    WorkerLossPolicy,
+    LinkStats, ProcessConfig, RecoveryFootprint, Tcp, Transport, TransportError, WorkerLossPolicy,
 };
 use crate::wire::{
     dataset_shard_chunk_lens, encode_dataset_shard_chunk, Message, SessionConfig, WireError,
@@ -388,8 +387,8 @@ impl<S: WorkerSpawner> FleetShared<S> {
 
 /// One supervised coordinator↔worker link: a [`Tcp`] endpoint plus the
 /// outbound message log that makes deterministic respawn possible.
-/// The log holds round models in storage shared with the other links
-/// (see [`FleetShared`]), every other message as sent.
+/// The log holds round models in storage shared with the other links,
+/// every other message as sent.
 pub struct SupervisedLink<S: WorkerSpawner> {
     shared: Arc<Mutex<FleetShared<S>>>,
     node: u32,
@@ -413,9 +412,6 @@ pub struct SupervisedLink<S: WorkerSpawner> {
     /// Successful respawns on this slot (reported in the run's
     /// recovery footprint).
     respawns: u32,
-    /// Absorbed [`Message::Telemetry`] samples in arrival order
-    /// (replays re-ship recomputed rounds, so duplicates stay visible).
-    samples: Vec<TelemetrySample>,
 }
 
 impl<S: WorkerSpawner> SupervisedLink<S> {
@@ -582,17 +578,6 @@ impl<S: WorkerSpawner> Transport for SupervisedLink<S> {
                         self.recover(e)?;
                     }
                 }
-                // Telemetry is observability traffic: absorbed into the
-                // slot's sample list, never surfaced to the round
-                // driver, never acked, never logged for replay.
-                Ok(Message::Telemetry {
-                    node,
-                    round,
-                    timing,
-                }) => {
-                    self.samples
-                        .push(TelemetrySample::absorb(node, round, timing));
-                }
                 Ok(m) => return Ok(m),
                 // After recovery the replacement re-emits everything the
                 // lost worker owed; loop back into recv for it.
@@ -618,10 +603,6 @@ impl<S: WorkerSpawner> Transport for SupervisedLink<S> {
             checkpoint_bytes: self.ckpt.as_ref().map_or(0, |(_, b)| b.len() as u64),
             respawns: self.respawns,
         })
-    }
-
-    fn telemetry(&self) -> Option<Vec<TelemetrySample>> {
-        Some(self.samples.clone())
     }
 }
 
@@ -741,7 +722,6 @@ pub fn run_fleet_with<L: Loss, S: WorkerSpawner>(
             stats: LinkStats::default(),
             ckpt: None,
             respawns: 0,
-            samples: Vec::new(),
         });
     }
 
@@ -826,7 +806,6 @@ mod tests {
                     stats: LinkStats::default(),
                     ckpt: None,
                     respawns: 0,
-                    samples: Vec::new(),
                 };
                 (link, worker)
             })

@@ -2,8 +2,8 @@
 //! pluggable [`Transport`].
 //!
 //! §2.3 of the paper frames importance imbalance in terms of processes
-//! that "run on [their] corresponding core/node and typically work on
-//! [their] local dataset". Within one machine the Hogwild solvers of
+//! that "run on \[their\] corresponding core/node and typically work on
+//! \[their\] local dataset". Within one machine the Hogwild solvers of
 //! `isasgd-core` cover the *core* half of that sentence; this crate
 //! covers the *node* half: `K` nodes each hold a contiguous shard, run
 //! local sequential (IS-)SGD, and periodically synchronize by model
@@ -98,7 +98,7 @@ pub mod wire;
 
 pub use coordinator::{run_with_links, run_with_links_observed};
 pub use fleet::{run_fleet_with, CommandSpawner, WorkerHandle, WorkerSpawner};
-pub use node::{run, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs, RoundPoint};
+pub use node::{run, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs};
 pub use procnode::{run_worker, WorkerOptions, WorkerReport};
 pub use sync::{average_models, SyncStrategy};
 pub use transport::{

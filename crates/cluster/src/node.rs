@@ -70,11 +70,9 @@ pub struct ClusterConfig {
     pub checkpoint_every: u64,
     /// When set, workers ship a per-round [`Message::Telemetry`] timing
     /// sample (compute time, barrier wait, draws, commits) that the
-    /// coordinator collects into [`ClusterRun::telemetry`] on every
-    /// transport (the process fleet's supervisor absorbs them on its
-    /// links, the collect loop on plain ones). Observability-only and inert:
-    /// the equivalence tests pin bit-identical models with this on and
-    /// off.
+    /// coordinator's collect loop records into [`ClusterRun::telemetry`]
+    /// on every transport. Observability-only and inert: the
+    /// equivalence tests pin bit-identical models with this on and off.
     ///
     /// [`Message::Telemetry`]: crate::wire::Message::Telemetry
     pub telemetry: bool,
@@ -128,32 +126,18 @@ impl Default for ClusterConfig {
     }
 }
 
-/// One synchronization round's evaluation of the consensus model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RoundPoint {
-    /// Round number (1-based; 0 is the initial model).
-    pub round: usize,
-    /// Global objective `F(w)` of the consensus model.
-    pub objective: f64,
-    /// RMSE (paper §4 definition).
-    pub rmse: f64,
-    /// Misclassification fraction.
-    pub error_rate: f64,
-}
-
 /// Result of a cluster run.
 #[derive(Debug, Clone)]
 pub struct ClusterRun {
-    /// Consensus-model trace; one point per round. `wall_secs` is
+    /// Consensus-model trace: point `r` evaluates the consensus after
+    /// round `r` (point 0 is the initial model). `wall_secs` is
     /// cumulative round time as the coordinator saw it: parallel local
-    /// training (max over nodes) plus transport round-trips.
+    /// training (max over nodes) plus transport round-trips, so runs
+    /// are compared bit for bit through
+    /// [`Trace::points_without_clock`].
     pub trace: Trace,
     /// Final consensus model.
     pub model: Vec<f64>,
-    /// Per-round metrics (redundant with `trace`, typed for convenience
-    /// — and deliberately wall-clock-free, so traces are bit-comparable
-    /// across transports).
-    pub rounds: Vec<RoundPoint>,
     /// Max/mean ratio of the shard importance sums Φ_a — 1.0 is the
     /// perfectly balanced Eq. 19 condition.
     pub phi_imbalance: f64,
@@ -161,8 +145,6 @@ pub struct ClusterRun {
     pub balanced: bool,
     /// Measured ρ of the importance weights.
     pub rho: f64,
-    /// Number of synchronizations performed.
-    pub syncs: usize,
     /// Observation entries the coordinator applied to its feedback
     /// mirror (0 for non-adaptive runs; counts duplicate deliveries —
     /// whether transport-injected or re-sent by a respawned worker's
@@ -186,14 +168,14 @@ pub struct ClusterRun {
     /// empty otherwise. Like `net`, excluded from bit-equality: it
     /// measures supervision, not the computation.
     pub recovery: Vec<RecoveryFootprint>,
-    /// Per-round worker timing samples absorbed from
-    /// [`Message::Telemetry`] frames, in arrival order — populated
-    /// whenever [`ClusterConfig::telemetry`] is set, on every transport;
-    /// empty otherwise. Respawn recovery replays recomputed rounds, so a
-    /// round may appear more than once per node (kept visible
-    /// deliberately). Like `net`/`recovery`,
-    /// excluded from bit-equality: it measures timing, not the
-    /// computation.
+    /// Per-round worker timing samples, one per [`Message::Telemetry`]
+    /// frame the coordinator's collect loop received, in the order it
+    /// received them: round by round, link 0 first within a round, on
+    /// every transport. Populated whenever [`ClusterConfig::telemetry`]
+    /// is set; empty otherwise. Respawn recovery replays recomputed
+    /// rounds, so a round may appear more than once per node (kept
+    /// visible deliberately). Like `net`/`recovery`, excluded from
+    /// bit-equality: it measures timing, not the computation.
     ///
     /// [`Message::Telemetry`]: crate::wire::Message::Telemetry
     pub telemetry: Vec<TelemetrySample>,
@@ -296,11 +278,6 @@ pub(crate) fn validate<L: Loss>(
             "dataset dimension is 0: the rows have no features".into(),
         ));
     }
-    if cfg.rounds == 0 || cfg.local_epochs == 0 {
-        return Err(ClusterError::InvalidConfig(
-            "rounds and local_epochs must be ≥ 1".into(),
-        ));
-    }
     // Sessions carry the count as a u32 (`SessionConfig::local_epochs`);
     // a wider one would be truncated, so every worker would loop over
     // the remainder — for 2^32, not at all.
@@ -311,17 +288,33 @@ pub(crate) fn validate<L: Loss>(
             u32::MAX
         )));
     }
-    if !(cfg.step_size.is_finite() && cfg.step_size > 0.0) {
+    check_session(&cfg.session(obj))
+}
+
+/// The half of [`validate`] that needs no dataset: the checks a worker
+/// process applies to the [`SessionConfig`] it is assigned, since the
+/// wire carries any value. The coordinator and the worker refuse a
+/// session in the same words.
+pub(crate) fn check_session(sc: &SessionConfig) -> Result<(), ClusterError> {
+    if sc.nodes == 0 {
+        return Err(ClusterError::InvalidConfig("nodes must be ≥ 1".into()));
+    }
+    if sc.rounds == 0 || sc.local_epochs == 0 {
+        return Err(ClusterError::InvalidConfig(
+            "rounds and local_epochs must be ≥ 1".into(),
+        ));
+    }
+    if !(sc.step_size.is_finite() && sc.step_size > 0.0) {
         return Err(ClusterError::InvalidConfig(format!(
             "step size {} must be positive",
-            cfg.step_size
+            sc.step_size
         )));
     }
-    obj.reg.check().map_err(ClusterError::InvalidConfig)?;
+    sc.reg.check().map_err(ClusterError::InvalidConfig)?;
     // The same rule the core plan applies, against the strategy nodes
     // actually run.
-    cfg.commit
-        .check_strategy(cfg.importance.effective_sampling(cfg.sampling))
+    sc.commit
+        .check_strategy(sc.importance.effective_sampling(sc.sampling))
         .map_err(|e| ClusterError::InvalidConfig(e.to_string()))
 }
 
@@ -417,13 +410,12 @@ mod tests {
             ..ClusterConfig::default()
         };
         let r = run(&ds, &obj(), &cfg).unwrap();
-        assert_eq!(r.syncs, 8);
-        assert_eq!(r.rounds.len(), 9);
-        let last = r.rounds.last().unwrap();
+        assert_eq!(r.trace.points.len(), 9);
+        let last = r.trace.last().unwrap();
         assert_eq!(last.error_rate, 0.0, "separable data must fit");
-        assert!(last.objective < r.rounds[0].objective);
+        assert!(last.objective < r.trace.points[0].objective);
         // Trace epochs advance by local_epochs per round.
-        assert_eq!(r.trace.points.last().unwrap().epoch, 8.0);
+        assert_eq!(last.epoch, 8.0);
     }
 
     /// Regression: a row whose ‖x‖² overflows weighs +∞ under gradnorm
@@ -475,7 +467,7 @@ mod tests {
         };
         let r = run(&ds, &obj(), &cfg).unwrap();
         assert_eq!(r.phi_imbalance, 1.0, "one shard is trivially balanced");
-        assert_eq!(r.rounds.last().unwrap().error_rate, 0.0);
+        assert_eq!(r.trace.last().unwrap().error_rate, 0.0);
     }
 
     #[test]
@@ -512,7 +504,11 @@ mod tests {
         };
         let tcp = run(&ds, &obj(), &tcp_cfg).unwrap();
         assert_eq!(inproc.model, tcp.model, "transports diverged");
-        assert_eq!(inproc.rounds, tcp.rounds, "RoundPoint traces diverged");
+        assert_eq!(
+            inproc.trace.points_without_clock(),
+            tcp.trace.points_without_clock(),
+            "round traces diverged"
+        );
         assert_eq!(inproc.feedback_rows, tcp.feedback_rows);
         assert_eq!(inproc.observed_phi_imbalance, tcp.observed_phi_imbalance);
     }
@@ -628,7 +624,7 @@ mod tests {
         )
         .unwrap();
         assert!(
-            long.rounds.last().unwrap().objective <= short.rounds.last().unwrap().objective,
+            long.trace.last().unwrap().objective <= short.trace.last().unwrap().objective,
             "4 local epochs/round should reach a lower objective after 2 rounds"
         );
         assert_eq!(long.trace.points.last().unwrap().epoch, 8.0);

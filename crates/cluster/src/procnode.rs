@@ -22,7 +22,8 @@
 //! exact bits the coordinator's own plan holds — so the equivalence
 //! extends to workers that never saw the full dataset.
 //!
-//! The loss crosses the wire as its stable [`Loss::name`] string; only
+//! The loss crosses the wire as its stable
+//! [`Loss::name`](isasgd_losses::Loss::name) string; only
 //! wire-known losses (`logistic`, `squared_hinge`, `squared`) can run
 //! cross-process, and an unknown name is a typed error, not a panic.
 
@@ -31,7 +32,7 @@
 #![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 
 use crate::coordinator::{NodeRuntime, ShardInput};
-use crate::node::ClusterError;
+use crate::node::{check_session, ClusterError};
 use crate::transport::{Tcp, Transport, TransportError};
 use crate::wire::{Message, SessionConfig, PROTOCOL_VERSION};
 use isasgd_losses::{with_loss, Objective};
@@ -125,83 +126,63 @@ pub fn run_worker(connect: &str, opts: &WorkerOptions) -> Result<WorkerReport, C
 /// other and tile the declared shard exactly). Returns the shard's
 /// rows, their importance weights, and its first global row.
 fn receive_shard(link: &mut Tcp, worker: u32) -> Result<(Dataset, Vec<f64>, usize), ClusterError> {
-    let bad = |what: &str, got: String| ClusterError::Worker(format!("handshake: {what}{got}"));
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the Tcp link still carries the handshake read deadline armed at connect"
-    )]
-    let (shard_start, shard_rows, dim, mut builder, mut weights) = match link.recv()? {
-        Message::DatasetShard {
+    let bad = |what: String| ClusterError::Worker(format!("handshake: {what}"));
+    // The stream header `(shard_start, shard_rows, dim)`, taken from the
+    // first chunk; every chunk, the first included, must repeat it.
+    let mut head: Option<(u32, u32, usize)> = None;
+    let mut builder = DatasetBuilder::new(0);
+    let mut weights = Vec::new();
+    loop {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the Tcp link still carries the handshake read deadline armed at connect"
+        )]
+        let msg = link.recv()?;
+        let Message::DatasetShard {
             shard,
             shard_start,
             shard_rows,
             start,
-            weights,
+            weights: w,
             chunk,
-        } => {
-            if shard != worker {
-                return Err(bad(
-                    "first shard chunk is for node ",
-                    format!("{shard}, this worker is {worker}"),
-                ));
-            }
-            if start != shard_start {
-                return Err(bad(
-                    "shard stream must begin at its first row, got row ",
-                    format!("{start} of a shard starting at {shard_start}"),
-                ));
-            }
-            let dim = chunk.dim();
-            let mut builder = DatasetBuilder::new(dim);
-            append_chunk(&mut builder, &chunk);
-            (shard_start, shard_rows, dim, builder, weights)
+        } = msg
+        else {
+            return Err(bad(format!(
+                "expected a DatasetShard chunk, got {}",
+                msg.kind()
+            )));
+        };
+        let (s0, n0, dim) = *head.get_or_insert_with(|| {
+            builder = DatasetBuilder::new(chunk.dim());
+            (shard_start, shard_rows, chunk.dim())
+        });
+        if shard != worker || shard_start != s0 || shard_rows != n0 {
+            return Err(bad(format!(
+                "shard chunk for node {shard} rows {shard_start}..{} disagrees with the \
+                 stream's header: node {worker} rows {s0}..{}",
+                u64::from(shard_start) + u64::from(shard_rows),
+                u64::from(s0) + u64::from(n0)
+            )));
         }
-        other => return Err(bad("expected DatasetShard, got ", other.kind().to_string())),
-    };
-    while weights.len() < shard_rows as usize {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "same deadline-armed Tcp link as the first shard frame"
-        )]
-        match link.recv()? {
-            Message::DatasetShard {
-                shard,
-                shard_start: s0,
-                shard_rows: n0,
-                start,
-                weights: w,
-                chunk,
-            } => {
-                if shard != worker || s0 != shard_start || n0 != shard_rows {
-                    return Err(bad(
-                        "shard chunk disagrees with the stream's header: ",
-                        format!("shard {shard} rows {s0}..{}", u64::from(s0) + u64::from(n0)),
-                    ));
-                }
-                if chunk.dim() != dim {
-                    return Err(bad("shard chunk dim changed mid-stream", String::new()));
-                }
-                if u64::from(start) != u64::from(shard_start) + weights.len() as u64 {
-                    return Err(bad(
-                        "shard chunks must arrive contiguously, got row ",
-                        format!(
-                            "{start} after {} assembled rows from {shard_start}",
-                            weights.len()
-                        ),
-                    ));
-                }
-                append_chunk(&mut builder, &chunk);
-                weights.extend_from_slice(&w);
-            }
-            other => {
-                return Err(bad(
-                    "expected the next DatasetShard chunk, got ",
-                    other.kind().to_string(),
-                ))
-            }
+        if chunk.dim() != dim {
+            return Err(bad(format!(
+                "shard chunk dim {} != stream dim {dim}",
+                chunk.dim()
+            )));
+        }
+        if u64::from(start) != u64::from(s0) + weights.len() as u64 {
+            return Err(bad(format!(
+                "shard chunks must arrive contiguously, got row {start} after {} assembled \
+                 rows from {s0}",
+                weights.len()
+            )));
+        }
+        append_chunk(&mut builder, &chunk);
+        weights.extend_from_slice(&w);
+        if weights.len() >= n0 as usize {
+            return Ok((builder.finish(), weights, s0 as usize));
         }
     }
-    Ok((builder.finish(), weights, shard_start as usize))
 }
 
 /// Re-appends a decoded chunk's rows to the shard builder. The wire
@@ -222,9 +203,9 @@ fn serve(
     shard: ShardInput<'_>,
     die_at_round: Option<u64>,
 ) -> Result<WorkerReport, ClusterError> {
-    // The wire carries any f64: a worker applies the coordinator's η
-    // rule itself rather than trusting the peer.
-    sc.reg.check().map_err(ClusterError::InvalidConfig)?;
+    // The wire carries any value: a worker applies the coordinator's
+    // session rules itself rather than trusting the peer.
+    check_session(&sc)?;
     let runtime = NodeRuntime::new(link, worker as usize).with_chaos_kill(die_at_round);
     with_loss!(sc.loss.as_str(), |loss| {
         runtime.run_session(shard, &Objective::new(loss, sc.reg), &sc)
@@ -255,17 +236,54 @@ mod tests {
     use crate::transport::tcp_loopback_links;
     use crate::ClusterConfig;
     use isasgd_losses::{LogisticLoss, Regularizer};
+    use isasgd_sampling::CommitPolicy;
 
-    /// A coordinator that skipped the η rule cannot make a worker train
-    /// on it: the assigned regularizer is checked before the session.
+    /// A coordinator that skipped the session rules cannot make a
+    /// worker train on what they refuse: the assigned session is checked
+    /// before the worker touches its link, in `validate`'s words.
     #[test]
-    fn serve_refuses_an_assigned_eta_outside_the_rule() {
+    fn serve_refuses_an_assigned_session_outside_the_rules() {
         let mut b = DatasetBuilder::new(2);
         b.push_row(&[(0, 1.0)], 1.0).unwrap();
         let rows = b.finish();
-        for eta in [-1.0, f64::NAN, f64::INFINITY] {
-            let obj = Objective::new(LogisticLoss, Regularizer::L1 { eta });
-            let sc = ClusterConfig::default().session(&obj);
+        let session = |eta: f64| {
+            ClusterConfig::default().session(&Objective::new(LogisticLoss, Regularizer::L1 { eta }))
+        };
+        let with = |f: fn(&mut SessionConfig)| {
+            let mut sc = session(0.0);
+            f(&mut sc);
+            sc
+        };
+        let cases = [
+            ("η = -1", session(-1.0), "η"),
+            ("η = NaN", session(f64::NAN), "η"),
+            ("η = ∞", session(f64::INFINITY), "η"),
+            ("step NaN", with(|sc| sc.step_size = f64::NAN), "step size"),
+            (
+                "step ∞",
+                with(|sc| sc.step_size = f64::INFINITY),
+                "step size",
+            ),
+            ("step 0", with(|sc| sc.step_size = 0.0), "step size"),
+            ("step -1", with(|sc| sc.step_size = -1.0), "step size"),
+            (
+                "0 rounds",
+                with(|sc| sc.rounds = 0),
+                "rounds and local_epochs",
+            ),
+            (
+                "0 local epochs",
+                with(|sc| sc.local_epochs = 0),
+                "rounds and local_epochs",
+            ),
+            ("0 nodes", with(|sc| sc.nodes = 0), "nodes"),
+            (
+                "every-k on static sampling",
+                with(|sc| sc.commit = CommitPolicy::EveryK(7)),
+                "needs adaptive sampling",
+            ),
+        ];
+        for (what, sc, words) in cases {
             // A hung-up coordinator: a worker that got past the check
             // fails on the link instead of waiting for rounds.
             let (coord, link) = tcp_loopback_links(1, "127.0.0.1:0").unwrap().remove(0);
@@ -277,8 +295,104 @@ mod tests {
                 range: 0..1,
             };
             match serve(link, 0, sc, shard, None) {
-                Err(ClusterError::InvalidConfig(msg)) => assert!(msg.contains("η"), "{msg}"),
-                other => panic!("η = {eta}: expected InvalidConfig, got {other:?}"),
+                Err(ClusterError::InvalidConfig(msg)) => {
+                    assert!(msg.contains(words), "{what}: {msg}");
+                }
+                other => panic!("{what}: expected InvalidConfig, got {other:?}"),
+            }
+        }
+    }
+
+    /// One `DatasetShard` chunk of `rows` one-feature rows in `dim`
+    /// features: shard `shard`, rows `shard_start..shard_start +
+    /// shard_rows`, this chunk from row `start`.
+    fn chunk(
+        shard: u32,
+        shard_start: u32,
+        shard_rows: u32,
+        start: u32,
+        rows: u32,
+        dim: usize,
+    ) -> Message {
+        let mut b = DatasetBuilder::new(dim);
+        for _ in 0..rows {
+            b.push_row(&[(0, 1.0)], 1.0).unwrap();
+        }
+        Message::DatasetShard {
+            shard,
+            shard_start,
+            shard_rows,
+            start,
+            weights: vec![1.0; rows as usize],
+            chunk: Box::new(b.finish()),
+        }
+    }
+
+    /// Sends `frames` down a loopback socket and hangs up, then lets
+    /// worker 1 take its shard from the other end.
+    fn receive(frames: &[Message]) -> Result<(Dataset, Vec<f64>, usize), ClusterError> {
+        let (mut coord, mut link) = tcp_loopback_links(1, "127.0.0.1:0").unwrap().remove(0);
+        for f in frames {
+            coord.send(f).unwrap();
+        }
+        drop(coord);
+        receive_shard(&mut link, 1)
+    }
+
+    #[test]
+    fn receive_shard_assembles_a_contiguous_stream() {
+        let (rows, weights, start) =
+            receive(&[chunk(1, 4, 4, 4, 2, 2), chunk(1, 4, 4, 6, 2, 2)]).unwrap();
+        assert_eq!(
+            (rows.n_samples(), rows.dim(), weights.len(), start),
+            (4, 2, 4, 4)
+        );
+    }
+
+    /// Every stream the shard intake refuses is a typed worker error —
+    /// never a short shard, and never a wait for frames the hung-up
+    /// coordinator will not send (that would surface as `Transport`).
+    #[test]
+    fn receive_shard_refuses_every_malformed_stream() {
+        let barrier = Message::RoundBarrier { node: 1, round: 0 };
+        let cases: [(&str, Vec<Message>); 9] = [
+            ("a chunk for another node", vec![chunk(0, 4, 4, 4, 4, 2)]),
+            (
+                "a later chunk for another node",
+                vec![chunk(1, 4, 4, 4, 2, 2), chunk(0, 4, 4, 6, 2, 2)],
+            ),
+            (
+                "a first chunk past the shard start",
+                vec![chunk(1, 4, 4, 5, 1, 2)],
+            ),
+            (
+                "a shard start that changes mid-stream",
+                vec![chunk(1, 4, 4, 4, 2, 2), chunk(1, 5, 3, 6, 2, 2)],
+            ),
+            (
+                "a shard length that changes mid-stream",
+                vec![chunk(1, 4, 4, 4, 2, 2), chunk(1, 4, 5, 6, 2, 2)],
+            ),
+            (
+                "a dim that changes mid-stream",
+                vec![chunk(1, 4, 4, 4, 2, 2), chunk(1, 4, 4, 6, 2, 3)],
+            ),
+            (
+                "a gap between chunks",
+                vec![chunk(1, 4, 4, 4, 1, 2), chunk(1, 4, 4, 6, 2, 2)],
+            ),
+            ("a first frame that is not a chunk", vec![barrier.clone()]),
+            (
+                "a later frame that is not a chunk",
+                vec![chunk(1, 4, 4, 4, 2, 2), barrier],
+            ),
+        ];
+        for (what, frames) in cases {
+            match receive(&frames) {
+                Err(ClusterError::Worker(msg)) => {
+                    assert!(msg.starts_with("handshake: "), "{what}: {msg}");
+                }
+                other => panic!("{what}: expected a worker error, got {other:?}"),
             }
         }
     }

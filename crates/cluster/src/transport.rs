@@ -183,7 +183,10 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
-/// One endpoint of a duplex coordinator↔worker link.
+/// One endpoint of a duplex coordinator↔worker link. Every frame the
+/// round protocol reads comes out of [`Transport::recv`], worker timing
+/// included; a link keeps to itself only the frames it answers itself
+/// (the fleet's supervised links store and acknowledge checkpoints).
 pub trait Transport: Send {
     /// Sends one message to the peer.
     fn send(&mut self, msg: &Message) -> Result<(), TransportError>;
@@ -204,19 +207,9 @@ pub trait Transport: Send {
     fn recovery(&self) -> Option<RecoveryFootprint> {
         None
     }
-
-    /// The [`Message::Telemetry`] samples this link absorbed, in
-    /// arrival order — only the fleet's supervised links absorb them;
-    /// plain transports hand telemetry frames up to the coordinator's
-    /// collect loop, which records them itself, and report `None`.
-    /// Replay after a respawn re-ships recomputed rounds, so duplicates
-    /// per round are possible and deliberately kept visible.
-    fn telemetry(&self) -> Option<Vec<TelemetrySample>> {
-        None
-    }
 }
 
-/// One absorbed [`Message::Telemetry`] frame: which slot sent it plus
+/// One received [`Message::Telemetry`] frame: which slot sent it plus
 /// the round's [`WorkerTiming`] counters. Surfaced through
 /// [`ClusterRun::telemetry`](crate::node::ClusterRun::telemetry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,26 +220,6 @@ pub struct TelemetrySample {
     pub round: u64,
     /// The worker's timing counters for that round.
     pub timing: WorkerTiming,
-}
-
-impl TelemetrySample {
-    /// Absorbs one received [`Message::Telemetry`] frame's fields: emits
-    /// its `worker_timing` event and returns the sample to keep.
-    pub(crate) fn absorb(node: u32, round: u64, timing: WorkerTiming) -> Self {
-        isasgd_obs::emit(&isasgd_obs::Event::WorkerTiming {
-            node: u64::from(node),
-            round,
-            compute_us: timing.compute_us,
-            barrier_wait_us: timing.barrier_wait_us,
-            rows: timing.rows,
-            commits: timing.commits,
-        });
-        TelemetrySample {
-            node,
-            round,
-            timing,
-        }
-    }
 }
 
 /// Which transport a cluster run wires its links with. Carried by
@@ -775,10 +748,6 @@ impl<T: Transport> Transport for FlakyTransport<T> {
 
     fn recovery(&self) -> Option<RecoveryFootprint> {
         self.inner.recovery()
-    }
-
-    fn telemetry(&self) -> Option<Vec<TelemetrySample>> {
-        self.inner.telemetry()
     }
 }
 

@@ -963,10 +963,10 @@ frames! {
     }
     /// A worker's per-round timing sample (checksummed), shipped before
     /// the round's [`Message::ModelUpdate`] when
-    /// [`SessionConfig::telemetry`] is set. Purely observational: it ends
-    /// up in [`ClusterRun::telemetry`] — absorbed by the fleet
-    /// supervisor's links, or by the coordinator's collect loop on plain
-    /// links — and no receiver ever acknowledges or blocks on it.
+    /// [`SessionConfig::telemetry`] is set. Purely observational: the
+    /// coordinator's collect loop records it in [`ClusterRun::telemetry`]
+    /// on every transport, and no receiver ever acknowledges or blocks
+    /// on it.
     ///
     /// [`ClusterRun::telemetry`]: crate::node::ClusterRun::telemetry
     Telemetry = 12 custom(put_telemetry, get_telemetry) {
@@ -1655,7 +1655,7 @@ pub(crate) fn dataset_shard_chunk_lens(
 
 /// Encodes one shard of `data` as a sequence of [`Message::DatasetShard`]
 /// payloads, each at most [`SHARD_CHUNK_BYTES`] (plus one row of
-/// overshoot): [`encode_dataset_shard_chunk`] from `range.start` to
+/// overshoot): `encode_dataset_shard_chunk` from `range.start` to
 /// `range.end`. Encoding is deterministic, so a shard encoded twice —
 /// a first admission and a respawn's — is the same bytes.
 pub fn encode_dataset_shard_chunks(

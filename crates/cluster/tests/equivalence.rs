@@ -11,7 +11,7 @@
 //! 2. **Transport equivalence** (the PR-4 pin): the round protocol is
 //!    pure message passing, so `InProcess` channels and real `Tcp`
 //!    loopback sockets MUST produce bit-identical models and
-//!    `RoundPoint` traces. The 3-way matrix below sweeps
+//!    wall-clock-free round traces. The 3-way matrix below sweeps
 //!    {Average, WeightedByShard} × {Static, Adaptive} ×
 //!    {EpochBoundary, EveryK} over both single-node (where the
 //!    sequential engine is the third leg) and multi-node topologies.
@@ -133,7 +133,7 @@ fn sampling_commit_cells() -> Vec<(SamplingStrategy, CommitPolicy)> {
 /// The headline 3-way matrix:
 /// `Tcp` loopback ≡ `InProcess` ≡ (single-node) the sequential engine,
 /// across {Average, WeightedByShard} × {Static, Adaptive} ×
-/// {EpochBoundary, EveryK}, bit-equal models and RoundPoint traces.
+/// {EpochBoundary, EveryK}, bit-equal models and round traces.
 #[test]
 fn three_way_matrix_tcp_inproc_engine() {
     let ds = skewed(240);
@@ -166,7 +166,11 @@ fn three_way_matrix_tcp_inproc_engine() {
             );
             let engine = run_engine(&ds, strategy, commit, seed, rounds);
             assert_eq!(inproc1.model, tcp1.model, "{tag}: 1-node tcp ≠ inproc");
-            assert_eq!(inproc1.rounds, tcp1.rounds, "{tag}: 1-node traces differ");
+            assert_eq!(
+                inproc1.trace.points_without_clock(),
+                tcp1.trace.points_without_clock(),
+                "{tag}: 1-node traces differ"
+            );
             assert_eq!(
                 inproc1.model, engine,
                 "{tag}: 1-node cluster ≠ sequential engine"
@@ -194,7 +198,11 @@ fn three_way_matrix_tcp_inproc_engine() {
                 rounds,
             );
             assert_eq!(inproc3.model, tcp3.model, "{tag}: 3-node tcp ≠ inproc");
-            assert_eq!(inproc3.rounds, tcp3.rounds, "{tag}: 3-node traces differ");
+            assert_eq!(
+                inproc3.trace.points_without_clock(),
+                tcp3.trace.points_without_clock(),
+                "{tag}: 3-node traces differ"
+            );
             assert_eq!(
                 inproc3.feedback_rows, tcp3.feedback_rows,
                 "{tag}: mirror traffic differs"
@@ -253,7 +261,11 @@ fn tcp_matrix_is_encoding_invariant() {
                 rounds,
             );
             assert_eq!(baseline.model, tcp.model, "{tag}: model ≠ inproc");
-            assert_eq!(baseline.rounds, tcp.rounds, "{tag}: traces differ");
+            assert_eq!(
+                baseline.trace.points_without_clock(),
+                tcp.trace.points_without_clock(),
+                "{tag}: traces differ"
+            );
             assert_eq!(
                 baseline.feedback_rows, tcp.feedback_rows,
                 "{tag}: mirror traffic differs"
@@ -332,7 +344,11 @@ fn auto_encoding_cuts_round_model_bytes_at_least_4x_on_sparse_workloads() {
     });
     let [dense, auto] = &mut runs;
     assert_eq!(dense.model, auto.model, "encodings changed the model");
-    assert_eq!(dense.rounds, auto.rounds, "encodings changed the trace");
+    assert_eq!(
+        dense.trace.points_without_clock(),
+        auto.trace.points_without_clock(),
+        "encodings changed the trace"
+    );
     let (dense_bytes, auto_bytes) = (round_model_bytes(dense), round_model_bytes(auto));
     assert!(
         dense_bytes >= 4 * auto_bytes,
@@ -370,7 +386,11 @@ fn tcp_soak_many_nodes_matches_inproc() {
             8,
         );
         assert_eq!(inproc.model, tcp.model, "seed {seed}");
-        assert_eq!(inproc.rounds, tcp.rounds, "seed {seed}");
+        assert_eq!(
+            inproc.trace.points_without_clock(),
+            tcp.trace.points_without_clock(),
+            "seed {seed}"
+        );
     }
 }
 
@@ -560,7 +580,8 @@ fn telemetry_is_bit_inert_across_encodings() {
         let tag = format!("{encoding:?}");
         assert_eq!(off.model, on.model, "{tag}: telemetry perturbed the model");
         assert_eq!(
-            off.rounds, on.rounds,
+            off.trace.points_without_clock(),
+            on.trace.points_without_clock(),
             "{tag}: telemetry perturbed the trace"
         );
         assert_eq!(

@@ -60,7 +60,8 @@ proptest! {
     }
 
     /// The full cluster loop is total over its parameter space: finite
-    /// consensus model, monotone wall-clock, exactly `rounds` syncs.
+    /// consensus model, monotone wall-clock, one trace point per round
+    /// after the initial model's.
     #[test]
     fn cluster_run_is_total(
         seed in 0u64..300,
@@ -88,8 +89,7 @@ proptest! {
             ..ClusterConfig::default()
         };
         let r = run(&ds, &obj, &cfg).unwrap();
-        prop_assert_eq!(r.syncs, rounds);
-        prop_assert_eq!(r.rounds.len(), rounds + 1);
+        prop_assert_eq!(r.trace.points.len(), rounds + 1);
         prop_assert!(r.model.iter().all(|x| x.is_finite()));
         prop_assert!(r.phi_imbalance >= 1.0 - 1e-9);
         for w in r.trace.points.windows(2) {

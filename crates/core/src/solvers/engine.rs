@@ -1,5 +1,5 @@
-//! The shared [`ExecutionEngine`]: one epoch loop for every solver and
-//! every execution mode.
+//! The shared engine, [`run_engine`]: one epoch loop for every solver
+//! and every execution mode.
 //!
 //! Plan construction, the epoch loop, worker spawning, staleness
 //! queueing, timing and trace bookkeeping live here once, for every
@@ -11,7 +11,8 @@
 //!   one-node cluster), so it carries nothing they do not.
 //! * **`Threads(k)`** — real lock-free Hogwild workers over a
 //!   [`SharedModel`], each pulling chunks from its own shard's
-//!   [`ScheduleStream`] through the solver's [`SharedKernel`].
+//!   [`ScheduleStream`] through the solver's
+//!   [`SharedKernel`](crate::solvers::solver::SharedKernel).
 //! * **`Simulated{tau, workers}`** — the paper's deterministic
 //!   bounded-staleness mode: worker streams are drawn lazily round-robin
 //!   and every update is applied `τ` logical steps after computation via

@@ -4,7 +4,8 @@
 //! The paper freezes its importance distribution at `p_i ∝ L_i` because
 //! recomputing `‖∇f_i(w_t)‖` exactly is "completely impractical"
 //! (Eq. 11). The `Sampler` runtime makes the practical middle ground a
-//! one-flag change: the [`AdaptiveIsSampler`] re-weights each shard's
+//! one-flag change: the
+//! [`AdaptiveIsSampler`](isasgd_sampling::AdaptiveIsSampler) re-weights each shard's
 //! sum-tree distribution between epochs from the *observed* per-sample
 //! gradient norms (Katharopoulos & Fleuret 2018; Alain et al. 2015).
 //! This artifact sweeps the importance spread ψ and reports, per pair

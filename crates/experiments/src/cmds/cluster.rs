@@ -64,7 +64,7 @@ pub fn fill(ctx: &mut Ctx, table: &mut TextTable) {
                 ..ClusterConfig::default()
             };
             let r = isasgd_cluster::node::run(&sorted, &obj, &cfg).expect("cluster run");
-            let last = r.rounds.last().expect("≥1 round");
+            let last = r.trace.last().expect("≥1 round");
             table.row(vec![
                 nodes.to_string(),
                 label.to_string(),

@@ -4,7 +4,7 @@
 //! isasgd-experiments [FLAGS] <COMMAND>...
 //! ```
 //!
-//! A command is a row of [`artifacts::ARTIFACTS`] (or `all`); `--help`
+//! A command is a row of `artifacts::ARTIFACTS` (or `all`); `--help`
 //! prints the table with each row's paper reference, and the flags.
 //! Each artifact prints its table, writes `<stem>.txt`/`.csv` under
 //! `--out`, and holds the numbers its note promises against a band

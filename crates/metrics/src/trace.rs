@@ -66,6 +66,18 @@ impl Trace {
     pub fn total_wall_secs(&self) -> f64 {
         self.last().map_or(0.0, |p| p.wall_secs)
     }
+
+    /// The points with `wall_secs` zeroed: what two runs of the same
+    /// computation must agree on bit for bit, whatever their timing.
+    pub fn points_without_clock(&self) -> Vec<TracePoint> {
+        self.points
+            .iter()
+            .map(|&p| TracePoint {
+                wall_secs: 0.0,
+                ..p
+            })
+            .collect()
+    }
 }
 
 /// The monotone best-so-far error curve `(wall_secs, best_error)` — the
@@ -170,6 +182,19 @@ mod tests {
         assert_eq!(t.best_error(), Some(0.05));
         assert_eq!(t.total_wall_secs(), 0.4);
         assert_eq!(t.last().unwrap().epoch, 4.0);
+    }
+
+    #[test]
+    fn points_without_clock_keep_everything_but_wall_time() {
+        let t = trace();
+        let mut slower = t.clone();
+        slower.points.iter_mut().for_each(|p| p.wall_secs *= 3.0);
+        assert_ne!(slower, t);
+        assert_eq!(slower.points_without_clock(), t.points_without_clock());
+        let mut other = t.clone();
+        other.points[2].rmse += 1e-12;
+        assert_ne!(other.points_without_clock(), t.points_without_clock());
+        assert!(t.points_without_clock().iter().all(|p| p.wall_secs == 0.0));
     }
 
     #[test]

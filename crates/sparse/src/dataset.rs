@@ -340,9 +340,9 @@ impl Dataset {
         if i < self.n_samples() {
             Ok(())
         } else {
-            Err(SparseError::IndexOutOfBounds {
-                index: i as u32,
-                dim: self.n_samples(),
+            Err(SparseError::RowOutOfRange {
+                row: i,
+                rows: self.n_samples(),
             })
         }
     }
@@ -356,10 +356,15 @@ impl Dataset {
     }
 }
 
-/// Computes `k` contiguous, nearly-equal ranges covering `0..n`.
+/// Computes `k` contiguous, nearly-equal ranges covering `0..n`:
+/// [`SparseError::Empty`] when `n == 0`, [`SparseError::ShardCount`]
+/// when `k == 0` or `k > n`.
 pub fn shard_ranges(n: usize, k: usize) -> Result<Vec<std::ops::Range<usize>>, SparseError> {
-    if k == 0 || k > n {
+    if n == 0 {
         return Err(SparseError::Empty);
+    }
+    if k == 0 || k > n {
+        return Err(SparseError::ShardCount { shards: k, rows: n });
     }
     // Same arithmetic as the paper's Algorithm 4 line 9.
     let mut out = Vec::with_capacity(k);
@@ -606,6 +611,17 @@ mod tests {
     }
 
     #[test]
+    fn an_out_of_range_row_is_named_as_a_row() {
+        let ds = tiny();
+        let want = Err(SparseError::RowOutOfRange { row: 9, rows: 3 });
+        assert_eq!(ds.reordered(&[0, 9]), want);
+        assert_eq!(
+            ds.reordered_contiguous(&[0, 9], std::slice::from_ref(&(0..2))),
+            want
+        );
+    }
+
+    #[test]
     fn reordered_allows_duplicates() {
         let ds = tiny();
         let rd = ds.reordered(&[0, 0, 0]).unwrap();
@@ -617,8 +633,15 @@ mod tests {
     fn shard_ranges_cover_and_partition() {
         let ranges = shard_ranges(10, 3).unwrap();
         assert_eq!(ranges, vec![0..3, 3..6, 6..10]);
-        assert!(shard_ranges(2, 0).is_err());
-        assert!(shard_ranges(2, 3).is_err());
+        assert_eq!(
+            shard_ranges(2, 0),
+            Err(SparseError::ShardCount { shards: 0, rows: 2 })
+        );
+        assert_eq!(
+            shard_ranges(2, 3),
+            Err(SparseError::ShardCount { shards: 3, rows: 2 })
+        );
+        assert_eq!(shard_ranges(0, 1), Err(SparseError::Empty));
         let ranges = shard_ranges(4, 4).unwrap();
         assert!(ranges.iter().all(|r| r.len() == 1));
     }

@@ -55,6 +55,21 @@ pub enum SparseError {
     Io(String),
     /// The dataset is empty where a non-empty one is required.
     Empty,
+    /// A row id was past the last row of the dataset.
+    RowOutOfRange {
+        /// The offending row id.
+        row: usize,
+        /// The dataset's row count.
+        rows: usize,
+    },
+    /// A dataset of `rows ≥ 1` rows cannot be cut into `shards`
+    /// non-empty shards: `shards` must be in `1..=rows`.
+    ShardCount {
+        /// The requested shard count.
+        shards: usize,
+        /// The dataset's row count.
+        rows: usize,
+    },
     /// Two datasets/shards had incompatible dimensionality.
     DimMismatch {
         /// Expected dimensionality.
@@ -89,6 +104,15 @@ impl fmt::Display for SparseError {
             SparseError::Parse { line, msg } => write!(f, "parse error on line {line}: {msg}"),
             SparseError::Io(msg) => write!(f, "io error: {msg}"),
             SparseError::Empty => write!(f, "dataset is empty"),
+            SparseError::RowOutOfRange { row, rows } => {
+                write!(f, "row {row} out of range for a dataset of {rows} rows")
+            }
+            SparseError::ShardCount { shards, rows } => {
+                write!(
+                    f,
+                    "cannot cut {rows} rows into {shards} shards: need 1..={rows}"
+                )
+            }
             SparseError::DimMismatch { expected, found } => {
                 write!(f, "dimension mismatch: expected {expected}, found {found}")
             }
@@ -118,6 +142,20 @@ mod tests {
             msg: "bad token".into(),
         };
         assert!(e.to_string().contains("line 3"));
+    }
+
+    #[test]
+    fn row_and_shard_count_errors_name_rows() {
+        let e = SparseError::RowOutOfRange {
+            row: 1 << 40,
+            rows: 3,
+        };
+        assert_eq!(
+            e.to_string(),
+            "row 1099511627776 out of range for a dataset of 3 rows"
+        );
+        let e = SparseError::ShardCount { shards: 5, rows: 2 };
+        assert_eq!(e.to_string(), "cannot cut 2 rows into 5 shards: need 1..=2");
     }
 
     #[test]

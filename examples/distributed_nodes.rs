@@ -61,7 +61,7 @@ fn main() {
             ..ClusterConfig::default()
         };
         let r = run_cluster(&sorted, &obj, &cfg).expect("cluster run");
-        let last = r.rounds.last().unwrap();
+        let last = r.trace.last().unwrap();
         println!(
             "{:<12} {:>18.4} {:>12.4} {:>12.4}",
             label, r.phi_imbalance, last.objective, last.error_rate

@@ -97,7 +97,10 @@ fn trainer_rejects_all_invalid_configs() {
 fn reorder_with_out_of_range_indices() {
     let data = generate(&DatasetProfile::tiny(), 2);
     let n = data.dataset.n_samples();
-    assert!(data.dataset.reordered(&[n]).is_err());
+    assert_eq!(
+        data.dataset.reordered(&[n]),
+        Err(SparseError::RowOutOfRange { row: n, rows: n })
+    );
     assert!(data.dataset.reordered(&[]).unwrap().is_empty());
 }
 
