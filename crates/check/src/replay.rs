@@ -8,19 +8,23 @@
 //!
 //! ```text
 //! magic      8 raw bytes  "ISCHED02"
-//! nodes, rounds, local_epochs, rows, seed, adaptive, checkpoint_every
-//! faults     flags byte (1=reorder 2=duplicate 4=hold 8=drop), window, budget
-//! bugs       flags byte (1=drop_preassignment 2=eager_teardown 4=strict_extras)
+//! nodes, rounds, local_epochs, rows, seed, adaptive (0/1), checkpoint_every
+//! faults     flag bits (1=reorder 2=duplicate 4=hold 8=drop), window, budget
+//! bugs       flag bits (1=drop_preassignment 2=eager_teardown 4=strict_extras)
 //! expected   tag (0=pass 1=expected-deadlock 2=violation)
 //! contains   len + utf8   substring a violation's description must contain
 //! max_decisions
 //! choices    count + one varint per decision
 //! ```
+//!
+//! Varints are read with the wire's canonical decoder, and a flag bit
+//! the layout does not name is refused, so every file that parses is
+//! one `write_schedule` writes.
 
 use crate::explore::Chooser;
 use crate::scenario::{run_schedule, Outcome, ScenarioSpec};
 use crate::sched::FaultSpec;
-use isasgd_cluster::{put_varint, ProtocolBugs};
+use isasgd_cluster::{put_varint, read_varint, ProtocolBugs};
 
 const MAGIC: &[u8; 8] = b"ISCHED02";
 
@@ -92,24 +96,9 @@ pub fn write_schedule(file: &ScheduleFile) -> Vec<u8> {
     out
 }
 
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let &byte = buf
-            .get(*pos)
-            .ok_or_else(|| "truncated varint".to_string())?;
-        *pos += 1;
-        if shift >= 64 {
-            return Err("varint overflows u64".into());
-        }
-        v |= u64::from(byte & 0x7F) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
+/// The fault and bug flag bits the format names; any other is refused.
+const FAULT_FLAGS: u64 = 0b1111;
+const BUG_FLAGS: u64 = 0b111;
 
 /// Parses the `.schedule` byte format.
 pub fn read_schedule(bytes: &[u8]) -> Result<ScheduleFile, String> {
@@ -117,19 +106,32 @@ pub fn read_schedule(bytes: &[u8]) -> Result<ScheduleFile, String> {
         return Err("not a .schedule file (bad magic)".into());
     }
     let mut pos = MAGIC.len();
-    let int = |pos: &mut usize| get_varint(bytes, pos);
+    let int = |pos: &mut usize| {
+        let at = *pos;
+        read_varint(bytes, pos).map_err(|e| format!("varint at byte {at}: {e}"))
+    };
     let nodes = int(&mut pos)? as usize;
     let rounds = int(&mut pos)? as usize;
     let local_epochs = int(&mut pos)? as usize;
     let rows = u32::try_from(int(&mut pos)?).map_err(|_| "rows out of range".to_string())?;
     let seed = int(&mut pos)?;
-    let adaptive = int(&mut pos)? != 0;
+    let adaptive = match int(&mut pos)? {
+        0 => false,
+        1 => true,
+        v => return Err(format!("adaptive flag {v} is neither 0 nor 1")),
+    };
     let checkpoint_every = int(&mut pos)?;
     let fault_flags = int(&mut pos)?;
+    if fault_flags & !FAULT_FLAGS != 0 {
+        return Err(format!("unknown fault flag bits {fault_flags:#x}"));
+    }
     let reorder_window =
         u8::try_from(int(&mut pos)?).map_err(|_| "window out of range".to_string())?;
     let budget = u8::try_from(int(&mut pos)?).map_err(|_| "budget out of range".to_string())?;
     let bug_flags = int(&mut pos)?;
+    if bug_flags & !BUG_FLAGS != 0 {
+        return Err(format!("unknown bug flag bits {bug_flags:#x}"));
+    }
     let expected = match int(&mut pos)? {
         0 => Expected::Pass,
         1 => Expected::ExpectedDeadlock,
@@ -286,5 +288,51 @@ mod tests {
             read_schedule(&old).is_err(),
             "pre-checkpoint format version must be rejected, not misparsed"
         );
+
+        // Bytes `write_schedule` never writes are refused too: a varint
+        // that overflows u64 or that it would have written shorter, an
+        // adaptive flag other than 0/1, and a fault or bug flag bit the
+        // format does not name.
+        let mut f = sample();
+        f.spec.seed = u64::MAX;
+        let bytes = write_schedule(&f);
+        // Magic, then nodes, rounds, local_epochs and rows: one byte each.
+        let seed = 12;
+        assert_eq!(
+            bytes[seed..seed + 10],
+            [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01]
+        );
+        let mut wide = bytes.clone();
+        wide[seed + 9] = 0x7F;
+        assert!(
+            read_schedule(&wide).is_err(),
+            "a tenth varint byte past bit 63"
+        );
+
+        f.spec.seed = 0;
+        let bytes = write_schedule(&f);
+        let [adaptive, fault_flags, bug_flags] = [seed + 1, seed + 3, seed + 6];
+        assert_eq!(
+            [
+                bytes[seed],
+                bytes[adaptive],
+                bytes[fault_flags],
+                bytes[bug_flags]
+            ],
+            [0, 1, 0b1011, 0b101]
+        );
+        assert_eq!(read_schedule(&bytes).unwrap(), f);
+        let mut padded = bytes.clone();
+        padded.splice(seed..=seed, [0x80, 0x00]);
+        assert!(read_schedule(&padded).is_err(), "non-minimal zero");
+        for (at, byte, what) in [
+            (adaptive, 2, "adaptive flag 2"),
+            (fault_flags, 0b1_1011, "fault flag bit 4"),
+            (bug_flags, 0b1101, "bug flag bit 3"),
+        ] {
+            let mut bad = bytes.clone();
+            bad[at] = byte;
+            assert!(read_schedule(&bad).is_err(), "{what}");
+        }
     }
 }

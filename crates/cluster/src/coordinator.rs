@@ -38,7 +38,10 @@
 use crate::node::{validate, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs};
 use crate::sync::average_models;
 use crate::transport::{TelemetrySample, Transport};
-use crate::wire::{CheckpointSampler, CheckpointState, Message, SessionConfig, WorkerTiming};
+use crate::wire::{
+    apply_delta, delta_coords, CheckpointSampler, CheckpointState, Message, SessionConfig,
+    WorkerTiming,
+};
 use isasgd_balance::{rearrange, Rearranged};
 use isasgd_losses::{importance_weights, sgd_step, Loss, Objective};
 use isasgd_metrics::{Trace, TracePoint};
@@ -746,18 +749,12 @@ impl<T: Transport> NodeRuntime<T> {
                     // Sparse diff against the configured base weights;
                     // wire decode guarantees in-bounds strictly
                     // increasing indices and finite weights.
-                    let mut dense = local.to_vec();
-                    for (&i, &w) in indices.iter().zip(&weights) {
-                        *dense.get_mut(i as usize).ok_or_else(|| {
-                            ClusterError::Worker(format!(
-                                "checkpoint round {cround}: weight index {i} outside the shard"
-                            ))
-                        })? = w;
-                    }
-                    SamplerSnapshot::Adaptive {
-                        weights: dense,
-                        commits,
-                    }
+                    let weights = apply_delta(local, &indices, &weights).ok_or_else(|| {
+                        ClusterError::Worker(format!(
+                            "checkpoint round {cround}: weight index outside the shard"
+                        ))
+                    })?;
+                    SamplerSnapshot::Adaptive { weights, commits }
                 }
             };
             stream
@@ -882,13 +879,7 @@ impl<T: Transport> NodeRuntime<T> {
                         // Ship only rows whose weight moved off the
                         // configured base — bitwise, so the restored
                         // dense vector reproduces `weights` exactly.
-                        let (indices, weights) = weights
-                            .iter()
-                            .zip(local)
-                            .enumerate()
-                            .filter(|&(_, (w, base))| w.to_bits() != base.to_bits())
-                            .map(|(i, (&w, _))| (wire_row(i), w))
-                            .unzip();
+                        let (indices, weights) = delta_coords(local, &weights);
                         CheckpointSampler::Adaptive {
                             rows,
                             commits,
@@ -1111,5 +1102,61 @@ mod tests {
             msg.contains("shard 2 is not one of the run's 1 shards"),
             "{msg}"
         );
+    }
+
+    /// A replayed checkpoint whose adaptive weight diff names a row past
+    /// the shard is refused by the restore (`apply_delta`'s `None`), not
+    /// written out of bounds. An in-process link hands the message over
+    /// undecoded, so the wire's own index bound never sees it.
+    #[test]
+    fn worker_refuses_a_checkpoint_weight_outside_its_shard() {
+        let ds = skewed(60);
+        let weights = vec![1.0; 60];
+        let cfg = adaptive_cfg(1);
+        let (mut coord, worker) = in_process_links(1).pop().unwrap();
+        let shard = ShardInput {
+            rows: &ds,
+            row_base: 0,
+            weights: &weights,
+            range: 0..60,
+        };
+        let state = CheckpointState {
+            draw_rng: [1, 2, 3, 4],
+            model: vec![0.0; ds.dim()],
+            sampler: CheckpointSampler::Adaptive {
+                rows: 60,
+                commits: 0,
+                indices: vec![3, 60],
+                weights: vec![2.0, 2.0],
+            },
+        };
+        std::thread::scope(|s| {
+            let cfg = &cfg;
+            let h = s.spawn(move || NodeRuntime::new(worker, 0).run(shard, &obj(), cfg));
+            assert!(matches!(
+                coord.recv().unwrap(),
+                Message::RoundBarrier { round: 0, .. }
+            ));
+            for m in [
+                Message::Checkpoint {
+                    node: 0,
+                    round: 1,
+                    state: Box::new(state),
+                },
+                Message::ShardRebalance {
+                    round: 0,
+                    assigned: 0,
+                    ranges: vec![(0, 60)],
+                },
+            ] {
+                coord.send(&m).unwrap();
+            }
+            match h.join().unwrap() {
+                Err(ClusterError::Worker(msg)) => {
+                    assert_eq!(msg, "checkpoint round 1: weight index outside the shard");
+                }
+                other => panic!("expected a typed worker refusal, got {other:?}"),
+            }
+        });
     }
 }

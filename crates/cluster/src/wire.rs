@@ -66,6 +66,7 @@ use isasgd_losses::{ImportanceScheme, Regularizer};
 use isasgd_obs::json::schema_fields;
 use isasgd_sampling::{CommitPolicy, SamplingStrategy};
 use isasgd_sparse::{Dataset, DatasetBuilder};
+use std::ops::Range;
 
 /// Hard ceiling on one frame's payload size (256 MiB). A length prefix
 /// beyond this is rejected before allocation — a garbage or hostile
@@ -1076,6 +1077,18 @@ fn get_varint(r: &mut Reader<'_>) -> Result<u64, WireError> {
     }
 }
 
+/// Reads the canonical LEB128 varint at `*pos` of `buf` and moves
+/// `*pos` past it: the wire's one varint decoder, for byte formats
+/// outside the frames that write theirs with [`put_varint`]. A
+/// truncated, non-minimal or over-64-bit encoding is an error.
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, WireError> {
+    let mut r = Reader::new(buf.get(*pos..).unwrap_or_default());
+    let v = get_varint(&mut r)?;
+    *pos += r.pos;
+    Ok(v)
+}
+
 /// Appends the gap-coded index list: `u32 count ‖ varint first ‖
 /// (count−1) × varint (idx − prev − 1)`. `indices` must be strictly
 /// increasing (every caller holds sorted coordinates by construction).
@@ -1158,10 +1171,13 @@ fn visit_indices(
 /// Computes the coordinates (and new bit patterns) where `next` differs
 /// from `base` — *bitwise*, never arithmetically, so a delta-encoded
 /// model reconstructs bit-identically (−0.0 vs 0.0, NaN payloads and
-/// subnormals included). Both slices must be the same length.
+/// subnormals included). Both slices must be the same length. A
+/// worker's adaptive checkpoint ships its sampler weights as this diff
+/// against the configured base weights; [`encode_model_frame`]'s bytes
+/// are pinned against [`Message::encode`] of the frame built from it.
 #[expect(
     clippy::disallowed_macros,
-    reason = "encode side: both slices are this process's own models, never peer bytes"
+    reason = "encode side: both slices are this process's own vectors, never peer bytes"
 )]
 pub fn delta_coords(base: &[f64], next: &[f64]) -> (Vec<u32>, Vec<f64>) {
     debug_assert_eq!(base.len(), next.len());
@@ -1178,7 +1194,8 @@ pub fn delta_coords(base: &[f64], next: &[f64]) -> (Vec<u32>, Vec<f64>) {
 
 /// Reconstructs a model from its per-link base and a sparse delta:
 /// clone the base, overwrite the listed coordinates with the carried
-/// bit patterns. The exact inverse of [`delta_coords`].
+/// bit patterns. The exact inverse of [`delta_coords`], and how a
+/// respawned worker restores its checkpointed sampler weights.
 ///
 /// The delta arrives off the wire, so the checks hold in release
 /// builds: returns `None` when the coordinate and value lists disagree
@@ -1211,19 +1228,22 @@ pub fn apply_delta(base: &[f64], indices: &[u32], values: &[f64]) -> Option<Vec<
 /// [`Message::ModelDelta`] both start with.
 const MODEL_HEAD: usize = 1 + 4 + 8 + 4;
 
-/// Changed coordinates of `model` against `base`, and the varint bytes
-/// their gap-coded index list takes (the counting pass of
-/// [`encode_model_frame`]).
-fn delta_extent(base: &[f64], model: &[f64]) -> (usize, usize) {
-    let (mut changed, mut varints, mut next) = (0, 0, 0);
-    for (i, (b, m)) in base.iter().zip(model).enumerate() {
-        if b.to_bits() != m.to_bits() {
-            changed += 1;
-            varints += varint_len((i - next) as u64);
+/// The coordinates where `model`'s bits differ from `base`'s, in order,
+/// each as the gap its index-list varint carries (`i − prev − 1`, the
+/// first against −1) and its new value: the one walk behind both passes
+/// of [`encode_model_frame`].
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+fn changed_coords<'m>(base: &'m [f64], model: &'m [f64]) -> impl Iterator<Item = (u64, f64)> + 'm {
+    let mut next = 0;
+    base.iter()
+        .zip(model)
+        .enumerate()
+        .filter(|(_, (b, m))| b.to_bits() != m.to_bits())
+        .map(move |(i, (_, &m))| {
+            let gap = (i - next) as u64;
             next = i + 1;
-        }
-    }
-    (changed, varints)
+            (gap, m)
+        })
 }
 
 /// Appends the payload a link sends for the round model `model` of
@@ -1234,7 +1254,8 @@ fn delta_extent(base: &[f64], model: &[f64]) -> (usize, usize) {
 /// are compared and the shorter frame is written; dense wins a tie.
 ///
 /// Both slices are read in place — one pass counts the changed
-/// coordinates and their varint bytes, one pass writes the frame — and
+/// coordinates and their varint bytes, one pass writes the frame, both
+/// over one walk of the changed coordinates — and
 /// the bytes equal [`Message::encode`] of the frame built from
 /// [`delta_coords`] (or of the dense update). A payload over
 /// [`MAX_FRAME`] is refused before anything is appended.
@@ -1251,7 +1272,10 @@ pub fn encode_model_frame(
     let delta = base
         .filter(|base| encoding != WireEncoding::Dense && base.len() == model.len())
         .and_then(|base| {
-            let (changed, varints) = delta_extent(base, model);
+            let (changed, varints) = changed_coords(base, model)
+                .fold((0, 0), |(n, bytes), (gap, _)| {
+                    (n + 1, bytes + varint_len(gap))
+                });
             let len = MODEL_HEAD + 4 + varints + 8 * changed;
             (encoding == WireEncoding::Delta || len < dense_len)
                 .then_some((base, changed, varints, len))
@@ -1291,18 +1315,14 @@ pub fn encode_model_frame(
             what: "model delta region shorter than its counted length",
         })?;
     let (mut indices, mut values) = (indices.iter_mut(), values.chunks_exact_mut(8));
-    let mut next = 0;
-    for (i, (b, m)) in base.iter().zip(model).enumerate() {
-        if b.to_bits() != m.to_bits() {
-            varint_bytes((i - next) as u64, |byte| {
-                if let Some(slot) = indices.next() {
-                    *slot = byte;
-                }
-            });
-            if let Some(slot) = values.next() {
-                slot.copy_from_slice(&m.to_le_bytes());
+    for (gap, m) in changed_coords(base, model) {
+        varint_bytes(gap, |byte| {
+            if let Some(slot) = indices.next() {
+                *slot = byte;
             }
-            next = i + 1;
+        });
+        if let Some(slot) = values.next() {
+            slot.copy_from_slice(&m.to_le_bytes());
         }
     }
     Ok(())
@@ -1588,61 +1608,23 @@ fn shard_row_len(indices: &[u32]) -> usize {
     1 + 8 + 4 + gaps + 8 * indices.len()
 }
 
-/// Whether a chunk holding `rows` rows in `len` payload bytes is closed:
-/// every chunk takes at least one row, then rows until it reaches
-/// [`SHARD_CHUNK_BYTES`].
-fn shard_chunk_full(rows: u32, len: usize) -> bool {
+/// The chunk-boundary rule: whether a chunk holding `rows` rows in
+/// `len` payload bytes is closed. Every chunk takes at least one row,
+/// then rows until it reaches [`SHARD_CHUNK_BYTES`], so a row wider than
+/// that still moves, alone.
+fn shard_chunk_full(rows: usize, len: usize) -> bool {
     rows > 0 && len >= SHARD_CHUNK_BYTES
-}
-
-/// Appends the [`Message::DatasetShard`] chunk of shard `shard` that
-/// starts at row `row` to `out` and returns the row after its last: one
-/// or more rows, up to [`SHARD_CHUNK_BYTES`] of payload plus one row of
-/// overshoot. `range` is the shard's row range into the reordered
-/// `data`; `weights` are the reordered per-row importance weights,
-/// indexed like `data`. Calling it from `range.start` until it returns
-/// `range.end` yields [`encode_dataset_shard_chunks`]' frames one at a
-/// time, so an admission streams a shard through one buffer.
-pub(crate) fn encode_dataset_shard_chunk(
-    out: &mut Vec<u8>,
-    shard: u32,
-    range: &std::ops::Range<usize>,
-    mut row: usize,
-    data: &Dataset,
-    weights: &[f64],
-) -> usize {
-    let at = out.len();
-    out.push(FrameKind::DatasetShard.tag());
-    shard.put(out);
-    (range.start as u32).put(out);
-    (range.len() as u32).put(out);
-    (row as u32).put(out);
-    (data.dim() as u32).put(out);
-    let count_at = out.len();
-    0u32.put(out); // row count, patched below
-    let mut rows_in_chunk = 0u32;
-    while row < range.end && !shard_chunk_full(rows_in_chunk, out.len() - at) {
-        let r = data.row(row);
-        put_shard_row(out, r.indices, r.values, r.label, weights[row]);
-        rows_in_chunk += 1;
-        row += 1;
-    }
-    out[count_at..count_at + 4].copy_from_slice(&rows_in_chunk.to_le_bytes());
-    row
 }
 
 /// The payload length of each chunk [`encode_dataset_shard_chunk`]
 /// writes for `range`, from a size-only pass over the rows' indices:
 /// what the fleet checks against [`MAX_FRAME`] before it binds or
 /// spawns anything.
-pub(crate) fn dataset_shard_chunk_lens(
-    range: &std::ops::Range<usize>,
-    data: &Dataset,
-) -> Vec<usize> {
+pub(crate) fn dataset_shard_chunk_lens(range: &Range<usize>, data: &Dataset) -> Vec<usize> {
     let mut lens = Vec::new();
     let mut row = range.start;
     while row < range.end {
-        let (mut len, mut rows_in_chunk) = (SHARD_HEAD, 0u32);
+        let (mut len, mut rows_in_chunk) = (SHARD_HEAD, 0);
         while row < range.end && !shard_chunk_full(rows_in_chunk, len) {
             len += shard_row_len(data.row(row).indices);
             rows_in_chunk += 1;
@@ -1653,25 +1635,59 @@ pub(crate) fn dataset_shard_chunk_lens(
     lens
 }
 
-/// Encodes one shard of `data` as a sequence of [`Message::DatasetShard`]
-/// payloads, each at most [`SHARD_CHUNK_BYTES`] (plus one row of
-/// overshoot): `encode_dataset_shard_chunk` from `range.start` to
-/// `range.end`. Encoding is deterministic, so a shard encoded twice —
-/// a first admission and a respawn's — is the same bytes.
-pub fn encode_dataset_shard_chunks(
-    shard: u32,
-    range: std::ops::Range<usize>,
+/// The one shard-chunk writer, behind both [`Message::encode`] and
+/// [`encode_dataset_shard_chunk`]. `out` ends with the frame's tag;
+/// this appends `head` (`shard ‖ shard_start ‖ shard_rows ‖ start`),
+/// the dim, the row count, and the rows of `data` from `rows.start` on,
+/// each with its weight from `weights` (indexed like `data`), until
+/// `rows` ends or, when `chunked`, the boundary rule closes the chunk.
+/// Returns the row after the chunk's last.
+fn put_shard_chunk(
+    out: &mut Vec<u8>,
+    head: [u32; 4],
     data: &Dataset,
     weights: &[f64],
-) -> Vec<Vec<u8>> {
-    let mut chunks = Vec::new();
-    let mut row = range.start;
-    while row < range.end {
-        let mut out = Vec::new();
-        row = encode_dataset_shard_chunk(&mut out, shard, &range, row, data, weights);
-        chunks.push(out);
+    rows: Range<usize>,
+    chunked: bool,
+) -> usize {
+    let at = out.len() - 1;
+    let [shard, shard_start, shard_rows, start] = head;
+    for v in [shard, shard_start, shard_rows, start, data.dim() as u32] {
+        v.put(out);
     }
-    chunks
+    let count_at = out.len();
+    0u32.put(out); // row count, patched below
+    let mut row = rows.start;
+    while row < rows.end && !(chunked && shard_chunk_full(row - rows.start, out.len() - at)) {
+        let r = data.row(row);
+        put_shard_row(out, r.indices, r.values, r.label, weights[row]);
+        row += 1;
+    }
+    let count = ((row - rows.start) as u32).to_le_bytes();
+    out[count_at..count_at + 4].copy_from_slice(&count);
+    row
+}
+
+/// Appends the [`Message::DatasetShard`] chunk of shard `shard` that
+/// starts at row `row` to `out` and returns the row after its last: one
+/// or more rows, up to [`SHARD_CHUNK_BYTES`] of payload plus one row of
+/// overshoot. `range` is the shard's row range into the reordered
+/// `data`; `weights` are the reordered per-row importance weights,
+/// indexed like `data`. Calling it from `range.start` until it returns
+/// `range.end` streams the whole shard through one buffer. Encoding is
+/// deterministic, so a shard encoded twice — a first admission and a
+/// respawn's — is the same bytes.
+pub fn encode_dataset_shard_chunk(
+    out: &mut Vec<u8>,
+    shard: u32,
+    range: &Range<usize>,
+    row: usize,
+    data: &Dataset,
+    weights: &[f64],
+) -> usize {
+    out.push(FrameKind::DatasetShard.tag());
+    let head = [shard, range.start as u32, range.len() as u32, row as u32];
+    put_shard_chunk(out, head, data, weights, row..range.end, true)
 }
 
 fn put_dataset_shard(
@@ -1683,15 +1699,8 @@ fn put_dataset_shard(
     weights: &[f64],
     chunk: &Dataset,
 ) {
-    shard.put(out);
-    shard_start.put(out);
-    shard_rows.put(out);
-    start.put(out);
-    (chunk.dim() as u32).put(out);
-    (chunk.n_samples() as u32).put(out);
-    for (i, row) in chunk.rows().enumerate() {
-        put_shard_row(out, row.indices, row.values, row.label, weights[i]);
-    }
+    let head = [*shard, *shard_start, *shard_rows, *start];
+    put_shard_chunk(out, head, chunk, weights, 0..chunk.n_samples(), false);
 }
 
 /// Re-validates every builder invariant per chunk and bounds each
@@ -2399,13 +2408,14 @@ mod tests {
         }
         let ds = b.finish();
         let weights: Vec<f64> = (0..40).map(|i| 1.0 + i as f64 * 0.25).collect();
-        let chunks = encode_dataset_shard_chunks(1, 10..30, &ds, &weights);
-        assert!(!chunks.is_empty());
-        let mut rows_seen = 0usize;
-        for bytes in &chunks {
-            let msg = Message::decode(bytes).expect("chunk decodes");
+        let range = 10..30;
+        let (mut bytes, mut row, mut rows_seen) = (Vec::new(), range.start, 0usize);
+        while row < range.end {
+            bytes.clear();
+            row = encode_dataset_shard_chunk(&mut bytes, 1, &range, row, &ds, &weights);
+            let msg = Message::decode(&bytes).expect("chunk decodes");
             // Chunks are canonical: re-encoding is byte-identical.
-            assert_eq!(&msg.to_bytes(), bytes);
+            assert_eq!(msg.to_bytes(), bytes);
             let Message::DatasetShard {
                 shard,
                 shard_start,
@@ -2488,6 +2498,14 @@ mod tests {
         let pairs: Vec<(u32, f64)> = (0..wide as u32).map(|i| (i, 1.0)).collect();
         b.push_row(&pairs, 1.0).unwrap();
         b.push_row(&[], -1.0).unwrap();
+        // Empty rows take 13 bytes: this many fill a chunk to exactly
+        // SHARD_CHUNK_BYTES, the length at which the rule closes it.
+        let exact = (SHARD_CHUNK_BYTES - SHARD_HEAD) / 13;
+        assert_eq!(SHARD_HEAD + 13 * exact, SHARD_CHUNK_BYTES);
+        for i in 0..exact + 5 {
+            b.push_row(&[], if i % 2 == 0 { 1.0 } else { -1.0 })
+                .unwrap();
+        }
         let ds = b.finish();
         let weights: Vec<f64> = (0..ds.n_samples()).map(|i| 0.5 + i as f64).collect();
         for row in ds.rows() {
@@ -2497,10 +2515,14 @@ mod tests {
         }
         let n = ds.n_samples();
         // An empty range, a one-row shard, the multi-chunk body, the
-        // wider-than-a-chunk row alone and with its neighbours.
-        for range in [5..5, 7..8, 0..1_200, 1_200..1_201, 1_190..n] {
+        // wider-than-a-chunk row alone and with its neighbours, and the
+        // empty rows, whose first chunk ends at exactly the target.
+        for range in [5..5, 7..8, 0..1_200, 1_200..1_201, 1_190..1_202, 1_202..n] {
             let want = reference_chunks(3, range.clone(), &ds, &weights);
             assert_eq!(want.is_empty(), range.is_empty());
+            if range.start == 1_202 {
+                assert_eq!(want[0].len(), SHARD_CHUNK_BYTES);
+            }
             // One reused buffer, appended to behind bytes it must keep.
             let mut buf = Vec::new();
             let mut row = range.start;
@@ -2512,10 +2534,6 @@ mod tests {
                 assert_eq!(&buf[4..], &chunk[..], "{range:?}: chunk {i} differs");
             }
             assert_eq!(row, range.end, "{range:?}: rows left after the last chunk");
-            assert_eq!(
-                encode_dataset_shard_chunks(3, range.clone(), &ds, &weights),
-                want
-            );
             let lens: Vec<usize> = want.iter().map(Vec::len).collect();
             assert_eq!(dataset_shard_chunk_lens(&range, &ds), lens, "{range:?}");
         }
@@ -2531,11 +2549,24 @@ mod tests {
         b.push_row(&pairs, 1.0).unwrap();
         b.push_row(&[(0, 2.0)], -1.0).unwrap();
         let ds = b.finish();
-        let chunks = encode_dataset_shard_chunks(0, 0..2, &ds, &[1.0, 2.0]);
-        assert_eq!(chunks.len(), 2, "huge row forces a chunk break");
-        for bytes in &chunks {
-            assert!(Message::decode(bytes).is_ok());
+        let (mut bytes, mut row, mut chunks) = (Vec::new(), 0, 0);
+        while row < 2 {
+            bytes.clear();
+            row = encode_dataset_shard_chunk(&mut bytes, 0, &(0..2), row, &ds, &[1.0, 2.0]);
+            assert!(Message::decode(&bytes).is_ok());
+            chunks += 1;
         }
+        assert_eq!(chunks, 2, "huge row forces a chunk break");
+        // A chunk frame built by hand is written whole, past the target:
+        // only the streaming encoder closes chunks.
+        roundtrip(&Message::DatasetShard {
+            shard: 0,
+            shard_start: 0,
+            shard_rows: 2,
+            start: 0,
+            weights: vec![1.0, 2.0],
+            chunk: Box::new(ds),
+        });
     }
 
     #[test]

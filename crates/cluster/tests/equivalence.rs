@@ -14,7 +14,8 @@
 //!    wall-clock-free round traces. The 3-way matrix below sweeps
 //!    {Average, WeightedByShard} × {Static, Adaptive} ×
 //!    {EpochBoundary, EveryK} over both single-node (where the
-//!    sequential engine is the third leg) and multi-node topologies.
+//!    sequential engine is the third leg) and multi-node topologies,
+//!    on two-non-zero `skewed` rows and 7–9-non-zero `wide` rows.
 //!
 //! Any drift in the observation convention (scaling, accumulation,
 //! commit timing), seed derivation, shard layout, balancing, the wire
@@ -28,6 +29,9 @@
     reason = "../clippy.toml binds the library's non-test code; tests assert, time and receive freely"
 )]
 
+mod fixtures;
+
+use fixtures::wide;
 use isasgd_cluster::{run, ClusterConfig, ClusterRun, SyncStrategy, TransportConfig, WireEncoding};
 use isasgd_core::{
     train, Algorithm, BalancePolicy, CommitPolicy, Execution, ImportanceScheme, LogisticLoss,
@@ -46,6 +50,12 @@ fn skewed(n: usize) -> Dataset {
             .unwrap();
     }
     b.finish()
+}
+
+/// The matrix's datasets: `skewed` (two non-zeros a row, dim 8) and
+/// `wide` (7–9 non-zeros a row, dim 24), each tagged with its name.
+fn matrix_datasets() -> [(&'static str, Dataset); 2] {
+    [("skewed", skewed(240)), ("wide", wide(240))]
 }
 
 fn obj() -> Objective<LogisticLoss> {
@@ -136,89 +146,90 @@ fn sampling_commit_cells() -> Vec<(SamplingStrategy, CommitPolicy)> {
 /// {EpochBoundary, EveryK}, bit-equal models and round traces.
 #[test]
 fn three_way_matrix_tcp_inproc_engine() {
-    let ds = skewed(240);
     let seed = 0x15A5_6D00;
     let rounds = 4;
-    for sync in [SyncStrategy::Average, SyncStrategy::WeightedByShard] {
-        for (strategy, commit) in sampling_commit_cells() {
-            let tag = format!("{sync:?}/{strategy:?}/{commit:?}");
+    for (name, ds) in matrix_datasets() {
+        for sync in [SyncStrategy::Average, SyncStrategy::WeightedByShard] {
+            for (strategy, commit) in sampling_commit_cells() {
+                let tag = format!("{name}/{sync:?}/{strategy:?}/{commit:?}");
 
-            // Single node: engine is the third leg of the equivalence.
-            let inproc1 = run_cluster(
-                &ds,
-                1,
-                strategy,
-                sync,
-                commit,
-                TransportConfig::InProcess,
-                seed,
-                rounds,
-            );
-            let tcp1 = run_cluster(
-                &ds,
-                1,
-                strategy,
-                sync,
-                commit,
-                TransportConfig::tcp(),
-                seed,
-                rounds,
-            );
-            let engine = run_engine(&ds, strategy, commit, seed, rounds);
-            assert_eq!(inproc1.model, tcp1.model, "{tag}: 1-node tcp ≠ inproc");
-            assert_eq!(
-                inproc1.trace.points_without_clock(),
-                tcp1.trace.points_without_clock(),
-                "{tag}: 1-node traces differ"
-            );
-            assert_eq!(
-                inproc1.model, engine,
-                "{tag}: 1-node cluster ≠ sequential engine"
-            );
+                // Single node: engine is the third leg of the equivalence.
+                let inproc1 = run_cluster(
+                    &ds,
+                    1,
+                    strategy,
+                    sync,
+                    commit,
+                    TransportConfig::InProcess,
+                    seed,
+                    rounds,
+                );
+                let tcp1 = run_cluster(
+                    &ds,
+                    1,
+                    strategy,
+                    sync,
+                    commit,
+                    TransportConfig::tcp(),
+                    seed,
+                    rounds,
+                );
+                let engine = run_engine(&ds, strategy, commit, seed, rounds);
+                assert_eq!(inproc1.model, tcp1.model, "{tag}: 1-node tcp ≠ inproc");
+                assert_eq!(
+                    inproc1.trace.points_without_clock(),
+                    tcp1.trace.points_without_clock(),
+                    "{tag}: 1-node traces differ"
+                );
+                assert_eq!(
+                    inproc1.model, engine,
+                    "{tag}: 1-node cluster ≠ sequential engine"
+                );
 
-            // Multi node: transports must agree on everything observable.
-            let inproc3 = run_cluster(
-                &ds,
-                3,
-                strategy,
-                sync,
-                commit,
-                TransportConfig::InProcess,
-                seed,
-                rounds,
-            );
-            let tcp3 = run_cluster(
-                &ds,
-                3,
-                strategy,
-                sync,
-                commit,
-                TransportConfig::tcp(),
-                seed,
-                rounds,
-            );
-            assert_eq!(inproc3.model, tcp3.model, "{tag}: 3-node tcp ≠ inproc");
-            assert_eq!(
-                inproc3.trace.points_without_clock(),
-                tcp3.trace.points_without_clock(),
-                "{tag}: 3-node traces differ"
-            );
-            assert_eq!(
-                inproc3.feedback_rows, tcp3.feedback_rows,
-                "{tag}: mirror traffic differs"
-            );
-            assert_eq!(
-                inproc3.observed_phi_imbalance, tcp3.observed_phi_imbalance,
-                "{tag}: mirror state differs"
-            );
-            assert!(inproc3.model.iter().all(|x| x.is_finite()), "{tag}");
+                // Multi node: transports must agree on everything observable.
+                let inproc3 = run_cluster(
+                    &ds,
+                    3,
+                    strategy,
+                    sync,
+                    commit,
+                    TransportConfig::InProcess,
+                    seed,
+                    rounds,
+                );
+                let tcp3 = run_cluster(
+                    &ds,
+                    3,
+                    strategy,
+                    sync,
+                    commit,
+                    TransportConfig::tcp(),
+                    seed,
+                    rounds,
+                );
+                assert_eq!(inproc3.model, tcp3.model, "{tag}: 3-node tcp ≠ inproc");
+                assert_eq!(
+                    inproc3.trace.points_without_clock(),
+                    tcp3.trace.points_without_clock(),
+                    "{tag}: 3-node traces differ"
+                );
+                assert_eq!(
+                    inproc3.feedback_rows, tcp3.feedback_rows,
+                    "{tag}: mirror traffic differs"
+                );
+                assert_eq!(
+                    inproc3.observed_phi_imbalance, tcp3.observed_phi_imbalance,
+                    "{tag}: mirror state differs"
+                );
+                assert!(inproc3.model.iter().all(|x| x.is_finite()), "{tag}");
 
-            // And the two sync strategies must genuinely differ from a
-            // degenerate run: models move off the origin.
-            assert!(
-                inproc3.model.iter().any(|&x| x != 0.0),
-                "{tag}: no training"
-            );
+                // And the two sync strategies must genuinely differ from a
+                // degenerate run: models move off the origin.
+                assert!(
+                    inproc3.model.iter().any(|&x| x != 0.0),
+                    "{tag}: no training"
+                );
+            }
         }
     }
 }
@@ -231,67 +242,68 @@ fn three_way_matrix_tcp_inproc_engine() {
 /// any tx/rx base desynchronization, breaks this immediately.
 #[test]
 fn tcp_matrix_is_encoding_invariant() {
-    let ds = skewed(240);
     let seed = 0x15A5_6D00;
     let rounds = 4;
-    for (strategy, commit) in sampling_commit_cells() {
-        let baseline = run_cluster(
-            &ds,
-            3,
-            strategy,
-            SyncStrategy::WeightedByShard,
-            commit,
-            TransportConfig::InProcess,
-            seed,
-            rounds,
-        );
-        for encoding in [WireEncoding::Dense, WireEncoding::Delta, WireEncoding::Auto] {
-            let tag = format!("{strategy:?}/{commit:?}/{encoding:?}");
-            let tcp = run_cluster(
+    for (name, ds) in matrix_datasets() {
+        for (strategy, commit) in sampling_commit_cells() {
+            let baseline = run_cluster(
                 &ds,
                 3,
                 strategy,
                 SyncStrategy::WeightedByShard,
                 commit,
-                TransportConfig::Tcp {
-                    bind: "127.0.0.1:0".into(),
-                    encoding,
-                },
+                TransportConfig::InProcess,
                 seed,
                 rounds,
             );
-            assert_eq!(baseline.model, tcp.model, "{tag}: model ≠ inproc");
-            assert_eq!(
-                baseline.trace.points_without_clock(),
-                tcp.trace.points_without_clock(),
-                "{tag}: traces differ"
-            );
-            assert_eq!(
-                baseline.feedback_rows, tcp.feedback_rows,
-                "{tag}: mirror traffic differs"
-            );
-            assert_eq!(
-                baseline.observed_phi_imbalance, tcp.observed_phi_imbalance,
-                "{tag}: mirror state differs"
-            );
-            // The counters must attest the encoding actually engaged:
-            // round-model traffic flows as ModelUpdate frames under
-            // Dense and (after the first exchange) as ModelDelta under
-            // Delta.
-            let stats = &tcp.net;
-            assert_eq!(stats.len(), 3, "{tag}: one LinkStats per link");
-            let tx_delta: u64 = stats
-                .iter()
-                .map(|s| s.tx_bytes_for(isasgd_cluster::FrameKind::ModelDelta))
-                .sum();
-            match encoding {
-                WireEncoding::Dense => {
-                    assert_eq!(tx_delta, 0, "{tag}: dense run sent delta frames");
+            for encoding in [WireEncoding::Dense, WireEncoding::Delta, WireEncoding::Auto] {
+                let tag = format!("{name}/{strategy:?}/{commit:?}/{encoding:?}");
+                let tcp = run_cluster(
+                    &ds,
+                    3,
+                    strategy,
+                    SyncStrategy::WeightedByShard,
+                    commit,
+                    TransportConfig::Tcp {
+                        bind: "127.0.0.1:0".into(),
+                        encoding,
+                    },
+                    seed,
+                    rounds,
+                );
+                assert_eq!(baseline.model, tcp.model, "{tag}: model ≠ inproc");
+                assert_eq!(
+                    baseline.trace.points_without_clock(),
+                    tcp.trace.points_without_clock(),
+                    "{tag}: traces differ"
+                );
+                assert_eq!(
+                    baseline.feedback_rows, tcp.feedback_rows,
+                    "{tag}: mirror traffic differs"
+                );
+                assert_eq!(
+                    baseline.observed_phi_imbalance, tcp.observed_phi_imbalance,
+                    "{tag}: mirror state differs"
+                );
+                // The counters must attest the encoding actually engaged:
+                // round-model traffic flows as ModelUpdate frames under
+                // Dense and (after the first exchange) as ModelDelta under
+                // Delta.
+                let stats = &tcp.net;
+                assert_eq!(stats.len(), 3, "{tag}: one LinkStats per link");
+                let tx_delta: u64 = stats
+                    .iter()
+                    .map(|s| s.tx_bytes_for(isasgd_cluster::FrameKind::ModelDelta))
+                    .sum();
+                match encoding {
+                    WireEncoding::Dense => {
+                        assert_eq!(tx_delta, 0, "{tag}: dense run sent delta frames");
+                    }
+                    WireEncoding::Delta => {
+                        assert!(tx_delta > 0, "{tag}: delta run never sent a delta frame");
+                    }
+                    WireEncoding::Auto => {} // workload-dependent either way
                 }
-                WireEncoding::Delta => {
-                    assert!(tx_delta > 0, "{tag}: delta run never sent a delta frame");
-                }
-                WireEncoding::Auto => {} // workload-dependent either way
             }
         }
     }

@@ -34,6 +34,9 @@
     reason = "../clippy.toml binds the library's non-test code; tests assert, time and receive freely"
 )]
 
+mod fixtures;
+
+use fixtures::wide;
 use isasgd_cluster::{
     run, run_fleet_with, run_worker, ClusterConfig, ClusterError, ClusterRun, FrameKind, Message,
     ProcessConfig, SyncStrategy, Tcp, Transport, TransportConfig, WireEncoding, WorkerHandle,
@@ -257,29 +260,6 @@ fn fnv(model: &[f64]) -> u64 {
         .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
             (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
         })
-}
-
-/// The engine's bit-pin fixture: 7–9 non-zeros a row (unrolled margin
-/// body + tail), mixed-sign values, planted labels.
-fn wide(n: usize) -> Dataset {
-    let mut b = DatasetBuilder::new(24);
-    for i in 0..n {
-        let row: Vec<(u32, f64)> = (0..7 + i % 3)
-            .map(|k| {
-                let sign = if (i + k) % 2 == 0 { 1.0 } else { -1.0 };
-                let magnitude = (1 + (i * 7 + k * 3) % 9) as f64 * 0.0625;
-                ((i % 6 + 2 * k) as u32, sign * magnitude)
-            })
-            .collect();
-        let planted = |&(j, x): &(u32, f64)| if j % 3 == 0 { x } else { -0.5 * x };
-        let y = if row.iter().map(planted).sum::<f64>() >= 0.0 {
-            1.0
-        } else {
-            -1.0
-        };
-        b.push_row(&row, y).unwrap();
-    }
-    b.finish()
 }
 
 /// The worker step loop's bit pins, recorded from a build whose workers

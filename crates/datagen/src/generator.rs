@@ -274,7 +274,13 @@ mod tests {
         p.n_samples = 2000;
         p.zipf_exponent = 1.1;
         let g = generate(&p, 6);
-        let freq = isasgd_sparse::stats::feature_frequencies(&g.dataset);
+        // Rows containing each feature.
+        let mut freq = vec![0u32; p.dim];
+        for row in g.dataset.rows() {
+            for &i in row.indices {
+                freq[i as usize] += 1;
+            }
+        }
         let head: u32 = freq[..p.dim / 10].iter().sum();
         let tail: u32 = freq[p.dim / 10..].iter().sum();
         assert!(

@@ -1,4 +1,4 @@
-//! Per-dataset statistics: density, norms, feature frequencies.
+//! Per-dataset statistics: density, norms, active features.
 //!
 //! These feed the paper's Table 1 (dimension, instances, ∇f_i sparsity) and
 //! the conflict-graph analysis of §3.1 (feature popularity determines the
@@ -82,20 +82,6 @@ impl DatasetStats {
     }
 }
 
-/// Number of samples containing each feature (inverted-index row counts).
-///
-/// The degree of sample `i` in the conflict graph is governed by how popular
-/// its features are; this histogram is the raw input for estimating Δ̄.
-pub fn feature_frequencies(ds: &Dataset) -> Vec<u32> {
-    let mut freq = vec![0u32; ds.dim()];
-    for row in ds.rows() {
-        for &i in row.indices {
-            freq[i as usize] += 1;
-        }
-    }
-    freq
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,9 +119,8 @@ mod tests {
     }
 
     #[test]
-    fn frequencies_and_norms() {
+    fn row_norms() {
         let d = ds();
-        assert_eq!(feature_frequencies(&d), vec![1, 2, 0, 0]);
         let norms_sq: Vec<f64> = d.rows().map(|r| r.norm_sq()).collect();
         assert_eq!(norms_sq, vec![25.0, 1.0]);
     }
