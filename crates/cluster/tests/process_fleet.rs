@@ -266,42 +266,53 @@ fn fnv(model: &[f64]) -> u64 {
 /// read every row straight from their shard: a two-node in-process
 /// cluster on the `wide` fixture under epoch-boundary commits (a worker
 /// pulls a window of draws at a time) and under every-7 commits (one
-/// draw at a time), and the first again on a process fleet. A fleet's
-/// node 1 holds only its own rows, so each of its steps reads storage
-/// row `row - row_base` with `row_base > 0`. Squared hinge keeps libm
-/// out of the trajectory.
+/// draw at a time), and the first again on a process fleet; then both
+/// transports again at two local epochs a round, where a worker commits
+/// its sampler between its epochs and once more after the round's
+/// sends. A fleet's node 1 holds only its own rows, so each of its
+/// steps reads storage row `row - row_base` with `row_base > 0`.
+/// Squared hinge keeps libm out of the trajectory.
 #[test]
 fn cluster_model_bits_are_pinned_in_process_and_on_a_fleet() {
     const EPOCH_BOUNDARY: u64 = 0xc080_1afd_6154_acb3;
     const EVERY_7: u64 = 0xfe85_9852_182d_2ed9;
+    const TWO_LOCAL_EPOCHS: u64 = 0x9d36_9893_a795_b4f6;
     let ds = wide(96);
     let o = Objective::new(SquaredHingeLoss, Regularizer::L1 { eta: 1e-3 });
-    let cfg = |commit| ClusterConfig {
+    let cfg = |commit, local_epochs| ClusterConfig {
         rounds: 3,
+        local_epochs,
         step_size: 0.1,
         commit,
         seed: 41,
         ..adaptive_cfg(2)
     };
-    let boundary = cfg(CommitPolicy::EpochBoundary);
+    let boundary = cfg(CommitPolicy::EpochBoundary, 1);
+    let two_epochs = cfg(CommitPolicy::EpochBoundary, 2);
     for (tag, cfg, want) in [
         ("epoch-boundary", &boundary, EPOCH_BOUNDARY),
-        ("every-7", &cfg(CommitPolicy::EveryK(7)), EVERY_7),
+        ("every-7", &cfg(CommitPolicy::EveryK(7), 1), EVERY_7),
+        ("two local epochs", &two_epochs, TWO_LOCAL_EPOCHS),
     ] {
         let got = fnv(&run(&ds, &o, cfg).unwrap().model);
         assert_eq!(got, want, "in-process {tag}: {got:#018x}");
     }
-    let (tx, rx) = channel();
-    std::thread::spawn(move || {
-        let spawner = ThreadSpawner { die_at: None };
-        let _ = tx.send(run_fleet_with(&ds, &o, &boundary, &fleet_pc(), spawner));
-    });
-    let fleet = rx
-        .recv_timeout(Duration::from_secs(120))
-        .expect("fleet run hung")
-        .unwrap();
-    let got = fnv(&fleet.model);
-    assert_eq!(got, EPOCH_BOUNDARY, "fleet epoch-boundary: {got:#018x}");
+    for (tag, cfg, want) in [
+        ("epoch-boundary", boundary, EPOCH_BOUNDARY),
+        ("two local epochs", two_epochs, TWO_LOCAL_EPOCHS),
+    ] {
+        let (ds, (tx, rx)) = (ds.clone(), channel());
+        std::thread::spawn(move || {
+            let spawner = ThreadSpawner { die_at: None };
+            let _ = tx.send(run_fleet_with(&ds, &o, &cfg, &fleet_pc(), spawner));
+        });
+        let fleet = rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("fleet run hung")
+            .unwrap();
+        let got = fnv(&fleet.model);
+        assert_eq!(got, want, "fleet {tag}: {got:#018x}");
+    }
 }
 
 #[test]
