@@ -13,12 +13,16 @@
 //!  per round r = 1..=rounds:
 //!   ◀── RoundBarrier(r) ──────────   start-of-round barrier
 //!   ◀── ModelUpdate(r, consensus)    round's starting model
-//!      … local_epochs of (IS-)SGD on the worker's shard …
+//!      … local_epochs of (IS-)SGD     coordinator, meanwhile: folds
+//!        on the worker's shard …      round r−1's feedback into its
+//!                                     mirrors
 //!   ── FeedbackBatch(r) ─────────▶   per-row max importance observations
 //!                                    (adaptive runs only)
-//!   ── ModelUpdate(r, replica) ──▶   trained local model
-//!                                    coordinator: average via
-//!                                    SyncStrategy, eval consensus
+//!   ── ModelUpdate(r, replica) ──▶   trained local model, folded into
+//!                                    the consensus on arrival
+//!                                    (SyncStrategy's term); then eval
+//!      worker, meanwhile: commits
+//!      its sampler for round r+1
 //! ```
 //!
 //! Receivers are written against a weaker channel than either bundled
@@ -30,13 +34,14 @@
 //!
 //! Determinism: each worker's draws come from its own seed-derived
 //! [`ScheduleStream`], observations only ever touch the worker's own
-//! sampler, and the coordinator averages models into per-node slots — so
+//! sampler, and the coordinator folds the replicas into the consensus
+//! in link order, whatever order they arrive in — so
 //! the result is bit-identical across transports and thread schedules,
 //! and a single-node run stays bit-equal to the sequential engine
 //! (`tests/equivalence.rs`).
 
 use crate::node::{validate, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs};
-use crate::sync::average_models;
+use crate::sync::fold_model;
 use crate::transport::{TelemetrySample, Transport};
 use crate::wire::{
     apply_delta, delta_coords, CheckpointSampler, CheckpointState, Message, SessionConfig,
@@ -272,7 +277,6 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
 
     let mut train_secs = 0.0;
     let shard_sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-    let mut models: Vec<Vec<f64>> = vec![Vec::new(); cfg.nodes];
     let mut feedback_rows = 0usize;
     // Worker timing frames, as the collect loop receives them.
     let mut telemetry = Vec::new();
@@ -306,9 +310,18 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
         if let Message::ModelUpdate { model, .. } = update {
             consensus = model;
         }
+        // While the workers train: fold the last round's feedback into
+        // the mirrors (none reads them before the final summary), and
+        // clear the consensus for this round's replicas.
+        for m in mirrors.iter_mut() {
+            m.epoch_reset();
+        }
+        consensus.fill(0.0);
         // Collect: drain each link until this round's replica (and, for
         // adaptive runs, its feedback batch) arrives; stale tags are
-        // duplicates from earlier rounds and are dropped.
+        // duplicates from earlier rounds and are dropped. Each replica
+        // is folded into the consensus as it arrives, in link order —
+        // `average_models`' sum, term for term.
         for (k, link) in links.iter_mut().enumerate() {
             let mut have_model = false;
             let mut have_feedback = !adaptive;
@@ -320,16 +333,15 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
                 match link.recv()? {
                     Message::ModelUpdate {
                         round: r, model, ..
-                    } if r == round as u64 => {
-                        // `average_models` asserts equal lengths; a
-                        // panic here would strand the workers mid-recv.
+                    } if r == round as u64 && !have_model => {
                         if model.len() != d {
                             return Err(ClusterError::Worker(format!(
                                 "round {round}: node {k} sent a replica of dim {} != model dim {d}",
                                 model.len()
                             )));
                         }
-                        models[k] = model;
+                        let term = cfg.sync.term(k, cfg.nodes, &shard_sizes);
+                        fold_model(&mut consensus, &model, term);
                         have_model = true;
                     }
                     Message::FeedbackBatch {
@@ -373,10 +385,6 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
                 }
             }
         }
-        for m in mirrors.iter_mut() {
-            m.epoch_reset();
-        }
-        average_models(&models, &shard_sizes, cfg.sync, &mut consensus);
         let round_secs = t0.elapsed().as_secs_f64();
         train_secs += round_secs;
 
@@ -397,9 +405,13 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
         });
     }
 
-    // The mirror's view of shard importance after all feedback landed —
-    // max/mean of the mirrored per-shard mass, 1.0 meaning the observed
-    // distributions stayed balanced.
+    // The mirror's view of shard importance after all feedback landed
+    // (the last round's folded here) — max/mean of the mirrored
+    // per-shard mass, 1.0 meaning the observed distributions stayed
+    // balanced.
+    for m in mirrors.iter_mut() {
+        m.epoch_reset();
+    }
     let observed_phi_imbalance = adaptive.then(|| {
         let sums: Vec<f64> = mirrors
             .iter()
@@ -798,7 +810,12 @@ impl<T: Transport> NodeRuntime<T> {
                 visited.fill(false);
             }
             let compute_t0 = if cfg.telemetry { monotonic_us() } else { 0 };
-            for _ in 0..cfg.local_epochs {
+            for epoch in 0..cfg.local_epochs {
+                // Commits between local epochs; the round's last one
+                // waits until the round's frames are sent.
+                if epoch > 0 {
+                    stream.epoch_reset();
+                }
                 local_epoch(
                     data,
                     row_base,
@@ -810,7 +827,6 @@ impl<T: Transport> NodeRuntime<T> {
                     &mut obs_max,
                     &mut visited,
                 );
-                stream.epoch_reset();
             }
             let compute_us = if cfg.telemetry {
                 monotonic_us().saturating_sub(compute_t0)
@@ -863,6 +879,11 @@ impl<T: Transport> NodeRuntime<T> {
             if let Message::ModelUpdate { model: replica, .. } = update {
                 model = replica;
             }
+            // The round's last commit, off the round's critical path:
+            // the coordinator is collecting and averaging meanwhile, and
+            // nothing above read the sampler after the last epoch's
+            // draws. The next round's draws, and the checkpoint, see it.
+            stream.epoch_reset();
             // Periodic state checkpoint, after the round's update so
             // the coordinator absorbs it while collecting the *next*
             // round (hence none at the final round — there would be no

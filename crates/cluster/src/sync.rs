@@ -13,6 +13,48 @@ pub enum SyncStrategy {
     WeightedByShard,
 }
 
+/// One node's term of the consensus sum: its model divided by the node
+/// count ([`SyncStrategy::Average`]) or scaled by its shard's share of
+/// the rows ([`SyncStrategy::WeightedByShard`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Term {
+    Divide(f64),
+    Scale(f64),
+}
+
+impl SyncStrategy {
+    /// The term of node `node` of `nodes`, whose shards hold
+    /// `shard_sizes` rows (weighted runs only read them).
+    pub(crate) fn term(self, node: usize, nodes: usize, shard_sizes: &[usize]) -> Term {
+        match self {
+            SyncStrategy::Average => Term::Divide(nodes as f64),
+            SyncStrategy::WeightedByShard => {
+                let total: usize = shard_sizes.iter().sum();
+                Term::Scale(shard_sizes[node] as f64 / total as f64)
+            }
+        }
+    }
+}
+
+/// Adds one node's `term` of `model` into the consensus `out`: the one
+/// fold step. Folding every node's model, in node order, into zeros is
+/// [`average_models`] — and what the coordinator does as each replica
+/// arrives.
+pub(crate) fn fold_model(out: &mut [f64], model: &[f64], term: Term) {
+    match term {
+        Term::Divide(k) => {
+            for (o, &v) in out.iter_mut().zip(model) {
+                *o += v / k;
+            }
+        }
+        Term::Scale(w) => {
+            for (o, &v) in out.iter_mut().zip(model) {
+                *o += w * v;
+            }
+        }
+    }
+}
+
 /// Reduces `models` (one per node) into the consensus model, in place in
 /// `out`.
 ///
@@ -34,28 +76,14 @@ pub fn average_models(
     for m in models {
         assert_eq!(m.len(), d, "model dimension mismatch");
     }
+    if strategy == SyncStrategy::WeightedByShard {
+        assert_eq!(shard_sizes.len(), models.len(), "one shard size per node");
+        assert!(shard_sizes.iter().sum::<usize>() > 0, "empty cluster");
+    }
     out.clear();
     out.resize(d, 0.0);
-    match strategy {
-        SyncStrategy::Average => {
-            let k = models.len() as f64;
-            for m in models {
-                for (o, &v) in out.iter_mut().zip(m) {
-                    *o += v / k;
-                }
-            }
-        }
-        SyncStrategy::WeightedByShard => {
-            assert_eq!(shard_sizes.len(), models.len(), "one shard size per node");
-            let total: usize = shard_sizes.iter().sum();
-            assert!(total > 0, "empty cluster");
-            for (m, &n_a) in models.iter().zip(shard_sizes) {
-                let w = n_a as f64 / total as f64;
-                for (o, &v) in out.iter_mut().zip(m) {
-                    *o += w * v;
-                }
-            }
-        }
+    for (node, m) in models.iter().enumerate() {
+        fold_model(out, m, strategy.term(node, models.len(), shard_sizes));
     }
 }
 

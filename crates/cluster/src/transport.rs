@@ -452,6 +452,10 @@ impl Tcp {
     /// with a timeout error instead of hanging it forever.
     const READ_TIMEOUT: Duration = Duration::from_secs(120);
 
+    /// The first step in which [`Transport::recv`] grows its buffer for
+    /// a frame's bytes; later steps double what arrived so far.
+    const RECV_STEP: usize = 1 << 16;
+
     /// Wraps a connected stream (disables Nagle — the protocol is
     /// latency-bound request/response, not bulk).
     pub fn new(stream: TcpStream) -> std::io::Result<Tcp> {
@@ -604,11 +608,19 @@ impl Transport for Tcp {
         if len > MAX_FRAME {
             return Err(TransportError::Wire(WireError::FrameTooLarge { len }));
         }
+        // The buffer grows as the payload arrives, never more than it
+        // holds in one step: a prefix that declares more than the peer
+        // sends costs what was sent, not what was declared. Capacity
+        // is kept, so the round's frames grow nothing after the first.
         self.scratch.clear();
-        self.scratch.resize(len, 0);
-        self.stream
-            .read_exact(&mut self.scratch)
-            .map_err(eof_is_closed)?;
+        while self.scratch.len() < len {
+            let at = self.scratch.len();
+            let step = (len - at).min(at.max(Self::RECV_STEP));
+            self.scratch.resize(at + step, 0);
+            self.stream
+                .read_exact(self.scratch.get_mut(at..).unwrap_or_default())
+                .map_err(eof_is_closed)?;
+        }
         let kind = self.scratch.first().copied().and_then(FrameKind::from_tag);
         let msg = match kind {
             // A round model lands in the rx base in place; the one copy
@@ -910,6 +922,41 @@ mod tests {
             }
             other => panic!("expected the rebuilt model, got {other:?}"),
         }
+    }
+
+    /// A length prefix is a claim, not an allocation: a peer that
+    /// declares a 200 MiB frame, sends 4 bytes of it and hangs up leaves
+    /// the receiver holding a buffer the size of one growth step, not of
+    /// the claim.
+    #[test]
+    fn a_declared_frame_length_reserves_only_what_arrives() {
+        let (mut coord, mut worker) = tcp_loopback_links(1, "127.0.0.1:0").unwrap().pop().unwrap();
+        let declared = 200u32 << 20;
+        coord.stream.write_all(&declared.to_le_bytes()).unwrap();
+        coord.stream.write_all(&[0, 1, 2, 3]).unwrap();
+        drop(coord);
+        assert!(matches!(worker.recv(), Err(TransportError::Closed)));
+        assert!(
+            worker.scratch.capacity() <= 2 * Tcp::RECV_STEP,
+            "{} bytes reserved for 4 received",
+            worker.scratch.capacity()
+        );
+        // Frames that do arrive whole still round-trip, the large one
+        // through several growth steps.
+        let (mut coord, mut worker) = tcp_loopback_links(1, "127.0.0.1:0").unwrap().pop().unwrap();
+        let big = Message::ModelUpdate {
+            node: 1,
+            round: 2,
+            model: (0..100_000).map(|i| f64::from(i) * 0.25).collect(),
+        };
+        coord.send(&big).unwrap();
+        coord.send(&barrier(3)).unwrap();
+        assert_eq!(worker.recv().unwrap(), big);
+        let grown = worker.scratch.capacity();
+        assert_eq!(worker.recv().unwrap(), barrier(3));
+        coord.send(&big).unwrap();
+        assert_eq!(worker.recv().unwrap(), big);
+        assert_eq!(worker.scratch.capacity(), grown, "capacity is reused");
     }
 
     #[test]

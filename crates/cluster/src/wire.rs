@@ -70,7 +70,8 @@ use std::ops::Range;
 
 /// Hard ceiling on one frame's payload size (256 MiB). A length prefix
 /// beyond this is rejected before allocation — a garbage or hostile
-/// stream cannot make the receiver reserve arbitrary memory.
+/// stream cannot make the receiver reserve arbitrary memory; under it,
+/// `Tcp::recv` grows its buffer only as the payload's bytes arrive.
 pub const MAX_FRAME: usize = 1 << 28;
 
 /// Version of the coordinator↔worker session protocol. Carried by
@@ -628,7 +629,10 @@ wire_struct! {
 /// they are comparable within one worker but not across machines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerTiming {
-    /// Microseconds spent in the local-epoch compute loop.
+    /// Microseconds spent in the local-epoch compute loop: the round's
+    /// local epochs and the sampler commits between them. The commit
+    /// after the last epoch happens once the round's frames are sent,
+    /// outside this span.
     pub compute_us: u64,
     /// Microseconds blocked waiting for the round-start barrier.
     pub barrier_wait_us: u64,
@@ -1228,22 +1232,35 @@ pub fn apply_delta(base: &[f64], indices: &[u32], values: &[f64]) -> Option<Vec<
 /// [`Message::ModelDelta`] both start with.
 const MODEL_HEAD: usize = 1 + 4 + 8 + 4;
 
-/// The coordinates where `model`'s bits differ from `base`'s, in order,
-/// each as the gap its index-list varint carries (`i − prev − 1`, the
-/// first against −1) and its new value: the one walk behind both passes
-/// of [`encode_model_frame`].
+/// Coordinates per changed-bits mask: one `u64`.
+const BLOCK: usize = 64;
+
+/// The changed-bits mask of one block: bit `j` is set when coordinate
+/// `j` of `model` differs from `base` in its bits. Branch-free: every
+/// coordinate is compared, and each compare is a bit.
+#[inline]
 #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
-fn changed_coords<'m>(base: &'m [f64], model: &'m [f64]) -> impl Iterator<Item = (u64, f64)> + 'm {
-    let mut next = 0;
+fn changed_mask(base: &[f64], model: &[f64]) -> u64 {
     base.iter()
         .zip(model)
         .enumerate()
-        .filter(|(_, (b, m))| b.to_bits() != m.to_bits())
-        .map(move |(i, (_, &m))| {
-            let gap = (i - next) as u64;
-            next = i + 1;
-            (gap, m)
+        .fold(0, |mask, (j, (b, m))| {
+            mask | u64::from(b.to_bits() != m.to_bits()) << j
         })
+}
+
+/// Each block of [`BLOCK`] coordinates as its first index, its
+/// [`changed_mask`] and its slice of `model` (the last block may be
+/// shorter): the walk behind both passes of [`encode_model_frame`].
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+fn changed_blocks<'m>(
+    base: &'m [f64],
+    model: &'m [f64],
+) -> impl Iterator<Item = (usize, u64, &'m [f64])> + 'm {
+    base.chunks(BLOCK)
+        .zip(model.chunks(BLOCK))
+        .enumerate()
+        .map(|(k, (b, m))| (k * BLOCK, changed_mask(b, m), m))
 }
 
 /// Appends the payload a link sends for the round model `model` of
@@ -1253,12 +1270,15 @@ fn changed_coords<'m>(base: &'m [f64], model: &'m [f64]) -> impl Iterator<Item =
 /// otherwise. Under [`WireEncoding::Auto`] the two exact payload lengths
 /// are compared and the shorter frame is written; dense wins a tie.
 ///
-/// Both slices are read in place — one pass counts the changed
-/// coordinates and their varint bytes, one pass writes the frame, both
-/// over one walk of the changed coordinates — and
-/// the bytes equal [`Message::encode`] of the frame built from
-/// [`delta_coords`] (or of the dense update). A payload over
-/// [`MAX_FRAME`] is refused before anything is appended.
+/// Both slices are read in place, in blocks of 64 coordinates whose
+/// changed bits each pass gathers into one mask. The sizing pass counts
+/// the set bits and the varint bytes of their gaps — a gap inside a
+/// block is below 64, one byte, so only a block's first change is
+/// measured. The writing pass walks the set bits and writes each gap
+/// and value into the exactly sized region. The bytes equal
+/// [`Message::encode`] of the frame built from [`delta_coords`] (or of
+/// the dense update). A payload over [`MAX_FRAME`] is refused before
+/// anything is appended.
 #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 pub fn encode_model_frame(
     out: &mut Vec<u8>,
@@ -1272,10 +1292,16 @@ pub fn encode_model_frame(
     let delta = base
         .filter(|base| encoding != WireEncoding::Dense && base.len() == model.len())
         .and_then(|base| {
-            let (changed, varints) = changed_coords(base, model)
-                .fold((0, 0), |(n, bytes), (gap, _)| {
-                    (n + 1, bytes + varint_len(gap))
-                });
+            let (mut changed, mut varints, mut next) = (0, 0, 0);
+            for (first, mask, _) in changed_blocks(base, model) {
+                if mask != 0 {
+                    let ones = mask.count_ones() as usize;
+                    let lead = first + mask.trailing_zeros() as usize;
+                    changed += ones;
+                    varints += ones - 1 + varint_len((lead - next) as u64);
+                    next = first + (BLOCK - mask.leading_zeros() as usize);
+                }
+            }
             let len = MODEL_HEAD + 4 + varints + 8 * changed;
             (encoding == WireEncoding::Delta || len < dense_len)
                 .then_some((base, changed, varints, len))
@@ -1305,7 +1331,7 @@ pub fn encode_model_frame(
     };
     changed.put(out);
     // The writing pass: the index list and the values it counts are
-    // filled side by side in the region the counting pass sized.
+    // filled side by side in the region the sizing pass measured.
     let body = out.len();
     out.resize(start + len, 0);
     let (indices, values) = out
@@ -1315,14 +1341,21 @@ pub fn encode_model_frame(
             what: "model delta region shorter than its counted length",
         })?;
     let (mut indices, mut values) = (indices.iter_mut(), values.chunks_exact_mut(8));
-    for (gap, m) in changed_coords(base, model) {
-        varint_bytes(gap, |byte| {
-            if let Some(slot) = indices.next() {
-                *slot = byte;
+    let mut next = 0;
+    for (first, mut mask, block) in changed_blocks(base, model) {
+        while mask != 0 {
+            let j = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let gap = (first + j - next) as u64;
+            next = first + j + 1;
+            varint_bytes(gap, |byte| {
+                if let Some(slot) = indices.next() {
+                    *slot = byte;
+                }
+            });
+            if let (Some(slot), Some(m)) = (values.next(), block.get(j)) {
+                slot.copy_from_slice(&m.to_le_bytes());
             }
-        });
-        if let Some(slot) = values.next() {
-            slot.copy_from_slice(&m.to_le_bytes());
         }
     }
     Ok(())

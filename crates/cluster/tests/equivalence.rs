@@ -31,7 +31,7 @@
 
 mod fixtures;
 
-use fixtures::wide;
+use fixtures::{skewed, wide};
 use isasgd_cluster::{run, ClusterConfig, ClusterRun, SyncStrategy, TransportConfig, WireEncoding};
 use isasgd_core::{
     train, Algorithm, BalancePolicy, CommitPolicy, Execution, ImportanceScheme, LogisticLoss,
@@ -40,18 +40,6 @@ use isasgd_core::{
 use isasgd_sparse::{Dataset, DatasetBuilder};
 
 /// Heavy-tailed norms so adaptivity has something to chew on.
-fn skewed(n: usize) -> Dataset {
-    let mut b = DatasetBuilder::new(8);
-    for i in 0..n {
-        let norm = if i % 10 == 0 { 6.0 } else { 0.3 };
-        let j = (i % 4) as u32;
-        let y = if i % 2 == 0 { 1.0 } else { -1.0 };
-        b.push_row(&[(j, y * norm), (4 + j, 0.5 * y * norm)], y)
-            .unwrap();
-    }
-    b.finish()
-}
-
 /// The matrix's datasets: `skewed` (two non-zeros a row, dim 8) and
 /// `wide` (7–9 non-zeros a row, dim 24), each tagged with its name.
 fn matrix_datasets() -> [(&'static str, Dataset); 2] {

@@ -1,6 +1,25 @@
 //! Datasets shared by more than one of the cluster's integration tests.
 
+#![allow(
+    dead_code,
+    reason = "every test binary compiles this module and uses its own subset of it"
+)]
+
 use isasgd_sparse::{Dataset, DatasetBuilder};
+
+/// The cluster's skewed-importance fixture: two non-zeros a row, dim 8,
+/// every tenth row 20× heavier than the rest, alternating labels.
+pub fn skewed(n: usize) -> Dataset {
+    let mut b = DatasetBuilder::new(8);
+    for i in 0..n {
+        let norm = if i % 10 == 0 { 6.0 } else { 0.3 };
+        let j = (i % 4) as u32;
+        let y = if i % 2 == 0 { 1.0 } else { -1.0 };
+        b.push_row(&[(j, y * norm), (4 + j, 0.5 * y * norm)], y)
+            .unwrap();
+    }
+    b.finish()
+}
 
 /// The engine's bit-pin fixture: 7–9 non-zeros a row (unrolled margin
 /// body + tail), mixed-sign values, planted labels, dim 24.

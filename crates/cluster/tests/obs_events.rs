@@ -15,6 +15,9 @@
     reason = "../clippy.toml binds the library's non-test code; tests assert, time and receive freely"
 )]
 
+mod fixtures;
+
+use fixtures::skewed;
 use isasgd_cluster::{
     run, run_fleet_with, run_worker, ClusterConfig, ClusterError, ClusterRun, FrameKind,
     ProcessConfig, SyncStrategy, TransportConfig, WireEncoding, WorkerHandle, WorkerLossPolicy,
@@ -25,24 +28,12 @@ use isasgd_core::{
     SamplingStrategy,
 };
 use isasgd_obs::{Event, LogLevel, ObsClock, Recorder};
-use isasgd_sparse::{Dataset, DatasetBuilder};
+use isasgd_sparse::Dataset;
 use std::sync::{Arc, Mutex};
 
 /// The recorder is one per process: the tests below take turns
 /// installing it, or one test's events would land in another's trace.
 static RECORDER: Mutex<()> = Mutex::new(());
-
-fn skewed(n: usize) -> Dataset {
-    let mut b = DatasetBuilder::new(8);
-    for i in 0..n {
-        let norm = if i % 10 == 0 { 6.0 } else { 0.3 };
-        let j = (i % 4) as u32;
-        let y = if i % 2 == 0 { 1.0 } else { -1.0 };
-        b.push_row(&[(j, y * norm), (4 + j, 0.5 * y * norm)], y)
-            .unwrap();
-    }
-    b.finish()
-}
 
 /// Runs `cfg` on `data` under a fresh in-memory recorder; returns the
 /// run and every event it emitted, in order.

@@ -36,7 +36,7 @@
 
 mod fixtures;
 
-use fixtures::wide;
+use fixtures::{skewed, wide};
 use isasgd_cluster::{
     run, run_fleet_with, run_worker, ClusterConfig, ClusterError, ClusterRun, FrameKind, Message,
     ProcessConfig, SyncStrategy, Tcp, Transport, TransportConfig, WireEncoding, WorkerHandle,
@@ -46,23 +46,11 @@ use isasgd_core::{
     train, Algorithm, CommitPolicy, Execution, ImportanceScheme, LogisticLoss, Objective,
     Regularizer, SamplingStrategy, SquaredHingeLoss, TrainConfig,
 };
-use isasgd_sparse::{Dataset, DatasetBuilder};
+use isasgd_sparse::Dataset;
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::channel;
 use std::time::Duration;
-
-fn skewed(n: usize) -> Dataset {
-    let mut b = DatasetBuilder::new(8);
-    for i in 0..n {
-        let norm = if i % 10 == 0 { 6.0 } else { 0.3 };
-        let j = (i % 4) as u32;
-        let y = if i % 2 == 0 { 1.0 } else { -1.0 };
-        b.push_row(&[(j, y * norm), (4 + j, 0.5 * y * norm)], y)
-            .unwrap();
-    }
-    b.finish()
-}
 
 fn obj() -> Objective<LogisticLoss> {
     Objective::new(LogisticLoss, Regularizer::L1 { eta: 1e-5 })

@@ -452,6 +452,89 @@ fn auto_sends_a_delta_while_it_is_the_shorter_frame() {
     assert_eq!(stats.tx_bytes_for(FrameKind::ModelDelta), 4 + 3621);
 }
 
+/// The frame `encode_model_frame` writes for `(base, next)` under
+/// `encoding`, checked against the oracles: `Message::encode` of the
+/// dense update and of `delta_coords`' delta, `auto` taking the shorter
+/// and dense on a tie — then applied to `base`, which must come back
+/// as `next`, bit for bit.
+fn encoded_as_the_oracles_encode(base: &[f64], next: &[f64], encoding: WireEncoding) -> Vec<u8> {
+    let (indices, values) = delta_coords(base, next);
+    let dense = Message::ModelUpdate {
+        node: 3,
+        round: 9,
+        model: next.to_vec(),
+    }
+    .to_bytes();
+    let delta = Message::ModelDelta {
+        node: 3,
+        round: 9,
+        dim: next.len() as u32,
+        indices,
+        values,
+    }
+    .to_bytes();
+    let want = match encoding {
+        WireEncoding::Dense => &dense,
+        WireEncoding::Delta => &delta,
+        WireEncoding::Auto if delta.len() < dense.len() => &delta,
+        WireEncoding::Auto => &dense,
+    };
+    let mut got = Vec::new();
+    encode_model_frame(&mut got, 3, 9, next, Some(base), encoding).unwrap();
+    assert!(
+        got == *want,
+        "{encoding:?}, dim {}: bytes differ",
+        next.len()
+    );
+    let mut held = Some(base.to_vec());
+    let (_, _, model) = apply_model_frame(&got, &mut held).unwrap();
+    let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(model), bits(next));
+    got
+}
+
+/// The link encoder's 64-coordinate blocks at their edges: dims that
+/// end a block early, exactly, one past it and two blocks past it, and
+/// 2^20 + 3; changes only on the first and last coordinate of each
+/// block, on every coordinate, on none; gaps of 2^14, whose varints
+/// take three bytes, and one of 2^20 across empty blocks.
+#[test]
+fn the_link_encoder_is_exact_at_block_edges() {
+    for dim in [1usize, 63, 64, 65, 129, (1 << 20) + 3] {
+        let base: Vec<f64> = (0..dim).map(|i| i as f64 * 0.5 - 7.0).collect();
+        let changed = |at: &dyn Fn(usize) -> bool| -> Vec<f64> {
+            (base.iter().enumerate())
+                .map(|(i, &v)| if at(i) { -v - 0.25 } else { v })
+                .collect()
+        };
+        let edges = changed(&|i| i % 64 == 0 || i % 64 == 63 || i + 1 == dim);
+        let all = changed(&|_| true);
+        // Gaps of 2^14: the first three-byte varint.
+        let wide_gaps = changed(&|i| i % ((1 << 14) + 1) == 0 || i + 1 == dim);
+        let far = changed(&|i| i == 5 || i == (1 << 20) + 6 || i + 1 == dim);
+        for next in [&edges, &all, &wide_gaps, &far, &base] {
+            for encoding in [WireEncoding::Dense, WireEncoding::Delta, WireEncoding::Auto] {
+                encoded_as_the_oracles_encode(&base, next, encoding);
+            }
+        }
+    }
+    // A gap of 2^20 crosses 16 384 empty blocks and takes three bytes.
+    let base = vec![1.0; (1 << 20) + 3];
+    let mut next = base.clone();
+    next[1] = 2.0;
+    next[(1 << 20) + 2] = 3.0;
+    let frame = encoded_as_the_oracles_encode(&base, &next, WireEncoding::Delta);
+    assert_eq!(frame.len(), 17 + 4 + (1 + 3) + 2 * 8);
+    // The tie: five coordinates, four changed with one-byte gaps, make a
+    // delta of 17 + 4 + 4 + 32 = 57 bytes, the dense frame's length —
+    // and auto sends dense.
+    let base = [1.0, 2.0, 3.0, 4.0, 5.0];
+    let next = [1.5, 2.5, 3.5, 4.5, 5.0];
+    let frame = encoded_as_the_oracles_encode(&base, &next, WireEncoding::Auto);
+    assert_eq!(frame.len(), 57);
+    assert_eq!(frame[0], FrameKind::ModelUpdate.tag());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1))]
 

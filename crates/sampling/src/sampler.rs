@@ -4,7 +4,7 @@
 //! The paper's practical insight (Algorithm 2) is that *static*
 //! importance sampling leaves the training kernel identical to uniform
 //! ASGD — only the index stream changes. This module turns that
-//! observation into an abstraction: solvers consume `Sampler::next` and
+//! observation into an abstraction: solvers consume `Sampler::fill` and
 //! `Sampler::correction` without knowing whether indices come from a
 //! uniform stream, a pre-generated weighted sequence, or a live
 //! sum-tree distribution that re-weights itself from observed
@@ -184,12 +184,14 @@ pub trait Sampler: Send {
         self.len() == 0
     }
 
-    /// Draws the next sample index in `0..len()`.
+    /// Draws the next `out.len()` sample indices in `0..len()`, in
+    /// order, into `out`: the same indices, and the same `rng` state
+    /// after, as that many draws one at a time.
     ///
     /// Pre-generated samplers ignore `rng` (their stream was fixed at
     /// construction, preserving the paper's offline-sequence semantics);
     /// live samplers consume it.
-    fn next(&mut self, rng: &mut Xoshiro256pp) -> usize;
+    fn fill(&mut self, rng: &mut Xoshiro256pp, out: &mut [usize]);
 
     /// The unbiasing step correction `1/(n·p_i)` for outcome `i` under
     /// the *current* distribution (`1.0` for uniform sampling).
@@ -284,11 +286,18 @@ impl Sampler for SequenceSampler {
         self.seq.n_outcomes()
     }
 
-    fn next(&mut self, _rng: &mut Xoshiro256pp) -> usize {
+    fn fill(&mut self, _rng: &mut Xoshiro256pp, mut out: &mut [usize]) {
         let buf = self.seq.indices();
-        let i = buf[self.cursor % buf.len()] as usize;
-        self.cursor += 1;
-        i
+        // Copy runs up to the buffer's end, wrapping between them.
+        while !out.is_empty() {
+            let at = self.cursor % buf.len();
+            let (run, rest) = out.split_at_mut(out.len().min(buf.len() - at));
+            for (o, &i) in run.iter_mut().zip(&buf[at..]) {
+                *o = i as usize;
+            }
+            self.cursor += run.len();
+            out = rest;
+        }
     }
 
     fn correction(&self, i: usize) -> f64 {
@@ -453,11 +462,40 @@ impl Sampler for AdaptiveIsSampler {
         self.tree.len()
     }
 
-    fn next(&mut self, rng: &mut Xoshiro256pp) -> usize {
-        if rng.next_f64() < Self::BETA {
-            rng.next_index(self.tree.len())
-        } else {
-            self.tree.sample(rng)
+    /// Each draw rolls the β coin, then takes either a uniform index or
+    /// a tree quantile — the RNG order of one draw at a time. A lone
+    /// draw walks the tree at once; more wait for their group of
+    /// [`SumTree::GROUP`] and descend it together
+    /// ([`SumTree::sample_each`]).
+    fn fill(&mut self, rng: &mut Xoshiro256pp, out: &mut [usize]) {
+        let n = self.tree.len();
+        if let [one] = out {
+            *one = if rng.next_f64() < Self::BETA {
+                rng.next_index(n)
+            } else {
+                self.tree.sample(rng)
+            };
+            return;
+        }
+        for group in out.chunks_mut(SumTree::GROUP) {
+            let mut quantiles = [0.0; SumTree::GROUP];
+            let mut slots = [0usize; SumTree::GROUP];
+            let mut walks = 0;
+            for (slot, o) in group.iter_mut().enumerate() {
+                if rng.next_f64() < Self::BETA {
+                    *o = rng.next_index(n);
+                } else {
+                    quantiles[walks] = rng.next_f64();
+                    slots[walks] = slot;
+                    walks += 1;
+                }
+            }
+            let mut leaves = [0usize; SumTree::GROUP];
+            self.tree
+                .sample_each(&quantiles[..walks], &mut leaves[..walks]);
+            for (&slot, &leaf) in slots[..walks].iter().zip(&leaves) {
+                group[slot] = leaf;
+            }
         }
     }
 
@@ -540,7 +578,9 @@ mod tests {
     use super::*;
 
     fn draws(s: &mut dyn Sampler, rng: &mut Xoshiro256pp, k: usize) -> Vec<usize> {
-        (0..k).map(|_| s.next(rng)).collect()
+        let mut out = vec![0; k];
+        s.fill(rng, &mut out);
+        out
     }
 
     /// The pre-generated sampler over `n` uniform outcomes.
@@ -875,9 +915,7 @@ mod tests {
         let w = [1.0, 3.0, 2.0, 4.0];
         let mut live = weighted(&w, 16, SequenceMode::RegeneratePerEpoch, 7);
         let mut rng = Xoshiro256pp::new(0);
-        for _ in 0..16 {
-            live.next(&mut rng);
-        }
+        draws(live.as_mut(), &mut rng, 16);
         live.epoch_reset();
         let snap = live.snapshot();
         let mut fresh = weighted(&w, 16, SequenceMode::RegeneratePerEpoch, 7);
@@ -1018,7 +1056,7 @@ mod tests {
         ];
         let mut rng = Xoshiro256pp::new(5);
         for s in boxed.iter_mut() {
-            let i = s.next(&mut rng);
+            let i = draws(s.as_mut(), &mut rng, 1)[0];
             assert!(i < s.len());
             s.epoch_reset();
         }

@@ -99,6 +99,9 @@ pub struct ScheduleStream {
     epoch_len: usize,
     /// Draws already emitted this epoch.
     emitted: usize,
+    /// Local indices as the sampler draws them, before they become
+    /// [`Draw`]s: as long as the longest pull so far, reused.
+    locals: Vec<usize>,
     /// Feature norms `‖x_i‖` of the shard's own rows, by local index;
     /// empty unless the sampler adapts, which is also what makes
     /// [`ScheduleStream::observe`] a no-op on the other strategies.
@@ -173,6 +176,7 @@ impl ScheduleStream {
             start: spec.range.start,
             epoch_len: rows,
             emitted: 0,
+            locals: Vec::new(),
             norms,
         })
     }
@@ -198,16 +202,6 @@ impl ScheduleStream {
         self.emitted >= self.epoch_len
     }
 
-    /// Draws once from the sampler's current distribution.
-    fn draw(&mut self) -> Draw {
-        self.emitted += 1;
-        let local = self.sampler.next(&mut self.rng);
-        Draw {
-            row: (self.start + local) as u32,
-            corr: self.sampler.correction(local),
-        }
-    }
-
     /// Clears `buf` and refills it with up to `chunk` draws (bounded by
     /// the epoch remainder); returns the number drawn. Draws within one
     /// chunk share the distribution in force when the chunk was pulled —
@@ -216,7 +210,17 @@ impl ScheduleStream {
     pub fn fill_chunk(&mut self, buf: &mut Vec<Draw>, chunk: usize) -> usize {
         buf.clear();
         let take = chunk.min(self.remaining());
-        buf.extend((0..take).map(|_| self.draw()));
+        if self.locals.len() < take {
+            self.locals.resize(take, 0);
+        }
+        let locals = &mut self.locals[..take];
+        self.sampler.fill(&mut self.rng, locals);
+        self.emitted += take;
+        let (start, sampler) = (self.start, &self.sampler);
+        buf.extend(locals.iter().map(|&local| Draw {
+            row: (start + local) as u32,
+            corr: sampler.correction(local),
+        }));
         take
     }
 
@@ -314,6 +318,37 @@ mod tests {
         (0..s.len()).map(|i| s.correction(i)).collect()
     }
 
+    /// Three epochs of `stream`, in pulls of `chunk` draws — or of one
+    /// draw, `chunk` times — each `chunk` draws fed back as observations
+    /// once drawn (so `EveryK` commits land between them): every draw as
+    /// its row and correction bits, then the draw RNG's final state.
+    fn pulled(
+        mut stream: ScheduleStream,
+        chunk: usize,
+        one_by_one: bool,
+    ) -> (Vec<(u32, u64)>, [u64; 4]) {
+        let (mut all, mut buf, mut one) = (Vec::new(), Vec::new(), Vec::new());
+        for epoch in 0..3 {
+            while !stream.is_exhausted() {
+                if one_by_one {
+                    buf.clear();
+                    for _ in 0..chunk {
+                        stream.fill_chunk(&mut one, 1);
+                        buf.extend_from_slice(&one);
+                    }
+                } else {
+                    stream.fill_chunk(&mut buf, chunk);
+                }
+                for d in &buf {
+                    all.push((d.row, d.corr.to_bits()));
+                    stream.observe(d.row as usize, 0.25 + f64::from(d.row % 7 + epoch));
+                }
+            }
+            stream.epoch_reset();
+        }
+        (all, stream.rng_state())
+    }
+
     #[test]
     fn chunked_draws_match_one_by_one_draws() {
         let mut a = uniform_stream();
@@ -329,6 +364,40 @@ mod tests {
         assert!(chunked.iter().all(|d| (5..15).contains(&(d.row as usize))));
         assert!(a.is_exhausted() && b.is_exhausted());
         assert_eq!(a.fill_chunk(&mut buf, 3), 0, "exhausted stream stays dry");
+
+        // Adaptive streams: a pull of `chunk` draws is that many pulls
+        // of one — rows, correction bits and the RNG left behind — with
+        // observations fed back after each `chunk` draws either way. The
+        // shard has 2 000 rows (a tree of 2 048 leaves), every fifth
+        // weightless, so pulls span several descent groups and end in
+        // partial ones.
+        let weights: Vec<f64> = (0..2000)
+            .map(|i| {
+                if i % 5 == 0 {
+                    0.0
+                } else {
+                    0.1 + f64::from(i % 13)
+                }
+            })
+            .collect();
+        for commit in [CommitPolicy::EpochBoundary, CommitPolicy::EveryK(5)] {
+            let stream = || {
+                let spec = ShardSpec {
+                    weights: Some(&weights),
+                    range: 40..2040,
+                    commit,
+                    ..spec(1, 0..0, SamplingStrategy::Adaptive)
+                };
+                ScheduleStream::for_shard(spec, (0..2000).map(|i| f64::from(i % 3 + 1))).unwrap()
+            };
+            for chunk in [1, 7, 16, 32, 1024] {
+                assert_eq!(
+                    pulled(stream(), chunk, false),
+                    pulled(stream(), chunk, true),
+                    "{commit:?}, chunks of {chunk}"
+                );
+            }
+        }
     }
 
     #[test]

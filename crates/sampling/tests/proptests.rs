@@ -239,7 +239,9 @@ fn a_restored_adaptive_sampler_continues_bit_identically_under_every_k() {
     let epoch = |s: &mut AdaptiveIsSampler, draw: &mut Xoshiro256pp, obs: &mut Xoshiro256pp| {
         let steps: Vec<(usize, u64, u64)> = (0..STEPS)
             .map(|_| {
-                let i = s.next(draw);
+                let mut one = [0];
+                s.fill(draw, &mut one);
+                let i = one[0];
                 let seen = (i, s.correction(i).to_bits(), s.commit_version());
                 s.update_weight(i, obs.next_f64() * (1 + i % 5) as f64);
                 seen
