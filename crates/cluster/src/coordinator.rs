@@ -340,8 +340,8 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
                                 model.len()
                             )));
                         }
-                        let term = cfg.sync.term(k, cfg.nodes, &shard_sizes);
-                        fold_model(&mut consensus, &model, term);
+                        let (sync, nodes) = (cfg.sync, cfg.nodes);
+                        fold_model(&mut consensus, &model, sync, k, nodes, &shard_sizes);
                         have_model = true;
                     }
                     Message::FeedbackBatch {

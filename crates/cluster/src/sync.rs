@@ -13,41 +13,30 @@ pub enum SyncStrategy {
     WeightedByShard,
 }
 
-/// One node's term of the consensus sum: its model divided by the node
-/// count ([`SyncStrategy::Average`]) or scaled by its shard's share of
-/// the rows ([`SyncStrategy::WeightedByShard`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Term {
-    Divide(f64),
-    Scale(f64),
-}
-
-impl SyncStrategy {
-    /// The term of node `node` of `nodes`, whose shards hold
-    /// `shard_sizes` rows (weighted runs only read them).
-    pub(crate) fn term(self, node: usize, nodes: usize, shard_sizes: &[usize]) -> Term {
-        match self {
-            SyncStrategy::Average => Term::Divide(nodes as f64),
-            SyncStrategy::WeightedByShard => {
-                let total: usize = shard_sizes.iter().sum();
-                Term::Scale(shard_sizes[node] as f64 / total as f64)
-            }
-        }
-    }
-}
-
-/// Adds one node's `term` of `model` into the consensus `out`: the one
-/// fold step. Folding every node's model, in node order, into zeros is
-/// [`average_models`] — and what the coordinator does as each replica
-/// arrives.
-pub(crate) fn fold_model(out: &mut [f64], model: &[f64], term: Term) {
-    match term {
-        Term::Divide(k) => {
+/// Adds node `node`'s term of the consensus sum into `out`: its
+/// `model` divided by the node count `nodes` ([`SyncStrategy::Average`])
+/// or scaled by its shard's share of the rows in `shard_sizes`
+/// ([`SyncStrategy::WeightedByShard`]). The one fold step: folding every
+/// node's model, in node order, into zeros is [`average_models`] — and
+/// what the coordinator does as each replica arrives.
+pub(crate) fn fold_model(
+    out: &mut [f64],
+    model: &[f64],
+    strategy: SyncStrategy,
+    node: usize,
+    nodes: usize,
+    shard_sizes: &[usize],
+) {
+    match strategy {
+        SyncStrategy::Average => {
+            let k = nodes as f64;
             for (o, &v) in out.iter_mut().zip(model) {
                 *o += v / k;
             }
         }
-        Term::Scale(w) => {
+        SyncStrategy::WeightedByShard => {
+            let total: usize = shard_sizes.iter().sum();
+            let w = shard_sizes[node] as f64 / total as f64;
             for (o, &v) in out.iter_mut().zip(model) {
                 *o += w * v;
             }
@@ -83,7 +72,7 @@ pub fn average_models(
     out.clear();
     out.resize(d, 0.0);
     for (node, m) in models.iter().enumerate() {
-        fold_model(out, m, strategy.term(node, models.len(), shard_sizes));
+        fold_model(out, m, strategy, node, models.len(), shard_sizes);
     }
 }
 
