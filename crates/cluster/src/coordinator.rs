@@ -879,6 +879,11 @@ impl<T: Transport> NodeRuntime<T> {
             if let Message::ModelUpdate { model: replica, .. } = update {
                 model = replica;
             }
+            // Nothing reads the sampler or the replica after the last
+            // round's sends.
+            if round == cfg.rounds {
+                break;
+            }
             // The round's last commit, off the round's critical path:
             // the coordinator is collecting and averaging meanwhile, and
             // nothing above read the sampler after the last epoch's
@@ -890,7 +895,7 @@ impl<T: Transport> NodeRuntime<T> {
             // collect left to absorb it). Snapshotting never mutates
             // the stream, so emission cannot perturb the computation:
             // runs are bit-identical with checkpointing on or off.
-            if cfg.checkpoint_every > 0 && round % cfg.checkpoint_every == 0 && round < cfg.rounds {
+            if cfg.checkpoint_every > 0 && round % cfg.checkpoint_every == 0 {
                 let rows = wire_row(range.len());
                 let sampler = match stream.sampler().snapshot() {
                     SamplerSnapshot::Sequence { rng, indices } => {
