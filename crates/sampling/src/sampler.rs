@@ -29,6 +29,7 @@
 use crate::error::SamplingError;
 use crate::rng::Xoshiro256pp;
 use crate::sequence::{SampleSequence, SequenceMode};
+use crate::stream::Draw;
 use crate::sumtree::SumTree;
 
 /// Which sampling distribution a training run draws from.
@@ -184,14 +185,16 @@ pub trait Sampler: Send {
         self.len() == 0
     }
 
-    /// Draws the next `out.len()` sample indices in `0..len()`, in
-    /// order, into `out`: the same indices, and the same `rng` state
-    /// after, as that many draws one at a time.
+    /// Draws the next `out.len()` samples, in order, into `out`: each as
+    /// its outcome's row — `first_row` plus its index in `0..len()` —
+    /// and that outcome's [`Sampler::correction`] at draw time. The
+    /// same draws, and the same `rng` state after, as that many draws
+    /// one at a time.
     ///
     /// Pre-generated samplers ignore `rng` (their stream was fixed at
     /// construction, preserving the paper's offline-sequence semantics);
     /// live samplers consume it.
-    fn fill(&mut self, rng: &mut Xoshiro256pp, out: &mut [usize]);
+    fn fill(&mut self, rng: &mut Xoshiro256pp, first_row: usize, out: &mut [Draw]);
 
     /// The unbiasing step correction `1/(n·p_i)` for outcome `i` under
     /// the *current* distribution (`1.0` for uniform sampling).
@@ -231,6 +234,17 @@ pub trait Sampler: Send {
     /// sequence length). Fails on a kind, length, or weight-validity
     /// mismatch, leaving the sampler unchanged.
     fn restore(&mut self, snap: SamplerSnapshot) -> Result<(), SamplingError>;
+}
+
+/// Outcome `i` of `sampler` as the draw of row `first_row + i`, with its
+/// correction: what every [`Sampler::fill`] writes, the correction read
+/// without a dynamic call.
+#[inline]
+fn draw(sampler: &impl Sampler, first_row: usize, i: usize) -> Draw {
+    Draw {
+        row: (first_row + i) as u32,
+        corr: sampler.correction(i),
+    }
 }
 
 /// Builds the boxed [`Sampler`] for one worker shard under `strategy`.
@@ -286,14 +300,14 @@ impl Sampler for SequenceSampler {
         self.seq.n_outcomes()
     }
 
-    fn fill(&mut self, _rng: &mut Xoshiro256pp, mut out: &mut [usize]) {
+    fn fill(&mut self, _rng: &mut Xoshiro256pp, first_row: usize, mut out: &mut [Draw]) {
         let buf = self.seq.indices();
-        // Copy runs up to the buffer's end, wrapping between them.
+        // Runs up to the buffer's end, wrapping between them.
         while !out.is_empty() {
             let at = self.cursor % buf.len();
             let (run, rest) = out.split_at_mut(out.len().min(buf.len() - at));
             for (o, &i) in run.iter_mut().zip(&buf[at..]) {
-                *o = i as usize;
+                *o = draw(self, first_row, i as usize);
             }
             self.cursor += run.len();
             out = rest;
@@ -409,6 +423,39 @@ impl AdaptiveIsSampler {
         self.tree.weight(i)
     }
 
+    /// [`Sampler::fill`] of two or more draws, [`SumTree::GROUP`] at a
+    /// time: a group's coins and quantiles are rolled in draw order,
+    /// then its tree walks descend together ([`SumTree::sample_each`]).
+    /// Kept out of `fill` so a lone draw does not pay for its frame.
+    #[inline(never)]
+    fn fill_groups(&mut self, rng: &mut Xoshiro256pp, first_row: usize, out: &mut [Draw]) {
+        let n = self.tree.len();
+        for group in out.chunks_mut(SumTree::GROUP) {
+            let mut outcomes = [0usize; SumTree::GROUP];
+            let mut quantiles = [0.0; SumTree::GROUP];
+            let mut slots = [0usize; SumTree::GROUP];
+            let mut walks = 0;
+            for (slot, o) in outcomes.iter_mut().take(group.len()).enumerate() {
+                if rng.next_f64() < Self::BETA {
+                    *o = rng.next_index(n);
+                } else {
+                    quantiles[walks] = rng.next_f64();
+                    slots[walks] = slot;
+                    walks += 1;
+                }
+            }
+            let mut leaves = [0usize; SumTree::GROUP];
+            self.tree
+                .sample_each(&quantiles[..walks], &mut leaves[..walks]);
+            for (&slot, &leaf) in slots[..walks].iter().zip(&leaves) {
+                outcomes[slot] = leaf;
+            }
+            for (o, &i) in group.iter_mut().zip(&outcomes) {
+                *o = draw(self, first_row, i);
+            }
+        }
+    }
+
     /// Folds pending observations into the live distribution.
     ///
     /// Observations are normalized to the current mean weight scale so
@@ -464,39 +511,19 @@ impl Sampler for AdaptiveIsSampler {
 
     /// Each draw rolls the β coin, then takes either a uniform index or
     /// a tree quantile — the RNG order of one draw at a time. A lone
-    /// draw walks the tree at once; more wait for their group of
-    /// [`SumTree::GROUP`] and descend it together
-    /// ([`SumTree::sample_each`]).
-    fn fill(&mut self, rng: &mut Xoshiro256pp, out: &mut [usize]) {
-        let n = self.tree.len();
+    /// draw walks the tree at once (one walk is faster with branches);
+    /// more go to `fill_groups`.
+    fn fill(&mut self, rng: &mut Xoshiro256pp, first_row: usize, out: &mut [Draw]) {
         if let [one] = out {
-            *one = if rng.next_f64() < Self::BETA {
-                rng.next_index(n)
+            let i = if rng.next_f64() < Self::BETA {
+                rng.next_index(self.tree.len())
             } else {
                 self.tree.sample(rng)
             };
+            *one = draw(self, first_row, i);
             return;
         }
-        for group in out.chunks_mut(SumTree::GROUP) {
-            let mut quantiles = [0.0; SumTree::GROUP];
-            let mut slots = [0usize; SumTree::GROUP];
-            let mut walks = 0;
-            for (slot, o) in group.iter_mut().enumerate() {
-                if rng.next_f64() < Self::BETA {
-                    *o = rng.next_index(n);
-                } else {
-                    quantiles[walks] = rng.next_f64();
-                    slots[walks] = slot;
-                    walks += 1;
-                }
-            }
-            let mut leaves = [0usize; SumTree::GROUP];
-            self.tree
-                .sample_each(&quantiles[..walks], &mut leaves[..walks]);
-            for (&slot, &leaf) in slots[..walks].iter().zip(&leaves) {
-                group[slot] = leaf;
-            }
-        }
+        self.fill_groups(rng, first_row, out);
     }
 
     fn correction(&self, i: usize) -> f64 {
@@ -578,9 +605,9 @@ mod tests {
     use super::*;
 
     fn draws(s: &mut dyn Sampler, rng: &mut Xoshiro256pp, k: usize) -> Vec<usize> {
-        let mut out = vec![0; k];
-        s.fill(rng, &mut out);
-        out
+        let mut out = vec![Draw { row: 0, corr: 0.0 }; k];
+        s.fill(rng, 0, &mut out);
+        out.iter().map(|d| d.row as usize).collect()
     }
 
     /// The pre-generated sampler over `n` uniform outcomes.

@@ -99,9 +99,6 @@ pub struct ScheduleStream {
     epoch_len: usize,
     /// Draws already emitted this epoch.
     emitted: usize,
-    /// Local indices as the sampler draws them, before they become
-    /// [`Draw`]s: as long as the longest pull so far, reused.
-    locals: Vec<usize>,
     /// Feature norms `‖x_i‖` of the shard's own rows, by local index;
     /// empty unless the sampler adapts, which is also what makes
     /// [`ScheduleStream::observe`] a no-op on the other strategies.
@@ -176,7 +173,6 @@ impl ScheduleStream {
             start: spec.range.start,
             epoch_len: rows,
             emitted: 0,
-            locals: Vec::new(),
             norms,
         })
     }
@@ -210,17 +206,9 @@ impl ScheduleStream {
     pub fn fill_chunk(&mut self, buf: &mut Vec<Draw>, chunk: usize) -> usize {
         buf.clear();
         let take = chunk.min(self.remaining());
-        if self.locals.len() < take {
-            self.locals.resize(take, 0);
-        }
-        let locals = &mut self.locals[..take];
-        self.sampler.fill(&mut self.rng, locals);
+        buf.resize(take, Draw { row: 0, corr: 0.0 });
+        self.sampler.fill(&mut self.rng, self.start, buf);
         self.emitted += take;
-        let (start, sampler) = (self.start, &self.sampler);
-        buf.extend(locals.iter().map(|&local| Draw {
-            row: (start + local) as u32,
-            corr: sampler.correction(local),
-        }));
         take
     }
 

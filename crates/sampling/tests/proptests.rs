@@ -5,7 +5,7 @@
 //! write history — the checkpoint-restore contract.
 
 use isasgd_sampling::{
-    AdaptiveIsSampler, AliasTable, CommitPolicy, SampleSequence, Sampler, SamplingError,
+    AdaptiveIsSampler, AliasTable, CommitPolicy, Draw, SampleSequence, Sampler, SamplingError,
     SequenceMode, SumTree, Xoshiro256pp,
 };
 use proptest::prelude::*;
@@ -239,9 +239,9 @@ fn a_restored_adaptive_sampler_continues_bit_identically_under_every_k() {
     let epoch = |s: &mut AdaptiveIsSampler, draw: &mut Xoshiro256pp, obs: &mut Xoshiro256pp| {
         let steps: Vec<(usize, u64, u64)> = (0..STEPS)
             .map(|_| {
-                let mut one = [0];
-                s.fill(draw, &mut one);
-                let i = one[0];
+                let mut one = [Draw { row: 0, corr: 0.0 }];
+                s.fill(draw, 0, &mut one);
+                let i = one[0].row as usize;
                 let seen = (i, s.correction(i).to_bits(), s.commit_version());
                 s.update_weight(i, obs.next_f64() * (1 + i % 5) as f64);
                 seen
