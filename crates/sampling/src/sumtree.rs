@@ -170,7 +170,7 @@ impl SumTree {
     }
 
     /// Walks [`SumTree::sample_each`] descends side by side.
-    pub const GROUP: usize = 16;
+    pub(crate) const GROUP: usize = 16;
 
     /// The outcome at each quantile of `us`, into the same slot of
     /// `out` (which is as long): exactly [`SumTree::sample`]'s walk for
@@ -183,7 +183,7 @@ impl SumTree {
     /// The select `t -= left · go` is the branch's `t -= left` when
     /// `go` and leaves `t` as it was otherwise: `left` is finite and
     /// non-negative, so `left · 0 = +0` and `t − 0 = t` (`t ≥ 0`).
-    pub fn sample_each(&self, us: &[f64], out: &mut [usize]) {
+    pub(crate) fn sample_each(&self, us: &[f64], out: &mut [usize]) {
         let cap = self.nodes.len() / 2;
         let total = self.total();
         for (us, out) in us.chunks(Self::GROUP).zip(out.chunks_mut(Self::GROUP)) {
