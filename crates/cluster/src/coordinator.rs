@@ -340,8 +340,7 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
                                 model.len()
                             )));
                         }
-                        let (sync, nodes) = (cfg.sync, cfg.nodes);
-                        fold_model(&mut consensus, &model, sync, k, nodes, &shard_sizes);
+                        fold_model(&mut consensus, &model, cfg.sync, k, cfg.nodes, &shard_sizes);
                         have_model = true;
                     }
                     Message::FeedbackBatch {
