@@ -38,6 +38,10 @@ pub fn run(o: &Opts) -> Result<(), String> {
     println!("nnz                {}", ds.nnz());
     println!("density            {:.3e}", ds.density());
     println!("mean nnz/row       {:.2}", ds.mean_nnz());
+    match ds.shared_value() {
+        Some(v) => println!("values             one shared value {v}, stored once"),
+        None => println!("values             one per non-zero"),
+    }
     println!("positive fraction  {:.4}", stats.positive_fraction);
     println!("active features    {}", stats.active_features);
 

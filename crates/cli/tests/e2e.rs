@@ -57,6 +57,10 @@ fn full_pipeline_gen_info_train_predict() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("psi/n"), "info output missing ψ: {text}");
     assert!(text.contains("avg degree"), "info output missing Δ̄: {text}");
+    assert!(
+        text.contains("values             one per non-zero"),
+        "a news20 file's Gaussian values are stored one per non-zero: {text}"
+    );
 
     // train with holdout and model output: the cluster report, then the
     // engine report (whose model the predict step below reads)
@@ -726,6 +730,39 @@ fn helpful_errors_and_help() {
         !err.contains("data.svm") && !err.contains("No such file"),
         "{err}"
     );
+}
+
+/// A binary-profile file holds one value at every non-zero: `info`
+/// reports it stored once, and the value it read.
+#[test]
+fn info_reports_a_binary_profile_value_stored_once() {
+    let dir = tmpdir("binary");
+    let data = dir.join("k.svm");
+    let out = bin()
+        .args(["gen", "--out"])
+        .arg(&data)
+        .args(["--profile", "kdd_algebra", "--scale", "0.05", "--training"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&data).unwrap();
+    let value = text
+        .split_ascii_whitespace()
+        .nth(1)
+        .unwrap()
+        .split_once(':')
+        .unwrap()
+        .1;
+    let out = bin().arg("info").arg(&data).output().unwrap();
+    assert!(out.status.success());
+    let report = String::from_utf8_lossy(&out.stdout);
+    let want = format!("values             one shared value {value}, stored once");
+    assert!(report.contains(&want), "want {want:?} in {report}");
+    std::fs::remove_dir_all(dir).ok();
 }
 
 /// A zero-row file has no mean, sup or inf to report: `info` refuses it

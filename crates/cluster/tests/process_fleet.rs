@@ -36,7 +36,7 @@
 
 mod fixtures;
 
-use fixtures::{skewed, wide};
+use fixtures::{binary, skewed, wide};
 use isasgd_cluster::{
     run, run_fleet_with, run_worker, ClusterConfig, ClusterError, ClusterRun, FrameKind, Message,
     ProcessConfig, SyncStrategy, Tcp, Transport, TransportConfig, WireEncoding, WorkerHandle,
@@ -257,15 +257,18 @@ fn fnv(model: &[f64]) -> u64 {
 /// draw at a time), and the first again on a process fleet; then both
 /// transports again at two local epochs a round, where a worker commits
 /// its sampler between its epochs and once more after the round's
-/// sends. A fleet's node 1 holds only its own rows, so each of its
-/// steps reads storage row `row - row_base` with `row_base > 0`.
-/// Squared hinge keeps libm out of the trajectory.
+/// sends. Last, epoch-boundary commits on both transports over the
+/// constant-valued `binary` fixture, recorded from a build that stored
+/// a value per non-zero. A fleet's node 1 holds only its own rows, so
+/// each of its steps reads storage row `row - row_base` with
+/// `row_base > 0`. Squared hinge keeps libm out of the trajectory.
 #[test]
 fn cluster_model_bits_are_pinned_in_process_and_on_a_fleet() {
     const EPOCH_BOUNDARY: u64 = 0xc080_1afd_6154_acb3;
     const EVERY_7: u64 = 0xfe85_9852_182d_2ed9;
     const TWO_LOCAL_EPOCHS: u64 = 0x9d36_9893_a795_b4f6;
-    let ds = wide(96);
+    const CONSTANT_VALUED: u64 = 0x18e9_6237_5388_00c6;
+    let (ds, bin) = (wide(96), binary(96));
     let o = Objective::new(SquaredHingeLoss, Regularizer::L1 { eta: 1e-3 });
     let cfg = |commit, local_epochs| ClusterConfig {
         rounds: 3,
@@ -277,19 +280,21 @@ fn cluster_model_bits_are_pinned_in_process_and_on_a_fleet() {
     };
     let boundary = cfg(CommitPolicy::EpochBoundary, 1);
     let two_epochs = cfg(CommitPolicy::EpochBoundary, 2);
-    for (tag, cfg, want) in [
-        ("epoch-boundary", &boundary, EPOCH_BOUNDARY),
-        ("every-7", &cfg(CommitPolicy::EveryK(7), 1), EVERY_7),
-        ("two local epochs", &two_epochs, TWO_LOCAL_EPOCHS),
+    for (tag, ds, cfg, want) in [
+        ("epoch-boundary", &ds, &boundary, EPOCH_BOUNDARY),
+        ("every-7", &ds, &cfg(CommitPolicy::EveryK(7), 1), EVERY_7),
+        ("two local epochs", &ds, &two_epochs, TWO_LOCAL_EPOCHS),
+        ("constant-valued", &bin, &boundary, CONSTANT_VALUED),
     ] {
-        let got = fnv(&run(&ds, &o, cfg).unwrap().model);
+        let got = fnv(&run(ds, &o, cfg).unwrap().model);
         assert_eq!(got, want, "in-process {tag}: {got:#018x}");
     }
-    for (tag, cfg, want) in [
-        ("epoch-boundary", boundary, EPOCH_BOUNDARY),
-        ("two local epochs", two_epochs, TWO_LOCAL_EPOCHS),
+    for (tag, ds, cfg, want) in [
+        ("epoch-boundary", &ds, &boundary, EPOCH_BOUNDARY),
+        ("two local epochs", &ds, &two_epochs, TWO_LOCAL_EPOCHS),
+        ("constant-valued", &bin, &boundary, CONSTANT_VALUED),
     ] {
-        let (ds, (tx, rx)) = (ds.clone(), channel());
+        let (ds, cfg, (tx, rx)) = (ds.clone(), cfg.clone(), channel());
         std::thread::spawn(move || {
             let spawner = ThreadSpawner { die_at: None };
             let _ = tx.send(run_fleet_with(&ds, &o, &cfg, &fleet_pc(), spawner));

@@ -1167,16 +1167,27 @@ mod tests {
     /// 7–9 non-zeros a row (unrolled margin body + tail), mixed-sign
     /// values: the row shape two earlier bugs hid from 2-nnz fixtures.
     fn wide(n: usize) -> Dataset {
+        planted(n, |i, k| {
+            let sign = if (i + k) % 2 == 0 { 1.0 } else { -1.0 };
+            sign * ((1 + (i * 7 + k * 3) % 9) as f64 * 0.0625)
+        })
+    }
+
+    /// [`wide`]'s supports with every value 0.3 (not dyadic, so each
+    /// product rounds): a constant-valued set, like the binary
+    /// profiles' files.
+    fn binary(n: usize) -> Dataset {
+        planted(n, |_, _| 0.3)
+    }
+
+    /// Row `i` holds `value(i, k)` at feature `i % 6 + 2k`, k < 7 + i % 3;
+    /// its label is the sign of ⟨x, w*⟩, w*_j = 1 or −½.
+    fn planted(n: usize, value: impl Fn(usize, usize) -> f64) -> Dataset {
         let mut b = DatasetBuilder::new(24);
         for i in 0..n {
             let row: Vec<(u32, f64)> = (0..7 + i % 3)
-                .map(|k| {
-                    let sign = if (i + k) % 2 == 0 { 1.0 } else { -1.0 };
-                    let magnitude = (1 + (i * 7 + k * 3) % 9) as f64 * 0.0625;
-                    ((i % 6 + 2 * k) as u32, sign * magnitude)
-                })
+                .map(|k| ((i % 6 + 2 * k) as u32, value(i, k)))
                 .collect();
-            // Planted labels: the sign of ⟨x, w*⟩, w*_j = 1 or −½.
             let planted = |&(j, x): &(u32, f64)| if j % 3 == 0 { x } else { -0.5 * x };
             let y = if row.iter().map(planted).sum::<f64>() >= 0.0 {
                 1.0
@@ -1195,10 +1206,12 @@ mod tests {
         // two adaptive rows: before the observation models were deleted;
         // the threaded one: before steps read gathered windows): an edit
         // to the step loop or to observation delivery that moves one bit
-        // of any runtime fails here. Squared hinge keeps libm out of the
-        // trajectory.
+        // of any runtime fails here. The last three rows run on the
+        // constant-valued `binary` set, recorded from a build that stored
+        // a value per non-zero: storing the one value once must not move
+        // a bit either. Squared hinge keeps libm out of the trajectory.
         use isasgd_losses::SquaredHingeLoss;
-        let ds = wide(96);
+        let (wide, binary) = (wide(96), binary(96));
         let o = Objective::new(SquaredHingeLoss, Regularizer::L1 { eta: 1e-3 });
         let cfg = TrainConfig::default()
             .with_epochs(3)
@@ -1212,41 +1225,73 @@ mod tests {
             ..cfg.with_commit(isasgd_sampling::CommitPolicy::EveryK(8))
         };
         let sim = Execution::Simulated { tau: 4, workers: 2 };
-        for (algo, exec, cfg, want) in [
+        for (ds, algo, exec, cfg, want) in [
             (
+                &wide,
                 Algorithm::IsSgd,
                 Execution::Sequential,
                 &cfg,
                 0x8d12_2f8e_09f3_17ee_u64,
             ),
             (
+                &wide,
                 Algorithm::Asgd,
                 Execution::Threads(1),
                 &cfg,
                 0xae30_e1b9_2082_719e,
             ),
-            (Algorithm::IsAsgd, sim, &cfg, 0xd824_0812_d480_7a72),
+            (&wide, Algorithm::IsAsgd, sim, &cfg, 0xd824_0812_d480_7a72),
             (
+                &wide,
                 Algorithm::SvrgSgd(SvrgVariant::Literature),
                 Execution::Sequential,
                 &cfg,
                 0x7913_578e_f5ff_9288,
             ),
             (
+                &wide,
                 Algorithm::IsSgd,
                 Execution::Sequential,
                 &adaptive,
                 0xfda7_a53d_d8d6_600e,
             ),
-            (Algorithm::IsAsgd, sim, &adaptive, 0xf8c2_0f18_599d_112e),
             (
+                &wide,
+                Algorithm::IsAsgd,
+                sim,
+                &adaptive,
+                0xf8c2_0f18_599d_112e,
+            ),
+            (
+                &wide,
                 Algorithm::IsAsgd,
                 Execution::Threads(1),
                 &adaptive,
                 0xfda7_a53d_d8d6_600e,
             ),
+            (
+                &binary,
+                Algorithm::IsSgd,
+                Execution::Sequential,
+                &cfg,
+                0x37d7_e2f4_a355_5edc,
+            ),
+            (
+                &binary,
+                Algorithm::Asgd,
+                Execution::Threads(1),
+                &cfg,
+                0x40b2_20ba_5559_ba71,
+            ),
+            (
+                &binary,
+                Algorithm::IsAsgd,
+                sim,
+                &adaptive,
+                0x05a7_701b_d83a_5d34,
+            ),
         ] {
-            let r = train(&ds, &o, algo, exec, cfg, "wide").unwrap();
+            let r = train(ds, &o, algo, exec, cfg, "pin").unwrap();
             let fnv = r
                 .model
                 .iter()

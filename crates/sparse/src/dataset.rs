@@ -85,26 +85,39 @@ impl<'a> SparseRow<'a> {
     }
 }
 
-/// The non-zeros of one or more datasets: CSR arrays, row `r` at
-/// `indices[offsets[r]..offsets[r + 1]]`.
+/// The non-zeros of one or more datasets: CSR arrays, row `r`'s indices
+/// at `indices[offsets[r]..offsets[r + 1]]` and its values as many long
+/// from `offsets[r]`, or from 0 when `shared`.
 #[derive(Debug)]
 struct Csr {
     offsets: Vec<usize>,
     indices: Vec<u32>,
+    /// One value per non-zero, parallel to `indices`; or, when `shared`,
+    /// a run of the one value every non-zero holds, as long as the
+    /// widest row, which every row reads from its start.
     values: Vec<f64>,
+    shared: bool,
 }
 
 /// An immutable CSR (compressed sparse row) dataset of labelled samples.
 ///
-/// The non-zeros live in three parallel arrays (`offsets`, `indices`,
-/// `values`) behind an `Arc`, shared by every dataset built from them;
-/// each dataset adds its own row order over that storage (none: storage
+/// The non-zeros live behind an `Arc`, shared by every dataset built
+/// from them: row offsets, feature indices, and the values in one of
+/// two storages. When every non-zero holds the same value bits (as in a
+/// binary-feature set), the value is kept once, in a run as long as the
+/// widest row that every row borrows from its start; otherwise there is
+/// one value per non-zero. The builder picks the storage, from the
+/// values alone, and a copy keeps its source's. A row reads the same
+/// values either way, so no computation over rows can tell them apart.
+///
+/// Each dataset adds its own row order over that storage (none: storage
 /// order), a label per row and its non-zero count. Row access is one
 /// order lookup and two slice borrows: no hashing, no indirection per
 /// non-zero. [`Dataset::reordered`] is therefore an O(n) view, and a
 /// clone is shallow; [`Dataset::reordered_contiguous`] copies the same
 /// rows into storage of their own. Equality is logical: dimension,
-/// labels, and each row's indices and values, wherever they are stored.
+/// labels, and each row's indices and values, wherever and however they
+/// are stored.
 #[derive(Debug, Clone)]
 pub struct Dataset {
     dim: usize,
@@ -159,9 +172,10 @@ impl Dataset {
     pub fn row(&self, i: usize) -> SparseRow<'_> {
         let label = self.labels[i];
         let (lo, hi) = self.span(self.storage_row(i));
+        let at = if self.csr.shared { 0 } else { lo };
         SparseRow {
             indices: &self.csr.indices[lo..hi],
-            values: &self.csr.values[lo..hi],
+            values: &self.csr.values[at..at + (hi - lo)],
             label,
         }
     }
@@ -178,7 +192,8 @@ impl Dataset {
         (self.csr.offsets[s], self.csr.offsets[s + 1])
     }
 
-    /// Where row `i`'s non-zeros sit in [`Dataset::nonzeros`].
+    /// Where row `i`'s indices sit in [`Dataset::nonzeros`]; its values
+    /// sit there too unless the values are shared.
     ///
     /// # Panics
     /// If `i >= n_samples()`.
@@ -188,10 +203,19 @@ impl Dataset {
         lo..hi
     }
 
-    /// The index and value arrays [`Dataset::row_span`] points into.
+    /// The index and value arrays [`Dataset::row_span`] points into, and
+    /// whether the values are one shared run rather than one per
+    /// non-zero.
     #[inline]
-    pub(crate) fn nonzeros(&self) -> (&[u32], &[f64]) {
-        (&self.csr.indices, &self.csr.values)
+    pub(crate) fn nonzeros(&self) -> (&[u32], &[f64], bool) {
+        (&self.csr.indices, &self.csr.values, self.csr.shared)
+    }
+
+    /// The one value every stored non-zero holds, when the storage keeps
+    /// it once instead of once per non-zero; `None` when the values are
+    /// stored one per non-zero, or there are none.
+    pub fn shared_value(&self) -> Option<f64> {
+        self.csr.values.first().copied().filter(|_| self.csr.shared)
     }
 
     /// Label of row `i` (±1).
@@ -267,7 +291,9 @@ impl Dataset {
     /// storage of their own: row `k + 1`'s non-zeros start where row `k`'s
     /// end. Equal under `==` to the view [`Dataset::reordered`] returns
     /// for the same `order`, and refuses the same indices; it copies
-    /// straight from the rows, so no view is built on the way.
+    /// straight from the rows, so no view is built on the way. The copy
+    /// keeps this dataset's value storage: a shared value stays one run
+    /// (as long as the widest row copied) and only indices are copied.
     ///
     /// `parts` cut `order` into consecutive pieces — a run's shard ranges,
     /// as `isasgd_balance::rearrange` passes them. One pass on the
@@ -290,26 +316,34 @@ impl Dataset {
         assert_eq!(tiled, Some(order.len()), "parts must tile the order");
         let mut offsets = Vec::with_capacity(order.len() + 1);
         let mut labels = Vec::with_capacity(order.len());
-        let mut nnz = 0;
+        let (mut nnz, mut widest) = (0, 0);
         offsets.push(nnz);
         for &i in order {
             self.check_row(i)?;
             let (lo, hi) = self.span(self.storage_row(i));
             nnz += hi - lo;
+            widest = widest.max(hi - lo);
             offsets.push(nnz);
             labels.push(self.labels[i]);
         }
+        let shared = self.csr.shared;
         // Zeroed (so no `unsafe` uninitialised memory) and cut into one
-        // disjoint stretch per piece, which its thread then overwrites.
+        // disjoint stretch per piece, which its thread then overwrites;
+        // a shared value needs no stretches, only its run.
         let mut indices = vec![0u32; nnz];
-        let mut values = vec![0.0f64; nnz];
+        let mut values = if shared {
+            self.csr.values[..widest].to_vec()
+        } else {
+            vec![0.0f64; nnz]
+        };
         let (mut idx_rest, mut val_rest) = (&mut indices[..], &mut values[..]);
         let mut pieces = Vec::with_capacity(parts.len());
         for p in parts {
             let len = offsets[p.end] - offsets[p.start];
             let (idx, rest) = std::mem::take(&mut idx_rest).split_at_mut(len);
             idx_rest = rest;
-            let (val, rest) = std::mem::take(&mut val_rest).split_at_mut(len);
+            let (val, rest) =
+                std::mem::take(&mut val_rest).split_at_mut(if shared { 0 } else { len });
             val_rest = rest;
             pieces.push((&order[p.clone()], idx, val));
         }
@@ -319,7 +353,9 @@ impl Dataset {
                 let r = self.row(i);
                 let end = at + r.nnz();
                 idx[at..end].copy_from_slice(r.indices);
-                val[at..end].copy_from_slice(r.values);
+                if !shared {
+                    val[at..end].copy_from_slice(r.values);
+                }
                 at = end;
             }
         });
@@ -329,6 +365,7 @@ impl Dataset {
                 offsets,
                 indices,
                 values,
+                shared,
             }),
             order: None,
             labels,
@@ -377,12 +414,22 @@ pub fn shard_ranges(n: usize, k: usize) -> Result<Vec<std::ops::Range<usize>>, S
 }
 
 /// Incremental builder for [`Dataset`].
+///
+/// It keeps one value per non-zero only once two pushed values differ
+/// in their bits: until then it holds the first value alone, so a
+/// binary-feature set never has a value array, not even while it is
+/// built. [`DatasetBuilder::finish`] stores whichever it holds.
 #[derive(Debug, Clone)]
 pub struct DatasetBuilder {
     dim: usize,
     offsets: Vec<usize>,
     indices: Vec<u32>,
+    /// While `shared`: the value every non-zero pushed so far holds (none
+    /// before the first); after: one value per non-zero.
     values: Vec<f64>,
+    shared: bool,
+    /// The most non-zeros a pushed row holds.
+    widest: usize,
     labels: Vec<f64>,
 }
 
@@ -400,7 +447,9 @@ impl DatasetBuilder {
             dim,
             offsets,
             indices: Vec::with_capacity(nnz),
-            values: Vec::with_capacity(nnz),
+            values: Vec::new(),
+            shared: true,
+            widest: 0,
             labels: Vec::with_capacity(rows),
         }
     }
@@ -435,10 +484,7 @@ impl DatasetBuilder {
                 });
             }
         }
-        self.indices.extend_from_slice(v.indices());
-        self.values.extend_from_slice(v.values());
-        self.offsets.push(self.indices.len());
-        self.labels.push(label);
+        self.push_valid(v.indices(), v.values(), label);
         Ok(())
     }
 
@@ -448,14 +494,54 @@ impl DatasetBuilder {
         debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(indices.last().is_none_or(|&l| (l as usize) < self.dim));
         debug_assert_eq!(indices.len(), values.len());
+        self.push_valid(indices, values, label);
+    }
+
+    fn push_valid(&mut self, indices: &[u32], values: &[f64], label: f64) {
+        if self.shared {
+            let first = self.values.first().or(values.first()).map(|v| v.to_bits());
+            if values.iter().all(|v| Some(v.to_bits()) == first) {
+                if self.values.is_empty() {
+                    self.values.extend(values.first());
+                }
+            } else {
+                // The first differing value: from here on, one per
+                // non-zero, reserved as the indices were.
+                let held = self.values.first().copied().unwrap_or_default();
+                let before = self.indices.len();
+                self.values =
+                    Vec::with_capacity(self.indices.capacity().max(before + values.len()));
+                self.values.resize(before, held);
+                self.shared = false;
+            }
+        }
+        if !self.shared {
+            self.values.extend_from_slice(values);
+        }
         self.indices.extend_from_slice(indices);
-        self.values.extend_from_slice(values);
         self.offsets.push(self.indices.len());
+        self.widest = self.widest.max(indices.len());
         self.labels.push(label);
     }
 
-    /// Finalizes the dataset.
-    pub fn finish(self) -> Dataset {
+    /// Finalizes the dataset with dimension `dim`, which every pushed
+    /// index lies below: for a reader that learns the dimension only
+    /// after its last row.
+    pub(crate) fn finish_with_dim(mut self, dim: usize) -> Dataset {
+        debug_assert!(self.indices.iter().all(|&i| (i as usize) < dim));
+        self.dim = dim;
+        self.finish()
+    }
+
+    /// Finalizes the dataset: a value every non-zero shares is stored
+    /// once, in a run as long as the widest row.
+    pub fn finish(mut self) -> Dataset {
+        if self.shared {
+            self.values = self
+                .values
+                .first()
+                .map_or_else(Vec::new, |&v| vec![v; self.widest]);
+        }
         Dataset {
             dim: self.dim,
             nnz: self.indices.len(),
@@ -463,6 +549,7 @@ impl DatasetBuilder {
                 offsets: self.offsets,
                 indices: self.indices,
                 values: self.values,
+                shared: self.shared,
             }),
             order: None,
             labels: self.labels,

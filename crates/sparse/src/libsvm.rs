@@ -18,18 +18,24 @@ use std::path::Path;
 /// * Labels: any value `> 0` maps to `+1`, `<= 0` (including `0`, and the
 ///   `-1`/`0` conventions in the wild) maps to `-1`; a non-finite label
 ///   (`nan`, `inf`) is a [`SparseError::Parse`] naming its line.
+///
+/// One pass: each line is parsed into one reused buffer of pairs and
+/// pushed straight into the builder, so nothing but the dataset grows
+/// with the file. The dimension is checked once the last line is read.
 pub fn parse_reader<R: Read>(reader: R, dim: Option<usize>) -> Result<Dataset, SparseError> {
-    let reader = BufReader::new(reader);
-    // Two-pass parsing would need a seekable reader; collect rows first.
-    let mut rows: Vec<(Vec<(u32, f64)>, f64)> = Vec::new();
+    let mut reader = BufReader::new(reader);
+    // Every 0-based index is below `u32::MAX`, so no row is refused for
+    // its dimension before the real one is known.
+    let mut b = DatasetBuilder::new(u32::MAX as usize);
+    let mut pairs = Vec::new();
     let mut max_index: u32 = 0;
-    let mut line_buf = String::new();
-    let mut lines = reader.lines();
+    let mut line = String::new();
     let mut line_no = 0usize;
     loop {
-        line_buf.clear();
-        let Some(line) = lines.next() else { break };
-        let line = line?;
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            break;
+        }
         line_no += 1;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with('#') {
@@ -49,7 +55,7 @@ pub fn parse_reader<R: Read>(reader: R, dim: Option<usize>) -> Result<Dataset, S
                 msg: format!("bad label token '{label_tok}'"),
             })?;
         let label = if raw_label > 0.0 { 1.0 } else { -1.0 };
-        let mut pairs = Vec::new();
+        pairs.clear();
         for tok in parts {
             let (idx_s, val_s) = tok.split_once(':').ok_or_else(|| SparseError::Parse {
                 line: line_no,
@@ -72,7 +78,7 @@ pub fn parse_reader<R: Read>(reader: R, dim: Option<usize>) -> Result<Dataset, S
             max_index = max_index.max(idx);
             pairs.push((idx - 1, val)); // store 0-based
         }
-        rows.push((pairs, label));
+        b.push_row(&pairs, label)?;
     }
     let inferred = max_index as usize;
     let dim = match dim {
@@ -87,17 +93,7 @@ pub fn parse_reader<R: Read>(reader: R, dim: Option<usize>) -> Result<Dataset, S
         }
         None => inferred,
     };
-    let mut b =
-        DatasetBuilder::with_capacity(dim, rows.len(), rows.iter().map(|r| r.0.len()).sum());
-    for (i, (pairs, label)) in rows.into_iter().enumerate() {
-        b.push_row(&pairs, label).map_err(|e| match e {
-            SparseError::DuplicateIndex { index, .. } => {
-                SparseError::DuplicateIndex { row: i, index }
-            }
-            other => other,
-        })?;
-    }
-    Ok(b.finish())
+    Ok(b.finish_with_dim(dim))
 }
 
 /// Parses a LibSVM file from disk.
@@ -208,6 +204,36 @@ mod tests {
         let text = "+1 3:3 1:1\n";
         let ds = parse_reader(text.as_bytes(), None).unwrap();
         assert_eq!(ds.row(0).indices, &[0, 2]);
+    }
+
+    /// Errors keep their line (a comment line counts) or row (it does
+    /// not) however many good rows came before them.
+    #[test]
+    fn errors_after_many_good_rows_name_their_line_or_row() {
+        let good: String = (0..1000).map(|i| format!("+1 {}:1\n", 1 + i % 7)).collect();
+        let text = |last: &str| format!("# header\n{good}{last}\n");
+        assert!(matches!(
+            parse_reader(text("-1 3:0.5 4:x").as_bytes(), None),
+            Err(SparseError::Parse { line: 1002, .. })
+        ));
+        assert_eq!(
+            parse_reader(text("-1 3:1 3:2").as_bytes(), None).unwrap_err(),
+            SparseError::DuplicateIndex {
+                row: 1000,
+                index: 2
+            }
+        );
+        assert_eq!(
+            parse_reader(text("-1 9:1").as_bytes(), Some(8)).unwrap_err(),
+            SparseError::DimMismatch {
+                expected: 8,
+                found: 9
+            }
+        );
+        assert_eq!(
+            parse_reader(text("-1 9:1").as_bytes(), None).unwrap().dim(),
+            9
+        );
     }
 
     #[test]

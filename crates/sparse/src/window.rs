@@ -13,13 +13,17 @@ use std::ops::Range;
 
 /// A reusable contiguous copy of some rows of a [`Dataset`], in the
 /// order they were asked for: CSR offsets, indices, values and labels,
-/// overwritten by every [`RowWindow::gather`] and never shrunk.
+/// overwritten by every [`RowWindow::gather`] and never shrunk. The
+/// values are stored as the dataset stores them: one per non-zero, or
+/// one run of a value the rows share.
 #[derive(Debug)]
 pub struct RowWindow {
-    /// Row `k` at `indices[offsets[k]..offsets[k + 1]]`.
+    /// Row `k`'s indices at `indices[offsets[k]..offsets[k + 1]]`, its
+    /// values as many long from `offsets[k]`, or from 0 when `shared`.
     offsets: Vec<usize>,
     indices: Vec<u32>,
     values: Vec<f64>,
+    shared: bool,
     labels: Vec<f64>,
     /// Where each row sits in the source's storage (gather's first pass).
     spans: Vec<Range<usize>>,
@@ -51,6 +55,7 @@ impl RowWindow {
             offsets,
             indices: Vec::with_capacity(nnz),
             values: Vec::with_capacity(nnz),
+            shared: false,
             labels: Vec::with_capacity(Self::ROWS),
             spans: Vec::with_capacity(Self::ROWS),
         }
@@ -59,6 +64,9 @@ impl RowWindow {
     /// Replaces the window's contents with rows `rows` of `ds`, in that
     /// order (duplicates included): row `k` of the window is row
     /// `rows[k]` of `ds`, through any row order `ds` carries.
+    ///
+    /// A dataset whose non-zeros share one value has only its indices
+    /// and labels copied, and the widest row's stretch of its run.
     ///
     /// # Panics
     /// If a row is out of range, as [`Dataset::row`] does.
@@ -69,20 +77,27 @@ impl RowWindow {
         self.offsets.truncate(1);
         self.labels.clear();
         self.spans.clear();
-        let mut end = 0;
+        let (mut end, mut widest) = (0, 0);
         for i in rows {
             let span = ds.row_span(i);
             self.labels.push(ds.label(i));
             end += span.len();
+            widest = widest.max(span.len());
             self.offsets.push(end);
             self.spans.push(span);
         }
-        let (indices, values) = ds.nonzeros();
+        let (indices, values, shared) = ds.nonzeros();
+        self.shared = shared;
         self.indices.clear();
         self.values.clear();
+        if shared {
+            self.values.extend_from_slice(&values[..widest]);
+        }
         for span in &self.spans {
             self.indices.extend_from_slice(&indices[span.clone()]);
-            self.values.extend_from_slice(&values[span.clone()]);
+            if !shared {
+                self.values.extend_from_slice(&values[span.clone()]);
+            }
         }
     }
 
@@ -103,9 +118,10 @@ impl RowWindow {
     #[inline]
     pub fn row(&self, k: usize) -> SparseRow<'_> {
         let (lo, hi) = (self.offsets[k], self.offsets[k + 1]);
+        let at = if self.shared { 0 } else { lo };
         SparseRow {
             indices: &self.indices[lo..hi],
-            values: &self.values[lo..hi],
+            values: &self.values[at..at + (hi - lo)],
             label: self.labels[k],
         }
     }

@@ -1,7 +1,9 @@
 //! Property-based tests for the sparse substrate.
 
 use isasgd_sparse::dataset::shard_ranges;
-use isasgd_sparse::{libsvm, Dataset, DatasetBuilder, SparseVec};
+use isasgd_sparse::{
+    holdout_split, libsvm, Dataset, DatasetBuilder, RowWindow, SparseRow, SparseVec,
+};
 use proptest::prelude::*;
 
 /// Strategy producing a valid row: sorted unique indices below `dim` with
@@ -171,5 +173,208 @@ proptest! {
         vals.sort_unstable();
         let expect: Vec<u64> = (1..=n as u64).collect();
         prop_assert_eq!(vals, expect, "every row exactly once across the halves");
+    }
+}
+
+/// One row of the per-non-zero reference: indices, values, label.
+type RefRow = (Vec<u32>, Vec<f64>, f64);
+
+/// 0..12 rows (the empty set included) of 0..8 non-zeros each (zero-nnz
+/// rows included) below dimension 16, with labels.
+fn supports() -> impl Strategy<Value = Vec<(Vec<u32>, f64)>> {
+    proptest::collection::vec(
+        (
+            proptest::collection::btree_map(0u32..16, 0u32..1, 0..8),
+            prop_oneof![Just(1.0f64), Just(-1.0f64)],
+        )
+            .prop_map(|(m, y)| (m.into_keys().collect(), y)),
+        0..12,
+    )
+}
+
+/// The rows of `supports`, every value `base` except the non-zero
+/// `odd` (counted over the whole set, modulo its size), which `kind`
+/// leaves as it is (0), moves one ulp (1), negates — `±0.0` for a zero
+/// base — (2) or sets to `x` (3).
+fn reference(
+    supports: &[(Vec<u32>, f64)],
+    base: f64,
+    (kind, odd, x): (u32, usize, f64),
+) -> Vec<RefRow> {
+    let nnz: usize = supports.iter().map(|s| s.0.len()).sum();
+    let odd = odd.checked_rem(nnz);
+    let odd_value = match kind {
+        1 => f64::from_bits(base.to_bits() + 1),
+        2 => -base,
+        3 => x,
+        _ => base,
+    };
+    let mut k = 0;
+    supports
+        .iter()
+        .map(|(idx, y)| {
+            let vals = idx
+                .iter()
+                .map(|_| {
+                    k += 1;
+                    if Some(k - 1) == odd {
+                        odd_value
+                    } else {
+                        base
+                    }
+                })
+                .collect();
+            (idx.clone(), vals, *y)
+        })
+        .collect()
+}
+
+fn build(rows: &[RefRow]) -> Dataset {
+    let mut b = DatasetBuilder::new(16);
+    for (idx, vals, y) in rows {
+        let pairs: Vec<(u32, f64)> = idx.iter().copied().zip(vals.iter().copied()).collect();
+        b.push_row(&pairs, *y).unwrap();
+    }
+    b.finish()
+}
+
+fn rows_of(ds: &Dataset) -> Vec<RefRow> {
+    ds.rows()
+        .map(|r| (r.indices.to_vec(), r.values.to_vec(), r.label))
+        .collect()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Row `k` of `got` is reference row `picks[k]`: indices, value bits,
+/// label bits.
+fn holds<'a>(
+    got: impl Iterator<Item = SparseRow<'a>>,
+    want: &[RefRow],
+    picks: &[usize],
+) -> Result<(), TestCaseError> {
+    let got: Vec<SparseRow<'a>> = got.collect();
+    prop_assert_eq!(got.len(), picks.len());
+    for (r, &i) in got.iter().zip(picks) {
+        let (idx, vals, y) = &want[i];
+        prop_assert_eq!(r.indices, &idx[..], "row {}", i);
+        prop_assert_eq!(bits(r.values), bits(vals), "row {}", i);
+        prop_assert_eq!(r.label.to_bits(), y.to_bits(), "row {}", i);
+    }
+    Ok(())
+}
+
+fn window_rows(w: &RowWindow) -> impl Iterator<Item = SparseRow<'_>> {
+    (0..w.len()).map(|k| w.row(k))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A value stored once reads, through every way a set is built, cut
+    /// or walked, exactly what a value per non-zero reads: constant sets
+    /// (of 0.3, 1, ±0.0 or −2.5) and sets with one value one ulp off,
+    /// of the other sign, or arbitrary, with zero-nnz rows and empty
+    /// sets among them. Only a set whose stored values all share their
+    /// bits stores its value once, and `==` holds across the storages.
+    #[test]
+    fn a_shared_value_reads_as_one_per_nonzero(
+        supports in supports(),
+        base in prop_oneof![Just(0.3f64), Just(1.0), Just(0.0), Just(-0.0), Just(-2.5)],
+        odd in (0u32..4, 0usize..64, -5.0f64..5.0),
+        cuts in (
+            proptest::collection::vec(0usize..1000, 0..20),
+            proptest::collection::vec(0usize..1000, 0..4),
+            1u32..100,
+        ),
+    ) {
+        let (picks, cuts, pct) = cuts;
+        let want = reference(&supports, base, odd);
+        let n = want.len();
+        let all: Vec<usize> = (0..n).collect();
+        let ds = build(&want);
+        holds(ds.rows(), &want, &all)?;
+        let mut stored = want.iter().flat_map(|r| bits(&r.1));
+        let first = stored.next();
+        let shared = first.filter(|&f| stored.all(|b| b == f));
+        prop_assert_eq!(ds.shared_value().map(f64::to_bits), shared);
+
+        // The same rows, one value per non-zero: copied out of a set
+        // whose extra last row holds two values.
+        let mut plus = want.clone();
+        plus.push((vec![0, 1], vec![1.0, 2.0], 1.0));
+        let mixed = build(&plus);
+        let twin = mixed
+            .reordered_contiguous(&all, std::slice::from_ref(&(0..n)))
+            .unwrap();
+        prop_assert_eq!(twin.shared_value(), None);
+        holds(twin.rows(), &want, &all)?;
+        prop_assert!(ds == twin);
+
+        let order: Vec<usize> = picks.iter().filter_map(|&p| p.checked_rem(n)).collect();
+        let mut at: Vec<usize> = cuts.iter().map(|&c| c % (order.len() + 1)).collect();
+        at.push(order.len());
+        at.sort_unstable();
+        let parts: Vec<_> = std::iter::once(0)
+            .chain(at.iter().copied())
+            .zip(&at)
+            .map(|(a, &b)| a..b)
+            .collect();
+        let view = ds.reordered(&order).unwrap();
+        holds(view.rows(), &want, &order)?;
+        prop_assert!(view == twin.reordered(&order).unwrap());
+        let copy = ds.reordered_contiguous(&order, &parts).unwrap();
+        holds(copy.rows(), &want, &order)?;
+        prop_assert!(copy == view);
+        let inherited = ds.shared_value().filter(|_| copy.nnz() > 0);
+        prop_assert_eq!(
+            copy.shared_value().map(f64::to_bits),
+            inherited.map(f64::to_bits)
+        );
+        let twin_copy = twin.reordered_contiguous(&order, &parts).unwrap();
+        prop_assert_eq!(twin_copy.shared_value(), None);
+        prop_assert!(copy == twin_copy);
+
+        let (frac, seed) = (f64::from(pct) / 100.0, u64::from(pct));
+        match (holdout_split(&ds, frac, seed), holdout_split(&twin, frac, seed)) {
+            (Ok((train, test)), Ok((twin_train, twin_test))) => {
+                for (half, twin_half) in [(&train, &twin_train), (&test, &twin_test)] {
+                    let ids: Vec<usize> = (0..twin_half.n_samples()).collect();
+                    holds(half.rows(), &rows_of(twin_half), &ids)?;
+                    prop_assert!(half == twin_half);
+                }
+            }
+            (a, b) => prop_assert_eq!(a.is_err(), b.is_err()),
+        }
+
+        // One window across both storages, so each gather overwrites
+        // the other storage's (the mixed set's extra row last).
+        let mut w = RowWindow::with_row_capacity(0);
+        let positions: Vec<usize> = (0..order.len()).collect();
+        let extra: Vec<usize> = order.iter().copied().chain([n]).collect();
+        for (src, rows, picks) in [
+            (&ds, &order, &order),
+            (&mixed, &extra, &extra),
+            (&copy, &positions, &order),
+            (&twin, &order, &order),
+            (&view, &positions, &order),
+        ] {
+            w.gather(src, rows.iter().copied());
+            holds(window_rows(&w), &plus, picks)?;
+        }
+        let mut walked = Vec::new();
+        w.walk(&ds, &order, |&i| i, |&i, r| {
+            walked.push((i, (r.indices.to_vec(), r.values.to_vec(), r.label)));
+        });
+        let ids: Vec<usize> = walked.iter().map(|w| w.0).collect();
+        prop_assert_eq!(&ids, &order);
+        let rows = walked.iter().map(|(_, (indices, values, label))| SparseRow {
+            indices,
+            values,
+            label: *label,
+        });
+        holds(rows, &want, &order)?;
     }
 }
