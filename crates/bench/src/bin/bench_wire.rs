@@ -20,11 +20,14 @@
 
 use isasgd_bench::bench_dataset;
 use isasgd_cluster::{
-    encode_dataset_shard_chunk, CheckpointSampler, CheckpointState, Message, WorkerTiming,
+    apply_model_frame, encode_dataset_shard_chunk, encode_model_frame, tcp_loopback_links,
+    Broadcast, CheckpointSampler, CheckpointState, FrameKind, Message, Transport, WireEncoding,
+    WorkerTiming,
 };
 use isasgd_obs::json::{escape_json, parse_jsonl_line};
 use std::collections::BTreeMap;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 const DIM: usize = 100_000;
@@ -66,6 +69,58 @@ fn checkpoint(dim: usize, round: u64) -> Message {
             },
         }),
     }
+}
+
+/// The delta fixture as two models: `model_update`'s model as the base,
+/// and the base with `model_delta`'s coordinates set to its values.
+fn delta_pair(dim: usize, nnz: usize) -> (Vec<f64>, Vec<f64>) {
+    let Message::ModelUpdate { model: base, .. } = model_update(dim) else {
+        unreachable!("model_update builds a ModelUpdate")
+    };
+    let Message::ModelDelta {
+        indices, values, ..
+    } = model_delta(dim, nnz)
+    else {
+        unreachable!("model_delta builds a ModelDelta")
+    };
+    let mut next = base.clone();
+    for (&i, &v) in indices.iter().zip(&values) {
+        next[i as usize] = v;
+    }
+    (base, next)
+}
+
+/// Bytes one round's broadcast of `next` writes to three links whose
+/// tx bases are all `base` (sent the round before), length prefixes
+/// included: one delta encode, written three times.
+fn broadcast_bytes(base: &[f64], next: &[f64]) -> u64 {
+    let links = tcp_loopback_links(3, "127.0.0.1:0").expect("loopback links");
+    let (mut coord, workers): (Vec<_>, Vec<_>) = links.into_iter().unzip();
+    for link in &mut coord {
+        link.set_encoding(WireEncoding::Delta);
+    }
+    std::thread::scope(|scope| {
+        for mut worker in workers {
+            worker.set_encoding(WireEncoding::Delta);
+            scope.spawn(move || {
+                for _ in 0..2 {
+                    worker.recv().expect("a round model");
+                }
+            });
+        }
+        let mut frame = Vec::new();
+        for (round, model) in [(6, base), (7, next)] {
+            let model: Arc<[f64]> = Arc::from(model);
+            let mut broadcast = Broadcast::new(round, &model, &mut frame);
+            for (k, link) in coord.iter_mut().enumerate() {
+                link.send_broadcast(k as u32, &mut broadcast).expect("sent");
+            }
+        }
+    });
+    coord
+        .iter()
+        .map(|link| link.link_stats().tx_bytes_for(FrameKind::ModelDelta))
+        .sum()
 }
 
 /// Bytes a respawn re-ships for a session of `rounds` rounds with a
@@ -154,6 +209,43 @@ fn measure() -> BTreeMap<&'static str, f64> {
             black_box(Message::decode(&delta_bytes).unwrap());
         }),
     );
+
+    // The link codec every round model crosses: the delta fixture
+    // encoded against its base, and applied to it. Each encode advances
+    // its base and each apply leaves the undone values in the payload,
+    // so a second call on the same buffers is the reverse delta — the
+    // same work — and restores them.
+    let (base, next) = delta_pair(DIM, NNZ);
+    let mut frame = Vec::with_capacity(delta_bytes.len());
+    let mut held = base.clone();
+    let encode = |frame: &mut Vec<u8>, model: &[f64], held: &mut [f64]| {
+        frame.clear();
+        encode_model_frame(frame, 1, 7, model, Some(held), WireEncoding::Delta).unwrap();
+    };
+    encode(&mut frame, &next, &mut held);
+    assert_eq!(
+        frame, delta_bytes,
+        "the link encoder writes the delta fixture"
+    );
+    m.insert(
+        "link_encode_delta_gbps",
+        gbps(2 * delta_bytes.len(), || {
+            encode(&mut frame, &base, &mut held);
+            encode(&mut frame, &next, &mut held);
+            black_box(frame.len());
+        }),
+    );
+    let mut payload = delta_bytes.clone();
+    let mut held = Some(base.clone());
+    m.insert(
+        "link_decode_delta_gbps",
+        gbps(2 * delta_bytes.len(), || {
+            for _ in 0..2 {
+                black_box(apply_model_frame(&mut payload, &mut held).unwrap());
+            }
+        }),
+    );
+    m.insert("link_broadcast_bytes", broadcast_bytes(&base, &next) as f64);
 
     // Bytes-per-round at the benchmark shape (dim 100k, nnz = dim/10):
     // one model exchange in each direction per link per round.

@@ -42,7 +42,7 @@
 
 use crate::node::{validate, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs};
 use crate::sync::fold_model;
-use crate::transport::{TelemetrySample, Transport};
+use crate::transport::{Broadcast, TelemetrySample, Transport};
 use crate::wire::{
     apply_delta, delta_coords, CheckpointSampler, CheckpointState, Message, SessionConfig,
     WorkerTiming,
@@ -56,7 +56,9 @@ use isasgd_sampling::{
     SamplingStrategy, ScheduleStream, SequenceMode, ShardSpec,
 };
 use isasgd_sparse::{Dataset, RowWindow};
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Algorithm 4's offline phase (weigh, decide, rearrange, shard) — the
@@ -265,7 +267,14 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
         cfg.nodes,
         cfg.step_size,
     );
-    let mut consensus = vec![0.0f64; d];
+    // The round's consensus, in the storage every link it is sent on
+    // keeps as its tx base (and a fleet's replay log keeps as sent).
+    let mut consensus = zeroed(d);
+    // The consensus before it: the next one is summed into its storage
+    // once no link or log holds it any more.
+    let mut spare: Option<Arc<[f64]>> = None;
+    // The broadcast's frame buffer, kept across rounds.
+    let mut frame = Vec::new();
     let m0 = obj.eval(data, &consensus);
     trace.push(TracePoint {
         epoch: 0.0,
@@ -290,64 +299,68 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
             reason = "measures reported train_secs only; no control-flow or results depend on it"
         )]
         let t0 = Instant::now();
-        // One update per round, addressed per link by its `node` alone:
-        // the consensus moves into it for the sends and back out after.
-        let mut update = Message::ModelUpdate {
-            node: 0,
-            round: round as u64,
-            model: std::mem::take(&mut consensus),
-        };
+        // One model per round, addressed per link by its `node` alone:
+        // links on the same tx base write the same frame.
+        let mut broadcast = Broadcast::new(round as u64, &consensus, &mut frame);
         for (k, link) in links.iter_mut().enumerate() {
             link.send(&Message::RoundBarrier {
                 node: k as u32,
                 round: round as u64,
             })?;
-            if let Message::ModelUpdate { node, .. } = &mut update {
-                *node = k as u32;
-            }
-            link.send(&update)?;
+            link.send_broadcast(k as u32, &mut broadcast)?;
         }
-        if let Message::ModelUpdate { model, .. } = update {
-            consensus = model;
-        }
+        drop(broadcast);
         // While the workers train: fold the last round's feedback into
         // the mirrors (none reads them before the final summary), and
-        // clear the consensus for this round's replicas.
+        // clear a buffer for this round's replicas.
         for m in mirrors.iter_mut() {
             m.epoch_reset();
         }
-        consensus.fill(0.0);
+        // The sum's storage: the last round's consensus, now that the
+        // links moved their tx bases on to this round's — unless a
+        // replay log still holds it, then fresh zeros.
+        let mut next = spare.take().unwrap_or_else(|| zeroed(d));
+        if Arc::get_mut(&mut next).is_none() {
+            next = zeroed(d);
+        }
+        let sum = Arc::make_mut(&mut next);
+        sum.fill(0.0);
         // Collect: drain each link until this round's replica (and, for
         // adaptive runs, its feedback batch) arrives; stale tags are
         // duplicates from earlier rounds and are dropped. Each replica
-        // is folded into the consensus as it arrives, in link order —
-        // `average_models`' sum, term for term.
+        // is folded into the sum as it arrives, lent from the link, in
+        // link order — `average_models`' sum, term for term.
         for (k, link) in links.iter_mut().enumerate() {
             let mut have_model = false;
             let mut have_feedback = !adaptive;
+            let mut bad_dim = None;
             while !(have_model && have_feedback) {
+                let mut fold = |_: u32, r: u64, replica: &[f64]| {
+                    if r == round as u64 && !have_model {
+                        if replica.len() == d {
+                            fold_model(sum, replica, cfg.sync, k, cfg.nodes, &shard_sizes);
+                        } else {
+                            bad_dim = Some(replica.len());
+                        }
+                        have_model = true;
+                    }
+                };
                 #[expect(
                     clippy::disallowed_methods,
                     reason = "fleet links arm Tcp round deadlines; the in-process collect loop is deadlock-checked by isasgd-check"
                 )]
-                match link.recv()? {
-                    Message::ModelUpdate {
-                        round: r, model, ..
-                    } if r == round as u64 && !have_model => {
-                        if model.len() != d {
-                            return Err(ClusterError::Worker(format!(
-                                "round {round}: node {k} sent a replica of dim {} != model dim {d}",
-                                model.len()
-                            )));
-                        }
-                        fold_model(&mut consensus, &model, cfg.sync, k, cfg.nodes, &shard_sizes);
-                        have_model = true;
-                    }
-                    Message::FeedbackBatch {
+                let msg = link.recv_lending(&mut fold)?;
+                if let Some(dim) = bad_dim {
+                    return Err(ClusterError::Worker(format!(
+                        "round {round}: node {k} sent a replica of dim {dim} != model dim {d}"
+                    )));
+                }
+                match msg {
+                    Some(Message::FeedbackBatch {
                         round: r,
                         observations,
                         ..
-                    } if r == round as u64 => {
+                    }) if r == round as u64 => {
                         // Link `k` speaks for shard `k` only: a row of
                         // any other shard is dropped, whoever names it.
                         if let Some(mirror) = mirrors.get_mut(k) {
@@ -361,11 +374,11 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
                         }
                         have_feedback = true;
                     }
-                    Message::Telemetry {
+                    Some(Message::Telemetry {
                         node,
                         round,
                         timing,
-                    } => {
+                    }) => {
                         isasgd_obs::emit(&Event::WorkerTiming {
                             node: u64::from(node),
                             round,
@@ -386,6 +399,7 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
         }
         let round_secs = t0.elapsed().as_secs_f64();
         train_secs += round_secs;
+        spare = Some(std::mem::replace(&mut consensus, next));
 
         let m = obj.eval(data, &consensus);
         trace.push(TracePoint {
@@ -449,7 +463,7 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
 
     Ok(ClusterRun {
         trace,
-        model: consensus,
+        model: consensus.to_vec(),
         phi_imbalance,
         balanced: plan.balanced,
         rho: plan.rho,
@@ -461,6 +475,11 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
         recovery: links.iter().filter_map(|l| l.recovery()).collect(),
         telemetry,
     })
+}
+
+/// A model of `d` zeros, in one allocation.
+fn zeroed(d: usize) -> Arc<[f64]> {
+    (0..d).map(|_| 0.0).collect()
 }
 
 /// The only thing a worker is ever given to train on: rows, their
@@ -781,7 +800,7 @@ impl<T: Transport> NodeRuntime<T> {
             // contract stays trivially true: with telemetry off not a
             // single clock read happens on the round path.
             let barrier_t0 = if cfg.telemetry { monotonic_us() } else { 0 };
-            let consensus = self.await_round_start(round)?;
+            self.await_round_start(round, &mut model)?;
             let barrier_wait_us = if cfg.telemetry {
                 monotonic_us().saturating_sub(barrier_t0)
             } else {
@@ -796,14 +815,6 @@ impl<T: Transport> NodeRuntime<T> {
                     self.node_id
                 )));
             }
-            if consensus.len() != model.len() {
-                return Err(ClusterError::Worker(format!(
-                    "round {round}: consensus dim {} != model dim {}",
-                    consensus.len(),
-                    model.len()
-                )));
-            }
-            model = consensus;
             if adaptive {
                 obs_max.fill(f64::NEG_INFINITY);
                 visited.fill(false);
@@ -929,49 +940,86 @@ impl<T: Transport> NodeRuntime<T> {
 
     /// Drains the stash and then the link until both the round-`round`
     /// barrier and the round's consensus model arrived, in either
-    /// order; duplicates and stale round tags are dropped, and traffic
-    /// for a later round is re-stashed (never silently discarded).
-    fn await_round_start(&mut self, round: u64) -> Result<Vec<f64>, ClusterError> {
-        fn sort(
-            m: Message,
-            round: u64,
-            barrier: &mut bool,
-            consensus: &mut Option<Vec<f64>>,
-            stash: &mut std::collections::VecDeque<Message>,
-        ) {
-            match m {
-                Message::RoundBarrier { round: r, .. } if r == round => *barrier = true,
-                Message::ModelUpdate {
-                    round: r, model, ..
-                } if r == round => *consensus = Some(model),
-                m @ (Message::RoundBarrier { .. } | Message::ModelUpdate { .. })
-                    if m.round() > round =>
-                {
-                    stash.push_back(m);
-                }
-                _ => {}
-            }
-        }
-        let mut barrier = false;
-        let mut consensus = None;
+    /// order, and copies the consensus into `model` — from the link's
+    /// receive base, as it lends it. Duplicates and stale round tags are
+    /// dropped, and traffic for a later round is re-stashed (never
+    /// silently discarded). A consensus of another dim than `model`'s
+    /// is refused.
+    fn await_round_start(&mut self, round: u64, model: &mut [f64]) -> Result<(), ClusterError> {
+        let mut start = RoundStart {
+            round,
+            model,
+            barrier: false,
+            consensus: None,
+        };
         // One pass over previously stashed messages (re-stashing any
         // that are still ahead of this round), then block on the link.
         let stashed: Vec<Message> = self.stash.drain(..).collect();
         for m in stashed {
-            sort(m, round, &mut barrier, &mut consensus, &mut self.stash);
+            start.sort(m, &mut self.stash);
         }
         loop {
-            if barrier {
-                if let Some(model) = consensus.take() {
-                    return Ok(model);
+            match start.consensus {
+                Some(dim) if dim != start.model.len() => {
+                    return Err(ClusterError::Worker(format!(
+                        "round {round}: consensus dim {dim} != model dim {}",
+                        start.model.len()
+                    )))
                 }
+                Some(_) if start.barrier => return Ok(()),
+                _ => {}
             }
+            let stash = &mut self.stash;
             #[expect(
                 clippy::disallowed_methods,
                 reason = "same link as await_assignment; the barrier wait is the checker's flagship no-deadlock invariant"
             )]
-            let m = self.link.recv()?;
-            sort(m, round, &mut barrier, &mut consensus, &mut self.stash);
+            let m = self
+                .link
+                .recv_lending(&mut |node, r, m| start.lend(node, r, m, stash))?;
+            if let Some(m) = m {
+                start.sort(m, &mut self.stash);
+            }
+        }
+    }
+}
+
+/// What a worker awaiting round `round` has of its start: the barrier,
+/// and the dim of the consensus it copied into `model`.
+struct RoundStart<'m> {
+    round: u64,
+    model: &'m mut [f64],
+    barrier: bool,
+    consensus: Option<usize>,
+}
+
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+impl RoundStart<'_> {
+    /// A round model: this round's is copied into `model` when its dim
+    /// fits, a later round's is stashed, an earlier round's dropped.
+    fn lend(&mut self, node: u32, round: u64, m: &[f64], stash: &mut VecDeque<Message>) {
+        if round == self.round {
+            self.consensus = Some(m.len());
+            if m.len() == self.model.len() {
+                self.model.copy_from_slice(m);
+            }
+        } else if round > self.round {
+            stash.push_back(Message::ModelUpdate {
+                node,
+                round,
+                model: m.to_vec(),
+            });
+        }
+    }
+
+    /// Any other message: this round's barrier is noted, a later
+    /// round's stashed, everything else dropped.
+    fn sort(&mut self, m: Message, stash: &mut VecDeque<Message>) {
+        match m {
+            Message::ModelUpdate { node, round, model } => self.lend(node, round, &model, stash),
+            Message::RoundBarrier { round, .. } if round == self.round => self.barrier = true,
+            m @ Message::RoundBarrier { .. } if m.round() > self.round => stash.push_back(m),
+            _ => {}
         }
     }
 }

@@ -30,9 +30,10 @@
 //! # Supervision
 //!
 //! A [`SupervisedLink`] records every outbound message; a round's
-//! consensus model is logged once for the whole fleet, in storage every
-//! link that sent the same bits shares. When a worker is lost (socket
-//! death, or silence past the per-round deadline):
+//! consensus model is logged by reference to the storage the round
+//! driver broadcast it from, which every link's log and tx delta base
+//! share. When a worker is lost (socket death, or silence past the
+//! per-round deadline):
 //!
 //! * [`WorkerLossPolicy::Fail`] — the run aborts with a typed
 //!   [`ClusterError::WorkerLost`]; closed sockets make detection
@@ -73,7 +74,8 @@ use crate::coordinator::{coordinate, plan_run};
 use crate::node::{validate, ClusterConfig, ClusterError, ClusterRun};
 use crate::procnode::wire_known_loss;
 use crate::transport::{
-    LinkStats, ProcessConfig, RecoveryFootprint, Tcp, Transport, TransportError, WorkerLossPolicy,
+    Broadcast, LinkStats, ProcessConfig, RecoveryFootprint, Tcp, Transport, TransportError,
+    WorkerLossPolicy,
 };
 use crate::wire::{
     dataset_shard_chunk_lens, encode_dataset_shard_chunk, Message, SessionConfig, WireError,
@@ -181,8 +183,7 @@ impl WorkerSpawner for CommandSpawner {
 }
 
 /// State shared by every supervised link: the listener, the spawner,
-/// what a (re)admitted worker must receive, and the round model the
-/// links' replay logs share.
+/// and what a (re)admitted worker must receive.
 struct FleetShared<S: WorkerSpawner> {
     listener: TcpListener,
     addr: String,
@@ -194,29 +195,7 @@ struct FleetShared<S: WorkerSpawner> {
     /// it sends them. Encoding is deterministic, so recovery streams
     /// the bytes first admission did.
     plan: Arc<Rearranged>,
-    /// The round model the last link logged, as its round and storage:
-    /// the next link that logs the same round's bits shares it.
-    last_model: Option<(u64, Arc<[f64]>)>,
     pc: ProcessConfig,
-}
-
-/// The storage a replay log keeps for round `round`'s model `model`:
-/// `slot`'s when it holds the same round and bits, else a new copy that
-/// takes the slot. Bits are compared, not values, so ±0.0 and distinct
-/// NaN payloads are never merged — a replay must ship the very bits
-/// the link sent.
-fn shared_model(slot: &mut Option<(u64, Arc<[f64]>)>, round: u64, model: &[f64]) -> Arc<[f64]> {
-    if let Some((r, m)) = slot {
-        let same_bits = || {
-            m.len() == model.len() && m.iter().zip(model).all(|(a, b)| a.to_bits() == b.to_bits())
-        };
-        if *r == round && same_bits() {
-            return m.clone();
-        }
-    }
-    let m: Arc<[f64]> = Arc::from(model);
-    *slot = Some((round, m.clone()));
-    m
 }
 
 /// One replay-log entry: a round model in storage shared across links,
@@ -485,7 +464,9 @@ impl<S: WorkerSpawner> SupervisedLink<S> {
             for entry in &self.log {
                 match entry {
                     // Sent from the shared storage; no message is rebuilt.
-                    Logged::Model { node, round, model } => tcp.send_model(*node, *round, model)?,
+                    Logged::Model { node, round, model } => {
+                        tcp.send_shared_model(*node, *round, model)?;
+                    }
                     Logged::Message(m) => tcp.send(m)?,
                 }
             }
@@ -514,38 +495,79 @@ impl<S: WorkerSpawner> SupervisedLink<S> {
         });
         Ok(())
     }
+
+    /// Runs `send` on the live link; a lost worker is recovered (or
+    /// reported) and `send` runs once more, on the replacement.
+    fn send_with(
+        &mut self,
+        mut send: impl FnMut(&mut Tcp) -> Result<(), TransportError>,
+    ) -> Result<(), TransportError> {
+        if let Err(e) = send(&mut self.tcp) {
+            self.recover(e)?;
+            // A fresh, just-replayed link failing again is terminal.
+            send(&mut self.tcp).map_err(|e| self.lost(&e))?;
+        }
+        Ok(())
+    }
 }
 
 impl<S: WorkerSpawner> Transport for SupervisedLink<S> {
     fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
-        if let Err(e) = self.tcp.send(msg) {
-            self.recover(e)?;
-            // A fresh, just-replayed link failing again is terminal.
-            self.tcp.send(msg).map_err(|e| self.lost(&e))?;
-        }
+        self.send_with(|tcp| tcp.send(msg))?;
         self.log.push(match msg {
-            Message::ModelUpdate { node, round, model } => {
-                let mut shared = self.shared.lock().expect("fleet state poisoned");
-                Logged::Model {
-                    node: *node,
-                    round: *round,
-                    model: shared_model(&mut shared.last_model, *round, model),
-                }
-            }
+            Message::ModelUpdate { node, round, model } => Logged::Model {
+                node: *node,
+                round: *round,
+                model: Arc::from(model.as_slice()),
+            },
             _ => Logged::Message(msg.clone()),
         });
         Ok(())
     }
 
+    /// Logs the broadcast's own storage, which the links' tx bases
+    /// share too: one round model, however many links and logs hold it.
+    fn send_broadcast(
+        &mut self,
+        node: u32,
+        model: &mut Broadcast<'_>,
+    ) -> Result<(), TransportError> {
+        self.send_with(|tcp| tcp.send_broadcast(node, model))?;
+        self.log.push(Logged::Model {
+            node,
+            round: model.round,
+            model: model.model.clone(),
+        });
+        Ok(())
+    }
+
     fn recv(&mut self) -> Result<Message, TransportError> {
+        let mut lent = None;
+        let msg = self.recv_lending(&mut |node, round, model| {
+            lent = Some(Message::ModelUpdate {
+                node,
+                round,
+                model: model.to_vec(),
+            });
+        })?;
+        // `None` comes back only for a model, once it was lent.
+        msg.or(lent).ok_or(TransportError::Closed)
+    }
+
+    /// Receives like [`Tcp::recv_lending`], absorbing checkpoints and
+    /// recovering a lost worker on the way.
+    fn recv_lending(
+        &mut self,
+        lend: &mut dyn FnMut(u32, u64, &[f64]),
+    ) -> Result<Option<Message>, TransportError> {
         loop {
-            match self.tcp.recv() {
+            match self.tcp.recv_lending(lend) {
                 // Checkpoints are absorbed here, never surfaced to the
                 // round driver: keep the newest blob, truncate the
                 // replay log to the post-checkpoint suffix, and ack.
                 // Duplicates and reordered (older) checkpoints are
                 // ignored-but-acked, so absorption is idempotent.
-                Ok(Message::Checkpoint { node, round, state }) => {
+                Ok(Some(Message::Checkpoint { node, round, state })) => {
                     if node == self.node && self.ckpt.as_ref().is_none_or(|(r, _)| round > *r) {
                         // Re-encoding is deterministic, so the stored
                         // bytes are exactly what the worker sent.
@@ -691,7 +713,6 @@ pub fn run_fleet_with<L: Loss, S: WorkerSpawner>(
         spawner,
         session,
         plan: plan.clone(),
-        last_model: None,
         pc: pc.clone(),
     }));
 
@@ -742,7 +763,7 @@ pub fn run_fleet_with<L: Loss, S: WorkerSpawner>(
 mod tests {
     use super::*;
     use crate::transport::tcp_loopback_links;
-    use crate::wire::{CheckpointSampler, CheckpointState};
+    use crate::wire::{CheckpointSampler, CheckpointState, WireEncoding};
     use isasgd_losses::{LogisticLoss, Regularizer};
     use isasgd_sparse::DatasetBuilder;
     use std::sync::Weak;
@@ -768,7 +789,7 @@ mod tests {
     type Shared = Arc<Mutex<FleetShared<NoSpawn>>>;
 
     /// Two supervised links sharing one fleet state over loopback
-    /// sockets, with the worker end of each.
+    /// sockets under the auto encoding, with the worker end of each.
     fn two_links() -> (Shared, Vec<SupervisedLink<NoSpawn>>, Vec<Tcp>) {
         let mut b = DatasetBuilder::new(1);
         b.push_row(&[(0, 1.0)], 1.0).unwrap();
@@ -787,14 +808,15 @@ mod tests {
                 balanced: false,
                 rho: 1.0,
             }),
-            last_model: None,
             pc: ProcessConfig::default(),
         }));
         let (links, workers) = tcp_loopback_links(2, "127.0.0.1:0")
             .unwrap()
             .into_iter()
             .enumerate()
-            .map(|(k, (tcp, worker))| {
+            .map(|(k, (mut tcp, mut worker))| {
+                tcp.set_encoding(WireEncoding::Auto);
+                worker.set_encoding(WireEncoding::Auto);
                 let link = SupervisedLink {
                     shared: shared.clone(),
                     node: k as u32,
@@ -826,72 +848,91 @@ mod tests {
     }
 
     #[test]
-    fn links_log_one_shared_copy_of_a_round_model_and_truncation_frees_it() {
-        let (shared, mut links, mut workers) = two_links();
-        let quiet_nan = f64::from_bits(0x7FF8_0000_0000_0001);
-        // Round 1 differs only in the sign of a zero, round 2 only in a
-        // NaN payload, round 3 not at all.
-        let rounds: [[[f64; 2]; 2]; 3] = [
-            [[1.5, 0.0], [1.5, -0.0]],
-            [[f64::NAN, 2.0], [quiet_nan, 2.0]],
-            [[-0.25, 3.0], [-0.25, 3.0]],
+    fn links_log_the_broadcast_model_they_share_and_truncation_frees_it() {
+        let (_shared, mut links, mut workers) = two_links();
+        let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // Round 1 goes out as plain messages, rounds 2 and 3 as
+        // broadcasts; round 2 differs from round 1 only in the sign of a
+        // zero and a NaN payload.
+        let rounds: [[f64; 2]; 3] = [
+            [0.0, f64::NAN],
+            [-0.0, f64::from_bits(0x7FF8_0000_0000_0001)],
+            [-0.25, 3.0],
         ];
-        for (round, models) in (1u64..).zip(&rounds) {
-            for (link, model) in links.iter_mut().zip(models) {
-                let msg = Message::ModelUpdate {
-                    node: link.node,
-                    round,
-                    model: model.to_vec(),
-                };
-                link.send(&Message::RoundBarrier {
-                    node: link.node,
-                    round,
-                })
-                .unwrap();
-                link.send(&msg).unwrap();
+        let mut frame = Vec::new();
+        let mut sent: Vec<Arc<[f64]>> = Vec::new();
+        for (round, model) in (1u64..).zip(&rounds) {
+            let model: Arc<[f64]> = Arc::from(&model[..]);
+            let mut broadcast = Broadcast::new(round, &model, &mut frame);
+            for link in &mut links {
+                let node = link.node;
+                link.send(&Message::RoundBarrier { node, round }).unwrap();
+                if round == 1 {
+                    link.send(&Message::ModelUpdate {
+                        node,
+                        round,
+                        model: model.to_vec(),
+                    })
+                    .unwrap();
+                } else {
+                    link.send_broadcast(node, &mut broadcast).unwrap();
+                }
+            }
+            drop(broadcast);
+            for (node, worker) in (0u32..).zip(&mut workers) {
+                assert_eq!(
+                    worker.recv().unwrap(),
+                    Message::RoundBarrier { node, round }
+                );
+                match worker.recv().unwrap() {
+                    Message::ModelUpdate {
+                        node: n,
+                        round: r,
+                        model: got,
+                    } => {
+                        assert_eq!((n, r), (node, round));
+                        assert_eq!(bits(&got), bits(&model), "round {round}");
+                    }
+                    other => panic!("expected round {round}'s model, got {other:?}"),
+                }
+            }
+            sent.push(model);
+        }
+        assert!(!Arc::ptr_eq(&logged(&links[0], 1), &logged(&links[1], 1)));
+        for round in 2..=3 {
+            let model = &sent[round as usize - 1];
+            for link in &links {
+                assert!(Arc::ptr_eq(&logged(link, round), model), "round {round}");
             }
         }
-        for round in 1..=2 {
-            assert!(
-                !Arc::ptr_eq(&logged(&links[0], round), &logged(&links[1], round)),
-                "round {round}: models with different bits were merged"
-            );
-        }
-        let third = logged(&links[0], 3);
-        assert!(Arc::ptr_eq(&third, &logged(&links[1], 3)));
-        // Two logs and the fleet's slot, plus the handle held here.
-        assert_eq!(Arc::strong_count(&third), 4);
-        let third: Weak<[f64]> = {
-            let weak = Arc::downgrade(&third);
-            drop(third);
-            weak
-        };
-        let first: Vec<Weak<[f64]>> = links
-            .iter()
-            .map(|l| Arc::downgrade(&logged(l, 1)))
-            .collect();
+        // Round 2: two logs and the handle here. Round 3: two logs, the
+        // two links' tx bases and the handle here.
+        assert_eq!(Arc::strong_count(&sent[1]), 3);
+        assert_eq!(Arc::strong_count(&sent[2]), 5);
+        let weak: Vec<Weak<[f64]>> = sent.iter().map(Arc::downgrade).collect();
+        drop(sent);
         // Each slot still counts the bytes of every message it logged,
         // a shared model's in full.
-        for (link, models) in links.iter().zip([0, 1]) {
+        for link in &links {
             let node = link.node;
-            let sent: u64 = (1u64..)
+            let logged: u64 = (1u64..)
                 .zip(&rounds)
                 .map(|(round, m)| {
                     let update = Message::ModelUpdate {
                         node,
                         round,
-                        model: m[models].to_vec(),
+                        model: m.to_vec(),
                     };
                     let barrier = Message::RoundBarrier { node, round };
                     (update.resident_bytes() + barrier.resident_bytes()) as u64
                 })
                 .sum();
             let fp = link.recovery().unwrap();
-            assert_eq!((fp.log_frames, fp.log_bytes), (6, sent));
+            assert_eq!((fp.log_frames, fp.log_bytes), (6, logged));
         }
 
         // A checkpoint covering round 3 on both links truncates both
-        // logs; only the fleet's own slot keeps the newest model.
+        // logs; only the links' tx bases keep the newest model.
         let state = CheckpointState {
             draw_rng: [1, 2, 3, 4],
             model: vec![0.5],
@@ -919,10 +960,9 @@ mod tests {
             );
             assert!(link.log.is_empty(), "node {node}: log not truncated");
         }
-        assert!(first.iter().all(|w| w.upgrade().is_none()));
-        assert_eq!(third.strong_count(), 1);
-        let slot = shared.lock().unwrap().last_model.take();
-        assert_eq!(slot.map(|(round, _)| round), Some(3));
-        assert_eq!(third.strong_count(), 0);
+        let counts: Vec<usize> = weak.iter().map(Weak::strong_count).collect();
+        assert_eq!(counts, [0, 0, 2]);
+        drop(links);
+        assert_eq!(weak[2].strong_count(), 0);
     }
 }

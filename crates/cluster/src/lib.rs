@@ -102,9 +102,9 @@ pub use node::{run, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs};
 pub use procnode::{run_worker, WorkerOptions, WorkerReport};
 pub use sync::{average_models, SyncStrategy};
 pub use transport::{
-    in_process_links, tcp_loopback_links, FlakyTransport, InProcess, LinkStats, ProcessConfig,
-    RecoveryFootprint, Tcp, TelemetrySample, Transport, TransportConfig, TransportError,
-    WorkerLossPolicy,
+    in_process_links, tcp_loopback_links, Broadcast, FlakyTransport, InProcess, LinkStats,
+    ProcessConfig, RecoveryFootprint, Tcp, TelemetrySample, Transport, TransportConfig,
+    TransportError, WorkerLossPolicy,
 };
 pub use wire::{
     apply_delta, apply_model_frame, delta_coords, encode_dataset_shard_chunk, encode_model_frame,

@@ -23,13 +23,14 @@
 //! (the guarantees [`FlakyTransport`] deliberately erodes).
 
 use crate::wire::{
-    apply_model_frame, encode_model_frame, FrameKind, Message, WireEncoding, WireError,
-    WorkerTiming, FRAME_KINDS, MAX_FRAME,
+    apply_model_frame, encode_model_frame, encode_model_frame_shared, FrameKind, Message,
+    WireEncoding, WireError, WorkerTiming, FRAME_KINDS, MAX_FRAME,
 };
 use isasgd_sampling::Xoshiro256pp;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Per-link traffic counters, broken down by [`FrameKind`]: one frame
@@ -184,15 +185,59 @@ impl From<std::io::Error> for TransportError {
 }
 
 /// One endpoint of a duplex coordinator↔worker link. Every frame the
-/// round protocol reads comes out of [`Transport::recv`], worker timing
-/// included; a link keeps to itself only the frames it answers itself
-/// (the fleet's supervised links store and acknowledge checkpoints).
+/// round protocol reads comes out of [`Transport::recv`] or
+/// [`Transport::recv_lending`], worker timing included; a link keeps to
+/// itself only the frames it answers itself (the fleet's supervised
+/// links store and acknowledge checkpoints).
 pub trait Transport: Send {
     /// Sends one message to the peer.
     fn send(&mut self, msg: &Message) -> Result<(), TransportError>;
 
     /// Blocks until the peer's next message arrives.
     fn recv(&mut self) -> Result<Message, TransportError>;
+
+    /// Sends `node`'s copy of a round model that every link is sent —
+    /// the coordinator's round consensus — as the
+    /// [`Message::ModelUpdate`] `{ node, round, model }` that
+    /// [`Transport::send`] would send. A socket link writes the frame the
+    /// broadcast already holds when it was encoded against this link's
+    /// tx base, and takes the broadcast's model as its next base; the
+    /// default sends the broadcast's message, built once for all links.
+    /// A socket link keeps the lockstep rule: after every successful send
+    /// its tx base equals the peer's rx base bit for bit, and a refused
+    /// encode leaves it as it was.
+    fn send_broadcast(
+        &mut self,
+        node: u32,
+        model: &mut Broadcast<'_>,
+    ) -> Result<(), TransportError> {
+        self.send(model.message(node))
+    }
+
+    /// Blocks like [`Transport::recv`] until the peer's next message
+    /// arrives, but lends a round model to `lend` as `(node, round,
+    /// model)` instead of handing it up, and returns `None` for it. A
+    /// socket link lends the model straight from its rx base, so the
+    /// caller copies what it keeps and nothing else; a refused frame
+    /// never reaches `lend`. The default lends the received message's
+    /// model.
+    fn recv_lending(
+        &mut self,
+        lend: &mut dyn FnMut(u32, u64, &[f64]),
+    ) -> Result<Option<Message>, TransportError> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "pure delegation: the caller names the deadline of recv_lending"
+        )]
+        let msg = self.recv()?;
+        match msg {
+            Message::ModelUpdate { node, round, model } => {
+                lend(node, round, &model);
+                Ok(None)
+            }
+            msg => Ok(Some(msg)),
+        }
+    }
 
     /// This link's traffic counters, when the transport measures any —
     /// socket transports do; [`InProcess`] moves typed values, so there
@@ -206,6 +251,53 @@ pub trait Transport: Send {
     /// links have no replay log and report `None`.
     fn recovery(&self) -> Option<RecoveryFootprint> {
         None
+    }
+}
+
+/// One round model on its way to every link: the model itself, shared,
+/// and what the links have made of it so far — its frame, encoded once
+/// for every link whose tx base is the same model, and its message,
+/// built once for the links that send messages. Built per round, over a
+/// frame buffer the caller keeps across rounds.
+pub struct Broadcast<'a> {
+    /// The round the model starts.
+    pub(crate) round: u64,
+    /// The model, in the storage every link that sent it shares.
+    pub(crate) model: &'a Arc<[f64]>,
+    /// The last frame encoded, behind 4 bytes for its length prefix.
+    frame: &'a mut Vec<u8>,
+    /// The tx base (`None`: no base) and encoding `frame` was encoded
+    /// against, once it holds a frame. The base is held, so no link can
+    /// advance it in place while the frame stands for it.
+    encoded: Option<(Option<Arc<[f64]>>, WireEncoding)>,
+    message: Option<Message>,
+}
+
+impl<'a> Broadcast<'a> {
+    /// Round `round`'s `model`, to be encoded into `frame` (its contents
+    /// are overwritten; its capacity is reused).
+    pub fn new(round: u64, model: &'a Arc<[f64]>, frame: &'a mut Vec<u8>) -> Self {
+        Broadcast {
+            round,
+            model,
+            frame,
+            encoded: None,
+            message: None,
+        }
+    }
+
+    /// The model as the [`Message::ModelUpdate`] addressed to `node`:
+    /// built on the first call, readdressed on every later one.
+    pub fn message(&mut self, node: u32) -> &Message {
+        let msg = self.message.get_or_insert_with(|| Message::ModelUpdate {
+            node,
+            round: self.round,
+            model: self.model.to_vec(),
+        });
+        if let Message::ModelUpdate { node: to, .. } = msg {
+            *to = node;
+        }
+        msg
     }
 }
 
@@ -424,27 +516,41 @@ pub fn in_process_links(nodes: usize) -> Vec<(InProcess, InProcess)> {
 /// *delta bases*). A [`Message::ModelUpdate`] send may then go out as a
 /// sparse [`Message::ModelDelta`] against the send-side base; the
 /// receiving endpoint reconstructs the dense model bitwise against its
-/// own base before handing it up, so the round protocol above never
-/// sees a delta frame. Links are FIFO per direction, which is exactly
-/// what keeps the two bases in lockstep; the first model on a fresh
-/// link always goes dense (no base exists yet).
+/// own base, so the round protocol above never sees a delta frame.
+/// Links are FIFO per direction, and the lockstep rule holds on every
+/// link: after every successful send the tx base equals the peer's rx
+/// base bit for bit, and a refused encode leaves it as it was. (A failed
+/// write may leave half a frame on the socket, so nothing is sent on
+/// the link after one.) The first model on a fresh link always goes
+/// dense: no base exists yet.
 ///
-/// Neither direction builds an intermediate model: a sent model is
-/// encoded from the caller's slice ([`encode_model_frame`]) and then
-/// copied into the tx base, in place; a received frame is written into
-/// the rx base in place ([`apply_model_frame`]) and copied once, to hand
-/// it up.
+/// Neither direction copies a model to move it. A model sent from a
+/// slice is encoded in one pass that also advances the link's own tx
+/// base in place ([`encode_model_frame`]); a broadcast model is encoded
+/// once for every link on the same base, and the links then share the
+/// sent model as their base ([`Transport::send_broadcast`]). A received
+/// frame is applied to the rx base in place ([`apply_model_frame`]) and
+/// lent from there ([`Transport::recv_lending`]); only
+/// [`Transport::recv`] copies it out, into the message it returns.
 pub struct Tcp {
     stream: TcpStream,
     scratch: Vec<u8>,
     encoding: WireEncoding,
-    /// Last model sent on this link (delta base for the tx direction);
-    /// dropped by a send under [`WireEncoding::Dense`], which does not
-    /// read it.
-    tx_base: Option<Vec<f64>>,
+    /// Last model sent on this link (delta base for the tx direction):
+    /// the link's own when it sends from slices, the broadcast's storage
+    /// when it sends broadcasts. Dropped by a send under
+    /// [`WireEncoding::Dense`], which does not read it.
+    tx_base: Option<Arc<[f64]>>,
     /// Last model received on this link (delta base for rx).
     rx_base: Option<Vec<f64>>,
     stats: LinkStats,
+}
+
+/// What [`Tcp`] read: a round model, applied to its rx base and lent
+/// from there as `(node, round, model)`, or any other message.
+enum Received<'a> {
+    Model(u32, u64, &'a [f64]),
+    Message(Message),
 }
 
 impl Tcp {
@@ -533,11 +639,12 @@ impl Tcp {
         Ok(())
     }
 
-    /// Sends `node`'s round-`round` model, encoded from the borrowed
-    /// slice against the tx base, dense or delta as the encoding
-    /// decides: what [`Transport::send`] does with a
-    /// [`Message::ModelUpdate`], without a message to build — the
-    /// fleet's replay sends its logged models from their shared storage.
+    /// Sends `node`'s round-`round` model from a borrowed slice, dense
+    /// or delta as the encoding decides: what [`Transport::send`] does
+    /// with a [`Message::ModelUpdate`], without a message to build. The
+    /// link's own tx base advances in place as the frame is encoded; a
+    /// link without one — fresh, or on a base it shares — takes a copy
+    /// of the model as its base.
     pub fn send_model(
         &mut self,
         node: u32,
@@ -546,60 +653,47 @@ impl Tcp {
     ) -> Result<(), TransportError> {
         self.scratch.clear();
         self.scratch.extend_from_slice(&[0u8; 4]);
-        encode_model_frame(
-            &mut self.scratch,
-            node,
-            round,
-            model,
-            self.tx_base.as_deref(),
-            self.encoding,
-        )?;
-        self.write_scratch()?;
-        // Only after a successful write: the peer's rx base advances
-        // exactly when bytes actually left, keeping the two in lockstep.
-        // The base is overwritten in place. A dense link never reads it,
-        // so it drops it instead: a stale base would desync the peer if
-        // the link later switched to deltas.
-        if self.encoding == WireEncoding::Dense {
-            self.tx_base = None;
-        } else {
-            let base = self.tx_base.get_or_insert_with(Vec::new);
-            base.clear();
-            base.extend_from_slice(model);
+        // A dense link never reads its base, so it drops it: a stale
+        // base would desync the peer if the link later switched to
+        // deltas.
+        let dense = self.encoding == WireEncoding::Dense;
+        let own = (self.tx_base.as_mut().and_then(Arc::get_mut))
+            .filter(|base| !dense && base.len() == model.len());
+        let advanced = own.is_some();
+        let (frame, encoding) = (&mut self.scratch, self.encoding);
+        match own {
+            Some(base) => encode_model_frame(frame, node, round, model, Some(base), encoding)?,
+            None => {
+                let base = self.tx_base.as_deref().filter(|_| !dense);
+                encode_model_frame_shared(frame, node, round, model, base, encoding)?;
+            }
+        }
+        write_frame(&mut self.stream, &mut self.stats, &mut self.scratch)?;
+        if !advanced {
+            self.tx_base = (!dense).then(|| Arc::from(model));
         }
         Ok(())
     }
 
-    /// Writes the payload encoded into `scratch` behind its 4 reserved
-    /// prefix bytes: patches the length in, then one write_all of one
-    /// contiguous buffer.
-    fn write_scratch(&mut self) -> Result<(), TransportError> {
-        let len = self.scratch.len() - 4;
-        if len > MAX_FRAME {
-            return Err(TransportError::Wire(WireError::FrameTooLarge { len }));
-        }
-        self.scratch[..4].copy_from_slice(&(len as u32).to_le_bytes());
-        self.stream.write_all(&self.scratch)?;
-        if let Some(kind) = FrameKind::from_tag(self.scratch[4]) {
-            self.stats.record_tx(kind, self.scratch.len());
-        }
-        Ok(())
-    }
-}
-
-impl Transport for Tcp {
-    fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
-        if let Message::ModelUpdate { node, round, model } = msg {
-            return self.send_model(*node, *round, model);
-        }
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&[0u8; 4]);
-        msg.encode(&mut self.scratch);
-        self.write_scratch()
+    /// Sends `node`'s round-`round` model from storage the caller shares
+    /// — the fleet's replay log — encoded against the tx base, after
+    /// which the link's base is that storage: nothing is copied.
+    pub fn send_shared_model(
+        &mut self,
+        node: u32,
+        round: u64,
+        model: &Arc<[f64]>,
+    ) -> Result<(), TransportError> {
+        let mut frame = std::mem::take(&mut self.scratch);
+        let sent = self.send_broadcast(node, &mut Broadcast::new(round, model, &mut frame));
+        self.scratch = frame;
+        sent
     }
 
+    /// Reads the peer's next frame; a round model lands in the rx base
+    /// in place and is lent from there.
     #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
-    fn recv(&mut self) -> Result<Message, TransportError> {
+    fn recv_frame(&mut self) -> Result<Received<'_>, TransportError> {
         let mut len_bytes = [0u8; 4];
         self.stream
             .read_exact(&mut len_bytes)
@@ -622,23 +716,111 @@ impl Transport for Tcp {
                 .map_err(eof_is_closed)?;
         }
         let kind = self.scratch.first().copied().and_then(FrameKind::from_tag);
-        let msg = match kind {
-            // A round model lands in the rx base in place; the one copy
-            // is the model handed up.
+        let received = match kind {
             Some(FrameKind::ModelUpdate | FrameKind::ModelDelta) => {
-                let (node, round, model) = apply_model_frame(&self.scratch, &mut self.rx_base)?;
-                Message::ModelUpdate {
-                    node,
-                    round,
-                    model: model.to_vec(),
-                }
+                let (node, round, model) = apply_model_frame(&mut self.scratch, &mut self.rx_base)?;
+                Received::Model(node, round, model)
             }
-            _ => Message::decode(&self.scratch)?,
+            _ => Received::Message(Message::decode(&self.scratch)?),
         };
         if let Some(kind) = kind {
             self.stats.record_rx(kind, len + 4);
         }
-        Ok(msg)
+        Ok(received)
+    }
+}
+
+/// Writes the payload encoded into `frame` behind its 4 reserved prefix
+/// bytes: patches the length in, then one write_all of one contiguous
+/// buffer.
+fn write_frame(
+    stream: &mut TcpStream,
+    stats: &mut LinkStats,
+    frame: &mut [u8],
+) -> Result<(), TransportError> {
+    let len = frame.len() - 4;
+    if len > MAX_FRAME {
+        return Err(TransportError::Wire(WireError::FrameTooLarge { len }));
+    }
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    stream.write_all(frame)?;
+    if let Some(kind) = FrameKind::from_tag(frame[4]) {
+        stats.record_tx(kind, frame.len());
+    }
+    Ok(())
+}
+
+impl Transport for Tcp {
+    fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
+        if let Message::ModelUpdate { node, round, model } = msg {
+            return self.send_model(*node, *round, model);
+        }
+        self.scratch.clear();
+        self.scratch.extend_from_slice(&[0u8; 4]);
+        msg.encode(&mut self.scratch);
+        write_frame(&mut self.stream, &mut self.stats, &mut self.scratch)
+    }
+
+    fn recv(&mut self) -> Result<Message, TransportError> {
+        Ok(match self.recv_frame()? {
+            Received::Model(node, round, model) => Message::ModelUpdate {
+                node,
+                round,
+                model: model.to_vec(),
+            },
+            Received::Message(msg) => msg,
+        })
+    }
+
+    /// Writes the broadcast's frame when it was encoded against this
+    /// link's tx base and encoding, with only the node id patched; else
+    /// encodes the model against this link's base into it first. Either
+    /// way the link's next base is the broadcast's model itself.
+    fn send_broadcast(&mut self, node: u32, b: &mut Broadcast<'_>) -> Result<(), TransportError> {
+        let dense = self.encoding == WireEncoding::Dense;
+        let base = self.tx_base.as_ref().filter(|_| !dense);
+        let current = b.encoded.as_ref().is_some_and(|(against, encoding)| {
+            *encoding == self.encoding
+                && match (against, base) {
+                    (Some(against), Some(base)) => Arc::ptr_eq(against, base),
+                    (against, base) => against.is_none() && base.is_none(),
+                }
+        });
+        if !current {
+            b.encoded = None;
+            b.frame.clear();
+            b.frame.extend_from_slice(&[0u8; 4]);
+            encode_model_frame_shared(
+                b.frame,
+                node,
+                b.round,
+                b.model,
+                base.map(|m| &m[..]),
+                self.encoding,
+            )?;
+            b.encoded = Some((base.cloned(), self.encoding));
+        }
+        // The links' frames differ in their node id alone: the 4 bytes
+        // behind the length prefix and the tag.
+        if let Some(id) = b.frame.get_mut(5..9) {
+            id.copy_from_slice(&node.to_le_bytes());
+        }
+        write_frame(&mut self.stream, &mut self.stats, b.frame)?;
+        self.tx_base = (!dense).then(|| b.model.clone());
+        Ok(())
+    }
+
+    fn recv_lending(
+        &mut self,
+        lend: &mut dyn FnMut(u32, u64, &[f64]),
+    ) -> Result<Option<Message>, TransportError> {
+        Ok(match self.recv_frame()? {
+            Received::Model(node, round, model) => {
+                lend(node, round, model);
+                None
+            }
+            Received::Message(msg) => Some(msg),
+        })
     }
 
     fn stats(&self) -> Option<LinkStats> {
@@ -752,6 +934,18 @@ impl<T: Transport> Transport for FlakyTransport<T> {
             reason = "pure delegation: the inner transport owns the deadline"
         )]
         self.inner.recv()
+    }
+
+    fn recv_lending(
+        &mut self,
+        lend: &mut dyn FnMut(u32, u64, &[f64]),
+    ) -> Result<Option<Message>, TransportError> {
+        self.flush_held()?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "pure delegation: the inner transport owns the deadline"
+        )]
+        self.inner.recv_lending(lend)
     }
 
     fn stats(&self) -> Option<LinkStats> {
@@ -922,6 +1116,84 @@ mod tests {
             }
             other => panic!("expected the rebuilt model, got {other:?}"),
         }
+    }
+
+    /// A refused frame never reaches the fold: a bad tag, a truncated
+    /// dense frame, an index past the model and a delta on a link with
+    /// no base each fail `recv_lending` without calling `lend`, and the
+    /// rx base stays as it was — `None` on the fresh link, the first
+    /// model on the other, which a valid delta then still rebuilds.
+    #[test]
+    fn a_refused_frame_never_reaches_the_fold() {
+        let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let first: Vec<f64> = (0..70).map(|i| f64::from(i) * 0.5 - 1.0).collect();
+        let mut next = first.clone();
+        next[3] = -0.0;
+        next[66] = f64::from_bits(0x7FF8_0000_0000_0099);
+        let delta = |indices: Vec<u32>, values: Vec<f64>| Message::ModelDelta {
+            node: 0,
+            round: 2,
+            dim: 70,
+            indices,
+            values,
+        };
+        let valid = delta(vec![3, 66], vec![next[3], next[66]]).to_bytes();
+        let mut bad_tag = valid.clone();
+        bad_tag[0] = 0xEE;
+        let mut truncated = Message::ModelUpdate {
+            node: 0,
+            round: 2,
+            model: next.clone(),
+        }
+        .to_bytes();
+        truncated.pop();
+        let past_dim = delta(vec![3, 70], vec![1.0, 2.0]).to_bytes();
+
+        let (mut coord, mut worker) = tcp_loopback_links(1, "127.0.0.1:0").unwrap().pop().unwrap();
+        let mut calls = 0;
+        // A delta on a fresh link has no base to apply to.
+        coord.send_payload(&valid).unwrap();
+        let got = worker.recv_lending(&mut |_, _, _| calls += 1);
+        assert!(matches!(got, Err(TransportError::Wire(_))));
+        assert_eq!((calls, worker.rx_base.is_none()), (0, true));
+
+        coord
+            .send(&Message::ModelUpdate {
+                node: 0,
+                round: 1,
+                model: first.clone(),
+            })
+            .unwrap();
+        let got = worker.recv_lending(&mut |_, round, model| {
+            calls += 1;
+            assert_eq!((round, bits(model)), (1, bits(&first)));
+        });
+        assert!(matches!(got, Ok(None)));
+        for (what, payload) in [
+            ("bad tag", bad_tag),
+            ("truncated", truncated),
+            ("index >= dim", past_dim),
+        ] {
+            coord.send_payload(&payload).unwrap();
+            let got = worker.recv_lending(&mut |_, _, _| calls += 1);
+            assert!(
+                matches!(got, Err(TransportError::Wire(_))),
+                "{what}: refused"
+            );
+            assert_eq!(calls, 1, "{what}: the fold was called");
+            assert_eq!(
+                bits(worker.rx_base.as_deref().unwrap()),
+                bits(&first),
+                "{what}"
+            );
+        }
+        coord.send_payload(&valid).unwrap();
+        let got = worker.recv_lending(&mut |_, round, model| {
+            calls += 1;
+            assert_eq!((round, bits(model)), (2, bits(&next)));
+        });
+        assert!(matches!(got, Ok(None)));
+        assert_eq!(calls, 2);
     }
 
     /// A length prefix is a claim, not an allocation: a peer that

@@ -313,12 +313,23 @@ impl<'a> Reader<'a> {
         vet: impl Fn(f64) -> Result<(), WireError>,
     ) -> Result<Vec<f64>, WireError> {
         let mut values = Vec::with_capacity(n);
+        self.values_into(n, vet, &mut values)?;
+        Ok(values)
+    }
+
+    /// [`Reader::values`] appended to `out`, a buffer the caller reuses.
+    fn values_into(
+        &mut self,
+        n: usize,
+        vet: impl Fn(f64) -> Result<(), WireError>,
+        out: &mut Vec<f64>,
+    ) -> Result<(), WireError> {
         for _ in 0..n {
             let v = f64::get(self)?;
             vet(v)?;
-            values.push(v);
+            out.push(v);
         }
-        Ok(values)
+        Ok(())
     }
 
     /// Reads the FNV-1a word that closes a checksummed frame and checks
@@ -1120,17 +1131,24 @@ pub fn put_index_list(out: &mut Vec<u8>, indices: &[u32]) {
 /// the returned list is always a valid sorted coordinate set.
 #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 fn get_index_list(r: &mut Reader<'_>, dim: u64) -> Result<Vec<u32>, WireError> {
+    let mut indices = Vec::new();
+    get_index_list_into(r, dim, &mut indices)?;
+    Ok(indices)
+}
+
+/// [`get_index_list`] appended to `out`, a buffer the caller reuses.
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+fn get_index_list_into(r: &mut Reader<'_>, dim: u64, out: &mut Vec<u32>) -> Result<(), WireError> {
     // Each encoded index is at least one varint byte.
     let n = r.count(1)?;
-    let mut indices = Vec::with_capacity(n);
-    visit_indices(r, n, dim, |i| indices.push(i))?;
-    Ok(indices)
+    out.reserve(n);
+    visit_indices(r, n, dim, |i| out.push(i))
 }
 
 /// Decodes the `n` gap-coded indices that follow an index list's count,
 /// bounding each by `dim` and handing it to `visit` in order — the one
-/// index-list decoder, behind both [`get_index_list`] and the in-place
-/// [`apply_model_frame`].
+/// index-list decoder, behind [`get_index_list`], the in-place
+/// [`apply_model_frame`] and the link encoder's value walk.
 #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 fn visit_indices(
     r: &mut Reader<'_>,
@@ -1222,10 +1240,11 @@ pub fn apply_delta(base: &[f64], indices: &[u32], values: &[f64]) -> Option<Vec<
 // A `Tcp` link keeps, per direction, the last model that crossed it (its
 // base). The two functions below are that path's codec, and neither
 // copies a model: the encoder reads the caller's model and the base in
-// place and writes the frame bytes straight into the frame buffer; the
-// decoder validates a whole received frame, then writes it into the
-// base. Their bytes are `Message::encode`'s / `Message::decode`'s, so
-// the wire does not change.
+// place, writes the frame bytes straight into the frame buffer and
+// advances the base to the model as it writes; the decoder applies a
+// received frame to the base in place and walks its own writes back if
+// the frame turns out malformed. Their bytes are `Message::encode`'s /
+// `Message::decode`'s, so the wire does not change.
 
 /// `u8 tag ‖ u32 node ‖ u64 round ‖ u32 dim`: the bytes a dense
 /// [`Message::ModelUpdate`] (its `dim` is the model's count) and a
@@ -1249,38 +1268,173 @@ fn changed_mask(base: &[f64], model: &[f64]) -> u64 {
         })
 }
 
-/// Each block of [`BLOCK`] coordinates as its first index, its
-/// [`changed_mask`] and its slice of `model` (the last block may be
-/// shorter): the walk behind both passes of [`encode_model_frame`].
+/// Where the index list of a delta frame being written starts in the
+/// frame buffer, and how many indices it holds.
+struct DeltaList {
+    at: usize,
+    n: usize,
+}
+
+/// The one pass of the model-frame encoder over both models: appends the
+/// head of `node`'s round-`round` frame for `model` and, when `encoding`
+/// allows a delta against a `base` of the model's length, the delta's
+/// gap-coded index list, one changed-bits mask of [`BLOCK`] coordinates
+/// at a time. Under [`WireEncoding::Auto`] the walk stops as soon as the
+/// delta can no longer be shorter than the dense frame, and the dense
+/// frame is written whole instead (dense wins a tie). Returns the list
+/// of a delta, whose values [`put_delta_values`] appends; `None` once a
+/// dense frame is complete. A frame over `cap` bytes ([`MAX_FRAME`]
+/// outside tests) is refused, with `out` as it was.
 #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
-fn changed_blocks<'m>(
-    base: &'m [f64],
-    model: &'m [f64],
-) -> impl Iterator<Item = (usize, u64, &'m [f64])> + 'm {
-    base.chunks(BLOCK)
-        .zip(model.chunks(BLOCK))
-        .enumerate()
-        .map(|(k, (b, m))| (k * BLOCK, changed_mask(b, m), m))
+fn put_model_frame_head(
+    out: &mut Vec<u8>,
+    (node, round): (u32, u64),
+    model: &[f64],
+    base: Option<&[f64]>,
+    encoding: WireEncoding,
+    cap: usize,
+) -> Result<Option<DeltaList>, WireError> {
+    let dense_len = MODEL_HEAD + 8 * model.len();
+    // A model whose count overflows the frame's u32 fits no frame.
+    let Ok(dim) = u32::try_from(model.len()) else {
+        return Err(WireError::FrameTooLarge { len: dense_len });
+    };
+    let start = out.len();
+    let head = |out: &mut Vec<u8>, kind: FrameKind| {
+        out.push(kind.tag());
+        node.put(out);
+        round.put(out);
+        dim.put(out);
+    };
+    let base = base.filter(|base| encoding != WireEncoding::Dense && base.len() == model.len());
+    if let Some(base) = base {
+        head(out, FrameKind::ModelDelta);
+        0u32.put(out); // the index count, patched below
+        let at = out.len();
+        let (mut n, mut next) = (0, 0);
+        for (k, (b, m)) in base.chunks(BLOCK).zip(model.chunks(BLOCK)).enumerate() {
+            let mut mask = changed_mask(b, m);
+            while mask != 0 {
+                let i = k * BLOCK + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                varint_bytes((i - next) as u64, |byte| out.push(byte));
+                next = i + 1;
+                n += 1;
+            }
+            // The delta only grows from here: once it is no shorter,
+            // the dense frame is what auto writes.
+            if encoding == WireEncoding::Auto && out.len() - start + 8 * n >= dense_len {
+                break;
+            }
+        }
+        let len = out.len() - start + 8 * n;
+        if encoding == WireEncoding::Delta || len < dense_len {
+            // n ≤ dim, which fits a u32.
+            let (true, Ok(count)) = (len <= cap, u32::try_from(n)) else {
+                out.truncate(start);
+                return Err(WireError::FrameTooLarge { len });
+            };
+            if let Some(slot) = out.get_mut(at - 4..at) {
+                slot.copy_from_slice(&count.to_le_bytes());
+            }
+            return Ok(Some(DeltaList { at, n }));
+        }
+        out.truncate(start);
+    }
+    if dense_len > cap {
+        return Err(WireError::FrameTooLarge { len: dense_len });
+    }
+    out.reserve(dense_len);
+    head(out, FrameKind::ModelUpdate);
+    model.iter().for_each(|v| v.put(out));
+    Ok(None)
+}
+
+/// Appends the values of the delta whose index list
+/// [`put_model_frame_head`] just wrote, reading the list back, and hands
+/// each listed coordinate with its new value to `advance`.
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+fn put_delta_values(
+    out: &mut Vec<u8>,
+    list: DeltaList,
+    model: &[f64],
+    mut advance: impl FnMut(usize, f64),
+) -> Result<(), WireError> {
+    let end = out.len();
+    out.resize(end + 8 * list.n, 0);
+    let (frame, values) = out.split_at_mut(end);
+    let mut slots = values.chunks_exact_mut(8);
+    let mut r = Reader::new(frame.get(list.at..).unwrap_or_default());
+    visit_indices(&mut r, list.n, model.len() as u64, |i| {
+        let i = i as usize;
+        if let (Some(slot), Some(&v)) = (slots.next(), model.get(i)) {
+            slot.copy_from_slice(&v.to_le_bytes());
+            advance(i, v);
+        }
+    })
 }
 
 /// Appends the payload a link sends for the round model `model` of
-/// `node` at `round`, where `base` is the last model sent on the link:
-/// a [`Message::ModelDelta`] against `base` when `encoding` allows one
-/// and `base` has the model's length, a dense [`Message::ModelUpdate`]
-/// otherwise. Under [`WireEncoding::Auto`] the two exact payload lengths
-/// are compared and the shorter frame is written; dense wins a tie.
+/// `node` at `round`, where `base` is the last model sent on the link —
+/// and advances `base` to `model`: a [`Message::ModelDelta`] against
+/// `base` when `encoding` allows one and `base` has the model's length,
+/// a dense [`Message::ModelUpdate`] otherwise. Under
+/// [`WireEncoding::Auto`] the shorter frame is written; dense wins a tie.
 ///
-/// Both slices are read in place, in blocks of 64 coordinates whose
-/// changed bits each pass gathers into one mask. The sizing pass counts
-/// the set bits and the varint bytes of their gaps — a gap inside a
-/// block is below 64, one byte, so only a block's first change is
-/// measured. The writing pass walks the set bits and writes each gap
-/// and value into the exactly sized region. The bytes equal
-/// [`Message::encode`] of the frame built from [`delta_coords`] (or of
-/// the dense update). A payload over [`MAX_FRAME`] is refused before
-/// anything is appended.
+/// One pass reads both models in place, in blocks of 64 coordinates
+/// whose changed bits each gather into one mask, and writes each change's
+/// gap as it finds it; the values follow from a walk of that list,
+/// which also writes each changed coordinate into `base`. A dense frame
+/// copies the model into a `base` of its length. So once the frame is
+/// written, `base` holds `model` bit for bit — the model the peer holds
+/// once it applies the frame — and that is the links' lockstep rule:
+/// after every successful send the tx base equals the peer's rx base. A
+/// base of another length is read as none and left as it is. The bytes
+/// equal [`Message::encode`] of the frame built from [`delta_coords`]
+/// (or of the dense update). A payload over [`MAX_FRAME`] is refused
+/// before anything is appended or advanced.
 #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 pub fn encode_model_frame(
+    out: &mut Vec<u8>,
+    node: u32,
+    round: u64,
+    model: &[f64],
+    base: Option<&mut [f64]>,
+    encoding: WireEncoding,
+) -> Result<(), WireError> {
+    encode_model_frame_within(out, (node, round), model, base, encoding, MAX_FRAME)
+}
+
+/// [`encode_model_frame`] under a frame cap of `cap` bytes.
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+fn encode_model_frame_within(
+    out: &mut Vec<u8>,
+    id: (u32, u64),
+    model: &[f64],
+    mut base: Option<&mut [f64]>,
+    encoding: WireEncoding,
+    cap: usize,
+) -> Result<(), WireError> {
+    match put_model_frame_head(out, id, model, base.as_deref(), encoding, cap)? {
+        Some(list) => put_delta_values(out, list, model, |i, v| {
+            if let Some(slot) = base.as_mut().and_then(|b| b.get_mut(i)) {
+                *slot = v;
+            }
+        }),
+        None => {
+            if let Some(base) = base.filter(|b| b.len() == model.len()) {
+                base.copy_from_slice(model);
+            }
+            Ok(())
+        }
+    }
+}
+
+/// [`encode_model_frame`] against a base the link shares with others
+/// (a coordinator's round consensus): the same frame, and `base` is
+/// only read — the link takes the sent model itself as its next base.
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+pub(crate) fn encode_model_frame_shared(
     out: &mut Vec<u8>,
     node: u32,
     round: u64,
@@ -1288,77 +1442,10 @@ pub fn encode_model_frame(
     base: Option<&[f64]>,
     encoding: WireEncoding,
 ) -> Result<(), WireError> {
-    let dense_len = MODEL_HEAD + 8 * model.len();
-    let delta = base
-        .filter(|base| encoding != WireEncoding::Dense && base.len() == model.len())
-        .and_then(|base| {
-            let (mut changed, mut varints, mut next) = (0, 0, 0);
-            for (first, mask, _) in changed_blocks(base, model) {
-                if mask != 0 {
-                    let ones = mask.count_ones() as usize;
-                    let lead = first + mask.trailing_zeros() as usize;
-                    changed += ones;
-                    varints += ones - 1 + varint_len((lead - next) as u64);
-                    next = first + (BLOCK - mask.leading_zeros() as usize);
-                }
-            }
-            let len = MODEL_HEAD + 4 + varints + 8 * changed;
-            (encoding == WireEncoding::Delta || len < dense_len)
-                .then_some((base, changed, varints, len))
-        });
-    let len = delta.map_or(dense_len, |(.., len)| len);
-    // A model whose counts overflow the frame's u32s fits no frame.
-    let (true, Ok(dim), Ok(changed)) = (
-        len <= MAX_FRAME,
-        u32::try_from(model.len()),
-        u32::try_from(delta.map_or(0, |(_, changed, ..)| changed)),
-    ) else {
-        return Err(WireError::FrameTooLarge { len });
-    };
-    let start = out.len();
-    out.reserve(len);
-    let kind = match delta {
-        Some(_) => FrameKind::ModelDelta,
-        None => FrameKind::ModelUpdate,
-    };
-    out.push(kind.tag());
-    node.put(out);
-    round.put(out);
-    dim.put(out);
-    let Some((base, _, varints, _)) = delta else {
-        model.iter().for_each(|v| v.put(out));
-        return Ok(());
-    };
-    changed.put(out);
-    // The writing pass: the index list and the values it counts are
-    // filled side by side in the region the sizing pass measured.
-    let body = out.len();
-    out.resize(start + len, 0);
-    let (indices, values) = out
-        .get_mut(body..)
-        .and_then(|region| region.split_at_mut_checked(varints))
-        .ok_or(WireError::Invalid {
-            what: "model delta region shorter than its counted length",
-        })?;
-    let (mut indices, mut values) = (indices.iter_mut(), values.chunks_exact_mut(8));
-    let mut next = 0;
-    for (first, mut mask, block) in changed_blocks(base, model) {
-        while mask != 0 {
-            let j = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let gap = (first + j - next) as u64;
-            next = first + j + 1;
-            varint_bytes(gap, |byte| {
-                if let Some(slot) = indices.next() {
-                    *slot = byte;
-                }
-            });
-            if let (Some(slot), Some(m)) = (values.next(), block.get(j)) {
-                slot.copy_from_slice(&m.to_le_bytes());
-            }
-        }
+    match put_model_frame_head(out, (node, round), model, base, encoding, MAX_FRAME)? {
+        Some(list) => put_delta_values(out, list, model, |_, _| {}),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// An `f64` from its 8 little-endian bytes (a `chunks_exact(8)` item).
@@ -1366,6 +1453,13 @@ fn f64_le(bytes: &[u8]) -> f64 {
     let mut a = [0u8; 8];
     a.copy_from_slice(bytes);
     f64::from_le_bytes(a)
+}
+
+/// Swaps a model coordinate with the value in its frame slot.
+fn swap_slot(x: &mut f64, slot: &mut [u8]) {
+    let v = f64_le(slot);
+    slot.copy_from_slice(&x.to_le_bytes());
+    *x = v;
 }
 
 /// Applies a received round-model payload to `base`, the last model
@@ -1376,12 +1470,17 @@ fn f64_le(bytes: &[u8]) -> f64 {
 /// unless a base of its `dim` exists. Any other frame is a
 /// [`WireError::BadTag`].
 ///
-/// The whole payload is validated — with exactly the checks
-/// [`Message::decode`] makes — before the first coordinate is written,
-/// so a refused frame leaves `base` as it was.
+/// The payload is refused exactly when [`Message::decode`] refuses it,
+/// and a refused frame leaves `base` as it was. A delta's index list is
+/// decoded once: each listed coordinate is swapped with its value slot
+/// in the payload as the list is read, so should the list turn out
+/// malformed, a second swap of the coordinates already written puts
+/// back both `base` and the payload. An applied delta therefore leaves
+/// the coordinates' previous values in its value slots: applying the
+/// same payload again restores the previous model.
 #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 pub fn apply_model_frame<'b>(
-    payload: &[u8],
+    payload: &mut [u8],
     base: &'b mut Option<Vec<f64>>,
 ) -> Result<(u32, u64, &'b [f64]), WireError> {
     if payload.len() > MAX_FRAME {
@@ -1406,10 +1505,19 @@ pub fn apply_model_frame<'b>(
     }
     let dim = u32::get(&mut r)?;
     let n = r.count(1)?;
-    let mut list = r.clone();
-    visit_indices(&mut r, n, u64::from(dim), |_| {})?;
-    let values = r.take(8 * n)?;
-    r.finish()?;
+    // The values are the payload's last 8n bytes, and the index list is
+    // exactly what lies between the count and them.
+    let list_at = r.pos;
+    let Some(values_at) = payload
+        .len()
+        .checked_sub(8 * n)
+        .filter(|&at| at >= list_at + n)
+    else {
+        return Err(WireError::Truncated {
+            needed: 9 * n,
+            have: payload.len() - list_at,
+        });
+    };
     let model = match base {
         Some(model) if model.len() == dim as usize => model,
         _ => {
@@ -1418,14 +1526,25 @@ pub fn apply_model_frame<'b>(
             })
         }
     };
-    // Validated: the second walk of the list cannot fail, and every
-    // index it yields is in bounds and has its value.
-    let mut values = values.chunks_exact(8).map(f64_le);
-    visit_indices(&mut list, n, u64::from(dim), |i| {
-        if let (Some(slot), Some(v)) = (model.get_mut(i as usize), values.next()) {
-            *slot = v;
-        }
-    })?;
+    let (frame, values) = payload.split_at_mut(values_at);
+    let list = frame.get(list_at..).unwrap_or_default();
+    let swap = |count: usize, values: &mut [u8], model: &mut [f64]| {
+        let (mut slots, mut swapped) = (values.chunks_exact_mut(8), 0);
+        let mut r = Reader::new(list);
+        visit_indices(&mut r, count, u64::from(dim), |i| {
+            if let (Some(x), Some(slot)) = (model.get_mut(i as usize), slots.next()) {
+                swap_slot(x, slot);
+                swapped += 1;
+            }
+        })
+        .and_then(|()| r.finish())
+        .map_err(|e| (e, swapped))
+    };
+    if let Err((e, swapped)) = swap(n, values, model) {
+        // Undo: the same swaps over the coordinates already written.
+        let _ = swap(swapped, values, model);
+        return Err(e);
+    }
     Ok((node, round, model))
 }
 
@@ -1757,6 +1876,9 @@ fn get_dataset_shard(r: &mut Reader<'_>) -> Result<Message, WireError> {
     )?;
     let mut weights = Vec::with_capacity(n);
     let mut b = DatasetBuilder::with_capacity(dim, n, 0);
+    // Each row is decoded into these two, reused row after row; the
+    // builder copies it into the chunk's storage.
+    let (mut indices, mut values) = (Vec::new(), Vec::new());
     for _ in 0..n {
         let label = match r.u8()? {
             0 => -1.0,
@@ -1772,10 +1894,14 @@ fn get_dataset_shard(r: &mut Reader<'_>) -> Result<Message, WireError> {
             weight.is_finite() && weight > 0.0,
             "dataset shard importance weight not positive finite",
         )?;
-        let indices = get_index_list(r, dim as u64)?;
-        let values = r.values(indices.len(), |x| {
-            check(x.is_finite(), "non-finite dataset value")
-        })?;
+        indices.clear();
+        values.clear();
+        get_index_list_into(r, dim as u64, &mut indices)?;
+        r.values_into(
+            indices.len(),
+            |x| check(x.is_finite(), "non-finite dataset value"),
+            &mut values,
+        )?;
         weights.push(weight);
         b.push_row_unchecked(&indices, &values, label);
     }
@@ -2345,6 +2471,47 @@ mod tests {
     }
 
     // --- model deltas ----------------------------------------------------
+
+    /// A refused encode appends nothing and leaves the base as it was:
+    /// a delta and a dense frame each one byte over the cap.
+    #[test]
+    fn a_refused_encode_leaves_frame_and_base_as_they_were() {
+        let base: Vec<f64> = (0..70).map(|i| f64::from(i) - 3.5).collect();
+        let mut next = base.clone();
+        next[2] = -0.0;
+        next[69] = f64::from_bits(0x7FF8_0000_0000_0042);
+        let delta_len = MODEL_HEAD + 4 + 2 + 2 * 8;
+        let dense_len = MODEL_HEAD + 8 * 70;
+        for (encoding, len) in [
+            (WireEncoding::Delta, delta_len),
+            (WireEncoding::Auto, delta_len),
+            (WireEncoding::Dense, dense_len),
+        ] {
+            let mut held = base.clone();
+            let mut out = vec![0xCD];
+            let refused = encode_model_frame_within(
+                &mut out,
+                (1, 2),
+                &next,
+                Some(&mut held),
+                encoding,
+                len - 1,
+            );
+            assert_eq!(
+                refused,
+                Err(WireError::FrameTooLarge { len }),
+                "{encoding:?}"
+            );
+            assert_eq!(out, [0xCD], "{encoding:?}: nothing appended");
+            let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&held), bits(&base), "{encoding:?}: base untouched");
+            // At the cap the same frame goes out and the base advances.
+            encode_model_frame_within(&mut out, (1, 2), &next, Some(&mut held), encoding, len)
+                .unwrap();
+            assert_eq!(out.len(), 1 + len);
+            assert_eq!(bits(&held), bits(&next), "{encoding:?}: base advanced");
+        }
+    }
 
     #[test]
     fn delta_roundtrip_reconstructs_bit_exactly() {

@@ -12,12 +12,13 @@
 
 use isasgd_cluster::{
     apply_delta, apply_model_frame, delta_coords, encode_model_frame, tcp_loopback_links,
-    CheckpointSampler, CheckpointState, FrameKind, Message, SessionConfig, Transport, WireEncoding,
-    WireError, WorkerTiming, PROTOCOL_VERSION,
+    Broadcast, CheckpointSampler, CheckpointState, FrameKind, Message, SessionConfig, Tcp,
+    Transport, WireEncoding, WireError, WorkerTiming, PROTOCOL_VERSION,
 };
 use isasgd_core::{CommitPolicy, ImportanceScheme, Regularizer, SamplingStrategy};
 use isasgd_sparse::DatasetBuilder;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// NaN-free f64 values including the nasty edges: ±0.0, ±inf,
 /// subnormals, and the extremes of the normal range. (NaN is excluded
@@ -455,8 +456,9 @@ fn auto_sends_a_delta_while_it_is_the_shorter_frame() {
 /// The frame `encode_model_frame` writes for `(base, next)` under
 /// `encoding`, checked against the oracles: `Message::encode` of the
 /// dense update and of `delta_coords`' delta, `auto` taking the shorter
-/// and dense on a tie — then applied to `base`, which must come back
-/// as `next`, bit for bit.
+/// and dense on a tie. The encoder advances its copy of `base` to
+/// `next`, and the frame applied to another copy does the same, bit for
+/// bit.
 fn encoded_as_the_oracles_encode(base: &[f64], next: &[f64], encoding: WireEncoding) -> Vec<u8> {
     let (indices, values) = delta_coords(base, next);
     let dense = Message::ModelUpdate {
@@ -480,15 +482,17 @@ fn encoded_as_the_oracles_encode(base: &[f64], next: &[f64], encoding: WireEncod
         WireEncoding::Auto => &dense,
     };
     let mut got = Vec::new();
-    encode_model_frame(&mut got, 3, 9, next, Some(base), encoding).unwrap();
+    let mut tx = base.to_vec();
+    encode_model_frame(&mut got, 3, 9, next, Some(&mut tx), encoding).unwrap();
     assert!(
         got == *want,
         "{encoding:?}, dim {}: bytes differ",
         next.len()
     );
-    let mut held = Some(base.to_vec());
-    let (_, _, model) = apply_model_frame(&got, &mut held).unwrap();
     let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&tx), bits(next), "the tx base advanced to the model");
+    let mut held = Some(base.to_vec());
+    let (_, _, model) = apply_model_frame(&mut got.clone(), &mut held).unwrap();
     assert_eq!(bits(model), bits(next));
     got
 }
@@ -711,9 +715,11 @@ proptest! {
             (WireEncoding::Auto, shorter),
         ] {
             let mut out = vec![0xAB];
-            encode_model_frame(&mut out, node, round, &next, Some(&base), encoding).unwrap();
+            let mut tx = base.clone();
+            encode_model_frame(&mut out, node, round, &next, Some(&mut tx), encoding).unwrap();
             prop_assert_eq!(&out[0], &0xAB, "appends, never overwrites");
             prop_assert_eq!(&out[1..], &want[..], "{:?}", encoding);
+            prop_assert_eq!(bits(&tx), bits(&next), "{:?}: base advanced", encoding);
             // No base: dense whatever the encoding.
             out.clear();
             encode_model_frame(&mut out, node, round, &next, None, encoding).unwrap();
@@ -721,18 +727,23 @@ proptest! {
         }
 
         let mut held = Some(base.clone());
-        let (n, r, model) = apply_model_frame(&delta, &mut held).unwrap();
+        let mut payload = delta.clone();
+        let (n, r, model) = apply_model_frame(&mut payload, &mut held).unwrap();
         prop_assert_eq!((n, r), (node, round));
         prop_assert_eq!(bits(model), bits(&rebuilt));
         prop_assert_eq!(bits(&rebuilt), bits(&next));
+        // The applied payload now holds the previous values: applied
+        // again, it restores the base.
+        let (_, _, model) = apply_model_frame(&mut payload, &mut held).unwrap();
+        prop_assert_eq!(bits(model), bits(&base));
         let mut held = Some(base.clone());
-        let (_, _, model) = apply_model_frame(&dense, &mut held).unwrap();
+        let (_, _, model) = apply_model_frame(&mut dense.clone(), &mut held).unwrap();
         prop_assert_eq!(bits(model), bits(&next));
         // A dense frame needs no base; a delta refuses to go without one.
         let mut none = None;
-        prop_assert!(apply_model_frame(&dense, &mut none).is_ok());
+        prop_assert!(apply_model_frame(&mut dense.clone(), &mut none).is_ok());
         let mut none = None;
-        prop_assert!(apply_model_frame(&delta, &mut none).is_err());
+        prop_assert!(apply_model_frame(&mut delta.clone(), &mut none).is_err());
         prop_assert_eq!(none, None);
     }
 
@@ -747,16 +758,21 @@ proptest! {
     ) {
         let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let mut frame = Vec::new();
-        encode_model_frame(&mut frame, 1, 2, &next, Some(&base), WireEncoding::Delta).unwrap();
+        encode_model_frame(&mut frame, 1, 2, &next, Some(&mut base.clone()), WireEncoding::Delta)
+            .unwrap();
         let pos = pos_seed % frame.len();
         let mut flipped = frame.clone();
         flipped[pos] ^= flip;
         for bytes in (0..frame.len()).map(|cut| &frame[..cut]).chain([&flipped[..]]) {
             let mut held = Some(base.clone());
             let decoded = Message::decode(bytes);
-            match apply_model_frame(bytes, &mut held) {
+            let mut payload = bytes.to_vec();
+            match apply_model_frame(&mut payload, &mut held) {
                 Ok(_) => prop_assert!(decoded.is_ok(), "accepted what decode refuses"),
-                Err(_) => prop_assert_eq!(bits(held.as_deref().unwrap()), bits(&base)),
+                Err(_) => {
+                    prop_assert_eq!(bits(held.as_deref().unwrap()), bits(&base));
+                    prop_assert_eq!(&payload[..], bytes, "the payload is put back too");
+                }
             }
         }
     }
@@ -776,5 +792,131 @@ proptest! {
         };
         let back = Message::decode(&msg.to_bytes());
         prop_assert_eq!(back.as_ref(), Ok(&msg));
+    }
+}
+
+/// Where a link's tx base stands before a broadcast: on the model the
+/// previous broadcast shared, on a model of its own, or nowhere (a
+/// fresh or respawned link).
+#[derive(Debug, Clone, Copy)]
+enum LinkBase {
+    Shared,
+    Own,
+    Missing,
+}
+
+fn arb_encoding() -> impl Strategy<Value = WireEncoding> {
+    prop_oneof![
+        Just(WireEncoding::Dense),
+        Just(WireEncoding::Delta),
+        Just(WireEncoding::Auto),
+    ]
+}
+
+/// `(previous broadcast, a link's own model, next broadcast)` of one
+/// dim, and one to four links, each with its base and encoding.
+type BroadcastCase = (Vec<f64>, Vec<f64>, Vec<f64>, Vec<(LinkBase, WireEncoding)>);
+
+fn arb_broadcast() -> impl Strategy<Value = BroadcastCase> {
+    arb_model_pair().prop_flat_map(|(prev, next)| {
+        let dim = prev.len();
+        let link = (
+            prop_oneof![
+                Just(LinkBase::Shared),
+                Just(LinkBase::Own),
+                Just(LinkBase::Missing)
+            ],
+            arb_encoding(),
+        );
+        (
+            Just(prev),
+            prop::collection::vec(arb_bits_f64(), dim..=dim),
+            Just(next),
+            prop::collection::vec(link, 1..=4),
+        )
+    })
+}
+
+/// The next frame on a raw socket: its payload, length prefix read off.
+fn read_payload(peer: &mut std::net::TcpStream) -> Vec<u8> {
+    use std::io::Read;
+    let mut len = [0u8; 4];
+    peer.read_exact(&mut len).unwrap();
+    let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
+    peer.read_exact(&mut payload).unwrap();
+    payload
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A broadcast writes every link the bytes `encode_model_frame`
+    /// writes for that link alone — node id, base and encoding its own —
+    /// whether the links' bases are shared, their own or missing, and
+    /// every peer that applies what it read holds the sent model bit for
+    /// bit. Two rounds: after the first broadcast every non-dense link
+    /// shares its base.
+    #[test]
+    fn a_broadcast_writes_each_link_its_own_frame(
+        (prev, own, next, links) in arb_broadcast(),
+    ) {
+        let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut ends: Vec<(Tcp, std::net::TcpStream)> = links
+            .iter()
+            .map(|&(_, encoding)| {
+                let peer = std::net::TcpStream::connect(addr).unwrap();
+                let mut tcp = Tcp::new(listener.accept().unwrap().0).unwrap();
+                tcp.set_encoding(encoding);
+                (tcp, peer)
+            })
+            .collect();
+        // Each link's tx base as the test tracks it, and each peer's rx
+        // base as it applies what it reads.
+        let mut tx: Vec<Option<Vec<f64>>> = vec![None; links.len()];
+        let mut rx: Vec<Option<Vec<f64>>> = vec![None; links.len()];
+        let mut frame = Vec::new();
+        let prev: Arc<[f64]> = Arc::from(prev);
+        let mut broadcast = Broadcast::new(1, &prev, &mut frame);
+        for (k, ((base, encoding), (tcp, peer))) in links.iter().zip(&mut ends).enumerate() {
+            let node = k as u32;
+            let sent = match base {
+                LinkBase::Shared => {
+                    tcp.send_broadcast(node, &mut broadcast).unwrap();
+                    &prev[..]
+                }
+                LinkBase::Own => {
+                    tcp.send_model(node, 1, &own).unwrap();
+                    &own[..]
+                }
+                LinkBase::Missing => continue,
+            };
+            apply_model_frame(&mut read_payload(peer), &mut rx[k]).unwrap();
+            tx[k] = (*encoding != WireEncoding::Dense).then(|| sent.to_vec());
+        }
+        drop(broadcast);
+        for (round, model) in [(2, Arc::<[f64]>::from(next)), (3, prev.clone())] {
+            let mut broadcast = Broadcast::new(round, &model, &mut frame);
+            for (k, (tcp, _)) in ends.iter_mut().enumerate() {
+                tcp.send_broadcast(k as u32, &mut broadcast).unwrap();
+            }
+            drop(broadcast);
+            for (k, ((_, encoding), (_, peer))) in links.iter().zip(&mut ends).enumerate() {
+                let mut want = Vec::new();
+                encode_model_frame(&mut want, k as u32, round, &model, tx[k].as_deref_mut(), *encoding)
+                    .unwrap();
+                let mut got = read_payload(peer);
+                prop_assert!(got == want, "round {}, link {}: bytes differ", round, k);
+                let (node, r, held) = apply_model_frame(&mut got, &mut rx[k]).unwrap();
+                prop_assert_eq!((node, r), (k as u32, round));
+                prop_assert_eq!(bits(held), bits(&model), "round {}, link {}", round, k);
+                if *encoding == WireEncoding::Dense {
+                    tx[k] = None;
+                } else if tx[k].is_none() {
+                    tx[k] = Some(model.to_vec());
+                }
+            }
+        }
     }
 }

@@ -471,6 +471,18 @@ impl DatasetBuilder {
         if label != 1.0 && label != -1.0 {
             return Err(SparseError::BadLabel { row, label });
         }
+        // Strictly increasing, finite, in-bounds pairs — every row a
+        // LibSVM file lists in order — are stored straight from the
+        // slice; any other row is sorted and checked below, which names
+        // its error.
+        let ordered = pairs.windows(2).all(|w| w[0].0 < w[1].0)
+            && pairs.iter().all(|&(_, x)| x.is_finite())
+            && pairs.last().is_none_or(|&(i, _)| (i as usize) < self.dim);
+        if ordered {
+            let indices = pairs.iter().map(|&(i, _)| i);
+            self.push_valid(indices, pairs.iter().map(|&(_, x)| x), label);
+            return Ok(());
+        }
         let v = SparseVec::from_pairs(pairs).map_err(|e| match e {
             SparseError::DuplicateIndex { index, .. } => SparseError::DuplicateIndex { row, index },
             SparseError::NonFiniteValue { .. } => SparseError::NonFiniteValue { row },
@@ -484,7 +496,11 @@ impl DatasetBuilder {
                 });
             }
         }
-        self.push_valid(v.indices(), v.values(), label);
+        self.push_valid(
+            v.indices().iter().copied(),
+            v.values().iter().copied(),
+            label,
+        );
         Ok(())
     }
 
@@ -494,15 +510,22 @@ impl DatasetBuilder {
         debug_assert!(indices.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(indices.last().is_none_or(|&l| (l as usize) < self.dim));
         debug_assert_eq!(indices.len(), values.len());
-        self.push_valid(indices, values, label);
+        self.push_valid(indices.iter().copied(), values.iter().copied(), label);
     }
 
-    fn push_valid(&mut self, indices: &[u32], values: &[f64], label: f64) {
+    /// Appends a validated row from its indices and, in step, its values.
+    fn push_valid(
+        &mut self,
+        indices: impl Iterator<Item = u32>,
+        values: impl ExactSizeIterator<Item = f64> + Clone,
+        label: f64,
+    ) {
         if self.shared {
-            let first = self.values.first().or(values.first()).map(|v| v.to_bits());
-            if values.iter().all(|v| Some(v.to_bits()) == first) {
+            let first = self.values.first().copied().or(values.clone().next());
+            let first = first.map(f64::to_bits);
+            if values.clone().all(|v| Some(v.to_bits()) == first) {
                 if self.values.is_empty() {
-                    self.values.extend(values.first());
+                    self.values.extend(values.clone().next());
                 }
             } else {
                 // The first differing value: from here on, one per
@@ -516,11 +539,12 @@ impl DatasetBuilder {
             }
         }
         if !self.shared {
-            self.values.extend_from_slice(values);
+            self.values.extend(values);
         }
-        self.indices.extend_from_slice(indices);
+        let before = self.indices.len();
+        self.indices.extend(indices);
         self.offsets.push(self.indices.len());
-        self.widest = self.widest.max(indices.len());
+        self.widest = self.widest.max(self.indices.len() - before);
         self.labels.push(label);
     }
 

@@ -2,7 +2,7 @@
 
 use isasgd_sparse::dataset::shard_ranges;
 use isasgd_sparse::{
-    holdout_split, libsvm, Dataset, DatasetBuilder, RowWindow, SparseRow, SparseVec,
+    holdout_split, libsvm, Dataset, DatasetBuilder, RowWindow, SparseError, SparseRow, SparseVec,
 };
 use proptest::prelude::*;
 
@@ -376,5 +376,86 @@ proptest! {
             label: *label,
         });
         holds(rows, &want, &order)?;
+    }
+}
+
+/// The builder's general path for one row: sort through
+/// `SparseVec::from_pairs`, name the row in its errors, bound the last
+/// index, store — what `push_row` did for every row before sorted rows
+/// got their own path.
+fn push_row_through_from_pairs(
+    b: &mut DatasetBuilder,
+    dim: usize,
+    pairs: &[(u32, f64)],
+    label: f64,
+) -> Result<(), SparseError> {
+    let row = b.len();
+    if label != 1.0 && label != -1.0 {
+        return Err(SparseError::BadLabel { row, label });
+    }
+    let v = SparseVec::from_pairs(pairs).map_err(|e| match e {
+        SparseError::DuplicateIndex { index, .. } => SparseError::DuplicateIndex { row, index },
+        SparseError::NonFiniteValue { .. } => SparseError::NonFiniteValue { row },
+        other => other,
+    })?;
+    if let Some(&last) = v.indices().last() {
+        if last as usize >= dim {
+            return Err(SparseError::IndexOutOfBounds { index: last, dim });
+        }
+    }
+    b.push_row_unchecked(v.indices(), v.values(), label);
+    Ok(())
+}
+
+/// Rows of up to 12 pairs below `dim + 3` (so some fall out of bounds),
+/// mostly finite and often all one value, each kept sorted and unique,
+/// as drawn (unsorted, maybe duplicated) or reversed; labels mostly ±1.
+fn raw_rows(dim: u32) -> impl Strategy<Value = Vec<(Vec<(u32, f64)>, f64)>> {
+    let value = prop_oneof![
+        6 => -5.0f64..5.0,
+        6 => Just(1.0f64),
+        1 => Just(f64::NAN),
+        1 => Just(f64::NEG_INFINITY),
+    ];
+    let row = (
+        proptest::collection::vec((0..dim + 3, value), 0..12),
+        0u8..3,
+        prop_oneof![8 => Just(1.0f64), 8 => Just(-1.0), 1 => Just(0.5)],
+    )
+        .prop_map(|(mut pairs, shape, label)| {
+            match shape {
+                0 => {
+                    pairs.sort_by_key(|&(i, _)| i);
+                    pairs.dedup_by_key(|&mut (i, _)| i);
+                }
+                1 => {}
+                _ => pairs.sort_by_key(|&(i, _)| std::cmp::Reverse(i)),
+            }
+            (pairs, label)
+        });
+    proptest::collection::vec(row, 0..24)
+}
+
+proptest! {
+    /// `push_row` stores what the general path stores and refuses what
+    /// it refuses, with the same error: random rows, unsorted,
+    /// duplicated, non-finite, out of bounds or badly labelled among
+    /// valid ones, into two builders side by side.
+    #[test]
+    fn push_row_is_the_general_path(rows in raw_rows(40)) {
+        let dim = 40;
+        let (mut fast, mut general) = (DatasetBuilder::new(dim), DatasetBuilder::new(dim));
+        for (pairs, label) in &rows {
+            let got = fast.push_row(pairs, *label);
+            let want = push_row_through_from_pairs(&mut general, dim, pairs, *label);
+            prop_assert_eq!(&got, &want, "row {:?}", pairs);
+        }
+        let (fast, general) = (fast.finish(), general.finish());
+        prop_assert!(fast == general);
+        prop_assert_eq!(fast.nnz(), general.nnz());
+        prop_assert_eq!(
+            fast.shared_value().map(f64::to_bits),
+            general.shared_value().map(f64::to_bits)
+        );
     }
 }
