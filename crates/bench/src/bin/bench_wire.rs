@@ -11,10 +11,15 @@
 //!
 //! `--check` exits non-zero when any `*_gbps` metric falls more than
 //! 25% below the baseline (a real codec regression at these sizes
-//! dwarfs scheduler noise), or when any `*_bytes` metric — which is a
+//! dwarfs scheduler noise), when any `*_bytes` metric — which is a
 //! pure function of the codec, not of the machine — differs from it in
-//! either direction: a frame that shrinks is a layout change too, and
-//! lands with a `--write` of the baseline.
+//! either direction (a frame that shrinks is a layout change too), or
+//! when the baseline holds a row this binary no longer measures.
+//!
+//! `--write` adds the rows the file lacks and keeps every existing row
+//! byte for byte, so a new metric lands without re-measuring the old
+//! ones on another machine. To re-baseline a row, delete it from the
+//! file first.
 //! This runner exists so the trajectory lives in-repo as one small
 //! JSON file CI can diff against.
 
@@ -341,10 +346,10 @@ fn measure() -> BTreeMap<&'static str, f64> {
 
 /// The baseline file: one flat JSON object, one metric per line, keys
 /// in sorted order — byte-stable so `--write` diffs are reviewable.
-fn render_baseline(m: &BTreeMap<&'static str, f64>) -> String {
+fn render_baseline<K: AsRef<str>>(m: &BTreeMap<K, f64>) -> String {
     let rows: Vec<String> = m
         .iter()
-        .map(|(k, v)| format!("  \"{}\": {v:.6}", escape_json(k)))
+        .map(|(k, v)| format!("  \"{}\": {v:.6}", escape_json(k.as_ref())))
         .collect();
     format!("{{\n{}\n}}\n", rows.join(",\n"))
 }
@@ -361,23 +366,54 @@ fn parse_baseline(s: &str) -> Result<BTreeMap<String, f64>, String> {
         .collect()
 }
 
+/// Adds every `current` row `baseline` lacks, keeping the rows it has;
+/// returns how many it added.
+fn add_missing(
+    baseline: &mut BTreeMap<String, f64>,
+    current: &BTreeMap<&'static str, f64>,
+) -> usize {
+    let had = baseline.len();
+    for (k, &v) in current {
+        baseline.entry(k.to_string()).or_insert(v);
+    }
+    baseline.len() - had
+}
+
+/// Reads and parses the baseline at `path`, exiting 2 if it is corrupt.
+fn read_baseline(path: &str) -> BTreeMap<String, f64> {
+    let text = std::fs::read_to_string(path).expect("reading baseline");
+    parse_baseline(&text).unwrap_or_else(|e| {
+        eprintln!("bench_wire: {path}: {e}");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let current = measure();
     match args.as_slice() {
         [] => print!("{}", render_baseline(&current)),
         [flag, path] if flag == "--write" => {
-            std::fs::write(path, render_baseline(&current)).expect("writing baseline");
-            eprintln!("wrote {path}");
+            let mut baseline = if std::path::Path::new(path).exists() {
+                read_baseline(path)
+            } else {
+                BTreeMap::new()
+            };
+            let added = add_missing(&mut baseline, &current);
+            std::fs::write(path, render_baseline(&baseline)).expect("writing baseline");
+            eprintln!("added {added} rows to {path}");
         }
         [flag, path] if flag == "--check" => {
-            let text = std::fs::read_to_string(path).expect("reading baseline");
-            let baseline = parse_baseline(&text).unwrap_or_else(|e| {
-                eprintln!("bench_wire: {path}: {e}");
-                std::process::exit(2);
-            });
+            let baseline = read_baseline(path);
             print!("{}", render_baseline(&current));
             let mut failed = false;
+            for k in baseline
+                .keys()
+                .filter(|k| !current.contains_key(k.as_str()))
+            {
+                eprintln!("FAIL {k}: in baseline {path} but no longer measured");
+                failed = true;
+            }
             for (k, &cur) in &current {
                 let Some(&base) = baseline.get(*k) else {
                     eprintln!("FAIL {k}: missing from baseline {path}");
@@ -436,5 +472,24 @@ mod tests {
         // A line the old splitter would have skipped (one gate fewer).
         assert!(parse_baseline(&text.replace("\"b_gbps\":", "\"b_gbps\"")).is_err());
         assert!(parse_baseline(&text.replace("53.000000", "\"53\"")).is_err());
+    }
+
+    /// `--write` only adds: a row the file has keeps its bytes even when
+    /// the run measured something else, and a missing row is added.
+    #[test]
+    fn write_adds_missing_rows_and_keeps_the_rest() {
+        let file = "{\n  \"a_bytes\": 53.000000,\n  \"c_gbps\": 0.626824\n}\n";
+        let current = BTreeMap::from([("a_bytes", 54.0), ("b_gbps", 1.5), ("c_gbps", 0.7)]);
+        let mut merged = parse_baseline(file).unwrap();
+        assert_eq!(add_missing(&mut merged, &current), 1);
+        assert_eq!(
+            render_baseline(&merged),
+            "{\n  \"a_bytes\": 53.000000,\n  \"b_gbps\": 1.500000,\n  \"c_gbps\": 0.626824\n}\n"
+        );
+        // Nothing to add: the file comes back byte for byte.
+        let mut same = parse_baseline(file).unwrap();
+        let full = BTreeMap::from([("a_bytes", 1.0), ("c_gbps", 2.0)]);
+        assert_eq!(add_missing(&mut same, &full), 0);
+        assert_eq!(render_baseline(&same), file);
     }
 }

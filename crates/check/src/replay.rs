@@ -10,7 +10,7 @@
 //! magic      8 raw bytes  "ISCHED02"
 //! nodes, rounds, local_epochs, rows, seed, adaptive (0/1), checkpoint_every
 //! faults     flag bits (1=reorder 2=duplicate 4=hold 8=drop), window, budget
-//! bugs       flag bits (1=drop_preassignment 2=eager_teardown 4=strict_extras)
+//! bugs       flag bits (2=eager_teardown 4=strict_extras; 1 is retired)
 //! expected   tag (0=pass 1=expected-deadlock 2=violation)
 //! contains   len + utf8   substring a violation's description must contain
 //! max_decisions
@@ -76,9 +76,7 @@ pub fn write_schedule(file: &ScheduleFile) -> Vec<u8> {
     put_varint(&mut out, u64::from(f.reorder_window));
     put_varint(&mut out, u64::from(f.budget));
     let b = &s.bugs;
-    let bug_flags = u64::from(b.drop_preassignment_traffic)
-        | u64::from(b.eager_link_teardown) << 1
-        | u64::from(b.strict_extra_sends) << 2;
+    let bug_flags = u64::from(b.eager_link_teardown) << 1 | u64::from(b.strict_extra_sends) << 2;
     put_varint(&mut out, bug_flags);
     let tag = match file.expected {
         Expected::Pass => 0,
@@ -97,8 +95,11 @@ pub fn write_schedule(file: &ScheduleFile) -> Vec<u8> {
 }
 
 /// The fault and bug flag bits the format names; any other is refused.
+/// Bug bit 0 switched a worker fix whose protocol phase (the round-0
+/// shard assignment) no longer exists, so a file that sets it is
+/// refused rather than replayed without it.
 const FAULT_FLAGS: u64 = 0b1111;
-const BUG_FLAGS: u64 = 0b111;
+const BUG_FLAGS: u64 = 0b110;
 
 /// Parses the `.schedule` byte format.
 pub fn read_schedule(bytes: &[u8]) -> Result<ScheduleFile, String> {
@@ -181,7 +182,6 @@ pub fn read_schedule(bytes: &[u8]) -> Result<ScheduleFile, String> {
                 budget,
             },
             bugs: ProtocolBugs {
-                drop_preassignment_traffic: bug_flags & 1 != 0,
                 eager_link_teardown: bug_flags & 2 != 0,
                 strict_extra_sends: bug_flags & 4 != 0,
             },
@@ -251,7 +251,6 @@ mod tests {
                     budget: 2,
                 },
                 bugs: ProtocolBugs {
-                    drop_preassignment_traffic: true,
                     eager_link_teardown: false,
                     strict_extra_sends: true,
                 },
@@ -319,7 +318,7 @@ mod tests {
                 bytes[fault_flags],
                 bytes[bug_flags]
             ],
-            [0, 1, 0b1011, 0b101]
+            [0, 1, 0b1011, 0b100]
         );
         assert_eq!(read_schedule(&bytes).unwrap(), f);
         let mut padded = bytes.clone();
@@ -328,7 +327,8 @@ mod tests {
         for (at, byte, what) in [
             (adaptive, 2, "adaptive flag 2"),
             (fault_flags, 0b1_1011, "fault flag bit 4"),
-            (bug_flags, 0b1101, "bug flag bit 3"),
+            (bug_flags, 0b1100, "bug flag bit 3"),
+            (bug_flags, 0b101, "the retired bug flag bit 0"),
         ] {
             let mut bad = bytes.clone();
             bad[at] = byte;

@@ -60,6 +60,31 @@ fn single_worker_faultless_run_is_fully_forced() {
     );
 }
 
+/// One worker, one round, one reorder in a window of two: the round
+/// start's barrier and model may arrive in either order, and the
+/// worker's stash must take both.
+#[test]
+fn one_worker_reordered_round_start_is_clean() {
+    let spec = ScenarioSpec {
+        nodes: 1,
+        rounds: 1,
+        rows: 48,
+        faults: FaultSpec {
+            reorder: true,
+            reorder_window: 2,
+            budget: 1,
+            ..FaultSpec::none()
+        },
+        ..ScenarioSpec::default()
+    };
+    let stats = explore_exhaustively(spec, 32);
+    assert_eq!(
+        (stats.schedules, stats.expected_deadlocks),
+        (5, 0),
+        "{stats:?}"
+    );
+}
+
 /// The flagship configuration: two workers, two rounds, the lossless
 /// fault vocabulary (reorder, duplicate, hold), exhaustively explored
 /// at depth 48. Lossless faults cannot starve the protocol. Cut at
@@ -74,7 +99,7 @@ fn two_workers_two_rounds_lossless_faults_exhaustive() {
     let stats = explore_exhaustively(spec, 48);
     assert_eq!(
         (stats.schedules, stats.expected_deadlocks),
-        (528, 0),
+        (514, 0),
         "{stats:?}"
     );
     let capped = explore_guarded(spec, 16);
@@ -96,7 +121,7 @@ fn one_worker_two_rounds_every_fault_exhaustive() {
     let stats = explore_exhaustively(spec, 48);
     assert_eq!(
         (stats.schedules, stats.expected_deadlocks),
-        (435, 138),
+        (243, 78),
         "{stats:?}"
     );
 }
@@ -113,7 +138,7 @@ fn static_sampling_two_workers_two_rounds_lossless_exhaustive() {
     let stats = explore_exhaustively(spec, 48);
     assert_eq!(
         (stats.schedules, stats.expected_deadlocks),
-        (116, 0),
+        (102, 0),
         "{stats:?}"
     );
 }
@@ -137,7 +162,7 @@ fn checkpoint_frames_are_absorbed_idempotently_under_lossless_faults() {
     let stats = explore_exhaustively(spec, 64);
     assert_eq!(
         (stats.schedules, stats.expected_deadlocks),
-        (1976, 0),
+        (1962, 0),
         "nothing blocks on a checkpoint: {stats:?}"
     );
     let baseline = explore_exhaustively(base, 64);

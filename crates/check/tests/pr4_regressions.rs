@@ -1,18 +1,21 @@
-//! The two historical PR-4 races, rediscovered systematically and
-//! replayed from committed `.schedule` counterexamples.
+//! The historical teardown race, rediscovered systematically and
+//! replayed from its committed `.schedule` counterexample.
 //!
-//! Each race's fix can be reverted behind a test-only `ProtocolBugs`
-//! flag; the checker must (a) rediscover the race by bounded-exhaustive
+//! The race's fix can be reverted behind test-only `ProtocolBugs`
+//! flags; the checker must (a) rediscover the race by bounded-exhaustive
 //! exploration, (b) find exactly the committed counterexample (DFS is
 //! deterministic), (c) reproduce it by replaying the committed bytes,
 //! and (d) pass the same fault vocabulary once the fix is restored.
+//! (The other historical race, a worker dropping round traffic that
+//! arrived before its shard assignment, went with the assignment phase;
+//! `model_check.rs` still explores reordered round starts clean.)
 //!
 //! Every `*.schedule` under `tests/schedules/` is replayed, not only
-//! these two: a counterexample found later becomes a regression test by
-//! being committed there.
+//! the race's: a counterexample found later becomes a regression test
+//! by being committed there.
 //!
-//! To regenerate the two race files after an intentional protocol
-//! change: `REGEN_SCHEDULES=1 cargo test -p isasgd-check --test
+//! To regenerate the race file after an intentional protocol change:
+//! `REGEN_SCHEDULES=1 cargo test -p isasgd-check --test
 //! pr4_regressions` and commit the rewritten `tests/schedules/pr4_*`.
 
 use isasgd_check::{
@@ -49,37 +52,11 @@ struct Race {
     contains: &'static str,
 }
 
-/// PR-4 race 1: a worker that *drops* (instead of stashing) round
-/// traffic arriving before its shard assignment starves the round
-/// loop when the transport reorders the assignment behind it.
-fn race1() -> Race {
-    Race {
-        file: "pr4_reorder_starvation.schedule",
-        spec: ScenarioSpec {
-            nodes: 1,
-            rounds: 1,
-            rows: 48,
-            faults: FaultSpec {
-                reorder: true,
-                reorder_window: 2,
-                budget: 1,
-                ..FaultSpec::none()
-            },
-            bugs: ProtocolBugs {
-                drop_preassignment_traffic: true,
-                ..ProtocolBugs::default()
-            },
-            ..ScenarioSpec::default()
-        },
-        contains: "deadlock without any drop fault",
-    }
-}
-
-/// PR-4 race 2: the coordinator tearing links down eagerly (before
-/// joining workers) races a trailing duplicated message; with the
-/// historical strict extra-send propagation the worker dies on
+/// The teardown race: the coordinator tearing links down eagerly
+/// (before joining workers) races a trailing duplicated message; with
+/// the historical strict extra-send propagation the worker dies on
 /// `Closed` instead of the extra being swallowed best-effort.
-fn race2() -> Race {
+fn teardown_race() -> Race {
     Race {
         file: "pr4_teardown_race.schedule",
         spec: ScenarioSpec {
@@ -94,7 +71,6 @@ fn race2() -> Race {
             bugs: ProtocolBugs {
                 eager_link_teardown: true,
                 strict_extra_sends: true,
-                ..ProtocolBugs::default()
             },
             ..ScenarioSpec::default()
         },
@@ -102,8 +78,8 @@ fn race2() -> Race {
     }
 }
 
-fn races() -> [Race; 2] {
-    [race1(), race2()]
+fn races() -> [Race; 1] {
+    [teardown_race()]
 }
 
 /// Finds the race by exploration and builds the `.schedule` file its
@@ -138,7 +114,7 @@ fn rediscover(race: &Race) -> ScheduleFile {
 }
 
 /// (a) + (b): with the fix reverted, bounded-exhaustive exploration
-/// rediscovers each race, and its DFS-least counterexample is exactly
+/// rediscovers the race, and its DFS-least counterexample is exactly
 /// the committed one, byte for byte.
 #[test]
 fn races_are_rediscovered_as_the_committed_counterexamples() {
@@ -161,7 +137,7 @@ fn races_are_rediscovered_as_the_committed_counterexamples() {
 
 /// (c): every committed `.schedule` replays deterministically to its
 /// own recorded outcome, so committing a file makes it a regression
-/// test; the races' files still hold the specs they were found under.
+/// test; the race's file still holds the spec it was found under.
 #[test]
 fn committed_counterexamples_replay_deterministically() {
     let mut paths: Vec<PathBuf> = std::fs::read_dir(schedules_dir())

@@ -3,13 +3,11 @@
 //!
 //! This module replaced the old single-threaded round loop that called
 //! node training as a plain function. The protocol, per link (one duplex
-//! link per worker):
+//! link per worker; link `k` serves node `k`, which trains shard `k` of
+//! the plan, so no frame repeats the assignment):
 //!
 //! ```text
 //! worker                         coordinator
-//!   ── RoundBarrier(0) ──────────▶   hello: announce readiness
-//!   ◀───────────── ShardRebalance   Algorithm-4 balancing outcome:
-//!                                    every shard range + which is yours
 //!  per round r = 1..=rounds:
 //!   ◀── RoundBarrier(r) ──────────   start-of-round barrier
 //!   ◀── ModelUpdate(r, consensus)    round's starting model
@@ -131,11 +129,7 @@ pub fn run_with_links_observed<L: Loss, T: Transport>(
             .enumerate()
             .map(|(k, link)| {
                 let shard = ShardInput::of(&plan, k);
-                scope.spawn(move || {
-                    NodeRuntime::new(link, k)
-                        .with_dropped_preassignment_traffic(bugs.drop_preassignment_traffic)
-                        .run(shard, obj, cfg)
-                })
+                scope.spawn(move || NodeRuntime::new(link, k).run(shard, obj, cfg))
             })
             .collect();
         let coord = coordinate(&mut coord_ends, &plan, obj, cfg);
@@ -228,34 +222,6 @@ pub(crate) fn coordinate<L: Loss, T: Transport>(
     } else {
         Vec::new()
     };
-
-    // Hellos: every worker announces readiness before any assignment
-    // goes out (drain tolerates a duplicated hello).
-    for link in links.iter_mut() {
-        loop {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "fleet links arm Tcp read deadlines; the in-process transport's hello drain is deadlock-checked by isasgd-check"
-            )]
-            if let Message::RoundBarrier { round: 0, .. } = link.recv()? {
-                break;
-            }
-        }
-    }
-
-    // Ship the balancing decision's outcome: every shard range, and
-    // which one the receiving worker trains.
-    let ranges_u32: Vec<(u32, u32)> = ranges
-        .iter()
-        .map(|r| (r.start as u32, r.end as u32))
-        .collect();
-    for (k, link) in links.iter_mut().enumerate() {
-        link.send(&Message::ShardRebalance {
-            round: 0,
-            assigned: k as u32,
-            ranges: ranges_u32.clone(),
-        })?;
-    }
 
     let mut trace = Trace::new(
         match strategy {
@@ -511,7 +477,7 @@ impl<'a> ShardInput<'a> {
     }
 }
 
-/// One worker's runtime: receives its shard assignment, runs local
+/// One worker's runtime: node `k` trains shard `k`, runs local
 /// (IS-)SGD epochs on its own [`ScheduleStream`], and reports its
 /// replica and importance observations every round. It reads only what
 /// crosses the wire: frames off its link, its shard, and the
@@ -520,22 +486,19 @@ impl<'a> ShardInput<'a> {
 pub(crate) struct NodeRuntime<T: Transport> {
     link: T,
     node_id: u32,
-    /// Messages that arrived ahead of the phase that consumes them
-    /// (e.g. a round-1 barrier delivered before a delayed
-    /// `ShardRebalance`): stashed instead of dropped so transport
-    /// reordering can never starve a later await.
-    stash: std::collections::VecDeque<Message>,
+    /// Messages that arrived ahead of the round that consumes them
+    /// (e.g. a round-2 barrier delivered before round 1's model):
+    /// stashed instead of dropped so transport reordering can never
+    /// starve a later await.
+    stash: VecDeque<Message>,
     /// Chaos hook: abort abruptly right after this round starts,
     /// simulating a worker crash mid-round (drives the fleet's
     /// supervision tests and `--chaos-kill`).
     die_at_round: Option<u64>,
-    /// [`ProtocolBugs::drop_preassignment_traffic`], set only through
-    /// the checker's seam.
-    drop_preassignment_traffic: bool,
 }
 
-// The worker half acts on what frames carry (assigned shard, ranges,
-// checkpoint state, models): decode scope (README, *Static guarantees*).
+// The worker half acts on what frames carry (node id, checkpoint
+// state, models): decode scope (README, *Static guarantees*).
 #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 impl<T: Transport> NodeRuntime<T> {
     /// Wraps one worker endpoint for node `node_id`.
@@ -547,9 +510,8 @@ impl<T: Transport> NodeRuntime<T> {
                 reason = "the slot index this runtime was built for, not wire data; sessions count their nodes in a u32"
             )]
             node_id: node_id as u32,
-            stash: std::collections::VecDeque::new(),
+            stash: VecDeque::new(),
             die_at_round: None,
-            drop_preassignment_traffic: false,
         }
     }
 
@@ -558,13 +520,6 @@ impl<T: Transport> NodeRuntime<T> {
     /// after round `round` starts.
     pub(crate) fn with_chaos_kill(mut self, round: Option<u64>) -> Self {
         self.die_at_round = round;
-        self
-    }
-
-    /// Resurrects the historical drop-instead-of-stash bug for the
-    /// model checker's regression corpus.
-    pub(crate) fn with_dropped_preassignment_traffic(mut self, on: bool) -> Self {
-        self.drop_preassignment_traffic = on;
         self
     }
 
@@ -583,33 +538,18 @@ impl<T: Transport> NodeRuntime<T> {
     /// [`NodeRuntime::run`] on a session that may have arrived in an
     /// `Assign` frame.
     ///
-    /// The assignment still arrives as [`Message::ShardRebalance`]; a
-    /// supplier whose `shard` disagrees with it is refused, whoever the
-    /// supplier is. Nothing global is recomputed here: weights are the
-    /// exact bits the coordinator's plan holds, and per-row feature
-    /// norms are row-local, so every transport trains bit-identically.
+    /// A supplier whose `shard` does not hold a weight and a row for
+    /// every row of its range is refused, whoever the supplier is.
+    /// Nothing global is recomputed here: weights are the exact bits the
+    /// coordinator's plan holds, and per-row feature norms are
+    /// row-local, so every transport trains bit-identically.
     pub(crate) fn run_session<L: Loss>(
-        mut self,
+        self,
         shard: ShardInput<'_>,
         obj: &Objective<L>,
         cfg: &SessionConfig,
     ) -> Result<(), ClusterError> {
-        let (wire_ranges, assigned) = self.await_assignment()?;
-        let range = wire_ranges
-            .get(assigned)
-            .map(|&(s, e)| s as usize..e as usize)
-            .ok_or_else(|| {
-                ClusterError::Worker(format!("assigned shard {assigned} out of range"))
-            })?;
-        // The shard and the assignment reach the worker separately; a
-        // disagreement means the coordinator and this worker would
-        // silently train different rows — refuse instead.
-        if range != shard.range {
-            return Err(ClusterError::Worker(format!(
-                "streamed shard rows {}..{} disagree with assigned range {}..{}",
-                shard.range.start, shard.range.end, range.start, range.end
-            )));
-        }
+        let range = &shard.range;
         if shard.weights.len() != range.len() {
             return Err(ClusterError::Worker(format!(
                 "{} streamed weights for {} shard rows",
@@ -626,53 +566,14 @@ impl<T: Transport> NodeRuntime<T> {
                 range.end
             )));
         }
-        self.run_rounds(shard, assigned, obj, cfg)
+        self.run_rounds(shard, obj, cfg)
     }
 
-    /// Announces readiness (the round-0 hello barrier) and awaits the
-    /// coordinator's [`Message::ShardRebalance`], stashing any round
-    /// traffic a reordering transport delivered early. Returns the raw
-    /// wire assignment `(ranges, assigned)`.
-    fn await_assignment(&mut self) -> Result<(Vec<(u32, u32)>, usize), ClusterError> {
-        self.link.send(&Message::RoundBarrier {
-            node: self.node_id,
-            round: 0,
-        })?;
-        loop {
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the node's link is deadline-armed by its owner (Tcp) or in-process, where isasgd-check covers this wait"
-            )]
-            match self.link.recv()? {
-                Message::ShardRebalance {
-                    assigned, ranges, ..
-                } => return Ok((ranges, assigned as usize)),
-                // A reordered transport can deliver round-1 traffic
-                // before the assignment; keep it for await_round_start.
-                // A respawn replay also ships the slot's stored
-                // Checkpoint ahead of the replayed assignment — stash
-                // it for run_rounds to install.
-                // (`drop_preassignment_traffic` resurrects the
-                // historical drop-instead-of-stash bug for the model
-                // checker's regression corpus.)
-                m @ (Message::RoundBarrier { .. }
-                | Message::ModelUpdate { .. }
-                | Message::Checkpoint { .. })
-                    if m.round() >= 1 && !self.drop_preassignment_traffic =>
-                {
-                    self.stash.push_back(m);
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// The round loop over an assignment-checked shard. Draw ids are
-    /// global rows; `row_base` only shifts the storage indexing.
+    /// The round loop over a checked shard. Draw ids are global rows;
+    /// `row_base` only shifts the storage indexing.
     fn run_rounds<L: Loss>(
         mut self,
         shard: ShardInput<'_>,
-        assigned: usize,
         obj: &Objective<L>,
         cfg: &SessionConfig,
     ) -> Result<(), ClusterError> {
@@ -689,15 +590,15 @@ impl<T: Transport> NodeRuntime<T> {
         let id = self.node_id;
         #[expect(
             clippy::cast_possible_truncation,
-            reason = "`range` equals the assigned wire range, whose bounds arrived as u32: every row of it, global or shard-local, fits"
+            reason = "rows are u32 wherever the wire names them: a process worker's range came from the DatasetShard header; a thread worker's plan of 2^32 rows or more would truncate here, and nothing refuses one yet"
         )]
         let wire_row = |i: usize| i as u32;
-        // The worker: shard `assigned` of the session's `cfg.nodes`. An
-        // assignment naming a shard the session does not have (a
-        // `ShardRebalance` listing more ranges than nodes) is refused
-        // here, by the one constructor that owns the seed layout.
+        // The worker: node `k` trains shard `k` of the session's
+        // `cfg.nodes`. A node id the session does not have (an `Assign`
+        // naming a worker past the node count) is refused here, by the
+        // one constructor that owns the seed layout.
         let spec = ShardSpec {
-            shard: assigned,
+            shard: id as usize,
             shards: cfg.nodes as usize,
             seed: cfg.seed,
             range: range.clone(),
@@ -729,78 +630,21 @@ impl<T: Transport> NodeRuntime<T> {
         let mut obs_max = vec![f64::NEG_INFINITY; range.len()];
         let mut visited = vec![false; range.len()];
 
-        // Respawn replay ships the slot's stored Checkpoint ahead of
-        // the truncated log; await_assignment stashed it. Install the
-        // newest one (dups/reorders are harmless) and resume from the
-        // round after it — the whole point of checkpointing is that
-        // the replayed suffix, not the session, bounds recovery.
-        let mut ckpt: Option<(u64, Box<CheckpointState>)> = None;
-        let stashed: Vec<Message> = self.stash.drain(..).collect();
-        for m in stashed {
-            if let Message::Checkpoint { round, state, .. } = m {
-                if ckpt.as_ref().is_none_or(|(r, _)| round > *r) {
-                    ckpt = Some((round, state));
-                }
-            } else {
-                self.stash.push_back(m);
-            }
-        }
-        let mut first_round = 1u64;
-        if let Some((cround, state)) = ckpt {
-            if state.model.len() != model.len() {
-                return Err(ClusterError::Worker(format!(
-                    "checkpoint round {cround}: model dim {} != {}",
-                    state.model.len(),
-                    model.len()
-                )));
-            }
-            let snap = match state.sampler {
-                CheckpointSampler::Sequence { rows, rng, indices } => {
-                    if rows as usize != range.len() {
-                        return Err(ClusterError::Worker(format!(
-                            "checkpoint round {cround}: {rows} rows != shard {}",
-                            range.len()
-                        )));
-                    }
-                    SamplerSnapshot::Sequence { rng, indices }
-                }
-                CheckpointSampler::Adaptive {
-                    rows,
-                    commits,
-                    indices,
-                    weights,
-                } => {
-                    if rows as usize != range.len() {
-                        return Err(ClusterError::Worker(format!(
-                            "checkpoint round {cround}: {rows} rows != shard {}",
-                            range.len()
-                        )));
-                    }
-                    // Sparse diff against the configured base weights;
-                    // wire decode guarantees in-bounds strictly
-                    // increasing indices and finite weights.
-                    let weights = apply_delta(local, &indices, &weights).ok_or_else(|| {
-                        ClusterError::Worker(format!(
-                            "checkpoint round {cround}: weight index outside the shard"
-                        ))
-                    })?;
-                    SamplerSnapshot::Adaptive { weights, commits }
-                }
-            };
-            stream
-                .sampler_mut()
-                .restore(snap)
-                .map_err(|e| ClusterError::Worker(format!("checkpoint restore: {e}")))?;
-            stream.set_rng_state(state.draw_rng);
-            model.copy_from_slice(&state.model);
-            first_round = cround + 1;
-        }
-        for round in first_round..=cfg.rounds {
+        let mut round = 1;
+        while round <= cfg.rounds {
             // Timing capture is telemetry-gated so the bit-identity
             // contract stays trivially true: with telemetry off not a
             // single clock read happens on the round path.
             let barrier_t0 = if cfg.telemetry { monotonic_us() } else { 0 };
-            self.await_round_start(round, &mut model)?;
+            // A respawn replay ships the slot's stored Checkpoint ahead
+            // of the logged suffix: install it and resume from the
+            // round after it — the whole point of checkpointing is that
+            // the replayed suffix, not the session, bounds recovery.
+            if let Some((cround, state)) = self.await_round_start(round, &mut model)? {
+                restore_checkpoint(cround, *state, local, &mut stream, &mut model)?;
+                round = cround.saturating_add(1);
+                continue;
+            }
             let barrier_wait_us = if cfg.telemetry {
                 monotonic_us().saturating_sub(barrier_t0)
             } else {
@@ -934,6 +778,7 @@ impl<T: Transport> NodeRuntime<T> {
                     }),
                 })?;
             }
+            round += 1;
         }
         Ok(())
     }
@@ -944,13 +789,19 @@ impl<T: Transport> NodeRuntime<T> {
     /// receive base, as it lends it. Duplicates and stale round tags are
     /// dropped, and traffic for a later round is re-stashed (never
     /// silently discarded). A consensus of another dim than `model`'s
-    /// is refused.
-    fn await_round_start(&mut self, round: u64, model: &mut [f64]) -> Result<(), ClusterError> {
+    /// is refused. A checkpoint of this round or later ends the wait
+    /// early and is returned for the caller to resume from.
+    fn await_round_start(
+        &mut self,
+        round: u64,
+        model: &mut [f64],
+    ) -> Result<Option<(u64, Box<CheckpointState>)>, ClusterError> {
         let mut start = RoundStart {
             round,
             model,
             barrier: false,
             consensus: None,
+            checkpoint: None,
         };
         // One pass over previously stashed messages (re-stashing any
         // that are still ahead of this round), then block on the link.
@@ -959,6 +810,9 @@ impl<T: Transport> NodeRuntime<T> {
             start.sort(m, &mut self.stash);
         }
         loop {
+            if start.checkpoint.is_some() {
+                return Ok(start.checkpoint);
+            }
             match start.consensus {
                 Some(dim) if dim != start.model.len() => {
                     return Err(ClusterError::Worker(format!(
@@ -966,13 +820,13 @@ impl<T: Transport> NodeRuntime<T> {
                         start.model.len()
                     )))
                 }
-                Some(_) if start.barrier => return Ok(()),
+                Some(_) if start.barrier => return Ok(None),
                 _ => {}
             }
             let stash = &mut self.stash;
             #[expect(
                 clippy::disallowed_methods,
-                reason = "same link as await_assignment; the barrier wait is the checker's flagship no-deadlock invariant"
+                reason = "the node's link is deadline-armed by its owner (Tcp) or in-process, where the barrier wait is isasgd-check's flagship no-deadlock invariant"
             )]
             let m = self
                 .link
@@ -985,12 +839,14 @@ impl<T: Transport> NodeRuntime<T> {
 }
 
 /// What a worker awaiting round `round` has of its start: the barrier,
-/// and the dim of the consensus it copied into `model`.
+/// the dim of the consensus it copied into `model`, or a checkpoint to
+/// resume from instead.
 struct RoundStart<'m> {
     round: u64,
     model: &'m mut [f64],
     barrier: bool,
     consensus: Option<usize>,
+    checkpoint: Option<(u64, Box<CheckpointState>)>,
 }
 
 #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
@@ -1013,15 +869,73 @@ impl RoundStart<'_> {
     }
 
     /// Any other message: this round's barrier is noted, a later
-    /// round's stashed, everything else dropped.
+    /// round's stashed, a checkpoint of this round or later kept,
+    /// everything else dropped.
     fn sort(&mut self, m: Message, stash: &mut VecDeque<Message>) {
         match m {
             Message::ModelUpdate { node, round, model } => self.lend(node, round, &model, stash),
             Message::RoundBarrier { round, .. } if round == self.round => self.barrier = true,
             m @ Message::RoundBarrier { .. } if m.round() > self.round => stash.push_back(m),
+            Message::Checkpoint { round, state, .. } if round >= self.round => {
+                self.checkpoint = Some((round, state));
+            }
             _ => {}
         }
     }
+}
+
+/// Installs the checkpoint of round `round` into a worker's draw stream
+/// and model. The sampler state is checked against the shard's `base`
+/// weights (one per row) and the model's dim before it is installed.
+#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
+fn restore_checkpoint(
+    round: u64,
+    state: CheckpointState,
+    base: &[f64],
+    stream: &mut ScheduleStream,
+    model: &mut [f64],
+) -> Result<(), ClusterError> {
+    let refuse = |what: String| ClusterError::Worker(format!("checkpoint round {round}: {what}"));
+    if state.model.len() != model.len() {
+        return Err(refuse(format!(
+            "model dim {} != {}",
+            state.model.len(),
+            model.len()
+        )));
+    }
+    let rows = match &state.sampler {
+        CheckpointSampler::Sequence { rows, .. } | CheckpointSampler::Adaptive { rows, .. } => {
+            *rows
+        }
+    };
+    if rows as usize != base.len() {
+        return Err(refuse(format!("{rows} rows != shard {}", base.len())));
+    }
+    let snap = match state.sampler {
+        CheckpointSampler::Sequence { rng, indices, .. } => {
+            SamplerSnapshot::Sequence { rng, indices }
+        }
+        CheckpointSampler::Adaptive {
+            commits,
+            indices,
+            weights,
+            ..
+        } => {
+            // Sparse diff against the configured base weights; wire
+            // decode guarantees in-bounds strictly increasing indices
+            // and finite weights.
+            let weights = apply_delta(base, &indices, &weights)
+                .ok_or_else(|| refuse("weight index outside the shard".into()))?;
+            SamplerSnapshot::Adaptive { weights, commits }
+        }
+    };
+    stream
+        .sampler_mut()
+        .restore(snap)
+        .map_err(|e| ClusterError::Worker(format!("checkpoint restore: {e}")))?;
+    stream.set_rng_state(state.draw_rng);
+    model.copy_from_slice(&state.model);
+    Ok(())
 }
 
 /// One local epoch of sequential (IS-)SGD on the node's shard, drawn
@@ -1105,76 +1019,135 @@ mod tests {
         }
     }
 
-    /// A worker handed rows or weights that disagree with its
-    /// `ShardRebalance` assignment must refuse with a typed error instead
-    /// of silently training other rows than the coordinator evaluates —
-    /// whoever the supplier is. Thread-backed leg: a [`NodeRuntime`] on an
-    /// in-process link, the coordinator end driven by hand (the fleet leg
-    /// is `tests/process_fleet.rs`).
+    /// A worker handed rows or weights that do not cover its shard, or
+    /// a node id its session has no shard for, must refuse with a typed
+    /// error instead of silently training other rows than the
+    /// coordinator evaluates — whoever the supplier is. Thread-backed: a
+    /// [`NodeRuntime`] on an in-process link (a process worker runs the
+    /// same runtime under the node id of its `Assign` frame).
     #[test]
     fn worker_refuses_a_shard_that_disagrees_with_its_assignment() {
         let ds = skewed(60);
         let weights = vec![1.0; 60];
         let cfg = adaptive_cfg(1);
-        let refusal_of = |assigned: u32,
-                          ranges: Vec<(u32, u32)>,
-                          rows: &Dataset,
-                          range: std::ops::Range<usize>,
-                          weights: &[f64]| {
-            let (mut coord, worker) = in_process_links(1).pop().unwrap();
-            let shard = ShardInput {
-                rows,
-                row_base: 0,
-                weights,
-                range,
-            };
-            std::thread::scope(|s| {
-                let cfg = &cfg;
-                let h = s.spawn(move || NodeRuntime::new(worker, 0).run(shard, &obj(), cfg));
-                assert!(matches!(
-                    coord.recv().unwrap(),
-                    Message::RoundBarrier { round: 0, .. }
-                ));
-                coord
-                    .send(&Message::ShardRebalance {
-                        round: 0,
-                        assigned,
-                        ranges,
-                    })
-                    .unwrap();
-                match h.join().unwrap() {
+        let refusal_of =
+            |node: usize, rows: &Dataset, range: std::ops::Range<usize>, weights: &[f64]| {
+                let (_coord, worker) = in_process_links(1).pop().unwrap();
+                let shard = ShardInput {
+                    rows,
+                    row_base: 0,
+                    weights,
+                    range,
+                };
+                match NodeRuntime::new(worker, node).run(shard, &obj(), &cfg) {
                     Err(ClusterError::Worker(msg)) => msg,
                     other => panic!("expected a typed worker refusal, got {other:?}"),
                 }
-            })
-        };
-        let refusal = |rows: &Dataset, range: std::ops::Range<usize>, weights: &[f64]| {
-            refusal_of(0, vec![(0, 60)], rows, range, weights)
-        };
-        let msg = refusal(&ds, 1..60, &weights[1..]);
-        assert!(
-            msg.contains("rows 1..60 disagree with assigned range 0..60"),
-            "{msg}"
-        );
-        let msg = refusal(&ds, 0..60, &weights[1..]);
+            };
+        let msg = refusal_of(0, &ds, 0..60, &weights[1..]);
         assert!(
             msg.contains("59 streamed weights for 60 shard rows"),
             "{msg}"
         );
-        let msg = refusal(&skewed(30), 0..60, &weights);
+        let msg = refusal_of(0, &skewed(30), 0..60, &weights);
         assert!(
             msg.contains("rows 0..30 do not hold the shard 0..60"),
             "{msg}"
         );
-        // An over-long assignment: three ranges for a one-node session, the
-        // third assigned. The shard agrees with the range it names, so only
-        // the shard count can refuse it (this indexed out of bounds before).
-        let ranges = vec![(0, 20), (20, 40), (40, 60)];
-        let msg = refusal_of(2, ranges, &ds, 40..60, &weights[40..]);
+        // `Assign { worker: 2 }` on a one-node session: the shard agrees
+        // with its range, so only the shard count can refuse it.
+        let msg = refusal_of(2, &ds, 40..60, &weights[40..]);
         assert!(
             msg.contains("shard 2 is not one of the run's 1 shards"),
             "{msg}"
         );
+    }
+
+    /// Drives one worker session by hand from the coordinator's end:
+    /// `head` first (a respawn replay's checkpoint), then rounds
+    /// `from..=rounds`, each starting from `consensus` — the last
+    /// replica received, as a one-node average is. Returns the replicas
+    /// and the checkpoints the worker sent.
+    fn drive(
+        cfg: &ClusterConfig,
+        head: Option<Message>,
+        from: u64,
+        mut consensus: Vec<f64>,
+    ) -> (Vec<Vec<f64>>, Vec<Message>) {
+        let ds = skewed(60);
+        let weights: Vec<f64> = (0..60).map(|i| 1.0 + (i % 7) as f64).collect();
+        let (mut coord, worker) = in_process_links(1).pop().unwrap();
+        let shard = ShardInput {
+            rows: &ds,
+            row_base: 0,
+            weights: &weights,
+            range: 0..60,
+        };
+        std::thread::scope(|s| {
+            let h = s.spawn(move || NodeRuntime::new(worker, 0).run(shard, &obj(), cfg));
+            if let Some(m) = head {
+                coord.send(&m).unwrap();
+            }
+            let (mut replicas, mut checkpoints) = (Vec::new(), Vec::new());
+            for round in from..=cfg.rounds as u64 {
+                coord
+                    .send(&Message::RoundBarrier { node: 0, round })
+                    .unwrap();
+                coord
+                    .send(&Message::ModelUpdate {
+                        node: 0,
+                        round,
+                        model: consensus.clone(),
+                    })
+                    .unwrap();
+                loop {
+                    match coord.recv().unwrap() {
+                        Message::ModelUpdate {
+                            round: r, model, ..
+                        } if r == round => {
+                            consensus = model.clone();
+                            replicas.push(model);
+                            break;
+                        }
+                        m @ Message::Checkpoint { .. } => checkpoints.push(m),
+                        _ => {}
+                    }
+                }
+            }
+            h.join().unwrap().unwrap();
+            (replicas, checkpoints)
+        })
+    }
+
+    /// A worker whose first frame is a checkpoint of round c — a respawn
+    /// replay's shape — installs it and resumes at round c + 1: every
+    /// replica it sends is bit-equal to the one a worker that lived
+    /// through the whole session sent.
+    #[test]
+    fn a_worker_whose_first_frame_is_a_checkpoint_resumes_after_it() {
+        let cfg = ClusterConfig {
+            checkpoint_every: 2,
+            ..adaptive_cfg(1)
+        };
+        let (lived, mut checkpoints) = drive(&cfg, None, 1, vec![0.0; 8]);
+        assert_eq!((lived.len(), checkpoints.len()), (4, 1));
+        let ckpt = checkpoints.pop().unwrap();
+        assert_eq!(ckpt.round(), 2);
+        // A worker that missed the checkpoint would wait for round 1
+        // forever; the watchdog turns that into a failure.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let start = lived[1].clone();
+        std::thread::spawn(move || tx.send(drive(&cfg, Some(ckpt), 3, start)));
+        let (resumed, _) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the resumed worker never finished its rounds");
+        let bits = |models: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            models
+                .iter()
+                .map(|m| m.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&resumed), bits(&lived[2..]));
     }
 
     /// A replayed checkpoint whose adaptive weight diff names a row past
@@ -1203,33 +1176,21 @@ mod tests {
                 weights: vec![2.0, 2.0],
             },
         };
-        std::thread::scope(|s| {
-            let cfg = &cfg;
-            let h = s.spawn(move || NodeRuntime::new(worker, 0).run(shard, &obj(), cfg));
-            assert!(matches!(
-                coord.recv().unwrap(),
-                Message::RoundBarrier { round: 0, .. }
-            ));
-            for m in [
-                Message::Checkpoint {
-                    node: 0,
-                    round: 1,
-                    state: Box::new(state),
-                },
-                Message::ShardRebalance {
-                    round: 0,
-                    assigned: 0,
-                    ranges: vec![(0, 60)],
-                },
-            ] {
-                coord.send(&m).unwrap();
+        coord
+            .send(&Message::Checkpoint {
+                node: 0,
+                round: 1,
+                state: Box::new(state),
+            })
+            .unwrap();
+        // Hung up: a worker that ignored the checkpoint fails on the
+        // link instead of waiting for round 1.
+        drop(coord);
+        match NodeRuntime::new(worker, 0).run(shard, &obj(), &cfg) {
+            Err(ClusterError::Worker(msg)) => {
+                assert_eq!(msg, "checkpoint round 1: weight index outside the shard");
             }
-            match h.join().unwrap() {
-                Err(ClusterError::Worker(msg)) => {
-                    assert_eq!(msg, "checkpoint round 1: weight index outside the shard");
-                }
-                other => panic!("expected a typed worker refusal, got {other:?}"),
-            }
-        });
+            other => panic!("expected a typed worker refusal, got {other:?}"),
+        }
     }
 }

@@ -40,26 +40,25 @@
 //!   immediate, the round deadline bounds the hung-worker case, so a
 //!   loss can never hang the run.
 //! * [`WorkerLossPolicy::Respawn`] — a replacement is spawned, taken
-//!   through the same handshake, and the recorded session is replayed
-//!   (`ShardRebalance`, then every round's barrier + consensus model).
-//!   Workers are deterministic functions of that message stream, so
-//!   the replacement recomputes the lost worker's state exactly; its
-//!   stale re-sends are dropped by round tag and its duplicated
-//!   feedback is absorbed by the mirror's per-row max — the run
-//!   completes **bit-identically** to an undisturbed one (pinned by
+//!   through the same handshake (its node id and shard rows), and the
+//!   recorded session is replayed: every round's barrier + consensus
+//!   model. Workers are deterministic functions of that message
+//!   stream, so the replacement recomputes the lost worker's state
+//!   exactly; its stale re-sends are dropped by round tag and its
+//!   duplicated feedback is absorbed by the mirror's per-row max — the
+//!   run completes **bit-identically** to an undisturbed one (pinned by
 //!   `tests/process_fleet.rs` and the CLI kill-a-worker e2e).
 //!
 //! With a checkpoint cadence ([`ProcessConfig::checkpoint_every`] or
 //! [`ClusterConfig::checkpoint_every`] — whichever is set; two
 //! different values are refused), replay is bounded instead of
 //! whole-session: workers periodically ship a versioned, checksummed
-//! [`Message::Checkpoint`] of their
-//! cross-round state; the link stores the newest blob per slot,
-//! acknowledges it, and truncates its log to the post-checkpoint
-//! suffix (the initial `ShardRebalance` is always retained). Recovery
-//! then replays checkpoint + suffix, so both log memory and respawn
-//! cost are bounded by one checkpoint interval regardless of session
-//! length — observable per slot via [`RecoveryFootprint`].
+//! [`Message::Checkpoint`] of their cross-round state; the link stores
+//! the newest blob per slot, acknowledges it, and truncates its log to
+//! the post-checkpoint suffix. Recovery then replays checkpoint +
+//! suffix, so both log memory and respawn cost are bounded by one
+//! checkpoint interval regardless of session length — observable per
+//! slot via [`RecoveryFootprint`].
 
 #![expect(
     clippy::expect_used,
@@ -414,8 +413,9 @@ impl<S: WorkerSpawner> SupervisedLink<S> {
     /// socket traffic and the log held in memory — is bounded by one
     /// checkpoint interval regardless of session length. If an
     /// unbounded (no-checkpoint) session fills both sockets' buffers
-    /// mid-replay, the armed write deadline turns that into a typed
-    /// `WorkerLost` instead of a deadlock.
+    /// mid-replay, the armed write deadline turns that into a lost
+    /// replacement — and, once the budget is spent, a typed
+    /// `WorkerLost` — instead of a deadlock.
     fn recover(&mut self, cause: TransportError) -> Result<(), TransportError> {
         // Fold the dead connection's counters into the slot totals
         // first, before any path can bail: traffic that crossed the
@@ -451,11 +451,11 @@ impl<S: WorkerSpawner> SupervisedLink<S> {
         });
         // Deterministic replay: the stored checkpoint (shipped verbatim
         // as the bytes the worker sent, ahead of everything else so the
-        // replacement stashes it pre-assignment) followed by the logged
-        // suffix. The replacement installs the state and recomputes
-        // only the rounds after it — bit-identical to a worker that
-        // lived the whole session; its re-sent traffic for already-
-        // finished rounds is dropped by round tag upstream.
+        // replacement's wait for its first round installs it) followed
+        // by the logged suffix. The replacement installs the state and
+        // recomputes only the rounds after it — bit-identical to a
+        // worker that lived the whole session; its re-sent traffic for
+        // already-finished rounds is dropped by round tag upstream.
         let handshake_tx = tcp.link_stats().tx_total_bytes();
         let replayed = (|| -> Result<(), TransportError> {
             if let Some((_, blob)) = &self.ckpt {
@@ -473,9 +473,11 @@ impl<S: WorkerSpawner> SupervisedLink<S> {
             Ok(())
         })();
         if let Err(e) = replayed {
-            // The partial replay's traffic is real too.
+            // The partial replay's traffic is real too, and a replacement
+            // lost mid-replay is recovered like any lost worker, within
+            // the same respawn budget.
             self.stats.merge(tcp.link_stats());
-            return Err(self.lost(&format_args!("replay failed: {e}")));
+            return self.recover(e);
         }
         // What the replay wrote to the replacement's socket, length
         // prefixes included: its counters past the handshake.
@@ -497,15 +499,16 @@ impl<S: WorkerSpawner> SupervisedLink<S> {
     }
 
     /// Runs `send` on the live link; a lost worker is recovered (or
-    /// reported) and `send` runs once more, on the replacement.
+    /// reported) and `send` runs again, on the replacement — as a
+    /// receive does, until the respawn budget is spent. The round
+    /// driver's first operation on a link is a send, so a slot admitted
+    /// to a peer that died right after its handshake is first seen here.
     fn send_with(
         &mut self,
         mut send: impl FnMut(&mut Tcp) -> Result<(), TransportError>,
     ) -> Result<(), TransportError> {
-        if let Err(e) = send(&mut self.tcp) {
+        while let Err(e) = send(&mut self.tcp) {
             self.recover(e)?;
-            // A fresh, just-replayed link failing again is terminal.
-            send(&mut self.tcp).map_err(|e| self.lost(&e))?;
         }
         Ok(())
     }
@@ -578,15 +581,9 @@ impl<S: WorkerSpawner> Transport for SupervisedLink<S> {
                             bytes: blob.len() as u64,
                         });
                         self.ckpt = Some((round, blob));
-                        // A respawned worker still needs its shard
-                        // assignment, so ShardRebalance survives every
-                        // truncation; everything at or before the
-                        // checkpointed round is recomputation the
-                        // installed state already covers.
-                        self.log.retain(|entry| {
-                            matches!(entry, Logged::Message(Message::ShardRebalance { .. }))
-                                || entry.round() > round
-                        });
+                        // Everything at or before the checkpointed round
+                        // is recomputation the installed state covers.
+                        self.log.retain(|entry| entry.round() > round);
                     }
                     // The ack is control traffic: sent directly (not
                     // logged — a replayed worker re-emits checkpoints

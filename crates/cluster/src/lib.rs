@@ -20,11 +20,11 @@
 //!
 //! * [`wire`] — a hand-rolled length-prefixed codec for the typed
 //!   protocol messages ([`Message::ModelUpdate`],
-//!   [`Message::FeedbackBatch`], [`Message::RoundBarrier`],
-//!   [`Message::ShardRebalance`], plus the bandwidth-proportional
-//!   frames: sparse [`Message::ModelDelta`] updates against a per-link
-//!   base and the [`Message::DatasetShard`] admission stream, both on
-//!   a canonical varint/gap-coded index codec). Decoding is total:
+//!   [`Message::FeedbackBatch`], [`Message::RoundBarrier`], plus the
+//!   bandwidth-proportional frames: sparse [`Message::ModelDelta`]
+//!   updates against a per-link base and the [`Message::DatasetShard`]
+//!   admission stream, both on a canonical varint/gap-coded index
+//!   codec). Decoding is total:
 //!   garbage returns a typed [`WireError`], never a panic.
 //! * [`transport`] — the [`Transport`] trait plus the two bundled
 //!   wirings: [`InProcess`] (typed channels between threads, default)
@@ -37,7 +37,8 @@
 //!   averaging, and a feedback mirror fed by per-node importance
 //!   observations (Alain et al.'s message shape; link `k` speaks for
 //!   shard `k` only); each crate-private `NodeRuntime` is handed a
-//!   `ShardInput` — rows, per-row weights, first global row — and
+//!   `ShardInput` — rows, per-row weights, first global row — for the
+//!   shard its node id names (no frame repeats the assignment), and
 //!   turns it into the one thing a worker is: a `ScheduleStream` built by
 //!   `ScheduleStream::for_shard`, the same constructor the
 //!   `isasgd-core` engine uses, plus a model replica. Algorithm 4

@@ -89,10 +89,6 @@ pub struct ClusterConfig {
 /// this bug".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ProtocolBugs {
-    /// Bug 1 (reorder-deadlock): while awaiting its `ShardRebalance`
-    /// assignment, a worker *drops* round ≥ 1 barrier/model traffic
-    /// that arrives early instead of stashing it for replay.
-    pub drop_preassignment_traffic: bool,
     /// Bug 2a (teardown race): the coordinator tears its link
     /// endpoints down as soon as the round driver finishes, instead of
     /// keeping them alive until every worker thread has joined.

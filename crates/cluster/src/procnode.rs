@@ -13,6 +13,11 @@
 //!   …NodeRuntime round protocol (see crate::coordinator docs)…
 //! ```
 //!
+//! The node id is the assignment: node `k` trains shard `k`, the rows
+//! its `DatasetShard` stream carried, and the coordinator's first
+//! round-protocol frame is round 1's barrier (or, for a respawned
+//! worker, the slot's stored checkpoint).
+//!
 //! After the handshake the worker rebuilds its objective from the
 //! [`SessionConfig`] and hands both to the exact same `NodeRuntime`
 //! the thread-backed transports run — which is why a

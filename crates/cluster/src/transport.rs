@@ -10,9 +10,9 @@
 //!   direct function-call round loop, and the default.
 //! * [`Tcp`] — length-prefixed [`wire`](crate::wire) frames over a real
 //!   `std::net::TcpStream`. On localhost this gives every worker thread
-//!   an actual socket, so the full protocol (hello, shard rebalance,
-//!   round barriers, model + feedback traffic) crosses a genuine byte
-//!   boundary; `tests/equivalence.rs` pins it bit-equal to `InProcess`.
+//!   an actual socket, so the full round protocol (barriers, model +
+//!   feedback traffic) crosses a genuine byte boundary;
+//!   `tests/equivalence.rs` pins it bit-equal to `InProcess`.
 //! * [`FlakyTransport`] — a deterministic fault-injection wrapper that
 //!   delays (reorders) and duplicates messages, used by
 //!   `tests/fault_injection.rs` to pin the protocol's tolerance.
@@ -346,9 +346,10 @@ pub enum WorkerLossPolicy {
     /// fail loudly, never hang).
     #[default]
     Fail,
-    /// Spawn a replacement process and replay the lost worker's entire
-    /// session (assignment, dataset, every round message) so the
-    /// replacement deterministically recomputes the lost state — the
+    /// Spawn a replacement process, admit it (node id, dataset), and
+    /// replay the lost worker's session (its checkpoint, if any, then
+    /// every later round message) so the replacement
+    /// deterministically recomputes the lost state — the
     /// run completes **bit-identically** to an undisturbed run.
     Respawn,
 }

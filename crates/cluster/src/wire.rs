@@ -58,6 +58,16 @@
 //! 3. The schema refresh: `cargo run -p isasgd-cluster --example
 //!    wire_schema > WIRE_SCHEMA.json`.
 //!
+//! # Retiring a frame
+//!
+//! 1. Delete its `frames!` entry and name its tag in the retired list
+//!    above the table: a retired tag is never reused, so an old peer's
+//!    frame can only ever decode to [`WireError::BadTag`].
+//! 2. Bump [`PROTOCOL_VERSION`] and say in its history why.
+//! 3. Delete its golden encoding (a `tests/golden/*.hex` that names no
+//!    frame kind fails `golden_encodings_are_frozen`) and refresh the
+//!    schema as above.
+//!
 //! A `Wire` impl is needed only for a field *type* the list above does
 //! not have yet; a layout that is not "the fields in order" is a newtype
 //! with its own impl, or — last resort — a `custom` frame.
@@ -88,11 +98,15 @@ pub const MAX_FRAME: usize = 1 << 28;
 /// observability frame ([`Message::Telemetry`]) and the
 /// [`SessionConfig::telemetry`] field. Version 5 retired the monolithic
 /// whole-dataset frame (tag 7, never reused) and dropped the row
-/// permutation from [`Message::ShardRebalance`]: workers are handed
+/// permutation from the shard-assignment frame: workers are handed
 /// their rows, they never rebuild the rearranged dataset. Version 6
 /// dropped the observation model from [`SessionConfig`]: workers always
-/// observe gradient norms.
-pub const PROTOCOL_VERSION: u32 = 6;
+/// observe gradient norms. Version 7 retired the shard-assignment frame
+/// (tag 4, never reused) and the round-0 hello barrier it answered: a
+/// worker's node id already names its shard, and its rows arrive with
+/// it, so the coordinator sends round 1 first. A v6 worker would wait
+/// for an assignment that never comes.
+pub const PROTOCOL_VERSION: u32 = 7;
 
 /// Version of the [`Message::Checkpoint`] *state layout*, carried
 /// inside every checkpoint frame independently of [`PROTOCOL_VERSION`]:
@@ -583,8 +597,8 @@ wire_struct! {
 /// to run its side of the round protocol in another OS process.
 /// Coordinator-only decisions (balance policy, sync strategy)
 /// deliberately stay off the wire — the worker receives their *outcome*
-/// through [`Message::ShardRebalance`] and the per-round consensus
-/// models.
+/// as the rows of its [`Message::DatasetShard`] stream and the
+/// per-round consensus models.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     /// Total node count `numT` (seed-derivation space, not this
@@ -756,7 +770,7 @@ macro_rules! frames {
 
         impl FrameKind {
             /// All kinds, in table (= tag) order; a kind's position here
-            /// is its [`FrameKind::index`] (tags have a retired gap,
+            /// is its [`FrameKind::index`] (tags have retired gaps,
             /// indices do not).
             pub const ALL: [FrameKind; FRAME_KINDS] = [$(FrameKind::$name,)*];
 
@@ -842,8 +856,9 @@ macro_rules! frames {
 }
 
 // The frame table — the one list of the protocol's frames, in tag
-// order. Tag 7 carried the whole-dataset frame of protocol versions
-// 1–4; it is retired and must not be reused.
+// order. Retired tags must not be reused: tag 4 carried the shard
+// assignment of protocol versions 1–6, tag 7 the whole-dataset frame of
+// versions 1–4.
 frames! {
     /// A dense model: a worker's trained replica flowing up to the
     /// coordinator, or the coordinator's consensus flowing down.
@@ -868,25 +883,12 @@ frames! {
         /// `(global_row, scaled_observation)` pairs.
         observations: Vec<(u32, f64)>,
     }
-    /// Round synchronization marker: a worker's readiness announcement
-    /// (round 0 is the connection hello) or the coordinator's
-    /// start-of-round barrier.
+    /// The coordinator's start-of-round barrier.
     RoundBarrier = 3 {
-        /// Announcing node (or addressed worker).
+        /// Addressed worker.
         node: u32,
-        /// Round being announced.
+        /// Round being started.
         round: u64,
-    }
-    /// Shard assignment (Algorithm 4 lines 2–6): the outcome of the
-    /// coordinator's balancing decision, shipped to every worker so
-    /// each knows which rows of the rearranged dataset are its own.
-    ShardRebalance = 4 {
-        /// Round of the decision (0 = initial assignment).
-        round: u64,
-        /// The receiving worker's shard index into `ranges`.
-        assigned: u32,
-        /// Every shard's `[start, end)` row range after reordering.
-        ranges: Vec<(u32, u32)>,
     }
     /// Session greeting: the first frame a worker process sends after
     /// connecting. The accept loop validates the protocol version
@@ -1935,7 +1937,6 @@ impl Message {
             Message::ModelUpdate { round, .. }
             | Message::FeedbackBatch { round, .. }
             | Message::RoundBarrier { round, .. }
-            | Message::ShardRebalance { round, .. }
             | Message::ModelDelta { round, .. }
             | Message::Checkpoint { round, .. }
             | Message::CheckpointAck { round, .. }
@@ -1956,7 +1957,6 @@ impl Message {
             | Message::Hello { .. }
             | Message::CheckpointAck { .. }
             | Message::Telemetry { .. } => 0,
-            Message::ShardRebalance { ranges, .. } => ranges.len() * 8,
             Message::Assign { config, .. } => config.loss.len(),
             Message::ModelDelta {
                 indices, values, ..
@@ -2011,11 +2011,6 @@ mod tests {
                 observations: vec![(0, 1.0), (u32::MAX, f64::INFINITY)],
             },
             FrameKind::RoundBarrier => Message::RoundBarrier { node: 9, round: 2 },
-            FrameKind::ShardRebalance => Message::ShardRebalance {
-                round: 0,
-                assigned: 2,
-                ranges: vec![(0, 1), (1, 2), (2, 3)],
-            },
             FrameKind::Hello => Message::Hello {
                 version: PROTOCOL_VERSION,
             },
@@ -2098,17 +2093,30 @@ mod tests {
     /// `PROTOCOL_VERSION` and replaces the file with the hex printed here.
     #[test]
     fn golden_encodings_are_frozen() {
-        let golden = FrameKind::ALL
+        let dir = format!("{}/tests/golden", env!("CARGO_MANIFEST_DIR"));
+        let golden: Vec<(String, Message)> = FrameKind::ALL
             .into_iter()
             .map(|k| (k.name().to_string(), sample(k)))
-            .chain([("Checkpoint.sequence".to_string(), sequence_checkpoint())]);
-        for (name, msg) in golden {
+            .chain([("Checkpoint.sequence".to_string(), sequence_checkpoint())])
+            .collect();
+        for (name, msg) in &golden {
             let hex: String = msg.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
-            let path = format!("{}/tests/golden/{name}.hex", env!("CARGO_MANIFEST_DIR"));
+            let path = format!("{dir}/{name}.hex");
             let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
                 panic!("{path}: {e} — a new frame commits its golden encoding: {hex}")
             });
             assert_eq!(committed.trim_end(), hex, "{name}: byte layout changed");
+        }
+        // A retired frame takes its golden with it.
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let file = entry.unwrap().file_name().into_string().unwrap();
+            let Some(name) = file.strip_suffix(".hex") else {
+                continue;
+            };
+            assert!(
+                golden.iter().any(|(g, _)| g == name),
+                "{dir}/{file} names no frame kind: delete it with its frame"
+            );
         }
     }
 
@@ -2309,7 +2317,6 @@ mod tests {
         let cases = [
             (FrameKind::ModelUpdate, vec![0; 4 + 8], 8),
             (FrameKind::FeedbackBatch, vec![0; 4 + 8], 12),
-            (FrameKind::ShardRebalance, vec![0; 8 + 4], 8),
             (FrameKind::ModelDelta, vec![0; 4 + 8 + 4], 1), // ≥ 1 varint byte per index
             (FrameKind::DatasetShard, vec![0; 5 * 4], 13),  // label + weight + nnz count
             (FrameKind::Checkpoint, ckpt_header, 8),

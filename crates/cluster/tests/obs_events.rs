@@ -251,6 +251,6 @@ fn a_respawn_reports_the_bytes_its_replay_wrote() {
     assert!(
         victim.tx_bytes_for(FrameKind::ModelDelta) > clean_tx.tx_bytes_for(FrameKind::ModelDelta)
     );
-    // The log: the shard assignment, then rounds 1–3's barrier and model.
-    assert_eq!(respawns, vec![(1, 7, replayed)]);
+    // The log: rounds 1–3's barrier and model.
+    assert_eq!(respawns, vec![(1, 6, replayed)]);
 }

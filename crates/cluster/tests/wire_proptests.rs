@@ -70,22 +70,6 @@ fn arb_round_barrier() -> impl Strategy<Value = Message> {
         .prop_map(|(node, round)| Message::RoundBarrier { node, round })
 }
 
-fn arb_shard_rebalance() -> impl Strategy<Value = Message> {
-    (
-        0u64..=u64::MAX,
-        prop_oneof![0u32..1024, Just(u32::MAX)],
-        prop::collection::vec(
-            (0u32..1 << 16).prop_flat_map(|s| (s..1 << 17).prop_map(move |e| (s, e))),
-            0..16,
-        ),
-    )
-        .prop_map(|(round, assigned, ranges)| Message::ShardRebalance {
-            round,
-            assigned,
-            ranges,
-        })
-}
-
 fn arb_hello() -> impl Strategy<Value = Message> {
     prop_oneof![Just(PROTOCOL_VERSION), 0u32..=u32::MAX]
         .prop_map(|version| Message::Hello { version })
@@ -382,7 +366,6 @@ fn arb_message() -> impl Strategy<Value = Message> {
         arb_model_update(),
         arb_feedback_batch(),
         arb_round_barrier(),
-        arb_shard_rebalance(),
         arb_hello(),
         arb_assign(),
         arb_model_delta(),
@@ -411,7 +394,6 @@ fn wire_schema_is_frozen() {
             "ModelUpdate",
             "FeedbackBatch",
             "RoundBarrier",
-            "ShardRebalance",
             "Hello",
             "Assign",
             "ModelDelta",
