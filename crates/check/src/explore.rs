@@ -9,11 +9,12 @@
 //! and pops exhausted ones, so the whole bounded tree is enumerated in
 //! depth-first order without ever snapshotting program state.
 //!
-//! Soundness of state-hash pruning: every thread in the model is a
-//! deterministic function of its receive history, so two schedules
-//! that reach the same scheduler state (per-channel delivery-history
-//! hashes, in-flight and held messages, thread phases, remaining fault
-//! budget, decision count) root identical subtrees. A hash is only
+//! Soundness of state-hash pruning: every machine in the model is a
+//! deterministic function of what it received and how many frames it
+//! sent, so two schedules that reach the same state (per-channel
+//! delivery-history hashes, in-flight and held frames, the frames on
+//! their way out, remaining fault budget, decision count) root
+//! identical subtrees. A hash is only
 //! consulted — and only inserted — at *extension* decisions (beyond
 //! the replayed prefix): replayed decisions must never self-prune the
 //! exploration that is enumerating their own subtree.

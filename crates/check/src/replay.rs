@@ -7,10 +7,9 @@
 //! Layout (integers are LEB128 varints unless noted):
 //!
 //! ```text
-//! magic      8 raw bytes  "ISCHED02"
+//! magic      8 raw bytes  "ISCHED03"
 //! nodes, rounds, local_epochs, rows, seed, adaptive (0/1), checkpoint_every
 //! faults     flag bits (1=reorder 2=duplicate 4=hold 8=drop), window, budget
-//! bugs       flag bits (2=eager_teardown 4=strict_extras; 1 is retired)
 //! expected   tag (0=pass 1=expected-deadlock 2=violation)
 //! contains   len + utf8   substring a violation's description must contain
 //! max_decisions
@@ -19,14 +18,15 @@
 //!
 //! Varints are read with the wire's canonical decoder, and a flag bit
 //! the layout does not name is refused, so every file that parses is
-//! one `write_schedule` writes.
+//! one `write_schedule` writes. `ISCHED02` files are refused by name:
+//! they carried switches that re-enabled fixed bugs in the threaded
+//! runner, which the stepper does not run.
 
 use crate::explore::Chooser;
-use crate::scenario::{run_schedule, Outcome, ScenarioSpec};
-use crate::sched::FaultSpec;
-use isasgd_cluster::{put_varint, read_varint, ProtocolBugs};
+use crate::scenario::{run_schedule, FaultSpec, Outcome, ScenarioSpec};
+use isasgd_cluster::{put_varint, read_varint};
 
-const MAGIC: &[u8; 8] = b"ISCHED02";
+const MAGIC: &[u8; 8] = b"ISCHED03";
 
 /// The outcome class a replayed schedule must reproduce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,9 +75,6 @@ pub fn write_schedule(file: &ScheduleFile) -> Vec<u8> {
     put_varint(&mut out, fault_flags);
     put_varint(&mut out, u64::from(f.reorder_window));
     put_varint(&mut out, u64::from(f.budget));
-    let b = &s.bugs;
-    let bug_flags = u64::from(b.eager_link_teardown) << 1 | u64::from(b.strict_extra_sends) << 2;
-    put_varint(&mut out, bug_flags);
     let tag = match file.expected {
         Expected::Pass => 0,
         Expected::ExpectedDeadlock => 1,
@@ -94,15 +91,19 @@ pub fn write_schedule(file: &ScheduleFile) -> Vec<u8> {
     out
 }
 
-/// The fault and bug flag bits the format names; any other is refused.
-/// Bug bit 0 switched a worker fix whose protocol phase (the round-0
-/// shard assignment) no longer exists, so a file that sets it is
-/// refused rather than replayed without it.
+/// The fault flag bits the format names; any other is refused.
 const FAULT_FLAGS: u64 = 0b1111;
-const BUG_FLAGS: u64 = 0b110;
 
 /// Parses the `.schedule` byte format.
 pub fn read_schedule(bytes: &[u8]) -> Result<ScheduleFile, String> {
+    if bytes.starts_with(b"ISCHED02") {
+        return Err(
+            "ISCHED02 is a retired .schedule version: its bug-switch field \
+                    re-enabled fixes of a threaded runner the checker no longer runs; \
+                    this reader takes ISCHED03"
+                .into(),
+        );
+    }
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         return Err("not a .schedule file (bad magic)".into());
     }
@@ -129,10 +130,6 @@ pub fn read_schedule(bytes: &[u8]) -> Result<ScheduleFile, String> {
     let reorder_window =
         u8::try_from(int(&mut pos)?).map_err(|_| "window out of range".to_string())?;
     let budget = u8::try_from(int(&mut pos)?).map_err(|_| "budget out of range".to_string())?;
-    let bug_flags = int(&mut pos)?;
-    if bug_flags & !BUG_FLAGS != 0 {
-        return Err(format!("unknown bug flag bits {bug_flags:#x}"));
-    }
     let expected = match int(&mut pos)? {
         0 => Expected::Pass,
         1 => Expected::ExpectedDeadlock,
@@ -180,10 +177,6 @@ pub fn read_schedule(bytes: &[u8]) -> Result<ScheduleFile, String> {
                 hold: fault_flags & 4 != 0,
                 drop: fault_flags & 8 != 0,
                 budget,
-            },
-            bugs: ProtocolBugs {
-                eager_link_teardown: bug_flags & 2 != 0,
-                strict_extra_sends: bug_flags & 4 != 0,
             },
         },
         max_decisions,
@@ -250,10 +243,6 @@ mod tests {
                     drop: true,
                     budget: 2,
                 },
-                bugs: ProtocolBugs {
-                    eager_link_teardown: false,
-                    strict_extra_sends: true,
-                },
             },
             max_decisions: 40,
             expected: Expected::Violation,
@@ -287,11 +276,17 @@ mod tests {
             read_schedule(&old).is_err(),
             "pre-checkpoint format version must be rejected, not misparsed"
         );
+        // The bug-switch version is refused by name, not misread as
+        // ISCHED03 with its bug field taken for the expected outcome.
+        let mut switched = bytes.clone();
+        switched[..8].copy_from_slice(b"ISCHED02");
+        let err = read_schedule(&switched).unwrap_err();
+        assert!(err.contains("ISCHED02"), "{err}");
 
         // Bytes `write_schedule` never writes are refused too: a varint
         // that overflows u64 or that it would have written shorter, an
-        // adaptive flag other than 0/1, and a fault or bug flag bit the
-        // format does not name.
+        // adaptive flag other than 0/1, and a fault flag bit the format
+        // does not name.
         let mut f = sample();
         f.spec.seed = u64::MAX;
         let bytes = write_schedule(&f);
@@ -310,15 +305,10 @@ mod tests {
 
         f.spec.seed = 0;
         let bytes = write_schedule(&f);
-        let [adaptive, fault_flags, bug_flags] = [seed + 1, seed + 3, seed + 6];
+        let [adaptive, fault_flags] = [seed + 1, seed + 3];
         assert_eq!(
-            [
-                bytes[seed],
-                bytes[adaptive],
-                bytes[fault_flags],
-                bytes[bug_flags]
-            ],
-            [0, 1, 0b1011, 0b100]
+            [bytes[seed], bytes[adaptive], bytes[fault_flags]],
+            [0, 1, 0b1011]
         );
         assert_eq!(read_schedule(&bytes).unwrap(), f);
         let mut padded = bytes.clone();
@@ -327,8 +317,6 @@ mod tests {
         for (at, byte, what) in [
             (adaptive, 2, "adaptive flag 2"),
             (fault_flags, 0b1_1011, "fault flag bit 4"),
-            (bug_flags, 0b1100, "bug flag bit 3"),
-            (bug_flags, 0b101, "the retired bug flag bit 0"),
         ] {
             let mut bad = bytes.clone();
             bad[at] = byte;

@@ -1,6 +1,6 @@
-//! The model checker against the real cluster protocol: exhaustive
-//! bounded exploration of small configurations, with every completed
-//! schedule judged against the sequential-engine oracle.
+//! The model checker against the cluster protocol's own machines:
+//! exhaustive bounded exploration of small configurations, with every
+//! completed schedule judged against the threaded in-process oracle.
 //!
 //! Every DFS search here must be exhaustive (no run cut by its decision
 //! bound) and clean. The schedule counts they pin are the sizes of those
@@ -8,7 +8,8 @@
 //! fault vocabulary does.
 //!
 //! Every exploration runs under a watchdog thread so a checker or
-//! protocol regression fails loudly instead of hanging the suite.
+//! protocol regression that stops a search from ending fails loudly
+//! instead of hanging the suite.
 
 use isasgd_check::{
     explore_scenario, sample_scenario, Exploration, ExploreStats, FaultSpec, ScenarioSpec,
@@ -22,7 +23,7 @@ fn explore_guarded(spec: ScenarioSpec, max_decisions: usize) -> Exploration {
         let _ = tx.send(explore_scenario(&spec, max_decisions));
     });
     rx.recv_timeout(Duration::from_secs(240))
-        .expect("exploration hung: the model scheduler lost a wakeup or the protocol deadlocked outside scheduler control")
+        .expect("exploration hung: a stepped run never ended")
 }
 
 fn assert_clean(out: &Exploration) {
@@ -62,7 +63,7 @@ fn single_worker_faultless_run_is_fully_forced() {
 
 /// One worker, one round, one reorder in a window of two: the round
 /// start's barrier and model may arrive in either order, and the
-/// worker's stash must take both.
+/// worker machine must take both.
 #[test]
 fn one_worker_reordered_round_start_is_clean() {
     let spec = ScenarioSpec {
@@ -80,7 +81,7 @@ fn one_worker_reordered_round_start_is_clean() {
     let stats = explore_exhaustively(spec, 32);
     assert_eq!(
         (stats.schedules, stats.expected_deadlocks),
-        (5, 0),
+        (3, 0),
         "{stats:?}"
     );
 }
@@ -99,7 +100,7 @@ fn two_workers_two_rounds_lossless_faults_exhaustive() {
     let stats = explore_exhaustively(spec, 48);
     assert_eq!(
         (stats.schedules, stats.expected_deadlocks),
-        (514, 0),
+        (242, 0),
         "{stats:?}"
     );
     let capped = explore_guarded(spec, 16);
@@ -121,7 +122,7 @@ fn one_worker_two_rounds_every_fault_exhaustive() {
     let stats = explore_exhaustively(spec, 48);
     assert_eq!(
         (stats.schedules, stats.expected_deadlocks),
-        (243, 78),
+        (238, 83),
         "{stats:?}"
     );
 }
@@ -138,7 +139,7 @@ fn static_sampling_two_workers_two_rounds_lossless_exhaustive() {
     let stats = explore_exhaustively(spec, 48);
     assert_eq!(
         (stats.schedules, stats.expected_deadlocks),
-        (102, 0),
+        (50, 0),
         "{stats:?}"
     );
 }
@@ -147,7 +148,7 @@ fn static_sampling_two_workers_two_rounds_lossless_exhaustive() {
 /// cadence the workers emit `Checkpoint` state snapshots mid-session,
 /// and the coordinator must absorb duplicated / reordered / held
 /// copies idempotently — every completed schedule still bit-matches
-/// the oracle. The frames must also genuinely enter the scheduler's
+/// the oracle. The frames must also genuinely enter the stepper's
 /// vocabulary (more scheduling freedom than the checkpoint-free run).
 #[test]
 fn checkpoint_frames_are_absorbed_idempotently_under_lossless_faults() {
@@ -162,7 +163,7 @@ fn checkpoint_frames_are_absorbed_idempotently_under_lossless_faults() {
     let stats = explore_exhaustively(spec, 64);
     assert_eq!(
         (stats.schedules, stats.expected_deadlocks),
-        (1962, 0),
+        (1219, 0),
         "nothing blocks on a checkpoint: {stats:?}"
     );
     let baseline = explore_exhaustively(base, 64);

@@ -22,7 +22,7 @@
 //! going until its deadline — junk can never hang or kill admission.
 //!
 //! The admitted links are wrapped in [`SupervisedLink`]s and handed to
-//! the ordinary [`coordinate`](crate::coordinator) round driver — the
+//! the ordinary [`Coordinator`](crate::Coordinator)'s driver — the
 //! protocol above the session layer is byte-identical to the `tcp`
 //! transport, which is what keeps process runs bit-equal to every
 //! other execution mode.

@@ -30,22 +30,23 @@
 //!   wirings: [`InProcess`] (typed channels between threads, default)
 //!   and [`Tcp`] (real loopback sockets — delta-aware under a
 //!   [`WireEncoding`], with per-link [`LinkStats`] traffic counters),
-//!   and the deterministic [`FlakyTransport`] fault injector used by
-//!   the test suite.
-//! * [`coordinator`] — the round driver, generic over [`Transport`]:
-//!   the coordinator owns balancing, barriers, [`SyncStrategy`]
-//!   averaging, and a feedback mirror fed by per-node importance
-//!   observations (Alain et al.'s message shape; link `k` speaks for
-//!   shard `k` only); each crate-private `NodeRuntime` is handed a
-//!   `ShardInput` — rows, per-row weights, first global row — for the
-//!   shard its node id names (no frame repeats the assignment), and
-//!   turns it into the one thing a worker is: a `ScheduleStream` built by
-//!   `ScheduleStream::for_shard`, the same constructor the
+//!   and the deterministic [`FlakyTransport`] fault injector that
+//!   `tests/fault_injection.rs` runs the threaded drivers under.
+//! * [`coordinator`] — the round protocol as two machines that never
+//!   touch a transport, and the thin blocking drivers every transport
+//!   runs them with. The [`Coordinator`] owns the round barriers,
+//!   [`SyncStrategy`] averaging, consensus evaluation and a feedback
+//!   mirror fed by per-node importance observations (Alain et al.'s
+//!   message shape; link `k` speaks for shard `k` only). Each
+//!   [`Worker`] is handed the shard its node id names — rows, per-row
+//!   weights, first global row; no frame repeats the assignment — and
+//!   turns it into the one thing a worker is: a `ScheduleStream` built
+//!   by `ScheduleStream::for_shard`, the same constructor the
 //!   `isasgd-core` engine uses, plus a model replica. Algorithm 4
-//!   weighs, balances and shards once, on the coordinator
+//!   weighs, balances and shards once, in [`plan_run`]
 //!   (`isasgd_balance::rearrange`); no worker on any transport rebuilds
 //!   the dataset, recomputes a weight, or holds a norm of a row it does
-//!   not own.
+//!   not own. `isasgd-check` steps the same machines on one thread.
 //! * [`node`] — [`ClusterConfig`] / [`ClusterRun`] and the [`run`]
 //!   entry point that wires links from
 //!   [`ClusterConfig::transport`].
@@ -54,7 +55,8 @@
 //! the same seed and config; a single-node run is bit-equal to the
 //! sequential `isasgd-core` engine. Both properties are pinned by
 //! `tests/equivalence.rs`, and the protocol's tolerance of duplicated
-//! and reordered messages by `tests/fault_injection.rs`.
+//! and reordered messages by `tests/fault_injection.rs` and, for every
+//! schedule of small runs, by `isasgd-check`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -97,9 +99,9 @@ pub mod sync;
 pub mod transport;
 pub mod wire;
 
-pub use coordinator::{run_with_links, run_with_links_observed};
+pub use coordinator::{plan_run, run_with_links, Coordinator, CoordinatorStep, Worker};
 pub use fleet::{run_fleet_with, CommandSpawner, WorkerHandle, WorkerSpawner};
-pub use node::{run, ClusterConfig, ClusterError, ClusterRun, ProtocolBugs};
+pub use node::{run, ClusterConfig, ClusterError, ClusterRun};
 pub use procnode::{run_worker, WorkerOptions, WorkerReport};
 pub use sync::{average_models, SyncStrategy};
 pub use transport::{

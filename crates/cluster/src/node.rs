@@ -78,30 +78,6 @@ pub struct ClusterConfig {
     pub telemetry: bool,
 }
 
-/// Switches that resurrect historical protocol bugs (each fixed in
-/// PR 4) behind test-only flags, so the model checker's counterexample
-/// corpus can demonstrate that disabling a fix is caught again.
-///
-/// No production config or entry point carries these: they reach the
-/// runtime only through the checker's seam,
-/// [`run_with_links_observed`](crate::run_with_links_observed), and
-/// exist purely so a regression test can assert "the checker finds
-/// this bug".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProtocolBugs {
-    /// Bug 2a (teardown race): the coordinator tears its link
-    /// endpoints down as soon as the round driver finishes, instead of
-    /// keeping them alive until every worker thread has joined.
-    pub eager_link_teardown: bool,
-    /// Bug 2b (strict extras): injected extra copies (duplicates,
-    /// held-message flushes) propagate `Closed` errors instead of
-    /// being delivered best-effort. Honoured by the model transport in
-    /// `isasgd-check`; the real
-    /// [`FlakyTransport`](crate::transport::FlakyTransport)
-    /// keeps the fixed best-effort behaviour unconditionally.
-    pub strict_extra_sends: bool,
-}
-
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
@@ -274,6 +250,7 @@ pub(crate) fn validate<L: Loss>(
             "dataset dimension is 0: the rows have no features".into(),
         ));
     }
+    check_rows(ds.n_samples())?;
     // Sessions carry the count as a u32 (`SessionConfig::local_epochs`);
     // a wider one would be truncated, so every worker would loop over
     // the remainder — for 2^32, not at all.
@@ -285,6 +262,20 @@ pub(crate) fn validate<L: Loss>(
         )));
     }
     check_session(&cfg.session(obj))
+}
+
+/// The protocol names rows as `u32` — feedback observations, the
+/// `DatasetShard` header, a checkpoint's row count — so a dataset of
+/// more than `u32::MAX` rows is refused: its row ids would be truncated
+/// on the wire (`wire::wire_row` relies on this).
+fn check_rows(rows: usize) -> Result<(), ClusterError> {
+    if u32::try_from(rows).is_err() {
+        return Err(ClusterError::InvalidConfig(format!(
+            "{rows} rows: the protocol names rows as u32, so at most {}",
+            u32::MAX
+        )));
+    }
+    Ok(())
 }
 
 /// The half of [`validate`] that needs no dataset: the checks a worker
@@ -716,6 +707,21 @@ mod tests {
         let max = cfg(u32::MAX as usize);
         validate(&max, &o, &ds).unwrap();
         assert_eq!(max.session(&o).local_epochs, u32::MAX);
+    }
+
+    /// A row count past `u32::MAX` is refused, not truncated on the
+    /// wire; the bound is a function of the count, so no test builds
+    /// 2^32 rows.
+    #[test]
+    fn row_counts_past_u32_are_refused_not_truncated() {
+        for n in [1usize << 32, (1usize << 32) + 1, usize::MAX] {
+            assert!(matches!(
+                check_rows(n),
+                Err(ClusterError::InvalidConfig(msg)) if msg.contains(&format!("{n} rows"))
+            ));
+        }
+        check_rows(u32::MAX as usize).unwrap();
+        check_rows(0).unwrap();
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   ◀──────── DatasetShard ×N       this node's shard, streamed in
 //!                                   ~256 KiB chunks (reordered rows +
 //!                                   per-row importance weights)
-//!   …NodeRuntime round protocol (see crate::coordinator docs)…
+//!   …the Worker machine's round protocol (crate::coordinator)…
 //! ```
 //!
 //! The node id is the assignment: node `k` trains shard `k`, the rows
@@ -19,8 +19,9 @@
 //! worker, the slot's stored checkpoint).
 //!
 //! After the handshake the worker rebuilds its objective from the
-//! [`SessionConfig`] and hands both to the exact same `NodeRuntime`
-//! the thread-backed transports run — which is why a
+//! [`SessionConfig`] and builds the exact same [`Worker`] machine,
+//! under the same driver, the thread-backed transports run — which is
+//! why a
 //! `--cluster-transport process` run is bit-equal to `tcp`, `inproc`,
 //! and (single-node) the sequential engine: same draws, same float-op
 //! order, only the process boundary differs. The decoded shard is the
@@ -36,7 +37,7 @@
 // scope from the first line to the last (README, *Static guarantees*).
 #![deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 
-use crate::coordinator::{NodeRuntime, ShardInput};
+use crate::coordinator::{drive_worker, ShardInput, Worker};
 use crate::node::{check_session, ClusterError};
 use crate::transport::{Tcp, Transport, TransportError};
 use crate::wire::{Message, SessionConfig, PROTOCOL_VERSION};
@@ -199,8 +200,8 @@ fn append_chunk(builder: &mut DatasetBuilder, chunk: &Dataset) {
     }
 }
 
-/// Runs the [`NodeRuntime`] for an already-handshaken link,
-/// dispatching over the wire loss name.
+/// Runs the [`Worker`] for an already-handshaken link, dispatching over
+/// the wire loss name.
 fn serve(
     link: Tcp,
     worker: u32,
@@ -211,9 +212,10 @@ fn serve(
     // The wire carries any value: a worker applies the coordinator's
     // session rules itself rather than trusting the peer.
     check_session(&sc)?;
-    let runtime = NodeRuntime::new(link, worker as usize).with_chaos_kill(die_at_round);
     with_loss!(sc.loss.as_str(), |loss| {
-        runtime.run_session(shard, &Objective::new(loss, sc.reg), &sc)
+        let obj = Objective::new(loss, sc.reg);
+        let machine = Worker::new(worker as usize, shard, &obj, &sc)?;
+        drive_worker(link, machine.with_chaos_kill(die_at_round))
     })
     .ok_or_else(|| {
         ClusterError::InvalidConfig(format!(

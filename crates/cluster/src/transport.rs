@@ -14,8 +14,10 @@
 //!   feedback traffic) crosses a genuine byte boundary;
 //!   `tests/equivalence.rs` pins it bit-equal to `InProcess`.
 //! * [`FlakyTransport`] — a deterministic fault-injection wrapper that
-//!   delays (reorders) and duplicates messages, used by
-//!   `tests/fault_injection.rs` to pin the protocol's tolerance.
+//!   delays (reorders) and duplicates messages. `tests/fault_injection.rs`
+//!   wraps links in it to pin the protocol's tolerance over the
+//!   threaded drivers — the only tests that run them under faults;
+//!   `isasgd-check` steps the protocol's machines without a transport.
 //!
 //! A transport link is one endpoint of a duplex coordinator↔worker
 //! connection. Links are FIFO per direction; the protocol additionally
@@ -286,6 +288,15 @@ impl<'a> Broadcast<'a> {
         }
     }
 
+    /// The [`Message::RoundBarrier`] that goes to `node` ahead of the
+    /// model.
+    pub fn barrier(&self, node: u32) -> Message {
+        Message::RoundBarrier {
+            node,
+            round: self.round,
+        }
+    }
+
     /// The model as the [`Message::ModelUpdate`] addressed to `node`:
     /// built on the first call, readdressed on every later one.
     pub fn message(&mut self, node: u32) -> &Message {
@@ -499,7 +510,7 @@ impl Transport for InProcess {
     fn recv(&mut self) -> Result<Message, TransportError> {
         #[expect(
             clippy::disallowed_methods,
-            reason = "a dropped peer closes the channel (recv errors Closed); silent-peer deadlocks are ruled out by isasgd-check"
+            reason = "a dropped peer closes the channel (recv errors Closed); that no machine the drivers feed waits for a frame that never comes is what isasgd-check explores"
         )]
         self.rx.recv().map_err(|_| TransportError::Closed)
     }
@@ -853,12 +864,13 @@ pub fn tcp_loopback_links(nodes: usize, bind: &str) -> std::io::Result<Vec<(Tcp,
 }
 
 /// Deterministic seeded fault injection around any transport — the test
-/// fake the fault-injection suite wraps links in. One rng roll per send:
-/// every `delay_period`-th roll holds the message back (at most one is
-/// held at a time), every `dup_period`-th delivers it twice (0 disables
-/// either fault). Nothing is ever lost; the `isasgd-check` model
-/// scheduler explores the same faults systematically instead of sampling
-/// them.
+/// fake the fault-injection suite wraps links in, so the threaded
+/// drivers, not only the machines they feed, meet duplicated and
+/// reordered frames. One rng roll per send: every `delay_period`-th
+/// roll holds the message back (at most one is held at a time), every
+/// `dup_period`-th delivers it twice (0 disables either fault). Nothing
+/// is ever lost; `isasgd-check` explores the same faults systematically
+/// on the coordinator and worker machines, stepped on one thread.
 ///
 /// A held message is flushed before the wrapper ever blocks in
 /// [`Transport::recv`] and again on drop, so the wrapper perturbs

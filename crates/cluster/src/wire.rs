@@ -1822,6 +1822,18 @@ fn put_shard_chunk(
     row
 }
 
+/// A global row id, or a count of rows, as the wire names it: a `u32`.
+/// `validate` refuses a dataset of more than `u32::MAX` rows, so every
+/// row id and row count of a run fits.
+pub(crate) fn wire_row(row: usize) -> u32 {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "validate refuses a dataset of more than u32::MAX rows: a run's row ids and counts fit"
+    )]
+    let row = row as u32;
+    row
+}
+
 /// Appends the [`Message::DatasetShard`] chunk of shard `shard` that
 /// starts at row `row` to `out` and returns the row after its last: one
 /// or more rows, up to [`SHARD_CHUNK_BYTES`] of payload plus one row of
@@ -1840,7 +1852,12 @@ pub fn encode_dataset_shard_chunk(
     weights: &[f64],
 ) -> usize {
     out.push(FrameKind::DatasetShard.tag());
-    let head = [shard, range.start as u32, range.len() as u32, row as u32];
+    let head = [
+        shard,
+        wire_row(range.start),
+        wire_row(range.len()),
+        wire_row(row),
+    ];
     put_shard_chunk(out, head, data, weights, row..range.end, true)
 }
 
