@@ -18,24 +18,23 @@
 //! * **no leaks** — at the end of a clean run, no frame's content is
 //!   both undelivered and unaccounted for.
 //!
-//! Violations serialize as compact `.schedule` replay files (see
-//! [`replay`]) that re-execute the exact interleaving as ordinary
-//! tests.
+//! A violation's [`Counterexample::choices`] is the exact interleaving:
+//! committed as a row of `tests/schedules.rs` — the scenario, the
+//! decision bound, the choice list and the verdict — it re-executes
+//! through [`Chooser::replay`] and [`run_schedule`] as an ordinary
+//! test, and reads in a diff as the numbers it is.
 //!
 //! Module map: [`explore`](mod@explore) (chooser + DFS engine),
-//! [`scenario`] (the stepper, invariant judging), [`replay`] (the
-//! `.schedule` format).
+//! [`scenario`] (the stepper, invariant judging).
 
 #![forbid(unsafe_code)]
 
 pub mod explore;
-pub mod replay;
 pub mod scenario;
 
 pub use explore::{
     explore, AbortKind, Choice, Chooser, Counterexample, Exploration, ExploreStats, Verdict,
 };
-pub use replay::{read_schedule, write_schedule, Expected, ScheduleFile};
 pub use scenario::{
     explore_scenario, run_schedule, sample_scenario, FaultCounts, FaultSpec, Outcome, ScenarioSpec,
 };

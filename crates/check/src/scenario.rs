@@ -46,6 +46,7 @@ use isasgd_cluster::{
 use isasgd_core::{
     CommitPolicy, ImportanceScheme, LogisticLoss, Objective, Regularizer, SamplingStrategy,
 };
+use isasgd_sampling::Sampler;
 use isasgd_sparse::{Dataset, DatasetBuilder};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -215,13 +216,17 @@ fn cluster_cfg(spec: &ScenarioSpec) -> ClusterConfig {
 }
 
 /// Everything one exploration reuses across schedules: the run's plan
-/// and config, and the oracle — the same run over the threaded
-/// in-process drivers.
+/// and config, the oracle — the same run over the threaded in-process
+/// drivers — and the feedback mirrors a faultless run leaves.
 struct Ctx {
     obj: Objective<LogisticLoss>,
     cfg: ClusterConfig,
     plan: Rearranged,
     oracle: ClusterRun,
+    /// The mirror states of the faultless schedule (`Net::mirrors`),
+    /// which takes no decision and feeds the coordinator the frames the
+    /// threaded run does, in the order it does.
+    mirrors: Vec<u64>,
 }
 
 fn ctx(spec: &ScenarioSpec) -> Ctx {
@@ -231,12 +236,28 @@ fn ctx(spec: &ScenarioSpec) -> Ctx {
     let oracle = run_with_links(&ds, &obj, &cfg, in_process_links(spec.nodes))
         .expect("oracle run of a valid spec");
     let plan = plan_run(&ds, &obj, &cfg).expect("plan of a valid spec");
-    Ctx {
+    let mut ctx = Ctx {
         obj,
         cfg,
         plan,
         oracle,
-    }
+        mirrors: Vec::new(),
+    };
+    // The faultless schedule's mirror record is every run's baseline,
+    // so its outcome must be the threaded oracle's.
+    let mut net = Net::new(&ctx, FaultSpec::none()).expect("machines of a valid spec");
+    let done = step(&mut net, &mut Chooser::default());
+    assert_eq!(done, Ok(true), "the faultless schedule takes no decision");
+    let run = net.coord.finish(Vec::new(), Vec::new());
+    let oracle = &ctx.oracle;
+    assert!(
+        run.model == oracle.model
+            && run.observed_phi_imbalance == oracle.observed_phi_imbalance
+            && run.feedback_rows == oracle.feedback_rows,
+        "the faultless stepped run diverged from the in-process oracle"
+    );
+    ctx.mirrors = net.mirrors;
+    ctx
 }
 
 /// A frame in a channel or held at an endpoint. Copies of one frame (a
@@ -299,6 +320,10 @@ struct Net<'a> {
     /// The link the coordinator is collecting from, once it says so.
     collecting: Option<usize>,
     coord_done: bool,
+    /// Every feedback mirror's weights and pending observations, bit
+    /// for bit, as each round starts and as the run ends — before a
+    /// round's feedback is folded, while its raw observations show.
+    mirrors: Vec<u64>,
     /// Each machine's frame on its way out.
     sending: Vec<Option<Sending>>,
     /// Frames each machine has sent.
@@ -330,6 +355,7 @@ impl<'a> Net<'a> {
             outbox: VecDeque::new(),
             collecting: None,
             coord_done: false,
+            mirrors: Vec::new(),
             sending: (0..=nodes).map(|_| None).collect(),
             emitted: vec![0; nodes + 1],
             queues: (0..2 * nodes).map(|_| VecDeque::new()).collect(),
@@ -398,16 +424,29 @@ impl<'a> Net<'a> {
                 });
                 break;
             }
-            match self.coord.poll() {
+            let boundary = match self.coord.poll() {
                 CoordinatorStep::Broadcast(mut model) => {
                     for k in 0..self.nodes {
                         let node = k as u32;
                         self.outbox.push_back((2 * k, model.barrier(node)));
                         self.outbox.push_back((2 * k, model.message(node).clone()));
                     }
+                    true
                 }
-                CoordinatorStep::Collect(k) => self.collecting = Some(k),
-                CoordinatorStep::Done => self.coord_done = true,
+                CoordinatorStep::Collect(k) => {
+                    self.collecting = Some(k);
+                    false
+                }
+                CoordinatorStep::Done => {
+                    self.coord_done = true;
+                    true
+                }
+            };
+            if boundary {
+                for m in self.coord.mirrors() {
+                    let state = (0..m.len()).flat_map(|i| [m.weight(i), m.pending(i)]);
+                    self.mirrors.extend(state.map(f64::to_bits));
+                }
             }
         }
         Ok(())
@@ -639,9 +678,10 @@ fn step(net: &mut Net<'_>, chooser: &mut Chooser) -> Result<bool, String> {
 
 fn classify(
     outcome: &Outcome,
-    result: &Result<ClusterRun, String>,
-    oracle: &ClusterRun,
+    result: &Result<(ClusterRun, Vec<u64>), String>,
+    ctx: &Ctx,
 ) -> Verdict {
+    let oracle = &ctx.oracle;
     let counts = &outcome.counts;
     if outcome.deadlocked {
         return if counts.drops > 0 {
@@ -652,7 +692,7 @@ fn classify(
             Verdict::Violation("deadlock without any drop fault".into())
         };
     }
-    let run = match result {
+    let (run, mirrors) = match result {
         Err(_) if counts.drops > 0 => return Verdict::ExpectedDeadlock,
         Err(e) => {
             return Verdict::Violation(format!("cluster run failed without deadlock: {e}"));
@@ -669,10 +709,12 @@ fn classify(
         return Verdict::Violation("balancing outcome diverged from the in-process oracle".into());
     }
     if counts.drops == 0 {
-        // Without losses the feedback mirror must be bit-identical;
-        // duplicated batches may inflate the applied-entry *count*
-        // (idempotent absorption), never the mirror state.
-        if run.observed_phi_imbalance != oracle.observed_phi_imbalance {
+        // Without losses every feedback mirror must be bit-identical
+        // at every round boundary — to the oracle's at the end, and to
+        // the faultless schedule's throughout; duplicated batches may
+        // inflate the applied-entry *count* (idempotent absorption),
+        // never a mirror's weights or pending observations.
+        if run.observed_phi_imbalance != oracle.observed_phi_imbalance || *mirrors != ctx.mirrors {
             return Verdict::Violation(
                 "feedback mirror diverged: duplicated/reordered feedback was not absorbed \
                  idempotently"
@@ -716,7 +758,7 @@ fn run_schedule_in(ctx: &Ctx, spec: &ScenarioSpec, mut chooser: Chooser) -> (Out
         outcome.counts = net.counts;
         outcome.leaks = net.leaks();
         match stepped? {
-            true => Ok(net.coord.finish(Vec::new(), Vec::new())),
+            true => Ok((net.coord.finish(Vec::new(), Vec::new()), net.mirrors)),
             false => {
                 outcome.deadlocked = chooser.aborted().is_none();
                 Err("starved: no step left while a machine was unfinished".into())
@@ -727,7 +769,7 @@ fn run_schedule_in(ctx: &Ctx, spec: &ScenarioSpec, mut chooser: Chooser) -> (Out
     // A run cut short by the explorer has nothing to judge.
     if outcome.aborted.is_none() {
         outcome.run_error = result.as_ref().err().cloned();
-        outcome.verdict = classify(&outcome, &result, &ctx.oracle);
+        outcome.verdict = classify(&outcome, &result, ctx);
     }
     (outcome, chooser)
 }

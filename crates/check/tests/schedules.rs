@@ -1,14 +1,10 @@
-//! The `.schedule` format end to end: a schedule the explorer found is
-//! written, read back and replayed to the verdict it was found with,
-//! and every committed `*.schedule` under `tests/schedules/` replays
-//! to its own recorded outcome — a counterexample found later becomes
-//! a regression test by being committed there.
+//! Committed schedules, one row each: the scenario, the decision bound
+//! it was found under, the choice taken at every decision — a
+//! `Counterexample::choices` (or a found run's decision log), pasted in
+//! — and the verdict replaying it must reach. A violation the explorer
+//! finds becomes a regression test by becoming a row of [`committed`].
 
-use isasgd_check::{
-    explore, read_schedule, run_schedule, write_schedule, Expected, FaultSpec, ScenarioSpec,
-    ScheduleFile, Verdict,
-};
-use std::path::PathBuf;
+use isasgd_check::{explore, run_schedule, Chooser, FaultSpec, Outcome, ScenarioSpec, Verdict};
 
 /// One worker, one round, one dropped frame: some schedules lose a
 /// frame the protocol needs and starve.
@@ -23,6 +19,56 @@ fn drop_spec() -> ScenarioSpec {
             ..FaultSpec::none()
         },
         ..ScenarioSpec::default()
+    }
+}
+
+/// `(scenario, max_decisions, choices, verdict)`.
+type Row = (ScenarioSpec, usize, &'static [u32], Verdict);
+
+/// The committed schedules.
+fn committed() -> Vec<Row> {
+    vec![
+        // The DFS-first starving schedule of `drop_spec`: the round's
+        // barrier, model and feedback batch go out, and the replica is
+        // dropped, so the coordinator waits for it forever.
+        (drop_spec(), 32, &[0, 0, 0, 1], Verdict::ExpectedDeadlock),
+        // One worker, two rounds, every fault: round 1's feedback batch
+        // is duplicated, and the mirror absorbs the copy idempotently.
+        // A mirror that summed repeated observations of a row instead
+        // of keeping their max found this one.
+        (
+            ScenarioSpec {
+                nodes: 1,
+                faults: FaultSpec::all(2),
+                ..ScenarioSpec::default()
+            },
+            48,
+            &[0, 0, 0, 0, 0, 0, 1, 0],
+            Verdict::Pass,
+        ),
+    ]
+}
+
+/// Re-executes exactly `choices`, requiring the run to take every one
+/// of them and no other decision.
+fn replay(spec: &ScenarioSpec, max_decisions: usize, choices: &[u32]) -> Outcome {
+    let chooser = Chooser::replay(choices.to_vec(), max_decisions);
+    let (outcome, chooser) = run_schedule(spec, chooser);
+    assert_eq!(
+        (outcome.aborted, chooser.decisions()),
+        (None, choices.len()),
+        "the code under test no longer offers the choices {choices:?}"
+    );
+    outcome
+}
+
+#[test]
+fn committed_schedules_replay_to_their_verdicts() {
+    for (spec, max_decisions, choices, verdict) in committed() {
+        for attempt in 0..3 {
+            let outcome = replay(&spec, max_decisions, choices);
+            assert_eq!(outcome.verdict, verdict, "{choices:?}, attempt {attempt}");
+        }
     }
 }
 
@@ -45,48 +91,14 @@ fn first_expected_deadlock(spec: &ScenarioSpec, max_decisions: usize) -> Vec<u32
 }
 
 #[test]
-fn a_found_schedule_replays_to_its_verdict_from_its_bytes() {
+fn a_found_schedule_replays_to_its_verdict() {
     let spec = drop_spec();
-    let file = ScheduleFile {
-        spec,
-        max_decisions: 32,
-        expected: Expected::ExpectedDeadlock,
-        contains: String::new(),
-        choices: first_expected_deadlock(&spec, 32),
-    };
-    let read = read_schedule(&write_schedule(&file)).unwrap();
-    assert_eq!(read, file);
-    for attempt in 0..3 {
-        let outcome = read
-            .replay()
-            .unwrap_or_else(|e| panic!("attempt {attempt}: {e}"));
-        assert!(outcome.deadlocked, "attempt {attempt}: {outcome:?}");
-        assert_eq!(outcome.counts.drops, 1, "attempt {attempt}");
-    }
-    // The same bytes under another outcome class are refused.
-    let wrong = ScheduleFile {
-        expected: Expected::Pass,
-        ..read
-    };
-    assert!(wrong.replay().is_err());
-}
-
-#[test]
-fn committed_counterexamples_replay_deterministically() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/schedules");
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|entry| entry.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|x| x == "schedule"))
-        .collect();
-    paths.sort();
-    for path in &paths {
-        let file = read_schedule(&std::fs::read(path).unwrap())
-            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        for attempt in 0..3 {
-            if let Err(e) = file.replay() {
-                panic!("{} (attempt {attempt}): replay failed: {e}", path.display());
-            }
-        }
-    }
+    let choices = first_expected_deadlock(&spec, 32);
+    let outcome = replay(&spec, 32, &choices);
+    assert_eq!(outcome.verdict, Verdict::ExpectedDeadlock);
+    assert!(outcome.deadlocked, "{outcome:?}");
+    assert_eq!(outcome.counts.drops, 1);
+    // It is the committed row: the explorer still finds it first.
+    let (_, _, row, _) = committed()[0].clone();
+    assert_eq!(choices, row);
 }

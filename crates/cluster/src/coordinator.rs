@@ -437,7 +437,7 @@ impl<'a, L: Loss> Coordinator<'a, L> {
     }
 
     fn begin_collect(&mut self) {
-        // Nothing reads the mirrors before the final summary.
+        // Nothing reads the mirrors before the run is done.
         for m in self.mirrors.iter_mut() {
             m.epoch_reset();
         }
@@ -565,6 +565,14 @@ impl<'a, L: Loss> Coordinator<'a, L> {
             error_rate: m.error_rate,
             wall_us: (round_secs * 1e6) as u64,
         });
+    }
+
+    /// The feedback mirrors, one per link on adaptive runs (none
+    /// otherwise). A round's feedback is pending in them until the next
+    /// round's collection starts — or [`Coordinator::finish`], for the
+    /// last round's — and folds it in.
+    pub fn mirrors(&self) -> &[AdaptiveIsSampler] {
+        &self.mirrors
     }
 
     /// The run's result, once [`Coordinator::poll`] says it is done:
@@ -1304,7 +1312,7 @@ mod tests {
         let (lived, mut checkpoints) = drive(&cfg, None, 1, vec![0.0; 8]);
         assert_eq!((lived.len(), checkpoints.len()), (4, 1));
         let ckpt = checkpoints.pop().unwrap();
-        assert_eq!(ckpt.round(), 2);
+        assert!(matches!(ckpt, Message::Checkpoint { round: 2, .. }));
         // A worker that missed the checkpoint would still await round 1,
         // dropping round 3's frames: it would send no replica at all.
         let (resumed, _) = drive(&cfg, Some(ckpt), 3, lived[1].clone());

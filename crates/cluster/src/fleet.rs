@@ -29,11 +29,13 @@
 //!
 //! # Supervision
 //!
-//! A [`SupervisedLink`] records every outbound message; a round's
-//! consensus model is logged by reference to the storage the round
-//! driver broadcast it from, which every link's log and tx delta base
-//! share. When a worker is lost (socket death, or silence past the
-//! per-round deadline):
+//! A [`SupervisedLink`] logs the rounds it sent: each round's barrier
+//! opens an entry, and the round's consensus model fills it, by
+//! reference to the storage the round driver broadcast it from, which
+//! every link's log and tx delta base share. A worker acts on nothing
+//! else the coordinator sends, so the log holds nothing else. When a
+//! worker is lost (socket death, or silence past the per-round
+//! deadline):
 //!
 //! * [`WorkerLossPolicy::Fail`] — the run aborts with a typed
 //!   [`ClusterError::WorkerLost`]; closed sockets make detection
@@ -41,13 +43,14 @@
 //!   loss can never hang the run.
 //! * [`WorkerLossPolicy::Respawn`] — a replacement is spawned, taken
 //!   through the same handshake (its node id and shard rows), and the
-//!   recorded session is replayed: every round's barrier + consensus
-//!   model. Workers are deterministic functions of that message
-//!   stream, so the replacement recomputes the lost worker's state
-//!   exactly; its stale re-sends are dropped by round tag and its
-//!   duplicated feedback is absorbed by the mirror's per-row max — the
-//!   run completes **bit-identically** to an undisturbed one (pinned by
-//!   `tests/process_fleet.rs` and the CLI kill-a-worker e2e).
+//!   logged rounds are replayed: every round's barrier, then its
+//!   consensus model if it was sent. Workers are deterministic
+//!   functions of that frame stream, so the replacement recomputes the
+//!   lost worker's state exactly; its stale re-sends are dropped by
+//!   round tag and its duplicated feedback is absorbed by the mirror's
+//!   per-row max — the run completes **bit-identically** to an
+//!   undisturbed one (pinned by `tests/process_fleet.rs` and the CLI
+//!   kill-a-worker e2e).
 //!
 //! With a checkpoint cadence ([`ProcessConfig::checkpoint_every`] or
 //! [`ClusterConfig::checkpoint_every`] — whichever is set; two
@@ -197,36 +200,9 @@ struct FleetShared<S: WorkerSpawner> {
     pc: ProcessConfig,
 }
 
-/// One replay-log entry: a round model in storage shared across links,
-/// or any other message as it was sent.
-enum Logged {
-    Model {
-        node: u32,
-        round: u64,
-        model: Arc<[f64]>,
-    },
-    Message(Message),
-}
-
-impl Logged {
-    fn round(&self) -> u64 {
-        match self {
-            Logged::Model { round, .. } => *round,
-            Logged::Message(m) => m.round(),
-        }
-    }
-
-    /// The entry's logical bytes: [`Message::resident_bytes`] of the
-    /// message it stands for, so a shared model counts in full on every
-    /// log that holds it.
-    fn resident_bytes(&self) -> u64 {
-        let bytes = match self {
-            Logged::Model { model, .. } => std::mem::size_of::<Message>() + model.len() * 8,
-            Logged::Message(m) => m.resident_bytes(),
-        };
-        bytes as u64
-    }
-}
+/// One replay-log entry: a round whose barrier was sent, with its model
+/// — in storage shared across links — once that is sent too.
+type LoggedRound = (u64, Option<Arc<[f64]>>);
 
 impl<S: WorkerSpawner> FleetShared<S> {
     /// Admits one worker for node slot `node`: accepts connections
@@ -364,9 +340,8 @@ impl<S: WorkerSpawner> FleetShared<S> {
 }
 
 /// One supervised coordinator↔worker link: a [`Tcp`] endpoint plus the
-/// outbound message log that makes deterministic respawn possible.
-/// The log holds round models in storage shared with the other links,
-/// every other message as sent.
+/// log of sent rounds that makes deterministic respawn possible. The
+/// log holds round models in storage shared with the other links.
 pub struct SupervisedLink<S: WorkerSpawner> {
     shared: Arc<Mutex<FleetShared<S>>>,
     node: u32,
@@ -375,7 +350,7 @@ pub struct SupervisedLink<S: WorkerSpawner> {
     // mid-wait.
     tcp: Tcp,
     handle: Box<dyn WorkerHandle>,
-    log: Vec<Logged>,
+    log: Vec<LoggedRound>,
     respawns_left: u32,
     policy: WorkerLossPolicy,
     /// Traffic counters of connections this slot has already replaced:
@@ -461,13 +436,13 @@ impl<S: WorkerSpawner> SupervisedLink<S> {
             if let Some((_, blob)) = &self.ckpt {
                 tcp.send_payload(blob)?;
             }
-            for entry in &self.log {
-                match entry {
-                    // Sent from the shared storage; no message is rebuilt.
-                    Logged::Model { node, round, model } => {
-                        tcp.send_shared_model(*node, *round, model)?;
-                    }
-                    Logged::Message(m) => tcp.send(m)?,
+            let node = self.node;
+            for (round, model) in &self.log {
+                let round = *round;
+                tcp.send(&Message::RoundBarrier { node, round })?;
+                // Sent from the shared storage; no message is rebuilt.
+                if let Some(model) = model {
+                    tcp.send_shared_model(node, round, model)?;
                 }
             }
             Ok(())
@@ -491,7 +466,7 @@ impl<S: WorkerSpawner> SupervisedLink<S> {
         self.respawns += 1;
         isasgd_obs::emit(&Event::Respawn {
             node: u64::from(self.node),
-            replay_frames: self.log.len() as u64 + u64::from(self.ckpt.is_some()),
+            replay_frames: self.log_frames() + u64::from(self.ckpt.is_some()),
             replay_bytes,
             replay_us: monotonic_us() - t0,
         });
@@ -512,19 +487,36 @@ impl<S: WorkerSpawner> SupervisedLink<S> {
         }
         Ok(())
     }
+
+    /// Fills the entry its round's barrier opened with the round's
+    /// model.
+    fn log_model(&mut self, round: u64, model: Arc<[f64]>) {
+        if let Some((_, slot)) = self.log.last_mut().filter(|(r, _)| *r == round) {
+            *slot = Some(model);
+        }
+    }
+
+    /// The frames a replay of the log writes: a barrier per round, and
+    /// the round's model if it was sent.
+    fn log_frames(&self) -> u64 {
+        let frames = self
+            .log
+            .iter()
+            .map(|(_, model)| 1 + u64::from(model.is_some()));
+        frames.sum()
+    }
 }
 
 impl<S: WorkerSpawner> Transport for SupervisedLink<S> {
     fn send(&mut self, msg: &Message) -> Result<(), TransportError> {
         self.send_with(|tcp| tcp.send(msg))?;
-        self.log.push(match msg {
-            Message::ModelUpdate { node, round, model } => Logged::Model {
-                node: *node,
-                round: *round,
-                model: Arc::from(model.as_slice()),
-            },
-            _ => Logged::Message(msg.clone()),
-        });
+        match msg {
+            Message::RoundBarrier { round, .. } => self.log.push((*round, None)),
+            Message::ModelUpdate { round, model, .. } => {
+                self.log_model(*round, Arc::from(model.as_slice()));
+            }
+            _ => {}
+        }
         Ok(())
     }
 
@@ -536,11 +528,7 @@ impl<S: WorkerSpawner> Transport for SupervisedLink<S> {
         model: &mut Broadcast<'_>,
     ) -> Result<(), TransportError> {
         self.send_with(|tcp| tcp.send_broadcast(node, model))?;
-        self.log.push(Logged::Model {
-            node,
-            round: model.round,
-            model: model.model.clone(),
-        });
+        self.log_model(model.round, model.model.clone());
         Ok(())
     }
 
@@ -583,7 +571,7 @@ impl<S: WorkerSpawner> Transport for SupervisedLink<S> {
                         self.ckpt = Some((round, blob));
                         // Everything at or before the checkpointed round
                         // is recomputation the installed state covers.
-                        self.log.retain(|entry| entry.round() > round);
+                        self.log.retain(|&(r, _)| r > round);
                     }
                     // The ack is control traffic: sent directly (not
                     // logged — a replayed worker re-emits checkpoints
@@ -614,10 +602,17 @@ impl<S: WorkerSpawner> Transport for SupervisedLink<S> {
     }
 
     fn recovery(&self) -> Option<RecoveryFootprint> {
+        // Each frame's logical bytes, a shared model's in full on every
+        // log that holds it.
+        let frame = std::mem::size_of::<Message>();
+        let log_bytes = self
+            .log
+            .iter()
+            .map(|(_, model)| frame + model.as_ref().map_or(0, |model| frame + model.len() * 8));
         Some(RecoveryFootprint {
             node: self.node,
-            log_frames: self.log.len() as u64,
-            log_bytes: self.log.iter().map(Logged::resident_bytes).sum(),
+            log_frames: self.log_frames(),
+            log_bytes: log_bytes.sum::<usize>() as u64,
             checkpoint_round: self.ckpt.as_ref().map_or(0, |(r, _)| *r),
             checkpoint_bytes: self.ckpt.as_ref().map_or(0, |(_, b)| b.len() as u64),
             respawns: self.respawns,
@@ -763,6 +758,8 @@ mod tests {
     use crate::wire::{CheckpointSampler, CheckpointState, WireEncoding};
     use isasgd_losses::{LogisticLoss, Regularizer};
     use isasgd_sparse::DatasetBuilder;
+    use std::net::{Shutdown, TcpStream};
+    use std::sync::mpsc::{channel, Sender};
     use std::sync::Weak;
 
     /// The links below are never lost, so nothing is ever spawned.
@@ -779,23 +776,46 @@ mod tests {
         }
     }
 
+    /// Spawns a thread that completes the handshake and forwards every
+    /// frame it receives after it, until its link closes.
+    struct Recorder(Sender<Message>);
+
+    impl WorkerSpawner for Recorder {
+        fn spawn(
+            &mut self,
+            _: u32,
+            addr: &str,
+            _: bool,
+        ) -> Result<Box<dyn WorkerHandle>, ClusterError> {
+            let (tx, addr) = (self.0.clone(), addr.to_string());
+            std::thread::spawn(move || {
+                let mut tcp = Tcp::new(TcpStream::connect(addr).unwrap()).unwrap();
+                let version = PROTOCOL_VERSION;
+                tcp.send(&Message::Hello { version }).unwrap();
+                while let Ok(msg) = tcp.recv() {
+                    if !matches!(msg, Message::Assign { .. } | Message::DatasetShard { .. }) {
+                        let _ = tx.send(msg);
+                    }
+                }
+            });
+            Ok(Box::new(Idle))
+        }
+    }
+
     struct Idle;
 
     impl WorkerHandle for Idle {}
 
-    type Shared = Arc<Mutex<FleetShared<NoSpawn>>>;
-
-    /// Two supervised links sharing one fleet state over loopback
-    /// sockets under the auto encoding, with the worker end of each.
-    fn two_links() -> (Shared, Vec<SupervisedLink<NoSpawn>>, Vec<Tcp>) {
+    /// A fleet state for a two-row, two-shard plan.
+    fn shared<S: WorkerSpawner>(spawner: S) -> Arc<Mutex<FleetShared<S>>> {
         let mut b = DatasetBuilder::new(1);
         b.push_row(&[(0, 1.0)], 1.0).unwrap();
         b.push_row(&[(0, -1.0)], -1.0).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let shared = Arc::new(Mutex::new(FleetShared {
+        Arc::new(Mutex::new(FleetShared {
             addr: listener.local_addr().unwrap().to_string(),
             listener,
-            spawner: NoSpawn,
+            spawner,
             session: ClusterConfig::default()
                 .session(&Objective::new(LogisticLoss, Regularizer::None)),
             plan: Arc::new(Rearranged {
@@ -806,47 +826,57 @@ mod tests {
                 rho: 1.0,
             }),
             pc: ProcessConfig::default(),
-        }));
-        let (links, workers) = tcp_loopback_links(2, "127.0.0.1:0")
-            .unwrap()
-            .into_iter()
-            .enumerate()
-            .map(|(k, (mut tcp, mut worker))| {
-                tcp.set_encoding(WireEncoding::Auto);
-                worker.set_encoding(WireEncoding::Auto);
-                let link = SupervisedLink {
-                    shared: shared.clone(),
-                    node: k as u32,
-                    tcp,
-                    handle: Box::new(Idle),
-                    log: Vec::new(),
-                    respawns_left: 0,
-                    policy: WorkerLossPolicy::Fail,
-                    stats: LinkStats::default(),
-                    ckpt: None,
-                    respawns: 0,
-                };
-                (link, worker)
-            })
-            .unzip();
-        (shared, links, workers)
+        }))
     }
 
-    fn logged(link: &SupervisedLink<NoSpawn>, round: u64) -> Arc<[f64]> {
+    /// Node `node`'s slot on `tcp`, with `respawns` replacements to
+    /// spend.
+    fn link<S: WorkerSpawner>(
+        shared: &Arc<Mutex<FleetShared<S>>>,
+        node: u32,
+        tcp: Tcp,
+        respawns: u32,
+    ) -> SupervisedLink<S> {
+        SupervisedLink {
+            shared: shared.clone(),
+            node,
+            tcp,
+            handle: Box::new(Idle),
+            log: Vec::new(),
+            respawns_left: respawns,
+            policy: WorkerLossPolicy::Respawn,
+            stats: LinkStats::default(),
+            ckpt: None,
+            respawns: 0,
+        }
+    }
+
+    /// Two supervised links sharing one fleet state over loopback
+    /// sockets under the auto encoding, with the worker end of each.
+    fn two_links() -> (Vec<SupervisedLink<NoSpawn>>, Vec<Tcp>) {
+        let shared = shared(NoSpawn);
+        tcp_loopback_links(2, "127.0.0.1:0")
+            .unwrap()
+            .into_iter()
+            .zip(0..)
+            .map(|((mut tcp, mut worker), node)| {
+                tcp.set_encoding(WireEncoding::Auto);
+                worker.set_encoding(WireEncoding::Auto);
+                (link(&shared, node, tcp, 0), worker)
+            })
+            .unzip()
+    }
+
+    fn logged<S: WorkerSpawner>(link: &SupervisedLink<S>, round: u64) -> Arc<[f64]> {
         link.log
             .iter()
-            .find_map(|entry| match entry {
-                Logged::Model {
-                    round: r, model, ..
-                } if *r == round => Some(model.clone()),
-                _ => None,
-            })
+            .find_map(|(r, model)| model.clone().filter(|_| *r == round))
             .expect("round model logged")
     }
 
     #[test]
     fn links_log_the_broadcast_model_they_share_and_truncation_frees_it() {
-        let (_shared, mut links, mut workers) = two_links();
+        let (mut links, mut workers) = two_links();
         let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         // Round 1 goes out as plain messages, rounds 2 and 3 as
         // broadcasts; round 2 differs from round 1 only in the sign of a
@@ -908,22 +938,12 @@ mod tests {
         assert_eq!(Arc::strong_count(&sent[2]), 5);
         let weak: Vec<Weak<[f64]>> = sent.iter().map(Arc::downgrade).collect();
         drop(sent);
-        // Each slot still counts the bytes of every message it logged,
-        // a shared model's in full.
+        // Each slot still counts the bytes of every frame it logged, a
+        // shared model's in full: a barrier is one message, a model one
+        // message and its coordinates.
+        let frame = std::mem::size_of::<Message>() as u64;
+        let logged: u64 = rounds.iter().map(|m| 2 * frame + 8 * m.len() as u64).sum();
         for link in &links {
-            let node = link.node;
-            let logged: u64 = (1u64..)
-                .zip(&rounds)
-                .map(|(round, m)| {
-                    let update = Message::ModelUpdate {
-                        node,
-                        round,
-                        model: m.to_vec(),
-                    };
-                    let barrier = Message::RoundBarrier { node, round };
-                    (update.resident_bytes() + barrier.resident_bytes()) as u64
-                })
-                .sum();
             let fp = link.recovery().unwrap();
             assert_eq!((fp.log_frames, fp.log_bytes), (6, logged));
         }
@@ -961,5 +981,62 @@ mod tests {
         assert_eq!(counts, [0, 0, 2]);
         drop(links);
         assert_eq!(weak[2].strong_count(), 0);
+    }
+
+    /// A worker lost between a round's two sends leaves the round's
+    /// entry with its barrier and no model. The model's send recovers
+    /// it: the replay writes that barrier last, and the retried send
+    /// completes the entry.
+    #[test]
+    fn a_round_lost_between_its_barrier_and_its_model_is_replayed_to_its_barrier() {
+        let (tx, rx) = channel();
+        let shared = shared(Recorder(tx));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _worker = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        let kill = stream.try_clone().unwrap();
+        let mut link = link(&shared, 0, Tcp::new(stream).unwrap(), 1);
+        let models: [Arc<[f64]>; 2] = [Arc::from(&[0.5][..]), Arc::from(&[-1.5][..])];
+        let node = 0;
+        link.send(&Message::RoundBarrier { node, round: 1 })
+            .unwrap();
+        link.send(&Message::ModelUpdate {
+            node,
+            round: 1,
+            model: models[0].to_vec(),
+        })
+        .unwrap();
+        link.send(&Message::RoundBarrier { node, round: 2 })
+            .unwrap();
+        assert_eq!(link.log.len(), 2);
+        assert!(link.log[1] == (2, None), "round 2 holds its barrier only");
+        // The worker dies before round 2's model: its send fails.
+        kill.shutdown(Shutdown::Write).unwrap();
+        let mut frame = Vec::new();
+        let mut broadcast = Broadcast::new(2, &models[1], &mut frame);
+        link.send_broadcast(node, &mut broadcast).unwrap();
+        drop(broadcast);
+        assert!(Arc::ptr_eq(&logged(&link, 2), &models[1]));
+        let fp = link.recovery().unwrap();
+        assert_eq!((fp.log_frames, fp.respawns), (4, 1));
+        // Closing the link ends the replacement's thread.
+        drop((link, shared));
+        // What the replacement received: the replay — round 1's two
+        // frames, then round 2's barrier — and the retried model.
+        let model = |round: u64, m: &Arc<[f64]>| Message::ModelUpdate {
+            node,
+            round,
+            model: m.to_vec(),
+        };
+        let got: Vec<Message> = rx.iter().collect();
+        assert_eq!(
+            got,
+            [
+                Message::RoundBarrier { node, round: 1 },
+                model(1, &models[0]),
+                Message::RoundBarrier { node, round: 2 },
+                model(2, &models[1]),
+            ]
+        );
     }
 }

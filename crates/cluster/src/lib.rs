@@ -111,9 +111,8 @@ pub use transport::{
 };
 pub use wire::{
     apply_delta, apply_model_frame, delta_coords, encode_dataset_shard_chunk, encode_model_frame,
-    put_varint, read_varint, CheckpointSampler, CheckpointState, FrameKind, Message, SessionConfig,
-    WireEncoding, WireError, WorkerTiming, CHECKPOINT_VERSION, FRAME_KINDS, MAX_FRAME,
-    PROTOCOL_VERSION, SHARD_CHUNK_BYTES,
+    CheckpointSampler, CheckpointState, FrameKind, Message, SessionConfig, WireEncoding, WireError,
+    WorkerTiming, CHECKPOINT_VERSION, FRAME_KINDS, MAX_FRAME, PROTOCOL_VERSION, SHARD_CHUNK_BYTES,
 };
 
 /// Lint canary: fails `-D warnings` the day `clippy.toml` stops listing

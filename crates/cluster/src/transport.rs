@@ -1262,8 +1262,8 @@ mod tests {
             }
             drop(flaky); // flushes any held message
             let mut got = Vec::new();
-            while let Ok(m) = b.recv() {
-                got.push(m.round());
+            while let Ok(Message::RoundBarrier { round, .. }) = b.recv() {
+                got.push(round);
             }
             got
         };

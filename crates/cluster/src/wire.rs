@@ -49,10 +49,8 @@
 //! 1. One entry in the `frames!` table below (`Name = tag { field:
 //!    Type, … }`). The table generates [`Message`], [`FrameKind`],
 //!    everything that is a function of the frame list, and the frame's
-//!    [`Message::encode`] / [`Message::decode`] arms; the exhaustive
-//!    matches in [`Message::round`] and [`Message::resident_bytes`]
-//!    refuse to compile until the frame has its arm there, and a reused
-//!    tag is a compile error in `FrameKind::from_tag`.
+//!    [`Message::encode`] / [`Message::decode`] arms; a reused tag is a
+//!    compile error in `FrameKind::from_tag`.
 //! 2. Its golden encoding under `tests/golden/` (the test prints the
 //!    hex; a frame without a file fails `golden_encodings_are_frozen`).
 //! 3. The schema refresh: `cargo run -p isasgd-cluster --example
@@ -1045,7 +1043,7 @@ pub fn schema_json() -> String {
 // fixed-point property of the whole codec extends to varint payloads.
 
 /// Appends the canonical LEB128 encoding of `v`.
-pub fn put_varint(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_varint(out: &mut Vec<u8>, v: u64) {
     varint_bytes(v, |b| out.push(b));
 }
 
@@ -1092,18 +1090,6 @@ fn get_varint(r: &mut Reader<'_>) -> Result<u64, WireError> {
         }
         shift += 7;
     }
-}
-
-/// Reads the canonical LEB128 varint at `*pos` of `buf` and moves
-/// `*pos` past it: the wire's one varint decoder, for byte formats
-/// outside the frames that write theirs with [`put_varint`]. A
-/// truncated, non-minimal or over-64-bit encoding is an error.
-#[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
-pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, WireError> {
-    let mut r = Reader::new(buf.get(*pos..).unwrap_or_default());
-    let v = get_varint(&mut r)?;
-    *pos += r.pos;
-    Ok(v)
 }
 
 /// Appends the gap-coded index list: `u32 count ‖ varint first ‖
@@ -1946,60 +1932,6 @@ impl Message {
     pub fn kind(&self) -> &'static str {
         self.frame_kind().name()
     }
-
-    /// The round number carried by any message kind (session-layer
-    /// frames — hello, assign, dataset — all belong to round 0).
-    pub fn round(&self) -> u64 {
-        match self {
-            Message::ModelUpdate { round, .. }
-            | Message::FeedbackBatch { round, .. }
-            | Message::RoundBarrier { round, .. }
-            | Message::ModelDelta { round, .. }
-            | Message::Checkpoint { round, .. }
-            | Message::CheckpointAck { round, .. }
-            | Message::Telemetry { round, .. } => *round,
-            Message::Hello { .. } | Message::Assign { .. } | Message::DatasetShard { .. } => 0,
-        }
-    }
-
-    /// Approximate resident heap bytes of this message (struct plus
-    /// owned buffers) — what the coordinator's replay-log footprint
-    /// accounting sums. An estimate, not an allocator measurement: it
-    /// counts element payloads, not allocator slack.
-    pub fn resident_bytes(&self) -> usize {
-        let heap = match self {
-            Message::ModelUpdate { model, .. } => model.len() * 8,
-            Message::FeedbackBatch { observations, .. } => observations.len() * 16,
-            Message::RoundBarrier { .. }
-            | Message::Hello { .. }
-            | Message::CheckpointAck { .. }
-            | Message::Telemetry { .. } => 0,
-            Message::Assign { config, .. } => config.loss.len(),
-            Message::ModelDelta {
-                indices, values, ..
-            } => indices.len() * 4 + values.len() * 8,
-            Message::DatasetShard { weights, chunk, .. } => {
-                weights.len() * 8 + dataset_resident_bytes(chunk)
-            }
-            Message::Checkpoint { state, .. } => {
-                std::mem::size_of::<CheckpointState>()
-                    + state.model.len() * 8
-                    + match &state.sampler {
-                        CheckpointSampler::Sequence { indices, .. } => indices.len() * 4,
-                        CheckpointSampler::Adaptive {
-                            indices, weights, ..
-                        } => indices.len() * 4 + weights.len() * 8,
-                    }
-            }
-        };
-        std::mem::size_of::<Message>() + heap
-    }
-}
-
-fn dataset_resident_bytes(ds: &Dataset) -> usize {
-    ds.rows()
-        .map(|r| r.indices.len() * 4 + r.values.len() * 8 + 16)
-        .sum()
 }
 
 #[cfg(test)]

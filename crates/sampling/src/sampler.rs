@@ -423,6 +423,13 @@ impl AdaptiveIsSampler {
         self.tree.weight(i)
     }
 
+    /// The observation of outcome `i` pending in the open window — the
+    /// max of the window's [`Sampler::update_weight`] calls — or NaN
+    /// when there is none.
+    pub fn pending(&self, i: usize) -> f64 {
+        self.pending[i]
+    }
+
     /// [`Sampler::fill`] of two or more draws, [`SumTree::GROUP`] at a
     /// time: a group's coins and quantiles are rolled in draw order,
     /// then its tree walks descend together ([`SumTree::sample_each`]).

@@ -2,7 +2,6 @@
 
 use crate::error::SparseError;
 use crate::par::map_each;
-use crate::vector::SparseVec;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -483,24 +482,28 @@ impl DatasetBuilder {
             self.push_valid(indices, pairs.iter().map(|&(_, x)| x), label);
             return Ok(());
         }
-        let v = SparseVec::from_pairs(pairs).map_err(|e| match e {
-            SparseError::DuplicateIndex { index, .. } => SparseError::DuplicateIndex { row, index },
-            SparseError::NonFiniteValue { .. } => SparseError::NonFiniteValue { row },
-            other => other,
-        })?;
-        if let Some(&last) = v.indices().last() {
-            if last as usize >= self.dim {
-                return Err(SparseError::IndexOutOfBounds {
-                    index: last,
-                    dim: self.dim,
-                });
+        let mut sorted = pairs.to_vec();
+        sorted.sort_unstable_by_key(|&(i, _)| i);
+        // The first non-finite value or repeated index, in index order,
+        // names the error; the bound is checked once neither is found.
+        let mut prev = None;
+        for &(index, x) in &sorted {
+            if !x.is_finite() {
+                return Err(SparseError::NonFiniteValue { row });
+            }
+            if prev == Some(index) {
+                return Err(SparseError::DuplicateIndex { row, index });
+            }
+            prev = Some(index);
+        }
+        if let Some(&(index, _)) = sorted.last() {
+            if index as usize >= self.dim {
+                let dim = self.dim;
+                return Err(SparseError::IndexOutOfBounds { index, dim });
             }
         }
-        self.push_valid(
-            v.indices().iter().copied(),
-            v.values().iter().copied(),
-            label,
-        );
+        let indices = sorted.iter().map(|&(i, _)| i);
+        self.push_valid(indices, sorted.iter().map(|&(_, x)| x), label);
         Ok(())
     }
 
@@ -630,6 +633,23 @@ mod tests {
             b.push_row(&[(0, 1.0), (0, 2.0)], 1.0),
             Err(SparseError::DuplicateIndex { row: 0, index: 0 })
         ));
+    }
+
+    #[test]
+    fn builder_sorts_unsorted_rows_and_names_their_faults() {
+        let mut b = DatasetBuilder::new(4);
+        b.push_row(&[(3, 1.0), (0, 2.0)], 1.0).unwrap();
+        assert_eq!(
+            b.push_row(&[(2, 1.0), (1, f64::NAN)], 1.0),
+            Err(SparseError::NonFiniteValue { row: 1 })
+        );
+        assert_eq!(
+            b.push_row(&[(1, 1.0), (1, 2.0), (0, 1.0)], 1.0),
+            Err(SparseError::DuplicateIndex { row: 1, index: 1 })
+        );
+        let ds = b.finish();
+        assert_eq!(ds.row(0).indices, &[0, 3]);
+        assert_eq!(ds.row(0).values, &[2.0, 1.0]);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //!
 //! The central types are:
 //!
-//! * [`SparseVec`] — an owned index-compressed vector.
 //! * [`SparseRow`] — a borrowed view of one sample inside a dataset.
 //! * [`Dataset`] — a CSR (compressed sparse row) collection of labelled
 //!   samples, the input to every solver in the workspace.
@@ -41,12 +40,10 @@ pub mod libsvm;
 pub mod par;
 pub mod split;
 pub mod stats;
-pub mod vector;
 pub mod window;
 
 pub use dataset::{Dataset, DatasetBuilder, SparseRow};
 pub use error::SparseError;
 pub use split::holdout_split;
 pub use stats::DatasetStats;
-pub use vector::SparseVec;
 pub use window::RowWindow;

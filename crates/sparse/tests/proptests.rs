@@ -2,7 +2,7 @@
 
 use isasgd_sparse::dataset::shard_ranges;
 use isasgd_sparse::{
-    holdout_split, libsvm, Dataset, DatasetBuilder, RowWindow, SparseError, SparseRow, SparseVec,
+    holdout_split, libsvm, Dataset, DatasetBuilder, RowWindow, SparseError, SparseRow,
 };
 use proptest::prelude::*;
 
@@ -17,6 +17,13 @@ fn row_strategy(dim: u32) -> impl Strategy<Value = (Vec<(u32, f64)>, f64)> {
             let pairs: Vec<(u32, f64)> = m.into_iter().filter(|&(_, v)| v != 0.0).collect();
             (pairs, label)
         })
+}
+
+/// A one-row dataset of width `dim` holding `pairs`.
+fn one_row(dim: usize, pairs: &[(u32, f64)]) -> Dataset {
+    let mut b = DatasetBuilder::new(dim);
+    b.push_row(pairs, 1.0).unwrap();
+    b.finish()
 }
 
 fn dataset_strategy(dim: u32, max_rows: usize) -> impl Strategy<Value = Dataset> {
@@ -34,16 +41,16 @@ proptest! {
     fn sparse_dot_matches_dense_dot(pairs in proptest::collection::btree_map(0u32..64, -10.0f64..10.0, 0..20),
                                     dense in proptest::collection::vec(-10.0f64..10.0, 64)) {
         let pairs: Vec<(u32, f64)> = pairs.into_iter().collect();
-        let v = SparseVec::from_pairs(&pairs).unwrap();
-        let full = v.to_dense(64);
-        let expect: f64 = full.iter().zip(&dense).map(|(a, b)| a * b).sum();
-        prop_assert!((v.dot_dense(&dense) - expect).abs() < 1e-9);
+        let ds = one_row(64, &pairs);
+        let expect: f64 = pairs.iter().map(|&(i, x)| x * dense[i as usize]).sum();
+        prop_assert!((ds.row(0).dot_dense(&dense) - expect).abs() < 1e-9);
     }
 
     #[test]
     fn axpy_is_linear(pairs in proptest::collection::btree_map(0u32..32, -5.0f64..5.0, 1..10),
                       s1 in -3.0f64..3.0, s2 in -3.0f64..3.0) {
-        let v = SparseVec::from_pairs(&pairs.into_iter().collect::<Vec<_>>()).unwrap();
+        let ds = one_row(32, &pairs.into_iter().collect::<Vec<_>>());
+        let v = ds.row(0);
         let mut once = vec![0.0; 32];
         v.axpy_into(s1 + s2, &mut once);
         let mut twice = vec![0.0; 32];
@@ -379,11 +386,11 @@ proptest! {
     }
 }
 
-/// The builder's general path for one row: sort through
-/// `SparseVec::from_pairs`, name the row in its errors, bound the last
-/// index, store — what `push_row` did for every row before sorted rows
-/// got their own path.
-fn push_row_through_from_pairs(
+/// The builder's general path for one row: sort the pairs by index,
+/// refuse the first non-finite value or repeated index in that order,
+/// then an out-of-bounds last index, naming the row; store — what
+/// `push_row` did for every row before sorted rows got their own path.
+fn push_row_sorted(
     b: &mut DatasetBuilder,
     dim: usize,
     pairs: &[(u32, f64)],
@@ -393,17 +400,23 @@ fn push_row_through_from_pairs(
     if label != 1.0 && label != -1.0 {
         return Err(SparseError::BadLabel { row, label });
     }
-    let v = SparseVec::from_pairs(pairs).map_err(|e| match e {
-        SparseError::DuplicateIndex { index, .. } => SparseError::DuplicateIndex { row, index },
-        SparseError::NonFiniteValue { .. } => SparseError::NonFiniteValue { row },
-        other => other,
-    })?;
-    if let Some(&last) = v.indices().last() {
-        if last as usize >= dim {
-            return Err(SparseError::IndexOutOfBounds { index: last, dim });
+    let mut sorted = pairs.to_vec();
+    sorted.sort_unstable_by_key(|&(i, _)| i);
+    for (k, &(index, x)) in sorted.iter().enumerate() {
+        if !x.is_finite() {
+            return Err(SparseError::NonFiniteValue { row });
+        }
+        if k > 0 && sorted[k - 1].0 == index {
+            return Err(SparseError::DuplicateIndex { row, index });
         }
     }
-    b.push_row_unchecked(v.indices(), v.values(), label);
+    let (indices, values): (Vec<u32>, Vec<f64>) = sorted.into_iter().unzip();
+    if let Some(&index) = indices.last() {
+        if index as usize >= dim {
+            return Err(SparseError::IndexOutOfBounds { index, dim });
+        }
+    }
+    b.push_row_unchecked(&indices, &values, label);
     Ok(())
 }
 
@@ -447,7 +460,7 @@ proptest! {
         let (mut fast, mut general) = (DatasetBuilder::new(dim), DatasetBuilder::new(dim));
         for (pairs, label) in &rows {
             let got = fast.push_row(pairs, *label);
-            let want = push_row_through_from_pairs(&mut general, dim, pairs, *label);
+            let want = push_row_sorted(&mut general, dim, pairs, *label);
             prop_assert_eq!(&got, &want, "row {:?}", pairs);
         }
         let (fast, general) = (fast.finish(), general.finish());

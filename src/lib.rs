@@ -82,5 +82,5 @@ pub mod prelude {
         AdaptiveIsSampler, CommitPolicy, Draw, Sampler, SamplingStrategy, ScheduleStream, ShardSpec,
     };
     pub use isasgd_sampling::{AliasTable, SampleSequence, SequenceMode};
-    pub use isasgd_sparse::{libsvm, Dataset, DatasetBuilder, DatasetStats, SparseVec};
+    pub use isasgd_sparse::{libsvm, Dataset, DatasetBuilder, DatasetStats};
 }
