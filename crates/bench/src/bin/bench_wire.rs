@@ -59,13 +59,12 @@ fn model_delta(dim: usize, nnz: usize) -> Message {
     }
 }
 
-fn checkpoint(dim: usize, round: u64) -> Message {
+fn checkpoint(round: u64) -> Message {
     Message::Checkpoint {
         node: 1,
         round,
         state: Box::new(CheckpointState {
             draw_rng: [0x9E37_79B9, 0x7F4A_7C15, 0xF39C_C060, 0x5CED_C834],
-            model: (0..dim).map(|i| (i as f64).sin()).collect(),
             sampler: CheckpointSampler::Adaptive {
                 rows: SHARD_ROWS as u32,
                 commits: 7,
@@ -139,7 +138,7 @@ fn recovery_replay_bytes(rounds: u64, every: u64, dim: usize) -> usize {
     // The newest checkpoint the coordinator has absorbed by round
     // `rounds` (the final-round checkpoint is skipped by design).
     let last_ckpt = (rounds - 1) / every * every;
-    let mut total = checkpoint(dim, last_ckpt).to_bytes().len();
+    let mut total = checkpoint(last_ckpt).to_bytes().len();
     for round in last_ckpt + 1..=rounds {
         total += Message::RoundBarrier { node: 1, round }.to_bytes().len();
         total += Message::ModelUpdate {
@@ -292,10 +291,10 @@ fn measure() -> BTreeMap<&'static str, f64> {
     );
 
     // Checkpoint frames are recovery-bearing traffic now: measure their
-    // codec throughput at the benchmark model shape, and the replay
+    // codec throughput at the benchmark shard shape, and the replay
     // footprint they bound. The 12r/120r pair pins session-length
     // independence (also re-checked as a headline invariant).
-    let ckpt = checkpoint(DIM, 8);
+    let ckpt = checkpoint(8);
     let ckpt_bytes = ckpt.to_bytes();
     let mut buf = Vec::with_capacity(ckpt_bytes.len());
     m.insert(

@@ -876,7 +876,7 @@ impl<'a, L: Loss> Worker<'a, L> {
             Message::Checkpoint { round, state, .. }
                 if self.phase == Phase::Await && round >= self.round =>
             {
-                restore_checkpoint(round, *state, self.base, &mut self.stream, &mut self.model)?;
+                restore_checkpoint(round, *state, self.base, &mut self.stream)?;
                 self.await_round(round.saturating_add(1));
                 Ok(())
             }
@@ -1019,8 +1019,10 @@ impl<'a, L: Loss> Worker<'a, L> {
         Ok(())
     }
 
-    /// The round's checkpoint: the draw stream, the replica and the
-    /// sampler, its adaptive weights as a diff against the shard's.
+    /// The round's checkpoint: the draw stream and the sampler, its
+    /// adaptive weights as a diff against the shard's. The replica
+    /// stays out: the next round's consensus overwrites all of it
+    /// before anything reads it.
     fn checkpoint(&self) -> Message {
         let rows = wire_row(self.range.len());
         let sampler = match self.stream.sampler().snapshot() {
@@ -1045,7 +1047,6 @@ impl<'a, L: Loss> Worker<'a, L> {
             round: self.round,
             state: Box::new(CheckpointState {
                 draw_rng: self.stream.rng_state(),
-                model: self.model.clone(),
                 sampler,
             }),
         }
@@ -1063,25 +1064,17 @@ fn clock(on: bool) -> u64 {
     }
 }
 
-/// Installs the checkpoint of round `round` into a worker's draw stream
-/// and model. The sampler state is checked against the shard's `base`
-/// weights (one per row) and the model's dim before it is installed.
+/// Installs the checkpoint of round `round` into a worker's draw
+/// stream. The sampler state is checked against the shard's `base`
+/// weights (one per row) before it is installed.
 #[deny(clippy::indexing_slicing, clippy::cast_possible_truncation)]
 fn restore_checkpoint(
     round: u64,
     state: CheckpointState,
     base: &[f64],
     stream: &mut ScheduleStream,
-    model: &mut [f64],
 ) -> Result<(), ClusterError> {
     let refuse = |what: String| ClusterError::Worker(format!("checkpoint round {round}: {what}"));
-    if state.model.len() != model.len() {
-        return Err(refuse(format!(
-            "model dim {} != {}",
-            state.model.len(),
-            model.len()
-        )));
-    }
     let rows = match &state.sampler {
         CheckpointSampler::Sequence { rows, .. } | CheckpointSampler::Adaptive { rows, .. } => {
             *rows
@@ -1113,7 +1106,6 @@ fn restore_checkpoint(
         .restore(snap)
         .map_err(|e| ClusterError::Worker(format!("checkpoint restore: {e}")))?;
     stream.set_rng_state(state.draw_rng);
-    model.copy_from_slice(&state.model);
     Ok(())
 }
 
@@ -1171,8 +1163,9 @@ mod tests {
     use isasgd_sampling::CommitPolicy;
     use isasgd_sparse::DatasetBuilder;
 
-    fn skewed(n: usize) -> Dataset {
-        let mut b = DatasetBuilder::new(8);
+    /// Rows with support in features 0..8 of a `dim`-feature set.
+    fn skewed(n: usize, dim: usize) -> Dataset {
+        let mut b = DatasetBuilder::new(dim);
         for i in 0..n {
             let norm = if i % 10 == 0 { 6.0 } else { 0.3 };
             let j = (i % 4) as u32;
@@ -1209,7 +1202,7 @@ mod tests {
     /// `Assign` frame.
     #[test]
     fn worker_refuses_a_shard_that_disagrees_with_its_assignment() {
-        let ds = skewed(60);
+        let ds = skewed(60, 8);
         let weights = vec![1.0; 60];
         let (o, cfg) = (obj(), adaptive_cfg(1));
         let session = cfg.session(&o);
@@ -1234,7 +1227,7 @@ mod tests {
             msg.contains("59 streamed weights for 60 shard rows"),
             "{msg}"
         );
-        let msg = refusal_of(0, &skewed(30), 0..60, &weights);
+        let msg = refusal_of(0, &skewed(30, 8), 0..60, &weights);
         assert!(
             msg.contains("rows 0..30 do not hold the shard 0..60"),
             "{msg}"
@@ -1248,22 +1241,24 @@ mod tests {
         );
     }
 
-    /// Feeds one worker a session by hand, as its coordinator would:
-    /// `head` first (a respawn replay's checkpoint), then rounds
-    /// `from..=rounds`, each starting from `consensus` — the last
-    /// replica received, as a one-node average is. Returns the replicas
-    /// and the checkpoints the worker sent.
+    /// Feeds one worker on 60 rows of `ds` a session by hand, as its
+    /// coordinator would: `head` first (a respawn replay's checkpoint),
+    /// then rounds `from..=rounds`, each starting from `consensus` — the
+    /// last replica received, as a one-node average is. With `poison`,
+    /// the replica is all NaN right after `head` is installed. Returns
+    /// the replicas and the checkpoints the worker sent.
     fn drive(
+        ds: &Dataset,
         cfg: &ClusterConfig,
         head: Option<Message>,
+        poison: bool,
         from: u64,
         mut consensus: Vec<f64>,
     ) -> (Vec<Vec<f64>>, Vec<Message>) {
-        let ds = skewed(60);
         let weights: Vec<f64> = (0..60).map(|i| 1.0 + (i % 7) as f64).collect();
         let o = obj();
         let shard = ShardInput {
-            rows: &ds,
+            rows: ds,
             row_base: 0,
             weights: &weights,
             range: 0..60,
@@ -1271,6 +1266,9 @@ mod tests {
         let mut worker = Worker::new(0, shard, &o, &cfg.session(&o)).unwrap();
         if let Some(m) = head {
             worker.on(m).unwrap();
+        }
+        if poison {
+            worker.model.fill(f64::NAN);
         }
         let (mut replicas, mut checkpoints) = (Vec::new(), Vec::new());
         for round in from..=cfg.rounds as u64 {
@@ -1302,27 +1300,51 @@ mod tests {
     /// A worker whose first frame is a checkpoint of round c — a respawn
     /// replay's shape — installs it and resumes at round c + 1: every
     /// replica it sends is bit-equal to the one a worker that lived
-    /// through the whole session sent.
+    /// through the whole session sent. It does so with its replica all
+    /// NaN right after the install too — the checkpoint leaves the
+    /// replica out because round c + 1's consensus overwrites it before
+    /// anything reads it; a `lend` that read it would spread the NaN.
     #[test]
     fn a_worker_whose_first_frame_is_a_checkpoint_resumes_after_it() {
-        let cfg = ClusterConfig {
-            checkpoint_every: 2,
-            ..adaptive_cfg(1)
-        };
-        let (lived, mut checkpoints) = drive(&cfg, None, 1, vec![0.0; 8]);
+        let (ds, cfg) = (skewed(60, 8), checkpointing_cfg());
+        let (lived, mut checkpoints) = drive(&ds, &cfg, None, false, 1, vec![0.0; 8]);
         assert_eq!((lived.len(), checkpoints.len()), (4, 1));
         let ckpt = checkpoints.pop().unwrap();
         assert!(matches!(ckpt, Message::Checkpoint { round: 2, .. }));
-        // A worker that missed the checkpoint would still await round 1,
-        // dropping round 3's frames: it would send no replica at all.
-        let (resumed, _) = drive(&cfg, Some(ckpt), 3, lived[1].clone());
         let bits = |models: &[Vec<f64>]| -> Vec<Vec<u64>> {
             models
                 .iter()
                 .map(|m| m.iter().map(|x| x.to_bits()).collect())
                 .collect()
         };
-        assert_eq!(bits(&resumed), bits(&lived[2..]));
+        // A worker that missed the checkpoint would still await round 1,
+        // dropping round 3's frames: it would send no replica at all.
+        for poison in [false, true] {
+            let (resumed, _) = drive(&ds, &cfg, Some(ckpt.clone()), poison, 3, lived[1].clone());
+            assert_eq!(bits(&resumed), bits(&lived[2..]), "NaN replica: {poison}");
+        }
+    }
+
+    /// A worker's checkpoint holds nothing sized by its model: the same
+    /// 60 rows in a dim-8 and a dim-100 000 feature space train the same
+    /// trajectory and send byte-identical checkpoints.
+    #[test]
+    fn a_checkpoint_is_the_same_bytes_at_any_model_dim() {
+        let cfg = checkpointing_cfg();
+        let checkpoints = |dim: usize| -> Vec<Vec<u8>> {
+            let (_, ckpts) = drive(&skewed(60, dim), &cfg, None, false, 1, vec![0.0; dim]);
+            ckpts.iter().map(Message::to_bytes).collect()
+        };
+        let narrow = checkpoints(8);
+        assert_eq!(narrow.len(), 1);
+        assert_eq!(narrow, checkpoints(100_000));
+    }
+
+    fn checkpointing_cfg() -> ClusterConfig {
+        ClusterConfig {
+            checkpoint_every: 2,
+            ..adaptive_cfg(1)
+        }
     }
 
     /// A replayed checkpoint whose adaptive weight diff names a row past
@@ -1331,7 +1353,7 @@ mod tests {
     /// undecoded, so the wire's own index bound never sees it.
     #[test]
     fn worker_refuses_a_checkpoint_weight_outside_its_shard() {
-        let ds = skewed(60);
+        let ds = skewed(60, 8);
         let weights = vec![1.0; 60];
         let (o, cfg) = (obj(), adaptive_cfg(1));
         let shard = ShardInput {
@@ -1343,7 +1365,6 @@ mod tests {
         let mut worker = Worker::new(0, shard, &o, &cfg.session(&o)).unwrap();
         let state = CheckpointState {
             draw_rng: [1, 2, 3, 4],
-            model: vec![0.0; ds.dim()],
             sampler: CheckpointSampler::Adaptive {
                 rows: 60,
                 commits: 0,

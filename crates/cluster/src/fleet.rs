@@ -56,12 +56,15 @@
 //! [`ClusterConfig::checkpoint_every`] — whichever is set; two
 //! different values are refused), replay is bounded instead of
 //! whole-session: workers periodically ship a versioned, checksummed
-//! [`Message::Checkpoint`] of their cross-round state; the link stores
-//! the newest blob per slot, acknowledges it, and truncates its log to
-//! the post-checkpoint suffix. Recovery then replays checkpoint +
-//! suffix, so both log memory and respawn cost are bounded by one
-//! checkpoint interval regardless of session length — observable per
-//! slot via [`RecoveryFootprint`].
+//! [`Message::Checkpoint`] of their cross-round state — the draw
+//! stream and the sampler, never the model replica, which the next
+//! replayed consensus overwrites — so a blob's size follows the shard,
+//! not the model dimension. The link stores the newest blob per slot,
+//! acknowledges it, and truncates its log to the post-checkpoint
+//! suffix. Recovery then replays checkpoint + suffix, so both log
+//! memory and respawn cost are bounded by one checkpoint interval
+//! regardless of session length — observable per slot via
+//! [`RecoveryFootprint`].
 
 #![expect(
     clippy::expect_used,
@@ -360,7 +363,7 @@ pub struct SupervisedLink<S: WorkerSpawner> {
     /// The newest worker checkpoint absorbed on this slot, as the round
     /// it covers plus the re-encoded [`Message::Checkpoint`] payload —
     /// stored as wire bytes so respawn replay ships it verbatim without
-    /// holding a decoded model/sampler copy per slot.
+    /// holding a decoded sampler copy per slot.
     ckpt: Option<(u64, Vec<u8>)>,
     /// Successful respawns on this slot (reported in the run's
     /// recovery footprint).
@@ -952,7 +955,6 @@ mod tests {
         // logs; only the links' tx bases keep the newest model.
         let state = CheckpointState {
             draw_rng: [1, 2, 3, 4],
-            model: vec![0.5],
             sampler: CheckpointSampler::Sequence {
                 rows: 1,
                 rng: [5, 6, 7, 8],

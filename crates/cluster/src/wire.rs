@@ -103,15 +103,22 @@ pub const MAX_FRAME: usize = 1 << 28;
 /// (tag 4, never reused) and the round-0 hello barrier it answered: a
 /// worker's node id already names its shard, and its rows arrive with
 /// it, so the coordinator sends round 1 first. A v6 worker would wait
-/// for an assignment that never comes.
-pub const PROTOCOL_VERSION: u32 = 7;
+/// for an assignment that never comes. Version 8 dropped the model
+/// replica from the checkpoint state ([`CHECKPOINT_VERSION`] 2): a
+/// mixed build is refused here, at the handshake, instead of at its
+/// first checkpoint.
+pub const PROTOCOL_VERSION: u32 = 8;
 
 /// Version of the [`Message::Checkpoint`] *state layout*, carried
 /// inside every checkpoint frame independently of [`PROTOCOL_VERSION`]:
 /// a stored blob outlives the connection that produced it, so the
 /// receiver re-validates the layout version at decode time instead of
 /// trusting the session handshake.
-pub const CHECKPOINT_VERSION: u32 = 1;
+///
+/// Version 2 dropped the model replica: the consensus of the round
+/// after the checkpoint overwrites it before anything reads it, so a
+/// checkpoint's size no longer depends on the model dimension.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// How [`Message::ModelUpdate`] traffic is encoded on a socket link.
 ///
@@ -668,19 +675,19 @@ pub struct WorkerTiming {
 }
 
 /// The deterministic worker state a [`Message::Checkpoint`] carries:
-/// everything that survives a round boundary beyond the session config.
+/// everything that survives a round boundary beyond the session config
+/// — the draw stream and the sampler, and nothing sized by the model.
 ///
-/// At a boundary the rest of a worker's state is *derived*: the round
-/// loop overwrites the replica with the consensus model each round, the
-/// draw stream sits at zero emitted draws, and adaptive pending windows
-/// are freshly committed — so this struct plus the replayed post-
-/// checkpoint traffic reproduces the never-killed run bit-for-bit.
+/// At a boundary the rest of a worker's state is *derived*: the
+/// coordinator owns the model, and the next round's consensus
+/// overwrites the whole replica before anything reads it; the draw
+/// stream sits at zero emitted draws, and adaptive pending windows are
+/// freshly committed — so this struct plus the replayed post-checkpoint
+/// traffic reproduces the never-killed run bit-for-bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointState {
     /// The worker's draw RNG stream state at the boundary.
     pub draw_rng: [u64; 4],
-    /// The model replica at the boundary (the round's trained model).
-    pub model: Vec<f64>,
     /// The shard sampler's surviving state.
     pub sampler: CheckpointSampler,
 }
@@ -954,11 +961,13 @@ frames! {
         chunk: Box<Dataset>,
     }
     /// A worker's periodic state checkpoint (versioned and checksummed):
-    /// the coordinator stores the latest blob per slot and truncates
-    /// that slot's replay log to the post-checkpoint suffix, so respawn
-    /// recovery is bounded by one checkpoint interval. Receivers absorb
-    /// duplicates and reordered stale checkpoints idempotently (only a
-    /// strictly newer round replaces the stored blob).
+    /// its draw stream and sampler, no model replica — the next round's
+    /// consensus rebuilds that. The coordinator stores the latest blob
+    /// per slot and truncates that slot's replay log to the
+    /// post-checkpoint suffix, so respawn recovery is bounded by one
+    /// checkpoint interval. Receivers absorb duplicates and reordered
+    /// stale checkpoints idempotently (only a strictly newer round
+    /// replaces the stored blob).
     Checkpoint = 10 custom(put_checkpoint, get_checkpoint) {
         /// Worker that took the checkpoint.
         node: u32,
@@ -1600,7 +1609,6 @@ fn put_checkpoint(out: &mut Vec<u8>, node: &u32, round: &u64, state: &Checkpoint
     node.put(out);
     round.put(out);
     state.draw_rng.put(out);
-    state.model.put(out);
     match &state.sampler {
         CheckpointSampler::Sequence { rows, rng, indices } => {
             out.push(CKPT_SAMPLER_SEQUENCE);
@@ -1633,7 +1641,6 @@ fn get_checkpoint(r: &mut Reader<'_>) -> Result<Message, WireError> {
     let node = u32::get(r)?;
     let round = u64::get(r)?;
     let draw_rng = Wire::get(r)?;
-    let model = Wire::get(r)?;
     let sampler = match r.u8()? {
         CKPT_SAMPLER_SEQUENCE => {
             let rows = u32::get(r)?;
@@ -1673,11 +1680,7 @@ fn get_checkpoint(r: &mut Reader<'_>) -> Result<Message, WireError> {
         "checkpoint frame too short for its checksum",
         "checkpoint checksum mismatch",
     )?;
-    let state = Box::new(CheckpointState {
-        draw_rng,
-        model,
-        sampler,
-    });
+    let state = Box::new(CheckpointState { draw_rng, sampler });
     Ok(Message::Checkpoint { node, round, state })
 }
 
@@ -2088,7 +2091,6 @@ mod tests {
             round: 4,
             state: Box::new(CheckpointState {
                 draw_rng: [1, 2, 3, u64::MAX],
-                model: vec![0.0, -0.0, 1.5, 5e-324, f64::NEG_INFINITY],
                 sampler: CheckpointSampler::Sequence {
                     rows: 6,
                     rng: [9, 8, 7, 6],
@@ -2104,7 +2106,6 @@ mod tests {
             round: 12,
             state: Box::new(CheckpointState {
                 draw_rng: [u64::MAX, 0, 1, 2],
-                model: vec![0.0, -0.0, 1.5],
                 sampler: CheckpointSampler::Adaptive {
                     rows: 4_000_001,
                     commits: 17,
@@ -2262,13 +2263,14 @@ mod tests {
         // between the tag and the first count (zeros decode fine, bar
         // the checkpoint's layout version word).
         let mut ckpt_header = CHECKPOINT_VERSION.to_le_bytes().to_vec();
-        ckpt_header.extend_from_slice(&[0; 4 + 8 + 32]); // node, round, draw_rng
+        // node, round, draw_rng, sequence kind, rows, sequence rng
+        ckpt_header.extend_from_slice(&[0; 4 + 8 + 32 + 1 + 4 + 32]);
         let cases = [
             (FrameKind::ModelUpdate, vec![0; 4 + 8], 8),
             (FrameKind::FeedbackBatch, vec![0; 4 + 8], 12),
             (FrameKind::ModelDelta, vec![0; 4 + 8 + 4], 1), // ≥ 1 varint byte per index
             (FrameKind::DatasetShard, vec![0; 5 * 4], 13),  // label + weight + nnz count
-            (FrameKind::Checkpoint, ckpt_header, 8),
+            (FrameKind::Checkpoint, ckpt_header, 4),
         ];
         for (kind, header, elem_bytes) in cases {
             let mut bytes = vec![kind.tag()];
@@ -2873,18 +2875,32 @@ mod tests {
         );
     }
 
+    /// A blob of another layout is refused by its version word before
+    /// its contents are read: the next layout's, and a well-formed
+    /// version-1 blob, which carried the model replica after the draw
+    /// RNG.
     #[test]
     fn wrong_checkpoint_layout_version_is_refused() {
         let bytes = sequence_checkpoint().to_bytes();
-        let mut bad = bytes.clone();
+        let mut next = bytes.clone();
         // The layout version is the u32 right after the tag.
-        bad[1..5].copy_from_slice(&(CHECKPOINT_VERSION + 1).to_le_bytes());
-        assert_eq!(
-            Message::decode(&bad),
-            Err(WireError::Invalid {
-                what: "unsupported checkpoint layout version"
-            })
-        );
+        next[1..5].copy_from_slice(&(CHECKPOINT_VERSION + 1).to_le_bytes());
+        // node, round and draw_rng, then the replica, then the sampler.
+        let (head, sampler) = bytes[5..bytes.len() - 8].split_at(4 + 8 + 32);
+        let mut v1 = vec![FrameKind::Checkpoint.tag()];
+        1u32.put(&mut v1);
+        v1.extend_from_slice(head);
+        vec![0.5f64, -1.0].put(&mut v1);
+        v1.extend_from_slice(sampler);
+        fnv1a(&v1[1..]).put(&mut v1);
+        for bad in [next, v1] {
+            assert_eq!(
+                Message::decode(&bad),
+                Err(WireError::Invalid {
+                    what: "unsupported checkpoint layout version"
+                })
+            );
+        }
     }
 
     #[test]
@@ -2895,7 +2911,6 @@ mod tests {
                 round: 1,
                 state: Box::new(CheckpointState {
                     draw_rng: [1, 2, 3, 4],
-                    model: vec![1.0],
                     sampler,
                 }),
             }
@@ -2941,13 +2956,13 @@ mod tests {
         ));
         // Bad sampler kind tag: corrupt the kind byte of a valid frame.
         // It sits after tag(1) + version(4) + node(4) + round(8) +
-        // draw_rng(32) + model count(4) + 1 model coordinate(8).
+        // draw_rng(32).
         let mut bytes = encode_with(CheckpointSampler::Sequence {
             rows: 1,
             rng: [1, 2, 3, 4],
             indices: vec![0],
         });
-        bytes[1 + 4 + 4 + 8 + 32 + 4 + 8] = 0xEE;
+        bytes[1 + 4 + 4 + 8 + 32] = 0xEE;
         assert!(matches!(
             Message::decode(&bytes),
             Err(WireError::BadEnum {
@@ -2963,7 +2978,12 @@ mod tests {
         for w in [1u64, 2, 3, 4] {
             u64::put(&w, &mut bytes);
         }
-        u32::put(&u32::MAX, &mut bytes); // declared model count
+        bytes.push(CKPT_SAMPLER_SEQUENCE);
+        u32::put(&u32::MAX, &mut bytes); // rows
+        for w in [5u64, 6, 7, 8] {
+            u64::put(&w, &mut bytes);
+        }
+        u32::put(&u32::MAX, &mut bytes); // declared sequence index count
         assert!(matches!(
             Message::decode(&bytes),
             Err(WireError::Truncated { .. })

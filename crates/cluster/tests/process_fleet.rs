@@ -43,7 +43,7 @@ use isasgd_core::{
     train, Algorithm, CommitPolicy, Execution, ImportanceScheme, LogisticLoss, Objective,
     Regularizer, SamplingStrategy, SquaredHingeLoss, TrainConfig,
 };
-use isasgd_sparse::Dataset;
+use isasgd_sparse::{Dataset, DatasetBuilder};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::mpsc::channel;
@@ -555,6 +555,52 @@ fn replay_footprint_is_bounded_by_one_checkpoint_interval() {
     assert_eq!(short.net[1].tx_bytes_for(FrameKind::Checkpoint), 0);
 }
 
+/// A stored checkpoint is the worker's draw stream and sampler, not its
+/// model replica: on a 2^16-feature set, a respawned slot's blob stays
+/// under the 8·dim bytes one replica alone would take, and the run
+/// still ends on the undisturbed model.
+#[test]
+fn a_stored_checkpoint_is_smaller_than_one_replica() {
+    let dim = 1 << 16;
+    let ds = {
+        let mut b = DatasetBuilder::new(dim);
+        for i in 0..120 {
+            let (norm, y) = (if i % 10 == 0 { 6.0 } else { 0.3 }, [1.0, -1.0][i % 2]);
+            let j = (i * 547 % dim) as u32;
+            b.push_row(&[(j, y * norm), (j + 1, 0.5 * y * norm)], y)
+                .unwrap();
+        }
+        b.finish()
+    };
+    let cfg = ClusterConfig {
+        rounds: 6,
+        ..adaptive_cfg(2)
+    };
+    let clean = run(&ds, &obj(), &cfg).unwrap();
+    let pc = ProcessConfig {
+        on_loss: WorkerLossPolicy::Respawn,
+        checkpoint_every: 2,
+        ..fleet_pc()
+    };
+    let killed = run_fleet_guarded(
+        ds,
+        cfg,
+        pc,
+        ThreadSpawner {
+            die_at: Some((1, 5)),
+        },
+    )
+    .unwrap();
+    assert_eq!(killed.model, clean.model);
+    let fp = &killed.recovery[1];
+    assert_eq!((fp.respawns, fp.checkpoint_round), (1, 4));
+    assert!(
+        fp.checkpoint_bytes > 0 && fp.checkpoint_bytes < 8 * dim as u64,
+        "stored checkpoint of {} B",
+        fp.checkpoint_bytes
+    );
+}
+
 /// A library caller who sets the cadence only on `ClusterConfig` (the
 /// field every other transport reads) gets checkpoints from the fleet
 /// too: workers are told that cadence and the supervisor stores blobs.
@@ -877,9 +923,11 @@ fn junk_connections_do_not_disturb_admission() {
 #[test]
 fn junk_only_workers_time_out_with_a_typed_error() {
     // A spawner that never produces a valid worker — only a socket
-    // speaking garbage. The handshake deadline must fire with a typed
-    // error naming the last rejection, not hang the accept loop.
-    struct JunkOnlySpawner;
+    // speaking a Hello of another protocol version: the next one, and
+    // version 7, whose checkpoints still carried the model replica. The
+    // handshake deadline must fire with a typed error naming the last
+    // rejection, not hang the accept loop.
+    struct JunkOnlySpawner(u32);
     impl WorkerSpawner for JunkOnlySpawner {
         fn spawn(
             &mut self,
@@ -888,9 +936,9 @@ fn junk_only_workers_time_out_with_a_typed_error() {
             _respawn: bool,
         ) -> Result<Box<dyn WorkerHandle>, ClusterError> {
             let addr = addr.to_string();
+            let version = self.0.to_le_bytes();
             let handle = std::thread::spawn(move || {
                 if let Ok(mut s) = TcpStream::connect(&addr) {
-                    let version = (PROTOCOL_VERSION + 1).to_le_bytes();
                     let mut frame = vec![5u8, 0, 0, 0, 5];
                     frame.extend_from_slice(&version);
                     let _ = s.write_all(&frame);
@@ -902,36 +950,41 @@ fn junk_only_workers_time_out_with_a_typed_error() {
             Ok(Box::new(ThreadWorker(Some(handle))))
         }
     }
-    let ds = skewed(60);
-    let cfg = ClusterConfig {
-        rounds: 1,
-        ..adaptive_cfg(1)
-    };
-    let pc = ProcessConfig {
-        handshake_timeout_ms: 700,
-        ..fleet_pc()
-    };
-    let (tx, rx) = channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(run_fleet_with(&ds, &obj(), &cfg, &pc, JunkOnlySpawner));
-    });
-    let err = rx
-        .recv_timeout(Duration::from_secs(60))
-        .expect("handshake deadline never fired")
-        .expect_err("a junk-only worker slot must fail admission");
-    match err {
-        ClusterError::WorkerLost { node, detail } => {
-            assert_eq!(node, 0);
-            assert!(
-                detail.contains("handshake"),
-                "error must name the handshake: {detail}"
-            );
-            assert!(
-                detail.contains("version"),
-                "error must surface the typed wire rejection: {detail}"
-            );
+    for version in [PROTOCOL_VERSION + 1, 7] {
+        let ds = skewed(60);
+        let cfg = ClusterConfig {
+            rounds: 1,
+            ..adaptive_cfg(1)
+        };
+        let pc = ProcessConfig {
+            handshake_timeout_ms: 700,
+            ..fleet_pc()
+        };
+        let spawner = JunkOnlySpawner(version);
+        let (tx, rx) = channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(run_fleet_with(&ds, &obj(), &cfg, &pc, spawner));
+        });
+        let err = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("handshake deadline never fired")
+            .expect_err("a junk-only worker slot must fail admission");
+        match err {
+            ClusterError::WorkerLost { node, detail } => {
+                assert_eq!(node, 0);
+                assert!(
+                    detail.contains("handshake"),
+                    "error must name the handshake: {detail}"
+                );
+                let refusal =
+                    format!("protocol version {version} (this build speaks {PROTOCOL_VERSION})");
+                assert!(
+                    detail.contains(&refusal),
+                    "error must surface the typed wire rejection: {detail}"
+                );
+            }
+            other => panic!("expected WorkerLost, got {other}"),
         }
-        other => panic!("expected WorkerLost, got {other}"),
     }
 }
 

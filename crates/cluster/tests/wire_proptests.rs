@@ -317,20 +317,13 @@ fn arb_checkpoint_sampler() -> impl Strategy<Value = CheckpointSampler> {
 fn arb_checkpoint() -> impl Strategy<Value = Message> {
     (
         (0u32..=u32::MAX, 0u64..=u64::MAX, arb_rng_state()),
-        prop::collection::vec(arb_f64(), 0..32),
         arb_checkpoint_sampler(),
     )
-        .prop_map(
-            |((node, round, draw_rng), model, sampler)| Message::Checkpoint {
-                node,
-                round,
-                state: Box::new(CheckpointState {
-                    draw_rng,
-                    model,
-                    sampler,
-                }),
-            },
-        )
+        .prop_map(|((node, round, draw_rng), sampler)| Message::Checkpoint {
+            node,
+            round,
+            state: Box::new(CheckpointState { draw_rng, sampler }),
+        })
 }
 
 fn arb_checkpoint_ack() -> impl Strategy<Value = Message> {
