@@ -15,11 +15,14 @@
 //!
 //! The solver runtime in `isasgd-core` drives its compute/apply-split
 //! [`Solver`](../isasgd_core/solvers/solver/trait.Solver.html) updates
-//! through the queue, drawing each worker's stream lazily round-robin —
-//! at global step `t`, worker `t mod k` takes a step from its live
-//! `ScheduleStream` (no schedule is ever materialized): with `τ = 0` the
-//! simulation *is* the sequential algorithm (the queue passes items
-//! straight through), and growing τ reproduces the convergence
+//! through the queue, taking each worker's draws one at a time,
+//! round-robin, from the worker's `ShardStepper` — at global step `t`,
+//! worker `t mod k` takes a step from its live `ScheduleStream`. No
+//! schedule is ever materialized, and while a sampler commit can land
+//! mid-epoch the stepper pulls one draw at a time, since a step's
+//! observation reaches the stream only when its update applies. With
+//! `τ = 0` the simulation *is* the sequential algorithm (the queue
+//! passes items straight through), and growing τ reproduces the convergence
 //! degradation that the paper's Figures 3–5 show for 16/32/44 threads —
 //! on any machine, with a fixed seed. (An earlier in-crate
 //! `StalenessEngine` hard-coded the SGD kernel here, and an earlier

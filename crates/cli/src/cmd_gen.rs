@@ -66,8 +66,8 @@ pub fn run(o: &Opts) -> Result<(), String> {
     }
     let g = generate(&p, seed);
     isasgd_sparse::libsvm::write_file(&g.dataset, &out).map_err(|e| e.to_string())?;
-    println!(
-        "wrote {out}: n={} d={} nnz={} flipped={:.4}",
+    out!(
+        "wrote {out}: n={} d={} nnz={} flipped={:.4}\n",
         g.dataset.n_samples(),
         g.dataset.dim(),
         g.dataset.nnz(),

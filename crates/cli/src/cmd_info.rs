@@ -32,18 +32,18 @@ pub fn run(o: &Opts) -> Result<(), String> {
     }
     let stats = isasgd_sparse::DatasetStats::compute(&ds);
 
-    println!("dataset            {data_path}");
-    println!("instances          {}", ds.n_samples());
-    println!("dimension          {}", ds.dim());
-    println!("nnz                {}", ds.nnz());
-    println!("density            {:.3e}", ds.density());
-    println!("mean nnz/row       {:.2}", ds.mean_nnz());
+    out!("dataset            {data_path}\n");
+    out!("instances          {}\n", ds.n_samples());
+    out!("dimension          {}\n", ds.dim());
+    out!("nnz                {}\n", ds.nnz());
+    out!("density            {:.3e}\n", ds.density());
+    out!("mean nnz/row       {:.2}\n", ds.mean_nnz());
     match ds.shared_value() {
-        Some(v) => println!("values             one shared value {v}, stored once"),
-        None => println!("values             one per non-zero"),
+        Some(v) => out!("values             one shared value {v}, stored once\n"),
+        None => out!("values             one per non-zero\n"),
     }
-    println!("positive fraction  {:.4}", stats.positive_fraction);
-    println!("active features    {}", stats.active_features);
+    out!("positive fraction  {:.4}\n", stats.positive_fraction);
+    out!("active features    {}\n", stats.active_features);
 
     // Importance structure under the paper's Eq. 12 constants.
     let w = importance_weights(
@@ -54,16 +54,18 @@ pub fn run(o: &Opts) -> Result<(), String> {
     );
     let profile = ImportanceProfile::compute(&w);
     let l = LipschitzSummary::from_weights(&w);
-    println!("\nimportance (L_i = ‖x_i‖²/4, logistic)");
-    println!("psi/n (Eq. 15)     {:.4}", profile.psi_normalized);
-    println!("rho   (Eq. 20)     {:.4e}", profile.rho);
-    println!(
-        "L mean/sup/inf     {:.4} / {:.4} / {:.4}",
-        l.mean, l.sup, l.inf
+    out!("\nimportance (L_i = ‖x_i‖²/4, logistic)\n");
+    out!("psi/n (Eq. 15)     {:.4}\n", profile.psi_normalized);
+    out!("rho   (Eq. 20)     {:.4e}\n", profile.rho);
+    out!(
+        "L mean/sup/inf     {:.4} / {:.4} / {:.4}\n",
+        l.mean,
+        l.sup,
+        l.inf
     );
-    println!("IS gain (Eq13/14)  {:.4}x", is_improvement_factor(&w));
-    println!(
-        "balancing hint     {}",
+    out!("IS gain (Eq13/14)  {:.4}x\n", is_improvement_factor(&w));
+    out!(
+        "balancing hint     {}\n",
         if profile.rho >= 5e-4 {
             "rho ≥ ζ — importance balancing recommended (Alg. 3)"
         } else {
@@ -77,14 +79,14 @@ pub fn run(o: &Opts) -> Result<(), String> {
     } else {
         ConflictStats::estimate(&ds, sample, seed)
     };
-    println!("\nconflict graph (§3.1)");
-    println!("avg degree Δ̄      {:.2}", c.avg_degree);
-    println!(
-        "Δ̄/n               {:.4}",
+    out!("\nconflict graph (§3.1)\n");
+    out!("avg degree Δ̄      {:.2}\n", c.avg_degree);
+    out!(
+        "Δ̄/n               {:.4}\n",
         c.avg_degree / ds.n_samples().max(1) as f64
     );
-    println!(
-        "τ budget hint      n/Δ̄ ≈ {:.0} (Eq. 27 first term)",
+    out!(
+        "τ budget hint      n/Δ̄ ≈ {:.0} (Eq. 27 first term)\n",
         ds.n_samples() as f64 / c.avg_degree.max(1e-12)
     );
     Ok(())

@@ -38,8 +38,8 @@ pub fn run(o: &Opts) -> Result<(), String> {
     out.flush().map_err(|e| e.to_string())?;
 
     let n = ds.n_samples().max(1);
-    println!(
-        "model={} ({} weights)  n={}  error_rate={:.6}",
+    out!(
+        "model={} ({} weights)  n={}  error_rate={:.6}\n",
         model.algorithm,
         model.nnz(),
         ds.n_samples(),

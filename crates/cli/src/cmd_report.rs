@@ -29,7 +29,7 @@ pub fn run(o: &Opts) -> Result<(), String> {
 
     let text = std::fs::read_to_string(&path).map_err(|e| format!("reading trace {path}: {e}"))?;
     let report = analyze(&text)?;
-    print!("{}", report.render(&path));
+    out!("{}", report.render(&path));
     report.expect_rounds(expect_rounds)
 }
 

@@ -246,9 +246,9 @@ fn report_cluster(
         let rx: u64 = r.net.iter().map(|s| s.rx_total_bytes()).sum();
         format!(" wire_tx_bytes={tx} wire_rx_bytes={rx}")
     };
-    println!(
+    out!(
         "algorithm={} transport={} nodes={} rounds={} local_epochs={} \
-         phi_imbalance={:.4} final_obj={:.6} final_err={:.6} train_secs={:.3}{}",
+         phi_imbalance={:.4} final_obj={:.6} final_err={:.6} train_secs={:.3}{}\n",
         r.trace.algorithm,
         cluster.transport.name(),
         cluster.nodes,
@@ -271,8 +271,8 @@ fn report_holdout(spec: &TrainSpec, model: &[f64], test: Option<&Dataset>) {
         Objective::new(loss, spec.regularizer).eval(te, model)
     })
     .expect(LOSS_IS_KNOWN);
-    println!(
-        "holdout_n={} holdout_obj={:.6} holdout_err={:.6}",
+    out!(
+        "holdout_n={} holdout_obj={:.6} holdout_err={:.6}\n",
         te.n_samples(),
         metrics.objective,
         metrics.error_rate
@@ -327,9 +327,9 @@ fn report(spec: &TrainSpec, r: &RunResult, test: Option<&Dataset>, quiet: bool) 
             );
         }
     }
-    println!(
+    out!(
         "algorithm={} epochs={} train_secs={:.3} setup_secs={:.4} final_obj={:.6} \
-         final_err={:.6} sampler_commits={}",
+         final_err={:.6} sampler_commits={}\n",
         r.trace.algorithm,
         spec.epochs,
         r.train_secs,

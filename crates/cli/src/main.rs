@@ -21,6 +21,16 @@
     )
 )]
 
+/// `print!` for every stdout write the binary makes: once the reader has
+/// gone (`isasgd info f.svm | head -5`) later prints are dropped, where
+/// `print!` would panic. The command still does everything else it does
+/// and exits with its own status.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
 mod cmd_gen;
 mod cmd_info;
 mod cmd_predict;
@@ -50,6 +60,19 @@ COMMANDS
 Run `isasgd <command> --help` for command flags.
 ";
 
+/// The one stdout writer, behind `out!`: a broken pipe is ignored (the
+/// reader is gone for good, so every later write meets it too), and the
+/// command goes on to save its model, flush its trace or check its
+/// rounds and exits with its usual status. Any other write error panics
+/// as `print!` does.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::{ErrorKind, Write};
+    match std::io::stdout().write_fmt(args) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => panic!("failed printing to stdout: {e}"),
+        _ => {}
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let o = Opts::parse(args);
@@ -64,7 +87,7 @@ fn main() {
             Some("report") => cmd_report::HELP,
             _ => HELP,
         };
-        print!("{text}");
+        out!("{text}");
         return;
     }
     let result = match cmd {
@@ -83,7 +106,7 @@ fn main() {
             std::process::exit(2)
         }
         None => {
-            print!("{HELP}");
+            out!("{HELP}");
             std::process::exit(2)
         }
     };

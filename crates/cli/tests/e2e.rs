@@ -765,6 +765,85 @@ fn info_reports_a_binary_profile_value_stored_once() {
     std::fs::remove_dir_all(dir).ok();
 }
 
+/// Runs `cmd` with stdout on a pipe whose reader is already dropped, so
+/// its first printed line meets a broken pipe (`… | head -1`, made
+/// deterministic).
+fn run_with_closed_stdout(mut cmd: Command) -> std::process::Output {
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    let out = cmd.stdout(writer).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!err.contains("panicked"), "{err}");
+    out
+}
+
+/// A reader that stops early (`isasgd info f.svm | head -5`) closes
+/// stdout under the report: the command ends quietly with exit 0, not
+/// with a panic and a backtrace.
+#[test]
+fn a_closed_stdout_ends_info_quietly() {
+    let dir = tmpdir("epipe");
+    let data = dir.join("d.svm");
+    std::fs::write(&data, "1 1:0.5 2:1\n-1 1:1 3:2\n").unwrap();
+    let mut cmd = bin();
+    cmd.arg("info").arg(&data);
+    let out = run_with_closed_stdout(cmd);
+    assert!(
+        out.status.success(),
+        "{:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// A closed stdout drops the prints, not the work after them: `train`
+/// prints its summary before it saves the model and flushes the trace,
+/// and `report` prints before it checks round coverage. Both must still
+/// happen, and a failed check must still exit 2.
+#[test]
+fn a_closed_stdout_still_saves_the_model_and_checks_the_rounds() {
+    let dir = tmpdir("epipe_work");
+    let data = gen_data(&dir);
+    let model = dir.join("m.json");
+    let trace = dir.join("t.jsonl");
+    let mut cmd = bin();
+    cmd.arg("train")
+        .arg(&data)
+        .args([
+            "--algo", "is-sgd", "--epochs", "2", "--seed", "7", "--model",
+        ])
+        .arg(&model)
+        .arg("--trace-out")
+        .arg(&trace);
+    let out = run_with_closed_stdout(cmd);
+    assert!(
+        out.status.success(),
+        "{:?}: {}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(model.exists(), "no model written");
+    let events = std::fs::read_to_string(&trace).unwrap();
+    assert!(events.contains("\"event\":\"dataset_loaded\""), "{events}");
+
+    let rounds = dir.join("r.jsonl");
+    std::fs::write(
+        &rounds,
+        r#"{"ts_us":3,"event":"round_end","round":1,"objective":0.5,"rmse":0.7,"error_rate":0.25,"wall_us":2000}"#,
+    )
+    .unwrap();
+    let mut cmd = bin();
+    cmd.arg("report")
+        .arg(&rounds)
+        .args(["--expect-rounds", "3"]);
+    let out = run_with_closed_stdout(cmd);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("covers 1 of 3 expected rounds"), "{err}");
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// A zero-row file has no mean, sup or inf to report: `info` refuses it
 /// the way `train` does, before printing anything.
 #[test]

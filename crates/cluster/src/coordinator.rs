@@ -61,10 +61,10 @@ use isasgd_losses::{importance_weights, sgd_step, Loss, Objective};
 use isasgd_metrics::{Trace, TracePoint};
 use isasgd_obs::{monotonic_us, Event};
 use isasgd_sampling::{
-    balance_seed, AdaptiveIsSampler, CommitPolicy, Draw, Sampler, SamplerSnapshot, SamplingError,
-    SamplingStrategy, ScheduleStream, SequenceMode, ShardSpec,
+    balance_seed, AdaptiveIsSampler, Sampler, SamplerSnapshot, SamplingError, SamplingStrategy,
+    ScheduleStream, SequenceMode, ShardSpec, ShardStepper,
 };
-use isasgd_sparse::{Dataset, RowWindow};
+use isasgd_sparse::Dataset;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
@@ -675,10 +675,11 @@ enum Phase {
 }
 
 /// One worker as a machine: node `k` trains shard `k`, runs local
-/// (IS-)SGD epochs on its own [`ScheduleStream`], and reports its
-/// replica and importance observations every round. It reads only what
-/// crosses the wire: frames, its shard, and the [`SessionConfig`] — the
-/// coordinator-only half of a `ClusterConfig` (balance, sync,
+/// (IS-)SGD epochs on its own [`ScheduleStream`] through the
+/// [`ShardStepper`] every runtime steps its shards with, and reports
+/// its replica and importance observations every round. It reads only
+/// what crosses the wire: frames, its shard, and the [`SessionConfig`]
+/// — the coordinator-only half of a `ClusterConfig` (balance, sync,
 /// transport) never reaches it.
 pub struct Worker<'a, L: Loss> {
     obj: &'a Objective<L>,
@@ -688,15 +689,8 @@ pub struct Worker<'a, L: Loss> {
     row_base: usize,
     /// The shard's configured importance weights, one per row.
     base: &'a [f64],
-    range: Range<usize>,
-    window: RowWindow,
-    /// One pull of draws.
-    draws: Vec<Draw>,
-    /// Draws per pull: one while commits steer the epoch's own
-    /// remaining draws, a gathered window otherwise.
-    pull: usize,
+    stepper: ShardStepper,
     stream: ScheduleStream,
-    adaptive: bool,
     /// The replica; lent out in the round's `ModelUpdate` until it is
     /// sent.
     model: Vec<f64>,
@@ -760,9 +754,8 @@ impl<'a, L: Loss> Worker<'a, L> {
                 range.end
             )));
         }
-        // Built before the session's working set (RowWindow's docs).
-        let window = RowWindow::with_row_capacity(rows.max_row_nnz());
-        let draws = Vec::with_capacity(RowWindow::ROWS);
+        // Built before the session's working set (ShardStepper's docs).
+        let stepper = ShardStepper::new(rows.max_row_nnz());
         // Node `k` trains shard `k` of the session's `cfg.nodes`. A node
         // id the session does not have (an `Assign` naming a worker past
         // the node count) is refused here, by the one constructor that
@@ -784,12 +777,6 @@ impl<'a, L: Loss> Worker<'a, L> {
             }
             e => ClusterError::InvalidConfig(e.to_string()),
         })?;
-        let adaptive = stream.sampler().is_adaptive();
-        let pull = if adaptive && matches!(cfg.commit, CommitPolicy::EveryK(_)) {
-            1
-        } else {
-            RowWindow::ROWS
-        };
         let model = vec![0.0; rows.dim()];
         let obs_max = vec![f64::NEG_INFINITY; range.len()];
         let visited = vec![false; range.len()];
@@ -804,12 +791,8 @@ impl<'a, L: Loss> Worker<'a, L> {
             rows,
             row_base,
             base,
-            range,
-            window,
-            draws,
-            pull,
+            stepper,
             stream,
-            adaptive,
             model,
             obs_max,
             visited,
@@ -959,7 +942,7 @@ impl<'a, L: Loss> Worker<'a, L> {
                 self.id
             )));
         }
-        if self.adaptive {
+        if self.stream.sampler().is_adaptive() {
             self.obs_max.fill(f64::NEG_INFINITY);
             self.visited.fill(false);
         }
@@ -974,10 +957,10 @@ impl<'a, L: Loss> Worker<'a, L> {
         }
         let compute_us = clock(telemetry).saturating_sub(compute_t0);
         let mut commits = 0u64;
-        if self.adaptive {
+        if self.stream.sampler().is_adaptive() {
             let observations: Vec<(u32, f64)> = self
-                .range
-                .clone()
+                .stream
+                .range()
                 .zip(self.visited.iter().zip(&self.obs_max))
                 .filter(|&(_, (&v, _))| v)
                 .map(|(row, (_, &observed))| (wire_row(row), observed))
@@ -1005,7 +988,7 @@ impl<'a, L: Loss> Worker<'a, L> {
                 timing: WorkerTiming {
                     compute_us,
                     barrier_wait_us,
-                    rows: u64::from(self.cfg.local_epochs) * self.range.len() as u64,
+                    rows: u64::from(self.cfg.local_epochs) * self.stream.epoch_len() as u64,
                     commits,
                 },
             });
@@ -1024,7 +1007,7 @@ impl<'a, L: Loss> Worker<'a, L> {
     /// stays out: the next round's consensus overwrites all of it
     /// before anything reads it.
     fn checkpoint(&self) -> Message {
-        let rows = wire_row(self.range.len());
+        let rows = wire_row(self.stream.epoch_len());
         let sampler = match self.stream.sampler().snapshot() {
             SamplerSnapshot::Sequence { rng, indices } => {
                 CheckpointSampler::Sequence { rows, rng, indices }
@@ -1110,49 +1093,31 @@ fn restore_checkpoint(
 }
 
 impl<L: Loss> Worker<'_, L> {
-    /// One local epoch of sequential (IS-)SGD on the node's shard, drawn
-    /// through the node's [`ScheduleStream`] `pull` draws at a time, each
-    /// pull stepped through a [`RowWindow`] of its gathered rows (a draw's
-    /// global row is storage row `row - row_base`). Each observed gradient
-    /// scale goes back through [`ScheduleStream::observe`] — the single
-    /// scaling convention this runtime shares with the `isasgd-core`
-    /// engine — which feeds the stream's own sampler and is a no-op for
-    /// uniform/static sampling. Under intra-epoch commits the worker pulls
-    /// one draw at a time: the sampler re-weights mid-epoch and the very
-    /// next draw sees it, matching the engine's sequential streaming path
-    /// draw-for-draw; otherwise the distribution is frozen all epoch, so a
-    /// window of [`RowWindow::ROWS`] draws is the same draws. The scaled
-    /// observations are additionally max-reduced into `obs_max`/`visited`
-    /// for the round's [`Message::FeedbackBatch`].
+    /// One local epoch of sequential (IS-)SGD on the node's shard,
+    /// stepped by the node's [`ShardStepper`] (a draw's global row is
+    /// storage row `row - row_base`). Each observed gradient scale goes
+    /// back through [`ScheduleStream::observe`] — the scaling convention
+    /// this runtime shares with the `isasgd-core` engine — which feeds
+    /// the stream's own sampler, so under intra-epoch commits the next
+    /// pull sees the re-weighting exactly where the engine's sequential
+    /// runtime does. The scaled observations are additionally
+    /// max-reduced into `obs_max`/`visited` for the round's
+    /// [`Message::FeedbackBatch`].
     fn local_epoch(&mut self) {
-        let Worker {
-            obj,
-            cfg,
-            rows,
-            row_base,
-            window,
-            draws,
-            pull,
-            stream,
-            model,
-            obs_max,
-            visited,
-            ..
-        } = self;
-        let (obj, row_base, lambda) = (*obj, *row_base, cfg.step_size);
-        let model = model.as_mut_slice();
-        let start = stream.range().start;
-        while stream.fill_chunk(draws, *pull) > 0 {
-            let row_of = |d: &Draw| d.row as usize - row_base;
-            window.walk(rows, draws, row_of, |d, row| {
-                let g = sgd_step(obj, row, lambda * d.corr, model);
-                if let Some(observed) = stream.observe(d.row as usize, g.abs()) {
-                    let local = d.row as usize - start;
-                    obs_max[local] = obs_max[local].max(observed);
-                    visited[local] = true;
-                }
-            });
-        }
+        let (obj, lambda, start) = (self.obj, self.cfg.step_size, self.stream.range().start);
+        let (model, obs_max, visited) = (&mut self.model[..], &mut self.obs_max, &mut self.visited);
+        self.stepper.epoch(
+            &mut self.stream,
+            self.rows,
+            self.row_base,
+            |pull| pull(),
+            |d, row| sgd_step(obj, row, lambda * d.corr, model).abs(),
+            |row, observed| {
+                let local = row - start;
+                obs_max[local] = obs_max[local].max(observed);
+                visited[local] = true;
+            },
+        );
     }
 }
 

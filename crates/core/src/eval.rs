@@ -83,6 +83,15 @@ impl TrainTimer {
         }
     }
 
+    /// Runs `f` on `other`'s clock: this timer pauses around it.
+    pub fn pause_for(&mut self, other: &mut TrainTimer, f: &mut dyn FnMut()) {
+        self.stop();
+        other.start();
+        f();
+        other.stop();
+        self.start();
+    }
+
     /// Total accumulated seconds (excluding a currently running segment).
     pub fn seconds(&self) -> f64 {
         self.accumulated.as_secs_f64()

@@ -5,9 +5,9 @@
 //! ([`Algorithm`], [`Execution`]) pair, resolves the
 //! [`SamplingStrategy`], constructs the matching
 //! [`Solver`](solvers::Solver) kernel, and hands it to the shared
-//! [`ExecutionEngine`](solvers::engine::run_engine) — which owns the
+//! [`run_engine`](solvers::engine::run_engine) — which owns the
 //! epoch loop, worker pool, staleness queue, timing and
-//! [`Trace`](isasgd_metrics::Trace) recording for *every* solver.
+//! [`Trace`] recording for *every* solver.
 //!
 //! # Algorithm × execution matrix
 //!
@@ -37,7 +37,7 @@
 //! [`ScheduleStream`](isasgd_sampling::ScheduleStream), built by the one
 //! constructor `isasgd-cluster` nodes use too
 //! ([`ScheduleStream::for_shard`](isasgd_sampling::ScheduleStream::for_shard)):
-//! it owns the shard's boxed [`Sampler`](isasgd_sampling::Sampler), its
+//! it owns the shard's boxed [`Sampler`], its
 //! draw RNG and its observation path. Draws are pulled in bounded chunks
 //! from the live distribution on every execution mode (no schedule is
 //! ever materialized), so intra-epoch re-weighting
@@ -61,7 +61,7 @@
 //! strategies.
 //!
 //! Every run produces a [`RunResult`] with a
-//! [`Trace`](isasgd_metrics::Trace) (per-epoch RMSE / error-rate /
+//! [`Trace`] (per-epoch RMSE / error-rate /
 //! wall-clock, evaluation time excluded) and timing breakdowns, which the
 //! experiment harness turns into the paper's figures.
 

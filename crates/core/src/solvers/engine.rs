@@ -5,35 +5,33 @@
 //! queueing, timing and trace bookkeeping live here once, for every
 //! solver kernel:
 //!
-//! * **Sequential** — per draw of the single shard's stream: `compute`,
-//!   `apply`, `observe`. This arm is the oracle the other runtimes are
-//!   pinned against (simulated at τ = 0, threaded with one worker, a
-//!   one-node cluster), so it carries nothing they do not.
+//! * **Sequential** — the single shard's [`ShardStepper`] steps its
+//!   epoch with the solver's `compute` and `apply`. This arm is the
+//!   oracle the other runtimes are pinned against (simulated at τ = 0,
+//!   threaded with one worker, a one-node cluster), so it carries
+//!   nothing they do not.
 //! * **`Threads(k)`** — real lock-free Hogwild workers over a
-//!   [`SharedModel`], each pulling chunks from its own shard's
-//!   [`ScheduleStream`] through the solver's
+//!   [`SharedModel`], each stepping its own shard's [`ShardStepper`]
+//!   with the solver's
 //!   [`SharedKernel`](crate::solvers::solver::SharedKernel).
 //! * **`Simulated{tau, workers}`** — the paper's deterministic
-//!   bounded-staleness mode: worker streams are drawn lazily round-robin
-//!   and every update is applied `τ` logical steps after computation via
-//!   a [`DelayQueue`], with an epoch-boundary flush. `τ = 0` reproduces
+//!   bounded-staleness mode: the workers' steppers hand out one draw at
+//!   a time ([`ShardStepper::next_draw`]), round-robin, and every update
+//!   is applied `τ` logical steps after computation via a
+//!   [`DelayQueue`], with an epoch-boundary flush. `τ = 0` reproduces
 //!   the sequential path bit-for-bit.
 //!
-//! **Steps read gathered rows.** Kernels take the drawn row itself, a
-//! [`SparseRow`](isasgd_sparse::SparseRow); where it is read from is
-//! decided here. The sequential and threaded arms step through each
-//! pulled chunk with a [`RowWindow`]: it copies the next
-//! [`RowWindow::ROWS`] drawn rows, in draw order, into one small
-//! contiguous buffer, and the kernel steps each draw on its copy. A
-//! drawn row sits wherever the draw landed in its shard, so a loop that
-//! reads rows one step at a time stalls on a cache miss per step; the
-//! copy issues a window's misses back to back. A window holds only draws
-//! the arm has already pulled — under `EveryK`, the threads' k-strides
-//! and the sequential arm's single draws — so draw order, observation
-//! order, commit boundaries and the arithmetic are those of a loop over
-//! the dataset, bit for bit. The simulated arm reads each row from the
-//! dataset by id, for `compute` and again for the `apply` that lands τ
-//! steps later.
+//! **One stepper, one pull rule.** Kernels take the drawn row itself, a
+//! [`SparseRow`](isasgd_sparse::SparseRow). Every runtime, the
+//! `isasgd-cluster` worker included, steps a shard through the same
+//! [`ShardStepper`]: it pulls draws from the shard's
+//! [`ScheduleStream`], never across a possible sampler commit, and the
+//! sequential and threaded arms read each draw's row from a window of
+//! gathered rows (the stepper's docs), bit for bit the dataset's row.
+//! So draw order, observation order, commit boundaries and the
+//! arithmetic are those of a loop pulling one draw at a time. The
+//! simulated arm reads each row from the dataset by id, for `compute`
+//! and again for the `apply` that lands τ steps later.
 //!
 //! **Schedules are never materialized.** Every path pulls draws from
 //! per-worker [`ScheduleStream`]s (each owns its shard's boxed
@@ -69,40 +67,37 @@
 //!   — τ steps later, or at the epoch-end flush.
 //!
 //! *When* observations fold into the live distribution is the sampler's
-//! [`CommitPolicy`]: at epoch boundaries (default), or every `k` accepted
-//! observations (`EveryK` — intra-epoch adaptivity, `O(k log n)` a
-//! commit whatever the shard size). Under `EveryK` the engine pulls
-//! draws in `k`-sized strides so each chunk is at most one commit window
-//! behind the freshest re-weighting; the per-epoch cumulative sampler
-//! commit count is reported in [`RunResult::sampler_commits`], where
-//! intra-epoch commits show up as the count advancing by more than
-//! `workers` per epoch.
+//! [`CommitPolicy`](isasgd_sampling::CommitPolicy): at epoch boundaries
+//! (default), or every `k` accepted observations (`EveryK` —
+//! intra-epoch adaptivity, `O(k log n)` a commit whatever the shard
+//! size). A stepper's pull never spans a commit, so each draw sees the
+//! freshest re-weighting; the per-epoch cumulative sampler commit count
+//! is reported in [`RunResult::sampler_commits`], where intra-epoch
+//! commits show up as the count advancing by more than `workers` per
+//! epoch. The final epoch's observations are never committed: nothing
+//! draws from the result.
 //!
-//! Draw cost accounting follows the paper's convention: epoch-boundary
-//! runs bill chunk pulls to `setup_secs` ("sampling time"), mirroring the
-//! offline sequence generation they replace. Streamed (`EveryK`) epochs
-//! are the exception: their draws interleave with gradient steps and are
-//! billed to training time (the price of intra-epoch adaptivity is paid
-//! on the hot path, where it belongs). Threaded workers likewise draw on
-//! the hot path — their pulls overlap training by construction.
+//! Draw cost accounting follows the paper's convention: sequential and
+//! simulated runs bill each pull of a distribution frozen until the
+//! epoch ends to `setup_secs` ("sampling time"), mirroring the offline
+//! sequence generation it replaces. Streamed (`EveryK`) pulls are the
+//! exception: they interleave with gradient steps and are billed to
+//! training time (the price of intra-epoch adaptivity is paid on the
+//! hot path, where it belongs). Threaded workers likewise draw on the
+//! hot path — their pulls overlap training by construction.
 
 use crate::config::{Execution, TrainConfig};
 use crate::error::CoreError;
 use crate::eval::{evaluate, TrainTimer};
 use crate::solvers::plan::build_plan;
-use crate::solvers::solver::{Sched, Solver};
+use crate::solvers::solver::Solver;
 use crate::trainer::RunResult;
 use isasgd_asyncsim::DelayQueue;
 use isasgd_losses::{Loss, Objective};
 use isasgd_metrics::{Trace, TracePoint};
 use isasgd_model::SharedModel;
-use isasgd_sampling::{CommitPolicy, SamplingStrategy, ScheduleStream};
-use isasgd_sparse::{Dataset, RowWindow};
-
-/// The dataset row a draw reads.
-fn row_of(s: &Sched) -> usize {
-    s.row as usize
-}
+use isasgd_sampling::{SamplingStrategy, ScheduleStream, ShardStepper};
+use isasgd_sparse::Dataset;
 
 /// What the trainer resolved about one engine run beyond its solver:
 /// the trace's labels.
@@ -116,29 +111,24 @@ pub struct RunMeta<'a> {
     pub concurrency: usize,
 }
 
-/// One observation riding a simulated in-flight update: the worker that
-/// drew it and the row's raw gradient scale `|ℓ'(m)|`. Delivered to that
-/// worker's stream when the update applies.
-type ObsNote = (usize, f64);
-
-/// An in-flight simulated update, the row it was computed on and its
-/// (optional) observation.
-type InFlight<U> = (U, u32, Option<ObsNote>);
+/// An in-flight simulated update, the row it was computed on, and the
+/// observation riding it: the worker that drew the row and its raw
+/// gradient scale `|ℓ'(m)|`, delivered when the update applies.
+type InFlight<U> = (U, u32, usize, f64);
 
 /// Applies a popped in-flight update, reading its row from the dataset
-/// by id, and delivers its observation to the stream that drew it.
+/// by id, and delivers its observation to the stream that drew it (a
+/// no-op on streams that do not adapt).
 fn land<S: Solver>(
     solver: &mut S,
     data: &Dataset,
     streams: &mut [ScheduleStream],
     lambda: f64,
-    (update, row, note): InFlight<S::Update>,
+    (update, row, worker, g): InFlight<S::Update>,
     w: &mut [f64],
 ) {
     solver.apply(&data.row(row as usize), lambda, update, w);
-    if let Some((worker, g)) = note {
-        streams[worker].observe(row as usize, g);
-    }
+    streams[worker].observe(row as usize, g);
 }
 
 /// Runs `solver` on `ds` under `exec`, drawing samples per `strategy`.
@@ -168,38 +158,22 @@ pub fn run_engine<L: Loss, S: Solver>(
         Execution::Simulated { workers, .. } => workers,
     };
     let mut plan = build_plan(ds, obj, cfg, workers, strategy)?;
-    // One window per worker of the arms that gather, kept all run rather
-    // than built on each epoch's threads (RowWindow's docs); every row
-    // the run steps is a row of `ds`, so none outgrows its buffers.
-    let gathering = match exec {
-        Execution::Simulated { .. } => 0,
-        _ => plan.streams.len(),
-    };
+    // One stepper per worker, kept all run rather than built on each
+    // epoch's threads (ShardStepper's docs); every row the run steps is
+    // a row of `ds`, so none outgrows its window (which simulated
+    // workers, reading rows by id, leave unused).
     let widest = ds.max_row_nnz();
-    let mut windows: Vec<RowWindow> = (0..gathering)
-        .map(|_| RowWindow::with_row_capacity(widest))
-        .collect();
+    let mut steppers: Vec<ShardStepper> = (0..workers).map(|_| ShardStepper::new(widest)).collect();
     solver.init(&plan.data)?;
-    let n = plan.data.n_samples();
-    let dim = plan.data.dim();
-    let adaptive = plan.is_adaptive();
-    // Intra-epoch commits steer the remaining draws of the same epoch on
-    // every execution mode — all of them pull from live streams.
-    let streaming = adaptive && matches!(plan.commit, CommitPolicy::EveryK(_));
-    let threaded = matches!(exec, Execution::Threads(_));
     let report_balance = solver.uses_importance_plan();
 
     // Model containers: a dense vector for sequential/simulated modes, a
     // lock-free shared model for threads.
     let mut w: Vec<f64> = match init {
         Some(w0) => w0.to_vec(),
-        None => vec![0.0; dim],
+        None => vec![0.0; plan.data.dim()],
     };
-    let shared = if threaded {
-        Some(SharedModel::from_dense(&w))
-    } else {
-        None
-    };
+    let shared = matches!(exec, Execution::Threads(_)).then(|| SharedModel::from_dense(&w));
 
     let mut trace = Trace::new(
         meta.algo_name,
@@ -209,17 +183,12 @@ pub fn run_engine<L: Loss, S: Solver>(
     );
     let mut timer = TrainTimer::new();
     let mut eval_timer = TrainTimer::new();
-    // Chunk-pull + sampler-maintenance cost on boundary-commit runs,
-    // folded into setup_secs (the paper's "sampling time").
+    // Pulls of frozen distributions and sampler maintenance, folded into
+    // setup_secs (the paper's "sampling time").
     let mut sampling_timer = TrainTimer::new();
     let mut steps: u64 = 0;
     // Cumulative sampler commit count at each epoch's end.
     let mut sampler_commits: Vec<u64> = Vec::with_capacity(cfg.epochs);
-    // Reused draw chunk (sequential path).
-    let mut chunk: Vec<Sched> = Vec::new();
-    // Reused per-worker draw buffers (simulated path): (chunk, cursor).
-    // `Vec::new()` does not allocate, so non-simulated runs pay nothing.
-    let mut feeds: Vec<(Vec<Sched>, usize)> = (0..workers).map(|_| (Vec::new(), 0)).collect();
 
     // Epoch-0 point: metrics of the starting model at time zero. Each
     // epoch's evaluation replaces them, so after the loop they are the
@@ -237,90 +206,45 @@ pub fn run_engine<L: Loss, S: Solver>(
 
     let lambda = cfg.step_size;
     for epoch in 0..cfg.epochs {
-        // Observations matter when a later epoch re-samples from them —
-        // or, on streamed runs, when a commit inside THIS epoch steers
-        // its own remaining draws (so the final epoch collects too).
-        let collect = adaptive && (streaming || epoch + 1 < cfg.epochs);
-
         timer.start();
         match exec {
             Execution::Sequential => {
                 solver.on_epoch_start(&plan.data, &w, lambda);
-                // Streamed epochs pull one draw at a time so each sees
-                // the freshest committed distribution; boundary-commit
-                // epochs pull large chunks (the distribution is frozen
-                // all epoch) with the draw cost billed to sampling time,
-                // as materialization was.
-                let chunk_len = if streaming {
-                    1
-                } else {
-                    ScheduleStream::DEFAULT_CHUNK
-                };
-                let (data, stream, window) = (&plan.data, &mut plan.streams[0], &mut windows[0]);
-                while !stream.is_exhausted() {
-                    if !streaming {
-                        timer.stop();
-                        sampling_timer.start();
-                    }
-                    stream.fill_chunk(&mut chunk, chunk_len);
-                    if !streaming {
-                        sampling_timer.stop();
-                        timer.start();
-                    }
-                    window.walk(data, &chunk, row_of, |s, row| {
-                        let (update, g) = solver.compute(row, s.corr, lambda, &w);
+                steppers[0].epoch(
+                    &mut plan.streams[0],
+                    &plan.data,
+                    0,
+                    |pull| timer.pause_for(&mut sampling_timer, pull),
+                    |d, row| {
+                        let (update, g) = solver.compute(row, d.corr, lambda, &w);
                         solver.apply(row, lambda, update, &mut w);
-                        if collect {
-                            stream.observe(s.row as usize, g);
-                        }
-                    });
-                }
+                        g
+                    },
+                    |_, _| {},
+                );
                 solver.on_epoch_end(&plan.data, lambda, &mut w);
             }
             Execution::Simulated { tau, .. } => {
                 solver.on_epoch_start(&plan.data, &w, lambda);
-                // In-flight updates carry their observation note (row,
-                // raw gradient scale) so feedback lands at APPLY time.
+                // In-flight updates carry their observation so feedback
+                // lands at APPLY time.
                 let mut queue: DelayQueue<InFlight<S::Update>> = DelayQueue::new(tau);
-                let chunk_len = if streaming {
-                    1
-                } else {
-                    ScheduleStream::DEFAULT_CHUNK
-                };
-                let streams = &mut plan.streams;
-                let data = &plan.data;
-                // Rewind the reused per-worker draw buffers (emptied by
-                // the previous epoch; capacity is kept).
-                for f in feeds.iter_mut() {
-                    f.0.clear();
-                    f.1 = 0;
-                }
-                let total: usize = streams.iter().map(|s| s.remaining()).sum();
+                let (data, streams) = (&plan.data, &mut plan.streams);
+                let mut bill = |pull: &mut dyn FnMut()| timer.pause_for(&mut sampling_timer, pull);
                 // Round-robin over live streams: worker `t mod k` draws
                 // from its *current* distribution at global step t, so
-                // mid-epoch commits steer later draws.
-                let mut k = 0usize;
-                for _ in 0..total {
-                    while feeds[k].1 == feeds[k].0.len() && streams[k].is_exhausted() {
+                // mid-epoch commits steer later draws. The epoch ends
+                // when every worker in turn has no draw left.
+                let (mut k, mut dry) = (0, 0);
+                while dry < workers {
+                    let Some(d) = steppers[k].next_draw(&mut streams[k], &mut bill) else {
+                        dry += 1;
                         k = (k + 1) % workers;
-                    }
-                    if feeds[k].1 == feeds[k].0.len() {
-                        if !streaming {
-                            timer.stop();
-                            sampling_timer.start();
-                        }
-                        streams[k].fill_chunk(&mut feeds[k].0, chunk_len);
-                        feeds[k].1 = 0;
-                        if !streaming {
-                            sampling_timer.stop();
-                            timer.start();
-                        }
-                    }
-                    let s = feeds[k].0[feeds[k].1];
-                    feeds[k].1 += 1;
-                    let (update, g) = solver.compute(&data.row(s.row as usize), s.corr, lambda, &w);
-                    let note = collect.then_some((k, g));
-                    if let Some(landed) = queue.push((update, s.row, note)) {
+                        continue;
+                    };
+                    dry = 0;
+                    let (update, g) = solver.compute(&data.row(d.row as usize), d.corr, lambda, &w);
+                    if let Some(landed) = queue.push((update, d.row, k, g)) {
                         land(&mut solver, data, streams, lambda, landed, &mut w);
                     }
                     k = (k + 1) % workers;
@@ -347,37 +271,28 @@ pub fn run_engine<L: Loss, S: Solver>(
                             .into(),
                     })?;
                 let data = &plan.data;
-                // Each worker owns its shard's stream for the epoch and
-                // observes into its own sampler — shards are disjoint, so
-                // adaptivity is thread-local by construction. Under
-                // EveryK the pull stride is k: draws are at most one
-                // commit window behind the freshest re-weighting (and a
-                // 1-worker streamed threaded run is bit-equal to the
-                // sequential stream, which commits on the same
-                // k-aligned boundaries).
-                let chunk_len = match (streaming, plan.commit) {
-                    (true, CommitPolicy::EveryK(every)) => every.max(1),
-                    _ => ScheduleStream::DEFAULT_CHUNK,
-                };
+                // Each worker steps its own shard and observes into its
+                // own sampler — shards are disjoint, so adaptivity is
+                // thread-local by construction. Its pulls overlap other
+                // workers' training, so they stay training time.
                 std::thread::scope(|scope| {
-                    for (stream, window) in plan.streams.iter_mut().zip(&mut windows) {
+                    for (stream, stepper) in plan.streams.iter_mut().zip(&mut steppers) {
                         scope.spawn(move || {
-                            let mut chunk: Vec<Sched> = Vec::with_capacity(chunk_len);
-                            while stream.fill_chunk(&mut chunk, chunk_len) > 0 {
-                                window.walk(data, &chunk, row_of, |s, row| {
-                                    let g = kernel.step_shared(row, s.corr, lambda, model);
-                                    if collect {
-                                        stream.observe(s.row as usize, g);
-                                    }
-                                });
-                            }
+                            stepper.epoch(
+                                stream,
+                                data,
+                                0,
+                                |pull| pull(),
+                                |d, row| kernel.step_shared(row, d.corr, lambda, model),
+                                |_, _| {},
+                            );
                         });
                     }
                 });
             }
         }
         timer.stop();
-        steps += n as u64;
+        steps += plan.data.n_samples() as u64;
 
         eval_timer.start();
         if let Some(model) = &shared {
@@ -1209,7 +1124,10 @@ mod tests {
         // of any runtime fails here. The last three rows run on the
         // constant-valued `binary` set, recorded from a build that stored
         // a value per non-zero: storing the one value once must not move
-        // a bit either. Squared hinge keeps libm out of the trajectory.
+        // a bit either. The three epoch-boundary adaptive rows were
+        // recorded from a build that skipped the final epoch's
+        // observations: observing what no commit reads must not move a
+        // bit. Squared hinge keeps libm out of the trajectory.
         use isasgd_losses::SquaredHingeLoss;
         let (wide, binary) = (wide(96), binary(96));
         let o = Objective::new(SquaredHingeLoss, Regularizer::L1 { eta: 1e-3 });
@@ -1223,6 +1141,10 @@ mod tests {
         let adaptive = TrainConfig {
             sampling: Some(SamplingStrategy::Adaptive),
             ..cfg.with_commit(isasgd_sampling::CommitPolicy::EveryK(8))
+        };
+        let boundary = TrainConfig {
+            sampling: Some(SamplingStrategy::Adaptive),
+            ..cfg
         };
         let sim = Execution::Simulated { tau: 4, workers: 2 };
         for (ds, algo, exec, cfg, want) in [
@@ -1268,6 +1190,27 @@ mod tests {
                 Execution::Threads(1),
                 &adaptive,
                 0xfda7_a53d_d8d6_600e,
+            ),
+            (
+                &wide,
+                Algorithm::IsSgd,
+                Execution::Sequential,
+                &boundary,
+                0x3bf0_58fd_d995_31e9,
+            ),
+            (
+                &wide,
+                Algorithm::IsAsgd,
+                Execution::Threads(1),
+                &boundary,
+                0x3bf0_58fd_d995_31e9,
+            ),
+            (
+                &wide,
+                Algorithm::IsAsgd,
+                sim,
+                &boundary,
+                0x1e5a_9304_ecd6_4775,
             ),
             (
                 &binary,

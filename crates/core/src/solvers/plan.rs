@@ -27,7 +27,7 @@ use crate::config::TrainConfig;
 use crate::error::CoreError;
 use isasgd_balance::{rearrange, BalancePolicy};
 use isasgd_losses::{importance_weights, Loss, Objective};
-use isasgd_sampling::{balance_seed, CommitPolicy, SamplingStrategy, ScheduleStream, ShardSpec};
+use isasgd_sampling::{balance_seed, SamplingStrategy, ScheduleStream, ShardSpec};
 use isasgd_sparse::par::map_each;
 use isasgd_sparse::Dataset;
 use std::ops::Range;
@@ -45,8 +45,6 @@ pub struct TrainingPlan {
     /// Per-worker draw streams (each owns its shard's sampler, draw RNG
     /// and observation scaling; draws carry *global* row indices).
     pub streams: Vec<ScheduleStream>,
-    /// When adaptive samplers commit accumulated observations.
-    pub commit: CommitPolicy,
     /// Wall-clock spent building this plan.
     pub setup_secs: f64,
     /// Whether head-tail balancing was applied.
@@ -70,11 +68,6 @@ impl TrainingPlan {
     /// Number of workers.
     pub fn workers(&self) -> usize {
         self.ranges.len()
-    }
-
-    /// True when any worker's sampler adapts from feedback.
-    pub fn is_adaptive(&self) -> bool {
-        self.streams.iter().any(|s| s.sampler().is_adaptive())
     }
 
     /// Advances every worker's stream to the next epoch (committing any
@@ -191,7 +184,6 @@ pub fn build_plan<L: Loss>(
         data: arranged.data,
         ranges: arranged.ranges,
         streams,
-        commit: cfg.commit,
         setup_secs: t0.elapsed().as_secs_f64(),
         balanced: arranged.balanced,
         rho: arranged.rho,
@@ -203,7 +195,7 @@ mod tests {
     use super::*;
     use crate::config::{Algorithm, Execution};
     use isasgd_losses::{ImportanceScheme, LogisticLoss, Regularizer};
-    use isasgd_sampling::SequenceMode;
+    use isasgd_sampling::{CommitPolicy, SequenceMode};
     use isasgd_sparse::{DatasetBuilder, SparseError};
 
     fn ds(n: usize) -> Dataset {
@@ -241,14 +233,14 @@ mod tests {
         .unwrap();
         assert_eq!(p.workers(), 4);
         assert_eq!(p.data.n_samples(), 20);
-        assert!(!p.is_adaptive());
+        assert!(p.streams.iter().all(|s| !s.sampler().is_adaptive()));
         for k in 0..4 {
             let range = p.ranges[k].clone();
             for (row, c) in drain_epoch(&mut p, k) {
                 assert!(range.contains(&row), "draws stay inside the shard");
                 assert_eq!(c, 1.0);
             }
-            assert!(p.streams[k].is_exhausted());
+            assert_eq!(p.streams[k].remaining(), 0);
         }
         assert!(!p.balanced);
     }
@@ -301,7 +293,7 @@ mod tests {
             SamplingStrategy::Adaptive,
         )
         .unwrap();
-        assert!(p.is_adaptive());
+        assert!(p.streams.iter().all(|s| s.sampler().is_adaptive()));
         assert_eq!(p.streams.len(), 2);
         assert_eq!(p.commit_version(), 0, "no windows folded before training");
     }

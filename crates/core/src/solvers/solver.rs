@@ -1,5 +1,5 @@
 //! The [`Solver`] trait: the per-algorithm kernel behind the shared
-//! [`ExecutionEngine`](crate::solvers::engine).
+//! [`run_engine`](crate::solvers::engine::run_engine).
 //!
 //! Every solver is split into the two phases a bounded-staleness run
 //! needs anyway:
@@ -83,7 +83,7 @@ pub trait SharedKernel: Sync {
 }
 
 /// A training algorithm's kernel, driven by the
-/// [`ExecutionEngine`](crate::solvers::engine::run_engine).
+/// [`run_engine`](crate::solvers::engine::run_engine).
 pub trait Solver {
     /// The in-flight update type (what `compute` hands to `apply`,
     /// possibly τ logical steps later under simulated execution).

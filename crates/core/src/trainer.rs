@@ -1,6 +1,6 @@
 //! The unified entry point: validate the (algorithm, execution) pair,
 //! resolve the sampling strategy, construct the solver kernel, hand off
-//! to the shared [`ExecutionEngine`](crate::solvers::engine).
+//! to the shared [`run_engine`].
 
 use crate::config::{Algorithm, Execution, SvrgVariant, TrainConfig};
 use crate::error::CoreError;

@@ -12,7 +12,7 @@ use crate::trace::{best_error_curve, Trace};
 /// curve never reaches the target.
 ///
 /// `curve` must be a monotone non-increasing best-so-far sequence, as
-/// produced by [`best_error_curve`](crate::trace::best_error_curve).
+/// produced by [`best_error_curve`].
 pub fn time_to_target(curve: &[(f64, f64)], target: f64) -> Option<f64> {
     if curve.is_empty() {
         return None;

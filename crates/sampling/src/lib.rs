@@ -43,7 +43,12 @@
 //! that layout a stream does not consume). Draws leave in bounded chunks,
 //! so schedules are never materialized per epoch and a mid-epoch sampler
 //! re-weight is visible to the very next chunk — on sequential,
-//! simulated, threaded, and cluster execution alike.
+//! simulated, threaded, and cluster execution alike. The
+//! [`ShardStepper`] is the one step loop all of them run a shard
+//! through: it pulls draws without ever spanning a possible commit,
+//! hands each draw and its (gathered) row to the runtime's step, and
+//! routes the gradient scale the step returns to
+//! [`ScheduleStream::observe`].
 //!
 //! Adaptive sampling closes a loop: kernels observe per-sample gradient
 //! scales, and the sampler's distribution tracks them.
@@ -91,7 +96,7 @@ pub use sampler::{
     build_sampler, AdaptiveIsSampler, CommitPolicy, Sampler, SamplerSnapshot, SamplingStrategy,
 };
 pub use sequence::{SampleSequence, SequenceMode};
-pub use stream::{balance_seed, Draw, ScheduleStream, ShardSpec};
+pub use stream::{balance_seed, Draw, ScheduleStream, ShardSpec, ShardStepper};
 pub use sumtree::SumTree;
 
 /// Inverse-probability step correction `1/(n·p_i)` for each sample

@@ -224,6 +224,14 @@ pub trait Sampler: Send {
         0
     }
 
+    /// Accepted observations left before the next intra-epoch commit
+    /// ([`CommitPolicy::EveryK`]), at least 1; `None` when no
+    /// observation can commit before the epoch ends. Draws taken within
+    /// that many observations share one distribution.
+    fn until_commit(&self) -> Option<usize> {
+        None
+    }
+
     /// Captures the sampler's round-boundary state for a worker
     /// checkpoint. Call only at an epoch boundary (right after
     /// [`Sampler::epoch_reset`]); see [`SamplerSnapshot`].
@@ -568,6 +576,13 @@ impl Sampler for AdaptiveIsSampler {
 
     fn commit_version(&self) -> u64 {
         self.commits
+    }
+
+    fn until_commit(&self) -> Option<usize> {
+        match self.commit {
+            CommitPolicy::EveryK(k) => Some(k.max(1) - self.since_commit),
+            CommitPolicy::EpochBoundary => None,
+        }
     }
 
     fn snapshot(&self) -> SamplerSnapshot {

@@ -14,7 +14,9 @@
 //! **Draws** are pulled in bounded chunks and never materialized per
 //! epoch: memory is `O(chunk)` per worker, and every chunk is drawn from
 //! the sampler's *current* distribution, so a mid-epoch re-weight
-//! ([`CommitPolicy::EveryK`]) is visible to the very next chunk. Only the
+//! ([`CommitPolicy::EveryK`]) is visible to the very next chunk.
+//! [`ShardStepper`] is the one loop that pulls and steps them, on every
+//! runtime, and no pull of it spans a possible commit. Only the
 //! owning stream consumes its RNG, so thread scheduling cannot perturb a
 //! worker's RNG sequence; the draw sequence itself is bit-deterministic
 //! whenever the observations feeding the sampler are (always, except
@@ -37,6 +39,7 @@ use crate::error::SamplingError;
 use crate::rng::{derive_seeds, Xoshiro256pp};
 use crate::sampler::{build_sampler, CommitPolicy, Sampler, SamplingStrategy};
 use crate::sequence::SequenceMode;
+use isasgd_sparse::{Dataset, RowWindow, SparseRow};
 use std::ops::Range;
 
 /// Salt folded into the master seed to derive per-shard *draw* RNGs,
@@ -116,7 +119,7 @@ impl std::fmt::Debug for ScheduleStream {
 }
 
 impl ScheduleStream {
-    /// Default chunk size for paths without an adaptivity-driven stride:
+    /// Draws a pull of a distribution frozen until the epoch ends takes:
     /// large enough to amortize per-chunk bookkeeping, small enough that
     /// per-worker buffers stay cache-resident and `O(1)` in `n`.
     pub const DEFAULT_CHUNK: usize = 1024;
@@ -193,16 +196,11 @@ impl ScheduleStream {
         self.epoch_len - self.emitted
     }
 
-    /// True when the current epoch's draws are all emitted.
-    pub fn is_exhausted(&self) -> bool {
-        self.emitted >= self.epoch_len
-    }
-
     /// Clears `buf` and refills it with up to `chunk` draws (bounded by
     /// the epoch remainder); returns the number drawn. Draws within one
-    /// chunk share the distribution in force when the chunk was pulled —
-    /// pull in strides of the commit period `k` to keep every draw at
-    /// most one window behind the freshest re-weighting.
+    /// chunk share the distribution in force when the chunk was pulled,
+    /// so a chunk that spans a commit draws past it from a stale one;
+    /// [`ShardStepper`] sizes its pulls so that none does.
     pub fn fill_chunk(&mut self, buf: &mut Vec<Draw>, chunk: usize) -> usize {
         buf.clear();
         let take = chunk.min(self.remaining());
@@ -242,7 +240,7 @@ impl ScheduleStream {
     }
 
     /// The draw RNG state, for worker checkpoints (paired with a
-    /// [`Sampler::snapshot`](crate::Sampler::snapshot) of the sampler).
+    /// [`Sampler::snapshot`] of the sampler).
     pub fn rng_state(&self) -> [u64; 4] {
         self.rng.state()
     }
@@ -257,6 +255,117 @@ impl ScheduleStream {
     pub fn epoch_reset(&mut self) {
         self.sampler.epoch_reset();
         self.emitted = 0;
+    }
+}
+
+/// One shard's step loop, the same on every runtime: it pulls the
+/// shard's draws from its [`ScheduleStream`], hands each draw and its
+/// row to the caller's step, and routes the `|ℓ'(m)|` the step returns
+/// to [`ScheduleStream::observe`] (adaptive streams only; the check is
+/// made once per epoch, so other streams pay nothing per step).
+///
+/// **One pull rule: no pull spans a commit.** Draws within one pull
+/// share the distribution in force when it was pulled, so a pull takes
+/// at most the observations left before the sampler's next possible
+/// commit ([`Sampler::until_commit`]): all of them when each draw's
+/// observation reaches the stream right after its step
+/// ([`ShardStepper::epoch`]), one when the caller delivers it later
+/// ([`ShardStepper::next_draw`]). A distribution frozen until the epoch
+/// ends is pulled [`ScheduleStream::DEFAULT_CHUNK`] draws at a time.
+/// Pull lengths never change which draws a stream makes, only when.
+///
+/// **Steps read gathered rows.** [`ShardStepper::epoch`] walks each
+/// pull through the stepper's [`RowWindow`], so a step reads a copy of
+/// its row gathered with the next [`RowWindow::ROWS`] draws' rows (a
+/// lone draw is read in place), bit for bit what the dataset holds.
+///
+/// Build one per shard, once per run, before the run's working set (see
+/// [`RowWindow::with_row_capacity`] for why not on per-epoch threads).
+/// `bill` arguments run each pull of a frozen distribution, so that a
+/// caller can clock them apart (`|pull| pull()` runs it bare).
+#[derive(Debug)]
+pub struct ShardStepper {
+    draws: Vec<Draw>,
+    /// Draws of `draws` already handed out by [`ShardStepper::next_draw`].
+    taken: usize,
+    window: RowWindow,
+}
+
+impl ShardStepper {
+    /// A stepper over rows of up to `row_nnz` non-zeros
+    /// ([`Dataset::max_row_nnz`] of the rows it steps).
+    pub fn new(row_nnz: usize) -> Self {
+        ShardStepper {
+            draws: Vec::with_capacity(ScheduleStream::DEFAULT_CHUNK),
+            taken: 0,
+            window: RowWindow::with_row_capacity(row_nnz),
+        }
+    }
+
+    /// Refills the draw buffer from `stream` by the pull rule (one draw
+    /// while a commit can land, if `delayed`); false when the epoch has
+    /// no draws left.
+    fn pull(
+        &mut self,
+        stream: &mut ScheduleStream,
+        delayed: bool,
+        mut bill: impl FnMut(&mut dyn FnMut()),
+    ) -> bool {
+        if stream.remaining() == 0 {
+            return false;
+        }
+        let (draws, chunk) = (&mut self.draws, ScheduleStream::DEFAULT_CHUNK);
+        match stream.sampler().until_commit() {
+            Some(_) if delayed => _ = stream.fill_chunk(draws, 1),
+            Some(left) => _ = stream.fill_chunk(draws, left.min(chunk)),
+            None => bill(&mut || _ = stream.fill_chunk(draws, chunk)),
+        }
+        self.taken = 0;
+        true
+    }
+
+    /// Steps the rest of `stream`'s epoch: `step` gets each draw and its
+    /// row (storage row `draw.row - row_base` of `rows`) and returns the
+    /// row's gradient scale `|ℓ'(m)|`, which goes to
+    /// [`ScheduleStream::observe`]; `seen` gets each observation the
+    /// stream accepts, as its global row and gradient norm.
+    pub fn epoch(
+        &mut self,
+        stream: &mut ScheduleStream,
+        rows: &Dataset,
+        row_base: usize,
+        mut bill: impl FnMut(&mut dyn FnMut()),
+        mut step: impl FnMut(Draw, &SparseRow<'_>) -> f64,
+        mut seen: impl FnMut(usize, f64),
+    ) {
+        let adaptive = stream.sampler().is_adaptive();
+        while self.pull(stream, false, &mut bill) {
+            let row_of = |d: &Draw| d.row as usize - row_base;
+            self.window.walk(rows, &self.draws, row_of, |&d, row| {
+                let g = step(d, row);
+                if adaptive {
+                    if let Some(observed) = stream.observe(d.row as usize, g) {
+                        seen(d.row as usize, observed);
+                    }
+                }
+            });
+        }
+    }
+
+    /// The next draw of `stream`'s epoch, or `None` once the epoch has
+    /// none left, for a caller that steps the draw and delivers its
+    /// observation itself, later (at most one draw is pulled ahead while
+    /// a commit can land).
+    pub fn next_draw(
+        &mut self,
+        stream: &mut ScheduleStream,
+        bill: impl FnMut(&mut dyn FnMut()),
+    ) -> Option<Draw> {
+        if self.taken == self.draws.len() && !self.pull(stream, true, bill) {
+            return None;
+        }
+        self.taken += 1;
+        self.draws.get(self.taken - 1).copied()
     }
 }
 
@@ -306,18 +415,82 @@ mod tests {
         (0..s.len()).map(|i| s.correction(i)).collect()
     }
 
+    /// Draws as their rows and correction bits, then the draw RNG's
+    /// final state.
+    type Drawn = (Vec<(u32, u64)>, [u64; 4]);
+
+    /// The observed gradient scale of `row` in `epoch` the pull tests
+    /// feed back.
+    fn scale(row: u32, epoch: u32) -> f64 {
+        0.25 + f64::from(row % 7 + epoch)
+    }
+
+    /// 2 000 rows standing for global rows 40..2040: storage row `i`
+    /// holds feature `i % 5`, so a step can tell which row it was given.
+    fn shard_rows() -> Dataset {
+        let mut b = isasgd_sparse::DatasetBuilder::new(5);
+        for i in 0..2000u32 {
+            b.push_row(&[(i % 5, 1.0)], 1.0).unwrap();
+        }
+        b.finish()
+    }
+
+    /// Three epochs of `stream` stepped by a [`ShardStepper`] over
+    /// [`shard_rows`], each draw's observation `observe(row, epoch)`
+    /// routed by the stepper; with the number of pulls it billed.
+    fn stepped(mut stream: ScheduleStream, observe: impl Fn(u32, u32) -> f64) -> (Drawn, usize) {
+        let (rows, mut stepper) = (shard_rows(), ShardStepper::new(1));
+        let (mut all, mut billed) = (Vec::new(), 0);
+        for epoch in 0..3 {
+            let bill = |pull: &mut dyn FnMut()| {
+                billed += 1;
+                pull();
+            };
+            let step = |d: Draw, row: &SparseRow<'_>| {
+                assert_eq!(row.indices, [(d.row - 40) % 5], "storage row of {}", d.row);
+                all.push((d.row, d.corr.to_bits()));
+                observe(d.row, epoch)
+            };
+            stepper.epoch(&mut stream, &rows, 40, bill, step, |_, _| {});
+            stream.epoch_reset();
+        }
+        ((all, stream.rng_state()), billed)
+    }
+
+    /// Three epochs of `stream` in pulls of one draw, each observed
+    /// with `observe(row, epoch)` before the next pull: through
+    /// [`ShardStepper::next_draw`], or by hand.
+    fn one_at_a_time(
+        mut stream: ScheduleStream,
+        observe: impl Fn(u32, u32) -> f64,
+        next_draw: bool,
+    ) -> Drawn {
+        let (mut all, mut one, mut stepper) = (Vec::new(), Vec::new(), ShardStepper::new(0));
+        for epoch in 0..3 {
+            loop {
+                let d = if next_draw {
+                    stepper.next_draw(&mut stream, |pull| pull())
+                } else {
+                    stream.fill_chunk(&mut one, 1);
+                    one.first().copied()
+                };
+                let Some(d) = d else { break };
+                all.push((d.row, d.corr.to_bits()));
+                stream.observe(d.row as usize, observe(d.row, epoch));
+            }
+            stream.epoch_reset();
+        }
+        (all, stream.rng_state())
+    }
+
     /// Three epochs of `stream`, in pulls of `chunk` draws — or of one
     /// draw, `chunk` times — each `chunk` draws fed back as observations
     /// once drawn (so `EveryK` commits land between them): every draw as
     /// its row and correction bits, then the draw RNG's final state.
-    fn pulled(
-        mut stream: ScheduleStream,
-        chunk: usize,
-        one_by_one: bool,
-    ) -> (Vec<(u32, u64)>, [u64; 4]) {
+    fn pulled(mut stream: ScheduleStream, chunk: usize, one_by_one: bool) -> Drawn {
         let (mut all, mut buf, mut one) = (Vec::new(), Vec::new(), Vec::new());
         for epoch in 0..3 {
-            while !stream.is_exhausted() {
+            while stream.remaining() > 0 {
                 if one_by_one {
                     buf.clear();
                     for _ in 0..chunk {
@@ -329,7 +502,7 @@ mod tests {
                 }
                 for d in &buf {
                     all.push((d.row, d.corr.to_bits()));
-                    stream.observe(d.row as usize, 0.25 + f64::from(d.row % 7 + epoch));
+                    stream.observe(d.row as usize, scale(d.row, epoch));
                 }
             }
             stream.epoch_reset();
@@ -350,7 +523,7 @@ mod tests {
         assert_eq!(chunked, single);
         assert_eq!(chunked.len(), 10);
         assert!(chunked.iter().all(|d| (5..15).contains(&(d.row as usize))));
-        assert!(a.is_exhausted() && b.is_exhausted());
+        assert_eq!((a.remaining(), b.remaining()), (0, 0));
         assert_eq!(a.fill_chunk(&mut buf, 3), 0, "exhausted stream stays dry");
 
         // Adaptive streams: a pull of `chunk` draws is that many pulls
@@ -385,7 +558,56 @@ mod tests {
                     "{commit:?}, chunks of {chunk}"
                 );
             }
+            // The stepper, observing each draw after its step, and its
+            // draw-at-a-time path: one-draw pulls, whatever it pulls. A
+            // frozen distribution's pulls (2 an epoch) are billed; a
+            // pull that precedes a commit is not.
+            let (steps, billed) = stepped(stream(), scale);
+            assert_eq!(steps, pulled(stream(), 1, false), "{commit:?}, stepper");
+            let want_billed = if commit == CommitPolicy::EpochBoundary {
+                6
+            } else {
+                0
+            };
+            assert_eq!(billed, want_billed, "{commit:?}");
+            assert_eq!(
+                one_at_a_time(stream(), scale, true),
+                pulled(stream(), 1, false),
+                "{commit:?}, next_draw"
+            );
         }
+    }
+
+    /// A refused observation (a NaN scale) does not count toward an
+    /// `EveryK` commit, so the commit lands later than `k` draws after
+    /// the last one: the stepper still pulls no draw across it, and
+    /// draws exactly what one-draw pulls with an observation after each
+    /// draw make. A stepper pulling plain `k`-strides draws past the
+    /// commit from the stale distribution, and fails here.
+    #[test]
+    fn no_pull_spans_a_commit_when_observations_are_refused() {
+        let weights: Vec<f64> = (0..2000).map(|i| 0.5 + f64::from(i % 11)).collect();
+        let stream = || {
+            let spec = ShardSpec {
+                weights: Some(&weights),
+                range: 40..2040,
+                commit: CommitPolicy::EveryK(5),
+                ..spec(1, 0..0, SamplingStrategy::Adaptive)
+            };
+            ScheduleStream::for_shard(spec, (0..2000).map(|i| f64::from(i % 3 + 1))).unwrap()
+        };
+        let observe = |row: u32, epoch: u32| {
+            if (row + epoch).is_multiple_of(3) {
+                f64::NAN
+            } else {
+                scale(row, epoch)
+            }
+        };
+        let (steps, billed) = stepped(stream(), observe);
+        let by_hand = one_at_a_time(stream(), observe, false);
+        assert_eq!(steps, by_hand);
+        assert_eq!(billed, 0);
+        assert_eq!(one_at_a_time(stream(), observe, true), by_hand, "next_draw");
     }
 
     #[test]
